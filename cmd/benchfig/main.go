@@ -93,7 +93,7 @@ var figures = []figSpec{
 	{"cache", func(c config) (*bench.Table, error) {
 		return bench.RunCache(c.wan, bench.CacheReadObjects, []int{0, 25, 50, 75, 90, 100})
 	},
-		"readonly lease cache: batched cached reads at swept hit rates vs the uncached PR4 path, WAN"},
+		"readonly lease cache: batched cached reads at swept hit rates vs the uncached path, WAN"},
 	{"getbatch", func(c config) (*bench.Table, error) {
 		return bench.RunGetBatch(c.wan, []int{1, 4, 16, 64})
 	},

@@ -28,17 +28,17 @@ const cachePayloadBytes = 64
 // RunCache sweeps the lease hit rate: x is the percentage of the flush's
 // reads served from a warm lease; the rest are invalidated before every
 // repetition (a harness knob — no wire traffic), forcing a fetch. Columns:
-// the uncached PR 4 path and the cached path, same call sequence.
+// the uncached path and the cached path at HEAD, same call sequence.
 func RunCache(cfg Config, objects int, hitPcts []int) (*Table, error) {
 	if objects <= 0 {
 		objects = CacheReadObjects
 	}
 	table := &Table{
-		Fig:     "Fig. C1",
+		Fig:     "Fig. C6",
 		Title:   fmt.Sprintf("Readonly lease cache (%d cached reads per flush)", objects),
 		XLabel:  "lease hit rate %",
 		Profile: cfg.Profile.Name,
-		Columns: []string{"uncached (PR4)", "cached"},
+		Columns: []string{"uncached (HEAD)", "cached"},
 	}
 	ctx := context.Background()
 	for _, pct := range hitPcts {
@@ -93,7 +93,7 @@ func RunCache(cfg Config, objects int, hitPcts []int) (*Table, error) {
 			name string
 			op   func() error
 		}{
-			{"uncached (PR4)", func() error { return readBatch(nil) }},
+			{"uncached (HEAD)", func() error { return readBatch(nil) }},
 			{"cached", func() error { return readBatch(cache) }},
 		}
 		row := Row{X: pct}

@@ -2,11 +2,13 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/rmi"
 )
@@ -122,14 +124,14 @@ func newRebalanceEnv(profile netsim.Profile, objects int) (*rebalanceEnv, error)
 }
 
 // scaleOut performs the measured operation: grow the cluster by one server,
-// migrating the moved objects.
+// migrating the moved objects — through the rebalancer's batched trips, or
+// through the per-object baseline below.
 func (re *rebalanceEnv) scaleOut(perObject bool) error {
-	var opts []cluster.RebalanceOption
+	ctx := context.Background()
 	if perObject {
-		opts = append(opts, cluster.WithPerObjectMigration())
+		return re.scaleOutPerObject(ctx)
 	}
-	reb := cluster.NewRebalancer(re.dir, opts...)
-	stats, err := reb.AddServer(context.Background(), re.newcomer)
+	stats, err := cluster.NewRebalancer(re.dir).AddServer(ctx, re.newcomer)
 	if err != nil {
 		return err
 	}
@@ -137,6 +139,76 @@ func (re *rebalanceEnv) scaleOut(perObject bool) error {
 		return fmt.Errorf("bench: rebalance moved %d objects, want %d", stats.Moved, len(re.names))
 	}
 	return nil
+}
+
+// scaleOutPerObject is the figure's unbatched baseline, and exists only
+// here: the rebalancer's own scale-out with every moving object paying its
+// own Snapshot, Arrive and Depart round trips instead of sharing three
+// batched ones per flow. Everything else matches the batched column: the
+// same refresh, parallel ring broadcast and manifest reads (the constant
+// both columns share), sources in parallel, copy-then-tombstone, the live
+// ring committed last. Every bound object is a MovableCounter.
+func (re *rebalanceEnv) scaleOutPerObject(ctx context.Context) error {
+	peer, ring := re.env.Client, re.dir.Ring()
+	if err := re.dir.Refresh(ctx); err != nil {
+		return err
+	}
+	members := append(ring.Endpoints(), re.newcomer)
+	grown, epoch := cluster.NewRing(members), ring.Epoch()+1
+	snap := &cluster.RingSnapshot{Members: members, Epoch: epoch}
+	err := eachEndpoint(members, func(ep string) error {
+		_, err := peer.Call(ctx, cluster.NodeRef(ep), "SetRing", snap)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	err = eachEndpoint(members, func(src string) error {
+		res, err := peer.Call(ctx, cluster.NodeRef(src), "Manifest")
+		if err != nil {
+			return err
+		}
+		table, err := core.Convert[[]*cluster.Binding](res[0])
+		if err != nil {
+			return err
+		}
+		for _, b := range table {
+			dst := grown.Route(b.Name)
+			if dst == src {
+				continue
+			}
+			state, err := peer.Call(ctx, b.Ref, "Snapshot")
+			if err != nil {
+				return err
+			}
+			if _, err := peer.Call(ctx, cluster.NodeRef(dst), "Arrive", b.Name, b.Ref.Iface, true, state[0], b.Ref); err != nil {
+				return err
+			}
+			if _, err := peer.Call(ctx, cluster.NodeRef(src), "Depart", b.Name, epoch); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err == nil {
+		ring.Add(re.newcomer)
+	}
+	return err
+}
+
+// eachEndpoint runs fn once per endpoint, in parallel.
+func eachEndpoint(endpoints []string, fn func(ep string) error) error {
+	errs := make([]error, len(endpoints))
+	var wg sync.WaitGroup
+	for i, ep := range endpoints {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(ep)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // verify checks the post-conditions of a scale-out: every name is homed on

@@ -142,7 +142,7 @@ func runThroughput(env *ClusterEnv, conc, flushes int) ([]time.Duration, int64, 
 // compiled wire codecs, pooled buffers, coalesced framing, and parallel
 // batch executor landed. Committing the numbers keeps the before/after
 // comparison in BENCH_throughput.json honest and reproducible: the "PR3"
-// column is this recording, the "PR4" column is measured live by benchfig.
+// column is this recording, the "HEAD" column is measured live by benchfig.
 // Absolute numbers belong to the CI-class container the trajectory is
 // generated on; the before/after *ratio* is the tracked quantity.
 var baselineThroughput = map[int]ThroughputResult{
@@ -156,7 +156,7 @@ var baselineThroughput = map[int]ThroughputResult{
 
 // RunThroughput produces the throughput figure over concurrency levels:
 // column "PR3 (frozen)" is the committed pre-optimization recording (zeros
-// when no recording exists for a concurrency level), column "PR4" is
+// when no recording exists for a concurrency level), column "HEAD" is
 // measured live.
 func RunThroughput(cfg Config, concs []int, flushes int) (*Table, error) {
 	table := &Table{
@@ -164,7 +164,7 @@ func RunThroughput(cfg Config, concs []int, flushes int) (*Table, error) {
 		Title:   fmt.Sprintf("Hot-path throughput (%d servers, mixed flush sizes %v, %d flushes)", ThroughputServers, FlushSizes, flushes),
 		XLabel:  "client goroutines",
 		Profile: cfg.Profile.Name,
-		Columns: []string{"PR3 (frozen)", "PR4"},
+		Columns: []string{"PR3 (frozen)", "HEAD"},
 	}
 	for _, conc := range concs {
 		env, err := NewClusterEnv(cfg.Profile, ThroughputServers)

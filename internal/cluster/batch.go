@@ -56,12 +56,11 @@ var (
 // internally synchronized, so misuse corrupts no memory, only recording
 // order.
 type Batch struct {
-	peer          *rmi.Peer
-	policy        *core.Policy
-	singleStage   bool
-	parallelRoots bool
-	dir           *Directory
-	cache         *rcache.Cache
+	peer        *rmi.Peer
+	policy      *core.Policy
+	singleStage bool
+	dir         *Directory
+	cache       *rcache.Cache
 
 	mu     sync.Mutex
 	groups map[string]*group // keyed by server endpoint
@@ -157,17 +156,6 @@ func NewCache(peer *rmi.Peer, dir *Directory, opts ...rcache.Option) *rcache.Cac
 // "Replication & failover").
 func WithQuorum(w int) Option {
 	return func(b *Batch) { b.quorum = w }
-}
-
-// WithParallelRoots forwards core.WithParallelRoots to every per-server
-// sub-batch: a destination whose sub-batch the server proves root-partition
-// independent (the plan shows no inter-root dependency within the stage)
-// replays its roots concurrently. Per-root program order is preserved;
-// cross-root interleaving on one server is relaxed, exactly as documented
-// for the core option. Dependent sub-batches are unaffected — the server
-// falls back to sequential replay when independence cannot be proven.
-func WithParallelRoots() Option {
-	return func(b *Batch) { b.parallelRoots = true }
 }
 
 // New creates an empty cluster batch. Add destinations with Root.

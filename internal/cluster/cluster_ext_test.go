@@ -519,52 +519,3 @@ func TestDirectoryEmpty(t *testing.T) {
 		t.Fatalf("lookup on empty directory = %v, want ErrNoServers", err)
 	}
 }
-
-// TestParallelRootsOption: cluster.WithParallelRoots forwards the relaxed
-// replay opt-in to every per-server sub-batch. Independent roots on one
-// server still produce correct per-root results, and a sub-batch with
-// cross-root dataflow is replayed sequentially by the server's fallback —
-// same results either way.
-func TestParallelRootsOption(t *testing.T) {
-	tc := clustertest.New(t, 2)
-	extra := &clustertest.Counter{}
-	extraRef, err := tc.Servers[0].Peer.Export(extra, clustertest.CounterIface)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	b := cluster.New(tc.Client, cluster.WithParallelRoots())
-	r0 := b.Root(tc.Servers[0].Ref)
-	rx := b.Root(extraRef)
-	r1 := b.Root(tc.Servers[1].Ref)
-	f0a := r0.Call("Add", int64(1))
-	f0b := r0.Call("Add", int64(2))
-	fxa := rx.Call("Add", int64(10))
-	f1 := r1.Call("Add", int64(7))
-	if err := b.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		f    *cluster.Future
-		want int64
-	}{{f0a, 1}, {f0b, 3}, {fxa, 10}, {f1, 7}} {
-		if v, err := cluster.Typed[int64](c.f).Get(); err != nil || v != c.want {
-			t.Errorf("future = %v, %v; want %d", v, err, c.want)
-		}
-	}
-
-	// Cross-root dependency on one server: the executor must fall back.
-	b2 := cluster.New(tc.Client, cluster.WithParallelRoots())
-	q0 := b2.Root(tc.Servers[0].Ref)
-	qx := b2.Root(extraRef)
-	p := q0.CallBatch("Self")
-	absorbed := qx.Call("Absorb", p)
-	if err := b2.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// The extra counter holds 10 from the first flush and absorbs counter
-	// 0's total of 3.
-	if v, err := cluster.Typed[int64](absorbed).Get(); err != nil || v != 13 {
-		t.Errorf("cross-root Absorb under parallel opt-in = %v, %v; want 13", v, err)
-	}
-}

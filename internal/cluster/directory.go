@@ -161,7 +161,7 @@ func (d *Directory) refreshOnce(ctx context.Context) error {
 		return ErrNoServers
 	}
 	snaps := make([]*RingSnapshot, len(members))
-	err := eachEndpoint(members, func(i int, ep string) error {
+	err := fanOut(members, func(i int, ep string) error {
 		res, err := d.peer.Call(ctx, NodeRef(ep), "RingState")
 		if err != nil {
 			return fmt.Errorf("cluster: ring state from %s: %w", ep, err)
@@ -207,7 +207,7 @@ func (d *Directory) List(ctx context.Context) (map[string][]string, error) {
 	}
 	out := make(map[string][]string, len(servers))
 	var mu sync.Mutex
-	err := eachEndpoint(servers, func(_ int, ep string) error {
+	err := fanOut(servers, func(_ int, ep string) error {
 		names, err := registry.List(ctx, d.peer, ep)
 		if err != nil {
 			return fmt.Errorf("cluster: list %s: %w", ep, err)
@@ -223,19 +223,19 @@ func (d *Directory) List(ctx context.Context) (map[string][]string, error) {
 	return out, nil
 }
 
-// eachEndpoint runs fn once per endpoint, all in parallel, and joins the
-// failures. It is the fan-out shape every cluster-wide control operation
-// (listing, ring broadcast/refresh, migration planning) shares: one round
-// trip of wall-clock time regardless of cluster size.
-func eachEndpoint(endpoints []string, fn func(i int, ep string) error) error {
-	errs := make([]error, len(endpoints))
+// fanOut runs fn once per item, all in parallel, and joins the failures. It
+// is the fan-out shape every cluster-wide control operation (listing, ring
+// broadcast/refresh, migration flows) shares: one round trip of wall-clock
+// time regardless of cluster size.
+func fanOut[T any](items []T, fn func(i int, item T) error) error {
+	errs := make([]error, len(items))
 	var wg sync.WaitGroup
-	for i, ep := range endpoints {
+	for i, item := range items {
 		wg.Add(1)
-		go func(i int, ep string) {
+		go func(i int, item T) {
 			defer wg.Done()
-			errs[i] = fn(i, ep)
-		}(i, ep)
+			errs[i] = fn(i, item)
+		}(i, item)
 	}
 	wg.Wait()
 	return errors.Join(errs...)

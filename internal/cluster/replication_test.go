@@ -8,7 +8,6 @@ package cluster_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -247,82 +246,4 @@ func TestInFlightFlushSurvivesPrimaryCrash(t *testing.T) {
 		t.Errorf("retried wave did not replicate to the new follower %s (shard info %+v)", newOwners[1], si)
 	}
 	checkConverged(t, ec, admin, map[string]int64{"obj-0": 112})
-}
-
-// TestFailoverRetryConvergesAfterInjectedFault is the promotion-idempotence
-// satellite: FailoverServer is cut immediately before each of its batched
-// trips in turn — promotion, the three migration trips, replica placement —
-// and a plain retried FailoverServer must converge from whatever partial
-// state the cut left: every name resolves at its ring home exactly once with
-// the acked state intact.
-func TestFailoverRetryConvergesAfterInjectedFault(t *testing.T) {
-	stages := []cluster.MigrationStage{
-		cluster.StagePromote, cluster.StageSnapshot, cluster.StageArrive,
-		cluster.StageDepart, cluster.StagePlace,
-	}
-	for _, stage := range stages {
-		t.Run(string(stage), func(t *testing.T) {
-			ec := clustertest.New(t, 4)
-			ctx := context.Background()
-			dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(3))
-
-			// Election geometry that forces a post-promotion migration (by
-			// consistent hashing, the FIRST follower is always the new home,
-			// so a 2-owner shard never migrates after promotion): with
-			// owners [server-0, server-2, server-1], both followers hold
-			// equally-credentialed seeded shadows and the election tie-break
-			// promotes the lexically-lowest — server-1 — while the survivor
-			// ring homes the name at server-2. The failover then promotes at
-			// server-1 AND migrates to server-2, so every probed stage is
-			// reachable.
-			var moving string
-			for i := 0; moving == ""; i++ {
-				name := fmt.Sprintf("obj-%d", i)
-				owners, _ := dir.Owners(name)
-				if owners[0] == "server-0" && owners[1] == "server-2" && owners[2] == "server-1" {
-					moving = name
-				}
-				if i > 100000 {
-					t.Fatal("no name with the required owner geometry")
-				}
-			}
-			seeds := map[string]int64{moving: 500}
-			ec.BindCounter(dir, moving, seeds[moving])
-			if _, err := cluster.NewRebalancer(dir).AddServer(ctx, "server-0"); err != nil {
-				t.Fatalf("placement rebalance: %v", err)
-			}
-
-			// One acked write on top of the seed: the converged state must
-			// carry it through every cut.
-			b := cluster.New(ec.Client, cluster.WithDirectory(dir))
-			p, err := b.RootNamed(ctx, moving)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Call("Add", int64(1))
-			if err := b.Flush(ctx); err != nil {
-				t.Fatalf("acked flush: %v", err)
-			}
-			want := map[string]int64{moving: 501}
-
-			ec.CrashServer("server-0")
-			faulty := cluster.NewRebalancer(dir, cluster.WithMigrationProbe(failAtStage(stage)))
-			if _, err := faulty.FailoverServer(ctx, "server-0"); !errors.Is(err, errInjected) {
-				t.Fatalf("faulted failover error = %v, want the injected fault", err)
-			}
-
-			if _, err := cluster.NewRebalancer(dir).FailoverServer(ctx, "server-0"); err != nil {
-				t.Fatalf("retried failover: %v", err)
-			}
-			if dir.Ring().Contains("server-0") {
-				t.Error("dead server still in the ring after retried failover")
-			}
-			checkConverged(t, ec, dir, want)
-
-			// A further retry is a clean no-op.
-			if again, err := cluster.NewRebalancer(dir).FailoverServer(ctx, "server-0"); err != nil || again.Promoted != 0 || again.Moved != 0 {
-				t.Errorf("third failover = %+v, %v; want converged no-op", again, err)
-			}
-		})
-	}
 }

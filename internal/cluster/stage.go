@@ -72,9 +72,6 @@ func (ds *destState) open(b *Batch) error {
 	if b.policy != nil {
 		opts = append(opts, core.WithPolicy(b.policy))
 	}
-	if b.parallelRoots {
-		opts = append(opts, core.WithParallelRoots())
-	}
 	cb := core.New(b.peer, ds.group.roots[0], opts...)
 	ds.group.rootProxies[ds.group.roots[0]].core = cb.Root()
 	for _, ref := range ds.group.roots[1:] {
