@@ -28,10 +28,11 @@
 //     shipped to followers' ordered shard logs with per-name write quorums
 //     (WithQuorum), and epoch-bump failover that promotes the
 //     best-credentialed shadow when a primary dies with its state;
-//     streaming bulk reads: cluster.GetBatch plans N named reads into one
-//     ordered GetBatch stream per destination (optionally spread over
-//     follower shadows with WithReadReplicas) and reassembles them
-//     client-side in exact request order
+//     streaming bulk reads: cluster.GetBatch sends N names as one ordered,
+//     name-addressed GetBatch stream per home server — the homes resolve
+//     them, so the read costs one round trip per distinct home (optionally
+//     spread over follower shadows with WithReadReplicas) — and
+//     reassembles the streams client-side in exact request order
 //   - internal/rmi       distributed object runtime (the "Java RMI" role):
 //     reflective dispatch plus opt-in reflection-free skeletons
 //     (LocalDispatcher, generated by brmigen like rmic's skeleton classes)

@@ -491,3 +491,29 @@ func TestCacheShape(t *testing.T) {
 		t.Errorf("uncached/cached at 100%% hit = %.2fx, want >= 5x", speedup)
 	}
 }
+
+// TestGetBatchShape pins Fig. C5's cost model: the names ride the stream
+// request, so a cluster read of N names costs one round trip per distinct
+// home — never more than the cluster size, and exactly one at N=1, where
+// the streamed read must be about as fast as the single per-call read it
+// replaces (it used to pay a lookup round trip first and run 2x slower).
+func TestGetBatchShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow shape test; skipped in -short")
+	}
+	sizes := []int{1, 4, 16, 64}
+	table, err := RunGetBatch(fastCfg(), sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range sizes {
+		if got := tableCell(t, table, n, 1).Calls; got < 1 || got > getbatchServers {
+			t.Errorf("getbatch N=%d: %d round trips, want 1..%d (one per distinct home)", n, got, getbatchServers)
+		}
+	}
+	assertRoundTrips(t, table, 1, []uint64{1, 1})
+	perCall, streamed := tableCell(t, table, 1, 0).S.Millis(), tableCell(t, table, 1, 1).S.Millis()
+	if streamed > 1.25*perCall {
+		t.Errorf("getbatch N=1 %.2fms vs per-call %.2fms: %.2fx, want <= 1.25x", streamed, perCall, streamed/perCall)
+	}
+}

@@ -109,20 +109,27 @@ func (d *Directory) Lookup(ctx context.Context, name string) (wire.Ref, error) {
 	if !errors.As(err, &wrong) {
 		return wire.Ref{}, err
 	}
-	// A coalesced Refresh may have joined a poll that STARTED before the
-	// membership change this rejection reports, adopting a ring older than
-	// wrong.NewEpoch. Retry the refresh (bounded) until the ring caught up
-	// with the epoch the rejecting server announced.
-	for attempt := 0; ; attempt++ {
-		if rerr := d.Refresh(ctx); rerr != nil {
-			return wire.Ref{}, fmt.Errorf("%w (ring refresh failed: %v)", err, rerr)
-		}
-		if d.Epoch() >= wrong.NewEpoch || attempt >= 1 {
-			break
-		}
+	if rerr := d.refreshTo(ctx, wrong.NewEpoch); rerr != nil {
+		return wire.Ref{}, fmt.Errorf("%w (ring refresh failed: %v)", err, rerr)
 	}
 	d.lookupRetries.Inc()
 	return d.lookupOnce(ctx, name)
+}
+
+// refreshTo answers a wrong-home rejection announcing epoch: it refreshes
+// the ring until it caught up with that epoch. A coalesced Refresh may have
+// joined a poll that STARTED before the membership change the rejection
+// reports, adopting an older ring, so one more (bounded) refresh follows
+// when the first falls short.
+func (d *Directory) refreshTo(ctx context.Context, epoch uint64) error {
+	for attempt := 0; ; attempt++ {
+		if err := d.Refresh(ctx); err != nil {
+			return err
+		}
+		if d.Epoch() >= epoch || attempt >= 1 {
+			return nil
+		}
+	}
 }
 
 func (d *Directory) lookupOnce(ctx context.Context, name string) (wire.Ref, error) {

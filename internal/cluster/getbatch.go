@@ -2,26 +2,46 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/registry"
 	"repro/internal/rmi"
 	"repro/internal/stats"
 )
 
 // Streaming bulk reads across the cluster (the Get-Batch workload).
 //
-// GetBatch turns N named reads into ONE stream request per destination
-// server: names resolve through the directory, group by home endpoint, and
-// each group ships as a single core.GetBatch stream executed in parallel
-// with the others. The returned Stream is the client-side assembler: it
-// merges the per-destination streams back into exact request order,
-// delivering entry i while later entries are still in flight. With
-// replicated shards (WithReadReplicas) the planner spreads reads over each
-// name's owner list, reading follower shadows where a seeded replica
-// exists and falling back to the primary where not.
+// GetBatch turns N named reads into ONE stream request per home server,
+// and the request carries the NAMES: each name routes by the local ring
+// (Directory.Home, no network), the groups ship as one name-addressed
+// core.GetBatch stream each, in parallel, and the serving executor resolves
+// every name in its own registry before reading it. A read of N names over
+// D distinct homes costs D round trips — 1 at N=1 — and GetBatch itself
+// returns without touching the network. The returned Stream is the
+// client-side assembler: it merges the per-destination streams back into
+// exact request order, delivering entry i while later entries are still in
+// flight.
+//
+// Two per-entry outcomes send a position round again; the in-order
+// assembler simply waits for the late indexes:
+//
+//   - *core.ElsewhereError: the name is bound at its home to an object on
+//     another endpoint. The position is re-read id-addressed there, one
+//     second-hop stream per such endpoint.
+//   - *rmi.WrongHomeError: the name migrated after this directory last saw
+//     the ring. One coalesced, epoch-bounded Directory.Refresh, then the
+//     positions are re-issued by name at their new homes — once per
+//     GetBatch, counted in cluster.lookup_retries.
+//
+// With replicated shards (WithReadReplicas) the planner spreads reads over
+// each name's owner list without a lookup either: a name's primary is
+// Owners(name)[0] by construction, followers that report a seeded, live
+// shadow (ShadowIDs) get their share id-addressed, and everything else goes
+// by name to the primary. Id and name positions share one stream.
 
 // StreamEntry is one delivered result of a cluster GetBatch: the request
 // position, the name read, and its value or per-name failure. A failed
@@ -57,18 +77,69 @@ func WithReadReplicas() GetBatchOption {
 	return func(o *getBatchOpts) { o.readReplicas = true }
 }
 
-// destBatch is the per-destination slice of the request: parallel objIDs
-// and global indexes, in request order.
+// readPlan is one round of streams: the positions still to read, grouped
+// by the endpoint each is read at, in request order within a group.
+type readPlan struct {
+	byDest map[string]*destBatch
+	dests  []*destBatch
+}
+
+// destBatch is the per-destination slice of a round: the stream request
+// (parallel ObjIDs, Names and global Indexes) and whether any position in
+// it is name-addressed.
 type destBatch struct {
 	endpoint string
-	objIDs   []uint64
-	indexes  []int64
+	req      core.GetBatchRequest
+	named    bool
+}
+
+// add appends request position index to endpoint's group: id-addressed
+// when objID is non-zero, else addressed by name.
+func (pl *readPlan) add(endpoint string, index int, objID uint64, name string) {
+	db := pl.byDest[endpoint]
+	if db == nil {
+		if pl.byDest == nil {
+			pl.byDest = make(map[string]*destBatch)
+		}
+		db = &destBatch{endpoint: endpoint}
+		pl.byDest[endpoint] = db
+		pl.dests = append(pl.dests, db)
+	}
+	if objID != 0 {
+		name = ""
+	} else {
+		db.named = true
+	}
+	db.req.ObjIDs = append(db.req.ObjIDs, objID)
+	db.req.Names = append(db.req.Names, name)
+	db.req.Indexes = append(db.req.Indexes, int64(index))
+}
+
+// reroutes collects, across one round's parallel streams, the positions
+// whose entry said "not here": second hops by id and wrong-home retries by
+// name.
+type reroutes struct {
+	mu    sync.Mutex
+	hops  []hop
+	wrong []int
+	epoch uint64 // newest epoch a wrong-home entry announced
+}
+
+// hop is one position bound elsewhere: where, per its home's registry.
+type hop struct {
+	index int
+	at    *core.ElsewhereError
 }
 
 // Stream delivers a cluster GetBatch strictly in request order. Entries
 // arriving out of global order (a fast destination running ahead) buffer
 // until the gap fills; cluster.getbatch_buffer gauges that backlog.
 type Stream struct {
+	peer   *rmi.Peer
+	dir    *Directory
+	names  []string
+	method string
+
 	cancel context.CancelFunc
 	depth  *stats.Gauge
 	wg     sync.WaitGroup
@@ -77,176 +148,237 @@ type Stream struct {
 	cond   *sync.Cond // signaled on deliver and Close
 	buf    map[int]*StreamEntry
 	next   int
-	total  int
 	closed bool
 }
 
-// GetBatch issues one ordered bulk read of names across the cluster. The
-// caller must drain the stream to io.EOF or Close it. Resolution failures
-// (unknown name, no route) surface as that entry's Err, not as a global
-// failure.
+// GetBatch issues one ordered bulk read of names across the cluster. It
+// plans and reads in the background and returns at once; the caller must
+// drain the stream to io.EOF or Close it. Resolution failures (unknown
+// name, no route) surface as that entry's Err, not as a global failure.
 func GetBatch(ctx context.Context, p *rmi.Peer, d *Directory, names []string, opts ...GetBatchOption) (*Stream, error) {
 	var o getBatchOpts
 	for _, op := range opts {
 		op(&o)
 	}
-
-	// Resolve every name to the endpoint+objID it will be read at. Lookups
-	// are independent network calls, so they fan out in parallel — a
-	// sequential resolve pass would cost N round trips and swamp the single
-	// streamed request the whole design exists to get down to.
-	endpoints := make([]string, len(names))
-	objIDs := make([]uint64, len(names))
-	resolveErrs := make([]error, len(names))
-	var rwg sync.WaitGroup
-	for i, name := range names {
-		rwg.Add(1)
-		go func(i int, name string) {
-			defer rwg.Done()
-			ref, err := d.Lookup(ctx, name)
-			if err != nil {
-				resolveErrs[i] = err
-				return
-			}
-			endpoints[i], objIDs[i] = ref.Endpoint, ref.ObjID
-		}(i, name)
-	}
-	rwg.Wait()
-	if o.readReplicas && d.Replication() > 1 {
-		spreadOverReplicas(ctx, p, d, names, endpoints, objIDs, resolveErrs)
-	}
-
-	// Group into per-destination sub-batches, preserving request order.
-	byDest := make(map[string]*destBatch)
-	var dests []*destBatch
-	for i := range names {
-		if resolveErrs[i] != nil {
-			continue
-		}
-		db := byDest[endpoints[i]]
-		if db == nil {
-			db = &destBatch{endpoint: endpoints[i]}
-			byDest[endpoints[i]] = db
-			dests = append(dests, db)
-		}
-		db.objIDs = append(db.objIDs, objIDs[i])
-		db.indexes = append(db.indexes, int64(i))
-	}
-
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Stream{
+		peer:   p,
+		dir:    d,
+		names:  names,
+		method: o.method,
 		cancel: cancel,
 		buf:    make(map[int]*StreamEntry),
-		total:  len(names),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if reg := p.Stats(); reg != nil {
 		s.depth = reg.Gauge("cluster.getbatch_buffer")
 	}
-	for i, err := range resolveErrs {
-		if err != nil {
-			s.deliver(&StreamEntry{Index: i, Name: names[i], Err: err})
-		}
-	}
-	for _, db := range dests {
-		s.wg.Add(1)
-		go func(db *destBatch) {
-			defer s.wg.Done()
-			s.runDest(sctx, p, db, names, o.method)
-		}(db)
-	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.run(sctx, o.readReplicas && d.Replication() > 1)
+	}()
 	return s, nil
 }
 
-// spreadOverReplicas rewrites a slice of the read set onto follower
-// shadows: each name picks an owner by its request position, and followers
-// report (one ShadowIDs call per follower/primary pair) which of their
-// assigned names have a seeded, live shadow. Names without one — and any
-// follower that cannot be asked — stay on the primary. Best-effort by
-// design: failure here costs spreading, never correctness.
-func spreadOverReplicas(ctx context.Context, p *rmi.Peer, d *Directory, names []string, endpoints []string, objIDs []uint64, resolveErrs []error) {
-	type replicaGroup struct {
-		primary string
-		names   []string
-		pos     []int
+// run reads every position: one round of name-addressed streams to the
+// homes, then a round per kind of reroute the entries ask for. A position
+// is re-issued by name at most once and hops by id at most once, so the
+// rounds are bounded.
+func (s *Stream) run(ctx context.Context, spread bool) {
+	var plan readPlan
+	var shadowAt []string
+	var shadowID []uint64
+	if spread {
+		shadowAt, shadowID = s.shadowReads(ctx)
 	}
-	groups := make(map[string]*replicaGroup) // key: follower + "\x00" + primary
-	epoch := d.Epoch()
-	for i, name := range names {
-		if resolveErrs[i] != nil {
+	for i, name := range s.names {
+		if spread && shadowID[i] != 0 {
+			plan.add(shadowAt[i], i, shadowID[i], name)
 			continue
 		}
-		owners, _ := d.Owners(name)
-		if len(owners) < 2 || owners[0] != endpoints[i] {
-			// Not replicated, or the lookup resolved off-ring (mid-
-			// migration); don't second-guess it.
+		home, err := s.dir.Home(name)
+		if err != nil {
+			s.deliver(&StreamEntry{Index: i, Name: name, Err: err})
+			continue
+		}
+		plan.add(home, i, 0, name)
+	}
+
+	var retried map[int]bool // positions already re-issued by name
+	for len(plan.dests) > 0 {
+		var rr reroutes
+		_ = fanOut(plan.dests, func(_ int, db *destBatch) error {
+			s.runDest(ctx, db, retried, &rr)
+			return nil
+		})
+		plan = readPlan{}
+		for _, h := range rr.hops {
+			plan.add(h.at.Ref.Endpoint, h.index, h.at.Ref.ObjID, h.at.Name)
+		}
+		if len(rr.wrong) == 0 {
+			continue
+		}
+		if retried == nil {
+			retried = make(map[int]bool, len(rr.wrong))
+		}
+		rerr := s.dir.refreshTo(ctx, rr.epoch)
+		if rerr == nil {
+			s.dir.lookupRetries.Inc()
+		}
+		for _, i := range rr.wrong {
+			retried[i] = true
+			name := s.names[i]
+			if rerr != nil {
+				s.deliver(&StreamEntry{Index: i, Name: name, Err: fmt.Errorf("cluster: getbatch %q: wrong home (ring refresh failed: %w)", name, rerr)})
+			} else if home, err := s.dir.Home(name); err != nil {
+				s.deliver(&StreamEntry{Index: i, Name: name, Err: err})
+			} else {
+				plan.add(home, i, 0, name)
+			}
+		}
+	}
+}
+
+// shadowReads picks, for the positions a follower should serve, the
+// follower and the shadow's object id there: each replicated name picks an
+// owner by its request position, and the picked followers report (one
+// ShadowIDs call per follower/primary pair, all in parallel) which of
+// their assigned names have a seeded, live shadow. A zero id leaves the
+// position on its primary — so does any follower that cannot be asked.
+// Best-effort by design: failure here costs spreading, never correctness.
+func (s *Stream) shadowReads(ctx context.Context) (endpoints []string, ids []uint64) {
+	type replicaGroup struct {
+		follower, primary string
+		names             []string
+		pos               []int
+	}
+	endpoints = make([]string, len(s.names))
+	ids = make([]uint64, len(s.names))
+	byPair := make(map[[2]string]*replicaGroup)
+	var groups []*replicaGroup
+	epoch := s.dir.Epoch()
+	for i, name := range s.names {
+		owners, _ := s.dir.Owners(name)
+		if len(owners) < 2 {
 			continue
 		}
 		pick := owners[i%len(owners)]
-		if pick == endpoints[i] {
+		if pick == owners[0] {
 			continue
 		}
-		key := pick + "\x00" + owners[0]
-		g := groups[key]
+		key := [2]string{pick, owners[0]}
+		g := byPair[key]
 		if g == nil {
-			g = &replicaGroup{primary: owners[0]}
-			groups[key] = g
+			g = &replicaGroup{follower: pick, primary: owners[0]}
+			byPair[key] = g
+			groups = append(groups, g)
 		}
 		g.names = append(g.names, name)
 		g.pos = append(g.pos, i)
 	}
-	for key, g := range groups {
-		follower := key[:len(key)-len(g.primary)-1]
-		results, err := p.Call(ctx, ReplicaRef(follower), "ShadowIDs", g.primary, g.names, epoch)
+	_ = fanOut(groups, func(_ int, g *replicaGroup) error {
+		results, err := s.peer.Call(ctx, ReplicaRef(g.follower), "ShadowIDs", g.primary, g.names, epoch)
 		if err != nil || len(results) == 0 {
-			continue
+			return nil
 		}
-		ids, ok := results[0].([]any)
-		if !ok || len(ids) != len(g.names) {
-			continue
+		got, ok := results[0].([]any)
+		if !ok || len(got) != len(g.names) {
+			return nil
 		}
 		for j, pos := range g.pos {
-			if id, ok := ids[j].(uint64); ok && id != 0 {
-				endpoints[pos], objIDs[pos] = follower, id
+			if id, ok := got[j].(uint64); ok && id != 0 {
+				endpoints[pos], ids[pos] = g.follower, id
 			}
 		}
-	}
+		return nil
+	})
+	return endpoints, ids
 }
 
 // runDest drains one destination's sub-stream into the assembler. The
 // per-server stream is ordered, so entries pair with the sub-batch's
 // indexes positionally; a destination failing mid-stream fails exactly its
-// undelivered remainder.
-func (s *Stream) runDest(ctx context.Context, p *rmi.Peer, db *destBatch, names []string, method string) {
+// undelivered remainder. Entries that say "not here" go to rr instead of
+// the assembler.
+func (s *Stream) runDest(ctx context.Context, db *destBatch, retried map[int]bool, rr *reroutes) {
+	indexes := db.req.Indexes
 	failFrom := func(cursor int, err error) {
-		for _, gi := range db.indexes[cursor:] {
-			s.deliver(&StreamEntry{Index: int(gi), Name: names[gi], Err: err})
+		for _, gi := range indexes[cursor:] {
+			s.deliver(&StreamEntry{Index: int(gi), Name: s.names[gi], Err: err})
 		}
 	}
-	gs, err := core.GetBatch(ctx, p, db.endpoint, db.objIDs, db.indexes, method)
+	db.req.Method = s.method
+	if !db.named {
+		db.req.Names = nil // id-addressed throughout: the three-field wire form
+	}
+	gs, err := core.GetBatch(ctx, s.peer, db.endpoint, &db.req)
 	if err != nil {
 		failFrom(0, err)
 		return
 	}
 	defer gs.Close()
-	cursor := 0
-	for cursor < len(db.indexes) {
+	for cursor, want := range indexes {
 		entry, err := gs.Next()
 		if err != nil {
 			if err == io.EOF {
-				err = fmt.Errorf("cluster: getbatch: %s ended after %d of %d entries", db.endpoint, cursor, len(db.indexes))
+				err = fmt.Errorf("cluster: getbatch: %s ended after %d of %d entries", db.endpoint, cursor, len(indexes))
 			}
 			failFrom(cursor, err)
 			return
 		}
-		want := db.indexes[cursor]
 		if entry.Index != want {
 			failFrom(cursor, fmt.Errorf("cluster: getbatch: %s delivered index %d, want %d", db.endpoint, entry.Index, want))
 			return
 		}
-		s.deliver(&StreamEntry{Index: int(want), Name: names[want], Value: entry.Value, Err: entry.Err})
-		cursor++
+		i := int(want)
+		if entry.Err != nil {
+			byName := db.req.ObjIDs[cursor] == 0
+			if rr.file(i, byName, retried[i], entry.Err) {
+				continue
+			}
+			if byName {
+				entry.Err = lookupError(s.names[i], db.endpoint, entry.Err)
+			}
+		}
+		s.deliver(&StreamEntry{Index: i, Name: s.names[i], Value: entry.Value, Err: entry.Err})
 	}
+}
+
+// file takes position i when its entry's failure is one of the two "not
+// here" answers — bound elsewhere (name-addressed positions only), or
+// wrong home (unless already re-issued once) — and reports whether it did.
+func (rr *reroutes) file(i int, byName, retried bool, err error) bool {
+	var elsewhere *core.ElsewhereError
+	var wrong *rmi.WrongHomeError
+	switch {
+	case byName && errors.As(err, &elsewhere):
+		rr.mu.Lock()
+		rr.hops = append(rr.hops, hop{index: i, at: elsewhere})
+		rr.mu.Unlock()
+		return true
+	case !retried && errors.As(err, &wrong):
+		rr.mu.Lock()
+		rr.wrong = append(rr.wrong, i)
+		if wrong.NewEpoch > rr.epoch {
+			rr.epoch = wrong.NewEpoch
+		}
+		rr.mu.Unlock()
+		return true
+	}
+	return false
+}
+
+// lookupError gives a name-addressed position's resolution failure the
+// shape Directory.Lookup gives it: the name and the home that was asked,
+// wrapping the registry's typed error. Other failures pass through.
+func lookupError(name, home string, err error) error {
+	var notBound *registry.NotBoundError
+	var wrong *rmi.WrongHomeError
+	if errors.As(err, &notBound) || errors.As(err, &wrong) {
+		return fmt.Errorf("cluster: lookup %q at %s: %w", name, home, err)
+	}
+	return err
 }
 
 // deliver hands one entry to the assembler.
@@ -272,7 +404,7 @@ func (s *Stream) Next() (*StreamEntry, error) {
 		if s.closed {
 			return nil, rmi.ErrClosed
 		}
-		if s.next >= s.total {
+		if s.next >= len(s.names) {
 			return nil, io.EOF
 		}
 		if e, ok := s.buf[s.next]; ok {

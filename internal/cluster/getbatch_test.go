@@ -9,13 +9,40 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
+	"repro/internal/netsim"
+	"repro/internal/registry"
 	"repro/internal/rmi"
 )
+
+// drainInOrder reads a whole GetBatch of Get() values and fails unless the
+// entries arrive in exact request order, error-free, with want's values.
+func drainInOrder(t *testing.T, s *cluster.Stream, names []string, want map[string]int64) {
+	t.Helper()
+	for i, name := range names {
+		e, err := s.Next()
+		if err != nil {
+			t.Fatalf("Next() entry %d: %v", i, err)
+		}
+		if e.Index != i || e.Name != name {
+			t.Fatalf("entry %d = {Index: %d, Name: %q}, want {%d, %q}: delivery out of request order", i, e.Index, e.Name, i, name)
+		}
+		if e.Err != nil {
+			t.Fatalf("entry %d (%s): %v", i, name, e.Err)
+		}
+		if v, ok := e.Value.(int64); !ok || v != want[name] {
+			t.Fatalf("entry %d (%s) = %v (%T), want %d", i, name, e.Value, e.Value, want[name])
+		}
+	}
+	if _, err := s.Next(); err != io.EOF {
+		t.Fatalf("after last entry: %v, want io.EOF", err)
+	}
+}
 
 // TestGetBatchOrderedOnePerDestination is the acceptance-criteria test: a
 // 64-object GetBatch over a 4-server cluster completes as exactly ONE
@@ -228,6 +255,16 @@ func TestGetBatchReadReplicas(t *testing.T) {
 		t.Fatalf("placement rebalance: %v", err)
 	}
 
+	// The spread needs no lookup: a name's primary is Owners(name)[0], and
+	// the followers picked (odd positions, R=2) answer ShadowIDs. Every
+	// remote call is accounted for below, leaving none for a registry.
+	followers := map[string]bool{}
+	for i, name := range names {
+		if owners, _ := dir.Owners(name); i%len(owners) != 0 {
+			followers[owners[i%len(owners)]] = true
+		}
+	}
+	before := ec.Client.CallCount()
 	s, err := cluster.GetBatch(ctx, ec.Client, dir, names,
 		cluster.WithGetMethod("Get"), cluster.WithReadReplicas())
 	if err != nil {
@@ -259,5 +296,221 @@ func TestGetBatchReadReplicas(t *testing.T) {
 	}
 	if got := ec.Server(primary).Stats.Snapshot().Counter("core.getbatch_entries"); got == int64(len(names)) {
 		t.Error("primary executed the whole batch; replica spread did nothing")
+	}
+	// One ShadowIDs call and one id-addressed stream per follower, one
+	// name-addressed stream to the primary — and not one Lookup.
+	if got, want := ec.Client.CallCount()-before, uint64(2*len(followers)+1); got != want {
+		t.Errorf("replica-spread GetBatch made %d remote calls, want %d (2 per follower + the primary's stream, no lookups)", got, want)
+	}
+}
+
+// bindLocal exports a fresh Counter at name's home and binds it in that
+// member's registry directly — no network, so tests on slow simulated links
+// set up in no time.
+func bindLocal(t *testing.T, ec *clustertest.Cluster, dir *cluster.Directory, name string, seed int64) {
+	t.Helper()
+	home, err := dir.Home(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ec.Server(home)
+	ref, err := srv.Peer.Export(clustertest.NewCounter(seed), clustertest.CounterIface)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Reg.Bind(name, ref); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGetBatchRoundTripsEqualDistinctHomes pins the cost model: reading N
+// names costs one round trip per DISTINCT HOME — 1 at N=1, at most the
+// cluster size at any N — because the names ride the stream request and the
+// homes resolve them. GetBatch itself returns without waiting on the
+// network: on a link with an 80 ms round trip it is back in a fraction of
+// one, where a client-side resolve pass would hold it for a whole one. (A
+// CallCount read right after the return would race the stream goroutines it
+// just started; elapsed time on a slow link is the observable.)
+func TestGetBatchRoundTripsEqualDistinctHomes(t *testing.T) {
+	network := netsim.New(netsim.WAN)
+	t.Cleanup(func() { _ = network.Close() })
+	ec := clustertest.New(t, 4, clustertest.WithNetwork(network))
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
+
+	for _, n := range []int{1, 8, 64} {
+		names := make([]string, n)
+		want := make(map[string]int64, n)
+		homes := map[string]bool{}
+		for i := range names {
+			names[i] = fmt.Sprintf("rt-%d-%d", n, i)
+			want[names[i]] = int64(n*100 + i)
+			bindLocal(t, ec, dir, names[i], want[names[i]])
+			home, _ := dir.Home(names[i])
+			homes[home] = true
+		}
+
+		before := ec.Client.CallCount()
+		start := time.Now()
+		s, err := cluster.GetBatch(ctx, ec.Client, dir, names, cluster.WithGetMethod("Get"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if open := time.Since(start); open > netsim.WAN.RTT/4 {
+			t.Errorf("N=%d: GetBatch took %v to return on a %v-RTT link; it must not wait on the network", n, open, netsim.WAN.RTT)
+		}
+		drainInOrder(t, s, names, want)
+		s.Close()
+		if got := ec.Client.CallCount() - before; got != uint64(len(homes)) {
+			t.Errorf("N=%d: GetBatch cost %d round trips, want %d (one per distinct home)", n, got, len(homes))
+		}
+	}
+}
+
+// TestGetBatchSecondHop: a name bound at its home to an object exported on
+// a DIFFERENT server is read there, id-addressed, in one second-hop stream
+// — and only that name pays the hop.
+func TestGetBatchSecondHop(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
+
+	// Three names sharing one home; the middle one's object lives elsewhere.
+	home := ec.Endpoints()[0]
+	away := ec.Server(ec.Endpoints()[1])
+	var names []string
+	for i := 0; len(names) < 3; i++ {
+		if name := fmt.Sprintf("hop-%d", i); dir.Ring().Route(name) == home {
+			names = append(names, name)
+		}
+	}
+	want := map[string]int64{names[0]: 11, names[1]: 22, names[2]: 33}
+	ec.BindCounter(dir, names[0], 11)
+	ec.BindCounter(dir, names[2], 33)
+	farRef, err := away.Peer.Export(clustertest.NewCounter(22), clustertest.CounterIface)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.Bind(ctx, names[1], farRef); err != nil {
+		t.Fatal(err)
+	}
+
+	before := ec.Client.CallCount()
+	s, err := cluster.GetBatch(ctx, ec.Client, dir, names, cluster.WithGetMethod("Get"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	drainInOrder(t, s, names, want)
+
+	if got := ec.Client.CallCount() - before; got != 2 {
+		t.Errorf("GetBatch cost %d round trips, want 2 (the home's stream + one second hop)", got)
+	}
+	for _, c := range []struct {
+		srv              *clustertest.Server
+		batches, entries int64
+	}{
+		{ec.Server(home), 1, 3}, // all three asked by name; one answered "elsewhere"
+		{away, 1, 1},            // only the far name hops
+		{ec.Server(ec.Endpoints()[2]), 0, 0},
+	} {
+		snap := c.srv.Stats.Snapshot()
+		if b, e := snap.Counter("core.getbatch_batches"), snap.Counter("core.getbatch_entries"); b != c.batches || e != c.entries {
+			t.Errorf("%s served %d batches / %d entries, want %d / %d", c.srv.Endpoint, b, e, c.batches, c.entries)
+		}
+	}
+}
+
+// TestGetBatchStaleDirectoryRetriesOnce: names that migrated after the
+// directory last saw the ring come back as wrong-home entries from their
+// old homes; the stream refreshes the ring ONCE, re-issues exactly those
+// positions by name at the new home, and still delivers in request order.
+func TestGetBatchStaleDirectoryRetriesOnce(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	base := []string{"server-0", "server-1"}
+	admin := cluster.NewDirectory(ec.Client, base)
+	stale := cluster.NewDirectory(ec.Client, base)
+	grown := cluster.NewRing([]string{"server-0", "server-1", "server-2"})
+
+	// Movers from BOTH old homes (two wrong-home streams, still one
+	// refresh) interleaved with names that stay put.
+	move0 := clustertest.PickNames(admin.Ring(), grown, "server-0", "server-2", 2)
+	move1 := clustertest.PickNames(admin.Ring(), grown, "server-1", "server-2", 1)
+	stay0 := clustertest.PickNames(admin.Ring(), grown, "server-0", "server-0", 1)
+	stay1 := clustertest.PickNames(admin.Ring(), grown, "server-1", "server-1", 1)
+	names := []string{move0[0], stay0[0], move1[0], stay1[0], move0[1]}
+	want := make(map[string]int64, len(names))
+	for i, name := range names {
+		want[name] = int64(70 + i)
+		ec.BindCounter(admin, name, want[name])
+	}
+	if _, err := cluster.NewRebalancer(admin).AddServer(ctx, "server-2"); err != nil {
+		t.Fatal(err)
+	}
+
+	counter := func(name string) int64 { return clientCounter(ec, name) }
+	retries, refreshes := counter("cluster.lookup_retries"), counter("cluster.dir_refreshes")
+	s, err := cluster.GetBatch(ctx, ec.Client, stale, names, cluster.WithGetMethod("Get"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	drainInOrder(t, s, names, want)
+
+	if got := counter("cluster.lookup_retries") - retries; got != 1 {
+		t.Errorf("cluster.lookup_retries moved by %d, want 1", got)
+	}
+	if got := counter("cluster.dir_refreshes") - refreshes; got != 1 {
+		t.Errorf("cluster.dir_refreshes moved by %d, want exactly one refresh", got)
+	}
+	if e := stale.Epoch(); e != 1 {
+		t.Errorf("stale directory epoch after the read = %d, want 1", e)
+	}
+	// The newcomer served the three movers in ONE re-issued stream.
+	snap := ec.Server("server-2").Stats.Snapshot()
+	if b, e := snap.Counter("core.getbatch_batches"), snap.Counter("core.getbatch_entries"); b != 1 || e != 3 {
+		t.Errorf("server-2 served %d batches / %d entries, want 1 / 3", b, e)
+	}
+}
+
+// TestGetBatchMissNamesHomeAndStaysTyped: a name-addressed miss keeps the
+// shape Directory.Lookup gave it — the typed registry error, wrapped with
+// the name and the home that was asked — and a name repeated in one request
+// is read at every position it appears.
+func TestGetBatchMissNamesHomeAndStaysTyped(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
+	ec.BindCounter(dir, "dup", 5)
+	names := []string{"dup", "ghost", "dup"}
+
+	s, err := cluster.GetBatch(ctx, ec.Client, dir, names, cluster.WithGetMethod("Get"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i, name := range names {
+		e, err := s.Next()
+		if err != nil {
+			t.Fatalf("Next() entry %d: %v", i, err)
+		}
+		if e.Index != i || e.Name != name {
+			t.Fatalf("entry %d = {%d, %q}, want {%d, %q}", i, e.Index, e.Name, i, name)
+		}
+		if name == "dup" {
+			if e.Err != nil || e.Value.(int64) != 5 {
+				t.Errorf("entry %d (dup) = %v, %v; want 5", i, e.Value, e.Err)
+			}
+			continue
+		}
+		var notBound *registry.NotBoundError
+		if !errors.As(e.Err, &notBound) || notBound.Name != "ghost" {
+			t.Fatalf("ghost error = %T %v, want a *registry.NotBoundError for it", e.Err, e.Err)
+		}
+		home, _ := dir.Home("ghost")
+		if prefix := fmt.Sprintf("cluster: lookup %q at %s: ", "ghost", home); !strings.HasPrefix(e.Err.Error(), prefix) {
+			t.Errorf("ghost error = %q, want prefix %q", e.Err, prefix)
+		}
 	}
 }

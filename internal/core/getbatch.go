@@ -9,10 +9,15 @@ import (
 )
 
 // GetBatch: the streaming bulk-read service (the Get-Batch workload from
-// the paper's evaluation, §5). One request names N exported objects; the
-// server streams one entry per object, in request order, through the rmi
-// stream layer — so a 64-object read is ONE request and the client
-// consumes early entries while later ones are still being produced.
+// the paper's evaluation, §5). One request names N objects; the server
+// streams one entry per object, in request order, through the rmi stream
+// layer — so a 64-object read is ONE request and the client consumes early
+// entries while later ones are still being produced.
+//
+// A position addresses its object by export id or by NAME: a name-addressed
+// position is resolved in the serving peer's own registry before the read,
+// so a client that knows only names pays no lookup round trip ahead of the
+// stream. Both kinds of position may share one request.
 //
 // Entries carry a caller-assigned index so the cluster layer can fan a
 // global batch out across servers and merge the per-server streams back
@@ -21,14 +26,22 @@ import (
 // GetBatchService is the rmi stream service name the Executor serves.
 const GetBatchService = "core.getbatch"
 
-// getBatchRequest names the objects to read, in request order. Indexes are
-// caller-assigned (global positions in a fanned-out batch), parallel to
-// ObjIDs. An empty Method reads each object's Snapshot(); otherwise Method
-// is invoked with no arguments and its first result is the value.
-type getBatchRequest struct {
+// GetBatchRequest names the objects to read at one endpoint, in request
+// order. Indexes are caller-assigned (global positions in a fanned-out
+// batch), parallel to ObjIDs. An empty Method reads each object's
+// Snapshot(); otherwise Method is invoked with no arguments and its first
+// result is the value.
+//
+// Names is empty (every position id-addressed) or parallel to ObjIDs:
+// position i is then name-addressed when ObjIDs[i] is 0, the id no
+// application export ever gets, and Names[i] is resolved in the serving
+// peer's registry. Names is the trailing wire field and is omitted when
+// empty, so an id-addressed request keeps its three-field wire form.
+type GetBatchRequest struct {
 	ObjIDs  []uint64
 	Indexes []int64
 	Method  string
+	Names   []string
 }
 
 // GetBatchEntry is one delivered result. A per-object failure (unknown id,
@@ -40,8 +53,12 @@ type GetBatchEntry struct {
 	Err   error
 }
 
-func encGetBatchRequest(x wire.Enc, r *getBatchRequest) error {
-	x.BeginStruct("brmi.getbatch.req", 3)
+func encGetBatchRequest(x wire.Enc, r *GetBatchRequest) error {
+	fields := 3
+	if len(r.Names) > 0 {
+		fields = 4
+	}
+	x.BeginStruct("brmi.getbatch.req", fields)
 	x.Slice(len(r.ObjIDs))
 	for _, id := range r.ObjIDs {
 		x.Uint(id)
@@ -51,10 +68,16 @@ func encGetBatchRequest(x wire.Enc, r *getBatchRequest) error {
 		x.Int(ix)
 	}
 	x.Str(r.Method)
+	if fields > 3 {
+		x.Slice(len(r.Names))
+		for _, name := range r.Names {
+			x.Str(name)
+		}
+	}
 	return nil
 }
 
-func decGetBatchRequest(x wire.Dec, r *getBatchRequest, n int) error {
+func decGetBatchRequest(x wire.Dec, r *GetBatchRequest, n int) error {
 	if n > 0 {
 		sn, err := x.SliceLen()
 		if err != nil {
@@ -89,7 +112,21 @@ func decGetBatchRequest(x wire.Dec, r *getBatchRequest, n int) error {
 			return err
 		}
 	}
-	return x.SkipFields(n - 3)
+	if n > 3 {
+		sn, err := x.SliceLen()
+		if err != nil {
+			return err
+		}
+		if sn >= 0 {
+			r.Names = make([]string, sn)
+			for i := range r.Names {
+				if r.Names[i], err = x.Str(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return x.SkipFields(n - 4)
 }
 
 func encGetBatchEntry(x wire.Enc, r *GetBatchEntry) error {
@@ -121,9 +158,24 @@ func decGetBatchEntry(x wire.Dec, r *GetBatchEntry, n int) error {
 	return x.SkipFields(n - 3)
 }
 
+// ElsewhereError is a name-addressed position's failure when the name is
+// bound, in the serving peer's registry, to an object exported on another
+// endpoint — a non-movable object whose binding migrated without it, or a
+// deliberate cross-server bind. The value is not here to read; Ref is the
+// binding, and the caller reads it id-addressed at Ref.Endpoint.
+type ElsewhereError struct {
+	Name string
+	Ref  wire.Ref
+}
+
+func (e *ElsewhereError) Error() string {
+	return fmt.Sprintf("brmi: getbatch: %q is bound to object %d at %s", e.Name, e.Ref.ObjID, e.Ref.Endpoint)
+}
+
 func init() {
 	wire.MustRegisterCompiled("brmi.getbatch.req", true, encGetBatchRequest, decGetBatchRequest)
 	wire.MustRegisterCompiled("brmi.getbatch.entry", true, encGetBatchEntry, decGetBatchEntry)
+	wire.MustRegisterError("brmi.getbatch.elsewhere", &ElsewhereError{})
 }
 
 // snapshotter is the structural slice of cluster.Movable this package needs
@@ -133,50 +185,42 @@ type snapshotter interface {
 	Snapshot() (any, error)
 }
 
+// resolver is the structural slice of registry.Service this package needs
+// (core does not import registry): the serving peer's own name table,
+// reached as the system object at rmi.RegistryObjID.
+type resolver interface {
+	Lookup(name string) (wire.Ref, error)
+}
+
 // serveGetBatch streams one entry per requested object, in request order.
 // Registered as the GetBatchService stream handler by Install. Entries are
 // read (and counted) under core.getbatch_entries, NOT core.calls_executed:
 // replica replay accounting (chaos invariant 6) cross-checks the latter
 // against client acks, and bulk reads are not acked calls.
 func (e *Executor) serveGetBatch(ctx context.Context, req any, w *rmi.EntryWriter) error {
-	r, ok := req.(*getBatchRequest)
+	r, ok := req.(*GetBatchRequest)
 	if !ok {
 		return fmt.Errorf("brmi: getbatch: unexpected request type %T", req)
 	}
 	if len(r.Indexes) != len(r.ObjIDs) {
 		return fmt.Errorf("brmi: getbatch: %d ids but %d indexes", len(r.ObjIDs), len(r.Indexes))
 	}
+	if len(r.Names) != 0 && len(r.Names) != len(r.ObjIDs) {
+		return fmt.Errorf("brmi: getbatch: %d ids but %d names", len(r.ObjIDs), len(r.Names))
+	}
 	e.getbatchBatches.Inc()
+	var reg resolver // this peer's registry, when the request carries names
+	if len(r.Names) != 0 {
+		obj, _ := e.peer.LocalObject(rmi.RegistryObjID)
+		reg, _ = obj.(resolver)
+	}
 	for i, objID := range r.ObjIDs {
 		entry := GetBatchEntry{Index: r.Indexes[i]}
-		obj, found := e.peer.LocalObject(objID)
-		switch {
-		case !found:
-			entry.Err = &rmi.NoSuchObjectError{ObjID: objID}
-		case r.Method != "":
-			results, ierr := e.peer.InvokeLocal(ctx, obj, r.Method, nil)
-			if ierr != nil {
-				entry.Err = ierr
-			} else if len(results) > 0 {
-				entry.Value = results[0]
-			}
-		default:
-			s, can := obj.(snapshotter)
-			if !can {
-				entry.Err = fmt.Errorf("brmi: getbatch: object %d (%T) has no snapshot", objID, obj)
-			} else if v, serr := s.Snapshot(); serr != nil {
-				entry.Err = serr
-			} else {
-				entry.Value = v
-			}
+		if objID == 0 && len(r.Names) != 0 {
+			objID, entry.Err = e.resolveLocal(reg, r.Names[i])
 		}
-		if entry.Value != nil {
-			wv, werr := e.peer.ToWire(entry.Value)
-			if werr != nil {
-				entry.Value, entry.Err = nil, fmt.Errorf("brmi: getbatch: marshal object %d: %w", objID, werr)
-			} else {
-				entry.Value = wv
-			}
+		if entry.Err == nil {
+			entry.Value, entry.Err = e.readObject(ctx, objID, r.Method)
 		}
 		e.getbatchEntries.Inc()
 		if err := w.WriteEntry(&entry); err != nil {
@@ -186,21 +230,74 @@ func (e *Executor) serveGetBatch(ctx context.Context, req any, w *rmi.EntryWrite
 	return nil
 }
 
+// resolveLocal resolves a name-addressed position in reg, this peer's own
+// registry (nil when it runs none). The registry's failures travel on the
+// entry as they are (*registry.NotBoundError for an unknown name,
+// *rmi.WrongHomeError for one that migrated away); a binding that points at
+// another endpoint is an *ElsewhereError.
+func (e *Executor) resolveLocal(reg resolver, name string) (uint64, error) {
+	if reg == nil {
+		return 0, fmt.Errorf("brmi: getbatch: resolve %q: %s runs no registry", name, e.peer.Endpoint())
+	}
+	ref, err := reg.Lookup(name)
+	if err != nil {
+		return 0, err
+	}
+	if ref.Endpoint != e.peer.Endpoint() {
+		return 0, &ElsewhereError{Name: name, Ref: ref}
+	}
+	return ref.ObjID, nil
+}
+
+// readObject reads one exported object: its Snapshot() when method is
+// empty, else method's first result, in wire form. An id that migrated away
+// fails with the tombstone's *rmi.WrongHomeError, like a call routed there.
+func (e *Executor) readObject(ctx context.Context, objID uint64, method string) (any, error) {
+	obj, found := e.peer.LocalObject(objID)
+	if !found {
+		if wrong, moved := e.peer.ForwardedObject(objID); moved {
+			return nil, wrong
+		}
+		return nil, &rmi.NoSuchObjectError{ObjID: objID}
+	}
+	var v any
+	if method != "" {
+		results, err := e.peer.InvokeLocal(ctx, obj, method, nil)
+		if err != nil {
+			return nil, err
+		}
+		if len(results) > 0 {
+			v = results[0]
+		}
+	} else {
+		s, can := obj.(snapshotter)
+		if !can {
+			return nil, fmt.Errorf("brmi: getbatch: object %d (%T) has no snapshot", objID, obj)
+		}
+		var err error
+		if v, err = s.Snapshot(); err != nil {
+			return nil, err
+		}
+	}
+	if v == nil {
+		return nil, nil
+	}
+	wv, err := e.peer.ToWire(v)
+	if err != nil {
+		return nil, fmt.Errorf("brmi: getbatch: marshal object %d: %w", objID, err)
+	}
+	return wv, nil
+}
+
 // GetBatchStream is the consumer end of one server's GetBatch stream.
 type GetBatchStream struct {
 	sc *rmi.StreamCall
 }
 
-// GetBatch issues one streaming bulk read against endpoint: objIDs are the
-// exported object ids to read there, indexes the caller's global positions
-// (parallel to objIDs), method the readonly accessor ("" = Snapshot). The
-// stream must be drained to io.EOF or closed.
-func GetBatch(ctx context.Context, p *rmi.Peer, endpoint string, objIDs []uint64, indexes []int64, method string) (*GetBatchStream, error) {
-	sc, err := p.CallStream(ctx, endpoint, GetBatchService, &getBatchRequest{
-		ObjIDs:  objIDs,
-		Indexes: indexes,
-		Method:  method,
-	})
+// GetBatch issues one streaming bulk read of req's positions against
+// endpoint. The stream must be drained to io.EOF or closed.
+func GetBatch(ctx context.Context, p *rmi.Peer, endpoint string, req *GetBatchRequest) (*GetBatchStream, error) {
+	sc, err := p.CallStream(ctx, endpoint, GetBatchService, req)
 	if err != nil {
 		return nil, err
 	}

@@ -351,12 +351,14 @@ func (c *Client) handleChunk(cc *clientConn, id uint64, payload []byte) error {
 		return nil
 	}
 	if r := pc.stream; r != nil {
-		// The reader owns the data span (it grants credit as the consumer
-		// reads); the header prefix rides along unused.
+		// The reader owns the whole payload (it grants credit as the consumer
+		// reads the data span behind the chunk header) and returns it to the
+		// pool intact — handing it only the data span would shave the header
+		// off the buffer's capacity on every trip through the pool.
 		var terminal bool
 		switch cv.inner {
 		case frameRespOK:
-			terminal = r.deliver(cv.seq, cv.data, cv.fin, nil)
+			terminal = r.deliver(cv.seq, payload, cv.fin, nil)
 		case frameRespErr:
 			msg := string(cv.data)
 			PutBuffer(payload)

@@ -15,11 +15,16 @@ const frameHeaderLen = 4 + frameHeader
 
 // maxPooledBuffer bounds the capacity the payload pool retains; buffers that
 // grew beyond it (large file transfers) are left to the GC rather than
-// pinned forever.
-const maxPooledBuffer = 1 << 20
+// pinned forever. minPooledBuffer is the capacity the pool hands out fresh
+// and the least it takes back: a smaller buffer in circulation would miss
+// every frame-sized request and push its own growth onto every appender.
+const (
+	minPooledBuffer = 4096
+	maxPooledBuffer = 1 << 20
+)
 
 var payloadPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
+	b := make([]byte, 0, minPooledBuffer)
 	return &b
 }}
 
@@ -33,19 +38,22 @@ func GetBuffer() []byte {
 
 // PutBuffer returns a buffer obtained from GetBuffer (or any buffer the
 // caller owns outright) to the pool. The buffer must not be used after.
+// Buffers outside [minPooledBuffer, maxPooledBuffer] are left to the GC.
 func PutBuffer(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuffer {
+	if cap(b) < minPooledBuffer || cap(b) > maxPooledBuffer {
 		return
 	}
 	b = b[:0]
 	payloadPool.Put(&b)
 }
 
-// getSizedBuffer returns a length-n buffer, pooled when possible.
+// getSizedBuffer returns a length-n buffer, pooled when possible. A pooled
+// buffer too small for n is dropped, not put back: the fresh one replaces
+// it in circulation when its user returns it, so the pool's buffers grow
+// toward the sizes asked for instead of multiplying.
 func getSizedBuffer(n int) []byte {
 	b := GetBuffer()
 	if cap(b) < n {
-		PutBuffer(b)
 		poolMisses.Add(1)
 		return make([]byte, n)
 	}

@@ -473,7 +473,7 @@ type StreamReader struct {
 	id  uint64
 
 	mu      sync.Mutex
-	items   [][]byte // pooled chunk-data buffers, in arrival (= stream) order
+	items   [][]byte // pooled chunk payloads (header + data), in arrival (= stream) order
 	cur     []byte   // unconsumed remainder of the item being read
 	curBuf  []byte   // cur's backing buffer, for PutBuffer
 	wantSeq uint32
@@ -499,8 +499,9 @@ func (r *StreamReader) endLocked() {
 }
 
 // deliver hands one in-order chunk (or the terminal error) to the reader.
-// Called from the client read loop; data (when non-nil) is a pooled buffer
-// the reader now owns. Reports whether the stream is terminal.
+// Called from the client read loop; data (when non-nil) is the chunk's
+// whole payload — header, then data span — in a pooled buffer the reader
+// now owns. Reports whether the stream is terminal.
 func (r *StreamReader) deliver(seq uint32, data []byte, fin bool, err error) bool {
 	r.mu.Lock()
 	if r.closed {
@@ -521,7 +522,7 @@ func (r *StreamReader) deliver(seq uint32, data []byte, fin bool, err error) boo
 			r.wantSeq++
 		}
 	}
-	if data != nil && len(data) > 0 {
+	if len(data) > chunkHeaderLen {
 		r.items = append(r.items, data)
 	} else if data != nil {
 		PutBuffer(data)
@@ -554,7 +555,7 @@ func (r *StreamReader) Read(p []byte) (int, error) {
 			if r.curBuf != nil {
 				PutBuffer(r.curBuf)
 			}
-			r.cur, r.curBuf = r.items[0], r.items[0]
+			r.cur, r.curBuf = r.items[0][chunkHeaderLen:], r.items[0]
 			r.items = r.items[1:]
 		}
 		if len(r.cur) > 0 {
