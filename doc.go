@@ -18,9 +18,10 @@
 //   - internal/cluster   multi-server sharding: epoch-versioned
 //     consistent-hash shard map, cluster naming, staged cluster batches —
 //     one recording spanning many servers, planned into dependency stages
-//     and executed as one parallel round-trip wave per stage, forwarding
-//     results between servers by reference (pinned refs) or by value
-//     (spliced futures) — and elastic membership: servers join and leave
+//     and executed by one wave runner, one parallel round-trip wave per
+//     stage (a stale-route retry re-plans and re-enters the same wave),
+//     forwarding results between servers by reference (pinned refs) or by
+//     value (spliced futures) — and elastic membership: servers join and leave
 //     under live traffic, moved objects migrate in batched round trips
 //     (Movable snapshot/restore), and stale routes fail with a typed
 //     wrong-home error that epoch-aware lookups and flushes retry once;

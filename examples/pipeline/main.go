@@ -14,9 +14,8 @@
 //	wave 2  load.Store(total)             -> the normalized total, spliced
 //	                                         by value from wave 1's future
 //
-// PR 1 rejected this recording outright (ErrCrossServer); the staged
-// planner turned the rejection into D+1 round-trip waves. Strict callers
-// can still opt back into the old guarantee with cluster.WithSingleStage.
+// The first cluster batch rejected this recording outright; the staged
+// planner turned the rejection into D+1 round-trip waves.
 //
 //	go run ./examples/pipeline
 package main

@@ -15,21 +15,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Exported errors of the cluster batch layer.
-var (
-	// ErrCrossServer reports a staged data dependency rejected by a
-	// single-stage batch (WithSingleStage): a proxy recorded on one server
-	// used as an argument of a call bound for a different server, or a
-	// future's value spliced into a later call. Replaying either needs an
-	// extra round-trip wave; single-stage batches keep the strict
-	// one-round-trip-per-destination guarantee and reject the recording
-	// instead. Default batches accept both and stage the flush
-	// (DESIGN.md, "Cluster staging rules").
-	ErrCrossServer = errors.New("cluster: cross-server data dependency")
-
-	// ErrNoEndpoint reports a Root ref that carries no server endpoint.
-	ErrNoEndpoint = errors.New("cluster: root ref has no endpoint")
-)
+// ErrNoEndpoint reports a Root ref that carries no server endpoint.
+var ErrNoEndpoint = errors.New("cluster: root ref has no endpoint")
 
 // Batch is a cluster-wide recording session: the multi-server analogue of
 // core.Batch, flushed as a record → plan → execute pipeline.
@@ -39,28 +26,25 @@ var (
 // server B — as a proxy argument (the result stays remote and is forwarded
 // by reference) or as a future argument (the settled value is spliced in).
 //
-// Plan: Flush builds the dependency DAG over the log and schedules it into
-// stages — stage 0 holds every call with no staged inputs, stage k the
-// calls whose staged inputs settle in earlier waves — each stage
-// partitioned per destination exactly like a single-stage batch.
+// Plan: Flush schedules the log's dependency DAG into stages — stage 0 holds
+// every call with no staged inputs, stage k the calls whose staged inputs
+// settle in earlier waves — and partitions each stage per destination.
 //
 // Execute: stages run in order; within a stage every destination's
 // sub-batch is one core.Batch round trip, fanned out in parallel, so a
 // stage costs the slowest server's round trip and a depth-D pipeline costs
-// D+1 round-trip waves instead of one per call. A dependency-free
-// recording plans to a single stage and behaves exactly like the
-// single-stage flush (one parallel wave; one round trip per destination).
+// D+1 round-trip waves instead of one per call. A dependency-free recording
+// plans to a single stage: one wave, one round trip per destination.
 //
 // Like core.Batch, a Batch records one batch at a time and is not meant to
 // be shared by concurrent client goroutines; the implementation is
 // internally synchronized, so misuse corrupts no memory, only recording
 // order.
 type Batch struct {
-	peer        *rmi.Peer
-	policy      *core.Policy
-	singleStage bool
-	dir         *Directory
-	cache       *rcache.Cache
+	peer   *rmi.Peer
+	policy *core.Policy
+	dir    *Directory
+	cache  *rcache.Cache
 
 	mu     sync.Mutex
 	groups map[string]*group // keyed by server endpoint
@@ -68,8 +52,6 @@ type Batch struct {
 	closed bool
 	// waves counts the parallel fan-out barriers the flush executed.
 	waves int
-	// held are the exported result refs this batch leased between stages.
-	held []wire.Ref
 	// recErr is a sticky recording violation, reported by Flush.
 	recErr error
 	// retried is set once the flush has spent its single stale-route retry.
@@ -100,17 +82,6 @@ type Option func(*Batch)
 // server never aborts another server's sub-batch).
 func WithPolicy(p *core.Policy) Option {
 	return func(b *Batch) { b.policy = p }
-}
-
-// WithSingleStage restores the strict one-wave flush: any recording that
-// would need staged execution — a cross-server RESULT proxy argument, or a
-// future's value spliced into a later call — is rejected at record time
-// with ErrCrossServer, so a flush is guaranteed to cost exactly one
-// parallel round-trip wave (one round trip per destination). Cross-server
-// ROOT proxies stay legal as arguments: their refs splice in statically
-// without an extra wave.
-func WithSingleStage() Option {
-	return func(b *Batch) { b.singleStage = true }
 }
 
 // WithDirectory makes the batch epoch-aware: roots may be addressed by
@@ -275,9 +246,8 @@ func (b *Batch) fail(err error) {
 	}
 }
 
-// record validates and appends one invocation. The argument scan classifies
-// staged inputs: cross-server proxies and futures are legal by default (the
-// planner schedules the extra waves) and rejected under WithSingleStage.
+// record validates and appends one invocation. Cross-server proxies and
+// futures are legal arguments: the planner schedules the extra waves.
 func (b *Batch) record(target *Proxy, kind int, method string, args []any) *recordedCall {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -305,40 +275,13 @@ func (b *Batch) recordLocked(target *Proxy, kind int, method string, args []any,
 				b.fail(fmt.Errorf("%w: argument %d of %s", core.ErrForeignProxy, i, method))
 				return nil
 			}
-			if x.group == target.group {
-				continue
-			}
-			if x.origin == nil {
-				// A root on another server needs no staged execution: its
-				// ref is known statically and splices into the sub-batch
-				// as-is, so even single-stage batches accept it.
-				continue
-			}
-			if b.singleStage {
-				b.fail(fmt.Errorf("%w: argument %d of %s was recorded on %q but the call targets %q; "+
-					"this batch is single-stage (WithSingleStage) — drop the option to let the "+
-					"planner forward the result between waves",
-					ErrCrossServer, i, method, x.group.endpoint, target.group.endpoint))
-				return nil
-			}
 		case *Future:
 			if x.b != b {
 				b.fail(fmt.Errorf("%w: argument %d of %s", core.ErrForeignProxy, i, method))
 				return nil
 			}
-			if x.settled {
-				// A cache-hit future already holds its value; it splices in
-				// statically like a literal, needs no staged wave, and is
-				// legal even under WithSingleStage.
-				continue
-			}
-			if b.singleStage {
-				b.fail(fmt.Errorf("%w: argument %d of %s splices a future's value, which settles only "+
-					"after its producing wave; this batch is single-stage (WithSingleStage)",
-					ErrCrossServer, i, method))
-				return nil
-			}
-			if x.origin == nil {
+			// A cache-hit future is born done and splices in like a literal.
+			if !x.done && x.origin == nil {
 				b.fail(fmt.Errorf("cluster: argument %d of %s is an unrecorded future", i, method))
 				return nil
 			}
@@ -367,7 +310,6 @@ func (b *Batch) recordLocked(target *Proxy, kind int, method string, args []any,
 		target: target,
 		method: method,
 		args:   args,
-		ro:     ro,
 	}
 	b.calls = append(b.calls, c)
 	return c
@@ -398,13 +340,10 @@ func (b *Batch) Flush(ctx context.Context) error {
 		return core.ErrBatchClosed
 	}
 	b.closed = true
-	if b.recErr != nil {
-		err := &core.BatchError{Err: b.recErr}
-		b.failure = err
-		b.mu.Unlock()
-		return err
+	nstages, err := 0, b.recErr
+	if err == nil {
+		nstages, err = planStages(b.calls)
 	}
-	nstages, err := planStages(b.calls)
 	if err != nil {
 		ferr := &core.BatchError{Err: err}
 		b.failure = ferr
@@ -503,12 +442,11 @@ type Proxy struct {
 	// for roots). The planner reads it to build the dependency DAG.
 	origin *recordedCall
 	// core is the single-server proxy this cluster proxy was rewired to
-	// when its stage was translated; nil before that.
+	// when its stage was translated; nil before that. Same-server calls of
+	// later stages record against it, and it carries the exported ref.
 	core *core.Proxy
-	// failedLocal is set when the call settled client-side without reaching
-	// its server: a failed dependency, or a destination that failed in an
-	// earlier stage.
-	failedLocal error
+	// outcome is how the producing call ended (val stays nil).
+	outcome
 }
 
 // Batch returns the cluster batch this proxy records into.
@@ -524,46 +462,7 @@ func (p *Proxy) Endpoint() string { return p.group.endpoint }
 func (p *Proxy) Call(method string, args ...any) *Future {
 	f := &Future{b: p.b}
 	if c := p.b.record(p, kindValue, method, args); c != nil {
-		c.future = f
-		f.origin = c
-	}
-	return f
-}
-
-// CallRO records a method invocation declared //brmi:readonly. On a batch
-// carrying a lease cache (WithCache), a cacheable call — root target, plain
-// marshalable arguments — consults the cache at record time: a hit returns
-// an already-settled future and the batch records nothing (a batch whose
-// every call hits flushes in zero round trips); a miss records normally and
-// at flush time joins the cache's singleflight table, so identical
-// in-flight readonly calls across this client's batches collapse into one
-// wire call. Without a cache (or for uncacheable shapes) it is Call.
-func (p *Proxy) CallRO(method string, args ...any) *Future {
-	b := p.b
-	f := &Future{b: b}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cache != nil && p.isRoot && p.b == b && !b.closed && b.recErr == nil {
-		if key, ok := rcache.Key(p.rootRef, method, args); ok {
-			if v, hit := b.cache.Get(key); hit {
-				f.settled = true
-				f.val = v
-				return f
-			}
-			if c := b.recordLocked(p, kindValue, method, args, true); c != nil {
-				c.future = f
-				f.origin = c
-				c.ckey = key
-				c.cobj = rcache.ObjKey(p.rootRef)
-				c.cgen = b.cache.Gen(c.cobj)
-				c.cepoch = b.cache.Epoch()
-			}
-			return f
-		}
-	}
-	if c := b.recordLocked(p, kindValue, method, args, true); c != nil {
-		c.future = f
-		f.origin = c
+		f.origin, c.out = c, &f.outcome
 	}
 	return f
 }
@@ -576,8 +475,7 @@ func (p *Proxy) CallRO(method string, args ...any) *Future {
 func (p *Proxy) CallBatch(method string, args ...any) *Proxy {
 	np := &Proxy{b: p.b, group: p.group}
 	if c := p.b.record(p, kindRemote, method, args); c != nil {
-		c.proxy = np
-		np.origin = c
+		c.proxy, np.origin, c.out = np, c, &np.outcome
 	}
 	return np
 }
@@ -586,39 +484,41 @@ func (p *Proxy) CallBatch(method string, args ...any) *Proxy {
 // returns core.ErrPending for non-root proxies.
 func (p *Proxy) Ok() error {
 	p.b.mu.Lock()
-	failure, local, inner := p.b.failure, p.failedLocal, p.core
-	p.b.mu.Unlock()
-	if failure != nil {
-		return failure
-	}
-	if local != nil {
-		return local
-	}
-	if inner == nil {
-		if p.isRoot {
-			return nil
-		}
+	defer p.b.mu.Unlock()
+	switch {
+	case p.b.failure != nil:
+		return p.b.failure
+	case p.isRoot:
+		return nil
+	case !p.done:
 		return core.ErrPending
 	}
-	return inner.Ok()
+	return p.err
 }
 
 // Future is the placeholder for a cluster-batched call's result. It is
-// created at recording time and bound to its destination's core.Future when
-// its stage is translated.
+// created at recording time and settled by the flush.
 type Future struct {
 	b *Batch
-	// origin is the recorded call producing this future's value.
+	// origin is the recorded call producing this future's value; nil for a
+	// cache hit at record time, which is born done.
 	origin *recordedCall
-	inner  *core.Future
-	// err is set when the call settled client-side without reaching its
-	// server (failed dependency or failed destination in an earlier stage).
-	err error
-	// settled/val carry a value that never bound to a core future: a cache
-	// hit at record time, or a coalesced readonly call settled from another
-	// call's singleflight.
-	settled bool
-	val     any
+	outcome
+}
+
+// outcome is how a recorded call ended: the result its wave returned, a
+// cached or coalesced value, or the error of the dependency or destination
+// that kept it from executing. It lives in the future or proxy the caller
+// holds, which answers from it alone once it is done.
+type outcome struct {
+	done bool
+	val  any
+	err  error
+}
+
+// settle gives c its one outcome. Caller holds b.mu.
+func settle(c *recordedCall, val any, err error) {
+	*c.out = outcome{done: true, val: val, err: err}
 }
 
 // Get returns the settled value. Before flush it returns core.ErrPending;
@@ -626,23 +526,14 @@ type Future struct {
 // destination or dependency failure it rethrows the originating error.
 func (f *Future) Get() (any, error) {
 	f.b.mu.Lock()
-	failure, local, inner := f.b.failure, f.err, f.inner
-	settled, val := f.settled, f.val
-	f.b.mu.Unlock()
-	if settled {
-		return val, nil
+	defer f.b.mu.Unlock()
+	switch {
+	case f.done:
+		return f.val, f.err
+	case f.b.failure != nil:
+		return nil, f.b.failure
 	}
-	if failure != nil {
-		return nil, failure
-	}
-	if local != nil {
-		return nil, local
-	}
-	if inner == nil {
-		return nil, core.ErrPending
-	}
-	//brmivet:ignore futurederef inner is only assigned at flush time, so delegating here is the settled path
-	return inner.Get()
+	return nil, core.ErrPending
 }
 
 // Err returns only the error part of Get, for void methods.

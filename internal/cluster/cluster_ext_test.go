@@ -111,68 +111,24 @@ func TestRingEpoch(t *testing.T) {
 
 // --- recording validation ----------------------------------------------------
 
-// TestSingleStageRejectsCrossServer checks the opt-in strictness mode: a
-// WithSingleStage batch rejects cross-server dataflow at record time with
-// ErrCrossServer, preserving the one-round-trip-per-destination guarantee
-// staged batches trade away.
-func TestSingleStageRejectsCrossServer(t *testing.T) {
+// TestCrossServerRootArgIsOneWave: a ROOT proxy from another server needs
+// no staged execution — its ref splices in statically — so the recording
+// still flushes in one wave.
+func TestCrossServerRootArgIsOneWave(t *testing.T) {
 	tc := clustertest.New(t, 2)
-	b := cluster.New(tc.Client, cluster.WithSingleStage())
-	a := b.Root(tc.Servers[0].Ref)
-	c := b.Root(tc.Servers[1].Ref)
-
-	onA := a.CallBatch("Self")    // remote result living on server-0
-	f := c.Call("AddRemote", onA) // fed into a call on server-1
-
-	err := b.Flush(context.Background())
-	var be *core.BatchError
-	if !errors.As(err, &be) || !errors.Is(err, cluster.ErrCrossServer) {
-		t.Fatalf("flush error = %v, want BatchError wrapping ErrCrossServer", err)
-	}
-	if _, gerr := f.Get(); !errors.Is(gerr, cluster.ErrCrossServer) {
-		t.Errorf("future error = %v, want ErrCrossServer", gerr)
-	}
-	// The counter on server-1 must not have executed anything.
-	if got := tc.Servers[1].Counter.Get(); got != 0 {
-		t.Errorf("server-1 counter = %d after rejected batch, want 0", got)
-	}
-}
-
-// TestSingleStageAllowsCrossServerRootArg: a ROOT proxy from another
-// server needs no staged execution — its ref splices in statically — so
-// even single-stage batches accept it and still flush in one wave.
-func TestSingleStageAllowsCrossServerRootArg(t *testing.T) {
-	tc := clustertest.New(t, 2)
-	b := cluster.New(tc.Client, cluster.WithSingleStage())
+	b := cluster.New(tc.Client)
 	r0 := b.Root(tc.Servers[0].Ref)
 	r1 := b.Root(tc.Servers[1].Ref)
 	f := r0.Call("AddRemote", r1) // server-1's ROOT as an argument on server-0
 
 	if err := b.Flush(context.Background()); err != nil {
-		t.Fatalf("single-stage flush with root arg = %v, want nil", err)
+		t.Fatalf("flush with root arg = %v, want nil", err)
 	}
 	if w := b.Waves(); w != 1 {
 		t.Errorf("flush took %d waves, want 1", w)
 	}
 	if got, err := cluster.Typed[int64](f).Get(); err != nil || got != 0 {
 		t.Errorf("AddRemote(root-1) = %d, %v; want 0 (fresh counter)", got, err)
-	}
-}
-
-// TestSingleStageRejectsFutureSplice: a future's value splice needs its
-// producing wave to settle first, so single-stage batches reject it too —
-// even between two calls on the same server.
-func TestSingleStageRejectsFutureSplice(t *testing.T) {
-	tc := clustertest.New(t, 1)
-	b := cluster.New(tc.Client, cluster.WithSingleStage())
-	r := b.Root(tc.Servers[0].Ref)
-	f := r.Call("Get")
-	r.Call("Add", f)
-	if err := b.Flush(context.Background()); !errors.Is(err, cluster.ErrCrossServer) {
-		t.Fatalf("flush error = %v, want ErrCrossServer", err)
-	}
-	if got := tc.Servers[0].Counter.Get(); got != 0 {
-		t.Errorf("counter = %d after rejected batch, want 0", got)
 	}
 }
 

@@ -68,9 +68,7 @@ func (d *Directory) Home(name string) (string, error) {
 }
 
 // Owners returns name's ordered owner list (primary first, then followers,
-// see Ring.Owners) and the ring epoch it was read at. The staged executor
-// consults it per flush wave to decide where to ship the wave's replication
-// record.
+// see Ring.Owners) and the ring epoch it was read at.
 func (d *Directory) Owners(name string) ([]string, uint64) {
 	return d.ring.Owners(name)
 }

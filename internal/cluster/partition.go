@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"repro/internal/core"
 	"repro/internal/rcache"
 	"repro/internal/wire"
 )
@@ -14,8 +15,8 @@ const (
 )
 
 // recordedCall is one entry of the cluster-wide recording log, in global
-// recording order. The planner annotates it (stage, export) and the staged
-// executor threads its client-side settlement through it.
+// recording order. The planner annotates it (stage, export); the executor
+// settles it.
 type recordedCall struct {
 	// index is the call's position in the global recording log. Recording
 	// order is a topological order of the dependency DAG — a proxy or
@@ -27,8 +28,10 @@ type recordedCall struct {
 	target *Proxy
 	method string
 	args   []any
-	future *Future // kindValue: the future the caller holds
-	proxy  *Proxy  // kindRemote: the proxy the caller holds
+	proxy  *Proxy // kindRemote: the proxy the caller holds
+	// out is the call's outcome, inside the future or proxy the caller
+	// holds; settle writes it once.
+	out *outcome
 
 	// stage is the round-trip wave this call executes in (planner).
 	stage int
@@ -36,16 +39,15 @@ type recordedCall struct {
 	// a different server: the sub-batch asks the server to pin the result
 	// as an exported ref (core.Proxy.CallBatchExport).
 	export bool
-	// failed is the error this call settled with client-side, when a
-	// dependency or its destination failed before the call could execute.
-	failed error
+	// sent is a kindValue call's core future in the wave carrying it; the
+	// wave copies its outcome out once (settle).
+	sent *core.Future
 
-	// ro marks a call recorded through CallRO (//brmi:readonly).
-	// The remaining fields are its cache/coalescing state: ckey/cobj and the
+	// The remaining fields are the cache/coalescing state of a cacheable
+	// call recorded through CallRO (flights.go): ckey/cobj and the
 	// generation+epoch captured at record time (the stale-fill guard), and
 	// the singleflight the call joined at translate time — as leader (this
 	// call executes and publishes) or follower (settles from the flight).
-	ro     bool
 	ckey   string
 	cobj   string
 	cgen   uint64

@@ -261,6 +261,60 @@ func TestStaleFlushRetry(t *testing.T) {
 	}
 }
 
+// TestStaleRetryMergesPerNewHome: two named roots on two DIFFERENT old homes
+// both re-home to the newcomer. The retry regroups the calls of every
+// rejected destination together, so the newcomer sees one sub-batch — one
+// round trip per destination per wave holds for the retry wave too.
+func TestStaleRetryMergesPerNewHome(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, []string{"server-0", "server-1"})
+	grown := cluster.NewRing([]string{"server-0", "server-1", "server-2"})
+	from0 := clustertest.PickNames(dir.Ring(), grown, "server-0", "server-2", 1)[0]
+	from1 := clustertest.PickNames(dir.Ring(), grown, "server-1", "server-2", 1)[0]
+	ec.BindCounter(dir, from0, 10)
+	ec.BindCounter(dir, from1, 20)
+
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	p0, err := b.RootNamed(ctx, from0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := b.RootNamed(ctx, from1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0 := p0.Call("Add", int64(1))
+	f1 := p1.Call("Add", int64(2))
+
+	if _, err := cluster.NewRebalancer(dir).AddServer(ctx, "server-2"); err != nil {
+		t.Fatal(err)
+	}
+	batches := func() int64 {
+		if h := ec.Server("server-2").Stats.Snapshot().Hist("core.batch_calls"); h != nil {
+			return h.Count
+		}
+		return 0
+	}
+	before := batches()
+
+	if err := b.Flush(ctx); err != nil {
+		t.Fatalf("stale flush did not recover: %v", err)
+	}
+	if v, err := cluster.Typed[int64](f0).Get(); err != nil || v != 11 {
+		t.Errorf("root from server-0 = %v, %v; want 11", v, err)
+	}
+	if v, err := cluster.Typed[int64](f1).Get(); err != nil || v != 22 {
+		t.Errorf("root from server-1 = %v, %v; want 22", v, err)
+	}
+	if w := b.Waves(); w != 2 {
+		t.Errorf("flush took %d waves, want 2 (wave + single retry)", w)
+	}
+	if got := batches() - before; got != 1 {
+		t.Errorf("newcomer executed %d InvokeBatch calls for the retry, want 1 (one merged sub-batch)", got)
+	}
+}
+
 // Without a directory the batch has no way to re-route, so the wrong-home
 // rejection surfaces as a per-destination flush failure.
 func TestStaleFlushWithoutDirectoryFails(t *testing.T) {

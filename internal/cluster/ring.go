@@ -9,10 +9,8 @@
 // per stage — so a dependency-free recording costs one round-trip wave and a
 // depth-D pipeline costs D+1 waves, never one trip per call. Results cross
 // servers by reference (exported refs pinned between waves) or by value
-// (settled futures spliced into the next wave). Callers that want the strict
-// one-wave guarantee back opt in with WithSingleStage, which rejects staged
-// dataflow at record time with ErrCrossServer (see DESIGN.md, "Cluster
-// staging rules").
+// (settled futures spliced into the next wave); see DESIGN.md, "Cluster
+// staging rules".
 //
 // Membership is elastic: the shard map carries a monotonically increasing
 // epoch bumped on every Add/Remove, and a Rebalancer migrates the moved
@@ -25,6 +23,7 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -228,8 +227,28 @@ func (r *Ring) VirtualNodes() int {
 func (r *Ring) Owners(key string) ([]string, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.ownersLocked(key), r.epoch
+}
+
+// OwnersAll returns the owner list of every key, all read at the one ring
+// epoch returned with them. A replication record spanning several names is
+// fenced by a single epoch, so its owner lists must come from that epoch's
+// ring: per-key Owners calls could straddle a Reset and pair an old list
+// with the new epoch.
+func (r *Ring) OwnersAll(keys []string) ([][]string, uint64) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([][]string, len(keys))
+	for i, key := range keys {
+		out[i] = r.ownersLocked(key)
+	}
+	return out, r.epoch
+}
+
+// ownersLocked is the owner walk behind Owners. Caller holds r.mu.
+func (r *Ring) ownersLocked(key string) []string {
 	if len(r.points) == 0 {
-		return nil, r.epoch
+		return nil
 	}
 	want := r.replication
 	if n := len(r.members); want > n {
@@ -243,21 +262,12 @@ func (r *Ring) Owners(key string) ([]string, uint64) {
 			i = 0 // wrap around
 		}
 		ep := r.owners[r.points[i]]
-		if !contains(out, ep) {
+		if !slices.Contains(out, ep) {
 			out = append(out, ep)
 		}
 		i++
 	}
-	return out, r.epoch
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
+	return out
 }
 
 // Contains reports whether endpoint is a current member.

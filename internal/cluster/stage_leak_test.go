@@ -16,26 +16,6 @@ import (
 	"repro/internal/netsim"
 )
 
-// assertGoroutinesReturn polls until the process goroutine count falls back
-// to (near) baseline, dumping all stacks on timeout. The small slack
-// absorbs runtime/test-framework churn; a leaked ship goroutine per flush
-// blows well past it.
-func assertGoroutinesReturn(t *testing.T, baseline int, within time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(within)
-	n := 0
-	for time.Now().Before(deadline) {
-		n = runtime.NumGoroutine()
-		if n <= baseline+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	t.Fatalf("goroutine count stuck at %d (baseline %d); leaked stacks:\n%s", n, baseline, buf)
-}
-
 // TestShipStragglerDoesNotLeak: under WithQuorum(1) a replicated flush acks
 // off the primary alone, and the follower ship runs on past replicate's
 // return. With the follower's response path wedged (huge injected latency —
@@ -74,7 +54,7 @@ func TestShipStragglerDoesNotLeak(t *testing.T) {
 	// First flush on a healthy network establishes every connection the
 	// ship path uses, so its readLoops land in the baseline.
 	flush(101)
-	assertGoroutinesReturn(t, runtime.NumGoroutine(), 2*time.Second)
+	clustertest.AssertGoroutinesReturn(t, runtime.NumGoroutine(), 2*time.Second)
 	baseline := runtime.NumGoroutine()
 
 	// Wedge the follower's response path and keep flushing: quorum W=1
@@ -93,5 +73,5 @@ func TestShipStragglerDoesNotLeak(t *testing.T) {
 	// The fix: each ship's own deadline reaps it. Without shipTimeout the
 	// goroutines block in Call for as long as the flush ctx lives — here,
 	// forever — and this poll times out.
-	assertGoroutinesReturn(t, baseline, 5*time.Second)
+	clustertest.AssertGoroutinesReturn(t, baseline, 5*time.Second)
 }

@@ -14,7 +14,9 @@ package clustertest
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -75,7 +77,11 @@ func WithNetwork(n *netsim.Network) Option {
 
 // New builds a cluster of k servers named "server-0" … "server-<k-1>", each
 // serving through its own netsim host identity, plus a client peer dialing
-// as ClientHost. Everything is torn down via t.Cleanup.
+// as ClientHost. Everything is torn down via t.Cleanup, and a passing test
+// ends with a goroutine-leak check: once the peers, executors and the
+// network are closed, the process goroutine count must be back at the level
+// New found. The check is skipped under WithNetwork — the caller owns that
+// network's lifetime (and, in the chaos harness, its virtual clock).
 func New(tb testing.TB, k int, opts ...Option) *Cluster {
 	tb.Helper()
 	var cfg config
@@ -83,6 +89,13 @@ func New(tb testing.TB, k int, opts ...Option) *Cluster {
 		o(&cfg)
 	}
 	if cfg.network == nil {
+		// Registered first, so it runs last, after every teardown below.
+		baseline := runtime.NumGoroutine()
+		tb.Cleanup(func() {
+			if !tb.Failed() {
+				AssertGoroutinesReturn(tb, baseline, 5*time.Second)
+			}
+		})
 		cfg.network = netsim.New(netsim.Instant)
 		tb.Cleanup(func() { _ = cfg.network.Close() })
 	}
@@ -95,6 +108,26 @@ func New(tb testing.TB, k int, opts ...Option) *Cluster {
 		rmi.WithLogf(SilentLogf), rmi.WithStatsRegistry(c.ClientStats))
 	tb.Cleanup(func() { _ = c.Client.Close() })
 	return c
+}
+
+// AssertGoroutinesReturn polls until the process goroutine count falls back
+// to (near) baseline, dumping all stacks on timeout. The small slack absorbs
+// runtime/test-framework churn; a goroutine leaked per flush blows well past
+// it.
+func AssertGoroutinesReturn(tb testing.TB, baseline int, within time.Duration) {
+	tb.Helper()
+	deadline := time.Now().Add(within)
+	n := 0
+	for time.Now().Before(deadline) {
+		n = runtime.NumGoroutine()
+		if n <= baseline+2 {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	tb.Fatalf("goroutine count stuck at %d (baseline %d); leaked stacks:\n%s", n, baseline, buf)
 }
 
 // StartServer brings up a full member (peer + executor + registry + node +

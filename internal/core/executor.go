@@ -211,7 +211,12 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 	if err != nil {
 		return nil, err
 	}
-	sess.shadow = sess.shadow || shadow
+	if shadow {
+		// Only a replica replay writes: a primary session can be reached by
+		// its client's release (ReleaseSession) while a wave that client
+		// abandoned is still executing, and that wave reads the flag.
+		sess.shadow = true
+	}
 
 	e.batchCalls.Observe(int64(len(req.Calls)))
 	var waveStart time.Time

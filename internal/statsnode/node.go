@@ -1,8 +1,8 @@
 // Package statsnode exposes a server's metrics registry as the stats.Node
 // system RMI service, making the monitoring plane a first-class consumer of
 // the batching runtime it observes: ScrapeCluster records one Scrape per
-// server into a single-stage cluster batch, so a whole-cluster scrape costs
-// exactly one parallel round-trip wave regardless of cluster size — the
+// server into one cluster batch, so a whole-cluster scrape costs exactly
+// one parallel round-trip wave regardless of cluster size — the
 // same amortization argument the paper makes for application traffic
 // (§3.2), applied to operations tooling.
 //
@@ -58,16 +58,17 @@ func Ref(endpoint string) wire.Ref {
 	return rmi.SystemRef(endpoint, rmi.StatsObjID, rmi.StatsIface)
 }
 
-// ScrapeCluster snapshots every endpoint's registry in ONE single-stage
-// cluster batch flush: the Scrape calls fan out to all servers in parallel
-// and the whole scrape costs one round-trip wave. Per-server failures are
-// partial: reachable servers still land in the returned map, and the error
-// joins the failures (nil when every server answered).
+// ScrapeCluster snapshots every endpoint's registry in ONE cluster batch
+// flush: the recording is one independent root call per endpoint, which
+// plans to a single stage, so the Scrape calls fan out to all servers in
+// parallel and the whole scrape costs one round-trip wave. Per-server
+// failures are partial: reachable servers still land in the returned map,
+// and the error joins the failures (nil when every server answered).
 func ScrapeCluster(ctx context.Context, peer *rmi.Peer, endpoints []string) (map[string]*stats.Snapshot, error) {
 	if len(endpoints) == 0 {
 		return nil, errors.New("statsnode: scrape: no endpoints")
 	}
-	b := cluster.New(peer, cluster.WithSingleStage())
+	b := cluster.New(peer)
 	futs := make([]*cluster.Future, len(endpoints))
 	for i, ep := range endpoints {
 		futs[i] = b.Root(Ref(ep)).Call("Scrape")

@@ -104,7 +104,7 @@ func TestScrapeClusterCoversAllLayers(t *testing.T) {
 // parallel round-trip wave, not k round trips.
 func TestScrapeIsOneWave(t *testing.T) {
 	c := clustertest.New(t, 3)
-	b := cluster.New(c.Client, cluster.WithSingleStage())
+	b := cluster.New(c.Client)
 	futs := make([]*cluster.Future, len(c.Servers))
 	for i, s := range c.Servers {
 		futs[i] = b.Root(statsnode.Ref(s.Endpoint)).Call("Scrape")
