@@ -136,6 +136,8 @@ func run() error {
 	}
 	load := func(rounds int) error {
 		for i := 0; i < rounds; i++ {
+			// Eight names, no lookups: RootNamed routes on the local ring and
+			// the one wave below carries each name to its home to resolve.
 			b := cluster.New(client, cluster.WithDirectory(dir))
 			for _, name := range meters {
 				m, err := b.RootNamed(ctx, name)

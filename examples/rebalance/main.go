@@ -133,6 +133,8 @@ func run() error {
 	}
 
 	// --- record a batch against the CURRENT (soon stale) shard map ---------
+	// RootNamed only routes: each name is filed under its home on the ring as
+	// it stands NOW, and no server hears of it before the flush.
 	batch := cluster.New(client, cluster.WithDirectory(dir))
 	deposits := make(map[string]cluster.TypedFuture[int64], len(accounts))
 	for _, name := range accounts {
@@ -154,6 +156,9 @@ func run() error {
 		newcomer, stats.Epoch, stats.Moved, stats.Pairs)
 
 	// --- the stale flush survives via one wrong-home retry ------------------
+	// The old home refuses the names it no longer holds; the flush re-routes
+	// them on the refreshed ring and the new home resolves them in the retry
+	// wave. No lookup before, between or after.
 	if err := batch.Flush(ctx); err != nil {
 		return err
 	}

@@ -139,9 +139,6 @@ func (r *runner) checkFailureIsolation(logs map[string][]int64) {
 		}
 	}
 	for fi, f := range r.flushes {
-		if f.recordErr != nil {
-			continue // never flushed; nothing to isolate
-		}
 		for i, c := range f.calls {
 			if c.Dep >= 0 && f.outcomes[c.Dep] != nil && f.outcomes[i] == nil {
 				r.violate("failure isolation: flush %d call %d succeeded although its dependency (call %d) failed: %v",

@@ -227,12 +227,11 @@ func genProgram(cfg Config) *program {
 
 // flushRecord is the ledger entry of one executed flush op.
 type flushRecord struct {
-	op        int
-	calls     []callSpec
-	outcomes  []error // per call, from its future
-	flushErr  error
-	recordErr error // RootNamed failed; the flush never ran
-	waves     int
+	op       int
+	calls    []callSpec
+	outcomes []error // per call, from its future
+	flushErr error   // includes every name the homes could not resolve
+	waves    int
 	// staleRetried records Batch.StaleRetried(): the flush spent its single
 	// wrong-home retry. The counter-consistency invariant tallies these
 	// against the client's cluster.wrong_home_retries counter.
@@ -405,10 +404,10 @@ func runSim(tb testing.TB, cfg Config, prog *program, sched *Schedule) *Result {
 	}
 	for _, f := range r.flushes {
 		res.Flushes++
-		if f.flushErr != nil || f.recordErr != nil {
+		if f.flushErr != nil {
 			res.FailedFlushes++
 		}
-		if f.flushErr == nil && f.recordErr == nil && f.staleRetried {
+		if f.flushErr == nil && f.staleRetried {
 			res.StaleRetries++
 		}
 	}
@@ -617,7 +616,7 @@ func (r *runner) cachedRead(ctx context.Context, o op, idx int) {
 
 	rctx, cancel := context.WithTimeout(ctx, r.cfg.FlushTimeout)
 	defer cancel()
-	//brmivet:ignore unflushed abandoned only on the resolve-failure path, recorded in the read ledger
+	//brmivet:ignore unflushed abandoned only when the ring is empty, recorded in the read ledger
 	b := cluster.New(r.tc.Client, cluster.WithDirectory(r.dir), cluster.WithCache(r.cache))
 	p, err := b.RootNamed(rctx, o.Name)
 	if err != nil {
@@ -643,7 +642,7 @@ func (r *runner) cachedRead(ctx context.Context, o op, idx int) {
 // flush records o.Calls, optionally runs between() (the stale-flush
 // membership change), then flushes and ledgers every outcome.
 func (r *runner) flush(ctx context.Context, o op, idx int, between func()) {
-	fr := &flushRecord{op: idx, calls: o.Calls}
+	fr := &flushRecord{op: idx, calls: o.Calls, outcomes: make([]error, len(o.Calls))}
 	r.flushes = append(r.flushes, fr)
 	// A failed rebalance leaves DESIGN.md's in-flight window open until a
 	// later successful pass covers its leftovers: a name can be live at
@@ -655,27 +654,23 @@ func (r *runner) flush(ctx context.Context, o op, idx int, between func()) {
 
 	fctx, cancel := context.WithTimeout(ctx, r.cfg.FlushTimeout)
 	defer cancel()
-	//brmivet:ignore unflushed abandoned only on the resolve-failure path, recorded in the flush ledger
+	//brmivet:ignore unflushed abandoned only when the ring is empty, recorded in the flush ledger
 	b := cluster.New(r.tc.Client, cluster.WithDirectory(r.dir), cluster.WithCache(r.cache))
-	proxies := map[string]*cluster.Proxy{}
 	futures := make([]*cluster.Future, len(o.Calls))
-	for _, c := range o.Calls {
-		if _, ok := proxies[c.Name]; ok {
-			continue
-		}
+	for i, c := range o.Calls {
+		// No I/O, no resolution: the only failure is a ring without members,
+		// and then nothing was issued. A name its home cannot resolve fails
+		// the flush below instead.
 		p, err := b.RootNamed(fctx, c.Name)
 		if err != nil {
-			fr.recordErr = err
+			fr.flushErr = err
 			return
 		}
-		proxies[c.Name] = p
-	}
-	for i, c := range o.Calls {
 		var dep any
 		if c.Dep >= 0 {
 			dep = futures[c.Dep]
 		}
-		futures[i] = proxies[c.Name].Call("Apply", c.Token, dep)
+		futures[i] = p.Call("Apply", c.Token, dep)
 		r.issued[c.Name] = append(r.issued[c.Name], c.Token)
 	}
 	if between != nil {
@@ -688,7 +683,6 @@ func (r *runner) flush(ctx context.Context, o op, idx int, between func()) {
 	if fr.staleRetried {
 		r.modelStaleRetries++
 	}
-	fr.outcomes = make([]error, len(futures))
 	for i, f := range futures {
 		fr.outcomes[i] = f.Err()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -48,6 +49,10 @@ type Batch struct {
 
 	mu     sync.Mutex
 	groups map[string]*group // keyed by server endpoint
+	// byRef and byName hold the roots handed out so far, so asking twice
+	// for one object returns one proxy.
+	byRef  map[wire.Ref]*Proxy
+	byName map[string]*Proxy
 	calls  []*recordedCall
 	closed bool
 	// waves counts the parallel fan-out barriers the flush executed.
@@ -85,10 +90,13 @@ func WithPolicy(p *core.Policy) Option {
 }
 
 // WithDirectory makes the batch epoch-aware: roots may be addressed by
-// cluster-wide name (RootNamed), and a flush that hits a wrong-home
-// rejection — the target migrated to a new home after recording started —
-// refreshes the shard map from the directory, re-partitions the affected
-// calls to their new homes, and retries once instead of failing.
+// cluster-wide name (RootNamed), which the flush routes on the directory's
+// ring and the home servers resolve inside the first wave, and a flush that
+// a destination refuses at first contact — the name migrated to a new home
+// after this directory last saw the ring — refreshes the shard map,
+// re-routes the affected calls to their new homes, and retries once instead
+// of failing. The directory's ring is the only naming state a flush reads:
+// it performs no lookups.
 func WithDirectory(d *Directory) Option {
 	return func(b *Batch) { b.dir = d }
 }
@@ -100,6 +108,13 @@ func WithDirectory(d *Directory) Option {
 // and every non-readonly call invalidates the leases of the root object it
 // descends from. Share one cache per client — NewCache builds one wired to
 // the directory's ring epoch.
+//
+// A lease is filed under the identity its root was addressed by: the ref for
+// Root, the name for RootNamed — a named root has no ref when it is
+// recorded, and its name survives a migration where its ref does not. One
+// object addressed both ways through one cache therefore holds two sets of
+// leases, and a write recorded through one address does not invalidate reads
+// cached under the other: their staleness is bounded by the TTL only.
 func WithCache(c *rcache.Cache) Option {
 	return func(b *Batch) { b.cache = c }
 }
@@ -134,6 +149,8 @@ func New(peer *rmi.Peer, opts ...Option) *Batch {
 	b := &Batch{
 		peer:   peer,
 		groups: make(map[string]*group),
+		byRef:  make(map[wire.Ref]*Proxy),
+		byName: make(map[string]*Proxy),
 	}
 	for _, o := range opts {
 		o(b)
@@ -156,41 +173,61 @@ func New(peer *rmi.Peer, opts ...Option) *Batch {
 func (b *Batch) Root(ref wire.Ref) *Proxy {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	g, ok := b.groups[ref.Endpoint]
-	if !ok {
-		g = &group{
-			endpoint:    ref.Endpoint,
-			rootProxies: make(map[wire.Ref]*Proxy),
-		}
-		if ref.Endpoint == "" {
-			b.fail(fmt.Errorf("%w: object %d", ErrNoEndpoint, ref.ObjID))
-		}
-		b.groups[ref.Endpoint] = g
-	}
-	if p, ok := g.rootProxies[ref]; ok {
+	if p, ok := b.byRef[ref]; ok {
 		return p
 	}
-	p := &Proxy{b: b, group: g, rootRef: ref, isRoot: true}
-	g.roots = append(g.roots, ref)
-	g.rootProxies[ref] = p
+	if ref.Endpoint == "" {
+		b.fail(fmt.Errorf("%w: object %d", ErrNoEndpoint, ref.ObjID))
+	}
+	p := &Proxy{b: b, rootRef: ref, isRoot: true}
+	b.place(p, ref.Endpoint)
+	b.byRef[ref] = p
 	return p
 }
 
-// RootNamed resolves a cluster-wide name through the batch's directory
-// (WithDirectory) and returns its recording proxy, remembering the name so
-// a stale-route flush failure can re-resolve the root at its new home and
-// retry. It is the epoch-aware way to address rebalanceable objects.
-func (b *Batch) RootNamed(ctx context.Context, name string) (*Proxy, error) {
+// RootNamed returns the recording proxy for the object bound under a
+// cluster-wide name, on a batch built with WithDirectory. It performs no
+// I/O: the name is routed on the directory's ring (Directory.Home) and filed
+// under that home's destination, and the flush's first wave there carries
+// the name for the home to resolve in its own registry — so a flush costs
+// its waves and no lookups. A name that is not bound therefore fails the
+// flush (the home's *registry.NotBoundError, on that destination's
+// ServerError), not this call; a name that migrated since the directory last
+// saw the ring costs the flush its one stale-route retry. ctx is unused: the
+// call never blocks. Calling RootNamed twice with the same name returns the
+// same proxy.
+func (b *Batch) RootNamed(_ context.Context, name string) (*Proxy, error) {
 	if b.dir == nil {
 		return nil, errors.New("cluster: RootNamed requires a batch built with WithDirectory")
 	}
-	ref, err := b.dir.Lookup(ctx, name)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if p, ok := b.byName[name]; ok {
+		return p, nil
+	}
+	home, err := b.dir.Home(name)
 	if err != nil {
 		return nil, err
 	}
-	p := b.Root(ref)
-	p.key = name
+	p := &Proxy{b: b, key: name, isRoot: true}
+	b.place(p, home)
+	b.byName[name] = p
 	return p, nil
+}
+
+// place files root p under endpoint's destination, leaving the one it was
+// filed under before. Caller holds b.mu.
+func (b *Batch) place(p *Proxy, endpoint string) {
+	if old := p.group; old != nil {
+		old.roots = slices.DeleteFunc(old.roots, func(q *Proxy) bool { return q == p })
+	}
+	g, ok := b.groups[endpoint]
+	if !ok {
+		g = &group{endpoint: endpoint}
+		b.groups[endpoint] = g
+	}
+	g.roots = append(g.roots, p)
+	p.group = g
 }
 
 // Peer returns the underlying RMI peer.
@@ -291,14 +328,10 @@ func (b *Batch) recordLocked(target *Proxy, kind int, method string, args []any,
 	// leases of every root object it can reach, at record time, so readonly
 	// calls later in program order can never serve the pre-write value.
 	if !ro && b.cache != nil {
-		if root := rootOf(target); !root.rootRef.IsZero() {
-			b.cache.InvalidateObject(rcache.ObjKey(root.rootRef))
-		}
+		b.cache.InvalidateObject(rcache.ObjKey(rootOf(target).leaseRef()))
 		for _, a := range args {
 			if x, ok := a.(*Proxy); ok {
-				if root := rootOf(x); !root.rootRef.IsZero() {
-					b.cache.InvalidateObject(rcache.ObjKey(root.rootRef))
-				}
+				b.cache.InvalidateObject(rcache.ObjKey(rootOf(x).leaseRef()))
 			}
 		}
 	}
@@ -325,7 +358,9 @@ func rootOf(p *Proxy) *Proxy {
 
 // Flush runs the plan/execute pipeline over the recording: plan the stage
 // schedule, then execute the stages in order, fanning each stage out to its
-// destinations in parallel and forwarding results between waves.
+// destinations in parallel and forwarding results between waves. The waves
+// are the flush's whole cost — named roots resolve inside them — but for one
+// lookup per named root that a call passes, by reference, to another server.
 //
 // A recording violation fails the whole batch: Flush returns the
 // *core.BatchError and every future rethrows it. Server failures stay
@@ -340,21 +375,79 @@ func (b *Batch) Flush(ctx context.Context) error {
 		return core.ErrBatchClosed
 	}
 	b.closed = true
-	nstages, err := 0, b.recErr
-	if err == nil {
-		nstages, err = planStages(b.calls)
+	if b.recErr != nil {
+		return b.failLocked(b.recErr)
 	}
-	if err != nil {
-		ferr := &core.BatchError{Err: err}
-		b.failure = ferr
-		b.mu.Unlock()
-		return ferr
-	}
-	stages := buildStages(b.calls, nstages)
+	calls := b.calls
 	b.calls = nil
+	forwarded := forwardedRoots(calls)
+	b.mu.Unlock()
+
+	if len(forwarded) > 0 {
+		b.resolveForwarded(ctx, forwarded, calls)
+	}
+
+	b.mu.Lock()
+	nstages, err := planStages(calls)
+	if err != nil {
+		return b.failLocked(err)
+	}
+	stages := buildStages(calls, nstages)
 	b.mu.Unlock()
 
 	return b.execute(ctx, stages)
+}
+
+// failLocked fails the whole batch with a recording violation and releases
+// b.mu, which the caller holds.
+func (b *Batch) failLocked(err error) error {
+	ferr := &core.BatchError{Err: err}
+	b.failure = ferr
+	b.mu.Unlock()
+	return ferr
+}
+
+// forwardedRoots returns the named, still unresolved roots that some call
+// bound for ANOTHER server passes as an argument. They are the one shape that
+// needs a reference before the first wave: the consumer's sub-batch carries
+// the root by reference, and a name resolves only at its own home.
+func forwardedRoots(calls []*recordedCall) []*Proxy {
+	var roots []*Proxy
+	for _, c := range calls {
+		for _, a := range c.args {
+			if x, ok := a.(*Proxy); ok && x.lazy() && x.group != c.group && !slices.Contains(roots, x) {
+				roots = append(roots, x)
+			}
+		}
+	}
+	return roots
+}
+
+// resolveForwarded looks the forwarded roots up, all in parallel, before the
+// flush is planned. A resolved root is id-addressed from here on — filed
+// under the endpoint its binding names, which is its ring home unless the
+// ring was stale or the binding points elsewhere. A failed lookup stays with
+// its root and fails exactly the calls that pass it (resolveInputs).
+func (b *Batch) resolveForwarded(ctx context.Context, roots []*Proxy, calls []*recordedCall) {
+	refs := make([]wire.Ref, len(roots))
+	errs := make([]error, len(roots))
+	_ = fanOut(roots, func(i int, p *Proxy) error { // per-root errors are kept in errs
+		refs[i], errs[i] = b.dir.Lookup(ctx, p.key)
+		return nil
+	})
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, p := range roots {
+		if errs[i] != nil {
+			p.err = errs[i]
+			continue
+		}
+		p.rootRef = refs[i]
+		if refs[i].Endpoint != p.group.endpoint {
+			b.place(p, refs[i].Endpoint)
+		}
+	}
+	repoint(calls)
 }
 
 // FlushError reports the destinations whose sub-batch failed, and in which
@@ -433,10 +526,13 @@ type Proxy struct {
 	b      *Batch
 	group  *group
 	isRoot bool
-	// rootRef is the exported object this proxy stands for (roots only).
+	// rootRef is the exported object this proxy stands for (roots only). A
+	// named root's is zero until the first wave to its home returned with
+	// what the home resolved the name to.
 	rootRef wire.Ref
-	// key is the cluster-wide name this root was resolved from (RootNamed);
-	// it is what lets a stale-route retry re-resolve the root's new home.
+	// key is the cluster-wide name this root is addressed by (RootNamed): it
+	// is what the first wave carries, what lets a stale-route retry re-route
+	// the root to its new home, and the root's lease identity in the cache.
 	key string
 	// origin is the recorded call that produces this proxy's object (nil
 	// for roots). The planner reads it to build the dependency DAG.
@@ -451,6 +547,19 @@ type Proxy struct {
 
 // Batch returns the cluster batch this proxy records into.
 func (p *Proxy) Batch() *Batch { return p.b }
+
+// lazy reports whether p is a named root no wave has resolved yet.
+func (p *Proxy) lazy() bool { return p.key != "" && p.rootRef.IsZero() }
+
+// leaseRef is root p's identity in the lease cache: its ref or, for a named
+// root, its name alone — in the one ref shape no export has (object id 0 is
+// the DGC service's), so names and refs never collide.
+func (p *Proxy) leaseRef() wire.Ref {
+	if p.key != "" {
+		return wire.Ref{Endpoint: p.key}
+	}
+	return p.rootRef
+}
 
 // Endpoint returns the destination server this proxy's calls are bound for.
 func (p *Proxy) Endpoint() string { return p.group.endpoint }

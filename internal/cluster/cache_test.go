@@ -117,6 +117,67 @@ func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 	}
 }
 
+// TestClusterCacheNamedRoots: a named root's leases are filed under its name
+// — the only identity it has when it is recorded. A write recorded through
+// RootNamed drops what an earlier batch's CallRO through RootNamed filled,
+// and a named batch whose every call hits still flushes without a round
+// trip: there is no lookup left to pay.
+func TestClusterCacheNamedRoots(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
+	ec.BindCounter(dir, "obj-0", 7)
+	cache := cluster.NewCache(ec.Client, dir, rcache.WithTTL(time.Minute))
+	read := func() (*cluster.Batch, *cluster.Future) {
+		b := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithCache(cache))
+		p, err := b.RootNamed(ctx, "obj-0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, p.CallRO("Get")
+	}
+
+	b, f := read()
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cluster.Typed[int64](f).Get(); err != nil || v != 7 {
+		t.Fatalf("filling read = (%d, %v), want (7, nil)", v, err)
+	}
+
+	before := ec.Client.CallCount()
+	b, f = read()
+	if v, err := cluster.Typed[int64](f).Get(); err != nil || v != 7 {
+		t.Fatalf("pre-flush cached read = (%d, %v), want (7, nil)", v, err)
+	}
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rt, w := ec.Client.CallCount()-before, b.Waves(); rt != 0 || w != 0 {
+		t.Fatalf("all-hit named batch cost %d remote calls in %d waves, want 0 and 0", rt, w)
+	}
+
+	bw := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithCache(cache))
+	pw, err := bw.RootNamed(ctx, "obj-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw.Call("Add", int64(5))
+	if n := cache.Len(); n != 0 {
+		t.Fatalf("write recorded through the name but %d leases live, want 0", n)
+	}
+	if err := bw.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	b, f = read()
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cluster.Typed[int64](f).Get(); err != nil || v != 12 {
+		t.Fatalf("post-write read = (%d, %v), want (12, nil)", v, err)
+	}
+}
+
 // TestClusterCacheEpochBumpDropsLeases: a ring-epoch bump (membership
 // change / migration) makes every older lease unservable.
 func TestClusterCacheEpochBumpDropsLeases(t *testing.T) {

@@ -58,7 +58,8 @@ func (d *Directory) Epoch() uint64 { return d.ring.Epoch() }
 // Servers returns the cluster members, sorted.
 func (d *Directory) Servers() []string { return d.ring.Endpoints() }
 
-// Home returns the endpoint that owns name.
+// Home returns the endpoint that owns name on this directory's ring. It is
+// local: the routing step of every name-addressed request.
 func (d *Directory) Home(name string) (string, error) {
 	ep := d.ring.Route(name)
 	if ep == "" {
@@ -95,9 +96,14 @@ func (d *Directory) Rebind(ctx context.Context, name string, ref wire.Ref) error
 	return registry.Rebind(ctx, d.peer, ep, name, ref)
 }
 
-// Lookup resolves name at its home server's registry. A wrong-home failure
-// — the name migrated after this directory last saw the ring — refreshes
-// the shard map from the cluster nodes and retries once at the new home.
+// Lookup resolves name at its home server's registry: one round trip per
+// name. A wrong-home failure — the name migrated after this directory last
+// saw the ring — refreshes the shard map from the cluster nodes and retries
+// once at the new home. It is for callers that want the reference itself
+// (tools, tests, un-batched rmi calls). No data path pays it: a flush
+// (Batch.RootNamed) and a bulk read (GetBatch) route by Home and let the
+// home resolve the names they carry — except that a flush looks up a named
+// root it must pass by reference to another server.
 func (d *Directory) Lookup(ctx context.Context, name string) (wire.Ref, error) {
 	ref, err := d.lookupOnce(ctx, name)
 	if err == nil {

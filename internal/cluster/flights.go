@@ -27,7 +27,7 @@ func (p *Proxy) CallRO(method string, args ...any) *Future {
 	defer b.mu.Unlock()
 	key, cacheable := "", false
 	if b.cache != nil && p.isRoot && !b.closed && b.recErr == nil {
-		if key, cacheable = rcache.Key(p.rootRef, method, args); cacheable {
+		if key, cacheable = rcache.Key(p.leaseRef(), method, args); cacheable {
 			if v, hit := b.cache.Get(key); hit {
 				f.done, f.val = true, v
 				return f
@@ -43,7 +43,7 @@ func (p *Proxy) CallRO(method string, args ...any) *Future {
 		// The stale-fill ticket — generation + epoch — is captured now, at
 		// record time: a write recorded after this read must void its fill.
 		c.ckey = key
-		c.cobj = rcache.ObjKey(p.rootRef)
+		c.cobj = rcache.ObjKey(p.leaseRef())
 		c.cgen = b.cache.Gen(c.cobj)
 		c.cepoch = b.cache.Epoch()
 	}

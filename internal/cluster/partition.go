@@ -3,7 +3,6 @@ package cluster
 import (
 	"repro/internal/core"
 	"repro/internal/rcache"
-	"repro/internal/wire"
 )
 
 // Call kinds a cluster recording can hold. They mirror the core package's
@@ -63,10 +62,9 @@ type recordedCall struct {
 // serves.
 type group struct {
 	endpoint string
-	// roots are the group's batch roots in registration order; rootProxies
-	// maps each root ref to the proxy handed to the caller.
-	roots       []wire.Ref
-	rootProxies map[wire.Ref]*Proxy
+	// roots are the group's batch roots — the proxies handed to the caller —
+	// in registration order.
+	roots []*Proxy
 }
 
 // subBatch is one partition of a stage: every call of that stage bound for
@@ -98,4 +96,20 @@ func partition(calls []*recordedCall) []*subBatch {
 		sb.calls = append(sb.calls, c)
 	}
 	return order
+}
+
+// repoint files every call of calls, and the proxy it produces, under the
+// destination of the root it descends from, after roots changed homes; a
+// result proxy forgets the core proxy of the destination it left.
+func repoint(calls []*recordedCall) {
+	for _, c := range calls {
+		g := rootOf(c.target).group
+		if c.proxy != nil && c.proxy.group != g {
+			c.proxy.core = nil
+		}
+		c.group, c.target.group = g, g
+		if c.proxy != nil {
+			c.proxy.group = g
+		}
+	}
 }

@@ -25,9 +25,9 @@ var shipTimeout = 30 * time.Second
 
 // replState is one replicated destination's shipping identity: the chain id
 // linking its waves through one shadow session on each follower, the root
-// names/interfaces in payload order, and the payload of the wave just
-// executed (captured by the core batch's OnShip hook, consumed by replicate
-// on the wave goroutine).
+// names in payload order, their interfaces once the first wave resolved the
+// names, and the payload of the wave just executed (captured by the core
+// batch's OnShip hook, consumed by replicate on the wave goroutine).
 type replState struct {
 	chain   string
 	names   []string
@@ -40,37 +40,47 @@ type replState struct {
 // combined with the peer's DGC client id the chain is globally unique.
 var chainSeq atomic.Uint64
 
-// armReplication decides whether ds's waves replicate and, if so, wires the
-// payload capture. Replication applies only when the batch is epoch-aware
-// (WithDirectory) over a replicated ring (R > 1) and every root of the
-// destination is addressed by cluster-wide name (RootNamed) with a
-// registered movable factory — an anonymous or system root has no shard
-// identity to replicate under, so its destination flushes unreplicated.
-// Caller holds b.mu.
+// armReplication decides whether ds's waves may replicate and, if so, wires
+// the payload capture. Replication applies only when the batch is
+// epoch-aware (WithDirectory) over a replicated ring (R > 1) and every root
+// of the destination is addressed by cluster-wide name (RootNamed) — an
+// anonymous or system root has no shard identity to replicate under, so its
+// destination flushes unreplicated. Whether the named objects are movable is
+// only known once the first wave resolved them (rootIfaces). Caller holds
+// b.mu.
 func (b *Batch) armReplication(ds *destState) {
 	if b.dir == nil || b.dir.Replication() <= 1 {
 		return
 	}
 	names := make([]string, len(ds.group.roots))
-	ifaces := make([]string, len(ds.group.roots))
-	for i, ref := range ds.group.roots {
-		p := ds.group.rootProxies[ref]
+	for i, p := range ds.group.roots {
 		if p.key == "" {
 			return
 		}
-		if _, ok := movableFactory(ref.Iface); !ok {
-			return
-		}
 		names[i] = p.key
-		ifaces[i] = ref.Iface
 	}
 	rs := &replState{
-		chain:  fmt.Sprintf("%s#%d", b.peer.ClientID(), chainSeq.Add(1)),
-		names:  names,
-		ifaces: ifaces,
+		chain: fmt.Sprintf("%s#%d", b.peer.ClientID(), chainSeq.Add(1)),
+		names: names,
 	}
 	ds.repl = rs
 	ds.cb.OnShip(func(req any, _ bool) { rs.payload = req })
+}
+
+// rootIfaces reads the interfaces of ds's roots, resolved by the wave that
+// just returned, or nil when one of them has no registered movable factory:
+// a follower could not build its shadow.
+func (b *Batch) rootIfaces(ds *destState) []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ifaces := make([]string, len(ds.group.roots))
+	for i, p := range ds.group.roots {
+		if _, ok := movableFactory(p.rootRef.Iface); !ok {
+			return nil
+		}
+		ifaces[i] = p.rootRef.Iface
+	}
+	return ifaces
 }
 
 // replicate ships the wave that just executed on ds's primary to every
@@ -89,6 +99,12 @@ func (b *Batch) replicate(ctx context.Context, ds *destState) error {
 	rs := ds.repl
 	if rs == nil || rs.payload == nil {
 		return nil // unreplicated destination, or a wave with no wire work
+	}
+	if rs.ifaces == nil {
+		if rs.ifaces = b.rootIfaces(ds); rs.ifaces == nil {
+			ds.repl = nil
+			return nil
+		}
 	}
 	payload := rs.payload
 	rs.payload = nil

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
+	"repro/internal/core"
 )
 
 // TestRingOwners pins the owner-list contract: owners[0] is Route(key), the
@@ -214,8 +215,8 @@ func TestInFlightFlushSurvivesPrimaryCrash(t *testing.T) {
 	}
 
 	// The flush's first wave dials the dead primary (refused), classifying
-	// as retry-safe; the single stale retry re-resolves the root through the
-	// refreshed ring and lands at the promoted home.
+	// as retry-safe; the single stale retry re-routes the root on the
+	// refreshed ring and lands, by name, at the promoted home.
 	if err := b.Flush(ctx); err != nil {
 		t.Fatalf("in-flight flush did not survive the crash: %v", err)
 	}
@@ -246,4 +247,88 @@ func TestInFlightFlushSurvivesPrimaryCrash(t *testing.T) {
 		t.Errorf("retried wave did not replicate to the new follower %s (shard info %+v)", newOwners[1], si)
 	}
 	checkConverged(t, ec, admin, map[string]int64{"obj-0": 112})
+}
+
+// shippedPayload flushes one name-addressed Add(delta) on name at its primary
+// and returns the payload a replicated flush would ship for it.
+func shippedPayload(t *testing.T, ec *clustertest.Cluster, primary, name string, delta int64) any {
+	t.Helper()
+	var payload any
+	cb := core.NewNamed(ec.Client, primary, name)
+	cb.OnShip(func(req any, _ bool) { payload = req })
+	cb.Root().Call("Add", delta)
+	if err := cb.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// TestReplayIgnoresRootNames: the payload of a name-addressed wave carries
+// the names its primary resolved. A follower replays it against its shadows
+// and nothing else — even when its own registry binds the same name to a
+// live object, as it does on a follower promoted since.
+func TestReplayIgnoresRootNames(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
+	owners, epoch := dir.Owners("obj-0")
+	primary, follower := owners[0], ec.Server(owners[1])
+
+	impostor := clustertest.NewCounter(1000)
+	ref, err := follower.Peer.Export(impostor, clustertest.CounterIface)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower.Reg.Rebind("obj-0", ref)
+
+	rec := &cluster.ReplRecord{
+		ID: "test/0", Chain: "test", Primary: primary, Epoch: epoch,
+		Names: []string{"obj-0"}, Ifaces: []string{clustertest.CounterIface},
+		Payload: shippedPayload(t, ec, primary, "obj-0", 5),
+	}
+	if _, err := ec.Client.Call(ctx, cluster.ReplicaRef(follower.Endpoint), "Append", rec); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if got := impostor.Get(); got != 1000 {
+		t.Errorf("the object the follower's registry binds obj-0 to = %d, want the untouched 1000", got)
+	}
+	ids, err := follower.Replica.ShadowIDs(primary, []string{"obj-0"}, 0)
+	if err != nil || ids[0] == 0 {
+		t.Fatalf("no readable shadow of obj-0: %v, %v", ids, err)
+	}
+	shadow, _ := follower.Peer.LocalObject(ids[0])
+	if got := shadow.(*clustertest.Counter).Get(); got != 105 {
+		t.Errorf("shadow = %d, want 105: the seeded 100 plus the replayed 5", got)
+	}
+}
+
+// TestAppendRejectsRootCountMismatch: a record that names two roots for a
+// payload recorded over one is refused before anything replays.
+func TestAppendRejectsRootCountMismatch(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
+	owners, epoch := dir.Owners("obj-0")
+	primary, follower := owners[0], ec.Server(owners[1])
+
+	rec := &cluster.ReplRecord{
+		ID: "test/0", Chain: "test", Primary: primary, Epoch: epoch,
+		Names:   []string{"obj-0", "obj-1"},
+		Ifaces:  []string{clustertest.CounterIface, clustertest.CounterIface},
+		Payload: shippedPayload(t, ec, primary, "obj-0", 5),
+	}
+	if _, err := ec.Client.Call(ctx, cluster.ReplicaRef(follower.Endpoint), "Append", rec); err == nil {
+		t.Fatal("append of a two-name record over a one-root payload succeeded")
+	}
+	if si := follower.Replica.ShardInfo(primary); si.Len != 0 {
+		t.Errorf("follower logged %d records, want none", si.Len)
+	}
+	ids, err := follower.Replica.ShadowIDs(primary, []string{"obj-0"}, 0)
+	if err != nil || ids[0] == 0 {
+		t.Fatalf("no readable shadow of obj-0: %v, %v", ids, err)
+	}
+	shadow, _ := follower.Peer.LocalObject(ids[0])
+	if got := shadow.(*clustertest.Counter).Get(); got != 100 {
+		t.Errorf("shadow = %d after the refused record, want the seeded 100", got)
+	}
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/rmi"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -13,8 +15,9 @@ import (
 
 // reroute.go is the stale-route retry as a re-planner: canRetryStale decides
 // which failed waves qualify, rehome turns their sub-batches into sub-batches
-// bound for the roots' new homes. It flushes nothing — the executor hands
-// rehome's result to the same wave every other sub-batch runs through.
+// bound for the roots' new homes. It flushes nothing and looks nothing up —
+// the executor hands rehome's result to the same wave every other sub-batch
+// runs through, and the new homes resolve the names that wave carries.
 
 // rejection is a sub-batch whose destination refused the wave without
 // executing it, and the refusal.
@@ -23,32 +26,36 @@ type rejection struct {
 	cause error
 }
 
-// resolver is what rehome needs of the naming layer (*Directory).
+// resolver is what rehome needs of the naming layer (*Directory): a fresh
+// ring, and a name's home on it.
 type resolver interface {
 	Refresh(ctx context.Context) error
-	Lookup(ctx context.Context, name string) (wire.Ref, error)
+	Home(name string) (string, error)
 }
 
 // canRetryStale decides whether a failed destination wave may be retried
 // against a refreshed shard map. Caller holds b.mu.
 //
-// The retry re-resolves the destination's named roots (Proxy.key, set by
-// RootNamed) and replays this stage's calls against fresh core batches at
-// the new homes, so it is only sound when (a) nothing server-side is lost
-// with the old session — the batch must be epoch-aware (WithDirectory),
-// this must be the destination's last stage, and no earlier wave may have
-// left a chained session open (earlier results live only in that session
-// and cannot follow the object to its new home) — and (b) the wave is
-// known NOT to have executed. Two failure classes qualify: a wrong-home
-// rejection (the server refused the wave before running it) and a dial
-// failure (transport.DialError: the request never left the client — the
-// shape a crashed primary produces after failover re-homed its shards). A
-// mid-call connection loss does NOT qualify: the server may have executed
-// the wave before the response was lost. Neither does a quorum miss: the
-// primary applied the wave, a re-send could double-apply. One retry per
-// flush.
-func (b *Batch) canRetryStale(ds *destState, stage int, err error) bool {
-	if b.dir == nil || b.retried || ds.sessionOpen() || stage != ds.lastStage {
+// The retry re-routes the destination's named roots (Proxy.key, set by
+// RootNamed) and replays its calls — this stage's and every later one's —
+// against a fresh core batch at the new homes, so it is only sound when (a)
+// nothing server-side is lost with the old session — the batch must be
+// epoch-aware (WithDirectory) and the refusal must be the destination's
+// FIRST CONTACT in this flush, with no chained session open (earlier results
+// live only in that session and cannot follow the object to its new home) —
+// and (b) the wave is known NOT to have executed. Three failure classes
+// qualify: a wrong-home rejection (the server refused the wave before
+// running it — an id it tombstoned, or a name its registry forwards), a name
+// bound to an object on another endpoint (*core.ElsewhereError, which
+// carries where), and a dial failure (transport.DialError: the request never
+// left the client — the shape a crashed primary produces after failover
+// re-homed its shards). A name the home does not know
+// (*registry.NotBoundError) is final, as it was for a lookup. A mid-call
+// connection loss does NOT qualify: the server may have executed the wave
+// before the response was lost. Neither does a quorum miss: the primary
+// applied the wave, a re-send could double-apply. One retry per flush.
+func (b *Batch) canRetryStale(ds *destState, err error) bool {
+	if b.dir == nil || b.retried || ds.sessionOpen() {
 		return false
 	}
 	var qe *QuorumError
@@ -56,101 +63,129 @@ func (b *Batch) canRetryStale(ds *destState, stage int, err error) bool {
 		return false
 	}
 	var wrong *rmi.WrongHomeError
-	if errors.As(err, &wrong) {
-		return true
-	}
+	var elsewhere *core.ElsewhereError
 	var dial *transport.DialError
-	return errors.As(err, &dial)
+	return errors.As(err, &wrong) || errors.As(err, &elsewhere) || errors.As(err, &dial)
 }
 
-// rehome spends the flush's one stale-route retry on re-planning: it
-// refreshes the shard map once, re-resolves the named roots of ALL rejected
-// sub-batches, regroups their calls per new home — two old homes that merge
-// into one new home cost one round trip — and returns the new sub-batches.
+// rehome spends the flush's one stale-route retry on re-planning. It
+// refreshes the shard map once (unless every refusal already says where its
+// root is), re-routes the roots of ALL rejected destinations — a named root
+// to its home on the fresh ring, left for that home to resolve; one its old
+// home reported bound elsewhere to that binding; an un-named root nowhere:
+// if it was the migrated object there is no key to re-route it by, and the
+// retried wave fails wrong-home again, this time finally — and regroups
+// their calls per new home: two old homes that merge into one new home cost
+// one round trip. The calls are the rejected sub-batches' and, in the later
+// stages, every call that was bound for a rejected destination; later is
+// re-partitioned in place and the current stage's new sub-batches returned.
 // An error means nothing was re-planned and the rejections are final.
-func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection) ([]*subBatch, error) {
+func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, later [][]*subBatch) ([]*subBatch, error) {
 	b.mu.Lock()
 	b.retried = true
 	b.wrongHome.Inc()
 	b.mu.Unlock()
-	if err := dir.Refresh(ctx); err != nil {
-		return nil, fmt.Errorf("stale-route retry: ring refresh failed: %w", err)
-	}
-	// Re-resolve outside the batch lock — lookups are network calls,
-	// independent per root. Un-named roots keep their recorded ref: if one
-	// of them was the migrated object there is no key to re-resolve it by,
-	// and the retried wave fails wrong-home again, this time finally.
-	var roots []*Proxy
-	var resolved []wire.Ref
+	causes := make(map[*group]error, len(rejected))
+	bound := make(map[string]*core.ElsewhereError)
+	refresh := false
 	for _, rj := range rejected {
-		for _, ref := range rj.sb.group.roots {
-			roots = append(roots, rj.sb.group.rootProxies[ref])
-			resolved = append(resolved, ref)
+		causes[rj.sb.group] = rj.cause
+		var e *core.ElsewhereError
+		if errors.As(rj.cause, &e) {
+			bound[e.Name] = e
+		} else {
+			refresh = true
 		}
 	}
-	err := fanOut(roots, func(i int, p *Proxy) error {
-		if p.key == "" {
-			return nil
+	if refresh {
+		if err := dir.Refresh(ctx); err != nil {
+			return nil, fmt.Errorf("stale-route retry: ring refresh failed: %w", err)
 		}
-		ref, err := dir.Lookup(ctx, p.key)
-		if err != nil {
-			return fmt.Errorf("stale-route retry: re-resolve %q: %w", p.key, err)
-		}
-		resolved[i] = ref
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// Rewire the roots into one fresh group per new home, then re-home every
-	// call (and the proxy it settles) to its root's group, so partition and
-	// translate see a consistent recording again.
-	byEndpoint := make(map[string]*group)
-	for i, p := range roots {
-		nr := resolved[i]
-		g := byEndpoint[nr.Endpoint]
-		if g == nil {
-			g = &group{endpoint: nr.Endpoint, rootProxies: make(map[wire.Ref]*Proxy)}
-			byEndpoint[nr.Endpoint] = g
-		}
-		g.roots = append(g.roots, nr)
-		g.rootProxies[nr] = p
-		p.rootRef, p.group, p.core = nr, g, nil
+	// Where each root goes and what it is addressed by from there on (the
+	// zero ref: by name). Nothing is rewired until every root has a home.
+	type move struct {
+		root *Proxy
+		home string
+		ref  wire.Ref
 	}
-	var calls []*recordedCall
+	var moves []move
 	for _, rj := range rejected {
-		for _, c := range rj.sb.calls {
-			c.group = rootOf(c.target).group
-			c.target.group = c.group
-			if c.proxy != nil {
-				c.proxy.group, c.proxy.core = c.group, nil
-			}
-			calls = append(calls, c)
-		}
-	}
-	// Cross-root dataflow that the re-sharding split across homes cannot be
-	// replayed by this retry: the producer's result would now have to cross
-	// the network mid-wave. Settle those calls with a clear error carrying
-	// the original wrong-home cause instead of an internal failure.
-	for _, rj := range rejected {
-		for _, c := range rj.sb.calls {
-			if c.out.done {
-				continue
-			}
-			for _, a := range c.args {
-				if x, ok := a.(*Proxy); ok && x.origin != nil && x.group != c.group && byEndpoint[x.group.endpoint] == x.group {
-					settle(c, nil, fmt.Errorf(
-						"stale-route retry: %s consumes a result the re-sharding moved to %q while the call now targets %q: %w",
-						c.method, x.group.endpoint, c.group.endpoint, rj.cause))
-					break
+		for _, p := range rj.sb.group.roots {
+			m := move{root: p, home: p.rootRef.Endpoint, ref: p.rootRef}
+			if e := bound[p.key]; e != nil && p.key != "" {
+				m.home, m.ref = e.Ref.Endpoint, e.Ref
+			} else if p.key != "" {
+				var err error
+				if m.home, err = dir.Home(p.key); err != nil {
+					return nil, fmt.Errorf("stale-route retry: re-route %q: %w", p.key, err)
 				}
+				m.ref = wire.Ref{}
+			}
+			moves = append(moves, m)
+		}
+	}
+	// Rewire the roots into one fresh group per new home.
+	byEndpoint := make(map[string]*group)
+	for _, m := range moves {
+		g := byEndpoint[m.home]
+		if g == nil {
+			g = &group{endpoint: m.home}
+			byEndpoint[m.home] = g
+		}
+		g.roots = append(g.roots, m.root)
+		m.root.group, m.root.core, m.root.rootRef = g, nil, m.ref
+	}
+	var calls []*recordedCall // the rejected sub-batches' calls
+	for _, rj := range rejected {
+		calls = append(calls, rj.sb.calls...)
+	}
+	affected := slices.Clone(calls) // plus, in later stages, the calls bound for a rejected destination
+	for _, subs := range later {
+		for _, sb := range subs {
+			if causes[sb.group] != nil {
+				affected = append(affected, sb.calls...)
 			}
 		}
 	}
-	// Calls that now share a server replay in recording order.
+	// Dataflow between two roots that shared a server — so nobody planned a
+	// network crossing for it — and that the re-sharding split across homes
+	// cannot be replayed by this retry: the producer's result would now have
+	// to cross the network mid-wave. Settle those calls with a clear error
+	// carrying their own destination's refusal instead of an internal failure.
+	for _, c := range affected {
+		if c.out.done {
+			continue
+		}
+		to := rootOf(c.target).group
+		for _, a := range c.args {
+			if x, ok := a.(*Proxy); ok && x.origin != nil && !x.origin.export && rootOf(x).group != to {
+				settle(c, nil, fmt.Errorf(
+					"stale-route retry: %s consumes a result the re-sharding moved to %q while the call now targets %q: %w",
+					c.method, rootOf(x).group.endpoint, to.endpoint, causes[c.group]))
+				break
+			}
+		}
+	}
+	// Re-home every affected call (and the proxy it settles) to its root's
+	// group, so partition and translate see a consistent recording again.
+	repoint(affected)
+	for k, subs := range later {
+		var stage []*recordedCall
+		for _, sb := range subs {
+			stage = append(stage, sb.calls...)
+		}
+		later[k] = partition(byIndex(stage))
+	}
+	return partition(byIndex(calls)), nil
+}
+
+// byIndex sorts calls into recording order, in place: calls that now share a
+// server replay in the order they were recorded.
+func byIndex(calls []*recordedCall) []*recordedCall {
 	sort.Slice(calls, func(i, j int) bool { return calls[i].index < calls[j].index })
-	return partition(calls), nil
+	return calls
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -18,7 +19,7 @@ type fakeHomes struct {
 
 	mu        sync.Mutex
 	refreshes int
-	lookups   []string
+	routed    []string
 }
 
 func (f *fakeHomes) Refresh(context.Context) error {
@@ -28,15 +29,15 @@ func (f *fakeHomes) Refresh(context.Context) error {
 	return f.refreshErr
 }
 
-func (f *fakeHomes) Lookup(_ context.Context, name string) (wire.Ref, error) {
+func (f *fakeHomes) Home(name string) (string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.lookups = append(f.lookups, name)
+	f.routed = append(f.routed, name)
 	ep, ok := f.homes[name]
 	if !ok {
-		return wire.Ref{}, fmt.Errorf("%q is not bound", name)
+		return "", fmt.Errorf("no route for %q", name)
 	}
-	return wire.Ref{Endpoint: ep, ObjID: 900, Iface: "reroute.Test"}, nil
+	return ep, nil
 }
 
 // staleRecording records into b, without a network, one stage over two
@@ -77,22 +78,22 @@ func indexes(sb *subBatch) []int {
 }
 
 // TestRehomeRegroupsPerNewHome: a and c — on two different old homes — both
-// move to server-2, b stays, the un-named root cannot be re-resolved.
+// move to server-2, b stays, the un-named root cannot be re-routed.
 func TestRehomeRegroupsPerNewHome(t *testing.T) {
 	b := New(nil)
 	roots, calls, rejected := staleRecording(t, b)
 	dir := &fakeHomes{homes: map[string]string{"a": "server-2", "b": "server-0", "c": "server-2"}}
 	unnamed := roots[""].rootRef
 
-	subs, err := b.rehome(context.Background(), dir, rejected)
+	subs, err := b.rehome(context.Background(), dir, rejected, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !b.retried || dir.refreshes != 1 {
 		t.Errorf("retried = %v after %d refreshes, want the one retry spent on one refresh", b.retried, dir.refreshes)
 	}
-	if len(dir.lookups) != 3 {
-		t.Errorf("looked up %v, want exactly the three named roots", dir.lookups)
+	if len(dir.routed) != 3 {
+		t.Errorf("routed %v, want exactly the three named roots", dir.routed)
 	}
 
 	// Two old groups merged into one new group, in recording order — which
@@ -108,15 +109,16 @@ func TestRehomeRegroupsPerNewHome(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("regrouped calls = %v, want %v", got, want)
 	}
+	// A re-routed root is lazy again: its new home resolves the name.
 	for _, name := range []string{"a", "c"} {
-		if p := roots[name]; p.rootRef.Endpoint != "server-2" || p.group != roots["a"].group || p.core != nil {
-			t.Errorf("root %s not rewired to the shared server-2 group: %+v", name, p.rootRef)
+		if p := roots[name]; !p.lazy() || p.group.endpoint != "server-2" || p.group != roots["a"].group || p.core != nil {
+			t.Errorf("root %s not rewired, by name, to the shared server-2 group: %+v at %s", name, p.rootRef, p.group.endpoint)
 		}
 	}
 	if calls[3].group != roots["a"].group || calls[3].target.group != roots["a"].group {
 		t.Error("a call on a moved root's result did not follow the root")
 	}
-	// The un-named root keeps its ref: there is no key to re-resolve it by.
+	// The un-named root keeps its ref: there is no key to re-route it by.
 	if roots[""].rootRef != unnamed {
 		t.Errorf("un-named root re-resolved to %v, want %v", roots[""].rootRef, unnamed)
 	}
@@ -132,16 +134,17 @@ func TestRehomeRegroupsPerNewHome(t *testing.T) {
 	}
 }
 
-// TestRehomeFailsWholesale: a failed refresh or lookup re-plans nothing.
+// TestRehomeFailsWholesale: a failed refresh or an unroutable name re-plans
+// nothing.
 func TestRehomeFailsWholesale(t *testing.T) {
 	boom := errors.New("no node reachable")
 	for name, dir := range map[string]*fakeHomes{
 		"refresh": {refreshErr: boom},
-		"lookup":  {homes: map[string]string{"a": "server-2", "b": "server-0"}}, // c is unbound
+		"route":   {homes: map[string]string{"a": "server-2", "b": "server-0"}}, // c has no home
 	} {
 		b := New(nil)
 		roots, calls, rejected := staleRecording(t, b)
-		subs, err := b.rehome(context.Background(), dir, rejected)
+		subs, err := b.rehome(context.Background(), dir, rejected, nil)
 		if err == nil || subs != nil {
 			t.Fatalf("%s failure: rehome = %v, %v; want an error and no plan", name, subs, err)
 		}
@@ -151,7 +154,7 @@ func TestRehomeFailsWholesale(t *testing.T) {
 		if !b.retried {
 			t.Errorf("%s failure did not spend the retry", name)
 		}
-		if roots["a"].rootRef.Endpoint != "server-0" {
+		if roots["a"].group.endpoint != "server-0" || roots["a"].lazy() {
 			t.Errorf("%s failure rewired a root", name)
 		}
 		for i, c := range calls {
@@ -159,5 +162,66 @@ func TestRehomeFailsWholesale(t *testing.T) {
 				t.Errorf("%s failure settled call %d", name, i)
 			}
 		}
+	}
+}
+
+// TestRehomeFollowsLaterStages: a destination refused at first contact in a
+// stage that is not its last. The root's calls of the later stages follow it
+// to the new home, where they share one destination with the retried wave —
+// so the chained session that wave opens there serves them too.
+func TestRehomeFollowsLaterStages(t *testing.T) {
+	b := New(nil)
+	a := b.Root(wire.Ref{Endpoint: "server-0", ObjID: 100, Iface: "reroute.Test"})
+	a.key = "a"
+	c := b.Root(wire.Ref{Endpoint: "server-1", ObjID: 101, Iface: "reroute.Test"})
+	f0 := c.Call("Get")     // 0: stage 0 on server-1
+	f1 := a.Call("Add", f0) // 1: stage 1, server-0's first contact
+	a.Call("Add", f1)       // 2: stage 2
+	c.Call("Add", f1)       // 3: stage 2 on server-1, untouched
+	nstages, err := planStages(b.calls)
+	if err != nil || nstages != 3 {
+		t.Fatalf("plan = %d stages, %v; want three", nstages, err)
+	}
+	stages := buildStages(b.calls, nstages)
+	rejected := []rejection{{sb: stages[1][0], cause: errors.New("wrong home")}}
+	dir := &fakeHomes{homes: map[string]string{"a": "server-2"}}
+
+	moved, err := b.rehome(context.Background(), dir, rejected, stages[2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moved) != 1 || moved[0].group.endpoint != "server-2" || fmt.Sprint(indexes(moved[0])) != "[1]" {
+		t.Fatalf("retried wave = %d sub-batches, want call 1 alone bound for server-2", len(moved))
+	}
+	last := stages[2]
+	if len(last) != 2 || last[0].group != moved[0].group || fmt.Sprint(indexes(last[0])) != "[2]" {
+		t.Errorf("stage 2 did not follow the root to the retried wave's destination: %d sub-batches", len(last))
+	}
+	if len(last) == 2 && (last[1].group != c.group || fmt.Sprint(indexes(last[1])) != "[3]") {
+		t.Errorf("stage 2 disturbed server-1's sub-batch: %v at %s", indexes(last[1]), last[1].group.endpoint)
+	}
+}
+
+// TestRehomeBoundElsewhere: a refusal that says where the name is bound needs
+// no fresh ring and no route — the root goes there, by the ref it was handed.
+func TestRehomeBoundElsewhere(t *testing.T) {
+	b := New(nil)
+	a := b.Root(wire.Ref{Endpoint: "server-0"})
+	a.key, a.rootRef = "a", wire.Ref{}
+	a.Call("Get")
+	far := wire.Ref{Endpoint: "server-3", ObjID: 77, Iface: "reroute.Test"}
+	stages := buildStages(b.calls, 1)
+	rejected := []rejection{{sb: stages[0][0], cause: fmt.Errorf("flush: %w", &core.ElsewhereError{Name: "a", Ref: far})}}
+	dir := &fakeHomes{}
+
+	moved, err := b.rehome(context.Background(), dir, rejected, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dir.refreshes != 0 || len(dir.routed) != 0 {
+		t.Errorf("asked the naming layer (%d refreshes, routed %v) for a root whose binding was handed over", dir.refreshes, dir.routed)
+	}
+	if len(moved) != 1 || moved[0].group.endpoint != "server-3" || a.rootRef != far || a.lazy() {
+		t.Errorf("root not re-addressed by its binding: %+v", a.rootRef)
 	}
 }

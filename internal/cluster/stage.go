@@ -29,6 +29,8 @@ type run struct {
 	err *FlushError
 	// held are the exported result refs leased until the pipeline ends.
 	held []wire.Ref
+	// stale is set once a destination failed wrong-home without a retry.
+	stale bool
 }
 
 // destState is one destination's execution state across stages.
@@ -44,31 +46,55 @@ type destState struct {
 	// settles locally with this error.
 	failed error
 	// repl is the destination's replication pipeline, armed by open when
-	// the batch is epoch-aware over a replicated ring and every root is a
-	// named movable; nil otherwise.
+	// the batch is epoch-aware over a replicated ring and every root is
+	// named; nil otherwise, and again once a root turned out not to be
+	// movable (replicate).
 	repl *replState
 }
 
 // open creates the destination's multi-root core.Batch and rewires the
-// group's root proxies onto it. Caller holds b.mu.
+// group's root proxies onto it: a root no wave has resolved yet goes in by
+// name, for the destination to resolve when the batch first reaches it.
+// Caller holds b.mu.
 func (ds *destState) open(b *Batch) error {
 	var opts []core.Option
 	if b.policy != nil {
 		opts = append(opts, core.WithPolicy(b.policy))
 	}
-	cb := core.New(b.peer, ds.group.roots[0], opts...)
-	ds.group.rootProxies[ds.group.roots[0]].core = cb.Root()
-	for _, ref := range ds.group.roots[1:] {
-		cp, err := cb.AddRoot(ref)
+	first, rest := ds.group.roots[0], ds.group.roots[1:]
+	if first.lazy() {
+		ds.cb = core.NewNamed(b.peer, ds.group.endpoint, first.key, opts...)
+	} else {
+		ds.cb = core.New(b.peer, first.rootRef, opts...)
+	}
+	first.core = ds.cb.Root()
+	for _, p := range rest {
+		var err error
+		if p.lazy() {
+			p.core, err = ds.cb.AddRootNamed(p.key)
+		} else {
+			p.core, err = ds.cb.AddRoot(p.rootRef)
+		}
 		if err != nil {
 			// Unreachable: every root in a group shares its endpoint.
 			return err
 		}
-		ds.group.rootProxies[ref].core = cp
 	}
-	ds.cb = cb
 	b.armReplication(ds)
 	return nil
+}
+
+// adoptRoots fills in, after the destination's first successful wave, the
+// refs it resolved its named roots to: what later waves, arguments passed by
+// reference and the replication record address them by.
+func (b *Batch) adoptRoots(ds *destState) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, p := range ds.group.roots {
+		if p.lazy() {
+			p.rootRef = p.core.RootRef()
+		}
+	}
 }
 
 // sessionOpen reports whether an earlier FlushAndContinue left a chained
@@ -90,23 +116,18 @@ func (ds *destState) close(ctx context.Context, peer *rmi.Peer) error {
 // round trip; total cost is one wave per stage, plus one for a stale retry.
 func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 	r := &run{b: b, dests: make(map[*group]*destState)}
-	for s, subs := range stages {
-		for _, sb := range subs {
-			if r.dests[sb.group] == nil {
-				r.dests[sb.group] = &destState{group: sb.group}
-			}
-			r.dests[sb.group].lastStage = s
-		}
-	}
+	r.plan(stages, 0)
 	r.servers = len(r.dests)
 
 	for s, subs := range stages {
 		if rejected := r.wave(ctx, s, subs); len(rejected) > 0 {
-			// Stale routes: a destination refused the wave because one of its
-			// roots migrated. Re-plan at the new homes and run the same wave
-			// again — before the next stage, which may consume these results.
-			// The retry is then spent, so the second wave rejects nothing.
-			moved, err := b.rehome(ctx, b.dir, rejected)
+			// Stale routes: a destination refused the wave at first contact
+			// because one of its roots is not there. Re-plan at the new homes —
+			// this stage's refused calls and, in later stages, every call
+			// bound for a refused destination — and run the same wave again,
+			// before the next stage, which may consume these results. The
+			// retry is then spent, so the second wave rejects nothing.
+			moved, err := b.rehome(ctx, b.dir, rejected, stages[s+1:])
 			if err != nil {
 				b.mu.Lock()
 				for _, rj := range rejected {
@@ -114,6 +135,10 @@ func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 				}
 				b.mu.Unlock()
 			} else {
+				for _, sb := range moved {
+					r.dest(sb.group).lastStage = s
+				}
+				r.plan(stages, s+1)
 				r.wave(ctx, s, moved)
 			}
 		}
@@ -123,6 +148,27 @@ func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 		b.resolveFlights(ctx, subs)
 	}
 	return r.finish(ctx)
+}
+
+// dest returns g's execution state, adding it to the run when a re-plan
+// brought in a destination the run had not met.
+func (r *run) dest(g *group) *destState {
+	ds := r.dests[g]
+	if ds == nil {
+		ds = &destState{group: g}
+		r.dests[g] = ds
+	}
+	return ds
+}
+
+// plan notes, for every destination of stages[from:], the last stage it
+// takes part in.
+func (r *run) plan(stages [][]*subBatch, from int) {
+	for s := from; s < len(stages); s++ {
+		for _, sb := range stages[s] {
+			r.dest(sb.group).lastStage = s
+		}
+	}
 }
 
 // wave is the one place destinations are opened, sub-batches translated,
@@ -135,11 +181,6 @@ func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected [
 	var live []*destState
 	for _, sb := range subs {
 		ds := r.dests[sb.group]
-		if ds == nil {
-			// A re-homed destination joins the run at its only stage.
-			ds = &destState{group: sb.group, lastStage: stage}
-			r.dests[sb.group] = ds
-		}
 		ds.sb = sb
 		if ds.failed != nil {
 			r.settleSub(sb, ds.failed)
@@ -180,6 +221,7 @@ func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected [
 			errs[i] = ds.cb.Flush(ctx)
 		}
 		if errs[i] == nil {
+			b.adoptRoots(ds)
 			errs[i] = b.replicate(ctx, ds)
 		}
 		return nil
@@ -194,7 +236,7 @@ func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected [
 		switch {
 		case errs[i] == nil:
 			r.settleSub(ds.sb, nil)
-		case b.canRetryStale(ds, stage, errs[i]):
+		case b.canRetryStale(ds, errs[i]):
 			rejected = append(rejected, rejection{sb: ds.sb, cause: errs[i]})
 		default:
 			r.fail(ctx, ds, ds.sb, stage, errs[i])
@@ -217,6 +259,10 @@ func (r *run) fail(ctx context.Context, ds *destState, sb *subBatch, stage int, 
 	var qe *QuorumError
 	if errors.As(err, &qe) && r.err.Quorum == nil {
 		r.err.Quorum = qe
+	}
+	var wrong *rmi.WrongHomeError
+	if errors.As(err, &wrong) {
+		r.stale = true
 	}
 	r.err.Failures = append(r.err.Failures, ServerError{Endpoint: ds.group.endpoint, Stage: stage, Err: err})
 	r.settleSub(sb, err)
@@ -302,7 +348,8 @@ func coreOf(p *Proxy) (*core.Proxy, error) {
 //
 //   - same-server proxies pass through as core proxies (the server resolves
 //     them by sequence number, across stages via the chained session);
-//   - cross-server root proxies pass as their refs (known statically);
+//   - cross-server root proxies pass as their refs (given, or resolved by
+//     resolveForwarded before the flush was planned);
 //   - cross-server result proxies pass as the exported ref pinned by the
 //     producer's wave — forwarded by reference, the destination sees a stub;
 //   - futures pass as their settled values — spliced by value.
@@ -320,6 +367,12 @@ func (b *Batch) resolveInputs(c *recordedCall) (*core.Proxy, []any, error) {
 			switch {
 			case x.group == c.group:
 				args[i], err = coreOf(x)
+			case x.origin == nil && x.lazy():
+				// Resolved before planning (resolveForwarded) unless its
+				// lookup failed or a stale-route retry split it from c.
+				if err = x.err; err == nil {
+					err = fmt.Errorf("cluster: %s passes root %q by reference to another server before any wave resolved it", c.method, x.key)
+				}
 			case x.origin == nil:
 				args[i] = x.rootRef
 			case x.err != nil:
@@ -350,17 +403,25 @@ func (b *Batch) resolveInputs(c *recordedCall) (*core.Proxy, []any, error) {
 }
 
 // finish ends the pipeline: it drops the bridging leases in one batched DGC
-// wave (one Clean per endpoint, endpoints in parallel) and returns the
-// flush's error. Destinations that received a forwarded ref hold their own
-// lease while they retain the stub, and the lease-holder chain unwinds
-// through DGC. Cleanup must outlive the flush's own context: a cancellation
-// that aborted the waves is exactly when prompt lease release matters most.
+// wave (one Clean per endpoint, endpoints in parallel), brings a ring that a
+// failure showed stale up to date, and returns the flush's error.
+// Destinations that received a forwarded ref hold their own lease while they
+// retain the stub, and the lease-holder chain unwinds through DGC. Cleanup
+// must outlive the flush's own context: a cancellation that aborted the
+// waves is exactly when prompt lease release matters most.
 func (r *run) finish(ctx context.Context) error {
 	if len(r.held) > 0 {
 		r.b.peer.ReleaseRefs(context.WithoutCancel(ctx), r.held)
 	}
 	if r.err == nil {
 		return nil
+	}
+	if r.stale && r.b.dir != nil {
+		// A wrong-home failure the flush could not retry — the session was
+		// already open, or the retry spent — still says this client's ring is
+		// behind. Catch up now, best effort: nothing else on the flush path
+		// would, and the client's next flush would route to the same dead home.
+		_ = r.b.dir.Refresh(ctx)
 	}
 	if r.b.StaleRetried() {
 		r.err.Retries = 1

@@ -31,8 +31,12 @@ type Batch struct {
 	flushNs *stats.Histogram // round-trip duration per flush
 	acked   *stats.Counter   // results acknowledged for executed calls
 
-	mu      sync.Mutex
-	extra   []wire.Ref // additional roots (AddRoot), same endpoint as root
+	mu    sync.Mutex
+	extra []wire.Ref // additional roots (AddRoot), same endpoint as root
+	// names is nil while every root is id-addressed, else parallel to
+	// root+extra: a non-empty names[i] marks position i name-addressed, its
+	// ref carrying only the endpoint until the first flush's reply fills it.
+	names   []string
 	policy  *Policy
 	nextSeq int64
 	calls   []invocationData
@@ -125,6 +129,18 @@ func New(peer *rmi.Peer, root wire.Ref, opts ...Option) *Batch {
 	return b
 }
 
+// NewNamed creates a batch over the object bound as name in the registry of
+// the peer serving endpoint. Nothing is resolved here: the first flush
+// carries the name, the serving peer resolves it before it executes
+// anything — a miss rejects the flush with the registry's typed error, or
+// *ElsewhereError for a binding that points at another endpoint — and the
+// reply fills in the root's reference (Proxy.RootRef).
+func NewNamed(peer *rmi.Peer, endpoint, name string, opts ...Option) *Batch {
+	b := New(peer, wire.Ref{Endpoint: endpoint}, opts...)
+	b.names = []string{name}
+	return b
+}
+
 // OnShip registers fn to observe the wire payload of every flush the server
 // executed successfully, after results are distributed. The payload is the
 // already-serialized batch command (wire-registered, deterministic to
@@ -140,7 +156,29 @@ func (b *Batch) OnShip(fn func(req any, keep bool)) {
 
 // Root returns the proxy for the batch's root object.
 func (b *Batch) Root() *Proxy {
-	return &Proxy{b: b, seq: RootTarget, settled: true, root: true, chainRoot: b.root}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rootProxy(0)
+}
+
+// rootProxy returns a recording proxy for root position pos (0 is the
+// batch's root, 1+i extra root i), addressed on the wire by sequence number
+// RootTarget-pos. A name-addressed root has no cache identity: its chainRoot
+// stays zero. Caller holds b.mu.
+func (b *Batch) rootProxy(pos int) *Proxy {
+	p := &Proxy{b: b, seq: RootTarget - int64(pos), settled: true, root: true}
+	if pos >= len(b.names) || b.names[pos] == "" {
+		p.chainRoot = *b.rootAt(pos)
+	}
+	return p
+}
+
+// rootAt returns the ref of root position pos. Caller holds b.mu.
+func (b *Batch) rootAt(pos int) *wire.Ref {
+	if pos == 0 {
+		return &b.root
+	}
+	return &b.extra[pos-1]
 }
 
 // AddRoot registers another exported remote object as an additional root of
@@ -160,20 +198,41 @@ func (b *Batch) AddRoot(ref wire.Ref) (*Proxy, error) {
 			ErrForeignRoot, ref.ObjID, ref.Endpoint, b.root.Endpoint)
 	}
 	if ref == b.root {
-		return &Proxy{b: b, seq: RootTarget, settled: true, root: true, chainRoot: ref}, nil
+		return b.rootProxy(0), nil
 	}
 	for i, r := range b.extra {
 		if r == ref {
-			return &Proxy{b: b, seq: extraRootSeq(i), settled: true, root: true, chainRoot: ref}, nil
+			return b.rootProxy(1 + i), nil
 		}
 	}
 	b.extra = append(b.extra, ref)
-	return &Proxy{b: b, seq: extraRootSeq(len(b.extra) - 1), settled: true, root: true, chainRoot: ref}, nil
+	if b.names != nil {
+		b.names = append(b.names, "")
+	}
+	return b.rootProxy(len(b.extra)), nil
 }
 
-// extraRootSeq is the wire sequence number addressing extra root i
-// (RootTarget-1, RootTarget-2, ...).
-func extraRootSeq(i int) int64 { return RootTarget - 1 - int64(i) }
+// AddRootNamed is AddRoot for an object addressed by the name it is bound
+// under in the serving peer's registry (see NewNamed). Adding the same name
+// twice returns a proxy for the same root.
+func (b *Batch) AddRootNamed(name string) (*Proxy, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return nil, ErrBatchClosed
+	}
+	for i, n := range b.names {
+		if n == name {
+			return b.rootProxy(i), nil
+		}
+	}
+	if b.names == nil {
+		b.names = make([]string, 1+len(b.extra))
+	}
+	b.extra = append(b.extra, wire.Ref{Endpoint: b.root.Endpoint})
+	b.names = append(b.names, name)
+	return b.rootProxy(len(b.extra)), nil
+}
 
 // Peer returns the underlying RMI peer.
 func (b *Batch) Peer() *rmi.Peer { return b.peer }
@@ -214,7 +273,7 @@ func (b *Batch) recordValue(target *Proxy, method string, args []any, ro bool) *
 	// returns an already-settled future and records nothing.
 	var ckey, cobj string
 	var cgen, cepoch uint64
-	if ro && b.cache != nil && target.root && !b.closed && b.recErr == nil {
+	if ro && b.cache != nil && target.root && !target.chainRoot.IsZero() && !b.closed && b.recErr == nil {
 		if key, ok := rcache.Key(target.chainRoot, method, args); ok {
 			if v, hit := b.cache.Get(key); hit {
 				fa.st.settled = true
@@ -482,7 +541,9 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		KeepSession: keep,
 		Parallel:    b.parallel,
 		Calls:       b.calls,
+		Names:       b.names,
 	}
+	b.names = nil // the reply resolves them all, or the flush fails and closes the batch
 	if len(b.extra) > 0 {
 		req.Roots = make([]uint64, len(b.extra))
 		for i, r := range b.extra {
@@ -533,6 +594,21 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		return ferr
 	}
 
+	if len(req.Names) != 0 {
+		// The server resolved every name before executing: adopt the refs,
+		// so later flushes of the chain go out id-addressed.
+		if len(resp.Roots) != len(req.Names) {
+			ferr := &BatchError{Err: fmt.Errorf("reply resolved %d of %d root names", len(resp.Roots), len(req.Names))}
+			b.failure = ferr
+			b.closed = true
+			return ferr
+		}
+		for i, name := range req.Names {
+			if name != "" {
+				*b.rootAt(i) = resp.Roots[i]
+			}
+		}
+	}
 	b.sentPol = true
 	b.session = resp.Session
 	b.distribute(base, records, resp)

@@ -195,9 +195,15 @@ func (e *Executor) ReplayShadow(ctx context.Context, shipped any, root uint64, e
 	if !ok {
 		return 0, 0, fmt.Errorf("brmi: shadow replay payload is %T, not a batch request", shipped)
 	}
+	if len(extras) != len(orig.Roots) {
+		return 0, 0, fmt.Errorf("brmi: shadow replay: payload has %d roots, %d substitutes given", 1+len(orig.Roots), 1+len(extras))
+	}
 	req := *orig
 	req.Root = root
 	req.Roots = extras
+	// The substitutes are ids: a name the primary resolved in its registry
+	// must not be resolved again in this peer's.
+	req.Names = nil
 	req.Session = session
 	resp, err := e.invokeBatch(ctx, &req, true)
 	if err != nil {
@@ -207,7 +213,7 @@ func (e *Executor) ReplayShadow(ctx context.Context, shipped any, root uint64, e
 }
 
 func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bool) (*batchResponse, error) {
-	sess, sessID, err := e.resolveSession(req)
+	sess, sessID, named, err := e.resolveSession(req)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +229,7 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 	if e.reg != nil {
 		waveStart = e.reg.Now()
 	}
-	resp := &batchResponse{}
+	resp := &batchResponse{Roots: named}
 	for restart := 0; ; restart++ {
 		var results []callResult
 		var again bool
@@ -263,44 +269,70 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 	return resp, nil
 }
 
-func (e *Executor) resolveSession(req *batchRequest) (*session, uint64, error) {
+// resolveSession turns a request's roots into live objects and finds or
+// creates its session, before anything executes: a root that is not here —
+// an id that migrated away, a name this peer's registry does not hold —
+// rejects the whole request. named is the reply's Roots: what each
+// name-addressed position resolved to, nil for an id-addressed request.
+func (e *Executor) resolveSession(req *batchRequest) (sess *session, id uint64, named []wire.Ref, err error) {
+	root, ids := req.Root, req.Roots
+	if len(req.Names) != 0 {
+		// Names resolve through this peer's own registry, as in serveGetBatch,
+		// outside e.mu: the registry has its own lock. The decoder made Names
+		// parallel to Root+Roots (checkRootNames).
+		obj, _ := e.peer.LocalObject(rmi.RegistryObjID)
+		reg, _ := obj.(resolver)
+		named = make([]wire.Ref, len(req.Names))
+		all := append([]uint64{req.Root}, req.Roots...)
+		for i, name := range req.Names {
+			if name == "" {
+				continue
+			}
+			if named[i], err = e.resolveLocal(reg, name); err != nil {
+				return nil, 0, nil, err
+			}
+			all[i] = named[i].ObjID
+		}
+		root, ids = all[0], all[1:]
+	}
+
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Extra roots are re-resolved on every flush: a chained batch may add
 	// roots between flushes, and ids are stable while exported.
-	extras := make([]any, len(req.Roots))
-	for i, id := range req.Roots {
+	extras := make([]any, len(ids))
+	for i, id := range ids {
 		obj, ok := e.peer.LocalObject(id)
 		if !ok {
-			return nil, 0, e.missingRoot(id)
+			return nil, 0, nil, e.missingRoot(id)
 		}
 		extras[i] = obj
 	}
 	if req.Session != 0 {
 		sess, ok := e.sessions[req.Session]
 		if !ok {
-			return nil, 0, &SessionExpiredError{Session: req.Session}
+			return nil, 0, nil, &SessionExpiredError{Session: req.Session}
 		}
 		sess.extras = extras
-		return sess, req.Session, nil
+		return sess, req.Session, named, nil
 	}
-	root, ok := e.peer.LocalObject(req.Root)
+	rootObj, ok := e.peer.LocalObject(root)
 	if !ok {
-		return nil, 0, e.missingRoot(req.Root)
+		return nil, 0, nil, e.missingRoot(root)
 	}
 	policy := req.Policy
 	if policy == nil {
 		policy = AbortPolicy()
 	}
 	e.nextID++
-	sess := &session{
-		root:     root,
+	sess = &session{
+		root:     rootObj,
 		extras:   extras,
 		policy:   policy,
 		nextBase: serverSeqBase,
 		expires:  time.Now().Add(e.ttl),
 	}
-	return sess, e.nextID, nil
+	return sess, e.nextID, named, nil
 }
 
 // missingRoot classifies a batch root absent from the export table: an

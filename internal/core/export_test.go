@@ -5,3 +5,11 @@ package core
 func PolicyActionForTest(p *Policy, err error, method string, index int) Action {
 	return p.actionFor(err, method, index)
 }
+
+// The flush messages, for the external tests of their wire form.
+type (
+	BatchRequest  = batchRequest
+	BatchResponse = batchResponse
+	Invocation    = invocationData
+	BatchArg      = batchArg
+)

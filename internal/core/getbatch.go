@@ -161,15 +161,15 @@ func decGetBatchEntry(x wire.Dec, r *GetBatchEntry, n int) error {
 // ElsewhereError is a name-addressed position's failure when the name is
 // bound, in the serving peer's registry, to an object exported on another
 // endpoint — a non-movable object whose binding migrated without it, or a
-// deliberate cross-server bind. The value is not here to read; Ref is the
-// binding, and the caller reads it id-addressed at Ref.Endpoint.
+// deliberate cross-server bind. The object is not here to read or call; Ref
+// is the binding, and the caller addresses it by id at Ref.Endpoint.
 type ElsewhereError struct {
 	Name string
 	Ref  wire.Ref
 }
 
 func (e *ElsewhereError) Error() string {
-	return fmt.Sprintf("brmi: getbatch: %q is bound to object %d at %s", e.Name, e.Ref.ObjID, e.Ref.Endpoint)
+	return fmt.Sprintf("brmi: %q is bound to object %d at %s", e.Name, e.Ref.ObjID, e.Ref.Endpoint)
 }
 
 func init() {
@@ -217,7 +217,9 @@ func (e *Executor) serveGetBatch(ctx context.Context, req any, w *rmi.EntryWrite
 	for i, objID := range r.ObjIDs {
 		entry := GetBatchEntry{Index: r.Indexes[i]}
 		if objID == 0 && len(r.Names) != 0 {
-			objID, entry.Err = e.resolveLocal(reg, r.Names[i])
+			var ref wire.Ref
+			ref, entry.Err = e.resolveLocal(reg, r.Names[i])
+			objID = ref.ObjID
 		}
 		if entry.Err == nil {
 			entry.Value, entry.Err = e.readObject(ctx, objID, r.Method)
@@ -230,23 +232,23 @@ func (e *Executor) serveGetBatch(ctx context.Context, req any, w *rmi.EntryWrite
 	return nil
 }
 
-// resolveLocal resolves a name-addressed position in reg, this peer's own
-// registry (nil when it runs none). The registry's failures travel on the
-// entry as they are (*registry.NotBoundError for an unknown name,
-// *rmi.WrongHomeError for one that migrated away); a binding that points at
-// another endpoint is an *ElsewhereError.
-func (e *Executor) resolveLocal(reg resolver, name string) (uint64, error) {
+// resolveLocal resolves a name-addressed position — of a GetBatch or of a
+// batch request's roots — in reg, this peer's own registry (nil when it runs
+// none). The registry's failures travel as they are (*registry.NotBoundError
+// for an unknown name, *rmi.WrongHomeError for one that migrated away); a
+// binding that points at another endpoint is an *ElsewhereError.
+func (e *Executor) resolveLocal(reg resolver, name string) (wire.Ref, error) {
 	if reg == nil {
-		return 0, fmt.Errorf("brmi: getbatch: resolve %q: %s runs no registry", name, e.peer.Endpoint())
+		return wire.Ref{}, fmt.Errorf("brmi: resolve %q: %s runs no registry", name, e.peer.Endpoint())
 	}
 	ref, err := reg.Lookup(name)
 	if err != nil {
-		return 0, err
+		return wire.Ref{}, err
 	}
 	if ref.Endpoint != e.peer.Endpoint() {
-		return 0, &ElsewhereError{Name: name, Ref: ref}
+		return wire.Ref{}, &ElsewhereError{Name: name, Ref: ref}
 	}
-	return ref.ObjID, nil
+	return ref, nil
 }
 
 // readObject reads one exported object: its Snapshot() when method is

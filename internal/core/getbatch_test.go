@@ -27,6 +27,7 @@ type gauge struct {
 }
 
 func (g *gauge) Get() int64             { return g.v }
+func (g *gauge) Bump() int64            { g.v++; return g.v }
 func (g *gauge) Snapshot() (any, error) { return g.v, nil }
 
 // getbatchEnv is a serving peer with an executor and a registry — "here",

@@ -97,6 +97,13 @@ type batchRequest struct {
 	// first flush when it differs from the default AbortPolicy (the server
 	// assumes AbortPolicy when absent).
 	Policy *Policy
+	// Names is empty (every root id-addressed) or parallel to Root+Roots:
+	// Names[0] belongs to Root, Names[1+i] to Roots[i]. A position whose id
+	// is 0 and whose name is not empty is name-addressed: the serving peer
+	// resolves the name in its own registry before anything executes, and a
+	// miss rejects the whole request. Names is the trailing wire field and
+	// is omitted when empty, so an id-addressed flush keeps its wire form.
+	Names []string
 }
 
 // callResult is the outcome of one recorded call. The happy-path fields
@@ -146,6 +153,10 @@ type batchResponse struct {
 	Session uint64
 	// Restarts counts whole-batch restarts that ActionRestart caused.
 	Restarts int64
+	// Roots answers a request that carried Names, parallel to them: the
+	// reference each name-addressed position resolved to (zero at the
+	// id-addressed positions). Absent otherwise.
+	Roots []wire.Ref
 }
 
 func init() {

@@ -1,0 +1,263 @@
+package core_test
+
+// Tests for name-addressed batch roots: the flush request's wire form (an
+// id-addressed request is byte-for-byte what it was before root names
+// existed), roots resolved in the serving peer's registry before anything
+// executes, and a fuzz target over the request decoder and InvokeBatch.
+
+import (
+	"context"
+	"encoding/hex"
+	"errors"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/registry"
+	"repro/internal/rmi"
+	"repro/internal/wire"
+)
+
+func getCall(seq, target int64) core.Invocation {
+	return core.Invocation{Seq: seq, Target: target, Method: "Get", Kind: 1}
+}
+
+// The request shapes of the fuzz target's seed corpus, committed under
+// testdata/fuzz/FuzzBatchRequest: id-addressed, name-addressed, mixed, and
+// the two the decoder must refuse.
+var (
+	idRequest      = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}}
+	namedRequest   = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget), getCall(1, core.RootTarget-1)}, Roots: []uint64{0}, Names: []string{"a", "ghost"}}
+	mixedRoots     = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget-1)}, KeepSession: true, Roots: []uint64{0}, Names: []string{"", "b"}}
+	shortNames     = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Roots: []uint64{0, 0}, Names: []string{"a", "b"}}
+	idAndNameRoots = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}}
+)
+
+// TestBatchRequestIDAddressedWireParity pins the compatibility promise: a
+// request without root names encodes to exactly the bytes it did before the
+// Names field existed (captured at the parent commit), so old and new peers
+// agree on every id-addressed flush.
+func TestBatchRequestIDAddressedWireParity(t *testing.T) {
+	for _, c := range []struct {
+		req  *core.BatchRequest
+		want string
+	}{
+		{idRequest, "0d010862726d692e7265710c010205100a010d020862726d692e696e760c02040400040108034765740402"},
+		{&core.BatchRequest{Root: 16, Calls: []core.Invocation{
+			{Seq: 4, Target: core.RootTarget - 2, Method: "Add", Kind: 1, Args: []core.BatchArg{{Val: int64(5)}}},
+			{Seq: 5, Target: 4, Method: "Self", Kind: 2, Args: []core.BatchArg{{IsRef: true, Seq: 4}}, Export: true},
+		}, Session: 7, KeepSession: true, Parallel: true, Roots: []uint64{17, 300}},
+			"0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703030a02051105ac02"},
+		{&core.BatchRequest{Root: 16, Roots: []uint64{17}, Policy: core.ContinuePolicy()},
+			"0d010862726d692e7265710c0107051001050002020a0105110d020b62726d692e706f6c6963790c020404040104060406"},
+		{&core.BatchRequest{}, "0d010862726d692e7265710c0100"},
+	} {
+		got, err := wire.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hex.EncodeToString(got) != c.want {
+			t.Errorf("id-addressed request %+v encodes to\n  %x, want\n  %s", c.req, got, c.want)
+		}
+		back, err := wire.Unmarshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := back.(*core.BatchRequest); !ok || r.Names != nil || r.Root != c.req.Root || len(r.Calls) != len(c.req.Calls) {
+			t.Errorf("id-addressed request decoded to %+v", back)
+		}
+	}
+	// So is the reply to one: no Roots field.
+	got, err := wire.Marshal(&core.BatchResponse{Session: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "0d010962726d692e726573700c0102010503"; hex.EncodeToString(got) != want {
+		t.Errorf("id-addressed reply encodes to %x, want %s", got, want)
+	}
+}
+
+func TestBatchRequestNamesRoundTrip(t *testing.T) {
+	for _, req := range []*core.BatchRequest{namedRequest, mixedRoots} {
+		b, err := wire.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := wire.Unmarshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, req) {
+			t.Errorf("round trip of %+v = %+v", req, back)
+		}
+	}
+	resp := &core.BatchResponse{Roots: []wire.Ref{{}, {Endpoint: "here", ObjID: 17, Iface: "test.Gauge"}}}
+	b, err := wire.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := wire.Unmarshal(b); err != nil || !reflect.DeepEqual(back, resp) {
+		t.Errorf("round trip of %+v = %+v, %v", resp, back, err)
+	}
+}
+
+// TestBatchRequestDecoderRejectsBadNames: names that are not parallel to the
+// roots, or a position addressed both ways, never reach the executor.
+func TestBatchRequestDecoderRejectsBadNames(t *testing.T) {
+	for _, req := range []*core.BatchRequest{shortNames, idAndNameRoots} {
+		b, err := wire.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var corrupt *wire.CorruptError
+		if back, err := wire.Unmarshal(b); !errors.As(err, &corrupt) {
+			t.Errorf("request %+v decoded to %+v, %v; want *wire.CorruptError", req, back, err)
+		}
+	}
+}
+
+// TestNamedRootsResolveInFirstFlush: one round trip carries the names, the
+// serving peer resolves them in its own registry, the reply hands back the
+// refs — and the chain's next flush goes out id-addressed.
+func TestNamedRootsResolveInFirstFlush(t *testing.T) {
+	env := newGetbatchEnv(t)
+	ctx := context.Background()
+	b := core.NewNamed(env.client, getbatchHere, "a")
+	var shipped []*core.BatchRequest
+	b.OnShip(func(req any, _ bool) { shipped = append(shipped, req.(*core.BatchRequest)) })
+	a := b.Root()
+	bp, err := b.AddRootNamed("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := b.AddRootNamed("b"); again.RootRef() != bp.RootRef() || a.RootRef().ObjID != 0 {
+		t.Fatalf("before the flush: roots %v and %v, want unresolved and deduplicated", a.RootRef(), bp.RootRef())
+	}
+	fa, fb := a.Call("Get"), bp.Call("Bump")
+	before := env.client.CallCount()
+	if err := b.FlushAndContinue(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if va, _ := core.Typed[int64](fa).Get(); va != 10 {
+		t.Errorf("a.Get = %d, want 10", va)
+	}
+	if vb, _ := core.Typed[int64](fb).Get(); vb != 21 {
+		t.Errorf("b.Bump = %d, want 21", vb)
+	}
+	for name, p := range map[string]*core.Proxy{"a": a, "b": bp} {
+		if ref := p.RootRef(); ref.ObjID != env.ids[name] || ref.Endpoint != getbatchHere || ref.Iface != "test.Gauge" {
+			t.Errorf("root %s resolved to %v, want object %d here", name, ref, env.ids[name])
+		}
+	}
+	fb = bp.Call("Bump")
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if vb, _ := core.Typed[int64](fb).Get(); vb != 22 {
+		t.Errorf("chained b.Bump = %d, want 22", vb)
+	}
+	if got := env.client.CallCount() - before; got != 2 {
+		t.Errorf("two flushes cost %d remote calls, want 2: resolution must ride the flush", got)
+	}
+	if len(shipped) != 2 || !reflect.DeepEqual(shipped[0].Names, []string{"a", "b"}) || shipped[1].Names != nil || shipped[1].Roots[0] != env.ids["b"] {
+		t.Errorf("flushes shipped names %v then %v; want the names once, then ids", shipped[0].Names, shipped[1].Names)
+	}
+}
+
+// TestNamedRootMissRejectsUnexecuted: any name the serving peer cannot
+// resolve to a local object refuses the whole flush before its first call.
+func TestNamedRootMissRejectsUnexecuted(t *testing.T) {
+	env := newGetbatchEnv(t)
+	ctx := context.Background()
+	for _, miss := range []string{"ghost", "far"} {
+		b := core.NewNamed(env.client, getbatchHere, "a")
+		bumped := b.Root().Call("Bump")
+		if _, err := b.AddRootNamed(miss); err != nil {
+			t.Fatal(err)
+		}
+		err := b.Flush(ctx)
+		var notBound *registry.NotBoundError
+		var elsewhere *core.ElsewhereError
+		switch {
+		case miss == "ghost" && (!errors.As(err, &notBound) || notBound.Name != "ghost"):
+			t.Errorf("flush with an unbound root = %v, want *registry.NotBoundError", err)
+		case miss == "far" && (!errors.As(err, &elsewhere) || elsewhere.Ref != env.farRef):
+			t.Errorf("flush with a root bound elsewhere = %v, want *core.ElsewhereError carrying %v", err, env.farRef)
+		}
+		if _, err := bumped.Get(); err == nil {
+			t.Errorf("call on the resolvable root settled although %q rejected the flush", miss)
+		}
+	}
+	entries, err := env.read(&core.GetBatchRequest{ObjIDs: []uint64{env.ids["a"]}, Indexes: []int64{0}, Method: "Get"})
+	if err != nil || len(entries) != 1 || entries[0].Value != int64(10) {
+		t.Errorf("a = %v, %v after two rejected flushes; want the untouched 10", entries, err)
+	}
+}
+
+// FuzzBatchRequest feeds arbitrary bytes to the flush request decoder and,
+// when they decode to a request over the environment's gauges, executes it.
+// Nothing may panic (a panic in the serving goroutine takes the process down,
+// which the fuzzer reports); a decoded request is never larger than its
+// input allows; names that are not parallel to the roots, or a position
+// addressed both by id and by name, never decode; and an executed request is
+// answered call for call, with a ref for every name. The seed corpus is the
+// committed testdata/fuzz/FuzzBatchRequest.
+func FuzzBatchRequest(f *testing.F) {
+	env := newGetbatchEnv(f)
+	gauges := map[uint64]bool{}
+	for _, id := range env.ids {
+		gauges[id] = true
+	}
+	exec := rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface)
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg, err := wire.Unmarshal(data)
+		if err != nil {
+			return
+		}
+		req, ok := msg.(*core.BatchRequest)
+		if !ok {
+			return
+		}
+		// Every element costs at least one input byte.
+		n := len(req.Calls) + len(req.Roots) + len(req.Names)
+		for _, c := range req.Calls {
+			n += len(c.Args)
+		}
+		if n > len(data) {
+			t.Fatalf("%d input bytes decoded to %d slice elements", len(data), n)
+		}
+		if len(req.Names) != 0 && len(req.Names) != 1+len(req.Roots) {
+			t.Fatalf("decoded %d names for %d roots", len(req.Names), 1+len(req.Roots))
+		}
+		// Execute only against the gauges: a hostile request may as well name
+		// the registry or the executor itself as its root, and what those do
+		// when called is not this target's subject.
+		for i, id := range append([]uint64{req.Root}, req.Roots...) {
+			named := len(req.Names) != 0 && req.Names[i] != ""
+			if named && id != 0 {
+				t.Fatalf("root %d decoded with id %d and name %q", i, id, req.Names[i])
+			}
+			if !named && !gauges[id] {
+				return
+			}
+		}
+		if req.Session != 0 {
+			return
+		}
+		res, err := env.client.Call(ctx, exec, "InvokeBatch", req)
+		if err != nil {
+			return
+		}
+		resp, ok := res[0].(*core.BatchResponse)
+		if !ok {
+			t.Fatalf("InvokeBatch answered %T", res[0])
+		}
+		if len(resp.Results) != len(req.Calls) || len(resp.Roots) != len(req.Names) {
+			t.Fatalf("request %+v answered with %d results and %d refs", req, len(resp.Results), len(resp.Roots))
+		}
+		if err := core.ReleaseSession(ctx, env.client, getbatchHere, resp.Session); err != nil {
+			t.Fatalf("release session %d: %v", resp.Session, err)
+		}
+	})
+}

@@ -105,6 +105,19 @@ func (p *Proxy) ExportedRef() (wire.Ref, error) {
 	return p.exportRef, nil
 }
 
+// RootRef returns the exported object a root proxy (Batch.Root, AddRoot,
+// AddRootNamed) stands for. A name-addressed root's ObjID is 0 until the
+// batch's first flush returned with what the serving peer resolved the name
+// to. Proxies that are not roots return the zero Ref.
+func (p *Proxy) RootRef() wire.Ref {
+	p.b.mu.Lock()
+	defer p.b.mu.Unlock()
+	if !p.root {
+		return wire.Ref{}
+	}
+	return *p.b.rootAt(int(RootTarget - p.seq))
+}
+
 // CallCursor records a method invocation whose result is a slice. The
 // returned cursor applies subsequently recorded operations to every element
 // (§3.4) and iterates the results after flush.

@@ -165,21 +165,24 @@ func decInvocation(x wire.Dec, inv *invocationData, n int) error {
 }
 
 func encBatchRequest(x wire.Enc, r *batchRequest) error {
-	n := 7
-	if r.Policy == nil {
-		n = 6
-		if r.Roots == nil {
-			n = 5
-			if !r.Parallel {
-				n = 4
-				if !r.KeepSession {
-					n = 3
-					if r.Session == 0 {
-						n = 2
-						if r.Calls == nil {
-							n = 1
-							if r.Root == 0 {
-								n = 0
+	n := 8
+	if len(r.Names) == 0 {
+		n = 7
+		if r.Policy == nil {
+			n = 6
+			if r.Roots == nil {
+				n = 5
+				if !r.Parallel {
+					n = 4
+					if !r.KeepSession {
+						n = 3
+						if r.Session == 0 {
+							n = 2
+							if r.Calls == nil {
+								n = 1
+								if r.Root == 0 {
+									n = 0
+								}
 							}
 						}
 					}
@@ -225,6 +228,12 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 	if n > 6 {
 		if err := x.Value(r.Policy); err != nil {
 			return err
+		}
+	}
+	if n > 7 {
+		x.Slice(len(r.Names))
+		for _, name := range r.Names {
+			x.Str(name)
 		}
 	}
 	return nil
@@ -300,7 +309,46 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			r.Policy = p
 		}
 	}
-	return x.SkipFields(n - 7)
+	if n > 7 {
+		nn, err := x.SliceLen()
+		if err != nil {
+			return err
+		}
+		if nn > 0 {
+			r.Names = make([]string, nn)
+			for i := range r.Names {
+				if r.Names[i], err = x.Str(); err != nil {
+					return err
+				}
+			}
+		}
+		if err := checkRootNames(r); err != nil {
+			return err
+		}
+	}
+	return x.SkipFields(n - 8)
+}
+
+// checkRootNames rejects a request whose Names do not line up with its
+// roots: they must be parallel to Root+Roots, and a position is addressed by
+// id or by name, never both.
+func checkRootNames(r *batchRequest) error {
+	if len(r.Names) == 0 {
+		return nil
+	}
+	if len(r.Names) != 1+len(r.Roots) {
+		return &wire.CorruptError{Detail: "batch request root names are not parallel to its roots"}
+	}
+	for i, name := range r.Names {
+		id := r.Root
+		if i > 0 {
+			id = r.Roots[i-1]
+		}
+		if id != 0 && name != "" {
+			return &wire.CorruptError{Detail: "batch request root carries both an id and a name"}
+		}
+	}
+	return nil
 }
 
 func encCallResult(x wire.Enc, r *callResult) error {
@@ -449,13 +497,16 @@ func decAnySlice(x wire.Dec) ([]any, error) {
 }
 
 func encBatchResponse(x wire.Enc, r *batchResponse) error {
-	n := 3
-	if r.Restarts == 0 {
-		n = 2
-		if r.Session == 0 {
-			n = 1
-			if r.Results == nil {
-				n = 0
+	n := 4
+	if len(r.Roots) == 0 {
+		n = 3
+		if r.Restarts == 0 {
+			n = 2
+			if r.Session == 0 {
+				n = 1
+				if r.Results == nil {
+					n = 0
+				}
 			}
 		}
 	}
@@ -477,6 +528,12 @@ func encBatchResponse(x wire.Enc, r *batchResponse) error {
 	}
 	if n > 2 {
 		x.Int(r.Restarts)
+	}
+	if n > 3 {
+		x.Slice(len(r.Roots))
+		for _, ref := range r.Roots {
+			x.RefVal(ref)
+		}
 	}
 	return nil
 }
@@ -514,5 +571,19 @@ func decBatchResponse(x wire.Dec, r *batchResponse, n int) error {
 			return err
 		}
 	}
-	return x.SkipFields(n - 3)
+	if n > 3 {
+		rn, err := x.SliceLen()
+		if err != nil {
+			return err
+		}
+		if rn > 0 {
+			r.Roots = make([]wire.Ref, rn)
+			for i := range r.Roots {
+				if r.Roots[i], err = x.RefVal(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return x.SkipFields(n - 4)
 }
