@@ -7,6 +7,7 @@
 //	benchfig -all                  # every figure and ablation
 //	benchfig -fig 5 -fig 12        # selected figures
 //	benchfig -fig a1               # ablations (a1, a2, a3)
+//	benchfig -list                 # every figure id with its description
 //	benchfig -fig cluster          # multi-server fan-out (internal/cluster)
 //	benchfig -fig pipeline         # staged cross-server dataflow (internal/cluster)
 //	benchfig -fig rebalance        # live re-sharding during scale-out (internal/cluster)
@@ -82,22 +83,6 @@ var figures = []figSpec{
 		return bench.RunRebalance(c.wan, []int{4, 16, 64})
 	},
 		"live re-sharding: scale-out 3 -> 4 servers, batched vs per-object migration, WAN (internal/cluster)"},
-	{"replication", func(c config) (*bench.Table, error) {
-		return bench.RunReplication(c.wan, []int{1, 2, 3})
-	},
-		"replicated flush latency: acked-at-quorum writes vs replication degree R, WAN (internal/cluster)"},
-	{"throughput", func(c config) (*bench.Table, error) {
-		return bench.RunThroughput(c.instant, []int{1, 4, 16}, 1200)
-	},
-		"hot-path throughput: C client goroutines over 4 sharded servers, mixed flush sizes, instant network"},
-	{"cache", func(c config) (*bench.Table, error) {
-		return bench.RunCache(c.wan, bench.CacheReadObjects, []int{0, 25, 50, 75, 90, 100})
-	},
-		"readonly lease cache: batched cached reads at swept hit rates vs the uncached path, WAN"},
-	{"getbatch", func(c config) (*bench.Table, error) {
-		return bench.RunGetBatch(c.wan, []int{1, 4, 16, 64})
-	},
-		"streaming get-batch: N ordered bulk reads over 4 servers vs per-call round trips, WAN (internal/cluster)"},
 }
 
 func main() {
@@ -118,7 +103,7 @@ func (f *figList) Set(v string) error {
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchfig", flag.ContinueOnError)
 	var figs figList
-	fs.Var(&figs, "fig", "figure to run: 5-13, a1, a2, a3 (repeatable)")
+	fs.Var(&figs, "fig", "figure to run: "+figIDs()+" (repeatable)")
 	all := fs.Bool("all", false, "run every figure and ablation")
 	scale := fs.Int("scale", 20, "wireless latency scale divisor (1 = paper-faithful 252 ms RTT, slow)")
 	reps := fs.Int("reps", 5, "measured repetitions per point")
@@ -182,6 +167,15 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+// figIDs lists the ids of the figures table, for the -fig help.
+func figIDs() string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return strings.Join(ids, ", ")
 }
 
 func findFig(id string) (figSpec, bool) {

@@ -77,8 +77,7 @@
 //   - internal/codegen   "rmic -batch" equivalent (typed stubs and server
 //     skeletons; cmd/brmigen)
 //   - internal/bench     harness regenerating the paper's Figures 5-13 plus
-//     the cluster, pipeline, rebalance, replication, hot-path throughput,
-//     and lease-cache hit-rate figures
+//     the cluster fan-out, pipeline and rebalance figures
 //   - cmd/benchfig       prints every figure's series; cmd/brmigen generates
 //   - cmd/brmitop        live cluster ops view (QPS, wave latency
 //     quantiles, pool/codec reuse, lease-cache hit rate, migration, epoch

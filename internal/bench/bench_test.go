@@ -2,10 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/netsim"
 )
 
@@ -439,81 +442,50 @@ func TestRebalanceRoundTrips(t *testing.T) {
 	assertRoundTrips(t, table, 64, []uint64{203, 20})
 }
 
-// TestThroughputWorkload smoke-tests the hot-path throughput figure: the
-// workload completes, reports sane metrics, and the allocation count stays
-// inside the budget this PR's optimizations established (the strict
-// before/after comparison lives in BENCH_throughput.json).
-func TestThroughputWorkload(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput workload is slow; run without -short")
-	}
-	env, err := NewClusterEnv(netsim.Instant, ThroughputServers)
+// TestHotPathAllocBudget pins the allocation cost of the flush hot path:
+// mixed-size flushes (1, 4, 16, 64 calls) of a marshal-heavy Echo over four
+// servers on the instant network, client and server sharing the heap. The
+// stack before compiled codecs, pooled buffers and skeleton dispatch cost
+// ~29.5 allocations per call, today's ~14; the budget leaves headroom for
+// environment noise. brmibench's echo_flush reports the precise figure.
+func TestHotPathAllocBudget(t *testing.T) {
+	env, err := NewClusterEnv(netsim.Instant, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	res, err := MeasureThroughput(env, 4, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CallsPerSec <= 0 {
-		t.Fatalf("no throughput measured: %+v", res)
-	}
-	if res.FlushStats.N == 0 || res.FlushStats.P95 <= 0 {
-		t.Fatalf("flush latency stats missing: %+v", res.FlushStats)
-	}
-	// Pre-PR the workload cost ~29.5 allocs per call; the compiled codecs,
-	// pooled buffers, and skeleton dispatch brought it to ~14. Catch
-	// regressions with headroom for environment noise.
-	if res.AllocsPerCall > 22 {
-		t.Fatalf("allocs per call regressed: %.1f (budget 22)", res.AllocsPerCall)
-	}
-}
-
-// TestCacheShape smoke-tests the lease-cache figure: at a 0% hit rate the
-// cached path still pays the round trip (and only that); at 100% every read
-// settles from its lease and the flush performs zero round trips — the
-// zero-round-trip claim BENCH_cache.json tracks.
-func TestCacheShape(t *testing.T) {
-	table, err := RunCache(fastCfg(), 8, []int{0, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRoundTrips(t, table, 0, []uint64{1, 1})
-	assertRoundTrips(t, table, 100, []uint64{1, 0})
-	// At 100% the cached flush never touches the wire, so it must be far
-	// below the uncached one (which still pays the RTT).
-	speedup, err := table.SpeedupAt(100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if speedup < 5 {
-		t.Errorf("uncached/cached at 100%% hit = %.2fx, want >= 5x", speedup)
-	}
-}
-
-// TestGetBatchShape pins Fig. C5's cost model: the names ride the stream
-// request, so a cluster read of N names costs one round trip per distinct
-// home — never more than the cluster size, and exactly one at N=1, where
-// the streamed read must be about as fast as the single per-call read it
-// replaces (it used to pay a lookup round trip first and run 2x slower).
-func TestGetBatchShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow shape test; skipped in -short")
-	}
-	sizes := []int{1, 4, 16, 64}
-	table, err := RunGetBatch(fastCfg(), sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range sizes {
-		if got := tableCell(t, table, n, 1).Calls; got < 1 || got > getbatchServers {
-			t.Errorf("getbatch N=%d: %d round trips, want 1..%d (one per distinct home)", n, got, getbatchServers)
+	ctx := context.Background()
+	payload := Payload{ID: 1, Name: "hot-path-object-with-a-realistic-name", Data: make([]byte, 64), Elapsed: time.Millisecond}
+	sizes := [...]int{1, 4, 16, 64}
+	run := func(flushes int) (calls int) {
+		for n := 0; n < flushes; n++ {
+			size := sizes[n%len(sizes)]
+			b := core.New(env.Client, env.EchoRefs[n%len(env.EchoRefs)])
+			root := b.Root()
+			var last *core.Future
+			for i := 0; i < size; i++ {
+				payload.Seq = uint64(i)
+				last = root.Call("Echo", payload)
+			}
+			if err := b.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := last.Err(); err != nil {
+				t.Fatal(err)
+			}
+			calls += size
 		}
+		return calls
 	}
-	assertRoundTrips(t, table, 1, []uint64{1, 1})
-	perCall, streamed := tableCell(t, table, 1, 0).S.Millis(), tableCell(t, table, 1, 1).S.Millis()
-	if streamed > 1.25*perCall {
-		t.Errorf("getbatch N=1 %.2fms vs per-call %.2fms: %.2fx, want <= 1.25x", streamed, perCall, streamed/perCall)
+	run(100) // warm up: connection pools, type registries, codec caches
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	calls := run(400)
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.Mallocs-before.Mallocs) / float64(calls)
+	t.Logf("%.1f allocs per call", perCall)
+	if perCall > 22 {
+		t.Fatalf("allocs per call regressed: %.1f (budget 22)", perCall)
 	}
 }

@@ -149,11 +149,6 @@ func summarize(ds []time.Duration) Stats {
 type Cell struct {
 	S     Stats
 	Calls uint64 // network round trips per operation
-	// OpsPerSec and AllocsPerOp are set by throughput-style figures only
-	// (zero elsewhere): sustained recorded calls per second across all
-	// client goroutines, and heap allocations per recorded call.
-	OpsPerSec   float64
-	AllocsPerOp float64
 }
 
 // Row is one x-position of a figure.

@@ -9,13 +9,7 @@ import (
 
 // Print renders a table in the paper's figure layout: one row per
 // x-position, one latency column (ms) plus round-trip count per variant.
-// Throughput figures (cells carrying OpsPerSec) print ops/sec, p95 flush
-// latency, and allocs/op instead.
 func (t *Table) Print(w io.Writer) {
-	if t.isThroughput() {
-		t.printThroughput(w)
-		return
-	}
 	fmt.Fprintf(w, "%s — %s (%s network)\n", t.Fig, t.Title, t.Profile)
 	header := fmt.Sprintf("%-14s", t.XLabel)
 	for _, c := range t.Columns {
@@ -33,36 +27,6 @@ func (t *Table) Print(w io.Writer) {
 	}
 	if summary := t.Shape(); summary != "" {
 		fmt.Fprintf(w, "shape: %s\n", summary)
-	}
-	fmt.Fprintln(w)
-}
-
-func (t *Table) isThroughput() bool {
-	for _, row := range t.Rows {
-		for _, cell := range row.Cells {
-			if cell.OpsPerSec > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (t *Table) printThroughput(w io.Writer) {
-	fmt.Fprintf(w, "%s — %s (%s network)\n", t.Fig, t.Title, t.Profile)
-	header := fmt.Sprintf("%-14s", t.XLabel)
-	for _, c := range t.Columns {
-		header += fmt.Sprintf(" | %14s %11s %10s", c+" ops/s", "p95 ms", "allocs/op")
-	}
-	fmt.Fprintln(w, header)
-	fmt.Fprintln(w, strings.Repeat("-", len(header)))
-	for _, row := range t.Rows {
-		line := fmt.Sprintf("%-14d", row.X)
-		for _, cell := range row.Cells {
-			line += fmt.Sprintf(" | %14.0f %11.3f %10.1f",
-				cell.OpsPerSec, float64(cell.S.P95)/1e6, cell.AllocsPerOp)
-		}
-		fmt.Fprintln(w, line)
 	}
 	fmt.Fprintln(w)
 }
@@ -108,9 +72,6 @@ type jsonCell struct {
 	StdMs      float64 `json:"std_ms"`
 	P95Ms      float64 `json:"p95_ms"`
 	RoundTrips uint64  `json:"roundtrips"`
-	// Throughput-figure metrics; omitted for latency figures.
-	OpsPerSec   float64 `json:"ops_per_sec,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
 // JSON renders the table as a machine-readable series (one JSON object),
@@ -129,12 +90,10 @@ func (t *Table) JSON(w io.Writer) error {
 		jr := jsonRow{X: row.X, Cells: make([]jsonCell, 0, len(row.Cells))}
 		for _, cell := range row.Cells {
 			jr.Cells = append(jr.Cells, jsonCell{
-				Ms:          cell.S.Millis(),
-				StdMs:       float64(cell.S.Std) / 1e6,
-				P95Ms:       float64(cell.S.P95) / 1e6,
-				RoundTrips:  cell.Calls,
-				OpsPerSec:   cell.OpsPerSec,
-				AllocsPerOp: cell.AllocsPerOp,
+				Ms:         cell.S.Millis(),
+				StdMs:      float64(cell.S.Std) / 1e6,
+				P95Ms:      float64(cell.S.P95) / 1e6,
+				RoundTrips: cell.Calls,
 			})
 		}
 		jt.Rows = append(jt.Rows, jr)

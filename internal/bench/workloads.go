@@ -38,10 +38,10 @@ func (s *NoopService) DispatchLocal(_ context.Context, method string, _ []any, b
 	return buf[:0], true, nil
 }
 
-// --- echo service (throughput figure) ------------------------------------------
+// --- echo service (hot-path allocation budget) ---------------------------------
 
-// Payload is the marshal-heavy argument/result of the throughput workload:
-// a registered struct with a string, integers, a byte body, and a duration,
+// Payload is the marshal-heavy argument/result of the hot-path workload
+// (TestHotPathAllocBudget): a registered struct with a string, integers, a byte body, and a duration,
 // so every recorded call exercises the full codec surface (type definition,
 // field encode/decode, byte copy) rather than just the framing.
 type Payload struct {
@@ -52,7 +52,7 @@ type Payload struct {
 	Elapsed time.Duration
 }
 
-// EchoService is the remote object of the throughput workload: Echo returns
+// EchoService is the remote object of the hot-path workload: Echo returns
 // its argument, so each call marshals the payload twice (request and
 // response) on both peers.
 type EchoService struct {
@@ -215,7 +215,7 @@ func NewFileServer(n, totalBytes int) *FileServer {
 // ListFiles returns all files.
 func (fs *FileServer) ListFiles() []*RemoteFile { return fs.files }
 
-// Payload travels on every throughput-workload call; it installs a
+// Payload travels on every hot-path workload call; it installs a
 // compiled wire codec like the protocol messages do, the pattern an
 // application type opts into for its own hot paths.
 func encPayload(x wire.Enc, p *Payload) error {

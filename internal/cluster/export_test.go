@@ -1,6 +1,11 @@
 package cluster
 
-import "time"
+import (
+	"context"
+	"time"
+
+	"repro/internal/wire"
+)
 
 // SetShipTimeoutForTest shrinks the replication-ship deadline so the
 // goroutine-leak tests can watch a wedged straggler expire in test time.
@@ -27,4 +32,22 @@ const (
 
 func (r *Rebalancer) SetProbe(p func(kind TripKind, endpoint string, names []string) error) {
 	r.probe = p
+}
+
+// SnapshotTrip runs the control plane's multi-root snapshot trip at src over
+// refs, the movable objects bound under names, and returns their states in
+// that order.
+func (r *Rebalancer) SnapshotTrip(ctx context.Context, src string, names []string, refs []wire.Ref) ([]any, error) {
+	moves := make([]move, len(refs))
+	for i := range refs {
+		moves[i] = move{name: names[i], ref: refs[i], movable: true}
+	}
+	if err := r.snapshot(ctx, src, moves); err != nil {
+		return nil, err
+	}
+	states := make([]any, len(moves))
+	for i := range moves {
+		states[i] = moves[i].state
+	}
+	return states, nil
 }

@@ -46,7 +46,7 @@ type item struct {
 // every item's future is checked. It returns the items' results in order.
 // An empty trip costs nothing. This is the control plane's only flush, and
 // the only place the test probe is consulted.
-func (r *Rebalancer) trip(ctx context.Context, kind tripKind, at wire.Ref, method string, items []item, opts ...core.Option) ([]any, error) {
+func (r *Rebalancer) trip(ctx context.Context, kind tripKind, at wire.Ref, method string, items []item) ([]any, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
@@ -59,7 +59,7 @@ func (r *Rebalancer) trip(ctx context.Context, kind tripKind, at wire.Ref, metho
 			return nil, err
 		}
 	}
-	b := core.New(r.dir.peer, at, opts...)
+	b := core.New(r.dir.peer, at)
 	futs := make([]*core.Future, len(items))
 	for i, it := range items {
 		target := b.Root()
@@ -108,8 +108,7 @@ func movableAt(ref wire.Ref, endpoint string) bool {
 }
 
 // snapshot reads the state of every movable move off src in one multi-root
-// trip — one root per object. The roots are independent objects, so the
-// executor may replay them concurrently (per-root order preserved).
+// trip — one root per object.
 func (r *Rebalancer) snapshot(ctx context.Context, src string, moves []move) error {
 	var items []item
 	var at []int
@@ -119,7 +118,7 @@ func (r *Rebalancer) snapshot(ctx context.Context, src string, moves []move) err
 			at = append(at, i)
 		}
 	}
-	states, err := r.trip(ctx, tripSnapshot, NodeRef(src), "Snapshot", items, core.WithParallelRoots())
+	states, err := r.trip(ctx, tripSnapshot, NodeRef(src), "Snapshot", items)
 	if err != nil {
 		return err
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
 	"repro/internal/rmi"
+	"repro/internal/wire"
 )
 
 var errInjected = errors.New("injected migration fault")
@@ -506,6 +507,37 @@ func TestReplicatedAddServerRoundTrips(t *testing.T) {
 		}
 		if fmt.Sprint(trips) != fmt.Sprint(pass.trips) {
 			t.Errorf("%s trips = %v, want %v", pass.name, trips, pass.trips)
+		}
+	}
+}
+
+// TestSnapshotTripOneRoundTrip: reading K=16 objects off one server is one
+// multi-root flush — one client round trip — and the states come back in
+// item order.
+func TestSnapshotTripOneRoundTrip(t *testing.T) {
+	const k = 16
+	ec := clustertest.New(t, 1)
+	dir := cluster.NewDirectory(ec.Client, []string{"server-0"})
+	names := make([]string, k)
+	refs := make([]wire.Ref, k)
+	for i := range names {
+		names[i] = fmt.Sprintf("snap-%d", i)
+		refs[i] = ec.BindCounter(dir, names[i], int64(100+i))
+	}
+	before := ec.Client.CallCount()
+	states, err := cluster.NewRebalancer(dir).SnapshotTrip(context.Background(), "server-0", names, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ec.Client.CallCount() - before; got != 1 {
+		t.Errorf("snapshot trip over %d roots cost %d client round trips, want 1", k, got)
+	}
+	if len(states) != k {
+		t.Fatalf("snapshot trip returned %d states, want %d", len(states), k)
+	}
+	for i, st := range states {
+		if cs, ok := st.(*clustertest.CounterState); !ok || cs.N != int64(100+i) {
+			t.Errorf("state %d = %+v, want counter %d", i, st, 100+i)
 		}
 	}
 }

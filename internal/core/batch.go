@@ -46,7 +46,6 @@ type Batch struct {
 	records  []callRecord
 	recBase  int64
 	argArena []batchArg // chunked backing for invocationData.Args
-	parallel bool
 	session  uint64
 	sentPol  bool
 	closed   bool
@@ -82,18 +81,6 @@ type Option func(*Batch)
 // WithPolicy sets the exception policy for the chain (default AbortPolicy).
 func WithPolicy(p *Policy) Option {
 	return func(b *Batch) { b.policy = p }
-}
-
-// WithParallelRoots opts the batch into relaxed replay ordering: when the
-// recording proves the roots independent (no call targets or consumes
-// another root's results), the server may replay each root's calls
-// concurrently. Per-root program order is always preserved; only the
-// interleaving BETWEEN roots is relaxed, and only under this option. A
-// recording with any cross-root dataflow, a chained reference to an earlier
-// flush, or a single root replays sequentially exactly as without the
-// option. See DESIGN.md "Hot path".
-func WithParallelRoots() Option {
-	return func(b *Batch) { b.parallel = true }
 }
 
 // WithCache attaches a lease-backed result cache. Readonly calls recorded
@@ -539,7 +526,6 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		Session:     b.session,
 		Root:        b.root.ObjID,
 		KeepSession: keep,
-		Parallel:    b.parallel,
 		Calls:       b.calls,
 		Names:       b.names,
 	}

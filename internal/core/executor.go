@@ -35,8 +35,7 @@ type Executor struct {
 	reg        *stats.Registry
 	batchCalls *stats.Histogram // calls per received batch
 	waveNs     *stats.Histogram // replay duration per InvokeBatch
-	replayPar  *stats.Counter   // batches replayed with parallel root groups
-	replaySeq  *stats.Counter   // batches replayed sequentially
+	replays    *stats.Counter   // replays, a restart counting again; brmibench reads its name
 	executed   *stats.Counter   // calls that reached method execution
 
 	// Streaming bulk reads (GetBatch). Separate from executed: replica
@@ -111,8 +110,7 @@ func Install(p *rmi.Peer, opts ...ExecOption) (*Executor, error) {
 		e.reg = reg
 		e.batchCalls = reg.Histogram("core.batch_calls")
 		e.waveNs = reg.Histogram("core.wave_ns")
-		e.replayPar = reg.Counter("core.replay_parallel")
-		e.replaySeq = reg.Counter("core.replay_sequential")
+		e.replays = reg.Counter("core.replay_sequential")
 		e.executed = reg.Counter("core.calls_executed")
 		e.getbatchBatches = reg.Counter("core.getbatch_batches")
 		e.getbatchEntries = reg.Counter("core.getbatch_entries")
@@ -231,21 +229,8 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 	}
 	resp := &batchResponse{Roots: named}
 	for restart := 0; ; restart++ {
-		var results []callResult
-		var again bool
-		if req.Parallel {
-			var ok bool
-			results, again, ok = e.runBatchParallel(ctx, sess, req.Calls)
-			if ok {
-				e.replayPar.Inc()
-			} else {
-				results, again = e.runBatch(ctx, sess, req.Calls)
-				e.replaySeq.Inc()
-			}
-		} else {
-			results, again = e.runBatch(ctx, sess, req.Calls)
-			e.replaySeq.Inc()
-		}
+		results, again := e.runBatch(ctx, sess, req.Calls)
+		e.replays.Inc()
 		if !again || restart >= sess.policy.maxRestarts() {
 			resp.Results = results
 			resp.Restarts = int64(restart)
@@ -344,147 +329,6 @@ func (e *Executor) missingRoot(id uint64) error {
 		return wh
 	}
 	return &rmi.NoSuchObjectError{ObjID: id}
-}
-
-// groupSeqSpan is the slice of the server-assigned id space each parallel
-// root group allocates from, so concurrent groups never collide.
-const groupSeqSpan int64 = 1 << 32
-
-// runBatchParallel replays a multi-root batch with one goroutine per root
-// group, under the client's explicit WithParallelRoots opt-in. It applies
-// only when the recording PROVES the groups independent:
-//
-//   - the session carries no earlier-flush state (a chained reference
-//     cannot be attributed to a group), and
-//   - every call's target chain and every proxy argument stay within the
-//     call's own root group (no cross-root dataflow, no argument that is
-//     another root's proxy).
-//
-// Anything else reports ok=false and the caller replays sequentially, so
-// the opt-in never changes results for dependent recordings. Within a
-// group, program order is fully preserved; ACROSS groups, execution
-// overlaps: abort (ActionBreak) scopes to the failing root's group, and
-// policy-rule occurrence indices count per group. Each group runs against a
-// shadow session with a disjoint server-id range; shadows merge into the
-// real session afterwards so chained flushes keep working (a restart
-// discards the shadows and the rerun decides again how to execute).
-func (e *Executor) runBatchParallel(ctx context.Context, sess *session, calls []invocationData) ([]callResult, bool, bool) {
-	if len(sess.objects) > 0 || len(sess.failures) > 0 {
-		return nil, false, false
-	}
-	groups, ok := partitionRoots(calls, len(sess.extras))
-	if !ok || len(groups) < 2 {
-		return nil, false, false
-	}
-
-	results := make([]callResult, len(calls))
-	shadows := make([]*session, len(groups))
-	again := make([]bool, len(groups))
-	var wg sync.WaitGroup
-	for gi, idxs := range groups {
-		shadow := &session{
-			root:     sess.root,
-			extras:   sess.extras,
-			policy:   sess.policy,
-			nextBase: serverSeqBase + int64(gi+1)*groupSeqSpan,
-			shadow:   sess.shadow,
-		}
-		shadows[gi] = shadow
-		gcalls := make([]invocationData, len(idxs))
-		for j, idx := range idxs {
-			gcalls[j] = calls[idx]
-		}
-		wg.Add(1)
-		go func(gi int, idxs []int, gcalls []invocationData) {
-			defer wg.Done()
-			gres, rerun := e.runBatch(ctx, shadows[gi], gcalls)
-			again[gi] = rerun
-			for j := range gres {
-				results[idxs[j]] = gres[j]
-			}
-		}(gi, idxs, gcalls)
-	}
-	wg.Wait()
-
-	// Merge the shadows unconditionally, exactly as sequential replay binds
-	// into the session on every run (including one a restart supersedes or
-	// that exhausts maxRestarts): the returned results must stay resolvable
-	// by a chained flush. A rerun overwrites these bindings; it replays
-	// sequentially, since the merged state can no longer be attributed to
-	// root groups.
-	for _, shadow := range shadows {
-		for k, v := range shadow.objects {
-			sess.bindObject(k, v)
-		}
-		for k, err := range shadow.failures {
-			sess.bindFailure(k, err)
-		}
-	}
-	if next := serverSeqBase + int64(len(groups)+1)*groupSeqSpan; next > sess.nextBase {
-		sess.nextBase = next
-	}
-	for _, rerun := range again {
-		if rerun {
-			return results, true, true
-		}
-	}
-	return results, false, true
-}
-
-// partitionRoots assigns every call to the root its target chain descends
-// from and reports the per-group call indices (recording order preserved),
-// or ok=false when any call crosses groups.
-func partitionRoots(calls []invocationData, extras int) ([][]int, bool) {
-	rootCount := 1 + extras
-	byRoot := make([][]int, rootCount)
-	seqGroup := make(map[int64]int, len(calls))
-	rootOf := func(seq int64) (int, bool) {
-		idx := int(RootTarget - seq) // RootTarget → 0, extra root i → 1+i
-		if idx < 0 || idx >= rootCount {
-			return 0, false
-		}
-		return idx, true
-	}
-	for i := range calls {
-		c := &calls[i]
-		var g int
-		if c.Target <= RootTarget {
-			var ok bool
-			if g, ok = rootOf(c.Target); !ok {
-				return nil, false
-			}
-		} else {
-			var ok bool
-			if g, ok = seqGroup[c.Target]; !ok {
-				return nil, false // produced by an earlier flush (or invalid)
-			}
-		}
-		for _, a := range c.Args {
-			if !a.IsRef {
-				continue
-			}
-			if a.Seq <= RootTarget {
-				// Another root's object as argument couples the groups.
-				ag, ok := rootOf(a.Seq)
-				if !ok || ag != g {
-					return nil, false
-				}
-				continue
-			}
-			if ag, ok := seqGroup[a.Seq]; !ok || ag != g {
-				return nil, false
-			}
-		}
-		seqGroup[c.Seq] = g
-		byRoot[g] = append(byRoot[g], i)
-	}
-	groups := byRoot[:0]
-	for _, idxs := range byRoot {
-		if len(idxs) > 0 {
-			groups = append(groups, idxs)
-		}
-	}
-	return groups, true
 }
 
 // execState threads the abort/restart condition through one run.

@@ -84,10 +84,6 @@ type batchRequest struct {
 	// KeepSession requests that the server retain the object table for a
 	// chained batch (§3.5).
 	KeepSession bool
-	// Parallel opts into relaxed cross-root replay ordering: the executor
-	// may run provably independent root groups concurrently (see
-	// core.WithParallelRoots). Per-root program order is always preserved.
-	Parallel bool
 	// Roots are the export ids of additional roots (Batch.AddRoot): other
 	// exported objects on the same server addressable within this batch.
 	// Calls target extra root i with sequence number RootTarget-1-i. Sent on

@@ -6,6 +6,7 @@ package core_test
 // executes, and a fuzz target over the request decoder and InvokeBatch.
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -33,21 +34,31 @@ var (
 	idAndNameRoots = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}}
 )
 
+// reservedSlotSetRequest is a chained multi-root request as a peer from
+// before the executor kept one replay order encoded it with its
+// parallel-roots flag set (captured at that commit): slot 5 of brmi.req
+// reads true. It is committed as the fuzz seed reserved-slot-set.
+const reservedSlotSetRequest = "0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703030a02051105ac02"
+
 // TestBatchRequestIDAddressedWireParity pins the compatibility promise: a
 // request without root names encodes to exactly the bytes it did before the
 // Names field existed (captured at the parent commit), so old and new peers
 // agree on every id-addressed flush.
 func TestBatchRequestIDAddressedWireParity(t *testing.T) {
+	chained := &core.BatchRequest{Root: 16, Calls: []core.Invocation{
+		{Seq: 4, Target: core.RootTarget - 2, Method: "Add", Kind: 1, Args: []core.BatchArg{{Val: int64(5)}}},
+		{Seq: 5, Target: 4, Method: "Self", Kind: 2, Args: []core.BatchArg{{IsRef: true, Seq: 4}}, Export: true},
+	}, Session: 7, KeepSession: true, Roots: []uint64{17, 300}}
 	for _, c := range []struct {
 		req  *core.BatchRequest
 		want string
 	}{
 		{idRequest, "0d010862726d692e7265710c010205100a010d020862726d692e696e760c02040400040108034765740402"},
-		{&core.BatchRequest{Root: 16, Calls: []core.Invocation{
-			{Seq: 4, Target: core.RootTarget - 2, Method: "Add", Kind: 1, Args: []core.BatchArg{{Val: int64(5)}}},
-			{Seq: 5, Target: 4, Method: "Self", Kind: 2, Args: []core.BatchArg{{IsRef: true, Seq: 4}}, Export: true},
-		}, Session: 7, KeepSession: true, Parallel: true, Roots: []uint64{17, 300}},
-			"0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703030a02051105ac02"},
+		// The capture of this shape had the parallel-roots flag set
+		// (reservedSlotSetRequest). The flag is gone, the slot is reserved and
+		// always false: ONE byte differs, the slot's bool after the session and
+		// keep-session fields ("...05070303..." became "...05070302...").
+		{chained, "0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703020a02051105ac02"},
 		{&core.BatchRequest{Root: 16, Roots: []uint64{17}, Policy: core.ContinuePolicy()},
 			"0d010862726d692e7265710c0107051001050002020a0105110d020b62726d692e706f6c6963790c020404040104060406"},
 		{&core.BatchRequest{}, "0d010862726d692e7265710c0100"},
@@ -67,6 +78,15 @@ func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 			t.Errorf("id-addressed request decoded to %+v", back)
 		}
 	}
+	// Decode-only: the bytes with the old flag set still decode, to the same
+	// request as without it.
+	old, err := hex.DecodeString(reservedSlotSetRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := wire.Unmarshal(old); err != nil || !reflect.DeepEqual(back, chained) {
+		t.Errorf("request with the reserved slot set decoded to %+v, %v; want %+v", back, err, chained)
+	}
 	// So is the reply to one: no Roots field.
 	got, err := wire.Marshal(&core.BatchResponse{Session: 3})
 	if err != nil {
@@ -74,6 +94,47 @@ func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 	}
 	if want := "0d010962726d692e726573700c0102010503"; hex.EncodeToString(got) != want {
 		t.Errorf("id-addressed reply encodes to %x, want %s", got, want)
+	}
+}
+
+// TestBatchRequestReservedSlotExecutes: a request that arrives with the
+// reserved slot set (an old peer's parallel-roots opt-in) decodes to the
+// request without it and replays in recording order across its two roots.
+func TestBatchRequestReservedSlotExecutes(t *testing.T) {
+	env := newGetbatchEnv(t)
+	req := &core.BatchRequest{Calls: []core.Invocation{
+		{Seq: 0, Target: core.RootTarget, Method: "Bump", Kind: 1},
+		{Seq: 1, Target: core.RootTarget - 1, Method: "Bump", Kind: 1},
+		{Seq: 2, Target: core.RootTarget, Method: "Get", Kind: 1},
+	}, Roots: []uint64{0}, Names: []string{"a", "b"}}
+	data, err := wire.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Session 0, keep-session false, reserved false, one extra root with id 0.
+	slots := []byte{0x05, 0x00, 0x02, 0x02, 0x0a, 0x01, 0x05, 0x00}
+	at := bytes.LastIndex(data, slots)
+	if at < 0 {
+		t.Fatalf("request bytes %x do not hold the slots %x", data, slots)
+	}
+	data[at+3] = 0x03
+	msg, err := wire.Unmarshal(data)
+	if err != nil || !reflect.DeepEqual(msg, req) {
+		t.Fatalf("request with the reserved slot set decoded to %+v, %v; want %+v", msg, err, req)
+	}
+	exec := rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface)
+	res, err := env.client.Call(context.Background(), exec, "InvokeBatch", msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := res[0].(*core.BatchResponse)
+	if len(resp.Results) != 3 {
+		t.Fatalf("answered %d results, want 3", len(resp.Results))
+	}
+	for i, want := range []int64{11, 21, 11} {
+		if r := resp.Results[i]; r.Err != nil || r.Value != want {
+			t.Errorf("call %d = %v, %v; want %d", i, r.Value, r.Err, want)
+		}
 	}
 }
 

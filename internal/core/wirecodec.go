@@ -171,18 +171,15 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 		if r.Policy == nil {
 			n = 6
 			if r.Roots == nil {
-				n = 5
-				if !r.Parallel {
-					n = 4
-					if !r.KeepSession {
-						n = 3
-						if r.Session == 0 {
-							n = 2
-							if r.Calls == nil {
-								n = 1
-								if r.Root == 0 {
-									n = 0
-								}
+				n = 4 // slot 5 is reserved and never the last field written
+				if !r.KeepSession {
+					n = 3
+					if r.Session == 0 {
+						n = 2
+						if r.Calls == nil {
+							n = 1
+							if r.Root == 0 {
+								n = 0
 							}
 						}
 					}
@@ -213,7 +210,10 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 		x.Bool(r.KeepSession)
 	}
 	if n > 4 {
-		x.Bool(r.Parallel)
+		// Reserved: the slot carried the parallel-roots flag until the
+		// executor kept one replay order. Always false, so a multi-root
+		// request keeps its bytes.
+		x.Bool(false)
 	}
 	if n > 5 {
 		if r.Roots == nil {
@@ -278,7 +278,9 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 		}
 	}
 	if n > 4 {
-		if r.Parallel, err = x.Bool(); err != nil {
+		// Reserved slot (see encBatchRequest): read and discarded, so a
+		// request from a peer that still sets it replays in recording order.
+		if _, err = x.Bool(); err != nil {
 			return err
 		}
 	}

@@ -44,15 +44,13 @@ var RealClock Clock = realClock{}
 // event schedule rather than on how fast the host happens to run.
 //
 // Quiescence is approximated, not proven: the clock advances only after
-// grace (a small real-time window) passes with no new timer armed, giving
+// clockGrace (a small real-time window) passes with no new timer armed, giving
 // in-flight goroutines the chance to schedule earlier events first. This
 // keeps every blocked reader live (no lost wakeups) while compressing idle
 // simulated time. The chaos harness's determinism does not ride on this —
 // its fault schedules are fixed up front from the seed — the virtual clock
 // is what makes a high-latency fault schedule cheap to execute.
 type VirtualClock struct {
-	grace time.Duration
-
 	mu     sync.Mutex
 	now    time.Time
 	seq    uint64
@@ -64,29 +62,21 @@ type VirtualClock struct {
 	once sync.Once
 }
 
-// VirtualClockOption configures a VirtualClock.
-type VirtualClockOption func(*VirtualClock)
-
-// WithGrace sets the real-time quiet window the clock waits for before
-// advancing to the next due timer. Larger values track causality across
-// slow goroutines more faithfully; smaller values run faster.
-func WithGrace(d time.Duration) VirtualClockOption {
-	return func(c *VirtualClock) { c.grace = d }
-}
+// clockGrace is the real-time quiet window the clock waits for before
+// advancing to the next due timer: long enough for a goroutine woken by the
+// last event to arm an earlier one, short enough that idle simulated time
+// stays cheap.
+const clockGrace = 200 * time.Microsecond
 
 // NewVirtualClock creates a running virtual clock starting at an arbitrary
 // fixed epoch. Call Stop when done to release its scheduler goroutine.
-func NewVirtualClock(opts ...VirtualClockOption) *VirtualClock {
+func NewVirtualClock() *VirtualClock {
 	c := &VirtualClock{
-		grace: 200 * time.Microsecond,
 		// A fixed, nonzero epoch: zero time.Time means "no deadline" to
 		// net.Conn users, so the clock must never report it.
 		now:  time.Unix(1_000_000_000, 0),
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(c)
 	}
 	go c.run()
 	return c
@@ -145,7 +135,7 @@ func (c *VirtualClock) run() {
 		gen := c.gen
 		c.mu.Unlock()
 
-		grace := time.NewTimer(c.grace)
+		grace := time.NewTimer(clockGrace)
 		select {
 		case <-c.done:
 			grace.Stop()

@@ -194,12 +194,7 @@ func (p *Peer) assignArg(t reflect.Type, v any) (reflect.Value, error) {
 		v = p.FromWire(ref)
 	}
 	if v == nil {
-		switch t.Kind() {
-		case reflect.Pointer, reflect.Interface, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func:
-			return reflect.Zero(t), nil
-		default:
-			return reflect.Zero(t), nil
-		}
+		return reflect.Zero(t), nil
 	}
 	rv := reflect.ValueOf(v)
 	if rv.Type().AssignableTo(t) {
