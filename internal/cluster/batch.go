@@ -70,7 +70,11 @@ type Batch struct {
 	quorum int
 
 	// Metrics, wired from the peer's stats registry (nil and therefore
-	// no-ops when the peer is uninstrumented).
+	// no-ops when the peer is uninstrumented). replication_lag is observed
+	// once per replicated WAVE — from the primaries' barrier to the moment the
+	// last destination's tally is met (or the last follower answered) — not
+	// once per destination; quorum_waits counts the destinations that waited,
+	// one per shipped record.
 	reg         *stats.Registry
 	flushWaves  *stats.Counter   // cluster.flush_waves
 	stageNs     *stats.Histogram // cluster.stage_ns

@@ -14,11 +14,13 @@ import (
 	"repro/internal/wire"
 )
 
-// ReplRecord is one replicated flush wave: the primary's already-serialized
-// batch command, re-addressed by root NAME so a follower can replay it
-// against shadow state. The staged executor ships one record per successful
-// per-destination wave to each follower of the destination's shards, before
-// the flush acks to the client (see DESIGN.md, "Replication & failover").
+// ReplRecord is one destination's share of a replicated flush wave: the
+// primary's already-serialized batch command, re-addressed by root NAME so a
+// follower can replay it against shadow state. The staged executor builds one
+// record per destination whose flush succeeded and, after the wave's barrier,
+// ships each follower ALL the records it owns a root of in one Append call —
+// before the flush acks to the client (see DESIGN.md, "Replication &
+// failover").
 type ReplRecord struct {
 	// ID uniquely identifies this wave for idempotent appends.
 	ID string
@@ -29,9 +31,11 @@ type ReplRecord struct {
 	// Primary is the destination endpoint the wave executed on — the shard
 	// the record belongs to.
 	Primary string
-	// Epoch is the client's ring epoch when the wave shipped. Followers
-	// reject records older than their own ring epoch: a stale owner list
-	// must not smuggle writes into a shard that was re-placed since.
+	// Epoch is the client's ring epoch when the wave shipped — one read for
+	// the whole wave, so every record of a wave carries the same one.
+	// Followers reject records older than their own ring epoch: a stale
+	// owner list must not smuggle writes into a shard that was re-placed
+	// since.
 	Epoch uint64
 	// Names and Ifaces describe the wave's batch roots in payload order:
 	// Names[0] is the primary root, Names[1+i] is extra root i.
@@ -130,8 +134,8 @@ type shard struct {
 }
 
 // Replica is the per-server shard replication service, exported at the
-// reserved rmi.ReplicaObjID. Append is the log-shipping path: it appends a
-// shipped batch command to the per-shard ordered log and applies it to
+// reserved rmi.ReplicaObjID. Append is the log-shipping path: it appends
+// each shipped batch command to its per-shard ordered log and applies it to
 // shadow state through the local batch executor (shadow replay — same
 // order, dependency propagation, and exception policy as the primary run).
 // Install seeds or overwrites one name's shadow from a snapshot — replica
@@ -147,7 +151,8 @@ type Replica struct {
 	node *Node
 	exec *core.Executor
 
-	appends    *stats.Counter // cluster.replica_appends
+	ships      *stats.Counter // cluster.replica_ships: Append calls served
+	appends    *stats.Counter // cluster.replica_appends: records applied
 	installs   *stats.Counter // cluster.replica_installs
 	promotions *stats.Counter // cluster.promotions
 
@@ -172,6 +177,7 @@ func StartReplica(p *rmi.Peer, reg *registry.Service, node *Node, exec *core.Exe
 		chains: make(map[string]uint64),
 	}
 	if s := p.Stats(); s != nil {
+		r.ships = s.Counter("cluster.replica_ships")
 		r.appends = s.Counter("cluster.replica_appends")
 		r.installs = s.Counter("cluster.replica_installs")
 		r.promotions = s.Counter("cluster.promotions")
@@ -218,13 +224,32 @@ func (r *Replica) shadowFor(sh *shard, name, iface string) (*shadowObj, error) {
 	return sd, nil
 }
 
-// Append appends one shipped wave to the record's shard log and applies it
-// to shadow state. Records are idempotent by ID; a record whose epoch is
-// behind this node's ring epoch is rejected with StaleShipError (the owner
-// list that routed it is stale).
-func (r *Replica) Append(ctx context.Context, rec *ReplRecord) error {
-	if rec == nil || rec.Primary == "" || len(rec.Names) == 0 {
+// Append is one follower's share of a shipped wave: the records of every
+// destination this server follows a root of, applied in slice order. It
+// answers one slot per record — nil, or why THAT record was refused — so one
+// bad record never fails its siblings: each destination's quorum is judged
+// from its own slot. A slot's error keeps its type across the wire
+// (*StaleShipError still satisfies errors.As at the shipping client).
+func (r *Replica) Append(ctx context.Context, recs []*ReplRecord) []error {
+	r.ships.Inc()
+	slots := make([]error, len(recs))
+	for i, rec := range recs {
+		slots[i] = r.apply(ctx, rec)
+	}
+	return slots
+}
+
+// apply appends one record to its shard's log and replays it onto shadow
+// state. Records are idempotent by ID; a record whose epoch is behind this
+// node's ring epoch is rejected with StaleShipError (the owner list that
+// routed it is stale). Nothing about rec is trusted: it is whatever the wire
+// decoded.
+func (r *Replica) apply(ctx context.Context, rec *ReplRecord) error {
+	switch {
+	case rec == nil || rec.Primary == "" || len(rec.Names) == 0 || rec.Payload == nil:
 		return errors.New("cluster: replica append: malformed record")
+	case len(rec.Ifaces) != len(rec.Names):
+		return errors.New("cluster: replica append: names/ifaces length mismatch")
 	}
 	if cur := r.node.Epoch(); rec.Epoch < cur {
 		return &StaleShipError{RecordEpoch: rec.Epoch, NodeEpoch: cur}
@@ -234,9 +259,6 @@ func (r *Replica) Append(ctx context.Context, rec *ReplRecord) error {
 	sh := r.shardFor(rec.Primary)
 	if sh.seen[rec.ID] {
 		return nil
-	}
-	if len(rec.Ifaces) != len(rec.Names) {
-		return errors.New("cluster: replica append: names/ifaces length mismatch")
 	}
 	shadows := make([]*shadowObj, len(rec.Names))
 	for i, name := range rec.Names {

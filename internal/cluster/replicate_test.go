@@ -12,11 +12,12 @@ import (
 
 // epochOwners is an owner source whose ring moves on every read: each call
 // bumps the epoch, and a key's followers are named after the epoch they were
-// read at — so a list can be checked against the epoch it is paired with.
+// read at — so a list can be checked against the epoch it is paired with, and
+// the epoch counts the reads. A key's primary is named after its first letter.
 type epochOwners struct{ epoch uint64 }
 
 func (s *epochOwners) at(epoch uint64, key string) []string {
-	return []string{"primary", fmt.Sprintf("%s-follower@%d", key, epoch), fmt.Sprintf("shared@%d", epoch)}
+	return []string{"primary-" + key[:1], fmt.Sprintf("%s-follower@%d", key, epoch), fmt.Sprintf("shared@%d", epoch)}
 }
 
 func (s *epochOwners) OwnersAll(keys []string) ([][]string, uint64) {
@@ -28,23 +29,68 @@ func (s *epochOwners) OwnersAll(keys []string) ([][]string, uint64) {
 	return out, s.epoch
 }
 
-// TestShipTargetsReadOneEpoch is the replication-fence regression: every
-// owner list of one record must come from the ring epoch the record is
-// stamped with. Reading the lists one name at a time let a refresh between
-// two reads ship old-epoch owners under the new epoch, which a follower at
-// the new epoch accepts.
+// TestShipTargetsReadOneEpoch is the replication-fence regression, per wave:
+// every owner list of every record of one wave must come from the ring epoch
+// the records are stamped with — ONE read of the ring. Reading the lists one
+// name (or one destination) at a time let a refresh between two reads ship
+// old-epoch owners under the new epoch, which a follower at the new epoch
+// accepts. The same call groups the records by follower.
 func TestShipTargetsReadOneEpoch(t *testing.T) {
 	src := &epochOwners{}
-	names := []string{"n0", "n1", "n2"}
-	owners, followers, epoch := shipTargets(src, "primary", names)
-	for i, name := range names {
-		if want := src.at(epoch, name); !reflect.DeepEqual(owners[i], want) {
-			t.Errorf("owners of %s = %v, want %v (the list at the record's epoch %d)", name, owners[i], want, epoch)
+	for wave := uint64(1); wave <= 2; wave++ {
+		recs := []*ReplRecord{
+			{ID: "a", Primary: "primary-a", Names: []string{"a0", "a1"}},
+			nil, // a destination that left no record
+			{ID: "b", Primary: "primary-b", Names: []string{"b0"}},
 		}
-	}
-	want := []string{"n0-follower@1", "shared@1", "n1-follower@1", "n2-follower@1"}
-	if !reflect.DeepEqual(followers, want) {
-		t.Errorf("followers = %v, want %v (distinct, primary excluded, first-appearance order)", followers, want)
+		tallies, loads := shipTargets(src, recs, 2)
+		if src.epoch != wave {
+			t.Fatalf("wave %d read the ring %d times, want once", wave, src.epoch-(wave-1))
+		}
+		for i, rec := range recs {
+			if rec == nil {
+				if !tallies[i].met() || tallies[i].miss() != nil {
+					t.Errorf("tally of the record-less destination %d = %+v, want empty and met", i, tallies[i])
+				}
+				continue
+			}
+			if rec.Epoch != wave {
+				t.Errorf("record %s stamped with epoch %d, want the wave's one epoch %d", rec.ID, rec.Epoch, wave)
+			}
+			for k, name := range rec.Names {
+				if want := src.at(wave, name); !reflect.DeepEqual(tallies[i].owners[k], want) {
+					t.Errorf("owners of %s = %v, want %v (the list at the wave's epoch %d)", name, tallies[i].owners[k], want, wave)
+				}
+			}
+			if tallies[i].quorum != 2 {
+				t.Errorf("tally %d quorum = %d, want 2", i, tallies[i].quorum)
+			}
+		}
+		// Distinct followers in first-appearance order, primaries excluded;
+		// the shared follower gets both records in ONE shipment.
+		type load struct {
+			ep    string
+			ids   []string
+			dests []int
+		}
+		var got []load
+		for _, sh := range loads {
+			l := load{ep: sh.ep, dests: sh.dests}
+			for _, rec := range sh.recs {
+				l.ids = append(l.ids, rec.ID)
+			}
+			got = append(got, l)
+		}
+		at := func(s string) string { return fmt.Sprintf("%s@%d", s, wave) }
+		want := []load{
+			{at("a0-follower"), []string{"a"}, []int{0}},
+			{at("shared"), []string{"a", "b"}, []int{0, 2}},
+			{at("a1-follower"), []string{"a"}, []int{0}},
+			{at("b0-follower"), []string{"b"}, []int{2}},
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("wave %d shipments = %+v, want %+v", wave, got, want)
+		}
 	}
 }
 
@@ -122,7 +168,7 @@ func TestQuorumTally(t *testing.T) {
 			for i := range names {
 				names[i] = fmt.Sprintf("n%d", i)
 			}
-			q := &quorumTally{names: names, owners: tc.owners, quorum: tc.quorum, acks: make(map[string]error)}
+			q := &quorumTally{names: names, owners: tc.owners, quorum: tc.quorum}
 			metAfter := -1
 			for n := 0; ; n++ {
 				if q.met() {
@@ -132,7 +178,7 @@ func TestQuorumTally(t *testing.T) {
 				if n == len(tc.acks) {
 					break
 				}
-				q.acks[tc.acks[n].ep] = tc.acks[n].err
+				q.ack(tc.acks[n].ep, tc.acks[n].err)
 			}
 			if metAfter != tc.metAfter {
 				t.Fatalf("quorum met after %d acks, want %d", metAfter, tc.metAfter)
@@ -157,5 +203,39 @@ func TestQuorumTally(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAppendSlotsMustMatchRecords: an Append answer is matched to the records
+// sent slot by slot, so an answer of any other shape — too few slots, too
+// many, no list at all, no result — is a typed failure of the whole shipment,
+// never an index out of range; and a slot is nil or an error, nothing else.
+func TestAppendSlotsMustMatchRecords(t *testing.T) {
+	sh := &shipment{ep: "follower", recs: []*ReplRecord{{ID: "a"}, {ID: "b"}}}
+	refused := errors.New("refused")
+	slots, err := appendSlots(sh, []any{[]any{nil, refused}})
+	if err != nil || len(slots) != 2 || slotError(slots[0]) != nil || slotError(slots[1]) != refused {
+		t.Fatalf("a two-slot answer to two records = %v, %v", slots, err)
+	}
+	for name, tc := range map[string]struct {
+		res  []any
+		want int
+	}{
+		"too few slots":  {[]any{[]any{nil}}, 1},
+		"too many slots": {[]any{[]any{nil, nil, nil}}, 3},
+		"no slots":       {[]any{[]any{}}, 0},
+		"a nil answer":   {[]any{nil}, -1},
+		"not a list":     {[]any{"ok"}, -1},
+		"no result":      {nil, -1},
+		"two results":    {[]any{[]any{nil, nil}, nil}, -1},
+	} {
+		slots, err := appendSlots(sh, tc.res)
+		var sre *ShipReplyError
+		if slots != nil || !errors.As(err, &sre) || *sre != (ShipReplyError{Endpoint: "follower", Sent: 2, Slots: tc.want}) {
+			t.Errorf("%s: appendSlots = %v, %v; want *ShipReplyError{follower, sent 2, slots %d}", name, slots, err, tc.want)
+		}
+	}
+	if err := slotError("held"); err == nil {
+		t.Error("a slot holding a string read as an acknowledgement")
 	}
 }

@@ -54,7 +54,7 @@ func TestRingOwners(t *testing.T) {
 // placedDirectory builds a replicated directory over the cluster and runs
 // the idempotent member re-add that seeds every bound name's followers
 // (replica placement piggybacks on the rebalance flow).
-func placedDirectory(t *testing.T, ec *clustertest.Cluster, seeds map[string]int64) *cluster.Directory {
+func placedDirectory(t testing.TB, ec *clustertest.Cluster, seeds map[string]int64) *cluster.Directory {
 	t.Helper()
 	dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(2))
 	for name, seed := range seeds {
@@ -251,7 +251,7 @@ func TestInFlightFlushSurvivesPrimaryCrash(t *testing.T) {
 
 // shippedPayload flushes one name-addressed Add(delta) on name at its primary
 // and returns the payload a replicated flush would ship for it.
-func shippedPayload(t *testing.T, ec *clustertest.Cluster, primary, name string, delta int64) any {
+func shippedPayload(t testing.TB, ec *clustertest.Cluster, primary, name string, delta int64) any {
 	t.Helper()
 	var payload any
 	cb := core.NewNamed(ec.Client, primary, name)
@@ -263,13 +263,33 @@ func shippedPayload(t *testing.T, ec *clustertest.Cluster, primary, name string,
 	return payload
 }
 
+// appendTo ships recs to follower in one Append call, the way a wave does,
+// and returns the answer's per-record slots.
+func appendTo(t testing.TB, ec *clustertest.Cluster, follower string, recs ...*cluster.ReplRecord) []error {
+	t.Helper()
+	res, err := ec.Client.Call(context.Background(), cluster.ReplicaRef(follower), "Append", recs)
+	if err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	slots, ok := res[0].([]any)
+	if !ok || len(slots) != len(recs) {
+		t.Fatalf("append of %d records answered %v, want one slot per record", len(recs), res[0])
+	}
+	errs := make([]error, len(slots))
+	for i, s := range slots {
+		if s != nil {
+			errs[i] = s.(error)
+		}
+	}
+	return errs
+}
+
 // TestReplayIgnoresRootNames: the payload of a name-addressed wave carries
 // the names its primary resolved. A follower replays it against its shadows
 // and nothing else — even when its own registry binds the same name to a
 // live object, as it does on a follower promoted since.
 func TestReplayIgnoresRootNames(t *testing.T) {
 	ec := clustertest.New(t, 3)
-	ctx := context.Background()
 	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
 	owners, epoch := dir.Owners("obj-0")
 	primary, follower := owners[0], ec.Server(owners[1])
@@ -286,8 +306,8 @@ func TestReplayIgnoresRootNames(t *testing.T) {
 		Names: []string{"obj-0"}, Ifaces: []string{clustertest.CounterIface},
 		Payload: shippedPayload(t, ec, primary, "obj-0", 5),
 	}
-	if _, err := ec.Client.Call(ctx, cluster.ReplicaRef(follower.Endpoint), "Append", rec); err != nil {
-		t.Fatalf("append: %v", err)
+	if errs := appendTo(t, ec, follower.Endpoint, rec); errs[0] != nil {
+		t.Fatalf("append: %v", errs[0])
 	}
 	if got := impostor.Get(); got != 1000 {
 		t.Errorf("the object the follower's registry binds obj-0 to = %d, want the untouched 1000", got)
@@ -306,7 +326,6 @@ func TestReplayIgnoresRootNames(t *testing.T) {
 // payload recorded over one is refused before anything replays.
 func TestAppendRejectsRootCountMismatch(t *testing.T) {
 	ec := clustertest.New(t, 3)
-	ctx := context.Background()
 	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
 	owners, epoch := dir.Owners("obj-0")
 	primary, follower := owners[0], ec.Server(owners[1])
@@ -317,7 +336,7 @@ func TestAppendRejectsRootCountMismatch(t *testing.T) {
 		Ifaces:  []string{clustertest.CounterIface, clustertest.CounterIface},
 		Payload: shippedPayload(t, ec, primary, "obj-0", 5),
 	}
-	if _, err := ec.Client.Call(ctx, cluster.ReplicaRef(follower.Endpoint), "Append", rec); err == nil {
+	if errs := appendTo(t, ec, follower.Endpoint, rec); errs[0] == nil {
 		t.Fatal("append of a two-name record over a one-root payload succeeded")
 	}
 	if si := follower.Replica.ShardInfo(primary); si.Len != 0 {

@@ -48,7 +48,7 @@ type destState struct {
 	// repl is the destination's replication pipeline, armed by open when
 	// the batch is epoch-aware over a replicated ring and every root is
 	// named; nil otherwise, and again once a root turned out not to be
-	// movable (replicate).
+	// movable (replRecord).
 	repl *replState
 }
 
@@ -172,9 +172,15 @@ func (r *run) plan(stages [][]*subBatch, from int) {
 }
 
 // wave is the one place destinations are opened, sub-batches translated,
-// flushed + replicated in parallel, counted, and settled or failed. A
+// flushed in parallel, replicated, counted, and settled or failed. It is two
+// sequential trips at most: the fan-out only flushes the primaries — one
+// round trip per destination, concurrently — and, past its barrier, the
+// records of the destinations that succeeded ship together, one call per
+// follower SERVER however many destinations it follows (replicate). A
 // destination whose failure is a stale route the flush may still retry is
-// neither: its sub-batch is returned, untouched, for rehome.
+// neither settled nor failed: its sub-batch is returned, untouched, for
+// rehome — it executed nothing, so it left no record, and the retry's own
+// wave ships its own.
 func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected []rejection) {
 	b := r.b
 	b.mu.Lock() // so concurrent readers of futures and proxies see a consistent rewiring
@@ -222,10 +228,10 @@ func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected [
 		}
 		if errs[i] == nil {
 			b.adoptRoots(ds)
-			errs[i] = b.replicate(ctx, ds)
 		}
 		return nil
 	})
+	b.replicate(ctx, live, errs)
 	b.stageNs.Observe(b.reg.Now().Sub(start).Nanoseconds())
 
 	b.mu.Lock()

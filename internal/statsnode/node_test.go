@@ -92,7 +92,7 @@ func TestScrapeClusterCoversAllLayers(t *testing.T) {
 		// cluster that never replicated or failed over — brmitop's REPL
 		// column reads them unconditionally.
 		for _, name := range []string{"cluster.ring_epoch", "cluster.arrivals", "cluster.departs",
-			"cluster.replica_appends", "cluster.promotions"} {
+			"cluster.replica_appends", "cluster.replica_ships", "cluster.promotions"} {
 			if !hasName(s, name) {
 				t.Errorf("%s: snapshot missing %s", ep, name)
 			}
@@ -187,6 +187,25 @@ func TestViewRows(t *testing.T) {
 	for _, s := range c.Servers {
 		if !strings.Contains(out, s.Endpoint) {
 			t.Errorf("table missing %s:\n%s", s.Endpoint, out)
+		}
+	}
+}
+
+// TestReplicationCell: the REPL column shows the records a follower applied,
+// how many each Append call carried, and the shadows it promoted.
+func TestReplicationCell(t *testing.T) {
+	rows := []statsnode.Row{
+		{Server: "idle"},
+		{Server: "follower", ReplAppends: 30, ReplShips: 20},
+		{Server: "promoted", ReplAppends: 4, ReplShips: 4, Promotions: 2},
+		{Server: "heir", Promotions: 1},
+	}
+	var sb strings.Builder
+	statsnode.RenderTable(&sb, rows)
+	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
+	for i, want := range []string{" - ", " 30 (1.5/ship) ", " 4 (1.0/ship) +2 promoted ", " 0 +1 promoted "} {
+		if !strings.Contains(lines[i+1], want) {
+			t.Errorf("row %s: replication cell %q missing from %q", rows[i].Server, want, lines[i+1])
 		}
 	}
 }

@@ -43,10 +43,11 @@ type Row struct {
 	// from this member since it started.
 	MigRemaining, MigMoved int64
 	Arrivals, Departs      int64
-	// ReplAppends and Promotions describe the replication side: records this
-	// member appended to follower shard logs, and shadows it turned
-	// authoritative during failovers.
-	ReplAppends, Promotions int64
+	// ReplAppends, ReplShips and Promotions describe the replication side:
+	// records this member appended to follower shard logs, the Append calls
+	// that carried them (a wave ships a follower all its records in one), and
+	// shadows it turned authoritative during failovers.
+	ReplAppends, ReplShips, Promotions int64
 	// StreamsOpen is the number of chunked streams live right now (response
 	// streaming and oversized calls both ride them); StreamChunks is the
 	// cumulative chunk count moved in either direction.
@@ -92,6 +93,7 @@ func BuildRows(cur, prev map[string]*stats.Snapshot, elapsed time.Duration) []Ro
 			Arrivals:     s.Counter("cluster.arrivals"),
 			Departs:      s.Counter("cluster.departs"),
 			ReplAppends:  s.Counter("cluster.replica_appends"),
+			ReplShips:    s.Counter("cluster.replica_ships"),
 			Promotions:   s.Counter("cluster.promotions"),
 			StreamsOpen:  s.Gauge("transport.streams_open"),
 			StreamChunks: s.Counter("transport.chunks_in") + s.Counter("transport.chunks_out"),
@@ -148,9 +150,9 @@ func dur(d time.Duration) string {
 // calls, QPS over the last interval, executor wave p50/p99, transport
 // buffer-pool hit rate, wire codec-state reuse rate, readonly lease-cache
 // hit rate ("-" where no cache runs), migration state, replication state
-// (appended follower-log records, "+N promoted" after a failover recovered
-// shadows here), chunked-stream activity ("-" when nothing ever streamed,
-// else "open/chunks"), and ring epoch
+// (appended follower-log records and how many arrived per Append call,
+// "+N promoted" after a failover recovered shadows here), chunked-stream
+// activity ("-" when nothing ever streamed, else "open/chunks"), and ring epoch
 // ("!" marks a server behind the cluster-wide maximum — epoch skew, i.e.
 // a ring broadcast it has not adopted yet).
 func RenderTable(w io.Writer, rows []Row) {
@@ -168,11 +170,14 @@ func RenderTable(w io.Writer, rows []Row) {
 			mig = fmt.Sprintf("+%d/-%d", r.Arrivals, r.Departs)
 		}
 		repl := "-"
-		switch {
-		case r.Promotions > 0:
-			repl = fmt.Sprintf("%d +%d promoted", r.ReplAppends, r.Promotions)
-		case r.ReplAppends > 0:
+		if r.ReplAppends > 0 || r.Promotions > 0 {
 			repl = fmt.Sprintf("%d", r.ReplAppends)
+		}
+		if r.ReplAppends > 0 && r.ReplShips > 0 {
+			repl += fmt.Sprintf(" (%.1f/ship)", float64(r.ReplAppends)/float64(r.ReplShips))
+		}
+		if r.Promotions > 0 {
+			repl += fmt.Sprintf(" +%d promoted", r.Promotions)
 		}
 		stream := "-"
 		if r.StreamsOpen > 0 || r.StreamChunks > 0 {
