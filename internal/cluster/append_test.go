@@ -103,7 +103,9 @@ func TestAppendSlotsAreIndependent(t *testing.T) {
 // reflective dispatch a remote call takes. Nothing may panic — dispatch turns
 // a panic into an error, which is reported here; a decoded list is never
 // larger than its input allows; a list of records is answered slot for slot;
-// and a malformed record's slot is never nil. The seed corpus is the committed
+// a malformed record's slot is never nil; and a follower never dials anyone —
+// not even for a payload that still carries a ship directive (the seed
+// nested-directive). The seed corpus is the committed
 // testdata/fuzz/FuzzReplicaAppend.
 func FuzzReplicaAppend(f *testing.F) {
 	ec := clustertest.New(f, 3)
@@ -136,7 +138,11 @@ func FuzzReplicaAppend(f *testing.F) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
+		calls := follower.Peer.CallCount()
 		res, err := follower.Peer.InvokeLocal(ctx, follower.Replica, "Append", []any{msg})
+		if got := follower.Peer.CallCount() - calls; got != 0 {
+			t.Fatalf("the follower made %d remote calls while appending", got)
+		}
 		if err != nil {
 			if strings.Contains(err.Error(), "panic in") {
 				t.Fatal(err)
@@ -165,9 +171,10 @@ type shortReplica struct{ rmi.RemoteBase }
 func (*shortReplica) Append([]*cluster.ReplRecord) []error { return nil }
 
 // TestShortAppendAnswerFailsItsShipment: a follower whose answer cannot be
-// matched to the records it was sent holds none of them as far as the client
-// can tell — the destination misses W=all with a typed *ShipReplyError for
-// that follower (no index panic), while the honest follower's ack counts.
+// matched to the records it was sent holds none of them as far as its primary
+// can tell — the destination misses W=all with a *ShipReplyError for that
+// follower (no index panic) that keeps its type all the way to the client,
+// while the honest follower's ack counts.
 func TestShortAppendAnswerFailsItsShipment(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
@@ -181,8 +188,16 @@ func TestShortAppendAnswerFailsItsShipment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// R=3 over three members: every name is owned by all of them. No
-	// placement — the honest follower builds its shadow at first replay.
-	dir := cluster.NewDirectory(ec.Client, append(ec.Endpoints(), rogue), cluster.WithReplication(3))
+	// placement — the honest follower builds its shadow at first replay — so
+	// the servers are told the membership directly: a primary ships only to
+	// members of its own ring view.
+	members := append(ec.Endpoints(), rogue)
+	for _, s := range ec.Servers {
+		if err := s.Node.SetRing(&cluster.RingSnapshot{Members: members}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := cluster.NewDirectory(ec.Client, members, cluster.WithReplication(3))
 	name := ""
 	for i := 0; name == ""; i++ {
 		if n := "obj-" + strconv.Itoa(i); dir.Ring().Route(n) != rogue {

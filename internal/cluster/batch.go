@@ -70,11 +70,13 @@ type Batch struct {
 	quorum int
 
 	// Metrics, wired from the peer's stats registry (nil and therefore
-	// no-ops when the peer is uninstrumented). replication_lag is observed
-	// once per replicated WAVE — from the primaries' barrier to the moment the
-	// last destination's tally is met (or the last follower answered) — not
-	// once per destination; quorum_waits counts the destinations that waited,
-	// one per shipped record.
+	// no-ops when the peer is uninstrumented). quorum_waits counts the
+	// destination waves whose reply carried a quorum verdict — met, or missed
+	// with a *QuorumError: the ones whose round trip included the primary's
+	// ship to its followers. replication_lag is that ship leg as the primary
+	// measured it (execution end → quorum met, or the last follower's answer)
+	// and reported in its reply, one observation per verdict; the primary
+	// keeps the same series.
 	reg         *stats.Registry
 	flushWaves  *stats.Counter   // cluster.flush_waves
 	stageNs     *stats.Histogram // cluster.stage_ns
@@ -138,7 +140,8 @@ func NewCache(peer *rmi.Peer, dir *Directory, opts ...rcache.Option) *rcache.Cac
 
 // WithQuorum sets the write quorum W for replicated flushes: a wave acks
 // once W replicas — the primary plus W-1 followers — hold it, instead of
-// waiting for every follower (the default, W=0 meaning "all"). W is capped
+// waiting for every follower (the default, W=0 meaning "all"). W rides each
+// wave's ship directive to the primary, which does the counting. W is capped
 // per key at that key's replica count, so WithQuorum(2) on a ring with R=3
 // is a majority quorum and on R=1 degenerates to primary-only. Lowering W
 // trades durability for latency: a wave acked at W<R is only guaranteed to
@@ -470,9 +473,9 @@ type FlushError struct {
 	Failures []ServerError
 	// Quorum is set when a failure is a replication quorum miss: the wave
 	// executed on its primary but too few followers acknowledged the
-	// shipped record before the flush gave up. It carries how many replicas
-	// acked vs how many the quorum required (worst miss when several
-	// destinations missed). nil when no failure was quorum-related.
+	// shipped record before the primary gave up. It carries how many replicas
+	// acked vs how many the quorum required (the first destination's miss
+	// when several missed). nil when no failure was quorum-related.
 	Quorum *QuorumError
 }
 
@@ -504,25 +507,46 @@ func (e *FlushError) Unwrap() []error {
 
 // QuorumError reports a replicated wave that executed on its primary but
 // was acknowledged by too few replicas: Acked replicas (counting the
-// primary) hold the record, the quorum required Required. The wave's calls
-// fail — the client must not treat the flush as durable — but the flush
-// never retries it: the primary already applied the wave, so a re-send
-// could double-apply. Err joins the individual follower failures.
+// primary) hold the record, the quorum required Required. The primary's
+// reply carries it beside the wave's results and the flush fails with it:
+// the wave's calls fail — the client must not treat the flush as durable —
+// but the flush never retries it: the primary already applied the wave, so a
+// re-send could double-apply.
 type QuorumError struct {
 	// Name is the root name whose follower set missed quorum (the worst
 	// miss, when the wave spans several named roots).
 	Name     string
 	Acked    int
 	Required int
-	Err      error
+	// Failed lists Name's followers that refused the record or could not be
+	// reached from the primary, each error keeping its type across the wire.
+	Failed []*FollowerError
 }
 
 func (e *QuorumError) Error() string {
 	return fmt.Sprintf("cluster: replication quorum not met for %q: %d of %d replicas acked: %v",
-		e.Name, e.Acked, e.Required, e.Err)
+		e.Name, e.Acked, e.Required, errors.Join(e.Unwrap()...))
 }
 
-func (e *QuorumError) Unwrap() error { return e.Err }
+// Unwrap exposes the follower failures to errors.Is / errors.As.
+func (e *QuorumError) Unwrap() []error {
+	out := make([]error, len(e.Failed))
+	for i, f := range e.Failed {
+		out[i] = f
+	}
+	return out
+}
+
+// FollowerError is one follower's failure to hold a shipped record, as its
+// primary saw it.
+type FollowerError struct {
+	Endpoint string
+	Err      error
+}
+
+func (e *FollowerError) Error() string { return fmt.Sprintf("%s: %v", e.Endpoint, e.Err) }
+
+func (e *FollowerError) Unwrap() error { return e.Err }
 
 // Proxy is a cluster batch object: the recording stub for one remote object
 // on one destination server. It mirrors core.Proxy minus cursors.

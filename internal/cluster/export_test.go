@@ -4,8 +4,13 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
+
+// ShipHook is the hook StartReplica installed on the replica's executor, for
+// a test that swapped it out to put back.
+func (r *Replica) ShipHook() core.ShipHook { return r.admit }
 
 // SetShipTimeoutForTest shrinks the replication-ship deadline so the
 // goroutine-leak tests can watch a wedged straggler expire in test time.

@@ -134,6 +134,14 @@ func (n *Node) Epoch() uint64 {
 	return n.epoch
 }
 
+// view returns the node's sorted member list and its epoch, read together.
+// The slice is shared: SetRing replaces it, nothing writes into it.
+func (n *Node) view() ([]string, uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.members, n.epoch
+}
+
 // RingState returns this node's view of the cluster membership.
 func (n *Node) RingState() *RingSnapshot {
 	n.mu.Lock()

@@ -14,13 +14,13 @@ import (
 	"repro/internal/wire"
 )
 
-// ReplRecord is one destination's share of a replicated flush wave: the
-// primary's already-serialized batch command, re-addressed by root NAME so a
-// follower can replay it against shadow state. The staged executor builds one
-// record per destination whose flush succeeded and, after the wave's barrier,
-// ships each follower ALL the records it owns a root of in one Append call —
-// before the flush acks to the client (see DESIGN.md, "Replication &
-// failover").
+// ReplRecord is one replicated flush wave as its primary ships it: the
+// primary's own decoded batch request, re-addressed by root NAME so a
+// follower can replay it against shadow state. The primary builds the record
+// once the wave executed and sends it to the wave's followers before it
+// answers the client (see replicate.go and DESIGN.md, "Replication &
+// failover"). ID, Chain and Primary are minted at the primary; nothing of a
+// record's identity comes from the client.
 type ReplRecord struct {
 	// ID uniquely identifies this wave for idempotent appends.
 	ID string
@@ -28,21 +28,21 @@ type ReplRecord struct {
 	// follower chains consecutive waves through one shadow session, exactly
 	// like the primary's KeepSession chain.
 	Chain string
-	// Primary is the destination endpoint the wave executed on — the shard
-	// the record belongs to.
+	// Primary is the endpoint the wave executed on — the shard the record
+	// belongs to.
 	Primary string
-	// Epoch is the client's ring epoch when the wave shipped — one read for
-	// the whole wave, so every record of a wave carries the same one.
-	// Followers reject records older than their own ring epoch: a stale
-	// owner list must not smuggle writes into a shard that was re-placed
-	// since.
+	// Epoch is the ring epoch the wave's follower lists were read at — one
+	// read for the whole wave, so every record of a wave carries the same
+	// one. The primary refused the wave unexecuted if its own ring was newer;
+	// followers reject records older than theirs: a stale owner list must not
+	// smuggle writes into a shard that was re-placed since.
 	Epoch uint64
 	// Names and Ifaces describe the wave's batch roots in payload order:
 	// Names[0] is the primary root, Names[1+i] is extra root i.
 	Names  []string
 	Ifaces []string
-	// Payload is the wire form of the executed core batch (*brmi.req),
-	// forwarded verbatim.
+	// Payload is the executed core batch request (*brmi.req) as the primary
+	// decoded it, minus its ship directive.
 	Payload any
 }
 
@@ -82,17 +82,21 @@ type NameInfo struct {
 	Applied int64
 }
 
-// StaleShipError reports a replicated record or install carrying a ring
-// epoch older than the follower already knows: the sender's owner list is
-// stale. The shipping flush fails (no ack) rather than retrying — the wave
-// already executed on the primary, so a re-send could double-apply.
+// StaleShipError reports a ship directive, replicated record or install
+// fenced by a ring epoch that disagrees with the node it reached: the sender's
+// owner list is stale (or, for a directive naming a follower the node does not
+// know yet, the node's is). From a PRIMARY it refuses a wave before anything
+// executed, so a flush at first contact refreshes its ring and retries once
+// (canRetryStale). From a follower it arrives inside a *QuorumError: the wave
+// already executed on the primary, so the flush fails (no ack) rather than
+// retrying — a re-send could double-apply.
 type StaleShipError struct {
 	RecordEpoch uint64
 	NodeEpoch   uint64
 }
 
 func (e *StaleShipError) Error() string {
-	return fmt.Sprintf("cluster: stale replication ship: record epoch %d behind node epoch %d", e.RecordEpoch, e.NodeEpoch)
+	return fmt.Sprintf("cluster: stale replication ship: fenced by ring epoch %d, node at epoch %d", e.RecordEpoch, e.NodeEpoch)
 }
 
 func init() {
@@ -100,6 +104,9 @@ func init() {
 	wire.MustRegister("cluster.shardInfo", &ShardInfo{})
 	wire.MustRegister("cluster.nameInfo", &NameInfo{})
 	wire.MustRegisterError("cluster.StaleShip", &StaleShipError{})
+	wire.MustRegisterError("cluster.Quorum", &QuorumError{})
+	wire.MustRegisterError("cluster.FollowerError", &FollowerError{})
+	wire.MustRegisterError("cluster.ShipReply", &ShipReplyError{})
 }
 
 // ReplicaRef builds the well-known reference of the replication service at
@@ -134,7 +141,10 @@ type shard struct {
 }
 
 // Replica is the per-server shard replication service, exported at the
-// reserved rmi.ReplicaObjID. Append is the log-shipping path: it appends
+// reserved rmi.ReplicaObjID, and the ship hook of the server's batch executor
+// (replicate.go): as a PRIMARY it forwards every wave whose flush carried a
+// ship directive to the wave's followers before the flush is answered. The
+// rest is the follower side. Append is the log-shipping path: it appends
 // each shipped batch command to its per-shard ordered log and applies it to
 // shadow state through the local batch executor (shadow replay — same
 // order, dependency propagation, and exception policy as the primary run).
@@ -151,10 +161,15 @@ type Replica struct {
 	node *Node
 	exec *core.Executor
 
-	ships      *stats.Counter // cluster.replica_ships: Append calls served
-	appends    *stats.Counter // cluster.replica_appends: records applied
-	installs   *stats.Counter // cluster.replica_installs
-	promotions *stats.Counter // cluster.promotions
+	// lag is observed on the primary, once per shipped wave: from the end of
+	// its execution to the moment its quorum was met (or the last follower
+	// answered).
+	stats      *stats.Registry
+	lag        *stats.Histogram // cluster.replication_lag
+	ships      *stats.Counter   // cluster.replica_ships: Append calls served
+	appends    *stats.Counter   // cluster.replica_appends: records applied
+	installs   *stats.Counter   // cluster.replica_installs
+	promotions *stats.Counter   // cluster.promotions
 
 	mu     sync.Mutex
 	shards map[string]*shard
@@ -162,8 +177,9 @@ type Replica struct {
 }
 
 // StartReplica exports a shard replication service on p at the reserved
-// replica id. It needs the node (for the epoch fence), the registry (for
-// promotion), and the local batch executor (for shadow replay).
+// replica id and installs it as exec's ship hook. It needs the node (for the
+// epoch fence and the membership a directive is vetted against), the registry
+// (for promotion), and the local batch executor (for shadow replay).
 func StartReplica(p *rmi.Peer, reg *registry.Service, node *Node, exec *core.Executor) (*Replica, error) {
 	if reg == nil || node == nil || exec == nil {
 		return nil, errors.New("cluster: replica requires registry, node, and executor")
@@ -177,6 +193,8 @@ func StartReplica(p *rmi.Peer, reg *registry.Service, node *Node, exec *core.Exe
 		chains: make(map[string]uint64),
 	}
 	if s := p.Stats(); s != nil {
+		r.stats = s
+		r.lag = s.Histogram("cluster.replication_lag")
 		r.ships = s.Counter("cluster.replica_ships")
 		r.appends = s.Counter("cluster.replica_appends")
 		r.installs = s.Counter("cluster.replica_installs")
@@ -185,6 +203,7 @@ func StartReplica(p *rmi.Peer, reg *registry.Service, node *Node, exec *core.Exe
 	if _, err := p.ExportSystem(rmi.ReplicaObjID, r, rmi.ReplicaIface); err != nil {
 		return nil, fmt.Errorf("cluster: start replica: %w", err)
 	}
+	exec.SetShipHook(r.admit)
 	return r, nil
 }
 
@@ -224,12 +243,11 @@ func (r *Replica) shadowFor(sh *shard, name, iface string) (*shadowObj, error) {
 	return sd, nil
 }
 
-// Append is one follower's share of a shipped wave: the records of every
-// destination this server follows a root of, applied in slice order. It
-// answers one slot per record — nil, or why THAT record was refused — so one
-// bad record never fails its siblings: each destination's quorum is judged
-// from its own slot. A slot's error keeps its type across the wire
-// (*StaleShipError still satisfies errors.As at the shipping client).
+// Append is the follower's end of a ship: the records a primary sends this
+// server, applied in slice order. It answers one slot per record — nil, or
+// why THAT record was refused — so one bad record never fails its siblings.
+// A slot's error keeps its type across the wire (*StaleShipError still
+// satisfies errors.As at the primary, and at the client the primary answers).
 func (r *Replica) Append(ctx context.Context, recs []*ReplRecord) []error {
 	r.ships.Inc()
 	slots := make([]error, len(recs))

@@ -2,257 +2,341 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"strconv"
-	"sync/atomic"
+	"sync"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/wire"
 )
 
-// replicate.go is the replication half of a wave. The fan-out flushes the
-// primaries; past its barrier ONE wave-level step (replicate) wraps the
-// serialized batch of each destination whose flush succeeded in a ReplRecord
-// (replRecord) and ships the records by FOLLOWER, not by destination: a
-// server that follows roots of three destinations gets one Append call
-// carrying three records and answers one slot per record, so a replicated
-// wave costs one trip per distinct follower server. Three seams, each
-// testable alone: target selection (shipTargets), the ship fan-out (ship) and
-// the quorum count (quorumTally) — one tally per destination, fed from that
-// destination's slot in each follower's answer.
+// replicate.go is the ship leg of replication. It runs on the PRIMARY: the
+// client's flush request to a replicating destination carries a ship
+// directive (shipDirectives: where each root's followers are, as of which
+// ring epoch, and the write quorum), the primary vets it before anything
+// executes (Replica.admit), executes the wave, and — before it replies,
+// holding no lock — wraps its own decoded request in a ReplRecord, sends it
+// to the wave's followers in parallel and answers once the quorum holds it
+// (Replica.ship). A replicated wave therefore costs the client its primary
+// trips and nothing else; the follower trips are server to server. The
+// quorum count (quorumTally) and the reading of a follower's answer
+// (appendSlots) are testable alone.
 
 // shipTimeout bounds one replication ship (the Append call carrying a wave's
-// records to one follower). Ships past the quorum ack keep running after
-// replicate returns, so they need a deadline of their own: the flush's ctx
-// may never cancel, and a straggler stuck on a wedged connection (killed
-// mid-ship, partitioned with the frames in flight) would block in Call for as
-// long as it lives — one leaked goroutine per quorum-early wave past that
-// follower. Variable so tests can shrink it.
+// record to one follower). Ships past the quorum ack keep running after the
+// primary replied, so they need a deadline of their own: a straggler stuck on
+// a wedged connection (killed mid-ship, partitioned with the frames in
+// flight) would otherwise block in Call until the serving peer closes — one
+// leaked goroutine per quorum-early wave past that follower. Variable so
+// tests can shrink it.
 var shipTimeout = 30 * time.Second
 
-// replState is one replicated destination's shipping identity: the chain id
-// linking its waves through one shadow session on each follower, the root
-// names in payload order, their interfaces once the first wave resolved the
-// names, and the payload of the wave just executed (captured by the core
-// batch's OnShip hook on the destination's wave goroutine, consumed by
-// replRecord past the barrier).
-type replState struct {
-	chain string
-	// idPrefix is chain + "/" with room to spare: a record's ID is the
-	// wave's sequence number appended to it.
-	idPrefix []byte
-	names    []string
-	ifaces   []string
-	seq      uint64
-	payload  any
-}
-
-// chainSeq disambiguates replication chains minted by one client process;
-// combined with the peer's DGC client id the chain is globally unique.
-var chainSeq atomic.Uint64
-
-// armReplication decides whether ds's waves may replicate and, if so, wires
-// the payload capture. Replication applies only when the batch is
-// epoch-aware (WithDirectory) over a replicated ring (R > 1) and every root
-// of the destination is addressed by cluster-wide name (RootNamed) — an
-// anonymous or system root has no shard identity to replicate under, so its
-// destination flushes unreplicated. Whether the named objects are movable is
-// only known once the first wave resolved them (rootIfaces). Caller holds
-// b.mu.
-func (b *Batch) armReplication(ds *destState) {
-	if b.dir == nil || b.dir.Replication() <= 1 {
-		return
-	}
-	names := make([]string, len(ds.group.roots))
-	for i, p := range ds.group.roots {
-		if p.key == "" {
-			return
-		}
-		names[i] = p.key
-	}
-	client := b.peer.ClientID()
-	id := make([]byte, 0, len(client)+24)
-	id = append(append(id, client...), '#')
-	id = strconv.AppendUint(id, chainSeq.Add(1), 10)
-	rs := &replState{chain: string(id), idPrefix: append(id, '/'), names: names}
-	ds.repl = rs
-	ds.cb.OnShip(func(req any, _ bool) { rs.payload = req })
-}
-
-// rootIfaces reads the interfaces of ds's roots, resolved by the wave that
-// just returned, or nil when one of them has no registered movable factory:
-// a follower could not build its shadow.
-func (b *Batch) rootIfaces(ds *destState) []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	ifaces := make([]string, len(ds.group.roots))
-	for i, p := range ds.group.roots {
-		if _, ok := movableFactory(p.rootRef.Iface); !ok {
-			return nil
-		}
-		ifaces[i] = p.rootRef.Iface
-	}
-	return ifaces
-}
-
-// replRecord builds the ReplRecord of the wave ds's primary just executed, or
-// nil for an unreplicated destination and for a wave with no wire work. The
-// epoch is stamped when the whole wave's owner lists are read at once
-// (shipTargets).
-func (b *Batch) replRecord(ds *destState) *ReplRecord {
-	rs := ds.repl
-	if rs == nil || rs.payload == nil {
-		return nil
-	}
-	if rs.ifaces == nil {
-		if rs.ifaces = b.rootIfaces(ds); rs.ifaces == nil {
-			ds.repl = nil
-			return nil
-		}
-	}
-	rec := &ReplRecord{
-		ID:      string(strconv.AppendUint(rs.idPrefix, rs.seq, 10)),
-		Chain:   rs.chain,
-		Primary: ds.group.endpoint,
-		Names:   rs.names,
-		Ifaces:  rs.ifaces,
-		Payload: rs.payload,
-	}
-	rs.seq++
-	rs.payload = nil
-	return rec
-}
-
-// replicate ships the wave that just executed on live's primaries — errs[i]
-// is destination i's flush error — to the followers of their roots' shards,
-// one Append call per follower, and blocks until every destination's write
-// quorum holds its record. It runs once per wave, after the primaries'
-// barrier and before the wave settles, so the ack a caller observes — Flush
-// returning, futures settling — implies the wave survives a primary's death.
-//
-// Every record is fenced by the ONE ring epoch the wave's owner lists were
-// read at: a follower whose node adopted a newer ring rejects it
-// (StaleShipError), failing that destination rather than letting a stale
-// owner list smuggle a write into a re-placed shard. A destination that
-// misses quorum gets a *QuorumError in errs[i], which fails it WITHOUT the
-// stale-route retry: the primary already applied the wave, so a re-send could
-// double-apply. Its siblings are judged on their own tallies.
-func (b *Batch) replicate(ctx context.Context, live []*destState, errs []error) {
-	var recs []*ReplRecord // recs[i] is live[i]'s; allocated at the first record
-	for i, ds := range live {
-		if errs[i] != nil {
-			continue
-		}
-		if rec := b.replRecord(ds); rec != nil {
-			if recs == nil {
-				recs = make([]*ReplRecord, len(live))
-			}
-			recs[i] = rec
-		}
-	}
-	if recs == nil {
-		return
-	}
-	tallies, loads := shipTargets(b.dir.Ring(), recs, b.quorum)
-	if len(loads) == 0 {
-		return // a ring of one member: nobody to ship to
-	}
-	for _, rec := range recs {
-		if rec != nil {
-			b.quorumWaits.Inc() // one ring: if any record has followers, all do
-		}
-	}
-	start := b.reg.Now()
-	// The wait returns as soon as every destination is at quorum: under
-	// WithQuorum(W<R) the slowest followers keep replicating in the
-	// background while the flush acks.
-	acks := b.ship(ctx, loads)
-	for n := 0; n < len(loads) && !allMet(tallies); n++ {
-		a := <-acks
-		for k, d := range a.to.dests {
-			err := a.err
-			if err == nil {
-				err = slotError(a.slots[k])
-			}
-			tallies[d].ack(a.to.ep, err)
-		}
-	}
-	b.replLag.Observe(b.reg.Now().Sub(start).Nanoseconds())
-	for i := range tallies {
-		if qe := tallies[i].miss(); qe != nil {
-			errs[i] = qe
-		}
-	}
-}
-
-// ownerSource is what target selection needs of the shard map (*Ring).
+// ownerSource is what directive building needs of the shard map (*Ring).
 type ownerSource interface {
 	OwnersAll(keys []string) ([][]string, uint64)
 }
 
-// shipment is what one follower is sent of a wave: the records of every
-// destination it owns a root of, in destination order. dests[k] is the wave's
-// destination recs[k] belongs to — whose tally slot k of the answer feeds.
-type shipment struct {
-	ep    string
-	recs  []*ReplRecord
-	dests []int
-}
-
-// shipTargets reads the owner list of every name of every record in ONE
-// OwnersAll call — one lock, one ring epoch — and stamps that epoch on all of
-// them: it is the epoch the wave is fenced by. It returns one tally per entry
-// of recs (a nil record's is empty: met, and never a miss) and, per distinct
-// non-primary owner in first-appearance order, the records to send it.
-func shipTargets(src ownerSource, recs []*ReplRecord, quorum int) ([]quorumTally, []shipment) {
-	var names []string
-	for _, rec := range recs {
-		if rec != nil {
-			names = append(names, rec.Names...)
+// shipDirectives builds the ship directives of one wave: names[i] are the
+// root names of the destination served by primaries[i], in payload order, or
+// empty for a destination that does not replicate. The owner lists of ALL of
+// them are read in ONE OwnersAll call — one lock, one ring epoch — and that
+// epoch fences every directive of the wave: reading them one name (or one
+// destination) at a time would let a refresh between two reads pair
+// old-epoch followers with the new epoch, which a primary at the new epoch
+// accepts. A destination nobody follows (a ring of one member) gets nil.
+func shipDirectives(src ownerSource, primaries []string, names [][]string, quorum int) []*core.ShipDirective {
+	var all []string
+	for _, ns := range names {
+		all = append(all, ns...)
+	}
+	if len(all) == 0 {
+		return nil
+	}
+	owners, epoch := src.OwnersAll(all)
+	out := make([]*core.ShipDirective, len(names))
+	for i, ns := range names {
+		followers, followed := owners[:len(ns)], false
+		owners = owners[len(ns):]
+		for k, list := range followers {
+			followers[k] = slices.DeleteFunc(list, func(ep string) bool { return ep == primaries[i] })
+			followed = followed || len(followers[k]) > 0
+		}
+		if followed {
+			out[i] = &core.ShipDirective{Followers: followers, Epoch: epoch, Quorum: quorum}
 		}
 	}
-	owners, epoch := src.OwnersAll(names)
-	tallies := make([]quorumTally, len(recs))
-	var loads []shipment
-	for i, rec := range recs {
-		if rec == nil {
+	return out
+}
+
+// direct gives the wave of every replicating destination in live
+// (destState.repl) its ship directive; a pure session close executes nothing,
+// so it ships nothing. Caller holds b.mu.
+func (b *Batch) direct(live []*destState) {
+	if !slices.ContainsFunc(live, func(ds *destState) bool { return ds.repl != nil }) {
+		return
+	}
+	primaries, names := make([]string, len(live)), make([][]string, len(live))
+	for i, ds := range live {
+		primaries[i] = ds.group.endpoint
+		if ds.cb.PendingCalls() > 0 {
+			names[i] = ds.repl
+		}
+	}
+	for i, d := range shipDirectives(b.dir.Ring(), primaries, names, b.quorum) {
+		if d == nil {
 			continue
 		}
-		rec.Epoch = epoch
-		tallies[i] = quorumTally{names: rec.Names, owners: owners[:len(rec.Names)], quorum: quorum}
-		owners = owners[len(rec.Names):]
-		for _, list := range tallies[i].owners {
-			for _, ep := range list {
-				if ep == rec.Primary {
-					continue
-				}
-				sh := shipmentTo(&loads, ep)
-				if n := len(sh.dests); n == 0 || sh.dests[n-1] != i {
-					sh.recs = append(sh.recs, rec)
-					sh.dests = append(sh.dests, i)
-				}
+		// A wave that still addresses its roots by name carries the names
+		// itself; once the first wave resolved them the request is
+		// id-addressed, and the directive says what the roots are called.
+		if slices.ContainsFunc(live[i].group.roots, func(p *Proxy) bool { return !p.lazy() }) {
+			d.Names = names[i]
+		}
+		live[i].cb.Ship(d)
+	}
+}
+
+// shipChain is the primary's state for one replicating chain — the waves one
+// client batch sends one destination — kept by the executor with the chain's
+// session and dropped with it. It holds the identity the chain's records
+// carry, minted here and never taken from the client.
+type shipChain struct {
+	// off marks a chain whose first wave found a root with no movable
+	// factory: no follower could build its shadow, so the chain flushes
+	// unreplicated.
+	off bool
+	// id links the chain's records through one shadow session on each
+	// follower; a record's ID is the wave's sequence number appended to it.
+	id string
+	// names and ifaces describe the chain's roots in payload order, fixed by
+	// its first wave.
+	names, ifaces []string
+
+	mu  sync.Mutex
+	seq uint64
+	// tails[ep] is closed once the chain's latest ship to follower ep has
+	// finished: the next wave's ship to ep waits for it, so a follower still
+	// digesting wave k past a quorum-early ack never sees wave k+1 first.
+	tails map[string]chan struct{}
+}
+
+// enqueue mints the next record's id and queues one ship per follower behind
+// the chain's previous ship to it: ship i waits for prevs[i], if there is one,
+// and closes dones[i] when it has finished.
+func (c *shipChain) enqueue(followers []string) (id string, prevs, dones []chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id = c.id + "/" + strconv.FormatUint(c.seq, 10)
+	c.seq++
+	if c.tails == nil {
+		c.tails = make(map[string]chan struct{}, len(followers))
+	}
+	prevs, dones = make([]chan struct{}, len(followers)), make([]chan struct{}, len(followers))
+	for i, ep := range followers {
+		prevs[i], dones[i] = c.tails[ep], make(chan struct{})
+		c.tails[ep] = dones[i]
+	}
+	return id, prevs, dones
+}
+
+// admit is the executor's ship hook: it vets a wave's directive after the
+// roots resolved and before anything executes. Nothing about the directive is
+// trusted — it is whatever the wire decoded — so a malformed one, or one
+// naming a follower this node's ring does not know, rejects the wave with
+// nothing executed and nothing dialed; one fenced by an epoch behind this
+// node's ring is refused the same way with *StaleShipError, which the client
+// treats like a wrong-home refusal (refresh, re-route, one retry).
+func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
+	d := w.Directive
+	names, err := waveNames(w)
+	if err != nil {
+		return nil, err
+	}
+	followers, err := r.vetFollowers(d)
+	if err != nil {
+		return nil, err
+	}
+	chain, _ := w.Chain.(*shipChain)
+	switch {
+	case w.First:
+		chain = r.newChain(w, names)
+		w.Chain = chain
+	case chain == nil:
+		return nil, &wire.CorruptError{Detail: "ship directive joins a chain whose first wave carried none"}
+	case !chain.off && !slices.Equal(names, chain.names):
+		return nil, &wire.CorruptError{Detail: "ship directive of a chained wave names other roots than the chain's first"}
+	}
+	if chain.off || len(followers) == 0 {
+		return nil, nil
+	}
+	return func(ctx context.Context, payload any) (time.Duration, error) {
+		return r.ship(ctx, chain, d, followers, payload)
+	}, nil
+}
+
+// waveNames returns the names of the wave's roots, in payload order: the
+// request's own where it addresses a root by name, the directive's where by
+// id. Every root of a replicated wave has one.
+func waveNames(w *core.Wave) ([]string, error) {
+	d, n := w.Directive, len(w.Roots)
+	switch {
+	case len(d.Followers) != n:
+		return nil, &wire.CorruptError{Detail: "ship directive follower lists are not parallel to the roots"}
+	case len(d.Names) != 0 && len(d.Names) != n:
+		return nil, &wire.CorruptError{Detail: "ship directive root names are not parallel to the roots"}
+	}
+	names := w.Names
+	if len(names) == 0 {
+		names = d.Names
+	} else if len(d.Names) != 0 {
+		names = slices.Clone(names)
+		for i, name := range names {
+			if name == "" {
+				names[i] = d.Names[i]
 			}
 		}
 	}
-	return tallies, loads
+	if len(names) != n || slices.Contains(names, "") {
+		return nil, &wire.CorruptError{Detail: "ship directive leaves a root without a name to replicate under"}
+	}
+	return names, nil
 }
 
-// shipmentTo returns ep's entry of loads, appending one at first sight.
-func shipmentTo(loads *[]shipment, ep string) *shipment {
-	for i := range *loads {
-		if (*loads)[i].ep == ep {
-			return &(*loads)[i]
+// vetFollowers checks the directive's quorum, fence and follower lists against
+// this node's ring view and returns the wave's distinct followers in
+// first-appearance order. A follower must be a member of the view and never
+// this server itself, and no list is longer than the membership; where the
+// directive's epoch is ahead of the view a misfit only says the two disagree,
+// which is a stale ship rather than a corrupt one.
+func (r *Replica) vetFollowers(d *core.ShipDirective) ([]string, error) {
+	if d.Quorum < 0 {
+		return nil, &wire.CorruptError{Detail: "ship directive with a negative write quorum"}
+	}
+	members, epoch := r.node.view()
+	if d.Epoch < epoch {
+		return nil, &StaleShipError{RecordEpoch: d.Epoch, NodeEpoch: epoch}
+	}
+	misfit := func(detail string) error {
+		if d.Epoch != epoch {
+			return &StaleShipError{RecordEpoch: d.Epoch, NodeEpoch: epoch}
+		}
+		return &wire.CorruptError{Detail: detail}
+	}
+	self := r.peer.Endpoint()
+	var followers []string
+	for _, list := range d.Followers {
+		if len(list) > len(members) {
+			return nil, misfit("ship directive lists more followers than the ring has members")
+		}
+		for _, ep := range list {
+			if ep == self {
+				return nil, &wire.CorruptError{Detail: "ship directive lists the primary among its own followers"}
+			}
+			if _, member := slices.BinarySearch(members, ep); !member {
+				return nil, misfit(fmt.Sprintf("ship directive follower %q is not a member of this node's ring", ep))
+			}
+			if !slices.Contains(followers, ep) {
+				followers = append(followers, ep)
+			}
 		}
 	}
-	*loads = append(*loads, shipment{ep: ep})
-	return &(*loads)[len(*loads)-1]
+	return followers, nil
 }
 
-// shipAck is one follower's answer to its shipment: one slot per record, or
-// err when the call as a whole failed — every record it carried then did.
-type shipAck struct {
-	to    *shipment
-	slots []any
-	err   error
+// newChain starts the chain of a first wave: its roots' interfaces are read
+// off this peer's export table — a root with no movable factory turns the
+// chain off — and its id is minted from this peer's process-unique identity
+// and the executor's session number.
+func (r *Replica) newChain(w *core.Wave, names []string) *shipChain {
+	c := &shipChain{names: names, ifaces: make([]string, len(names))}
+	for i, id := range w.Roots {
+		ref, _ := r.peer.LocalRef(id)
+		if _, ok := movableFactory(ref.Iface); !ok {
+			c.off = true
+			return c
+		}
+		c.ifaces[i] = ref.Iface
+	}
+	c.id = r.peer.ClientID() + "#" + strconv.FormatUint(w.Session, 10)
+	return c
+}
+
+// ship replicates the wave this primary just executed: it wraps payload — the
+// primary's own decoded request, directive stripped — in a ReplRecord, sends
+// it to every follower in parallel, each send bounded by shipTimeout and
+// queued behind the chain's previous ship to that follower, and returns once
+// every root's write quorum holds the record — with how long that took — or
+// every follower answered: the worst miss is a *QuorumError, which reaches the
+// client beside the wave's results and fails its flush. The wave stays
+// executed either way, so the client never re-sends it. Under W<R the slowest
+// followers keep replicating after the reply left; ctx is the serving peer's,
+// so they end with it at the latest.
+func (r *Replica) ship(ctx context.Context, c *shipChain, d *core.ShipDirective, followers []string, payload any) (time.Duration, error) {
+	start := r.stats.Now()
+	id, prevs, dones := c.enqueue(followers)
+	recs := []*ReplRecord{{
+		ID:      id,
+		Chain:   c.id,
+		Primary: r.peer.Endpoint(),
+		Epoch:   d.Epoch,
+		Names:   c.names,
+		Ifaces:  c.ifaces,
+		Payload: payload,
+	}}
+
+	// Buffered to the fan-out, so stragglers past the quorum ack never block.
+	acks := make(chan followerAck, len(followers))
+	// Read once at spawn: a detached straggler outlives this call, and the
+	// package var is only synchronized up to the reply.
+	timeout := shipTimeout
+	for i, ep := range followers {
+		go func() {
+			defer close(dones[i])
+			sctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			acks <- followerAck{ep: ep, err: r.sendTo(sctx, ep, prevs[i], recs)}
+		}()
+	}
+	tally := quorumTally{names: c.names, followers: d.Followers, quorum: d.Quorum}
+	for n := 0; n < len(followers) && !tally.met(); n++ {
+		a := <-acks
+		tally.ack(a.ep, a.err)
+	}
+	lag := r.stats.Now().Sub(start)
+	r.lag.Observe(lag.Nanoseconds())
+	if qe := tally.miss(); qe != nil {
+		return lag, qe
+	}
+	return lag, nil
+}
+
+// sendTo ships recs to follower ep in one Append call, once prev — the
+// chain's previous ship to ep, if any — has finished, and returns what the
+// follower made of them. It is the one place a record leaves a server.
+func (r *Replica) sendTo(ctx context.Context, ep string, prev <-chan struct{}, recs []*ReplRecord) error {
+	if prev != nil {
+		select {
+		case <-prev:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	res, err := r.peer.Call(ctx, ReplicaRef(ep), "Append", recs)
+	if err != nil {
+		return err
+	}
+	slots, err := appendSlots(ep, len(recs), res)
+	if err != nil {
+		return err
+	}
+	for _, slot := range slots {
+		if err := slotError(slot); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ShipReplyError reports a follower whose Append answered something other
@@ -268,41 +352,18 @@ func (e *ShipReplyError) Error() string {
 	return fmt.Sprintf("cluster: replica %s answered %d slots for %d shipped records", e.Endpoint, e.Slots, e.Sent)
 }
 
-// ship sends every follower its shipment in parallel, each send bounded by
-// shipTimeout, and returns the channel their answers arrive on — buffered to
-// the fan-out, so stragglers past the quorum ack never block. It is the one
-// place a record leaves the client.
-func (b *Batch) ship(ctx context.Context, loads []shipment) <-chan shipAck {
-	acks := make(chan shipAck, len(loads))
-	// Read once at spawn: a detached straggler outlives replicate, and the
-	// package var is only synchronized up to the flush's return.
-	timeout := shipTimeout
-	for i := range loads {
-		go func(sh *shipment) {
-			sctx, cancel := context.WithTimeout(ctx, timeout)
-			defer cancel()
-			a := shipAck{to: sh}
-			var res []any
-			if res, a.err = b.peer.Call(sctx, ReplicaRef(sh.ep), "Append", sh.recs); a.err == nil {
-				a.slots, a.err = appendSlots(sh, res)
-			}
-			acks <- a
-		}(&loads[i])
-	}
-	return acks
-}
-
-// appendSlots reads an Append answer: exactly one slot per record sent.
-func appendSlots(sh *shipment, res []any) ([]any, error) {
+// appendSlots reads the answer of follower ep to an Append of sent records:
+// exactly one slot per record.
+func appendSlots(ep string, sent int, res []any) ([]any, error) {
 	got := -1
 	if len(res) == 1 {
 		if slots, ok := res[0].([]any); ok {
-			if got = len(slots); got == len(sh.recs) {
+			if got = len(slots); got == sent {
 				return slots, nil
 			}
 		}
 	}
-	return nil, &ShipReplyError{Endpoint: sh.ep, Sent: len(sh.recs), Slots: got}
+	return nil, &ShipReplyError{Endpoint: ep, Sent: sent, Slots: got}
 }
 
 // slotError reads one slot of an Append answer: nil, or the follower's typed
@@ -317,13 +378,14 @@ func slotError(slot any) error {
 	return fmt.Errorf("cluster: replica append answered a %T where a record's error belongs", slot)
 }
 
-// quorumTally counts the acknowledgements of one destination's record. Quorum
-// is judged per NAME over that name's own owner list — the record spans every
+// quorumTally counts the acknowledgements of one wave's record. Quorum is
+// judged per NAME over that name's own follower list — the record spans every
 // root of the destination, and each root's shard must hold it.
 type quorumTally struct {
-	names  []string
-	owners [][]string
-	// quorum is WithQuorum's W (0 = all), capped per name at its replica count.
+	names     []string
+	followers [][]string
+	// quorum is the directive's W (0 = all), capped per name at its replica
+	// count.
 	quorum int
 	// acks holds each follower's answer so far (the primary never ships to
 	// itself, so it never appears).
@@ -352,14 +414,14 @@ func (q *quorumTally) answer(ep string) (answered bool, err error) {
 }
 
 // count returns how many replicas hold name i and how many its quorum needs.
-// The primary's copy is each name's first ack: its flush succeeded.
+// The primary's copy is each name's first ack: it executed the wave.
 func (q *quorumTally) count(i int) (acked, required int) {
-	required = len(q.owners[i])
+	required = 1 + len(q.followers[i])
 	if q.quorum > 0 && q.quorum < required {
 		required = q.quorum
 	}
 	acked = 1
-	for _, ep := range q.owners[i] {
+	for _, ep := range q.followers[i] {
 		if ok, err := q.answer(ep); ok && err == nil {
 			acked++
 		}
@@ -377,18 +439,8 @@ func (q *quorumTally) met() bool {
 	return true
 }
 
-// allMet reports whether every destination of the wave is at quorum.
-func allMet(tallies []quorumTally) bool {
-	for i := range tallies {
-		if !tallies[i].met() {
-			return false
-		}
-	}
-	return true
-}
-
 // miss returns the worst quorum miss — the name furthest below its required
-// count, joined with its followers' failures — or nil when quorum is met.
+// count, with its followers' failures — or nil when quorum is met.
 func (q *quorumTally) miss() *QuorumError {
 	var worst *QuorumError
 	for i, name := range q.names {
@@ -396,13 +448,12 @@ func (q *quorumTally) miss() *QuorumError {
 		if acked >= required || (worst != nil && required-acked <= worst.Required-worst.Acked) {
 			continue
 		}
-		var ferrs []error
-		for _, ep := range q.owners[i] {
+		worst = &QuorumError{Name: name, Acked: acked, Required: required}
+		for _, ep := range q.followers[i] {
 			if _, err := q.answer(ep); err != nil {
-				ferrs = append(ferrs, fmt.Errorf("%s: %w", ep, err))
+				worst.Failed = append(worst.Failed, &FollowerError{Endpoint: ep, Err: err})
 			}
 		}
-		worst = &QuorumError{Name: name, Acked: acked, Required: required, Err: errors.Join(ferrs...)}
 	}
 	return worst
 }

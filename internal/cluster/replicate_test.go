@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -30,67 +29,46 @@ func (s *epochOwners) OwnersAll(keys []string) ([][]string, uint64) {
 }
 
 // TestShipTargetsReadOneEpoch is the replication-fence regression, per wave:
-// every owner list of every record of one wave must come from the ring epoch
-// the records are stamped with — ONE read of the ring. Reading the lists one
-// name (or one destination) at a time let a refresh between two reads ship
-// old-epoch owners under the new epoch, which a follower at the new epoch
-// accepts. The same call groups the records by follower.
+// every follower list of every ship directive of one wave must come from the
+// ring epoch the directives are fenced by — ONE read of the ring. Reading the
+// lists one name (or one destination) at a time let a refresh between two
+// reads ship old-epoch followers under the new epoch, which a primary at the
+// new epoch accepts. The same call takes each destination's own primary out of
+// its lists and leaves a destination that does not replicate without a
+// directive.
 func TestShipTargetsReadOneEpoch(t *testing.T) {
 	src := &epochOwners{}
+	primaries := []string{"primary-a", "primary-x", "primary-b"}
+	names := [][]string{{"a0", "a1"}, nil /* a destination that does not replicate */, {"b0"}}
 	for wave := uint64(1); wave <= 2; wave++ {
-		recs := []*ReplRecord{
-			{ID: "a", Primary: "primary-a", Names: []string{"a0", "a1"}},
-			nil, // a destination that left no record
-			{ID: "b", Primary: "primary-b", Names: []string{"b0"}},
-		}
-		tallies, loads := shipTargets(src, recs, 2)
+		ds := shipDirectives(src, primaries, names, 2)
 		if src.epoch != wave {
 			t.Fatalf("wave %d read the ring %d times, want once", wave, src.epoch-(wave-1))
 		}
-		for i, rec := range recs {
-			if rec == nil {
-				if !tallies[i].met() || tallies[i].miss() != nil {
-					t.Errorf("tally of the record-less destination %d = %+v, want empty and met", i, tallies[i])
-				}
+		if len(ds) != len(names) || ds[1] != nil {
+			t.Fatalf("wave %d directives = %+v, want one per destination and none for the unreplicated one", wave, ds)
+		}
+		for i, ns := range names {
+			if ns == nil {
 				continue
 			}
-			if rec.Epoch != wave {
-				t.Errorf("record %s stamped with epoch %d, want the wave's one epoch %d", rec.ID, rec.Epoch, wave)
+			d := ds[i]
+			if d.Epoch != wave || d.Quorum != 2 || d.Names != nil {
+				t.Errorf("directive %d = %+v, want the wave's one epoch %d, W=2 and no names", i, d, wave)
 			}
-			for k, name := range rec.Names {
-				if want := src.at(wave, name); !reflect.DeepEqual(tallies[i].owners[k], want) {
-					t.Errorf("owners of %s = %v, want %v (the list at the wave's epoch %d)", name, tallies[i].owners[k], want, wave)
+			for k, name := range ns {
+				if want := src.at(wave, name)[1:]; !reflect.DeepEqual(d.Followers[k], want) {
+					t.Errorf("followers of %s = %v, want %v (the owners at the wave's epoch %d, minus %s)", name, d.Followers[k], want, wave, primaries[i])
 				}
 			}
-			if tallies[i].quorum != 2 {
-				t.Errorf("tally %d quorum = %d, want 2", i, tallies[i].quorum)
-			}
 		}
-		// Distinct followers in first-appearance order, primaries excluded;
-		// the shared follower gets both records in ONE shipment.
-		type load struct {
-			ep    string
-			ids   []string
-			dests []int
-		}
-		var got []load
-		for _, sh := range loads {
-			l := load{ep: sh.ep, dests: sh.dests}
-			for _, rec := range sh.recs {
-				l.ids = append(l.ids, rec.ID)
-			}
-			got = append(got, l)
-		}
-		at := func(s string) string { return fmt.Sprintf("%s@%d", s, wave) }
-		want := []load{
-			{at("a0-follower"), []string{"a"}, []int{0}},
-			{at("shared"), []string{"a", "b"}, []int{0, 2}},
-			{at("a1-follower"), []string{"a"}, []int{0}},
-			{at("b0-follower"), []string{"b"}, []int{2}},
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("wave %d shipments = %+v, want %+v", wave, got, want)
-		}
+	}
+	if ds := shipDirectives(src, primaries, make([][]string, 3), 0); ds != nil || src.epoch != 2 {
+		t.Errorf("a wave with no replicating destination read the ring (epoch %d) and built %+v", src.epoch, ds)
+	}
+	// A ring of one member: the only owner is the primary, nobody follows.
+	if ds := shipDirectives(NewRing([]string{"solo"}, WithReplication(3)), []string{"solo"}, [][]string{{"k"}}, 0); ds[0] != nil {
+		t.Errorf("a destination nobody follows got the directive %+v", ds[0])
 	}
 }
 
@@ -122,8 +100,8 @@ func TestRingOwnersAllIsAtomic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQuorumTally drives the pure quorum count the way replicate does: acks
-// arrive one at a time until every name is at quorum or every follower
+// TestQuorumTally drives the pure quorum count the way Replica.ship does:
+// acks arrive one at a time until every name is at quorum or every follower
 // answered.
 func TestQuorumTally(t *testing.T) {
 	down := errors.New("follower down")
@@ -131,10 +109,10 @@ func TestQuorumTally(t *testing.T) {
 		ep  string
 		err error
 	}
-	r3 := [][]string{{"p", "a", "b"}}
+	r3 := [][]string{{"a", "b"}}
 	cases := []struct {
 		name     string
-		owners   [][]string // one list per name n0, n1, ...
+		owners   [][]string // one follower list per name n0, n1, ...
 		quorum   int
 		acks     []ack
 		metAfter int // acks consumed when quorum is first met; -1 = never
@@ -151,14 +129,14 @@ func TestQuorumTally(t *testing.T) {
 		{name: "R3 W2 survives one failed follower", owners: r3, quorum: 2, acks: []ack{{"a", down}, {"b", nil}}, metAfter: 2},
 		{name: "R3 W0 misses on one failed follower", owners: r3, quorum: 0, acks: []ack{{"a", nil}, {"b", down}},
 			metAfter: -1, missName: "n0", missAck: 2, missReq: 3, missErr: []string{"b"}},
-		{name: "overlapping follower sets share an ack", owners: [][]string{{"p", "a", "b"}, {"p", "b", "c"}}, quorum: 2,
+		{name: "overlapping follower sets share an ack", owners: [][]string{{"a", "b"}, {"b", "c"}}, quorum: 2,
 			acks: []ack{{"b", nil}}, metAfter: 1},
-		{name: "disjoint follower sets each need their own", owners: [][]string{{"p", "a"}, {"p", "c"}}, quorum: 0,
+		{name: "disjoint follower sets each need their own", owners: [][]string{{"a"}, {"c"}}, quorum: 0,
 			acks: []ack{{"a", nil}, {"c", nil}}, metAfter: 2},
-		{name: "a failure counts only against the names it owns", owners: [][]string{{"p", "a", "b"}, {"p", "b", "c"}}, quorum: 0,
+		{name: "a failure counts only against the names it owns", owners: [][]string{{"a", "b"}, {"b", "c"}}, quorum: 0,
 			acks:     []ack{{"a", down}, {"b", nil}, {"c", nil}},
 			metAfter: -1, missName: "n0", missAck: 2, missReq: 3, missErr: []string{"a"}},
-		{name: "the worst miss is reported", owners: [][]string{{"p", "c"}, {"p", "a", "b"}}, quorum: 0,
+		{name: "the worst miss is reported", owners: [][]string{{"c"}, {"a", "b"}}, quorum: 0,
 			acks:     []ack{{"a", down}, {"b", down}, {"c", down}},
 			metAfter: -1, missName: "n1", missAck: 1, missReq: 3, missErr: []string{"a", "b"}},
 	}
@@ -168,7 +146,7 @@ func TestQuorumTally(t *testing.T) {
 			for i := range names {
 				names[i] = fmt.Sprintf("n%d", i)
 			}
-			q := &quorumTally{names: names, owners: tc.owners, quorum: tc.quorum}
+			q := &quorumTally{names: names, followers: tc.owners, quorum: tc.quorum}
 			metAfter := -1
 			for n := 0; ; n++ {
 				if q.met() {
@@ -197,9 +175,9 @@ func TestQuorumTally(t *testing.T) {
 				t.Errorf("miss %v does not wrap the follower failure", miss)
 			}
 			for _, a := range tc.acks {
-				blamed := strings.Contains(miss.Err.Error(), a.ep+": ")
+				blamed := slices.ContainsFunc(miss.Failed, func(f *FollowerError) bool { return f.Endpoint == a.ep })
 				if want := slices.Contains(tc.missErr, a.ep); blamed != want {
-					t.Errorf("miss blames %s = %v, want %v (%v)", a.ep, blamed, want, miss.Err)
+					t.Errorf("miss blames %s = %v, want %v (%v)", a.ep, blamed, want, miss)
 				}
 			}
 		})
@@ -211,9 +189,8 @@ func TestQuorumTally(t *testing.T) {
 // many, no list at all, no result — is a typed failure of the whole shipment,
 // never an index out of range; and a slot is nil or an error, nothing else.
 func TestAppendSlotsMustMatchRecords(t *testing.T) {
-	sh := &shipment{ep: "follower", recs: []*ReplRecord{{ID: "a"}, {ID: "b"}}}
 	refused := errors.New("refused")
-	slots, err := appendSlots(sh, []any{[]any{nil, refused}})
+	slots, err := appendSlots("follower", 2, []any{[]any{nil, refused}})
 	if err != nil || len(slots) != 2 || slotError(slots[0]) != nil || slotError(slots[1]) != refused {
 		t.Fatalf("a two-slot answer to two records = %v, %v", slots, err)
 	}
@@ -229,7 +206,7 @@ func TestAppendSlotsMustMatchRecords(t *testing.T) {
 		"no result":      {nil, -1},
 		"two results":    {[]any{[]any{nil, nil}, nil}, -1},
 	} {
-		slots, err := appendSlots(sh, tc.res)
+		slots, err := appendSlots("follower", 2, tc.res)
 		var sre *ShipReplyError
 		if slots != nil || !errors.As(err, &sre) || *sre != (ShipReplyError{Endpoint: "follower", Sent: 2, Slots: tc.want}) {
 			t.Errorf("%s: appendSlots = %v, %v; want *ShipReplyError{follower, sent 2, slots %d}", name, slots, err, tc.want)

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
@@ -250,12 +251,19 @@ func TestInFlightFlushSurvivesPrimaryCrash(t *testing.T) {
 }
 
 // shippedPayload flushes one name-addressed Add(delta) on name at its primary
-// and returns the payload a replicated flush would ship for it.
+// and returns the payload the primary would ship for it: its executor's ship
+// hook is swapped, for this one flush, for one that keeps the payload instead
+// of sending it.
 func shippedPayload(t testing.TB, ec *clustertest.Cluster, primary, name string, delta int64) any {
 	t.Helper()
+	s := ec.Server(primary)
 	var payload any
+	s.Exec.SetShipHook(func(*core.Wave) (core.ShipFunc, error) {
+		return func(_ context.Context, p any) (time.Duration, error) { payload = p; return 0, nil }, nil
+	})
+	defer s.Exec.SetShipHook(s.Replica.ShipHook())
 	cb := core.NewNamed(ec.Client, primary, name)
-	cb.OnShip(func(req any, _ bool) { payload = req })
+	cb.Ship(&core.ShipDirective{Followers: [][]string{nil}})
 	cb.Root().Call("Add", delta)
 	if err := cb.Flush(context.Background()); err != nil {
 		t.Fatal(err)

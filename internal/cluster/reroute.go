@@ -43,17 +43,20 @@ type resolver interface {
 // epoch-aware (WithDirectory) and the refusal must be the destination's
 // FIRST CONTACT in this flush, with no chained session open (earlier results
 // live only in that session and cannot follow the object to its new home) —
-// and (b) the wave is known NOT to have executed. Three failure classes
+// and (b) the wave is known NOT to have executed. Four failure classes
 // qualify: a wrong-home rejection (the server refused the wave before
 // running it — an id it tombstoned, or a name its registry forwards), a name
 // bound to an object on another endpoint (*core.ElsewhereError, which
-// carries where), and a dial failure (transport.DialError: the request never
-// left the client — the shape a crashed primary produces after failover
+// carries where), a primary whose ring is newer than the epoch the wave's
+// ship directive was fenced by (*StaleShipError: it vets the directive before
+// it executes anything), and a dial failure (transport.DialError: the request
+// never left the client — the shape a crashed primary produces after failover
 // re-homed its shards). A name the home does not know
 // (*registry.NotBoundError) is final, as it was for a lookup. A mid-call
 // connection loss does NOT qualify: the server may have executed the wave
-// before the response was lost. Neither does a quorum miss: the primary
-// applied the wave, a re-send could double-apply. One retry per flush.
+// before the response was lost. Neither does a quorum miss, whatever it
+// wraps — a follower's *StaleShipError included: the primary applied the
+// wave, a re-send could double-apply. One retry per flush.
 func (b *Batch) canRetryStale(ds *destState, err error) bool {
 	if b.dir == nil || b.retried || ds.sessionOpen() {
 		return false
@@ -64,8 +67,9 @@ func (b *Batch) canRetryStale(ds *destState, err error) bool {
 	}
 	var wrong *rmi.WrongHomeError
 	var elsewhere *core.ElsewhereError
+	var ship *StaleShipError
 	var dial *transport.DialError
-	return errors.As(err, &wrong) || errors.As(err, &elsewhere) || errors.As(err, &dial)
+	return errors.As(err, &wrong) || errors.As(err, &elsewhere) || errors.As(err, &ship) || errors.As(err, &dial)
 }
 
 // rehome spends the flush's one stale-route retry on re-planning. It

@@ -1,11 +1,12 @@
 package cluster_test
 
-// The cost and failure model of wave-level log shipping, pinned on a 4-server
-// R=3 cluster: a replicated wave costs one call per primary plus one per
-// distinct FOLLOWER SERVER — not one per (destination, follower) pair — while
-// quorum is still judged destination by destination, a quorum-early ack still
-// leaves the straggler behind, and a chained pipeline still replays on its
-// followers in wave order.
+// The cost and failure model of log shipping from the primary, pinned on a
+// 4-server R=3 cluster: a replicated wave costs the CLIENT one call per
+// primary and nothing else — each primary forwards its own wave to its
+// followers, server to server, before it replies — while quorum is still
+// judged destination by destination, a quorum-early ack still leaves the
+// straggler behind, and a chained pipeline still replays on its followers in
+// wave order.
 
 import (
 	"context"
@@ -13,13 +14,14 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
 	"repro/internal/netsim"
+	"repro/internal/rmi"
 )
 
 // shipCluster is a 4-server cluster behind an R=3 directory.
@@ -83,12 +85,15 @@ func replicaCounters(ec *clustertest.Cluster, name string) (total int64) {
 	return total
 }
 
-// lagCount is how many times the client observed cluster.replication_lag.
-func lagCount(ec *clustertest.Cluster) int64 {
-	if h := ec.ClientStats.Snapshot().Hist("cluster.replication_lag"); h != nil {
-		return int64(h.Count)
+// lagCount is how many times the servers, as primaries, observed
+// cluster.replication_lag.
+func lagCount(ec *clustertest.Cluster) (total int64) {
+	for _, s := range ec.Servers {
+		if h := s.Stats.Snapshot().Hist("cluster.replication_lag"); h != nil {
+			total += int64(h.Count)
+		}
 	}
-	return 0
+	return total
 }
 
 // shadowHistory reads the applied-delta log of follower's shadow of name.
@@ -104,10 +109,11 @@ func shadowHistory(t *testing.T, ec *clustertest.Cluster, follower, primary, nam
 }
 
 // TestReplicatedWaveCostsOneCallPerFollower: brmibench's replicated_write
-// shape — 4 named roots over 3 homes, one wave — costs D primary flushes plus
-// ONE Append per distinct follower server. The per-destination and per-record
-// counters keep their meaning: one quorum wait per destination, one applied
-// record per (destination, follower) pair.
+// shape — 4 named roots over 3 homes, one wave — costs the client exactly D
+// calls, one per primary; the followers cost server-to-server calls, one
+// Append per (destination, follower) pair, sent by that destination's primary.
+// One quorum wait per destination at the client, one lag observation per
+// destination at its primary, one applied record per pair.
 func TestReplicatedWaveCostsOneCallPerFollower(t *testing.T) {
 	ec, dir := shipCluster(t)
 	ctx := context.Background()
@@ -118,17 +124,20 @@ func TestReplicatedWaveCostsOneCallPerFollower(t *testing.T) {
 		nameWhere(t, dir, "d", "server-2", anyOwners),
 	}
 	place(t, ec, dir, names...)
-	perDest, distinct := followersOf(dir, names...)
+	perDest, _ := followersOf(dir, names...)
 	pairs := 0
 	for _, f := range perDest {
 		pairs += len(f)
 	}
-	if len(perDest) != 3 || pairs <= len(distinct) {
-		t.Fatalf("setup: %d destinations, %d (destination, follower) pairs over %d distinct followers; the test needs shared followers",
-			len(perDest), pairs, len(distinct))
+	if len(perDest) != 3 || pairs <= len(perDest) {
+		t.Fatalf("setup: %d destinations, %d (destination, follower) pairs", len(perDest), pairs)
 	}
 
 	calls := ec.Client.CallCount()
+	serverCalls := map[string]uint64{}
+	for _, s := range ec.Servers {
+		serverCalls[s.Endpoint] = s.Peer.CallCount()
+	}
 	waits := ec.ClientStats.Snapshot().Counter("cluster.quorum_waits")
 	lags := lagCount(ec)
 	appends, ships := replicaCounters(ec, "cluster.replica_appends"), replicaCounters(ec, "cluster.replica_ships")
@@ -151,21 +160,28 @@ func TestReplicatedWaveCostsOneCallPerFollower(t *testing.T) {
 		}
 	}
 
-	if got, want := ec.Client.CallCount()-calls, uint64(len(perDest)+len(distinct)); got != want {
-		t.Errorf("replicated wave cost %d remote calls, want %d: %d primaries + %d distinct followers (per pair it would be %d)",
-			got, want, len(perDest), len(distinct), len(perDest)+pairs)
+	if got, want := ec.Client.CallCount()-calls, uint64(len(perDest)); got != want {
+		t.Errorf("replicated wave cost the client %d remote calls, want %d: its primaries and no follower", got, want)
+	}
+	for _, s := range ec.Servers {
+		if got, want := s.Peer.CallCount()-serverCalls[s.Endpoint], uint64(len(perDest[s.Endpoint])); got != want {
+			t.Errorf("%s made %d remote calls, want one per follower of its destination = %d", s.Endpoint, got, want)
+		}
 	}
 	if got := ec.ClientStats.Snapshot().Counter("cluster.quorum_waits") - waits; got != int64(len(perDest)) {
 		t.Errorf("cluster.quorum_waits moved by %d, want one per destination = %d", got, len(perDest))
 	}
-	if got := lagCount(ec) - lags; got != 1 {
-		t.Errorf("cluster.replication_lag observed %d times, want once per wave", got)
+	if got := lagCount(ec) - lags; got != int64(len(perDest)) {
+		t.Errorf("cluster.replication_lag observed %d times, want once per primary = %d", got, len(perDest))
+	}
+	if h := ec.ClientStats.Snapshot().Hist("cluster.replication_lag"); h == nil || h.Count != int64(len(perDest)) {
+		t.Errorf("client's cluster.replication_lag = %+v, want the %d lags its primaries reported", h, len(perDest))
 	}
 	if got := replicaCounters(ec, "cluster.replica_appends") - appends; got != int64(pairs) {
 		t.Errorf("followers applied %d records, want one per (destination, follower) pair = %d", got, pairs)
 	}
-	if got := replicaCounters(ec, "cluster.replica_ships") - ships; got != int64(len(distinct)) {
-		t.Errorf("followers served %d Append calls, want one per distinct follower = %d", got, len(distinct))
+	if got := replicaCounters(ec, "cluster.replica_ships") - ships; got != int64(pairs) {
+		t.Errorf("followers served %d Append calls, want one per (destination, follower) pair = %d", got, pairs)
 	}
 	for i, name := range names {
 		owners, _ := dir.Owners(name)
@@ -178,10 +194,11 @@ func TestReplicatedWaveCostsOneCallPerFollower(t *testing.T) {
 }
 
 // TestPartitionedFollowerFailsOnlyItsDestinations: under W=all, a follower
-// the client cannot reach fails exactly the destinations that list it as an
-// owner — each with a *QuorumError naming it, none with a stale retry — and
-// the destinations it does not follow settle with their values, although
-// their records left in the same wave.
+// its primaries cannot reach fails exactly the destinations that list it as
+// an owner — each with a *QuorumError naming it, none with a stale retry —
+// and the destination it does not follow settles with its values in the same
+// wave. The client reaches every server throughout: only primary↔follower
+// links are cut.
 func TestPartitionedFollowerFailsOnlyItsDestinations(t *testing.T) {
 	ec, dir := shipCluster(t)
 	ctx := context.Background()
@@ -191,7 +208,8 @@ func TestPartitionedFollowerFailsOnlyItsDestinations(t *testing.T) {
 	hit := []string{nameWhere(t, dir, "hit", "server-1", follows), nameWhere(t, dir, "hit", "server-2", follows)}
 	place(t, ec, dir, append([]string{spared}, hit...)...)
 
-	ec.Network.Partition(clustertest.ClientHost, down)
+	ec.Network.PartitionPair("server-1", down)
+	ec.Network.PartitionPair("server-2", down)
 	defer ec.Network.HealAll()
 
 	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
@@ -216,7 +234,7 @@ func TestPartitionedFollowerFailsOnlyItsDestinations(t *testing.T) {
 			t.Errorf("%s failed with %T %v, want *QuorumError", f.Endpoint, f.Err, f.Err)
 			continue
 		}
-		if qe.Acked != 2 || qe.Required != 3 || !strings.Contains(qe.Err.Error(), down+": ") {
+		if qe.Acked != 2 || qe.Required != 3 || len(qe.Failed) != 1 || qe.Failed[0].Endpoint != down {
 			t.Errorf("%s: quorum miss %v, want 2 of 3 acked, blaming %s", f.Endpoint, qe, down)
 		}
 	}
@@ -238,11 +256,10 @@ func TestPartitionedFollowerFailsOnlyItsDestinations(t *testing.T) {
 	}
 }
 
-// TestQuorumEarlyAckLeavesSlowFollowerBehind: under W=2 of R=3 the flush acks
-// as soon as every destination's other follower holds its record — before
-// the slow follower, which is in every destination's owner list, answers. The
-// slow shipment finishes in the background and carries every destination's
-// record in its one call.
+// TestQuorumEarlyAckLeavesSlowFollowerBehind: under W=2 of R=3 each primary
+// answers as soon as its other follower holds the record — before the slow
+// follower, which is in every destination's owner list, answers. The slow
+// ships finish in the background, on the primaries, one per destination.
 func TestQuorumEarlyAckLeavesSlowFollowerBehind(t *testing.T) {
 	ec, dir := shipCluster(t)
 	ctx := context.Background()
@@ -253,11 +270,14 @@ func TestQuorumEarlyAckLeavesSlowFollowerBehind(t *testing.T) {
 	place(t, ec, dir, names...)
 	before := ec.Server(slow).Stats.Snapshot()
 
-	// The slow follower applies its records promptly; its ANSWER crawls. Once
-	// the test has seen what it came for, the straggler is cut loose rather
-	// than waited out (the late answer stays queued on the link, so teardown
-	// must reset the connection abortively — before clustertest's own cleanup).
-	ec.Network.SetLinkFaults(slow, clustertest.ClientHost, netsim.LinkFaults{ExtraLatency: delay})
+	// The slow follower applies its records promptly; its ANSWERS to the two
+	// primaries crawl. Once the test has seen what it came for, the stragglers
+	// are cut loose rather than waited out (the late answers stay queued on the
+	// links, so teardown must reset the connections abortively — before
+	// clustertest's own cleanup).
+	for _, primary := range []string{"server-0", "server-1"} {
+		ec.Network.SetLinkFaults(slow, primary, netsim.LinkFaults{ExtraLatency: delay})
+	}
 	t.Cleanup(func() { ec.Network.KillConns(slow) })
 	b := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithQuorum(2))
 	for _, name := range names {
@@ -280,11 +300,11 @@ func TestQuorumEarlyAckLeavesSlowFollowerBehind(t *testing.T) {
 		s := ec.Server(slow).Stats.Snapshot()
 		appends := s.Counter("cluster.replica_appends") - before.Counter("cluster.replica_appends")
 		ships := s.Counter("cluster.replica_ships") - before.Counter("cluster.replica_ships")
-		if appends == 2 && ships == 1 {
+		if appends == 2 && ships == 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("slow follower applied %d records in %d Append calls, want both destinations' records in one", appends, ships)
+			t.Fatalf("slow follower applied %d records in %d Append calls, want each destination's record from its primary", appends, ships)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -292,20 +312,32 @@ func TestQuorumEarlyAckLeavesSlowFollowerBehind(t *testing.T) {
 
 // TestChainedReplicatedStagesShipInWaveOrder: a two-stage pipeline over
 // replicated roots — stage 1's call on root A consumes a stage-0 result from
-// root B's server — ships one round per stage, and A's followers replay its
-// two waves in wave order through one chained shadow session.
+// root B's server — costs the client one call per primary per stage, and A's
+// followers replay its two waves in wave order through one chained shadow
+// session. Under W=2 of R=3 that holds for a straggler too: while the slow
+// follower's answer to wave 0 is still on its way, A's primary holds wave 1's
+// ship to it back.
 func TestChainedReplicatedStagesShipInWaveOrder(t *testing.T) {
 	ec, dir := shipCluster(t)
 	ctx := context.Background()
+	const delay = 500 * time.Millisecond
 	a := nameWhere(t, dir, "a", "server-0", anyOwners)
 	bb := nameWhere(t, dir, "b", "server-1", anyOwners)
 	place(t, ec, dir, a, bb)
-	_, stage0 := followersOf(dir, a, bb)
-	_, stage1 := followersOf(dir, a)
+	owners, _ := dir.Owners(a)
+	slow := owners[2]
+	ec.Network.SetLinkFaults(slow, owners[0], netsim.LinkFaults{ExtraLatency: delay})
+	t.Cleanup(func() { ec.Network.KillConns(slow) })
+	perDest, _ := followersOf(dir, a, bb)
 
 	calls := ec.Client.CallCount()
 	ships := replicaCounters(ec, "cluster.replica_ships")
-	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	slowShips := func() int64 { return ec.Server(slow).Stats.Snapshot().Counter("cluster.replica_ships") }
+	slowBefore := slowShips()
+	if slices.Contains(perDest["server-1"], slow) {
+		slowBefore++ // b's wave reaches it too, undelayed
+	}
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithQuorum(2))
 	pa, err := b.RootNamed(ctx, a)
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +349,15 @@ func TestChainedReplicatedStagesShipInWaveOrder(t *testing.T) {
 	pa.Call("Add", int64(1))
 	five := pb.Call("Add", int64(5))
 	last := pa.Call("Add", five) // stage 1: spliced by value through the client
+	start := time.Now()
 	if err := b.Flush(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= delay {
+		t.Fatalf("W=2 flush took %v: it waited for the follower whose answers take %v", took, delay)
+	}
+	if got := slowShips() - slowBefore; got > 1 {
+		t.Errorf("the slow follower was sent %d of %s's waves before it answered the first", got, a)
 	}
 	if v, err := cluster.Typed[int64](last).Get(); err != nil || v != 6 {
 		t.Fatalf("chained Add = %v, %v; want 6", v, err)
@@ -326,17 +365,66 @@ func TestChainedReplicatedStagesShipInWaveOrder(t *testing.T) {
 	if w := b.Waves(); w != 2 {
 		t.Fatalf("flush took %d waves, want 2", w)
 	}
-	if got, want := ec.Client.CallCount()-calls, uint64(2+len(stage0)+1+len(stage1)); got != want {
-		t.Errorf("two replicated stages cost %d remote calls, want %d: (2 primaries + %d followers) + (1 primary + %d followers)",
-			got, want, len(stage0), len(stage1))
+	if got := ec.Client.CallCount() - calls; got != 3 {
+		t.Errorf("two replicated stages cost the client %d remote calls, want 3: 2 primaries, then 1", got)
 	}
-	if got := replicaCounters(ec, "cluster.replica_ships") - ships; got != int64(len(stage0)+len(stage1)) {
-		t.Errorf("followers served %d Append calls, want one round per stage = %d", got, len(stage0)+len(stage1))
+	want := int64(2*len(perDest["server-0"]) + len(perDest["server-1"]))
+	for deadline := time.Now().Add(10 * delay); replicaCounters(ec, "cluster.replica_ships")-ships != want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("followers served %d Append calls, want one per follower per stage = %d",
+				replicaCounters(ec, "cluster.replica_ships")-ships, want)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	owners, _ := dir.Owners(a)
+	if waited := time.Since(start); waited < delay {
+		t.Errorf("the slow follower had both waves after %v, before its first answer (%v) could have arrived", waited, delay)
+	}
 	for _, f := range owners[1:] {
 		if got := shadowHistory(t, ec, f, owners[0], a); !reflect.DeepEqual(got, []int64{1, 5}) {
 			t.Errorf("%s's shadow of %s replayed %v, want the primary's order [1 5]", f, a, got)
+		}
+	}
+}
+
+// TestMutualFollowersDoNotDeadlock: two servers that follow each other, each
+// flushed as a primary by its own client at the same time, ship to each other
+// from inside their flush handlers. Neither holds a lock the other's Append
+// needs, so every flush returns.
+func TestMutualFollowersDoNotDeadlock(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(2))
+	names := []string{nameWhere(t, dir, "m", "server-0", anyOwners), nameWhere(t, dir, "m", "server-1", anyOwners)}
+	place(t, ec, dir, names...)
+	other := rmi.NewPeer(ec.Network.Host("client-2"), rmi.WithLogf(clustertest.SilentLogf))
+	t.Cleanup(func() { _ = other.Close() })
+
+	const rounds = 50
+	var wg sync.WaitGroup
+	for i, peer := range []*rmi.Peer{ec.Client, other} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d := cluster.NewDirectory(peer, ec.Endpoints(), cluster.WithReplication(2))
+			for n := 0; n < rounds; n++ {
+				b := cluster.New(peer, cluster.WithDirectory(d))
+				p, err := b.RootNamed(ctx, names[i])
+				if err == nil {
+					p.Call("Add", int64(1))
+				}
+				if err = errors.Join(err, b.Flush(ctx)); err != nil {
+					t.Errorf("flush %d on %s: %v", n, names[i], err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		follower := ec.Endpoints()[1-i]
+		if got := len(shadowHistory(t, ec, follower, ec.Endpoints()[i], name)); got != rounds {
+			t.Errorf("%s's shadow of %s replayed %d waves, want %d", follower, name, got, rounds)
 		}
 	}
 }

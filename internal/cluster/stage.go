@@ -11,13 +11,14 @@ import (
 )
 
 // stage.go is the "execute" phase of the cluster flush pipeline: a walk over
-// the planned stages, each run through ONE wave primitive (run.wave).
-// Replication (replicate.go), stale-route re-planning (reroute.go) and read
-// coalescing (flights.go) each sit behind one call from here. A destination
-// keeps one core.Batch across all its stages, flushed with FlushAndContinue
-// between stages and Flush on its last — the chained-batch session (§3.5) is
-// what lets a later stage reference a same-server result from an earlier one
-// by sequence number, with no extra traffic.
+// the planned stages, each run through ONE wave primitive (run.wave). The
+// ship directives of a replicated wave (replicate.go), stale-route
+// re-planning (reroute.go) and read coalescing (flights.go) each sit behind
+// one call from here. A destination keeps one core.Batch across all its
+// stages, flushed with FlushAndContinue between stages and Flush on its last
+// — the chained-batch session (§3.5) is what lets a later stage reference a
+// same-server result from an earlier one by sequence number, with no extra
+// traffic.
 
 // run is one flush's execution state.
 type run struct {
@@ -29,7 +30,8 @@ type run struct {
 	err *FlushError
 	// held are the exported result refs leased until the pipeline ends.
 	held []wire.Ref
-	// stale is set once a destination failed wrong-home without a retry.
+	// stale is set once a destination failed wrong-home, or behind a
+	// primary's or follower's ring epoch, without a retry.
 	stale bool
 }
 
@@ -45,11 +47,12 @@ type destState struct {
 	// failed poisons the destination: every call of its later stages
 	// settles locally with this error.
 	failed error
-	// repl is the destination's replication pipeline, armed by open when
-	// the batch is epoch-aware over a replicated ring and every root is
-	// named; nil otherwise, and again once a root turned out not to be
-	// movable (replRecord).
-	repl *replState
+	// repl is set by open when the batch is epoch-aware (WithDirectory) over
+	// a replicated ring (R > 1) and every root of the destination is addressed
+	// by cluster-wide name: the names, in payload order, its waves replicate
+	// under (direct). An anonymous or system root has no shard identity, so
+	// its destination flushes unreplicated.
+	repl []string
 }
 
 // open creates the destination's multi-root core.Batch and rewires the
@@ -62,6 +65,16 @@ func (ds *destState) open(b *Batch) error {
 		opts = append(opts, core.WithPolicy(b.policy))
 	}
 	first, rest := ds.group.roots[0], ds.group.roots[1:]
+	if b.dir != nil && b.dir.Replication() > 1 {
+		ds.repl = make([]string, 0, len(ds.group.roots))
+		for _, p := range ds.group.roots {
+			if p.key == "" {
+				ds.repl = nil
+				break
+			}
+			ds.repl = append(ds.repl, p.key)
+		}
+	}
 	if first.lazy() {
 		ds.cb = core.NewNamed(b.peer, ds.group.endpoint, first.key, opts...)
 	} else {
@@ -80,13 +93,12 @@ func (ds *destState) open(b *Batch) error {
 			return err
 		}
 	}
-	b.armReplication(ds)
 	return nil
 }
 
 // adoptRoots fills in, after the destination's first successful wave, the
-// refs it resolved its named roots to: what later waves, arguments passed by
-// reference and the replication record address them by.
+// refs it resolved its named roots to: what later waves and arguments passed
+// by reference address them by.
 func (b *Batch) adoptRoots(ds *destState) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -172,15 +184,15 @@ func (r *run) plan(stages [][]*subBatch, from int) {
 }
 
 // wave is the one place destinations are opened, sub-batches translated,
-// flushed in parallel, replicated, counted, and settled or failed. It is two
-// sequential trips at most: the fan-out only flushes the primaries — one
-// round trip per destination, concurrently — and, past its barrier, the
-// records of the destinations that succeeded ship together, one call per
-// follower SERVER however many destinations it follows (replicate). A
-// destination whose failure is a stale route the flush may still retry is
-// neither settled nor failed: its sub-batch is returned, untouched, for
-// rehome — it executed nothing, so it left no record, and the retry's own
-// wave ships its own.
+// flushed in parallel, counted, and settled or failed. It is one round trip
+// per destination, concurrently: a replicating destination's request carries
+// a ship directive (direct), its primary forwards the wave to its followers
+// before it replies, and the reply carries the wave's results and, when the
+// quorum was missed, the *QuorumError the flush fails with — each destination
+// settles from its own reply. A destination whose failure is a stale route
+// the flush may still retry is neither settled nor failed: its sub-batch is
+// returned, untouched, for rehome — it executed nothing, so nothing was
+// shipped, and the retry's own wave carries its own directive.
 func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected []rejection) {
 	b := r.b
 	b.mu.Lock() // so concurrent readers of futures and proxies see a consistent rewiring
@@ -206,6 +218,7 @@ func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected [
 			live = append(live, ds)
 		}
 	}
+	b.direct(live)
 	b.mu.Unlock()
 	if len(live) == 0 {
 		return nil
@@ -221,6 +234,7 @@ func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected [
 			// Every call of the last stage settled locally: a pure session
 			// close, attempted even when ctx is already canceled.
 			errs[i] = ds.close(ctx, b.peer)
+			return nil
 		case stage < ds.lastStage:
 			errs[i] = ds.cb.FlushAndContinue(ctx)
 		default:
@@ -229,9 +243,12 @@ func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected [
 		if errs[i] == nil {
 			b.adoptRoots(ds)
 		}
+		if lag := ds.cb.ShipLag(); lag > 0 {
+			b.quorumWaits.Inc()
+			b.replLag.Observe(lag.Nanoseconds())
+		}
 		return nil
 	})
-	b.replicate(ctx, live, errs)
 	b.stageNs.Observe(b.reg.Now().Sub(start).Nanoseconds())
 
 	b.mu.Lock()
@@ -267,7 +284,8 @@ func (r *run) fail(ctx context.Context, ds *destState, sb *subBatch, stage int, 
 		r.err.Quorum = qe
 	}
 	var wrong *rmi.WrongHomeError
-	if errors.As(err, &wrong) {
+	var ship *StaleShipError
+	if errors.As(err, &wrong) || errors.As(err, &ship) {
 		r.stale = true
 	}
 	r.err.Failures = append(r.err.Failures, ServerError{Endpoint: ds.group.endpoint, Stage: stage, Err: err})
@@ -423,10 +441,11 @@ func (r *run) finish(ctx context.Context) error {
 		return nil
 	}
 	if r.stale && r.b.dir != nil {
-		// A wrong-home failure the flush could not retry — the session was
-		// already open, or the retry spent — still says this client's ring is
-		// behind. Catch up now, best effort: nothing else on the flush path
-		// would, and the client's next flush would route to the same dead home.
+		// A wrong-home or stale-ship failure the flush could not retry — the
+		// session was already open, the retry spent, or the wave executed before
+		// a follower fenced it — still says this client's ring is behind. Catch
+		// up now, best effort: nothing else on the flush path would, and the
+		// client's next flush would route to the same dead home.
 		_ = r.b.dir.Refresh(ctx)
 	}
 	if r.b.StaleRetried() {

@@ -1,9 +1,10 @@
 package cluster_test
 
 // Goroutine-leak regression for the replication ship fan-out: a quorum-
-// early flush returns while stragglers are still shipping, and a straggler
-// stuck on a wedged destination connection must expire on shipTimeout
-// instead of outliving the flush forever.
+// early flush is answered while the primary's stragglers are still shipping,
+// and a straggler stuck on a wedged follower connection must expire on
+// shipTimeout instead of outliving its flush for as long as the primary
+// serves.
 
 import (
 	"context"
@@ -17,10 +18,11 @@ import (
 )
 
 // TestShipStragglerDoesNotLeak: under WithQuorum(1) a replicated flush acks
-// off the primary alone, and the follower ship runs on past replicate's
-// return. With the follower's response path wedged (huge injected latency —
-// the connection is alive, the Append answer just never arrives), the ship
-// goroutine must exit when shipTimeout expires rather than leak.
+// off the primary alone, and the primary's ship to the follower runs on past
+// its reply. With the follower's response path to the primary wedged (huge
+// injected latency — the connection is alive, the Append answer just never
+// arrives), the ship goroutine must exit when shipTimeout expires rather than
+// leak.
 func TestShipStragglerDoesNotLeak(t *testing.T) {
 	restore := cluster.SetShipTimeoutForTest(250 * time.Millisecond)
 	defer restore()
@@ -33,7 +35,7 @@ func TestShipStragglerDoesNotLeak(t *testing.T) {
 		t.Fatalf("placement rebalance: %v", err)
 	}
 	owners, _ := dir.Owners("obj-0")
-	follower := owners[1]
+	primary, follower := owners[0], owners[1]
 
 	flush := func(want int64) {
 		t.Helper()
@@ -59,19 +61,19 @@ func TestShipStragglerDoesNotLeak(t *testing.T) {
 
 	// Wedge the follower's response path and keep flushing: quorum W=1
 	// acks each wave immediately, and every straggler ship hangs on the
-	// silent connection. Eight wedged flushes put any leak far outside the
-	// poll's churn slack. The hour-late responses stay queued on the link
-	// (graceful close drains in-flight data), so teardown must reset those
-	// connections abortively — registered before clustertest's own cleanup
-	// so it runs first.
-	ec.Network.SetLinkFaults(follower, clustertest.ClientHost, netsim.LinkFaults{ExtraLatency: time.Hour})
+	// primary's silent connection to it. Eight wedged flushes put any leak
+	// far outside the poll's churn slack. The hour-late responses stay queued
+	// on the link (graceful close drains in-flight data), so teardown must
+	// reset those connections abortively — registered before clustertest's
+	// own cleanup so it runs first.
+	ec.Network.SetLinkFaults(follower, primary, netsim.LinkFaults{ExtraLatency: time.Hour})
 	t.Cleanup(func() { ec.Network.KillConns(follower) })
 	for i := int64(0); i < 8; i++ {
 		flush(102 + i)
 	}
 
 	// The fix: each ship's own deadline reaps it. Without shipTimeout the
-	// goroutines block in Call for as long as the flush ctx lives — here,
-	// forever — and this poll times out.
+	// goroutines block in Call for as long as the primary serves — here, past
+	// the end of the test — and this poll times out.
 	clustertest.AssertGoroutinesReturn(t, baseline, 5*time.Second)
 }

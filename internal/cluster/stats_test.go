@@ -126,11 +126,11 @@ func TestFlushErrorWithoutRetryReportsZero(t *testing.T) {
 }
 
 // TestFlushErrorCarriesQuorum mirrors the Retries tests for the replication
-// quorum: when the primary applies a wave but its follower cannot be
-// reached, the flush fails with FlushError.Quorum reporting how many
-// replicas acked vs required, the futures rethrow rather than surfacing the
-// non-durable values, and NO stale retry is spent (a re-send could
-// double-apply the wave the primary already ran).
+// quorum: when the primary applies a wave but cannot reach its follower, the
+// flush fails with FlushError.Quorum reporting how many replicas acked vs
+// required, the futures rethrow rather than surfacing the non-durable
+// values, and NO stale retry is spent (a re-send could double-apply the wave
+// the primary already ran).
 func TestFlushErrorCarriesQuorum(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
@@ -139,10 +139,13 @@ func TestFlushErrorCarriesQuorum(t *testing.T) {
 	owners, _ := dir.Owners(name)
 	primary, follower := owners[0], owners[1]
 	ec.BindCounter(dir, name, 10)
+	if _, err := cluster.NewRebalancer(dir).AddServer(ctx, primary); err != nil {
+		t.Fatalf("placement rebalance: %v", err)
+	}
 
-	// The client can reach the primary but not the follower: the wave
-	// executes, the ship is refused.
-	ec.Network.Partition(clustertest.ClientHost, follower)
+	// The client reaches the primary, the primary cannot reach the follower:
+	// the wave executes, the ship is refused.
+	ec.Network.PartitionPair(primary, follower)
 	defer ec.Network.HealAll()
 
 	b := cluster.New(ec.Client, cluster.WithDirectory(dir))

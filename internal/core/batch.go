@@ -55,8 +55,10 @@ type Batch struct {
 	failure error
 	// lastOwner tracks cursor-run contiguity (§4.1).
 	lastOwner *Cursor
-	// onShip observes each successfully executed flush payload (see OnShip).
-	onShip func(req any, keep bool)
+	// ship is the directive the next flush carries (see Ship); shipLag is
+	// what the last flush's reply said came of it (see ShipLag).
+	ship    *ShipDirective
+	shipLag time.Duration
 }
 
 // callRecord links a recorded call to the client object awaiting its result.
@@ -128,17 +130,26 @@ func NewNamed(peer *rmi.Peer, endpoint, name string, opts ...Option) *Batch {
 	return b
 }
 
-// OnShip registers fn to observe the wire payload of every flush the server
-// executed successfully, after results are distributed. The payload is the
-// already-serialized batch command (wire-registered, deterministic to
-// replay); the cluster layer forwards it verbatim to shard followers, which
-// is what makes a batch the replication log entry. fn runs with the batch
-// lock held and must not call back into the batch; the payload must be
-// treated as immutable.
-func (b *Batch) OnShip(fn func(req any, keep bool)) {
+// Ship attaches a ship directive to the next flush, and to that flush only:
+// the serving peer replicates the wave to the directive's followers before it
+// replies, so a flush that returns nil is held by the write quorum. One that
+// missed it returns the serving peer's typed account of the miss although the
+// wave executed: its futures hold what it returned, and the chain's session,
+// if it kept one, is still open. The cluster layer attaches one per wave of a
+// replicating destination.
+func (b *Batch) Ship(d *ShipDirective) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.onShip = fn
+	b.ship = d
+}
+
+// ShipLag reports how long the serving peer spent replicating the last
+// flush's wave before it replied — from the end of the wave's execution until
+// its write quorum held it. 0 means the wave was not replicated.
+func (b *Batch) ShipLag() time.Duration {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.shipLag
 }
 
 // Root returns the proxy for the batch's root object.
@@ -528,8 +539,10 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		KeepSession: keep,
 		Calls:       b.calls,
 		Names:       b.names,
+		Ship:        b.ship,
 	}
 	b.names = nil // the reply resolves them all, or the flush fails and closes the batch
+	b.ship, b.shipLag = nil, 0
 	if len(b.extra) > 0 {
 		req.Roots = make([]uint64, len(b.extra))
 		for i, r := range b.extra {
@@ -597,14 +610,12 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 	}
 	b.sentPol = true
 	b.session = resp.Session
+	b.shipLag = time.Duration(resp.ShipNs)
 	b.distribute(base, records, resp)
-	if b.onShip != nil && len(req.Calls) > 0 {
-		b.onShip(req, keep)
-	}
 	if !keep {
 		b.closed = true
 	}
-	return nil
+	return resp.ShipErr
 }
 
 // ReleaseSession closes a chained-batch session left open on endpoint

@@ -47,6 +47,7 @@ type Executor struct {
 	sessions map[uint64]*session
 	nextID   uint64
 	stopped  bool
+	shipHook ShipHook
 	done     chan struct{}
 	wg       sync.WaitGroup
 }
@@ -69,6 +70,9 @@ type session struct {
 	// keeps matching client acks (replayed calls were already counted at the
 	// primary).
 	shadow bool
+	// chain is the ship hook's state for this chain (Wave.Chain): kept, and
+	// dropped, with the session.
+	chain any
 }
 
 func (s *session) bindObject(seq int64, v any) {
@@ -170,6 +174,47 @@ func (e *Executor) sweepLoop() {
 	}
 }
 
+// Wave describes one flush that carries a ship directive to the executor's
+// ship hook, after its roots resolved and before anything executes.
+type Wave struct {
+	// Directive is the request's ship directive as decoded: nothing about it
+	// has been checked.
+	Directive *ShipDirective
+	// Names are the request's own root names: empty, or parallel to Roots
+	// with "" at the id-addressed positions.
+	Names []string
+	// Roots are the export ids the request's roots resolved to on this peer.
+	Roots []uint64
+	// Session identifies the wave's chain on this executor for as long as the
+	// executor lives; First marks the chain's first wave.
+	Session uint64
+	First   bool
+	// Chain is the hook's own per-chain state: what it left here on the
+	// chain's previous wave, nil on the first. The executor keeps it with the
+	// session and drops it with it.
+	Chain any
+}
+
+// ShipHook vets a directive-carrying wave before it executes: an error
+// rejects the request with nothing executed. A nil ShipFunc lets the wave run
+// unreplicated; otherwise the executor calls it once the wave executed,
+// holding no lock, with the request minus its directive as payload, and
+// answers the client only when it returns — with how long the wave's quorum
+// took and, if it was missed, the error beside the wave's results: the wave
+// stays executed.
+type ShipHook func(w *Wave) (ShipFunc, error)
+
+// ShipFunc replicates one executed wave (see ShipHook).
+type ShipFunc func(ctx context.Context, payload any) (lag time.Duration, err error)
+
+// SetShipHook installs the replication seam (cluster.StartReplica does). A
+// flush that carries a ship directive to an executor without one is refused.
+func (e *Executor) SetShipHook(h ShipHook) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.shipHook = h
+}
+
 // InvokeBatch is the remote method every flush calls: it decodes nothing
 // (the dispatch layer already did), replays the invocations in recording
 // order, applies the exception policy, and returns per-call results
@@ -200,8 +245,10 @@ func (e *Executor) ReplayShadow(ctx context.Context, shipped any, root uint64, e
 	req.Root = root
 	req.Roots = extras
 	// The substitutes are ids: a name the primary resolved in its registry
-	// must not be resolved again in this peer's.
+	// must not be resolved again in this peer's. Nor does a follower re-ship:
+	// whatever directive the payload still carries is dropped.
 	req.Names = nil
+	req.Ship = nil
 	req.Session = session
 	resp, err := e.invokeBatch(ctx, &req, true)
 	if err != nil {
@@ -220,6 +267,12 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 		// its client's release (ReleaseSession) while a wave that client
 		// abandoned is still executing, and that wave reads the flag.
 		sess.shadow = true
+	}
+	var ship ShipFunc
+	if req.Ship != nil {
+		if ship, err = e.admitShip(req, sess, sessID, named); err != nil {
+			return nil, err
+		}
 	}
 
 	e.batchCalls.Observe(int64(len(req.Calls)))
@@ -240,6 +293,14 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 	if e.reg != nil {
 		e.waveNs.Observe(e.reg.Now().Sub(waveStart).Nanoseconds())
 	}
+	if ship != nil {
+		payload := *req
+		payload.Ship = nil
+		var lag time.Duration
+		lag, resp.ShipErr = ship(ctx, &payload)
+		// A clock too coarse to see the ship must not read as "unreplicated".
+		resp.ShipNs = max(int64(lag), 1)
+	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -252,6 +313,29 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 		resp.Session = 0
 	}
 	return resp, nil
+}
+
+// admitShip hands a directive-carrying request to the ship hook, after its
+// roots resolved and before anything executes.
+func (e *Executor) admitShip(req *batchRequest, sess *session, sessID uint64, named []wire.Ref) (ShipFunc, error) {
+	e.mu.Lock()
+	hook, chain := e.shipHook, sess.chain
+	e.mu.Unlock()
+	if hook == nil {
+		return nil, fmt.Errorf("brmi: flush carries a ship directive, but this peer runs no replication service")
+	}
+	roots := append([]uint64{req.Root}, req.Roots...)
+	for i, ref := range named {
+		if req.Names[i] != "" {
+			roots[i] = ref.ObjID
+		}
+	}
+	w := &Wave{Directive: req.Ship, Names: req.Names, Roots: roots, Session: sessID, First: req.Session == 0, Chain: chain}
+	ship, err := hook(w)
+	e.mu.Lock()
+	sess.chain = w.Chain
+	e.mu.Unlock()
+	return ship, err
 }
 
 // resolveSession turns a request's roots into live objects and finds or

@@ -10,6 +10,7 @@ func PolicyActionForTest(p *Policy, err error, method string, index int) Action 
 type (
 	BatchRequest  = batchRequest
 	BatchResponse = batchResponse
+	CallResult    = callResult
 	Invocation    = invocationData
 	BatchArg      = batchArg
 )

@@ -29,14 +29,31 @@ type gauge struct {
 func (g *gauge) Get() int64             { return g.v }
 func (g *gauge) Bump() int64            { g.v++; return g.v }
 func (g *gauge) Snapshot() (any, error) { return g.v, nil }
+func (g *gauge) Restore(state any) (err error) {
+	g.v, err = core.Convert[int64](state)
+	return err
+}
 
 // getbatchEnv is a serving peer with an executor and a registry — "here",
 // holding gauges a and b bound under their names, and the name "far" bound
 // to an object on another endpoint — plus a client peer.
 type getbatchEnv struct {
 	client *rmi.Peer
+	server *rmi.Peer
+	exec   *core.Executor
+	reg    *registry.Service
 	ids    map[string]uint64
+	gauges []*gauge
 	farRef wire.Ref
+}
+
+// bumps sums the gauges: it moves when, and only when, a Bump executed. Read
+// between calls, never during one.
+func (env *getbatchEnv) bumps() (sum int64) {
+	for _, g := range env.gauges {
+		sum += g.v
+	}
+	return sum
 }
 
 const getbatchHere = "here"
@@ -60,11 +77,16 @@ func newGetbatchEnv(tb testing.TB) *getbatchEnv {
 		tb.Fatal(err)
 	}
 	env := &getbatchEnv{
+		server: server,
+		exec:   exec,
+		reg:    reg,
 		ids:    map[string]uint64{},
 		farRef: wire.Ref{Endpoint: "there", ObjID: 77, Iface: "test.Gauge"},
 	}
 	for name, v := range map[string]int64{"a": 10, "b": 20} {
-		ref, err := server.Export(&gauge{v: v}, "test.Gauge")
+		g := &gauge{v: v}
+		env.gauges = append(env.gauges, g)
+		ref, err := server.Export(g, "test.Gauge")
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -100,6 +100,34 @@ type batchRequest struct {
 	// miss rejects the whole request. Names is the trailing wire field and
 	// is omitted when empty, so an id-addressed flush keeps its wire form.
 	Names []string
+	// Ship, when present, asks the serving peer to replicate the wave before
+	// it replies (see ShipDirective). The trailing wire field, omitted when
+	// nil: an unreplicated flush keeps its wire form.
+	Ship *ShipDirective
+}
+
+// ShipDirective rides a flush to a replicating destination: after the
+// serving peer — the primary of the wave's roots — executed the wave, and
+// before it replies, it forwards the request to the listed followers and
+// answers once the write quorum holds it. The client only says where the
+// followers are, as of which ring epoch; the record's identity is minted at
+// the primary. Everything here is input from outside the serving peer, which
+// vets it before anything executes (Executor.SetShipHook).
+type ShipDirective struct {
+	// Followers is parallel to the request's roots (Root, then Roots):
+	// Followers[i] lists the servers that replicate root i, the primary
+	// itself excluded.
+	Followers [][]string
+	// Epoch is the ring epoch the follower lists were read at — one read per
+	// wave. A primary whose own ring is newer refuses the wave unexecuted.
+	Epoch uint64
+	// Quorum is the write quorum W: how many replicas of each root, counting
+	// the primary, must hold the wave before the reply leaves. 0 means all.
+	Quorum int
+	// Names are the roots' cluster-wide names, parallel to the roots, when
+	// the request itself addresses them by id (a chained wave, after the
+	// first resolved its names); empty when the request's own Names has them.
+	Names []string
 }
 
 // callResult is the outcome of one recorded call. The happy-path fields
@@ -153,13 +181,22 @@ type batchResponse struct {
 	// reference each name-addressed position resolved to (zero at the
 	// id-addressed positions). Absent otherwise.
 	Roots []wire.Ref
+	// ShipNs answers a request that carried a ship directive: how long the
+	// serving peer spent, once the wave had executed, until the wave's write
+	// quorum held it — the part of the flush's round trip that was
+	// replication. 0 when the wave was not replicated; never 0 when it was.
+	ShipNs int64
+	// ShipErr is set when the wave executed — Results are what it returned —
+	// but its write quorum does not hold it: the serving peer's typed account
+	// of the miss. The flush fails with it.
+	ShipErr error
 }
 
 func init() {
 	// Codec type registration (deterministic, no I/O). The five hot
 	// protocol messages install compiled codecs (see wirecodec.go); Policy
 	// and Rule ride the generic reflection plan (sent at most once per
-	// chain).
+	// chain), and so does ShipDirective (at most once per flush).
 	wire.MustRegisterCompiled("brmi.req", true, encBatchRequest, decBatchRequest)
 	wire.MustRegisterCompiled("brmi.resp", true, encBatchResponse, decBatchResponse)
 	wire.MustRegisterCompiled("brmi.inv", false, encInvocation, decInvocation)
@@ -167,6 +204,7 @@ func init() {
 	wire.MustRegisterCompiled("brmi.result", false, encCallResult, decCallResult)
 	wire.MustRegister("brmi.policy", &Policy{})
 	wire.MustRegister("brmi.rule", Rule{})
+	wire.MustRegister("brmi.ship", &ShipDirective{})
 	wire.MustRegisterError("brmi.SessionExpired", &SessionExpiredError{})
 	wire.MustRegisterError("brmi.KindMismatch", &KindMismatchError{})
 	wire.MustRegisterError("brmi.BatchError", &BatchError{})

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/rmi"
@@ -179,13 +180,12 @@ func TestBatchRequestDecoderRejectsBadNames(t *testing.T) {
 
 // TestNamedRootsResolveInFirstFlush: one round trip carries the names, the
 // serving peer resolves them in its own registry, the reply hands back the
-// refs — and the chain's next flush goes out id-addressed.
+// refs — and the chain's next flush goes out id-addressed: a name re-bound
+// in between is not resolved again.
 func TestNamedRootsResolveInFirstFlush(t *testing.T) {
 	env := newGetbatchEnv(t)
 	ctx := context.Background()
 	b := core.NewNamed(env.client, getbatchHere, "a")
-	var shipped []*core.BatchRequest
-	b.OnShip(func(req any, _ bool) { shipped = append(shipped, req.(*core.BatchRequest)) })
 	a := b.Root()
 	bp, err := b.AddRootNamed("b")
 	if err != nil {
@@ -210,18 +210,20 @@ func TestNamedRootsResolveInFirstFlush(t *testing.T) {
 			t.Errorf("root %s resolved to %v, want object %d here", name, ref, env.ids[name])
 		}
 	}
+	impostor, err := env.server.Export(&gauge{v: 1000}, "test.Gauge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.reg.Rebind("b", impostor)
 	fb = bp.Call("Bump")
 	if err := b.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if vb, _ := core.Typed[int64](fb).Get(); vb != 22 {
-		t.Errorf("chained b.Bump = %d, want 22", vb)
+		t.Errorf("chained b.Bump = %d, want 22: the chain's second flush addresses the root it resolved, by id", vb)
 	}
 	if got := env.client.CallCount() - before; got != 2 {
 		t.Errorf("two flushes cost %d remote calls, want 2: resolution must ride the flush", got)
-	}
-	if len(shipped) != 2 || !reflect.DeepEqual(shipped[0].Names, []string{"a", "b"}) || shipped[1].Names != nil || shipped[1].Roots[0] != env.ids["b"] {
-		t.Errorf("flushes shipped names %v then %v; want the names once, then ids", shipped[0].Names, shipped[1].Names)
 	}
 }
 
@@ -261,10 +263,25 @@ func TestNamedRootMissRejectsUnexecuted(t *testing.T) {
 // which the fuzzer reports); a decoded request is never larger than its
 // input allows; names that are not parallel to the roots, or a position
 // addressed both by id and by name, never decode; and an executed request is
-// answered call for call, with a ref for every name. The seed corpus is the
-// committed testdata/fuzz/FuzzBatchRequest.
+// answered call for call, with a ref for every name. The serving peer runs the
+// cluster's replication service over the ring {here, there} at epoch 3, so a
+// request's ship directive — decoded, like everything else, from the input —
+// is vetted by the real primary-side checks: the wave of a refused one never
+// executes, and the well-formed seed's ship to the absent "there" ends in a
+// quorum miss. The seed corpus is the committed testdata/fuzz/FuzzBatchRequest.
 func FuzzBatchRequest(f *testing.F) {
 	env := newGetbatchEnv(f)
+	node, err := cluster.StartNode(env.server, env.reg, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := node.SetRing(&cluster.RingSnapshot{Members: []string{getbatchHere, "there"}, Epoch: 3}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := cluster.StartReplica(env.server, env.reg, node, env.exec); err != nil {
+		f.Fatal(err)
+	}
+	cluster.RegisterMovable("test.Gauge", func() rmi.Remote { return &gauge{} })
 	gauges := map[uint64]bool{}
 	for _, id := range env.ids {
 		gauges[id] = true
@@ -284,6 +301,12 @@ func FuzzBatchRequest(f *testing.F) {
 		n := len(req.Calls) + len(req.Roots) + len(req.Names)
 		for _, c := range req.Calls {
 			n += len(c.Args)
+		}
+		if d := req.Ship; d != nil {
+			n += len(d.Followers) + len(d.Names)
+			for _, list := range d.Followers {
+				n += len(list)
+			}
 		}
 		if n > len(data) {
 			t.Fatalf("%d input bytes decoded to %d slice elements", len(data), n)
@@ -306,8 +329,14 @@ func FuzzBatchRequest(f *testing.F) {
 		if req.Session != 0 {
 			return
 		}
+		bumps := env.bumps()
 		res, err := env.client.Call(ctx, exec, "InvokeBatch", req)
 		if err != nil {
+			var corrupt *wire.CorruptError
+			var stale *cluster.StaleShipError
+			if (errors.As(err, &corrupt) || errors.As(err, &stale)) && env.bumps() != bumps {
+				t.Fatalf("request %+v was refused with %v after it executed", req, err)
+			}
 			return
 		}
 		resp, ok := res[0].(*core.BatchResponse)
@@ -321,4 +350,125 @@ func FuzzBatchRequest(f *testing.F) {
 			t.Fatalf("release session %d: %v", resp.Session, err)
 		}
 	})
+}
+
+// The directive-carrying request shapes of the fuzz target's seed corpus: a
+// well-formed one, and three the serving peer's replication service must
+// refuse before it executes anything (fuzzEnv's ring is {here, there}).
+var (
+	shipRequest      = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]string{{"there"}}, Epoch: 3, Quorum: 2}}
+	shipOutsider     = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]string{{"nowhere"}}, Epoch: 3}}
+	shipSelf         = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]string{{"here"}}, Epoch: 3}}
+	shipNotParallel  = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]string{{"there"}, {"there"}}, Epoch: 3}}
+	shipIDAddressed  = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Ship: &core.ShipDirective{Followers: [][]string{{"there"}}, Epoch: 3, Names: []string{"a"}}}
+	shipRequestBytes = "0d010862726d692e7265710c010905000a010d020862726d692e696e760c020404000401080347657404020500020201010a010801610d030962726d692e736869700c03030a010a010805746865726505030404"
+)
+
+// TestShipDirectiveWireForm pins the one trailing field a replicated flush
+// adds to its request — a request without a directive is byte-identical to
+// what it was before the field existed (TestBatchRequestIDAddressedWireParity)
+// — and the one its reply adds.
+func TestShipDirectiveWireForm(t *testing.T) {
+	got, err := wire.Marshal(shipRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != shipRequestBytes {
+		t.Errorf("request with a ship directive encodes to\n  %x, want\n  %s", got, shipRequestBytes)
+	}
+	for _, req := range []*core.BatchRequest{shipRequest, shipIDAddressed} {
+		data, err := wire.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := wire.Unmarshal(data); err != nil || !reflect.DeepEqual(back, req) {
+			t.Errorf("request %+v decoded to %+v, %v", req, back, err)
+		}
+	}
+	got, err = wire.Marshal(&core.BatchResponse{Session: 3, ShipNs: 1500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "0d010962726d692e726573700c010501050304000a0004b817"; hex.EncodeToString(got) != want {
+		t.Errorf("reply to a shipped wave encodes to %x, want %s", got, want)
+	}
+	if back, err := wire.Unmarshal(got); err != nil || !reflect.DeepEqual(back, &core.BatchResponse{Session: 3, ShipNs: 1500}) {
+		t.Errorf("reply to a shipped wave decoded to %+v, %v", back, err)
+	}
+	// And a reply whose wave missed its quorum: the results, and the miss,
+	// typed down to the follower's own refusal.
+	missed := &core.BatchResponse{Results: []core.CallResult{{Seq: 0, Value: int64(7)}}, ShipNs: 1500, ShipErr: &cluster.QuorumError{
+		Name: "a", Acked: 1, Required: 2, Failed: []*cluster.FollowerError{{Endpoint: "there", Err: &cluster.StaleShipError{RecordEpoch: 3, NodeEpoch: 4}}}}}
+	got, err = wire.Marshal(missed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "0d010962726d692e726573700c01060a010d020b62726d692e726573756c740c02020400040e050004000a0004b8170d030e636c75737465722e51756f72756d0c0304080161040204040a010d0415636c75737465722e466f6c6c6f7765724572726f720c0402080574686572650d0511636c75737465722e5374616c65536869700c050205030504"; hex.EncodeToString(got) != want {
+		t.Errorf("reply carrying a quorum miss encodes to\n  %x, want\n  %s", got, want)
+	}
+	var stale *cluster.StaleShipError
+	if back, err := wire.Unmarshal(got); err != nil || !reflect.DeepEqual(back, missed) || !errors.As(back.(*core.BatchResponse).ShipErr, &stale) {
+		t.Errorf("reply carrying a quorum miss decoded to %+v, %v", back, err)
+	}
+	// A directive slot holding anything but a directive never decodes.
+	bad := bytes.Replace(mustHex(t, shipRequestBytes), []byte("brmi.ship"), []byte("brmi.rule"), 1)
+	var corrupt *wire.CorruptError
+	if back, err := wire.Unmarshal(bad); !errors.As(err, &corrupt) {
+		t.Errorf("request with a rule in its directive slot decoded to %+v, %v; want *wire.CorruptError", back, err)
+	}
+}
+
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestReplayShadowDropsShipDirective: a follower handed a payload that still
+// carries a ship directive — only a rogue primary would send one — replays it
+// and ships nothing: the hook is never consulted for a shadow replay.
+func TestReplayShadowDropsShipDirective(t *testing.T) {
+	env := newGetbatchEnv(t)
+	hooked := 0
+	env.exec.SetShipHook(func(*core.Wave) (core.ShipFunc, error) { hooked++; return nil, nil })
+	payload := &core.BatchRequest{Calls: []core.Invocation{{Seq: 0, Target: core.RootTarget, Method: "Bump", Kind: 1}}, Names: []string{"a"}, Ship: shipRequest.Ship}
+	if _, n, err := env.exec.ReplayShadow(context.Background(), payload, env.ids["b"], nil, 0); err != nil || n != 1 {
+		t.Fatalf("replay = %d calls, %v", n, err)
+	}
+	if hooked != 0 {
+		t.Errorf("the ship hook was consulted %d times for a shadow replay", hooked)
+	}
+	if payload.Ship == nil {
+		t.Error("the replay mutated the payload it was handed")
+	}
+	entries, err := env.read(&core.GetBatchRequest{ObjIDs: []uint64{env.ids["b"]}, Indexes: []int64{0}, Method: "Get"})
+	if err != nil || len(entries) != 1 || entries[0].Value != int64(21) {
+		t.Errorf("b = %v, %v after the replay; want 21: the substitute root bumped once", entries, err)
+	}
+	// The same request, arriving as a flush, does reach the hook.
+	if _, err := env.client.Call(context.Background(), rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface), "InvokeBatch", shipRequest); err != nil || hooked != 1 {
+		t.Errorf("flush with a directive: %v, hook consulted %d times, want once", err, hooked)
+	}
+}
+
+// TestShipDirectiveNeedsReplicationService: a directive reaching an executor
+// with no ship hook is refused, nothing executed.
+func TestShipDirectiveNeedsReplicationService(t *testing.T) {
+	env := newGetbatchEnv(t)
+	b := core.NewNamed(env.client, getbatchHere, "a")
+	b.Ship(shipRequest.Ship)
+	bumped := b.Root().Call("Bump")
+	if err := b.Flush(context.Background()); err == nil {
+		t.Fatal("flush with a directive succeeded on a peer that runs no replication service")
+	}
+	if _, err := bumped.Get(); err == nil {
+		t.Error("the call settled with a value")
+	}
+	entries, err := env.read(&core.GetBatchRequest{ObjIDs: []uint64{env.ids["a"]}, Indexes: []int64{0}, Method: "Get"})
+	if err != nil || len(entries) != 1 || entries[0].Value != int64(10) {
+		t.Errorf("a = %v, %v after the refused flush; want the untouched 10", entries, err)
+	}
 }

@@ -165,21 +165,24 @@ func decInvocation(x wire.Dec, inv *invocationData, n int) error {
 }
 
 func encBatchRequest(x wire.Enc, r *batchRequest) error {
-	n := 8
-	if len(r.Names) == 0 {
-		n = 7
-		if r.Policy == nil {
-			n = 6
-			if r.Roots == nil {
-				n = 4 // slot 5 is reserved and never the last field written
-				if !r.KeepSession {
-					n = 3
-					if r.Session == 0 {
-						n = 2
-						if r.Calls == nil {
-							n = 1
-							if r.Root == 0 {
-								n = 0
+	n := 9
+	if r.Ship == nil {
+		n = 8
+		if len(r.Names) == 0 {
+			n = 7
+			if r.Policy == nil {
+				n = 6
+				if r.Roots == nil {
+					n = 4 // slot 5 is reserved and never the last field written
+					if !r.KeepSession {
+						n = 3
+						if r.Session == 0 {
+							n = 2
+							if r.Calls == nil {
+								n = 1
+								if r.Root == 0 {
+									n = 0
+								}
 							}
 						}
 					}
@@ -234,6 +237,11 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 		x.Slice(len(r.Names))
 		for _, name := range r.Names {
 			x.Str(name)
+		}
+	}
+	if n > 8 {
+		if err := x.Value(r.Ship); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -328,7 +336,20 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			return err
 		}
 	}
-	return x.SkipFields(n - 8)
+	if n > 8 {
+		v, err := x.Value()
+		if err != nil {
+			return err
+		}
+		if v != nil {
+			d, ok := v.(*ShipDirective)
+			if !ok {
+				return &wire.CorruptError{Detail: "batch request ship directive has wrong type"}
+			}
+			r.Ship = d
+		}
+	}
+	return x.SkipFields(n - 9)
 }
 
 // checkRootNames rejects a request whose Names do not line up with its
@@ -499,15 +520,21 @@ func decAnySlice(x wire.Dec) ([]any, error) {
 }
 
 func encBatchResponse(x wire.Enc, r *batchResponse) error {
-	n := 4
-	if len(r.Roots) == 0 {
-		n = 3
-		if r.Restarts == 0 {
-			n = 2
-			if r.Session == 0 {
-				n = 1
-				if r.Results == nil {
-					n = 0
+	n := 6
+	if r.ShipErr == nil {
+		n = 5
+		if r.ShipNs == 0 {
+			n = 4
+			if len(r.Roots) == 0 {
+				n = 3
+				if r.Restarts == 0 {
+					n = 2
+					if r.Session == 0 {
+						n = 1
+						if r.Results == nil {
+							n = 0
+						}
+					}
 				}
 			}
 		}
@@ -535,6 +562,14 @@ func encBatchResponse(x wire.Enc, r *batchResponse) error {
 		x.Slice(len(r.Roots))
 		for _, ref := range r.Roots {
 			x.RefVal(ref)
+		}
+	}
+	if n > 4 {
+		x.Int(r.ShipNs)
+	}
+	if n > 5 {
+		if err := x.Value(r.ShipErr); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -587,5 +622,15 @@ func decBatchResponse(x wire.Dec, r *batchResponse, n int) error {
 			}
 		}
 	}
-	return x.SkipFields(n - 4)
+	if n > 4 {
+		if r.ShipNs, err = x.Int(); err != nil {
+			return err
+		}
+	}
+	if n > 5 {
+		if r.ShipErr, err = x.ErrVal(); err != nil {
+			return err
+		}
+	}
+	return x.SkipFields(n - 6)
 }

@@ -46,7 +46,7 @@ type Peer struct {
 	endpoint  string
 	tsrv      *transport.Server
 	closed    bool
-	streams   map[string]StreamServer // stream services, by name
+	streams   map[string]StreamServer   // stream services, by name
 	forwards  map[uint64]forwardRecord  // migrated-away objects, by old id
 	holds     map[string]map[uint64]int // endpoint -> objID -> refcount
 	granted   map[string]time.Duration  // endpoint -> lease granted by its DGC
@@ -323,6 +323,17 @@ func (p *Peer) LocalObject(objID uint64) (any, bool) {
 		return nil, false
 	}
 	return e.obj, true
+}
+
+// LocalRef returns the full reference of an object id in this peer's export
+// table: the interface it was exported under is what a replica needs to build
+// its shadow of the object.
+func (p *Peer) LocalRef(objID uint64) (wire.Ref, bool) {
+	e, ok := p.exports.get(objID)
+	if !ok {
+		return wire.Ref{}, false
+	}
+	return wire.Ref{Endpoint: p.Endpoint(), ObjID: objID, Iface: e.iface}, true
 }
 
 // ExportedID returns the export id of obj, if it is exported.

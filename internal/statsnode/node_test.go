@@ -192,18 +192,21 @@ func TestViewRows(t *testing.T) {
 }
 
 // TestReplicationCell: the REPL column shows the records a follower applied,
-// how many each Append call carried, and the shadows it promoted.
+// the median quorum lag of the waves a primary shipped, and the shadows it
+// promoted.
 func TestReplicationCell(t *testing.T) {
 	rows := []statsnode.Row{
 		{Server: "idle"},
-		{Server: "follower", ReplAppends: 30, ReplShips: 20},
-		{Server: "promoted", ReplAppends: 4, ReplShips: 4, Promotions: 2},
+		{Server: "follower", ReplAppends: 30},
+		{Server: "both", ReplAppends: 30, ReplLagP50: 1200 * time.Microsecond},
+		{Server: "primary", ReplLagP50: 40 * time.Microsecond},
+		{Server: "promoted", ReplAppends: 4, Promotions: 2},
 		{Server: "heir", Promotions: 1},
 	}
 	var sb strings.Builder
 	statsnode.RenderTable(&sb, rows)
 	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	for i, want := range []string{" - ", " 30 (1.5/ship) ", " 4 (1.0/ship) +2 promoted ", " 0 +1 promoted "} {
+	for i, want := range []string{" - ", " 30 ", " 30 lag 1.2ms ", " 0 lag 40µs ", " 4 +2 promoted ", " 0 +1 promoted "} {
 		if !strings.Contains(lines[i+1], want) {
 			t.Errorf("row %s: replication cell %q missing from %q", rows[i].Server, want, lines[i+1])
 		}

@@ -43,11 +43,13 @@ type Row struct {
 	// from this member since it started.
 	MigRemaining, MigMoved int64
 	Arrivals, Departs      int64
-	// ReplAppends, ReplShips and Promotions describe the replication side:
-	// records this member appended to follower shard logs, the Append calls
-	// that carried them (a wave ships a follower all its records in one), and
-	// shadows it turned authoritative during failovers.
-	ReplAppends, ReplShips, Promotions int64
+	// ReplAppends, ReplLagP50 and Promotions describe the replication side:
+	// records this member appended to follower shard logs, how long — as a
+	// primary — it waited between executing a wave and its write quorum
+	// holding it (median; 0 when it never shipped one), and shadows it turned
+	// authoritative during failovers.
+	ReplAppends, Promotions int64
+	ReplLagP50              time.Duration
 	// StreamsOpen is the number of chunked streams live right now (response
 	// streaming and oversized calls both ride them); StreamChunks is the
 	// cumulative chunk count moved in either direction.
@@ -93,7 +95,6 @@ func BuildRows(cur, prev map[string]*stats.Snapshot, elapsed time.Duration) []Ro
 			Arrivals:     s.Counter("cluster.arrivals"),
 			Departs:      s.Counter("cluster.departs"),
 			ReplAppends:  s.Counter("cluster.replica_appends"),
-			ReplShips:    s.Counter("cluster.replica_ships"),
 			Promotions:   s.Counter("cluster.promotions"),
 			StreamsOpen:  s.Gauge("transport.streams_open"),
 			StreamChunks: s.Counter("transport.chunks_in") + s.Counter("transport.chunks_out"),
@@ -106,6 +107,9 @@ func BuildRows(cur, prev map[string]*stats.Snapshot, elapsed time.Duration) []Ro
 		if h := s.Hist("core.wave_ns"); h != nil && h.Count > 0 {
 			r.WaveP50 = time.Duration(h.Quantile(0.50))
 			r.WaveP99 = time.Duration(h.Quantile(0.99))
+		}
+		if h := s.Hist("cluster.replication_lag"); h != nil && h.Count > 0 {
+			r.ReplLagP50 = time.Duration(h.Quantile(0.50))
 		}
 		if prev != nil && elapsed > 0 {
 			if p := prev[ep]; p != nil {
@@ -150,8 +154,9 @@ func dur(d time.Duration) string {
 // calls, QPS over the last interval, executor wave p50/p99, transport
 // buffer-pool hit rate, wire codec-state reuse rate, readonly lease-cache
 // hit rate ("-" where no cache runs), migration state, replication state
-// (appended follower-log records and how many arrived per Append call,
-// "+N promoted" after a failover recovered shadows here), chunked-stream
+// (appended follower-log records, "lag" and the median quorum wait of the
+// waves this server shipped as their primary, "+N promoted" after a failover
+// recovered shadows here), chunked-stream
 // activity ("-" when nothing ever streamed, else "open/chunks"), and ring epoch
 // ("!" marks a server behind the cluster-wide maximum — epoch skew, i.e.
 // a ring broadcast it has not adopted yet).
@@ -170,11 +175,11 @@ func RenderTable(w io.Writer, rows []Row) {
 			mig = fmt.Sprintf("+%d/-%d", r.Arrivals, r.Departs)
 		}
 		repl := "-"
-		if r.ReplAppends > 0 || r.Promotions > 0 {
+		if r.ReplAppends > 0 || r.Promotions > 0 || r.ReplLagP50 > 0 {
 			repl = fmt.Sprintf("%d", r.ReplAppends)
 		}
-		if r.ReplAppends > 0 && r.ReplShips > 0 {
-			repl += fmt.Sprintf(" (%.1f/ship)", float64(r.ReplAppends)/float64(r.ReplShips))
+		if r.ReplLagP50 > 0 {
+			repl += " lag " + dur(r.ReplLagP50)
 		}
 		if r.Promotions > 0 {
 			repl += fmt.Sprintf(" +%d promoted", r.Promotions)

@@ -69,6 +69,13 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("wire: corrupt message at offset %d: %s", e.Offset, e.Detail)
 }
 
+func init() {
+	// A peer that refuses a message that decoded but does not hang together
+	// answers its caller with the decoder's own error; registered so that it
+	// arrives typed.
+	MustRegisterError("wire.Corrupt", &CorruptError{})
+}
+
 // Ref is a remote object reference: the wire form of an exported object.
 // It is the equivalent of a marshalled RMI stub. Refs are compared by value;
 // two Refs naming the same exported object are equal.
