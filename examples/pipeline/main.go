@@ -15,7 +15,8 @@
 //	                                         by value from wave 1's future
 //
 // The first cluster batch rejected this recording outright; the staged
-// planner turned the rejection into D+1 round-trip waves.
+// planner turned the rejection into one round-trip wave per server the
+// dataflow crosses, plus one.
 //
 //	go run ./examples/pipeline
 package main

@@ -244,14 +244,22 @@ func (s *fdScope) call(call *ast.CallExpr) {
 		}
 	}
 	// A tracked batch passed as an argument escapes: the callee may flush
-	// it. A tracked future passed as an argument is consumed (futures are
-	// legal call arguments pre-flush; the splice rules take over).
+	// it. So does a tracked future — unless the callee is a recorder (a
+	// method of a batch, proxy or generated wrapper): a future is a legal
+	// argument of a recorded call, the flush splices its value in, and
+	// recording it settles nothing the client could read.
+	recording := false
+	if recv, _, ok := methodCall(s.info, call); ok {
+		recording = isBatchLike(s.info.Types[recv].Type)
+	}
 	for _, arg := range call.Args {
 		if obj := rootObj(s.info, arg); obj != nil {
 			if o, ok := s.owners[obj]; ok {
 				o.flushed = true
 			}
-			delete(s.futures, obj)
+			if !recording {
+				delete(s.futures, obj)
+			}
 		}
 	}
 }

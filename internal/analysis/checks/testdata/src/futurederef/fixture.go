@@ -61,12 +61,23 @@ func paramFuture(fut *core.Future) (any, error) {
 	return fut.Get()
 }
 
-// Futures are legal call arguments before the flush (argument splicing).
+// A core future is a legal call argument before the flush: it travels as a
+// reference and the server splices the value inside the flush.
 func splicedArgument(peer *rmi.Peer, root wire.Ref) error {
 	b := core.New(peer, root)
 	dir := b.Root().Call("Lookup", "etc")
 	b.Root().Call("Open", dir)
 	return b.Flush(context.Background())
+}
+
+// Passing a future on settles nothing at the client: Get before the flush is
+// still a pre-flush read.
+func splicedThenRead(peer *rmi.Peer, root wire.Ref) {
+	b := core.New(peer, root)
+	dir := b.Root().Call("Lookup", "etc")
+	b.Root().Call("Open", dir)
+	_, _ = dir.Get() // want `future dir is read before the owning batch's Flush`
+	_ = b.Flush(context.Background())
 }
 
 func suppressedRead(peer *rmi.Peer, root wire.Ref) {

@@ -145,16 +145,20 @@ func (r *runner) checkFailureIsolation(logs map[string][]int64) {
 					fi, i, c.Dep, f.outcomes[c.Dep])
 			}
 			if f.outcomes[i] != nil && c.Dep >= 0 && f.outcomes[c.Dep] != nil {
-				// Dependent call was never sent: its effect must not exist —
-				// unless the token somehow executed, which at-most-once
-				// would only miss if the dep error was response loss. A
-				// dep-failed call is settled client-side before sending, so
-				// presence here is a real leak. Exception: a replication
-				// quorum miss — the wave DID execute on its primary (the
-				// error reports lost durability, not a lost write), so the
-				// dependent's effect being present is the correct outcome.
+				// A dependent whose dependency lives on ANOTHER server is
+				// settled client-side, a wave later, before it is ever sent:
+				// its effect must not exist, and presence here is a real
+				// leak. Two exceptions. A replication quorum miss — the wave
+				// DID execute on its primary (the error reports lost
+				// durability, not a lost write), so the dependent's effect
+				// being present is the correct outcome. And a dependent that
+				// rode in its dependency's own sub-batch — same destination
+				// once the flush ended — whose reply was lost: both executed,
+				// both fail with the wave; the dependency's own token being
+				// applied tells that case from a leak.
 				var qe *cluster.QuorumError
-				if applied[c.Token] && !errors.As(f.outcomes[c.Dep], &qe) {
+				sameWave := f.endpoints[i] == f.endpoints[c.Dep] && applied[f.calls[c.Dep].Token]
+				if applied[c.Token] && !sameWave && !errors.As(f.outcomes[c.Dep], &qe) {
 					r.violate("failure isolation: flush %d call %d (token %d) executed despite a failed dependency",
 						fi, i, c.Token)
 				}

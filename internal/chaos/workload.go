@@ -120,10 +120,13 @@ func (p *program) trace() []string {
 }
 
 // genProgram derives the workload from the seed. Within one flush, calls on
-// the same name always chain (each deps on the name's previous call), so a
-// name's record order equals its stage order — per-root program order is a
-// checkable invariant even for staged flushes. Cross-name deps are free and
-// create the multi-wave pipelines.
+// the same name always chain (each deps on the name's previous call). A chain
+// on one name costs no wave — the home splices the value inside the wave —
+// but it is what keeps a name's record order equal to its stage order when a
+// cross-name edge defers one of its calls to a later wave: the calls behind
+// it wait too, so per-root program order is a checkable invariant even for
+// staged flushes. Cross-name deps are free and create the multi-wave
+// pipelines, when the two names live on different servers.
 func genProgram(cfg Config) *program {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x60a7f10c2))
 	p := &program{}
@@ -230,8 +233,11 @@ type flushRecord struct {
 	op       int
 	calls    []callSpec
 	outcomes []error // per call, from its future
-	flushErr error   // includes every name the homes could not resolve
-	waves    int
+	// endpoints is, per call, the destination the call was bound for once the
+	// flush ended — after any stale-route retry re-homed its root.
+	endpoints []string
+	flushErr  error // includes every name the homes could not resolve
+	waves     int
 	// staleRetried records Batch.StaleRetried(): the flush spent its single
 	// wrong-home retry. The counter-consistency invariant tallies these
 	// against the client's cluster.wrong_home_retries counter.
@@ -642,7 +648,7 @@ func (r *runner) cachedRead(ctx context.Context, o op, idx int) {
 // flush records o.Calls, optionally runs between() (the stale-flush
 // membership change), then flushes and ledgers every outcome.
 func (r *runner) flush(ctx context.Context, o op, idx int, between func()) {
-	fr := &flushRecord{op: idx, calls: o.Calls, outcomes: make([]error, len(o.Calls))}
+	fr := &flushRecord{op: idx, calls: o.Calls, outcomes: make([]error, len(o.Calls)), endpoints: make([]string, len(o.Calls))}
 	r.flushes = append(r.flushes, fr)
 	// A failed rebalance leaves DESIGN.md's in-flight window open until a
 	// later successful pass covers its leftovers: a name can be live at
@@ -657,6 +663,7 @@ func (r *runner) flush(ctx context.Context, o op, idx int, between func()) {
 	//brmivet:ignore unflushed abandoned only when the ring is empty, recorded in the flush ledger
 	b := cluster.New(r.tc.Client, cluster.WithDirectory(r.dir), cluster.WithCache(r.cache))
 	futures := make([]*cluster.Future, len(o.Calls))
+	roots := make([]*cluster.Proxy, len(o.Calls))
 	for i, c := range o.Calls {
 		// No I/O, no resolution: the only failure is a ring without members,
 		// and then nothing was issued. A name its home cannot resolve fails
@@ -670,6 +677,7 @@ func (r *runner) flush(ctx context.Context, o op, idx int, between func()) {
 		if c.Dep >= 0 {
 			dep = futures[c.Dep]
 		}
+		roots[i] = p
 		futures[i] = p.Call("Apply", c.Token, dep)
 		r.issued[c.Name] = append(r.issued[c.Name], c.Token)
 	}
@@ -685,6 +693,7 @@ func (r *runner) flush(ctx context.Context, o op, idx int, between func()) {
 	}
 	for i, f := range futures {
 		fr.outcomes[i] = f.Err()
+		fr.endpoints[i] = roots[i].Endpoint()
 	}
 	// An async rebalance may have started/finished mid-flush; re-check.
 	if r.rebalanceInFlight() || r.migrationWindowOpen() {

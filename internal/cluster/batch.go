@@ -29,13 +29,17 @@ var ErrNoEndpoint = errors.New("cluster: root ref has no endpoint")
 //
 // Plan: Flush schedules the log's dependency DAG into stages — stage 0 holds
 // every call with no staged inputs, stage k the calls whose staged inputs
-// settle in earlier waves — and partitions each stage per destination.
+// settle in earlier waves — and partitions each stage per destination. Only
+// an input produced on ANOTHER server is staged: a result consumed where it
+// was produced, remote object or value, is handed over by that server inside
+// the wave.
 //
 // Execute: stages run in order; within a stage every destination's
 // sub-batch is one core.Batch round trip, fanned out in parallel, so a
-// stage costs the slowest server's round trip and a depth-D pipeline costs
-// D+1 round-trip waves instead of one per call. A dependency-free recording
-// plans to a single stage: one wave, one round trip per destination.
+// stage costs the slowest server's round trip and a pipeline that crosses
+// servers D times in a row costs D+1 round-trip waves instead of one per
+// call. A recording whose dataflow stays on its servers plans to a single
+// stage: one wave, one round trip per destination.
 //
 // Like core.Batch, a Batch records one batch at a time and is not meant to
 // be shared by concurrent client goroutines; the implementation is
@@ -266,8 +270,9 @@ func (b *Batch) Destinations() []string {
 
 // Waves returns the number of round-trip waves (parallel fan-out barriers)
 // the flush executed: the stage count of the plan, minus stages that
-// settled entirely locally. A dependency-free recording flushes in one
-// wave; a depth-D pipeline in D+1.
+// settled entirely locally. A recording none of whose results feeds a call
+// on another server flushes in one wave; one whose longest dependency path
+// crosses servers D times in D+1.
 func (b *Batch) Waves() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -594,8 +599,9 @@ func (p *Proxy) Endpoint() string { return p.group.endpoint }
 
 // Call records a method invocation whose result is a value, returning its
 // future. The future may itself be passed as an argument of a later call —
-// on any server — and the flush splices the settled value in, costing one
-// extra round-trip wave.
+// on any server — and the flush splices the value in: on the server that
+// produced it, inside the wave, at no cost, or, when the consumer lives on
+// another server, through the client, one round-trip wave later.
 func (p *Proxy) Call(method string, args ...any) *Future {
 	f := &Future{b: p.b}
 	if c := p.b.record(p, kindValue, method, args); c != nil {

@@ -115,38 +115,43 @@ func TestPipelineThreeStages(t *testing.T) {
 	}
 }
 
-// TestPipelineSameServerCrossStage: a future spliced back into its OWN
-// server still needs a second wave, and the chained session keeps earlier
-// same-server results addressable across waves.
-func TestPipelineSameServerCrossStage(t *testing.T) {
+// TestPipelineSameServerOneWave: a value consumed on the server that produces
+// it is spliced there, inside the wave — one round trip — and calls on one
+// destination take effect in the order they were recorded.
+func TestPipelineSameServerOneWave(t *testing.T) {
 	tc := clustertest.New(t, 1)
 	ctx := context.Background()
 
 	b := cluster.New(tc.Client)
 	r := b.Root(tc.Servers[0].Ref)
-	f0 := r.Call("Add", int64(3)) // stage 0
-	f1 := r.Call("Add", f0)       // stage 1: value splices back to the same server
-	self := r.CallBatch("Self")   // stage 0 (no staged inputs)
-	f2 := r.Call("Absorb", self)  // hangs off stage-0 proxy: stage 0, same session
+	f0 := r.Call("Add", int64(3)) // 3
+	f1 := r.Call("Add", f0)       // 3 + 3: the server hands f0's value over
+	self := r.CallBatch("Self")
+	f2 := r.Call("Absorb", self) // 6 + 6: after f1, as recorded
 
 	before := tc.Client.CallCount()
 	if err := b.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if rt := tc.Client.CallCount() - before; rt != 2 {
-		t.Errorf("flush used %d round trips, want 2", rt)
+	if rt := tc.Client.CallCount() - before; rt != 1 {
+		t.Errorf("flush used %d round trips, want 1", rt)
 	}
-	if w := b.Waves(); w != 2 {
-		t.Errorf("same-server cross-stage flush took %d waves, want 2", w)
+	if w := b.Waves(); w != 1 {
+		t.Errorf("same-server dataflow took %d waves, want 1", w)
 	}
-	if got, err := cluster.Typed[int64](f0).Get(); err != nil || got != 3 {
-		t.Errorf("f0 = %d, %v; want 3", got, err)
+	for _, c := range []struct {
+		name string
+		f    *cluster.Future
+		want int64
+	}{{"f0", f0, 3}, {"f1 (spliced)", f1, 6}, {"f2 (self absorb)", f2, 12}} {
+		if got, err := cluster.Typed[int64](c.f).Get(); err != nil || got != c.want {
+			t.Errorf("%s = %d, %v; want %d", c.name, got, err, c.want)
+		}
 	}
-	if got, err := cluster.Typed[int64](f2).Get(); err != nil || got != 6 {
-		t.Errorf("f2 (self absorb) = %d, %v; want 6", got, err)
-	}
-	if got, err := cluster.Typed[int64](f1).Get(); err != nil || got != 9 {
-		t.Errorf("f1 (spliced) = %d, %v; want 9", got, err)
+	// The totals above are the order evidence (f2 overtaking f1 would read 6
+	// and 9); the log holds the two Adds, Absorb logs nothing.
+	if h := tc.Servers[0].Counter.History(); len(h) != 2 || h[0] != 3 || h[1] != 3 {
+		t.Errorf("server-0 executed %v, want [3 3]", h)
 	}
 }
 

@@ -4,10 +4,12 @@ import "fmt"
 
 // plan.go is the "plan" phase of the cluster flush pipeline: it turns the
 // global recording log into a stage schedule. Stage 0 holds every call
-// whose inputs are all immediate (roots, plain values, same-server
-// proxies); stage k holds the calls whose staged inputs settle in waves
-// < k. Each stage is then partitioned per destination exactly like a
-// single-stage flush, so a stage costs one parallel fan-out.
+// whose inputs are all immediate (roots, plain values, proxies and futures
+// of its own destination); stage k holds the calls whose staged inputs —
+// the ones that cross servers — settle in waves < k. Each stage is then
+// partitioned per destination exactly like a single-stage flush, so a stage
+// costs one parallel fan-out and a flush pays a wave only for the edges
+// that really leave a server.
 
 // input is one resolved dependency (an edge of the dataflow DAG): the call
 // that produces a value this call consumes.
@@ -15,8 +17,8 @@ type input struct {
 	producer *recordedCall
 	// staged is true when the consumer can only run in a wave after the
 	// producer's: the producer's result has to cross the network between
-	// stages (a proxy forwarded to a different server, or a future's value
-	// spliced back through the client).
+	// stages (a proxy forwarded to a different server, a future's value
+	// spliced through the client into another server's wave).
 	staged bool
 	// export is true when the producer's result must be pinned as an
 	// exported reference so the next wave can forward it by reference.
@@ -46,9 +48,12 @@ func (c *recordedCall) inputs() []input {
 			if x.origin == nil {
 				continue
 			}
-			// A spliced value settles at the client only after the
-			// producer's wave returns, whichever server it came from.
-			in = append(in, input{producer: x.origin, staged: true})
+			// A value consumed where it is produced is spliced by the server,
+			// inside the wave (core.Proxy.Call takes the producer's future).
+			// One bound for another server goes through the client, a wave
+			// later; so does a cacheable read's, which may settle from
+			// another batch's flight and never be sent at all.
+			in = append(in, input{producer: x.origin, staged: x.origin.group != c.group || x.origin.ckey != ""})
 		}
 	}
 	return in
@@ -57,10 +62,16 @@ func (c *recordedCall) inputs() []input {
 // planStages assigns every call its execution stage and returns the stage
 // count — the number of round-trip waves the flush needs:
 //
-//	stage(c) = max over inputs i of stage(i.producer) + (1 if i.staged)
+//	stage(c) = max over unsettled inputs i of stage(i.producer) + (1 if i.staged)
 //
-// (0 with no inputs). It also marks producers whose results must be pinned
-// server-side for cross-server forwarding (recordedCall.export).
+// and never earlier than the stage c already has (0 for a fresh recording).
+// It also marks producers whose results must be pinned server-side for
+// cross-server forwarding (recordedCall.export). calls is a recording, or —
+// for the stale-route retry, which re-plans after roots changed homes — the
+// part of one no wave has run yet, in recording order: a settled producer
+// constrains nothing, its result is already at the client or in its
+// destination's session, and a value edge the move split across two homes
+// pushes its consumer, and whatever hangs off it, into a later wave.
 //
 // Recording order is necessarily a topological order of the dependency
 // DAG — a proxy or future must be returned by a recording call before it
@@ -70,17 +81,22 @@ func (c *recordedCall) inputs() []input {
 // than scheduling nonsense if a caller ever violates it.
 func planStages(calls []*recordedCall) (int, error) {
 	stages := 0
-	for i, c := range calls {
-		if c.index != i {
-			return 0, fmt.Errorf("cluster: internal: call %s has log index %d, expected %d",
-				c.method, c.index, i)
+	last := -1
+	for _, c := range calls {
+		if c.index <= last {
+			return 0, fmt.Errorf("cluster: internal: call %s has log index %d after index %d",
+				c.method, c.index, last)
 		}
-		s := 0
+		last = c.index
+		s := c.stage
 		for _, in := range c.inputs() {
 			if in.producer.index >= c.index {
 				return 0, fmt.Errorf("cluster: internal: recording is not topologically ordered: "+
 					"%s (call %d) consumes the result of %s (call %d)",
 					c.method, c.index, in.producer.method, in.producer.index)
+			}
+			if c.out.done || in.producer.out.done {
+				continue // an edge with a settled end schedules nothing and pins nothing
 			}
 			if in.export {
 				in.producer.export = true

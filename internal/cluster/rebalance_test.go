@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -677,7 +678,7 @@ func TestStaleFlushRetrySplitDependency(t *testing.T) {
 // close its session — the executor must reap it in the background instead
 // of leaking it until the server TTL.
 func TestFailedDestinationSessionReaped(t *testing.T) {
-	tc := clustertest.New(t, 2)
+	tc := clustertest.New(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -689,14 +690,18 @@ func TestFailedDestinationSessionReaped(t *testing.T) {
 	b := cluster.New(tc.Client)
 	a := b.Root(tc.Servers[0].Ref)
 	bp := b.Root(boomRef)
-	f0 := a.Call("Add", int64(1)) // server-0, stage 0: opens the chained session
-	bp.Call("Boom")               // server-1, stage 0: cancels ctx after a delay
-	a.Call("Add", f0)             // server-0, stage 1: REAL pending call under canceled ctx
+	a.Call("Add", int64(1))                               // server-0, stage 0: opens the chained session
+	bp.Call("Boom")                                       // server-1, stage 0: cancels ctx after a delay
+	f0 := b.Root(tc.Servers[2].Ref).Call("Add", int64(1)) // server-2, stage 0: settles before the cancel
+	a.Call("Add", f0)                                     // server-0, stage 1: REAL pending call under canceled ctx
 
 	err = b.Flush(ctx)
 	var fe *cluster.FlushError
 	if !errors.As(err, &fe) {
 		t.Fatalf("flush error = %T %v, want *FlushError (server-0's stage-1 flush ran under a canceled context)", err, err)
+	}
+	if !slices.ContainsFunc(fe.Failures, func(f cluster.ServerError) bool { return f.Endpoint == "server-0" && f.Stage == 1 }) {
+		t.Fatalf("failures = %+v, want server-0 failing in stage 1, its session still open", fe.Failures)
 	}
 
 	// The orphaned session on server-0 is reaped in the background.

@@ -80,11 +80,17 @@ func (b *Batch) canRetryStale(ds *destState, err error) bool {
 // if it was the migrated object there is no key to re-route it by, and the
 // retried wave fails wrong-home again, this time finally — and regroups
 // their calls per new home: two old homes that merge into one new home cost
-// one round trip. The calls are the rejected sub-batches' and, in the later
-// stages, every call that was bound for a rejected destination; later is
-// re-partitioned in place and the current stage's new sub-batches returned.
-// An error means nothing was re-planned and the rejections are final.
-func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, later [][]*subBatch) ([]*subBatch, error) {
+// one round trip. The calls that follow their roots are the rejected
+// sub-batches' and, in the later stages, every call that was bound for a
+// rejected destination. Everything no wave has settled yet — the rejected
+// calls and all of later — is then staged again (planStages): a value that
+// flowed between two roots sharing a server, inside one wave, and that the
+// re-sharding split across homes now goes through the client, its consumer
+// waiting for the wave after its producer's. The result replaces the rejected
+// stage and later: its first element is the wave to run again, and it may be
+// a stage longer than what it replaces. An error means nothing was re-planned
+// and the rejections are final.
+func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, later [][]*subBatch) ([][]*subBatch, error) {
 	b.mu.Lock()
 	b.retried = true
 	b.wrongHome.Inc()
@@ -143,23 +149,25 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 		g.roots = append(g.roots, m.root)
 		m.root.group, m.root.core, m.root.rootRef = g, nil, m.ref
 	}
-	var calls []*recordedCall // the rejected sub-batches' calls
+	stage := rejected[0].sb.calls[0].stage // the one stage every rejection is of
+	var open []*recordedCall               // everything no wave has settled yet
 	for _, rj := range rejected {
-		calls = append(calls, rj.sb.calls...)
+		open = append(open, rj.sb.calls...)
 	}
-	affected := slices.Clone(calls) // plus, in later stages, the calls bound for a rejected destination
+	affected := slices.Clone(open) // the part of it that follows a moved root
 	for _, subs := range later {
 		for _, sb := range subs {
+			open = append(open, sb.calls...)
 			if causes[sb.group] != nil {
 				affected = append(affected, sb.calls...)
 			}
 		}
 	}
-	// Dataflow between two roots that shared a server — so nobody planned a
-	// network crossing for it — and that the re-sharding split across homes
-	// cannot be replayed by this retry: the producer's result would now have
-	// to cross the network mid-wave. Settle those calls with a clear error
-	// carrying their own destination's refusal instead of an internal failure.
+	// A remote result passed between two roots that shared a server — so the
+	// consumer was promised the object itself, not a stub — and that the
+	// re-sharding split across homes cannot be replayed by this retry. Settle
+	// those calls with a clear error carrying their own destination's refusal
+	// instead of an internal failure.
 	for _, c := range affected {
 		if c.out.done {
 			continue
@@ -175,16 +183,14 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 		}
 	}
 	// Re-home every affected call (and the proxy it settles) to its root's
-	// group, so partition and translate see a consistent recording again.
+	// group, so the planner, partition and translate see a consistent
+	// recording again.
 	repoint(affected)
-	for k, subs := range later {
-		var stage []*recordedCall
-		for _, sb := range subs {
-			stage = append(stage, sb.calls...)
-		}
-		later[k] = partition(byIndex(stage))
+	nstages, err := planStages(byIndex(open))
+	if err != nil {
+		return nil, fmt.Errorf("stale-route retry: %w", err)
 	}
-	return partition(byIndex(calls)), nil
+	return buildStages(open, nstages)[stage:], nil
 }
 
 // byIndex sorts calls into recording order, in place: calls that now share a

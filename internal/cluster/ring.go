@@ -6,11 +6,12 @@
 // recording accepts cross-server dataflow (a result produced on server A may
 // feed a call bound for server B), the planner schedules the dependency DAG
 // into stages, and the executor runs one parallel per-destination fan-out
-// per stage — so a dependency-free recording costs one round-trip wave and a
-// depth-D pipeline costs D+1 waves, never one trip per call. Results cross
-// servers by reference (exported refs pinned between waves) or by value
-// (settled futures spliced into the next wave); see DESIGN.md, "Cluster
-// staging rules".
+// per stage — so a recording whose dataflow never leaves a server costs one
+// round-trip wave and one that crosses servers D times in a row costs D+1,
+// never one trip per call. Results cross servers by reference (exported refs
+// pinned between waves) or by value (settled futures spliced into the next
+// wave); a value consumed on the server that produced it is spliced there,
+// inside the wave. See DESIGN.md, "Cluster staging rules".
 //
 // Membership is elastic: the shard map carries a monotonically increasing
 // epoch bumped on every Add/Remove, and a Rebalancer migrates the moved

@@ -17,8 +17,9 @@ import (
 // one call from here. A destination keeps one core.Batch across all its
 // stages, flushed with FlushAndContinue between stages and Flush on its last
 // — the chained-batch session (§3.5) is what lets a later stage reference a
-// same-server result from an earlier one by sequence number, with no extra
-// traffic.
+// same-server remote result from an earlier one by sequence number, with no
+// extra traffic. Within one wave a call references any earlier call of its
+// own sub-batch the same way, remote result or value.
 
 // run is one flush's execution state.
 type run struct {
@@ -131,15 +132,18 @@ func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 	r.plan(stages, 0)
 	r.servers = len(r.dests)
 
-	for s, subs := range stages {
+	for s := 0; s < len(stages); s++ {
+		subs := stages[s]
 		if rejected := r.wave(ctx, s, subs); len(rejected) > 0 {
 			// Stale routes: a destination refused the wave at first contact
 			// because one of its roots is not there. Re-plan at the new homes —
-			// this stage's refused calls and, in later stages, every call
-			// bound for a refused destination — and run the same wave again,
-			// before the next stage, which may consume these results. The
-			// retry is then spent, so the second wave rejects nothing.
-			moved, err := b.rehome(ctx, b.dir, rejected, stages[s+1:])
+			// this stage's refused calls and every later stage, where a call
+			// bound for a refused destination follows its root and one whose
+			// input the move put on another server waits a wave longer — and
+			// run the same wave again, before the next stage, which may
+			// consume these results. The retry is then spent, so the second
+			// wave rejects nothing.
+			replanned, err := b.rehome(ctx, b.dir, rejected, stages[s+1:])
 			if err != nil {
 				b.mu.Lock()
 				for _, rj := range rejected {
@@ -147,11 +151,12 @@ func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 				}
 				b.mu.Unlock()
 			} else {
-				for _, sb := range moved {
+				stages = append(stages[:s], replanned...)
+				for _, sb := range stages[s] {
 					r.dest(sb.group).lastStage = s
 				}
 				r.plan(stages, s+1)
-				r.wave(ctx, s, moved)
+				r.wave(ctx, s, stages[s])
 			}
 		}
 		// After the retry, so a retried leader publishes its final outcome, not
@@ -376,7 +381,9 @@ func coreOf(p *Proxy) (*core.Proxy, error) {
 //     resolveForwarded before the flush was planned);
 //   - cross-server result proxies pass as the exported ref pinned by the
 //     producer's wave — forwarded by reference, the destination sees a stub;
-//   - futures pass as their settled values — spliced by value.
+//   - futures pass as their settled values — spliced by value — or, while
+//     the producer rides this very sub-batch, as its core future: the server
+//     splices that one, inside the wave.
 //
 // An error means a dependency failed and c must settle locally with it.
 func (b *Batch) resolveInputs(c *recordedCall) (*core.Proxy, []any, error) {
@@ -409,12 +416,14 @@ func (b *Batch) resolveInputs(c *recordedCall) (*core.Proxy, []any, error) {
 			}
 		case *Future:
 			switch {
-			case !x.done:
-				err = fmt.Errorf("cluster: internal: argument %d of %s is an unsettled future", i, c.method)
-			case x.err != nil:
+			case x.done && x.err != nil:
 				err = x.err
-			default:
+			case x.done:
 				args[i] = x.val
+			case x.origin.group == c.group && x.origin.sent != nil:
+				args[i] = x.origin.sent
+			default:
+				err = fmt.Errorf("cluster: internal: argument %d of %s is an unsettled future", i, c.method)
 			}
 		default:
 			args[i] = a

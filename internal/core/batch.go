@@ -418,6 +418,15 @@ func (b *Batch) appendCall(target *Proxy, method string, kind int64, export bool
 			inv.Args[i] = batchArg{IsRef: true, Seq: seq}
 			continue
 		}
+		if f, ok := a.(*Future); ok {
+			arg, err := b.futureArg(f)
+			if err != nil {
+				b.fail(fmt.Errorf("brmi: argument %d of %s: %w", i, method, err))
+				return 0, nil, false
+			}
+			inv.Args[i] = arg
+			continue
+		}
 		w, err := b.peer.ToWire(a)
 		if err != nil {
 			b.fail(fmt.Errorf("brmi: argument %d of %s: %w", i, method, err))
@@ -467,6 +476,35 @@ func (b *Batch) argAlloc(n int) []batchArg {
 	base := len(b.argArena)
 	b.argArena = b.argArena[:base+n]
 	return b.argArena[base : base+n : base+n]
+}
+
+// futureArg encodes a value future passed as an argument. One whose call is
+// still unflushed travels as a reference to that call, exactly like a remote
+// result: the server hands the consumer the producer's value inside the same
+// request, and a producer that failed fails the consumer with its own error.
+// One an earlier flush of the chain settled is a literal the client already
+// holds. A cursor run's future has one value per element and no single one to
+// pass. Caller holds b.mu.
+func (b *Batch) futureArg(f *Future) (batchArg, error) {
+	if f == nil || f.st == nil {
+		return batchArg{}, errors.New("nil future")
+	}
+	st := f.st
+	switch {
+	case st.b != b:
+		return batchArg{}, ErrForeignProxy
+	case st.cursor != nil:
+		return batchArg{}, errors.New("a cursor run's future holds one value per element")
+	case st.settled && st.err != nil:
+		return batchArg{}, st.err
+	case st.settled:
+		w, err := b.peer.ToWire(st.val)
+		return batchArg{Val: w}, err
+	case st.seq < b.recBase:
+		// Flushed and not settled: the flush is still in flight, or failed.
+		return batchArg{}, ErrPending
+	}
+	return batchArg{IsRef: true, Seq: st.seq}, nil
 }
 
 // argProxy extracts the *Proxy behind an argument, unwrapping cursors and

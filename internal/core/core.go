@@ -95,6 +95,18 @@ func (e *SessionExpiredError) Error() string {
 	return fmt.Sprintf("brmi: session %d expired or unknown", e.Session)
 }
 
+// UnresolvedRefError reports a call whose target or argument names, by
+// sequence number, nothing the executor can hand it: no root, no remote
+// result the chain kept, no value a call earlier in the same request
+// returned. The call is not executed; the rest of the request is unaffected.
+type UnresolvedRefError struct {
+	Seq int64
+}
+
+func (e *UnresolvedRefError) Error() string {
+	return fmt.Sprintf("brmi: reference %d names no batch object or value of this request", e.Seq)
+}
+
 // KindMismatchError reports a recording that disagrees with the server-side
 // method shape, e.g. Call (future) used for a method returning a remote
 // object, which must be recorded with CallBatch.

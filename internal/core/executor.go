@@ -37,6 +37,7 @@ type Executor struct {
 	waveNs     *stats.Histogram // replay duration per InvokeBatch
 	replays    *stats.Counter   // replays, a restart counting again; brmibench reads its name
 	executed   *stats.Counter   // calls that reached method execution
+	splices    *stats.Counter   // arguments answered from the wave's value table
 
 	// Streaming bulk reads (GetBatch). Separate from executed: replica
 	// accounting cross-checks calls_executed against client acks.
@@ -116,6 +117,7 @@ func Install(p *rmi.Peer, opts ...ExecOption) (*Executor, error) {
 		e.waveNs = reg.Histogram("core.wave_ns")
 		e.replays = reg.Counter("core.replay_sequential")
 		e.executed = reg.Counter("core.calls_executed")
+		e.splices = reg.Counter("core.value_splices")
 		e.getbatchBatches = reg.Counter("core.getbatch_batches")
 		e.getbatchEntries = reg.Counter("core.getbatch_entries")
 	}
@@ -423,6 +425,84 @@ type execState struct {
 	occIndex map[string]int // per-method occurrence counter for policy rules
 	argBuf   []any          // scratch argument slice, reused across calls
 	outBuf   []any          // scratch result slice, reused across calls
+
+	// vals is the wave's value table, parallel to calls: what each value call
+	// returned, kept where a later call of the same request takes it as an
+	// argument. It lives and dies with this run — a Restart re-run starts
+	// empty, a chained session never sees it — and is nil when no call of the
+	// request references a value, which costs the request one scan.
+	calls     []invocationData
+	vals      []valueSlot
+	spliceBuf []byte // scratch encoding of the value being spliced
+}
+
+// valueSlot is one call's entry in the wave's value table.
+type valueSlot struct {
+	want bool // some call of the request takes this call's value
+	set  bool // the call executed and returned val
+	val  any  // the result in wire form, as the reply carries it
+}
+
+// callIndex finds the call numbered seq among a request's calls. A recorded
+// request numbers its calls consecutively; in one that does not, a value
+// reference simply resolves to nothing.
+func callIndex(calls []invocationData, seq int64) (int, bool) {
+	if len(calls) == 0 {
+		return 0, false
+	}
+	i := seq - calls[0].Seq
+	if i < 0 || i >= int64(len(calls)) || calls[i].Seq != seq {
+		return 0, false
+	}
+	return int(i), true
+}
+
+// valueTable marks the value calls of a request that another of its calls
+// takes as an argument: one slot per call, allocated only when there is one
+// to mark. A cursor run's calls return a value per element and are never
+// marked.
+func valueTable(calls []invocationData) []valueSlot {
+	var vals []valueSlot
+	for i := range calls {
+		for _, a := range calls[i].Args {
+			if !a.IsRef {
+				continue
+			}
+			j, ok := callIndex(calls, a.Seq)
+			if !ok || calls[j].Kind != kindValue || calls[j].owner() != NoCursor {
+				continue
+			}
+			if vals == nil {
+				vals = make([]valueSlot, len(calls))
+			}
+			vals[j].want = true
+		}
+	}
+	return vals
+}
+
+// keepValue files a value call's result in the wave's table if a call of the
+// request wants it.
+func (st *execState) keepValue(seq int64, w any) {
+	if st.vals == nil {
+		return
+	}
+	if i, ok := callIndex(st.calls, seq); ok && st.vals[i].want {
+		st.vals[i].set, st.vals[i].val = true, w
+	}
+}
+
+// splice returns what a consumer receives for a value the wave produced: the
+// value as it would have arrived had it gone to the client and come back as a
+// literal — one codec round trip, so every consumer gets a copy of its own,
+// in decoded wire form, whichever path carried it.
+func (st *execState) splice(w any) (any, error) {
+	buf, err := wire.MarshalAppend(st.spliceBuf[:0], w)
+	if err != nil {
+		return nil, err
+	}
+	st.spliceBuf = buf
+	return wire.Unmarshal(buf)
 }
 
 // argSlice returns a scratch slice of length n. The callee must not retain
@@ -437,7 +517,7 @@ func (st *execState) argSlice(n int) []any {
 // runBatch replays calls once. It returns the per-call results and whether
 // an ActionRestart demands re-execution.
 func (e *Executor) runBatch(ctx context.Context, sess *session, calls []invocationData) ([]callResult, bool) {
-	st := &execState{trackOcc: len(sess.policy.Rules) > 0}
+	st := &execState{trackOcc: len(sess.policy.Rules) > 0, calls: calls, vals: valueTable(calls)}
 	results := make([]callResult, len(calls))
 
 	for i := 0; i < len(calls); i++ {
@@ -510,7 +590,7 @@ func (e *Executor) runCall(ctx context.Context, sess *session, st *execState, ca
 			args[i] = a.Val
 			continue
 		}
-		v, depErr := e.resolve(sess, overlay, a.Seq)
+		v, depErr := e.resolveArg(sess, st, overlay, a.Seq)
 		if depErr != nil {
 			res.Skipped = true
 			res.Err = depErr
@@ -585,9 +665,13 @@ func (e *Executor) runCall(ctx context.Context, sess *session, st *execState, ca
 		w, werr := e.peer.ToWire(v)
 		if werr != nil {
 			res.Err = fmt.Errorf("brmi: marshal result of %s: %w", call.Method, werr)
+			e.markFailure(sess, overlay, call.Seq, res.Err)
 			return res
 		}
 		res.Value = w
+		if overlay == nil {
+			st.keepValue(call.Seq, w)
+		}
 	}
 	return res
 }
@@ -669,7 +753,7 @@ func (e *Executor) runCursor(ctx context.Context, sess *session, st *execState, 
 			args[i] = a.Val
 			continue
 		}
-		v, depErr := e.resolve(sess, nil, a.Seq)
+		v, depErr := e.resolveArg(sess, st, nil, a.Seq)
 		if depErr != nil {
 			fail(depErr, true)
 			return
@@ -781,7 +865,7 @@ func (e *Executor) resolve(sess *session, overlay map[int64]any, seq int64) (any
 		if i := RootTarget - seq - 1; i < int64(len(sess.extras)) {
 			return sess.extras[i], nil
 		}
-		return nil, fmt.Errorf("brmi: unknown batch root %d", seq)
+		return nil, &UnresolvedRefError{Seq: seq}
 	}
 	if overlay != nil {
 		if v, ok := overlay[seq]; ok {
@@ -797,7 +881,23 @@ func (e *Executor) resolve(sess *session, overlay map[int64]any, seq int64) (any
 	if err, ok := sess.failures[seq]; ok {
 		return nil, err
 	}
-	return nil, fmt.Errorf("brmi: unknown batch object %d", seq)
+	return nil, &UnresolvedRefError{Seq: seq}
+}
+
+// resolveArg is resolve for an argument, which may also name a value call of
+// the same request: the wave's table answers for one that has executed, with
+// a copy of what it returned. One that failed or was skipped left its error
+// where resolve finds it, like a failed remote result; anything else — a call
+// later in the request, the call itself, a value of an earlier flush of the
+// chain, a cursor run's call — is unresolved.
+func (e *Executor) resolveArg(sess *session, st *execState, overlay map[int64]any, seq int64) (any, error) {
+	if st.vals != nil {
+		if i, ok := callIndex(st.calls, seq); ok && st.vals[i].set {
+			e.splices.Inc()
+			return st.splice(st.vals[i].val)
+		}
+	}
+	return e.resolve(sess, overlay, seq)
 }
 
 // bind stores a call's remote result under its sequence number: in the

@@ -14,3 +14,7 @@ type (
 	Invocation    = invocationData
 	BatchArg      = batchArg
 )
+
+// ValueSlotsForTest reports how many slots the executor's wave-scoped value
+// table gets for a request with these calls (0: no table).
+func ValueSlotsForTest(calls []Invocation) int { return len(valueTable(calls)) }

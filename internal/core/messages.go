@@ -207,5 +207,6 @@ func init() {
 	wire.MustRegister("brmi.ship", &ShipDirective{})
 	wire.MustRegisterError("brmi.SessionExpired", &SessionExpiredError{})
 	wire.MustRegisterError("brmi.KindMismatch", &KindMismatchError{})
+	wire.MustRegisterError("brmi.UnresolvedRef", &UnresolvedRefError{})
 	wire.MustRegisterError("brmi.BatchError", &BatchError{})
 }

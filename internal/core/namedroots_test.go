@@ -35,6 +35,25 @@ var (
 	idAndNameRoots = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}}
 )
 
+// The value-reference shapes of the seed corpus (value-ref*): a call that
+// takes, by reference, the value an earlier call of the request returned, and
+// three references the executor must fail the one call for — a later call, the
+// call itself, a call numbered below the request's own.
+var (
+	valueRef          = &core.BatchRequest{Calls: []core.Invocation{bumpCall(0), restoreCall(1, 0)}, Names: []string{"a"}}
+	valueRefForward   = &core.BatchRequest{Calls: []core.Invocation{restoreCall(0, 1), bumpCall(1)}, Names: []string{"a"}}
+	valueRefSelf      = &core.BatchRequest{Calls: []core.Invocation{restoreCall(0, 0)}, Names: []string{"a"}}
+	valueRefStaleWave = &core.BatchRequest{Calls: []core.Invocation{bumpCall(3), restoreCall(4, 1)}, Names: []string{"a"}}
+)
+
+func bumpCall(seq int64) core.Invocation {
+	return core.Invocation{Seq: seq, Target: core.RootTarget, Method: "Bump", Kind: 1}
+}
+
+func restoreCall(seq, from int64) core.Invocation {
+	return core.Invocation{Seq: seq, Target: core.RootTarget, Method: "Restore", Kind: 1, Args: []core.BatchArg{{IsRef: true, Seq: from}}}
+}
+
 // reservedSlotSetRequest is a chained multi-root request as a peer from
 // before the executor kept one replay order encoded it with its
 // parallel-roots flag set (captured at that commit): slot 5 of brmi.req

@@ -45,6 +45,14 @@ func (p *Proxy) Batch() *Batch { return p.b }
 // Call records a method invocation whose result is a value, returning its
 // future. Use CallBatch for methods returning remote objects and CallCursor
 // for methods returning slices of remote objects.
+//
+// Besides plain values and proxies, an argument may be a *Future of this
+// batch that has not been flushed yet: it travels as a reference to its
+// producing call, and the server hands the consumer that call's value inside
+// the same flush — or, if the producer failed, fails the consumer with the
+// producer's error, unexecuted. (A future an earlier FlushAndContinue settled
+// goes as the literal it holds; another batch's is ErrForeignProxy.) The
+// same holds for CallRO, CallBatch, CallBatchExport and CallCursor.
 func (p *Proxy) Call(method string, args ...any) *Future {
 	return p.b.recordValue(p, method, args, false)
 }
