@@ -11,10 +11,7 @@ import (
 // transport.GetBuffer must be balanced by a transport.PutBuffer (or the
 // buffer must be handed to another owner), PutBuffer must not run twice on
 // the same buffer, and a buffer must not be used after it went back to the
-// pool. StreamWriter.SendOwned is put-family: it takes ownership and
-// returns the buffer to the pool itself, so it discharges the obligation,
-// and a PutBuffer or any use after it is a double-put / use-after-put.
-// The obligation follows the buffer through the
+// pool. The obligation follows the buffer through the
 // wire.MarshalAppend(buf, v)-style grow-and-reassign idiom: a []byte
 // argument to a []byte-returning call carries its obligation into the
 // result. The classic leak this catches is
@@ -42,7 +39,6 @@ type pcFlags struct {
 	put      bool // put back on every way to reach this point
 	maybePut bool // put back on some path (suppresses the leak report)
 	escaped  bool // ownership handed off: returned, stored, passed, captured
-	sent     bool // discharged via StreamWriter.SendOwned (shapes messages)
 }
 
 func (f pcFlags) discharged() bool { return f.put || f.escaped }
@@ -148,7 +144,6 @@ func (s *pcScope) Join(st pcState, branches []pcState, terms []bool) {
 			out.put = out.put && v.put
 			out.maybePut = out.maybePut || v.maybePut
 			out.escaped = out.escaped || v.escaped
-			out.sent = out.sent || v.sent
 		}
 		if !live {
 			out = pcFlags{put: true, maybePut: true}
@@ -164,7 +159,6 @@ func (s *pcScope) MergeLoop(st pcState, bodySt pcState) {
 		cur.put = cur.put || v.put
 		cur.maybePut = cur.maybePut || v.maybePut
 		cur.escaped = cur.escaped || v.escaped
-		cur.sent = cur.sent || v.sent
 		st[k] = cur
 	}
 }
@@ -247,7 +241,7 @@ func (s *pcScope) assign(a *ast.AssignStmt, st pcState) {
 		}
 		if obj := rootObj(s.info, lhs); obj != nil {
 			if b, ok := s.vars[obj]; ok && st[b].put {
-				s.report(lhs, useAfterMsg(st[b]))
+				s.report(lhs, useAfterPut)
 			}
 		}
 		for _, rhs := range a.Rhs {
@@ -354,39 +348,11 @@ func (s *pcScope) callEvents(call *ast.CallExpr, st pcState) {
 			if b, ok := s.vars[obj]; ok {
 				f := st[b]
 				if f.put {
-					if f.sent {
-						s.report(call, "transport.PutBuffer is called on a buffer already handed to StreamWriter.SendOwned; SendOwned returns it to the pool itself")
-					} else {
-						s.report(call, "transport.PutBuffer is called twice on the same buffer")
-					}
+					s.report(call, "transport.PutBuffer is called twice on the same buffer")
 					return
 				}
 				f.put = true
 				f.maybePut = true
-				st[b] = f
-			}
-		}
-		return
-	}
-	// StreamWriter.SendOwned takes ownership of its argument — the writer
-	// frames the bytes in place and returns the buffer to the pool itself —
-	// so it discharges the put obligation exactly like PutBuffer, and using
-	// the buffer afterwards is the same protocol violation.
-	if isSendOwned(s.info, call) && len(call.Args) == 1 {
-		if obj := rootObj(s.info, call.Args[0]); obj != nil {
-			if b, ok := s.vars[obj]; ok {
-				f := st[b]
-				if f.put {
-					if f.sent {
-						s.report(call, "buffer is handed to StreamWriter.SendOwned twice")
-					} else {
-						s.report(call, "buffer is handed to StreamWriter.SendOwned after transport.PutBuffer returned it to the pool")
-					}
-					return
-				}
-				f.put = true
-				f.maybePut = true
-				f.sent = true
 				st[b] = f
 			}
 		}
@@ -404,7 +370,7 @@ func (s *pcScope) callEvents(call *ast.CallExpr, st pcState) {
 		}
 		f := st[b]
 		if f.put {
-			s.report(arg, useAfterMsg(f))
+			s.report(arg, useAfterPut)
 			continue
 		}
 		// Passed to a callee that doesn't hand a []byte back: the callee
@@ -416,29 +382,7 @@ func (s *pcScope) callEvents(call *ast.CallExpr, st pcState) {
 	}
 }
 
-// useAfterMsg names the event that retired the buffer in a use-after
-// diagnostic.
-func useAfterMsg(f pcFlags) string {
-	if f.sent {
-		return "buffer is used after StreamWriter.SendOwned took ownership of it"
-	}
-	return "buffer is used after transport.PutBuffer returned it to the pool"
-}
-
-// isSendOwned reports whether call invokes
-// (*transport.StreamWriter).SendOwned, the ownership-transferring chunk
-// send.
-func isSendOwned(info *types.Info, call *ast.CallExpr) bool {
-	_, method, ok := methodCall(info, call)
-	if !ok || method.Name() != "SendOwned" {
-		return false
-	}
-	sig, isSig := method.Type().(*types.Signature)
-	if !isSig || sig.Recv() == nil {
-		return false
-	}
-	return isNamed(sig.Recv().Type(), transportPath, "StreamWriter")
-}
+const useAfterPut = "buffer is used after transport.PutBuffer returned it to the pool"
 
 func (s *pcScope) report(n ast.Node, msg string) {
 	if s.gaveUp {

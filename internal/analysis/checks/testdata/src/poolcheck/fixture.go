@@ -108,38 +108,6 @@ func putInBranch(cond bool, v any) {
 	}
 }
 
-// StreamWriter.SendOwned is put-family: it takes ownership of the buffer
-// and returns it to the pool itself, discharging the obligation.
-func sendOwnedDischarges(w *transport.StreamWriter, v any) error {
-	buf := transport.GetBuffer()
-	buf, err := wire.MarshalAppend(buf, v)
-	if err != nil {
-		transport.PutBuffer(buf)
-		return err
-	}
-	return w.SendOwned(buf)
-}
-
-// Putting a buffer SendOwned already owns is a double put.
-func putAfterSendOwned(w *transport.StreamWriter) {
-	buf := transport.GetBuffer()
-	_ = w.SendOwned(buf)
-	transport.PutBuffer(buf) // want `already handed to StreamWriter.SendOwned`
-}
-
-// The buffer may be pooled (and rewritten) the moment SendOwned returns.
-func useAfterSendOwned(w *transport.StreamWriter, v any) {
-	buf := transport.GetBuffer()
-	_ = w.SendOwned(buf)
-	_, _ = wire.MarshalAppend(buf, v) // want `used after StreamWriter.SendOwned`
-}
-
-func doubleSendOwned(w *transport.StreamWriter) {
-	buf := transport.GetBuffer()
-	_ = w.SendOwned(buf)
-	_ = w.SendOwned(buf) // want `handed to StreamWriter.SendOwned twice`
-}
-
 func suppressedLeak() {
 	//brmivet:ignore poolcheck deliberate leak exercises pool refill
 	buf := transport.GetBuffer()

@@ -85,12 +85,12 @@ type readPlan struct {
 }
 
 // destBatch is the per-destination slice of a round: the stream request
-// (parallel ObjIDs, Names and global Indexes) and whether any position in
-// it is name-addressed.
+// (parallel ObjIDs, Names and global Indexes, as add builds it) and whether
+// any position in it is addressed by name, and any by id.
 type destBatch struct {
-	endpoint string
-	req      core.GetBatchRequest
-	named    bool
+	endpoint  string
+	req       core.GetBatchRequest
+	named, id bool
 }
 
 // add appends request position index to endpoint's group: id-addressed
@@ -107,12 +107,27 @@ func (pl *readPlan) add(endpoint string, index int, objID uint64, name string) {
 	}
 	if objID != 0 {
 		name = ""
+		db.id = true
 	} else {
 		db.named = true
 	}
 	db.req.ObjIDs = append(db.req.ObjIDs, objID)
 	db.req.Names = append(db.req.Names, name)
 	db.req.Indexes = append(db.req.Indexes, int64(index))
+}
+
+// trim drops from the request the addressing slice no position uses — the
+// parallel form is for a stream that mixes ids and names — and returns the
+// per-position ids, zero where the position goes by name.
+func (db *destBatch) trim() (ids []uint64) {
+	ids = db.req.ObjIDs
+	if !db.named {
+		db.req.Names = nil // id-addressed throughout: the three-field wire form
+	}
+	if !db.id {
+		db.req.ObjIDs = nil // named throughout: no column of zeros
+	}
+	return ids
 }
 
 // reroutes collects, across one round's parallel streams, the positions
@@ -309,9 +324,7 @@ func (s *Stream) runDest(ctx context.Context, db *destBatch, retried map[int]boo
 		}
 	}
 	db.req.Method = s.method
-	if !db.named {
-		db.req.Names = nil // id-addressed throughout: the three-field wire form
-	}
+	ids := db.trim()
 	gs, err := core.GetBatch(ctx, s.peer, db.endpoint, &db.req)
 	if err != nil {
 		failFrom(0, err)
@@ -333,7 +346,7 @@ func (s *Stream) runDest(ctx context.Context, db *destBatch, retried map[int]boo
 		}
 		i := int(want)
 		if entry.Err != nil {
-			byName := db.req.ObjIDs[cursor] == 0
+			byName := ids[cursor] == 0
 			if rr.file(i, byName, retried[i], entry.Err) {
 				continue
 			}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/wire"
@@ -200,5 +201,36 @@ func TestPlannerAssertsTopologicalOrder(t *testing.T) {
 	// So is a log that is not in recording order.
 	if _, err := planStages([]*recordedCall{c1, c1}); err == nil {
 		t.Fatal("planner accepted a log out of recording order")
+	}
+}
+
+// TestReadPlanShipsOnlyUsedAddressing: a destination's stream request carries
+// ids only if some position is id-addressed and names only if some position
+// is named; a group that mixes them keeps both, parallel.
+func TestReadPlanShipsOnlyUsedAddressing(t *testing.T) {
+	var pl readPlan
+	pl.add("named", 0, 0, "a")
+	pl.add("named", 3, 0, "b")
+	pl.add("ids", 1, 16, "c")
+	pl.add("mixed", 2, 0, "d")
+	pl.add("mixed", 4, 17, "e")
+	for _, c := range []struct {
+		dest         string
+		ids, indexes int
+		names        []string
+		byID         []uint64
+	}{
+		{"named", 0, 2, []string{"a", "b"}, []uint64{0, 0}},
+		{"ids", 1, 1, nil, []uint64{16}},
+		{"mixed", 2, 2, []string{"d", ""}, []uint64{0, 17}},
+	} {
+		db := pl.byDest[c.dest]
+		ids := db.trim()
+		if len(db.req.ObjIDs) != c.ids || len(db.req.Indexes) != c.indexes || !reflect.DeepEqual(db.req.Names, c.names) {
+			t.Errorf("%s ships %+v, want %d ids, %d indexes, names %q", c.dest, db.req, c.ids, c.indexes, c.names)
+		}
+		if !reflect.DeepEqual(ids, c.byID) {
+			t.Errorf("%s: per-position ids %v, want %v", c.dest, ids, c.byID)
+		}
 	}
 }

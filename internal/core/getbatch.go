@@ -12,7 +12,10 @@ import (
 // the paper's evaluation, §5). One request names N objects; the server
 // streams one entry per object, in request order, through the rmi stream
 // layer — so a 64-object read is ONE request and the client consumes early
-// entries while later ones are still being produced.
+// entries while later ones are still being produced. The response costs its
+// header plus its entries: the entry type is defined once per stream, and
+// entries produced in a burst share a chunk (see rmi.EntryWriter for when a
+// chunk leaves).
 //
 // A position addresses its object by export id or by NAME: a name-addressed
 // position is resolved in the serving peer's own registry before the read,
@@ -27,16 +30,18 @@ import (
 const GetBatchService = "core.getbatch"
 
 // GetBatchRequest names the objects to read at one endpoint, in request
-// order. Indexes are caller-assigned (global positions in a fanned-out
-// batch), parallel to ObjIDs. An empty Method reads each object's
+// order: one position per element of Indexes, the caller-assigned global
+// positions in a fanned-out batch. An empty Method reads each object's
 // Snapshot(); otherwise Method is invoked with no arguments and its first
 // result is the value.
 //
-// Names is empty (every position id-addressed) or parallel to ObjIDs:
-// position i is then name-addressed when ObjIDs[i] is 0, the id no
-// application export ever gets, and Names[i] is resolved in the serving
-// peer's registry. Names is the trailing wire field and is omitted when
-// empty, so an id-addressed request keeps its three-field wire form.
+// ObjIDs and Names address the positions, each empty or parallel to Indexes:
+// position i is name-addressed when it has no id — ObjIDs is empty, or
+// ObjIDs[i] is 0, the id no application export ever gets — and Names[i] is
+// then resolved in the serving peer's registry. A request says only what it
+// uses: every position named leaves ObjIDs empty, every position id-addressed
+// leaves Names empty (the trailing wire field, omitted then, so that request
+// keeps its three-field wire form), and only a mixed request carries both.
 type GetBatchRequest struct {
 	ObjIDs  []uint64
 	Indexes []int64
@@ -202,11 +207,8 @@ func (e *Executor) serveGetBatch(ctx context.Context, req any, w *rmi.EntryWrite
 	if !ok {
 		return fmt.Errorf("brmi: getbatch: unexpected request type %T", req)
 	}
-	if len(r.Indexes) != len(r.ObjIDs) {
-		return fmt.Errorf("brmi: getbatch: %d ids but %d indexes", len(r.ObjIDs), len(r.Indexes))
-	}
-	if len(r.Names) != 0 && len(r.Names) != len(r.ObjIDs) {
-		return fmt.Errorf("brmi: getbatch: %d ids but %d names", len(r.ObjIDs), len(r.Names))
+	if err := r.check(); err != nil {
+		return err
 	}
 	e.getbatchBatches.Inc()
 	var reg resolver // this peer's registry, when the request carries names
@@ -214,8 +216,12 @@ func (e *Executor) serveGetBatch(ctx context.Context, req any, w *rmi.EntryWrite
 		obj, _ := e.peer.LocalObject(rmi.RegistryObjID)
 		reg, _ = obj.(resolver)
 	}
-	for i, objID := range r.ObjIDs {
-		entry := GetBatchEntry{Index: r.Indexes[i]}
+	for i, index := range r.Indexes {
+		entry := GetBatchEntry{Index: index}
+		var objID uint64
+		if len(r.ObjIDs) != 0 {
+			objID = r.ObjIDs[i]
+		}
 		if objID == 0 && len(r.Names) != 0 {
 			var ref wire.Ref
 			ref, entry.Err = e.resolveLocal(reg, r.Names[i])
@@ -228,6 +234,21 @@ func (e *Executor) serveGetBatch(ctx context.Context, req any, w *rmi.EntryWrite
 		if err := w.WriteEntry(&entry); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// check refuses a request whose addressing slices are not each empty or
+// parallel to Indexes, or that leaves its positions with neither.
+func (r *GetBatchRequest) check() error {
+	n := len(r.Indexes)
+	switch {
+	case len(r.ObjIDs) != 0 && len(r.ObjIDs) != n:
+		return fmt.Errorf("brmi: getbatch: %d ids but %d indexes", len(r.ObjIDs), n)
+	case len(r.Names) != 0 && len(r.Names) != n:
+		return fmt.Errorf("brmi: getbatch: %d names but %d indexes", len(r.Names), n)
+	case len(r.ObjIDs)+len(r.Names) == 0 && n != 0:
+		return fmt.Errorf("brmi: getbatch: %d indexes but neither ids nor names", n)
 	}
 	return nil
 }

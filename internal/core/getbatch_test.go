@@ -124,12 +124,15 @@ func (env *getbatchEnv) read(req *core.GetBatchRequest) ([]*core.GetBatchEntry, 
 	}
 }
 
-// The three request shapes: the legacy three-field id-addressed form, a
-// names-only request and a mixed one. Their encodings are the fuzz target's
-// seed corpus, committed under testdata/fuzz/FuzzGetBatchRequest.
+// The four request shapes: the legacy three-field id-addressed form, a
+// names-only request in its parallel form (ids all zero) and in the form the
+// cluster layer ships (no ids at all), and a mixed one. Their encodings are
+// the fuzz target's seed corpus, committed under
+// testdata/fuzz/FuzzGetBatchRequest.
 var (
 	legacyRequest = &core.GetBatchRequest{ObjIDs: []uint64{16, 17, 300}, Indexes: []int64{0, 5, 63}, Method: "Get"}
 	namesRequest  = &core.GetBatchRequest{ObjIDs: []uint64{0, 0, 0}, Indexes: []int64{0, 1, 2}, Method: "Get", Names: []string{"a", "ghost", "far"}}
+	noIDsRequest  = &core.GetBatchRequest{ObjIDs: []uint64{}, Indexes: []int64{0, 1, 2}, Method: "Get", Names: []string{"a", "ghost", "far"}}
 	mixedRequest  = &core.GetBatchRequest{ObjIDs: []uint64{16, 0}, Indexes: []int64{7, 3}, Names: []string{"", "b"}}
 )
 
@@ -163,7 +166,7 @@ func TestGetBatchRequestIDAddressedWireParity(t *testing.T) {
 }
 
 func TestGetBatchRequestNamesRoundTrip(t *testing.T) {
-	for _, req := range []*core.GetBatchRequest{namesRequest, mixedRequest} {
+	for _, req := range []*core.GetBatchRequest{namesRequest, noIDsRequest, mixedRequest} {
 		b, err := wire.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
@@ -213,14 +216,51 @@ func TestGetBatchNameAddressed(t *testing.T) {
 	}
 }
 
-// TestGetBatchRejectsMismatchedLengths: parallel slices of different
-// lengths fail the request as a whole, before any entry.
+// TestGetBatchNamesWithoutIDs: a request whose every position is named says
+// so by leaving ObjIDs empty — two bytes per position it does not ship — and
+// reads exactly what the parallel form reads.
+func TestGetBatchNamesWithoutIDs(t *testing.T) {
+	env := newGetbatchEnv(t)
+	parallel, err := wire.Marshal(namesRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := wire.Marshal(noIDsRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(parallel) - 2*len(namesRequest.ObjIDs); len(bare) != want {
+		t.Errorf("request without ids is %d bytes, want %d (parallel form %d)", len(bare), want, len(parallel))
+	}
+	want, err := env.read(namesRequest)
+	if err != nil || len(want) != 3 {
+		t.Fatalf("parallel form read = %d entries, %v", len(want), err)
+	}
+	for _, req := range []*core.GetBatchRequest{noIDsRequest, {Indexes: noIDsRequest.Indexes, Method: "Get", Names: noIDsRequest.Names}} {
+		got, err := env.read(req)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("request %+v read %+v, %v; want what the parallel form reads", req, got, err)
+		}
+	}
+	if want[0].Err != nil || want[0].Value != int64(10) {
+		t.Errorf("a by name = %v, %v; want 10", want[0].Value, want[0].Err)
+	}
+}
+
+// TestGetBatchRejectsMismatchedLengths: an addressing slice that is neither
+// empty nor parallel to the indexes, or positions with no addressing at all,
+// fail the request as a whole, before any entry.
 func TestGetBatchRejectsMismatchedLengths(t *testing.T) {
 	env := newGetbatchEnv(t)
 	for _, req := range []*core.GetBatchRequest{
 		{ObjIDs: []uint64{16, 17}, Indexes: []int64{0}},
 		{ObjIDs: []uint64{0}, Indexes: []int64{0}, Names: []string{"a", "b"}},
 		{ObjIDs: []uint64{0, 0}, Indexes: []int64{0, 1}, Names: []string{"a"}},
+		{Indexes: []int64{0, 1}, Names: []string{"a"}},
+		{Indexes: []int64{0}, Names: []string{"a", "b"}},
+		{Indexes: []int64{0, 1}},
+		{ObjIDs: []uint64{16}},
+		{Names: []string{"a"}},
 	} {
 		if entries, err := env.read(req); err == nil || len(entries) != 0 {
 			t.Errorf("request %+v delivered %d entries, err %v; want none and an error", req, len(entries), err)
@@ -232,8 +272,8 @@ func TestGetBatchRejectsMismatchedLengths(t *testing.T) {
 // when they decode to a request, serves it from a small executor. Nothing
 // may panic (a panic in the serving goroutine takes the process down, which
 // the fuzzer reports); a decoded request is never larger than its input
-// allows; and parallel slices of different lengths are rejected with an
-// error instead of indexing out of range. The seed corpus is the committed
+// allows; and addressing slices that are not empty or parallel to the indexes
+// are rejected with an error instead of indexing out of range. The seed corpus is the committed
 // testdata/fuzz/FuzzGetBatchRequest.
 func FuzzGetBatchRequest(f *testing.F) {
 	env := newGetbatchEnv(f)
@@ -251,7 +291,8 @@ func FuzzGetBatchRequest(f *testing.F) {
 			t.Fatalf("%d input bytes decoded to %d slice elements", len(data), n)
 		}
 		entries, err := env.read(req)
-		if len(req.Indexes) != len(req.ObjIDs) || (len(req.Names) != 0 && len(req.Names) != len(req.ObjIDs)) {
+		n, ids, names := len(req.Indexes), len(req.ObjIDs), len(req.Names)
+		if (ids != 0 && ids != n) || (names != 0 && names != n) || (ids+names == 0 && n != 0) {
 			if err == nil || len(entries) != 0 {
 				t.Fatalf("mismatched request %+v delivered %d entries, err %v", req, len(entries), err)
 			}
@@ -260,8 +301,8 @@ func FuzzGetBatchRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("request %+v: stream failed: %v", req, err)
 		}
-		if len(entries) != len(req.ObjIDs) {
-			t.Fatalf("request %+v delivered %d entries, want %d", req, len(entries), len(req.ObjIDs))
+		if len(entries) != n {
+			t.Fatalf("request %+v delivered %d entries, want %d", req, len(entries), n)
 		}
 		for i, e := range entries {
 			if e.Index != req.Indexes[i] {

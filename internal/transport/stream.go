@@ -337,53 +337,8 @@ func (w *StreamWriter) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// SendOwned streams p, taking ownership: the buffer is returned to the
-// shared pool once framed, and full chunk-sized spans of p are framed
-// directly with no copy. p must come from GetBuffer (or be owned
-// outright) and must not be used after — brmivet's poolcheck treats
-// SendOwned as discharging the PutBuffer obligation, exactly like
-// PutBuffer itself.
-func (w *StreamWriter) SendOwned(p []byte) error {
-	if w.err != nil {
-		PutBuffer(p)
-		return w.err
-	}
-	off := 0
-	// Top up the buffered chunk first so frames stay full.
-	if len(w.buf) > 0 {
-		room := maxChunkData - len(w.buf)
-		if room > len(p) {
-			room = len(p)
-		}
-		w.buf = append(w.buf, p[:room]...)
-		off = room
-		if len(w.buf) == maxChunkData {
-			if err := w.flushChunk(false); err != nil {
-				PutBuffer(p)
-				return err
-			}
-		}
-	}
-	// Frame full chunks straight out of p — zero copy.
-	for len(p)-off >= maxChunkData {
-		if err := w.sendChunk(p[off:off+maxChunkData], false); err != nil {
-			PutBuffer(p)
-			return err
-		}
-		off += maxChunkData
-	}
-	if off < len(p) {
-		if w.buf == nil {
-			w.buf = GetBuffer()
-		}
-		w.buf = append(w.buf, p[off:]...)
-	}
-	PutBuffer(p)
-	return nil
-}
-
-// Flush frames any buffered bytes immediately, so an entry written through
-// a small Write reaches the consumer without waiting for a full chunk.
+// Flush frames any buffered bytes immediately, so what small Writes have
+// accumulated reaches the consumer without waiting for a full chunk.
 func (w *StreamWriter) Flush() error {
 	if w.err != nil {
 		return w.err
@@ -426,8 +381,8 @@ func (w *StreamWriter) sendChunk(data []byte, fin bool) error {
 
 // finish completes the stream after the handler returned: on success the
 // buffered tail flushes with the fin bit; a handler error is delivered as
-// a final error chunk so the consumer surfaces it after the data streamed
-// so far. Called by the server dispatch wrapper, never by handlers.
+// a final error chunk, behind the buffered tail, so the consumer surfaces
+// it after everything the handler wrote. Called by the server dispatch wrapper, never by handlers.
 func (w *StreamWriter) finish(herr error) {
 	defer func() {
 		PutBuffer(w.buf)
@@ -439,6 +394,11 @@ func (w *StreamWriter) finish(herr error) {
 	}
 	if herr == nil {
 		_ = w.flushChunk(true)
+		return
+	}
+	// What the handler wrote leaves ahead of the error chunk, which carries
+	// only the message.
+	if len(w.buf) > 0 && w.flushChunk(false) != nil {
 		return
 	}
 	msg := []byte(herr.Error())

@@ -382,16 +382,14 @@ func TestCallStreamCancel(t *testing.T) {
 	}
 }
 
-// A handler error surfaces through the reader AFTER the data streamed
+// A handler error surfaces through the reader AFTER the data written
 // before it; a server without a stream handler rejects CallStream cleanly.
 func TestCallStreamHandlerError(t *testing.T) {
 	t.Cleanup(transport.SetStreamTuningForTest(16<<10, 256, 4<<10))
 
 	handler := func(_ context.Context, payload []byte, w *transport.StreamWriter) error {
+		// Written, not flushed: finish sends it ahead of the error.
 		if _, err := w.Write([]byte("partial-data")); err != nil {
-			return err
-		}
-		if err := w.Flush(); err != nil {
 			return err
 		}
 		return errors.New("backend exploded")

@@ -144,7 +144,7 @@ type Handler func(ctx context.Context, payload []byte) ([]byte, error)
 // by writing the response incrementally through w: bytes written stream to
 // the caller in credit-gated chunks while the handler keeps producing. A
 // returned error is delivered to the caller's reader after the data
-// streamed so far; returning ErrStreamCanceled (which Write surfaces when
+// written so far; returning ErrStreamCanceled (which Write surfaces when
 // the caller abandons the stream) is the clean way to stop early. Stream
 // handlers run concurrently, like Handlers, and the same WithBufferReuse
 // payload rules apply.

@@ -171,7 +171,9 @@ func TestServerCloseFailsPendingAndRedialWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	started := make(chan struct{})
+	// Buffered: the handler may get here before the test waits, and its
+	// send does not block.
+	started := make(chan struct{}, 1)
 	srv := transport.NewServer(func(ctx context.Context, p []byte) ([]byte, error) {
 		select {
 		case started <- struct{}{}:

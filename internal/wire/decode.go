@@ -52,41 +52,46 @@ func UnmarshalValues(data []byte) ([]any, error) {
 	return out, nil
 }
 
-// Decoder is a reusable message decoder: Reset rebinds it to a new message
-// without reallocating the stream type table, for callers that decode many
-// messages back to back.
+// Decoder decodes the messages of one STREAM, the counterpart of Encoder:
+// its type table survives across Next calls, so a message may refer to a type
+// an earlier message of the stream defined. The zero value is ready to use; a
+// Decoder is owned by one stream and dies with it. Not safe for concurrent
+// use.
 type Decoder struct {
-	d decoder
+	d   decoder
+	err error // sticky: a stream that failed to decode has lost its framing
 }
 
-// Reset binds the decoder to data, discarding all previous state.
-func (dec *Decoder) Reset(data []byte) {
-	dec.d.data = data
-	dec.d.pos = 0
-	if dec.d.types == nil {
-		dec.d.types = dec.d.typesArr[:0]
-	} else {
-		dec.d.types = dec.d.types[:0]
+// Next decodes data, the stream's next message, like Unmarshal — except that
+// the types defined so far stay defined. A decode error is final for the
+// stream: the table may be missing a definition the failed message carried,
+// so every later Next returns the same error instead of resynchronising.
+func (dec *Decoder) Next(data []byte) (any, error) {
+	if dec.err != nil {
+		return nil, dec.err
 	}
-}
-
-// Decode decodes the single message the decoder was Reset to, like
-// Unmarshal.
-func (dec *Decoder) Decode() (any, error) {
-	v, err := dec.d.value()
+	d := &dec.d
+	if d.types == nil {
+		d.types = d.typesArr[:0]
+	}
+	d.data, d.pos = data, 0
+	v, err := d.value()
+	if err == nil && d.pos != len(data) {
+		err = d.corrupt("trailing bytes")
+	}
+	d.data = nil
 	if err != nil {
+		dec.err = err
 		return nil, err
-	}
-	if dec.d.pos != len(dec.d.data) {
-		return nil, &CorruptError{Offset: dec.d.pos, Detail: "trailing bytes"}
 	}
 	return v, nil
 }
 
-// decoder holds one message's decode state. The stream type table is a
+// decoder holds one type table's decode state: one message's for the pooled
+// decoders behind Unmarshal, one stream's inside a Decoder. The table is a
 // slice indexed by id-1 with a small inline backing array — ids are
 // assigned densely from 1 by the encoder — replacing the old per-message
-// map. Decoders are pooled.
+// map.
 type decoder struct {
 	data     []byte
 	pos      int
@@ -102,9 +107,9 @@ type streamType struct {
 	asPtr bool
 }
 
-// maxStreamTypes bounds the per-message type table: the encoder allocates
-// ids densely, so any id beyond this is a corrupt or hostile message, not a
-// real type set.
+// maxStreamTypes bounds one type table — a message's, or a whole stream's
+// when a Decoder keeps it across messages: any id beyond this is a corrupt or
+// hostile peer, not a real type set.
 const maxStreamTypes = 1 << 16
 
 var decoderPool = sync.Pool{New: func() any {
@@ -343,10 +348,14 @@ func (d *decoder) typeDef() error {
 	if id == 0 || id > maxStreamTypes {
 		return d.corrupt(fmt.Sprintf("type id %d out of range", id))
 	}
-	for uint64(len(d.types)) < id {
-		d.types = append(d.types, streamType{})
+	// The encoder hands out ids densely and defines each exactly once, so
+	// the only legal definition is of the next id: a redefinition would
+	// change the meaning of an id that is live (for the rest of the stream,
+	// under a Decoder), and a gap is a table the input did not pay for.
+	if next := uint64(len(d.types)) + 1; id != next {
+		return d.corrupt(fmt.Sprintf("type id %d defined, want %d", id, next))
 	}
-	d.types[id-1] = streamType{plan: plan, asPtr: decodeAsPointer(plan.typ)}
+	d.types = append(d.types, streamType{plan: plan, asPtr: decodeAsPointer(plan.typ)})
 	return nil
 }
 
@@ -355,8 +364,7 @@ func (d *decoder) typePlan(id uint64) (streamType, bool) {
 	if id == 0 || id > uint64(len(d.types)) {
 		return streamType{}, false
 	}
-	st := d.types[id-1]
-	return st, st.plan != nil
+	return d.types[id-1], true
 }
 
 func (d *decoder) structValue() (any, error) {

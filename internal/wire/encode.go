@@ -54,14 +54,50 @@ func MarshalValuesAppend(buf []byte, vs []any) ([]byte, error) {
 	return buf, nil
 }
 
-// encoder holds one message's encode state. Encoders are pooled: the
-// stream-local type table lives in a small inline array, so encoding a
-// message — even one defining several struct types — allocates nothing
-// beyond the output it appends to buf.
+// Encoder encodes the messages of one STREAM: its type table survives
+// across Append calls, so a struct type is defined (kTypeDef) once per
+// stream, by the first message that uses it, and later messages refer to it
+// by id. The peer decodes the messages, in order, with one Decoder. The zero
+// value is ready to use; an Encoder is owned by one stream and dies with it.
+// Not safe for concurrent use.
+//
+// Marshal and MarshalValues do not go through an Encoder: every message they
+// produce is self-contained, because ordinary frames are decoded out of
+// order, by different workers, or not at all.
+type Encoder struct {
+	e encoder
+}
+
+// Append encodes v as the stream's next message, appending it to buf. When v
+// fails to encode, buf is returned as it was and the type table is rolled
+// back to what the peer has seen, so the stream can go on: a definition that
+// never left is never referred to.
+func (enc *Encoder) Append(buf []byte, v any) ([]byte, error) {
+	e := &enc.e
+	if e.typeNames == nil {
+		e.typeNames = e.namesArr[:0]
+	}
+	defined := len(e.typeNames)
+	e.buf = buf
+	err := e.value(v)
+	out := e.buf
+	e.buf = nil
+	if err != nil {
+		clear(e.typeNames[defined:])
+		e.typeNames = e.typeNames[:defined]
+		return buf, err
+	}
+	return out, nil
+}
+
+// encoder holds one type table's encode state: one message's for the pooled
+// encoders behind Marshal, one stream's inside an Encoder. The table lives
+// in a small inline array, so encoding a message — even one defining several
+// struct types — allocates nothing beyond the output it appends to buf.
 type encoder struct {
 	buf []byte
-	// typeNames is the stream-local type table: index i holds the name
-	// defined with id i+1. A linear slice replaces the old per-message
+	// typeNames is the type table: index i holds the name defined with id
+	// i+1. A linear slice replaces the old per-message
 	// map[string]uint64 — messages use a handful of types, the common
 	// single-type message hits the first slot, and the inline backing array
 	// makes the table allocation-free.
@@ -353,8 +389,8 @@ func (e *encoder) encodeStruct(plan *structPlan, rv reflect.Value) error {
 	return nil
 }
 
-// typeID returns the stream-local id for name, allocating one if needed.
-// The boolean reports whether the id was already defined in this message.
+// typeID returns the table's id for name, allocating one if needed. The
+// boolean reports whether the id was already defined under this table.
 // The one-type message (by far the most common) resolves in a single
 // comparison against the inline table.
 func (e *encoder) typeID(name string) (uint64, bool) {

@@ -6,8 +6,11 @@
 // references (Ref), and error values survive the network with enough type
 // information for the receiver to match on them.
 //
-// The format is stream-independent: every Marshal call produces a
-// self-contained message. Struct types must be registered with Register
+// Every Marshal call produces a self-contained message: a struct type is
+// defined (its wire name bound to a small id) inside the message that uses
+// it. An ordered stream of messages may instead share one type table — an
+// Encoder on the sending side, a Decoder on the receiving side — so a type is
+// defined once per stream. Struct types must be registered with Register
 // before they can be encoded or decoded; registration assigns a stable wire
 // name (the equivalent of a Java class name in RMI's serialized form).
 //
