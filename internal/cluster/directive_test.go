@@ -244,13 +244,28 @@ func TestQuorumErrorWireForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "0d010e636c75737465722e51756f72756d0c010408046b762d31040204060a030d0215636c75737465722e466f6c6c6f7765724572726f720c020208087365727665722d320d0311636c75737465722e5374616c65536869700c0302050405050c020208087365727665722d330d0411636c75737465722e536869705265706c790c040308087365727665722d33040204010c020208087365727665722d3110132a6572726f72732e6572726f72537472696e670c6469616c2072656675736564"
+	const want = "131c0408046b762d31040204060a03131d0208087365727665722d32131b0205040505131d0208087365727665722d33131e0308087365727665722d3304020401131d0208087365727665722d3110132a6572726f72732e6572726f72537472696e670c6469616c2072656675736564"
 	if hex.EncodeToString(got) != want {
 		t.Errorf("quorum miss encodes to\n  %x, want\n  %s", got, want)
+	}
+	// Captured before the standard type table, when the four cluster types
+	// were defined by name: it still decodes, to the same miss, and it is
+	// longer by exactly those definitions (tag, id, length, name).
+	const named = "0d010e636c75737465722e51756f72756d0c010408046b762d31040204060a030d0215636c75737465722e466f6c6c6f7765724572726f720c020208087365727665722d320d0311636c75737465722e5374616c65536869700c0302050405050c020208087365727665722d330d0411636c75737465722e536869705265706c790c040308087365727665722d33040204010c020208087365727665722d3110132a6572726f72732e6572726f72537472696e670c6469616c2072656675736564"
+	old, _ := hex.DecodeString(named)
+	defs := 0
+	for _, name := range []string{"cluster.Quorum", "cluster.FollowerError", "cluster.StaleShip", "cluster.ShipReply"} {
+		defs += 3 + len(name)
+	}
+	if len(old)-len(got) != defs {
+		t.Errorf("quorum miss is %d bytes, %d named: want %d fewer", len(got), len(old), defs)
 	}
 	back, err := wire.Unmarshal(got)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a, err := wire.Unmarshal(old); err != nil || !reflect.DeepEqual(a, back) {
+		t.Errorf("named quorum miss decoded to %+v, %v; want %+v", a, err, back)
 	}
 	qe, ok := back.(*cluster.QuorumError)
 	if !ok || qe.Name != "kv-1" || qe.Acked != 1 || qe.Required != 3 || len(qe.Failed) != 3 {

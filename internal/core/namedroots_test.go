@@ -60,28 +60,67 @@ func restoreCall(seq, from int64) core.Invocation {
 // reads true. It is committed as the fuzz seed reserved-slot-set.
 const reservedSlotSetRequest = "0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703030a02051105ac02"
 
+// standardGoldenNames are the standard types (wire/standard.go) the wire
+// goldens of this package and of cluster's directive test used to define by
+// name.
+var standardGoldenNames = []string{
+	"brmi.req", "brmi.inv", "brmi.arg", "brmi.policy", "brmi.ship", "brmi.resp", "brmi.result",
+	"brmi.getbatch.req", "cluster.Quorum", "cluster.FollowerError", "cluster.StaleShip",
+}
+
+// checkStandardForm holds a golden to the standard type table's promise:
+// named, the capture from before the table, still decodes to what the
+// encoder's bytes got decode to, and got is shorter by exactly what named
+// spent defining standard types — a kTypeDef tag, an id, a name length and
+// the name, once per type.
+func checkStandardForm(t *testing.T, named string, got []byte) {
+	t.Helper()
+	old := mustHex(t, named)
+	saved := 0
+	for _, name := range standardGoldenNames {
+		if bytes.Contains(old, []byte(name)) {
+			saved += 3 + len(name)
+		}
+	}
+	if len(old)-len(got) != saved {
+		t.Errorf("standard form is %d bytes, named form %d: saved %d, want %d", len(got), len(old), len(old)-len(got), saved)
+	}
+	a, err := wire.Unmarshal(old)
+	if err != nil {
+		t.Fatalf("named form %s: %v", named, err)
+	}
+	if b, err := wire.Unmarshal(got); err != nil || !reflect.DeepEqual(a, b) {
+		t.Errorf("named form decodes to %+v, standard form to %+v (%v)", a, b, err)
+	}
+}
+
 // TestBatchRequestIDAddressedWireParity pins the compatibility promise: a
 // request without root names encodes to exactly the bytes it did before the
-// Names field existed (captured at the parent commit), so old and new peers
-// agree on every id-addressed flush.
+// Names field existed (captured at the parent commit), less the named
+// definitions of its protocol types the standard type table removed — the
+// captures from before the table (named) still decode to the same request —
+// so old and new peers agree on every id-addressed flush.
 func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 	chained := &core.BatchRequest{Root: 16, Calls: []core.Invocation{
 		{Seq: 4, Target: core.RootTarget - 2, Method: "Add", Kind: 1, Args: []core.BatchArg{{Val: int64(5)}}},
 		{Seq: 5, Target: 4, Method: "Self", Kind: 2, Args: []core.BatchArg{{IsRef: true, Seq: 4}}, Export: true},
 	}, Session: 7, KeepSession: true, Roots: []uint64{17, 300}}
 	for _, c := range []struct {
-		req  *core.BatchRequest
-		want string
+		req         *core.BatchRequest
+		want, named string
 	}{
-		{idRequest, "0d010862726d692e7265710c010205100a010d020862726d692e696e760c02040400040108034765740402"},
+		{idRequest, "13020205100a011303040400040108034765740402",
+			"0d010862726d692e7265710c010205100a010d020862726d692e696e760c02040400040108034765740402"},
 		// The capture of this shape had the parallel-roots flag set
 		// (reservedSlotSetRequest). The flag is gone, the slot is reserved and
 		// always false: ONE byte differs, the slot's bool after the session and
 		// keep-session fields ("...05070303..." became "...05070302...").
-		{chained, "0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703020a02051105ac02"},
+		{chained, "13020605100a0213030504080405080341646404020a01130401040a130307040a0408080453656c6604040a0113040301030408040003050703020a02051105ac02",
+			"0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703020a02051105ac02"},
 		{&core.BatchRequest{Root: 16, Roots: []uint64{17}, Policy: core.ContinuePolicy()},
+			"130207051001050002020a010511130c0404040104060406",
 			"0d010862726d692e7265710c0107051001050002020a0105110d020b62726d692e706f6c6963790c020404040104060406"},
-		{&core.BatchRequest{}, "0d010862726d692e7265710c0100"},
+		{&core.BatchRequest{}, "130200", "0d010862726d692e7265710c0100"},
 	} {
 		got, err := wire.Marshal(c.req)
 		if err != nil {
@@ -90,6 +129,7 @@ func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 		if hex.EncodeToString(got) != c.want {
 			t.Errorf("id-addressed request %+v encodes to\n  %x, want\n  %s", c.req, got, c.want)
 		}
+		checkStandardForm(t, c.named, got)
 		back, err := wire.Unmarshal(got)
 		if err != nil {
 			t.Fatal(err)
@@ -112,9 +152,10 @@ func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "0d010962726d692e726573700c0102010503"; hex.EncodeToString(got) != want {
+	if want := "130502010503"; hex.EncodeToString(got) != want {
 		t.Errorf("id-addressed reply encodes to %x, want %s", got, want)
 	}
+	checkStandardForm(t, "0d010962726d692e726573700c0102010503", got)
 }
 
 // TestBatchRequestReservedSlotExecutes: a request that arrives with the
@@ -380,7 +421,10 @@ var (
 	shipSelf         = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]string{{"here"}}, Epoch: 3}}
 	shipNotParallel  = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]string{{"there"}, {"there"}}, Epoch: 3}}
 	shipIDAddressed  = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Ship: &core.ShipDirective{Followers: [][]string{{"there"}}, Epoch: 3, Names: []string{"a"}}}
-	shipRequestBytes = "0d010862726d692e7265710c010905000a010d020862726d692e696e760c020404000401080347657404020500020201010a010801610d030962726d692e736869700c03030a010a010805746865726505030404"
+	shipRequestBytes = "13020905000a0113030404000401080347657404020500020201010a010801611307030a010a010805746865726505030404"
+	// shipRequestNamed is shipRequest as encoded before the standard type
+	// table: brmi.req, brmi.inv and brmi.ship defined by name.
+	shipRequestNamed = "0d010862726d692e7265710c010905000a010d020862726d692e696e760c020404000401080347657404020500020201010a010801610d030962726d692e736869700c03030a010a010805746865726505030404"
 )
 
 // TestShipDirectiveWireForm pins the one trailing field a replicated flush
@@ -395,6 +439,7 @@ func TestShipDirectiveWireForm(t *testing.T) {
 	if hex.EncodeToString(got) != shipRequestBytes {
 		t.Errorf("request with a ship directive encodes to\n  %x, want\n  %s", got, shipRequestBytes)
 	}
+	checkStandardForm(t, shipRequestNamed, got)
 	for _, req := range []*core.BatchRequest{shipRequest, shipIDAddressed} {
 		data, err := wire.Marshal(req)
 		if err != nil {
@@ -408,9 +453,10 @@ func TestShipDirectiveWireForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "0d010962726d692e726573700c010501050304000a0004b817"; hex.EncodeToString(got) != want {
+	if want := "13050501050304000a0004b817"; hex.EncodeToString(got) != want {
 		t.Errorf("reply to a shipped wave encodes to %x, want %s", got, want)
 	}
+	checkStandardForm(t, "0d010962726d692e726573700c010501050304000a0004b817", got)
 	if back, err := wire.Unmarshal(got); err != nil || !reflect.DeepEqual(back, &core.BatchResponse{Session: 3, ShipNs: 1500}) {
 		t.Errorf("reply to a shipped wave decoded to %+v, %v", back, err)
 	}
@@ -422,18 +468,25 @@ func TestShipDirectiveWireForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "0d010962726d692e726573700c01060a010d020b62726d692e726573756c740c02020400040e050004000a0004b8170d030e636c75737465722e51756f72756d0c0304080161040204040a010d0415636c75737465722e466f6c6c6f7765724572726f720c0402080574686572650d0511636c75737465722e5374616c65536869700c050205030504"; hex.EncodeToString(got) != want {
+	if want := "1305060a011306020400040e050004000a0004b817131c04080161040204040a01131d0208057468657265131b0205030504"; hex.EncodeToString(got) != want {
 		t.Errorf("reply carrying a quorum miss encodes to\n  %x, want\n  %s", got, want)
 	}
+	checkStandardForm(t, "0d010962726d692e726573700c01060a010d020b62726d692e726573756c740c02020400040e050004000a0004b8170d030e636c75737465722e51756f72756d0c0304080161040204040a010d0415636c75737465722e466f6c6c6f7765724572726f720c0402080574686572650d0511636c75737465722e5374616c65536869700c050205030504", got)
 	var stale *cluster.StaleShipError
 	if back, err := wire.Unmarshal(got); err != nil || !reflect.DeepEqual(back, missed) || !errors.As(back.(*core.BatchResponse).ShipErr, &stale) {
 		t.Errorf("reply carrying a quorum miss decoded to %+v, %v", back, err)
 	}
-	// A directive slot holding anything but a directive never decodes.
-	bad := bytes.Replace(mustHex(t, shipRequestBytes), []byte("brmi.ship"), []byte("brmi.rule"), 1)
+	// A directive slot holding anything but a directive never decodes: in
+	// the standard form (kStd 7, brmi.ship, becomes kStd 13, brmi.rule) and
+	// in the named one.
 	var corrupt *wire.CorruptError
-	if back, err := wire.Unmarshal(bad); !errors.As(err, &corrupt) {
-		t.Errorf("request with a rule in its directive slot decoded to %+v, %v; want *wire.CorruptError", back, err)
+	for _, bad := range [][]byte{
+		bytes.Replace(mustHex(t, shipRequestBytes), []byte{0x13, 7}, []byte{0x13, 13}, 1),
+		bytes.Replace(mustHex(t, shipRequestNamed), []byte("brmi.ship"), []byte("brmi.rule"), 1),
+	} {
+		if back, err := wire.Unmarshal(bad); !errors.As(err, &corrupt) {
+			t.Errorf("request %x with a rule in its directive slot decoded to %+v, %v; want *wire.CorruptError", bad, back, err)
+		}
 	}
 }
 

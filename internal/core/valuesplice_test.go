@@ -215,11 +215,13 @@ func valueRefRequest(root uint64) *core.BatchRequest {
 
 // TestValueRefWireForm: a value reference is the reference a remote result
 // has always been — same message, same fields, nothing new on the wire. The
-// bytes were captured at the commit before the executor resolved one; turning
-// the producer into a remote-result call changes its kind byte and nothing
-// about the argument.
+// named bytes were captured at the commit before the executor resolved one,
+// the standard-form bytes are the same less the named definitions the
+// standard type table removed; turning the producer into a remote-result call
+// changes its kind byte and nothing about the argument.
 func TestValueRefWireForm(t *testing.T) {
-	const want = "0d010862726d692e7265710c010205100a020d020862726d692e696e760c020504000401080341646404020a010d030862726d692e6172670c030104500c020504020401080341646404020a010c03020103"
+	const want = "13020205100a0213030504000401080341646404020a01130401045013030504020401080341646404020a011304020103"
+	const named = "0d010862726d692e7265710c010205100a020d020862726d692e696e760c020504000401080341646404020a010d030862726d692e6172670c030104500c020504020401080341646404020a010c03020103"
 	req := valueRefRequest(16)
 	got, err := wire.Marshal(req)
 	if err != nil {
@@ -228,6 +230,7 @@ func TestValueRefWireForm(t *testing.T) {
 	if hex.EncodeToString(got) != want {
 		t.Errorf("request with a value reference encodes to\n  %x, want\n  %s", got, want)
 	}
+	checkStandardForm(t, named, got)
 	req.Calls[0].Kind = 2
 	remote, err := wire.Marshal(req)
 	if err != nil {

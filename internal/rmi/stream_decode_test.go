@@ -40,7 +40,11 @@ var (
 	// kTypeDef: id 1 is "rmi.stream.req"; then a use of it.
 	streamDefUse = append(append([]byte{13, 1, 14}, "rmi.stream.req"...), streamUse...)
 
-	goodStream      = entries(streamDefUse, streamUse)
+	goodStream = entries(streamDefUse, streamUse)
+	// The form an EntryWriter writes: rmi.stream.req is standard type 8, so
+	// every entry names it by index (kStd 19) and none defines it.
+	streamStdUse    = []byte{19, 8, 1, 8, 1, 's'}
+	standardStream  = entries(streamStdUse, streamStdUse)
 	defAfterUse     = entries(streamUse, streamDefUse)
 	redefinedStream = entries(streamDefUse, streamDefUse)
 	truncatedEntry  = goodStream[:len(goodStream)-2]
@@ -50,6 +54,15 @@ var (
 	negativeLength = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
 	// The largest length an entry may claim, followed by almost nothing.
 	claimsCeiling = append(binary.AppendUvarint(nil, maxStreamEntry), 1, 2, 3)
+	// One 16 KiB entry of nested slice headers each claiming 16 KiB elements:
+	// the generic decoder used to reserve them all, level after level.
+	nestedClaims = entries(func() []byte {
+		var msg []byte
+		for len(msg)+3 <= 16<<10 {
+			msg = binary.AppendUvarint(append(msg, 10), 16<<10)
+		}
+		return append(msg, bytes.Repeat([]byte{1}, 16<<10-len(msg))...)
+	}())
 )
 
 func newDecodePeer(tb testing.TB) *Peer {
@@ -84,6 +97,8 @@ func TestStreamCallRejectsHostileBytes(t *testing.T) {
 		check   func(error) bool
 	}{
 		{"good", goodStream, 2, func(err error) bool { return err == nil }},
+		{"standard type", standardStream, 2, func(err error) bool { return err == nil }},
+		{"nested claims", nestedClaims, 0, func(err error) bool { return errors.As(err, &corrupt) }},
 		{"empty", nil, 0, func(err error) bool { return err == nil }},
 		{"definition after use", defAfterUse, 0, func(err error) bool { return errors.As(err, &corrupt) }},
 		{"redefinition of a live id", redefinedStream, 1, func(err error) bool { return errors.As(err, &corrupt) }},
@@ -111,11 +126,13 @@ func TestStreamCallRejectsHostileBytes(t *testing.T) {
 }
 
 // A length prefix is a claim, not a reservation: an entry's buffer grows
-// with the bytes that arrive.
+// with the bytes that arrive. So is a count inside an entry.
 func TestStreamCallAllocatesWhatArrives(t *testing.T) {
 	p := newDecodePeer(t)
-	if got := allocatedBy(func() { _, _ = drain(streamOver(p, claimsCeiling)) }); got > 1<<20 {
-		t.Fatalf("a %d-byte stream claiming a %d-byte entry allocated %d bytes", len(claimsCeiling), maxStreamEntry, got)
+	for _, data := range [][]byte{claimsCeiling, nestedClaims} {
+		if got := allocatedBy(func() { _, _ = drain(streamOver(p, data)) }); got > 1<<20 {
+			t.Errorf("a %d-byte stream (%x...) allocated %d bytes", len(data), data[:8], got)
+		}
 	}
 }
 
@@ -132,14 +149,12 @@ func allocatedBy(fn func()) uint64 {
 // FuzzStreamEntries drives arbitrary bytes through StreamCall.Next as one
 // stream. Nothing may panic, the stream ends (every entry costs input), what
 // ended it is what every later Next returns, and the consumer allocates in
-// proportion to its input — never to what a length prefix or a type id
-// claims. Inputs over 4 KiB are not checked for allocation: the generic value
-// decoder preallocates a slice or map from its claimed length, which nests
-// (ROADMAP item 5), and is not what this target pins.
+// proportion to its input — never to what a length prefix, a type id or a
+// count inside an entry claims (wire's FuzzUnmarshal sets the same bound).
 func FuzzStreamEntries(f *testing.F) {
 	for _, seed := range [][]byte{
-		goodStream, defAfterUse, redefinedStream, truncatedEntry,
-		hugeLength, negativeLength, claimsCeiling,
+		goodStream, standardStream, defAfterUse, redefinedStream, truncatedEntry,
+		hugeLength, negativeLength, claimsCeiling, nestedClaims,
 	} {
 		f.Add(seed)
 	}
@@ -161,7 +176,7 @@ func FuzzStreamEntries(f *testing.F) {
 		if _, again := sc.Next(); again != err {
 			t.Fatalf("Next after the end = %v, want %v again", again, err)
 		}
-		if len(data) <= 4<<10 && allocated > 8<<20 {
+		if allocated > 8<<20+256*uint64(len(data)) {
 			t.Fatalf("%d input bytes made the consumer allocate %d", len(data), allocated)
 		}
 	})

@@ -388,15 +388,21 @@ func compileFieldDec(t reflect.Type) decFunc {
 			if tag != kSlice {
 				return d.corrupt("expected slice")
 			}
-			n, err := d.uvarint()
+			n, err := d.count("slice length")
 			if err != nil {
 				return err
 			}
-			if n > uint64(len(d.data)) {
-				return d.corrupt("slice length exceeds message size")
-			}
-			out := reflect.MakeSlice(t, int(n), int(n))
-			for i := 0; i < int(n); i++ {
+			m := min(n, maxPrealloc)
+			out := reflect.MakeSlice(t, m, m)
+			for i := 0; i < n; i++ {
+				if i == out.Len() {
+					// Past the preallocation: grow with the elements that
+					// arrived, not with the count.
+					m = min(2*m, n)
+					grown := reflect.MakeSlice(t, m, m)
+					reflect.Copy(grown, out)
+					out = grown
+				}
 				if err := elem(d, out.Index(i)); err != nil {
 					return fmt.Errorf("index %d: %w", i, err)
 				}
@@ -420,15 +426,12 @@ func compileFieldDec(t reflect.Type) decFunc {
 			if tag != kMap {
 				return d.corrupt("expected map")
 			}
-			n, err := d.uvarint()
+			n, err := d.count("map length")
 			if err != nil {
 				return err
 			}
-			if n > uint64(len(d.data)) {
-				return d.corrupt("map length exceeds message size")
-			}
-			out := reflect.MakeMapWithSize(t, int(n))
-			for i := uint64(0); i < n; i++ {
+			out := reflect.MakeMapWithSize(t, min(n, maxPrealloc))
+			for i := 0; i < n; i++ {
 				kv := reflect.New(kt).Elem()
 				if err := key(d, kv); err != nil {
 					return fmt.Errorf("map key: %w", err)

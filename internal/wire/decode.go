@@ -31,15 +31,12 @@ func Unmarshal(data []byte) (any, error) {
 func UnmarshalValues(data []byte) ([]any, error) {
 	d := getDecoder(data)
 	defer d.release()
-	n, err := d.uvarint()
+	n, err := d.count("value count")
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(data)) {
-		return nil, &CorruptError{Offset: d.pos, Detail: "value count exceeds message size"}
-	}
-	out := make([]any, 0, n)
-	for i := uint64(0); i < n; i++ {
+	out := make([]any, 0, min(n, maxPrealloc))
+	for i := 0; i < n; i++ {
 		v, err := d.value()
 		if err != nil {
 			return nil, fmt.Errorf("value %d: %w", i, err)
@@ -74,7 +71,7 @@ func (dec *Decoder) Next(data []byte) (any, error) {
 	if d.types == nil {
 		d.types = d.typesArr[:0]
 	}
-	d.data, d.pos = data, 0
+	d.data, d.pos, d.budget = data, 0, len(data)
 	v, err := d.value()
 	if err == nil && d.pos != len(data) {
 		err = d.corrupt("trailing bytes")
@@ -97,7 +94,21 @@ type decoder struct {
 	pos      int
 	types    []streamType
 	typesArr [8]streamType
+	// budget is what the counts the current message claims may still add
+	// up to (see count); depth is how deep its values nest (see enter).
+	budget int
+	depth  int
 }
+
+const (
+	// maxDepth bounds how deep the values of one message nest: a batch
+	// request's deepest protocol path is a handful of levels, and the
+	// decoder recurses once per level.
+	maxDepth = 64
+	// maxPrealloc caps the elements a decoder reserves on a count's word;
+	// a longer slice or map grows as its elements arrive.
+	maxPrealloc = 256
+)
 
 // streamType is one resolved stream-local type: the plan plus the
 // pointer-decode flag, looked up once per type definition rather than once
@@ -122,6 +133,8 @@ func getDecoder(data []byte) *decoder {
 	d := decoderPool.Get().(*decoder)
 	d.data = data
 	d.pos = 0
+	d.budget = len(data)
+	d.depth = 0
 	if d.types == nil {
 		d.types = d.typesArr[:0]
 	} else {
@@ -195,6 +208,34 @@ func (d *decoder) string() (string, error) {
 	return internBytes(b), nil
 }
 
+// count reads a claimed element count — a slice's or map's length, a
+// struct's field count — and charges it to the message. Every element is a
+// value with its own tag byte, so a count can exceed neither the bytes left
+// nor, together with every other count of the message, its length: nested
+// counts draw on one budget, and what a decoder reserves on their word is
+// bounded by the input, not by what the input says.
+func (d *decoder) count(what string) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(d.data)-d.pos) || n > uint64(d.budget) {
+		return 0, d.corrupt(what + " exceeds the bytes left")
+	}
+	d.budget -= int(n)
+	return int(n), nil
+}
+
+// enter descends into a slice, map or struct; the caller decrements d.depth
+// when it has decoded the value.
+func (d *decoder) enter() error {
+	if d.depth >= maxDepth {
+		return d.corrupt("values nested too deep")
+	}
+	d.depth++
+	return nil
+}
+
 // value decodes one value generically.
 func (d *decoder) value() (any, error) {
 	tag, err := d.byte()
@@ -243,32 +284,33 @@ func (d *decoder) value() (any, error) {
 		copy(out, b)
 		return out, nil
 	case kSlice:
-		n, err := d.uvarint()
+		n, err := d.count("slice length")
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(len(d.data)) {
-			return nil, d.corrupt("slice length exceeds message size")
+		if err := d.enter(); err != nil {
+			return nil, err
 		}
-		out := make([]any, 0, n)
-		for i := uint64(0); i < n; i++ {
+		out := make([]any, 0, min(n, maxPrealloc))
+		for i := 0; i < n; i++ {
 			v, err := d.value()
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, v)
 		}
+		d.depth--
 		return out, nil
 	case kMap:
-		n, err := d.uvarint()
+		n, err := d.count("map length")
 		if err != nil {
 			return nil, err
 		}
-		if n > uint64(len(d.data)) {
-			return nil, d.corrupt("map length exceeds message size")
+		if err := d.enter(); err != nil {
+			return nil, err
 		}
-		out := make(map[any]any, n)
-		for i := uint64(0); i < n; i++ {
+		out := make(map[any]any, min(n, maxPrealloc))
+		for i := 0; i < n; i++ {
 			k, err := d.value()
 			if err != nil {
 				return nil, err
@@ -283,14 +325,15 @@ func (d *decoder) value() (any, error) {
 			}
 			out[kk] = v
 		}
+		d.depth--
 		return out, nil
 	case kTypeDef:
 		if err := d.typeDef(); err != nil {
 			return nil, err
 		}
 		return d.value()
-	case kStruct:
-		return d.structValue()
+	case kStruct, kStd:
+		return d.structValue(tag)
 	case kRef:
 		var r Ref
 		if r.Endpoint, err = d.string(); err != nil {
@@ -367,40 +410,49 @@ func (d *decoder) typePlan(id uint64) (streamType, bool) {
 	return d.types[id-1], true
 }
 
-func (d *decoder) structValue() (any, error) {
+// structHeader reads the rest of a struct header whose tag — kStruct or
+// kStd — was just read: the type, by table id or by standard index, and the
+// field count.
+func (d *decoder) structHeader(tag byte) (streamType, int, error) {
 	id, err := d.uvarint()
 	if err != nil {
-		return nil, err
+		return streamType{}, 0, err
 	}
-	st, ok := d.typePlan(id)
-	if !ok {
-		return nil, d.corrupt(fmt.Sprintf("struct with undefined type id %d", id))
+	var st streamType
+	if tag == kStd {
+		if st, err = stdType(id); err != nil {
+			return streamType{}, 0, err
+		}
+	} else {
+		var ok bool
+		if st, ok = d.typePlan(id); !ok {
+			return streamType{}, 0, d.corrupt(fmt.Sprintf("struct with undefined type id %d", id))
+		}
 	}
-	plan := st.plan
-	nFields, err := d.uvarint()
+	n, err := d.count("field count")
+	if err != nil {
+		return streamType{}, 0, err
+	}
+	return st, n, nil
+}
+
+func (d *decoder) structValue(tag byte) (any, error) {
+	st, nFields, err := d.structHeader(tag)
 	if err != nil {
 		return nil, err
 	}
-	if nFields > uint64(len(d.data)) {
-		return nil, d.corrupt("field count exceeds message size")
+	if err := d.enter(); err != nil {
+		return nil, err
 	}
+	defer func() { d.depth-- }()
+	plan := st.plan
 	if plan.fastDecVal != nil {
-		return plan.fastDecVal(Dec{d}, int(nFields))
+		return plan.fastDecVal(Dec{d}, nFields)
 	}
 	pv := reflect.New(plan.typ) // *T
 	sv := pv.Elem()
-	for i := uint64(0); i < nFields; i++ {
-		if i < uint64(len(plan.fields)) {
-			f := &plan.fields[i]
-			if err := f.dec(d, sv.Field(f.index)); err != nil {
-				return nil, fmt.Errorf("%s.%s: %w", plan.name, f.name, err)
-			}
-			continue
-		}
-		// Sender had more fields than we know; discard generically.
-		if _, err := d.value(); err != nil {
-			return nil, err
-		}
+	if err := d.fields(plan, sv, nFields); err != nil {
+		return nil, err
 	}
 	if st.asPtr {
 		return pv.Interface(), nil
@@ -413,35 +465,34 @@ func (d *decoder) structInto(rv reflect.Value, tag byte) error {
 		rv.SetZero()
 		return nil
 	}
-	if tag != kStruct {
+	if tag != kStruct && tag != kStd {
 		return d.corrupt("expected struct")
 	}
-	id, err := d.uvarint()
+	st, nFields, err := d.structHeader(tag)
 	if err != nil {
 		return err
-	}
-	st, ok := d.typePlan(id)
-	if !ok {
-		return d.corrupt(fmt.Sprintf("struct with undefined type id %d", id))
 	}
 	plan := st.plan
 	if plan.typ != rv.Type() {
 		return fmt.Errorf("wire: cannot decode %q into %s", plan.name, rv.Type())
 	}
-	nFields, err := d.uvarint()
-	if err != nil {
+	if err := d.enter(); err != nil {
 		return err
 	}
-	if nFields > uint64(len(d.data)) {
-		return d.corrupt("field count exceeds message size")
-	}
+	defer func() { d.depth-- }()
 	if plan.fastDecInto != nil && rv.CanAddr() {
-		return plan.fastDecInto(Dec{d}, rv.Addr().Interface(), int(nFields))
+		return plan.fastDecInto(Dec{d}, rv.Addr().Interface(), nFields)
 	}
-	for i := uint64(0); i < nFields; i++ {
-		if i < uint64(len(plan.fields)) {
+	return d.fields(plan, rv, nFields)
+}
+
+// fields decodes n encoded fields into sv through plan's field codecs,
+// discarding those a newer sender appended.
+func (d *decoder) fields(plan *structPlan, sv reflect.Value, n int) error {
+	for i := 0; i < n; i++ {
+		if i < len(plan.fields) {
 			f := &plan.fields[i]
-			if err := f.dec(d, rv.Field(f.index)); err != nil {
+			if err := f.dec(d, sv.Field(f.index)); err != nil {
 				return fmt.Errorf("%s.%s: %w", plan.name, f.name, err)
 			}
 			continue

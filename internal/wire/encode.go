@@ -108,6 +108,15 @@ type encoder struct {
 	// lookup into a pointer compare.
 	lastType reflect.Type
 	lastPlan *structPlan
+	// stdMemo caches stdIndex's answers, oldest overwritten first.
+	stdMemo     [16]stdMemo
+	stdMemoLen  int
+	stdMemoNext int
+}
+
+type stdMemo struct {
+	name string
+	std  int
 }
 
 var encoderPool = sync.Pool{New: func() any {
@@ -367,19 +376,11 @@ func (e *encoder) encodeStruct(plan *structPlan, rv reflect.Value) error {
 	if plan.fastEncVal != nil {
 		return plan.fastEncVal(Enc{e}, rv.Interface())
 	}
-	id, defined := e.typeID(plan.name)
-	if !defined {
-		e.buf = append(e.buf, kTypeDef)
-		e.buf = binary.AppendUvarint(e.buf, id)
-		e.putString(plan.name)
-	}
 	nf := len(plan.fields)
 	for nf > 0 && rv.Field(plan.fields[nf-1].index).IsZero() {
 		nf--
 	}
-	e.buf = append(e.buf, kStruct)
-	e.buf = binary.AppendUvarint(e.buf, id)
-	e.buf = binary.AppendUvarint(e.buf, uint64(nf))
+	e.structHeader(plan.std, plan.name, nf)
 	for i := 0; i < nf; i++ {
 		f := &plan.fields[i]
 		if err := f.enc(e, rv.Field(f.index)); err != nil {
@@ -387,6 +388,43 @@ func (e *encoder) encodeStruct(plan *structPlan, rv reflect.Value) error {
 		}
 	}
 	return nil
+}
+
+// structHeader begins a struct of n encoded fields: a standard type by its
+// index (std, from its plan or stdIndex), any other by its table id, defined
+// by the first header that uses it.
+func (e *encoder) structHeader(std int, name string, n int) {
+	if std >= 0 {
+		e.buf = append(e.buf, kStd)
+		e.buf = binary.AppendUvarint(e.buf, uint64(std))
+	} else {
+		id, defined := e.typeID(name)
+		if !defined {
+			e.buf = append(e.buf, kTypeDef)
+			e.buf = binary.AppendUvarint(e.buf, id)
+			e.putString(name)
+		}
+		e.buf = append(e.buf, kStruct)
+		e.buf = binary.AppendUvarint(e.buf, id)
+	}
+	e.buf = binary.AppendUvarint(e.buf, uint64(n))
+}
+
+// stdIndex is name's standard index (or -1) for BeginStruct, which has a
+// name where encodeStruct has a plan. The memo outlives release — the table
+// never changes — so a pooled encoder scans the table once per name, and a
+// compiled header costs the string compares typeID's scan used to cost.
+func (e *encoder) stdIndex(name string) int {
+	for _, m := range e.stdMemo[:e.stdMemoLen] {
+		if m.name == name {
+			return m.std
+		}
+	}
+	std := standardIndex(name)
+	e.stdMemo[e.stdMemoNext] = stdMemo{name: name, std: std}
+	e.stdMemoNext = (e.stdMemoNext + 1) % len(e.stdMemo)
+	e.stdMemoLen = min(e.stdMemoLen+1, len(e.stdMemo))
+	return std
 }
 
 // typeID returns the table's id for name, allocating one if needed. The

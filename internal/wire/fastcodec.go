@@ -10,7 +10,7 @@ import (
 // type may install a hand-written (or generated) codec that encodes and
 // decodes its fields through the exported Enc/Dec primitives instead of the
 // per-field reflection plan. The wire format is IDENTICAL — a compiled
-// codec emits the same kTypeDef/kStruct framing and the same field
+// codec emits the same struct headers (kStd, or kTypeDef/kStruct) and the same field
 // encodings the generic path produces, so compiled and generic peers
 // interoperate freely. The BRMI protocol messages (internal/core,
 // internal/rmi) install codecs; application types may too.
@@ -79,15 +79,7 @@ func (x Enc) Slice(n int) {
 // encoded fields (trailing zero fields may be omitted by passing a smaller
 // n); the codec then encodes exactly n fields in declaration order.
 func (x Enc) BeginStruct(name string, n int) {
-	id, defined := x.e.typeID(name)
-	if !defined {
-		x.e.buf = append(x.e.buf, kTypeDef)
-		x.e.buf = binary.AppendUvarint(x.e.buf, id)
-		x.e.putString(name)
-	}
-	x.e.buf = append(x.e.buf, kStruct)
-	x.e.buf = binary.AppendUvarint(x.e.buf, id)
-	x.e.buf = binary.AppendUvarint(x.e.buf, uint64(n))
+	x.e.structHeader(x.e.stdIndex(name), name, n)
 }
 
 // Dec is the decoding handle passed to compiled codecs. Methods accept
@@ -290,14 +282,7 @@ func (x Dec) SliceLen() (int, error) {
 	if tag != kSlice {
 		return 0, x.d.corrupt("expected slice")
 	}
-	n, err := x.d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(x.d.data)) {
-		return 0, x.d.corrupt("slice length exceeds message size")
-	}
-	return int(n), nil
+	return x.d.count("slice length")
 }
 
 // StructFields begins decoding a struct field of the named registered type:
@@ -312,28 +297,17 @@ func (x Dec) StructFields(name string) (int, error) {
 	if tag == kNil {
 		return -1, nil
 	}
-	if tag != kStruct {
+	if tag != kStruct && tag != kStd {
 		return 0, x.d.corrupt("expected struct")
 	}
-	id, err := x.d.uvarint()
+	st, n, err := x.d.structHeader(tag)
 	if err != nil {
 		return 0, err
-	}
-	st, ok := x.d.typePlan(id)
-	if !ok {
-		return 0, x.d.corrupt(fmt.Sprintf("struct with undefined type id %d", id))
 	}
 	if st.plan.name != name {
 		return 0, fmt.Errorf("wire: cannot decode %q into %q", st.plan.name, name)
 	}
-	n, err := x.d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(x.d.data)) {
-		return 0, x.d.corrupt("field count exceeds message size")
-	}
-	return int(n), nil
+	return n, nil
 }
 
 // SkipFields discards n values (fields a newer sender appended that this
@@ -403,7 +377,7 @@ func RegisterCompiled[T any](name string, decodeAsPtr bool, enc func(Enc, *T) er
 	next := r.clone()
 	next.byName[name] = &np
 	next.byType[np.typ] = &np
-	r.state.Store(next)
+	r.publish(next)
 	return nil
 }
 

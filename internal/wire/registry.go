@@ -14,6 +14,7 @@ import (
 type structPlan struct {
 	name   string
 	typ    reflect.Type // the struct type (never a pointer)
+	std    int          // index in standardTypes, -1 for a type that travels by name
 	fields []fieldPlan
 
 	fastEncVal  func(Enc, any) error        // v is T or *T
@@ -44,6 +45,9 @@ type registryState struct {
 	byType  map[reflect.Type]*structPlan
 	asPtr   map[reflect.Type]bool // decode as *T rather than T
 	errName map[string]bool       // names registered via RegisterError
+	// std resolves kStd indexes: entry i is standardTypes[i]'s plan (nil
+	// while unregistered), so decoding one is an array index.
+	std [len(standardTypes)]streamType
 }
 
 var defaultRegistry = newRegistry()
@@ -81,6 +85,17 @@ func (r *registry) clone() *registryState {
 		next.errName[k] = v
 	}
 	return next
+}
+
+// publish resolves next's standard table and makes next the state readers
+// see. Caller holds r.mu.
+func (r *registry) publish(next *registryState) {
+	for i, name := range standardTypes {
+		if p, ok := next.byName[name]; ok {
+			next.std[i] = streamType{plan: p, asPtr: next.asPtr[p.typ]}
+		}
+	}
+	r.state.Store(next)
 }
 
 // Register associates name with the struct type of sample so values of that
@@ -122,7 +137,7 @@ func Register(name string, sample any) error {
 		}
 		next := r.clone()
 		next.asPtr[t] = wantPtr
-		r.state.Store(next)
+		r.publish(next)
 		return nil
 	}
 	if prev, ok := cur.byType[t]; ok && prev.name != name {
@@ -132,7 +147,7 @@ func Register(name string, sample any) error {
 	next.byName[name] = plan
 	next.byType[t] = plan
 	next.asPtr[t] = wantPtr
-	r.state.Store(next)
+	r.publish(next)
 	return nil
 }
 
@@ -154,7 +169,7 @@ func RegisterError(name string, sample error) error {
 	r.mu.Lock()
 	next := r.clone()
 	next.errName[name] = true
-	r.state.Store(next)
+	r.publish(next)
 	r.mu.Unlock()
 	return nil
 }
@@ -187,7 +202,7 @@ func TypeNameOf(v any) string {
 }
 
 func buildPlan(name string, t reflect.Type) (*structPlan, error) {
-	plan := &structPlan{name: name, typ: t}
+	plan := &structPlan{name: name, typ: t, std: standardIndex(name)}
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if !f.IsExported() {
@@ -218,4 +233,18 @@ func planForName(name string) (*structPlan, bool) {
 
 func decodeAsPointer(t reflect.Type) bool {
 	return defaultRegistry.state.Load().asPtr[t]
+}
+
+// stdType resolves a kStd index. An index past the end of this binary's
+// table (a newer peer's type), or of a type this binary never registered,
+// is an unregistered type, like an unknown name in a kTypeDef.
+func stdType(i uint64) (streamType, error) {
+	std := &defaultRegistry.state.Load().std
+	if i >= uint64(len(std)) {
+		return streamType{}, fmt.Errorf("%w: standard type %d", ErrUnregistered, i)
+	}
+	if std[i].plan == nil {
+		return streamType{}, fmt.Errorf("%w: standard type %d (%q)", ErrUnregistered, i, standardTypes[i])
+	}
+	return std[i], nil
 }

@@ -12,7 +12,16 @@
 // Encoder on the sending side, a Decoder on the receiving side — so a type is
 // defined once per stream. Struct types must be registered with Register
 // before they can be encoded or decoded; registration assigns a stable wire
-// name (the equivalent of a Java class name in RMI's serialized form).
+// name (the equivalent of a Java class name in RMI's serialized form). The
+// repository's own protocol types are never defined at all: they are listed
+// in the append-only standard table both peers compile in (standard.go), and
+// a message names one by its index.
+//
+// The decoder trusts no count it has not been paid for: every element, field
+// and map entry is a value with its own tag byte, so the counts one message
+// claims may together add up to no more than its length, and values nest at
+// most maxDepth deep. What a hostile message can make a peer allocate is
+// proportional to its size.
 //
 // Supported values: nil, bool, all int/uint widths, float32/64, string,
 // []byte, time.Time, time.Duration, slices, maps, registered structs (value
@@ -45,7 +54,8 @@ const (
 	kTime    byte = 15 // int64 unix seconds + uint32 nanos
 	kErr     byte = 16 // type name string + message string (generic error)
 	kDur     byte = 17 // zigzag varint nanoseconds
-	kPtr     byte = 18 // pointer-to-struct marker followed by kStruct/kTypeDef
+	kPtr     byte = 18 // reserved: never written, rejected on decode, never reused
+	kStd     byte = 19 // varint standard-table index + varint field count + field values
 )
 
 // Exported sentinel and structured errors.

@@ -341,9 +341,11 @@ func TestUnmarshalUnknownTag(t *testing.T) {
 		t.Fatal("unknown tag accepted")
 	}
 	var ce *CorruptError
-	_, err := Unmarshal([]byte{0xEE})
-	if !errors.As(err, &ce) {
-		t.Fatalf("got %T, want *CorruptError", err)
+	// kPtr is reserved: never written, so never accepted.
+	for _, tag := range []byte{0xEE, kPtr} {
+		if _, err := Unmarshal([]byte{tag, kStruct, 1, 0}); !errors.As(err, &ce) {
+			t.Fatalf("tag %d: got %T, want *CorruptError", tag, err)
+		}
 	}
 }
 
