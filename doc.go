@@ -8,13 +8,13 @@
 // Layout:
 //
 //   - internal/core      BRMI: batches, futures, cursors, policies, chaining,
-//     export-pinned batch results for cross-server forwarding, and CallRO —
-//     readonly calls that settle from the client lease cache, so an all-hit
-//     flush performs zero round trips
+//     and export-pinned batch results for cross-server forwarding
 //   - internal/rcache    the client-side caching substrate: a lease-backed
 //     result cache (TTL + ring epoch + per-object generation, invalidated
 //     at write-record time) and singleflight groups that collapse identical
-//     in-flight readonly fetches and directory refreshes into one wire call
+//     in-flight readonly fetches and directory refreshes into one wire call;
+//     cluster batches consume it (WithCache), so a cluster CallRO settles
+//     from a lease and an all-hit flush performs zero round trips
 //   - internal/cluster   multi-server sharding: epoch-versioned
 //     consistent-hash shard map, cluster naming, staged cluster batches —
 //     one recording spanning many servers, planned into dependency stages
@@ -31,8 +31,7 @@
 //     best-credentialed shadow when a primary dies with its state;
 //     streaming bulk reads: cluster.GetBatch sends N names as one ordered,
 //     name-addressed GetBatch stream per home server — the homes resolve
-//     them, so the read costs one round trip per distinct home (optionally
-//     spread over follower shadows with WithReadReplicas) — and
+//     them, so the read costs one round trip per distinct home — and
 //     reassembles the streams client-side in exact request order
 //   - internal/rmi       distributed object runtime (the "Java RMI" role):
 //     reflective dispatch plus opt-in reflection-free skeletons

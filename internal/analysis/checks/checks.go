@@ -222,10 +222,10 @@ func rootObj(info *types.Info, e ast.Expr) types.Object {
 	}
 }
 
-// chainRootObj walks to the base of a call chain: for
+// chainBaseObj walks to the base of a call chain: for
 // batch.Root(ref).Call("m") it returns batch's object. It descends through
 // method-call receivers as well as the selector forms rootObj handles.
-func chainRootObj(info *types.Info, e ast.Expr) types.Object {
+func chainBaseObj(info *types.Info, e ast.Expr) types.Object {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.CallExpr:

@@ -182,7 +182,7 @@ func (s *fdScope) rhsFutureOwner(a *ast.AssignStmt, i int) *fdOwner {
 // existing state when the chain roots in a tracked batch; a fresh state
 // when the call mints a new batch; nil when no batch is involved.
 func (s *fdScope) callOwner(call *ast.CallExpr) *fdOwner {
-	if obj := chainRootObj(s.info, call); obj != nil {
+	if obj := chainBaseObj(s.info, call); obj != nil {
 		if o, ok := s.owners[obj]; ok {
 			return o
 		}
@@ -223,7 +223,7 @@ func (s *fdScope) call(call *ast.CallExpr) {
 		switch method.Name() {
 		case "Flush", "FlushAndContinue":
 			if isBatchLike(recvType) {
-				if obj := chainRootObj(s.info, recv); obj != nil {
+				if obj := chainBaseObj(s.info, recv); obj != nil {
 					if o, ok := s.owners[obj]; ok {
 						o.flushed = true
 						return

@@ -273,7 +273,7 @@ func (s *ufScope) creationOwner(call *ast.CallExpr) (b *ufBatch, existing bool) 
 		return nil, false
 	}
 	derived := false
-	if obj := chainRootObj(s.info, call); obj != nil {
+	if obj := chainBaseObj(s.info, call); obj != nil {
 		if existing, ok := s.vars[obj]; ok {
 			return existing, true
 		}
@@ -323,7 +323,7 @@ func returnsBatchMint(info *types.Info, call *ast.CallExpr) bool {
 func (s *ufScope) callEvents(call *ast.CallExpr, st ufState) {
 	if recv, method, ok := methodCall(s.info, call); ok {
 		if (method.Name() == "Flush" || method.Name() == "FlushAndContinue") && isBatchLike(s.info.Types[recv].Type) {
-			if obj := chainRootObj(s.info, recv); obj != nil {
+			if obj := chainBaseObj(s.info, recv); obj != nil {
 				if b, tracked := s.vars[obj]; tracked {
 					st[b] = true
 				}

@@ -48,12 +48,11 @@ const (
 	// hit ever serves a value older than its lease epoch allows.
 	opCachedRead
 	// opGetBatch issues one streaming cluster.GetBatch over a seeded name
-	// subset (replica-spread reads on), racing the chunked streams against
-	// whatever kills, partitions, and rebalances the schedule lands on the
-	// destinations. The stream-prefix invariant checks the delivery: a
-	// strictly-ordered prefix of the request, no gaps, no duplicates —
-	// per-name failures count as delivered entries, a dead destination may
-	// only truncate, never reorder.
+	// subset, racing the chunked streams against whatever kills, partitions,
+	// and rebalances the schedule lands on the destinations. The
+	// stream-prefix invariant checks the delivery: a strictly-ordered prefix
+	// of the request, no gaps, no duplicates — per-name failures count as
+	// delivered entries, a dead destination may only truncate, never reorder.
 	opGetBatch
 )
 
@@ -583,18 +582,17 @@ func (r *runner) exec(ctx context.Context, o op, idx int) {
 	}
 }
 
-// getBatch issues one streaming bulk read over o.Names (replica spread on)
-// and ledgers the delivery sequence for the stream-prefix invariant. Under
-// faults anything may fail — a dead destination surfaces as per-entry
-// errors or a truncated stream, both legal — but whatever IS delivered
-// must be the ordered prefix the record captures.
+// getBatch issues one streaming bulk read over o.Names and ledgers the
+// delivery sequence for the stream-prefix invariant. Under faults anything
+// may fail — a dead destination surfaces as per-entry errors or a truncated
+// stream, both legal — but whatever IS delivered must be the ordered prefix
+// the record captures.
 func (r *runner) getBatch(ctx context.Context, o op, idx int) {
 	sr := &streamRecord{op: idx, names: o.Names}
 	r.streams = append(r.streams, sr)
 	gctx, cancel := context.WithTimeout(ctx, r.cfg.FlushTimeout)
 	defer cancel()
-	s, err := cluster.GetBatch(gctx, r.tc.Client, r.dir, o.Names,
-		cluster.WithGetMethod("Get"), cluster.WithReadReplicas())
+	s, err := cluster.GetBatch(gctx, r.tc.Client, r.dir, o.Names, cluster.WithGetMethod("Get"))
 	if err != nil {
 		sr.err = err
 		return

@@ -81,11 +81,10 @@ func TestAppendSlotsAreIndependent(t *testing.T) {
 			t.Errorf("slot %d: well-formed record %s refused beside its malformed siblings: %v", i, rec.ID, errs[i])
 		}
 	}
-	ids, err := follower.Replica.ShadowIDs(primary, []string{"obj-0"}, 0)
-	if err != nil || ids[0] == 0 {
-		t.Fatalf("no readable shadow of obj-0: %v, %v", ids, err)
+	shadow, ok := follower.Replica.Shadow(primary, "obj-0")
+	if !ok {
+		t.Fatal("no readable shadow of obj-0")
 	}
-	shadow, _ := follower.Peer.LocalObject(ids[0])
 	if got := shadow.(*clustertest.Counter).History(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("shadow replayed %v, want the three well-formed records in slice order [1 2 3]", got)
 	}

@@ -74,8 +74,9 @@ func TestClusterCacheFullHitFlushIsZeroRoundTrips(t *testing.T) {
 }
 
 // TestClusterCacheWriteInvalidatesOnlyItsObject: a write recorded against
-// one root drops that object's leases at record time, leaving the other
-// server's entries servable.
+// one root — on the root itself or on a proxy derived from it — drops that
+// object's leases at record time, leaving the other server's entries
+// servable.
 func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
@@ -114,6 +115,35 @@ func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 	}
 	if invs := clientCounter(ec, "cache.invalidations"); invs == 0 {
 		t.Fatal("cache.invalidations not counted")
+	}
+
+	// A write through a derived proxy (CallBatch, then the write on its
+	// result) is attributed to the chain's root: its leases drop at record
+	// time too. The lease is refilled between the two recordings, so only
+	// the write itself can drop it.
+	read1 := func() *cluster.Future {
+		b := cluster.New(ec.Client, cluster.WithCache(cache))
+		f := b.Root(ec.Servers[1].Ref).CallRO("Get")
+		if err := b.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	bd := cluster.New(ec.Client, cluster.WithCache(cache))
+	derived := bd.Root(ec.Servers[1].Ref).CallBatch("Self")
+	read1()
+	if n := cache.Len(); n != 2 {
+		t.Fatalf("cache has %d entries after the refill, want 2", n)
+	}
+	_ = derived.Call("Add", int64(3))
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("write recorded through a derived proxy but %d leases live, want 1 (other object's)", n)
+	}
+	if err := bd.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cluster.Typed[int64](read1()).Get(); err != nil || v != 3 {
+		t.Fatalf("read after the derived write = (%d, %v), want (3, nil)", v, err)
 	}
 }
 

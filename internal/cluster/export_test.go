@@ -12,6 +12,21 @@ import (
 // a test that swapped it out to put back.
 func (r *Replica) ShipHook() core.ShipHook { return r.admit }
 
+// Shadow returns the live object behind this follower's seeded shadow of
+// name in primary's shard, for a test that reads what the follower replayed.
+func (r *Replica) Shadow(primary, name string) (obj any, ok bool) {
+	r.mu.Lock()
+	var sd *shadowObj
+	if sh := r.shards[primary]; sh != nil {
+		sd = sh.shadows[name]
+	}
+	r.mu.Unlock()
+	if sd == nil || !sd.seeded {
+		return nil, false
+	}
+	return r.peer.LocalObject(sd.ref.ObjID)
+}
+
 // SetShipTimeoutForTest shrinks the replication-ship deadline so the
 // goroutine-leak tests can watch a wedged straggler expire in test time.
 // The returned func restores the previous value.

@@ -37,11 +37,8 @@ import (
 //     positions are re-issued by name at their new homes — once per
 //     GetBatch, counted in cluster.lookup_retries.
 //
-// With replicated shards (WithReadReplicas) the planner spreads reads over
-// each name's owner list without a lookup either: a name's primary is
-// Owners(name)[0] by construction, followers that report a seeded, live
-// shadow (ShadowIDs) get their share id-addressed, and everything else goes
-// by name to the primary. Id and name positions share one stream.
+// Every name is read at its ring home — with replicated shards, the
+// primary — so a read sees every write the primary acked.
 
 // StreamEntry is one delivered result of a cluster GetBatch: the request
 // position, the name read, and its value or per-name failure. A failed
@@ -57,24 +54,13 @@ type StreamEntry struct {
 type GetBatchOption func(*getBatchOpts)
 
 type getBatchOpts struct {
-	method       string
-	readReplicas bool
+	method string
 }
 
 // WithGetMethod reads each object through the named no-argument accessor
 // instead of its Movable snapshot.
 func WithGetMethod(method string) GetBatchOption {
 	return func(o *getBatchOpts) { o.method = method }
-}
-
-// WithReadReplicas spreads the read set across each name's owner list
-// (primary + followers, see Directory.Owners): follower shadows kept fresh
-// by the replication log serve their share of the batch, multiplying read
-// bandwidth. Shadow reads are slightly stale by the records still in
-// flight to that follower; callers needing read-your-writes leave this
-// off.
-func WithReadReplicas() GetBatchOption {
-	return func(o *getBatchOpts) { o.readReplicas = true }
 }
 
 // readPlan is one round of streams: the positions still to read, grouped
@@ -191,7 +177,7 @@ func GetBatch(ctx context.Context, p *rmi.Peer, d *Directory, names []string, op
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.run(sctx, o.readReplicas && d.Replication() > 1)
+		s.run(sctx)
 	}()
 	return s, nil
 }
@@ -200,18 +186,9 @@ func GetBatch(ctx context.Context, p *rmi.Peer, d *Directory, names []string, op
 // homes, then a round per kind of reroute the entries ask for. A position
 // is re-issued by name at most once and hops by id at most once, so the
 // rounds are bounded.
-func (s *Stream) run(ctx context.Context, spread bool) {
+func (s *Stream) run(ctx context.Context) {
 	var plan readPlan
-	var shadowAt []string
-	var shadowID []uint64
-	if spread {
-		shadowAt, shadowID = s.shadowReads(ctx)
-	}
 	for i, name := range s.names {
-		if spread && shadowID[i] != 0 {
-			plan.add(shadowAt[i], i, shadowID[i], name)
-			continue
-		}
 		home, err := s.dir.Home(name)
 		if err != nil {
 			s.deliver(&StreamEntry{Index: i, Name: name, Err: err})
@@ -253,62 +230,6 @@ func (s *Stream) run(ctx context.Context, spread bool) {
 			}
 		}
 	}
-}
-
-// shadowReads picks, for the positions a follower should serve, the
-// follower and the shadow's object id there: each replicated name picks an
-// owner by its request position, and the picked followers report (one
-// ShadowIDs call per follower/primary pair, all in parallel) which of
-// their assigned names have a seeded, live shadow. A zero id leaves the
-// position on its primary — so does any follower that cannot be asked.
-// Best-effort by design: failure here costs spreading, never correctness.
-func (s *Stream) shadowReads(ctx context.Context) (endpoints []string, ids []uint64) {
-	type replicaGroup struct {
-		follower, primary string
-		names             []string
-		pos               []int
-	}
-	endpoints = make([]string, len(s.names))
-	ids = make([]uint64, len(s.names))
-	byPair := make(map[[2]string]*replicaGroup)
-	var groups []*replicaGroup
-	epoch := s.dir.Epoch()
-	for i, name := range s.names {
-		owners, _ := s.dir.Owners(name)
-		if len(owners) < 2 {
-			continue
-		}
-		pick := owners[i%len(owners)]
-		if pick == owners[0] {
-			continue
-		}
-		key := [2]string{pick, owners[0]}
-		g := byPair[key]
-		if g == nil {
-			g = &replicaGroup{follower: pick, primary: owners[0]}
-			byPair[key] = g
-			groups = append(groups, g)
-		}
-		g.names = append(g.names, name)
-		g.pos = append(g.pos, i)
-	}
-	_ = fanOut(groups, func(_ int, g *replicaGroup) error {
-		results, err := s.peer.Call(ctx, ReplicaRef(g.follower), "ShadowIDs", g.primary, g.names, epoch)
-		if err != nil || len(results) == 0 {
-			return nil
-		}
-		got, ok := results[0].([]any)
-		if !ok || len(got) != len(g.names) {
-			return nil
-		}
-		for j, pos := range g.pos {
-			if id, ok := got[j].(uint64); ok && id != 0 {
-				endpoints[pos], ids[pos] = g.follower, id
-			}
-		}
-		return nil
-	})
-	return endpoints, ids
 }
 
 // runDest drains one destination's sub-stream into the assembler. The

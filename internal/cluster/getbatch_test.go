@@ -2,7 +2,7 @@ package cluster_test
 
 // End-to-end tests for the streaming cluster GetBatch: one stream request
 // per destination server, strict request-order delivery at the assembler,
-// per-name error isolation, and the replica-spread read path.
+// per-name error isolation, and reroutes.
 
 import (
 	"context"
@@ -222,88 +222,6 @@ func TestGetBatchCloseUnblocks(t *testing.T) {
 	}
 }
 
-// TestGetBatchReadReplicas: with every name homed on one primary and a
-// replicated directory, WithReadReplicas moves part of the batch onto the
-// seeded follower shadows — the follower executes entries it would never
-// see otherwise, and every value is still correct.
-func TestGetBatchReadReplicas(t *testing.T) {
-	ec := clustertest.New(t, 3)
-	ctx := context.Background()
-	dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(2))
-
-	// Collect names that all share one primary, so any entry executed
-	// elsewhere is unambiguously a follower shadow read.
-	primary := ec.Endpoints()[0]
-	var names []string
-	seeds := make(map[string]int64)
-	for i := 0; len(names) < 8; i++ {
-		name := fmt.Sprintf("rr-%d", i)
-		if home, err := dir.Home(name); err != nil {
-			t.Fatal(err)
-		} else if home != primary {
-			continue
-		}
-		seeds[name] = 500 + int64(i)
-		ec.BindCounter(dir, name, seeds[name])
-		names = append(names, name)
-		if i > 100000 {
-			t.Fatal("no names homed on primary")
-		}
-	}
-	// Seed follower shadows: replica placement rides the rebalance flow.
-	if _, err := cluster.NewRebalancer(dir).AddServer(ctx, primary); err != nil {
-		t.Fatalf("placement rebalance: %v", err)
-	}
-
-	// The spread needs no lookup: a name's primary is Owners(name)[0], and
-	// the followers picked (odd positions, R=2) answer ShadowIDs. Every
-	// remote call is accounted for below, leaving none for a registry.
-	followers := map[string]bool{}
-	for i, name := range names {
-		if owners, _ := dir.Owners(name); i%len(owners) != 0 {
-			followers[owners[i%len(owners)]] = true
-		}
-	}
-	before := ec.Client.CallCount()
-	s, err := cluster.GetBatch(ctx, ec.Client, dir, names,
-		cluster.WithGetMethod("Get"), cluster.WithReadReplicas())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < len(names); i++ {
-		e, err := s.Next()
-		if err != nil {
-			t.Fatalf("Next() entry %d: %v", i, err)
-		}
-		if e.Index != i || e.Err != nil {
-			t.Fatalf("entry %d = {Index: %d, Err: %v}, want in-order success", i, e.Index, e.Err)
-		}
-		if v, ok := e.Value.(int64); !ok || v != seeds[e.Name] {
-			t.Fatalf("entry %d (%s) = %v, want %d", i, e.Name, e.Value, seeds[e.Name])
-		}
-	}
-
-	var followerEntries int64
-	for _, srv := range ec.Servers {
-		if srv.Endpoint == primary {
-			continue
-		}
-		followerEntries += srv.Stats.Snapshot().Counter("core.getbatch_entries")
-	}
-	if followerEntries == 0 {
-		t.Error("no entry executed on a follower; replica spread did nothing")
-	}
-	if got := ec.Server(primary).Stats.Snapshot().Counter("core.getbatch_entries"); got == int64(len(names)) {
-		t.Error("primary executed the whole batch; replica spread did nothing")
-	}
-	// One ShadowIDs call and one id-addressed stream per follower, one
-	// name-addressed stream to the primary — and not one Lookup.
-	if got, want := ec.Client.CallCount()-before, uint64(2*len(followers)+1); got != want {
-		t.Errorf("replica-spread GetBatch made %d remote calls, want %d (2 per follower + the primary's stream, no lookups)", got, want)
-	}
-}
-
 // bindLocal exports a fresh Counter at name's home and binds it in that
 // member's registry directly — no network, so tests on slow simulated links
 // set up in no time.
@@ -331,38 +249,64 @@ func bindLocal(t *testing.T, ec *clustertest.Cluster, dir *cluster.Directory, na
 // one, where a client-side resolve pass would hold it for a whole one. (A
 // CallCount read right after the return would race the stream goroutines it
 // just started; elapsed time on a slow link is the observable.)
+//
+// A replicated ring (R=2) changes nothing: every name is still read at its
+// home, the primary, and every remote call the read makes is a home's
+// stream — none is left over for a Replica method.
 func TestGetBatchRoundTripsEqualDistinctHomes(t *testing.T) {
 	network := netsim.New(netsim.WAN)
 	t.Cleanup(func() { _ = network.Close() })
 	ec := clustertest.New(t, 4, clustertest.WithNetwork(network))
 	ctx := context.Background()
-	dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
+	served := func() (batches int64, entries map[string]int64) {
+		entries = make(map[string]int64, len(ec.Servers))
+		for _, srv := range ec.Servers {
+			snap := srv.Stats.Snapshot()
+			batches += snap.Counter("core.getbatch_batches")
+			entries[srv.Endpoint] = snap.Counter("core.getbatch_entries")
+		}
+		return batches, entries
+	}
 
-	for _, n := range []int{1, 8, 64} {
-		names := make([]string, n)
-		want := make(map[string]int64, n)
-		homes := map[string]bool{}
-		for i := range names {
-			names[i] = fmt.Sprintf("rt-%d-%d", n, i)
-			want[names[i]] = int64(n*100 + i)
-			bindLocal(t, ec, dir, names[i], want[names[i]])
-			home, _ := dir.Home(names[i])
-			homes[home] = true
-		}
+	for _, r := range []int{1, 2} {
+		dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(r))
+		for _, n := range []int{1, 8, 64} {
+			names := make([]string, n)
+			want := make(map[string]int64, n)
+			homes := map[string]int64{} // names per home
+			for i := range names {
+				names[i] = fmt.Sprintf("rt-r%d-%d-%d", r, n, i)
+				want[names[i]] = int64(n*100 + i)
+				bindLocal(t, ec, dir, names[i], want[names[i]])
+				home, _ := dir.Home(names[i])
+				homes[home]++
+			}
 
-		before := ec.Client.CallCount()
-		start := time.Now()
-		s, err := cluster.GetBatch(ctx, ec.Client, dir, names, cluster.WithGetMethod("Get"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if open := time.Since(start); open > netsim.WAN.RTT/4 {
-			t.Errorf("N=%d: GetBatch took %v to return on a %v-RTT link; it must not wait on the network", n, open, netsim.WAN.RTT)
-		}
-		drainInOrder(t, s, names, want)
-		s.Close()
-		if got := ec.Client.CallCount() - before; got != uint64(len(homes)) {
-			t.Errorf("N=%d: GetBatch cost %d round trips, want %d (one per distinct home)", n, got, len(homes))
+			before := ec.Client.CallCount()
+			batchesBefore, entriesBefore := served()
+			start := time.Now()
+			s, err := cluster.GetBatch(ctx, ec.Client, dir, names, cluster.WithGetMethod("Get"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if open := time.Since(start); open > netsim.WAN.RTT/4 {
+				t.Errorf("R=%d N=%d: GetBatch took %v to return on a %v-RTT link; it must not wait on the network", r, n, open, netsim.WAN.RTT)
+			}
+			drainInOrder(t, s, names, want)
+			s.Close()
+			calls := ec.Client.CallCount() - before
+			if calls != uint64(len(homes)) {
+				t.Errorf("R=%d N=%d: GetBatch cost %d round trips, want %d (one per distinct home)", r, n, calls, len(homes))
+			}
+			batches, entries := served()
+			if streams := uint64(batches - batchesBefore); streams != calls {
+				t.Errorf("R=%d N=%d: %d remote calls but %d home streams; the rest went to no home", r, n, calls, streams)
+			}
+			for _, srv := range ec.Servers {
+				if got := entries[srv.Endpoint] - entriesBefore[srv.Endpoint]; got != homes[srv.Endpoint] {
+					t.Errorf("R=%d N=%d: %s read %d entries, want %d (the names it is home to)", r, n, srv.Endpoint, got, homes[srv.Endpoint])
+				}
+			}
 		}
 	}
 }

@@ -289,8 +289,8 @@ func (r *Rebalancer) migratePair(ctx context.Context, f flow, routing *Ring, epo
 // idempotent re-install, so a retried rebalance converges just like
 // migration does. A mis-homed name (mid-migration on a retry) is seeded by
 // the flow that finally homes it. Names whose type has no movable factory
-// cannot be snapshotted and are not replicated (the staged executor skips
-// them symmetrically, see armReplication).
+// cannot be snapshotted and are not replicated (symmetrically, the primary's
+// newChain turns off a chain whose root cannot move).
 func (r *Rebalancer) placeReplicas(ctx context.Context, members []string, routing *Ring, epoch uint64) error {
 	if routing.Replication() <= 1 {
 		return nil

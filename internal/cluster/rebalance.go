@@ -163,7 +163,7 @@ func (r *Rebalancer) apply(ctx context.Context, c change) (*RebalanceStats, erro
 // withMembers derives the ring a membership change installs: ring's
 // parameters over a different member set.
 func (r *Ring) withMembers(members []string) *Ring {
-	return NewRing(members, WithVirtualNodes(r.vnodes), WithReplication(r.Replication()))
+	return NewRing(members, WithReplication(r.Replication()))
 }
 
 // without removes ep from endpoints, in place.

@@ -473,44 +473,3 @@ func (r *Replica) Promote(primary string, names []string, epoch uint64) ([]strin
 	sort.Strings(promoted)
 	return promoted, nil
 }
-
-// ShadowIDs reports, for each requested name under primary's shard, the
-// exported object id of a locally readable shadow — one seeded by an
-// Install and still live — or zero when this follower cannot serve the
-// name (the bulk-read planner then falls back to the primary). A follower
-// whose ring epoch is behind minEpoch rejects wholesale with
-// StaleShipError: its shard map may predate the membership the caller
-// planned against.
-func (r *Replica) ShadowIDs(primary string, names []string, minEpoch uint64) ([]uint64, error) {
-	if cur := r.node.Epoch(); cur < minEpoch {
-		return nil, &StaleShipError{RecordEpoch: minEpoch, NodeEpoch: cur}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]uint64, len(names))
-	sh := r.shards[primary]
-	if sh == nil {
-		return ids, nil
-	}
-	for i, name := range names {
-		sd := sh.shadows[name]
-		if sd == nil || !sd.seeded {
-			continue
-		}
-		if _, live := r.peer.LocalObject(sd.ref.ObjID); !live {
-			continue
-		}
-		ids[i] = sd.ref.ObjID
-	}
-	return ids, nil
-}
-
-// ShardNames returns the shadowed names of primary's shard (test helper).
-func (r *Replica) ShardNames(primary string) []string {
-	infos := r.ShardInfo(primary).Names
-	names := make([]string, len(infos))
-	for i, ni := range infos {
-		names[i] = ni.Name
-	}
-	return names
-}

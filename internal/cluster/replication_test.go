@@ -320,11 +320,10 @@ func TestReplayIgnoresRootNames(t *testing.T) {
 	if got := impostor.Get(); got != 1000 {
 		t.Errorf("the object the follower's registry binds obj-0 to = %d, want the untouched 1000", got)
 	}
-	ids, err := follower.Replica.ShadowIDs(primary, []string{"obj-0"}, 0)
-	if err != nil || ids[0] == 0 {
-		t.Fatalf("no readable shadow of obj-0: %v, %v", ids, err)
+	shadow, ok := follower.Replica.Shadow(primary, "obj-0")
+	if !ok {
+		t.Fatal("no readable shadow of obj-0")
 	}
-	shadow, _ := follower.Peer.LocalObject(ids[0])
 	if got := shadow.(*clustertest.Counter).Get(); got != 105 {
 		t.Errorf("shadow = %d, want 105: the seeded 100 plus the replayed 5", got)
 	}
@@ -350,11 +349,10 @@ func TestAppendRejectsRootCountMismatch(t *testing.T) {
 	if si := follower.Replica.ShardInfo(primary); si.Len != 0 {
 		t.Errorf("follower logged %d records, want none", si.Len)
 	}
-	ids, err := follower.Replica.ShadowIDs(primary, []string{"obj-0"}, 0)
-	if err != nil || ids[0] == 0 {
-		t.Fatalf("no readable shadow of obj-0: %v, %v", ids, err)
+	shadow, ok := follower.Replica.Shadow(primary, "obj-0")
+	if !ok {
+		t.Fatal("no readable shadow of obj-0")
 	}
-	shadow, _ := follower.Peer.LocalObject(ids[0])
 	if got := shadow.(*clustertest.Counter).Get(); got != 100 {
 		t.Errorf("shadow = %d after the refused record, want the seeded 100", got)
 	}

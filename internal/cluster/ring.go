@@ -29,11 +29,10 @@ import (
 	"sync"
 )
 
-// DefaultVirtualNodes is how many points each endpoint occupies on the ring.
-// More points smooth the key distribution at the cost of a larger sorted
-// table; 128 keeps the imbalance across a handful of servers within a few
-// percent.
-const DefaultVirtualNodes = 128
+// virtualNodes is how many points each endpoint occupies on the ring. More
+// points smooth the key distribution at the cost of a larger sorted table;
+// 128 keeps the imbalance across a handful of servers within a few percent.
+const virtualNodes = 128
 
 // Ring is a consistent-hash shard map over peer endpoints. Keys (object
 // names) are routed to the endpoint owning the first ring point at or after
@@ -53,7 +52,6 @@ const DefaultVirtualNodes = 128
 // Ring is safe for concurrent use.
 type Ring struct {
 	mu          sync.RWMutex
-	vnodes      int
 	replication int
 	epoch       uint64
 	points      []uint64          // sorted hash points
@@ -64,16 +62,6 @@ type Ring struct {
 
 // RingOption configures a Ring.
 type RingOption func(*Ring)
-
-// WithVirtualNodes sets the points per endpoint (default
-// DefaultVirtualNodes).
-func WithVirtualNodes(n int) RingOption {
-	return func(r *Ring) {
-		if n > 0 {
-			r.vnodes = n
-		}
-	}
-}
 
 // WithReplication sets the replication degree R: Owners returns the primary
 // plus up to R-1 distinct followers per key (default 1, no replication).
@@ -88,7 +76,6 @@ func WithReplication(r int) RingOption {
 // NewRing creates a ring containing the given endpoints, at epoch 0.
 func NewRing(endpoints []string, opts ...RingOption) *Ring {
 	r := &Ring{
-		vnodes:      DefaultVirtualNodes,
 		replication: 1,
 		members:     make(map[string]bool),
 	}
@@ -173,9 +160,9 @@ func (r *Ring) rebuild() {
 	}
 	sort.Strings(r.endpoint)
 	r.points = r.points[:0]
-	r.owners = make(map[uint64]string, len(r.members)*r.vnodes)
+	r.owners = make(map[uint64]string, len(r.members)*virtualNodes)
 	for _, ep := range r.endpoint {
-		for i := 0; i < r.vnodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			h := vnodeHash(fmt.Sprintf("%s#%d", ep, i))
 			// Collisions across 64-bit points are vanishingly rare; when one
 			// happens the first owner in canonical order keeps the point,
@@ -210,13 +197,6 @@ func (r *Ring) Replication() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.replication
-}
-
-// VirtualNodes returns the configured points per endpoint.
-func (r *Ring) VirtualNodes() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.vnodes
 }
 
 // Owners returns the ordered owner list for key — the primary (identical to

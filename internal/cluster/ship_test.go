@@ -100,11 +100,10 @@ func lagCount(ec *clustertest.Cluster) (total int64) {
 func shadowHistory(t *testing.T, ec *clustertest.Cluster, follower, primary, name string) []int64 {
 	t.Helper()
 	s := ec.Server(follower)
-	ids, err := s.Replica.ShadowIDs(primary, []string{name}, 0)
-	if err != nil || ids[0] == 0 {
-		t.Fatalf("%s holds no readable shadow of %s: %v, %v", follower, name, ids, err)
+	shadow, ok := s.Replica.Shadow(primary, name)
+	if !ok {
+		t.Fatalf("%s holds no readable shadow of %s", follower, name)
 	}
-	shadow, _ := s.Peer.LocalObject(ids[0])
 	return shadow.(*clustertest.Counter).History()
 }
 

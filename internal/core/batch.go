@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/rcache"
 	"repro/internal/rmi"
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -22,9 +21,8 @@ import (
 // one Batch per goroutine. The implementation is internally synchronized,
 // so misuse corrupts no memory, only recording order.
 type Batch struct {
-	peer  *rmi.Peer
-	root  wire.Ref
-	cache *rcache.Cache // lease cache for CallRO, nil when uncached
+	peer *rmi.Peer
+	root wire.Ref
 
 	// Flush metrics from the peer's registry, nil when uninstrumented.
 	reg     *stats.Registry
@@ -68,13 +66,6 @@ type callRecord struct {
 	proxy  *Proxy // for kindRemote and kindCursor (cursor embeds Proxy)
 	cursor *Cursor
 	owner  *Cursor
-	// Cache fill ticket of a readonly call that missed: the key to fill and
-	// the generation/epoch observed at record time. rcache.Cache.Put drops
-	// the fill if either moved before the result landed.
-	cacheKey   string
-	cacheObj   string
-	cacheGen   uint64
-	cacheEpoch uint64
 }
 
 // Option configures a Batch.
@@ -83,15 +74,6 @@ type Option func(*Batch)
 // WithPolicy sets the exception policy for the chain (default AbortPolicy).
 func WithPolicy(p *Policy) Option {
 	return func(b *Batch) { b.policy = p }
-}
-
-// WithCache attaches a lease-backed result cache. Readonly calls recorded
-// with Proxy.CallRO may then settle from the cache without reaching the
-// wire, and their results fill it; every non-readonly call invalidates the
-// entries of the root object it descends from. Share one cache across the
-// batches of a client — sharing is what makes repeated reads cheap.
-func WithCache(c *rcache.Cache) Option {
-	return func(b *Batch) { b.cache = c }
 }
 
 // defaultPolicy is the shared AbortPolicy instance the common case uses;
@@ -161,14 +143,9 @@ func (b *Batch) Root() *Proxy {
 
 // rootProxy returns a recording proxy for root position pos (0 is the
 // batch's root, 1+i extra root i), addressed on the wire by sequence number
-// RootTarget-pos. A name-addressed root has no cache identity: its chainRoot
-// stays zero. Caller holds b.mu.
+// RootTarget-pos. Caller holds b.mu.
 func (b *Batch) rootProxy(pos int) *Proxy {
-	p := &Proxy{b: b, seq: RootTarget - int64(pos), settled: true, root: true}
-	if pos >= len(b.names) || b.names[pos] == "" {
-		p.chainRoot = *b.rootAt(pos)
-	}
-	return p
+	return &Proxy{b: b, seq: RootTarget - int64(pos), settled: true, root: true}
 }
 
 // rootAt returns the ref of root position pos. Caller holds b.mu.
@@ -258,42 +235,17 @@ type futureAlloc struct {
 	st futureState
 }
 
-func (b *Batch) recordValue(target *Proxy, method string, args []any, ro bool) *Future {
+func (b *Batch) recordValue(target *Proxy, method string, args []any) *Future {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	fa := &futureAlloc{}
 	fa.f.st = &fa.st
 	fa.st.b = b
-
-	// A cacheable readonly call targets a root object with plain marshalable
-	// arguments — the only shape whose result has an identity independent of
-	// this batch's recording. Consult the lease cache before recording; a hit
-	// returns an already-settled future and records nothing.
-	var ckey, cobj string
-	var cgen, cepoch uint64
-	if ro && b.cache != nil && target.root && !target.chainRoot.IsZero() && !b.closed && b.recErr == nil {
-		if key, ok := rcache.Key(target.chainRoot, method, args); ok {
-			if v, hit := b.cache.Get(key); hit {
-				fa.st.settled = true
-				fa.st.val = v
-				return &fa.f
-			}
-			ckey = key
-			cobj = rcache.ObjKey(target.chainRoot)
-			cgen = b.cache.Gen(cobj)
-			cepoch = b.cache.Epoch()
-		}
-	}
-
-	seq, owner, ok := b.appendCall(target, method, kindValue, false, ro, args)
+	seq, owner, ok := b.appendCall(target, method, kindValue, false, args)
 	if ok {
 		fa.st.seq = seq
 		fa.st.cursor = owner
-		rec := callRecord{kind: kindValue, future: &fa.st, owner: owner}
-		if owner == nil {
-			rec.cacheKey, rec.cacheObj, rec.cacheGen, rec.cacheEpoch = ckey, cobj, cgen, cepoch
-		}
-		b.records = append(b.records, rec)
+		b.records = append(b.records, callRecord{kind: kindValue, future: &fa.st, owner: owner})
 	}
 	return &fa.f
 }
@@ -301,8 +253,8 @@ func (b *Batch) recordValue(target *Proxy, method string, args []any, ro bool) *
 func (b *Batch) recordRemote(target *Proxy, method string, export bool, args []any) *Proxy {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	p := &Proxy{b: b, chainRoot: target.chainRoot}
-	seq, owner, ok := b.appendCall(target, method, kindRemote, export, false, args)
+	p := &Proxy{b: b}
+	seq, owner, ok := b.appendCall(target, method, kindRemote, export, args)
 	if ok {
 		if export && owner != nil {
 			// Exports are per-call, cursor sub-batches are per-element; the
@@ -321,12 +273,12 @@ func (b *Batch) recordRemote(target *Proxy, method string, export bool, args []a
 func (b *Batch) recordCursor(target *Proxy, method string, args []any) *Cursor {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	c := &Cursor{Proxy: Proxy{b: b, chainRoot: target.chainRoot}, pos: -1}
+	c := &Cursor{Proxy: Proxy{b: b}, pos: -1}
 	if target.recordingOwner() != nil {
 		b.fail(ErrNestedCursor)
 		return c
 	}
-	seq, owner, ok := b.appendCall(target, method, kindCursor, false, false, args)
+	seq, owner, ok := b.appendCall(target, method, kindCursor, false, args)
 	if ok {
 		if owner != nil {
 			b.fail(ErrNestedCursor)
@@ -342,9 +294,7 @@ func (b *Batch) recordCursor(target *Proxy, method string, args []any) *Cursor {
 // appendCall validates and stores one invocation. Caller holds b.mu.
 // It returns the assigned sequence number, the owning cursor (nil if none),
 // and whether recording succeeded (violations are sticky via b.recErr).
-// ro marks the call declared //brmi:readonly; every other call invalidates
-// the cache entries of the objects it may mutate.
-func (b *Batch) appendCall(target *Proxy, method string, kind int64, export bool, ro bool, args []any) (int64, *Cursor, bool) {
+func (b *Batch) appendCall(target *Proxy, method string, kind int64, export bool, args []any) (int64, *Cursor, bool) {
 	if b.closed {
 		b.fail(ErrBatchClosed)
 		return 0, nil, false
@@ -433,22 +383,6 @@ func (b *Batch) appendCall(target *Proxy, method string, kind int64, export bool
 			return 0, nil, false
 		}
 		inv.Args[i] = batchArg{Val: w}
-	}
-
-	// A recorded non-readonly call is a potential write: drop the cached
-	// leases of every root object it can reach — the call chain's root and
-	// the chain roots of proxy arguments. This happens at record time, not
-	// flush time, so a readonly call recorded after the write in program
-	// order can never serve the pre-write value.
-	if !ro && b.cache != nil {
-		if !target.chainRoot.IsZero() {
-			b.cache.InvalidateObject(rcache.ObjKey(target.chainRoot))
-		}
-		for _, a := range args {
-			if ap := argProxy(a); ap != nil && !ap.chainRoot.IsZero() {
-				b.cache.InvalidateObject(rcache.ObjKey(ap.chainRoot))
-			}
-		}
 	}
 
 	b.calls = append(b.calls, inv)
@@ -563,9 +497,7 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		return err
 	}
 	// An empty terminal flush has nothing to tell the server: no recorded
-	// calls, no session to release, no session to open. Skip the wire — this
-	// is what lets a batch whose every readonly call hit the lease cache
-	// complete in zero round trips.
+	// calls, no session to release, no session to open. Skip the wire.
 	if len(b.calls) == 0 && b.session == 0 && !keep {
 		b.closed = true
 		b.mu.Unlock()
@@ -701,12 +633,6 @@ func (b *Batch) distribute(base int64, records []callRecord, resp *batchResponse
 				st.err = r.Err
 				if st.err == nil {
 					st.val = b.peer.FromWire(r.Value)
-					if rec.cacheKey != "" {
-						// Fill the readonly miss; Put drops the fill if the
-						// object's generation or the ring epoch moved since
-						// recording (stale-fill guard).
-						b.cache.Put(rec.cacheKey, rec.cacheObj, st.val, rec.cacheGen, rec.cacheEpoch)
-					}
 				}
 			}
 		case kindRemote:

@@ -225,12 +225,12 @@ func (e *Executor) InvokeBatch(ctx context.Context, req *batchRequest) (*batchRe
 	return e.invokeBatch(ctx, req, false)
 }
 
-// ReplayShadow replays a shipped flush payload (as observed by
-// Batch.OnShip and forwarded over the wire) against substitute root
-// objects: root and extras are local export ids standing in for the
-// payload's original roots, and session chains consecutive waves of the
-// same batch exactly like the primary's KeepSession chain. The replay runs
-// through the normal batch machinery — per-call order, dependency
+// ReplayShadow replays a shipped flush payload (the primary's decoded
+// request, handed to the ship hook and forwarded over the wire) against
+// substitute root objects: root and extras are local export ids standing in
+// for the payload's original roots, and session chains consecutive waves of
+// the same batch exactly like the primary's KeepSession chain. The replay
+// runs through the normal batch machinery — per-call order, dependency
 // propagation, and exception policy are identical to the primary execution,
 // which is what makes a deterministic batch command applicable to replica
 // shadow state. It returns the (possibly retained) session id and the

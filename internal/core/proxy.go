@@ -28,12 +28,9 @@ type Proxy struct {
 	failed error
 	// settled is true once flush processed the creating call.
 	settled bool
-	// root is true for proxies returned by Batch.Root / Batch.AddRoot: the
-	// only proxies whose calls have a cache identity (a stable wire ref).
+	// root is true for proxies returned by Batch.Root / Batch.AddRoot /
+	// Batch.AddRootNamed (see RootRef).
 	root bool
-	// chainRoot is the exported object this proxy's call chain descends
-	// from; it keys cache invalidation for writes recorded through it.
-	chainRoot wire.Ref
 	// exportRef is the pinned exported reference of this proxy's result,
 	// set at flush when the call was recorded with CallBatchExport.
 	exportRef wire.Ref
@@ -54,19 +51,13 @@ func (p *Proxy) Batch() *Batch { return p.b }
 // goes as the literal it holds; another batch's is ErrForeignProxy.) The
 // same holds for CallRO, CallBatch, CallBatchExport and CallCursor.
 func (p *Proxy) Call(method string, args ...any) *Future {
-	return p.b.recordValue(p, method, args, false)
+	return p.b.recordValue(p, method, args)
 }
 
-// CallRO records a method invocation declared //brmi:readonly. When the
-// batch carries a lease cache (core.WithCache) and the call is cacheable —
-// root target, plain marshalable arguments — a cache hit settles the future
-// locally without recording a wire call, and a miss fills the cache when
-// the result lands. On an uncached batch (or an uncacheable call shape) it
-// behaves exactly like Call. Generated batch stubs emit it for annotated
-// methods; the declaration is the caller's promise of idempotence.
-func (p *Proxy) CallRO(method string, args ...any) *Future {
-	return p.b.recordValue(p, method, args, true)
-}
+// CallRO records a method invocation declared //brmi:readonly. On a core
+// batch it is Call: generated batch stubs emit it for annotated methods, and
+// only a cluster batch (cluster.Proxy.CallRO) serves it from a lease cache.
+func (p *Proxy) CallRO(method string, args ...any) *Future { return p.Call(method, args...) }
 
 // CallBatch records a method invocation whose result is a remote object.
 // The result stays on the server (§4.2: "normal RMI proxies are never

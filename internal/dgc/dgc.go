@@ -57,11 +57,6 @@ func WithLease(d time.Duration) Option {
 	return func(t *Table) { t.lease = d }
 }
 
-// WithClock injects a clock, for tests.
-func WithClock(now func() time.Time) Option {
-	return func(t *Table) { t.now = now }
-}
-
 // NewTable creates a lease table. onCollect is invoked (without the table
 // lock held) when an object's last live lease disappears; it may be nil.
 func NewTable(onCollect func(objID uint64), opts ...Option) *Table {

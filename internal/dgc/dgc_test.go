@@ -32,7 +32,8 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 func TestDirtyGrantsLease(t *testing.T) {
 	clk := newFakeClock()
-	tbl := NewTable(nil, WithLease(10*time.Second), WithClock(clk.Now))
+	tbl := NewTable(nil, WithLease(10*time.Second))
+	tbl.now = clk.Now
 	if got := tbl.Dirty("c1", 1, []uint64{7}); got != 10*time.Second {
 		t.Fatalf("granted %v", got)
 	}
@@ -74,7 +75,8 @@ func TestSweepExpiresLeases(t *testing.T) {
 	clk := newFakeClock()
 	var collected []uint64
 	tbl := NewTable(func(id uint64) { collected = append(collected, id) },
-		WithLease(10*time.Second), WithClock(clk.Now))
+		WithLease(10*time.Second))
+	tbl.now = clk.Now
 	tbl.Dirty("c1", 1, []uint64{1})
 	tbl.Dirty("c2", 1, []uint64{2})
 
@@ -102,7 +104,8 @@ func TestSweepExpiresLeases(t *testing.T) {
 
 func TestHolderCountIgnoresExpired(t *testing.T) {
 	clk := newFakeClock()
-	tbl := NewTable(nil, WithLease(time.Second), WithClock(clk.Now))
+	tbl := NewTable(nil, WithLease(time.Second))
+	tbl.now = clk.Now
 	tbl.Dirty("c1", 1, []uint64{1})
 	clk.Advance(2 * time.Second)
 	if n := tbl.HolderCount(1); n != 0 {

@@ -41,7 +41,8 @@ import (
 // mutate through their own caches; only epoch bumps are globally visible).
 const DefaultTTL = 5 * time.Second
 
-// DefaultMaxEntries caps the cache when WithMaxEntries is not given.
+// DefaultMaxEntries caps the cache's entry count; the oldest fill is evicted
+// first.
 const DefaultMaxEntries = 4096
 
 // Cache is a lease-backed result cache. It is safe for concurrent use by
@@ -49,7 +50,7 @@ const DefaultMaxEntries = 4096
 // flush serve hits (and coalesce in-flight duplicates) for every other.
 type Cache struct {
 	ttl   time.Duration
-	max   int
+	max   int              // entry cap, DefaultMaxEntries
 	epoch func() uint64    // ring epoch source; nil pins epoch 0
 	now   func() time.Time // clock; registry clock when instrumented
 
@@ -84,22 +85,11 @@ func WithTTL(d time.Duration) Option {
 	return func(c *Cache) { c.ttl = d }
 }
 
-// WithMaxEntries caps the entry count (default DefaultMaxEntries); the
-// oldest fill is evicted first.
-func WithMaxEntries(n int) Option {
-	return func(c *Cache) { c.max = n }
-}
-
 // WithEpoch wires the ring-epoch source every lease is stamped with and
 // checked against (e.g. Directory.Epoch). Without it, leases never see an
 // epoch bump and expire by TTL and invalidation alone.
 func WithEpoch(fn func() uint64) Option {
 	return func(c *Cache) { c.epoch = fn }
-}
-
-// WithClock overrides the TTL clock (tests, virtual time).
-func WithClock(fn func() time.Time) Option {
-	return func(c *Cache) { c.now = fn }
 }
 
 // New creates a cache. reg may be nil (uninstrumented: the counters are
@@ -206,8 +196,8 @@ func (c *Cache) Put(key, obj string, val any, gen, epoch uint64) {
 
 // InvalidateObject drops every entry of obj and bumps its generation, so
 // in-flight reads that predate the write cannot re-fill stale values. The
-// batch layers call it at record time for every non-readonly call, keyed by
-// the call's root object.
+// cluster batch calls it at record time for every non-readonly call, keyed
+// by the call's root object.
 func (c *Cache) InvalidateObject(obj string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -49,9 +49,9 @@ func TestGetPutLeaseLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	var epoch uint64 = 7
 	c := New(nil,
-		WithClock(func() time.Time { return now }),
 		WithEpoch(func() uint64 { return epoch }),
 		WithTTL(10*time.Second))
+	c.now = func() time.Time { return now }
 	ref := testRef(1)
 	key := mustKey(t, ref, "Get")
 	obj := ObjKey(ref)
@@ -106,7 +106,8 @@ func TestInvalidateObjectAndGenerationGuard(t *testing.T) {
 
 func TestEvictionFIFOAndCounter(t *testing.T) {
 	reg := stats.New()
-	c := New(reg, WithMaxEntries(2))
+	c := New(reg)
+	c.max = 2
 	ref := testRef(1)
 	obj := ObjKey(ref)
 	keys := make([]string, 3)
