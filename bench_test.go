@@ -1,161 +1,16 @@
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/rmi"
 )
 
-// Benchmarks reproducing the paper's evaluation (Figures 5-13, §5.2-§5.4),
-// one per figure, plus the ablations from DESIGN.md. Latency profiles:
-// LAN is the paper's configuration 1 (1 Gbps, 1 ms RTT) unscaled; the
-// wireless profile (48 Mbps, 252 ms RTT) is scaled down by benchWirelessScale
-// to keep the suite's wall-clock time reasonable — scaling divides every
-// data point by the same constant, preserving the figures' shapes. Run
-// cmd/benchfig -scale 1 for paper-faithful wireless timing.
-const benchWirelessScale = 50
-
-var (
-	benchLAN      = netsim.LAN
-	benchWireless = netsim.Wireless.Scaled(benchWirelessScale)
-)
-
-// figBench runs each variant of a workload as a sub-benchmark per
-// x-position. The environment and recording setup are excluded from the
-// measured time; one iteration is one complete client operation (e.g. "all
-// n calls and the flush").
-func figBench(b *testing.B, profile netsim.Profile, xs []int, setup bench.Setup) {
-	for _, x := range xs {
-		env, err := bench.NewEnv(profile)
-		if err != nil {
-			b.Fatal(err)
-		}
-		variants, err := setup(env, x)
-		if err != nil {
-			env.Close()
-			b.Fatal(err)
-		}
-		for _, v := range variants {
-			v := v
-			b.Run(fmt.Sprintf("x=%d/%s", x, v.Name), func(b *testing.B) {
-				before := env.Client.CallCount()
-				if err := v.Op(); err != nil { // warm-up + round-trip count
-					b.Fatal(err)
-				}
-				rounds := env.Client.CallCount() - before
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := v.Op(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(rounds), "roundtrips/op")
-				b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
-			})
-		}
-		env.Close()
-	}
-}
-
-// BenchmarkFig05NoOpLAN reproduces Figure 5: n no-op calls over the LAN
-// profile; RMI grows linearly, BRMI stays flat at one round trip.
-func BenchmarkFig05NoOpLAN(b *testing.B) {
-	figBench(b, benchLAN, []int{1, 2, 3, 4, 5}, bench.NoopSetup)
-}
-
-// BenchmarkFig06NoOpWireless reproduces Figure 6 (wireless profile).
-func BenchmarkFig06NoOpWireless(b *testing.B) {
-	figBench(b, benchWireless, []int{1, 2, 3, 4, 5}, bench.NoopSetup)
-}
-
-// BenchmarkFig07ListLAN reproduces Figure 7: traversing a remote linked
-// list; RMI marshals a remote object per step, BRMI batches the chain.
-func BenchmarkFig07ListLAN(b *testing.B) {
-	figBench(b, benchLAN, []int{1, 2, 3, 4, 5}, bench.ListSetup)
-}
-
-// BenchmarkFig08ListWireless reproduces Figure 8 (wireless profile).
-func BenchmarkFig08ListWireless(b *testing.B) {
-	figBench(b, benchWireless, []int{1, 2, 3, 4, 5}, bench.ListSetup)
-}
-
-// BenchmarkFig09ListNoBatchLAN reproduces Figure 9: the traversal with a
-// flush after every call (batches of size one) — BRMI grows linearly too,
-// but without per-step remote-object marshalling.
-func BenchmarkFig09ListNoBatchLAN(b *testing.B) {
-	figBench(b, benchLAN, []int{1, 2, 3, 4, 5}, bench.ListNoBatchSetup)
-}
-
-// BenchmarkFig10SimLAN reproduces Figure 10: the remote simulation whose
-// balancer argument is a loopback stub under RMI but the identical local
-// object under BRMI (§4.4).
-func BenchmarkFig10SimLAN(b *testing.B) {
-	figBench(b, benchLAN, []int{5, 10, 20, 40}, bench.SimulationSetup)
-}
-
-// BenchmarkFig11SimWireless reproduces Figure 11 (wireless profile).
-func BenchmarkFig11SimWireless(b *testing.B) {
-	figBench(b, benchWireless, []int{5, 10, 20, 40}, bench.SimulationSetup)
-}
-
-// BenchmarkFig12FilesLAN reproduces Figure 12: fetching n files (100 KB
-// total) from the remote file server; RMI needs 1+5n round trips, BRMI one.
-func BenchmarkFig12FilesLAN(b *testing.B) {
-	figBench(b, benchLAN, []int{1, 2, 5, 10}, bench.FileServerSetup)
-}
-
-// BenchmarkFig13FilesWireless reproduces Figure 13 (wireless profile).
-func BenchmarkFig13FilesWireless(b *testing.B) {
-	figBench(b, benchWireless, []int{1, 2, 5, 10}, bench.FileServerSetup)
-}
-
-// BenchmarkAblationIdentity quantifies design decision 2 (DESIGN.md): the
-// simulation workload on the faithful substrate vs one that short-circuits
-// refs to local objects (what Java RMI chose not to do).
-func BenchmarkAblationIdentity(b *testing.B) {
-	b.Run("faithful", func(b *testing.B) {
-		figBench(b, benchLAN, []int{10}, bench.SimulationSetup)
-	})
-	b.Run("shortcut", func(b *testing.B) {
-		for _, x := range []int{10} {
-			env, err := bench.NewEnv(benchLAN, bench.WithServerOptions(rmi.WithLocalShortcut()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			variants, err := bench.SimulationSetup(env, x)
-			if err != nil {
-				env.Close()
-				b.Fatal(err)
-			}
-			rmiVariant := variants[0]
-			b.Run(fmt.Sprintf("x=%d/RMI", x), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := rmiVariant.Op(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			env.Close()
-		}
-	})
-}
-
-// BenchmarkAblationStubs quantifies design decision 1: dynamic recording
-// vs generated typed stubs (wrapper overhead only).
-func BenchmarkAblationStubs(b *testing.B) {
-	figBench(b, netsim.Instant, []int{100}, bench.StubsSetup)
-}
-
-// BenchmarkAblationCursor quantifies flush granularity: 40 calls at batch
-// sizes 1..40 (generalizing Figure 9).
-func BenchmarkAblationCursor(b *testing.B) {
-	figBench(b, benchLAN, []int{1, 4, 40}, bench.BatchSizeSetup(40))
-}
+// Microbenchmarks of the client stack on the instant network, where no
+// simulated latency hides its CPU cost. The paper's figures are cmd/benchfig's
+// job, and internal/bench's tests pin the round trips behind each of them.
 
 // BenchmarkRecordingOnly isolates client-side recording cost (no flush):
 // the price of building a batch, which the paper argues is negligible

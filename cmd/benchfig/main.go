@@ -1,6 +1,8 @@
 // Command benchfig regenerates the paper's evaluation: every figure of
-// §5.2-§5.4 (Figures 5-13), the ablations called out in DESIGN.md, and the
-// cluster fan-out benchmark, in the same rows/series layout the paper plots.
+// §5.2-§5.4 (Figures 5-13) and the ablations called out in DESIGN.md, in the
+// same rows/series layout the paper plots. The cluster runtime's own claims
+// are pinned as exact counts by internal/cluster's tests, and its behaviour
+// under load is measured by brmibench (benchmark/).
 //
 // Usage:
 //
@@ -8,9 +10,6 @@
 //	benchfig -fig 5 -fig 12        # selected figures
 //	benchfig -fig a1               # ablations (a1, a2, a3)
 //	benchfig -list                 # every figure id with its description
-//	benchfig -fig cluster          # multi-server fan-out (internal/cluster)
-//	benchfig -fig pipeline         # staged cross-server dataflow (internal/cluster)
-//	benchfig -fig rebalance        # live re-sharding during scale-out (internal/cluster)
 //	benchfig -scale 1 -reps 10     # full-fidelity wireless latency (slow)
 //	benchfig -csv out/             # additionally write CSV per figure
 //	benchfig -json out/            # additionally write BENCH_<fig>.json series
@@ -39,7 +38,6 @@ type figSpec struct {
 type config struct {
 	lan      bench.Config
 	wireless bench.Config
-	wan      bench.Config
 	instant  bench.Config
 }
 
@@ -71,18 +69,6 @@ var figures = []figSpec{
 		return bench.RunAblationBatchSize(c.lan, 40, []int{1, 2, 4, 8, 20, 40})
 	},
 		"ablation: flush granularity"},
-	{"cluster", func(c config) (*bench.Table, error) {
-		return bench.RunFanout(c.wan, 64, []int{1, 2, 4, 8})
-	},
-		"cluster fan-out: 64 calls over K servers, WAN (internal/cluster)"},
-	{"pipeline", func(c config) (*bench.Table, error) {
-		return bench.RunPipeline(c.wan, 4, 16, []int{1, 2, 3, 4})
-	},
-		"staged cross-server pipeline: 16 chains of depth D over 4 servers, WAN (internal/cluster)"},
-	{"rebalance", func(c config) (*bench.Table, error) {
-		return bench.RunRebalance(c.wan, []int{4, 16, 64})
-	},
-		"live re-sharding: scale-out 3 -> 4 servers, batched vs per-object migration, WAN (internal/cluster)"},
 }
 
 func main() {
@@ -133,7 +119,6 @@ func run(args []string) error {
 	cfg := config{
 		lan:      bench.Config{Profile: netsim.LAN, Warmup: *warmup, Reps: *reps},
 		wireless: bench.Config{Profile: netsim.Wireless.Scaled(*scale), Warmup: *warmup, Reps: *reps},
-		wan:      bench.Config{Profile: netsim.WAN.Scaled(*scale), Warmup: *warmup, Reps: *reps},
 		instant:  bench.Config{Profile: netsim.Instant, Warmup: *warmup + 1, Reps: *reps + 5},
 	}
 
@@ -200,9 +185,8 @@ func writeCSV(dir, id string, table *bench.Table) error {
 	return f.Close()
 }
 
-// writeJSON emits the machine-readable series file (BENCH_<fig>.json) used
-// to track perf trajectories across PRs, e.g. BENCH_cluster.json for the
-// fan-out figure.
+// writeJSON emits the machine-readable series file (BENCH_<fig>.json), a
+// stable form to diff a figure's series against.
 func writeJSON(dir, id string, table *bench.Table) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -45,7 +45,7 @@
 //     table, pooled payload buffers, reusable dispatch workers; payloads
 //     larger than one frame stream as chunked multi-frame sequences under
 //     per-stream credit flow control, so Call has no single-frame size
-//     ceiling (CallOneWay keeps the strict one-frame contract)
+//     ceiling
 //   - internal/netsim    simulated LAN and wireless links, plus the fault
 //     surface chaos testing drives: a pluggable (virtual) clock,
 //     directional link partitions, per-link latency jitter and loss,
@@ -75,8 +75,8 @@
 //   - internal/dgc       lease-based distributed garbage collection
 //   - internal/codegen   "rmic -batch" equivalent (typed stubs and server
 //     skeletons; cmd/brmigen)
-//   - internal/bench     harness regenerating the paper's Figures 5-13 plus
-//     the cluster fan-out, pipeline and rebalance figures
+//   - internal/bench     harness regenerating the paper's Figures 5-13 and
+//     ablations, with tests pinning the round trips behind each figure
 //   - cmd/benchfig       prints every figure's series; cmd/brmigen generates
 //   - cmd/brmitop        live cluster ops view (QPS, wave latency
 //     quantiles, pool/codec reuse, lease-cache hit rate, migration, epoch
@@ -86,8 +86,7 @@
 //     bank, translator, chained batches, sharded multi-server cluster,
 //     staged cross-server pipeline, live re-sharding, live ops view)
 //
-// The benchmarks in bench_test.go reproduce each figure as a testing.B
-// benchmark; `go run ./cmd/benchfig -all` prints the full evaluation.
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
-// results against the paper.
+// `go run ./cmd/benchfig -all` prints the full evaluation; bench_test.go
+// holds two microbenchmarks of the client stack, and brmibench (benchmark/)
+// measures the cluster under load. See DESIGN.md for the system inventory.
 package repro

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/rmi"
+	"repro/internal/wire"
 )
 
 // fastProfile keeps shape tests quick while still separating the curves:
@@ -94,70 +97,79 @@ func TestListNoBatchShape(t *testing.T) {
 	}
 }
 
+// callCounts runs op once and reports the remote calls it cost: the client's
+// round trips, and the server's own outgoing calls — loopback calls through
+// stubs of objects it exports, since the environment has no other server.
+func callCounts(t *testing.T, env *Env, op func() error) (client, server uint64) {
+	t.Helper()
+	c, s := env.Client.CallCount(), env.Server.CallCount()
+	if err := op(); err != nil {
+		t.Fatal(err)
+	}
+	return env.Client.CallCount() - c, env.Server.CallCount() - s
+}
+
+// simulationCounts runs every variant of the simulation workload once at
+// the given step count on the instant network, returning per variant the
+// client's round trips and the server's loopback calls.
+func simulationCounts(t *testing.T, steps int, opts ...EnvOption) (client, loopback []uint64) {
+	t.Helper()
+	env, err := NewEnv(netsim.Instant, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	variants, err := SimulationSetup(env, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range variants {
+		c, s := callCounts(t, env, v.Op)
+		client, loopback = append(client, c), append(loopback, s)
+	}
+	return client, loopback
+}
+
+// TestSimulationShape pins the cause of Figures 10-11: both variants pay the
+// same round trips — create, one flush per step, the result fetch — so the
+// gap is the server's own calls. Under RMI each step's balancer arrives as a
+// stub of the server's own object and every Balance is a loopback call;
+// BRMI hands the step the object itself (§4.4).
 func TestSimulationShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow shape test; skipped in -short")
+	const steps = 6
+	client, loopback := simulationCounts(t, steps)
+	if want := []uint64{steps + 2, steps + 2}; !slices.Equal(client, want) {
+		t.Errorf("client round trips (RMI, BRMI) = %v, want %v", client, want)
 	}
-	table, err := RunSimulation(fastCfg(), []int{2, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same round trips both sides (flush per step): 1 create + n steps + 1
-	// result fetch (+1 initial flush for BRMI's create batch).
-	row := tableCell(t, table, 6, 0)
-	if row.Calls != 8 {
-		t.Errorf("RMI round trips = %d, want 8", row.Calls)
-	}
-	// RMI pays 2 extra loopback calls per step; BRMI must be faster.
-	speedup, err := table.SpeedupAt(6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if speedup < 1.5 {
-		t.Errorf("RMI/BRMI at 6 steps = %.2fx, want >= 1.5x (loopback penalty)", speedup)
+	if want := []uint64{steps * SimulationReps, 0}; !slices.Equal(loopback, want) {
+		t.Errorf("server loopback calls (RMI, BRMI) = %v, want %v", loopback, want)
 	}
 }
 
+// TestFileServerShape pins Figures 12-13's mechanism: RMI pays one list call
+// plus five calls per file, BRMI one batch with a cursor.
 func TestFileServerShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow shape test; skipped in -short")
-	}
-	table, err := RunFileServer(fastCfg(), []int{1, 4})
+	table, err := RunFileServer(Config{Profile: netsim.Instant, Reps: 1}, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RMI: 1 list + 5 calls per file; BRMI: one batch.
+	assertRoundTrips(t, table, 1, []uint64{6, 1})
 	assertRoundTrips(t, table, 4, []uint64{21, 1})
-	speedup, err := table.SpeedupAt(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if speedup < 3 {
-		t.Errorf("RMI/BRMI at 4 files = %.2fx, want >= 3x", speedup)
-	}
 }
 
+// TestAblationIdentityShape pins ablation a1: resolving a returning ref to
+// the local object (rmi.WithLocalShortcut, what Java RMI chose not to do)
+// removes exactly the loopback calls BRMI's identity preservation never
+// makes, at the same round trips.
 func TestAblationIdentityShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow shape test; skipped in -short")
+	const steps = 6
+	client, loopback := simulationCounts(t, steps)
+	shortcutClient, shortcutLoopback := simulationCounts(t, steps, WithServerOptions(rmi.WithLocalShortcut()))
+	if got, want := []uint64{client[0], shortcutClient[0], client[1]}, []uint64{steps + 2, steps + 2, steps + 2}; !slices.Equal(got, want) {
+		t.Errorf("client round trips (RMI, RMI+shortcut, BRMI) = %v, want %v", got, want)
 	}
-	table, err := RunAblationIdentity(fastCfg(), []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Columns) != 3 {
-		t.Fatalf("columns = %v", table.Columns)
-	}
-	rmi := tableCell(t, table, 4, 0).S.Millis()
-	shortcut := tableCell(t, table, 4, 1).S.Millis()
-	brmi := tableCell(t, table, 4, 2).S.Millis()
-	// The shortcut removes the loopback penalty, landing near BRMI and
-	// well under faithful RMI.
-	if shortcut >= rmi {
-		t.Errorf("shortcut %.2fms not faster than faithful RMI %.2fms", shortcut, rmi)
-	}
-	if brmi >= rmi {
-		t.Errorf("BRMI %.2fms not faster than RMI %.2fms", brmi, rmi)
+	if got, want := []uint64{loopback[0], shortcutLoopback[0], loopback[1]}, []uint64{steps * SimulationReps, 0, 0}; !slices.Equal(got, want) {
+		t.Errorf("server loopback calls (RMI, RMI+shortcut, BRMI) = %v, want %v", got, want)
 	}
 }
 
@@ -190,49 +202,6 @@ func TestAblationBatchSize(t *testing.T) {
 	if k8 >= k1 {
 		t.Errorf("full batch %.2fms not faster than per-call flush %.2fms", k8, k1)
 	}
-}
-
-// TestFanoutShape is the acceptance check of the cluster subsystem: on the
-// WAN profile with K=4 servers and 64 calls per batch, the parallel cluster
-// flush must complete in roughly max-of-servers rather than sum-of-servers
-// time — at least 2x faster than flushing the 4 per-server batches
-// sequentially, and far ahead of unbatched RMI.
-func TestFanoutShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow shape test; skipped in -short")
-	}
-	cfg := Config{Profile: netsim.WAN.Scaled(10), Warmup: 1, Reps: 3}
-	table, err := RunFanout(cfg, 64, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round trips: RMI one per call; both batched variants one per server.
-	assertRoundTrips(t, table, 4, []uint64{64, 4, 4})
-	rmiMs := tableCell(t, table, 4, 0).S.Millis()
-	seqMs := tableCell(t, table, 4, 1).S.Millis()
-	cluMs := tableCell(t, table, 4, 2).S.Millis()
-	if cluMs <= 0 {
-		t.Fatal("cluster variant measured zero time")
-	}
-	if seqMs/cluMs < 2 {
-		t.Errorf("cluster flush %.2fms vs sequential %.2fms: %.2fx, want >= 2x",
-			cluMs, seqMs, seqMs/cluMs)
-	}
-	if rmiMs/cluMs < 4 {
-		t.Errorf("cluster flush %.2fms vs RMI %.2fms: %.2fx, want >= 4x",
-			cluMs, rmiMs, rmiMs/cluMs)
-	}
-}
-
-func TestFanoutSingleServer(t *testing.T) {
-	// K=1 degenerate case: all three variants still work; both batched
-	// variants take exactly one round trip.
-	cfg := Config{Profile: netsim.Instant, Warmup: 0, Reps: 1}
-	table, err := RunFanout(cfg, 8, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRoundTrips(t, table, 1, []uint64{8, 1, 1})
 }
 
 func tableCell(t *testing.T, table *Table, x, col int) Cell {
@@ -337,130 +306,32 @@ func TestNewFileServer(t *testing.T) {
 	}
 }
 
-// TestPipelineShape is the acceptance check of staged cross-server
-// dataflow: at depth 2 over 4 servers, the staged cluster flush costs 3
-// parallel round-trip waves (the variant itself asserts Waves == depth+1),
-// so it must be well ahead of the manual two-phase approach's sequential
-// per-server flushes and of per-call RMI.
-func TestPipelineShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow shape test; skipped in -short")
-	}
-	cfg := Config{Profile: netsim.WAN.Scaled(10), Warmup: 1, Reps: 3}
-	table, err := RunPipeline(cfg, 4, 8, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round trips: RMI one per hop per chain (8*3); both batched variants
-	// one per server per level (4*3).
-	assertRoundTrips(t, table, 2, []uint64{24, 12, 12})
-	rmiMs := tableCell(t, table, 2, 0).S.Millis()
-	twoMs := tableCell(t, table, 2, 1).S.Millis()
-	stagedMs := tableCell(t, table, 2, 2).S.Millis()
-	if stagedMs <= 0 {
-		t.Fatal("staged variant measured zero time")
-	}
-	if twoMs/stagedMs < 2 {
-		t.Errorf("staged flush %.2fms vs two-phase %.2fms: %.2fx, want >= 2x",
-			stagedMs, twoMs, twoMs/stagedMs)
-	}
-	if rmiMs/stagedMs < 4 {
-		t.Errorf("staged flush %.2fms vs RMI %.2fms: %.2fx, want >= 4x",
-			stagedMs, rmiMs, rmiMs/stagedMs)
-	}
-}
-
-// TestPipelineDegenerate: depth 0 (no cross-server dataflow) is the plain
-// fan-out case — the staged variant must plan a single wave and all
-// variants must agree on results.
-func TestPipelineDegenerate(t *testing.T) {
-	cfg := Config{Profile: netsim.Instant, Warmup: 0, Reps: 1}
-	table, err := RunPipeline(cfg, 2, 4, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRoundTrips(t, table, 0, []uint64{4, 2, 2})
-}
-
-// TestRebalanceShape pins the live re-sharding acceptance criterion: at 64
-// objects moved during a scale-out, BRMI-batched migration must beat
-// per-object migration by at least 2x (the committed BENCH_rebalance.json
-// series shows ~12x on the WAN profile).
-func TestRebalanceShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow shape test; skipped in -short")
-	}
-	cfg := Config{Profile: netsim.WAN.Scaled(10), Warmup: 0, Reps: 3}
-	table, err := RunRebalance(cfg, []int{64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perObj := tableCell(t, table, 64, 0)
-	batched := tableCell(t, table, 64, 1)
-	if batched.S.Millis() <= 0 {
-		t.Fatal("batched migration measured zero time")
-	}
-	if ratio := perObj.S.Millis() / batched.S.Millis(); ratio < 2 {
-		t.Errorf("batched migration %.2fms vs per-object %.2fms: %.2fx, want >= 2x",
-			batched.S.Millis(), perObj.S.Millis(), ratio)
-	}
-	// Round trips: per-object pays ~3 per moved object; batched pays a
-	// small constant (plan + one batch per direction per pair + broadcast).
-	if perObj.Calls <= batched.Calls*4 {
-		t.Errorf("round trips: per-object %d vs batched %d, want per-object >> batched",
-			perObj.Calls, batched.Calls)
-	}
-}
-
-// TestRebalanceTiny: the smallest scale-out moves its objects correctly in
-// both migration modes (correctness is asserted inside RunRebalance's
-// verification run).
-func TestRebalanceTiny(t *testing.T) {
-	cfg := Config{Profile: netsim.Instant, Warmup: 0, Reps: 1}
-	table, err := RunRebalance(cfg, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 1 || len(table.Rows[0].Cells) != 2 {
-		t.Fatalf("unexpected table shape: %+v", table)
-	}
-}
-
-// TestRebalanceRoundTrips pins the figure's deterministic half to the
-// committed BENCH_rebalance.json: a batched scale-out costs 11 control round
-// trips (ring refresh and broadcast, manifests) plus 3 per migration flow —
-// two flows at 4 objects, three from 16 on — whatever K is, and the
-// per-object baseline costs the same 11 plus 3 per object.
-func TestRebalanceRoundTrips(t *testing.T) {
-	cfg := Config{Profile: netsim.Instant, Warmup: 0, Reps: 1}
-	table, err := RunRebalance(cfg, []int{4, 16, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRoundTrips(t, table, 4, []uint64{23, 17})
-	assertRoundTrips(t, table, 16, []uint64{59, 20})
-	assertRoundTrips(t, table, 64, []uint64{203, 20})
-}
-
 // TestHotPathAllocBudget pins the allocation cost of the flush hot path:
 // mixed-size flushes (1, 4, 16, 64 calls) of a marshal-heavy Echo over four
-// servers on the instant network, client and server sharing the heap. The
-// stack before compiled codecs, pooled buffers and skeleton dispatch cost
-// ~29.5 allocations per call, today's ~14; the budget leaves headroom for
-// environment noise. brmibench's echo_flush reports the precise figure.
+// exported objects on the instant network, client and server sharing the
+// heap. The stack before compiled codecs, pooled buffers and skeleton
+// dispatch cost ~29.5 allocations per call, today's ~14; the budget leaves
+// headroom for environment noise. brmibench's echo_flush reports the precise
+// figure.
 func TestHotPathAllocBudget(t *testing.T) {
-	env, err := NewClusterEnv(netsim.Instant, 4)
+	env, err := NewEnv(netsim.Instant)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
+	refs := make([]wire.Ref, 4)
+	for i := range refs {
+		if refs[i], err = env.Export(&EchoService{}, "bench.Echo"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ctx := context.Background()
 	payload := Payload{ID: 1, Name: "hot-path-object-with-a-realistic-name", Data: make([]byte, 64), Elapsed: time.Millisecond}
 	sizes := [...]int{1, 4, 16, 64}
 	run := func(flushes int) (calls int) {
 		for n := 0; n < flushes; n++ {
 			size := sizes[n%len(sizes)]
-			b := core.New(env.Client, env.EchoRefs[n%len(env.EchoRefs)])
+			b := core.New(env.Client, refs[n%len(refs)])
 			root := b.Root()
 			var last *core.Future
 			for i := 0; i < size; i++ {

@@ -75,8 +75,7 @@ type jsonCell struct {
 }
 
 // JSON renders the table as a machine-readable series (one JSON object),
-// the format benchfig -json emits so future PRs can track a performance
-// trajectory file like BENCH_cluster.json.
+// the format benchfig -json emits.
 func (t *Table) JSON(w io.Writer) error {
 	jt := jsonTable{
 		Fig:     t.Fig,

@@ -1,9 +1,8 @@
 // Package bench provides the benchmark harness that regenerates the paper's
 // evaluation (Figures 5-13, §5.2-§5.4): the workload services, RMI and BRMI
 // client drivers, measurement utilities, and paper-style series printing.
-//
-// Both the testing.B benchmarks in the repository root and cmd/benchfig
-// drive the same code here, so the two report the same workloads.
+// cmd/benchfig prints the figures; this package's tests pin the round trips
+// and loopback calls that cause each figure's shape as exact counts.
 package bench
 
 import (

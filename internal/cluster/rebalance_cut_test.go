@@ -451,8 +451,7 @@ func TestOrphanRescueSparesHalfRemovedMember(t *testing.T) {
 // Totals are client round trips: the trips plus the unbatched control calls
 // (ring refresh and broadcast, manifests, shard listings). They were
 // measured on the control plane this one replaced, which took the same 18
-// place trips; the R=1 counterpart is internal/bench's
-// TestRebalanceRoundTrips.
+// place trips; the R=1 counterpart is TestScaleOutTripsIndependentOfObjects.
 func TestReplicatedAddServerRoundTrips(t *testing.T) {
 	ec := clustertest.New(t, 4)
 	base := []string{"server-0", "server-1", "server-2"}

@@ -89,11 +89,13 @@ func decGetBatchRequest(x wire.Dec, r *GetBatchRequest, n int) error {
 			return err
 		}
 		if sn >= 0 {
-			r.ObjIDs = make([]uint64, sn)
-			for i := range r.ObjIDs {
-				if r.ObjIDs[i], err = x.Uint(); err != nil {
+			r.ObjIDs = make([]uint64, 0, min(sn, wire.MaxPrealloc))
+			for i := 0; i < sn; i++ {
+				id, err := x.Uint()
+				if err != nil {
 					return err
 				}
+				r.ObjIDs = append(r.ObjIDs, id)
 			}
 		}
 	}
@@ -103,11 +105,13 @@ func decGetBatchRequest(x wire.Dec, r *GetBatchRequest, n int) error {
 			return err
 		}
 		if sn >= 0 {
-			r.Indexes = make([]int64, sn)
-			for i := range r.Indexes {
-				if r.Indexes[i], err = x.Int(); err != nil {
+			r.Indexes = make([]int64, 0, min(sn, wire.MaxPrealloc))
+			for i := 0; i < sn; i++ {
+				ix, err := x.Int()
+				if err != nil {
 					return err
 				}
+				r.Indexes = append(r.Indexes, ix)
 			}
 		}
 	}
@@ -123,11 +127,13 @@ func decGetBatchRequest(x wire.Dec, r *GetBatchRequest, n int) error {
 			return err
 		}
 		if sn >= 0 {
-			r.Names = make([]string, sn)
-			for i := range r.Names {
-				if r.Names[i], err = x.Str(); err != nil {
+			r.Names = make([]string, 0, min(sn, wire.MaxPrealloc))
+			for i := 0; i < sn; i++ {
+				name, err := x.Str()
+				if err != nil {
 					return err
 				}
+				r.Names = append(r.Names, name)
 			}
 		}
 	}

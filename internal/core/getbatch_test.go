@@ -279,12 +279,18 @@ func TestGetBatchRejectsMismatchedLengths(t *testing.T) {
 // may panic (a panic in the serving goroutine takes the process down, which
 // the fuzzer reports); a decoded request is never larger than its input
 // allows; and addressing slices that are not empty or parallel to the indexes
-// are rejected with an error instead of indexing out of range. The seed corpus is the committed
-// testdata/fuzz/FuzzGetBatchRequest.
+// are rejected with an error instead of indexing out of range. What the decode
+// allocates follows the input, not the counts it claims. The seed corpus is the
+// committed testdata/fuzz/FuzzGetBatchRequest plus a request claiming more ids
+// than it carries.
 func FuzzGetBatchRequest(f *testing.F) {
 	env := newGetbatchEnv(f)
+	f.Add(inflated(getBatchRequestIDs, 1<<12))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := wire.Unmarshal(data)
+		msg, alloc, err := decodeAlloc(data)
+		if alloc > allocBound(data) {
+			t.Fatalf("%d input bytes made the decode allocate %d", len(data), alloc)
+		}
 		if err != nil {
 			return
 		}

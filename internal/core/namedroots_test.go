@@ -328,8 +328,11 @@ func TestNamedRootMissRejectsUnexecuted(t *testing.T) {
 // request's ship directive — decoded, like everything else, from the input —
 // is vetted by the real primary-side checks: the wave of a refused one never
 // executes, and the well-formed seed's ship to the absent "there" ends in a
-// quorum miss. The seed corpus is the committed testdata/fuzz/FuzzBatchRequest.
+// quorum miss. What the decode allocates follows the input, not the counts it
+// claims. The seed corpus is the committed testdata/fuzz/FuzzBatchRequest plus a
+// request claiming more calls than it carries.
 func FuzzBatchRequest(f *testing.F) {
+	f.Add(inflated(flushRequestCalls, 1<<12))
 	env := newGetbatchEnv(f)
 	node, err := cluster.StartNode(env.server, env.reg, nil)
 	if err != nil {
@@ -349,7 +352,10 @@ func FuzzBatchRequest(f *testing.F) {
 	exec := rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface)
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := wire.Unmarshal(data)
+		msg, alloc, err := decodeAlloc(data)
+		if alloc > allocBound(data) {
+			t.Fatalf("%d input bytes made the decode allocate %d", len(data), alloc)
+		}
 		if err != nil {
 			return
 		}

@@ -78,8 +78,9 @@ func decArgSlice(x wire.Dec) ([]batchArg, error) {
 	if err != nil || n < 0 {
 		return nil, err
 	}
-	out := make([]batchArg, n)
-	for i := range out {
+	out := make([]batchArg, 0, min(n, wire.MaxPrealloc))
+	for i := 0; i < n; i++ {
+		out = append(out, batchArg{})
 		fn, err := x.StructFields("brmi.arg")
 		if err != nil {
 			return nil, err
@@ -260,8 +261,9 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			return err
 		}
 		if cn >= 0 {
-			r.Calls = make([]invocationData, cn)
-			for i := range r.Calls {
+			r.Calls = make([]invocationData, 0, min(cn, wire.MaxPrealloc))
+			for i := 0; i < cn; i++ {
+				r.Calls = append(r.Calls, invocationData{})
 				fn, err := x.StructFields("brmi.inv")
 				if err != nil {
 					return err
@@ -298,11 +300,13 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			return err
 		}
 		if rn >= 0 {
-			r.Roots = make([]uint64, rn)
-			for i := range r.Roots {
-				if r.Roots[i], err = x.Uint(); err != nil {
+			r.Roots = make([]uint64, 0, min(rn, wire.MaxPrealloc))
+			for i := 0; i < rn; i++ {
+				id, err := x.Uint()
+				if err != nil {
 					return err
 				}
+				r.Roots = append(r.Roots, id)
 			}
 		}
 	}
@@ -325,11 +329,13 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			return err
 		}
 		if nn > 0 {
-			r.Names = make([]string, nn)
-			for i := range r.Names {
-				if r.Names[i], err = x.Str(); err != nil {
+			r.Names = make([]string, 0, min(nn, wire.MaxPrealloc))
+			for i := 0; i < nn; i++ {
+				name, err := x.Str()
+				if err != nil {
 					return err
 				}
+				r.Names = append(r.Names, name)
 			}
 		}
 		if err := checkRootNames(r); err != nil {
@@ -510,11 +516,13 @@ func decAnySlice(x wire.Dec) ([]any, error) {
 	if err != nil || n < 0 {
 		return nil, err
 	}
-	out := make([]any, n)
-	for i := range out {
-		if out[i], err = x.Value(); err != nil {
+	out := make([]any, 0, min(n, wire.MaxPrealloc))
+	for i := 0; i < n; i++ {
+		v, err := x.Value()
+		if err != nil {
 			return nil, err
 		}
+		out = append(out, v)
 	}
 	return out, nil
 }
@@ -583,8 +591,9 @@ func decBatchResponse(x wire.Dec, r *batchResponse, n int) error {
 			return err
 		}
 		if rn >= 0 {
-			r.Results = make([]callResult, rn)
-			for i := range r.Results {
+			r.Results = make([]callResult, 0, min(rn, wire.MaxPrealloc))
+			for i := 0; i < rn; i++ {
+				r.Results = append(r.Results, callResult{})
 				fn, err := x.StructFields("brmi.result")
 				if err != nil {
 					return err
@@ -614,11 +623,13 @@ func decBatchResponse(x wire.Dec, r *batchResponse, n int) error {
 			return err
 		}
 		if rn > 0 {
-			r.Roots = make([]wire.Ref, rn)
-			for i := range r.Roots {
-				if r.Roots[i], err = x.RefVal(); err != nil {
+			r.Roots = make([]wire.Ref, 0, min(rn, wire.MaxPrealloc))
+			for i := 0; i < rn; i++ {
+				ref, err := x.RefVal()
+				if err != nil {
 					return err
 				}
+				r.Roots = append(r.Roots, ref)
 			}
 		}
 	}

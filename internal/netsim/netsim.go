@@ -46,9 +46,9 @@ var (
 	// we follow the figures).
 	Wireless = Profile{Name: "wireless", RTT: 252 * time.Millisecond, BitsPerSecond: 48e6}
 	// WAN models a cross-datacenter link (no counterpart in the paper, which
-	// measured a single client/server pair): 80 ms RTT, 100 Mbps. It is the
-	// profile where the cluster fan-out benchmark's parallelism matters most,
-	// since every sequential per-server round trip costs a full WAN RTT.
+	// measured a single client/server pair): 80 ms RTT, 100 Mbps — slow
+	// enough that a test can tell a call that waits on the network from one
+	// that does not.
 	WAN = Profile{Name: "wan", RTT: 80 * time.Millisecond, BitsPerSecond: 100e6}
 )
 

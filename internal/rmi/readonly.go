@@ -4,12 +4,13 @@ import "sync"
 
 // readonlyMethods records which methods of which remote interfaces were
 // declared //brmi:readonly. brmigen emits the registrations from its
-// parse-time-validated annotations; the batch layers (and operators
-// inspecting a deployment) query IsReadOnly. The declaration is a client
-// visible contract — idempotent, side-effect free, result cacheable under a
-// lease — not a server-enforced property; brmigen's validation is what
-// keeps it honest at the type level (serializable result, no remote
-// parameters).
+// parse-time-validated annotations, for tools and operators inspecting a
+// deployment through IsReadOnly; the batch layers do not consult it, since
+// generated stubs record a readonly method as CallRO directly. The
+// declaration is a client visible contract — idempotent, side-effect free,
+// result cacheable under a lease — not a server-enforced property; brmigen's
+// validation is what keeps it honest at the type level (serializable result,
+// no remote parameters).
 var readonlyMethods sync.Map // iface + "\x00" + method -> struct{}
 
 // RegisterReadOnly declares methods of the remote interface iface readonly

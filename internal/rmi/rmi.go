@@ -214,11 +214,13 @@ func decCallRequest(x wire.Dec, r *callRequest, n int) error {
 			return err
 		}
 		if an >= 0 {
-			r.Args = make([]any, an)
-			for i := range r.Args {
-				if r.Args[i], err = x.Value(); err != nil {
+			r.Args = make([]any, 0, min(an, wire.MaxPrealloc))
+			for i := 0; i < an; i++ {
+				v, err := x.Value()
+				if err != nil {
 					return err
 				}
+				r.Args = append(r.Args, v)
 			}
 		}
 	}
@@ -261,11 +263,13 @@ func decCallResponse(x wire.Dec, r *callResponse, n int) error {
 			return err
 		}
 		if rn >= 0 {
-			r.Results = make([]any, rn)
-			for i := range r.Results {
-				if r.Results[i], err = x.Value(); err != nil {
+			r.Results = make([]any, 0, min(rn, wire.MaxPrealloc))
+			for i := 0; i < rn; i++ {
+				v, err := x.Value()
+				if err != nil {
 					return err
 				}
+				r.Results = append(r.Results, v)
 			}
 		}
 	}

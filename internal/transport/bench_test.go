@@ -64,16 +64,3 @@ func BenchmarkRoundTripParallel(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkOneWay(b *testing.B) {
-	c := benchEnv(b)
-	ctx := context.Background()
-	payload := make([]byte, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.CallOneWay(ctx, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

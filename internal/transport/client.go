@@ -146,24 +146,6 @@ func (c *Client) Call(ctx context.Context, payload []byte) ([]byte, error) {
 	}
 }
 
-// CallOneWay sends payload without waiting for a response. Used by the DGC
-// substrate for clean calls on shutdown paths.
-func (c *Client) CallOneWay(ctx context.Context, payload []byte) error {
-	cc, err := c.conn(ctx)
-	if err != nil {
-		return err
-	}
-	id := c.nextID.Add(1)
-	if err := cc.fw.write(frameOneWay, id, payload); err != nil {
-		if errors.Is(err, ErrTooLarge) {
-			return err
-		}
-		c.dropConn(cc)
-		return fmt.Errorf("transport: send to %s: %w", c.endpoint, err)
-	}
-	return nil
-}
-
 // CallStream sends payload as a stream request: the response arrives as an
 // ordered chunk stream delivered through the returned reader while later
 // chunks are still in flight (the server must install a stream handler,

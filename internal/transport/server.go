@@ -210,7 +210,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.st.FramesIn.Inc()
 		s.st.BytesIn.Add(uint64(frameHeaderLen + len(payload)))
 		switch kind {
-		case frameRequest, frameOneWay, frameStreamReq:
+		case frameRequest, frameStreamReq:
 			s.submit(dispatchTask{fw: fw, ct: ct, kind: kind, id: id, payload: payload})
 		case frameCredit:
 			if len(payload) == 4 {
@@ -268,7 +268,7 @@ func (s *Server) handleChunk(fw *frameWriter, ct *creditTable, asm *assembler, i
 		return nil
 	}
 	switch inner {
-	case frameRequest, frameOneWay, frameStreamReq:
+	case frameRequest, frameStreamReq:
 		s.submit(dispatchTask{fw: fw, ct: ct, kind: inner, id: id, payload: msg})
 		return nil
 	default:
@@ -285,9 +285,6 @@ func (s *Server) dispatch(fw *frameWriter, ct *creditTable, kind byte, id uint64
 	resp, err := s.handler(s.ctx, payload)
 	if s.reuse {
 		PutBuffer(payload)
-	}
-	if kind == frameOneWay {
-		return
 	}
 	if err != nil {
 		if werr := fw.write(frameRespErr, id, []byte(err.Error())); werr != nil {

@@ -57,7 +57,9 @@ const (
 	frameRequest byte = 1
 	frameRespOK  byte = 2
 	frameRespErr byte = 3 // payload is a UTF-8 error string
-	frameOneWay  byte = 4 // request with no response expected
+	// Kind 4 is unassigned: a server ignores such a frame, and fails the
+	// connection of a chunked message that claims it as its inner kind.
+
 	// frameChunk carries one chunk of a logical message spanning many
 	// frames — an oversized call being transparently chunked, or one hop of
 	// a response stream. The frame id is the stream id; chunks of different

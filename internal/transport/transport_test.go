@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,34 +214,6 @@ func TestServerCloseFailsPendingAndRedialWorks(t *testing.T) {
 	}
 	if string(got) != "again" {
 		t.Fatalf("got %q", got)
-	}
-}
-
-func TestOneWayCall(t *testing.T) {
-	var calls atomic.Int32
-	arrived := make(chan struct{}, 1)
-	handler := func(context.Context, []byte) ([]byte, error) {
-		calls.Add(1)
-		arrived <- struct{}{}
-		return []byte("ignored"), nil
-	}
-	n := startServer(t, "oneway", handler)
-	c := transport.NewClient(n, "oneway")
-	defer c.Close()
-	if err := c.CallOneWay(context.Background(), []byte("fire")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-arrived:
-	case <-time.After(2 * time.Second):
-		t.Fatal("one-way call never arrived")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("calls = %d", got)
-	}
-	// A regular call on the same connection still works (ids don't clash).
-	if _, err := c.Call(context.Background(), []byte("x")); err != nil {
-		t.Fatal(err)
 	}
 }
 

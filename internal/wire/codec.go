@@ -392,7 +392,7 @@ func compileFieldDec(t reflect.Type) decFunc {
 			if err != nil {
 				return err
 			}
-			m := min(n, maxPrealloc)
+			m := min(n, MaxPrealloc)
 			out := reflect.MakeSlice(t, m, m)
 			for i := 0; i < n; i++ {
 				if i == out.Len() {
@@ -430,7 +430,7 @@ func compileFieldDec(t reflect.Type) decFunc {
 			if err != nil {
 				return err
 			}
-			out := reflect.MakeMapWithSize(t, min(n, maxPrealloc))
+			out := reflect.MakeMapWithSize(t, min(n, MaxPrealloc))
 			for i := 0; i < n; i++ {
 				kv := reflect.New(kt).Elem()
 				if err := key(d, kv); err != nil {

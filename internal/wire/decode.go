@@ -35,7 +35,7 @@ func UnmarshalValues(data []byte) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]any, 0, min(n, maxPrealloc))
+	out := make([]any, 0, min(n, MaxPrealloc))
 	for i := 0; i < n; i++ {
 		v, err := d.value()
 		if err != nil {
@@ -100,15 +100,15 @@ type decoder struct {
 	depth  int
 }
 
-const (
-	// maxDepth bounds how deep the values of one message nest: a batch
-	// request's deepest protocol path is a handful of levels, and the
-	// decoder recurses once per level.
-	maxDepth = 64
-	// maxPrealloc caps the elements a decoder reserves on a count's word;
-	// a longer slice or map grows as its elements arrive.
-	maxPrealloc = 256
-)
+// maxDepth bounds how deep the values of one message nest: a batch request's
+// deepest protocol path is a handful of levels, and the decoder recurses once
+// per level.
+const maxDepth = 64
+
+// MaxPrealloc caps the elements a decoder reserves on a count's word, this
+// package's and a compiled codec's alike (see Dec.SliceLen); a longer slice or
+// map grows as its elements arrive.
+const MaxPrealloc = 256
 
 // streamType is one resolved stream-local type: the plan plus the
 // pointer-decode flag, looked up once per type definition rather than once
@@ -291,7 +291,7 @@ func (d *decoder) value() (any, error) {
 		if err := d.enter(); err != nil {
 			return nil, err
 		}
-		out := make([]any, 0, min(n, maxPrealloc))
+		out := make([]any, 0, min(n, MaxPrealloc))
 		for i := 0; i < n; i++ {
 			v, err := d.value()
 			if err != nil {
@@ -309,7 +309,7 @@ func (d *decoder) value() (any, error) {
 		if err := d.enter(); err != nil {
 			return nil, err
 		}
-		out := make(map[any]any, min(n, maxPrealloc))
+		out := make(map[any]any, min(n, MaxPrealloc))
 		for i := 0; i < n; i++ {
 			k, err := d.value()
 			if err != nil {

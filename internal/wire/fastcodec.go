@@ -270,7 +270,9 @@ func (x Dec) ErrVal() (error, error) {
 }
 
 // SliceLen begins decoding a slice field: it returns the element count, or
-// -1 for a nil slice. The codec then decodes exactly that many elements.
+// -1 for a nil slice. The codec then decodes exactly that many elements,
+// reserving room for at most MaxPrealloc of them before they arrive: the
+// count is bounded by the message's length, not by its elements.
 func (x Dec) SliceLen() (int, error) {
 	tag, err := x.d.tag()
 	if err != nil {

@@ -111,7 +111,7 @@ func TestNestingDepthBounded(t *testing.T) {
 // A typed slice longer than the preallocation grows as its elements arrive,
 // to exactly the elements sent.
 func TestTypedSliceGrowsPastPrealloc(t *testing.T) {
-	tags := make([]string, 3*maxPrealloc+1)
+	tags := make([]string, 3*MaxPrealloc+1)
 	for i := range tags {
 		tags[i] = string(rune('a' + i%26))
 	}
