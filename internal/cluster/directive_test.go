@@ -10,6 +10,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,9 +49,9 @@ func TestPrimaryVetsShipDirective(t *testing.T) {
 	ec, _, primary, follower, bystander, epoch := directiveCluster(t)
 	ctx := context.Background()
 	ps := ec.Server(primary)
-	many := make([]string, 8)
+	many := make([]int, 8)
 	for i := range many {
-		many[i] = follower
+		many[i] = memberIndex(ec, follower)
 	}
 	corrupt, stale := new(*wire.CorruptError), new(*cluster.StaleShipError)
 	for _, tc := range []struct {
@@ -58,14 +59,21 @@ func TestPrimaryVetsShipDirective(t *testing.T) {
 		d    *core.ShipDirective
 		want any // **wire.CorruptError or **cluster.StaleShipError
 	}{
-		{"follower lists not parallel to the roots", &core.ShipDirective{Followers: [][]string{{follower}, {follower}}, Epoch: epoch}, corrupt},
-		{"names not parallel to the roots", &core.ShipDirective{Followers: [][]string{{follower}}, Epoch: epoch, Names: []string{"obj-0", "obj-1"}}, corrupt},
-		{"a follower outside the ring", &core.ShipDirective{Followers: [][]string{{"ghost"}}, Epoch: epoch}, corrupt},
-		{"the primary as its own follower", &core.ShipDirective{Followers: [][]string{{follower, primary}}, Epoch: epoch}, corrupt},
-		{"more followers than members", &core.ShipDirective{Followers: [][]string{many}, Epoch: epoch}, corrupt},
-		{"a negative quorum", &core.ShipDirective{Followers: [][]string{{follower}}, Epoch: epoch, Quorum: -1}, corrupt},
-		{"an epoch behind the primary's ring", &core.ShipDirective{Followers: [][]string{{follower}}, Epoch: epoch - 1}, stale},
-		{"an unknown follower under an epoch ahead of the primary's ring", &core.ShipDirective{Followers: [][]string{{"ghost"}}, Epoch: epoch + 1}, stale},
+		{"follower lists not parallel to the roots", &core.ShipDirective{Followers: followers(ec, follower, follower), Epoch: epoch}, corrupt},
+		{"names not parallel to the roots", &core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch, Names: []string{"obj-0", "obj-1"}}, corrupt},
+		{"a follower index past the ring", &core.ShipDirective{Followers: [][]int{{3}}, Epoch: epoch}, corrupt},
+		{"a negative follower index", &core.ShipDirective{Followers: [][]int{{-1}}, Epoch: epoch}, corrupt},
+		{"the primary as its own follower", &core.ShipDirective{Followers: [][]int{{memberIndex(ec, follower), memberIndex(ec, primary)}}, Epoch: epoch}, corrupt},
+		{"more followers than members", &core.ShipDirective{Followers: [][]int{many}, Epoch: epoch}, corrupt},
+		{"a negative quorum", &core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch, Quorum: -1}, corrupt},
+		{"an epoch behind the primary's ring", &core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch - 1}, stale},
+		// The primary's view is behind the directive's epoch: the indexes point
+		// into a membership it has not seen, so it resolves none of them — not
+		// one past its own ring, and not one its own ring holds either, which
+		// would name whichever server sits there at its older epoch. Either is
+		// a stale ship, refused before the primary calls anyone.
+		{"a follower index past the ring under an epoch ahead of the primary's", &core.ShipDirective{Followers: [][]int{{3}}, Epoch: epoch + 1}, stale},
+		{"a member's index under an epoch ahead of the primary's ring", &core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch + 1}, stale},
 	} {
 		calls := ps.Peer.CallCount()
 		cb := core.NewNamed(ec.Client, primary, "obj-0")
@@ -92,7 +100,7 @@ func TestPrimaryVetsShipDirective(t *testing.T) {
 	// Well formed, even with the ring's other member following for no reason
 	// of the ring's: it is a member, so the wave ships to both.
 	cb := core.NewNamed(ec.Client, primary, "obj-0")
-	cb.Ship(&core.ShipDirective{Followers: [][]string{{follower, bystander}}, Epoch: epoch})
+	cb.Ship(&core.ShipDirective{Followers: [][]int{{memberIndex(ec, follower), memberIndex(ec, bystander)}}, Epoch: epoch})
 	cb.Root().Call("Add", int64(5))
 	if err := cb.Flush(ctx); err != nil {
 		t.Fatalf("well-formed directive: %v", err)
@@ -106,6 +114,22 @@ func TestPrimaryVetsShipDirective(t *testing.T) {
 	if got := replicaCounters(ec, "cluster.replica_ships"); got != 2 {
 		t.Errorf("followers served %d Append calls, want one per listed follower = 2", got)
 	}
+}
+
+// memberIndex is ep's index in the cluster's sorted membership — every
+// server is a member of directiveCluster's ring.
+func memberIndex(ec *clustertest.Cluster, ep string) int {
+	return slices.Index(ec.Endpoints(), ep)
+}
+
+// followers is the Followers of a directive with one root per endpoint, each
+// followed by that one server.
+func followers(ec *clustertest.Cluster, eps ...string) [][]int {
+	out := make([][]int, len(eps))
+	for i, ep := range eps {
+		out[i] = []int{memberIndex(ec, ep)}
+	}
+	return out
 }
 
 // counterAt returns the live counter bound under name at endpoint.
@@ -128,7 +152,7 @@ func TestChainedDirectiveMustKeepItsRoots(t *testing.T) {
 	ec, _, primary, follower, _, epoch := directiveCluster(t)
 	ctx := context.Background()
 	good := func(names ...string) *core.ShipDirective {
-		return &core.ShipDirective{Followers: [][]string{{follower}}, Epoch: epoch, Names: names}
+		return &core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch, Names: names}
 	}
 	for name, tc := range map[string]struct{ first, second *core.ShipDirective }{
 		"roots renamed mid-chain":            {good(), good("obj-1")},
@@ -167,7 +191,7 @@ func TestUnmovableRootFlushesUnreplicated(t *testing.T) {
 	ps.Reg.Rebind("plain", ref)
 	calls := ps.Peer.CallCount()
 	cb := core.NewNamed(ec.Client, primary, "plain")
-	cb.Ship(&core.ShipDirective{Followers: [][]string{{follower}}, Epoch: epoch})
+	cb.Ship(&core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch})
 	f := cb.Root().Call("Add", int64(3))
 	if err := cb.Flush(ctx); err != nil {
 		t.Fatal(err)

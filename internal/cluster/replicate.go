@@ -35,7 +35,7 @@ var shipTimeout = 30 * time.Second
 
 // ownerSource is what directive building needs of the shard map (*Ring).
 type ownerSource interface {
-	OwnersAll(keys []string) ([][]string, uint64)
+	OwnersAll(keys []string) (owners [][]string, members []string, epoch uint64)
 }
 
 // shipDirectives builds the ship directives of one wave: names[i] are the
@@ -45,7 +45,8 @@ type ownerSource interface {
 // epoch fences every directive of the wave: reading them one name (or one
 // destination) at a time would let a refresh between two reads pair
 // old-epoch followers with the new epoch, which a primary at the new epoch
-// accepts. A destination nobody follows (a ring of one member) gets nil.
+// accepts. Followers travel as indexes into that epoch's sorted membership.
+// A destination nobody follows (a ring of one member) gets nil.
 func shipDirectives(src ownerSource, primaries []string, names [][]string, quorum int) []*core.ShipDirective {
 	var all []string
 	for _, ns := range names {
@@ -54,15 +55,19 @@ func shipDirectives(src ownerSource, primaries []string, names [][]string, quoru
 	if len(all) == 0 {
 		return nil
 	}
-	owners, epoch := src.OwnersAll(all)
+	owners, members, epoch := src.OwnersAll(all)
 	out := make([]*core.ShipDirective, len(names))
 	for i, ns := range names {
-		followers, followed := owners[:len(ns)], false
-		owners = owners[len(ns):]
-		for k, list := range followers {
-			followers[k] = slices.DeleteFunc(list, func(ep string) bool { return ep == primaries[i] })
+		followers, followed := make([][]int, len(ns)), false
+		for k, list := range owners[:len(ns)] {
+			for _, ep := range list {
+				if at, ok := slices.BinarySearch(members, ep); ok && ep != primaries[i] {
+					followers[k] = append(followers[k], at)
+				}
+			}
 			followed = followed || len(followers[k]) > 0
 		}
+		owners = owners[len(ns):]
 		if followed {
 			out[i] = &core.ShipDirective{Followers: followers, Epoch: epoch, Quorum: quorum}
 		}
@@ -144,8 +149,8 @@ func (c *shipChain) enqueue(followers []string) (id string, prevs, dones []chan 
 // admit is the executor's ship hook: it vets a wave's directive after the
 // roots resolved and before anything executes. Nothing about the directive is
 // trusted — it is whatever the wire decoded — so a malformed one, or one
-// naming a follower this node's ring does not know, rejects the wave with
-// nothing executed and nothing dialed; one fenced by an epoch behind this
+// whose follower indexes fall outside this node's ring, rejects the wave with
+// nothing executed and nothing dialed; one fenced by another epoch than this
 // node's ring is refused the same way with *StaleShipError, which the client
 // treats like a wrong-home refusal (refresh, re-route, one retry).
 func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
@@ -154,7 +159,7 @@ func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 	if err != nil {
 		return nil, err
 	}
-	followers, err := r.vetFollowers(d)
+	lists, followers, err := r.vetFollowers(d)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +177,7 @@ func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 		return nil, nil
 	}
 	return func(ctx context.Context, payload any) (time.Duration, error) {
-		return r.ship(ctx, chain, d, followers, payload)
+		return r.ship(ctx, chain, d, lists, followers, payload)
 	}, nil
 }
 
@@ -205,44 +210,45 @@ func waveNames(w *core.Wave) ([]string, error) {
 }
 
 // vetFollowers checks the directive's quorum, fence and follower lists against
-// this node's ring view and returns the wave's distinct followers in
-// first-appearance order. A follower must be a member of the view and never
-// this server itself, and no list is longer than the membership; where the
-// directive's epoch is ahead of the view a misfit only says the two disagree,
-// which is a stale ship rather than a corrupt one.
-func (r *Replica) vetFollowers(d *core.ShipDirective) ([]string, error) {
+// this node's ring view and resolves them: the lists as endpoints, and the
+// wave's distinct followers in first-appearance order. The indexes point into
+// the sorted membership at the directive's epoch, which this node knows only
+// when its view is at that very epoch: behind it, resolving them against its
+// own older membership would name other servers, so the wave is a stale ship,
+// as it is when the view is ahead. At its own epoch an index out of range, a
+// list longer than the membership, or the primary among its own followers is
+// a corrupt directive.
+func (r *Replica) vetFollowers(d *core.ShipDirective) ([][]string, []string, error) {
 	if d.Quorum < 0 {
-		return nil, &wire.CorruptError{Detail: "ship directive with a negative write quorum"}
+		return nil, nil, &wire.CorruptError{Detail: "ship directive with a negative write quorum"}
 	}
 	members, epoch := r.node.view()
-	if d.Epoch < epoch {
-		return nil, &StaleShipError{RecordEpoch: d.Epoch, NodeEpoch: epoch}
-	}
-	misfit := func(detail string) error {
-		if d.Epoch != epoch {
-			return &StaleShipError{RecordEpoch: d.Epoch, NodeEpoch: epoch}
-		}
-		return &wire.CorruptError{Detail: detail}
+	if d.Epoch != epoch {
+		return nil, nil, &StaleShipError{RecordEpoch: d.Epoch, NodeEpoch: epoch}
 	}
 	self := r.peer.Endpoint()
+	lists := make([][]string, len(d.Followers))
 	var followers []string
-	for _, list := range d.Followers {
+	for i, list := range d.Followers {
 		if len(list) > len(members) {
-			return nil, misfit("ship directive lists more followers than the ring has members")
+			return nil, nil, &wire.CorruptError{Detail: "ship directive lists more followers than the ring has members"}
 		}
-		for _, ep := range list {
+		lists[i] = make([]string, len(list))
+		for k, at := range list {
+			if at < 0 || at >= len(members) {
+				return nil, nil, &wire.CorruptError{Detail: fmt.Sprintf("ship directive follower index %d is outside a ring of %d members", at, len(members))}
+			}
+			ep := members[at]
 			if ep == self {
-				return nil, &wire.CorruptError{Detail: "ship directive lists the primary among its own followers"}
+				return nil, nil, &wire.CorruptError{Detail: "ship directive lists the primary among its own followers"}
 			}
-			if _, member := slices.BinarySearch(members, ep); !member {
-				return nil, misfit(fmt.Sprintf("ship directive follower %q is not a member of this node's ring", ep))
-			}
+			lists[i][k] = ep
 			if !slices.Contains(followers, ep) {
 				followers = append(followers, ep)
 			}
 		}
 	}
-	return followers, nil
+	return lists, followers, nil
 }
 
 // newChain starts the chain of a first wave: its roots' interfaces are read
@@ -272,8 +278,10 @@ func (r *Replica) newChain(w *core.Wave, names []string) *shipChain {
 // client beside the wave's results and fails its flush. The wave stays
 // executed either way, so the client never re-sends it. Under W<R the slowest
 // followers keep replicating after the reply left; ctx is the serving peer's,
-// so they end with it at the latest.
-func (r *Replica) ship(ctx context.Context, c *shipChain, d *core.ShipDirective, followers []string, payload any) (time.Duration, error) {
+// so they end with it at the latest. lists are the directive's follower
+// lists resolved to endpoints, followers their distinct members
+// (vetFollowers).
+func (r *Replica) ship(ctx context.Context, c *shipChain, d *core.ShipDirective, lists [][]string, followers []string, payload any) (time.Duration, error) {
 	start := r.stats.Now()
 	id, prevs, dones := c.enqueue(followers)
 	recs := []*ReplRecord{{
@@ -299,7 +307,7 @@ func (r *Replica) ship(ctx context.Context, c *shipChain, d *core.ShipDirective,
 			acks <- followerAck{ep: ep, err: r.sendTo(sctx, ep, prevs[i], recs)}
 		}()
 	}
-	tally := quorumTally{names: c.names, followers: d.Followers, quorum: d.Quorum}
+	tally := quorumTally{names: c.names, followers: lists, quorum: d.Quorum}
 	for n := 0; n < len(followers) && !tally.met(); n++ {
 		a := <-acks
 		tally.ack(a.ep, a.err)

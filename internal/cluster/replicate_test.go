@@ -19,13 +19,25 @@ func (s *epochOwners) at(epoch uint64, key string) []string {
 	return []string{"primary-" + key[:1], fmt.Sprintf("%s-follower@%d", key, epoch), fmt.Sprintf("shared@%d", epoch)}
 }
 
-func (s *epochOwners) OwnersAll(keys []string) ([][]string, uint64) {
+func (s *epochOwners) OwnersAll(keys []string) ([][]string, []string, uint64) {
 	s.epoch++
 	out := make([][]string, len(keys))
+	var members []string
 	for i, k := range keys {
 		out[i] = s.at(s.epoch, k)
+		members = append(members, out[i]...)
 	}
-	return out, s.epoch
+	slices.Sort(members)
+	return out, slices.Compact(members), s.epoch
+}
+
+// endpoints resolves a directive's follower indexes against members.
+func endpoints(members []string, list []int) []string {
+	out := make([]string, len(list))
+	for i, at := range list {
+		out[i] = members[at]
+	}
+	return out
 }
 
 // TestShipTargetsReadOneEpoch is the replication-fence regression, per wave:
@@ -42,6 +54,7 @@ func TestShipTargetsReadOneEpoch(t *testing.T) {
 	names := [][]string{{"a0", "a1"}, nil /* a destination that does not replicate */, {"b0"}}
 	for wave := uint64(1); wave <= 2; wave++ {
 		ds := shipDirectives(src, primaries, names, 2)
+		_, members, _ := (&epochOwners{epoch: wave - 1}).OwnersAll(slices.Concat(names...))
 		if src.epoch != wave {
 			t.Fatalf("wave %d read the ring %d times, want once", wave, src.epoch-(wave-1))
 		}
@@ -57,8 +70,8 @@ func TestShipTargetsReadOneEpoch(t *testing.T) {
 				t.Errorf("directive %d = %+v, want the wave's one epoch %d, W=2 and no names", i, d, wave)
 			}
 			for k, name := range ns {
-				if want := src.at(wave, name)[1:]; !reflect.DeepEqual(d.Followers[k], want) {
-					t.Errorf("followers of %s = %v, want %v (the owners at the wave's epoch %d, minus %s)", name, d.Followers[k], want, wave, primaries[i])
+				if got, want := endpoints(members, d.Followers[k]), src.at(wave, name)[1:]; !reflect.DeepEqual(got, want) {
+					t.Errorf("followers of %s = %v = %v, want %v (the owners at the wave's epoch %d, minus %s, as indexes into its membership)", name, d.Followers[k], got, want, wave, primaries[i])
 				}
 			}
 		}
@@ -73,14 +86,14 @@ func TestShipTargetsReadOneEpoch(t *testing.T) {
 }
 
 // TestRingOwnersAllIsAtomic: OwnersAll against a ring that is being Reset
-// between two member sets must never pair a list from one set with the
-// epoch of the other.
+// between two member sets must never pair a list, or the membership, of one
+// set with the epoch of the other.
 func TestRingOwnersAllIsAtomic(t *testing.T) {
 	sets := [2][]string{{"a", "b", "c"}, {"c", "d", "e"}}
 	names := []string{"obj-0", "obj-1", "obj-2", "obj-3"}
 	var want [2][][]string
 	for i, set := range sets {
-		want[i], _ = NewRing(set, WithReplication(2)).OwnersAll(names)
+		want[i], _, _ = NewRing(set, WithReplication(2)).OwnersAll(names)
 	}
 	ring := NewRing(sets[0], WithReplication(2))
 	var wg sync.WaitGroup
@@ -92,9 +105,9 @@ func TestRingOwnersAllIsAtomic(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		got, epoch := ring.OwnersAll(names)
-		if !reflect.DeepEqual(got, want[epoch%2]) {
-			t.Fatalf("epoch %d paired with owner lists %v, want %v", epoch, got, want[epoch%2])
+		got, members, epoch := ring.OwnersAll(names)
+		if !reflect.DeepEqual(got, want[epoch%2]) || !slices.Equal(members, sets[epoch%2]) {
+			t.Fatalf("epoch %d paired with owner lists %v and members %v, want %v and %v", epoch, got, members, want[epoch%2], sets[epoch%2])
 		}
 	}
 	wg.Wait()

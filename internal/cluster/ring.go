@@ -211,19 +211,21 @@ func (r *Ring) Owners(key string) ([]string, uint64) {
 	return r.ownersLocked(key), r.epoch
 }
 
-// OwnersAll returns the owner list of every key, all read at the one ring
-// epoch returned with them. A replication record spanning several names is
-// fenced by a single epoch, so its owner lists must come from that epoch's
-// ring: per-key Owners calls could straddle a Reset and pair an old list
-// with the new epoch.
-func (r *Ring) OwnersAll(keys []string) ([][]string, uint64) {
+// OwnersAll returns the owner list of every key and the sorted membership,
+// all read at the one ring epoch returned with them. A replication record
+// spanning several names is fenced by a single epoch, so its owner lists —
+// and the membership its follower indexes point into — must come from that
+// epoch's ring: per-key Owners calls could straddle a Reset and pair an old
+// list with the new epoch. The membership slice is shared; nothing writes
+// into it.
+func (r *Ring) OwnersAll(keys []string) ([][]string, []string, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([][]string, len(keys))
 	for i, key := range keys {
 		out[i] = r.ownersLocked(key)
 	}
-	return out, r.epoch
+	return out, r.endpoint, r.epoch
 }
 
 // ownersLocked is the owner walk behind Owners. Caller holds r.mu.

@@ -574,7 +574,9 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		}
 		for i, name := range req.Names {
 			if name != "" {
-				*b.rootAt(i) = resp.Roots[i]
+				ref := resp.Roots[i]
+				ref.Endpoint = svcRef.Endpoint
+				*b.rootAt(i) = ref
 			}
 		}
 	}

@@ -363,6 +363,9 @@ func (e *Executor) resolveSession(req *batchRequest) (sess *session, id uint64, 
 				return nil, 0, nil, err
 			}
 			all[i] = named[i].ObjID
+			// The reply leaves the endpoint out: it is the one the client
+			// dialed, and the client puts it back.
+			named[i].Endpoint = ""
 		}
 		root, ids = all[0], all[1:]
 	}

@@ -38,13 +38,14 @@ func (g *gauge) Restore(state any) (err error) {
 // holding gauges a and b bound under their names, and the name "far" bound
 // to an object on another endpoint — plus a client peer.
 type getbatchEnv struct {
-	client *rmi.Peer
-	server *rmi.Peer
-	exec   *core.Executor
-	reg    *registry.Service
-	ids    map[string]uint64
-	gauges []*gauge
-	farRef wire.Ref
+	network *netsim.Network
+	client  *rmi.Peer
+	server  *rmi.Peer
+	exec    *core.Executor
+	reg     *registry.Service
+	ids     map[string]uint64
+	gauges  []*gauge
+	farRef  wire.Ref
 }
 
 // bumps sums the gauges: it moves when, and only when, a Bump executed. Read
@@ -77,11 +78,12 @@ func newGetbatchEnv(tb testing.TB) *getbatchEnv {
 		tb.Fatal(err)
 	}
 	env := &getbatchEnv{
-		server: server,
-		exec:   exec,
-		reg:    reg,
-		ids:    map[string]uint64{},
-		farRef: wire.Ref{Endpoint: "there", ObjID: 77, Iface: "test.Gauge"},
+		network: network,
+		server:  server,
+		exec:    exec,
+		reg:     reg,
+		ids:     map[string]uint64{},
+		farRef:  wire.Ref{Endpoint: "there", ObjID: 77, Iface: "test.Gauge"},
 	}
 	for name, v := range map[string]int64{"a": 10, "b": 20} {
 		g := &gauge{v: v}

@@ -116,10 +116,13 @@ type batchRequest struct {
 type ShipDirective struct {
 	// Followers is parallel to the request's roots (Root, then Roots):
 	// Followers[i] lists the servers that replicate root i, the primary
-	// itself excluded.
-	Followers [][]string
+	// itself excluded, as indexes into the ring's sorted membership at Epoch
+	// (Ring.Endpoints) — a byte or two each where an endpoint string costs
+	// its length.
+	Followers [][]int
 	// Epoch is the ring epoch the follower lists were read at — one read per
-	// wave. A primary whose own ring is newer refuses the wave unexecuted.
+	// wave. A primary whose own ring is at another epoch cannot resolve the
+	// indexes and refuses the wave unexecuted.
 	Epoch uint64
 	// Quorum is the write quorum W: how many replicas of each root, counting
 	// the primary, must hold the wave before the reply leaves. 0 means all.
@@ -178,8 +181,10 @@ type batchResponse struct {
 	// Restarts counts whole-batch restarts that ActionRestart caused.
 	Restarts int64
 	// Roots answers a request that carried Names, parallel to them: the
-	// reference each name-addressed position resolved to (zero at the
-	// id-addressed positions). Absent otherwise.
+	// export id and interface each name-addressed position resolved to, as
+	// a reference without an endpoint — the client rebuilds it from the
+	// endpoint it called (zero at the id-addressed positions). Absent
+	// otherwise.
 	Roots []wire.Ref
 	// ShipNs answers a request that carried a ship directive: how long the
 	// serving peer spent, once the wave had executed, until the wave's write

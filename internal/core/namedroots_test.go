@@ -287,6 +287,71 @@ func TestNamedRootsResolveInFirstFlush(t *testing.T) {
 	}
 }
 
+// TestNamedRootReplyOmitsEndpoint: the reply to a name-addressed flush hands
+// back what each name resolved to without the endpoint — the client called
+// that endpoint and rebuilds the ref from it (TestNamedRootsResolveInFirstFlush
+// checks the rebuilt refs) — and the ids, zero at an id-addressed position,
+// stay parallel to the request's names.
+func TestNamedRootReplyOmitsEndpoint(t *testing.T) {
+	env := newGetbatchEnv(t)
+	exec := rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface)
+	req := &core.BatchRequest{Root: env.ids["a"], Calls: []core.Invocation{getCall(0, core.RootTarget-1)}, Roots: []uint64{0}, Names: []string{"", "b"}}
+	res, err := env.client.Call(context.Background(), exec, "InvokeBatch", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []wire.Ref{{}, {ObjID: env.ids["b"], Iface: "test.Gauge"}}
+	if got := res[0].(*core.BatchResponse).Roots; !reflect.DeepEqual(got, want) {
+		t.Errorf("reply roots = %+v, want %+v", got, want)
+	}
+	// The wire form (kStd brmi.resp, 4 fields: no results, session 0, no
+	// restarts, and Roots): two kRefs, the first zero, the second object 17
+	// of "test.Gauge" — each with a zero-length endpoint where a "server-N"
+	// costs 9 bytes.
+	got, err := wire.Marshal(&core.BatchResponse{Roots: []wire.Ref{{}, {ObjID: 17, Iface: "test.Gauge"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "130504" + "01" + "0500" + "0400" + "0a02" + "0e000000" + "0e00110a" + hex.EncodeToString([]byte("test.Gauge")); hex.EncodeToString(got) != want {
+		t.Errorf("reply with resolved roots encodes to\n  %x, want\n  %s", got, want)
+	}
+}
+
+// fakeBatchService answers every flush with the roots it is told to, parallel
+// to the request's names or not.
+type fakeBatchService struct {
+	rmi.RemoteBase
+	roots []wire.Ref
+}
+
+func (f *fakeBatchService) InvokeBatch(_ context.Context, req *core.BatchRequest) (*core.BatchResponse, error) {
+	return &core.BatchResponse{Results: make([]core.CallResult, len(req.Calls)), Roots: f.roots}, nil
+}
+
+// TestNamedRootReplyNotParallelFails: a reply that resolves a different
+// number of roots than the request named fails the flush with a BatchError.
+func TestNamedRootReplyNotParallelFails(t *testing.T) {
+	env := newGetbatchEnv(t)
+	const fake = "fake-batch"
+	srv := rmi.NewPeer(env.network, rmi.WithLogf(silentLogf))
+	if err := srv.Serve(fake); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	if _, err := srv.ExportSystem(rmi.BatchObjID, &fakeBatchService{roots: []wire.Ref{{ObjID: 16}}}, rmi.BatchIface); err != nil {
+		t.Fatal(err)
+	}
+	b := core.NewNamed(env.client, fake, "a")
+	if _, err := b.AddRootNamed("b"); err != nil {
+		t.Fatal(err)
+	}
+	b.Root().Call("Get")
+	var be *core.BatchError
+	if err := b.Flush(context.Background()); !errors.As(err, &be) {
+		t.Errorf("flush answered with one root for two names: %v, want a *BatchError", err)
+	}
+}
+
 // TestNamedRootMissRejectsUnexecuted: any name the serving peer cannot
 // resolve to a local object refuses the whole flush before its first call.
 func TestNamedRootMissRejectsUnexecuted(t *testing.T) {
@@ -420,17 +485,23 @@ func FuzzBatchRequest(f *testing.F) {
 
 // The directive-carrying request shapes of the fuzz target's seed corpus: a
 // well-formed one, and three the serving peer's replication service must
-// refuse before it executes anything (fuzzEnv's ring is {here, there}).
+// refuse before it executes anything (fuzzEnv's ring is {here, there}: member
+// 0 is the primary itself, member 1 its one follower, and there is no 2).
 var (
-	shipRequest      = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]string{{"there"}}, Epoch: 3, Quorum: 2}}
-	shipOutsider     = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]string{{"nowhere"}}, Epoch: 3}}
-	shipSelf         = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]string{{"here"}}, Epoch: 3}}
-	shipNotParallel  = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]string{{"there"}, {"there"}}, Epoch: 3}}
-	shipIDAddressed  = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Ship: &core.ShipDirective{Followers: [][]string{{"there"}}, Epoch: 3, Names: []string{"a"}}}
-	shipRequestBytes = "13020905000a0113030404000401080347657404020500020201010a010801611307030a010a010805746865726505030404"
+	shipRequest      = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{1}}, Epoch: 3, Quorum: 2}}
+	shipOutsider     = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{2}}, Epoch: 3}}
+	shipSelf         = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{0}}, Epoch: 3}}
+	shipNotParallel  = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{1}, {1}}, Epoch: 3}}
+	shipIDAddressed  = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Ship: &core.ShipDirective{Followers: [][]int{{1}}, Epoch: 3, Names: []string{"a"}}}
+	// shipRequestBytes' directive (from "1307") is kStd 7 (brmi.ship) with 3
+	// fields: Followers [[1]] — the one follower as member index 1, kInt 1
+	// ("0402") where its endpoint was a kString "there" ("08057468657265")
+	// — then epoch 3 and quorum 2.
+	shipRequestBytes = "13020905000a0113030404000401080347657404020500020201010a010801611307030a010a01040205030404"
 	// shipRequestNamed is shipRequest as encoded before the standard type
-	// table: brmi.req, brmi.inv and brmi.ship defined by name.
-	shipRequestNamed = "0d010862726d692e7265710c010905000a010d020862726d692e696e760c020404000401080347657404020500020201010a010801610d030962726d692e736869700c03030a010a010805746865726505030404"
+	// table — brmi.req, brmi.inv and brmi.ship defined by name — with the
+	// follower re-encoded as its member index, as in shipRequestBytes.
+	shipRequestNamed = "0d010862726d692e7265710c010905000a010d020862726d692e696e760c020404000401080347657404020500020201010a010801610d030962726d692e736869700c03030a010a01040205030404"
 )
 
 // TestShipDirectiveWireForm pins the one trailing field a replicated flush

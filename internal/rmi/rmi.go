@@ -183,7 +183,7 @@ func encCallRequest(x wire.Enc, r *callRequest) error {
 		x.Uint(r.ObjID)
 	}
 	if n > 1 {
-		x.Str(r.Method)
+		encMethod(x, r.Method, r.ObjID < FirstUserObjID)
 	}
 	if n > 2 {
 		x.Slice(len(r.Args))
@@ -204,7 +204,7 @@ func decCallRequest(x wire.Dec, r *callRequest, n int) error {
 		}
 	}
 	if n > 1 {
-		if r.Method, err = x.Str(); err != nil {
+		if r.Method, err = decMethod(x); err != nil {
 			return err
 		}
 	}

@@ -39,14 +39,14 @@ type streamRequest struct {
 
 func encStreamRequest(x wire.Enc, r *streamRequest) error {
 	x.BeginStruct("rmi.stream.req", 2)
-	x.Str(r.Service)
+	encMethod(x, r.Service, true)
 	return x.Value(r.Req)
 }
 
 func decStreamRequest(x wire.Dec, r *streamRequest, n int) error {
 	var err error
 	if n > 0 {
-		if r.Service, err = x.Str(); err != nil {
+		if r.Service, err = decMethod(x); err != nil {
 			return err
 		}
 	}

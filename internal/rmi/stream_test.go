@@ -9,7 +9,6 @@ package rmi_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -72,48 +71,18 @@ func (c *tapConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// chunk is one frameChunk frame as the consumer received it.
-type chunk struct {
-	inner byte
-	fin   bool
-	seq   uint32
-	data  []byte
-}
-
-// chunks parses the recorded bytes into frames and returns the chunk frames
-// (frame: 4-byte length, kind, 8-byte id, payload; chunk payload: inner
-// kind, flags, 4-byte seq, data).
-func (n *tapNetwork) chunks(t *testing.T) []chunk {
+// chunks returns the chunk frames among the recorded bytes, decoded by the
+// transport's own frame reader.
+func (n *tapNetwork) chunks(t *testing.T) []transport.Frame {
 	t.Helper()
 	n.mu.Lock()
 	b := append([]byte(nil), n.in.Bytes()...)
 	n.mu.Unlock()
-	const frameChunk, chunkFin = 5, 1
-	var out []chunk
-	for len(b) > 0 {
-		if len(b) < 13 {
-			t.Fatalf("recorded bytes end inside a frame header: %x", b)
-		}
-		size := int(binary.BigEndian.Uint32(b))
-		if size < 9 || len(b) < 4+size {
-			t.Fatalf("recorded bytes end inside a %d-byte frame", size)
-		}
-		kind, payload := b[4], b[13:4+size]
-		b = b[4+size:]
-		if kind != frameChunk {
-			continue
-		}
-		if len(payload) < 6 {
-			t.Fatalf("chunk frame with a %d-byte payload", len(payload))
-		}
-		out = append(out, chunk{
-			inner: payload[0],
-			fin:   payload[1]&chunkFin != 0,
-			seq:   binary.BigEndian.Uint32(payload[2:6]),
-			data:  payload[6:],
-		})
+	frames, err := transport.DecodeFrames(b)
+	if err != nil {
+		t.Fatalf("recorded bytes: %v", err)
 	}
-	return out
+	return slices.DeleteFunc(frames, func(f transport.Frame) bool { return f.Kind != transport.KindChunk })
 }
 
 type streamEnv struct {
@@ -255,10 +224,10 @@ func TestSlowProducerStillStreams(t *testing.T) {
 // in two (the producer descheduled for a whole linger) is legal but not what
 // the callers pin, so it is retried a few times for one that went through in
 // at most wantChunks.
-func burst(t *testing.T, k, wantChunks int) ([]any, []chunk) {
+func burst(t *testing.T, k, wantChunks int) ([]any, []transport.Frame) {
 	t.Helper()
 	var entries []any
-	var chunks []chunk
+	var chunks []transport.Frame
 	for attempt := 0; attempt < 5; attempt++ {
 		env := newStreamEnv(t, func(ctx context.Context, _ any, w *rmi.EntryWriter) error {
 			for i := 0; i < k; i++ {
@@ -302,13 +271,13 @@ func TestBurstSharesOneChunk(t *testing.T) {
 		}
 		var stream []byte
 		for i, ch := range chunks {
-			if len(ch.data) == 0 {
+			if len(ch.Payload) == 0 {
 				t.Errorf("k=%d: chunk %d is empty; the fin rides the last data chunk", c.k, i)
 			}
-			if ch.seq != uint32(i) || ch.fin != (i == len(chunks)-1) {
-				t.Errorf("k=%d: chunk %d has seq %d fin %v", c.k, i, ch.seq, ch.fin)
+			if ch.Seq != uint32(i) || ch.Fin != (i == len(chunks)-1) {
+				t.Errorf("k=%d: chunk %d has seq %d fin %v", c.k, i, ch.Seq, ch.Fin)
 			}
-			stream = append(stream, ch.data...)
+			stream = append(stream, ch.Payload...)
 		}
 		if n := bytes.Count(stream, []byte("rmitest.item")); n != 1 {
 			t.Errorf("k=%d: the stream names its entry type %d times, want once", c.k, n)
@@ -326,13 +295,19 @@ func TestStreamWireFormTwoEntries(t *testing.T) {
 		t.Fatalf("two back-to-back entries took %d chunks, want 1", len(chunks))
 	}
 	ch := chunks[0]
-	if ch.inner != 2 || !ch.fin || ch.seq != 0 {
-		t.Errorf("chunk header = inner %d fin %v seq %d; want 2 true 0", ch.inner, ch.fin, ch.seq)
+	if ch.Inner != 2 || !ch.Fin || ch.Seq != 0 {
+		t.Errorf("chunk header = inner %d fin %v seq %d; want 2 true 0", ch.Inner, ch.Fin, ch.Seq)
+	}
+	// The chunk's framing: a 1-byte length and a 1-byte id/kind varint, then
+	// the kind/fin byte and a 1-byte sequence varint (19 bytes in the fixed
+	// 13-byte header and 6-byte sub-header it replaced).
+	if ch.Header != 4 {
+		t.Errorf("the chunk's framing took %d bytes, want 4", ch.Header)
 	}
 	const want = "" +
 		"17" + "0d010c" + "726d69746573742e6974656d" + "0c0102" + "0400" + "080176" + // len 23: typedef 1 "rmitest.item"; struct 1, 2 fields: 0, "v"
 		"08" + "0c0102" + "0402" + "080176" // len 8: struct 1, 2 fields: 1, "v"
-	if got := hex.EncodeToString(ch.data); got != want {
+	if got := hex.EncodeToString(ch.Payload); got != want {
 		t.Errorf("stream bytes\n  %s, want\n  %s", got, want)
 	}
 }
@@ -451,7 +426,7 @@ func TestStreamEntryEncodeFailure(t *testing.T) {
 	}
 	var stream []byte
 	for _, ch := range env.tap.chunks(t)[before:] {
-		stream = append(stream, ch.data...)
+		stream = append(stream, ch.Payload...)
 	}
 	if n := bytes.Count(stream, []byte("rmitest.item")); n != 1 {
 		t.Errorf("fresh stream names its entry type %d times, want once (its own definition)", n)

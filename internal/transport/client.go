@@ -1,8 +1,8 @@
 package transport
 
 import (
+	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -168,7 +168,7 @@ func (c *Client) CallStream(ctx context.Context, payload []byte) (*StreamReader,
 
 	if err := sendMessage(ctx, cc.fw, cc.ct, c.st, frameStreamReq, id, payload); err != nil {
 		c.remove(id)
-		r.deliver(0, nil, false, err)
+		r.deliver(0, nil, 0, false, err)
 		c.dropConn(cc)
 		return nil, fmt.Errorf("transport: send to %s: %w", c.endpoint, err)
 	}
@@ -255,8 +255,9 @@ func (c *Client) conn(ctx context.Context) (*clientConn, error) {
 // pending calls that were issued on that connection.
 func (c *Client) readLoop(cc *clientConn) {
 	defer c.readers.Done()
+	br := bufio.NewReader(cc.conn)
 	for {
-		kind, id, payload, err := readFrame(cc.conn)
+		kind, id, payload, size, err := readFrame(br)
 		if err != nil {
 			var of *OversizedFrameError
 			if errors.As(err, &of) {
@@ -273,11 +274,11 @@ func (c *Client) readLoop(cc *clientConn) {
 			return
 		}
 		c.st.FramesIn.Inc()
-		c.st.BytesIn.Add(uint64(frameHeaderLen + len(payload)))
+		c.st.BytesIn.Add(uint64(size))
 		switch kind {
 		case frameCredit:
-			if len(payload) == 4 {
-				cc.ct.grant(id, int(binary.BigEndian.Uint32(payload)))
+			if n, ok := parseCredit(payload); ok {
+				cc.ct.grant(id, n)
 			}
 			PutBuffer(payload)
 			continue
@@ -340,14 +341,14 @@ func (c *Client) handleChunk(cc *clientConn, id uint64, payload []byte) error {
 		var terminal bool
 		switch cv.inner {
 		case frameRespOK:
-			terminal = r.deliver(cv.seq, payload, cv.fin, nil)
+			terminal = r.deliver(cv.seq, payload, cv.off, cv.fin, nil)
 		case frameRespErr:
 			msg := string(cv.data)
 			PutBuffer(payload)
-			terminal = r.deliver(cv.seq, nil, cv.fin, &HandlerError{Endpoint: c.endpoint, Msg: msg})
+			terminal = r.deliver(cv.seq, nil, 0, cv.fin, &HandlerError{Endpoint: c.endpoint, Msg: msg})
 		default:
 			PutBuffer(payload)
-			terminal = r.deliver(cv.seq, nil, cv.fin, fmt.Errorf("transport: unexpected chunked frame kind %d from %s", cv.inner, c.endpoint))
+			terminal = r.deliver(cv.seq, nil, 0, cv.fin, fmt.Errorf("transport: unexpected chunked frame kind %d from %s", cv.inner, c.endpoint))
 		}
 		if terminal {
 			c.remove(id)
@@ -397,7 +398,7 @@ func (c *Client) deliver(pc *pendingCall, resp response) {
 			PutBuffer(resp.payload)
 			err = fmt.Errorf("transport: unchunked response to stream call from %s", c.endpoint)
 		}
-		r.deliver(0, nil, false, err)
+		r.deliver(0, nil, 0, false, err)
 		return
 	}
 	pc.ch <- resp

@@ -1,15 +1,11 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 )
-
-// frameHeaderLen is the on-wire size of the length prefix plus frame header.
-const frameHeaderLen = 4 + frameHeader
 
 // --- payload buffer pool ------------------------------------------------------
 
@@ -63,28 +59,19 @@ func getSizedBuffer(n int) []byte {
 
 // --- frame writer -------------------------------------------------------------
 
-// qframe is one queued frame: its fixed header, an optional chunk
-// sub-header (frameChunk frames only), and the caller's payload span.
+// qframe is one queued frame: its encoded header (with a frameChunk frame's
+// sub-header appended) and the caller's payload span.
 type qframe struct {
-	hdr     *[frameHeaderLen]byte
-	chdr    *[chunkHeaderLen]byte
+	hdr     *[maxHeaderLen]byte
+	hlen    int
 	payload []byte
 }
 
 // size is the frame's total on-wire length.
-func (f *qframe) size() int {
-	n := frameHeaderLen + len(f.payload)
-	if f.chdr != nil {
-		n += chunkHeaderLen
-	}
-	return n
-}
+func (f *qframe) size() int { return f.hlen + len(f.payload) }
 
 func (f *qframe) recycle() {
 	headerPool.Put(f.hdr)
-	if f.chdr != nil {
-		chunkHdrPool.Put(f.chdr)
-	}
 	*f = qframe{}
 }
 
@@ -116,8 +103,7 @@ type frameWriter struct {
 	cbuf  []byte
 }
 
-var headerPool = sync.Pool{New: func() any { return new([frameHeaderLen]byte) }}
-var chunkHdrPool = sync.Pool{New: func() any { return new([chunkHeaderLen]byte) }}
+var headerPool = sync.Pool{New: func() any { return new([maxHeaderLen]byte) }}
 var waiterPool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 func newFrameWriter(w io.Writer, st *Stats) *frameWriter {
@@ -135,15 +121,7 @@ func newFrameWriter(w io.Writer, st *Stats) *frameWriter {
 // that accept multi-frame messages use sendMessage, which chunks instead of
 // failing.)
 func (fw *frameWriter) write(kind byte, id uint64, payload []byte) error {
-	n := frameHeader + len(payload)
-	if n > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
-	}
-	hdr := headerPool.Get().(*[frameHeaderLen]byte)
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
-	hdr[4] = kind
-	binary.BigEndian.PutUint64(hdr[5:], id)
-	return fw.enqueue(qframe{hdr: hdr, payload: payload})
+	return fw.writeFrame(kind, id, nil, payload)
 }
 
 // writeChunk sends one frameChunk frame of stream id: inner is the chunked
@@ -151,24 +129,20 @@ func (fw *frameWriter) write(kind byte, id uint64, payload []byte) error {
 // position. Like write, it blocks until the chunk is handed to the
 // connection, so the caller may reuse data immediately after.
 func (fw *frameWriter) writeChunk(id uint64, inner byte, fin bool, seq uint32, data []byte) error {
-	n := frameHeader + chunkHeaderLen + len(data)
-	if n > MaxFrameSize {
-		// Unreachable for the package's own senders: maxChunkData is far
-		// below the frame ceiling.
+	var sub [maxChunkHeaderLen]byte
+	return fw.writeFrame(frameChunk, id, appendChunkHeader(sub[:0], inner, fin, seq), data)
+}
+
+// writeFrame encodes the header of one frame — sub, a chunk sub-header or
+// nothing, rides behind it — and queues the frame.
+func (fw *frameWriter) writeFrame(kind byte, id uint64, sub, payload []byte) error {
+	if n := uvarintLen(id<<3|uint64(kind)) + len(sub) + len(payload); n > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	hdr := headerPool.Get().(*[frameHeaderLen]byte)
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
-	hdr[4] = frameChunk
-	binary.BigEndian.PutUint64(hdr[5:], id)
-	chdr := chunkHdrPool.Get().(*[chunkHeaderLen]byte)
-	chdr[0] = inner
-	chdr[1] = 0
-	if fin {
-		chdr[1] = chunkFin
-	}
-	binary.BigEndian.PutUint32(chdr[2:], seq)
-	return fw.enqueue(qframe{hdr: hdr, chdr: chdr, payload: data})
+	hdr := headerPool.Get().(*[maxHeaderLen]byte)
+	h := appendHeader(hdr[:0], kind, id, len(sub)+len(payload))
+	h = append(h, sub...)
+	return fw.enqueue(qframe{hdr: hdr, hlen: len(h), payload: payload})
 }
 
 // enqueue adds one frame to the group-commit queue and runs the flush loop
@@ -237,10 +211,7 @@ func (fw *frameWriter) flush(queue []qframe) error {
 	var total int
 	for i := range queue {
 		f := &queue[i]
-		spans = append(spans, f.hdr[:])
-		if f.chdr != nil {
-			spans = append(spans, f.chdr[:])
-		}
+		spans = append(spans, f.hdr[:f.hlen])
 		if len(f.payload) > 0 {
 			spans = append(spans, f.payload)
 		}
@@ -273,12 +244,7 @@ func (fw *frameWriter) writeSpans(queue []qframe, spans [][]byte) error {
 	if len(queue) == 1 && len(queue[0].payload) >= 4096 {
 		// Single large frame: writing the headers and the payload
 		// separately beats copying the payload.
-		var hb [frameHeaderLen + chunkHeaderLen]byte
-		h := append(hb[:0], queue[0].hdr[:]...)
-		if queue[0].chdr != nil {
-			h = append(h, queue[0].chdr[:]...)
-		}
-		if _, err := fw.w.Write(h); err != nil {
+		if _, err := fw.w.Write(queue[0].hdr[:queue[0].hlen]); err != nil {
 			return err
 		}
 		_, err := fw.w.Write(queue[0].payload)
@@ -295,42 +261,3 @@ func (fw *frameWriter) writeSpans(queue []qframe, spans [][]byte) error {
 	return err
 }
 
-// readFrame reads one frame from r. The returned payload comes from the
-// shared buffer pool: the receiver owns it and may hand it back with
-// PutBuffer once decoded.
-//
-// The header's shape is validated BEFORE its length is trusted: a corrupt
-// or hostile header must not drive a max-size pool allocation, so an
-// unknown kind fails (connection-fatally — the peer is not speaking our
-// protocol) without reading or allocating anything further. A well-formed
-// header declaring more than MaxFrameSize has its payload drained without
-// allocation and reports a typed *OversizedFrameError, which the read
-// loops translate into failing only the addressed call (the receive-side
-// mirror of the send path's ErrTooLarge contract).
-func readFrame(r io.Reader) (kind byte, id uint64, payload []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	kind = hdr[4]
-	id = binary.BigEndian.Uint64(hdr[5:])
-	if kind < frameRequest || kind > frameKindMax {
-		return 0, 0, nil, fmt.Errorf("transport: unknown frame kind %d (%d-byte frame)", kind, n)
-	}
-	if n < frameHeader {
-		return 0, 0, nil, fmt.Errorf("transport: short frame (%d bytes)", n)
-	}
-	if n > MaxFrameSize {
-		if _, derr := io.CopyN(io.Discard, r, int64(n-frameHeader)); derr != nil {
-			return 0, 0, nil, derr
-		}
-		return 0, 0, nil, &OversizedFrameError{Kind: kind, ID: id, Size: uint64(n)}
-	}
-	payload = getSizedBuffer(int(n - frameHeader))
-	if _, err = io.ReadFull(r, payload); err != nil {
-		PutBuffer(payload)
-		return 0, 0, nil, err
-	}
-	return kind, id, payload, nil
-}

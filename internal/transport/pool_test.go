@@ -31,14 +31,15 @@ func TestPayloadPoolRejectsUndersizedBuffers(t *testing.T) {
 
 // TestStreamReaderKeepsWholeChunkPayload pins where the tiny buffers came
 // from: the reader used to own only a chunk's data span, so the buffer it
-// returned to the pool had lost the chunk header's 6 bytes of capacity —
+// returned to the pool had lost the chunk sub-header's bytes of capacity —
 // every trip through the pool, until frame-sized requests missed. It must
 // hold (and so return) the payload it was handed, and read past the header.
 func TestStreamReaderKeepsWholeChunkPayload(t *testing.T) {
 	r := newStreamReader(context.Background(), &Client{st: noStats}, nil, 1)
-	payload := getSizedBuffer(chunkHeaderLen + len("hello"))
-	copy(payload[chunkHeaderLen:], "hello")
-	r.deliver(0, payload, true, nil)
+	sub := appendChunkHeader(nil, frameRespOK, true, 0)
+	payload := append(getSizedBuffer(0), sub...)
+	payload = append(payload, "hello"...)
+	r.deliver(0, payload, len(sub), true, nil)
 
 	got := make([]byte, 2)
 	if n, err := r.Read(got); err != nil || string(got[:n]) != "he" {

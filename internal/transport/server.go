@@ -1,8 +1,8 @@
 package transport
 
 import (
+	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -188,8 +188,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	ct := newCreditTable()
 	asm := newAssembler()
 	defer ct.fail(net.ErrClosed) // wake stream handlers blocked on credit
+	br := bufio.NewReader(conn)
 	for {
-		kind, id, payload, err := readFrame(conn)
+		kind, id, payload, size, err := readFrame(br)
 		if err != nil {
 			var of *OversizedFrameError
 			if errors.As(err, &of) {
@@ -208,13 +209,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		s.st.FramesIn.Inc()
-		s.st.BytesIn.Add(uint64(frameHeaderLen + len(payload)))
+		s.st.BytesIn.Add(uint64(size))
 		switch kind {
 		case frameRequest, frameStreamReq:
 			s.submit(dispatchTask{fw: fw, ct: ct, kind: kind, id: id, payload: payload})
 		case frameCredit:
-			if len(payload) == 4 {
-				ct.grant(id, int(binary.BigEndian.Uint32(payload)))
+			if n, ok := parseCredit(payload); ok {
+				ct.grant(id, n)
 			}
 			PutBuffer(payload)
 		case frameChunk:

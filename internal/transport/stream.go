@@ -24,23 +24,12 @@ import (
 	"sync"
 )
 
-// Chunk sub-header layout (the first chunkHeaderLen bytes of a frameChunk
-// payload):
-//
-//	1 byte  inner kind — the chunked message's logical frame kind
-//	1 byte  flags (chunkFin marks the stream's last chunk)
-//	4 bytes sequence number (big endian), starting at 0
-const (
-	chunkHeaderLen = 6
-	chunkFin       = 1
-)
-
 // Tuning. Vars rather than consts so tests can shrink them (see
 // export_test.go); production values never change at runtime.
 var (
 	// maxDirectPayload is the largest payload sent as one ordinary frame;
 	// anything larger is chunked transparently by sendMessage.
-	maxDirectPayload = MaxFrameSize - frameHeader
+	maxDirectPayload = MaxFrameSize - binary.MaxVarintLen64
 	// maxChunkData is the data size per chunk — under maxPooledBuffer so
 	// chunk receive buffers keep pooling.
 	maxChunkData = 256 << 10
@@ -197,34 +186,11 @@ func sendMessage(ctx context.Context, fw *frameWriter, ct *creditTable, st *Stat
 // writeCredit sends one credit grant for stream id. A zero n cancels the
 // stream.
 func writeCredit(fw *frameWriter, id uint64, n int) error {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(n))
-	return fw.write(frameCredit, id, b[:])
+	var b [binary.MaxVarintLen32]byte
+	return fw.write(frameCredit, id, binary.AppendUvarint(b[:0], uint64(n)))
 }
 
 // --- receive side: reassembly -------------------------------------------------
-
-// chunkView is one parsed frameChunk payload. data aliases the frame
-// payload buffer.
-type chunkView struct {
-	inner byte
-	fin   bool
-	seq   uint32
-	data  []byte
-}
-
-// parseChunk splits a frameChunk payload into its header fields and data.
-func parseChunk(payload []byte) (chunkView, error) {
-	if len(payload) < chunkHeaderLen {
-		return chunkView{}, fmt.Errorf("transport: malformed chunk frame (%d bytes)", len(payload))
-	}
-	return chunkView{
-		inner: payload[0],
-		fin:   payload[1]&chunkFin != 0,
-		seq:   binary.BigEndian.Uint32(payload[2:6]),
-		data:  payload[chunkHeaderLen:],
-	}, nil
-}
 
 // partial is one in-progress message reassembly.
 type partial struct {
@@ -433,7 +399,7 @@ type StreamReader struct {
 	id  uint64
 
 	mu      sync.Mutex
-	items   [][]byte // pooled chunk payloads (header + data), in arrival (= stream) order
+	items   []chunkItem // pooled chunk payloads, in arrival (= stream) order
 	cur     []byte   // unconsumed remainder of the item being read
 	curBuf  []byte   // cur's backing buffer, for PutBuffer
 	wantSeq uint32
@@ -458,11 +424,18 @@ func (r *StreamReader) endLocked() {
 	}
 }
 
+// chunkItem is one delivered chunk: its whole payload, whose data span
+// starts at off, behind the chunk sub-header.
+type chunkItem struct {
+	buf []byte
+	off int
+}
+
 // deliver hands one in-order chunk (or the terminal error) to the reader.
 // Called from the client read loop; data (when non-nil) is the chunk's
-// whole payload — header, then data span — in a pooled buffer the reader
-// now owns. Reports whether the stream is terminal.
-func (r *StreamReader) deliver(seq uint32, data []byte, fin bool, err error) bool {
+// whole payload — sub-header, then the data span from off — in a pooled
+// buffer the reader now owns. Reports whether the stream is terminal.
+func (r *StreamReader) deliver(seq uint32, data []byte, off int, fin bool, err error) bool {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -482,8 +455,8 @@ func (r *StreamReader) deliver(seq uint32, data []byte, fin bool, err error) boo
 			r.wantSeq++
 		}
 	}
-	if len(data) > chunkHeaderLen {
-		r.items = append(r.items, data)
+	if len(data) > off {
+		r.items = append(r.items, chunkItem{buf: data, off: off})
 	} else if data != nil {
 		PutBuffer(data)
 	}
@@ -515,7 +488,7 @@ func (r *StreamReader) Read(p []byte) (int, error) {
 			if r.curBuf != nil {
 				PutBuffer(r.curBuf)
 			}
-			r.cur, r.curBuf = r.items[0][chunkHeaderLen:], r.items[0]
+			r.cur, r.curBuf = r.items[0].buf[r.items[0].off:], r.items[0].buf
 			r.items = r.items[1:]
 		}
 		if len(r.cur) > 0 {
@@ -573,7 +546,7 @@ func (r *StreamReader) Close() error {
 	r.closed = true
 	live := !r.fin && r.err == nil
 	for _, it := range r.items {
-		PutBuffer(it)
+		PutBuffer(it.buf)
 	}
 	r.items = nil
 	if r.curBuf != nil {

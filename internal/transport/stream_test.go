@@ -1,9 +1,9 @@
 package transport_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -34,29 +34,20 @@ func rawServer(t *testing.T, n transport.Network, endpoint string, respond func(
 			return
 		}
 		defer conn.Close()
+		br := bufio.NewReader(conn)
 		for {
-			var hdr [13]byte // 4-byte length + 1-byte kind + 8-byte id
-			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			kind, id, payload, err := transport.ReadFrame(br)
+			if err != nil {
 				return
 			}
-			size := binary.BigEndian.Uint32(hdr[:4])
-			payload := make([]byte, size-9)
-			if _, err := io.ReadFull(conn, payload); err != nil {
-				return
-			}
-			respond(conn, hdr[4], binary.BigEndian.Uint64(hdr[5:]), payload)
+			respond(conn, kind, id, payload)
 		}
 	}()
 }
 
 // writeRawFrame writes one well-formed frame.
 func writeRawFrame(conn net.Conn, kind byte, id uint64, payload []byte) {
-	var hdr [13]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(9+len(payload)))
-	hdr[4] = kind
-	binary.BigEndian.PutUint64(hdr[5:], id)
-	_, _ = conn.Write(hdr[:])
-	_, _ = conn.Write(payload)
+	_, _ = conn.Write(transport.AppendFrame(nil, kind, id, payload))
 }
 
 // Receive-side mirror of TestOversizedCallDoesNotKillConnection: a peer
@@ -72,17 +63,10 @@ func TestInboundOversizedFrameFailsOnlyCall(t *testing.T) {
 		if string(payload) == "big" {
 			// Valid kind, in-protocol id, length past the ceiling.
 			junk := make([]byte, 1<<20)
-			size := uint64(transport.MaxFrameSize + 1)
-			var hdr [13]byte
-			binary.BigEndian.PutUint32(hdr[:4], uint32(size))
-			hdr[4] = 2 // frameRespOK
-			binary.BigEndian.PutUint64(hdr[5:], id)
-			_, _ = conn.Write(hdr[:])
-			for sent := uint64(0); sent < size-9; {
-				c := uint64(len(junk))
-				if c > size-9-sent {
-					c = size - 9 - sent
-				}
+			size := transport.MaxFrameSize + 1
+			_, _ = conn.Write(transport.AppendHeader(nil, transport.KindRespOK, id, size))
+			for sent := 0; sent < size; {
+				c := min(len(junk), size-sent)
 				if _, err := conn.Write(junk[:c]); err != nil {
 					return
 				}
@@ -118,19 +102,15 @@ func TestInboundOversizedFrameFailsOnlyCall(t *testing.T) {
 // A garbage header (unknown kind) claiming a near-MaxFrameSize length must
 // fail fast: the kind is validated BEFORE the length is trusted, so the
 // reader neither allocates for nor drains the phantom payload. The server
-// sends nothing after the 13 header bytes — if readFrame trusted the length
-// first it would block draining 64 MiB that never arrives, and the call
-// below would time out instead of failing promptly.
+// sends nothing after the header — if readFrame trusted the length first it
+// would block draining 64 MiB that never arrives, and the call below would
+// time out instead of failing promptly.
 func TestGarbageHeaderFailsFast(t *testing.T) {
 	sim := netsim.New(netsim.Instant)
 	defer sim.Close()
 
 	rawServer(t, sim, "garbage", func(conn net.Conn, kind byte, id uint64, payload []byte) {
-		var hdr [13]byte
-		binary.BigEndian.PutUint32(hdr[:4], transport.MaxFrameSize-1)
-		hdr[4] = 0xFF
-		binary.BigEndian.PutUint64(hdr[5:], id)
-		_, _ = conn.Write(hdr[:])
+		_, _ = conn.Write(transport.AppendHeader(nil, 0, id, transport.MaxFrameSize-8))
 	})
 
 	c := transport.NewClient(sim, "garbage")

@@ -78,7 +78,7 @@ func (enc *Encoder) Append(buf []byte, v any) ([]byte, error) {
 		e.typeNames = e.namesArr[:0]
 	}
 	defined := len(e.typeNames)
-	e.buf = buf
+	e.buf, e.depth = buf, 0
 	err := e.value(v)
 	out := e.buf
 	e.buf = nil
@@ -112,6 +112,21 @@ type encoder struct {
 	stdMemo     [16]stdMemo
 	stdMemoLen  int
 	stdMemoNext int
+	// depth counts the levels open around the value being encoded, where the
+	// decoder counts them (see enter).
+	depth int
+}
+
+// enter is the encoder's half of the decoder's nesting bound: it opens one
+// more level exactly where the decoder's enter does — a struct value, a
+// dynamically typed slice or map — and refuses the level past maxDepth,
+// before the message it would make undecodable leaves.
+func (e *encoder) enter() error {
+	if e.depth >= maxDepth {
+		return fmt.Errorf("%w: more than %d levels", ErrTooDeep, maxDepth)
+	}
+	e.depth++
+	return nil
 }
 
 type stdMemo struct {
@@ -129,6 +144,7 @@ func getEncoder(buf []byte) *encoder {
 	e := encoderPool.Get().(*encoder)
 	e.buf = buf
 	e.typeNames = e.namesArr[:0]
+	e.depth = 0
 	return e
 }
 
@@ -315,6 +331,9 @@ func (e *encoder) reflectValue(rv reflect.Value) error {
 		if rv.Kind() == reflect.Slice && rv.Type().Elem().Kind() == reflect.Uint8 {
 			return e.value(rv.Bytes())
 		}
+		if err := e.enter(); err != nil {
+			return err
+		}
 		n := rv.Len()
 		e.buf = append(e.buf, kSlice)
 		e.buf = binary.AppendUvarint(e.buf, uint64(n))
@@ -323,11 +342,15 @@ func (e *encoder) reflectValue(rv reflect.Value) error {
 				return fmt.Errorf("index %d: %w", i, err)
 			}
 		}
+		e.depth--
 		return nil
 	case reflect.Map:
 		if rv.IsNil() {
 			e.buf = append(e.buf, kNil)
 			return nil
+		}
+		if err := e.enter(); err != nil {
+			return err
 		}
 		e.buf = append(e.buf, kMap)
 		e.buf = binary.AppendUvarint(e.buf, uint64(rv.Len()))
@@ -340,6 +363,7 @@ func (e *encoder) reflectValue(rv reflect.Value) error {
 				return fmt.Errorf("map value: %w", err)
 			}
 		}
+		e.depth--
 		return nil
 	case reflect.Struct:
 		return e.structValue(rv)
@@ -376,6 +400,9 @@ func (e *encoder) encodeStruct(plan *structPlan, rv reflect.Value) error {
 	if plan.fastEncVal != nil {
 		return plan.fastEncVal(Enc{e}, rv.Interface())
 	}
+	if err := e.enter(); err != nil {
+		return err
+	}
 	nf := len(plan.fields)
 	for nf > 0 && rv.Field(plan.fields[nf-1].index).IsZero() {
 		nf--
@@ -387,6 +414,7 @@ func (e *encoder) encodeStruct(plan *structPlan, rv reflect.Value) error {
 			return fmt.Errorf("%s.%s: %w", plan.name, f.name, err)
 		}
 	}
+	e.depth--
 	return nil
 }
 

@@ -198,6 +198,34 @@ func (x Dec) Str() (string, error) {
 	return x.d.string()
 }
 
+// Name decodes a string field that may travel as an index into table: a
+// kString is the string itself, a kUint names table's entry. An index past
+// the table is corrupt. A codec whose sender writes well-known strings as
+// their index (rmi's protocol method table) reads both forms with it.
+func (x Dec) Name(table []string) (string, error) {
+	tag, err := x.d.tag()
+	if err != nil {
+		return "", err
+	}
+	switch tag {
+	case kString:
+		return x.d.string()
+	case kUint:
+		i, err := x.d.uvarint()
+		if err != nil {
+			return "", err
+		}
+		if i >= uint64(len(table)) {
+			return "", x.d.corrupt(fmt.Sprintf("name index %d past a table of %d", i, len(table)))
+		}
+		return table[i], nil
+	case kNil:
+		return "", nil
+	default:
+		return "", x.d.corrupt("expected string or name index")
+	}
+}
+
 // BytesVal decodes a []byte field.
 func (x Dec) BytesVal() ([]byte, error) {
 	tag, err := x.d.tag()
@@ -342,18 +370,28 @@ func RegisterCompiled[T any](name string, decodeAsPtr bool, enc func(Enc, *T) er
 		return err
 	}
 
+	// A compiled struct is one level, as its decoder counts it; the levels
+	// its codec writes inline (BeginStruct, Slice) are not, on either side.
+	encLevel := func(x Enc, p *T) error {
+		if err := x.e.enter(); err != nil {
+			return err
+		}
+		err := enc(x, p)
+		x.e.depth--
+		return err
+	}
 	fastEncVal := func(x Enc, v any) error {
 		if p, ok := v.(*T); ok {
 			if p == nil {
 				x.Nil()
 				return nil
 			}
-			return enc(x, p)
+			return encLevel(x, p)
 		}
 		t := v.(T)
-		return enc(x, &t)
+		return encLevel(x, &t)
 	}
-	fastEncAddr := func(x Enc, p any) error { return enc(x, p.(*T)) }
+	fastEncAddr := func(x Enc, p any) error { return encLevel(x, p.(*T)) }
 	fastDecVal := func(x Dec, n int) (any, error) {
 		var v T
 		if err := dec(x, &v, n); err != nil {

@@ -100,11 +100,76 @@ func TestNestingDepthBounded(t *testing.T) {
 	if _, err := Unmarshal(data); err != nil {
 		t.Errorf("a chain of %d links: %v", maxDepth, err)
 	}
-	if data, err = Marshal(*chain(maxDepth + 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Unmarshal(data); !errors.As(err, &corrupt) {
+	// One link more, spliced in by hand: the encoder refuses to write it
+	// (TestEncoderRefusesTooDeep).
+	unit := []byte{kStruct, 1, 1}
+	at := bytes.Index(data, unit)
+	deeper := append(append(append([]byte(nil), data[:at]...), unit...), data[at:]...)
+	if _, err := Unmarshal(deeper); !errors.As(err, &corrupt) {
 		t.Errorf("a chain of %d links: %v, want *CorruptError", maxDepth+1, err)
+	}
+}
+
+// TestEncoderRefusesTooDeep: whatever the decoder would reject as nested too
+// deep, the encoder refuses with ErrTooDeep and writes nothing — for generic
+// slices and maps, registered structs, compiled structs and typed fields
+// alike — and whatever it writes up to the bound decodes.
+func TestEncoderRefusesTooDeep(t *testing.T) {
+	type link struct{ Next *link }
+	MustRegister("wiretest.deeplink", link{})
+	type holder struct{ V any }
+	MustRegister("wiretest.holder", holder{})
+	slices := func(levels int) any {
+		var v any
+		for i := 0; i < levels; i++ {
+			v = []any{v}
+		}
+		return v
+	}
+	maps := func(levels int) any {
+		var v any = int64(1)
+		for i := 0; i < levels; i++ {
+			v = map[string]any{"k": v}
+		}
+		return v
+	}
+	links := func(levels int) any {
+		var l *link
+		for i := 0; i < levels; i++ {
+			l = &link{Next: l}
+		}
+		return *l
+	}
+	// A holder is a struct level of its own around a generic value, and a
+	// compiled struct holding one is a level too.
+	holders := func(levels int) any {
+		var v any
+		for i := 0; i < levels; i++ {
+			v = holder{V: v}
+		}
+		return v
+	}
+	compiled := func(levels int) any {
+		return &fcPayload{Extra: slices(levels - 1)}
+	}
+	for name, build := range map[string]func(int) any{
+		"slices": slices, "maps": maps, "links": links, "holders": holders, "compiled": compiled,
+	} {
+		data, err := Marshal(build(maxDepth))
+		if err != nil {
+			t.Errorf("%s: %d levels: %v", name, maxDepth, err)
+		} else if _, err := Unmarshal(data); err != nil {
+			t.Errorf("%s: %d levels encoded, but do not decode: %v", name, maxDepth, err)
+		}
+		buf := []byte("kept")
+		out, err := MarshalAppend(buf, build(maxDepth+1))
+		if !errors.Is(err, ErrTooDeep) || out != nil {
+			t.Errorf("%s: %d levels encoded to %d bytes, %v; want ErrTooDeep and nothing", name, maxDepth+1, len(out), err)
+		}
+		var enc Encoder
+		if out, err := enc.Append(buf, build(maxDepth+1)); !errors.Is(err, ErrTooDeep) || string(out) != "kept" {
+			t.Errorf("%s: stream encoder appended %q, %v for %d levels; want ErrTooDeep and buf untouched", name, out, err, maxDepth+1)
+		}
 	}
 }
 

@@ -70,6 +70,11 @@ var (
 	// ErrUnsupported reports an attempt to encode a Go value outside the
 	// supported set (channels, funcs, unsafe pointers, ...).
 	ErrUnsupported = errors.New("wire: unsupported value")
+
+	// ErrTooDeep reports a value nested deeper than a decoder accepts
+	// (maxDepth levels): the encoder refuses it rather than send a message
+	// the peer must reject.
+	ErrTooDeep = errors.New("wire: value nested too deep")
 )
 
 // CorruptError reports malformed bytes at a given offset.
