@@ -9,8 +9,9 @@ import (
 )
 
 // Microbenchmarks of the client stack on the instant network, where no
-// simulated latency hides its CPU cost. The paper's figures are cmd/benchfig's
-// job, and internal/bench's tests pin the round trips behind each of them.
+// simulated latency hides its CPU cost. The paper's figures are counts, not
+// timings: internal/bench's TestPaperFigures holds each series' round trips,
+// loopback calls and bytes to the committed BENCH_paper.json.
 
 // BenchmarkRecordingOnly isolates client-side recording cost (no flush):
 // the price of building a batch, which the paper argues is negligible
@@ -21,7 +22,7 @@ func BenchmarkRecordingOnly(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer env.Close()
-	ref, err := env.Export(&bench.NoopService{}, "bench.Noop")
+	ref, err := env.Server.Export(&bench.NoopService{}, "bench.Noop")
 	if err != nil {
 		b.Fatal(err)
 	}

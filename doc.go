@@ -75,9 +75,9 @@
 //   - internal/dgc       lease-based distributed garbage collection
 //   - internal/codegen   "rmic -batch" equivalent (typed stubs and server
 //     skeletons; cmd/brmigen)
-//   - internal/bench     harness regenerating the paper's Figures 5-13 and
-//     ablations, with tests pinning the round trips behind each figure
-//   - cmd/benchfig       prints every figure's series; cmd/brmigen generates
+//   - internal/bench     the paper's Figures 5-13 and three ablations as
+//     exact counts per series (round trips, loopback calls, bytes), with a
+//     latency model checked against netsim's virtual clock
 //   - cmd/brmitop        live cluster ops view (QPS, wave latency
 //     quantiles, pool/codec reuse, lease-cache hit rate, migration, epoch
 //     skew) over batched stats scrapes; -endpoints for live TCP clusters,
@@ -86,7 +86,9 @@
 //     bank, translator, chained batches, sharded multi-server cluster,
 //     staged cross-server pipeline, live re-sharding, live ops view)
 //
-// `go run ./cmd/benchfig -all` prints the full evaluation; bench_test.go
-// holds two microbenchmarks of the client stack, and brmibench (benchmark/)
-// measures the cluster under load. See DESIGN.md for the system inventory.
+// `go test ./internal/bench -run TestPaperFigures -v` prints the full
+// evaluation, checked against the committed BENCH_paper.json (`-update`
+// rewrites it); bench_test.go holds two microbenchmarks of the client stack,
+// and brmibench (benchmark/) measures the cluster under load. See DESIGN.md
+// for the system inventory and the REPRODUCTION table.
 package repro

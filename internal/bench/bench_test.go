@@ -2,267 +2,385 @@ package bench
 
 import (
 	"bytes"
-	"context"
-	"runtime"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/rmi"
-	"repro/internal/wire"
 )
 
-// fastProfile keeps shape tests quick while still separating the curves:
-// 4 ms RTT dominates the sub-millisecond processing cost.
-var fastProfile = netsim.Profile{Name: "lan-test", RTT: 4 * time.Millisecond, BitsPerSecond: 1e9}
+var update = flag.Bool("update", false, "rewrite BENCH_paper.json from the counts")
 
-func fastCfg() Config {
-	return Config{Profile: fastProfile, Warmup: 1, Reps: 3}
+// paperPath is the committed series file, at the repository root.
+const paperPath = "../../BENCH_paper.json"
+
+// modelText states Counts.Model in the file it prices.
+const modelText = "ms = (trips + loopback) * RTT + (bytes_out + bytes_in) * 8 / bandwidth; lan: 1 ms, 1 Gbps; wireless: 252 ms, 48 Mbps (netsim.LAN, netsim.Wireless)"
+
+// figure is one series as BENCH_paper.json holds it.
+type figure struct {
+	Series   string   `json:"series"`
+	Figs     string   `json:"figs"`
+	X        string   `json:"x"`
+	Variants []string `json:"variants"`
+	Rows     []row    `json:"rows"`
 }
 
-// assertRoundTrips checks the round-trip counts of one row.
-func assertRoundTrips(t *testing.T, table *Table, x int, want []uint64) {
-	t.Helper()
-	for _, row := range table.Rows {
-		if row.X != x {
-			continue
+// row is one x of a series: a cell per variant.
+type row struct {
+	X     int    `json:"x"`
+	Cells []cell `json:"cells"`
+}
+
+// cell is one variant's counts at one x, priced by Counts.Model on the
+// paper's two links (§5.2).
+type cell struct {
+	Counts
+	LANMs      float64 `json:"lan_ms"`
+	WirelessMs float64 `json:"wireless_ms"`
+}
+
+func newCell(c Counts) cell {
+	return cell{Counts: c, LANMs: ms(c.Model(netsim.LAN)), WirelessMs: ms(c.Model(netsim.Wireless))}
+}
+
+// ms is d in milliseconds, rounded to the microsecond.
+func ms(d time.Duration) float64 { return math.Round(float64(d)/1e3) / 1e3 }
+
+// claims are the paper's claims, one per series, as code. Every row must
+// hold its series' claim before it is compared with the file or written.
+var claims = map[string]func(x int, c []Counts) error{
+	// Figs. 5-6: RMI pays a round trip per call, BRMI one per batch.
+	"noop": func(n int, c []Counts) error { return calls(c, []uint64{uint64(n), 1}, nil) },
+	// Figs. 7-8: RMI pays a trip per Next plus one for GetValue; BRMI keeps
+	// the chain on the server.
+	"list": func(n int, c []Counts) error { return calls(c, []uint64{uint64(n) + 1, 1}, nil) },
+	// Fig. 9: in batches of one both pay a trip per step, but BRMI's replies
+	// carry sequence numbers instead of remote objects. (Its requests carry
+	// the batch envelope, so in total it sends more bytes, not fewer.)
+	"list-nobatch": func(n int, c []Counts) error {
+		if err := calls(c, []uint64{uint64(n) + 1, uint64(n) + 1}, nil); err != nil {
+			return err
 		}
-		for i, w := range want {
-			if got := row.Cells[i].Calls; got != w {
-				t.Errorf("%s x=%d %s: %d round trips, want %d",
-					table.Fig, x, table.Columns[i], got, w)
+		if c[1].BytesIn >= c[0].BytesIn {
+			return fmt.Errorf("BRMI replies carried %d B, RMI's %d B", c[1].BytesIn, c[0].BytesIn)
+		}
+		return nil
+	},
+	// Figs. 10-11: the same trips on both sides; under RMI every Balance is
+	// a loopback call, BRMI hands the step the object itself (§4.4).
+	"simulation": func(n int, c []Counts) error {
+		trips := uint64(n) + 2
+		return calls(c, []uint64{trips, trips}, []uint64{uint64(n) * SimulationReps, 0})
+	},
+	// Figs. 12-13: RMI pays 1+5n trips, BRMI one batch with a cursor; both
+	// carry the whole 100 KB.
+	"fileserver": func(n int, c []Counts) error {
+		for _, v := range c {
+			if v.BytesIn < FileServerTotalBytes {
+				return fmt.Errorf("%d bytes in, less than the %d B of contents", v.BytesIn, FileServerTotalBytes)
 			}
 		}
-		return
-	}
-	t.Fatalf("no row x=%d", x)
+		return calls(c, []uint64{1 + 5*uint64(n), 1}, nil)
+	},
+	// A1: the local shortcut removes exactly the loopback calls BRMI never
+	// makes, and nothing the client can see.
+	"a1": func(n int, c []Counts) error {
+		trips := uint64(n) + 2
+		if err := calls(c, []uint64{trips, trips, trips}, []uint64{uint64(n) * SimulationReps, 0, 0}); err != nil {
+			return err
+		}
+		if c[1].BytesOut != c[0].BytesOut || c[1].BytesIn != c[0].BytesIn {
+			return fmt.Errorf("RMI+shortcut carried %d/%d B, RMI %d/%d B", c[1].BytesOut, c[1].BytesIn, c[0].BytesOut, c[0].BytesIn)
+		}
+		return nil
+	},
+	// A2: the generated layer records exactly what the dynamic API does.
+	"a2": func(n int, c []Counts) error {
+		if c[1] != c[0] {
+			return fmt.Errorf("generated %+v, dynamic %+v", c[1], c[0])
+		}
+		return calls(c, []uint64{1, 1}, nil)
+	},
+	// A3: 40 calls flushed every k cost ⌈40/k⌉ trips.
+	"a3": func(k int, c []Counts) error {
+		return calls(c, []uint64{uint64((BatchSizeCalls + k - 1) / k)}, nil)
+	},
 }
 
-func TestNoopShape(t *testing.T) {
-	table, err := RunNoop(fastCfg(), []int{1, 5})
-	if err != nil {
-		t.Fatal(err)
+// calls checks every variant's round trips and loopback calls (none when
+// loopback is nil).
+func calls(c []Counts, trips, loopback []uint64) error {
+	if loopback == nil {
+		loopback = make([]uint64, len(c))
 	}
-	// Round trips: RMI n, BRMI 1 — the mechanism behind Figures 5-6.
-	assertRoundTrips(t, table, 1, []uint64{1, 1})
-	assertRoundTrips(t, table, 5, []uint64{5, 1})
-	// Shape: at n=5 RMI must be well above BRMI (paper: ~n× vs flat).
-	speedup, err := table.SpeedupAt(5, 1)
-	if err != nil {
-		t.Fatal(err)
+	var gotTrips, gotLoopback []uint64
+	for _, v := range c {
+		gotTrips, gotLoopback = append(gotTrips, v.Trips), append(gotLoopback, v.Loopback)
 	}
-	if speedup < 2 {
-		t.Errorf("RMI/BRMI at n=5 = %.2fx, want >= 2x", speedup)
+	if !slices.Equal(gotTrips, trips) || !slices.Equal(gotLoopback, loopback) {
+		return fmt.Errorf("trips %v, loopback %v per variant; want %v, %v", gotTrips, gotLoopback, trips, loopback)
 	}
-	// BRMI stays near-flat from n=1 to n=5.
-	brmi1 := table.Rows[0].Cells[1].S.Millis()
-	brmi5 := table.Rows[1].Cells[1].S.Millis()
-	if brmi5 > brmi1*2.5 {
-		t.Errorf("BRMI grew %.2fx from n=1 to n=5, want near-flat", brmi5/brmi1)
+	return nil
+}
+
+// TestPaperFigures counts every series at every x of its axis and holds
+// each row to its series' claim and to BENCH_paper.json; -v prints the
+// series. With -update it rewrites the file instead, once every series ran
+// its whole axis and every claim held.
+func TestPaperFigures(t *testing.T) {
+	committed := map[string]figure{}
+	if !*update {
+		b, err := os.ReadFile(paperPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file struct {
+			Model  string
+			Series []figure
+		}
+		if err := json.Unmarshal(b, &file); err != nil {
+			t.Fatalf("%s: %v", paperPath, err)
+		}
+		if file.Model != modelText {
+			t.Errorf("BENCH_paper.json prices with %q, the test with %q (rerun with -update)", file.Model, modelText)
+		}
+		for _, f := range file.Series {
+			committed[f.Series] = f
+		}
+		if len(committed) != len(Paper) {
+			t.Errorf("BENCH_paper.json holds %d series, the paper %d (rerun with -update)", len(committed), len(Paper))
+		}
+	}
+	var figs []figure
+	for _, s := range Paper {
+		f := figure{Series: s.Name, Figs: s.Figs, X: s.XLabel}
+		t.Run(s.Name, func(t *testing.T) {
+			for _, x := range s.Xs {
+				names, counts, err := s.Count(x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := claims[s.Name](x, counts); err != nil {
+					t.Errorf("x=%d: %v", x, err)
+				}
+				f.Variants = names
+				r := row{X: x}
+				for _, c := range counts {
+					r.Cells = append(r.Cells, newCell(c))
+				}
+				f.Rows = append(f.Rows, r)
+			}
+			t.Log("\n" + render(f))
+			if !*update {
+				compare(t, f, committed[s.Name])
+			}
+		})
+		figs = append(figs, f)
+	}
+	if *update {
+		if t.Failed() {
+			t.Fatal("a claim failed: BENCH_paper.json not rewritten")
+		}
+		for i, f := range figs {
+			if len(f.Rows) != len(Paper[i].Xs) {
+				t.Fatalf("series %s did not run (a -run filter?): BENCH_paper.json not rewritten", f.Series)
+			}
+		}
+		if err := os.WriteFile(paperPath, encode(figs), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-func TestListShape(t *testing.T) {
-	table, err := RunList(fastCfg(), []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// RMI: n Next calls + 1 GetValue; BRMI: one batch.
-	assertRoundTrips(t, table, 4, []uint64{5, 1})
-	speedup, err := table.SpeedupAt(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if speedup < 2 {
-		t.Errorf("RMI/BRMI at n=4 = %.2fx, want >= 2x", speedup)
-	}
-}
-
-func TestListNoBatchShape(t *testing.T) {
-	table, err := RunListNoBatch(fastCfg(), []int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Figure 9: same number of round trips on both sides...
-	assertRoundTrips(t, table, 3, []uint64{4, 4})
-	// ...and the paper's surprise was only that BRMI is not slower despite
-	// the batching machinery: it avoids remote-object marshalling per step.
-	rmi := tableCell(t, table, 3, 0).S.Millis()
-	brmi := tableCell(t, table, 3, 1).S.Millis()
-	if brmi > rmi*1.6 {
-		t.Errorf("batch-of-1 BRMI %.2fms much slower than RMI %.2fms", brmi, rmi)
-	}
-}
-
-// callCounts runs op once and reports the remote calls it cost: the client's
-// round trips, and the server's own outgoing calls — loopback calls through
-// stubs of objects it exports, since the environment has no other server.
-func callCounts(t *testing.T, env *Env, op func() error) (client, server uint64) {
+// compare reports every row of got that drifted from the committed want.
+func compare(t *testing.T, got, want figure) {
 	t.Helper()
-	c, s := env.Client.CallCount(), env.Server.CallCount()
-	if err := op(); err != nil {
-		t.Fatal(err)
+	if got.Figs != want.Figs || got.X != want.X || !slices.Equal(got.Variants, want.Variants) || len(got.Rows) != len(want.Rows) {
+		t.Fatalf("series %s drifted from BENCH_paper.json (rerun with -update):\n got %s\nwant %s", got.Series, mustJSON(got), mustJSON(want))
 	}
-	return env.Client.CallCount() - c, env.Server.CallCount() - s
+	for i := range got.Rows {
+		if !reflect.DeepEqual(got.Rows[i], want.Rows[i]) {
+			t.Errorf("x=%d drifted from BENCH_paper.json:\n got %s\nwant %s", got.Rows[i].X, mustJSON(got.Rows[i]), mustJSON(want.Rows[i]))
+		}
+	}
 }
 
-// simulationCounts runs every variant of the simulation workload once at
-// the given step count on the instant network, returning per variant the
-// client's round trips and the server's loopback calls.
-func simulationCounts(t *testing.T, steps int, opts ...EnvOption) (client, loopback []uint64) {
+// encode lays the file out a row per line, so drift diffs as rows.
+func encode(figs []figure) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "{\n  \"model\": %s,\n  \"series\": [\n", mustJSON(modelText))
+	for i, f := range figs {
+		fmt.Fprintf(&b, "    {\"series\": %s, \"figs\": %s, \"x\": %s, \"variants\": %s, \"rows\": [\n",
+			mustJSON(f.Series), mustJSON(f.Figs), mustJSON(f.X), mustJSON(f.Variants))
+		for j, r := range f.Rows {
+			fmt.Fprintf(&b, "      %s%s\n", mustJSON(r), comma(j, len(f.Rows)))
+		}
+		fmt.Fprintf(&b, "    ]}%s\n", comma(i, len(figs)))
+	}
+	b.WriteString("  ]\n}\n")
+	return b.Bytes()
+}
+
+func comma(i, n int) string {
+	if i < n-1 {
+		return ","
+	}
+	return ""
+}
+
+func mustJSON(v any) string {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
+
+// render lays a series out like the paper's figure: a line per x and, per
+// variant, trips + loopback calls, bytes out/in, and the modeled ms on the
+// LAN / the wireless link.
+func render(f figure) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s (%s), x = %s\n", f.Series, f.Figs, f.X)
+	for _, r := range f.Rows {
+		fmt.Fprintf(&b, "%5d", r.X)
+		for i, c := range r.Cells {
+			fmt.Fprintf(&b, " | %s %d+%d trips %d/%d B %.3f/%.3f ms",
+				f.Variants[i], c.Trips, c.Loopback, c.BytesOut, c.BytesIn, c.LANMs, c.WirelessMs)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestLatencyModel checks Counts.Model against the simulator instead of
+// assuming it: every series at both ends of its axis runs on a virtual clock
+// over the LAN and over the unscaled wireless link, and each variant's
+// elapsed virtual time must be within 5% of what its counts model.
+//
+// The clock detects quiescence by a short real-time window, so a goroutine
+// the host runs late (under -race, say) can let a concurrent DGC message's
+// timer fire first and add up to half an RTT; host scheduling only ever adds
+// virtual time. Each point therefore gets up to three runs and is judged by
+// the fastest.
+func TestLatencyModel(t *testing.T) {
+	for _, s := range Paper {
+		for _, x := range []int{s.Xs[0], s.Xs[len(s.Xs)-1]} {
+			names, counts, err := s.Count(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []netsim.Profile{netsim.LAN, netsim.Wireless} {
+				off := make([]float64, len(counts))
+				var fastest []time.Duration
+				for run := 0; run < 3 && (run == 0 || slices.Max(off) > 0.05); run++ {
+					elapsed := virtualElapsed(t, s, x, p)
+					if fastest == nil {
+						fastest = elapsed
+					}
+					for i, c := range counts {
+						fastest[i] = min(fastest[i], elapsed[i])
+						model := c.Model(p)
+						off[i] = math.Abs(float64(fastest[i]-model)) / float64(model)
+					}
+				}
+				for i, c := range counts {
+					msg := fmt.Sprintf("%s x=%d %s on %s: %v of virtual time, %v modeled (%.3f%% off)",
+						s.Name, x, names[i], p.Name, fastest[i], c.Model(p), 100*off[i])
+					if off[i] > 0.05 {
+						t.Error(msg)
+					} else {
+						t.Log(msg)
+					}
+				}
+			}
+		}
+	}
+}
+
+// virtualElapsed runs every variant of s at x once on a network with
+// profile p and a virtual clock, returning the virtual time each took.
+func virtualElapsed(t *testing.T, s Series, x int, p netsim.Profile) []time.Duration {
 	t.Helper()
-	env, err := NewEnv(netsim.Instant, opts...)
+	clk := netsim.NewVirtualClock()
+	defer clk.Stop()
+	env, err := newEnv(netsim.New(p, netsim.WithClock(clk)), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	variants, err := SimulationSetup(env, steps)
+	variants, err := s.Setup(env, x)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out []time.Duration
 	for _, v := range variants {
-		c, s := callCounts(t, env, v.Op)
-		client, loopback = append(client, c), append(loopback, s)
+		start := clk.Now()
+		if err := v.Op(); err != nil {
+			t.Fatalf("%s x=%d %s: %v", s.Name, x, v.Name, err)
+		}
+		out = append(out, clk.Now().Sub(start))
 	}
-	return client, loopback
+	return out
 }
 
-// TestSimulationShape pins the cause of Figures 10-11: both variants pay the
-// same round trips — create, one flush per step, the result fetch — so the
-// gap is the server's own calls. Under RMI each step's balancer arrives as a
-// stub of the server's own object and every Balance is a loopback call;
-// BRMI hands the step the object itself (§4.4).
-func TestSimulationShape(t *testing.T) {
-	const steps = 6
-	client, loopback := simulationCounts(t, steps)
-	if want := []uint64{steps + 2, steps + 2}; !slices.Equal(client, want) {
-		t.Errorf("client round trips (RMI, BRMI) = %v, want %v", client, want)
-	}
-	if want := []uint64{steps * SimulationReps, 0}; !slices.Equal(loopback, want) {
-		t.Errorf("server loopback calls (RMI, BRMI) = %v, want %v", loopback, want)
-	}
-}
-
-// TestFileServerShape pins Figures 12-13's mechanism: RMI pays one list call
-// plus five calls per file, BRMI one batch with a cursor.
-func TestFileServerShape(t *testing.T) {
-	table, err := RunFileServer(Config{Profile: netsim.Instant, Reps: 1}, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRoundTrips(t, table, 1, []uint64{6, 1})
-	assertRoundTrips(t, table, 4, []uint64{21, 1})
-}
-
-// TestAblationIdentityShape pins ablation a1: resolving a returning ref to
-// the local object (rmi.WithLocalShortcut, what Java RMI chose not to do)
-// removes exactly the loopback calls BRMI's identity preservation never
-// makes, at the same round trips.
-func TestAblationIdentityShape(t *testing.T) {
-	const steps = 6
-	client, loopback := simulationCounts(t, steps)
-	shortcutClient, shortcutLoopback := simulationCounts(t, steps, WithServerOptions(rmi.WithLocalShortcut()))
-	if got, want := []uint64{client[0], shortcutClient[0], client[1]}, []uint64{steps + 2, steps + 2, steps + 2}; !slices.Equal(got, want) {
-		t.Errorf("client round trips (RMI, RMI+shortcut, BRMI) = %v, want %v", got, want)
-	}
-	if got, want := []uint64{loopback[0], shortcutLoopback[0], loopback[1]}, []uint64{steps * SimulationReps, 0, 0}; !slices.Equal(got, want) {
-		t.Errorf("server loopback calls (RMI, RMI+shortcut, BRMI) = %v, want %v", got, want)
-	}
-}
-
-func TestAblationStubsShape(t *testing.T) {
-	table, err := RunAblationStubs(Config{Profile: netsim.Instant, Warmup: 2, Reps: 15}, []int{64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare the fastest repetition, not the mean: the op takes ~0.1 ms on
-	// the instant profile, so one scheduler stall in one rep would swamp a
-	// mean and says nothing about wrapper overhead.
-	dyn := tableCell(t, table, 64, 0).S.Min
-	gen := tableCell(t, table, 64, 1).S.Min
-	// Generated stubs are thin wrappers; they must not multiply cost.
-	if gen > dyn*3 {
-		t.Errorf("generated stubs %v vs dynamic %v: wrapper overhead too large", gen, dyn)
-	}
-}
-
-func TestAblationBatchSize(t *testing.T) {
-	table, err := RunAblationBatchSize(fastCfg(), 8, []int{1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Batch size 1 → 8 round trips; size 8 → 1 round trip, and much faster.
-	assertRoundTrips(t, table, 1, []uint64{8})
-	assertRoundTrips(t, table, 8, []uint64{1})
-	k1 := tableCell(t, table, 1, 0).S.Millis()
-	k8 := tableCell(t, table, 8, 0).S.Millis()
-	if k8 >= k1 {
-		t.Errorf("full batch %.2fms not faster than per-call flush %.2fms", k8, k1)
-	}
-}
-
-func tableCell(t *testing.T, table *Table, x, col int) Cell {
+// claimAt holds a series to its claim at an x off its plotted axis.
+func claimAt(t *testing.T, name string, x int) {
 	t.Helper()
-	for _, row := range table.Rows {
-		if row.X == x {
-			return row.Cells[col]
-		}
+	i := slices.IndexFunc(Paper, func(s Series) bool { return s.Name == name })
+	if i < 0 {
+		t.Fatalf("no series %q", name)
 	}
-	t.Fatalf("no row x=%d", x)
-	return Cell{}
-}
-
-func TestMeasureStats(t *testing.T) {
-	n := 0
-	stats, err := Measure(2, 10, func() error {
-		n++
-		time.Sleep(time.Millisecond)
-		return nil
-	})
+	_, counts, err := Paper[i].Count(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 12 {
-		t.Errorf("op ran %d times, want 12 (2 warmup + 10 reps)", n)
-	}
-	if stats.N != 10 {
-		t.Errorf("stats.N = %d", stats.N)
-	}
-	if stats.Mean < time.Millisecond {
-		t.Errorf("mean %v < sleep duration", stats.Mean)
-	}
-	if stats.Min > stats.P50 || stats.P50 > stats.P95 || stats.P95 > stats.Max {
-		t.Errorf("percentile ordering broken: %+v", stats)
+	if err := claims[name](x, counts); err != nil {
+		t.Errorf("%s x=%d: %v", name, x, err)
 	}
 }
 
-func TestPrintAndCSV(t *testing.T) {
-	table := &Table{
-		Fig: "Fig. X", Title: "T", XLabel: "calls", Profile: "lan",
-		Columns: []string{"RMI", "BRMI"},
-		Rows: []Row{
-			{X: 1, Cells: []Cell{{S: Stats{Mean: 2 * time.Millisecond}, Calls: 1}, {S: Stats{Mean: 2 * time.Millisecond}, Calls: 1}}},
-			{X: 5, Cells: []Cell{{S: Stats{Mean: 10 * time.Millisecond}, Calls: 5}, {S: Stats{Mean: 2 * time.Millisecond}, Calls: 1}}},
-		},
+// The claims hold off the plotted axes too: the remote simulation (Figs.
+// 10-11) and ablation A1 at 6 steps, the file server (Figs. 12-13) at 4
+// files.
+func TestSimulationShape(t *testing.T)       { claimAt(t, "simulation", 6) }
+func TestAblationIdentityShape(t *testing.T) { claimAt(t, "a1", 6) }
+func TestFileServerShape(t *testing.T)       { claimAt(t, "fileserver", 4) }
+
+// TestStubsAllocBudget is ablation A2's cost side: the generated layer
+// records the same calls as the dynamic API (TestPaperFigures/a2 pins equal
+// bytes), so all it may add is its wrappers' allocations per recorded call.
+func TestStubsAllocBudget(t *testing.T) {
+	const calls = 100
+	env, err := NewEnv(netsim.Instant)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	table.Print(&buf)
-	out := buf.String()
-	for _, want := range []string{"Fig. X", "RMI ms", "BRMI ms", "10.000", "grows 5.0x"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Print output missing %q in:\n%s", want, out)
-		}
+	defer env.Close()
+	variants, err := StubsSetup(env, calls)
+	if err != nil {
+		t.Fatal(err)
 	}
-	buf.Reset()
-	table.CSV(&buf)
-	if !strings.Contains(buf.String(), "calls,RMI_ms,RMI_std_ms,RMI_roundtrips,BRMI_ms") {
-		t.Errorf("CSV header wrong:\n%s", buf.String())
+	perCall := make([]float64, len(variants))
+	for i, v := range variants {
+		perCall[i] = testing.AllocsPerRun(50, func() {
+			if err := v.Op(); err != nil {
+				t.Fatal(err)
+			}
+		}) / calls
 	}
-	if _, err := table.SpeedupAt(99, 1); err == nil {
-		t.Error("SpeedupAt on missing row succeeded")
+	extra := perCall[1] - perCall[0]
+	t.Logf("allocs per recorded call: dynamic %.2f, generated %.2f (%+.2f)", perCall[0], perCall[1], extra)
+	if extra > 0.5 {
+		t.Fatalf("generated stubs add %.2f allocs per recorded call (budget 0.5)", extra)
 	}
 }
 
@@ -280,83 +398,34 @@ func TestBuildList(t *testing.T) {
 	}
 }
 
+// TestNewFileServer: n files whose sizes sum to exactly the total asked
+// for — the paper's 100 KB at any n, not the largest multiple of n below
+// it — and differ by at most one byte.
 func TestNewFileServer(t *testing.T) {
-	fs := NewFileServer(4, 1000)
-	if len(fs.ListFiles()) != 4 {
-		t.Fatalf("files = %d", len(fs.ListFiles()))
-	}
-	var total int64
-	for _, f := range fs.ListFiles() {
-		total += f.Length()
-		if f.GetName() == "" || f.IsDirectory() {
-			t.Errorf("bad file %+v", f)
+	for _, tc := range []struct{ n, total int }{{4, 1000}, {3, 100 << 10}, {7, 100 << 10}} {
+		fs := NewFileServer(tc.n, tc.total)
+		if len(fs.ListFiles()) != tc.n {
+			t.Fatalf("files = %d, want %d", len(fs.ListFiles()), tc.n)
 		}
-		if f.LastModified() == 0 {
-			t.Error("zero mtime")
+		var total, smallest, largest int64 = 0, math.MaxInt64, 0
+		for _, f := range fs.ListFiles() {
+			total += f.Length()
+			smallest, largest = min(smallest, f.Length()), max(largest, f.Length())
+			if f.GetName() == "" || f.IsDirectory() {
+				t.Errorf("bad file %+v", f)
+			}
+			if f.LastModified() == 0 {
+				t.Error("zero mtime")
+			}
+			if len(f.Contents()) != int(f.Length()) {
+				t.Error("length mismatch")
+			}
 		}
-		if len(f.Contents()) != int(f.Length()) {
-			t.Error("length mismatch")
+		if total != int64(tc.total) || largest-smallest > 1 {
+			t.Errorf("n=%d: %d bytes in files of %d..%d, want %d", tc.n, total, smallest, largest, tc.total)
 		}
-	}
-	if total != 1000 {
-		t.Errorf("total bytes = %d, want 1000", total)
 	}
 	if got := NewFileServer(0, 100); len(got.ListFiles()) != 0 {
 		t.Error("zero files not empty")
-	}
-}
-
-// TestHotPathAllocBudget pins the allocation cost of the flush hot path:
-// mixed-size flushes (1, 4, 16, 64 calls) of a marshal-heavy Echo over four
-// exported objects on the instant network, client and server sharing the
-// heap. The stack before compiled codecs, pooled buffers and skeleton
-// dispatch cost ~29.5 allocations per call, today's ~14; the budget leaves
-// headroom for environment noise. brmibench's echo_flush reports the precise
-// figure.
-func TestHotPathAllocBudget(t *testing.T) {
-	env, err := NewEnv(netsim.Instant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	refs := make([]wire.Ref, 4)
-	for i := range refs {
-		if refs[i], err = env.Export(&EchoService{}, "bench.Echo"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx := context.Background()
-	payload := Payload{ID: 1, Name: "hot-path-object-with-a-realistic-name", Data: make([]byte, 64), Elapsed: time.Millisecond}
-	sizes := [...]int{1, 4, 16, 64}
-	run := func(flushes int) (calls int) {
-		for n := 0; n < flushes; n++ {
-			size := sizes[n%len(sizes)]
-			b := core.New(env.Client, refs[n%len(refs)])
-			root := b.Root()
-			var last *core.Future
-			for i := 0; i < size; i++ {
-				payload.Seq = uint64(i)
-				last = root.Call("Echo", payload)
-			}
-			if err := b.Flush(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if err := last.Err(); err != nil {
-				t.Fatal(err)
-			}
-			calls += size
-		}
-		return calls
-	}
-	run(100) // warm up: connection pools, type registries, codec caches
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	calls := run(400)
-	runtime.ReadMemStats(&after)
-	perCall := float64(after.Mallocs-before.Mallocs) / float64(calls)
-	t.Logf("%.1f allocs per call", perCall)
-	if perCall > 22 {
-		t.Fatalf("allocs per call regressed: %.1f (budget 22)", perCall)
 	}
 }

@@ -3,75 +3,99 @@ package bench
 import (
 	"context"
 	"fmt"
-	"strings"
+	"reflect"
+	"time"
 
 	"repro/internal/codegen/fstest"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/rmi"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Config parameterizes a figure run.
-type Config struct {
-	// Profile is the simulated link (possibly scaled; see netsim.Profile).
-	Profile netsim.Profile
-	// Warmup and Reps control the measurement loop per x-position.
-	Warmup, Reps int
-	// ServerOpts configure the serving peer (used by ablations).
-	ServerOpts []rmi.Option
-}
-
-// Variant is one measured implementation of a workload at a given x
-// (typically "RMI" vs "BRMI").
+// Variant is one implementation of a workload at one x (typically "RMI" vs
+// "BRMI"): Op runs it once in Env.
 type Variant struct {
 	Name string
+	Env  *Env
 	Op   func() error
 }
 
 // Setup builds the variants of one workload at parameter x inside env.
 type Setup func(env *Env, x int) ([]Variant, error)
 
-// runFigure measures each variant at each x-position, building the table.
-// The environment is fresh per x so auto-export and DGC state cannot leak
-// across points.
-func runFigure(cfg Config, fig, title, xlabel string, xs []int, setup Setup) (*Table, error) {
-	table := &Table{Fig: fig, Title: title, XLabel: xlabel, Profile: cfg.Profile.Name}
-	for _, x := range xs {
-		env, err := NewEnv(cfg.Profile, WithServerOptions(cfg.ServerOpts...))
-		if err != nil {
-			return nil, err
-		}
-		variants, err := setup(env, x)
-		if err != nil {
-			env.Close()
-			return nil, err
-		}
-		if table.Columns == nil {
-			for _, v := range variants {
-				table.Columns = append(table.Columns, v.Name)
-			}
-		}
-		row := Row{X: x}
-		for _, v := range variants {
-			// One uncounted run to measure round trips.
-			before := env.Client.CallCount()
-			if err := v.Op(); err != nil {
-				env.Close()
-				return nil, fmt.Errorf("%s x=%d %s: %w", fig, x, v.Name, err)
-			}
-			calls := env.Client.CallCount() - before
-			stats, err := Measure(cfg.Warmup, cfg.Reps, v.Op)
-			if err != nil {
-				env.Close()
-				return nil, fmt.Errorf("%s x=%d %s: %w", fig, x, v.Name, err)
-			}
-			row.Cells = append(row.Cells, Cell{S: stats, Calls: calls})
-		}
-		table.Rows = append(table.Rows, row)
-		env.Close()
+// Series is one workload of the paper's evaluation swept over the x-axis the
+// paper plots.
+type Series struct {
+	Name   string // its key in BENCH_paper.json
+	Figs   string // the figures (or ablation) it reproduces
+	XLabel string
+	Xs     []int
+	Setup  Setup
+}
+
+// Paper is the evaluation: Figures 5-13 (§5.3-§5.4; each workload is one
+// figure on the LAN and one on the wireless link) and the three ablations
+// of DESIGN.md.
+var Paper = []Series{
+	{"noop", "Figs. 5-6", "method calls", []int{1, 2, 3, 4, 5}, NoopSetup},
+	{"list", "Figs. 7-8", "traversals", []int{1, 2, 3, 4, 5}, ListSetup},
+	{"list-nobatch", "Fig. 9", "traversals", []int{1, 2, 3, 4, 5}, ListNoBatchSetup},
+	{"simulation", "Figs. 10-11", "simulation steps", []int{5, 10, 15, 20, 25, 30, 35, 40}, SimulationSetup},
+	{"fileserver", "Figs. 12-13", "files", []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, FileServerSetup},
+	{"a1", "Ablation A1", "simulation steps", []int{5, 10, 20, 40}, IdentitySetup},
+	{"a2", "Ablation A2", "recorded calls", []int{10, 100, 1000}, StubsSetup},
+	{"a3", "Ablation A3", "batch size", []int{1, 2, 4, 8, 20, 40}, BatchSizeSetup},
+}
+
+// Count runs every variant of s at x once, in one environment on the
+// instant network, and returns the variants' names and counts.
+func (s Series) Count(x int) ([]string, []Counts, error) {
+	env, err := newEnv(netsim.New(netsim.Instant), &transport.Recorder{}, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	return table, nil
+	defer env.Close()
+	variants, err := s.Setup(env, x)
+	if err != nil {
+		return nil, nil, err
+	}
+	names := make([]string, len(variants))
+	counts := make([]Counts, len(variants))
+	for i, v := range variants {
+		names[i] = v.Name
+		if counts[i], err = v.count(); err != nil {
+			return nil, nil, fmt.Errorf("%s x=%d %w", s.Name, x, err)
+		}
+	}
+	return names, counts, nil
+}
+
+// Model is the latency counts c cost on link p: every round trip — the
+// client's and the server's loopback calls alike, which netsim routes over
+// the link too — pays p's RTT, and the client's bytes pay p's transmission
+// time.
+func (c Counts) Model(p netsim.Profile) time.Duration {
+	d := time.Duration(c.Trips+c.Loopback) * p.RTT
+	if p.BitsPerSecond > 0 {
+		d += time.Duration(float64(c.BytesOut+c.BytesIn) * 8 / p.BitsPerSecond * float64(time.Second))
+	}
+	return d
+}
+
+// result returns the one result of a call that must return one T, or an
+// error naming what came back instead.
+func result[T any](method string, res []any) (T, error) {
+	var zero T
+	if len(res) != 1 {
+		return zero, fmt.Errorf("%s returned %d results, want 1", method, len(res))
+	}
+	v, ok := res[0].(T)
+	if !ok {
+		return zero, fmt.Errorf("%s returned %T, want %v", method, res[0], reflect.TypeFor[T]())
+	}
+	return v, nil
 }
 
 // --- Figures 5-6: no-op -------------------------------------------------------
@@ -79,7 +103,7 @@ func runFigure(cfg Config, fig, title, xlabel string, xs []int, setup Setup) (*T
 // NoopSetup builds the no-op workload: n do-nothing calls, RMI one round
 // trip each vs BRMI a single batch (§5.3).
 func NoopSetup(env *Env, n int) ([]Variant, error) {
-	ref, err := env.Export(&NoopService{}, "bench.Noop")
+	ref, err := env.Server.Export(&NoopService{}, "bench.Noop")
 	if err != nil {
 		return nil, err
 	}
@@ -109,12 +133,7 @@ func NoopSetup(env *Env, n int) ([]Variant, error) {
 		}
 		return nil
 	}
-	return []Variant{{"RMI", rmiOp}, {"BRMI", brmiOp}}, nil
-}
-
-// RunNoop reproduces Figures 5 (LAN) / 6 (wireless).
-func RunNoop(cfg Config, calls []int) (*Table, error) {
-	return runFigure(cfg, figName(cfg, 5, 6), "No-op", "method calls", calls, NoopSetup)
+	return []Variant{{"RMI", env, rmiOp}, {"BRMI", env, brmiOp}}, nil
 }
 
 // --- Figures 7-9: linked list traversal ----------------------------------------
@@ -122,34 +141,16 @@ func RunNoop(cfg Config, calls []int) (*Table, error) {
 // ListSetup builds the linked-list traversal workload: follow n Next
 // references then read the value. The RMI version marshals a remote object
 // per step; BRMI keeps the chain server-side (§5.3).
-func ListSetup(env *Env, n int) ([]Variant, error) {
-	ref, err := env.Export(BuildList(n+2), "bench.ListNode")
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	rmiOp := func() error { return rmiTraverse(ctx, env.Client, ref, n) }
-	brmiOp := func() error {
-		b := core.New(env.Client, ref)
-		cur := b.Root()
-		for i := 0; i < n; i++ {
-			cur = cur.CallBatch("Next")
-		}
-		v := cur.Call("GetValue")
-		if err := b.Flush(ctx); err != nil {
-			return err
-		}
-		return expectValue(v, n)
-	}
-	return []Variant{{"RMI", rmiOp}, {"BRMI", brmiOp}}, nil
-}
+func ListSetup(env *Env, n int) ([]Variant, error) { return listSetup(env, n, false) }
 
 // ListNoBatchSetup is the Figure 9 variant: BRMI flushes after every call
 // (batches of size one). Both sides pay one round trip per step; BRMI still
 // wins because replies carry sequence numbers instead of marshalled remote
 // objects (§5.3).
-func ListNoBatchSetup(env *Env, n int) ([]Variant, error) {
-	ref, err := env.Export(BuildList(n+2), "bench.ListNode")
+func ListNoBatchSetup(env *Env, n int) ([]Variant, error) { return listSetup(env, n, true) }
+
+func listSetup(env *Env, n int, flushEach bool) ([]Variant, error) {
+	ref, err := env.Server.Export(BuildList(n+2), "bench.ListNode")
 	if err != nil {
 		return nil, err
 	}
@@ -160,6 +161,9 @@ func ListNoBatchSetup(env *Env, n int) ([]Variant, error) {
 		cur := b.Root()
 		for i := 0; i < n; i++ {
 			cur = cur.CallBatch("Next")
+			if !flushEach {
+				continue
+			}
 			if err := b.FlushAndContinue(ctx); err != nil {
 				return err
 			}
@@ -168,20 +172,13 @@ func ListNoBatchSetup(env *Env, n int) ([]Variant, error) {
 		if err := b.Flush(ctx); err != nil {
 			return err
 		}
-		return expectValue(v, n)
-	}
-	return []Variant{{"RMI", rmiOp}, {"BRMI", brmiOp}}, nil
-}
-
-func expectValue(f *core.Future, want int) error {
-	got, err := core.Typed[int](f).Get()
-	if err != nil {
+		got, err := core.Typed[int](v).Get()
+		if err == nil && got != n {
+			err = fmt.Errorf("traversed to %d, want %d", got, n)
+		}
 		return err
 	}
-	if got != want {
-		return fmt.Errorf("traversed to %d, want %d", got, want)
-	}
-	return nil
+	return []Variant{{"RMI", env, rmiOp}, {"BRMI", env, brmiOp}}, nil
 }
 
 func rmiTraverse(ctx context.Context, client *rmi.Peer, ref wire.Ref, n int) error {
@@ -191,9 +188,9 @@ func rmiTraverse(ctx context.Context, client *rmi.Peer, ref wire.Ref, n int) err
 		if err != nil {
 			return err
 		}
-		holder, ok := res[0].(rmi.RefHolder)
-		if !ok {
-			return fmt.Errorf("Next returned %T", res[0])
+		holder, err := result[rmi.RefHolder]("Next", res)
+		if err != nil {
+			return err
 		}
 		cur = holder.Ref()
 	}
@@ -201,20 +198,14 @@ func rmiTraverse(ctx context.Context, client *rmi.Peer, ref wire.Ref, n int) err
 	if err != nil {
 		return err
 	}
-	if got := res[0].(int64); got != int64(n) {
+	got, err := result[int64]("GetValue", res)
+	if err != nil {
+		return err
+	}
+	if got != int64(n) {
 		return fmt.Errorf("traversed to %d, want %d", got, n)
 	}
 	return nil
-}
-
-// RunList reproduces Figures 7 (LAN) / 8 (wireless).
-func RunList(cfg Config, lengths []int) (*Table, error) {
-	return runFigure(cfg, figName(cfg, 7, 8), "Linked list traversal", "traversals", lengths, ListSetup)
-}
-
-// RunListNoBatch reproduces Figure 9.
-func RunListNoBatch(cfg Config, lengths []int) (*Table, error) {
-	return runFigure(cfg, "Fig. 9", "Linked list traversal, batches of size 1", "traversals", lengths, ListNoBatchSetup)
 }
 
 // --- Figures 10-11: remote simulation ------------------------------------------
@@ -229,7 +220,7 @@ const SimulationReps = 2
 // from preserved reference identity (§4.4).
 func SimulationSetup(env *Env, n int) ([]Variant, error) {
 	sim := &Simulation{}
-	ref, err := env.Export(sim, "bench.Simulation")
+	ref, err := env.Server.Export(sim, "bench.Simulation")
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +230,10 @@ func SimulationSetup(env *Env, n int) ([]Variant, error) {
 		if err != nil {
 			return err
 		}
-		bal := res[0].(rmi.RefHolder)
+		bal, err := result[rmi.RefHolder]("CreateBalancer", res)
+		if err != nil {
+			return err
+		}
 		for i := 0; i < n; i++ {
 			if _, err := env.Client.Call(ctx, ref, "PerformSimulationStep", SimulationReps, bal); err != nil {
 				return err
@@ -267,12 +261,7 @@ func SimulationSetup(env *Env, n int) ([]Variant, error) {
 		}
 		return res.Err()
 	}
-	return []Variant{{"RMI", rmiOp}, {"BRMI", brmiOp}}, nil
-}
-
-// RunSimulation reproduces Figures 10 (LAN) / 11 (wireless).
-func RunSimulation(cfg Config, steps []int) (*Table, error) {
-	return runFigure(cfg, figName(cfg, 10, 11), "Remote simulation", "simulation steps", steps, SimulationSetup)
+	return []Variant{{"RMI", env, rmiOp}, {"BRMI", env, brmiOp}}, nil
 }
 
 // --- Figures 12-13: remote file server ------------------------------------------
@@ -286,7 +275,7 @@ const FileServerTotalBytes = 100 << 10
 // RMI pays 1+5n round trips; BRMI one batch with a cursor (§5.1, §5.4).
 func FileServerSetup(env *Env, n int) ([]Variant, error) {
 	fs := NewFileServer(n, FileServerTotalBytes)
-	ref, err := env.Export(fs, "bench.FileServer")
+	ref, err := env.Server.Export(fs, "bench.FileServer")
 	if err != nil {
 		return nil, err
 	}
@@ -296,12 +285,15 @@ func FileServerSetup(env *Env, n int) ([]Variant, error) {
 		if err != nil {
 			return err
 		}
-		files, ok := res[0].([]any)
-		if !ok {
-			return fmt.Errorf("ListFiles returned %T", res[0])
+		files, err := result[[]any]("ListFiles", res)
+		if err != nil {
+			return err
 		}
 		for _, f := range files {
-			stub := f.(rmi.Invoker)
+			stub, ok := f.(rmi.Invoker)
+			if !ok {
+				return fmt.Errorf("ListFiles returned a %T element, want rmi.Invoker", f)
+			}
 			for _, m := range [...]string{"GetName", "IsDirectory", "LastModified", "Length", "Contents"} {
 				if _, err := stub.Invoke(ctx, m); err != nil {
 					return err
@@ -330,54 +322,38 @@ func FileServerSetup(env *Env, n int) ([]Variant, error) {
 		}
 		return nil
 	}
-	return []Variant{{"RMI", rmiOp}, {"BRMI", brmiOp}}, nil
-}
-
-// RunFileServer reproduces Figures 12 (LAN) / 13 (wireless).
-func RunFileServer(cfg Config, counts []int) (*Table, error) {
-	return runFigure(cfg, figName(cfg, 12, 13), "Remote file server", "files", counts, FileServerSetup)
+	return []Variant{{"RMI", env, rmiOp}, {"BRMI", env, brmiOp}}, nil
 }
 
 // --- Ablations (ours, motivated by DESIGN.md) -----------------------------------
 
-// RunAblationIdentity compares three substrate configurations on the
-// simulation workload: faithful RMI (loopback stubs), RMI with the
-// local-shortcut resolution Java chose not to implement, and BRMI identity
-// preservation (design decision 2 in DESIGN.md).
-func RunAblationIdentity(cfg Config, steps []int) (*Table, error) {
-	base, err := RunSimulation(cfg, steps)
+// IdentitySetup is ablation A1, on the simulation workload: faithful RMI
+// (loopback stubs), RMI with the local-shortcut resolution Java chose not to
+// implement (rmi.WithLocalShortcut, on a server of its own), and BRMI
+// identity preservation (design decision 2 in DESIGN.md).
+func IdentitySetup(env *Env, n int) ([]Variant, error) {
+	base, err := SimulationSetup(env, n)
 	if err != nil {
 		return nil, err
 	}
-	shortcutCfg := cfg
-	shortcutCfg.ServerOpts = append([]rmi.Option{rmi.WithLocalShortcut()}, cfg.ServerOpts...)
-	shortcut, err := RunSimulation(shortcutCfg, steps)
+	other, err := env.alongside(rmi.WithLocalShortcut())
 	if err != nil {
 		return nil, err
 	}
-	table := &Table{
-		Fig:     "Ablation A1",
-		Title:   "Reference identity: loopback vs local-shortcut vs BRMI",
-		XLabel:  "simulation steps",
-		Profile: cfg.Profile.Name,
-		Columns: []string{"RMI", "RMI+shortcut", "BRMI"},
+	shortcut, err := SimulationSetup(other, n)
+	if err != nil {
+		return nil, err
 	}
-	for i, row := range base.Rows {
-		table.Rows = append(table.Rows, Row{
-			X:     row.X,
-			Cells: []Cell{row.Cells[0], shortcut.Rows[i].Cells[0], row.Cells[1]},
-		})
-	}
-	return table, nil
+	shortcut[0].Name = "RMI+shortcut"
+	return []Variant{base[0], shortcut[0], base[1]}, nil
 }
 
-// StubsSetup compares recording overhead of the dynamic Proxy API against
-// generated typed batch interfaces (design decision 1 in DESIGN.md): both
-// record the same calls; the typed layer should add only wrapper cost. Run
-// on the instant profile so recording dominates.
+// StubsSetup is ablation A2: the dynamic Proxy API against generated typed
+// batch interfaces (design decision 1 in DESIGN.md) recording the same n
+// calls, so the typed layer can add only wrapper cost, never wire bytes.
 func StubsSetup(env *Env, n int) ([]Variant, error) {
 	fs := NewFileServer(1, 1024)
-	ref, err := env.Export(fs.files[0], fstest.FileIfaceName)
+	ref, err := env.Server.Export(fs.files[0], fstest.FileIfaceName)
 	if err != nil {
 		return nil, err
 	}
@@ -406,62 +382,34 @@ func StubsSetup(env *Env, n int) ([]Variant, error) {
 		_, err := futures[n-1].Get()
 		return err
 	}
-	return []Variant{{"dynamic", dynamic}, {"generated", typed}}, nil
+	return []Variant{{"dynamic", env, dynamic}, {"generated", env, typed}}, nil
 }
 
-// RunAblationStubs runs StubsSetup over call counts.
-func RunAblationStubs(cfg Config, callCounts []int) (*Table, error) {
-	return runFigure(cfg, "Ablation A2", "Recording overhead: dynamic vs generated stubs",
-		"recorded calls", callCounts, StubsSetup)
-}
+// BatchSizeCalls is ablation A3's fixed number of no-op calls.
+const BatchSizeCalls = 40
 
-// BatchSizeSetup sweeps flush granularity for a fixed number of no-op
+// BatchSizeSetup is ablation A3: BatchSizeCalls no-op calls flushed every k
 // calls, quantifying how batch size amortizes the round trip (generalizes
-// Figure 9). x is the batch size.
-func BatchSizeSetup(totalCalls int) Setup {
-	return func(env *Env, k int) ([]Variant, error) {
-		ref, err := env.Export(&NoopService{}, "bench.Noop")
-		if err != nil {
-			return nil, err
-		}
-		ctx := context.Background()
-		op := func() error {
-			//brmivet:ignore unflushed the last iteration flushes; the zero-call fall-through has nothing pending
-			b := core.New(env.Client, ref)
-			root := b.Root()
-			pending := 0
-			for i := 0; i < totalCalls; i++ {
-				root.Call("Noop")
-				pending++
-				last := i == totalCalls-1
-				switch {
-				case last:
-					return b.Flush(ctx)
-				case pending == k:
-					if err := b.FlushAndContinue(ctx); err != nil {
-						return err
-					}
-					pending = 0
+// Figure 9).
+func BatchSizeSetup(env *Env, k int) ([]Variant, error) {
+	ref, err := env.Server.Export(&NoopService{}, "bench.Noop")
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	op := func() error {
+		b := core.New(env.Client, ref)
+		root := b.Root()
+		for i := 1; i < BatchSizeCalls; i++ {
+			root.Call("Noop")
+			if i%k == 0 {
+				if err := b.FlushAndContinue(ctx); err != nil {
+					return err
 				}
 			}
-			return nil
 		}
-		return []Variant{{"BRMI", op}}, nil
+		root.Call("Noop")
+		return b.Flush(ctx)
 	}
-}
-
-// RunAblationBatchSize runs BatchSizeSetup over batch sizes.
-func RunAblationBatchSize(cfg Config, totalCalls int, batchSizes []int) (*Table, error) {
-	return runFigure(cfg, "Ablation A3",
-		fmt.Sprintf("Flush granularity (%d no-op calls total)", totalCalls),
-		"batch size", batchSizes, BatchSizeSetup(totalCalls))
-}
-
-// figName picks the LAN or wireless figure number from the profile name
-// (scaled profiles keep the base name as a prefix, e.g. "wireless/14").
-func figName(cfg Config, lanFig, wirelessFig int) string {
-	if strings.HasPrefix(cfg.Profile.Name, netsim.Wireless.Name) {
-		return fmt.Sprintf("Fig. %d", wirelessFig)
-	}
-	return fmt.Sprintf("Fig. %d", lanFig)
+	return []Variant{{"BRMI", env, op}}, nil
 }

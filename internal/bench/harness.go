@@ -1,14 +1,14 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
-	"math"
-	"sort"
-	"time"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/rmi"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -20,35 +20,23 @@ type Env struct {
 	Client  *rmi.Peer
 	Exec    *core.Executor
 
+	tap     *transport.Recorder // the client's dialer when the env counts bytes
 	cleanup []func()
-}
-
-// EnvOption configures environment construction.
-type EnvOption func(*envConfig)
-
-type envConfig struct {
-	serverOpts []rmi.Option
-}
-
-// WithServerOptions adds rmi.Peer options to the server (e.g.
-// rmi.WithLocalShortcut for the identity ablation).
-func WithServerOptions(opts ...rmi.Option) EnvOption {
-	return func(c *envConfig) { c.serverOpts = append(c.serverOpts, opts...) }
 }
 
 func silentLogf(string, ...any) {}
 
 // NewEnv builds a serving peer with the BRMI executor installed, plus a
 // client peer, on a network with the given profile.
-func NewEnv(profile netsim.Profile, opts ...EnvOption) (*Env, error) {
-	var cfg envConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	network := netsim.New(profile)
-	serverOpts := append([]rmi.Option{rmi.WithLogf(silentLogf)}, cfg.serverOpts...)
-	server := rmi.NewPeer(network, serverOpts...)
-	env := &Env{Network: network, Server: server}
+func NewEnv(profile netsim.Profile) (*Env, error) {
+	return newEnv(netsim.New(profile), nil, nil)
+}
+
+// newEnv builds an Env on network, which it owns, whose server takes opts.
+// The client dials through t when t is not nil.
+func newEnv(network *netsim.Network, t *transport.Recorder, opts []rmi.Option) (*Env, error) {
+	server := rmi.NewPeer(network, append([]rmi.Option{rmi.WithLogf(silentLogf)}, opts...)...)
+	env := &Env{Network: network, Server: server, tap: t}
 	env.cleanup = append(env.cleanup, func() { _ = network.Close() })
 	if err := server.Serve("server"); err != nil {
 		env.Close()
@@ -62,15 +50,31 @@ func NewEnv(profile netsim.Profile, opts ...EnvOption) (*Env, error) {
 	}
 	env.Exec = exec
 	env.cleanup = append(env.cleanup, exec.Stop)
-	client := rmi.NewPeer(network, rmi.WithLogf(silentLogf))
+	var dialer transport.Network = network
+	if t != nil {
+		t.Network = network
+		dialer = t
+	}
+	client := rmi.NewPeer(dialer, rmi.WithLogf(silentLogf))
 	env.Client = client
 	env.cleanup = append(env.cleanup, func() { _ = client.Close() })
 	return env, nil
 }
 
-// Export exports obj on the server.
-func (e *Env) Export(obj rmi.Remote, iface string) (wire.Ref, error) {
-	return e.Server.Export(obj, iface)
+// alongside builds a second Env on a network with e's profile and clock,
+// whose server takes opts; it counts bytes when e does, and e.Close closes it.
+func (e *Env) alongside(opts ...rmi.Option) (*Env, error) {
+	var t *transport.Recorder
+	if e.tap != nil {
+		t = &transport.Recorder{}
+	}
+	network := netsim.New(e.Network.Profile(), netsim.WithClock(e.Network.Clock()))
+	other, err := newEnv(network, t, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.cleanup = append(e.cleanup, other.Close)
+	return other, nil
 }
 
 // Close tears the environment down.
@@ -81,88 +85,93 @@ func (e *Env) Close() {
 	e.cleanup = nil
 }
 
-// Stats summarizes repeated measurements.
-type Stats struct {
-	N                  int
-	Mean, Std          time.Duration
-	Min, P50, P95, Max time.Duration
+// Counts is what one run of a variant costs, exactly.
+type Counts struct {
+	// Trips is the client's round trips (rmi.Peer.CallCount).
+	Trips uint64 `json:"trips"`
+	// Loopback is the server's own calls: through stubs of objects it
+	// exports itself, the only server there is.
+	Loopback uint64 `json:"loopback"`
+	// BytesOut and BytesIn are what the client's connection carried each
+	// way, frame headers included and the DGC's traffic left out (carried).
+	BytesOut int `json:"bytes_out"`
+	BytesIn  int `json:"bytes_in"`
 }
 
-// Millis returns the mean in milliseconds (the paper's unit).
-func (s Stats) Millis() float64 { return float64(s.Mean) / float64(time.Millisecond) }
+// count runs v once and returns what it cost. v.Env must count bytes.
+func (v Variant) count() (Counts, error) {
+	e := v.Env
+	trips, loopback := e.Client.CallCount(), e.Server.CallCount()
+	out, in, err := carried(e.tap)
+	if err != nil {
+		return Counts{}, err
+	}
+	if err := v.Op(); err != nil {
+		return Counts{}, fmt.Errorf("%s: %w", v.Name, err)
+	}
+	out2, in2, err := carried(e.tap)
+	if err != nil {
+		return Counts{}, err
+	}
+	return Counts{
+		Trips:    e.Client.CallCount() - trips,
+		Loopback: e.Server.CallCount() - loopback,
+		BytesOut: out2 - out,
+		BytesIn:  in2 - in,
+	}, nil
+}
 
-// Measure runs op reps times after warmup warm-up runs and summarizes the
-// durations. The paper repeated its benchmarks 5000-10000 times on real
-// hardware; on the simulated network the per-run noise is far smaller, so
-// small rep counts already converge.
-func Measure(warmup, reps int, op func() error) (Stats, error) {
-	for i := 0; i < warmup; i++ {
-		if err := op(); err != nil {
-			return Stats{}, fmt.Errorf("warmup: %w", err)
+// carried sums what the recorded connections carried so far, each way,
+// minus the DGC's share. DGC Dirty and Clean calls are asynchronous and
+// coalesce, so how many a run makes is not deterministic: a call on
+// rmi.DGCObjID and its reply are skipped, and since DGC calls also advance
+// the connection's frame ids, whose varint grows at 16, every other frame is
+// counted with the header it has as the connection's k-th non-DGC call. A
+// DGC frame may still be arriving, so the tail may end mid-frame; a
+// workload's own frames are complete once its op has returned.
+func carried(r *transport.Recorder) (out, in int, err error) {
+	sent, received := r.Recorded()
+	for i := range sent {
+		frames, err := decodeFrames(sent[i])
+		if err != nil {
+			return 0, 0, err
+		}
+		renumbered := map[uint64]uint64{}
+		for _, f := range frames {
+			if f.Kind == transport.KindRequest && isDGC(f.Payload) {
+				continue
+			}
+			renumbered[f.ID] = uint64(len(renumbered) + 1)
+			out += f.SizeAs(renumbered[f.ID])
+		}
+		if frames, err = decodeFrames(received[i]); err != nil {
+			return 0, 0, err
+		}
+		for _, f := range frames {
+			if id, ok := renumbered[f.ID]; ok {
+				in += f.SizeAs(id)
+			}
 		}
 	}
-	durations := make([]time.Duration, 0, reps)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		if err := op(); err != nil {
-			return Stats{}, fmt.Errorf("rep %d: %w", i, err)
-		}
-		durations = append(durations, time.Since(start))
-	}
-	return summarize(durations), nil
+	return out, in, nil
 }
 
-func summarize(ds []time.Duration) Stats {
-	if len(ds) == 0 {
-		return Stats{}
+// decodeFrames splits a recorded byte stream into its complete frames.
+func decodeFrames(b []byte) ([]transport.Frame, error) {
+	frames, err := transport.DecodeFrames(b)
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		err = nil
 	}
-	sorted := make([]time.Duration, len(ds))
-	copy(sorted, ds)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
-	}
-	mean := sum / time.Duration(len(sorted))
-	var varSum float64
-	for _, d := range sorted {
-		diff := float64(d - mean)
-		varSum += diff * diff
-	}
-	std := time.Duration(math.Sqrt(varSum / float64(len(sorted))))
-	pct := func(p float64) time.Duration {
-		idx := int(p * float64(len(sorted)-1))
-		return sorted[idx]
-	}
-	return Stats{
-		N:    len(sorted),
-		Mean: mean,
-		Std:  std,
-		Min:  sorted[0],
-		P50:  pct(0.50),
-		P95:  pct(0.95),
-		Max:  sorted[len(sorted)-1],
-	}
+	return frames, err
 }
 
-// Cell is one measured variant at one x-position.
-type Cell struct {
-	S     Stats
-	Calls uint64 // network round trips per operation
-}
-
-// Row is one x-position of a figure.
-type Row struct {
-	X     int
-	Cells []Cell // parallel to Table.Columns
-}
-
-// Table is one reproduced figure (or ablation): a named series per column.
-type Table struct {
-	Fig     string // "Fig. 5"
-	Title   string
-	XLabel  string
-	Profile string
-	Columns []string // e.g. {"RMI", "BRMI"}
-	Rows    []Row
+// isDGC reports whether a call frame's payload, an rmi.call.req, addresses
+// the DGC.
+func isDGC(payload []byte) bool {
+	_, fields, err := wire.Fields(payload)
+	if err != nil || len(fields) == 0 {
+		return false
+	}
+	id, err := wire.Unmarshal(payload[fields[0].Off : fields[0].Off+fields[0].Len])
+	return err == nil && id == rmi.DGCObjID
 }

@@ -1,8 +1,11 @@
-// Package bench provides the benchmark harness that regenerates the paper's
-// evaluation (Figures 5-13, §5.2-§5.4): the workload services, RMI and BRMI
-// client drivers, measurement utilities, and paper-style series printing.
-// cmd/benchfig prints the figures; this package's tests pin the round trips
-// and loopback calls that cause each figure's shape as exact counts.
+// Package bench reproduces the paper's evaluation (Figures 5-13, §5.2-§5.4)
+// and three ablations as exact counts: the workload services, their RMI and
+// BRMI client drivers, and the series (Paper) that sweep them. Each run of a
+// variant yields its client round trips, the server's loopback calls and the
+// bytes the client's connection carried (Series.Count); latency follows from
+// the counts (Counts.Model), a model this package's tests check against
+// netsim's virtual clock. TestPaperFigures holds every series to the
+// committed BENCH_paper.json and rewrites it with -update.
 package bench
 
 import (
@@ -10,9 +13,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/rmi"
-	"repro/internal/wire"
 )
 
 // --- no-op service (Figures 5-6) ---------------------------------------------
@@ -35,43 +36,6 @@ func (s *NoopService) DispatchLocal(_ context.Context, method string, _ []any, b
 	}
 	s.Noop()
 	return buf[:0], true, nil
-}
-
-// --- echo service (hot-path allocation budget) ---------------------------------
-
-// Payload is the marshal-heavy argument/result of the hot-path workload
-// (TestHotPathAllocBudget): a registered struct with a string, integers, a byte body, and a duration,
-// so every recorded call exercises the full codec surface (type definition,
-// field encode/decode, byte copy) rather than just the framing.
-type Payload struct {
-	ID      int64
-	Name    string
-	Seq     uint64
-	Data    []byte
-	Elapsed time.Duration
-}
-
-// EchoService is the remote object of the hot-path workload: Echo returns
-// its argument, so each call marshals the payload twice (request and
-// response) on both peers.
-type EchoService struct {
-	rmi.RemoteBase
-}
-
-// Echo returns p unchanged.
-func (s *EchoService) Echo(p Payload) Payload { return p }
-
-// DispatchLocal is the reflection-free skeleton (rmi.LocalDispatcher),
-// mirroring what brmigen's Dispatch<Iface> helper emits.
-func (s *EchoService) DispatchLocal(_ context.Context, method string, args []any, buf []any) ([]any, bool, error) {
-	if method != "Echo" || len(args) != 1 {
-		return nil, false, nil
-	}
-	p, ok := args[0].(Payload)
-	if !ok {
-		return nil, false, nil // odd argument form; reflective dispatch converts
-	}
-	return append(buf[:0], s.Echo(p)), true, nil
 }
 
 // --- linked list (Figures 7-9) -------------------------------------------------
@@ -113,9 +77,6 @@ type Balancer struct {
 
 // Balance performs one balancing operation.
 func (b *Balancer) Balance() { b.calls++ }
-
-// Calls reports how many balance operations ran.
-func (b *Balancer) Calls() int { return b.calls }
 
 // Simulation mirrors the paper's Simulation remote object (§5.3).
 type Simulation struct {
@@ -189,16 +150,20 @@ type FileServer struct {
 }
 
 // NewFileServer creates a server directory with n files whose sizes sum to
-// totalBytes, mirroring the macro benchmark setup (10 files, 100 KB total).
+// totalBytes, mirroring the macro benchmark setup (10 files, 100 KB total):
+// the first totalBytes%n files are one byte longer than the rest.
 func NewFileServer(n, totalBytes int) *FileServer {
 	fs := &FileServer{}
 	if n <= 0 {
 		return fs
 	}
-	per := totalBytes / n
 	base := time.Date(2009, 6, 22, 10, 0, 0, 0, time.UTC)
 	for i := 0; i < n; i++ {
-		body := make([]byte, per)
+		size := totalBytes / n
+		if i < totalBytes%n {
+			size++
+		}
+		body := make([]byte, size)
 		for j := range body {
 			body[j] = byte(i + j)
 		}
@@ -214,88 +179,8 @@ func NewFileServer(n, totalBytes int) *FileServer {
 // ListFiles returns all files.
 func (fs *FileServer) ListFiles() []*RemoteFile { return fs.files }
 
-// Payload travels on every hot-path workload call; it installs a
-// compiled wire codec like the protocol messages do, the pattern an
-// application type opts into for its own hot paths.
-func encPayload(x wire.Enc, p *Payload) error {
-	n := 5
-	if p.Elapsed == 0 {
-		n = 4
-		if p.Data == nil {
-			n = 3
-			if p.Seq == 0 {
-				n = 2
-				if p.Name == "" {
-					n = 1
-					if p.ID == 0 {
-						n = 0
-					}
-				}
-			}
-		}
-	}
-	x.BeginStruct("bench.payload", n)
-	if n > 0 {
-		x.Int(p.ID)
-	}
-	if n > 1 {
-		x.Str(p.Name)
-	}
-	if n > 2 {
-		x.Uint(p.Seq)
-	}
-	if n > 3 {
-		x.BytesVal(p.Data)
-	}
-	if n > 4 {
-		x.Int(int64(p.Elapsed))
-	}
-	return nil
-}
-
-func decPayload(x wire.Dec, p *Payload, n int) error {
-	var err error
-	if n > 0 {
-		if p.ID, err = x.Int(); err != nil {
-			return err
-		}
-	}
-	if n > 1 {
-		if p.Name, err = x.Str(); err != nil {
-			return err
-		}
-	}
-	if n > 2 {
-		if p.Seq, err = x.Uint(); err != nil {
-			return err
-		}
-	}
-	if n > 3 {
-		if p.Data, err = x.BytesVal(); err != nil {
-			return err
-		}
-	}
-	if n > 4 {
-		if p.Elapsed, err = x.Dur(); err != nil {
-			return err
-		}
-	}
-	return x.SkipFields(n - 5)
-}
-
 func init() {
 	rmi.RegisterImpl("bench.ListNode", &ListNode{})
 	rmi.RegisterImpl("bench.Balancer", &Balancer{})
 	rmi.RegisterImpl("bench.RemoteFile", &RemoteFile{})
-	wire.MustRegisterCompiled("bench.payload", false, encPayload, decPayload)
 }
-
-// ensure the workload types stay wire-compatible (compile-time checks).
-var (
-	_ rmi.Remote = (*NoopService)(nil)
-	_ rmi.Remote = (*ListNode)(nil)
-	_ rmi.Remote = (*Simulation)(nil)
-	_ rmi.Remote = (*FileServer)(nil)
-	_            = wire.Ref{}
-	_            = core.RootTarget
-)

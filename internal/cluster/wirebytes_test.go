@@ -6,10 +6,7 @@ package cluster_test
 // op and one replicated op are pinned per category, exactly.
 
 import (
-	"bytes"
 	"context"
-	"net"
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -19,47 +16,6 @@ import (
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
-
-// byteTap records both directions of every connection dialed through it.
-type byteTap struct {
-	transport.Network
-	mu    sync.Mutex
-	conns []*recordedConn
-}
-
-func (n *byteTap) Dial(ctx context.Context, endpoint string) (net.Conn, error) {
-	c, err := n.Network.Dial(ctx, endpoint)
-	if err != nil {
-		return nil, err
-	}
-	rc := &recordedConn{Conn: c}
-	n.mu.Lock()
-	n.conns = append(n.conns, rc)
-	n.mu.Unlock()
-	return rc, nil
-}
-
-type recordedConn struct {
-	net.Conn
-	mu      sync.Mutex
-	out, in bytes.Buffer
-}
-
-func (c *recordedConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.mu.Lock()
-	c.out.Write(p[:n])
-	c.mu.Unlock()
-	return n, err
-}
-
-func (c *recordedConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.mu.Lock()
-	c.in.Write(p[:n])
-	c.mu.Unlock()
-	return n, err
-}
 
 // wireBytes attributes a connection's bytes:
 //   - Header: frame headers (transport);
@@ -79,16 +35,13 @@ func (w wireBytes) total() int {
 	return w.Header + w.Envelope + w.Method + w.Calls + w.Results + w.Roots + w.Directive + w.Other
 }
 
-// attribute splits every byte the tap recorded into w's categories and
-// returns them with the recorded total.
-func (n *byteTap) attribute(t *testing.T) (w wireBytes, recorded int) {
+// attribute splits every byte tap recorded into w's categories and returns
+// them with the recorded total.
+func attribute(t *testing.T, tap *transport.Recorder) (w wireBytes, recorded int) {
 	t.Helper()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, c := range n.conns {
-		c.mu.Lock()
-		out, in := c.out.Bytes(), c.in.Bytes()
-		c.mu.Unlock()
+	outs, ins := tap.Recorded()
+	for i, out := range outs {
+		in := ins[i]
 		recorded += len(out) + len(in)
 		flushes := map[uint64]bool{}
 		for _, f := range decodeFrames(t, out) {
@@ -198,8 +151,8 @@ func (w *wireBytes) reply(t *testing.T, payload []byte) {
 }
 
 // tappedClient is a fresh client peer whose connections are recorded.
-func tappedClient(t *testing.T, ec *clustertest.Cluster) (*rmi.Peer, *byteTap) {
-	tap := &byteTap{Network: ec.Network.Host("tapped-client")}
+func tappedClient(t *testing.T, ec *clustertest.Cluster) (*rmi.Peer, *transport.Recorder) {
+	tap := &transport.Recorder{Network: ec.Network.Host("tapped-client")}
 	client := rmi.NewPeer(tap, rmi.WithLogf(clustertest.SilentLogf))
 	t.Cleanup(func() { _ = client.Close() })
 	return client, tap
@@ -284,7 +237,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 			if trips := int(client.CallCount() - before); trips != c.trips {
 				t.Fatalf("the op took %d round trips, want %d", trips, c.trips)
 			}
-			got, recorded := tap.attribute(t)
+			got, recorded := attribute(t, tap)
 			if got.total() != recorded {
 				t.Fatalf("attributed %d of %d recorded bytes", got.total(), recorded)
 			}

@@ -314,7 +314,7 @@ func TestCursorKindMismatchNonSlice(t *testing.T) {
 // TestSessionTTLRefreshedByChainedFlush: every chained flush pushes the
 // session expiry out, so long chains survive as long as they keep talking.
 func TestSessionTTLRefreshedByChainedFlush(t *testing.T) {
-	fx := newFixture(t, core.WithSessionTTL(80*time.Millisecond))
+	fx := newFixtureTTL(t, 80*time.Millisecond)
 	ctx := context.Background()
 	b := core.New(fx.client, fx.dirRef)
 	root := b.Root()

@@ -176,7 +176,13 @@ func baseDate(day int) time.Time {
 	return time.Date(2009, 6, day, 0, 0, 0, 0, time.UTC)
 }
 
-func newFixture(t *testing.T, execOpts ...core.ExecOption) *fixture {
+func newFixture(t *testing.T) *fixture {
+	t.Helper()
+	return newFixtureTTL(t, core.DefaultSessionTTL)
+}
+
+// newFixtureTTL is newFixture with chained sessions that expire after ttl.
+func newFixtureTTL(t *testing.T, ttl time.Duration) *fixture {
 	t.Helper()
 	network := netsim.New(netsim.Instant)
 	t.Cleanup(func() { _ = network.Close() })
@@ -185,7 +191,7 @@ func newFixture(t *testing.T, execOpts ...core.ExecOption) *fixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = server.Close() })
-	exec, err := core.Install(server, execOpts...)
+	exec, err := core.InstallWithTTL(server, ttl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -771,7 +777,7 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 func TestSessionExpiry(t *testing.T) {
-	fx := newFixture(t, core.WithSessionTTL(30*time.Millisecond))
+	fx := newFixtureTTL(t, 30*time.Millisecond)
 	ctx := context.Background()
 	b := core.New(fx.client, fx.dirRef)
 	root := b.Root()

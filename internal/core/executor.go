@@ -90,26 +90,18 @@ func (s *session) bindFailure(seq int64, err error) {
 	s.failures[seq] = err
 }
 
-// ExecOption configures the Executor.
-type ExecOption func(*Executor)
-
-// WithSessionTTL sets how long sessions survive between chained flushes.
-func WithSessionTTL(d time.Duration) ExecOption {
-	return func(e *Executor) { e.ttl = d }
-}
-
 // Install exports the batch executor on p at the reserved BRMI object id
 // and starts the session expiry sweeper. Call Stop (or close the peer and
 // Stop) on shutdown.
-func Install(p *rmi.Peer, opts ...ExecOption) (*Executor, error) {
+func Install(p *rmi.Peer) (*Executor, error) { return install(p, DefaultSessionTTL) }
+
+// install is Install with sessions that survive ttl between chained flushes.
+func install(p *rmi.Peer, ttl time.Duration) (*Executor, error) {
 	e := &Executor{
 		peer:     p,
-		ttl:      DefaultSessionTTL,
+		ttl:      ttl,
 		sessions: make(map[uint64]*session),
 		done:     make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(e)
 	}
 	if reg := p.Stats(); reg != nil {
 		e.reg = reg

@@ -1,10 +1,20 @@
 package core
 
+import (
+	"time"
+
+	"repro/internal/rmi"
+)
+
 // PolicyActionForTest exposes the policy matcher to the external test
 // package for property testing.
 func PolicyActionForTest(p *Policy, err error, method string, index int) Action {
 	return p.actionFor(err, method, index)
 }
+
+// InstallWithTTL installs the executor with sessions that expire after ttl
+// between chained flushes, for the tests of session expiry.
+func InstallWithTTL(p *rmi.Peer, ttl time.Duration) (*Executor, error) { return install(p, ttl) }
 
 // The flush messages, for the external tests of their wire form.
 type (

@@ -391,7 +391,7 @@ func TestValueRefHostile(t *testing.T) {
 // expires like any other, and what its waves produced went with each wave —
 // the next flush of the chain cannot reach a value of the previous one.
 func TestValueTableIsNotSessionState(t *testing.T) {
-	fx := newFixture(t, core.WithSessionTTL(30*time.Millisecond))
+	fx := newFixtureTTL(t, 30*time.Millisecond)
 	ctx := context.Background()
 	_, ref := exportCounter(t, fx)
 	exec := rmi.SystemRef("server", rmi.BatchObjID, rmi.BatchIface)

@@ -13,11 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,52 +40,29 @@ func init() {
 
 const streamHost = "stream-server"
 
-// tapNetwork records every byte the connections dialed through it deliver
-// to their reader: the serving peer's half of the conversation.
-type tapNetwork struct {
-	transport.Network
-	mu sync.Mutex
-	in bytes.Buffer
-}
-
-func (n *tapNetwork) Dial(ctx context.Context, endpoint string) (net.Conn, error) {
-	c, err := n.Network.Dial(ctx, endpoint)
-	if err != nil {
-		return nil, err
-	}
-	return &tapConn{Conn: c, tap: n}, nil
-}
-
-type tapConn struct {
-	net.Conn
-	tap *tapNetwork
-}
-
-func (c *tapConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.tap.mu.Lock()
-	c.tap.in.Write(p[:n])
-	c.tap.mu.Unlock()
-	return n, err
-}
-
-// chunks returns the chunk frames among the recorded bytes, decoded by the
-// transport's own frame reader.
-func (n *tapNetwork) chunks(t *testing.T) []transport.Frame {
+// chunkFrames returns the chunk frames the client's connections received,
+// decoded by the transport's own frame reader.
+func chunkFrames(t *testing.T, tap *transport.Recorder) []transport.Frame {
 	t.Helper()
-	n.mu.Lock()
-	b := append([]byte(nil), n.in.Bytes()...)
-	n.mu.Unlock()
-	frames, err := transport.DecodeFrames(b)
-	if err != nil {
-		t.Fatalf("recorded bytes: %v", err)
+	_, in := tap.Recorded()
+	var out []transport.Frame
+	for _, b := range in {
+		frames, err := transport.DecodeFrames(b)
+		if err != nil {
+			t.Fatalf("recorded bytes: %v", err)
+		}
+		for _, f := range frames {
+			if f.Kind == transport.KindChunk {
+				out = append(out, f)
+			}
+		}
 	}
-	return slices.DeleteFunc(frames, func(f transport.Frame) bool { return f.Kind != transport.KindChunk })
+	return out
 }
 
 type streamEnv struct {
 	server, client *rmi.Peer
-	tap            *tapNetwork
+	tap            *transport.Recorder
 }
 
 // newStreamEnv serves handler as stream service "svc" and returns a client
@@ -103,7 +78,7 @@ func newStreamEnv(t *testing.T, handler rmi.StreamServer) *streamEnv {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = server.Close() })
-	tap := &tapNetwork{Network: network}
+	tap := &transport.Recorder{Network: network}
 	client := rmi.NewPeer(tap, rmi.WithLogf(silentLogf))
 	t.Cleanup(func() { _ = client.Close() })
 	return &streamEnv{server: server, client: client, tap: tap}
@@ -214,7 +189,7 @@ func TestSlowProducerStillStreams(t *testing.T) {
 		t.Errorf("entries took %v from WriteEntry to Next (median %v); the linger is meant to be the worst added delay", waits, median)
 	}
 	// Eight lone entries: eight data chunks and the (now empty) fin.
-	if got := env.tap.chunks(t); len(got) != k+1 {
+	if got := chunkFrames(t, env.tap); len(got) != k+1 {
 		t.Errorf("slow stream of %d entries took %d chunks, want %d", k, len(got), k+1)
 	}
 }
@@ -244,7 +219,7 @@ func burst(t *testing.T, k, wantChunks int) ([]any, []transport.Frame) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks = env.tap.chunks(t)
+		chunks = chunkFrames(t, env.tap)
 		if len(chunks) <= wantChunks {
 			break
 		}
@@ -417,7 +392,7 @@ func TestStreamEntryEncodeFailure(t *testing.T) {
 		t.Fatalf("failing stream delivered %d entries then %v; want 1 and the encode error", len(entries), err)
 	}
 	fail.Store(false)
-	before := len(env.tap.chunks(t))
+	before := len(chunkFrames(t, env.tap))
 	sc = env.open(t)
 	entries, err = readAll(t, sc)
 	sc.Close()
@@ -425,7 +400,7 @@ func TestStreamEntryEncodeFailure(t *testing.T) {
 		t.Fatalf("fresh stream delivered %d entries then %v; want 2 and io.EOF", len(entries), err)
 	}
 	var stream []byte
-	for _, ch := range env.tap.chunks(t)[before:] {
+	for _, ch := range chunkFrames(t, env.tap)[before:] {
 		stream = append(stream, ch.Payload...)
 	}
 	if n := bytes.Count(stream, []byte("rmitest.item")); n != 1 {

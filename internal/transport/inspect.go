@@ -3,8 +3,68 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
+	"net"
+	"sync"
 )
+
+// Recorder is a Network whose dialed connections record both directions,
+// for the tests and tools that attribute a connection's bytes with
+// DecodeFrames.
+type Recorder struct {
+	Network
+	mu    sync.Mutex
+	conns []*recordedConn
+}
+
+// Dial dials through the embedded Network and records the connection.
+func (r *Recorder) Dial(ctx context.Context, endpoint string) (net.Conn, error) {
+	c, err := r.Network.Dial(ctx, endpoint)
+	if err != nil {
+		return nil, err
+	}
+	rc := &recordedConn{Conn: c}
+	r.mu.Lock()
+	r.conns = append(r.conns, rc)
+	r.mu.Unlock()
+	return rc, nil
+}
+
+// Recorded returns a copy of what each dialed connection has carried so
+// far, in dial order: the bytes written and the bytes read.
+func (r *Recorder) Recorded() (out, in [][]byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range r.conns {
+		c.mu.Lock()
+		out, in = append(out, bytes.Clone(c.out.Bytes())), append(in, bytes.Clone(c.in.Bytes()))
+		c.mu.Unlock()
+	}
+	return out, in
+}
+
+type recordedConn struct {
+	net.Conn
+	mu      sync.Mutex
+	out, in bytes.Buffer
+}
+
+func (c *recordedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.mu.Lock()
+	c.out.Write(p[:n])
+	c.mu.Unlock()
+	return n, err
+}
+
+func (c *recordedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.in.Write(p[:n])
+	c.mu.Unlock()
+	return n, err
+}
 
 // The frame kinds, as DecodeFrames reports them.
 const (
@@ -31,6 +91,16 @@ type Frame struct {
 	Inner byte
 	Fin   bool
 	Seq   uint32
+
+	sub int // the chunk sub-header's length, counted in Header
+}
+
+// SizeAs is the size f takes on the wire when it carries id in place of
+// f.ID. A connection's frame ids number its calls, so a frame recorded as
+// one call of its connection can be priced as another.
+func (f Frame) SizeAs(id uint64) int {
+	n := uvarintLen(id<<3|uint64(f.Kind)) + f.sub + len(f.Payload)
+	return uvarintLen(uint64(n)) + n
 }
 
 // DecodeFrames splits b — the bytes one direction of a connection carried,
@@ -55,7 +125,7 @@ func DecodeFrames(b []byte) ([]Frame, error) {
 				return out, err
 			}
 			f.Header += cv.off
-			f.Payload, f.Inner, f.Fin, f.Seq = cv.data, cv.inner, cv.fin, cv.seq
+			f.Payload, f.Inner, f.Fin, f.Seq, f.sub = cv.data, cv.inner, cv.fin, cv.seq, cv.off
 		}
 		out = append(out, f)
 	}

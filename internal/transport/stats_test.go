@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,47 +12,14 @@ import (
 	"repro/internal/transport"
 )
 
-// tapNetwork records the bytes every connection dialed through it wrote and
-// read.
-type tapNetwork struct {
-	transport.Network
-	mu      sync.Mutex
-	out, in bytes.Buffer
-}
-
-func (n *tapNetwork) Dial(ctx context.Context, endpoint string) (net.Conn, error) {
-	c, err := n.Network.Dial(ctx, endpoint)
-	if err != nil {
-		return nil, err
+// recorded returns what tap's one connection wrote and read.
+func recorded(t *testing.T, tap *transport.Recorder) (out, in []byte) {
+	t.Helper()
+	outs, ins := tap.Recorded()
+	if len(outs) != 1 {
+		t.Fatalf("%d connections dialed, want 1", len(outs))
 	}
-	return &tapConn{Conn: c, n: n}, nil
-}
-
-func (n *tapNetwork) recorded() (out, in []byte) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return bytes.Clone(n.out.Bytes()), bytes.Clone(n.in.Bytes())
-}
-
-type tapConn struct {
-	net.Conn
-	n *tapNetwork
-}
-
-func (c *tapConn) Write(p []byte) (int, error) {
-	k, err := c.Conn.Write(p)
-	c.n.mu.Lock()
-	c.n.out.Write(p[:k])
-	c.n.mu.Unlock()
-	return k, err
-}
-
-func (c *tapConn) Read(p []byte) (int, error) {
-	k, err := c.Conn.Read(p)
-	c.n.mu.Lock()
-	c.n.in.Write(p[:k])
-	c.n.mu.Unlock()
-	return k, err
+	return outs[0], ins[0]
 }
 
 // TestStatsCountWireBytes: the byte counters are what the connection carried,
@@ -91,7 +56,7 @@ func TestStatsCountWireBytes(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = srv.Close() })
 
-	tap := &tapNetwork{Network: sim}
+	tap := &transport.Recorder{Network: sim}
 	c := transport.NewClient(tap, "counted")
 	t.Cleanup(func() { _ = c.Close() })
 	st := transport.NewStats(stats.New())
@@ -119,7 +84,7 @@ func TestStatsCountWireBytes(t *testing.T) {
 	}
 	_ = r.Close()
 
-	out, in := tap.recorded()
+	out, in := recorded(t, tap)
 	seen := map[byte]int{}
 	for _, b := range [][]byte{out, in} {
 		frames, err := transport.DecodeFrames(b)
@@ -128,6 +93,9 @@ func TestStatsCountWireBytes(t *testing.T) {
 		}
 		for _, f := range frames {
 			seen[f.Kind]++
+			if got := f.SizeAs(f.ID); got != f.Header+len(f.Payload) {
+				t.Errorf("kind %d frame %d: SizeAs its own id = %d, it took %d B", f.Kind, f.ID, got, f.Header+len(f.Payload))
+			}
 		}
 	}
 	for kind, name := range map[byte]string{
@@ -143,7 +111,7 @@ func TestStatsCountWireBytes(t *testing.T) {
 	// returns: wait for the counters to reach what the tap recorded.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		out, in := tap.recorded()
+		out, in := recorded(t, tap)
 		lines := []struct {
 			name      string
 			got, want uint64
