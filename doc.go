@@ -19,9 +19,11 @@
 //     consistent-hash shard map, cluster naming, staged cluster batches —
 //     one recording spanning many servers, planned into dependency stages
 //     and executed by one wave runner, one parallel round-trip wave per
-//     stage (a stale-route retry re-plans and re-enters the same wave),
-//     forwarding results between servers by reference (pinned refs) or by
-//     value (spliced futures) — and elastic membership: servers join and leave
+//     stage (a stale-route retry re-plans and runs one more wave), moving
+//     results between servers by reference (pinned refs, a wave later) or by
+//     value — a future's value pushed server to server inside the wave, so
+//     a dataflow of values costs one round trip per distinct server — and
+//     elastic membership: servers join and leave
 //     under live traffic, moved objects migrate in batched round trips
 //     (Movable snapshot/restore), and stale routes fail with a typed
 //     wrong-home error that epoch-aware lookups and flushes retry once;

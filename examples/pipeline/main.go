@@ -11,12 +11,13 @@
 //	wave 1  transform.Normalize(dataset)  -> the dataset ref was pinned and
 //	                                         forwarded; transform pulls the
 //	                                         rows server-to-server
-//	wave 2  load.Store(total)             -> the normalized total, spliced
-//	                                         by value from wave 1's future
+//	        load.Store(total)             -> the normalized total, pushed
+//	                                         by transform to load inside
+//	                                         the same wave
 //
 // The first cluster batch rejected this recording outright; the staged
-// planner turned the rejection into one round-trip wave per server the
-// dataflow crosses, plus one.
+// planner turned the rejection into one round-trip wave per remote result
+// forwarded by reference, plus one: a value crossing servers costs no wave.
 //
 //	go run ./examples/pipeline
 package main
@@ -141,7 +142,7 @@ func run() error {
 
 	dataset := extract.CallBatch("Snapshot")      // wave 0, stays remote
 	total := transform.Call("Normalize", dataset) // wave 1, dataset by ref
-	count := load.Call("Store", total)            // wave 2, total by value
+	count := load.Call("Store", total)            // wave 1, total pushed
 
 	before, start := client.CallCount(), time.Now()
 	if err := batch.Flush(ctx); err != nil {

@@ -108,11 +108,12 @@ func isBatchLike(t types.Type) bool {
 
 // isSpliceNative reports whether values of t are handled specially by the
 // call recorders and the rmi marshaller instead of the generic struct
-// codec: batch proxies/cursors/futures are spliced into the plan, and
-// rmi ref-holders (Ref() wire.Ref) and remote objects (rmi.RemoteBase)
-// travel as a wire.Ref.
+// codec: batch proxies/cursors/futures, and the core.Pushed stand-in for a
+// value another server pushes, are spliced into the plan, and rmi
+// ref-holders (Ref() wire.Ref) and remote objects (rmi.RemoteBase) travel
+// as a wire.Ref.
 func isSpliceNative(t types.Type) bool {
-	if isBatchLike(t) || isFutureType(t) {
+	if isBatchLike(t) || isFutureType(t) || isNamed(t, corePath, "Pushed") {
 		return true
 	}
 	n := namedType(t)

@@ -145,20 +145,23 @@ func (r *runner) checkFailureIsolation(logs map[string][]int64) {
 					fi, i, c.Dep, f.outcomes[c.Dep])
 			}
 			if f.outcomes[i] != nil && c.Dep >= 0 && f.outcomes[c.Dep] != nil {
-				// A dependent whose dependency lives on ANOTHER server is
-				// settled client-side, a wave later, before it is ever sent:
-				// its effect must not exist, and presence here is a real
-				// leak. Two exceptions. A replication quorum miss — the wave
-				// DID execute on its primary (the error reports lost
-				// durability, not a lost write), so the dependent's effect
-				// being present is the correct outcome. And a dependent that
-				// rode in its dependency's own sub-batch — same destination
-				// once the flush ended — whose reply was lost: both executed,
-				// both fail with the wave; the dependency's own token being
-				// applied tells that case from a leak.
+				// A dependent whose dependency failed before it ran must not
+				// have run: its effect being present is a real leak. Two
+				// exceptions. A replication quorum miss — the wave DID execute
+				// on its primary (the error reports lost durability, not a lost
+				// write), so the dependent's effect being present is the
+				// correct outcome. And a dependency whose value reached the
+				// dependent inside their wave — in its own sub-batch, or pushed
+				// by its server — and whose reply was lost: the dependent ran
+				// on a value that existed, and fails with the dependency at the
+				// client; the dependency's own token being applied tells that
+				// case from a leak. Only an unreplicated cluster pushes (a
+				// replicated producer's value goes through the client, a wave
+				// later), so with replicas only a same-server dependent is
+				// exempt.
 				var qe *cluster.QuorumError
-				sameWave := f.endpoints[i] == f.endpoints[c.Dep] && applied[f.calls[c.Dep].Token]
-				if applied[c.Token] && !sameWave && !errors.As(f.outcomes[c.Dep], &qe) {
+				inWave := (f.endpoints[i] == f.endpoints[c.Dep] || r.cfg.Replication <= 1) && applied[f.calls[c.Dep].Token]
+				if applied[c.Token] && !inWave && !errors.As(f.outcomes[c.Dep], &qe) {
 					r.violate("failure isolation: flush %d call %d (token %d) executed despite a failed dependency",
 						fi, i, c.Token)
 				}

@@ -25,21 +25,23 @@ var ErrNoEndpoint = errors.New("cluster: root ref has no endpoint")
 // Record: calls against proxies rooted on any number of servers go into one
 // global log. A result produced on server A may feed a call bound for
 // server B — as a proxy argument (the result stays remote and is forwarded
-// by reference) or as a future argument (the settled value is spliced in).
+// by reference) or as a future argument (the value goes to B).
 //
 // Plan: Flush schedules the log's dependency DAG into stages — stage 0 holds
 // every call with no staged inputs, stage k the calls whose staged inputs
-// settle in earlier waves — and partitions each stage per destination. Only
-// an input produced on ANOTHER server is staged: a result consumed where it
-// was produced, remote object or value, is handed over by that server inside
-// the wave.
+// settle in earlier waves — and partitions each stage per destination. A
+// value is handed over by the servers inside the wave: by the producer's own
+// server when the consumer lives there too, else pushed by it to the
+// consumer's. What is staged is a remote result forwarded to another server
+// by reference, and a value that crosses servers from a replicated or
+// cacheable producer, or under a policy that can run a call twice (see
+// DESIGN.md, "Cluster staging rules").
 //
 // Execute: stages run in order; within a stage every destination's
 // sub-batch is one core.Batch round trip, fanned out in parallel, so a
-// stage costs the slowest server's round trip and a pipeline that crosses
-// servers D times in a row costs D+1 round-trip waves instead of one per
-// call. A recording whose dataflow stays on its servers plans to a single
-// stage: one wave, one round trip per destination.
+// stage costs the slowest server's round trip. A recording whose values
+// cross servers any number of times, and no remote result does, plans to a
+// single stage: one wave, one round trip per destination.
 //
 // Like core.Batch, a Batch records one batch at a time and is not meant to
 // be shared by concurrent client goroutines; the implementation is
@@ -270,9 +272,9 @@ func (b *Batch) Destinations() []string {
 
 // Waves returns the number of round-trip waves (parallel fan-out barriers)
 // the flush executed: the stage count of the plan, minus stages that
-// settled entirely locally. A recording none of whose results feeds a call
-// on another server flushes in one wave; one whose longest dependency path
-// crosses servers D times in D+1.
+// settled entirely locally, plus one for a stale-route retry. A recording
+// none of whose remote results feeds a call on another server flushes in one
+// wave, however its values flow.
 func (b *Batch) Waves() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -355,6 +357,11 @@ func (b *Batch) recordLocked(target *Proxy, kind int, method string, args []any,
 		target: target,
 		method: method,
 		args:   args,
+	}
+	for _, a := range args {
+		if x, ok := a.(*Future); ok && x.origin != nil {
+			x.origin.consumers = append(x.origin.consumers, c)
+		}
 	}
 	b.calls = append(b.calls, c)
 	return c
@@ -599,9 +606,10 @@ func (p *Proxy) Endpoint() string { return p.group.endpoint }
 
 // Call records a method invocation whose result is a value, returning its
 // future. The future may itself be passed as an argument of a later call —
-// on any server — and the flush splices the value in: on the server that
-// produced it, inside the wave, at no cost, or, when the consumer lives on
-// another server, through the client, one round-trip wave later.
+// on any server — and the flush splices the value in, inside the wave: on
+// the server that produced it, at no cost, or, when the consumer lives on
+// another server, pushed there by the producer's server as soon as it
+// exists.
 func (p *Proxy) Call(method string, args ...any) *Future {
 	f := &Future{b: p.b}
 	if c := p.b.record(p, kindValue, method, args); c != nil {

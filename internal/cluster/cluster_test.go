@@ -7,6 +7,9 @@ package cluster
 // internal/clustertest scaffolding.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -95,10 +98,46 @@ func TestRingCanonicalRouting(t *testing.T) {
 	t.Run("realHash", run)
 	t.Run("collidingHash", func(t *testing.T) {
 		orig := vnodeHash
-		vnodeHash = func(s string) uint64 { return hashKey(s) % 64 }
+		vnodeHash = func(label []byte) uint64 { return hashOf(label) % 64 }
 		defer func() { vnodeHash = orig }()
 		run(t)
 	})
+}
+
+// ringDigest hashes a ring's point table: every point in order and the
+// member that owns it.
+func ringDigest(r *Ring) string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	h := sha256.New()
+	var b [8]byte
+	for _, p := range r.points {
+		binary.BigEndian.PutUint64(b[:], p)
+		h.Write(b[:])
+		h.Write([]byte(r.owners[p]))
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestRingTableDigest pins the point table byte for byte: how the vnode
+// labels are built and hashed is free to change, the table is not — every
+// deployment's routing and every migration plan reads it.
+func TestRingTableDigest(t *testing.T) {
+	for _, tc := range []struct {
+		members []string
+		want    string
+	}{
+		{[]string{"server-0", "server-1", "server-2", "server-3"}, "0276c623ea3b627b"},
+		{[]string{"a", "b", "c", "d", "e", "f"}, "160f0144c158fb92"},
+	} {
+		if got := ringDigest(NewRing(tc.members)); got != tc.want {
+			t.Errorf("ring %v: point table digest %s, want %s", tc.members, got, tc.want)
+		}
+	}
+	r := NewRing([]string{"server-0", "server-1", "server-2", "server-3"})
+	if n := testing.AllocsPerRun(100, func() { _ = r.Route("customer-17") }); n != 0 {
+		t.Errorf("Route allocates %.1f times per call, want 0", n)
+	}
 }
 
 // TestRingRemoveRestoresCollisionPoints pins the specific Remove bug: under
@@ -106,7 +145,7 @@ func TestRingCanonicalRouting(t *testing.T) {
 // them back, leaving exactly the table a fresh single-member ring has.
 func TestRingRemoveRestoresCollisionPoints(t *testing.T) {
 	orig := vnodeHash
-	vnodeHash = func(s string) uint64 { return hashKey(s) % 64 }
+	vnodeHash = func(label []byte) uint64 { return hashOf(label) % 64 }
 	defer func() { vnodeHash = orig }()
 
 	r := NewRing([]string{"a"})

@@ -19,13 +19,19 @@ import (
 // TestWaveTimeIsOneRTT: on four servers behind links with RTT r, a
 // dependency-free flush reaches all four in one wave and one r of (virtual)
 // time, where flushing the same calls server by server as core batches takes
-// 4r. A recording whose values cross servers D times costs D+1 waves, each
-// one r reaching every server. The virtual clock makes elapsed time a count
-// of link delays; a wave's bound is half-open because a send the scheduler
-// delays past the clock's quiet window departs one delay late.
+// 4r. A recording whose values cross servers D times in a row still costs one
+// wave — one trip per server — and r plus one server-to-server delay of r/2
+// per crossing: each value goes from its producer's server straight to its
+// consumer's. The virtual clock makes elapsed time a count of link delays; a
+// send the host schedules later than the clock's quiet window departs one
+// delay late. A hop is a hand-off through several goroutines — the push's
+// delivery, the consumer's replay, the next push — which under the race
+// detector outlasted the default 200 µs window in about 1 flush in 20, so the
+// window here is 2 ms, and the bounds stay half-open by one r.
 func TestWaveTimeIsOneRTT(t *testing.T) {
 	const r = 10 * time.Millisecond
 	clk := netsim.NewVirtualClock()
+	clk.SetGrace(2 * time.Millisecond)
 	t.Cleanup(clk.Stop)
 	network := netsim.New(netsim.Profile{Name: "rtt", RTT: r}, netsim.WithClock(clk))
 	t.Cleanup(func() { _ = network.Close() })
@@ -71,26 +77,31 @@ func TestWaveTimeIsOneRTT(t *testing.T) {
 	}
 
 	// One chain starts on each server; hop s of chain c runs on server
-	// (c+s) mod 4 and consumes hop s-1's value, so every wave reaches all
-	// four servers and every edge crosses servers.
+	// (c+s) mod 4 and consumes hop s-1's value, so every hop's calls reach all
+	// four servers and every edge crosses servers. The hops are recorded one
+	// after the other, each across the four chains: a server replays in
+	// recording order, so a chain's hop never queues behind a later hop of
+	// another chain.
 	for depth := 0; depth <= 3; depth++ {
 		b := cluster.New(tc.Client)
 		lasts := make([]*cluster.Future, len(refs))
-		for c := range refs {
-			f := b.Root(refs[c]).Call("Add", int64(c))
-			for s := 1; s <= depth; s++ {
-				f = b.Root(refs[(c+s)%len(refs)]).Call("Apply", int64(s), f)
+		for s := 0; s <= depth; s++ {
+			for c := range refs {
+				root := b.Root(refs[(c+s)%len(refs)])
+				if s == 0 {
+					lasts[c] = root.Call("Add", int64(c))
+				} else {
+					lasts[c] = root.Call("Apply", int64(s), lasts[c])
+				}
 			}
-			lasts[c] = f
 		}
 		before := tc.Client.CallCount()
 		d := elapsed(func() error { return b.Flush(ctx) })
-		waves := depth + 1
-		if trips := tc.Client.CallCount() - before; trips != uint64(4*waves) || b.Waves() != waves {
-			t.Errorf("depth %d: %d trips in %d waves, want %d in %d", depth, trips, b.Waves(), 4*waves, waves)
+		if trips := tc.Client.CallCount() - before; trips != 4 || b.Waves() != 1 {
+			t.Errorf("depth %d: %d trips in %d waves, want 4 in 1", depth, trips, b.Waves())
 		}
-		if lo, hi := time.Duration(waves)*r, time.Duration(waves+1)*r; d < lo || d >= hi {
-			t.Errorf("depth %d took %v, want [%v, %v)", depth, d, lo, hi)
+		if lo := r + time.Duration(depth)*r/2; d < lo || d >= lo+r {
+			t.Errorf("depth %d took %v, want [%v, %v)", depth, d, lo, lo+r)
 		}
 		for c, f := range lasts {
 			if err := f.Err(); err != nil {

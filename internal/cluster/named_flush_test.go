@@ -114,121 +114,161 @@ func flushDataflow(t *testing.T, ec *clustertest.Cluster, dir *cluster.Directory
 }
 
 // TestNamedFlushCostsItsWaves: brmibench's cluster_dataflow shape — 4 named
-// roots, 9 calls — with two of the roots sharing a home costs exactly the
-// sum, over its two waves, of the distinct destinations each wave reaches.
+// roots, 9 calls — with two of the roots sharing a home costs exactly one
+// round trip per distinct home, in one wave: every a_i → b_i edge that
+// crosses servers is a push between them.
 func TestNamedFlushCostsItsWaves(t *testing.T) {
 	ec := clustertest.New(t, 3)
 	dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
 	calls, waves := flushDataflow(t, ec, dir, []int{0, 0, 1, 2})
-	// Wave 0 reaches all three homes and carries b_0 with the a_0 it consumes;
-	// wave 1 carries the three b_i whose a_i is on another server, and c.
-	if calls != 3+3 {
-		t.Errorf("4 named roots / 9 calls over 2+1+1 homes cost %d remote calls, want 6: its waves and no lookups", calls)
+	if calls != 3 {
+		t.Errorf("4 named roots / 9 calls over 2+1+1 homes cost %d remote calls, want 3: one per home and no lookups", calls)
 	}
-	if waves != 2 {
-		t.Errorf("flush took %d waves, want 2", waves)
+	if waves != 1 {
+		t.Errorf("flush took %d waves, want 1", waves)
 	}
 }
 
 // TestDataflowCostByPlacement: what the same nine calls cost is decided by
-// where the roots live, and by nothing else — the homes wave 0 reaches (D0:
-// every root has an a_i) plus the homes of the b_i whose a_i is on another
-// server (D1; c rides with b_3). Only an edge that crosses servers costs a
-// wave.
+// where the roots live, and by nothing else — one round trip per distinct
+// home (D0: every root has an a_i), all in one wave, however many of the
+// a_i → b_i edges cross servers.
 func TestDataflowCostByPlacement(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		homes []int
 		calls uint64
-		waves int
 	}{
-		{"co-located", []int{0, 0, 0, 0}, 1, 1},
-		{"four homes", []int{0, 1, 2, 3}, 4 + 4, 2},
-		{"pairs, adjacent", []int{0, 0, 1, 1}, 2 + 2, 2},
-		{"pairs, alternating", []int{0, 1, 0, 1}, 2 + 2, 2},
-		{"3+1", []int{0, 0, 0, 1}, 2 + 2, 2},
+		{"co-located", []int{0, 0, 0, 0}, 1},
+		{"four homes", []int{0, 1, 2, 3}, 4},
+		{"pairs, adjacent", []int{0, 0, 1, 1}, 2},
+		{"pairs, alternating", []int{0, 1, 0, 1}, 2},
+		{"3+1", []int{0, 0, 0, 1}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d0, d1 := make(map[int]bool), make(map[int]bool)
-			for i, h := range tc.homes {
+			d0 := make(map[int]bool)
+			for _, h := range tc.homes {
 				d0[h] = true
-				if next := tc.homes[(i+1)%len(tc.homes)]; next != h {
-					d1[next] = true
-				}
 			}
-			if model := uint64(len(d0) + len(d1)); model != tc.calls {
-				t.Fatalf("table says %d calls, D0 + D1 = %d", tc.calls, model)
+			if model := uint64(len(d0)); model != tc.calls {
+				t.Fatalf("table says %d calls, D0 = %d", tc.calls, model)
 			}
 			ec := clustertest.New(t, 4)
 			dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
 			calls, waves := flushDataflow(t, ec, dir, tc.homes)
-			if calls != tc.calls || waves != tc.waves {
-				t.Errorf("cost %d remote calls in %d waves, want %d in %d", calls, waves, tc.calls, tc.waves)
+			if calls != tc.calls || waves != 1 {
+				t.Errorf("cost %d remote calls in %d waves, want %d in 1", calls, waves, tc.calls)
 			}
 		})
 	}
 }
 
 // TestNamedFlushStaleRingCostsRefreshAndWave: the client's ring is one epoch
-// behind and the moved root's first contact is in the middle of a 4-stage
-// pipeline. The old home refuses the name, the flush refreshes once, re-routes
-// the root — this stage's call and a later stage's — and runs one extra wave
-// at the new home. No lookup anywhere.
+// behind, and a value ping-pongs four times between a staying root and the
+// moved one, in one wave. The moved root's old home refuses its request; the
+// client tells the staying root's server at once that the value it waits for
+// will not come, so that request answers with its consumer failed, unexecuted.
+// The flush then refreshes once, re-routes the root, and runs the refused
+// calls and the failed consumer again, in one more wave — as two requests
+// when the new home is the staying root's own server (a shrink), whose
+// values go from one to the other in the server's own rendezvous table. No
+// lookup anywhere.
 func TestNamedFlushStaleRingCostsRefreshAndWave(t *testing.T) {
-	ec := clustertest.New(t, 3)
-	ctx := context.Background()
-	live := cluster.NewDirectory(ec.Client, []string{"server-0", "server-1"})
-	grown := cluster.NewRing([]string{"server-0", "server-1", "server-2"})
-	moving := clustertest.PickNames(live.Ring(), grown, "server-0", "server-2", 1)[0]
-	staying := clustertest.PickNames(live.Ring(), grown, "server-1", "server-1", 1)[0]
-	ec.BindCounter(live, moving, 10)
-	ec.BindCounter(live, staying, 1)
-	stale := cluster.NewDirectory(ec.Client, []string{"server-0", "server-1"})
-	if _, err := cluster.NewRebalancer(live).AddServer(ctx, "server-2"); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name          string
+		before, after []string
+		to            string
+		change        func(context.Context, *cluster.Rebalancer) error
+		refresh       uint64
+	}{
+		{"grow", []string{"server-0", "server-1"}, []string{"server-0", "server-1", "server-2"}, "server-2",
+			func(ctx context.Context, r *cluster.Rebalancer) error {
+				_, err := r.AddServer(ctx, "server-2")
+				return err
+			}, 2},
+		{"shrink", []string{"server-0", "server-1", "server-2"}, []string{"server-1", "server-2"}, "server-1",
+			func(ctx context.Context, r *cluster.Rebalancer) error {
+				_, err := r.RemoveServer(ctx, "server-0")
+				return err
+			}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ec := clustertest.New(t, 3)
+			ctx := context.Background()
+			live := cluster.NewDirectory(ec.Client, tc.before)
+			moving := clustertest.PickNames(live.Ring(), cluster.NewRing(tc.after), "server-0", tc.to, 1)[0]
+			staying := clustertest.PickNames(live.Ring(), cluster.NewRing(tc.after), "server-1", "server-1", 1)[0]
+			ec.BindCounter(live, moving, 10)
+			ec.BindCounter(live, staying, 1)
+			stale := cluster.NewDirectory(ec.Client, tc.before)
+			if err := tc.change(ctx, cluster.NewRebalancer(live)); err != nil {
+				t.Fatal(err)
+			}
 
-	before := ec.Client.CallCount()
-	b := cluster.New(ec.Client, cluster.WithDirectory(stale))
-	ps, err := b.RootNamed(ctx, staying)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := b.RootNamed(ctx, moving)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f0 := ps.Call("Add", int64(1)) // stage 0 at server-1: 2
-	f1 := pm.Call("Add", f0)       // stage 1, first contact with the old home: 12
-	f2 := ps.Call("Add", f1)       // stage 2 at server-1: 14
-	f3 := pm.Call("Add", f2)       // stage 3, through the session the retry opened: 26
-	if err := b.Flush(ctx); err != nil {
-		t.Fatalf("flush over a ring one epoch behind: %v", err)
-	}
-	if v, err := cluster.Typed[int64](f3).Get(); err != nil || v != 26 {
-		t.Errorf("last stage = %v, %v; want 26", v, err)
-	}
-	// Stage 0, the refused stage 1, a RingState from each member the stale
-	// ring knew, the retried stage 1, stages 2 and 3.
-	if got := ec.Client.CallCount() - before; got != 1+1+2+1+1+1 {
-		t.Errorf("flush cost %d remote calls, want 7: four waves, one refresh fan-out of two, one retry wave", got)
-	}
-	if w := b.Waves(); w != 5 || !b.StaleRetried() {
-		t.Errorf("flush took %d waves, retried %v; want 5 and the retry spent", w, b.StaleRetried())
-	}
-	if got := clientCounter(ec, "cluster.lookup_retries"); got != 0 {
-		t.Errorf("cluster.lookup_retries = %d, want 0: nothing looks names up", got)
-	}
-	if e := stale.Epoch(); e != live.Epoch() {
-		t.Errorf("client ring at epoch %d after the flush, want %d", e, live.Epoch())
+			before := ec.Client.CallCount()
+			b := cluster.New(ec.Client, cluster.WithDirectory(stale))
+			ps, err := b.RootNamed(ctx, staying)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pm, err := b.RootNamed(ctx, moving)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f0 := ps.Call("Add", int64(1)) // server-1: 2
+			f1 := pm.Call("Add", f0)       // first contact with the old home: 12
+			f2 := ps.Call("Add", f1)       // server-1, waiting for f1: 14
+			f3 := pm.Call("Add", f2)       // at the new home: 26
+			if err := b.Flush(ctx); err != nil {
+				t.Fatalf("flush over a ring one epoch behind: %v", err)
+			}
+			for i, c := range []struct {
+				f    *cluster.Future
+				want int64
+			}{{f0, 2}, {f1, 12}, {f2, 14}, {f3, 26}} {
+				if v, err := cluster.Typed[int64](c.f).Get(); err != nil || v != c.want {
+					t.Errorf("call %d = %v, %v; want %d", i, v, err, c.want)
+				}
+			}
+			// The wave's two requests, the notice that f1 will not come, a
+			// RingState from each member the stale ring knew, and the retry's
+			// two requests: f1 and f3 at the new home, f2 again at server-1.
+			if got, want := ec.Client.CallCount()-before, 2+1+tc.refresh+2; got != want {
+				t.Errorf("flush cost %d remote calls, want %d: one wave, one notice, one refresh fan-out, one retry wave", got, want)
+			}
+			if w := b.Waves(); w != 2 || !b.StaleRetried() {
+				t.Errorf("flush took %d waves, retried %v; want 2 and the retry spent", w, b.StaleRetried())
+			}
+			// Each call applied exactly once, f2 at the second attempt.
+			for _, c := range []struct {
+				name string
+				want []int64
+			}{{moving, []int64{2, 14}}, {staying, []int64{1, 12}}} {
+				ref, err := live.Lookup(ctx, c.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obj, _ := ec.Server(ref.Endpoint).Peer.LocalObject(ref.ObjID)
+				if h := obj.(*clustertest.Counter).History(); !slices.Equal(h, c.want) {
+					t.Errorf("%s at %s executed %v, want %v", c.name, ref.Endpoint, h, c.want)
+				}
+			}
+			if got := clientCounter(ec, "cluster.lookup_retries"); got != 0 {
+				t.Errorf("cluster.lookup_retries = %d, want 0: nothing looks names up", got)
+			}
+			if e := stale.Epoch(); e != live.Epoch() {
+				t.Errorf("client ring at epoch %d after the flush, want %d", e, live.Epoch())
+			}
+		})
 	}
 }
 
 // TestNamedFlushStaleRingSplitsValueEdge: two names share a home on the
 // client's ring, with a value flowing from one into the other inside what is
-// planned as one wave; the refresh finds them on different homes. The flush
-// puts the consumer a wave after its producer and succeeds — one wave more
-// than the retry alone — with every call applied exactly once.
+// planned as one request; the refresh finds them on different homes. The
+// retry sends each its own request and the value goes from one to the other
+// as a push: the flush succeeds in the refused wave and its retry, with every
+// call applied exactly once.
 func TestNamedFlushStaleRingSplitsValueEdge(t *testing.T) {
 	ec := clustertest.New(t, 3)
 	ctx := context.Background()
@@ -248,7 +288,7 @@ func TestNamedFlushStaleRingSplitsValueEdge(t *testing.T) {
 	pm, _ := b.RootNamed(ctx, moving)
 	ps, _ := b.RootNamed(ctx, staying)
 	f0 := pm.Call("Add", int64(1)) // 11, wherever moving lives
-	f1 := ps.Call("Add", f0)       // 111: one wave with f0 on the stale ring, the next on the fresh one
+	f1 := ps.Call("Add", f0)       // 111: one request with f0 on the stale ring, pushed to on the fresh one
 	f2 := ps.Call("Add", f1)       // 222: rides with f1
 	if err := b.Flush(ctx); err != nil {
 		t.Fatalf("flush over a ring one epoch behind: %v", err)
@@ -261,13 +301,13 @@ func TestNamedFlushStaleRingSplitsValueEdge(t *testing.T) {
 			t.Errorf("call %d = %v, %v; want %d", i, v, err, c.want)
 		}
 	}
-	// The refused wave, a RingState from each member the stale ring knew, the
-	// producer's wave at its new home, the consumers' wave at theirs.
+	// The refused wave, a RingState from each member the stale ring knew, and
+	// the retry's requests to the producer's new home and the consumers'.
 	if got := ec.Client.CallCount() - before; got != 1+2+1+1 {
 		t.Errorf("flush cost %d remote calls, want 5", got)
 	}
-	if w := b.Waves(); w != 3 || !b.StaleRetried() {
-		t.Errorf("flush took %d waves, retried %v; want 3 and the retry spent", w, b.StaleRetried())
+	if w := b.Waves(); w != 2 || !b.StaleRetried() {
+		t.Errorf("flush took %d waves, retried %v; want 2 and the retry spent", w, b.StaleRetried())
 	}
 	// Each call applied exactly once, at the home the fresh ring names.
 	for _, c := range []struct {
@@ -358,7 +398,11 @@ type migrateOnCall struct {
 	hook func() error
 }
 
-func (m *migrateOnCall) Fire(int64) (int64, error) { return 1, m.hook() }
+// Fire runs the hook and returns a fresh counter, for a later stage to get by
+// reference.
+func (m *migrateOnCall) Fire(context.Context, rmi.Invoker) (*clustertest.Counter, error) {
+	return clustertest.NewCounter(1), m.hook()
+}
 
 // TestUnretriedWrongHomeStillRefreshes: a root migrates between two waves of
 // one flush, while its old home holds the flush's chained session. That
@@ -386,15 +430,15 @@ func TestUnretriedWrongHomeStillRefreshes(t *testing.T) {
 	b := cluster.New(ec.Client, cluster.WithDirectory(stale))
 	pk, _ := b.RootNamed(ctx, keeping)
 	pm, _ := b.RootNamed(ctx, moving)
-	f0 := pk.Call("Add", int64(1))         // stage 0: opens server-0's session over both roots
-	f1 := b.Root(trigger).Call("Fire", f0) // stage 1: the cluster grows, moving leaves server-0
-	f2 := pm.Call("Add", f1)               // stage 2: server-0, mid-session, no longer has it
+	f0 := pk.CallBatch("Fork", int64(1))        // stage 0: opens server-0's session over both roots
+	f1 := b.Root(trigger).CallBatch("Fire", f0) // stage 1: the cluster grows, moving leaves server-0
+	f2 := pm.Call("AddRemote", f1)              // stage 2: server-0, mid-session, no longer has it
 	err = b.Flush(ctx)
 	var wrong *rmi.WrongHomeError
 	if !errors.As(err, &wrong) || b.StaleRetried() {
 		t.Fatalf("flush = %v (retried %v), want an unretried wrong-home failure", err, b.StaleRetried())
 	}
-	if err := f1.Err(); err != nil {
+	if err := f1.Ok(); err != nil {
 		t.Fatalf("the migration itself failed: %v", err)
 	}
 	if err := f2.Err(); !errors.As(err, &wrong) {

@@ -41,6 +41,10 @@ type recordedCall struct {
 	// sent is a kindValue call's core future in the wave carrying it; the
 	// wave copies its outcome out once (settle).
 	sent *core.Future
+	// consumers are the calls recorded with this call's future as an
+	// argument: the ones of its own wave on other servers get its value pushed
+	// (core.Batch.PushTo).
+	consumers []*recordedCall
 
 	// The remaining fields are the cache/coalescing state of a cacheable
 	// call recorded through CallRO (flights.go): ckey/cobj and the

@@ -3,7 +3,9 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
@@ -12,11 +14,11 @@ import (
 
 // --- staged cross-server dataflow --------------------------------------------
 
-// TestPipelineValueSplice is the acceptance case: a two-stage A→B pipeline
-// (produce on server A, consume on server B — dependency depth 1 in
-// DESIGN.md's terms) recorded in one cluster.Batch flushes in exactly 2
-// round-trip waves, with the value spliced between them. Server B also has
-// a dependency-free call, which rides wave 0.
+// TestPipelineValueSplice is the acceptance case: an A→B pipeline (produce on
+// server A, consume on server B) recorded in one cluster.Batch flushes in one
+// wave, one round trip per server: A pushes the value to B, which waits for
+// it at the consuming call. Server B's dependency-free call runs first, in
+// recording order.
 func TestPipelineValueSplice(t *testing.T) {
 	tc := clustertest.New(t, 2)
 	ctx := context.Background()
@@ -25,20 +27,19 @@ func TestPipelineValueSplice(t *testing.T) {
 	a := b.Root(tc.Servers[0].Ref)
 	bb := b.Root(tc.Servers[1].Ref)
 
-	b0 := bb.Call("Add", int64(1)) // stage 0: no staged inputs
-	fa := a.Call("Add", int64(5))  // stage 0: produces the spliced value
-	fb := bb.Call("Add", fa)       // stage 1: consumes A's result on B
+	b0 := bb.Call("Add", int64(1)) // no inputs
+	fa := a.Call("Add", int64(5))  // produces the pushed value
+	fb := bb.Call("Add", fa)       // consumes A's result on B
 
 	before := tc.Client.CallCount()
 	if err := b.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Trips: A once (stage 0) + B twice (stages 0 and 1). Waves: 2.
-	if rt := tc.Client.CallCount() - before; rt != 3 {
-		t.Errorf("flush used %d round trips, want 3", rt)
+	if rt := tc.Client.CallCount() - before; rt != 2 {
+		t.Errorf("flush used %d round trips, want 2", rt)
 	}
-	if w := b.Waves(); w != 2 {
-		t.Errorf("two-stage A→B pipeline took %d waves, want 2", w)
+	if w := b.Waves(); w != 1 {
+		t.Errorf("A→B pipeline took %d waves, want 1", w)
 	}
 	for _, c := range []struct {
 		name string
@@ -49,7 +50,7 @@ func TestPipelineValueSplice(t *testing.T) {
 			t.Errorf("%s = %d, %v; want %d", c.name, got, err, c.want)
 		}
 	}
-	// B executed [1, 5] in stage order.
+	// B executed [1, 5] in recording order.
 	if h := tc.Servers[1].Counter.History(); len(h) != 2 || h[0] != 1 || h[1] != 5 {
 		t.Errorf("server-1 executed %v, want [1 5]", h)
 	}
@@ -92,7 +93,7 @@ func TestPipelineRemoteForward(t *testing.T) {
 }
 
 // TestPipelineThreeStages chains A -> B -> C by value (dependency depth 2):
-// stage count tracks dependency depth, three waves total.
+// the values go server to server, so the chain is one wave of three trips.
 func TestPipelineThreeStages(t *testing.T) {
 	tc := clustertest.New(t, 3)
 	ctx := context.Background()
@@ -102,11 +103,12 @@ func TestPipelineThreeStages(t *testing.T) {
 	fb := b.Root(tc.Servers[1].Ref).Call("Add", fa)
 	fc := b.Root(tc.Servers[2].Ref).Call("Add", fb)
 
+	before := tc.Client.CallCount()
 	if err := b.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if w := b.Waves(); w != 3 {
-		t.Errorf("depth-2 A→B→C chain took %d waves, want 3", w)
+	if rt, w := tc.Client.CallCount()-before, b.Waves(); rt != 3 || w != 1 {
+		t.Errorf("depth-2 A→B→C chain took %d round trips in %d waves, want 3 in 1", rt, w)
 	}
 	for i, f := range []*cluster.Future{fa, fb, fc} {
 		if got, err := cluster.Typed[int64](f).Get(); err != nil || got != 2 {
@@ -215,5 +217,51 @@ func TestStagedFailureIsolation(t *testing.T) {
 	}
 	if got := tc.Servers[0].Counter.Get(); got != 7 {
 		t.Errorf("server-0 counter = %d, want 7 (transitive Add must not run)", got)
+	}
+}
+
+// TestPingPongIsOneWave: a value bouncing between two servers, each hop
+// consuming the one before, flushes in one wave of two round trips — every
+// wait on one server points at a call recorded earlier on the other. Two
+// clients flush such chains at once, in opposite directions, so each server
+// waits on and pushes to the other inside every wave, on the pattern of
+// TestMutualFollowersDoNotDeadlock: every flush returns, every hop applied.
+func TestPingPongIsOneWave(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	other := rmi.NewPeer(ec.Network.Host("client-2"), rmi.WithLogf(clustertest.SilentLogf))
+	t.Cleanup(func() { _ = other.Close() })
+	refs := ec.Refs()
+
+	const rounds, hops = 20, 6
+	var wg sync.WaitGroup
+	for i, peer := range []*rmi.Peer{ec.Client, other} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				b := cluster.New(peer)
+				f := b.Root(refs[i]).Call("Add", int64(1))
+				for h := 1; h < hops; h++ {
+					f = b.Root(refs[(i+h)%2]).Call("Apply", int64(1), f)
+				}
+				before := peer.CallCount()
+				if err := errors.Join(b.Flush(ctx), f.Err()); err != nil {
+					t.Errorf("client %d flush %d: %v", i, n, err)
+					return
+				}
+				if trips, w := peer.CallCount()-before, b.Waves(); trips != 2 || w != 1 {
+					t.Errorf("client %d flush %d: %d round trips in %d waves, want 2 in 1", i, n, trips, w)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, s := range ec.Servers {
+		if got := s.Counter.Get(); got != 2*rounds*hops/2 {
+			t.Errorf("%s applied %d hops, want %d", s.Endpoint, got, 2*rounds*hops/2)
+		}
 	}
 }

@@ -1,24 +1,29 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/core"
+)
 
 // plan.go is the "plan" phase of the cluster flush pipeline: it turns the
 // global recording log into a stage schedule. Stage 0 holds every call
-// whose inputs are all immediate (roots, plain values, proxies and futures
-// of its own destination); stage k holds the calls whose staged inputs —
-// the ones that cross servers — settle in waves < k. Each stage is then
-// partitioned per destination exactly like a single-stage flush, so a stage
-// costs one parallel fan-out and a flush pays a wave only for the edges
-// that really leave a server.
+// whose inputs are all immediate (roots, plain values, proxies of its own
+// destination, and futures, which the servers hand over inside the wave);
+// stage k holds the calls whose staged inputs settle in waves < k. Each stage
+// is then partitioned per destination exactly like a single-stage flush, so
+// a stage costs one parallel fan-out, and a flush pays a wave only for the
+// edges that need the client between their ends.
 
 // input is one resolved dependency (an edge of the dataflow DAG): the call
 // that produces a value this call consumes.
 type input struct {
 	producer *recordedCall
 	// staged is true when the consumer can only run in a wave after the
-	// producer's: the producer's result has to cross the network between
-	// stages (a proxy forwarded to a different server, a future's value
-	// spliced through the client into another server's wave).
+	// producer's: the producer's result goes through the client between
+	// stages (a proxy forwarded to a different server by reference, a
+	// future's value spliced in as a literal).
 	staged bool
 	// export is true when the producer's result must be pinned as an
 	// exported reference so the next wave can forward it by reference.
@@ -49,14 +54,28 @@ func (c *recordedCall) inputs() []input {
 				continue
 			}
 			// A value consumed where it is produced is spliced by the server,
-			// inside the wave (core.Proxy.Call takes the producer's future).
-			// One bound for another server goes through the client, a wave
-			// later; so does a cacheable read's, which may settle from
-			// another batch's flight and never be sent at all.
-			in = append(in, input{producer: x.origin, staged: x.origin.group != c.group || x.origin.ckey != ""})
+			// inside the request (core.Proxy.Call takes the producer's future);
+			// one bound for another server is pushed there by the producer's,
+			// inside the wave (core.Batch.PushTo). Three shapes still go
+			// through the client, a wave later: a cacheable read's, which may
+			// settle from another batch's flight and never be sent at all; a
+			// replicated wave's, which is not durable until its quorum holds
+			// it — pushed at once, a value the quorum then misses would outlive
+			// it in another shard; and any cross-server value of a flush whose
+			// policy can run a call twice, which would push twice.
+			o, b := x.origin, c.target.b
+			in = append(in, input{producer: o, staged: o.ckey != "" || (o.group != c.group && (b.replicates(o.group) || b.reruns()))})
 		}
 	}
 	return in
+}
+
+// reruns reports whether the batch's policy can re-run a whole sub-batch
+// (core.ActionRestart): a re-run would execute a pushing producer again.
+func (b *Batch) reruns() bool {
+	p := b.policy
+	return p != nil && (p.Default == core.ActionRestart ||
+		slices.ContainsFunc(p.Rules, func(r core.Rule) bool { return r.Act == core.ActionRestart }))
 }
 
 // planStages assigns every call its execution stage and returns the stage
@@ -71,7 +90,7 @@ func (c *recordedCall) inputs() []input {
 // part of one no wave has run yet, in recording order: a settled producer
 // constrains nothing, its result is already at the client or in its
 // destination's session, and a value edge the move split across two homes
-// pushes its consumer, and whatever hangs off it, into a later wave.
+// is one more push.
 //
 // Recording order is necessarily a topological order of the dependency
 // DAG — a proxy or future must be returned by a recording call before it

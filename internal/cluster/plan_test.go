@@ -179,7 +179,7 @@ func TestPlannerMarksExports(t *testing.T) {
 		t.Error("cross-server proxy arg must force an export")
 	}
 	if f.origin.export {
-		t.Error("future splice must not force an export (value travels via client)")
+		t.Error("a cross-server future must not force an export (its value is pushed)")
 	}
 }
 

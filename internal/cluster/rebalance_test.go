@@ -363,14 +363,16 @@ type boom struct {
 	fire func()
 }
 
-func (b *boom) Boom() (int64, error) {
+// Boom fails in place of a remote result, which a later stage was to get by
+// reference.
+func (b *boom) Boom() (*boom, error) {
 	// Let the other stage-0 destinations finish their waves first, so the
 	// cancellation deterministically lands between stage 0 and stage 1.
 	time.Sleep(100 * time.Millisecond)
 	if b.fire != nil {
 		b.fire()
 	}
-	return 0, errors.New("boom")
+	return nil, errors.New("boom")
 }
 
 // TestSessionCloseSurvivesCancel is the regression test for the chained
@@ -391,10 +393,10 @@ func TestSessionCloseSurvivesCancel(t *testing.T) {
 	b := cluster.New(tc.Client)
 	a := b.Root(tc.Servers[0].Ref)
 	bp := b.Root(boomRef)
-	a.Call("Add", int64(1)) // server-0, stage 0: opens the chained session
-	g := bp.Call("Boom")    // server-1, stage 0: cancels ctx, then fails
-	dep := a.Call("Add", g) // server-0, stage 1: settles locally (dep failed)
-	err = b.Flush(ctx)      // stage 1 on server-0 is a pure session close
+	a.Call("Add", int64(1))       // server-0, stage 0: opens the chained session
+	g := bp.CallBatch("Boom")     // server-1, stage 0: cancels ctx, then fails
+	dep := a.Call("AddRemote", g) // server-0, stage 1: settles locally (dep failed)
+	err = b.Flush(ctx)            // stage 1 on server-0 is a pure session close
 
 	// The dependent call never ran.
 	if _, derr := dep.Get(); derr == nil {
@@ -690,10 +692,10 @@ func TestFailedDestinationSessionReaped(t *testing.T) {
 	b := cluster.New(tc.Client)
 	a := b.Root(tc.Servers[0].Ref)
 	bp := b.Root(boomRef)
-	a.Call("Add", int64(1))                               // server-0, stage 0: opens the chained session
-	bp.Call("Boom")                                       // server-1, stage 0: cancels ctx after a delay
-	f0 := b.Root(tc.Servers[2].Ref).Call("Add", int64(1)) // server-2, stage 0: settles before the cancel
-	a.Call("Add", f0)                                     // server-0, stage 1: REAL pending call under canceled ctx
+	a.Call("Add", int64(1))                                     // server-0, stage 0: opens the chained session
+	bp.CallBatch("Boom")                                        // server-1, stage 0: cancels ctx after a delay
+	f0 := b.Root(tc.Servers[2].Ref).CallBatch("Fork", int64(1)) // server-2, stage 0: settles before the cancel
+	a.Call("AddRemote", f0)                                     // server-0, stage 1: REAL pending call under canceled ctx
 
 	err = b.Flush(ctx)
 	var fe *cluster.FlushError

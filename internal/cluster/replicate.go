@@ -103,6 +103,14 @@ func (b *Batch) direct(live []*destState) {
 	}
 }
 
+// replicates reports whether g's waves replicate: the batch is epoch-aware
+// over a replicated ring and every root of g is addressed by cluster-wide
+// name. Caller holds b.mu.
+func (b *Batch) replicates(g *group) bool {
+	return b.dir != nil && b.dir.Replication() > 1 &&
+		!slices.ContainsFunc(g.roots, func(p *Proxy) bool { return p.key == "" })
+}
+
 // shipChain is the primary's state for one replicating chain — the waves one
 // client batch sends one destination — kept by the executor with the chain's
 // session and dropped with it. It holds the identity the chain's records

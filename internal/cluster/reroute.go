@@ -83,14 +83,14 @@ func (b *Batch) canRetryStale(ds *destState, err error) bool {
 // one round trip. The calls that follow their roots are the rejected
 // sub-batches' and, in the later stages, every call that was bound for a
 // rejected destination. Everything no wave has settled yet — the rejected
-// calls and all of later — is then staged again (planStages): a value that
-// flowed between two roots sharing a server, inside one wave, and that the
-// re-sharding split across homes now goes through the client, its consumer
-// waiting for the wave after its producer's. The result replaces the rejected
-// stage and later: its first element is the wave to run again, and it may be
-// a stage longer than what it replaces. An error means nothing was re-planned
-// and the rejections are final.
-func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, later [][]*subBatch) ([][]*subBatch, error) {
+// calls, the calls of the wave's other requests that waited for a value a
+// rejected request was to push (waited: they stay on their destinations), and
+// all of later — is then staged again (planStages): a value that flowed
+// between two roots sharing a server, inside one request, and that the
+// re-sharding split across homes is one more push. The result replaces the
+// rejected stage and later: its first element is the wave to run again. An
+// error means nothing was re-planned and the rejections are final.
+func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, waited []*recordedCall, later [][]*subBatch) ([][]*subBatch, error) {
 	b.mu.Lock()
 	b.retried = true
 	b.wrongHome.Inc()
@@ -155,6 +155,7 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 		open = append(open, rj.sb.calls...)
 	}
 	affected := slices.Clone(open) // the part of it that follows a moved root
+	open = append(open, waited...)
 	for _, subs := range later {
 		for _, sb := range subs {
 			open = append(open, sb.calls...)

@@ -99,7 +99,7 @@ func TestRehomeRegroupsPerNewHome(t *testing.T) {
 	dir := &fakeHomes{homes: map[string]string{"a": "server-2", "b": "server-0", "c": "server-2"}}
 	unnamed := roots[""].rootRef
 
-	stages, err := b.rehome(context.Background(), dir, rejected, nil)
+	stages, err := b.rehome(context.Background(), dir, rejected, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +149,11 @@ func TestRehomeRegroupsPerNewHome(t *testing.T) {
 }
 
 // TestRehomeSplitFutureEdge: a value consumed on its producer's server rides
-// the producer's wave; when the retry finds the two roots on different homes
-// the consumer, and what hangs off it, move a wave later instead of failing.
+// the producer's request; when the retry finds the two roots on different
+// homes the consumer follows its root and stays in the producer's wave — the
+// value is pushed between the two new requests, not staged through the
+// client. The call on server-1, whose request was not refused, is not
+// re-planned.
 func TestRehomeSplitFutureEdge(t *testing.T) {
 	b := New(nil)
 	var roots [3]*Proxy
@@ -161,21 +164,21 @@ func TestRehomeSplitFutureEdge(t *testing.T) {
 	f0 := roots[0].Call("Add", int64(1)) // 0: a and b share server-0
 	f1 := roots[1].Call("Add", f0)       // 1: same server, same wave
 	roots[1].Call("Add", f1)             // 2: hangs off 1
-	roots[2].Call("Add", f1)             // 3: server-1, a wave after 1
+	roots[2].Call("Add", f1)             // 3: server-1, pushed to in the same wave
 	roots[0].Call("Add", int64(2))       // 4: a's own order is untouched
 	nstages, err := planStages(b.calls)
-	if err != nil || nstages != 2 {
-		t.Fatalf("plan = %d stages, %v; want two", nstages, err)
+	if err != nil || nstages != 1 {
+		t.Fatalf("plan = %d stages, %v; want one", nstages, err)
 	}
 	stages := buildStages(b.calls, nstages)
 	rejected := []rejection{{sb: stages[0][0], cause: errors.New("wrong home")}}
 	dir := &fakeHomes{homes: map[string]string{"a": "server-0", "b": "server-2"}}
 
-	replanned, err := b.rehome(context.Background(), dir, rejected, stages[1:])
+	replanned, err := b.rehome(context.Background(), dir, rejected, nil, stages[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []map[string][]int{{"server-0": {0, 4}}, {"server-2": {1, 2}}, {"server-1": {3}}}
+	want := []map[string][]int{{"server-0": {0, 4}, "server-2": {1, 2}}}
 	if len(replanned) != len(want) {
 		t.Fatalf("re-planned into %d stages, want %d", len(replanned), len(want))
 	}
@@ -196,7 +199,7 @@ func TestRehomeFailsWholesale(t *testing.T) {
 	} {
 		b := New(nil)
 		roots, calls, rejected := staleRecording(t, b)
-		subs, err := b.rehome(context.Background(), dir, rejected, nil)
+		subs, err := b.rehome(context.Background(), dir, rejected, nil, nil)
 		if err == nil || subs != nil {
 			t.Fatalf("%s failure: rehome = %v, %v; want an error and no plan", name, subs, err)
 		}
@@ -227,12 +230,12 @@ func TestRehomeFollowsLaterStages(t *testing.T) {
 	a.key = "a"
 	c := b.Root(wire.Ref{Endpoint: "server-1", ObjID: 101, Iface: "reroute.Test"})
 	d := b.Root(wire.Ref{Endpoint: "server-3", ObjID: 102, Iface: "reroute.Test"})
-	f0 := c.Call("Get")     // 0: stage 0 on server-1
-	g0 := d.Call("Get")     // 1: stage 0 on server-3
-	f1 := a.Call("Add", f0) // 2: stage 1, server-0's first contact
-	g1 := c.Call("Add", g0) // 3: stage 1 on server-1
-	a.Call("Add", g1)       // 4: stage 2
-	c.Call("Add", f1)       // 5: stage 2 on server-1, untouched
+	f0 := c.CallBatch("Fork")    // 0: stage 0 on server-1
+	g0 := d.CallBatch("Fork")    // 1: stage 0 on server-3
+	f1 := a.CallBatch("Add", f0) // 2: stage 1, server-0's first contact: f0 forwarded by reference
+	g1 := c.CallBatch("Add", g0) // 3: stage 1 on server-1
+	a.Call("Add", g1)            // 4: stage 2
+	c.Call("Add", f1)            // 5: stage 2 on server-1, untouched
 	nstages, err := planStages(b.calls)
 	if err != nil || nstages != 3 {
 		t.Fatalf("plan = %d stages, %v; want three", nstages, err)
@@ -241,7 +244,7 @@ func TestRehomeFollowsLaterStages(t *testing.T) {
 	rejected := []rejection{{sb: stages[1][0], cause: errors.New("wrong home")}}
 	dir := &fakeHomes{homes: map[string]string{"a": "server-2"}}
 
-	replanned, err := b.rehome(context.Background(), dir, rejected, stages[2:])
+	replanned, err := b.rehome(context.Background(), dir, rejected, nil, stages[2:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +275,7 @@ func TestRehomeBoundElsewhere(t *testing.T) {
 	rejected := []rejection{{sb: stages[0][0], cause: fmt.Errorf("flush: %w", &core.ElsewhereError{Name: "a", Ref: far})}}
 	dir := &fakeHomes{}
 
-	replanned, err := b.rehome(context.Background(), dir, rejected, nil)
+	replanned, err := b.rehome(context.Background(), dir, rejected, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,12 +6,13 @@
 // recording accepts cross-server dataflow (a result produced on server A may
 // feed a call bound for server B), the planner schedules the dependency DAG
 // into stages, and the executor runs one parallel per-destination fan-out
-// per stage — so a recording whose dataflow never leaves a server costs one
-// round-trip wave and one that crosses servers D times in a row costs D+1,
-// never one trip per call. Results cross servers by reference (exported refs
-// pinned between waves) or by value (settled futures spliced into the next
-// wave); a value consumed on the server that produced it is spliced there,
-// inside the wave. See DESIGN.md, "Cluster staging rules".
+// per stage — never one trip per call. A value crosses servers inside the
+// wave: its producer's server pushes it to its consumer's, so a recording
+// whose values cross servers any number of times costs one wave, one round
+// trip per distinct destination. A remote result crosses by reference — an
+// exported ref pinned in one wave and forwarded in the next — and so does a
+// value whose producer's wave must first prove durable or may run twice. See
+// DESIGN.md, "Cluster staging rules".
 //
 // Membership is elastic: the shard map carries a monotonically increasing
 // epoch bumped on every Add/Remove, and a Rebalancer migrates the moved
@@ -22,10 +23,9 @@
 package cluster
 
 import (
-	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -147,7 +147,7 @@ func (r *Ring) Epoch() uint64 {
 // vnodeHash computes a point from a "endpoint#i" vnode label. It is a
 // package variable only so tests can substitute a colliding hash and
 // exercise the rebuild's canonical collision resolution.
-var vnodeHash = hashKey
+var vnodeHash = hashOf[[]byte]
 
 // rebuild recomputes the point table from the member set. Members are
 // processed in sorted order and a collided point stays with its first
@@ -161,9 +161,13 @@ func (r *Ring) rebuild() {
 	sort.Strings(r.endpoint)
 	r.points = r.points[:0]
 	r.owners = make(map[uint64]string, len(r.members)*virtualNodes)
+	var label []byte // "endpoint#i", rebuilt in place per vnode
 	for _, ep := range r.endpoint {
+		label = append(append(label[:0], ep...), '#')
+		n := len(label)
 		for i := 0; i < virtualNodes; i++ {
-			h := vnodeHash(fmt.Sprintf("%s#%d", ep, i))
+			label = strconv.AppendInt(label[:n], int64(i), 10)
+			h := vnodeHash(label)
 			// Collisions across 64-bit points are vanishingly rare; when one
 			// happens the first owner in canonical order keeps the point,
 			// which only skews the distribution by one vnode.
@@ -174,7 +178,7 @@ func (r *Ring) rebuild() {
 			r.points = append(r.points, h)
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i] < r.points[j] })
+	slices.Sort(r.points)
 }
 
 // Route returns the endpoint owning key, or "" for an empty ring.
@@ -281,10 +285,17 @@ func (r *Ring) Size() int {
 // narrow band of the 64-bit space, which parks whole key families on one
 // ring arc; the finalizer's avalanche spreads them. Deterministic across
 // processes, unlike Go's map hash.
-func hashKey(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	x := h.Sum64()
+func hashKey(s string) uint64 { return hashOf(s) }
+
+// hashOf is hashKey over a key's bytes in either form, so a vnode label built
+// in a reused buffer hashes without becoming a string.
+func hashOf[T string | []byte](s T) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	x := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		x ^= uint64(s[i])
+		x *= prime64
+	}
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33

@@ -346,8 +346,8 @@ func TestChainedReplicatedStagesShipInWaveOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	pa.Call("Add", int64(1))
-	five := pb.Call("Add", int64(5))
-	last := pa.Call("Add", five) // stage 1: spliced by value through the client
+	pb.Call("Add", int64(5))
+	last := pa.Call("AddRemote", pb.CallBatch("Fork", int64(5))) // stage 1: forwarded by reference
 	start := time.Now()
 	if err := b.Flush(ctx); err != nil {
 		t.Fatal(err)

@@ -1,10 +1,12 @@
 package cluster_test
 
-// A value future has two carriers: the server that produced it, inside the
-// wave, when its consumer lives there too; the client, a wave later, when it
-// does not. These tests pin that a consumer cannot tell which one carried its
-// argument — same value, same failure, same isolation from the producer's
-// copy — and that followers replaying a wave with an in-wave edge end where
+// A value future has three carriers: the server that produced it, inside the
+// request, when its consumer lives there too; that server again, pushing it
+// to the consumer's server inside the same wave, when it does not; and the
+// client, a wave later, when the flush's policy could run a call twice. These
+// tests pin that a consumer cannot tell which one carried its argument — same
+// value, same failure, same isolation from the producer's copy — and that
+// followers replaying a wave with an in-wave edge, or a pushed one, end where
 // the primary did.
 
 import (
@@ -96,12 +98,22 @@ func (p *probe) calls() int {
 
 // probePlacement is a producer on server-0 and its consumer: the same object
 // (co-located: the server splices, one wave) or one on server-1 (split: the
-// client splices, two waves).
+// producer's server pushes, one wave; through the client: a policy that can
+// restart a sub-batch stages the edge, and the client splices, two waves).
 type probePlacement struct {
 	name               string
 	producer, consumer *probe
 	prodRef, consRef   wire.Ref
 	waves              int
+	policy             *core.Policy
+}
+
+// options are the placement's batch options.
+func (pl probePlacement) options() []cluster.Option {
+	if pl.policy == nil {
+		return nil
+	}
+	return []cluster.Option{cluster.WithPolicy(pl.policy)}
 }
 
 func probePlacements(t *testing.T, ec *clustertest.Cluster) []probePlacement {
@@ -117,9 +129,12 @@ func probePlacements(t *testing.T, ec *clustertest.Cluster) []probePlacement {
 	here, hereRef := export(0)
 	prod, prodRef := export(0)
 	far, farRef := export(1)
+	relayed, relayedRef := export(1)
+	restart := core.CustomPolicy().SetAction("", "Restart", core.AnyIndex, core.ActionRestart)
 	return []probePlacement{
-		{"co-located", here, here, hereRef, hereRef, 1},
-		{"split", prod, far, prodRef, farRef, 2},
+		{"co-located", here, here, hereRef, hereRef, 1, nil},
+		{"split", prod, far, prodRef, farRef, 1, nil},
+		{"through the client", prod, relayed, prodRef, relayedRef, 2, restart},
 	}
 }
 
@@ -131,7 +146,7 @@ func TestSpliceEquivalenceByKind(t *testing.T) {
 	kinds := []string{"Int64", "Int32", "Uint8", "Str", "Bytes", "Record", "Ints", "Void", "Nil"}
 	got := make(map[string][]string)
 	for _, pl := range probePlacements(t, ec) {
-		b := cluster.New(ec.Client)
+		b := cluster.New(ec.Client, pl.options()...)
 		prod, cons := b.Root(pl.prodRef), b.Root(pl.consRef)
 		descs := make([]*cluster.Future, len(kinds))
 		for i, kind := range kinds {
@@ -152,8 +167,11 @@ func TestSpliceEquivalenceByKind(t *testing.T) {
 		}
 	}
 	for i, kind := range kinds {
-		if a, b := got["co-located"][i], got["split"][i]; a != b {
-			t.Errorf("%s: spliced by the server the consumer saw %q, by the client %q", kind, a, b)
+		a := got["co-located"][i]
+		for _, other := range []string{"split", "through the client"} {
+			if b := got[other][i]; a != b {
+				t.Errorf("%s: spliced by the server the consumer saw %q, %s %q", kind, a, other, b)
+			}
 		}
 	}
 	// Not vacuous: the narrower ints arrive widened, the struct as its
@@ -172,7 +190,7 @@ func TestSplicedArgumentIsACopy(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
 	for _, pl := range probePlacements(t, ec) {
-		b := cluster.New(ec.Client)
+		b := cluster.New(ec.Client, pl.options()...)
 		prod, cons := b.Root(pl.prodRef), b.Root(pl.consRef)
 		raw, ints := prod.Call("Bytes"), prod.Call("Ints")
 		n1, n2 := cons.Call("Scribble", raw), cons.Call("Scribble", ints)
@@ -198,14 +216,19 @@ func TestSplicedArgumentIsACopy(t *testing.T) {
 }
 
 // TestSplicedProducerFailure: a producer that throws leaves its consumer
-// unexecuted, failing with the producer's own typed error, in both placements
-// and under both the aborting and the continuing policy.
+// unexecuted, failing with the producer's own typed error, in every placement
+// and under both the aborting and the continuing policy (the client carrier's
+// own policy aside, whose restart rule a throw of Boom does not match).
 func TestSplicedProducerFailure(t *testing.T) {
 	for name, policy := range map[string]*core.Policy{"abort": core.AbortPolicy(), "continue": core.ContinuePolicy()} {
 		t.Run(name, func(t *testing.T) {
 			ec := clustertest.New(t, 2)
 			for _, pl := range probePlacements(t, ec) {
-				b := cluster.New(ec.Client, cluster.WithPolicy(policy))
+				p := policy
+				if pl.policy != nil {
+					p = pl.policy
+				}
+				b := cluster.New(ec.Client, cluster.WithPolicy(p))
 				boom := b.Root(pl.prodRef).Call("Boom")
 				dep := b.Root(pl.consRef).Call("Describe", boom)
 				if err := b.Flush(context.Background()); err != nil {
@@ -228,9 +251,12 @@ func TestSplicedProducerFailure(t *testing.T) {
 }
 
 // TestReplicatedWaveWithInWaveEdge: a replicated wave whose calls feed each
-// other on the primary — across two roots of one destination — replays on
-// both followers through the same executor path: primary and shadows end
-// with identical histories.
+// other on the primary — across two roots of one destination — and that takes
+// a value another server pushes it, replays on every follower through the
+// same executor path: the primary ships the literal it was pushed, so the
+// primary and its shadows end with identical histories. (The pushing root is
+// not replicated: a replicated producer's value waits for its quorum, and
+// goes through the client.)
 func TestReplicatedWaveWithInWaveEdge(t *testing.T) {
 	ec, dir := shipCluster(t)
 	ctx := context.Background()
@@ -242,34 +268,38 @@ func TestReplicatedWaveWithInWaveEdge(t *testing.T) {
 	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
 	pa, _ := b.RootNamed(ctx, a)
 	pb, _ := b.RootNamed(ctx, bb)
+	pc := b.Root(ec.Server("server-1").Ref)
 	f0 := pa.Call("Add", int64(3)) // a: 3
 	f1 := pb.Call("Add", f0)       // b: 3
-	f2 := pa.Call("Add", f1)       // a: 6
+	pa.Call("Add", f1)             // a: 6
+	f3 := pc.Call("Add", int64(6)) // server-1's counter: 6, pushed to server-0
+	f4 := pa.Call("Add", f3)       // a: 12
 	before := ec.Client.CallCount()
 	if err := b.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got, w := ec.Client.CallCount()-before, b.Waves(); got != 1 || w != 1 {
-		t.Errorf("flush cost %d remote calls in %d waves, want 1 in 1", got, w)
+	if got, w := ec.Client.CallCount()-before, b.Waves(); got != 2 || w != 1 {
+		t.Errorf("flush cost %d remote calls in %d waves, want 2 in 1", got, w)
 	}
-	if v, err := cluster.Typed[int64](f2).Get(); err != nil || v != 6 {
-		t.Fatalf("last call = %v, %v; want 6", v, err)
+	if v, err := cluster.Typed[int64](f4).Get(); err != nil || v != 12 {
+		t.Fatalf("last call = %v, %v; want 12", v, err)
 	}
-	for _, c := range []struct {
+	for _, r := range []struct {
 		name string
 		want []int64
-	}{{a, []int64{3, 3}}, {bb, []int64{3}}} {
-		ref, err := dir.Lookup(ctx, c.name)
+	}{{a, []int64{3, 3, 6}}, {bb, []int64{3}}} {
+		ref, err := dir.Lookup(ctx, r.name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		obj, _ := ec.Server(ref.Endpoint).Peer.LocalObject(ref.ObjID)
-		if h := obj.(*clustertest.Counter).History(); !reflect.DeepEqual(h, c.want) {
-			t.Errorf("primary's %s executed %v, want %v", c.name, h, c.want)
+		if h := obj.(*clustertest.Counter).History(); !reflect.DeepEqual(h, r.want) {
+			t.Errorf("primary's %s executed %v, want %v", r.name, h, r.want)
 		}
-		for _, f := range owners[1:] {
-			if h := shadowHistory(t, ec, f, owners[0], c.name); !reflect.DeepEqual(h, c.want) {
-				t.Errorf("%s's shadow of %s replayed %v, want the primary's %v", f, c.name, h, c.want)
+		own, _ := dir.Owners(r.name)
+		for _, f := range own[1:] {
+			if h := shadowHistory(t, ec, f, own[0], r.name); !reflect.DeepEqual(h, r.want) {
+				t.Errorf("%s's shadow of %s replayed %v, want the primary's %v", f, r.name, h, r.want)
 			}
 		}
 	}

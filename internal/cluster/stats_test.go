@@ -55,26 +55,27 @@ func TestStaleFlushRetrySurfacesCount(t *testing.T) {
 }
 
 // TestValueSplicesCounted: core.value_splices counts, on the executor that
-// did it, every argument answered from a wave's value table — the edges that
-// stayed on their server. An edge that crosses servers shows up as a wave in
-// cluster.flush_waves instead.
+// did it, every argument answered from a request's value table — the edges
+// that stayed on their server — and core.value_pushes, on the producer's,
+// every value it pushed to another server. Neither costs a wave.
 func TestValueSplicesCounted(t *testing.T) {
 	tc := clustertest.New(t, 2)
 	b := cluster.New(tc.Client)
 	a, bb := b.Root(tc.Servers[0].Ref), b.Root(tc.Servers[1].Ref)
 	f0 := a.Call("Add", int64(1))
 	f1 := a.Call("Apply", f0, f0) // two arguments spliced by server-0
-	bb.Call("Add", f1)            // spliced by the client, a wave later
+	bb.Call("Add", f1)            // pushed by server-0 to server-1, in the same wave
 	if err := b.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []int64{2, 0} {
-		if got := tc.Servers[i].Stats.Snapshot().Counter("core.value_splices"); got != want {
-			t.Errorf("server-%d core.value_splices = %d, want %d", i, got, want)
+	for i, want := range [][2]int64{{2, 1}, {0, 0}} {
+		snap := tc.Servers[i].Stats.Snapshot()
+		if got := [2]int64{snap.Counter("core.value_splices"), snap.Counter("core.value_pushes")}; got != want {
+			t.Errorf("server-%d core.value_splices, core.value_pushes = %v, want %v", i, got, want)
 		}
 	}
-	if got := tc.ClientStats.Snapshot().Counter("cluster.flush_waves"); got != 2 || b.Waves() != 2 {
-		t.Errorf("cluster.flush_waves = %d, Waves() = %d; want 2", got, b.Waves())
+	if got := tc.ClientStats.Snapshot().Counter("cluster.flush_waves"); got != 1 || b.Waves() != 1 {
+		t.Errorf("cluster.flush_waves = %d, Waves() = %d; want 1", got, b.Waves())
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"repro/internal/rmi"
 	"repro/internal/stats"
 	"repro/internal/statsnode"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -48,6 +49,9 @@ type Server struct {
 	Stats    *stats.Registry
 	Counter  *Counter
 	Ref      wire.Ref
+	// Tap records the connections this server dials — the server-to-server
+	// traffic — on a cluster built with Tapped; nil otherwise.
+	Tap *transport.Recorder
 }
 
 // Cluster is k full serving members plus a client on one simulated network.
@@ -59,7 +63,8 @@ type Cluster struct {
 	// the client runs no stats.Node service since it serves nothing).
 	ClientStats *stats.Registry
 
-	tb testing.TB
+	tb     testing.TB
+	tapped bool
 }
 
 // Option configures cluster construction.
@@ -67,12 +72,19 @@ type Option func(*config)
 
 type config struct {
 	network *netsim.Network
+	tapped  bool
 }
 
 // WithNetwork builds the cluster on an externally constructed network (the
 // chaos harness passes one carrying a virtual clock and a seeded fault RNG).
 func WithNetwork(n *netsim.Network) Option {
 	return func(c *config) { c.network = n }
+}
+
+// Tapped makes every server dial through a transport.Recorder (Server.Tap),
+// for the tests that attribute server-to-server bytes.
+func Tapped() Option {
+	return func(c *config) { c.tapped = true }
 }
 
 // New builds a cluster of k servers named "server-0" … "server-<k-1>", each
@@ -99,7 +111,7 @@ func New(tb testing.TB, k int, opts ...Option) *Cluster {
 		cfg.network = netsim.New(netsim.Instant)
 		tb.Cleanup(func() { _ = cfg.network.Close() })
 	}
-	c := &Cluster{Network: cfg.network, tb: tb}
+	c := &Cluster{Network: cfg.network, tb: tb, tapped: cfg.tapped}
 	for i := 0; i < k; i++ {
 		c.StartServer(fmt.Sprintf("server-%d", i))
 	}
@@ -137,8 +149,13 @@ func AssertGoroutinesReturn(tb testing.TB, baseline int, within time.Duration) {
 func (c *Cluster) StartServer(endpoint string) *Server {
 	c.tb.Helper()
 	sreg := stats.New(stats.WithClock(c.Network.Clock()))
-	srv := rmi.NewPeer(c.Network.Host(endpoint),
-		rmi.WithLogf(SilentLogf), rmi.WithStatsRegistry(sreg))
+	var host transport.Network = c.Network.Host(endpoint)
+	var tap *transport.Recorder
+	if c.tapped {
+		tap = &transport.Recorder{Network: host}
+		host = tap
+	}
+	srv := rmi.NewPeer(host, rmi.WithLogf(SilentLogf), rmi.WithStatsRegistry(sreg))
 	if err := srv.Serve(endpoint); err != nil {
 		c.tb.Fatal(err)
 	}
@@ -168,7 +185,7 @@ func (c *Cluster) StartServer(endpoint string) *Server {
 	if err != nil {
 		c.tb.Fatal(err)
 	}
-	s := &Server{Endpoint: endpoint, Peer: srv, Exec: exec, Reg: reg, Node: node, Replica: replica, Stats: sreg, Counter: ctr, Ref: ref}
+	s := &Server{Endpoint: endpoint, Peer: srv, Exec: exec, Reg: reg, Node: node, Replica: replica, Stats: sreg, Counter: ctr, Ref: ref, Tap: tap}
 	c.Servers = append(c.Servers, s)
 	return s
 }

@@ -57,6 +57,10 @@ type Batch struct {
 	// what the last flush's reply said came of it (see ShipLag).
 	ship    *ShipDirective
 	shipLag time.Duration
+	// flushID and peers are the next flush's part in a cluster flush's value
+	// pushes (push.go): its id, and the endpoints its calls push to.
+	flushID uint64
+	peers   []string
 }
 
 // callRecord links a recorded call to the client object awaiting its result.
@@ -368,6 +372,10 @@ func (b *Batch) appendCall(target *Proxy, method string, kind int64, export bool
 			inv.Args[i] = batchArg{IsRef: true, Seq: seq}
 			continue
 		}
+		if x, ok := a.(Pushed); ok {
+			inv.Args[i] = batchArg{IsRef: true, Seq: x.Tag, Pushed: true}
+			continue
+		}
 		if f, ok := a.(*Future); ok {
 			arg, err := b.futureArg(f)
 			if err != nil {
@@ -510,9 +518,12 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		Calls:       b.calls,
 		Names:       b.names,
 		Ship:        b.ship,
+		Flush:       b.flushID,
+		Peers:       b.peers,
 	}
 	b.names = nil // the reply resolves them all, or the flush fails and closes the batch
 	b.ship, b.shipLag = nil, 0
+	b.flushID, b.peers = 0, nil
 	if len(b.extra) > 0 {
 		req.Roots = make([]uint64, len(b.extra))
 		for i, r := range b.extra {

@@ -38,6 +38,7 @@ type Executor struct {
 	replays    *stats.Counter   // replays, a restart counting again; brmibench reads its name
 	executed   *stats.Counter   // calls that reached method execution
 	splices    *stats.Counter   // arguments answered from the wave's value table
+	pushes     *stats.Counter   // values pushed to another destination of a flush
 
 	// Streaming bulk reads (GetBatch). Separate from executed: replica
 	// accounting cross-checks calls_executed against client acks.
@@ -49,8 +50,11 @@ type Executor struct {
 	nextID   uint64
 	stopped  bool
 	shipHook ShipHook
-	done     chan struct{}
-	wg       sync.WaitGroup
+	// rv is the rendezvous table of values crossing servers inside a flush
+	// (push.go), allocated at its first entry.
+	rv   map[rendezvousKey]*rendezvous
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 // session is the retained server context of a batch chain (§3.5): the
@@ -110,6 +114,7 @@ func install(p *rmi.Peer, ttl time.Duration) (*Executor, error) {
 		e.replays = reg.Counter("core.replay_sequential")
 		e.executed = reg.Counter("core.calls_executed")
 		e.splices = reg.Counter("core.value_splices")
+		e.pushes = reg.Counter("core.value_pushes")
 		e.getbatchBatches = reg.Counter("core.getbatch_batches")
 		e.getbatchEntries = reg.Counter("core.getbatch_entries")
 	}
@@ -275,23 +280,24 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 		waveStart = e.reg.Now()
 	}
 	resp := &batchResponse{Roots: named}
+	var st *execState
 	for restart := 0; ; restart++ {
-		results, again := e.runBatch(ctx, sess, req.Calls)
+		var again bool
+		st = newExecState(sess, req)
+		resp.Results, again = e.runBatch(ctx, sess, st)
 		e.replays.Inc()
 		if !again || restart >= sess.policy.maxRestarts() {
-			resp.Results = results
 			resp.Restarts = int64(restart)
 			break
 		}
 	}
+	e.forget(req)
 	if e.reg != nil {
 		e.waveNs.Observe(e.reg.Now().Sub(waveStart).Nanoseconds())
 	}
 	if ship != nil {
-		payload := *req
-		payload.Ship = nil
 		var lag time.Duration
-		lag, resp.ShipErr = ship(ctx, &payload)
+		lag, resp.ShipErr = ship(ctx, shadowPayload(req, st.received))
 		// A clock too coarse to see the ship must not read as "unreplicated".
 		resp.ShipNs = max(int64(lag), 1)
 	}
@@ -429,6 +435,23 @@ type execState struct {
 	calls     []invocationData
 	vals      []valueSlot
 	spliceBuf []byte // scratch encoding of the value being spliced
+
+	// The request's flush id and push peers (push.go), and what its Pushed
+	// arguments received so far.
+	flush    uint64
+	peers    []string
+	received map[int64]received
+}
+
+// newExecState starts one run of req.
+func newExecState(sess *session, req *batchRequest) *execState {
+	return &execState{
+		trackOcc: len(sess.policy.Rules) > 0,
+		calls:    req.Calls,
+		vals:     valueTable(req.Calls),
+		flush:    req.Flush,
+		peers:    req.Peers,
+	}
 }
 
 // valueSlot is one call's entry in the wave's value table.
@@ -509,10 +532,10 @@ func (st *execState) argSlice(n int) []any {
 	return st.argBuf[:n]
 }
 
-// runBatch replays calls once. It returns the per-call results and whether
-// an ActionRestart demands re-execution.
-func (e *Executor) runBatch(ctx context.Context, sess *session, calls []invocationData) ([]callResult, bool) {
-	st := &execState{trackOcc: len(sess.policy.Rules) > 0, calls: calls, vals: valueTable(calls)}
+// runBatch replays st's calls once. It returns the per-call results and
+// whether an ActionRestart demands re-execution.
+func (e *Executor) runBatch(ctx context.Context, sess *session, st *execState) ([]callResult, bool) {
+	calls := st.calls
 	results := make([]callResult, len(calls))
 
 	for i := 0; i < len(calls); i++ {
@@ -538,6 +561,9 @@ func (e *Executor) runBatch(ctx context.Context, sess *session, calls []invocati
 		results[i] = e.runCall(ctx, sess, st, call, nil, st.nextOcc(call.Method))
 		if st.restart {
 			return results, true
+		}
+		if len(call.Push) > 0 {
+			e.push(ctx, st, call, &results[i])
 		}
 	}
 	return results, false
@@ -585,7 +611,7 @@ func (e *Executor) runCall(ctx context.Context, sess *session, st *execState, ca
 			args[i] = a.Val
 			continue
 		}
-		v, depErr := e.resolveArg(sess, st, overlay, a.Seq)
+		v, depErr := e.resolveArg(ctx, sess, st, overlay, a)
 		if depErr != nil {
 			res.Skipped = true
 			res.Err = depErr
@@ -748,7 +774,7 @@ func (e *Executor) runCursor(ctx context.Context, sess *session, st *execState, 
 			args[i] = a.Val
 			continue
 		}
-		v, depErr := e.resolveArg(sess, st, nil, a.Seq)
+		v, depErr := e.resolveArg(ctx, sess, st, nil, a)
 		if depErr != nil {
 			fail(depErr, true)
 			return
@@ -879,13 +905,18 @@ func (e *Executor) resolve(sess *session, overlay map[int64]any, seq int64) (any
 	return nil, &UnresolvedRefError{Seq: seq}
 }
 
-// resolveArg is resolve for an argument, which may also name a value call of
-// the same request: the wave's table answers for one that has executed, with
-// a copy of what it returned. One that failed or was skipped left its error
-// where resolve finds it, like a failed remote result; anything else — a call
-// later in the request, the call itself, a value of an earlier flush of the
-// chain, a cursor run's call — is unresolved.
-func (e *Executor) resolveArg(sess *session, st *execState, overlay map[int64]any, seq int64) (any, error) {
+// resolveArg is resolve for a reference argument, which may also name a value
+// call of the same request: the wave's table answers for one that has
+// executed, with a copy of what it returned. One that failed or was skipped
+// left its error where resolve finds it, like a failed remote result; anything
+// else — a call later in the request, the call itself, a value of an earlier
+// flush of the chain, a cursor run's call — is unresolved. A Pushed argument
+// is another destination's value (pushedArg).
+func (e *Executor) resolveArg(ctx context.Context, sess *session, st *execState, overlay map[int64]any, a batchArg) (any, error) {
+	if a.Pushed {
+		return e.pushedArg(ctx, st, a.Seq)
+	}
+	seq := a.Seq
 	if st.vals != nil {
 		if i, ok := callIndex(st.calls, seq); ok && st.vals[i].set {
 			e.splices.Inc()

@@ -28,3 +28,19 @@ type (
 // ValueSlotsForTest reports how many slots the executor's wave-scoped value
 // table gets for a request with these calls (0: no table).
 func ValueSlotsForTest(calls []Invocation) int { return len(valueTable(calls)) }
+
+// NumRendezvous reports the entries of e's rendezvous table.
+func NumRendezvous(e *Executor) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.rv)
+}
+
+// PushWait and MaxRendezvous are the rendezvous table's bounds.
+const (
+	PushWait      = pushWait
+	MaxRendezvous = maxRendezvous
+)
+
+// ValuePush is the message a producer's executor pushes.
+type ValuePush = valuePush

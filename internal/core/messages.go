@@ -40,6 +40,15 @@ type invocationData struct {
 	// result produced on one server into a later-stage sub-batch bound
 	// for another server.
 	Export bool
+	// Tag names this value call's result flush-wide, for the pushes below:
+	// the cluster layer tags a producer with its position in the cluster
+	// recording, which a stale-route retry keeps.
+	Tag int64
+	// Push lists the destinations — indexes into the request's Peers — that
+	// consume this value call's result in the same flush: the serving peer
+	// sends each of them the value, or the call's failure, as soon as the call
+	// ran. Value calls outside cursors only; empty (and omitted) otherwise.
+	Push []int64
 }
 
 // owner returns the owning cursor's Seq, or NoCursor.
@@ -63,10 +72,15 @@ const NoCursor int64 = -1
 // object created earlier in the chain ("only the identifier of the stub is
 // needed", §4.1). Val leads so the common by-value argument encodes as a
 // single field under trailing-zero omission.
+//
+// A Pushed argument is the value another destination of the same flush
+// produces: Seq is the producer's Tag, and the serving peer waits for the
+// producer's push under the request's Flush id (see Executor.Push).
 type batchArg struct {
-	Val   any
-	IsRef bool
-	Seq   int64
+	Val    any
+	IsRef  bool
+	Seq    int64
+	Pushed bool
 }
 
 // batchRequest is the payload of one flush (the invokeBatch call). Root and
@@ -104,6 +118,15 @@ type batchRequest struct {
 	// it replies (see ShipDirective). The trailing wire field, omitted when
 	// nil: an unreplicated flush keeps its wire form.
 	Ship *ShipDirective
+	// Flush identifies, when not 0, the cluster flush this request is one
+	// destination's part of: a random id the client mints per flush, under
+	// which values cross between its destinations (Push, Pushed arguments).
+	// Omitted when 0, as Peers is when empty: a request that pushes nothing
+	// and waits for nothing keeps its wire form.
+	Flush uint64
+	// Peers are the endpoints the request's calls push values to
+	// (invocationData.Push indexes them).
+	Peers []string
 }
 
 // ShipDirective rides a flush to a replicating destination: after the
@@ -197,6 +220,16 @@ type batchResponse struct {
 	ShipErr error
 }
 
+// valuePush is one value crossing from its producer's server to a consumer's:
+// what the producer call with Tag returned in the flush Flush — its value in
+// wire form, or the failure that kept it from producing one.
+type valuePush struct {
+	Flush uint64
+	Tag   int64
+	Value any
+	Err   error
+}
+
 func init() {
 	// Codec type registration (deterministic, no I/O). The five hot
 	// protocol messages install compiled codecs (see wirecodec.go); Policy
@@ -210,8 +243,11 @@ func init() {
 	wire.MustRegister("brmi.policy", &Policy{})
 	wire.MustRegister("brmi.rule", Rule{})
 	wire.MustRegister("brmi.ship", &ShipDirective{})
+	wire.MustRegister("brmi.push", &valuePush{})
 	wire.MustRegisterError("brmi.SessionExpired", &SessionExpiredError{})
 	wire.MustRegisterError("brmi.KindMismatch", &KindMismatchError{})
 	wire.MustRegisterError("brmi.UnresolvedRef", &UnresolvedRefError{})
 	wire.MustRegisterError("brmi.BatchError", &BatchError{})
+	wire.MustRegisterError("brmi.PushTimeout", &PushTimeoutError{})
+	wire.MustRegisterError("brmi.RendezvousFull", &RendezvousFullError{})
 }

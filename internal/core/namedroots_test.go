@@ -393,8 +393,12 @@ func TestNamedRootMissRejectsUnexecuted(t *testing.T) {
 // request's ship directive — decoded, like everything else, from the input —
 // is vetted by the real primary-side checks: the wave of a refused one never
 // executes, and the well-formed seed's ship to the absent "there" ends in a
-// quorum miss. What the decode allocates follows the input, not the counts it
-// claims. The seed corpus is the committed testdata/fuzz/FuzzBatchRequest plus a
+// quorum miss. A push list never decodes pointing outside the request's peers,
+// on a call that returns no single value, or outside a flush, and a push to
+// the serving peer itself is refused before anything executes; a request whose
+// calls wait for pushed values is decoded but not executed — nobody pushes
+// them. What the decode allocates follows the input, not the counts it claims.
+// The seed corpus is the committed testdata/fuzz/FuzzBatchRequest plus a
 // request claiming more calls than it carries.
 func FuzzBatchRequest(f *testing.F) {
 	f.Add(inflated(flushRequestCalls, 1<<12))
@@ -429,9 +433,18 @@ func FuzzBatchRequest(f *testing.F) {
 			return
 		}
 		// Every element costs at least one input byte.
-		n := len(req.Calls) + len(req.Roots) + len(req.Names)
+		n := len(req.Calls) + len(req.Roots) + len(req.Names) + len(req.Peers)
+		waits := false
 		for _, c := range req.Calls {
-			n += len(c.Args)
+			n += len(c.Args) + len(c.Push)
+			for _, a := range c.Args {
+				waits = waits || a.Pushed
+			}
+			for _, at := range c.Push {
+				if at < 0 || at >= int64(len(req.Peers)) || c.Kind != 1 || c.CursorOwner != 0 || req.Flush == 0 {
+					t.Fatalf("decoded a push to peer %d of %d on a kind-%d call, flush %d", at, len(req.Peers), c.Kind, req.Flush)
+				}
+			}
 		}
 		if d := req.Ship; d != nil {
 			n += len(d.Followers) + len(d.Names)
@@ -457,7 +470,7 @@ func FuzzBatchRequest(f *testing.F) {
 				return
 			}
 		}
-		if req.Session != 0 {
+		if req.Session != 0 || waits {
 			return
 		}
 		bumps := env.bumps()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/wire"
 )
 
@@ -14,8 +16,11 @@ import (
 // fields from a newer sender.
 
 func encBatchArg(x wire.Enc, a *batchArg) error {
-	n := 3
-	if a.Seq == 0 {
+	n := 4
+	if !a.Pushed {
+		n = 3
+	}
+	if n == 3 && a.Seq == 0 {
 		n = 2
 		if !a.IsRef {
 			n = 1
@@ -35,6 +40,9 @@ func encBatchArg(x wire.Enc, a *batchArg) error {
 	}
 	if n > 2 {
 		x.Int(a.Seq)
+	}
+	if n > 3 {
+		x.Bool(a.Pushed)
 	}
 	return nil
 }
@@ -56,7 +64,12 @@ func decBatchArg(x wire.Dec, a *batchArg, n int) error {
 			return err
 		}
 	}
-	return x.SkipFields(n - 3)
+	if n > 3 {
+		if a.Pushed, err = x.Bool(); err != nil {
+			return err
+		}
+	}
+	return x.SkipFields(n - 4)
 }
 
 func encArgSlice(x wire.Enc, args []batchArg) error {
@@ -96,8 +109,14 @@ func decArgSlice(x wire.Dec) ([]batchArg, error) {
 }
 
 func encInvocation(x wire.Enc, inv *invocationData) error {
-	n := 7
-	if !inv.Export {
+	n := 9
+	if len(inv.Push) == 0 {
+		n = 8
+		if inv.Tag == 0 {
+			n = 7
+		}
+	}
+	if n == 7 && !inv.Export {
 		n = 6
 		if inv.CursorOwner == 0 {
 			n = 5
@@ -121,6 +140,15 @@ func encInvocation(x wire.Enc, inv *invocationData) error {
 	}
 	if n > 6 {
 		x.Bool(inv.Export)
+	}
+	if n > 7 {
+		x.Int(inv.Tag)
+	}
+	if n > 8 {
+		x.Slice(len(inv.Push))
+		for _, at := range inv.Push {
+			x.Int(at)
+		}
 	}
 	return nil
 }
@@ -162,12 +190,39 @@ func decInvocation(x wire.Dec, inv *invocationData, n int) error {
 			return err
 		}
 	}
-	return x.SkipFields(n - 7)
+	if n > 7 {
+		if inv.Tag, err = x.Int(); err != nil {
+			return err
+		}
+	}
+	if n > 8 {
+		pn, err := x.SliceLen()
+		if err != nil {
+			return err
+		}
+		if pn > 0 {
+			inv.Push = make([]int64, 0, min(pn, wire.MaxPrealloc))
+			for i := 0; i < pn; i++ {
+				at, err := x.Int()
+				if err != nil {
+					return err
+				}
+				inv.Push = append(inv.Push, at)
+			}
+		}
+	}
+	return x.SkipFields(n - 9)
 }
 
 func encBatchRequest(x wire.Enc, r *batchRequest) error {
-	n := 9
-	if r.Ship == nil {
+	n := 11
+	if len(r.Peers) == 0 {
+		n = 10
+		if r.Flush == 0 {
+			n = 9
+		}
+	}
+	if n == 9 && r.Ship == nil {
 		n = 8
 		if len(r.Names) == 0 {
 			n = 7
@@ -243,6 +298,15 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 	if n > 8 {
 		if err := x.Value(r.Ship); err != nil {
 			return err
+		}
+	}
+	if n > 9 {
+		x.Uint(r.Flush)
+	}
+	if n > 10 {
+		x.Slice(len(r.Peers))
+		for _, ep := range r.Peers {
+			x.Str(ep)
 		}
 	}
 	return nil
@@ -355,7 +419,72 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			r.Ship = d
 		}
 	}
-	return x.SkipFields(n - 9)
+	if n > 9 {
+		if r.Flush, err = x.Uint(); err != nil {
+			return err
+		}
+	}
+	if n > 10 {
+		pn, err := x.SliceLen()
+		if err != nil {
+			return err
+		}
+		if pn > 0 {
+			r.Peers = make([]string, 0, min(pn, wire.MaxPrealloc))
+			for i := 0; i < pn; i++ {
+				ep, err := x.Str()
+				if err != nil {
+					return err
+				}
+				r.Peers = append(r.Peers, ep)
+			}
+		}
+	}
+	if err := checkPushes(r); err != nil {
+		return err
+	}
+	return x.SkipFields(n - 11)
+}
+
+// checkPushes rejects a request whose push lists cannot be followed: a push
+// belongs to a value call outside any cursor run, in a request that names its
+// flush, and points into the request's Peers; and no call of the request waits
+// for a value the request pushes itself — a value consumed where it is
+// produced travels inside the request.
+func checkPushes(r *batchRequest) error {
+	var tags map[int64]bool
+	for i := range r.Calls {
+		c := &r.Calls[i]
+		if len(c.Push) == 0 {
+			continue
+		}
+		switch {
+		case c.Kind != kindValue || c.CursorOwner != 0:
+			return &wire.CorruptError{Detail: "batch request pushes the result of a call that returns no single value"}
+		case r.Flush == 0:
+			return &wire.CorruptError{Detail: "batch request pushes values outside a flush"}
+		}
+		for _, at := range c.Push {
+			if at < 0 || at >= int64(len(r.Peers)) {
+				return &wire.CorruptError{Detail: fmt.Sprintf("batch request push index %d is outside its %d peers", at, len(r.Peers))}
+			}
+		}
+		if tags == nil {
+			tags = make(map[int64]bool)
+		}
+		tags[c.Tag] = true
+	}
+	if tags == nil {
+		return nil
+	}
+	for i := range r.Calls {
+		for _, a := range r.Calls[i].Args {
+			if a.Pushed && tags[a.Seq] {
+				return &wire.CorruptError{Detail: fmt.Sprintf("batch request waits for value %d, which it pushes itself", a.Seq)}
+			}
+		}
+	}
+	return nil
 }
 
 // checkRootNames rejects a request whose Names do not line up with its

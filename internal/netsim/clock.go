@@ -21,11 +21,10 @@ type Clock interface {
 	AfterFunc(d time.Duration, fn func()) Timer
 }
 
-// Timer is a cancellable pending AfterFunc.
-type Timer interface {
-	// Stop cancels the timer, reporting whether it was still pending.
-	Stop() bool
-}
+// Timer is a cancellable pending AfterFunc: Stop cancels it, reporting
+// whether it was still pending. It is an alias, so a package that must not
+// import netsim can name a Clock's AfterFunc in an interface of its own.
+type Timer = interface{ Stop() bool }
 
 // realClock routes through the time package.
 type realClock struct{}
@@ -33,6 +32,8 @@ type realClock struct{}
 func (realClock) Now() time.Time { return time.Now() }
 
 func (realClock) AfterFunc(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }
+
+func (realClock) AfterIdle(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }
 
 // RealClock is the wall-clock time source, the default for every Network.
 var RealClock Clock = realClock{}
@@ -56,6 +57,7 @@ type VirtualClock struct {
 	seq    uint64
 	gen    uint64
 	timers vtimerHeap
+	grace  time.Duration // clockGrace, or what SetGrace set
 
 	kick chan struct{}
 	done chan struct{}
@@ -65,8 +67,13 @@ type VirtualClock struct {
 // clockGrace is the real-time quiet window the clock waits for before
 // advancing to the next due timer: long enough for a goroutine woken by the
 // last event to arm an earlier one, short enough that idle simulated time
-// stays cheap.
-const clockGrace = 200 * time.Microsecond
+// stays cheap. idleGrace is the window before a bound armed with AfterIdle:
+// a goroutine the host scheduler holds up for longer than clockGrace must
+// not make the bound fire before the event it bounds.
+const (
+	clockGrace = 200 * time.Microsecond
+	idleGrace  = 50 * time.Millisecond
+)
 
 // NewVirtualClock creates a running virtual clock starting at an arbitrary
 // fixed epoch. Call Stop when done to release its scheduler goroutine.
@@ -74,9 +81,10 @@ func NewVirtualClock() *VirtualClock {
 	c := &VirtualClock{
 		// A fixed, nonzero epoch: zero time.Time means "no deadline" to
 		// net.Conn users, so the clock must never report it.
-		now:  time.Unix(1_000_000_000, 0),
-		kick: make(chan struct{}, 1),
-		done: make(chan struct{}),
+		now:   time.Unix(1_000_000_000, 0),
+		grace: clockGrace,
+		kick:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
 	go c.run()
 	return c
@@ -89,11 +97,35 @@ func (c *VirtualClock) Now() time.Time {
 	return c.now
 }
 
+// SetGrace sets the real-time quiet window the clock waits for before it
+// advances (clockGrace by default). A simulation whose timing is pinned to
+// the event — a chain of goroutine hand-offs between two link delays, under
+// the race detector — needs a window longer than the host ever takes for one
+// hand-off. The default stays short because a long simulation pays the
+// window at every event: the chaos harness under -race ran 5x slower at
+// 2 ms and its real-time deadlines started to expire.
+func (c *VirtualClock) SetGrace(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.grace = d
+}
+
 // AfterFunc schedules fn at virtual now+d. fn runs on the clock's scheduler
 // goroutine; it must not block for long.
 func (c *VirtualClock) AfterFunc(d time.Duration, fn func()) Timer {
+	return c.arm(d, fn, false)
+}
+
+// AfterIdle is AfterFunc for a bound on a wait — a deadline that only a lost
+// event should reach: the clock jumps to it only after idleGrace of real
+// quiet, not clockGrace.
+func (c *VirtualClock) AfterIdle(d time.Duration, fn func()) Timer {
+	return c.arm(d, fn, true)
+}
+
+func (c *VirtualClock) arm(d time.Duration, fn func(), idle bool) Timer {
 	c.mu.Lock()
-	t := &vtimer{clock: c, due: c.now.Add(d), seq: c.seq, fn: fn}
+	t := &vtimer{clock: c, due: c.now.Add(d), seq: c.seq, fn: fn, idle: idle}
 	c.seq++
 	c.gen++
 	heap.Push(&c.timers, t)
@@ -132,10 +164,13 @@ func (c *VirtualClock) run() {
 				return
 			}
 		}
-		gen := c.gen
+		gen, wait := c.gen, c.grace
+		if c.timers[0].idle {
+			wait = idleGrace
+		}
 		c.mu.Unlock()
 
-		grace := time.NewTimer(clockGrace)
+		grace := time.NewTimer(wait)
 		select {
 		case <-c.done:
 			grace.Stop()
@@ -184,6 +219,7 @@ type vtimer struct {
 	due     time.Time
 	seq     uint64
 	fn      func()
+	idle    bool // armed with AfterIdle
 	stopped bool
 	fired   bool
 }

@@ -48,6 +48,8 @@ var protocolMethods = [...]string{
 	"ReplayShadow",
 	"SetShipHook",
 	"Stop",
+	// A value crossing from its producer's server to its consumer's.
+	"Push",
 }
 
 // protocolMethodID maps a table name to its index.

@@ -17,6 +17,7 @@ var methodsGolden = []string{
 	"RingState", "Manifest", "Shards", "ShardInfo", "SetRing", "Epoch", "Arrive", "Depart", "Install", "Promote",
 	"Bind", "Rebind", "Unbind", "Lookup", "List", "Bound", "Forward", "Snapshot",
 	"Scrape", "NumSessions", "ReplayShadow", "SetShipHook", "Stop",
+	"Push",
 }
 
 // TestProtocolMethodTable holds the table to the golden and to what a full

@@ -82,6 +82,25 @@ func (r *Registry) Now() time.Time {
 	return r.clock.Now()
 }
 
+// boundClock is a Clock that can also arm a bound on a wait: netsim's
+// clocks, the virtual one included.
+type boundClock interface {
+	AfterIdle(d time.Duration, fn func()) interface{ Stop() bool }
+}
+
+// AfterIdle runs fn once d has passed on the registry's clock — on a clock
+// that can arm bounds of its own (netsim's), so a simulation's time governs
+// it, else on the wall clock — and returns what cancels it. It is for a bound
+// on a wait, which only a lost event should reach.
+func (r *Registry) AfterIdle(d time.Duration, fn func()) (stop func() bool) {
+	if r != nil {
+		if c, ok := r.clock.(boundClock); ok {
+			return c.AfterIdle(d, fn).Stop
+		}
+	}
+	return time.AfterFunc(d, fn).Stop
+}
+
 // Counter returns the named counter, creating it on first use. A nil
 // registry returns nil (whose methods are no-ops).
 func (r *Registry) Counter(name string) *Counter {

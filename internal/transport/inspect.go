@@ -24,11 +24,23 @@ func (r *Recorder) Dial(ctx context.Context, endpoint string) (net.Conn, error) 
 	if err != nil {
 		return nil, err
 	}
-	rc := &recordedConn{Conn: c}
+	rc := &recordedConn{Conn: c, endpoint: endpoint}
 	r.mu.Lock()
 	r.conns = append(r.conns, rc)
 	r.mu.Unlock()
 	return rc, nil
+}
+
+// Dialed returns the endpoint of each dialed connection, in dial order —
+// parallel to Recorded.
+func (r *Recorder) Dialed() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	eps := make([]string, len(r.conns))
+	for i, c := range r.conns {
+		eps[i] = c.endpoint
+	}
+	return eps
 }
 
 // Recorded returns a copy of what each dialed connection has carried so
@@ -46,8 +58,9 @@ func (r *Recorder) Recorded() (out, in [][]byte) {
 
 type recordedConn struct {
 	net.Conn
-	mu      sync.Mutex
-	out, in bytes.Buffer
+	endpoint string
+	mu       sync.Mutex
+	out, in  bytes.Buffer
 }
 
 func (c *recordedConn) Write(p []byte) (int, error) {

@@ -58,6 +58,10 @@ var standardTypes = [...]string{
 	"stats.NamedHist",
 	"stats.Snapshot",
 	"wire.Corrupt",
+	// Values pushed between the destinations of one flush.
+	"brmi.push",
+	"brmi.PushTimeout",
+	"brmi.RendezvousFull",
 }
 
 // standardIndex is name's index in the standard table, or -1. It scans the

@@ -30,6 +30,7 @@ var standardGolden = []string{
 	"cluster.OrphanedShard", "cluster.StaleShip", "cluster.Quorum", "cluster.FollowerError", "cluster.ShipReply",
 	"registry.AlreadyBound", "registry.NotBound", "stats.NamedValue", "stats.NamedHist", "stats.Snapshot",
 	"wire.Corrupt",
+	"brmi.push", "brmi.PushTimeout", "brmi.RendezvousFull",
 }
 
 // protocolPrefixes are the wire-name prefixes of the repository's own
