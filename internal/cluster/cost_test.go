@@ -165,3 +165,42 @@ func TestScaleOutTripsIndependentOfObjects(t *testing.T) {
 		})
 	}
 }
+
+// TestConvergedReAddCriticalPath: re-adding a member of a converged R=3
+// cluster of four servers — the placement call every replicated deployment
+// makes — costs five client phases: the ring refresh, the pre-seed, the
+// SetRing broadcast, the survey and the re-seed, each one call per server in
+// parallel. The pre-seed and the re-seed each add one server-to-server hop,
+// the primaries' Installs at their followers, so the whole change takes 7r of
+// virtual time on links with RTT r (bounds half-open by one r, as in
+// TestWaveTimeIsOneRTT).
+func TestConvergedReAddCriticalPath(t *testing.T) {
+	const r = 10 * time.Millisecond
+	clk := netsim.NewVirtualClock()
+	clk.SetGrace(2 * time.Millisecond)
+	t.Cleanup(clk.Stop)
+	network := netsim.New(netsim.Profile{Name: "rtt", RTT: r}, netsim.WithClock(clk))
+	t.Cleanup(func() { _ = network.Close() })
+	ec := clustertest.New(t, 4, clustertest.WithNetwork(network))
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(3))
+	for i := 0; i < 16; i++ {
+		ec.BindCounter(dir, fmt.Sprintf("kv-%d", i), int64(i))
+	}
+	ctx := context.Background()
+	reb := cluster.NewRebalancer(dir)
+	if _, err := reb.AddServer(ctx, "server-0"); err != nil {
+		t.Fatalf("first placement: %v", err)
+	}
+	before, start := ec.Client.CallCount(), clk.Now()
+	st, err := reb.AddServer(ctx, "server-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := clk.Now().Sub(start)
+	if calls := ec.Client.CallCount() - before; calls != 20 || st.Moved != 0 || st.Promoted != 0 {
+		t.Errorf("converged re-add: %d client calls, %d moved, %d promoted; want 20 calls (5 phases of 4), nothing moved", calls, st.Moved, st.Promoted)
+	}
+	if d < 7*r || d >= 8*r {
+		t.Errorf("converged re-add took %v, want [%v, %v): 5 client phases and 2 server-to-server hops", d, 7*r, 8*r)
+	}
+}

@@ -12,6 +12,14 @@ import (
 // a test that swapped it out to put back.
 func (r *Replica) ShipHook() core.ShipHook { return r.admit }
 
+// ShardInfo reports this follower's replica of primary's shard, for a test
+// that reads its log or its election credentials.
+func (r *Replica) ShardInfo(primary string) *ShardInfo {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.shardInfo(primary)
+}
+
 // Shadow returns the live object behind this follower's seeded shadow of
 // name in primary's shard, for a test that reads what the follower replayed.
 func (r *Replica) Shadow(primary, name string) (obj any, ok bool) {
@@ -46,6 +54,7 @@ const (
 	TripSnapshot = tripSnapshot
 	TripArrive   = tripArrive
 	TripPlace    = tripPlace
+	TripSurvey   = tripSurvey
 	TripDepart   = tripDepart
 	TripPromote  = tripPromote
 )

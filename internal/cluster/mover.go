@@ -6,7 +6,6 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/rmi"
@@ -16,37 +15,44 @@ import (
 // mover.go is the one snapshot-moving mechanism under the rebalancer. The
 // paper's claim — K remote operations cost one round trip — is applied to
 // the control plane itself by a single primitive, trip: one core.Batch to
-// one endpoint carrying one call per name. Migration, replica seeding,
-// failover promotion and orphan rescue are compositions of five trip kinds
-// over one Snapshot/Restore contract (Movable). Get-Batch's streaming read
-// shares the contract but not the trip, and lives in getbatch.go.
+// one endpoint carrying one call per name. Migration, replica placement,
+// failover promotion and orphan rescue are compositions of six trip kinds
+// over one Snapshot/Restore contract (Movable). Placement moves no state
+// through the client: a place trip asks one primary to snapshot its own
+// names and install them at their followers, server to server, one Install
+// call per follower carrying its whole share (Replica.Place). The election
+// reads each member once: its name table and its replicas in one survey
+// trip. Get-Batch's streaming read shares the contract but not the trip, and
+// lives in getbatch.go.
 
 // tripKind names one batched round trip of the control plane.
 type tripKind string
 
 const (
-	tripSnapshot tripKind = "snapshot" // read movable state off the server holding it
-	tripArrive   tripKind = "arrive"   // adopt moving names at their new home
-	tripPlace    tripKind = "place"    // install snapshots as shadows at one follower
+	tripSnapshot tripKind = "snapshot" // read a flow's movable state off its source
+	tripArrive   tripKind = "arrive"   // adopt moving names at their new home, then place them from there
+	tripPlace    tripKind = "place"    // have one primary seed its names' followers
+	tripSurvey   tripKind = "survey"   // read one member's name table and replica shards
 	tripDepart   tripKind = "depart"   // tombstone moved names at their old home
 	tripPromote  tripKind = "promote"  // turn one holder's shadows authoritative
 )
 
-// item is one name's call within a trip: the method's arguments and, for a
-// call on the named object itself rather than on the endpoint's service,
-// the object as an extra batch root.
+// item is one call within a trip: the method, its arguments and, for a call
+// on an object other than the trip's root, that object as an extra batch
+// root. name is what the call is about, for errors and the test probe.
 type item struct {
-	name string
-	root wire.Ref
-	args []any
+	name   string
+	root   wire.Ref
+	method string
+	args   []any
 }
 
-// trip runs one batched round trip: method is recorded once per item on a
+// trip runs one batched round trip: each item's method is recorded on a
 // single core.Batch rooted at the service `at`, the batch is flushed, and
 // every item's future is checked. It returns the items' results in order.
 // An empty trip costs nothing. This is the control plane's only flush, and
 // the only place the test probe is consulted.
-func (r *Rebalancer) trip(ctx context.Context, kind tripKind, at wire.Ref, method string, items []item) ([]any, error) {
+func (r *Rebalancer) trip(ctx context.Context, kind tripKind, at wire.Ref, items []item) ([]any, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
@@ -69,7 +75,7 @@ func (r *Rebalancer) trip(ctx context.Context, kind tripKind, at wire.Ref, metho
 				return nil, fmt.Errorf("%s %q: %w", kind, it.name, err)
 			}
 		}
-		futs[i] = target.Call(method, it.args...)
+		futs[i] = target.Call(it.method, it.args...)
 	}
 	if err := b.Flush(ctx); err != nil {
 		return nil, fmt.Errorf("%s batch at %s: %w", kind, at.Endpoint, err)
@@ -83,6 +89,20 @@ func (r *Rebalancer) trip(ctx context.Context, kind tripKind, at wire.Ref, metho
 		out[i] = v
 	}
 	return out, nil
+}
+
+// ReplyError reports a control call answered with a value its method never
+// returns. The rebalancer refuses to read such an answer as empty: an empty
+// name table or shard list is exactly what lets a removal discard the last
+// copies of a shard.
+type ReplyError struct {
+	Endpoint string
+	Method   string
+	Got      string // what came back where the answer belongs
+}
+
+func (e *ReplyError) Error() string {
+	return fmt.Sprintf("cluster: %s at %s answered %s", e.Method, e.Endpoint, e.Got)
 }
 
 // move is one name travelling between servers, with the reference it is
@@ -114,11 +134,11 @@ func (r *Rebalancer) snapshot(ctx context.Context, src string, moves []move) err
 	var at []int
 	for i, m := range moves {
 		if m.movable {
-			items = append(items, item{name: m.name, root: m.ref})
+			items = append(items, item{name: m.name, root: m.ref, method: "Snapshot"})
 			at = append(at, i)
 		}
 	}
-	states, err := r.trip(ctx, tripSnapshot, NodeRef(src), "Snapshot", items)
+	states, err := r.trip(ctx, tripSnapshot, NodeRef(src), items)
 	if err != nil {
 		return err
 	}
@@ -128,25 +148,12 @@ func (r *Rebalancer) snapshot(ctx context.Context, src string, moves []move) err
 	return nil
 }
 
-// seed installs the snapshots of primary's movable moves as shadows at the
-// followers routing assigns each name: one place trip per follower,
-// followers in parallel. Names routing homes elsewhere, and names of an
-// unreplicated ring, have no followers here and are skipped.
-func (r *Rebalancer) seed(ctx context.Context, primary string, moves []move, routing *Ring, epoch uint64) error {
-	byFollower := make(map[string][]item)
-	for _, m := range moves {
-		owners, _ := routing.Owners(m.name)
-		if !m.movable || len(owners) < 2 || owners[0] != primary {
-			continue
-		}
-		for _, f := range owners[1:] {
-			byFollower[f] = append(byFollower[f], item{name: m.name, args: []any{m.name, m.ref.Iface, m.state, primary, epoch}})
-		}
-	}
-	return fanOut(sortedKeys(byFollower), func(_ int, f string) error {
-		_, err := r.trip(ctx, tripPlace, ReplicaRef(f), "Install", byFollower[f])
-		return err
-	})
+// placeItem is the call asking primary to seed the followers routing assigns
+// its names — the named ones, or every one it is the routing home of when
+// names is nil (Replica.Place).
+func placeItem(primary string, routing *Ring, epoch uint64, names []string) item {
+	return item{name: primary, root: ReplicaRef(primary), method: "Place",
+		args: []any{routing.Endpoints(), routing.Replication(), epoch, names}}
 }
 
 // sortedKeys returns m's keys in order, so fan-outs are deterministic.
@@ -161,42 +168,96 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // manifests reads each endpoint's name table: one Manifest round trip per
 // server, in parallel.
-func (r *Rebalancer) manifests(ctx context.Context, endpoints []string) ([][]Binding, error) {
-	out := make([][]Binding, len(endpoints))
+func (r *Rebalancer) manifests(ctx context.Context, endpoints []string) ([][]*Binding, error) {
+	out := make([][]*Binding, len(endpoints))
 	err := fanOut(endpoints, func(i int, ep string) error {
 		res, err := r.dir.peer.Call(ctx, NodeRef(ep), "Manifest")
 		if err != nil {
 			return fmt.Errorf("cluster: manifest %s: %w", ep, err)
 		}
-		if len(res) == 0 || res[0] == nil {
-			return nil
+		if len(res) != 1 {
+			return &ReplyError{Endpoint: ep, Method: "Manifest", Got: fmt.Sprintf("%d results", len(res))}
 		}
-		generic, ok := res[0].([]any)
-		if !ok {
-			return fmt.Errorf("cluster: manifest %s: unexpected result %T", ep, res[0])
-		}
-		for _, v := range generic {
-			b, ok := v.(*Binding)
-			if !ok {
-				return fmt.Errorf("cluster: manifest %s: unexpected element %T", ep, v)
-			}
-			out[i] = append(out[i], *b)
-		}
-		return nil
+		out[i], err = decodeManifest(ep, res[0])
+		return err
 	})
 	return out, err
 }
 
-// boundNames is the set of names bound on any of the endpoints.
-func (r *Rebalancer) boundNames(ctx context.Context, endpoints []string) (map[string]bool, error) {
-	tables, err := r.manifests(ctx, endpoints)
+// decodeList reads endpoint's answer to method: a list of *T, each element
+// one valid accepts. Nil is the empty list.
+func decodeList[T any](ep, method string, v any, valid func(*T) bool) ([]*T, error) {
+	if v == nil {
+		return nil, nil
+	}
+	generic, ok := v.([]any)
+	if !ok {
+		return nil, &ReplyError{Endpoint: ep, Method: method, Got: fmt.Sprintf("a %T", v)}
+	}
+	out := make([]*T, len(generic))
+	for i, e := range generic {
+		x, ok := e.(*T)
+		if !ok || x == nil || !valid(x) {
+			return nil, &ReplyError{Endpoint: ep, Method: method, Got: fmt.Sprintf("an unreadable %T in its list", e)}
+		}
+		out[i] = x
+	}
+	return out, nil
+}
+
+// decodeManifest reads endpoint's answer to Manifest.
+func decodeManifest(ep string, v any) ([]*Binding, error) {
+	return decodeList(ep, "Manifest", v, func(*Binding) bool { return true })
+}
+
+// decodeShards reads endpoint's answer to Survey(primary): shard infos, each
+// naming its primary — primary itself when one was asked for.
+func decodeShards(ep, primary string, v any) ([]*ShardInfo, error) {
+	return decodeList(ep, "Survey", v, func(si *ShardInfo) bool {
+		return si.Primary != "" && (primary == "" || si.Primary == primary)
+	})
+}
+
+// boundIn is the set of names bound in any of the tables.
+func boundIn(tables [][]*Binding) map[string]bool {
 	bound := make(map[string]bool)
 	for _, t := range tables {
 		for _, b := range t {
 			bound[b.Name] = true
 		}
 	}
-	return bound, err
+	return bound
+}
+
+// memberView is one member's answer to the survey: its name table and its
+// replicas.
+type memberView struct {
+	manifest []*Binding
+	shards   []*ShardInfo
+}
+
+// survey reads each member's name table and replicas — of primary's shard,
+// or of every shard it holds when primary is empty — in one trip per member,
+// members in parallel.
+func (r *Rebalancer) survey(ctx context.Context, members []string, primary string) ([]memberView, error) {
+	views := make([]memberView, len(members))
+	err := fanOut(members, func(i int, ep string) error {
+		res, err := r.trip(ctx, tripSurvey, NodeRef(ep), []item{
+			{name: ep, method: "Manifest"},
+			{name: primary, root: ReplicaRef(ep), method: "Survey", args: []any{primary}},
+		})
+		if err == nil {
+			views[i].manifest, err = decodeManifest(ep, res[0])
+		}
+		if err == nil {
+			views[i].shards, err = decodeShards(ep, primary, res[1])
+		}
+		if err != nil {
+			return fmt.Errorf("cluster: survey %s: %w", ep, err)
+		}
+		return nil
+	})
+	return views, err
 }
 
 // flow is the moves of one (source, destination) pair.
@@ -205,12 +266,15 @@ type flow struct {
 	moves    []move
 }
 
-// plan reads each source's name table and groups the names routing homes
-// elsewhere into per-(source, destination) flows.
-func (r *Rebalancer) plan(ctx context.Context, sources []string, routing *Ring) ([]flow, int, error) {
-	tables, err := r.manifests(ctx, sources)
-	if err != nil {
-		return nil, 0, err
+// plan groups the names routing homes elsewhere into per-(source,
+// destination) flows. tables are the sources' name tables when the caller
+// has them current; nil reads them, one Manifest per source.
+func (r *Rebalancer) plan(ctx context.Context, sources []string, tables [][]*Binding, routing *Ring) ([]flow, int, error) {
+	if tables == nil {
+		var err error
+		if tables, err = r.manifests(ctx, sources); err != nil {
+			return nil, 0, err
+		}
 	}
 	var flows []flow
 	index := make(map[[2]string]int)
@@ -252,66 +316,59 @@ func (r *Rebalancer) migrate(ctx context.Context, flows []flow, routing *Ring, e
 	})
 }
 
-// migratePair moves one flow in three trips plus one per follower: snapshot
-// at the source, arrive at the destination (idempotent: an already-adopted
-// copy is kept), seed the destination's followers, depart the source
-// (wrong-home forwards and export tombstones). The order is apply's step 4:
-// until the depart lands both homes hold the name — stale-ring writes in
-// that window land on the old copy and are superseded by the tombstone —
-// whereas tombstoning first would destroy the only copy of the state if the
-// arrive trip failed. Seeding comes before the depart because the old
-// shard's shadows are keyed under the old primary, invisible to an election
-// for the new one: a state-loss kill of the destination after the depart
-// would otherwise hold the only copy of every moved name.
+// migratePair moves one flow in three trips: snapshot at the source; arrive
+// at the destination (idempotent: an already-adopted copy is kept), with the
+// destination's placement of the movable names recorded after the arrives in
+// the same batch; depart the source (wrong-home forwards and export
+// tombstones). The order is apply's step 4: until the depart lands both homes
+// hold the name — stale-ring writes in that window land on the old copy and
+// are superseded by the tombstone — whereas tombstoning first would destroy
+// the only copy of the state if the arrive trip failed. Placement comes
+// before the depart because the old shard's shadows are keyed under the old
+// primary, invisible to an election for the new one: a state-loss kill of
+// the destination after the depart would otherwise hold the only copy of
+// every moved name. A failed arrive aborts the batch before the placement.
 func (r *Rebalancer) migratePair(ctx context.Context, f flow, routing *Ring, epoch uint64) error {
 	if err := r.snapshot(ctx, f.src, f.moves); err != nil {
 		return err
 	}
-	arrive := make([]item, len(f.moves))
+	arrive := make([]item, 0, len(f.moves)+1)
 	depart := make([]item, len(f.moves))
+	var placed []string
 	for i, m := range f.moves {
-		arrive[i] = item{name: m.name, args: []any{m.name, m.ref.Iface, m.movable, m.state, m.ref}}
-		depart[i] = item{name: m.name, args: []any{m.name, epoch}}
+		arrive = append(arrive, item{name: m.name, method: "Arrive", args: []any{m.name, m.ref.Iface, m.movable, m.state, m.ref}})
+		depart[i] = item{name: m.name, method: "Depart", args: []any{m.name, epoch}}
+		if m.movable {
+			placed = append(placed, m.name)
+		}
 	}
-	if _, err := r.trip(ctx, tripArrive, NodeRef(f.dst), "Arrive", arrive); err != nil {
+	if routing.Replication() > 1 && len(placed) > 0 {
+		arrive = append(arrive, placeItem(f.dst, routing, epoch, placed))
+	}
+	if _, err := r.trip(ctx, tripArrive, NodeRef(f.dst), arrive); err != nil {
 		return err
 	}
-	if err := r.seed(ctx, f.dst, f.moves, routing, epoch); err != nil {
-		return err
-	}
-	_, err := r.trip(ctx, tripDepart, NodeRef(f.src), "Depart", depart)
+	_, err := r.trip(ctx, tripDepart, NodeRef(f.src), depart)
 	return err
 }
 
 // placeReplicas (re)seeds the followers of every movable name that sits at
-// its routing home on one of the members: one snapshot trip per primary, one
-// place trip per (primary, follower) pair, K names per trip. It is a full,
-// idempotent re-install, so a retried rebalance converges just like
-// migration does. A mis-homed name (mid-migration on a retry) is seeded by
-// the flow that finally homes it. Names whose type has no movable factory
-// cannot be snapshotted and are not replicated (symmetrically, the primary's
-// newChain turns off a chain whose root cannot move).
+// its routing home on one of the members: one place trip per member of the
+// routing ring, in parallel, from where each primary installs its names at
+// their followers server to server. It is a full, idempotent re-install, so a
+// retried rebalance converges just like migration does. A mis-homed name
+// (mid-migration on a retry) is seeded by the flow that finally homes it.
+// Names whose type has no movable factory cannot be snapshotted and are not
+// replicated (symmetrically, the primary's newChain turns off a chain whose
+// root cannot move).
 func (r *Rebalancer) placeReplicas(ctx context.Context, members []string, routing *Ring, epoch uint64) error {
 	if routing.Replication() <= 1 {
 		return nil
 	}
-	tables, err := r.manifests(ctx, members)
-	if err != nil {
-		return err
-	}
-	return fanOut(members, func(i int, src string) error {
-		var placed []move
-		for _, b := range tables[i] {
-			if owners, _ := routing.Owners(b.Name); len(owners) >= 2 && owners[0] == src && movableAt(b.Ref, src) {
-				placed = append(placed, move{name: b.Name, ref: b.Ref, movable: true})
-			}
-		}
-		err := r.snapshot(ctx, src, placed)
-		if err == nil {
-			err = r.seed(ctx, src, placed, routing, epoch)
-		}
-		if err != nil {
-			return fmt.Errorf("cluster: place replicas of %s: %w", src, err)
+	primaries := slices.DeleteFunc(slices.Clone(members), func(ep string) bool { return !routing.Contains(ep) })
+	return fanOut(primaries, func(_ int, p string) error {
+		if _, err := r.trip(ctx, tripPlace, ReplicaRef(p), []item{placeItem(p, routing, epoch, nil)}); err != nil {
+			return fmt.Errorf("cluster: place replicas of %s: %w", p, err)
 		}
 		return nil
 	})
@@ -323,50 +380,39 @@ type candidate struct {
 	ni              NameInfo
 }
 
-// elect is the one promotion election. Every member reports its replica of
-// primary's shard — or, when primary is empty, of every shard it holds — and
-// each shadowed name is won by its best candidate (betterCandidate). Names
-// bound on any member (or, for a rescue, on the shadow's own primary) are
-// alive — migrated away before the crash, promoted by an earlier partial
-// run, or simply healthy — and are filtered out, so a stale shadow never
-// overwrites fresher authoritative state and retries converge. Each winning
-// holder then binds its shadows into its registry (Replica.Promote,
-// idempotent per name), one promote trip per holder in sorted order, from
-// where the caller's migration homes them. Returns how many names were
-// promoted.
-func (r *Rebalancer) elect(ctx context.Context, members []string, primary string, epoch uint64) (int, error) {
-	var mu sync.Mutex
+// elect is the one promotion election. Every member reports, in one survey
+// trip, its name table and its replica of primary's shard — or, when primary
+// is empty, of every shard it holds — and each shadowed name is won by its
+// best candidate (betterCandidate). Names bound on any member (or, for a
+// rescue, on the shadow's own primary) are alive — migrated away before the
+// crash, promoted by an earlier partial run, or simply healthy — and are
+// filtered out, so a stale shadow never overwrites fresher authoritative
+// state and retries converge. Each winning holder then binds its shadows
+// into its registry (Replica.Promote, idempotent per name), one promote trip
+// per holder in sorted order, from where the caller's migration homes them.
+// Returns how many names were promoted and the members' name tables as the
+// survey read them — before any promotion.
+func (r *Rebalancer) elect(ctx context.Context, members []string, primary string, epoch uint64) (int, [][]*Binding, error) {
+	views, err := r.survey(ctx, members, primary)
+	if err != nil {
+		return 0, nil, fmt.Errorf("cluster: elect: %w", err)
+	}
+	tables := make([][]*Binding, len(views))
 	best := make(map[string]candidate)
-	err := fanOut(members, func(_ int, ep string) error {
-		shards := []string{primary}
-		if primary == "" {
-			var err error
-			if shards, err = r.replicaShards(ctx, ep); err != nil {
-				return fmt.Errorf("cluster: elect: shards at %s: %w", ep, err)
-			}
-		}
-		for _, p := range shards {
-			si, err := r.shardInfoAt(ctx, ep, p)
-			if err != nil {
-				return fmt.Errorf("cluster: elect: shard %s at %s: %w", p, ep, err)
-			}
-			mu.Lock()
+	for i, v := range views {
+		tables[i] = v.manifest
+		for _, si := range v.shards {
 			for _, ni := range si.Names {
-				if cur, ok := best[ni.Name]; !ok || betterCandidate(ep, ni, cur.holder, cur.ni) {
-					best[ni.Name] = candidate{holder: ep, primary: p, ni: ni}
+				if cur, ok := best[ni.Name]; !ok || betterCandidate(members[i], ni, cur.holder, cur.ni) {
+					best[ni.Name] = candidate{holder: members[i], primary: si.Primary, ni: ni}
 				}
 			}
-			mu.Unlock()
 		}
-		return nil
-	})
-	if err != nil || len(best) == 0 {
-		return 0, err
 	}
-	bound, err := r.boundNames(ctx, members)
-	if err != nil {
-		return 0, err
+	if len(best) == 0 {
+		return 0, tables, nil
 	}
+	bound := boundIn(tables)
 	if primary == "" {
 		// A rescued shadow's own primary may be alive outside the ring — a
 		// member whose removal was broadcast but never drained still binds
@@ -381,19 +427,19 @@ func (r *Rebalancer) elect(ctx context.Context, members []string, primary string
 				outside = append(outside, c.primary)
 			}
 		}
-		held, _ := r.boundNames(ctx, outside)
-		maps.Copy(bound, held)
+		held, _ := r.manifests(ctx, outside)
+		maps.Copy(bound, boundIn(held))
 	}
 	byHolder := make(map[string][]item)
 	promoted := 0
 	for _, name := range sortedKeys(best) {
 		if c := best[name]; !bound[name] {
-			byHolder[c.holder] = append(byHolder[c.holder], item{name: name, args: []any{c.primary, []string{name}, epoch}})
+			byHolder[c.holder] = append(byHolder[c.holder], item{name: name, method: "Promote", args: []any{c.primary, []string{name}, epoch}})
 			promoted++
 		}
 	}
-	return promoted, fanOut(sortedKeys(byHolder), func(_ int, ep string) error {
-		_, err := r.trip(ctx, tripPromote, ReplicaRef(ep), "Promote", byHolder[ep])
+	return promoted, tables, fanOut(sortedKeys(byHolder), func(_ int, ep string) error {
+		_, err := r.trip(ctx, tripPromote, ReplicaRef(ep), byHolder[ep])
 		return err
 	})
 }
@@ -421,32 +467,6 @@ func betterCandidate(ep string, ni NameInfo, curEp string, cur NameInfo) bool {
 		return ni.Epoch > cur.Epoch
 	}
 	return ep < curEp
-}
-
-// replicaShards lists the non-empty replica shards held at endpoint, by
-// their primary endpoints.
-func (r *Rebalancer) replicaShards(ctx context.Context, endpoint string) ([]string, error) {
-	res, err := r.dir.peer.Call(ctx, ReplicaRef(endpoint), "Shards")
-	if err != nil || len(res) != 1 {
-		return nil, err
-	}
-	// The wire layer decodes a []string result as []any of strings.
-	return core.Convert[[]string](res[0])
-}
-
-// shardInfoAt reads endpoint's view of primary's shard. Never nil on a nil
-// error.
-func (r *Rebalancer) shardInfoAt(ctx context.Context, endpoint, primary string) (*ShardInfo, error) {
-	res, err := r.dir.peer.Call(ctx, ReplicaRef(endpoint), "ShardInfo", primary)
-	if err != nil {
-		return nil, err
-	}
-	if len(res) == 1 {
-		if si, ok := res[0].(*ShardInfo); ok && si != nil {
-			return si, nil
-		}
-	}
-	return &ShardInfo{Primary: primary}, nil
 }
 
 // broadcast pushes the ring state (members at epoch) to every recipient

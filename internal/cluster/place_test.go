@@ -1,0 +1,266 @@
+package cluster_test
+
+// Replica placement at the primary: the client asks each primary once, and
+// the primary snapshots its own names and installs them at their followers
+// server to server. The call arrives from outside the server, so the primary
+// vets it before it installs anything; every member places into every other
+// at once; and a follower lost mid-placement fails the change, which a retry
+// then completes.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/clustertest"
+	"repro/internal/core"
+	"repro/internal/netsim"
+	"repro/internal/registry"
+	"repro/internal/rmi"
+	"repro/internal/wire"
+)
+
+// placeAt asks primary to place, as the rebalancer's place trip does.
+func placeAt(ctx context.Context, p *rmi.Peer, primary string, members []string, replication int, epoch uint64, names []string) error {
+	cb := core.New(p, cluster.ReplicaRef(primary))
+	f := cb.Root().Call("Place", members, replication, epoch, names)
+	if err := cb.Flush(ctx); err != nil {
+		return err
+	}
+	_, err := f.Get()
+	return err
+}
+
+// TestPrimaryVetsPlacement: every malformed, hostile or stale placement call
+// is refused with its typed error, with nothing installed and not one call
+// made by the primary; the well-formed one next to them installs the name's
+// shadow at its follower.
+func TestPrimaryVetsPlacement(t *testing.T) {
+	ec, dir, primary, _, _, epoch := directiveCluster(t)
+	ctx := context.Background()
+	ps := ec.Server(primary)
+	members := ec.Endpoints()
+	others := make([]string, 0, len(members))
+	for _, ep := range members {
+		if ep != primary {
+			others = append(others, ep)
+		}
+	}
+	// Bound after the placement that seeded obj-0: no follower shadows it.
+	fresh := nameWhere(t, dir, "fresh", primary, anyOwners)
+	ec.BindCounter(dir, fresh, 7)
+	many := make([]string, 1025)
+	for i := range many {
+		many[i] = fmt.Sprintf("server-%d", i)
+	}
+	corrupt, stale, notBound := new(*wire.CorruptError), new(*cluster.StaleShipError), new(*registry.NotBoundError)
+	for _, tc := range []struct {
+		name        string
+		members     []string
+		replication int
+		epoch       uint64
+		names       []string
+		want        any // **wire.CorruptError, **cluster.StaleShipError or **registry.NotBoundError
+	}{
+		{"replication 1", members, 1, epoch, []string{fresh}, corrupt},
+		{"replication 0", members, 0, epoch, nil, corrupt},
+		{"replication past the members", members, len(members) + 1, epoch, []string{fresh}, corrupt},
+		{"a member listed twice", append([]string{primary}, members...), 2, epoch, []string{fresh}, corrupt},
+		{"a ring without the primary", others, 2, epoch, nil, corrupt},
+		{"more members than a ring may have", append(many, primary), 2, epoch, nil, corrupt},
+		{"an epoch behind the primary's ring", members, 2, epoch - 1, []string{fresh}, stale},
+		{"a name not bound here", members, 2, epoch, []string{fresh, "nowhere"}, notBound},
+	} {
+		calls := ps.Peer.CallCount()
+		err := placeAt(ctx, ec.Client, primary, tc.members, tc.replication, tc.epoch, tc.names)
+		if !errors.As(err, tc.want) {
+			t.Errorf("%s: place = %T %v, want %T", tc.name, err, err, reflect.ValueOf(tc.want).Elem().Interface())
+		}
+		if got := ps.Peer.CallCount() - calls; got != 0 {
+			t.Errorf("%s: the primary made %d calls for a placement it refused", tc.name, got)
+		}
+	}
+	owners, _ := dir.Owners(fresh)
+	if _, ok := ec.Server(owners[1]).Replica.Shadow(primary, fresh); ok {
+		t.Fatalf("a refused placement installed %s at %s", fresh, owners[1])
+	}
+
+	if err := placeAt(ctx, ec.Client, primary, members, 2, epoch, []string{fresh}); err != nil {
+		t.Fatalf("well-formed placement: %v", err)
+	}
+	shadow, ok := ec.Server(owners[1]).Replica.Shadow(primary, fresh)
+	if !ok {
+		t.Fatalf("the placement left %s without a shadow of %s", owners[1], fresh)
+	}
+	if got := shadow.(*clustertest.Counter).Get(); got != 7 {
+		t.Errorf("%s's shadow of %s holds %d, want the primary's 7", owners[1], fresh, got)
+	}
+}
+
+// TestMembersPlaceIntoEachOther: on four servers at R=3 every member follows
+// every other, and two clients ask all four to place at once, round after
+// round. Each primary's handler installs at the three others while they do
+// the same into it, so a lock held across the outbound Installs would
+// deadlock; every call returns, and every name stays seeded at its
+// followers.
+func TestMembersPlaceIntoEachOther(t *testing.T) {
+	ec := clustertest.New(t, 4)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(3))
+	var names []string
+	for _, ep := range ec.Endpoints() {
+		for i := 0; i < 4; i++ {
+			names = append(names, nameWhere(t, dir, fmt.Sprintf("m%d", i), ep, anyOwners))
+		}
+	}
+	place(t, ec, dir, names...)
+	other := rmi.NewPeer(ec.Network.Host("client-2"), rmi.WithLogf(clustertest.SilentLogf))
+	t.Cleanup(func() { _ = other.Close() })
+
+	const rounds = 20
+	epoch := dir.Epoch()
+	var wg sync.WaitGroup
+	for _, peer := range []*rmi.Peer{ec.Client, other} {
+		for _, ep := range ec.Endpoints() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < rounds; n++ {
+					if err := placeAt(ctx, peer, ep, ec.Endpoints(), 3, epoch, nil); err != nil {
+						t.Errorf("placement %d at %s: %v", n, ep, err)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	for _, name := range names {
+		owners, _ := dir.Owners(name)
+		for _, f := range owners[1:] {
+			if _, ok := ec.Server(f).Replica.Shadow(owners[0], name); !ok {
+				t.Errorf("%s holds no seeded shadow of %s after the placements", f, name)
+			}
+		}
+	}
+}
+
+// TestFollowerKilledMidPlacement: a member dies with its state while the
+// converged R=3 cluster re-places. Every primary that seeds it fails its
+// placement, naming the lost follower, and so does the change. The member
+// comes back empty, and the same call run again converges: it rescues the
+// names whose only copies are shadows elsewhere, acked writes included, and
+// homes them.
+func TestFollowerKilledMidPlacement(t *testing.T) {
+	ec := clustertest.New(t, 4)
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(3))
+	want := map[string]int64{}
+	for _, ep := range ec.Endpoints() {
+		bindAll(ec, dir, want, namesWithOwners(t, dir.Ring(), 2, ep)...)
+	}
+	if _, err := cluster.NewRebalancer(dir).AddServer(ctx, "server-0"); err != nil {
+		t.Fatalf("placement rebalance: %v", err)
+	}
+	for name := range want {
+		ackedAdd(t, ec, dir, want, name)
+	}
+
+	const victim = "server-2"
+	faulty := cluster.NewRebalancer(dir)
+	var once sync.Once
+	faulty.SetProbe(func(k cluster.TripKind, endpoint string, _ []string) error {
+		if k == cluster.TripPlace && endpoint != victim {
+			once.Do(func() { ec.CrashServer(victim) })
+		}
+		return nil
+	})
+	_, err := faulty.AddServer(ctx, "server-0")
+	var lost *cluster.FollowerError
+	if !errors.As(err, &lost) || lost.Endpoint != victim {
+		t.Fatalf("placement with %s killed = %v, want a FollowerError naming it", victim, err)
+	}
+
+	ec.StartServer(victim)
+	st, err := cluster.NewRebalancer(dir).AddServer(ctx, "server-0")
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if st.Promoted != 2 {
+		t.Errorf("retry promoted %d names, want the victim's 2", st.Promoted)
+	}
+	checkConverged(t, ec, dir, want)
+}
+
+// TestPlacementLandsBetweenShips: a placement snapshots at the primary while
+// a wave it already executed is still queued for a slow follower — under
+// W=2 of R=3 the flush was answered without it — and while the next waves
+// execute. The follower's shadow must end with every wave exactly once:
+// the Install waits for the records its snapshot holds, and a record the
+// snapshot does not hold waits for the Install.
+func TestPlacementLandsBetweenShips(t *testing.T) {
+	ec, dir := shipCluster(t)
+	ctx := context.Background()
+	const delay = 200 * time.Millisecond
+	name := nameWhere(t, dir, "a", "server-0", anyOwners)
+	place(t, ec, dir, name)
+	owners, epoch := dir.Owners(name)
+	primary, slow := owners[0], owners[2]
+	ec.Network.SetLinkFaults(slow, primary, netsim.LinkFaults{ExtraLatency: delay})
+	t.Cleanup(func() { ec.Network.KillConns(slow) })
+
+	// One chain of two waves: the second's ship to the slow follower queues
+	// behind the first's, whose answer takes delay.
+	d := &core.ShipDirective{Followers: [][]int{{memberIndex(ec, owners[1]), memberIndex(ec, slow)}}, Epoch: epoch, Quorum: 2}
+	cb := core.NewNamed(ec.Client, primary, name)
+	cb.Ship(d)
+	cb.Root().Call("Add", int64(1))
+	if err := cb.FlushAndContinue(ctx); err != nil {
+		t.Fatal(err)
+	}
+	chained := *d
+	chained.Names = []string{name}
+	cb.Ship(&chained)
+	cb.Root().Call("Add", int64(2))
+	if err := cb.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// A placement at the next epoch overwrites every seeded shadow, while a
+	// third wave runs beside it.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cb := core.NewNamed(ec.Client, primary, name)
+		cb.Ship(d)
+		cb.Root().Call("Add", int64(4))
+		if err := cb.Flush(ctx); err != nil {
+			t.Errorf("wave beside the placement: %v", err)
+		}
+	}()
+	if err := placeAt(ctx, ec.Client, primary, ec.Endpoints(), 3, epoch+1, nil); err != nil {
+		t.Fatalf("placement: %v", err)
+	}
+	wg.Wait()
+
+	want := counterAt(t, ec, primary, name).Get()
+	for deadline := time.Now().Add(10 * delay); ; time.Sleep(5 * time.Millisecond) {
+		shadow, ok := ec.Server(slow).Replica.Shadow(primary, name)
+		got := int64(-1)
+		if ok {
+			got = shadow.(*clustertest.Counter).Get()
+		}
+		if got == want {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s's shadow of %s holds %d, the primary %d", slow, name, got, want)
+		}
+	}
+}

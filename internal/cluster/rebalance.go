@@ -16,10 +16,11 @@ import (
 // its replicas. All three are the same procedure (change) with different
 // preconditions, and the procedure moves state with one mechanism (mover.go):
 // per endpoint, K objects travel in one batched round trip — K objects move
-// in 3 round trips, not 3K. Old homes are left with wrong-home tombstones
-// (registry forwards + export tombstones) carrying the new epoch, so stale
-// callers fail with rmi.WrongHomeError, refresh their shard map, and
-// re-route.
+// in 3 round trips, not 3K, and their replicas are placed from their
+// primaries without crossing the client. Old homes are left with wrong-home
+// tombstones (registry forwards + export tombstones) carrying the new epoch,
+// so stale callers fail with rmi.WrongHomeError, refresh their shard map,
+// and re-route.
 //
 // Every operation is idempotent and retryable: a run that failed partway (a
 // node transiently unreachable, say) is completed by calling it again, and
@@ -110,10 +111,11 @@ type change struct {
 //     them to their ring homes like any other name.
 //  4. Migrate copy-then-tombstone, and place before depart: each flow
 //     snapshots at the source, arrives at the destination, seeds the
-//     destination's followers, and only then departs the source
-//     (migratePair). A failure at any point leaves every name readable
-//     somewhere. The plan is whatever is still mis-homed on the sources, so
-//     a retry moves exactly the leftovers.
+//     destination's followers from the destination (in the arrive trip),
+//     and only then departs the source (migratePair). A failure at any
+//     point leaves every name readable somewhere. The plan is whatever is
+//     still mis-homed on the sources, so a retry moves exactly the
+//     leftovers.
 //  5. Re-seed every follower set under the new membership at the new epoch:
 //     a follower that became responsible for a key it never followed would
 //     otherwise build its shadow lazily from zero state at the next shipped
@@ -125,6 +127,12 @@ type change struct {
 //     explicitly refreshes mid-migration adopts the broadcast ring early and
 //     can transiently see NotBound for a not-yet-arrived name — see
 //     DESIGN.md, "In-flight windows".)
+//
+// Each step is one client phase, one call per server in parallel — the
+// pre-seed and re-seed each add one server-to-server hop, a primary's
+// Installs at its followers — so a change that moves and promotes nothing
+// costs five phases: refresh, pre-seed, broadcast, election survey (whose
+// name tables the plan reuses) and re-seed.
 func (r *Rebalancer) apply(ctx context.Context, c change) (*RebalanceStats, error) {
 	members := c.target.Endpoints()
 	if len(c.preseed) > 0 {
@@ -138,13 +146,19 @@ func (r *Rebalancer) apply(ctx context.Context, c change) (*RebalanceStats, erro
 		}
 	}
 	promoted := 0
+	// The sources' name tables, as the election read them; a promotion
+	// changes them, so plan reads them again then.
+	var tables [][]*Binding
 	if c.elect && c.target.Replication() > 1 { // unreplicated rings hold no shadows
 		var err error
-		if promoted, err = r.elect(ctx, members, c.shard, c.epoch); err != nil {
+		if promoted, tables, err = r.elect(ctx, members, c.shard, c.epoch); err != nil {
 			return nil, err
 		}
+		if promoted > 0 || !slices.Equal(c.sources, members) {
+			tables = nil
+		}
 	}
-	flows, moved, err := r.plan(ctx, c.sources, c.target)
+	flows, moved, err := r.plan(ctx, c.sources, tables, c.target)
 	if err != nil {
 		return nil, err
 	}
@@ -304,32 +318,30 @@ func init() {
 // including on the departing member itself, whose bound names this removal
 // migrates off — are stale leftovers of an already-recovered shard and never
 // block removal, so a guard trip always clears once the owed failover
-// promotes and re-homes the shard's names.
+// promotes and re-homes the shard's names. An answer the survey cannot read
+// fails the removal (*ReplyError): read as empty, it would clear the guard.
 func (r *Rebalancer) guardOrphanedReplicas(ctx context.Context, endpoint string, ring *Ring) error {
-	shards, err := r.replicaShards(ctx, endpoint)
+	views, err := r.survey(ctx, []string{endpoint}, "")
 	if err != nil {
-		return fmt.Errorf("cluster: remove %s: list replica shards: %w", endpoint, err)
+		return fmt.Errorf("cluster: remove %s: inspect replica shards: %w", endpoint, err)
 	}
 	names := make(map[string]string) // shadowed name -> its dead primary
-	for _, p := range shards {
-		if p == endpoint || ring.Contains(p) {
+	for _, si := range views[0].shards {
+		if si.Primary == endpoint || ring.Contains(si.Primary) {
 			continue
 		}
-		si, err := r.shardInfoAt(ctx, endpoint, p)
-		if err != nil {
-			return fmt.Errorf("cluster: remove %s: inspect shard %s: %w", endpoint, p, err)
-		}
 		for _, ni := range si.Names {
-			names[ni.Name] = p
+			names[ni.Name] = si.Primary
 		}
 	}
 	if len(names) == 0 {
 		return nil
 	}
-	bound, err := r.boundNames(ctx, ring.Endpoints())
+	tables, err := r.manifests(ctx, ring.Endpoints())
 	if err != nil {
 		return fmt.Errorf("cluster: remove %s: check orphaned shards: %w", endpoint, err)
 	}
+	bound := boundIn(tables)
 	oerr := &OrphanedShardError{Endpoint: endpoint}
 	for name, p := range names {
 		if !bound[name] && (oerr.Primary == "" || p < oerr.Primary) {

@@ -7,8 +7,8 @@ package cluster_test
 // every trip it takes and asserts the retry contract — the cut run fails
 // with the injected error, no state is lost, a plain retry converges (every
 // name resolves at its ring home exactly once with its state intact), and a
-// third call is a no-op. The round-trip pin at the bottom asserts that the
-// one-mechanism control plane costs the same trips as the one it replaced.
+// third call is a no-op. The round-trip pin at the bottom asserts what a
+// replicated membership change costs the client, trip kind by trip kind.
 
 import (
 	"context"
@@ -275,7 +275,7 @@ func rescueCase(t *testing.T) cutCase {
 
 func TestMembershipChangeConvergesFromEveryCut(t *testing.T) {
 	migration := []cluster.TripKind{cluster.TripSnapshot, cluster.TripArrive, cluster.TripDepart}
-	replicated := append([]cluster.TripKind{cluster.TripPlace}, migration...)
+	replicated := append([]cluster.TripKind{cluster.TripPlace, cluster.TripSurvey}, migration...)
 	recovery := append([]cluster.TripKind{cluster.TripPromote}, replicated...)
 	table := []struct {
 		name  string
@@ -445,13 +445,14 @@ func TestOrphanRescueSparesHalfRemovedMember(t *testing.T) {
 }
 
 // TestReplicatedAddServerRoundTrips pins the cost of the replicated control
-// plane, so "one mechanism, same trips" is asserted rather than assumed: an
-// R=2 scale-out from 3 to 4 servers with 8 names moving and 8 staying, then
-// the same call again — the pure re-placement pass a converged cluster pays.
-// Totals are client round trips: the trips plus the unbatched control calls
-// (ring refresh and broadcast, manifests, shard listings). They were
-// measured on the control plane this one replaced, which took the same 18
-// place trips; the R=1 counterpart is TestScaleOutTripsIndependentOfObjects.
+// plane: an R=2 scale-out from 3 to 4 servers with 8 names moving and 8
+// staying, then the same call again — the pure re-placement pass a converged
+// cluster pays. Totals are client round trips: the trips plus the unbatched
+// control calls (ring refresh and broadcast). Placement is one place trip per
+// primary, whatever it holds and however many followers it seeds, and the
+// election reads each member once, in a survey trip whose name tables the
+// plan reuses when nothing was promoted. The R=1 counterpart is
+// TestScaleOutTripsIndependentOfObjects.
 func TestReplicatedAddServerRoundTrips(t *testing.T) {
 	ec := clustertest.New(t, 4)
 	base := []string{"server-0", "server-1", "server-2"}
@@ -485,12 +486,14 @@ func TestReplicatedAddServerRoundTrips(t *testing.T) {
 		calls uint64
 		trips map[cluster.TripKind]int
 	}{
-		// Snapshot trips: one per primary for the pre-seed (3) and the final
-		// placement (4), plus one per migration flow (3).
-		{"scale-out", 8, 66, map[cluster.TripKind]int{
-			cluster.TripSnapshot: 10, cluster.TripArrive: 3, cluster.TripPlace: 18, cluster.TripDepart: 3}},
-		{"re-placement", 0, 63, map[cluster.TripKind]int{
-			cluster.TripSnapshot: 8, cluster.TripPlace: 18}},
+		// Refresh 3, pre-seed 3 (one place trip per old member), broadcast
+		// 4, survey 4, three flows of snapshot, arrive (the destination's
+		// placement rides in it) and depart, re-seed 4.
+		{"scale-out", 8, 27, map[cluster.TripKind]int{
+			cluster.TripSnapshot: 3, cluster.TripArrive: 3, cluster.TripPlace: 7, cluster.TripSurvey: 4, cluster.TripDepart: 3}},
+		// Refresh, pre-seed, broadcast, survey and re-seed: 4 each.
+		{"re-placement", 0, 20, map[cluster.TripKind]int{
+			cluster.TripPlace: 8, cluster.TripSurvey: 4}},
 	} {
 		clear(trips)
 		before := ec.Client.CallCount()

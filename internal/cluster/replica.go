@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -148,8 +149,9 @@ type shard struct {
 // each shipped batch command to its per-shard ordered log and applies it to
 // shadow state through the local batch executor (shadow replay — same
 // order, dependency propagation, and exception policy as the primary run).
-// Install seeds or overwrites one name's shadow from a snapshot — replica
-// (re)placement, driven by the rebalancer's migration machinery. Promote
+// Place is replica (re)placement at a primary, driven by the rebalancer: it
+// snapshots the primary's names and Installs them at their followers, which
+// seed or overwrite their shadows from the snapshots. Promote
 // turns shadow state authoritative after the primary died: the chosen
 // names are exported into the local registry, from where the ordinary
 // copy-then-tombstone migration moves each to its ring home.
@@ -174,6 +176,75 @@ type Replica struct {
 	mu     sync.Mutex
 	shards map[string]*shard
 	chains map[string]uint64 // chain id -> open shadow session
+
+	// Placement is ordered against the waves this server ships as a primary
+	// (Place): a wave holds gate shared from admit until its record is
+	// queued, a placement exclusively while it reads its snapshots, and
+	// out[f] is the current generation of what is queued for follower f.
+	gate  sync.RWMutex
+	outMu sync.Mutex
+	out   map[string]*outbound
+}
+
+// outbound is one generation of a primary's traffic to one follower, as
+// placement orders it: the records queued in it, and the Install of the
+// placement that opened it, which they are sent after (nil for the first
+// generation). Records queued while the Install is on its way leave after it
+// one by one, in queue order, as they would have without it, and so do the
+// records queued until that line has drained: last is the latest of them.
+type outbound struct {
+	ships     sync.WaitGroup
+	installed chan struct{}
+	last      chan struct{}
+}
+
+// ticket is one record's place in a primary's traffic to one follower: what
+// its send waits for — the generation's Install and, while records leave one
+// by one, the record queued before it — and, then, done, closed once it was
+// sent.
+type ticket struct {
+	gen   *outbound
+	after [2]<-chan struct{}
+	done  chan struct{}
+}
+
+// queue registers one record for follower f in the current generation of the
+// traffic to it. Called with gate held shared.
+func (r *Replica) queue(f string) ticket {
+	r.outMu.Lock()
+	defer r.outMu.Unlock()
+	o := r.out[f]
+	if o == nil {
+		o = &outbound{}
+		r.out[f] = o
+	}
+	o.ships.Add(1)
+	t := ticket{gen: o}
+	if (o.installed == nil || closed(o.installed)) && (o.last == nil || closed(o.last)) {
+		o.last = nil
+		return t
+	}
+	t.after, t.done = [2]<-chan struct{}{o.installed, o.last}, make(chan struct{})
+	o.last = t.done
+	return t
+}
+
+// sent marks the ticket's record sent, or given up on.
+func (t ticket) sent() {
+	if t.done != nil {
+		close(t.done)
+	}
+	t.gen.ships.Done()
+}
+
+// closed reports whether ch is closed.
+func closed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // StartReplica exports a shard replication service on p at the reserved
@@ -191,6 +262,7 @@ func StartReplica(p *rmi.Peer, reg *registry.Service, node *Node, exec *core.Exe
 		exec:   exec,
 		shards: make(map[string]*shard),
 		chains: make(map[string]uint64),
+		out:    make(map[string]*outbound),
 	}
 	if s := p.Stats(); s != nil {
 		r.stats = s
@@ -314,27 +386,41 @@ func (r *Replica) apply(ctx context.Context, rec *ReplRecord) error {
 	return nil
 }
 
-// Install seeds (or overwrites) name's shadow under primary's shard from an
-// authoritative snapshot — replica placement. The rebalancer calls it after
-// every membership change, re-seeding each name's followers from its
-// primary, which is what keeps a freshly responsible follower's shadow
-// complete (a lazily created zero-state shadow would silently miss history
-// written before this follower owned the key). Name moves between shards
-// atomically: an install under one primary drops the name's shadow under
-// every other.
-func (r *Replica) Install(name, iface string, state any, primary string, epoch uint64) error {
-	if name == "" || primary == "" {
-		return errors.New("cluster: replica install: malformed request")
+// Install seeds (or overwrites) the shadows of names under primary's shard
+// from authoritative snapshots — one follower's share of a replica placement,
+// sent by the primary (Place): states[i] is the snapshot of names[i], an
+// object of interface ifaces[i]. Placement runs after every membership
+// change, re-seeding each name's followers from its primary, which is what
+// keeps a freshly responsible follower's shadow complete (a lazily created
+// zero-state shadow would silently miss history written before this follower
+// owned the key). A name moves between shards atomically: an install under
+// one primary drops the name's shadow under every other.
+func (r *Replica) Install(primary string, epoch uint64, names, ifaces []string, states []any) error {
+	if primary == "" || len(ifaces) != len(names) || len(states) != len(names) {
+		return &wire.CorruptError{Detail: "replica install: names, interfaces and states are not parallel"}
 	}
 	if cur := r.node.Epoch(); epoch < cur {
 		return &StaleShipError{RecordEpoch: epoch, NodeEpoch: cur}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, name := range names {
+		if err := r.install(name, ifaces[i], states[i], primary, epoch); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// install seeds one name's shadow. Caller holds r.mu.
+func (r *Replica) install(name, iface string, state any, primary string, epoch uint64) error {
+	if name == "" {
+		return &wire.CorruptError{Detail: "replica install: a name without a name"}
 	}
 	factory, ok := movableFactory(iface)
 	if !ok {
 		return fmt.Errorf("cluster: install %q: no movable factory registered for %q", name, iface)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for p, sh := range r.shards {
 		if p != primary {
 			delete(sh.shadows, name)
@@ -397,29 +483,163 @@ func (r *Replica) Install(name, iface string, state any, primary string, epoch u
 	return nil
 }
 
-// Shards lists the primaries of every shard on this follower that still
-// holds shadow state. The rebalancer's removal guard uses it to spot
-// orphaned shards — replicas of a primary no longer in the ring — before a
-// planned removal discards them (see Rebalancer.RemoveServer).
-func (r *Replica) Shards() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.shards))
-	for p, sh := range r.shards {
-		if len(sh.shadows) > 0 {
-			out = append(out, p)
+// Place is the primary's end of replica placement: it seeds the followers
+// that the ring (members, replication) assigns each of its names, at epoch —
+// the named ones, or every name whose routing home it is when names is nil.
+// It reads its own registry, snapshots each movable object it hosts for a
+// name it is the primary of, and sends every follower one Install call
+// carrying its share, followers in parallel: the snapshots go server to
+// server, and the caller pays one round trip for the whole placement. Names
+// this server is not the primary of, and objects with no movable factory,
+// are skipped. Nothing about the call is trusted: a replication degree
+// outside [2, members], a duplicated member, a member list without this
+// server, an epoch behind this node's ring or a named name not bound here is
+// refused before anything is installed.
+//
+// The snapshots are read between this primary's waves, never inside one,
+// and each Install reaches its follower after the records of the waves its
+// snapshots hold and before the records of the waves they miss — so a
+// follower neither replays a wave its snapshot already holds nor loses one
+// under it. No lock is held across the Installs: every member may be placing
+// into every other at once.
+func (r *Replica) Place(ctx context.Context, members []string, replication int, epoch uint64, names []string) error {
+	self := r.peer.Endpoint()
+	sorted := slices.Sorted(slices.Values(members))
+	switch {
+	case len(members) > maxPlaceMembers:
+		return &wire.CorruptError{Detail: fmt.Sprintf("placement over %d members, more than %d", len(members), maxPlaceMembers)}
+	case replication < 2 || replication > len(members):
+		return &wire.CorruptError{Detail: fmt.Sprintf("placement at replication %d over %d members", replication, len(members))}
+	case len(slices.Compact(sorted)) != len(members):
+		return &wire.CorruptError{Detail: "placement lists a member twice"}
+	case !slices.Contains(members, self):
+		return &wire.CorruptError{Detail: fmt.Sprintf("placement at %s over a ring without it", self)}
+	}
+	if cur := r.node.Epoch(); epoch < cur {
+		return &StaleShipError{RecordEpoch: epoch, NodeEpoch: cur}
+	}
+	bound := r.reg.Snapshot()
+	if names != nil {
+		bound = make(map[string]wire.Ref, len(names))
+		for _, name := range names {
+			ref, err := r.reg.Lookup(name)
+			if err != nil {
+				return err // typed, and it names the name
+			}
+			bound[name] = ref
 		}
 	}
-	sort.Strings(out)
+	r.gate.Lock()
+	byFollower, err := r.snapshots(NewRing(members, WithReplication(replication)), bound)
+	for f, sh := range byFollower {
+		// Each Install opens a generation of the traffic to its follower;
+		// with gate held exclusively, no queue runs beside the swap.
+		sh.installed = make(chan struct{})
+		sh.prior, r.out[f] = r.out[f], &outbound{installed: sh.installed}
+	}
+	r.gate.Unlock()
+	if err != nil {
+		return err
+	}
+	// Each Install is sent after the records its snapshots hold and before
+	// the ones they do not, and bounded like a ship: a follower wedged
+	// mid-call must not hold the placement, and its caller, forever. The
+	// answer is the first failed follower's, in endpoint order, typed for
+	// the wire.
+	timeout := shipTimeout
+	followers := sortedKeys(byFollower)
+	errs := make([]error, len(followers))
+	_ = fanOut(followers, func(i int, f string) error {
+		sh := byFollower[f]
+		defer close(sh.installed)
+		if sh.prior != nil {
+			sh.prior.ships.Wait()
+			if sh.prior.installed != nil {
+				<-sh.prior.installed
+			}
+		}
+		ctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
+		if _, err := r.peer.Call(ctx, ReplicaRef(f), "Install", self, epoch, sh.names, sh.ifaces, sh.states); err != nil {
+			errs[i] = &FollowerError{Endpoint: f, Err: err}
+		}
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// snapshots reads the state of every movable object bound here whose name
+// ring homes here, grouped by follower. Called with gate held exclusively, so
+// no wave is half applied to what it reads.
+func (r *Replica) snapshots(ring *Ring, bound map[string]wire.Ref) (map[string]*installShare, error) {
+	self := r.peer.Endpoint()
+	byFollower := make(map[string]*installShare)
+	for _, name := range sortedKeys(bound) {
+		ref := bound[name]
+		owners, _ := ring.Owners(name)
+		if owners[0] != self || !movableAt(ref, self) {
+			continue
+		}
+		obj, _ := r.peer.LocalObject(ref.ObjID)
+		m, ok := obj.(Movable)
+		if !ok {
+			return nil, fmt.Errorf("cluster: place %q: object %d is no longer a movable export here", name, ref.ObjID)
+		}
+		state, err := m.Snapshot()
+		if err != nil {
+			return nil, fmt.Errorf("cluster: place %q: snapshot: %w", name, err)
+		}
+		for _, f := range owners[1:] {
+			share := byFollower[f]
+			if share == nil {
+				share = &installShare{}
+				byFollower[f] = share
+			}
+			share.names = append(share.names, name)
+			share.ifaces = append(share.ifaces, ref.Iface)
+			share.states = append(share.states, state)
+		}
+	}
+	return byFollower, nil
+}
+
+// installShare is one follower's Install of a placement, and its place in
+// the primary's traffic to that follower: sent after prior's records and
+// Install, and before the records that wait for installed.
+type installShare struct {
+	names, ifaces []string
+	states        []any
+	prior         *outbound
+	installed     chan struct{}
+}
+
+// maxPlaceMembers bounds the ring a placement call makes its primary build
+// (virtualNodes points per member).
+const maxPlaceMembers = 1024
+
+// Survey reports this follower's replicas for the rebalancer's election and
+// removal guard: primary's shard alone, or every shard still holding shadow
+// state when primary is empty, in primary order.
+func (r *Replica) Survey(primary string) []*ShardInfo {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []*ShardInfo
+	for _, p := range sortedKeys(r.shards) {
+		if (primary == "" || p == primary) && len(r.shards[p].shadows) > 0 {
+			out = append(out, r.shardInfo(p))
+		}
+	}
 	return out
 }
 
-// ShardInfo reports this follower's replica of primary's shard: log epoch,
-// log length, and the shadowed names. The rebalancer's failover compares
-// these across survivors to pick the promotion source.
-func (r *Replica) ShardInfo(primary string) *ShardInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// shardInfo reports this follower's replica of primary's shard: log epoch,
+// log length, and the shadowed names. Caller holds r.mu.
+func (r *Replica) shardInfo(primary string) *ShardInfo {
 	info := &ShardInfo{Primary: primary}
 	sh := r.shards[primary]
 	if sh == nil {

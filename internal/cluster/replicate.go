@@ -184,6 +184,10 @@ func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 	if chain.off || len(followers) == 0 {
 		return nil, nil
 	}
+	// Held until ship has queued the record: a placement snapshot never
+	// holds half of this wave (Replica.Place). The executor calls the
+	// ShipFunc whenever admit returned one.
+	r.gate.RLock()
 	return func(ctx context.Context, payload any) (time.Duration, error) {
 		return r.ship(ctx, chain, d, lists, followers, payload)
 	}, nil
@@ -282,9 +286,11 @@ func (r *Replica) newChain(w *core.Wave, names []string) *shipChain {
 // it to every follower in parallel, each send bounded by shipTimeout and
 // queued behind the chain's previous ship to that follower, and returns once
 // every root's write quorum holds the record — with how long that took — or
-// every follower answered: the worst miss is a *QuorumError, which reaches the
+// every follower answered; the worst miss is a *QuorumError, which reaches the
 // client beside the wave's results and fails its flush. The wave stays
-// executed either way, so the client never re-sends it. Under W<R the slowest
+// executed either way, so the client never re-sends it. A send also waits for
+// the Install of a placement whose snapshots missed this wave
+// (Replica.queue). Under W<R the slowest
 // followers keep replicating after the reply left; ctx is the serving peer's,
 // so they end with it at the latest. lists are the directive's follower
 // lists resolved to endpoints, followers their distinct members
@@ -308,13 +314,16 @@ func (r *Replica) ship(ctx context.Context, c *shipChain, d *core.ShipDirective,
 	// package var is only synchronized up to the reply.
 	timeout := shipTimeout
 	for i, ep := range followers {
+		t := r.queue(ep)
 		go func() {
 			defer close(dones[i])
+			defer t.sent()
 			sctx, cancel := context.WithTimeout(ctx, timeout)
 			defer cancel()
-			acks <- followerAck{ep: ep, err: r.sendTo(sctx, ep, prevs[i], recs)}
+			acks <- followerAck{ep: ep, err: r.sendTo(sctx, ep, recs, prevs[i], t.after[0], t.after[1])}
 		}()
 	}
+	r.gate.RUnlock()
 	tally := quorumTally{names: c.names, followers: lists, quorum: d.Quorum}
 	for n := 0; n < len(followers) && !tally.met(); n++ {
 		a := <-acks
@@ -328,13 +337,17 @@ func (r *Replica) ship(ctx context.Context, c *shipChain, d *core.ShipDirective,
 	return lag, nil
 }
 
-// sendTo ships recs to follower ep in one Append call, once prev — the
-// chain's previous ship to ep, if any — has finished, and returns what the
-// follower made of them. It is the one place a record leaves a server.
-func (r *Replica) sendTo(ctx context.Context, ep string, prev <-chan struct{}, recs []*ReplRecord) error {
-	if prev != nil {
+// sendTo ships recs to follower ep in one Append call, once every channel
+// in after — the chain's previous ship to ep, a placement's Install to ep,
+// each if any — is closed, and returns what the follower made of them. It is
+// the one place a record leaves a server.
+func (r *Replica) sendTo(ctx context.Context, ep string, recs []*ReplRecord, after ...<-chan struct{}) error {
+	for _, ch := range after {
+		if ch == nil {
+			continue
+		}
 		select {
-		case <-prev:
+		case <-ch:
 		case <-ctx.Done():
 			return ctx.Err()
 		}

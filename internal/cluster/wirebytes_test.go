@@ -161,21 +161,29 @@ func (w *wireBytes) reply(t *testing.T, payload []byte) {
 // hopBytes attributes the calls servers send each other on one service —
 // values pushed to an executor, records appended to a replication service —
 // and their replies: how many calls, frame headers, the call envelope (struct
-// header, object id, argument slice), the method, the one argument the call
+// header, object id, argument slice), the method, the arguments the call
 // carries, and the whole reply.
 type hopBytes struct {
 	Calls, Header, Envelope, Method, Body, Reply int
 }
 
 // hops attributes, per receiving endpoint, every call ec's tapped servers
-// sent to the service at objID. A primary past its write quorum still ships
-// to, and hears from, its slower followers after the flush, so it waits, a
-// bounded time, for what it records to be want, every call answered.
-func hops(t *testing.T, ec *clustertest.Cluster, objID uint64, want map[string]hopBytes) map[string]hopBytes {
+// sent to the service at objID since they had sent `since` (nil: ever). A
+// primary past its write quorum still ships to, and hears from, its slower
+// followers after the flush, so it waits, a bounded time, for what it records
+// to be want, every call answered.
+func hops(t *testing.T, ec *clustertest.Cluster, objID uint64, since, want map[string]hopBytes) map[string]hopBytes {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		out, unanswered := hopsSoFar(t, ec, objID)
+		for ep, h := range since {
+			o := out[ep]
+			o = hopBytes{o.Calls - h.Calls, o.Header - h.Header, o.Envelope - h.Envelope, o.Method - h.Method, o.Body - h.Body, o.Reply - h.Reply}
+			if out[ep] = o; o == (hopBytes{}) {
+				delete(out, ep)
+			}
+		}
 		if (unanswered == 0 && reflect.DeepEqual(out, want)) || time.Now().After(deadline) {
 			return out
 		}
@@ -200,15 +208,14 @@ func hopsSoFar(t *testing.T, ec *clustertest.Cluster, objID uint64) (out map[str
 					continue
 				}
 				ah, args := split(t, call[2], true)
-				if len(args) != 1 {
-					t.Fatalf("a call to service %d carried %d arguments, want 1", objID, len(args))
-				}
 				calls[f.ID] = true
 				h.Calls++
 				h.Header += f.Header
 				h.Envelope += hdr + len(call[0]) + ah
 				h.Method += len(call[1])
-				h.Body += len(args[0])
+				for _, a := range args {
+					h.Body += len(a)
+				}
 			}
 			for _, f := range decodeFrames(t, ins[i]) {
 				if calls[f.ID] {
@@ -263,6 +270,10 @@ func tappedClient(t *testing.T, ec *clustertest.Cluster) (*rmi.Peer, *transport.
 // the reply's ship lag is the constant a clock that saw no time pass reports.
 func TestFlushBytesAttributed(t *testing.T) {
 	ctx := context.Background()
+	// placed is what the servers had sent each other when the op's set-up
+	// ended: the placement that seeds a replicated op's followers is the
+	// primaries' Installs, and the hops pinned are the op's alone.
+	var placed map[string]hopBytes
 
 	cases := []struct {
 		name  string
@@ -312,6 +323,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 			dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(3))
 			names := append(namesAt(dir, "server-0", 2), namesAt(dir, "server-1", 1)[0], namesAt(dir, "server-2", 1)[0])
 			place(t, ec, dir, names...)
+			placed = hopsSettled(t, ec, rmi.ReplicaObjID)
 			b := cluster.New(client, cluster.WithDirectory(dir), cluster.WithQuorum(2))
 			for _, name := range names {
 				p, err := b.RootNamed(ctx, name)
@@ -334,6 +346,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			placed = nil
 			clk := netsim.NewVirtualClock()
 			t.Cleanup(clk.Stop)
 			network := netsim.New(netsim.Instant, netsim.WithClock(clk))
@@ -369,7 +382,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 					t.Errorf("%s: %d B, want %d", line.name, line.got, line.want)
 				}
 			}
-			if hops := hops(t, ec, c.svc, c.hops); !reflect.DeepEqual(hops, c.hops) {
+			if hops := hops(t, ec, c.svc, placed, c.hops); !reflect.DeepEqual(hops, c.hops) {
 				t.Errorf("server-to-server calls received %+v, want %+v", hops, c.hops)
 			}
 		})

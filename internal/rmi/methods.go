@@ -25,8 +25,8 @@ var protocolMethods = [...]string{
 	// Membership, placement and replication.
 	"RingState",
 	"Manifest",
-	"Shards",
-	"ShardInfo",
+	"Shards",    // retired with ShardInfo: the election's Survey
+	"ShardInfo", // replaced both; their ids stay taken
 	"SetRing",
 	"Epoch",
 	"Arrive",
@@ -50,6 +50,10 @@ var protocolMethods = [...]string{
 	"Stop",
 	// A value crossing from its producer's server to its consumer's.
 	"Push",
+	// Replica placement at a primary, and the election's one read of a
+	// member.
+	"Place",
+	"Survey",
 }
 
 // protocolMethodID maps a table name to its index.

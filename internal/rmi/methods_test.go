@@ -18,6 +18,7 @@ var methodsGolden = []string{
 	"Bind", "Rebind", "Unbind", "Lookup", "List", "Bound", "Forward", "Snapshot",
 	"Scrape", "NumSessions", "ReplayShadow", "SetShipHook", "Stop",
 	"Push",
+	"Place", "Survey",
 }
 
 // TestProtocolMethodTable holds the table to the golden and to what a full
