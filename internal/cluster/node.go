@@ -154,13 +154,23 @@ func (n *Node) RingState() *RingSnapshot {
 // directory believe its membership change propagated when every node
 // ignored it. Re-broadcasts of the current epoch with identical membership
 // are accepted (rebalance retries); a conflicting member set at the same
-// epoch is an error.
+// epoch is an error. A member listed twice or without an endpoint is refused
+// typed, the view unchanged: ship directives index this membership, and every
+// client's Ring lists each member once.
 func (n *Node) SetRing(s *RingSnapshot) error {
 	if s == nil {
 		return errors.New("cluster: set ring: nil snapshot")
 	}
 	members := append([]string(nil), s.Members...)
 	sort.Strings(members)
+	for i, m := range members {
+		switch {
+		case m == "":
+			return &wire.CorruptError{Detail: "ring broadcast lists a member without an endpoint"}
+		case i > 0 && m == members[i-1]:
+			return &wire.CorruptError{Detail: fmt.Sprintf("ring broadcast lists %s twice", m)}
+		}
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	switch {

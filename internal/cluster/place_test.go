@@ -264,3 +264,52 @@ func TestPlacementLandsBetweenShips(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeVetsRingBroadcast: a ring broadcast that lists a member twice or
+// without an endpoint is refused typed, and the node keeps its view — else a
+// directive's follower index would resolve against a membership no client
+// ring has ([a a b c] at index 1 ships to a, where every client means b). The
+// well-formed broadcast next to them is adopted.
+func TestNodeVetsRingBroadcast(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	members := ec.Endpoints()
+	target := members[2]
+	setRing := func(s *cluster.RingSnapshot) error {
+		cb := core.New(ec.Client, cluster.NodeRef(target))
+		f := cb.Root().Call("SetRing", s)
+		if err := cb.Flush(ctx); err != nil {
+			return err
+		}
+		_, err := f.Get()
+		return err
+	}
+	if err := setRing(&cluster.RingSnapshot{Members: members, Epoch: 1}); err != nil {
+		t.Fatalf("first broadcast: %v", err)
+	}
+	view := ec.Server(target).Node.RingState()
+	for _, tc := range []struct {
+		name    string
+		members []string
+		epoch   uint64
+	}{
+		{"a member listed twice", append([]string{members[0]}, members...), 2},
+		{"a member listed twice at the node's epoch", append([]string{members[0]}, members...), 1},
+		{"a member without an endpoint", append([]string{""}, members...), 2},
+	} {
+		var corrupt *wire.CorruptError
+		if err := setRing(&cluster.RingSnapshot{Members: tc.members, Epoch: tc.epoch}); !errors.As(err, &corrupt) {
+			t.Errorf("%s: set ring = %T %v, want *wire.CorruptError", tc.name, err, err)
+		}
+		if got := ec.Server(target).Node.RingState(); !reflect.DeepEqual(got, view) {
+			t.Errorf("%s: the node's view moved to %+v, want %+v", tc.name, got, view)
+		}
+	}
+
+	if err := setRing(&cluster.RingSnapshot{Members: members[1:], Epoch: 2}); err != nil {
+		t.Fatalf("well-formed broadcast: %v", err)
+	}
+	if got := ec.Server(target).Node.RingState(); got.Epoch != 2 || !reflect.DeepEqual(got.Members, members[1:]) {
+		t.Errorf("the node's view is %+v after the well-formed broadcast, want %v at epoch 2", got, members[1:])
+	}
+}

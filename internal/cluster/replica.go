@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -17,11 +18,9 @@ import (
 
 // ReplRecord is one replicated flush wave as its primary ships it: the
 // primary's own decoded batch request, re-addressed by root NAME so a
-// follower can replay it against shadow state. The primary builds the record
-// once the wave executed and sends it to the wave's followers before it
-// answers the client (see replicate.go and DESIGN.md, "Replication &
-// failover"). ID, Chain and Primary are minted at the primary; nothing of a
-// record's identity comes from the client.
+// follower can replay it against shadow state (see replicate.go and
+// DESIGN.md, "Replication & failover"). ID, Chain and Primary are minted at
+// the primary; nothing of a record's identity comes from the client.
 type ReplRecord struct {
 	// ID uniquely identifies this wave for idempotent appends.
 	ID string
@@ -32,11 +31,10 @@ type ReplRecord struct {
 	// Primary is the endpoint the wave executed on — the shard the record
 	// belongs to.
 	Primary string
-	// Epoch is the ring epoch the wave's follower lists were read at — one
-	// read for the whole wave, so every record of a wave carries the same
-	// one. The primary refused the wave unexecuted if its own ring was newer;
-	// followers reject records older than theirs: a stale owner list must not
-	// smuggle writes into a shard that was re-placed since.
+	// Epoch is the ring epoch the wave's follower lists were read at, one
+	// read for the whole wave. The primary refused the wave unexecuted if its
+	// own ring was newer; followers reject records older than theirs: a stale
+	// owner list must not smuggle writes into a shard re-placed since.
 	Epoch uint64
 	// Names and Ifaces describe the wave's batch roots in payload order:
 	// Names[0] is the primary root, Names[1+i] is extra root i.
@@ -70,10 +68,9 @@ type NameInfo struct {
 	// snapshot (replica placement), not created lazily at first replay.
 	Seeded bool
 	// SeedEpoch is the ring epoch of the newest authoritative install. It
-	// outranks Epoch in the election: a shadow last snapshot-seeded at epoch
-	// 1 that later catches a single union-shipped record at epoch 6 reports
-	// Epoch 6 but missed every epoch-2..5 wave the name's true follower
-	// replayed — only the install epoch proves the baseline is current.
+	// outranks Epoch in the election: a shadow seeded at epoch 1 that later
+	// catches one union-shipped record at epoch 6 reports Epoch 6 but missed
+	// every epoch-2..5 wave — only the install epoch proves the baseline.
 	SeedEpoch uint64
 	// Epoch is the newest ring epoch of any install or record applied to
 	// this shadow.
@@ -84,13 +81,12 @@ type NameInfo struct {
 }
 
 // StaleShipError reports a ship directive, replicated record or install
-// fenced by a ring epoch that disagrees with the node it reached: the sender's
-// owner list is stale (or, for a directive naming a follower the node does not
-// know yet, the node's is). From a PRIMARY it refuses a wave before anything
-// executed, so a flush at first contact refreshes its ring and retries once
-// (canRetryStale). From a follower it arrives inside a *QuorumError: the wave
-// already executed on the primary, so the flush fails (no ack) rather than
-// retrying — a re-send could double-apply.
+// fenced by a ring epoch that disagrees with the node it reached. From a
+// PRIMARY it refuses a wave before anything executed, so a flush at first
+// contact refreshes its ring and retries once (canRetryStale). From a
+// follower it arrives inside a *QuorumError: the wave already executed on the
+// primary, so the flush fails (no ack) rather than retrying — a re-send could
+// double-apply.
 type StaleShipError struct {
 	RecordEpoch uint64
 	NodeEpoch   uint64
@@ -143,18 +139,14 @@ type shard struct {
 
 // Replica is the per-server shard replication service, exported at the
 // reserved rmi.ReplicaObjID, and the ship hook of the server's batch executor
-// (replicate.go): as a PRIMARY it forwards every wave whose flush carried a
-// ship directive to the wave's followers before the flush is answered. The
-// rest is the follower side. Append is the log-shipping path: it appends
-// each shipped batch command to its per-shard ordered log and applies it to
-// shadow state through the local batch executor (shadow replay — same
-// order, dependency propagation, and exception policy as the primary run).
-// Place is replica (re)placement at a primary, driven by the rebalancer: it
-// snapshots the primary's names and Installs them at their followers, which
-// seed or overwrite their shadows from the snapshots. Promote
-// turns shadow state authoritative after the primary died: the chosen
-// names are exported into the local registry, from where the ordinary
-// copy-then-tombstone migration moves each to its ring home.
+// (replicate.go). Append is the follower's end of log shipping: it appends
+// each shipped wave to its per-shard ordered log and replays it onto shadow
+// state through the local batch executor — same order, dependency
+// propagation and exception policy as the primary run. Place is replica
+// (re)placement at a primary, driven by the rebalancer: it snapshots the
+// primary's names and Installs them at their followers. Promote turns shadow
+// state authoritative after the primary died: the chosen names are bound in
+// the local registry, from where the ordinary migration moves each home.
 type Replica struct {
 	rmi.RemoteBase
 
@@ -163,9 +155,8 @@ type Replica struct {
 	node *Node
 	exec *core.Executor
 
-	// lag is observed on the primary, once per shipped wave: from the end of
-	// its execution to the moment its quorum was met (or the last follower
-	// answered).
+	// lag is observed on the primary once per shipped wave: from the end of
+	// its execution to its quorum (or its last follower's answer).
 	stats      *stats.Registry
 	lag        *stats.Histogram // cluster.replication_lag
 	ships      *stats.Counter   // cluster.replica_ships: Append calls served
@@ -177,80 +168,15 @@ type Replica struct {
 	shards map[string]*shard
 	chains map[string]uint64 // chain id -> open shadow session
 
-	// Placement is ordered against the waves this server ships as a primary
-	// (Place): a wave holds gate shared from admit until its record is
-	// queued, a placement exclusively while it reads its snapshots, and
-	// out[f] is the current generation of what is queued for follower f.
+	// A wave holds gate shared from admit until its record is queued, a
+	// placement exclusively while it snapshots and queues its Installs (Place).
 	gate  sync.RWMutex
-	outMu sync.Mutex
-	out   map[string]*outbound
-}
-
-// outbound is one generation of a primary's traffic to one follower, as
-// placement orders it: the records queued in it, and the Install of the
-// placement that opened it, which they are sent after (nil for the first
-// generation). Records queued while the Install is on its way leave after it
-// one by one, in queue order, as they would have without it, and so do the
-// records queued until that line has drained: last is the latest of them.
-type outbound struct {
-	ships     sync.WaitGroup
-	installed chan struct{}
-	last      chan struct{}
-}
-
-// ticket is one record's place in a primary's traffic to one follower: what
-// its send waits for — the generation's Install and, while records leave one
-// by one, the record queued before it — and, then, done, closed once it was
-// sent.
-type ticket struct {
-	gen   *outbound
-	after [2]<-chan struct{}
-	done  chan struct{}
-}
-
-// queue registers one record for follower f in the current generation of the
-// traffic to it. Called with gate held shared.
-func (r *Replica) queue(f string) ticket {
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	o := r.out[f]
-	if o == nil {
-		o = &outbound{}
-		r.out[f] = o
-	}
-	o.ships.Add(1)
-	t := ticket{gen: o}
-	if (o.installed == nil || closed(o.installed)) && (o.last == nil || closed(o.last)) {
-		o.last = nil
-		return t
-	}
-	t.after, t.done = [2]<-chan struct{}{o.installed, o.last}, make(chan struct{})
-	o.last = t.done
-	return t
-}
-
-// sent marks the ticket's record sent, or given up on.
-func (t ticket) sent() {
-	if t.done != nil {
-		close(t.done)
-	}
-	t.gen.ships.Done()
-}
-
-// closed reports whether ch is closed.
-func closed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
+	links sync.Map // follower endpoint -> *link
 }
 
 // StartReplica exports a shard replication service on p at the reserved
-// replica id and installs it as exec's ship hook. It needs the node (for the
-// epoch fence and the membership a directive is vetted against), the registry
-// (for promotion), and the local batch executor (for shadow replay).
+// replica id and installs it as exec's ship hook: node fences epochs and vets
+// directives, reg takes promotions, exec replays shadows.
 func StartReplica(p *rmi.Peer, reg *registry.Service, node *Node, exec *core.Executor) (*Replica, error) {
 	if reg == nil || node == nil || exec == nil {
 		return nil, errors.New("cluster: replica requires registry, node, and executor")
@@ -262,7 +188,6 @@ func StartReplica(p *rmi.Peer, reg *registry.Service, node *Node, exec *core.Exe
 		exec:   exec,
 		shards: make(map[string]*shard),
 		chains: make(map[string]uint64),
-		out:    make(map[string]*outbound),
 	}
 	if s := p.Stats(); s != nil {
 		r.stats = s
@@ -289,11 +214,10 @@ func (r *Replica) shardFor(primary string) *shard {
 }
 
 // shadowFor returns name's shadow under sh, constructing a zero-state
-// instance on first sight. A shadow whose export id is no longer live is
-// discarded first: promotion hands the shadow object to the registry, and
-// the ordinary migration that then homes the name elsewhere unexports it
-// and leaves a wrong-home tombstone — replaying into that tombstone would
-// fail every later ship for the name. Caller holds r.mu.
+// instance on first sight. A shadow whose export is no longer live is
+// discarded first: a promoted shadow that migration then homed elsewhere left
+// a wrong-home tombstone, and replaying into it would fail every later ship
+// for the name. Caller holds r.mu.
 func (r *Replica) shadowFor(sh *shard, name, iface string) (*shadowObj, error) {
 	if sd := sh.shadows[name]; sd != nil {
 		if _, live := r.peer.LocalObject(sd.ref.ObjID); live {
@@ -373,28 +297,23 @@ func (r *Replica) apply(ctx context.Context, rec *ReplRecord) error {
 	}
 	sh.seen[rec.ID] = true
 	sh.length++
-	if rec.Epoch > sh.epoch {
-		sh.epoch = rec.Epoch
-	}
+	sh.epoch = max(sh.epoch, rec.Epoch)
 	for _, sd := range shadows {
 		sd.applied++
-		if rec.Epoch > sd.epoch {
-			sd.epoch = rec.Epoch
-		}
+		sd.epoch = max(sd.epoch, rec.Epoch)
 	}
 	r.appends.Inc()
 	return nil
 }
 
 // Install seeds (or overwrites) the shadows of names under primary's shard
-// from authoritative snapshots — one follower's share of a replica placement,
-// sent by the primary (Place): states[i] is the snapshot of names[i], an
-// object of interface ifaces[i]. Placement runs after every membership
-// change, re-seeding each name's followers from its primary, which is what
-// keeps a freshly responsible follower's shadow complete (a lazily created
-// zero-state shadow would silently miss history written before this follower
-// owned the key). A name moves between shards atomically: an install under
-// one primary drops the name's shadow under every other.
+// from authoritative snapshots — one follower's share of a replica placement
+// (Place): states[i] is the snapshot of names[i], an object of interface
+// ifaces[i]. Placement after every membership change re-seeds each name's
+// followers from its primary, which keeps a freshly responsible follower's
+// shadow complete: a lazily created one would miss the history before it. A
+// name moves between shards atomically: an install under one primary drops
+// the name's shadow under every other.
 func (r *Replica) Install(primary string, epoch uint64, names, ifaces []string, states []any) error {
 	if primary == "" || len(ifaces) != len(names) || len(states) != len(names) {
 		return &wire.CorruptError{Detail: "replica install: names, interfaces and states are not parallel"}
@@ -436,16 +355,11 @@ func (r *Replica) install(name, iface string, state any, primary string, epoch u
 		}
 	}
 	if sd != nil && sd.iface == iface && sd.seeded && sd.seedEpoch >= epoch {
-		// Already seeded at this epoch (or newer) and kept current by
-		// appends since. Overwriting it would race in-flight ships: the
-		// snapshot is read from the primary AFTER it applied a wave, so it
-		// can subsume a record that has not reached this follower yet —
-		// replaying that record on top of the snapshot double-applies it,
-		// and the seen-set can't help on a first arrival. Only stale seeds
-		// (older epoch) carry history this shadow may have missed.
-		if epoch > sh.epoch {
-			sh.epoch = epoch
-		}
+		// Already seeded at this epoch (or newer) and kept current by the
+		// records since, which reach it in the primary's queue order with
+		// its Installs. Only a stale seed (older epoch) carries history this
+		// shadow may have missed.
+		sh.epoch = max(sh.epoch, epoch)
 		return nil
 	}
 	if sd == nil || sd.iface != iface {
@@ -464,21 +378,15 @@ func (r *Replica) install(name, iface string, state any, primary string, epoch u
 		return fmt.Errorf("cluster: install %q: restore: %w", name, err)
 	}
 	sd.seeded = true
-	if epoch > sd.seedEpoch {
-		sd.seedEpoch = epoch
-	}
-	if epoch > sd.epoch {
-		sd.epoch = epoch
-	}
+	sd.seedEpoch = max(sd.seedEpoch, epoch)
+	sd.epoch = max(sd.epoch, epoch)
 	// The snapshot supersedes everything replayed before it: applied now
 	// counts the shadow's position PAST this install, so a stale follower
 	// re-seeded at the same epoch as the true follower still loses to the
 	// one that replayed more records since.
 	sd.applied = 0
 	sh.shadows[name] = sd
-	if epoch > sh.epoch {
-		sh.epoch = epoch
-	}
+	sh.epoch = max(sh.epoch, epoch)
 	r.installs.Inc()
 	return nil
 }
@@ -486,22 +394,19 @@ func (r *Replica) install(name, iface string, state any, primary string, epoch u
 // Place is the primary's end of replica placement: it seeds the followers
 // that the ring (members, replication) assigns each of its names, at epoch —
 // the named ones, or every name whose routing home it is when names is nil.
-// It reads its own registry, snapshots each movable object it hosts for a
-// name it is the primary of, and sends every follower one Install call
-// carrying its share, followers in parallel: the snapshots go server to
-// server, and the caller pays one round trip for the whole placement. Names
-// this server is not the primary of, and objects with no movable factory,
-// are skipped. Nothing about the call is trusted: a replication degree
-// outside [2, members], a duplicated member, a member list without this
-// server, an epoch behind this node's ring or a named name not bound here is
-// refused before anything is installed.
+// It snapshots each movable object it hosts for a name it is the primary of
+// and sends every follower one Install of its share, followers in parallel:
+// the caller pays one round trip for the whole placement. Nothing about the
+// call is trusted: a replication degree outside [2, members], a duplicated
+// member, a member list without this server, an epoch behind this node's ring
+// or a named name not bound here is refused before anything is installed.
 //
-// The snapshots are read between this primary's waves, never inside one,
-// and each Install reaches its follower after the records of the waves its
-// snapshots hold and before the records of the waves they miss — so a
-// follower neither replays a wave its snapshot already holds nor loses one
-// under it. No lock is held across the Installs: every member may be placing
-// into every other at once.
+// The snapshots are read between this primary's waves, never inside one, and
+// each Install is queued on its follower's link in the same exclusive hold of
+// the gate: after the records its snapshots hold and before those they miss,
+// so a follower neither replays a wave twice nor loses one under the
+// snapshot. No lock is held while the Installs are out: every member may be
+// placing into every other at once.
 func (r *Replica) Place(ctx context.Context, members []string, replication int, epoch uint64, names []string) error {
 	self := r.peer.Endpoint()
 	sorted := slices.Sorted(slices.Values(members))
@@ -531,44 +436,27 @@ func (r *Replica) Place(ctx context.Context, members []string, replication int, 
 	}
 	r.gate.Lock()
 	byFollower, err := r.snapshots(NewRing(members, WithReplication(replication)), bound)
-	for f, sh := range byFollower {
-		// Each Install opens a generation of the traffic to its follower;
-		// with gate held exclusively, no queue runs beside the swap.
-		sh.installed = make(chan struct{})
-		sh.prior, r.out[f] = r.out[f], &outbound{installed: sh.installed}
-	}
-	r.gate.Unlock()
 	if err != nil {
+		r.gate.Unlock()
 		return err
 	}
-	// Each Install is sent after the records its snapshots hold and before
-	// the ones they do not, and bounded like a ship: a follower wedged
-	// mid-call must not hold the placement, and its caller, forever. The
-	// answer is the first failed follower's, in endpoint order, typed for
+	// Bounded like a ship: a follower wedged mid-call must not hold the
+	// placement, and its caller, forever.
+	acks, deadline := make(chan followerAck, len(byFollower)), time.Now().Add(shipTimeout)
+	for f, sh := range byFollower {
+		r.push(f, &shipment{ctx: ctx, install: []any{self, epoch, sh.names, sh.ifaces, sh.states}, deadline: deadline, acks: acks})
+	}
+	r.gate.Unlock()
+	// The answer is the first failed follower's, in endpoint order, typed for
 	// the wire.
-	timeout := shipTimeout
-	followers := sortedKeys(byFollower)
-	errs := make([]error, len(followers))
-	_ = fanOut(followers, func(i int, f string) error {
-		sh := byFollower[f]
-		defer close(sh.installed)
-		if sh.prior != nil {
-			sh.prior.ships.Wait()
-			if sh.prior.installed != nil {
-				<-sh.prior.installed
-			}
+	var failed *FollowerError
+	for range byFollower {
+		if a := <-acks; a.err != nil && (failed == nil || a.ep < failed.Endpoint) {
+			failed = &FollowerError{Endpoint: a.ep, Err: a.err}
 		}
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		if _, err := r.peer.Call(ctx, ReplicaRef(f), "Install", self, epoch, sh.names, sh.ifaces, sh.states); err != nil {
-			errs[i] = &FollowerError{Endpoint: f, Err: err}
-		}
-		return nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	}
+	if failed != nil {
+		return failed
 	}
 	return nil
 }
@@ -608,14 +496,11 @@ func (r *Replica) snapshots(ring *Ring, bound map[string]wire.Ref) (map[string]*
 	return byFollower, nil
 }
 
-// installShare is one follower's Install of a placement, and its place in
-// the primary's traffic to that follower: sent after prior's records and
-// Install, and before the records that wait for installed.
+// installShare is one follower's share of a placement: the names it is to
+// shadow, their interfaces and their snapshots.
 type installShare struct {
 	names, ifaces []string
 	states        []any
-	prior         *outbound
-	installed     chan struct{}
 }
 
 // maxPlaceMembers bounds the ring a placement call makes its primary build

@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rmi"
 	"repro/internal/wire"
 )
 
@@ -17,20 +20,20 @@ import (
 // directive (shipDirectives: where each root's followers are, as of which
 // ring epoch, and the write quorum), the primary vets it before anything
 // executes (Replica.admit), executes the wave, and — before it replies,
-// holding no lock — wraps its own decoded request in a ReplRecord, sends it
-// to the wave's followers in parallel and answers once the quorum holds it
-// (Replica.ship). A replicated wave therefore costs the client its primary
-// trips and nothing else; the follower trips are server to server. The
-// quorum count (quorumTally) and the reading of a follower's answer
-// (appendSlots) are testable alone.
+// holding no lock — wraps its own decoded request in a ReplRecord, queues it
+// on the link to each of the wave's followers and answers once the quorum
+// holds it (Replica.ship). A link is the primary's one ordered queue to one
+// follower: records and placement Installs leave it in queue order, one call
+// at a time, and what queues behind an Append rides the next one. A
+// replicated wave costs the client its primary trips and nothing else.
 
-// shipTimeout bounds one replication ship (the Append call carrying a wave's
-// record to one follower). Ships past the quorum ack keep running after the
-// primary replied, so they need a deadline of their own: a straggler stuck on
-// a wedged connection (killed mid-ship, partitioned with the frames in
-// flight) would otherwise block in Call until the serving peer closes — one
-// leaked goroutine per quorum-early wave past that follower. Variable so
-// tests can shrink it.
+// shipTimeout bounds a shipment — a wave's record or a placement's Install —
+// from being queued on a link to being answered. Ships past the quorum ack
+// outlive the reply, and one stuck on a wedged connection would otherwise
+// hold its link, and all queued behind it, until the serving peer closes. A
+// shipment whose deadline passes while queued fails unsent, so a wedged
+// follower costs each wave one shipTimeout, not one per wave ahead of it.
+// Variable so tests can shrink it.
 var shipTimeout = 30 * time.Second
 
 // ownerSource is what directive building needs of the shard map (*Ring).
@@ -40,13 +43,12 @@ type ownerSource interface {
 
 // shipDirectives builds the ship directives of one wave: names[i] are the
 // root names of the destination served by primaries[i], in payload order, or
-// empty for a destination that does not replicate. The owner lists of ALL of
-// them are read in ONE OwnersAll call — one lock, one ring epoch — and that
-// epoch fences every directive of the wave: reading them one name (or one
-// destination) at a time would let a refresh between two reads pair
-// old-epoch followers with the new epoch, which a primary at the new epoch
-// accepts. Followers travel as indexes into that epoch's sorted membership.
-// A destination nobody follows (a ring of one member) gets nil.
+// empty for a destination that does not replicate. All their owner lists are
+// read in ONE OwnersAll call, and that epoch fences every directive of the
+// wave: a refresh between two reads would pair old-epoch followers with the
+// new epoch, which a primary at the new epoch accepts. Followers travel as
+// indexes into that epoch's sorted membership; a destination nobody follows
+// gets nil.
 func shipDirectives(src ownerSource, primaries []string, names [][]string, quorum int) []*core.ShipDirective {
 	var all []string
 	for _, ns := range names {
@@ -112,55 +114,27 @@ func (b *Batch) replicates(g *group) bool {
 }
 
 // shipChain is the primary's state for one replicating chain — the waves one
-// client batch sends one destination — kept by the executor with the chain's
-// session and dropped with it. It holds the identity the chain's records
-// carry, minted here and never taken from the client.
+// client batch sends one destination — kept and dropped with its executor
+// session. It holds the identity the chain's records carry, never the client's.
 type shipChain struct {
-	// off marks a chain whose first wave found a root with no movable
-	// factory: no follower could build its shadow, so the chain flushes
-	// unreplicated.
+	// off marks a chain whose first wave has a root with no movable factory:
+	// no follower could build its shadow, so the chain flushes unreplicated.
 	off bool
 	// id links the chain's records through one shadow session on each
-	// follower; a record's ID is the wave's sequence number appended to it.
-	id string
+	// follower; a record's ID is the wave's number, seq, appended to it.
+	id  string
+	seq atomic.Uint64
 	// names and ifaces describe the chain's roots in payload order, fixed by
 	// its first wave.
 	names, ifaces []string
-
-	mu  sync.Mutex
-	seq uint64
-	// tails[ep] is closed once the chain's latest ship to follower ep has
-	// finished: the next wave's ship to ep waits for it, so a follower still
-	// digesting wave k past a quorum-early ack never sees wave k+1 first.
-	tails map[string]chan struct{}
 }
 
-// enqueue mints the next record's id and queues one ship per follower behind
-// the chain's previous ship to it: ship i waits for prevs[i], if there is one,
-// and closes dones[i] when it has finished.
-func (c *shipChain) enqueue(followers []string) (id string, prevs, dones []chan struct{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id = c.id + "/" + strconv.FormatUint(c.seq, 10)
-	c.seq++
-	if c.tails == nil {
-		c.tails = make(map[string]chan struct{}, len(followers))
-	}
-	prevs, dones = make([]chan struct{}, len(followers)), make([]chan struct{}, len(followers))
-	for i, ep := range followers {
-		prevs[i], dones[i] = c.tails[ep], make(chan struct{})
-		c.tails[ep] = dones[i]
-	}
-	return id, prevs, dones
-}
-
-// admit is the executor's ship hook: it vets a wave's directive after the
-// roots resolved and before anything executes. Nothing about the directive is
-// trusted — it is whatever the wire decoded — so a malformed one, or one
-// whose follower indexes fall outside this node's ring, rejects the wave with
-// nothing executed and nothing dialed; one fenced by another epoch than this
-// node's ring is refused the same way with *StaleShipError, which the client
-// treats like a wrong-home refusal (refresh, re-route, one retry).
+// admit is the executor's ship hook: it vets a wave's directive, which is
+// whatever the wire decoded, after the roots resolved and before anything
+// executes. A malformed one, or one whose follower indexes fall outside this
+// node's ring, rejects the wave with nothing executed and nothing dialed; one
+// fenced by another epoch is refused so with *StaleShipError, which the
+// client treats like a wrong-home refusal (refresh, re-route, one retry).
 func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 	d := w.Directive
 	names, err := waveNames(w)
@@ -184,8 +158,8 @@ func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 	if chain.off || len(followers) == 0 {
 		return nil, nil
 	}
-	// Held until ship has queued the record: a placement snapshot never
-	// holds half of this wave (Replica.Place). The executor calls the
+	// Held until ship has put the record on its links: a placement snapshot
+	// never holds half of this wave (Replica.Place). The executor calls the
 	// ShipFunc whenever admit returned one.
 	r.gate.RLock()
 	return func(ctx context.Context, payload any) (time.Duration, error) {
@@ -225,11 +199,9 @@ func waveNames(w *core.Wave) ([]string, error) {
 // this node's ring view and resolves them: the lists as endpoints, and the
 // wave's distinct followers in first-appearance order. The indexes point into
 // the sorted membership at the directive's epoch, which this node knows only
-// when its view is at that very epoch: behind it, resolving them against its
-// own older membership would name other servers, so the wave is a stale ship,
-// as it is when the view is ahead. At its own epoch an index out of range, a
-// list longer than the membership, or the primary among its own followers is
-// a corrupt directive.
+// at that very epoch; behind or ahead of it the wave is a stale ship. At its
+// own epoch an index out of range, a list longer than the membership, or the
+// primary among its own followers is a corrupt directive.
 func (r *Replica) vetFollowers(d *core.ShipDirective) ([][]string, []string, error) {
 	if d.Quorum < 0 {
 		return nil, nil, &wire.CorruptError{Detail: "ship directive with a negative write quorum"}
@@ -263,10 +235,9 @@ func (r *Replica) vetFollowers(d *core.ShipDirective) ([][]string, []string, err
 	return lists, followers, nil
 }
 
-// newChain starts the chain of a first wave: its roots' interfaces are read
-// off this peer's export table — a root with no movable factory turns the
-// chain off — and its id is minted from this peer's process-unique identity
-// and the executor's session number.
+// newChain starts the chain of a first wave: its roots' interfaces come off
+// this peer's export table (a root with no movable factory turns it off), its
+// id from this peer's process-unique identity and the executor's session.
 func (r *Replica) newChain(w *core.Wave, names []string) *shipChain {
 	c := &shipChain{names: names, ifaces: make([]string, len(names))}
 	for i, id := range w.Roots {
@@ -282,46 +253,33 @@ func (r *Replica) newChain(w *core.Wave, names []string) *shipChain {
 }
 
 // ship replicates the wave this primary just executed: it wraps payload — the
-// primary's own decoded request, directive stripped — in a ReplRecord, sends
-// it to every follower in parallel, each send bounded by shipTimeout and
-// queued behind the chain's previous ship to that follower, and returns once
-// every root's write quorum holds the record — with how long that took — or
-// every follower answered; the worst miss is a *QuorumError, which reaches the
-// client beside the wave's results and fails its flush. The wave stays
-// executed either way, so the client never re-sends it. A send also waits for
-// the Install of a placement whose snapshots missed this wave
-// (Replica.queue). Under W<R the slowest
-// followers keep replicating after the reply left; ctx is the serving peer's,
-// so they end with it at the latest. lists are the directive's follower
-// lists resolved to endpoints, followers their distinct members
-// (vetFollowers).
+// primary's own decoded request, directive stripped — in a ReplRecord, queues
+// it on the link to every follower, and returns once every root's write
+// quorum holds it — with how long that took — or every follower answered. The
+// worst miss is a *QuorumError, which reaches the client beside the wave's
+// results and fails its flush; the wave stays executed, so the client never
+// re-sends it. lists are the directive's follower lists resolved to
+// endpoints, followers their distinct members (vetFollowers).
 func (r *Replica) ship(ctx context.Context, c *shipChain, d *core.ShipDirective, lists [][]string, followers []string, payload any) (time.Duration, error) {
 	start := r.stats.Now()
-	id, prevs, dones := c.enqueue(followers)
-	recs := []*ReplRecord{{
-		ID:      id,
-		Chain:   c.id,
-		Primary: r.peer.Endpoint(),
-		Epoch:   d.Epoch,
-		Names:   c.names,
-		Ifaces:  c.ifaces,
-		Payload: payload,
-	}}
-
-	// Buffered to the fan-out, so stragglers past the quorum ack never block.
+	// One slot per follower: a link answering past the quorum never blocks.
 	acks := make(chan followerAck, len(followers))
-	// Read once at spawn: a detached straggler outlives this call, and the
-	// package var is only synchronized up to the reply.
-	timeout := shipTimeout
-	for i, ep := range followers {
-		t := r.queue(ep)
-		go func() {
-			defer close(dones[i])
-			defer t.sent()
-			sctx, cancel := context.WithTimeout(ctx, timeout)
-			defer cancel()
-			acks <- followerAck{ep: ep, err: r.sendTo(sctx, ep, recs, prevs[i], t.after[0], t.after[1])}
-		}()
+	s := &shipment{
+		ctx: ctx,
+		rec: &ReplRecord{
+			ID:      c.id + "/" + strconv.FormatUint(c.seq.Add(1)-1, 10),
+			Chain:   c.id,
+			Primary: r.peer.Endpoint(),
+			Epoch:   d.Epoch,
+			Names:   c.names,
+			Ifaces:  c.ifaces,
+			Payload: payload,
+		},
+		deadline: time.Now().Add(shipTimeout),
+		acks:     acks,
+	}
+	for _, f := range followers {
+		r.push(f, s)
 	}
 	r.gate.RUnlock()
 	tally := quorumTally{names: c.names, followers: lists, quorum: d.Quorum}
@@ -337,33 +295,110 @@ func (r *Replica) ship(ctx context.Context, c *shipChain, d *core.ShipDirective,
 	return lag, nil
 }
 
-// sendTo ships recs to follower ep in one Append call, once every channel
-// in after — the chain's previous ship to ep, a placement's Install to ep,
-// each if any — is closed, and returns what the follower made of them. It is
-// the one place a record leaves a server.
-func (r *Replica) sendTo(ctx context.Context, ep string, recs []*ReplRecord, after ...<-chan struct{}) error {
-	for _, ch := range after {
-		if ch == nil {
+// link is a primary's one ordered queue to one follower (see the file
+// comment). A chain's waves queue on it in wave order, and the gate puts a
+// placement's Install after the records its snapshots hold and before the
+// rest (Replica.Place). The call out, if any, is the queue's head; an idle
+// link holds no goroutine.
+type link struct {
+	mu     sync.Mutex
+	queued []*shipment
+}
+
+// shipment is one entry of a link's queue, a wave's record or the arguments
+// of an Install, answered on acks by its deadline at the latest. A record's
+// shipment is queued on each of its followers' links.
+type shipment struct {
+	ctx      context.Context
+	rec      *ReplRecord
+	install  []any
+	deadline time.Time
+	acks     chan<- followerAck
+}
+
+// push queues s on the link to follower f and starts its drain if it is idle.
+func (r *Replica) push(f string, s *shipment) {
+	v, ok := r.links.Load(f)
+	if !ok {
+		v, _ = r.links.LoadOrStore(f, &link{})
+	}
+	l := v.(*link)
+	l.mu.Lock()
+	idle := len(l.queued) == 0
+	l.queued = append(l.queued, s)
+	l.mu.Unlock()
+	if idle {
+		go r.drain(f, l)
+	}
+}
+
+// drain sends the link's queue to follower f until it is empty, one call at a
+// time: the run of records at its head as one Append, an Install alone, so
+// what queued behind a call leaves with the next. A call that got no answer
+// fails everything queued behind it, unsent: none of it is redialed for.
+func (r *Replica) drain(f string, l *link) {
+	l.mu.Lock()
+	for len(l.queued) > 0 {
+		n := 1
+		for l.queued[0].rec != nil && n < len(l.queued) && l.queued[n].rec != nil {
+			n++
+		}
+		next := l.queued[:n:n]
+		l.mu.Unlock()
+		err := r.send(f, next)
+		l.mu.Lock()
+		if l.queued = l.queued[n:]; err != nil {
+			for _, s := range l.queued {
+				s.acks <- followerAck{ep: f, err: err}
+			}
+			l.queued = nil
+		}
+	}
+	l.queued = nil
+	l.mu.Unlock()
+}
+
+// send makes one call to follower f for next, an Install or a run of records,
+// and answers each shipment: one past its deadline unsent, the rest with the
+// follower's verdict. It is the one place a record leaves a server; the call
+// is bounded by the earliest deadline, and its error returned if unanswered.
+func (r *Replica) send(f string, next []*shipment) error {
+	var live []*shipment
+	var recs []*ReplRecord
+	var deadline time.Time
+	for _, s := range next {
+		if time.Now().After(s.deadline) {
+			s.acks <- followerAck{ep: f, err: context.DeadlineExceeded}
 			continue
 		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return ctx.Err()
+		if live == nil || s.deadline.Before(deadline) {
+			deadline = s.deadline
 		}
+		live, recs = append(live, s), append(recs, s.rec)
 	}
-	res, err := r.peer.Call(ctx, ReplicaRef(ep), "Append", recs)
-	if err != nil {
-		return err
+	if live == nil {
+		return nil
 	}
-	slots, err := appendSlots(ep, len(recs), res)
-	if err != nil {
-		return err
+	ctx, cancel := context.WithDeadline(live[0].ctx, deadline)
+	defer cancel()
+	method, args := "Append", []any{recs}
+	if live[0].install != nil {
+		method, args = "Install", live[0].install
 	}
-	for _, slot := range slots {
-		if err := slotError(slot); err != nil {
-			return err
+	res, err := r.peer.Call(ctx, ReplicaRef(f), method, args...)
+	var slots []any
+	if err == nil && live[0].install == nil {
+		slots, err = appendSlots(f, len(recs), res)
+	}
+	for i, s := range live {
+		serr := err
+		if slots != nil {
+			serr = slotError(slots[i])
 		}
+		s.acks <- followerAck{ep: f, err: serr}
+	}
+	if errors.As(err, new(*rmi.RemoteException)) {
+		return err
 	}
 	return nil
 }
@@ -413,15 +448,11 @@ func slotError(slot any) error {
 type quorumTally struct {
 	names     []string
 	followers [][]string
-	// quorum is the directive's W (0 = all), capped per name at its replica
-	// count.
-	quorum int
-	// acks holds each follower's answer so far (the primary never ships to
-	// itself, so it never appears).
-	acks []followerAck
+	quorum    int           // the directive's W (0 = all), capped per name at its replica count
+	acks      []followerAck // the answers so far; the primary never ships to itself
 }
 
-// followerAck is one follower's answer for one record.
+// followerAck is one follower's answer to one shipment.
 type followerAck struct {
 	ep  string
 	err error

@@ -427,3 +427,50 @@ func TestMutualFollowersDoNotDeadlock(t *testing.T) {
 		}
 	}
 }
+
+// TestWavesQueuedBehindAnAppendRideTheNext: under W=2 of R=3 a primary's
+// link to its slow follower has one Append out, and two waves from two other
+// batches execute and queue behind it. When that Append returns, both leave
+// in the next one: the follower serves 2 Append calls for 3 records, and
+// replays the waves in the order the primary queued them.
+func TestWavesQueuedBehindAnAppendRideTheNext(t *testing.T) {
+	ec, dir := shipCluster(t)
+	ctx := context.Background()
+	const delay = 200 * time.Millisecond
+	name := nameWhere(t, dir, "a", "server-0", anyOwners)
+	place(t, ec, dir, name)
+	owners, _ := dir.Owners(name)
+	primary, slow := owners[0], owners[2]
+	ec.Network.SetLinkFaults(slow, primary, netsim.LinkFaults{ExtraLatency: delay})
+	t.Cleanup(func() { ec.Network.KillConns(slow) })
+	counter := func(name string) int64 { return ec.Server(slow).Stats.Snapshot().Counter(name) }
+	ships, appends := counter("cluster.replica_ships"), counter("cluster.replica_appends")
+
+	start := time.Now()
+	for _, delta := range []int64{1, 2, 4} {
+		b := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithQuorum(2))
+		p, err := b.RootNamed(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Call("Add", delta)
+		if err := b.Flush(ctx); err != nil {
+			t.Fatalf("W=2 flush of %d: %v", delta, err)
+		}
+	}
+	if took := time.Since(start); took >= delay {
+		t.Fatalf("setup: the three flushes took %v, longer than the first Append's answer (%v)", took, delay)
+	}
+
+	for deadline := time.Now().Add(10 * delay); counter("cluster.replica_appends")-appends != 3; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("slow follower applied %d records, want 3", counter("cluster.replica_appends")-appends)
+		}
+	}
+	if got := counter("cluster.replica_ships") - ships; got != 2 {
+		t.Errorf("slow follower served %d Append calls for 3 records, want 2: the first, then the two queued behind it", got)
+	}
+	if got := shadowHistory(t, ec, slow, primary, name); !reflect.DeepEqual(got, []int64{1, 2, 4}) {
+		t.Errorf("%s's shadow of %s replayed %v, want the primary's queue order [1 2 4]", slow, name, got)
+	}
+}

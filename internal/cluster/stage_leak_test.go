@@ -1,14 +1,16 @@
 package cluster_test
 
-// Goroutine-leak regression for the replication ship fan-out: a quorum-
-// early flush is answered while the primary's stragglers are still shipping,
-// and a straggler stuck on a wedged follower connection must expire on
-// shipTimeout instead of outliving its flush for as long as the primary
-// serves.
+// Goroutine-leak and deadline regressions for the replication ship: a
+// quorum-early flush is answered while the primary's link to a straggler is
+// still shipping, and a shipment stuck on a wedged follower connection must
+// expire on shipTimeout instead of outliving its flush for as long as the
+// primary serves.
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -75,5 +77,65 @@ func TestShipStragglerDoesNotLeak(t *testing.T) {
 	// The fix: each ship's own deadline reaps it. Without shipTimeout the
 	// goroutines block in Call for as long as the primary serves — here, past
 	// the end of the test — and this poll times out.
+	clustertest.AssertGoroutinesReturn(t, baseline, 5*time.Second)
+}
+
+// TestWedgedFollowerDoesNotStackDeadlines: three concurrent W=all flushes
+// queue their records on the primary's one link to a wedged follower. Each
+// record's deadline runs from when it was queued, so each flush fails with a
+// quorum miss naming the follower after one shipTimeout, not after the ones
+// queued ahead of it; then every goroutine returns.
+func TestWedgedFollowerDoesNotStackDeadlines(t *testing.T) {
+	const timeout = 250 * time.Millisecond
+	restore := cluster.SetShipTimeoutForTest(timeout)
+	defer restore()
+
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(2))
+	ec.BindCounter(dir, "obj-0", 0)
+	if _, err := cluster.NewRebalancer(dir).AddServer(ctx, ec.Endpoints()[0]); err != nil {
+		t.Fatalf("placement rebalance: %v", err)
+	}
+	owners, _ := dir.Owners("obj-0")
+	primary, follower := owners[0], owners[1]
+
+	flush := func() error {
+		b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+		p, err := b.RootNamed(ctx, "obj-0")
+		if err != nil {
+			return err
+		}
+		p.Call("Add", int64(1))
+		return b.Flush(ctx)
+	}
+	// A healthy flush first, so the connections the ship uses are in the
+	// baseline.
+	if err := flush(); err != nil {
+		t.Fatalf("healthy flush: %v", err)
+	}
+	clustertest.AssertGoroutinesReturn(t, runtime.NumGoroutine(), 2*time.Second)
+	baseline := runtime.NumGoroutine()
+
+	ec.Network.SetLinkFaults(follower, primary, netsim.LinkFaults{ExtraLatency: time.Hour})
+	t.Cleanup(func() { ec.Network.KillConns(follower) })
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			err := flush()
+			took := time.Since(start)
+			var qe *cluster.QuorumError
+			if !errors.As(err, &qe) || len(qe.Failed) != 1 || qe.Failed[0].Endpoint != follower {
+				t.Errorf("flush %d with %s wedged = %v, want a quorum miss naming it", i, follower, err)
+			}
+			if took > timeout+150*time.Millisecond {
+				t.Errorf("flush %d failed after %v, want within one shipTimeout (%v) plus 150ms", i, took, timeout)
+			}
+		}()
+	}
+	wg.Wait()
 	clustertest.AssertGoroutinesReturn(t, baseline, 5*time.Second)
 }
