@@ -39,6 +39,19 @@ func TestChaos(t *testing.T) {
 	}
 }
 
+// TestChaosPinnedSeeds replays seeds outside CI's fixed 1–25 that once
+// failed, so a regression there cannot hide. 579, 584, 637, 1002, 1077 and
+// 1248 failed quiesce when a removal shrank an R=2 ring to one member and
+// placement still asked for two owners.
+func TestChaosPinnedSeeds(t *testing.T) {
+	for _, seed := range []int64{579, 584, 637, 1002, 1077, 1248} {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			res := Run(t, Config{Seed: seed, Steps: *chaosSteps, Faults: true})
+			t.Log(res.summary())
+		})
+	}
+}
+
 // TestNoFaultCanary runs the same seeded workloads with the fault schedule
 // disabled: on a healthy network every invariant must hold — if this fails,
 // the harness (or the system) is broken independent of fault injection.

@@ -21,9 +21,11 @@ import (
 // through the client: a place trip asks one primary to snapshot its own
 // names and install them at their followers, server to server, one Install
 // call per follower carrying its whole share (Replica.Place). The election
-// reads each member once: its name table and its replicas in one survey
-// trip. Get-Batch's streaming read shares the contract but not the trip, and
-// lives in getbatch.go.
+// reads each member once, in a survey trip that carries the member's fence.
+// Over four members a first replicated placement costs 16 client calls and
+// 6 RTT, a settled re-add 12 calls and 4 RTT (apply); an R=2 scale-out from
+// three members to four, 23 calls. Get-Batch's streaming read shares the
+// contract but not the trip, and lives in getbatch.go.
 
 // tripKind names one batched round trip of the control plane.
 type tripKind string
@@ -32,7 +34,7 @@ const (
 	tripSnapshot tripKind = "snapshot" // read a flow's movable state off its source
 	tripArrive   tripKind = "arrive"   // adopt moving names at their new home, then place them from there
 	tripPlace    tripKind = "place"    // have one primary seed its names' followers
-	tripSurvey   tripKind = "survey"   // read one member's name table and replica shards
+	tripSurvey   tripKind = "survey"   // fence one member, then read its name table and replica shards
 	tripDepart   tripKind = "depart"   // tombstone moved names at their old home
 	tripPromote  tripKind = "promote"  // turn one holder's shadows authoritative
 )
@@ -153,7 +155,13 @@ func (r *Rebalancer) snapshot(ctx context.Context, src string, moves []move) err
 // names is nil (Replica.Place).
 func placeItem(primary string, routing *Ring, epoch uint64, names []string) item {
 	return item{name: primary, root: ReplicaRef(primary), method: "Place",
-		args: []any{routing.Endpoints(), routing.Replication(), epoch, names}}
+		args: []any{routing.Endpoints(), ownerCount(routing), epoch, names}}
+}
+
+// ownerCount is how many owners routing gives each name: R, or every member of
+// a ring a removal shrank below R. Below 2 no name has a follower.
+func ownerCount(routing *Ring) int {
+	return min(routing.Replication(), routing.Size())
 }
 
 // sortedKeys returns m's keys in order, so fan-outs are deterministic.
@@ -229,23 +237,33 @@ func boundIn(tables [][]*Binding) map[string]bool {
 	return bound
 }
 
-// memberView is one member's answer to the survey: its name table and its
-// replicas.
+// memberView is one member's answer to the survey: its name table, its
+// replicas, and whether it already held the fence its trip set.
 type memberView struct {
 	manifest []*Binding
 	shards   []*ShardInfo
+	held     bool
 }
 
 // survey reads each member's name table and replicas — of primary's shard,
 // or of every shard it holds when primary is empty — in one trip per member,
-// members in parallel.
-func (r *Rebalancer) survey(ctx context.Context, members []string, primary string) ([]memberView, error) {
+// members in parallel. A non-nil fence leads each trip: RingState, then
+// SetRing(fence), whose refusal aborts the trip before the reads.
+func (r *Rebalancer) survey(ctx context.Context, members []string, primary string, fence *RingSnapshot) ([]memberView, error) {
 	views := make([]memberView, len(members))
 	err := fanOut(members, func(i int, ep string) error {
-		res, err := r.trip(ctx, tripSurvey, NodeRef(ep), []item{
-			{name: ep, method: "Manifest"},
-			{name: primary, root: ReplicaRef(ep), method: "Survey", args: []any{primary}},
-		})
+		var items []item
+		if fence != nil {
+			items = []item{{name: ep, method: "RingState"}, {name: ep, method: "SetRing", args: []any{fence}}}
+		}
+		res, err := r.trip(ctx, tripSurvey, NodeRef(ep), append(items,
+			item{name: ep, method: "Manifest"},
+			item{name: primary, root: ReplicaRef(ep), method: "Survey", args: []any{primary}}))
+		if err == nil && fence != nil {
+			view, _ := res[0].(*RingSnapshot) // unreadable is not held: it only costs a re-seed
+			views[i].held = view != nil && view.Epoch == fence.Epoch && slices.Equal(view.Members, fence.Members)
+			res = res[2:]
+		}
 		if err == nil {
 			views[i].manifest, err = decodeManifest(ep, res[0])
 		}
@@ -342,7 +360,7 @@ func (r *Rebalancer) migratePair(ctx context.Context, f flow, routing *Ring, epo
 			placed = append(placed, m.name)
 		}
 	}
-	if routing.Replication() > 1 && len(placed) > 0 {
+	if ownerCount(routing) > 1 && len(placed) > 0 {
 		arrive = append(arrive, placeItem(f.dst, routing, epoch, placed))
 	}
 	if _, err := r.trip(ctx, tripArrive, NodeRef(f.dst), arrive); err != nil {
@@ -362,7 +380,7 @@ func (r *Rebalancer) migratePair(ctx context.Context, f flow, routing *Ring, epo
 // replicated (symmetrically, the primary's newChain turns off a chain whose
 // root cannot move).
 func (r *Rebalancer) placeReplicas(ctx context.Context, members []string, routing *Ring, epoch uint64) error {
-	if routing.Replication() <= 1 {
+	if ownerCount(routing) <= 1 {
 		return nil
 	}
 	primaries := slices.DeleteFunc(slices.Clone(members), func(ep string) bool { return !routing.Contains(ep) })
@@ -381,26 +399,28 @@ type candidate struct {
 }
 
 // elect is the one promotion election. Every member reports, in one survey
-// trip, its name table and its replica of primary's shard — or, when primary
-// is empty, of every shard it holds — and each shadowed name is won by its
-// best candidate (betterCandidate). Names bound on any member (or, for a
-// rescue, on the shadow's own primary) are alive — migrated away before the
-// crash, promoted by an earlier partial run, or simply healthy — and are
-// filtered out, so a stale shadow never overwrites fresher authoritative
-// state and retries converge. Each winning holder then binds its shadows
-// into its registry (Replica.Promote, idempotent per name), one promote trip
-// per holder in sorted order, from where the caller's migration homes them.
-// Returns how many names were promoted and the members' name tables as the
-// survey read them — before any promotion.
-func (r *Rebalancer) elect(ctx context.Context, members []string, primary string, epoch uint64) (int, [][]*Binding, error) {
-	views, err := r.survey(ctx, members, primary)
+// trip (led by its fence, if any), its name table and its replica of
+// primary's shard — or, when primary is empty, of every shard it holds — and
+// each shadowed name is won by its best candidate (betterCandidate). Names
+// bound on any member (or, for a rescue, on the shadow's own primary) are
+// alive — migrated away before the crash, promoted by an earlier partial run,
+// or simply healthy — and are filtered out, so a stale shadow never
+// overwrites fresher authoritative state and retries converge. Each winning
+// holder then binds its shadows into its registry (Replica.Promote,
+// idempotent per name), one promote trip per holder in sorted order, from
+// where the caller's migration homes them. Returns how many names were
+// promoted, the members' name tables as the survey read them — before any
+// promotion — and whether every member already held the fence.
+func (r *Rebalancer) elect(ctx context.Context, members []string, primary string, epoch uint64, fence *RingSnapshot) (int, [][]*Binding, bool, error) {
+	views, err := r.survey(ctx, members, primary, fence)
 	if err != nil {
-		return 0, nil, fmt.Errorf("cluster: elect: %w", err)
+		return 0, nil, false, fmt.Errorf("cluster: elect: %w", err)
 	}
 	tables := make([][]*Binding, len(views))
 	best := make(map[string]candidate)
+	held := fence != nil
 	for i, v := range views {
-		tables[i] = v.manifest
+		tables[i], held = v.manifest, held && v.held
 		for _, si := range v.shards {
 			for _, ni := range si.Names {
 				if cur, ok := best[ni.Name]; !ok || betterCandidate(members[i], ni, cur.holder, cur.ni) {
@@ -410,7 +430,7 @@ func (r *Rebalancer) elect(ctx context.Context, members []string, primary string
 		}
 	}
 	if len(best) == 0 {
-		return 0, tables, nil
+		return 0, tables, held, nil
 	}
 	bound := boundIn(tables)
 	if primary == "" {
@@ -438,7 +458,7 @@ func (r *Rebalancer) elect(ctx context.Context, members []string, primary string
 			promoted++
 		}
 	}
-	return promoted, tables, fanOut(sortedKeys(byHolder), func(_ int, ep string) error {
+	return promoted, tables, held, fanOut(sortedKeys(byHolder), func(_ int, ep string) error {
 		_, err := r.trip(ctx, tripPromote, ReplicaRef(ep), byHolder[ep])
 		return err
 	})
@@ -469,12 +489,10 @@ func betterCandidate(ep string, ni NameInfo, curEp string, cur NameInfo) bool {
 	return ep < curEp
 }
 
-// broadcast pushes the ring state (members at epoch) to every recipient
-// node in parallel. Recipients may include servers outside the new
-// membership — a removed server keeps answering stragglers, so it needs the
-// fresh state too.
-func (r *Rebalancer) broadcast(ctx context.Context, recipients, members []string, epoch uint64) error {
-	snap := &RingSnapshot{Members: members, Epoch: epoch}
+// broadcast pushes the ring state snap to every recipient node in parallel.
+// Recipients may include servers outside the new membership — a removed
+// server keeps answering stragglers, so it needs the fresh state too.
+func (r *Rebalancer) broadcast(ctx context.Context, recipients []string, snap *RingSnapshot) error {
 	return fanOut(recipients, func(_ int, ep string) error {
 		if _, err := r.dir.peer.Call(ctx, NodeRef(ep), "SetRing", snap); err != nil {
 			return fmt.Errorf("cluster: set ring on %s: %w", ep, err)

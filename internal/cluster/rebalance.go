@@ -130,28 +130,37 @@ type change struct {
 //
 // Each step is one client phase, one call per server in parallel — the
 // pre-seed and re-seed each add one server-to-server hop, a primary's
-// Installs at its followers — so a change that moves and promotes nothing
-// costs five phases: refresh, pre-seed, broadcast, election survey (whose
-// name tables the plan reuses) and re-seed.
+// Installs at its followers. When a change broadcasts to exactly the members
+// it elects over (AddServer and FailoverServer on a replicated ring), steps 2
+// and 3 share one trip per member: ring view, fence, name table, replicas. A
+// refused fence aborts the trip before the survey, so each member is surveyed
+// after its own fence — all the election needs, as fences were never atomic
+// across members. A change that moves and promotes nothing costs four phases
+// (refresh, pre-seed, fence+survey, whose name tables the plan reuses, and
+// re-seed), or three when settled: its re-seed would repeat its pre-seed.
 func (r *Rebalancer) apply(ctx context.Context, c change) (*RebalanceStats, error) {
 	members := c.target.Endpoints()
+	seedEpoch := r.dir.Ring().Epoch()
 	if len(c.preseed) > 0 {
-		if err := r.placeReplicas(ctx, c.preseed, c.target, r.dir.Ring().Epoch()); err != nil {
+		if err := r.placeReplicas(ctx, c.preseed, c.target, seedEpoch); err != nil {
 			return nil, err
 		}
 	}
-	if len(c.notify) > 0 {
-		if err := r.broadcast(ctx, c.notify, members, c.epoch); err != nil {
+	elect := c.elect && c.target.Replication() > 1 // unreplicated rings hold no shadows
+	fence := &RingSnapshot{Members: members, Epoch: c.epoch}
+	if !elect || !slices.Equal(c.notify, members) {
+		if err := r.broadcast(ctx, c.notify, fence); err != nil {
 			return nil, err
 		}
+		fence = nil // broadcast apart (to nobody when c.notify is empty)
 	}
-	promoted := 0
+	promoted, held := 0, false
 	// The sources' name tables, as the election read them; a promotion
 	// changes them, so plan reads them again then.
 	var tables [][]*Binding
-	if c.elect && c.target.Replication() > 1 { // unreplicated rings hold no shadows
+	if elect {
 		var err error
-		if promoted, tables, err = r.elect(ctx, members, c.shard, c.epoch); err != nil {
+		if promoted, tables, held, err = r.elect(ctx, members, c.shard, c.epoch, fence); err != nil {
 			return nil, err
 		}
 		if promoted > 0 || !slices.Equal(c.sources, members) {
@@ -165,8 +174,13 @@ func (r *Rebalancer) apply(ctx context.Context, c change) (*RebalanceStats, erro
 	if err := r.migrate(ctx, flows, c.target, c.epoch); err != nil {
 		return nil, err
 	}
-	if err := r.placeReplicas(ctx, members, c.target, c.epoch); err != nil {
-		return nil, err
+	// Settled: no new ring, the pre-seed placed these members at this epoch,
+	// no member's routing moved at its fence, nothing was promoted or moved.
+	settled := held && c.commit == nil && seedEpoch == c.epoch && slices.Equal(c.preseed, members) && promoted == 0 && len(flows) == 0
+	if !settled {
+		if err := r.placeReplicas(ctx, members, c.target, c.epoch); err != nil {
+			return nil, err
+		}
 	}
 	if c.commit != nil {
 		c.commit()
@@ -321,7 +335,7 @@ func init() {
 // promotes and re-homes the shard's names. An answer the survey cannot read
 // fails the removal (*ReplyError): read as empty, it would clear the guard.
 func (r *Rebalancer) guardOrphanedReplicas(ctx context.Context, endpoint string, ring *Ring) error {
-	views, err := r.survey(ctx, []string{endpoint}, "")
+	views, err := r.survey(ctx, []string{endpoint}, "", nil)
 	if err != nil {
 		return fmt.Errorf("cluster: remove %s: inspect replica shards: %w", endpoint, err)
 	}

@@ -14,6 +14,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -444,15 +447,101 @@ func TestOrphanRescueSparesHalfRemovedMember(t *testing.T) {
 	checkConverged(t, ec, fresh, want)
 }
 
+// TestRefusedFenceSkipsSurvey: a member's fence and survey share one trip,
+// and a member that refuses its fence is not surveyed. server-0 dies with its
+// state and comes back holding a conflicting member set at the current
+// epoch, so the converged AddServer — an orphan rescue, whose election would
+// promote server-1's shadow of the lost name — fails with the conflicting
+// broadcast, promotes nothing, and leaves the shadow as it was.
+func TestRefusedFenceSkipsSurvey(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(2))
+	want := map[string]int64{}
+	lost := namesWithOwners(t, dir.Ring(), 1, "server-0", "server-1")[0]
+	bindAll(ec, dir, want, lost)
+	if _, err := cluster.NewRebalancer(dir).AddServer(ctx, "server-0"); err != nil {
+		t.Fatalf("placement rebalance: %v", err)
+	}
+	ackedAdd(t, ec, dir, want, lost)
+	ec.CrashServer("server-0")
+	ec.StartServer("server-0")
+	if err := ec.Server("server-0").Node.SetRing(&cluster.RingSnapshot{
+		Members: []string{"server-0", "server-1"}, Epoch: dir.Ring().Epoch()}); err != nil {
+		t.Fatal(err)
+	}
+	follower := ec.Server("server-1").Replica
+	shard := follower.ShardInfo("server-0")
+
+	var mu sync.Mutex
+	trips := map[cluster.TripKind]int{}
+	reb := cluster.NewRebalancer(dir)
+	reb.SetProbe(func(k cluster.TripKind, _ string, _ []string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		trips[k]++
+		return nil
+	})
+	if _, err := reb.AddServer(ctx, "server-0"); err == nil || !strings.Contains(err.Error(), "conflicting ring broadcast") {
+		t.Fatalf("AddServer over a conflicting member = %v, want the conflicting-broadcast error", err)
+	}
+	if trips[cluster.TripPromote] != 0 || trips[cluster.TripSurvey] != 3 {
+		t.Errorf("trips = %v, want 3 fence+survey trips and no promote", trips)
+	}
+	if got := follower.ShardInfo("server-0"); !reflect.DeepEqual(got, shard) {
+		t.Errorf("server-1's replica of server-0's shard moved to %+v, want %+v", got, shard)
+	}
+	if obj, ok := follower.Shadow("server-0", lost); !ok || obj.(*clustertest.Counter).Get() != want[lost] {
+		t.Errorf("server-1's shadow of %s is gone or moved (%v), want %d", lost, obj, want[lost])
+	}
+	for _, s := range ec.Servers {
+		if _, err := s.Reg.Lookup(lost); err == nil {
+			t.Errorf("%s is bound at %s: the refused fence promoted it", lost, s.Endpoint)
+		}
+	}
+}
+
+// TestRemoveBelowReplication: removing one of two members of an R=2 ring
+// leaves one member, where nothing has a follower. Placement over it sends
+// no replication larger than the ring, so the removal succeeds and the
+// drained names keep their state at the survivor.
+func TestRemoveBelowReplication(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(2))
+	want := map[string]int64{}
+	bindAll(ec, dir, want, namesWithOwners(t, dir.Ring(), 2, "server-1")...)
+	bindAll(ec, dir, want, namesWithOwners(t, dir.Ring(), 1, "server-0")...)
+	reb := cluster.NewRebalancer(dir)
+	if _, err := reb.AddServer(ctx, "server-0"); err != nil {
+		t.Fatalf("placement rebalance: %v", err)
+	}
+	st, err := reb.RemoveServer(ctx, "server-1")
+	if err != nil {
+		t.Fatalf("RemoveServer down to one member at R=2: %v", err)
+	}
+	if st.Moved != 2 {
+		t.Errorf("moved %d names, want 2", st.Moved)
+	}
+	if got := dir.Servers(); !slices.Equal(got, []string{"server-0"}) {
+		t.Errorf("members after the removal = %v, want [server-0]", got)
+	}
+	checkConverged(t, ec, dir, want)
+	if again, err := reb.RemoveServer(ctx, "server-1"); err != nil || again.Moved != 0 {
+		t.Errorf("repeated removal = %+v, %v; want a converged no-op", again, err)
+	}
+}
+
 // TestReplicatedAddServerRoundTrips pins the cost of the replicated control
 // plane: an R=2 scale-out from 3 to 4 servers with 8 names moving and 8
 // staying, then the same call again — the pure re-placement pass a converged
 // cluster pays. Totals are client round trips: the trips plus the unbatched
-// control calls (ring refresh and broadcast). Placement is one place trip per
-// primary, whatever it holds and however many followers it seeds, and the
-// election reads each member once, in a survey trip whose name tables the
-// plan reuses when nothing was promoted. The R=1 counterpart is
-// TestScaleOutTripsIndependentOfObjects.
+// control calls (the ring refresh). Placement is one place trip per primary,
+// whatever it holds and however many followers it seeds, and the election
+// reads each member once, in a survey trip that carries the member's ring
+// broadcast and whose name tables the plan reuses when nothing was promoted.
+// A settled re-placement skips the re-seed, which would repeat its pre-seed.
+// The R=1 counterpart is TestScaleOutTripsIndependentOfObjects.
 func TestReplicatedAddServerRoundTrips(t *testing.T) {
 	ec := clustertest.New(t, 4)
 	base := []string{"server-0", "server-1", "server-2"}
@@ -486,14 +575,14 @@ func TestReplicatedAddServerRoundTrips(t *testing.T) {
 		calls uint64
 		trips map[cluster.TripKind]int
 	}{
-		// Refresh 3, pre-seed 3 (one place trip per old member), broadcast
-		// 4, survey 4, three flows of snapshot, arrive (the destination's
+		// Refresh 3, pre-seed 3 (one place trip per old member),
+		// fence+survey 4, three flows of snapshot, arrive (the destination's
 		// placement rides in it) and depart, re-seed 4.
-		{"scale-out", 8, 27, map[cluster.TripKind]int{
+		{"scale-out", 8, 23, map[cluster.TripKind]int{
 			cluster.TripSnapshot: 3, cluster.TripArrive: 3, cluster.TripPlace: 7, cluster.TripSurvey: 4, cluster.TripDepart: 3}},
-		// Refresh, pre-seed, broadcast, survey and re-seed: 4 each.
-		{"re-placement", 0, 20, map[cluster.TripKind]int{
-			cluster.TripPlace: 8, cluster.TripSurvey: 4}},
+		// Refresh, pre-seed and fence+survey: 4 each.
+		{"re-placement", 0, 12, map[cluster.TripKind]int{
+			cluster.TripPlace: 4, cluster.TripSurvey: 4}},
 	} {
 		clear(trips)
 		before := ec.Client.CallCount()
