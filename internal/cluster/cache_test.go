@@ -73,6 +73,43 @@ func TestClusterCacheFullHitFlushIsZeroRoundTrips(t *testing.T) {
 	}
 }
 
+// TestClusterCacheCountsEachCallOnce: every cacheable readonly call counts
+// once in cache.hits + cache.misses — a hit when recorded, otherwise what it
+// met when translated — however many times the cache was looked at for it.
+func TestClusterCacheCountsEachCallOnce(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	ctx := context.Background()
+	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
+	counts := func() (hits, misses int64) {
+		return clientCounter(ec, "cache.hits"), clientCounter(ec, "cache.misses")
+	}
+	flush := func(reads ...int) {
+		t.Helper()
+		b := cluster.New(ec.Client, cluster.WithCache(cache))
+		for _, s := range reads {
+			b.Root(ec.Servers[s].Ref).CallRO("Get")
+		}
+		if err := b.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	flush(0) // cold
+	if hits, misses := counts(); hits != 0 || misses != 1 {
+		t.Fatalf("a cold read counted %d hits and %d misses, want 0 and 1", hits, misses)
+	}
+	flush(0) // warm
+	if hits, misses := counts(); hits != 1 || misses != 1 {
+		t.Fatalf("a re-read counted %d hits and %d misses in all, want 1 and 1", hits, misses)
+	}
+	// A hit, a cold read, and its duplicate, which follows the cold read's
+	// flight: one more hit, two more misses.
+	flush(0, 1, 1)
+	if hits, misses := counts(); hits != 2 || misses != 3 || hits+misses != 5 {
+		t.Fatalf("five cacheable reads counted %d hits and %d misses, want 2 and 3", hits, misses)
+	}
+}
+
 // TestClusterCacheWriteInvalidatesOnlyItsObject: a write recorded against
 // one root — on the root itself or on a proxy derived from it — drops that
 // object's leases at record time, leaving the other server's entries

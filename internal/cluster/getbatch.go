@@ -233,8 +233,8 @@ func (s *Stream) run(ctx context.Context) {
 }
 
 // runDest drains one destination's sub-stream into the assembler. The
-// per-server stream is ordered, so entries pair with the sub-batch's
-// indexes positionally; a destination failing mid-stream fails exactly its
+// per-server stream is ordered, so core.GetBatchStream pairs its entries with
+// the sub-batch's indexes; a destination failing mid-stream fails exactly its
 // undelivered remainder. Entries that say "not here" go to rr instead of
 // the assembler.
 func (s *Stream) runDest(ctx context.Context, db *destBatch, retried map[int]bool, rr *reroutes) {
@@ -259,10 +259,6 @@ func (s *Stream) runDest(ctx context.Context, db *destBatch, retried map[int]boo
 				err = fmt.Errorf("cluster: getbatch: %s ended after %d of %d entries", db.endpoint, cursor, len(indexes))
 			}
 			failFrom(cursor, err)
-			return
-		}
-		if entry.Index != want {
-			failFrom(cursor, fmt.Errorf("cluster: getbatch: %s delivered index %d, want %d", db.endpoint, entry.Index, want))
 			return
 		}
 		i := int(want)

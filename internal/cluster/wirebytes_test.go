@@ -10,12 +10,16 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
+	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/rmi"
 	"repro/internal/transport"
@@ -316,7 +320,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 					t.Fatalf("call %d: %v", i, err)
 				}
 			}
-		}, wireBytes{Header: 13, Envelope: 93, Method: 6, Calls: 268, Results: 69, Roots: 132, Directive: 3, Push: 69}, rmi.BatchObjID, map[string]hopBytes{
+		}, wireBytes{Header: 13, Envelope: 93, Method: 6, Calls: 268, Results: 24, Roots: 132, Directive: 3, Push: 69}, rmi.BatchObjID, map[string]hopBytes{
 			"server-0": pushHop, "server-1": pushHop, "server-2": pushHop,
 		}},
 		{"replicated_write", 3, 8, func(t *testing.T, ec *clustertest.Cluster, client *rmi.Peer) {
@@ -336,7 +340,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 			if err := b.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-		}, wireBytes{Header: 13, Envelope: 93, Method: 6, Calls: 174, Results: 62, Roots: 132, Directive: 57}, rmi.ReplicaObjID, map[string]hopBytes{
+		}, wireBytes{Header: 13, Envelope: 93, Method: 6, Calls: 174, Results: 22, Roots: 132, Directive: 57}, rmi.ReplicaObjID, map[string]hopBytes{
 			// server-0 follows the two primaries of one root each; the others
 			// follow server-0, whose record carries its two roots.
 			"server-0": {Calls: 2, Header: 10, Envelope: 14, Method: 4, Body: 310, Reply: 16},
@@ -447,4 +451,163 @@ func hopsSettled(t *testing.T, ec *clustertest.Cluster, objID uint64) map[string
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// streamBytes attributes a Get-Batch stream's client bytes:
+//   - Header: frame headers, chunk sub-headers and each entry's length
+//     prefix — the stream's framing;
+//   - Envelope: the request around its positions — the stream request's
+//     service name, struct headers, the empty id column, the method;
+//   - Names and Indexes: the request's two per-position columns;
+//   - Entries: what an entry carries besides its value — the
+//     brmi.getbatch.entry struct header, echoed index and error, for the
+//     entries that travel in it;
+//   - Values: the values read;
+//   - Other: every other frame.
+type streamBytes struct {
+	Header, Envelope, Names, Indexes, Entries, Values, Other int
+}
+
+func (w streamBytes) total() int {
+	return w.Header + w.Envelope + w.Names + w.Indexes + w.Entries + w.Values + w.Other
+}
+
+// attributeStream splits every byte tap recorded of Get-Batch streams into
+// w's categories and returns them with the recorded total.
+func attributeStream(t *testing.T, tap *transport.Recorder) (w streamBytes, recorded int) {
+	t.Helper()
+	outs, ins := tap.Recorded()
+	for i, out := range outs {
+		recorded += len(out) + len(ins[i])
+		for _, f := range decodeFrames(t, out) {
+			w.Header += f.Header
+			if f.Kind != transport.KindStreamReq {
+				w.Other += len(f.Payload)
+				continue
+			}
+			h, sr := split(t, f.Payload, false) // rmi.stream.req: Service, Req
+			rh, req := split(t, sr[1], false)   // brmi.getbatch.req: ObjIDs, Indexes, Method, Names
+			w.Envelope += h + len(sr[0]) + rh + len(req[0]) + len(req[2])
+			w.Indexes += len(req[1])
+			if len(req) > 3 {
+				w.Names += len(req[3])
+			}
+		}
+		var stream []byte
+		for _, f := range decodeFrames(t, ins[i]) {
+			w.Header += f.Header
+			if f.Kind == transport.KindChunk {
+				stream = append(stream, f.Payload...)
+			} else {
+				w.Other += len(f.Payload)
+			}
+		}
+		for len(stream) > 0 {
+			n, k := binary.Uvarint(stream)
+			if k <= 0 || int(n) > len(stream)-k {
+				t.Fatalf("stream bytes %x: bad entry length", stream)
+			}
+			w.Header += k
+			entry := stream[k : k+int(n)]
+			stream = stream[k+int(n):]
+			v, err := wire.Unmarshal(entry)
+			if err != nil {
+				t.Fatalf("entry %x: %v", entry, err)
+			}
+			e, enveloped := v.(*core.GetBatchEntry)
+			switch {
+			case !enveloped:
+				w.Values += len(entry)
+			case e.Err != nil:
+				w.Entries += len(entry)
+			default:
+				_, fields := split(t, entry, false) // Index, Value, Err
+				w.Entries += len(entry) - len(fields[1])
+				w.Values += len(fields[1])
+			}
+		}
+	}
+	return w, recorded
+}
+
+// TestGetBatchBytesAttributed pins the client-connection bytes of one
+// name-addressed cluster.GetBatch of n small-integer values, all homed on one
+// server — one stream — per category. A successful entry is its bare value,
+// no envelope at all: past the request's 15 B envelope and its names, a
+// position costs a 2 B index, a 2 B value and a 1 B length prefix, and the
+// stream 2 B of request frame header and 4 B of chunk framing (3 B request
+// header and 5 B of chunk framing at n=64, whose frames pass 127 B). An
+// unbound name's entry is the brmi.getbatch.entry struct, 16 B with its
+// registry.NotBound error.
+func TestGetBatchBytesAttributed(t *testing.T) {
+	for _, c := range []struct {
+		n, unbound int
+		want       streamBytes
+	}{
+		{1, 0, streamBytes{Header: 7, Envelope: 15, Names: 9, Indexes: 4, Values: 2}},
+		{8, 0, streamBytes{Header: 14, Envelope: 15, Names: 60, Indexes: 18, Values: 16}},
+		{64, 0, streamBytes{Header: 72, Envelope: 15, Names: 526, Indexes: 130, Values: 128}},
+		{8, 1, streamBytes{Header: 14, Envelope: 15, Names: 60, Indexes: 18, Entries: 16, Values: 14}},
+	} {
+		// A stream the scheduler cut into two chunks (the server descheduled
+		// for a whole linger) is legal, but not what is pinned: it is read
+		// again, a few times, for one that went through in one chunk.
+		var got streamBytes
+		for attempt := 0; attempt < 5; attempt++ {
+			var chunks int
+			if got, chunks = getBatchBytes(t, c.n, c.unbound); chunks == 1 {
+				break
+			}
+		}
+		t.Logf("n=%d, %d unbound: %+v", c.n, c.unbound, got)
+		if got != c.want {
+			t.Errorf("n=%d, %d unbound: %+v, want %+v", c.n, c.unbound, got, c.want)
+		}
+	}
+}
+
+// getBatchBytes reads n names homed on one server, the first unbound of them
+// not bound at all, through a tapped client, and attributes the bytes; it
+// also reports how many chunks the stream took.
+func getBatchBytes(t *testing.T, n, unbound int) (streamBytes, int) {
+	t.Helper()
+	ec := clustertest.New(t, 3, clustertest.Tapped())
+	defer ec.Close()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
+	names := namesAt(dir, "server-0", n)
+	for i, name := range names[unbound:] {
+		ec.BindCounter(dir, name, int64(i%50))
+	}
+	client, tap := tappedClient(t, ec)
+	s, err := cluster.GetBatch(context.Background(), client, dir, names, cluster.WithGetMethod("Get"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; ; i++ {
+		e, err := s.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (e.Err != nil) != (i < unbound) || (e.Err == nil && e.Value != int64((i-unbound)%50)) {
+			t.Fatalf("n=%d: entry %d = %+v", n, i, e)
+		}
+	}
+	got, recorded := attributeStream(t, tap)
+	if got.total() != recorded {
+		t.Fatalf("n=%d: attributed %d of %d recorded bytes", n, got.total(), recorded)
+	}
+	chunks := 0
+	_, ins := tap.Recorded()
+	for _, in := range ins {
+		for _, f := range decodeFrames(t, in) {
+			if f.Kind == transport.KindChunk {
+				chunks++
+			}
+		}
+	}
+	return got, chunks
 }

@@ -536,7 +536,6 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		req.Policy = b.policy
 	}
 	records := b.records
-	base := b.recBase
 	b.calls = nil
 	b.records = nil
 	b.argArena = nil // chunks stay alive through req until encoded
@@ -553,48 +552,53 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 	if b.reg != nil {
 		b.flushNs.Observe(b.reg.Now().Sub(flushStart).Nanoseconds())
 	}
+	return b.settle(svcRef.Endpoint, req, records, keep, res, err)
+}
 
+// settle takes the outcome of req's round trip to endpoint — the reply in
+// res, or err — for records, the calls req carried: it adopts the root
+// references the server resolved and settles the records from the results,
+// positionally. A reply that does not answer req — another type, another
+// count of results or of roots — settles nothing and fails the batch, as a
+// failed round trip does.
+func (b *Batch) settle(endpoint string, req *batchRequest, records []callRecord, keep bool, res []any, err error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	var resp *batchResponse
+	if len(res) == 1 {
+		resp, _ = res[0].(*batchResponse)
+	}
+	var nso *rmi.NoSuchObjectError
+	switch {
+	case errors.As(err, &nso) && nso.ObjID == rmi.BatchObjID:
+		err = ErrNoBatchService
+	case err != nil: // the round trip failed
+	case resp == nil:
+		err = fmt.Errorf("unexpected response %v", res)
+	case len(resp.Results) != len(records):
+		err = fmt.Errorf("reply answers %d of %d calls", len(resp.Results), len(records))
+	case len(req.Names) != 0 && len(resp.Roots) != len(req.Names):
+		err = fmt.Errorf("reply resolved %d of %d root names", len(resp.Roots), len(req.Names))
+	}
 	if err != nil {
-		var nso *rmi.NoSuchObjectError
-		if errors.As(err, &nso) && nso.ObjID == rmi.BatchObjID {
-			err = ErrNoBatchService
-		}
 		ferr := &BatchError{Err: err}
 		b.failure = ferr
 		b.closed = true
 		return ferr
 	}
-	resp, ok := res[0].(*batchResponse)
-	if !ok {
-		ferr := &BatchError{Err: fmt.Errorf("unexpected response type %T", res[0])}
-		b.failure = ferr
-		b.closed = true
-		return ferr
-	}
-
-	if len(req.Names) != 0 {
-		// The server resolved every name before executing: adopt the refs,
-		// so later flushes of the chain go out id-addressed.
-		if len(resp.Roots) != len(req.Names) {
-			ferr := &BatchError{Err: fmt.Errorf("reply resolved %d of %d root names", len(resp.Roots), len(req.Names))}
-			b.failure = ferr
-			b.closed = true
-			return ferr
-		}
-		for i, name := range req.Names {
-			if name != "" {
-				ref := resp.Roots[i]
-				ref.Endpoint = svcRef.Endpoint
-				*b.rootAt(i) = ref
-			}
+	// The server resolved every name before executing: adopt the refs, so
+	// later flushes of the chain go out id-addressed.
+	for i, name := range req.Names {
+		if name != "" {
+			ref := resp.Roots[i]
+			ref.Endpoint = endpoint
+			*b.rootAt(i) = ref
 		}
 	}
 	b.sentPol = true
 	b.session = resp.Session
 	b.shipLag = time.Duration(resp.ShipNs)
-	b.distribute(base, records, resp)
+	b.distribute(records, resp.Results)
 	if !keep {
 		b.closed = true
 	}
@@ -617,24 +621,19 @@ func ReleaseSession(ctx context.Context, peer *rmi.Peer, endpoint string, sessio
 	return err
 }
 
-// distribute assigns results to futures, proxies, and cursors (§4.3).
-// records[i] belongs to the call with sequence number base+i. Caller holds
-// b.mu.
-func (b *Batch) distribute(base int64, records []callRecord, resp *batchResponse) {
+// distribute assigns results to futures, proxies, and cursors (§4.3):
+// results[i] answers the call records[i] was recorded for. Caller holds b.mu.
+func (b *Batch) distribute(records []callRecord, results []callResult) {
 	var executed uint64
-	for i := range resp.Results {
-		r := &resp.Results[i]
+	for i := range results {
+		r := &results[i]
 		if !r.Skipped {
 			// The server executed this call (skipped results never reached
 			// method execution); the count mirrors the server-side
 			// core.calls_executed counter for the chaos cross-check.
 			executed++
 		}
-		idx := r.Seq - base
-		if idx < 0 || idx >= int64(len(records)) {
-			continue // response for a call we did not record; ignore
-		}
-		rec := &records[idx]
+		rec := &records[i]
 		switch rec.kind {
 		case kindValue:
 			st := rec.future

@@ -420,8 +420,8 @@ func (e *Executor) missingRoot(id uint64) error {
 
 // execState threads the abort/restart condition through one run.
 type execState struct {
-	aborted  error // non-nil: skip everything after the break point
-	restart  bool
+	aborted  error          // non-nil: skip everything after the break point
+	restart  error          // non-nil: the failure that demands a re-run
 	trackOcc bool           // policy has rules; occurrence indices matter
 	occIndex map[string]int // per-method occurrence counter for policy rules
 	argBuf   []any          // scratch argument slice, reused across calls
@@ -532,8 +532,8 @@ func (st *execState) argSlice(n int) []any {
 	return st.argBuf[:n]
 }
 
-// runBatch replays st's calls once. It returns the per-call results and
-// whether an ActionRestart demands re-execution.
+// runBatch replays st's calls once. It returns the per-call results — result
+// i answers call i — and whether an ActionRestart demands re-execution.
 func (e *Executor) runBatch(ctx context.Context, sess *session, st *execState) ([]callResult, bool) {
 	calls := st.calls
 	results := make([]callResult, len(calls))
@@ -547,26 +547,39 @@ func (e *Executor) runBatch(ctx context.Context, sess *session, st *execState) (
 				j++
 			}
 			e.runCursor(ctx, sess, st, call, calls[i+1:j], results[i:j])
-			if st.restart {
-				return results, true
+			if st.restart != nil {
+				return restarted(results, i, st.restart), true
 			}
 			i = j - 1
 			continue
 		}
 		if call.owner() != NoCursor {
 			// Owned call without its cursor preceding it: recording bug.
-			results[i] = callResult{Seq: call.Seq, Err: fmt.Errorf("brmi: orphan cursor call %s", call.Method)}
+			results[i] = callResult{Err: fmt.Errorf("brmi: orphan cursor call %s", call.Method)}
 			continue
 		}
 		results[i] = e.runCall(ctx, sess, st, call, nil, st.nextOcc(call.Method))
-		if st.restart {
-			return results, true
+		if st.restart != nil {
+			return restarted(results, i, st.restart), true
 		}
 		if len(call.Push) > 0 {
 			e.push(ctx, st, call, &results[i])
 		}
 	}
 	return results, false
+}
+
+// restarted settles a run that stopped at call i for a restart, for the reply
+// should no restart be left: call i failed with err, and every later call is
+// skipped with it.
+func restarted(results []callResult, i int, err error) []callResult {
+	if results[i].Err == nil {
+		results[i].Err = err
+	}
+	for k := i + 1; k < len(results); k++ {
+		results[k] = callResult{Skipped: true, Err: err}
+	}
+	return results
 }
 
 // nextOcc returns the occurrence index of method (0-based count of its
@@ -588,8 +601,7 @@ func (st *execState) nextOcc(method string) int {
 // the per-element bindings of an in-progress cursor iteration. occ is the
 // call's recording-order occurrence index for policy rule matching.
 func (e *Executor) runCall(ctx context.Context, sess *session, st *execState, call *invocationData, overlay map[int64]any, occ int) callResult {
-	res := callResult{Seq: call.Seq}
-
+	var res callResult
 	if st.aborted != nil {
 		res.Skipped = true
 		res.Err = st.aborted
@@ -634,7 +646,7 @@ func (e *Executor) runCall(ctx context.Context, sess *session, st *execState, ca
 		e.markFailure(sess, overlay, call.Seq, err)
 		return res
 	}
-	if st.restart {
+	if st.restart != nil {
 		return res
 	}
 
@@ -722,7 +734,7 @@ func (e *Executor) execWithPolicy(ctx context.Context, sess *session, st *execSt
 			}
 			return nil, lastErr // retries exhausted; record and move on
 		case ActionRestart:
-			st.restart = true
+			st.restart = lastErr
 			return nil, lastErr
 		case ActionContinue:
 			return nil, lastErr
@@ -738,10 +750,6 @@ func (e *Executor) execWithPolicy(ctx context.Context, sess *session, st *execSt
 // by executing a sub-batch of methods for each item in the array").
 func (e *Executor) runCursor(ctx context.Context, sess *session, st *execState, call *invocationData, owned []invocationData, results []callResult) {
 	res := &results[0]
-	res.Seq = call.Seq
-	for k := range owned {
-		results[1+k].Seq = owned[k].Seq
-	}
 	occ := st.nextOcc(call.Method)
 	ownedOcc := make([]int, len(owned))
 	for k := range owned {
@@ -786,7 +794,7 @@ func (e *Executor) runCursor(ctx context.Context, sess *session, st *execState, 
 		e.executed.Inc()
 	}
 	out, err := e.execWithPolicy(ctx, sess, st, target, call.Method, args, occ, res)
-	if st.restart {
+	if st.restart != nil {
 		return
 	}
 	if err != nil {
@@ -835,7 +843,7 @@ func (e *Executor) runCursor(ctx context.Context, sess *session, st *execState, 
 				continue
 			}
 			elemRes := e.runCall(ctx, sess, st, oc, overlay, ownedOcc[k])
-			if st.restart {
+			if st.restart != nil {
 				return
 			}
 			switch oc.Kind {

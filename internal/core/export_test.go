@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/rmi"
+	"repro/internal/wire"
 )
 
 // PolicyActionForTest exposes the policy matcher to the external test
@@ -44,3 +45,16 @@ const (
 
 // ValuePush is the message a producer's executor pushes.
 type ValuePush = valuePush
+
+// SettleForTest settles b's recorded calls from reply — the bytes of the
+// InvokeBatch answer a flush of them gets back — as the flush does. It returns
+// what the reply decoded to and what the flush would return.
+func SettleForTest(b *Batch, reply []byte) (any, error) {
+	b.mu.Lock()
+	req := &batchRequest{Calls: b.calls, Names: b.names}
+	records := b.records
+	b.calls, b.records, b.names = nil, nil, nil
+	b.mu.Unlock()
+	msg, err := wire.Unmarshal(reply)
+	return msg, b.settle(b.root.Endpoint, req, records, false, []any{msg}, err)
+}

@@ -22,9 +22,12 @@ import (
 // so a client that knows only names pays no lookup round trip ahead of the
 // stream. Both kinds of position may share one request.
 //
-// Entries carry a caller-assigned index so the cluster layer can fan a
-// global batch out across servers and merge the per-server streams back
-// into request order (see cluster.GetBatch).
+// The stream is in request order, so an entry's position is its identity: a
+// successful read travels as its bare value, and the client pairs the k-th
+// entry with the k-th position of its request, whose caller-assigned indexes
+// merge per-server streams back into one order (see cluster.GetBatch). A
+// failure, or a value the client would take for something else, travels in
+// the GetBatchEntry envelope.
 
 // GetBatchService is the rmi stream service name the Executor serves.
 const GetBatchService = "core.getbatch"
@@ -49,9 +52,10 @@ type GetBatchRequest struct {
 	Names   []string
 }
 
-// GetBatchEntry is one delivered result. A per-object failure (unknown id,
-// snapshot error) arrives as Err on that entry; it does not abort the rest
-// of the stream.
+// GetBatchEntry is one delivered result: Index is the requested position it
+// answers, filled in by the client from its own request. A per-object
+// failure (unknown id, snapshot error) arrives as Err on that entry; it does
+// not abort the rest of the stream.
 type GetBatchEntry struct {
 	Index int64
 	Value any
@@ -237,7 +241,15 @@ func (e *Executor) serveGetBatch(ctx context.Context, req any, w *rmi.EntryWrite
 			entry.Value, entry.Err = e.readObject(ctx, objID, r.Method)
 		}
 		e.getbatchEntries.Inc()
-		if err := w.WriteEntry(&entry); err != nil {
+		var out any = &entry
+		switch entry.Value.(type) {
+		case *GetBatchEntry, wire.Ref, []any: // an entry, or what the client's FromWire would rewrite
+		default:
+			if entry.Err == nil {
+				out = entry.Value
+			}
+		}
+		if err := w.WriteEntry(out); err != nil {
 			return err
 		}
 	}
@@ -320,7 +332,8 @@ func (e *Executor) readObject(ctx context.Context, objID uint64, method string) 
 
 // GetBatchStream is the consumer end of one server's GetBatch stream.
 type GetBatchStream struct {
-	sc *rmi.StreamCall
+	sc      *rmi.StreamCall
+	indexes []int64 // the request's positions; the next entry answers the first
 }
 
 // GetBatch issues one streaming bulk read of req's positions against
@@ -330,19 +343,25 @@ func GetBatch(ctx context.Context, p *rmi.Peer, endpoint string, req *GetBatchRe
 	if err != nil {
 		return nil, err
 	}
-	return &GetBatchStream{sc: sc}, nil
+	return &GetBatchStream{sc: sc, indexes: req.Indexes}, nil
 }
 
-// Next returns the next entry in request order, or io.EOF after the last.
+// Next returns the next entry in request order, its Index the position it
+// answers, or io.EOF after the last. An entry past the last position fails
+// with a *wire.CorruptError.
 func (s *GetBatchStream) Next() (*GetBatchEntry, error) {
 	v, err := s.sc.Next()
 	if err != nil {
 		return nil, err
 	}
+	if len(s.indexes) == 0 {
+		return nil, &wire.CorruptError{Detail: "getbatch stream has an entry past its last position"}
+	}
 	entry, ok := v.(*GetBatchEntry)
 	if !ok {
-		return nil, fmt.Errorf("brmi: getbatch: unexpected entry type %T", v)
+		entry = &GetBatchEntry{Value: v}
 	}
+	entry.Index, s.indexes = s.indexes[0], s.indexes[1:]
 	return entry, nil
 }
 

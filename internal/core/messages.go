@@ -156,11 +156,12 @@ type ShipDirective struct {
 	Names []string
 }
 
-// callResult is the outcome of one recorded call. The happy-path fields
-// (Seq, Value) lead: a successful value call costs two wire fields, a
-// successful void call one, everything after only appears for errors,
-// cursors, retries, and exports.
+// callResult is the outcome of one recorded call. A reply's results are
+// positional — result i answers the request's call i — so a plain success
+// (see plain) travels as its bare value, and this struct only for errors,
+// skips, cursors, retries and exports, where its trailing fields appear.
 type callResult struct {
+	// Seq is unset: only replies from before results were positional echo it.
 	Seq int64
 	// Value is the call's result for kindValue calls.
 	Value any

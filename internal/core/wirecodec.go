@@ -10,7 +10,9 @@ import (
 // protocol messages. Every flush encodes and decodes one invocationData +
 // batchArg per recorded call and one callResult per reply, so these five
 // types ARE the marshalling hot path; the hand codecs below replace the
-// per-field reflection plan while emitting byte-identical wire forms.
+// per-field reflection plan while emitting byte-identical wire forms — all
+// but a reply's results, which are positional: a plain success is its bare
+// value where the plan would write a brmi.result (see callResult.plain).
 // Trailing zero fields are omitted exactly like the generic encoder; a
 // decoder fills absent fields with their zero values and skips surplus
 // fields from a newer sender.
@@ -509,6 +511,19 @@ func checkRootNames(r *batchRequest) error {
 	return nil
 }
 
+// plain reports whether r is a success its position alone identifies, which
+// a reply writes as its bare value: no failure, skip, cursor, block, export
+// or retry, no echoed Seq, and a value the decoder cannot take for the
+// struct itself.
+func (r *callResult) plain() bool {
+	switch r.Value.(type) {
+	case callResult, *callResult:
+		return false
+	}
+	return r.Seq == 0 && r.Err == nil && !r.Skipped && r.Base == 0 && r.Count == 0 &&
+		r.Block == nil && r.BlockErrs == nil && r.Ref.IsZero() && r.Attempts == 0
+}
+
 func encCallResult(x wire.Enc, r *callResult) error {
 	n := 10
 	if r.Attempts == 0 {
@@ -683,7 +698,13 @@ func encBatchResponse(x wire.Enc, r *batchResponse) error {
 		} else {
 			x.Slice(len(r.Results))
 			for i := range r.Results {
-				if err := encCallResult(x, &r.Results[i]); err != nil {
+				var err error
+				if res := &r.Results[i]; res.plain() {
+					err = x.Value(res.Value)
+				} else {
+					err = encCallResult(x, res)
+				}
+				if err != nil {
 					return err
 				}
 			}
@@ -722,17 +743,18 @@ func decBatchResponse(x wire.Dec, r *batchResponse, n int) error {
 		if rn >= 0 {
 			r.Results = make([]callResult, 0, min(rn, wire.MaxPrealloc))
 			for i := 0; i < rn; i++ {
-				r.Results = append(r.Results, callResult{})
-				fn, err := x.StructFields("brmi.result")
+				// A result is its bare value, or the brmi.result struct
+				// (every result of a reply from before results were
+				// positional).
+				v, err := x.Value()
 				if err != nil {
 					return err
 				}
-				if fn < 0 {
-					continue
+				res, ok := v.(callResult)
+				if !ok {
+					res = callResult{Value: v}
 				}
-				if err := decCallResult(x, &r.Results[i], fn); err != nil {
-					return err
-				}
+				r.Results = append(r.Results, res)
 			}
 		}
 	}

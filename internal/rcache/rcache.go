@@ -141,7 +141,9 @@ func (c *Cache) Gen(obj string) uint64 {
 
 // Get returns the cached value for key if its lease still holds: not
 // expired, and stamped with the current ring epoch. An unservable entry is
-// dropped on the way out.
+// dropped on the way out. A hit counts in cache.hits; a miss counts nowhere
+// yet — a caller may look again before it settles for the wire, and the
+// call that does goes through Begin, which counts it.
 func (c *Cache) Get(key string) (any, bool) {
 	ep := c.Epoch()
 	now := c.now()
@@ -149,12 +151,10 @@ func (c *Cache) Get(key string) (any, bool) {
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
-		c.misses.Inc()
 		return nil, false
 	}
 	if e.epoch != ep || now.After(e.expires) {
 		c.removeLocked(e)
-		c.misses.Inc()
 		return nil, false
 	}
 	c.hits.Inc()
@@ -276,10 +276,13 @@ func (f *Flight) Wait(ctx context.Context) (any, error) {
 
 // Begin joins or opens the flight for key. leader is true for the caller
 // that must execute the call and Finish the flight; every other caller is a
-// follower and settles from Wait instead of recording a wire call.
+// follower and settles from Wait instead of recording a wire call. Either
+// way the call missed the cache: Begin counts it in cache.misses, so every
+// call that looked counts once, as a hit or as a miss.
 func (c *Cache) Begin(key string) (f *Flight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.misses.Inc()
 	if f, ok := c.flights[key]; ok {
 		c.coalesced.Inc()
 		return f, false
