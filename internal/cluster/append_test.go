@@ -45,7 +45,7 @@ func TestAppendSlotsAreIndependent(t *testing.T) {
 
 	good := func(id string, delta int64) *cluster.ReplRecord {
 		return &cluster.ReplRecord{
-			ID: id, Chain: id, Primary: primary, Epoch: epoch,
+			ID: id, Primary: primary, Epoch: epoch,
 			Names: []string{"obj-0"}, Ifaces: []string{clustertest.CounterIface},
 			Payload: shippedPayload(t, ec, primary, "obj-0", delta),
 		}

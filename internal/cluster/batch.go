@@ -411,6 +411,13 @@ func (b *Batch) Flush(ctx context.Context) error {
 	if err != nil {
 		return b.failLocked(err)
 	}
+	if nstages > 1 { // one wave consumes nothing of an earlier one
+		for _, c := range calls {
+			if err := b.unreplicable(c); err != nil {
+				return b.failLocked(err)
+			}
+		}
+	}
 	stages := buildStages(calls, nstages)
 	b.mu.Unlock()
 
@@ -622,7 +629,10 @@ func (p *Proxy) Call(method string, args ...any) *Future {
 // the result stays on its server and the returned proxy records further
 // calls on it. Passing the proxy as an argument of a call bound for a
 // DIFFERENT server makes the flush pin the result as an exported reference
-// and forward it by reference in the next wave.
+// and forward it by reference in the next wave; a call of a later wave on its
+// own server gets the pinned object itself. A replicated destination cannot
+// do the latter — it fails the flush with *UnreplicableError — since each of
+// its waves replicates on its own.
 func (p *Proxy) CallBatch(method string, args ...any) *Proxy {
 	np := &Proxy{b: p.b, group: p.group}
 	if c := p.b.record(p, kindRemote, method, args); c != nil {

@@ -144,36 +144,42 @@ func counterAt(t *testing.T, ec *clustertest.Cluster, endpoint, name string) *cl
 	return obj.(*clustertest.Counter)
 }
 
-// TestChainedDirectiveMustKeepItsRoots: the chain's identity — names,
-// interfaces, record sequence — is fixed at the primary by its first wave. A
-// later wave whose directive names other roots, or a directive that joins a
-// chain whose first wave carried none, is refused unexecuted.
-func TestChainedDirectiveMustKeepItsRoots(t *testing.T) {
+// TestDirectiveOnSessionRefused: a replicated wave is self-contained, so a
+// ship directive on a request that keeps its session, or on one that
+// continues a session an earlier flush kept, is refused unexecuted with
+// *wire.CorruptError — a follower replays each record on its own and would
+// have nothing to resolve a chained wave against. The primary ships nothing.
+func TestDirectiveOnSessionRefused(t *testing.T) {
 	ec, _, primary, follower, _, epoch := directiveCluster(t)
 	ctx := context.Background()
-	good := func(names ...string) *core.ShipDirective {
-		return &core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch, Names: names}
+	ps := ec.Server(primary)
+	counter := counterAt(t, ec, primary, "obj-0")
+	before, calls := len(counter.History()), ps.Peer.CallCount()
+	var corrupt *wire.CorruptError
+
+	kept := core.NewNamed(ec.Client, primary, "obj-0")
+	kept.Ship(&core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch})
+	kept.Root().Call("Add", int64(1))
+	if err := kept.FlushAndContinue(ctx); !errors.As(err, &corrupt) {
+		t.Errorf("directive on a kept session = %T %v, want *wire.CorruptError", err, err)
 	}
-	for name, tc := range map[string]struct{ first, second *core.ShipDirective }{
-		"roots renamed mid-chain":            {good(), good("obj-1")},
-		"directive joins an unshipped chain": {nil, good("obj-0")},
-	} {
-		before := len(counterAt(t, ec, primary, "obj-0").History())
-		cb := core.NewNamed(ec.Client, primary, "obj-0")
-		cb.Ship(tc.first)
-		cb.Root().Call("Add", int64(1))
-		if err := cb.FlushAndContinue(ctx); err != nil {
-			t.Fatalf("%s: first wave: %v", name, err)
-		}
-		cb.Ship(tc.second)
-		cb.Root().Call("Add", int64(2))
-		var corrupt *wire.CorruptError
-		if err := cb.Flush(ctx); !errors.As(err, &corrupt) {
-			t.Errorf("%s: second wave = %T %v, want *wire.CorruptError", name, err, err)
-		}
-		if got := len(counterAt(t, ec, primary, "obj-0").History()) - before; got != 1 {
-			t.Errorf("%s: %d waves executed, want the first only", name, got)
-		}
+
+	chained := core.NewNamed(ec.Client, primary, "obj-0")
+	chained.Root().Call("Add", int64(2))
+	if err := chained.FlushAndContinue(ctx); err != nil {
+		t.Fatalf("unshipped first wave: %v", err)
+	}
+	chained.Ship(&core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch, Names: []string{"obj-0"}})
+	chained.Root().Call("Add", int64(4))
+	if err := chained.Flush(ctx); !errors.As(err, &corrupt) {
+		t.Errorf("directive on a continued session = %T %v, want *wire.CorruptError", err, err)
+	}
+
+	if got := counter.History()[before:]; !reflect.DeepEqual(got, []int64{2}) {
+		t.Errorf("obj-0 applied %v, want the unshipped wave's [2] only", got)
+	}
+	if n := ps.Peer.CallCount() - calls; n != 0 {
+		t.Errorf("the primary made %d calls for refused waves, want none", n)
 	}
 }
 

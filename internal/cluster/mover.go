@@ -377,8 +377,8 @@ func (r *Rebalancer) migratePair(ctx context.Context, f flow, routing *Ring, epo
 // retried rebalance converges just like migration does. A mis-homed name
 // (mid-migration on a retry) is seeded by the flow that finally homes it.
 // Names whose type has no movable factory cannot be snapshotted and are not
-// replicated (symmetrically, the primary's newChain turns off a chain whose
-// root cannot move).
+// replicated (symmetrically, the primary's admit runs a wave whose root
+// cannot move unreplicated).
 func (r *Rebalancer) placeReplicas(ctx context.Context, members []string, routing *Ring, epoch uint64) error {
 	if ownerCount(routing) <= 1 {
 		return nil

@@ -215,21 +215,16 @@ func TestPlacementLandsBetweenShips(t *testing.T) {
 	ec.Network.SetLinkFaults(slow, primary, netsim.LinkFaults{ExtraLatency: delay})
 	t.Cleanup(func() { ec.Network.KillConns(slow) })
 
-	// One chain of two waves: the second's ship to the slow follower queues
+	// Two independent waves: the second's ship to the slow follower queues
 	// behind the first's, whose answer takes delay.
 	d := &core.ShipDirective{Followers: [][]int{{memberIndex(ec, owners[1]), memberIndex(ec, slow)}}, Epoch: epoch, Quorum: 2}
-	cb := core.NewNamed(ec.Client, primary, name)
-	cb.Ship(d)
-	cb.Root().Call("Add", int64(1))
-	if err := cb.FlushAndContinue(ctx); err != nil {
-		t.Fatal(err)
-	}
-	chained := *d
-	chained.Names = []string{name}
-	cb.Ship(&chained)
-	cb.Root().Call("Add", int64(2))
-	if err := cb.Flush(ctx); err != nil {
-		t.Fatal(err)
+	for _, delta := range []int64{1, 2} {
+		cb := core.NewNamed(ec.Client, primary, name)
+		cb.Ship(d)
+		cb.Root().Call("Add", delta)
+		if err := cb.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A placement at the next epoch overwrites every seeded shadow, while a
 	// third wave runs beside it.

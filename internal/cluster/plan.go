@@ -14,7 +14,11 @@ import (
 // stage k holds the calls whose staged inputs settle in waves < k. Each stage
 // is then partitioned per destination exactly like a single-stage flush, so
 // a stage costs one parallel fan-out, and a flush pays a wave only for the
-// edges that need the client between their ends.
+// edges that need the client between their ends. Every wave is a
+// self-contained request: a remote result a later wave consumes — on its own
+// server or another — is pinned by its producer's wave and enters the later
+// one by reference. A replicated destination cannot take one of its own that
+// way (unreplicable).
 
 // input is one resolved dependency (an edge of the dataflow DAG): the call
 // that produces a value this call consumes.
@@ -25,9 +29,6 @@ type input struct {
 	// stages (a proxy forwarded to a different server by reference, a
 	// future's value spliced in as a literal).
 	staged bool
-	// export is true when the producer's result must be pinned as an
-	// exported reference so the next wave can forward it by reference.
-	export bool
 }
 
 // inputs enumerates c's dependencies: the call that created its target
@@ -36,9 +37,9 @@ type input struct {
 func (c *recordedCall) inputs() []input {
 	var in []input
 	if o := c.target.origin; o != nil {
-		// The target is always on the call's own server: same-stage
-		// sub-batches resolve it by sequence number, chained sessions
-		// across stages too, so the edge is never staged.
+		// The target is always on the call's own server: the same request
+		// resolves it by sequence number, a later wave takes it as a pinned
+		// root, so the edge is never staged.
 		in = append(in, input{producer: o})
 	}
 	for _, a := range c.args {
@@ -47,8 +48,7 @@ func (c *recordedCall) inputs() []input {
 			if x.origin == nil {
 				continue
 			}
-			cross := x.group != c.group
-			in = append(in, input{producer: x.origin, staged: cross, export: cross})
+			in = append(in, input{producer: x.origin, staged: x.group != c.group})
 		case *Future:
 			if x.origin == nil {
 				continue
@@ -84,13 +84,13 @@ func (b *Batch) reruns() bool {
 //	stage(c) = max over unsettled inputs i of stage(i.producer) + (1 if i.staged)
 //
 // and never earlier than the stage c already has (0 for a fresh recording).
-// It also marks producers whose results must be pinned server-side for
-// cross-server forwarding (recordedCall.export). calls is a recording, or —
+// It also marks the remote producers whose results a later wave consumes, to
+// be pinned server-side (recordedCall.export). calls is a recording, or —
 // for the stale-route retry, which re-plans after roots changed homes — the
 // part of one no wave has run yet, in recording order: a settled producer
-// constrains nothing, its result is already at the client or in its
-// destination's session, and a value edge the move split across two homes
-// is one more push.
+// constrains nothing, its result is already at the client or pinned at its
+// destination, and a value edge the move split across two homes is one more
+// push.
 //
 // Recording order is necessarily a topological order of the dependency
 // DAG — a proxy or future must be returned by a recording call before it
@@ -108,7 +108,8 @@ func planStages(calls []*recordedCall) (int, error) {
 		}
 		last = c.index
 		s := c.stage
-		for _, in := range c.inputs() {
+		ins := c.inputs()
+		for _, in := range ins {
 			if in.producer.index >= c.index {
 				return 0, fmt.Errorf("cluster: internal: recording is not topologically ordered: "+
 					"%s (call %d) consumes the result of %s (call %d)",
@@ -116,9 +117,6 @@ func planStages(calls []*recordedCall) (int, error) {
 			}
 			if c.out.done || in.producer.out.done {
 				continue // an edge with a settled end schedules nothing and pins nothing
-			}
-			if in.export {
-				in.producer.export = true
 			}
 			earliest := in.producer.stage
 			if in.staged {
@@ -129,6 +127,11 @@ func planStages(calls []*recordedCall) (int, error) {
 			}
 		}
 		c.stage = s
+		for _, in := range ins {
+			if p := in.producer; p.kind == kindRemote && p.stage < s && !c.out.done && !p.out.done {
+				p.export = true
+			}
+		}
 		if s+1 > stages {
 			stages = s + 1
 		}
@@ -148,4 +151,21 @@ func buildStages(calls []*recordedCall, stages int) [][]*subBatch {
 		out[s] = partition(cs)
 	}
 	return out
+}
+
+// unreplicable returns the refusal of c when it is the one shape a replicated
+// destination cannot run wave by wave: c consumes, in a later wave, a remote
+// result its own destination produced in an earlier one. A follower replays
+// each wave on its own, and has no such result to resolve. Caller holds b.mu.
+func (b *Batch) unreplicable(c *recordedCall) error {
+	if c.out.done || !b.replicates(c.group) {
+		return nil
+	}
+	for _, in := range c.inputs() {
+		p := in.producer
+		if p.kind == kindRemote && p.group == c.group && (p.stage < c.stage || (p.out.done && p.out.err == nil)) {
+			return &UnreplicableError{Endpoint: c.group.endpoint, Method: c.method, Producer: p.method}
+		}
+	}
+	return nil
 }

@@ -354,7 +354,7 @@ func TestStaleFlushWithoutDirectoryFails(t *testing.T) {
 	}
 }
 
-// --- session close on canceled context ----------------------------------------
+// --- no session left behind by an aborted flush --------------------------------
 
 // boom is a remote object whose method cancels the flush's context before
 // failing, simulating a pipeline abort mid-flush.
@@ -375,11 +375,11 @@ func (b *boom) Boom() (*boom, error) {
 	return nil, errors.New("boom")
 }
 
-// TestSessionCloseSurvivesCancel is the regression test for the chained
-// session leak: when every stage-1 call of a destination settles locally
-// (its dependency failed) and the flush's context is already canceled, the
-// pure session close must still reach the server — otherwise the session
-// leaks until its TTL.
+// TestSessionCloseSurvivesCancel guards against a server session leak: when
+// every stage-1 call of a destination settles locally (its dependency failed)
+// and the flush's context is already canceled, the destination must neither
+// fail nor hold a session: no cluster request keeps one, so stage 1 sends it
+// nothing.
 func TestSessionCloseSurvivesCancel(t *testing.T) {
 	tc := clustertest.New(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -393,28 +393,28 @@ func TestSessionCloseSurvivesCancel(t *testing.T) {
 	b := cluster.New(tc.Client)
 	a := b.Root(tc.Servers[0].Ref)
 	bp := b.Root(boomRef)
-	a.Call("Add", int64(1))       // server-0, stage 0: opens the chained session
+	a.Call("Add", int64(1))       // server-0, stage 0
 	g := bp.CallBatch("Boom")     // server-1, stage 0: cancels ctx, then fails
 	dep := a.Call("AddRemote", g) // server-0, stage 1: settles locally (dep failed)
-	err = b.Flush(ctx)            // stage 1 on server-0 is a pure session close
+	err = b.Flush(ctx)            // stage 1 sends server-0 nothing
 
 	// The dependent call never ran.
 	if _, derr := dep.Get(); derr == nil {
 		t.Error("dependent future settled, want the boom/cancel error")
 	}
-	// server-0 must not appear among the failures: its close succeeded even
-	// though ctx was canceled by then.
+	// server-0 must not appear among the failures: nothing was left to send
+	// it once ctx was canceled.
 	var fe *cluster.FlushError
 	if errors.As(err, &fe) {
 		for _, f := range fe.Failures {
 			if f.Endpoint == "server-0" {
-				t.Errorf("server-0 failed (%v): the session close used the canceled context", f.Err)
+				t.Errorf("server-0 failed (%v): a request went out under the canceled context", f.Err)
 			}
 		}
 	}
-	// The regression: no chained session may leak on server-0.
+	// The regression: no session may leak on server-0.
 	if n := tc.Servers[0].Exec.NumSessions(); n != 0 {
-		t.Errorf("server-0 leaked %d chained sessions after canceled flush", n)
+		t.Errorf("server-0 leaked %d sessions after canceled flush", n)
 	}
 }
 
@@ -676,9 +676,9 @@ func TestStaleFlushRetrySplitDependency(t *testing.T) {
 }
 
 // TestFailedDestinationSessionReaped: a destination that fails mid-pipeline
-// with a chained session open drops out of the flush, so no later wave will
-// close its session — the executor must reap it in the background instead
-// of leaking it until the server TTL.
+// drops out of the flush, and must hold no server session afterwards: no
+// later wave of the flush reaches it to release one, so no cluster request
+// may keep one.
 func TestFailedDestinationSessionReaped(t *testing.T) {
 	tc := clustertest.New(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -692,7 +692,7 @@ func TestFailedDestinationSessionReaped(t *testing.T) {
 	b := cluster.New(tc.Client)
 	a := b.Root(tc.Servers[0].Ref)
 	bp := b.Root(boomRef)
-	a.Call("Add", int64(1))                                     // server-0, stage 0: opens the chained session
+	a.Call("Add", int64(1))                                     // server-0, stage 0
 	bp.CallBatch("Boom")                                        // server-1, stage 0: cancels ctx after a delay
 	f0 := b.Root(tc.Servers[2].Ref).CallBatch("Fork", int64(1)) // server-2, stage 0: settles before the cancel
 	a.Call("AddRemote", f0)                                     // server-0, stage 1: REAL pending call under canceled ctx
@@ -703,14 +703,14 @@ func TestFailedDestinationSessionReaped(t *testing.T) {
 		t.Fatalf("flush error = %T %v, want *FlushError (server-0's stage-1 flush ran under a canceled context)", err, err)
 	}
 	if !slices.ContainsFunc(fe.Failures, func(f cluster.ServerError) bool { return f.Endpoint == "server-0" && f.Stage == 1 }) {
-		t.Fatalf("failures = %+v, want server-0 failing in stage 1, its session still open", fe.Failures)
+		t.Fatalf("failures = %+v, want server-0 failing in stage 1", fe.Failures)
 	}
 
-	// The orphaned session on server-0 is reaped in the background.
+	// server-0 holds no session.
 	deadline := time.Now().Add(2 * time.Second)
 	for tc.Servers[0].Exec.NumSessions() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("server-0 still holds %d chained sessions after failed flush", tc.Servers[0].Exec.NumSessions())
+			t.Fatalf("server-0 still holds %d sessions after failed flush", tc.Servers[0].Exec.NumSessions())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

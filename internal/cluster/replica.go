@@ -19,15 +19,12 @@ import (
 // ReplRecord is one replicated flush wave as its primary ships it: the
 // primary's own decoded batch request, re-addressed by root NAME so a
 // follower can replay it against shadow state (see replicate.go and
-// DESIGN.md, "Replication & failover"). ID, Chain and Primary are minted at
-// the primary; nothing of a record's identity comes from the client.
+// DESIGN.md, "Replication & failover"). ID and Primary are minted at the
+// primary; nothing of a record's identity comes from the client. A record is
+// self-contained: the follower replays it on its own.
 type ReplRecord struct {
 	// ID uniquely identifies this wave for idempotent appends.
 	ID string
-	// Chain identifies the (client batch, destination) pipeline so a
-	// follower chains consecutive waves through one shadow session, exactly
-	// like the primary's KeepSession chain.
-	Chain string
 	// Primary is the endpoint the wave executed on — the shard the record
 	// belongs to.
 	Primary string
@@ -142,7 +139,8 @@ type shard struct {
 // (replicate.go). Append is the follower's end of log shipping: it appends
 // each shipped wave to its per-shard ordered log and replays it onto shadow
 // state through the local batch executor — same order, dependency
-// propagation and exception policy as the primary run. Place is replica
+// propagation and exception policy as the primary run, each record on its
+// own, keeping no session between records. Place is replica
 // (re)placement at a primary, driven by the rebalancer: it snapshots the
 // primary's names and Installs them at their followers. Promote turns shadow
 // state authoritative after the primary died: the chosen names are bound in
@@ -166,7 +164,6 @@ type Replica struct {
 
 	mu     sync.Mutex
 	shards map[string]*shard
-	chains map[string]uint64 // chain id -> open shadow session
 
 	// A wave holds gate shared from admit until its record is queued, a
 	// placement exclusively while it snapshots and queues its Installs (Place).
@@ -187,7 +184,6 @@ func StartReplica(p *rmi.Peer, reg *registry.Service, node *Node, exec *core.Exe
 		node:   node,
 		exec:   exec,
 		shards: make(map[string]*shard),
-		chains: make(map[string]uint64),
 	}
 	if s := p.Stats(); s != nil {
 		r.stats = s
@@ -286,14 +282,8 @@ func (r *Replica) apply(ctx context.Context, rec *ReplRecord) error {
 	for _, sd := range shadows[1:] {
 		extras = append(extras, sd.ref.ObjID)
 	}
-	sess, _, err := r.exec.ReplayShadow(ctx, rec.Payload, shadows[0].ref.ObjID, extras, r.chains[rec.Chain])
-	if err != nil {
+	if _, err := r.exec.ReplayShadow(ctx, rec.Payload, shadows[0].ref.ObjID, extras); err != nil {
 		return fmt.Errorf("cluster: replica append %q: %w", rec.ID, err)
-	}
-	if sess == 0 {
-		delete(r.chains, rec.Chain)
-	} else {
-		r.chains[rec.Chain] = sess
 	}
 	sh.seen[rec.ID] = true
 	sh.length++

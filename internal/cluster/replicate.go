@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -24,8 +23,11 @@ import (
 // on the link to each of the wave's followers and answers once the quorum
 // holds it (Replica.ship). A link is the primary's one ordered queue to one
 // follower: records and placement Installs leave it in queue order, one call
-// at a time, and what queues behind an Append rides the next one. A
-// replicated wave costs the client its primary trips and nothing else.
+// at a time, and what queues behind an Append rides the next one. Every wave
+// is vetted and named on its own — the executor refuses a directive on a
+// request that keeps or continues a session — so neither end keeps state
+// between waves. A replicated wave costs the client its primary trips and
+// nothing else.
 
 // shipTimeout bounds a shipment — a wave's record or a placement's Install —
 // from being queued on a link to being answered. Ships past the quorum ack
@@ -78,18 +80,14 @@ func shipDirectives(src ownerSource, primaries []string, names [][]string, quoru
 }
 
 // direct gives the wave of every replicating destination in live
-// (destState.repl) its ship directive; a pure session close executes nothing,
-// so it ships nothing. Caller holds b.mu.
+// (destState.repl) its ship directive. Caller holds b.mu.
 func (b *Batch) direct(live []*destState) {
 	if !slices.ContainsFunc(live, func(ds *destState) bool { return ds.repl != nil }) {
 		return
 	}
 	primaries, names := make([]string, len(live)), make([][]string, len(live))
 	for i, ds := range live {
-		primaries[i] = ds.group.endpoint
-		if ds.cb.PendingCalls() > 0 {
-			names[i] = ds.repl
-		}
+		primaries[i], names[i] = ds.group.endpoint, ds.repl
 	}
 	for i, d := range shipDirectives(b.dir.Ring(), primaries, names, b.quorum) {
 		if d == nil {
@@ -105,6 +103,22 @@ func (b *Batch) direct(live []*destState) {
 	}
 }
 
+// UnreplicableError refuses a flush in which a replicated destination
+// consumes, in a later wave, a remote result it produced in an earlier one:
+// each wave replicates on its own, and a follower replaying the later one has
+// no such result to resolve. The flush sends nothing. Recording the consumer
+// in its producer's wave, or passing a value instead of the object, avoids it.
+type UnreplicableError struct {
+	// Endpoint is the destination; Method is the consuming call and Producer
+	// the call whose result it consumes.
+	Endpoint, Method, Producer string
+}
+
+func (e *UnreplicableError) Error() string {
+	return fmt.Sprintf("cluster: %s on replicated %s consumes the result of %s from an earlier wave, which a follower cannot replay",
+		e.Method, e.Endpoint, e.Producer)
+}
+
 // replicates reports whether g's waves replicate: the batch is epoch-aware
 // over a replicated ring and every root of g is addressed by cluster-wide
 // name. Caller holds b.mu.
@@ -113,28 +127,16 @@ func (b *Batch) replicates(g *group) bool {
 		!slices.ContainsFunc(g.roots, func(p *Proxy) bool { return p.key == "" })
 }
 
-// shipChain is the primary's state for one replicating chain — the waves one
-// client batch sends one destination — kept and dropped with its executor
-// session. It holds the identity the chain's records carry, never the client's.
-type shipChain struct {
-	// off marks a chain whose first wave has a root with no movable factory:
-	// no follower could build its shadow, so the chain flushes unreplicated.
-	off bool
-	// id links the chain's records through one shadow session on each
-	// follower; a record's ID is the wave's number, seq, appended to it.
-	id  string
-	seq atomic.Uint64
-	// names and ifaces describe the chain's roots in payload order, fixed by
-	// its first wave.
-	names, ifaces []string
-}
-
 // admit is the executor's ship hook: it vets a wave's directive, which is
 // whatever the wire decoded, after the roots resolved and before anything
 // executes. A malformed one, or one whose follower indexes fall outside this
 // node's ring, rejects the wave with nothing executed and nothing dialed; one
 // fenced by another epoch is refused so with *StaleShipError, which the
-// client treats like a wrong-home refusal (refresh, re-route, one retry).
+// client treats like a wrong-home refusal (refresh, re-route, one retry). A
+// wave with a root no follower could build a shadow of — its interface has
+// no movable factory — runs unreplicated. Every wave is named on its own: its
+// record's ID is this peer's process-unique identity and the executor's
+// number for the wave.
 func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 	d := w.Directive
 	names, err := waveNames(w)
@@ -145,25 +147,31 @@ func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 	if err != nil {
 		return nil, err
 	}
-	chain, _ := w.Chain.(*shipChain)
-	switch {
-	case w.First:
-		chain = r.newChain(w, names)
-		w.Chain = chain
-	case chain == nil:
-		return nil, &wire.CorruptError{Detail: "ship directive joins a chain whose first wave carried none"}
-	case !chain.off && !slices.Equal(names, chain.names):
-		return nil, &wire.CorruptError{Detail: "ship directive of a chained wave names other roots than the chain's first"}
+	ifaces := make([]string, len(w.Roots))
+	for i, id := range w.Roots {
+		ref, _ := r.peer.LocalRef(id)
+		if _, ok := movableFactory(ref.Iface); !ok {
+			return nil, nil
+		}
+		ifaces[i] = ref.Iface
 	}
-	if chain.off || len(followers) == 0 {
+	if len(followers) == 0 {
 		return nil, nil
+	}
+	rec := &ReplRecord{
+		ID:      r.peer.ClientID() + "#" + strconv.FormatUint(w.Session, 10),
+		Primary: r.peer.Endpoint(),
+		Epoch:   d.Epoch,
+		Names:   names,
+		Ifaces:  ifaces,
 	}
 	// Held until ship has put the record on its links: a placement snapshot
 	// never holds half of this wave (Replica.Place). The executor calls the
 	// ShipFunc whenever admit returned one.
 	r.gate.RLock()
 	return func(ctx context.Context, payload any) (time.Duration, error) {
-		return r.ship(ctx, chain, d, lists, followers, payload)
+		rec.Payload = payload
+		return r.ship(ctx, rec, d.Quorum, lists, followers)
 	}, nil
 }
 
@@ -235,54 +243,24 @@ func (r *Replica) vetFollowers(d *core.ShipDirective) ([][]string, []string, err
 	return lists, followers, nil
 }
 
-// newChain starts the chain of a first wave: its roots' interfaces come off
-// this peer's export table (a root with no movable factory turns it off), its
-// id from this peer's process-unique identity and the executor's session.
-func (r *Replica) newChain(w *core.Wave, names []string) *shipChain {
-	c := &shipChain{names: names, ifaces: make([]string, len(names))}
-	for i, id := range w.Roots {
-		ref, _ := r.peer.LocalRef(id)
-		if _, ok := movableFactory(ref.Iface); !ok {
-			c.off = true
-			return c
-		}
-		c.ifaces[i] = ref.Iface
-	}
-	c.id = r.peer.ClientID() + "#" + strconv.FormatUint(w.Session, 10)
-	return c
-}
-
-// ship replicates the wave this primary just executed: it wraps payload — the
-// primary's own decoded request, directive stripped — in a ReplRecord, queues
-// it on the link to every follower, and returns once every root's write
-// quorum holds it — with how long that took — or every follower answered. The
+// ship replicates the wave this primary just executed: rec, whose payload is
+// the primary's own decoded request, directive stripped. It queues rec on the
+// link to every follower, and returns once every root's write quorum holds
+// it — with how long that took — or every follower answered. The
 // worst miss is a *QuorumError, which reaches the client beside the wave's
 // results and fails its flush; the wave stays executed, so the client never
 // re-sends it. lists are the directive's follower lists resolved to
 // endpoints, followers their distinct members (vetFollowers).
-func (r *Replica) ship(ctx context.Context, c *shipChain, d *core.ShipDirective, lists [][]string, followers []string, payload any) (time.Duration, error) {
+func (r *Replica) ship(ctx context.Context, rec *ReplRecord, quorum int, lists [][]string, followers []string) (time.Duration, error) {
 	start := r.stats.Now()
 	// One slot per follower: a link answering past the quorum never blocks.
 	acks := make(chan followerAck, len(followers))
-	s := &shipment{
-		ctx: ctx,
-		rec: &ReplRecord{
-			ID:      c.id + "/" + strconv.FormatUint(c.seq.Add(1)-1, 10),
-			Chain:   c.id,
-			Primary: r.peer.Endpoint(),
-			Epoch:   d.Epoch,
-			Names:   c.names,
-			Ifaces:  c.ifaces,
-			Payload: payload,
-		},
-		deadline: time.Now().Add(shipTimeout),
-		acks:     acks,
-	}
+	s := &shipment{ctx: ctx, rec: rec, deadline: time.Now().Add(shipTimeout), acks: acks}
 	for _, f := range followers {
 		r.push(f, s)
 	}
 	r.gate.RUnlock()
-	tally := quorumTally{names: c.names, followers: lists, quorum: d.Quorum}
+	tally := quorumTally{names: rec.Names, followers: lists, quorum: quorum}
 	for n := 0; n < len(followers) && !tally.met(); n++ {
 		a := <-acks
 		tally.ack(a.ep, a.err)
@@ -296,7 +274,7 @@ func (r *Replica) ship(ctx context.Context, c *shipChain, d *core.ShipDirective,
 }
 
 // link is a primary's one ordered queue to one follower (see the file
-// comment). A chain's waves queue on it in wave order, and the gate puts a
+// comment). Waves queue on it in the order they executed, and the gate puts a
 // placement's Install after the records its snapshots hold and before the
 // rest (Replica.Place). The call out, if any, is the queue's head; an idle
 // link holds no goroutine.

@@ -310,7 +310,7 @@ func TestReplayIgnoresRootNames(t *testing.T) {
 	follower.Reg.Rebind("obj-0", ref)
 
 	rec := &cluster.ReplRecord{
-		ID: "test/0", Chain: "test", Primary: primary, Epoch: epoch,
+		ID: "test#1", Primary: primary, Epoch: epoch,
 		Names: []string{"obj-0"}, Ifaces: []string{clustertest.CounterIface},
 		Payload: shippedPayload(t, ec, primary, "obj-0", 5),
 	}
@@ -338,7 +338,7 @@ func TestAppendRejectsRootCountMismatch(t *testing.T) {
 	primary, follower := owners[0], ec.Server(owners[1])
 
 	rec := &cluster.ReplRecord{
-		ID: "test/0", Chain: "test", Primary: primary, Epoch: epoch,
+		ID: "test#1", Primary: primary, Epoch: epoch,
 		Names:   []string{"obj-0", "obj-1"},
 		Ifaces:  []string{clustertest.CounterIface, clustertest.CounterIface},
 		Payload: shippedPayload(t, ec, primary, "obj-0", 5),

@@ -39,10 +39,10 @@ type resolver interface {
 // The retry re-routes the destination's named roots (Proxy.key, set by
 // RootNamed) and replays its calls — this stage's and every later one's —
 // against a fresh core batch at the new homes, so it is only sound when (a)
-// nothing server-side is lost with the old session — the batch must be
-// epoch-aware (WithDirectory) and the refusal must be the destination's
-// FIRST CONTACT in this flush, with no chained session open (earlier results
-// live only in that session and cannot follow the object to its new home) —
+// nothing earlier in the flush is left behind at the old home — the batch
+// must be epoch-aware (WithDirectory) and the refusal must be the
+// destination's FIRST CONTACT in this flush, no earlier wave having executed
+// there (results pinned there cannot follow the object to its new home) —
 // and (b) the wave is known NOT to have executed. Four failure classes
 // qualify: a wrong-home rejection (the server refused the wave before
 // running it — an id it tombstoned, or a name its registry forwards), a name
@@ -58,7 +58,7 @@ type resolver interface {
 // wraps — a follower's *StaleShipError included: the primary applied the
 // wave, a re-send could double-apply. One retry per flush.
 func (b *Batch) canRetryStale(ds *destState, err error) bool {
-	if b.dir == nil || b.retried || ds.sessionOpen() {
+	if b.dir == nil || b.retried || ds.ran {
 		return false
 	}
 	var qe *QuorumError
@@ -175,7 +175,7 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 		}
 		to := rootOf(c.target).group
 		for _, a := range c.args {
-			if x, ok := a.(*Proxy); ok && x.origin != nil && !x.origin.export && rootOf(x).group != to {
+			if x, ok := a.(*Proxy); ok && x.origin != nil && x.group == c.group && rootOf(x).group != to {
 				settle(c, nil, fmt.Errorf(
 					"stale-route retry: %s consumes a result the re-sharding moved to %q while the call now targets %q: %w",
 					c.method, rootOf(x).group.endpoint, to.endpoint, causes[c.group]))
@@ -190,6 +190,13 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 	nstages, err := planStages(byIndex(open))
 	if err != nil {
 		return nil, fmt.Errorf("stale-route retry: %w", err)
+	}
+	// The re-plan may put a replicated destination's use of its own remote
+	// result in a later wave than the result: refused, as at planning.
+	for _, c := range open {
+		if err := b.unreplicable(c); err != nil {
+			settle(c, nil, err)
+		}
 	}
 	return buildStages(open, nstages)[stage:], nil
 }

@@ -312,10 +312,10 @@ func TestQuorumEarlyAckLeavesSlowFollowerBehind(t *testing.T) {
 // TestChainedReplicatedStagesShipInWaveOrder: a two-stage pipeline over
 // replicated roots — stage 1's call on root A consumes a stage-0 result from
 // root B's server — costs the client one call per primary per stage, and A's
-// followers replay its two waves in wave order through one chained shadow
-// session. Under W=2 of R=3 that holds for a straggler too: while the slow
-// follower's answer to wave 0 is still on its way, A's primary holds wave 1's
-// ship to it back.
+// followers replay its two waves, each a record of its own, in wave order.
+// Under W=2 of R=3 that holds for a straggler too: while the slow follower's
+// answer to wave 0 is still on its way, A's primary holds wave 1's ship to it
+// back.
 func TestChainedReplicatedStagesShipInWaveOrder(t *testing.T) {
 	ec, dir := shipCluster(t)
 	ctx := context.Background()

@@ -15,15 +15,16 @@ import (
 // the planned stages, each run through ONE wave primitive (run.wave). The
 // ship directives of a replicated wave (replicate.go), stale-route
 // re-planning (reroute.go), read coalescing (flights.go) and the client half
-// of pushed values (push.go) each sit behind a call or two from here. A
-// destination keeps one core.Batch across all its
-// stages, flushed with FlushAndContinue between stages and Flush on its last
-// — the chained-batch session (§3.5) is what lets a later stage reference a
-// same-server remote result from an earlier one by sequence number, with no
-// extra traffic. Within one wave a call references any earlier call of its
-// own sub-batch the same way, remote result or value, and takes a value of
-// another destination's sub-batch as that destination's server pushes it
-// (core.Batch.PushTo, core.Pushed).
+// of pushed values (push.go) each sit behind a call or two from here. Every
+// wave sends each of its destinations a fresh core.Batch, ended with Flush:
+// no cluster request opens, keeps or continues a server session. Within one
+// wave a call references any earlier call of its own sub-batch by sequence
+// number, remote result or value, and takes a value of another destination's
+// sub-batch as that destination's server pushes it (core.Batch.PushTo,
+// core.Pushed). A remote result of an earlier wave is pinned (an exported
+// ref, leased until finish) and enters a later wave as one more root of the
+// batch (core.Batch.AddRoot): its own server resolves it to the object
+// itself, another gets a stub.
 
 // run is one flush's execution state.
 type run struct {
@@ -51,14 +52,13 @@ type run struct {
 // destState is one destination's execution state across stages.
 type destState struct {
 	group *group
-	cb    *core.Batch
-	// lastStage is the last stage this destination participates in; its
-	// flush there closes the server session.
-	lastStage int
-	// sb is the destination's sub-batch of the wave being run; keep is set
-	// when its request keeps the session open for a later stage.
-	sb   *subBatch
-	keep bool
+	// cb and sb are the destination's request and sub-batch of the wave being
+	// run.
+	cb *core.Batch
+	sb *subBatch
+	// ran is set once a wave executed here: a later refusal is final
+	// (canRetryStale).
+	ran bool
 	// failed poisons the destination: every call of its later stages
 	// settles locally with this error.
 	failed error
@@ -70,9 +70,9 @@ type destState struct {
 	repl []string
 }
 
-// open creates the destination's multi-root core.Batch and rewires the
-// group's root proxies onto it: a root no wave has resolved yet goes in by
-// name, for the destination to resolve when the batch first reaches it.
+// open creates the destination's multi-root core.Batch for the wave and
+// rewires the group's root proxies onto it: a root no wave has resolved yet
+// goes in by name, for the destination to resolve when the batch reaches it.
 // Caller holds b.mu.
 func (ds *destState) open(b *Batch) error {
 	var opts []core.Option
@@ -120,26 +120,16 @@ func (b *Batch) adoptRoots(ds *destState) {
 	}
 }
 
-// sessionOpen reports whether an earlier FlushAndContinue left a chained
-// session on the server.
-func (ds *destState) sessionOpen() bool { return ds.cb != nil && ds.cb.Session() != 0 }
-
-// close releases the destination's chained session without executing
-// anything. It is detached from the flush's own context — which may be what
-// just failed, or already canceled — because a session nobody closes lingers
-// server-side until its TTL.
-func (ds *destState) close(ctx context.Context, peer *rmi.Peer) error {
-	cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), core.DefaultSessionTTL/4)
-	defer cancel()
-	return core.ReleaseSession(cctx, peer, ds.group.endpoint, ds.cb.Session())
-}
-
 // execute walks the stage schedule: per stage one wave, then the stage's read
 // flights settle. Wall-clock cost per stage is the slowest destination's
 // round trip; total cost is one wave per stage, plus one for a stale retry.
 func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 	r := &run{b: b, dests: make(map[*group]*destState)}
-	r.plan(stages, 0)
+	for _, subs := range stages {
+		for _, sb := range subs {
+			r.dest(sb.group)
+		}
+	}
 	r.servers = len(r.dests)
 	for s := 0; s < len(stages); s++ {
 		subs := stages[s]
@@ -166,16 +156,6 @@ func (r *run) dest(g *group) *destState {
 	return ds
 }
 
-// plan notes, for every destination of stages[from:], the last stage it
-// takes part in.
-func (r *run) plan(stages [][]*subBatch, from int) {
-	for s := from; s < len(stages); s++ {
-		for _, sb := range stages[s] {
-			r.dest(sb.group).lastStage = s
-		}
-	}
-}
-
 // wave is one round trip per destination, concurrently: every destination of
 // the stage gets its request (prepare), and the wave ends when every one has
 // answered (flushDest). A replicating destination's request carries a ship
@@ -190,7 +170,7 @@ func (r *run) plan(stages [][]*subBatch, from int) {
 // left open the calls of other requests that waited for its values.
 func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected []rejection) {
 	b := r.b
-	live := r.prepare(ctx, stage, subs)
+	live := r.prepare(stage, subs)
 	if len(live) == 0 {
 		return nil
 	}
@@ -211,10 +191,11 @@ func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected [
 	for i, ds := range live {
 		switch {
 		case errs[i] == nil:
+			ds.ran = true
 		case b.canRetryStale(ds, errs[i]):
 			rejected = append(rejected, rejection{sb: ds.sb, cause: errs[i]})
 		default:
-			r.fail(ctx, ds, ds.sb, stage, errs[i])
+			r.fail(ds, ds.sb, stage, errs[i])
 		}
 	}
 	r.waited = waitedOn(subs, rejected)
@@ -232,7 +213,7 @@ func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected [
 // send, directives attached. Calls are translated in recording order across
 // destinations, so a producer has gone on the wire, or settled here, before
 // any consumer of it is translated.
-func (r *run) prepare(ctx context.Context, stage int, subs []*subBatch) []*destState {
+func (r *run) prepare(stage int, subs []*subBatch) []*destState {
 	b := r.b
 	b.mu.Lock() // so concurrent readers of futures and proxies see a consistent rewiring
 	defer b.mu.Unlock()
@@ -245,11 +226,9 @@ func (r *run) prepare(ctx context.Context, stage int, subs []*subBatch) []*destS
 			r.settleSub(sb, ds.failed)
 			continue
 		}
-		if ds.cb == nil {
-			if err := ds.open(b); err != nil {
-				r.fail(ctx, ds, sb, stage, err)
-				continue
-			}
+		if err := ds.open(b); err != nil {
+			r.fail(ds, sb, stage, err)
+			continue
 		}
 		open = append(open, ds)
 		calls = append(calls, sb.calls...)
@@ -259,11 +238,7 @@ func (r *run) prepare(ctx context.Context, stage int, subs []*subBatch) []*destS
 	}
 	var live []*destState
 	for _, ds := range open {
-		// Flush when the stage recorded calls for this destination, or when an
-		// earlier wave left a session open and this is the destination's last
-		// chance to close it.
-		ds.keep = stage < ds.lastStage
-		if ds.cb.PendingCalls() > 0 || (!ds.keep && ds.sessionOpen()) {
+		if ds.cb.PendingCalls() > 0 {
 			live = append(live, ds)
 		}
 	}
@@ -277,17 +252,7 @@ func (r *run) prepare(ctx context.Context, stage int, subs []*subBatch) []*destS
 // does not wait for a value that will not come.
 func (r *run) flushDest(ctx context.Context, ds *destState) error {
 	b := r.b
-	var err error
-	switch {
-	case ds.cb.PendingCalls() == 0:
-		// Every call of the last stage settled locally: a pure session close,
-		// attempted even when ctx is already canceled.
-		err = ds.close(ctx, b.peer)
-	case ds.keep:
-		err = ds.cb.FlushAndContinue(ctx)
-	default:
-		err = ds.cb.Flush(ctx)
-	}
+	err := ds.cb.Flush(ctx)
 	if err == nil {
 		b.adoptRoots(ds)
 	}
@@ -319,7 +284,7 @@ func (r *run) retry(ctx context.Context, s int, rejected []rejection, stages [][
 	if err != nil {
 		defer b.mu.Unlock()
 		for _, rj := range rejected {
-			r.fail(ctx, r.dests[rj.sb.group], rj.sb, s, fmt.Errorf("%w (%w)", rj.cause, err))
+			r.fail(r.dests[rj.sb.group], rj.sb, s, fmt.Errorf("%w (%w)", rj.cause, err))
 		}
 		// The calls that waited for the refused values end as their requests
 		// answered: failed for want of them.
@@ -333,53 +298,26 @@ func (r *run) retry(ctx context.Context, s int, rejected []rejection, stages [][
 	}
 	stages = append(stages[:s], replanned...)
 	for _, sb := range stages[s] {
-		r.reopen(r.dest(sb.group), sb)
-		r.dest(sb.group).lastStage = s
+		for _, c := range sb.calls {
+			if c.proxy != nil {
+				c.proxy.core = nil // the first attempt's; translate records the call again
+			}
+		}
 	}
-	r.plan(stages, s+1)
 	r.flush, r.waited = 0, nil
 	b.mu.Unlock()
 	r.wave(ctx, s, stages[s])
 	return stages
 }
 
-// reopen readies ds for the calls of sb the retry runs there again. A request
-// that kept its session gets them on the same chained batch; one that closed
-// its batch gets a new one, where a remote result of the closed request no
-// longer resolves — a call that uses one fails. Caller holds b.mu.
-func (r *run) reopen(ds *destState, sb *subBatch) {
-	for _, c := range sb.calls {
-		if c.proxy != nil {
-			c.proxy.core = nil // the first attempt's; translate records the call again
-		}
-	}
-	if ds.cb == nil || ds.keep {
-		return
-	}
-	ds.cb = nil
-	for _, c := range sb.calls {
-		if slices.ContainsFunc(c.inputs(), func(in input) bool {
-			p := in.producer
-			return p.kind == kindRemote && p.group == c.group && p.out.done
-		}) {
-			settle(c, nil, fmt.Errorf("stale-route retry: %s uses a remote result of a request that closed its session", c.method))
-		}
-	}
-}
-
 // fail is the one fail-and-settle: it poisons ds, reports the failure on the
 // flush's error and settles sb's open calls with err — also after a quorum
 // miss, where the wave DID execute on the primary but its values must not
-// surface as if they were durable. A failed destination drops out of the
-// pipeline, so no later flush will release a chained session it left open;
-// that is reaped in the background. Caller holds b.mu.
-func (r *run) fail(ctx context.Context, ds *destState, sb *subBatch, stage int, err error) {
+// surface as if they were durable. Caller holds b.mu.
+func (r *run) fail(ds *destState, sb *subBatch, stage int, err error) {
 	ds.failed = err
 	r.report(ds.group.endpoint, stage, err)
 	r.settleSub(sb, err)
-	if ds.sessionOpen() {
-		go func() { _ = ds.close(ctx, r.b.peer) }() // best effort; close detaches from ctx and bounds itself
-	}
 }
 
 // report adds a destination's failure to the flush's error. Caller holds
@@ -403,9 +341,11 @@ func (r *run) report(endpoint string, stage int, err error) {
 // settleSub gives every call of sb that is still open — not settled locally,
 // not waiting on another call's flight, not waiting for a stale-route retry —
 // its outcome: err when the wave failed (or never ran), otherwise what the
-// wave returned, copied out of the call's core future / core proxy once. A result pinned for forwarding is
-// leased on the spot (rmi.Peer.HoldRef) so it outlives the server's marshal
-// grace while the pipeline needs it. Caller holds b.mu.
+// wave returned, copied out of the call's core future / core proxy once. The
+// wave's batch is spent after this: a result pinned for a later wave is
+// leased on the spot (rmi.Peer.HoldRef), so it outlives the server's marshal
+// grace while the pipeline needs it, and is addressed by its ref from here on
+// (rootRef). Caller holds b.mu.
 func (r *run) settleSub(sb *subBatch, err error) {
 	for _, c := range sb.calls {
 		if c.out.done || c.following() || slices.Contains(r.waited, c) {
@@ -423,12 +363,16 @@ func (r *run) settleSub(sb *subBatch, err error) {
 		default:
 			settle(c, nil, c.proxy.core.Ok())
 			if !c.export {
-				continue
+				break
 			}
 			if ref, rerr := c.proxy.core.ExportedRef(); rerr == nil {
 				r.b.peer.HoldRef(ref)
 				r.held = append(r.held, ref)
+				c.proxy.rootRef = ref
 			}
+		}
+		if c.proxy != nil {
+			c.proxy.core = nil
 		}
 	}
 }
@@ -447,7 +391,7 @@ func (r *run) translate(c *recordedCall) {
 		return
 	}
 	cb := r.dests[c.group].cb
-	target, args, waits, err := b.resolveInputs(c)
+	target, args, waits, err := resolveInputs(cb, c)
 	if err != nil {
 		settle(c, nil, err)
 		return
@@ -472,25 +416,32 @@ func (r *run) translate(c *recordedCall) {
 	}
 }
 
-// coreOf returns the core proxy standing for p in its destination's batch. A
-// same-server reference passes to the server as is — even one whose call
-// threw: the server resolves it by sequence number and applies the batch's
-// policy. Only a producer that never reached the server has no core proxy,
-// and its consumer settles locally with the producer's error.
-func coreOf(p *Proxy) (*core.Proxy, error) {
+// coreOf returns the core proxy standing for p in cb, its destination's
+// batch of the wave. A reference to a call of the same request passes to the
+// server as is — even one whose call threw: the server resolves it by
+// sequence number and applies the batch's policy. A result an earlier wave
+// pinned enters cb as a root. A producer that threw in an earlier wave, or
+// never reached the server, has no core proxy, and its consumer settles
+// locally with the producer's error.
+func coreOf(cb *core.Batch, p *Proxy) (*core.Proxy, error) {
 	switch {
 	case p.core != nil:
 		return p.core, nil
 	case p.err != nil:
 		return nil, p.err
+	case p.origin != nil && !p.rootRef.IsZero():
+		return cb.AddRoot(p.rootRef)
+	case p.origin != nil && p.done:
+		return nil, fmt.Errorf("cluster: the result of %s is used by a later wave, which it was not pinned for", p.origin.method)
 	}
 	return nil, errors.New("cluster: internal: reference to an untranslated call")
 }
 
 // resolveInputs materializes c's target and arguments for its core.Batch:
 //
-//   - same-server proxies pass through as core proxies (the server resolves
-//     them by sequence number, across stages via the chained session);
+//   - same-server proxies pass through as core proxies: the server resolves
+//     one of the same request by sequence number, and a result an earlier
+//     wave pinned, which enters the request as a root, to the object itself;
 //   - cross-server root proxies pass as their refs (given, or resolved by
 //     resolveForwarded before the flush was planned);
 //   - cross-server result proxies pass as the exported ref pinned by the
@@ -502,8 +453,8 @@ func coreOf(p *Proxy) (*core.Proxy, error) {
 //     its server pushes the value to c's, and waits reports it.
 //
 // An error means a dependency failed and c must settle locally with it.
-func (b *Batch) resolveInputs(c *recordedCall) (target *core.Proxy, args []any, waits bool, err error) {
-	if target, err = coreOf(c.target); err != nil {
+func resolveInputs(cb *core.Batch, c *recordedCall) (target *core.Proxy, args []any, waits bool, err error) {
+	if target, err = coreOf(cb, c.target); err != nil {
 		return nil, nil, false, err
 	}
 	args = make([]any, len(c.args))
@@ -512,22 +463,17 @@ func (b *Batch) resolveInputs(c *recordedCall) (target *core.Proxy, args []any, 
 		case *Proxy:
 			switch {
 			case x.group == c.group:
-				args[i], err = coreOf(x)
-			case x.origin == nil && x.lazy():
-				// Resolved before planning (resolveForwarded) unless its
-				// lookup failed or a stale-route retry split it from c.
-				if err = x.err; err == nil {
-					err = fmt.Errorf("cluster: %s passes root %q by reference to another server before any wave resolved it", c.method, x.key)
-				}
-			case x.origin == nil:
-				args[i] = x.rootRef
+				args[i], err = coreOf(cb, x)
 			case x.err != nil:
 				err = x.err
+			case !x.rootRef.IsZero():
+				args[i] = x.rootRef
+			case x.lazy():
+				// Resolved before planning (resolveForwarded) unless a
+				// stale-route retry split it from c.
+				err = fmt.Errorf("cluster: %s passes root %q by reference to another server before any wave resolved it", c.method, x.key)
 			default:
-				var cp *core.Proxy
-				if cp, err = coreOf(x); err == nil {
-					args[i], err = cp.ExportedRef()
-				}
+				err = fmt.Errorf("cluster: internal: the result of %s crosses servers unpinned", x.origin.method)
 			}
 		case *Future:
 			switch {
@@ -567,11 +513,12 @@ func (r *run) finish(ctx context.Context) error {
 		return nil
 	}
 	if r.stale && r.b.dir != nil {
-		// A wrong-home or stale-ship failure the flush could not retry — the
-		// session was already open, the retry spent, or the wave executed before
-		// a follower fenced it — still says this client's ring is behind. Catch
-		// up now, best effort: nothing else on the flush path would, and the
-		// client's next flush would route to the same dead home.
+		// A wrong-home or stale-ship failure the flush could not retry — an
+		// earlier wave already ran there, the retry was spent, or the wave
+		// executed before a follower fenced it — still says this client's
+		// ring is behind. Catch up now, best effort: nothing else on the flush
+		// path would, and the client's next flush would route to the same
+		// dead home.
 		_ = r.b.dir.Refresh(ctx)
 	}
 	if r.b.StaleRetried() {

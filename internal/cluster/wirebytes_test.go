@@ -343,9 +343,9 @@ func TestFlushBytesAttributed(t *testing.T) {
 		}, wireBytes{Header: 13, Envelope: 93, Method: 6, Calls: 174, Results: 22, Roots: 132, Directive: 57}, rmi.ReplicaObjID, map[string]hopBytes{
 			// server-0 follows the two primaries of one root each; the others
 			// follow server-0, whose record carries its two roots.
-			"server-0": {Calls: 2, Header: 10, Envelope: 14, Method: 4, Body: 310, Reply: 16},
-			"server-1": {Calls: 2, Header: 10, Envelope: 14, Method: 4, Body: 390, Reply: 16},
-			"server-2": {Calls: 2, Header: 10, Envelope: 14, Method: 4, Body: 390, Reply: 16},
+			"server-0": {Calls: 2, Header: 10, Envelope: 14, Method: 4, Body: 266, Reply: 16},
+			"server-1": {Calls: 2, Header: 10, Envelope: 14, Method: 4, Body: 346, Reply: 16},
+			"server-2": {Calls: 2, Header: 10, Envelope: 14, Method: 4, Body: 346, Reply: 16},
 		}},
 	}
 	for _, c := range cases {

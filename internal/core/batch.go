@@ -120,9 +120,10 @@ func NewNamed(peer *rmi.Peer, endpoint, name string, opts ...Option) *Batch {
 // the serving peer replicates the wave to the directive's followers before it
 // replies, so a flush that returns nil is held by the write quorum. One that
 // missed it returns the serving peer's typed account of the miss although the
-// wave executed: its futures hold what it returned, and the chain's session,
-// if it kept one, is still open. The cluster layer attaches one per wave of a
-// replicating destination.
+// wave executed: its futures hold what it returned. The serving peer refuses
+// a directive on a flush that keeps or continues a session, unexecuted: a
+// replicated wave is self-contained. The cluster layer attaches one per wave
+// of a replicating destination.
 func (b *Batch) Ship(d *ShipDirective) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -603,22 +604,6 @@ func (b *Batch) settle(endpoint string, req *batchRequest, records []callRecord,
 		b.closed = true
 	}
 	return resp.ShipErr
-}
-
-// ReleaseSession closes a chained-batch session left open on endpoint
-// without executing any calls: an empty, non-keeping flush against the
-// session. The cluster executor uses it to reap sessions orphaned by a
-// destination that failed mid-pipeline — without it they would linger
-// server-side until the session TTL. Releasing an unknown or expired
-// session reports SessionExpiredError.
-func ReleaseSession(ctx context.Context, peer *rmi.Peer, endpoint string, session uint64) error {
-	if session == 0 {
-		return nil
-	}
-	req := &batchRequest{Session: session}
-	svcRef := rmi.SystemRef(endpoint, rmi.BatchObjID, rmi.BatchIface)
-	_, err := peer.Call(ctx, svcRef, "InvokeBatch", req)
-	return err
 }
 
 // distribute assigns results to futures, proxies, and cursors (§4.3):

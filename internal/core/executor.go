@@ -75,9 +75,6 @@ type session struct {
 	// keeps matching client acks (replayed calls were already counted at the
 	// primary).
 	shadow bool
-	// chain is the ship hook's state for this chain (Wave.Chain): kept, and
-	// dropped, with the session.
-	chain any
 }
 
 func (s *session) bindObject(seq int64, v any) {
@@ -174,7 +171,9 @@ func (e *Executor) sweepLoop() {
 }
 
 // Wave describes one flush that carries a ship directive to the executor's
-// ship hook, after its roots resolved and before anything executes.
+// ship hook, after its roots resolved and before anything executes. A wave is
+// self-contained: the executor refuses a directive on a request that keeps or
+// continues a session, so a follower replays each wave on its own.
 type Wave struct {
 	// Directive is the request's ship directive as decoded: nothing about it
 	// has been checked.
@@ -184,14 +183,9 @@ type Wave struct {
 	Names []string
 	// Roots are the export ids the request's roots resolved to on this peer.
 	Roots []uint64
-	// Session identifies the wave's chain on this executor for as long as the
-	// executor lives; First marks the chain's first wave.
+	// Session identifies the wave on this executor for as long as the
+	// executor lives.
 	Session uint64
-	First   bool
-	// Chain is the hook's own per-chain state: what it left here on the
-	// chain's previous wave, nil on the first. The executor keeps it with the
-	// session and drops it with it.
-	Chain any
 }
 
 // ShipHook vets a directive-carrying wave before it executes: an error
@@ -225,20 +219,19 @@ func (e *Executor) InvokeBatch(ctx context.Context, req *batchRequest) (*batchRe
 // ReplayShadow replays a shipped flush payload (the primary's decoded
 // request, handed to the ship hook and forwarded over the wire) against
 // substitute root objects: root and extras are local export ids standing in
-// for the payload's original roots, and session chains consecutive waves of
-// the same batch exactly like the primary's KeepSession chain. The replay
-// runs through the normal batch machinery — per-call order, dependency
-// propagation, and exception policy are identical to the primary execution,
-// which is what makes a deterministic batch command applicable to replica
-// shadow state. It returns the (possibly retained) session id and the
-// number of calls replayed.
-func (e *Executor) ReplayShadow(ctx context.Context, shipped any, root uint64, extras []uint64, session uint64) (uint64, int, error) {
+// for the payload's original roots. The replay runs through the normal batch
+// machinery — per-call order, dependency propagation, and exception policy
+// are identical to the primary execution, which is what makes a deterministic
+// batch command applicable to replica shadow state. Like the wave it copies,
+// it neither continues nor keeps a session. It returns the number of calls
+// replayed.
+func (e *Executor) ReplayShadow(ctx context.Context, shipped any, root uint64, extras []uint64) (int, error) {
 	orig, ok := shipped.(*batchRequest)
 	if !ok {
-		return 0, 0, fmt.Errorf("brmi: shadow replay payload is %T, not a batch request", shipped)
+		return 0, fmt.Errorf("brmi: shadow replay payload is %T, not a batch request", shipped)
 	}
 	if len(extras) != len(orig.Roots) {
-		return 0, 0, fmt.Errorf("brmi: shadow replay: payload has %d roots, %d substitutes given", 1+len(orig.Roots), 1+len(extras))
+		return 0, fmt.Errorf("brmi: shadow replay: payload has %d roots, %d substitutes given", 1+len(orig.Roots), 1+len(extras))
 	}
 	req := *orig
 	req.Root = root
@@ -248,28 +241,30 @@ func (e *Executor) ReplayShadow(ctx context.Context, shipped any, root uint64, e
 	// whatever directive the payload still carries is dropped.
 	req.Names = nil
 	req.Ship = nil
-	req.Session = session
-	resp, err := e.invokeBatch(ctx, &req, true)
-	if err != nil {
-		return 0, 0, err
+	req.Session, req.KeepSession = 0, false
+	if _, err := e.invokeBatch(ctx, &req, true); err != nil {
+		return 0, err
 	}
-	return resp.Session, len(req.Calls), nil
+	return len(req.Calls), nil
 }
 
 func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bool) (*batchResponse, error) {
+	if req.Ship != nil && (req.KeepSession || req.Session != 0) {
+		return nil, &wire.CorruptError{Detail: "ship directive on a request that keeps or continues a session"}
+	}
 	sess, sessID, named, err := e.resolveSession(req)
 	if err != nil {
 		return nil, err
 	}
 	if shadow {
-		// Only a replica replay writes: a primary session can be reached by
-		// its client's release (ReleaseSession) while a wave that client
-		// abandoned is still executing, and that wave reads the flag.
+		// Only a replica replay writes: a chained session can be reached by
+		// its client's next flush while a wave that client abandoned is still
+		// executing, and that wave reads the flag.
 		sess.shadow = true
 	}
 	var ship ShipFunc
 	if req.Ship != nil {
-		if ship, err = e.admitShip(req, sess, sessID, named); err != nil {
+		if ship, err = e.admitShip(req, sessID, named); err != nil {
 			return nil, err
 		}
 	}
@@ -317,9 +312,9 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 
 // admitShip hands a directive-carrying request to the ship hook, after its
 // roots resolved and before anything executes.
-func (e *Executor) admitShip(req *batchRequest, sess *session, sessID uint64, named []wire.Ref) (ShipFunc, error) {
+func (e *Executor) admitShip(req *batchRequest, sessID uint64, named []wire.Ref) (ShipFunc, error) {
 	e.mu.Lock()
-	hook, chain := e.shipHook, sess.chain
+	hook := e.shipHook
 	e.mu.Unlock()
 	if hook == nil {
 		return nil, fmt.Errorf("brmi: flush carries a ship directive, but this peer runs no replication service")
@@ -330,12 +325,7 @@ func (e *Executor) admitShip(req *batchRequest, sess *session, sessID uint64, na
 			roots[i] = ref.ObjID
 		}
 	}
-	w := &Wave{Directive: req.Ship, Names: req.Names, Roots: roots, Session: sessID, First: req.Session == 0, Chain: chain}
-	ship, err := hook(w)
-	e.mu.Lock()
-	sess.chain = w.Chain
-	e.mu.Unlock()
-	return ship, err
+	return hook(&Wave{Directive: req.Ship, Names: req.Names, Roots: roots, Session: sessID})
 }
 
 // resolveSession turns a request's roots into live objects and finds or

@@ -151,8 +151,9 @@ type ShipDirective struct {
 	// the primary, must hold the wave before the reply leaves. 0 means all.
 	Quorum int
 	// Names are the roots' cluster-wide names, parallel to the roots, when
-	// the request itself addresses them by id (a chained wave, after the
-	// first resolved its names); empty when the request's own Names has them.
+	// the request itself addresses them by id (a later wave of a cluster
+	// flush, after the first resolved its names); empty when the request's
+	// own Names has them.
 	Names []string
 }
 
