@@ -64,7 +64,8 @@ var claims = map[string]func(x int, c []Counts) error{
 	"list": func(n int, c []Counts) error { return calls(c, []uint64{uint64(n) + 1, 1}, nil) },
 	// Fig. 9: in batches of one both pay a trip per step, but BRMI's replies
 	// carry sequence numbers instead of remote objects. (Its requests carry
-	// the batch envelope, so in total it sends more bytes, not fewer.)
+	// the batch envelope, so in total it still sends more bytes: 300 B to
+	// RMI's 258 B at n = 5.)
 	"list-nobatch": func(n int, c []Counts) error {
 		if err := calls(c, []uint64{uint64(n) + 1, uint64(n) + 1}, nil); err != nil {
 			return err

@@ -405,10 +405,10 @@ func (m *migrateOnCall) Fire(context.Context, rmi.Invoker) (*clustertest.Counter
 }
 
 // TestUnretriedWrongHomeStillRefreshes: a root migrates between two waves of
-// one flush, while its old home holds the flush's chained session. That
-// wrong-home rejection cannot be retried — but it must still bring the
-// client's ring up to date, or the client's next flush routes the name to
-// the same dead home.
+// one flush, after an earlier wave already ran at its old home. That
+// wrong-home rejection, past the destination's first contact, cannot be
+// retried — but it must still bring the client's ring up to date, or the
+// client's next flush routes the name to the same dead home.
 func TestUnretriedWrongHomeStillRefreshes(t *testing.T) {
 	ec := clustertest.New(t, 3)
 	ctx := context.Background()
@@ -430,9 +430,9 @@ func TestUnretriedWrongHomeStillRefreshes(t *testing.T) {
 	b := cluster.New(ec.Client, cluster.WithDirectory(stale))
 	pk, _ := b.RootNamed(ctx, keeping)
 	pm, _ := b.RootNamed(ctx, moving)
-	f0 := pk.CallBatch("Fork", int64(1))        // stage 0: opens server-0's session over both roots
+	f0 := pk.CallBatch("Fork", int64(1))        // stage 0: server-0's first contact, its result pinned for stage 1
 	f1 := b.Root(trigger).CallBatch("Fire", f0) // stage 1: the cluster grows, moving leaves server-0
-	f2 := pm.Call("AddRemote", f1)              // stage 2: server-0, mid-session, no longer has it
+	f2 := pm.Call("AddRemote", f1)              // stage 2: server-0's second request, which no longer has it
 	err = b.Flush(ctx)
 	var wrong *rmi.WrongHomeError
 	if !errors.As(err, &wrong) || b.StaleRetried() {

@@ -223,7 +223,7 @@ func TestRehomeFailsWholesale(t *testing.T) {
 // TestRehomeFollowsLaterStages: a destination refused at first contact in a
 // stage that is not its last. The root's calls of the later stages follow it
 // to the new home, where they share one destination with the retried wave —
-// so the chained session that wave opens there serves them too.
+// each later wave a request of its own to that new home.
 func TestRehomeFollowsLaterStages(t *testing.T) {
 	b := New(nil)
 	a := b.Root(wire.Ref{Endpoint: "server-0", ObjID: 100, Iface: "reroute.Test"})

@@ -320,7 +320,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 					t.Fatalf("call %d: %v", i, err)
 				}
 			}
-		}, wireBytes{Header: 13, Envelope: 93, Method: 6, Calls: 268, Results: 24, Roots: 132, Directive: 3, Push: 69}, rmi.BatchObjID, map[string]hopBytes{
+		}, wireBytes{Header: 13, Envelope: 90, Method: 6, Calls: 192, Results: 24, Roots: 132, Directive: 3, Push: 69}, rmi.BatchObjID, map[string]hopBytes{
 			"server-0": pushHop, "server-1": pushHop, "server-2": pushHop,
 		}},
 		{"replicated_write", 3, 8, func(t *testing.T, ec *clustertest.Cluster, client *rmi.Peer) {
@@ -340,12 +340,12 @@ func TestFlushBytesAttributed(t *testing.T) {
 			if err := b.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-		}, wireBytes{Header: 13, Envelope: 93, Method: 6, Calls: 174, Results: 22, Roots: 132, Directive: 57}, rmi.ReplicaObjID, map[string]hopBytes{
+		}, wireBytes{Header: 12, Envelope: 90, Method: 6, Calls: 106, Results: 22, Roots: 132, Directive: 57}, rmi.ReplicaObjID, map[string]hopBytes{
 			// server-0 follows the two primaries of one root each; the others
 			// follow server-0, whose record carries its two roots.
-			"server-0": {Calls: 2, Header: 10, Envelope: 14, Method: 4, Body: 266, Reply: 16},
-			"server-1": {Calls: 2, Header: 10, Envelope: 14, Method: 4, Body: 346, Reply: 16},
-			"server-2": {Calls: 2, Header: 10, Envelope: 14, Method: 4, Body: 346, Reply: 16},
+			"server-0": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 230, Reply: 16},
+			"server-1": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 293, Reply: 16},
+			"server-2": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 293, Reply: 16},
 		}},
 	}
 	for _, c := range cases {

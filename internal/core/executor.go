@@ -69,7 +69,10 @@ type session struct {
 	objects  map[int64]any
 	failures map[int64]error
 	nextBase int64
-	expires  time.Time
+	// calls counts the calls the chain's requests carried: call i of the next
+	// request is numbered calls+i (invocationData.Seq).
+	calls   int64
+	expires time.Time
 	// shadow marks a replica replay session: execution is identical, but the
 	// calls are excluded from core.calls_executed so the cluster-wide count
 	// keeps matching client acks (replayed calls were already counted at the
@@ -376,6 +379,12 @@ func (e *Executor) resolveSession(req *batchRequest) (sess *session, id uint64, 
 			return nil, 0, nil, &SessionExpiredError{Session: req.Session}
 		}
 		sess.extras = extras
+		// The request's calls are numbered from where the chain left off;
+		// the decoder numbered them from 0.
+		for i := range req.Calls {
+			req.Calls[i].Seq = sess.calls + int64(i)
+		}
+		sess.calls += int64(len(req.Calls))
 		return sess, req.Session, named, nil
 	}
 	rootObj, ok := e.peer.LocalObject(root)
@@ -392,6 +401,7 @@ func (e *Executor) resolveSession(req *batchRequest) (sess *session, id uint64, 
 		extras:   extras,
 		policy:   policy,
 		nextBase: serverSeqBase,
+		calls:    int64(len(req.Calls)),
 		expires:  time.Now().Add(e.ttl),
 	}
 	return sess, e.nextID, named, nil
@@ -451,15 +461,14 @@ type valueSlot struct {
 	val  any  // the result in wire form, as the reply carries it
 }
 
-// callIndex finds the call numbered seq among a request's calls. A recorded
-// request numbers its calls consecutively; in one that does not, a value
-// reference simply resolves to nothing.
+// callIndex finds the call numbered seq among a request's calls, which are
+// numbered consecutively by position.
 func callIndex(calls []invocationData, seq int64) (int, bool) {
 	if len(calls) == 0 {
 		return 0, false
 	}
 	i := seq - calls[0].Seq
-	if i < 0 || i >= int64(len(calls)) || calls[i].Seq != seq {
+	if i < 0 || i >= int64(len(calls)) {
 		return 0, false
 	}
 	return int(i), true

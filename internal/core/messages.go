@@ -11,24 +11,33 @@ const (
 	kindCursor int64 = 3 // result is a slice; sub-batch runs per element (§3.4)
 )
 
-// invocationData is the wire form of one recorded call (paper's
-// InvocationData, Fig. 3). Field order is a wire-size optimization: the
-// encoder omits trailing zero fields, so the rarely-set fields
-// (CursorOwner, Export) come last and the common call costs only the
-// leading fields on the wire.
+// invocationData is one recorded call (paper's InvocationData, Fig. 3); on
+// the wire a brmi.call. The request is positional, so the call carries no
+// number of its own (see Seq), and its wire fields are ordered Method, Args,
+// Target, Kind, Tag, Push, CursorOwner, Export: the encoder omits trailing
+// zero fields, and Target and Kind travel so that the batch root and a value
+// call are zero — a value call on the root costs its method and arguments.
 type invocationData struct {
-	// Seq is the client-assigned sequence number identifying this call and
-	// any batch object it creates (§4.1).
-	Seq int64
-	// Target is the sequence number of the proxy the call was made on, or
-	// RootTarget for the batch root.
-	Target int64
 	// Method is the remote method name.
 	Method string
-	// Kind is one of kindValue/kindRemote/kindCursor.
-	Kind int64
 	// Args carries each argument as either a value or a proxy reference.
 	Args []batchArg
+	// Target is the sequence number of the proxy the call was made on, or
+	// RootTarget for the batch root (RootTarget-1-i for extra root i). It
+	// travels as RootTarget-Target: 0 for the root, 1+i for extra root i.
+	Target int64
+	// Kind is one of kindValue/kindRemote/kindCursor. It travels as
+	// Kind-kindValue: 0 for a value call.
+	Kind int64
+	// Tag names this value call's result flush-wide, for the pushes below:
+	// the cluster layer tags a producer with its position in the cluster
+	// recording, which a stale-route retry keeps.
+	Tag int64
+	// Push lists the destinations — indexes into the request's Peers — that
+	// consume this value call's result in the same flush: the serving peer
+	// sends each of them the value, or the call's failure, as soon as the call
+	// ran. Value calls outside cursors only; empty (and omitted) otherwise.
+	Push []int64
 	// CursorOwner is 1 + the Seq of the cursor this call belongs to, or 0
 	// when the call is not cursor-owned (the +1 keeps the no-cursor case at
 	// the omittable zero value). Cursor-owned calls execute once per array
@@ -40,15 +49,12 @@ type invocationData struct {
 	// result produced on one server into a later-stage sub-batch bound
 	// for another server.
 	Export bool
-	// Tag names this value call's result flush-wide, for the pushes below:
-	// the cluster layer tags a producer with its position in the cluster
-	// recording, which a stale-route retry keeps.
-	Tag int64
-	// Push lists the destinations — indexes into the request's Peers — that
-	// consume this value call's result in the same flush: the serving peer
-	// sends each of them the value, or the call's failure, as soon as the call
-	// ran. Value calls outside cursors only; empty (and omitted) otherwise.
-	Push []int64
+	// Seq is the client-assigned sequence number identifying this call and
+	// any batch object it creates (§4.1). It is not on the wire: call i of a
+	// request is numbered where its session left off plus i — just i in a
+	// request that continues no session — on both sides (the client's
+	// Batch.nextSeq, the server's session.calls).
+	Seq int64
 }
 
 // owner returns the owning cursor's Seq, or NoCursor.
@@ -70,8 +76,9 @@ const NoCursor int64 = -1
 
 // batchArg is one argument: a serialized value or a reference to a batch
 // object created earlier in the chain ("only the identifier of the stub is
-// needed", §4.1). Val leads so the common by-value argument encodes as a
-// single field under trailing-zero omission.
+// needed", §4.1). A by-value argument travels as its bare value; the brmi.arg
+// struct carries only a reference or a pushed argument, in this field order
+// (Val leads, always nil there).
 //
 // A Pushed argument is the value another destination of the same flush
 // produces: Seq is the producer's Tag, and the serving peer waits for the
@@ -101,7 +108,9 @@ type batchRequest struct {
 	// Roots are the export ids of additional roots (Batch.AddRoot): other
 	// exported objects on the same server addressable within this batch.
 	// Calls target extra root i with sequence number RootTarget-1-i. Sent on
-	// every flush so chained batches can add roots between flushes.
+	// every flush so chained batches can add roots between flushes — except
+	// when Names addresses every extra root: the column of zero ids is
+	// omitted, and len(Names)-1 is the extra-root count.
 	Roots []uint64
 	// Policy is the exception policy for the whole chain; sent on the
 	// first flush when it differs from the default AbortPolicy (the server
@@ -234,12 +243,14 @@ type valuePush struct {
 
 func init() {
 	// Codec type registration (deterministic, no I/O). The five hot
-	// protocol messages install compiled codecs (see wirecodec.go); Policy
-	// and Rule ride the generic reflection plan (sent at most once per
-	// chain), and so does ShipDirective (at most once per flush).
+	// protocol messages install compiled codecs (see wirecodec.go), and the
+	// retired brmi.inv one that refuses it; Policy and Rule ride the generic
+	// reflection plan (sent at most once per chain), and so does
+	// ShipDirective (at most once per flush).
 	wire.MustRegisterCompiled("brmi.req", true, encBatchRequest, decBatchRequest)
 	wire.MustRegisterCompiled("brmi.resp", true, encBatchResponse, decBatchResponse)
-	wire.MustRegisterCompiled("brmi.inv", false, encInvocation, decInvocation)
+	wire.MustRegisterCompiled("brmi.call", false, encCall, decCall)
+	wire.MustRegisterCompiled("brmi.inv", false, encRetiredInv, decRetiredInv)
 	wire.MustRegisterCompiled("brmi.arg", false, encBatchArg, decBatchArg)
 	wire.MustRegisterCompiled("brmi.result", false, encCallResult, decCallResult)
 	wire.MustRegister("brmi.policy", &Policy{})

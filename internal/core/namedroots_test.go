@@ -38,7 +38,9 @@ var (
 // The value-reference shapes of the seed corpus (value-ref*): a call that
 // takes, by reference, the value an earlier call of the request returned, and
 // three references the executor must fail the one call for — a later call, the
-// call itself, a call numbered below the request's own.
+// call itself, a call numbered below the request's own. Numbers are positions
+// (request_test.go): the stale wave's calls 3 and 4 arrive as 0 and 1, so its
+// reference to call 1 names the referencing call, which fails the same way.
 var (
 	valueRef          = &core.BatchRequest{Calls: []core.Invocation{bumpCall(0), restoreCall(1, 0)}, Names: []string{"a"}}
 	valueRefForward   = &core.BatchRequest{Calls: []core.Invocation{restoreCall(0, 1), bumpCall(1)}, Names: []string{"a"}}
@@ -54,17 +56,22 @@ func restoreCall(seq, from int64) core.Invocation {
 	return core.Invocation{Seq: seq, Target: core.RootTarget, Method: "Restore", Kind: 1, Args: []core.BatchArg{{IsRef: true, Seq: from}}}
 }
 
-// reservedSlotSetRequest is a chained multi-root request as a peer from
+// reservedSlotSetCapture is a chained multi-root request as a peer from
 // before the executor kept one replay order encoded it with its
 // parallel-roots flag set (captured at that commit): slot 5 of brmi.req
-// reads true. It is committed as the fuzz seed reserved-slot-set.
-const reservedSlotSetRequest = "0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703030a02051105ac02"
+// reads true. reservedSlotSetRequest is the same request with its calls in
+// the positional form (brmi.call, by-value argument bare), committed as the
+// fuzz seed reserved-slot-set.
+const (
+	reservedSlotSetCapture = "0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703030a02051105ac02"
+	reservedSlotSetRequest = "0d010862726d692e7265710c010605100a020d020962726d692e63616c6c0c020308034164640a01040a04040c0208080453656c660a010d030862726d692e6172670c0303010304080409040204000a00040003050703030a02051105ac02"
+)
 
 // standardGoldenNames are the standard types (wire/standard.go) the wire
 // goldens of this package and of cluster's directive test used to define by
 // name.
 var standardGoldenNames = []string{
-	"brmi.req", "brmi.inv", "brmi.arg", "brmi.policy", "brmi.ship", "brmi.resp", "brmi.result",
+	"brmi.req", "brmi.inv", "brmi.call", "brmi.arg", "brmi.policy", "brmi.ship", "brmi.resp", "brmi.result",
 	"brmi.getbatch.req", "cluster.Quorum", "cluster.FollowerError", "cluster.StaleShip",
 }
 
@@ -76,6 +83,17 @@ var standardGoldenNames = []string{
 func checkStandardForm(t *testing.T, named string, got []byte) {
 	t.Helper()
 	checkShorterForm(t, named, got, 0)
+}
+
+// checkRetiredForm holds a request golden's capture from before requests
+// were positional — its calls brmi.inv — to that form's retirement: it is
+// refused, typed.
+func checkRetiredForm(t *testing.T, capture string) {
+	t.Helper()
+	var corrupt *wire.CorruptError
+	if v, err := wire.Unmarshal(mustHex(t, capture)); !errors.As(err, &corrupt) {
+		t.Errorf("request in the retired form %s decoded to %+v, %v; want *wire.CorruptError", capture, v, err)
+	}
 }
 
 // checkShorterForm is checkStandardForm for a message that also dropped
@@ -102,28 +120,35 @@ func checkShorterForm(t *testing.T, named string, got []byte, envelope int) {
 	}
 }
 
-// TestBatchRequestIDAddressedWireParity pins the compatibility promise: a
-// request without root names encodes to exactly the bytes it did before the
-// Names field existed (captured at the parent commit), less the named
-// definitions of its protocol types the standard type table removed — the
-// captures from before the table (named) still decode to the same request —
-// so old and new peers agree on every id-addressed flush.
+// TestBatchRequestIDAddressedWireParity pins the id-addressed request forms.
+// A request without calls encodes to exactly the bytes it did before the
+// Names field existed (captured at that commit), less the named definitions of
+// its protocol types the standard type table removed — the captures from
+// before the table (named) still decode to the same request. A request with
+// calls is positional (request_test.go): its captures carry the retired
+// brmi.inv, and are refused.
 func TestBatchRequestIDAddressedWireParity(t *testing.T) {
+	// A chain's second flush: the session numbers its calls 4 and 5, the
+	// decoder by position 0 and 1. The reference names call 4 — the first.
 	chained := &core.BatchRequest{Root: 16, Calls: []core.Invocation{
-		{Seq: 4, Target: core.RootTarget - 2, Method: "Add", Kind: 1, Args: []core.BatchArg{{Val: int64(5)}}},
-		{Seq: 5, Target: 4, Method: "Self", Kind: 2, Args: []core.BatchArg{{IsRef: true, Seq: 4}}, Export: true},
+		{Target: core.RootTarget - 2, Method: "Add", Kind: 1, Args: []core.BatchArg{{Val: int64(5)}}},
+		{Seq: 1, Target: 4, Method: "Self", Kind: 2, Args: []core.BatchArg{{IsRef: true, Seq: 4}}, Export: true},
 	}, Session: 7, KeepSession: true, Roots: []uint64{17, 300}}
 	for _, c := range []struct {
 		req         *core.BatchRequest
 		want, named string
 	}{
-		{idRequest, "13020205100a011303040400040108034765740402",
+		// The one call is its header, kStd 40 (brmi.call) with one field,
+		// and its method: 8 B where the brmi.inv was 14.
+		{idRequest, "13020205100a01" + "132801" + "0803476574",
 			"0d010862726d692e7265710c010205100a010d020862726d692e696e760c02040400040108034765740402"},
 		// The capture of this shape had the parallel-roots flag set
-		// (reservedSlotSetRequest). The flag is gone, the slot is reserved and
-		// always false: ONE byte differs, the slot's bool after the session and
-		// keep-session fields ("...05070303..." became "...05070302...").
-		{chained, "13020605100a0213030504080405080341646404020a01130401040a130307040a0408080453656c6604040a0113040301030408040003050703020a02051105ac02",
+		// (reservedSlotSetCapture). The flag is gone, the slot is reserved and
+		// always false ("...0507" + "03" + "02..."): the session, keep-session
+		// and reserved fields after the calls.
+		{chained, "13020605100a02" + "13280308034164640a01040a0404" +
+			"132808080453656c660a0113040301030408040904020400" + "0a000400" + "03" +
+			"0507" + "03" + "02" + "0a02051105ac02",
 			"0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703020a02051105ac02"},
 		{&core.BatchRequest{Root: 16, Roots: []uint64{17}, Policy: core.ContinuePolicy()},
 			"130207051001050002020a010511130c0404040104060406",
@@ -137,7 +162,11 @@ func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 		if hex.EncodeToString(got) != c.want {
 			t.Errorf("id-addressed request %+v encodes to\n  %x, want\n  %s", c.req, got, c.want)
 		}
-		checkStandardForm(t, c.named, got)
+		if len(c.req.Calls) == 0 {
+			checkStandardForm(t, c.named, got)
+		} else {
+			checkRetiredForm(t, c.named)
+		}
 		back, err := wire.Unmarshal(got)
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +176,8 @@ func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 		}
 	}
 	// Decode-only: the bytes with the old flag set still decode, to the same
-	// request as without it.
+	// request as without it; the capture with its calls in the retired form
+	// does not.
 	old, err := hex.DecodeString(reservedSlotSetRequest)
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +185,7 @@ func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 	if back, err := wire.Unmarshal(old); err != nil || !reflect.DeepEqual(back, chained) {
 		t.Errorf("request with the reserved slot set decoded to %+v, %v; want %+v", back, err, chained)
 	}
+	checkRetiredForm(t, reservedSlotSetCapture)
 	// So is the reply to one: no Roots field.
 	got, err := wire.Marshal(&core.BatchResponse{Session: 3})
 	if err != nil {
@@ -180,8 +211,9 @@ func TestBatchRequestReservedSlotExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Session 0, keep-session false, reserved false, one extra root with id 0.
-	slots := []byte{0x05, 0x00, 0x02, 0x02, 0x0a, 0x01, 0x05, 0x00}
+	// Session 0, keep-session false, reserved false, the omitted column of
+	// name-addressed root ids, no policy.
+	slots := []byte{0x05, 0x00, 0x02, 0x02, 0x01, 0x01}
 	at := bytes.LastIndex(data, slots)
 	if at < 0 {
 		t.Fatalf("request bytes %x do not hold the slots %x", data, slots)
@@ -514,20 +546,21 @@ func FuzzBatchRequest(f *testing.F) {
 // refuse before it executes anything (fuzzEnv's ring is {here, there}: member
 // 0 is the primary itself, member 1 its one follower, and there is no 2).
 var (
-	shipRequest      = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{1}}, Epoch: 3, Quorum: 2}}
-	shipOutsider     = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{2}}, Epoch: 3}}
-	shipSelf         = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{0}}, Epoch: 3}}
-	shipNotParallel  = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{1}, {1}}, Epoch: 3}}
-	shipIDAddressed  = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Ship: &core.ShipDirective{Followers: [][]int{{1}}, Epoch: 3, Names: []string{"a"}}}
+	shipRequest     = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{1}}, Epoch: 3, Quorum: 2}}
+	shipOutsider    = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{2}}, Epoch: 3}}
+	shipSelf        = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{0}}, Epoch: 3}}
+	shipNotParallel = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{1}, {1}}, Epoch: 3}}
+	shipIDAddressed = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Ship: &core.ShipDirective{Followers: [][]int{{1}}, Epoch: 3, Names: []string{"a"}}}
 	// shipRequestBytes' directive (from "1307") is kStd 7 (brmi.ship) with 3
 	// fields: Followers [[1]] — the one follower as member index 1, kInt 1
 	// ("0402") where its endpoint was a kString "there" ("08057468657265")
 	// — then epoch 3 and quorum 2.
-	shipRequestBytes = "13020905000a0113030404000401080347657404020500020201010a010801611307030a010a01040205030404"
+	shipRequestBytes = "13020905000a011328010803476574" + "0500020201010a01080161" + "1307030a010a01040205030404"
 	// shipRequestNamed is shipRequest as encoded before the standard type
-	// table — brmi.req, brmi.inv and brmi.ship defined by name — with the
-	// follower re-encoded as its member index, as in shipRequestBytes.
-	shipRequestNamed = "0d010862726d692e7265710c010905000a010d020862726d692e696e760c020404000401080347657404020500020201010a010801610d030962726d692e736869700c03030a010a01040205030404"
+	// table — brmi.req, brmi.call and brmi.ship defined by name — with the
+	// follower re-encoded as its member index, as in shipRequestBytes, and
+	// the call in the positional form.
+	shipRequestNamed = "0d010862726d692e7265710c010905000a010d020962726d692e63616c6c0c020108034765740500020201010a010801610d030962726d692e736869700c03030a010a01040205030404"
 )
 
 // TestShipDirectiveWireForm pins the one trailing field a replicated flush

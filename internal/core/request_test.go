@@ -1,0 +1,232 @@
+package core_test
+
+// Positional requests: a flush request's calls are numbered by their place,
+// a call on the batch root that returns a value spells out neither, and a
+// by-value argument travels as its bare value. The tests pin the bytes of
+// every call shape, the numbering of a continued session's calls, and the
+// refusal of the call form from before (brmi.inv).
+
+import (
+	"bytes"
+	"context"
+	"encoding/hex"
+	"errors"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/rmi"
+	"repro/internal/wire"
+)
+
+// requestShapes are the call shapes of a flush request, each alone in a
+// request rooted at export id 16, with the bytes of the call: a brmi.call
+// header ("1328" + field count), its method, then its fields up to the last
+// that is not zero — Args, Target (0 for the root, 1+i for extra root i,
+// -1-s for batch object s), Kind (0 value, 1 remote, 2 cursor), Tag, Push,
+// CursorOwner, Export. A reference or pushed argument is a brmi.arg ("1304"
+// + field count: a nil value, IsRef, Seq, Pushed); a by-value one is bare.
+var requestShapes = []struct {
+	name  string
+	call  core.Invocation
+	want  string
+	flush bool // the call pushes: its request names a flush and a peer
+}{
+	{"root value call with by-value args",
+		core.Invocation{Method: "Add", Target: core.RootTarget, Kind: 1, Args: []core.BatchArg{{Val: int64(5)}, {Val: "x"}}},
+		"132802" + "0803416464" + "0a02" + "040a" + "080178", false},
+	{"root value call without args",
+		core.Invocation{Method: "Get", Target: core.RootTarget, Kind: 1},
+		"132801" + "0803476574", false},
+	{"call on an extra root",
+		core.Invocation{Method: "Get", Target: core.RootTarget - 2, Kind: 1},
+		"132803" + "0803476574" + "01" + "0404", false},
+	{"CallBatch",
+		core.Invocation{Method: "Self", Target: core.RootTarget, Kind: 2},
+		"132804" + "080453656c66" + "01" + "0400" + "0402", false},
+	{"ref argument",
+		core.Invocation{Method: "Add", Target: core.RootTarget, Kind: 1, Args: []core.BatchArg{{IsRef: true, Seq: 3}}},
+		"132802" + "0803416464" + "0a01" + "130403" + "01" + "03" + "0406", false},
+	{"pushed argument",
+		core.Invocation{Method: "Add", Target: core.RootTarget, Kind: 1, Args: []core.BatchArg{{IsRef: true, Seq: 5, Pushed: true}}},
+		"132802" + "0803416464" + "0a01" + "130404" + "01" + "03" + "040a" + "03", false},
+	{"producer with Tag and Push",
+		core.Invocation{Method: "Get", Target: core.RootTarget, Kind: 1, Tag: 5, Push: []int64{0}},
+		"132806" + "0803476574" + "01" + "0400" + "0400" + "040a" + "0a010400", true},
+	{"cursor-owned call",
+		core.Invocation{Method: "Name", Target: 7, Kind: 1, CursorOwner: 8},
+		"132807" + "08044e616d65" + "01" + "040f" + "0400" + "0400" + "0a00" + "0410", false},
+	{"exported remote result",
+		core.Invocation{Method: "Self", Target: 4, Kind: 2, Args: []core.BatchArg{{Val: int64(-1)}}, Export: true},
+		"132808" + "080453656c66" + "0a010401" + "0409" + "0402" + "0400" + "0a00" + "0400" + "03", false},
+}
+
+// TestRequestCallShapes pins each call shape's bytes inside its request, and
+// that the request decodes back to the call, numbered 0.
+func TestRequestCallShapes(t *testing.T) {
+	for _, c := range requestShapes {
+		t.Run(c.name, func(t *testing.T) {
+			req := &core.BatchRequest{Root: 16, Calls: []core.Invocation{c.call}}
+			// brmi.req with two fields: root 16, a slice of one call.
+			want := "130202" + "0510" + "0a01" + c.want
+			if c.flush {
+				req.Flush, req.Peers = 9, []string{"p"}
+				// Eleven fields: then session 0, keep-session, the reserved
+				// slot, roots, policy, no names, no directive, flush 9, and
+				// the one peer "p".
+				want = "13020b" + "0510" + "0a01" + c.want + "0500" + "02" + "02" + "01" + "01" + "0a00" + "01" + "0509" + "0a01080170"
+			}
+			got, err := wire.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hex.EncodeToString(got) != want {
+				t.Errorf("encodes to\n  %x, want\n  %s", got, want)
+			}
+			back, err := wire.Unmarshal(got)
+			if err != nil || !reflect.DeepEqual(back, req) {
+				t.Errorf("decodes to %+v, %v; want %+v", back, err, req)
+			}
+		})
+	}
+}
+
+// TestRequestNumbersByPosition: a call's number is not on the wire. A request
+// whose calls were numbered 0, 7, 8 encodes exactly like one numbered 0, 1,
+// 2; a continued session's calls 5 and 6 travel as a first request's would,
+// and decode numbered 0 and 1 — the server renumbers them.
+func TestRequestNumbersByPosition(t *testing.T) {
+	calls := func(seqs ...int64) []core.Invocation {
+		var out []core.Invocation
+		for _, s := range seqs {
+			out = append(out, core.Invocation{Seq: s, Method: "Get", Target: core.RootTarget, Kind: 1})
+		}
+		return out
+	}
+	gapped, err := wire.Marshal(&core.BatchRequest{Root: 16, Calls: calls(0, 7, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := wire.Marshal(&core.BatchRequest{Root: 16, Calls: calls(0, 1, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gapped, dense) {
+		t.Errorf("numbers reach the wire:\n  %x\n  %x", gapped, dense)
+	}
+	continued, err := wire.Marshal(&core.BatchRequest{Calls: calls(5, 6), Session: 7, KeepSession: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// brmi.req with four fields: root 0, two calls, session 7, keep-session.
+	if want := "130204" + "0500" + "0a02" + "1328010803476574" + "1328010803476574" + "0507" + "03"; hex.EncodeToString(continued) != want {
+		t.Errorf("continued session's request encodes to\n  %x, want\n  %s", continued, want)
+	}
+	back, err := wire.Unmarshal(continued)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range back.(*core.BatchRequest).Calls {
+		if c.Seq != int64(i) {
+			t.Errorf("decoded call %d numbered %d: the decoder numbers by position", i, c.Seq)
+		}
+	}
+}
+
+// TestContinuedSessionNumbersFromWhereItLeftOff: the server numbers a
+// continued session's calls after the chain's earlier ones. The second
+// request's last call takes, by reference, the value of call 2 — its own
+// first call, the chain's third, which answers the counter's length 3 —
+// where a server numbering from 0 would see a reference to a later call and
+// fail it unresolved.
+func TestContinuedSessionNumbersFromWhereItLeftOff(t *testing.T) {
+	fx := newFixture(t)
+	c, ref := exportCounter(t, fx)
+	exec := rmi.SystemRef("server", rmi.BatchObjID, rmi.BatchIface)
+	add := func(arg core.BatchArg) core.Invocation {
+		return core.Invocation{Target: core.RootTarget, Method: "Add", Kind: 1, Args: []core.BatchArg{arg}}
+	}
+	invoke := func(req *core.BatchRequest) *core.BatchResponse {
+		t.Helper()
+		res, err := fx.client.Call(context.Background(), exec, "InvokeBatch", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0].(*core.BatchResponse)
+	}
+	first := invoke(&core.BatchRequest{Root: ref.ObjID, KeepSession: true, Calls: []core.Invocation{add(core.BatchArg{Val: int64(1)}), add(core.BatchArg{Val: int64(2)})}})
+	second := invoke(&core.BatchRequest{Session: first.Session, Calls: []core.Invocation{add(core.BatchArg{Val: int64(30)}), add(core.BatchArg{IsRef: true, Seq: 2})}})
+	for i, r := range second.Results {
+		if want := int64(3 + i); r.Err != nil || r.Value != want {
+			t.Errorf("continued call %d = %v, %v; want %d", i, r.Value, r.Err, want)
+		}
+	}
+	if want := []int64{1, 2, 30, 3}; !reflect.DeepEqual(c.vals, want) {
+		t.Errorf("counter saw %v, want %v", c.vals, want)
+	}
+}
+
+// oldFormRequest is idRequest as encoded before requests were positional:
+// its one call a brmi.inv ("1303") spelling out Seq 0, the root target,
+// "Get" and the value kind.
+const oldFormRequest = "13020205100a01" + "130304" + "0400" + "0401" + "0803476574" + "0402"
+
+// TestOldFormRequestRefused: brmi.inv is retired. A request that carries one
+// is refused whole, typed, and so is a brmi.inv on its own; the encoder never
+// writes one.
+func TestOldFormRequestRefused(t *testing.T) {
+	var corrupt *wire.CorruptError
+	for _, msg := range []string{oldFormRequest, "130300"} {
+		b, err := hex.DecodeString(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := wire.Unmarshal(b); !errors.As(err, &corrupt) {
+			t.Errorf("%s decoded to %+v, %v; want *wire.CorruptError", msg, v, err)
+		}
+	}
+	if !bytes.Equal(seedBytes(t, "FuzzBatchRequest", "old-form"), mustHex(t, oldFormRequest)) {
+		t.Errorf("seed old-form is not the old-form request %s", oldFormRequest)
+	}
+}
+
+// The seeds of FuzzBatchRequest's corpus for the positional forms: a by-value
+// argument, a call on an extra root of an all-named request (whose zero id
+// column is omitted).
+var (
+	bareArgRequest   = &core.BatchRequest{Calls: []core.Invocation{{Method: "Restore", Target: core.RootTarget, Kind: 1, Args: []core.BatchArg{{Val: int64(7)}}}, getCall(1, core.RootTarget)}, Names: []string{"a"}}
+	extraRootRequest = &core.BatchRequest{Calls: []core.Invocation{{Method: "Bump", Target: core.RootTarget - 1, Kind: 1}, getCall(1, core.RootTarget)}, Roots: []uint64{0}, Names: []string{"a", "b"}}
+)
+
+// TestPositionalRequestSeeds: the bare-arg and extra-root seeds are the
+// encoder's bytes, and executed they answer as the requests say.
+func TestPositionalRequestSeeds(t *testing.T) {
+	env := newGetbatchEnv(t)
+	exec := rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface)
+	for _, tc := range []struct {
+		name string
+		req  *core.BatchRequest
+		want []any
+	}{
+		{"extra-root", extraRootRequest, []any{int64(21), int64(10)}},
+		{"bare-arg", bareArgRequest, []any{nil, int64(7)}},
+	} {
+		name := tc.name
+		seed := seedBytes(t, "FuzzBatchRequest", name)
+		if got, err := wire.Marshal(tc.req); err != nil || !bytes.Equal(got, seed) {
+			t.Errorf("seed %s holds %x, the encoder says %x (%v)", name, seed, got, err)
+		}
+		if back, err := wire.Unmarshal(seed); err != nil || !reflect.DeepEqual(back, tc.req) {
+			t.Errorf("seed %s decodes to %+v, %v", name, back, err)
+		}
+		res, err := env.client.Call(context.Background(), exec, "InvokeBatch", tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, r := range res[0].(*core.BatchResponse).Results {
+			if r.Err != nil || r.Value != tc.want[i] {
+				t.Errorf("%s: call %d = %v, %v; want %v", name, i, r.Value, r.Err, tc.want[i])
+			}
+		}
+	}
+}

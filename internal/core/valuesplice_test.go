@@ -215,13 +215,16 @@ func valueRefRequest(root uint64) *core.BatchRequest {
 
 // TestValueRefWireForm: a value reference is the reference a remote result
 // has always been — same message, same fields, nothing new on the wire. The
-// named bytes were captured at the commit before the executor resolved one,
-// the standard-form bytes are the same less the named definitions the
-// standard type table removed; turning the producer into a remote-result call
-// changes its kind byte and nothing about the argument.
+// named bytes are the request with its types defined by name, the
+// standard-form bytes the same less the named definitions the standard type
+// table removed; turning the producer into a remote-result call writes its
+// Target and Kind and changes nothing about the argument.
 func TestValueRefWireForm(t *testing.T) {
-	const want = "13020205100a0213030504000401080341646404020a01130401045013030504020401080341646404020a011304020103"
-	const named = "0d010862726d692e7265710c010205100a020d020862726d692e696e760c020504000401080341646404020a010d030862726d692e6172670c030104500c020504020401080341646404020a010c03020103"
+	// Two brmi.calls ("1328"): Add with the bare 40 ("0450"), then Add with
+	// the brmi.arg ("1304") naming call 0.
+	const producer = "13280208034164640a010450"
+	const want = "13020205100a02" + producer + "13280208034164640a01" + "1304020103"
+	const named = "0d010862726d692e7265710c010205100a020d020962726d692e63616c6c0c020208034164640a0104500c020208034164640a010d030862726d692e6172670c03020103"
 	req := valueRefRequest(16)
 	got, err := wire.Marshal(req)
 	if err != nil {
@@ -236,14 +239,10 @@ func TestValueRefWireForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := 0
-	for i := range got {
-		if len(remote) != len(got) || remote[i] != got[i] {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Errorf("a remote-result reference differs from a value reference in %d bytes, want 1 (the producer's kind)\n  %x\n  %x", diff, remote, got)
+	// The producer's four fields: the root target 0, the remote kind 1.
+	remoteProducer := "13280408034164640a010450" + "0400" + "0402"
+	if w := strings.Replace(want, producer, remoteProducer, 1); hex.EncodeToString(remote) != w {
+		t.Errorf("a remote-result reference encodes to\n  %x, want\n  %s", remote, w)
 	}
 }
 
@@ -327,6 +326,8 @@ func TestValueRefHostile(t *testing.T) {
 		"nothing":    {&core.BatchRequest{Root: ref.ObjID, Calls: []core.Invocation{add(0, lit(5)), add(1, at(99))}}, 1},
 		"as target": {&core.BatchRequest{Root: ref.ObjID, Calls: []core.Invocation{add(0, lit(5)),
 			{Seq: 1, Target: 0, Method: "Add", Kind: 1, Args: []core.BatchArg{lit(6)}}, add(2, at(0))}}, 1},
+		// Numbers are positions: calls recorded as 0, 7, 8 arrive as 0, 1,
+		// 2, and a reference to 7 names nothing.
 		"not consecutive": {&core.BatchRequest{Root: ref.ObjID, Calls: []core.Invocation{add(0, lit(5)), add(7, lit(5)), add(8, at(7))}}, 2},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -7,15 +7,15 @@ import (
 )
 
 // wirecodec.go: compiled wire codecs (wire.RegisterCompiled) for the BRMI
-// protocol messages. Every flush encodes and decodes one invocationData +
-// batchArg per recorded call and one callResult per reply, so these five
-// types ARE the marshalling hot path; the hand codecs below replace the
-// per-field reflection plan while emitting byte-identical wire forms — all
-// but a reply's results, which are positional: a plain success is its bare
-// value where the plan would write a brmi.result (see callResult.plain).
-// Trailing zero fields are omitted exactly like the generic encoder; a
-// decoder fills absent fields with their zero values and skips surplus
-// fields from a newer sender.
+// protocol messages. Every flush encodes and decodes one brmi.call per
+// recorded call and one result per reply, so these types ARE the marshalling
+// hot path; the hand codecs below replace the per-field reflection plan.
+// Both directions are positional: call i of a request is numbered by its
+// position (invocationData.Seq), a by-value argument travels as its bare
+// value, and result i answers call i, a plain success as its bare value (see
+// callResult.plain). Trailing zero fields are omitted exactly like the
+// generic encoder; a decoder fills absent fields with their zero values and
+// skips surplus fields from a newer sender.
 
 func encBatchArg(x wire.Enc, a *batchArg) error {
 	n := 4
@@ -74,6 +74,8 @@ func decBatchArg(x wire.Dec, a *batchArg, n int) error {
 	return x.SkipFields(n - 4)
 }
 
+// encArgSlice writes a call's arguments: a by-value argument as its bare
+// value, a reference or a pushed argument as a brmi.arg.
 func encArgSlice(x wire.Enc, args []batchArg) error {
 	if args == nil {
 		x.Nil()
@@ -81,13 +83,21 @@ func encArgSlice(x wire.Enc, args []batchArg) error {
 	}
 	x.Slice(len(args))
 	for i := range args {
-		if err := encBatchArg(x, &args[i]); err != nil {
+		var err error
+		if a := &args[i]; !a.IsRef && !a.Pushed {
+			err = x.Value(a.Val)
+		} else {
+			err = encBatchArg(x, a)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// decArgSlice reads a call's arguments: a brmi.arg is decoded in place, any
+// other value is a by-value argument.
 func decArgSlice(x wire.Dec) ([]batchArg, error) {
 	n, err := x.SliceLen()
 	if err != nil || n < 0 {
@@ -96,108 +106,114 @@ func decArgSlice(x wire.Dec) ([]batchArg, error) {
 	out := make([]batchArg, 0, min(n, wire.MaxPrealloc))
 	for i := 0; i < n; i++ {
 		out = append(out, batchArg{})
+		a := &out[i]
+		isArg, err := x.NextIs("brmi.arg")
+		if err != nil {
+			return nil, err
+		}
+		if !isArg {
+			if a.Val, err = x.Value(); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		fn, err := x.StructFields("brmi.arg")
 		if err != nil {
 			return nil, err
 		}
-		if fn < 0 {
-			continue
-		}
-		if err := decBatchArg(x, &out[i], fn); err != nil {
+		if err := decBatchArg(x, a, fn); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func encInvocation(x wire.Enc, inv *invocationData) error {
-	n := 9
-	if len(inv.Push) == 0 {
+// encCall writes inv as a brmi.call. Seq is implied by the call's position;
+// Target and Kind travel relative to the batch root and the value call, so
+// both are zero — and omitted when trailing — for a value call on the root.
+func encCall(x wire.Enc, inv *invocationData) error {
+	target, kind := RootTarget-inv.Target, inv.Kind-kindValue
+	var n int
+	switch {
+	case inv.Export:
 		n = 8
-		if inv.Tag == 0 {
-			n = 7
-		}
-	}
-	if n == 7 && !inv.Export {
+	case inv.CursorOwner != 0:
+		n = 7
+	case len(inv.Push) != 0:
 		n = 6
-		if inv.CursorOwner == 0 {
-			n = 5
-			if inv.Args == nil {
-				n = 4 // Kind is always 1..3, the scan stops here
-			}
-		}
+	case inv.Tag != 0:
+		n = 5
+	case kind != 0:
+		n = 4
+	case target != 0:
+		n = 3
+	case inv.Args != nil:
+		n = 2
+	default:
+		n = 1
 	}
-	x.BeginStruct("brmi.inv", n)
-	x.Int(inv.Seq)
-	x.Int(inv.Target)
+	x.BeginStruct("brmi.call", n)
 	x.Str(inv.Method)
-	x.Int(inv.Kind)
-	if n > 4 {
+	if n > 1 {
 		if err := encArgSlice(x, inv.Args); err != nil {
 			return err
 		}
 	}
-	if n > 5 {
-		x.Int(inv.CursorOwner)
+	if n > 2 {
+		x.Int(target)
 	}
-	if n > 6 {
-		x.Bool(inv.Export)
+	if n > 3 {
+		x.Int(kind)
 	}
-	if n > 7 {
+	if n > 4 {
 		x.Int(inv.Tag)
 	}
-	if n > 8 {
+	if n > 5 {
 		x.Slice(len(inv.Push))
 		for _, at := range inv.Push {
 			x.Int(at)
 		}
 	}
+	if n > 6 {
+		x.Int(inv.CursorOwner)
+	}
+	if n > 7 {
+		x.Bool(inv.Export)
+	}
 	return nil
 }
 
-func decInvocation(x wire.Dec, inv *invocationData, n int) error {
+// decCall reads a brmi.call into inv; its Seq is the caller's to set.
+func decCall(x wire.Dec, inv *invocationData, n int) error {
+	var target, kind int64
 	var err error
 	if n > 0 {
-		if inv.Seq, err = x.Int(); err != nil {
-			return err
-		}
-	}
-	if n > 1 {
-		if inv.Target, err = x.Int(); err != nil {
-			return err
-		}
-	}
-	if n > 2 {
 		if inv.Method, err = x.Str(); err != nil {
 			return err
 		}
 	}
-	if n > 3 {
-		if inv.Kind, err = x.Int(); err != nil {
-			return err
-		}
-	}
-	if n > 4 {
+	if n > 1 {
 		if inv.Args, err = decArgSlice(x); err != nil {
 			return err
 		}
 	}
-	if n > 5 {
-		if inv.CursorOwner, err = x.Int(); err != nil {
+	if n > 2 {
+		if target, err = x.Int(); err != nil {
 			return err
 		}
 	}
-	if n > 6 {
-		if inv.Export, err = x.Bool(); err != nil {
+	if n > 3 {
+		if kind, err = x.Int(); err != nil {
 			return err
 		}
 	}
-	if n > 7 {
+	inv.Target, inv.Kind = RootTarget-target, kindValue+kind
+	if n > 4 {
 		if inv.Tag, err = x.Int(); err != nil {
 			return err
 		}
 	}
-	if n > 8 {
+	if n > 5 {
 		pn, err := x.SliceLen()
 		if err != nil {
 			return err
@@ -213,7 +229,31 @@ func decInvocation(x wire.Dec, inv *invocationData, n int) error {
 			}
 		}
 	}
-	return x.SkipFields(n - 9)
+	if n > 6 {
+		if inv.CursorOwner, err = x.Int(); err != nil {
+			return err
+		}
+	}
+	if n > 7 {
+		if inv.Export, err = x.Bool(); err != nil {
+			return err
+		}
+	}
+	return x.SkipFields(n - 8)
+}
+
+// retiredInv is brmi.inv, the call form from before requests were
+// positional: it spelled out every call's Seq, Target and Kind and wrapped
+// every argument. Its standard-table index stays reserved; nothing encodes
+// it, and a message that carries one is refused.
+type retiredInv struct{}
+
+func encRetiredInv(wire.Enc, *retiredInv) error {
+	return fmt.Errorf("brmi: brmi.inv is retired: calls travel as brmi.call")
+}
+
+func decRetiredInv(wire.Dec, *retiredInv, int) error {
+	return &wire.CorruptError{Detail: "brmi.inv is retired: calls travel as brmi.call"}
 }
 
 func encBatchRequest(x wire.Enc, r *batchRequest) error {
@@ -258,7 +298,7 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 		} else {
 			x.Slice(len(r.Calls))
 			for i := range r.Calls {
-				if err := encInvocation(x, &r.Calls[i]); err != nil {
+				if err := encCall(x, &r.Calls[i]); err != nil {
 					return err
 				}
 			}
@@ -277,7 +317,7 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 		x.Bool(false)
 	}
 	if n > 5 {
-		if r.Roots == nil {
+		if r.Roots == nil || rootsNamed(r) {
 			x.Nil()
 		} else {
 			x.Slice(len(r.Roots))
@@ -329,15 +369,17 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 		if cn >= 0 {
 			r.Calls = make([]invocationData, 0, min(cn, wire.MaxPrealloc))
 			for i := 0; i < cn; i++ {
-				r.Calls = append(r.Calls, invocationData{})
-				fn, err := x.StructFields("brmi.inv")
+				// Call i is numbered i; a continued session renumbers from
+				// where it left off (Executor.resolveSession).
+				r.Calls = append(r.Calls, invocationData{Target: RootTarget, Kind: kindValue, Seq: int64(i)})
+				fn, err := x.StructFields("brmi.call")
 				if err != nil {
 					return err
 				}
 				if fn < 0 {
 					continue
 				}
-				if err := decInvocation(x, &r.Calls[i], fn); err != nil {
+				if err := decCall(x, &r.Calls[i], fn); err != nil {
 					return err
 				}
 			}
@@ -403,6 +445,10 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 				}
 				r.Names = append(r.Names, name)
 			}
+		}
+		if r.Roots == nil && len(r.Names) > 1 {
+			// Every extra root is name-addressed: the id column was omitted.
+			r.Roots = make([]uint64, len(r.Names)-1)
 		}
 		if err := checkRootNames(r); err != nil {
 			return err
@@ -487,6 +533,21 @@ func checkPushes(r *batchRequest) error {
 		}
 	}
 	return nil
+}
+
+// rootsNamed reports whether r's Names address every extra root, whose ids
+// are then all 0: the encoder omits the column, and the decoder restores it
+// from len(Names).
+func rootsNamed(r *batchRequest) bool {
+	if len(r.Names) == 0 || len(r.Names) != 1+len(r.Roots) {
+		return false
+	}
+	for _, id := range r.Roots {
+		if id != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // checkRootNames rejects a request whose Names do not line up with its

@@ -335,9 +335,49 @@ func (x Dec) StructFields(name string) (int, error) {
 		return 0, err
 	}
 	if st.plan.name != name {
-		return 0, fmt.Errorf("wire: cannot decode %q into %q", st.plan.name, name)
+		return 0, x.d.corrupt(fmt.Sprintf("a %q where a %q belongs", st.plan.name, name))
 	}
 	return n, nil
+}
+
+// NextIs reports whether the next value is a struct of the named registered
+// type, consuming nothing but the type definitions that precede it. A codec
+// whose field holds either a bare value or a struct (brmi.call's arguments)
+// decodes the struct in place with StructFields, anything else with Value.
+// An unknown or truncated header reports false: the decode that follows
+// meets it and fails with the right error.
+func (x Dec) NextIs(name string) (bool, error) {
+	d := x.d
+	for d.pos < len(d.data) && d.data[d.pos] == kTypeDef {
+		d.pos++
+		if err := d.typeDef(); err != nil {
+			return false, err
+		}
+	}
+	if d.pos >= len(d.data) {
+		return false, nil
+	}
+	tag := d.data[d.pos]
+	if tag != kStd && tag != kStruct {
+		return false, nil
+	}
+	id, n := binary.Uvarint(d.data[d.pos+1:])
+	if n <= 0 {
+		return false, nil
+	}
+	var st streamType
+	if tag == kStd {
+		var err error
+		if st, err = stdType(id); err != nil {
+			return false, nil
+		}
+	} else {
+		var ok bool
+		if st, ok = d.typePlan(id); !ok {
+			return false, nil
+		}
+	}
+	return st.plan.name == name, nil
 }
 
 // SkipFields discards n values (fields a newer sender appended that this

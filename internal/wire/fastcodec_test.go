@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -220,5 +221,63 @@ func TestCompiledCodecNested(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("nested round trip:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// NextIs tells a struct of the named type from anything else, consuming only
+// the type definitions before it: the struct then decodes in place, and any
+// other value — another type's struct, a bare value, a header this binary
+// cannot resolve — decodes, or fails, exactly as if NextIs had not looked.
+func TestNextIs(t *testing.T) {
+	named, err := Marshal(fcPayload{ID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := Marshal(int64(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		is   string
+		want bool
+	}{
+		{"defined by name", named, "wiretest.fc", true},
+		{"another type", named, "wiretest.fctwin", false},
+		{"bare value", bare, "wiretest.fc", false},
+		{"undefined struct id", []byte{kStruct, 9, 0}, "wiretest.fc", false},
+		{"past the standard table", []byte{kStd, 0x80, 0x80, 0x80, 0x80, 0x01, 0}, "wiretest.fc", false},
+		{"truncated header", []byte{kStd}, "wiretest.fc", false},
+		{"empty", nil, "wiretest.fc", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := getDecoder(c.data)
+			defer d.release()
+			x := Dec{d}
+			is, err := x.NextIs(c.is)
+			if err != nil || is != c.want {
+				t.Fatalf("NextIs(%q) = %v, %v; want %v", c.is, is, err, c.want)
+			}
+			if at := bytes.IndexByte(c.data, kStruct); is && d.pos != at {
+				t.Errorf("NextIs left the decoder at %d, want the struct header at %d", d.pos, at)
+			}
+			want, wantErr := Unmarshal(c.data)
+			if is {
+				var p fcPayload
+				n, err := x.StructFields(c.is)
+				if err == nil {
+					err = decFCPayload(x, &p, n)
+				}
+				if err != nil || !reflect.DeepEqual(p, want) {
+					t.Errorf("decoded in place to %+v, %v; Unmarshal says %+v, %v", p, err, want, wantErr)
+				}
+				return
+			}
+			got, err := x.Value()
+			if !reflect.DeepEqual(got, want) || (err == nil) != (wantErr == nil) {
+				t.Errorf("decoded to %+v, %v; Unmarshal says %+v, %v", got, err, want, wantErr)
+			}
+		})
 	}
 }

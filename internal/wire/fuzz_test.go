@@ -12,12 +12,14 @@ import (
 	"repro/internal/wire"
 )
 
-// Protocol messages pinned by core's wire goldens: a flush request as encoded
-// before the standard type table (brmi.req and brmi.inv defined by name), a
-// chained multi-root request and the reply to a wave that missed its quorum.
+// Protocol messages pinned by core's wire goldens: a flush request with its
+// types defined by name (brmi.req and brmi.call), a chained multi-root
+// request, the same request's one call in the retired brmi.inv form, and the
+// reply to a wave that missed its quorum.
 const (
-	namedBatchRequest = "0d010862726d692e7265710c010205100a010d020862726d692e696e760c02040400040108034765740402"
-	chainedRequest    = "13020605100a0213030504080405080341646404020a01130401040a130307040a0408080453656c6604040a0113040301030408040003050703020a02051105ac02"
+	namedBatchRequest = "0d010862726d692e7265710c010205100a010d020962726d692e63616c6c0c02010803476574"
+	chainedRequest    = "13020605100a0213280308034164640a01040a0404132808080453656c660a01130403010304080409040204000a0004000305070302" + "0a02051105ac02"
+	oldFormRequest    = "13020205100a011303040400040108034765740402"
 	quorumMissReply   = "1305060a011306020400040e050004000a0004b817131c04080161040204040a01131d0208057468657265131b0205030504"
 )
 
@@ -30,7 +32,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	for i := range wire.StandardTypes() {
 		seeds = append(seeds, []byte{wire.KStd, byte(i), 0})
 	}
-	for _, h := range []string{namedBatchRequest, chainedRequest, quorumMissReply} {
+	for _, h := range []string{namedBatchRequest, chainedRequest, oldFormRequest, quorumMissReply} {
 		b, err := hex.DecodeString(h)
 		if err != nil {
 			tb.Fatal(err)

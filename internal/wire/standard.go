@@ -20,7 +20,7 @@ var standardTypes = [...]string{
 	"rmi.call.req",
 	"rmi.call.resp",
 	"brmi.req",
-	"brmi.inv",
+	"brmi.inv", // retired: refused on decode, its index reserved (see brmi.call)
 	"brmi.arg",
 	"brmi.resp",
 	"brmi.result",
@@ -62,6 +62,8 @@ var standardTypes = [...]string{
 	"brmi.push",
 	"brmi.PushTimeout",
 	"brmi.RendezvousFull",
+	// The positional call form of a flush request, which replaced brmi.inv.
+	"brmi.call",
 }
 
 // standardIndex is name's index in the standard table, or -1. It scans the

@@ -31,6 +31,7 @@ var standardGolden = []string{
 	"registry.AlreadyBound", "registry.NotBound", "stats.NamedValue", "stats.NamedHist", "stats.Snapshot",
 	"wire.Corrupt",
 	"brmi.push", "brmi.PushTimeout", "brmi.RendezvousFull",
+	"brmi.call",
 }
 
 // protocolPrefixes are the wire-name prefixes of the repository's own
