@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -44,36 +45,27 @@ func directiveCluster(t *testing.T) (ec *clustertest.Cluster, dir *cluster.Direc
 
 // TestPrimaryVetsShipDirective: every malformed, hostile or stale directive is
 // refused with its typed error, with obj-0 untouched and not one call made by
-// the primary; the well-formed one next to them executes and ships.
+// the primary; the well-formed one next to them executes and ships to the
+// followers the primary picks itself.
 func TestPrimaryVetsShipDirective(t *testing.T) {
 	ec, _, primary, follower, bystander, epoch := directiveCluster(t)
 	ctx := context.Background()
 	ps := ec.Server(primary)
-	many := make([]int, 8)
-	for i := range many {
-		many[i] = memberIndex(ec, follower)
-	}
 	corrupt, stale := new(*wire.CorruptError), new(*cluster.StaleShipError)
 	for _, tc := range []struct {
 		name string
 		d    *core.ShipDirective
 		want any // **wire.CorruptError or **cluster.StaleShipError
 	}{
-		{"follower lists not parallel to the roots", &core.ShipDirective{Followers: followers(ec, follower, follower), Epoch: epoch}, corrupt},
-		{"names not parallel to the roots", &core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch, Names: []string{"obj-0", "obj-1"}}, corrupt},
-		{"a follower index past the ring", &core.ShipDirective{Followers: [][]int{{3}}, Epoch: epoch}, corrupt},
-		{"a negative follower index", &core.ShipDirective{Followers: [][]int{{-1}}, Epoch: epoch}, corrupt},
-		{"the primary as its own follower", &core.ShipDirective{Followers: [][]int{{memberIndex(ec, follower), memberIndex(ec, primary)}}, Epoch: epoch}, corrupt},
-		{"more followers than members", &core.ShipDirective{Followers: [][]int{many}, Epoch: epoch}, corrupt},
-		{"a negative quorum", &core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch, Quorum: -1}, corrupt},
-		{"an epoch behind the primary's ring", &core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch - 1}, stale},
-		// The primary's view is behind the directive's epoch: the indexes point
-		// into a membership it has not seen, so it resolves none of them — not
-		// one past its own ring, and not one its own ring holds either, which
-		// would name whichever server sits there at its older epoch. Either is
-		// a stale ship, refused before the primary calls anyone.
-		{"a follower index past the ring under an epoch ahead of the primary's", &core.ShipDirective{Followers: [][]int{{3}}, Epoch: epoch + 1}, stale},
-		{"a member's index under an epoch ahead of the primary's ring", &core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch + 1}, stale},
+		{"names not parallel to the roots", &core.ShipDirective{Epoch: epoch, Replication: 2, Names: []string{"obj-0", "obj-1"}}, corrupt},
+		{"a negative quorum", &core.ShipDirective{Epoch: epoch, Replication: 2, Quorum: -1}, corrupt},
+		{"replication 0", &core.ShipDirective{Epoch: epoch}, corrupt},
+		{"replication 1", &core.ShipDirective{Epoch: epoch, Replication: 1}, corrupt},
+		{"an epoch behind the primary's ring", &core.ShipDirective{Epoch: epoch - 1, Replication: 2}, stale},
+		// The primary's view is behind the directive's epoch: it has not seen
+		// the ring the client routed by, so it cannot pick that ring's
+		// followers — a stale ship, refused before the primary calls anyone.
+		{"an epoch ahead of the primary's ring", &core.ShipDirective{Epoch: epoch + 1, Replication: 2}, stale},
 	} {
 		calls := ps.Peer.CallCount()
 		cb := core.NewNamed(ec.Client, primary, "obj-0")
@@ -97,10 +89,10 @@ func TestPrimaryVetsShipDirective(t *testing.T) {
 		t.Fatalf("followers served %d Append calls for refused waves", got)
 	}
 
-	// Well formed, even with the ring's other member following for no reason
-	// of the ring's: it is a member, so the wave ships to both.
+	// Well formed, at an R above the ring's 2: on three members every server
+	// owns obj-0 at R=3, so the primary ships to both others.
 	cb := core.NewNamed(ec.Client, primary, "obj-0")
-	cb.Ship(&core.ShipDirective{Followers: [][]int{{memberIndex(ec, follower), memberIndex(ec, bystander)}}, Epoch: epoch})
+	cb.Ship(&core.ShipDirective{Epoch: epoch, Replication: 3})
 	cb.Root().Call("Add", int64(5))
 	if err := cb.Flush(ctx); err != nil {
 		t.Fatalf("well-formed directive: %v", err)
@@ -111,25 +103,14 @@ func TestPrimaryVetsShipDirective(t *testing.T) {
 	if got := shadowHistory(t, ec, follower, primary, "obj-0"); !reflect.DeepEqual(got, []int64{5}) {
 		t.Errorf("%s's shadow replayed %v, want [5]", follower, got)
 	}
+	// The bystander was never placed at R=2: its shadow is made at first
+	// replay, unseeded.
+	if si := ec.Server(bystander).Replica.ShardInfo(primary); len(si.Names) != 1 || si.Names[0] != (cluster.NameInfo{Name: "obj-0", Epoch: epoch, Applied: 1}) {
+		t.Errorf("%s holds %+v of %s's shard, want obj-0's unseeded shadow with one record", bystander, si.Names, primary)
+	}
 	if got := replicaCounters(ec, "cluster.replica_ships"); got != 2 {
-		t.Errorf("followers served %d Append calls, want one per listed follower = 2", got)
+		t.Errorf("followers served %d Append calls, want one per follower = 2", got)
 	}
-}
-
-// memberIndex is ep's index in the cluster's sorted membership — every
-// server is a member of directiveCluster's ring.
-func memberIndex(ec *clustertest.Cluster, ep string) int {
-	return slices.Index(ec.Endpoints(), ep)
-}
-
-// followers is the Followers of a directive with one root per endpoint, each
-// followed by that one server.
-func followers(ec *clustertest.Cluster, eps ...string) [][]int {
-	out := make([][]int, len(eps))
-	for i, ep := range eps {
-		out[i] = []int{memberIndex(ec, ep)}
-	}
-	return out
 }
 
 // counterAt returns the live counter bound under name at endpoint.
@@ -150,7 +131,7 @@ func counterAt(t *testing.T, ec *clustertest.Cluster, endpoint, name string) *cl
 // *wire.CorruptError — a follower replays each record on its own and would
 // have nothing to resolve a chained wave against. The primary ships nothing.
 func TestDirectiveOnSessionRefused(t *testing.T) {
-	ec, _, primary, follower, _, epoch := directiveCluster(t)
+	ec, _, primary, _, _, epoch := directiveCluster(t)
 	ctx := context.Background()
 	ps := ec.Server(primary)
 	counter := counterAt(t, ec, primary, "obj-0")
@@ -158,7 +139,7 @@ func TestDirectiveOnSessionRefused(t *testing.T) {
 	var corrupt *wire.CorruptError
 
 	kept := core.NewNamed(ec.Client, primary, "obj-0")
-	kept.Ship(&core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch})
+	kept.Ship(&core.ShipDirective{Epoch: epoch, Replication: 2})
 	kept.Root().Call("Add", int64(1))
 	if err := kept.FlushAndContinue(ctx); !errors.As(err, &corrupt) {
 		t.Errorf("directive on a kept session = %T %v, want *wire.CorruptError", err, err)
@@ -169,7 +150,7 @@ func TestDirectiveOnSessionRefused(t *testing.T) {
 	if err := chained.FlushAndContinue(ctx); err != nil {
 		t.Fatalf("unshipped first wave: %v", err)
 	}
-	chained.Ship(&core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch, Names: []string{"obj-0"}})
+	chained.Ship(&core.ShipDirective{Epoch: epoch, Replication: 2, Names: []string{"obj-0"}})
 	chained.Root().Call("Add", int64(4))
 	if err := chained.Flush(ctx); !errors.As(err, &corrupt) {
 		t.Errorf("directive on a continued session = %T %v, want *wire.CorruptError", err, err)
@@ -187,7 +168,7 @@ func TestDirectiveOnSessionRefused(t *testing.T) {
 // root whose interface has no movable factory, so its chain executes, ships
 // nothing and says so.
 func TestUnmovableRootFlushesUnreplicated(t *testing.T) {
-	ec, _, primary, follower, _, epoch := directiveCluster(t)
+	ec, _, primary, _, _, epoch := directiveCluster(t)
 	ctx := context.Background()
 	ps := ec.Server(primary)
 	ref, err := ps.Peer.Export(clustertest.NewCounter(0), "test.Unmovable")
@@ -197,7 +178,7 @@ func TestUnmovableRootFlushesUnreplicated(t *testing.T) {
 	ps.Reg.Rebind("plain", ref)
 	calls := ps.Peer.CallCount()
 	cb := core.NewNamed(ec.Client, primary, "plain")
-	cb.Ship(&core.ShipDirective{Followers: followers(ec, follower), Epoch: epoch})
+	cb.Ship(&core.ShipDirective{Epoch: epoch, Replication: 2})
 	f := cb.Root().Call("Add", int64(3))
 	if err := cb.Flush(ctx); err != nil {
 		t.Fatal(err)
@@ -309,4 +290,108 @@ func TestQuorumErrorWireForm(t *testing.T) {
 		!errors.As(qe.Failed[2], &remote) || !strings.Contains(remote.Message, "dial refused") {
 		t.Errorf("decoded miss %v lost a follower's cause", qe)
 	}
+}
+
+// TestShipFollowsPlacement: a wave's followers and a placement's are one
+// primary-side owner walk, so they agree by construction. On rings of 2 to 5
+// members at R = 2..4 (R above the membership included), each of 64 names is
+// placed and then written in a wave of its own: the servers its record
+// reaches are exactly those Place seeded it at, its owners bar the primary.
+// After a server joins, the next wave reaches the new epoch's followers and
+// never a server that followed the name only at the old epoch.
+func TestShipFollowsPlacement(t *testing.T) {
+	ctx := context.Background()
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("f-%d", i)
+	}
+	for n := 2; n <= 5; n++ {
+		for r := 2; r <= 4; r++ {
+			t.Run(fmt.Sprintf("members=%d/R=%d", n, r), func(t *testing.T) {
+				ec := clustertest.New(t, n+1)
+				dir := cluster.NewDirectory(ec.Client, ec.Endpoints()[:n], cluster.WithReplication(r))
+				for _, name := range names {
+					ec.BindCounter(dir, name, 0)
+				}
+				rb := cluster.NewRebalancer(dir)
+				if _, err := rb.AddServer(ctx, ec.Endpoints()[0]); err != nil {
+					t.Fatalf("placement: %v", err)
+				}
+				checkShipsFollowPlacement(t, ec, dir, names, nil)
+				old := map[string][]string{}
+				for _, name := range names {
+					old[name], _ = dir.Owners(name)
+				}
+				if _, err := rb.AddServer(ctx, ec.Endpoints()[n]); err != nil {
+					t.Fatalf("scale-out: %v", err)
+				}
+				checkShipsFollowPlacement(t, ec, dir, names, old)
+			})
+		}
+	}
+}
+
+// checkShipsFollowPlacement writes each name in a replicated wave of its own
+// and checks that the record reached exactly the servers the latest placement
+// seeded the name at, which are its owners on dir's ring bar the primary —
+// and, when old holds the owners at an earlier epoch, none of those that no
+// longer own it.
+func checkShipsFollowPlacement(t *testing.T, ec *clustertest.Cluster, dir *cluster.Directory, names []string, old map[string][]string) {
+	t.Helper()
+	ctx := context.Background()
+	epoch := dir.Epoch()
+	seeded := map[string][]string{}
+	before := replicasOf(ec, func(ep string, ni cluster.NameInfo) {
+		if ni.Seeded && ni.SeedEpoch == epoch {
+			seeded[ni.Name] = append(seeded[ni.Name], ep)
+		}
+	})
+	for _, name := range names {
+		b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+		p, err := b.RootNamed(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Call("Add", int64(1))
+		if err := b.Flush(ctx); err != nil {
+			t.Fatalf("wave on %s: %v", name, err)
+		}
+	}
+	reached := map[string][]string{}
+	replicasOf(ec, func(ep string, ni cluster.NameInfo) {
+		if ni.Applied > before[ep+"/"+ni.Name] {
+			reached[ni.Name] = append(reached[ni.Name], ep)
+		}
+	})
+	for _, name := range names {
+		owners, _ := dir.Owners(name)
+		want := slices.Sorted(slices.Values(owners[1:]))
+		if got := slices.Sorted(slices.Values(seeded[name])); !slices.Equal(got, want) {
+			t.Errorf("epoch %d: %s placed at %v, want its followers %v", epoch, name, got, want)
+		}
+		if got := slices.Sorted(slices.Values(reached[name])); !slices.Equal(got, want) {
+			t.Errorf("epoch %d: %s's wave reached %v, want its followers %v", epoch, name, got, want)
+		}
+		for _, ep := range old[name] {
+			if !slices.Contains(owners, ep) && slices.Contains(reached[name], ep) {
+				t.Errorf("epoch %d: %s's wave reached %s, which followed it only before", epoch, name, ep)
+			}
+		}
+	}
+}
+
+// replicasOf hands visit every shadow on every server, and returns how many
+// records each applied, keyed "endpoint/name" and summed over the server's
+// shards.
+func replicasOf(ec *clustertest.Cluster, visit func(ep string, ni cluster.NameInfo)) map[string]int64 {
+	applied := map[string]int64{}
+	for _, ep := range ec.Endpoints() {
+		for _, si := range ec.Server(ep).Replica.Survey("") {
+			for _, ni := range si.Names {
+				visit(ep, ni)
+				applied[ep+"/"+ni.Name] += ni.Applied
+			}
+		}
+	}
+	return applied
 }

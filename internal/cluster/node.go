@@ -155,8 +155,8 @@ func (n *Node) RingState() *RingSnapshot {
 // ignored it. Re-broadcasts of the current epoch with identical membership
 // are accepted (rebalance retries); a conflicting member set at the same
 // epoch is an error. A member listed twice or without an endpoint is refused
-// typed, the view unchanged: ship directives index this membership, and every
-// client's Ring lists each member once.
+// typed, the view unchanged: a primary picks its followers off this
+// membership, and every client's Ring lists each member once.
 func (n *Node) SetRing(s *RingSnapshot) error {
 	if s == nil {
 		return errors.New("cluster: set ring: nil snapshot")

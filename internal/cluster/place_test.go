@@ -217,7 +217,7 @@ func TestPlacementLandsBetweenShips(t *testing.T) {
 
 	// Two independent waves: the second's ship to the slow follower queues
 	// behind the first's, whose answer takes delay.
-	d := &core.ShipDirective{Followers: [][]int{{memberIndex(ec, owners[1]), memberIndex(ec, slow)}}, Epoch: epoch, Quorum: 2}
+	d := &core.ShipDirective{Epoch: epoch, Replication: 3, Quorum: 2}
 	for _, delta := range []int64{1, 2} {
 		cb := core.NewNamed(ec.Client, primary, name)
 		cb.Ship(d)

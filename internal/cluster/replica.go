@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -28,10 +29,10 @@ type ReplRecord struct {
 	// Primary is the endpoint the wave executed on — the shard the record
 	// belongs to.
 	Primary string
-	// Epoch is the ring epoch the wave's follower lists were read at, one
-	// read for the whole wave. The primary refused the wave unexecuted if its
-	// own ring was newer; followers reject records older than theirs: a stale
-	// owner list must not smuggle writes into a shard re-placed since.
+	// Epoch is the ring epoch the wave was routed at, and its followers
+	// picked at. The primary refused the wave unexecuted if its own ring was
+	// at another; followers reject records older than theirs: a stale owner
+	// list must not smuggle writes into a shard re-placed since.
 	Epoch uint64
 	// Names and Ifaces describe the wave's batch roots in payload order:
 	// Names[0] is the primary root, Names[1+i] is extra root i.
@@ -169,6 +170,8 @@ type Replica struct {
 	// placement exclusively while it snapshots and queues its Installs (Place).
 	gate  sync.RWMutex
 	links sync.Map // follower endpoint -> *link
+
+	view atomic.Pointer[ringView] // the ring of the node view waves last read
 }
 
 // StartReplica exports a shard replication service on p at the reserved
@@ -425,7 +428,7 @@ func (r *Replica) Place(ctx context.Context, members []string, replication int, 
 		}
 	}
 	r.gate.Lock()
-	byFollower, err := r.snapshots(NewRing(members, WithReplication(replication)), bound)
+	byFollower, err := r.snapshots(NewRing(members), replication, bound)
 	if err != nil {
 		r.gate.Unlock()
 		return err
@@ -452,14 +455,15 @@ func (r *Replica) Place(ctx context.Context, members []string, replication int, 
 }
 
 // snapshots reads the state of every movable object bound here whose name
-// ring homes here, grouped by follower. Called with gate held exclusively, so
-// no wave is half applied to what it reads.
-func (r *Replica) snapshots(ring *Ring, bound map[string]wire.Ref) (map[string]*installShare, error) {
+// ring homes here, grouped by the followers the ring gives it at replication.
+// Called with gate held exclusively, so no wave is half applied to what it
+// reads.
+func (r *Replica) snapshots(ring *Ring, replication int, bound map[string]wire.Ref) (map[string]*installShare, error) {
 	self := r.peer.Endpoint()
 	byFollower := make(map[string]*installShare)
 	for _, name := range sortedKeys(bound) {
 		ref := bound[name]
-		owners, _ := ring.Owners(name)
+		owners := ring.ownersAt(name, replication)
 		if owners[0] != self || !movableAt(ref, self) {
 			continue
 		}

@@ -16,18 +16,19 @@ import (
 
 // replicate.go is the ship leg of replication. It runs on the PRIMARY: the
 // client's flush request to a replicating destination carries a ship
-// directive (shipDirectives: where each root's followers are, as of which
-// ring epoch, and the write quorum), the primary vets it before anything
-// executes (Replica.admit), executes the wave, and — before it replies,
-// holding no lock — wraps its own decoded request in a ReplRecord, queues it
-// on the link to each of the wave's followers and answers once the quorum
-// holds it (Replica.ship). A link is the primary's one ordered queue to one
-// follower: records and placement Installs leave it in queue order, one call
-// at a time, and what queues behind an Append rides the next one. Every wave
-// is vetted and named on its own — the executor refuses a directive on a
-// request that keeps or continues a session — so neither end keeps state
-// between waves. A replicated wave costs the client its primary trips and
-// nothing else.
+// directive (direct: the ring epoch and replication degree the client routed
+// by, and the write quorum), the primary vets it and picks each root's
+// followers off its own ring at that epoch before anything executes
+// (Replica.admit) — by the owner walk its placements seed them by — executes
+// the wave, and — before it replies, holding no lock — wraps its own decoded
+// request in a ReplRecord, queues it on the link to each of the wave's
+// followers and answers once the quorum holds it (Replica.ship). A link is
+// the primary's one ordered queue to one follower: records and placement
+// Installs leave it in queue order, one call at a time, and what queues
+// behind an Append rides the next one. Every wave is vetted and named on its
+// own — the executor refuses a directive on a request that keeps or continues
+// a session — so neither end keeps state between waves. A replicated wave
+// costs the client its primary trips and nothing else.
 
 // shipTimeout bounds a shipment — a wave's record or a placement's Install —
 // from being queued on a link to being answered. Ships past the quorum ack
@@ -38,68 +39,28 @@ import (
 // Variable so tests can shrink it.
 var shipTimeout = 30 * time.Second
 
-// ownerSource is what directive building needs of the shard map (*Ring).
-type ownerSource interface {
-	OwnersAll(keys []string) (owners [][]string, members []string, epoch uint64)
-}
-
-// shipDirectives builds the ship directives of one wave: names[i] are the
-// root names of the destination served by primaries[i], in payload order, or
-// empty for a destination that does not replicate. All their owner lists are
-// read in ONE OwnersAll call, and that epoch fences every directive of the
-// wave: a refresh between two reads would pair old-epoch followers with the
-// new epoch, which a primary at the new epoch accepts. Followers travel as
-// indexes into that epoch's sorted membership; a destination nobody follows
-// gets nil.
-func shipDirectives(src ownerSource, primaries []string, names [][]string, quorum int) []*core.ShipDirective {
-	var all []string
-	for _, ns := range names {
-		all = append(all, ns...)
-	}
-	if len(all) == 0 {
-		return nil
-	}
-	owners, members, epoch := src.OwnersAll(all)
-	out := make([]*core.ShipDirective, len(names))
-	for i, ns := range names {
-		followers, followed := make([][]int, len(ns)), false
-		for k, list := range owners[:len(ns)] {
-			for _, ep := range list {
-				if at, ok := slices.BinarySearch(members, ep); ok && ep != primaries[i] {
-					followers[k] = append(followers[k], at)
-				}
-			}
-			followed = followed || len(followers[k]) > 0
-		}
-		owners = owners[len(ns):]
-		if followed {
-			out[i] = &core.ShipDirective{Followers: followers, Epoch: epoch, Quorum: quorum}
-		}
-	}
-	return out
-}
-
 // direct gives the wave of every replicating destination in live
-// (destState.repl) its ship directive. Caller holds b.mu.
+// (destState.repl) its ship directive: the ring's epoch and replication
+// degree — R is fixed at the ring's construction, so the epoch is the one
+// read — and the write quorum. Caller holds b.mu.
 func (b *Batch) direct(live []*destState) {
 	if !slices.ContainsFunc(live, func(ds *destState) bool { return ds.repl != nil }) {
 		return
 	}
-	primaries, names := make([]string, len(live)), make([][]string, len(live))
-	for i, ds := range live {
-		primaries[i], names[i] = ds.group.endpoint, ds.repl
-	}
-	for i, d := range shipDirectives(b.dir.Ring(), primaries, names, b.quorum) {
-		if d == nil {
+	ring := b.dir.Ring()
+	epoch, replication := ring.Epoch(), ring.Replication()
+	for _, ds := range live {
+		if ds.repl == nil {
 			continue
 		}
+		d := &core.ShipDirective{Epoch: epoch, Replication: replication, Quorum: b.quorum}
 		// A wave that still addresses its roots by name carries the names
 		// itself; once the first wave resolved them the request is
 		// id-addressed, and the directive says what the roots are called.
-		if slices.ContainsFunc(live[i].group.roots, func(p *Proxy) bool { return !p.lazy() }) {
-			d.Names = names[i]
+		if slices.ContainsFunc(ds.group.roots, func(p *Proxy) bool { return !p.lazy() }) {
+			d.Names = ds.repl
 		}
-		live[i].cb.Ship(d)
+		ds.cb.Ship(d)
 	}
 }
 
@@ -129,21 +90,20 @@ func (b *Batch) replicates(g *group) bool {
 
 // admit is the executor's ship hook: it vets a wave's directive, which is
 // whatever the wire decoded, after the roots resolved and before anything
-// executes. A malformed one, or one whose follower indexes fall outside this
-// node's ring, rejects the wave with nothing executed and nothing dialed; one
-// fenced by another epoch is refused so with *StaleShipError, which the
-// client treats like a wrong-home refusal (refresh, re-route, one retry). A
-// wave with a root no follower could build a shadow of — its interface has
-// no movable factory — runs unreplicated. Every wave is named on its own: its
-// record's ID is this peer's process-unique identity and the executor's
-// number for the wave.
+// executes. A malformed one rejects the wave with nothing executed and nothing
+// dialed; one fenced by another epoch is refused so with *StaleShipError,
+// which the client treats like a wrong-home refusal (refresh, re-route, one
+// retry). A wave nobody follows, or with a root no follower could build a
+// shadow of — its interface has no movable factory — runs unreplicated. Every
+// wave is named on its own: its record's ID is this peer's process-unique
+// identity and the executor's number for the wave.
 func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 	d := w.Directive
 	names, err := waveNames(w)
 	if err != nil {
 		return nil, err
 	}
-	lists, followers, err := r.vetFollowers(d)
+	lists, followers, err := r.followers(d, names)
 	if err != nil {
 		return nil, err
 	}
@@ -180,10 +140,7 @@ func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 // id. Every root of a replicated wave has one.
 func waveNames(w *core.Wave) ([]string, error) {
 	d, n := w.Directive, len(w.Roots)
-	switch {
-	case len(d.Followers) != n:
-		return nil, &wire.CorruptError{Detail: "ship directive follower lists are not parallel to the roots"}
-	case len(d.Names) != 0 && len(d.Names) != n:
+	if len(d.Names) != 0 && len(d.Names) != n {
 		return nil, &wire.CorruptError{Detail: "ship directive root names are not parallel to the roots"}
 	}
 	names := w.Names
@@ -203,38 +160,32 @@ func waveNames(w *core.Wave) ([]string, error) {
 	return names, nil
 }
 
-// vetFollowers checks the directive's quorum, fence and follower lists against
-// this node's ring view and resolves them: the lists as endpoints, and the
-// wave's distinct followers in first-appearance order. The indexes point into
-// the sorted membership at the directive's epoch, which this node knows only
-// at that very epoch; behind or ahead of it the wave is a stale ship. At its
-// own epoch an index out of range, a list longer than the membership, or the
-// primary among its own followers is a corrupt directive.
-func (r *Replica) vetFollowers(d *core.ShipDirective) ([][]string, []string, error) {
-	if d.Quorum < 0 {
+// followers checks the directive's replication degree, quorum and fence, and
+// picks each name's followers: its owners at the directive's R on this node's
+// ring, this primary excluded — the walk Place seeds them by — and the wave's
+// distinct followers in first-appearance order. The client routed by the ring
+// at its epoch, which this node holds only at that very epoch; behind or
+// ahead of it the wave is a stale ship.
+func (r *Replica) followers(d *core.ShipDirective, names []string) ([][]string, []string, error) {
+	switch {
+	case d.Replication < 2:
+		return nil, nil, &wire.CorruptError{Detail: fmt.Sprintf("ship directive at replication %d", d.Replication)}
+	case d.Quorum < 0:
 		return nil, nil, &wire.CorruptError{Detail: "ship directive with a negative write quorum"}
 	}
-	members, epoch := r.node.view()
+	ring, epoch := r.viewRing()
 	if d.Epoch != epoch {
 		return nil, nil, &StaleShipError{RecordEpoch: d.Epoch, NodeEpoch: epoch}
 	}
 	self := r.peer.Endpoint()
-	lists := make([][]string, len(d.Followers))
+	lists := make([][]string, len(names))
 	var followers []string
-	for i, list := range d.Followers {
-		if len(list) > len(members) {
-			return nil, nil, &wire.CorruptError{Detail: "ship directive lists more followers than the ring has members"}
-		}
-		lists[i] = make([]string, len(list))
-		for k, at := range list {
-			if at < 0 || at >= len(members) {
-				return nil, nil, &wire.CorruptError{Detail: fmt.Sprintf("ship directive follower index %d is outside a ring of %d members", at, len(members))}
-			}
-			ep := members[at]
+	for i, name := range names {
+		for _, ep := range ring.ownersAt(name, d.Replication) {
 			if ep == self {
-				return nil, nil, &wire.CorruptError{Detail: "ship directive lists the primary among its own followers"}
+				continue
 			}
-			lists[i][k] = ep
+			lists[i] = append(lists[i], ep)
 			if !slices.Contains(followers, ep) {
 				followers = append(followers, ep)
 			}
@@ -243,14 +194,34 @@ func (r *Replica) vetFollowers(d *core.ShipDirective) ([][]string, []string, err
 	return lists, followers, nil
 }
 
+// viewRing returns this node's ring view — its members at its epoch — as a
+// Ring to walk owners on, and that epoch. The point table depends on the
+// members alone, so it is built once per view, not once per wave.
+func (r *Replica) viewRing() (*Ring, uint64) {
+	members, epoch := r.node.view()
+	if v := r.view.Load(); v != nil && v.epoch == epoch && slices.Equal(v.members, members) {
+		return v.ring, epoch
+	}
+	v := &ringView{members: members, epoch: epoch, ring: NewRing(members)}
+	r.view.Store(v)
+	return v.ring, epoch
+}
+
+// ringView is the Ring a primary built of one node view (viewRing).
+type ringView struct {
+	members []string
+	epoch   uint64
+	ring    *Ring
+}
+
 // ship replicates the wave this primary just executed: rec, whose payload is
 // the primary's own decoded request, directive stripped. It queues rec on the
 // link to every follower, and returns once every root's write quorum holds
 // it — with how long that took — or every follower answered. The
 // worst miss is a *QuorumError, which reaches the client beside the wave's
 // results and fails its flush; the wave stays executed, so the client never
-// re-sends it. lists are the directive's follower lists resolved to
-// endpoints, followers their distinct members (vetFollowers).
+// re-sends it. lists are each name's followers, followers their distinct
+// members (Replica.followers).
 func (r *Replica) ship(ctx context.Context, rec *ReplRecord, quorum int, lists [][]string, followers []string) (time.Duration, error) {
 	start := r.stats.Now()
 	// One slot per follower: a link answering past the quorum never blocks.

@@ -3,115 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"slices"
-	"sync"
 	"testing"
 )
-
-// epochOwners is an owner source whose ring moves on every read: each call
-// bumps the epoch, and a key's followers are named after the epoch they were
-// read at — so a list can be checked against the epoch it is paired with, and
-// the epoch counts the reads. A key's primary is named after its first letter.
-type epochOwners struct{ epoch uint64 }
-
-func (s *epochOwners) at(epoch uint64, key string) []string {
-	return []string{"primary-" + key[:1], fmt.Sprintf("%s-follower@%d", key, epoch), fmt.Sprintf("shared@%d", epoch)}
-}
-
-func (s *epochOwners) OwnersAll(keys []string) ([][]string, []string, uint64) {
-	s.epoch++
-	out := make([][]string, len(keys))
-	var members []string
-	for i, k := range keys {
-		out[i] = s.at(s.epoch, k)
-		members = append(members, out[i]...)
-	}
-	slices.Sort(members)
-	return out, slices.Compact(members), s.epoch
-}
-
-// endpoints resolves a directive's follower indexes against members.
-func endpoints(members []string, list []int) []string {
-	out := make([]string, len(list))
-	for i, at := range list {
-		out[i] = members[at]
-	}
-	return out
-}
-
-// TestShipTargetsReadOneEpoch is the replication-fence regression, per wave:
-// every follower list of every ship directive of one wave must come from the
-// ring epoch the directives are fenced by — ONE read of the ring. Reading the
-// lists one name (or one destination) at a time let a refresh between two
-// reads ship old-epoch followers under the new epoch, which a primary at the
-// new epoch accepts. The same call takes each destination's own primary out of
-// its lists and leaves a destination that does not replicate without a
-// directive.
-func TestShipTargetsReadOneEpoch(t *testing.T) {
-	src := &epochOwners{}
-	primaries := []string{"primary-a", "primary-x", "primary-b"}
-	names := [][]string{{"a0", "a1"}, nil /* a destination that does not replicate */, {"b0"}}
-	for wave := uint64(1); wave <= 2; wave++ {
-		ds := shipDirectives(src, primaries, names, 2)
-		_, members, _ := (&epochOwners{epoch: wave - 1}).OwnersAll(slices.Concat(names...))
-		if src.epoch != wave {
-			t.Fatalf("wave %d read the ring %d times, want once", wave, src.epoch-(wave-1))
-		}
-		if len(ds) != len(names) || ds[1] != nil {
-			t.Fatalf("wave %d directives = %+v, want one per destination and none for the unreplicated one", wave, ds)
-		}
-		for i, ns := range names {
-			if ns == nil {
-				continue
-			}
-			d := ds[i]
-			if d.Epoch != wave || d.Quorum != 2 || d.Names != nil {
-				t.Errorf("directive %d = %+v, want the wave's one epoch %d, W=2 and no names", i, d, wave)
-			}
-			for k, name := range ns {
-				if got, want := endpoints(members, d.Followers[k]), src.at(wave, name)[1:]; !reflect.DeepEqual(got, want) {
-					t.Errorf("followers of %s = %v = %v, want %v (the owners at the wave's epoch %d, minus %s, as indexes into its membership)", name, d.Followers[k], got, want, wave, primaries[i])
-				}
-			}
-		}
-	}
-	if ds := shipDirectives(src, primaries, make([][]string, 3), 0); ds != nil || src.epoch != 2 {
-		t.Errorf("a wave with no replicating destination read the ring (epoch %d) and built %+v", src.epoch, ds)
-	}
-	// A ring of one member: the only owner is the primary, nobody follows.
-	if ds := shipDirectives(NewRing([]string{"solo"}, WithReplication(3)), []string{"solo"}, [][]string{{"k"}}, 0); ds[0] != nil {
-		t.Errorf("a destination nobody follows got the directive %+v", ds[0])
-	}
-}
-
-// TestRingOwnersAllIsAtomic: OwnersAll against a ring that is being Reset
-// between two member sets must never pair a list, or the membership, of one
-// set with the epoch of the other.
-func TestRingOwnersAllIsAtomic(t *testing.T) {
-	sets := [2][]string{{"a", "b", "c"}, {"c", "d", "e"}}
-	names := []string{"obj-0", "obj-1", "obj-2", "obj-3"}
-	var want [2][][]string
-	for i, set := range sets {
-		want[i], _, _ = NewRing(set, WithReplication(2)).OwnersAll(names)
-	}
-	ring := NewRing(sets[0], WithReplication(2))
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for e := uint64(1); e <= 200; e++ {
-			ring.Reset(sets[e%2], e)
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		got, members, epoch := ring.OwnersAll(names)
-		if !reflect.DeepEqual(got, want[epoch%2]) || !slices.Equal(members, sets[epoch%2]) {
-			t.Fatalf("epoch %d paired with owner lists %v and members %v, want %v and %v", epoch, got, members, want[epoch%2], sets[epoch%2])
-		}
-	}
-	wg.Wait()
-}
 
 // TestQuorumTally drives the pure quorum count the way Replica.ship does:
 // acks arrive one at a time until every name is at quorum or every follower

@@ -263,7 +263,7 @@ func shippedPayload(t testing.TB, ec *clustertest.Cluster, primary, name string,
 	})
 	defer s.Exec.SetShipHook(s.Replica.ShipHook())
 	cb := core.NewNamed(ec.Client, primary, name)
-	cb.Ship(&core.ShipDirective{Followers: [][]int{nil}})
+	cb.Ship(&core.ShipDirective{})
 	cb.Root().Call("Add", delta)
 	if err := cb.Flush(context.Background()); err != nil {
 		t.Fatal(err)

@@ -212,35 +212,26 @@ func (r *Ring) Replication() int {
 func (r *Ring) Owners(key string) ([]string, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.ownersLocked(key), r.epoch
+	return r.walk(key, r.replication), r.epoch
 }
 
-// OwnersAll returns the owner list of every key and the sorted membership,
-// all read at the one ring epoch returned with them. A replication record
-// spanning several names is fenced by a single epoch, so its owner lists —
-// and the membership its follower indexes point into — must come from that
-// epoch's ring: per-key Owners calls could straddle a Reset and pair an old
-// list with the new epoch. The membership slice is shared; nothing writes
-// into it.
-func (r *Ring) OwnersAll(keys []string) ([][]string, []string, uint64) {
+// ownersAt is Owners at replication degree replication instead of the ring's
+// own: the one owner walk by which a primary picks, from the ring it holds,
+// both the followers a wave ships to (Replica.admit) and those a placement
+// seeds (Replica.Place).
+func (r *Ring) ownersAt(key string, replication int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([][]string, len(keys))
-	for i, key := range keys {
-		out[i] = r.ownersLocked(key)
-	}
-	return out, r.endpoint, r.epoch
+	return r.walk(key, replication)
 }
 
-// ownersLocked is the owner walk behind Owners. Caller holds r.mu.
-func (r *Ring) ownersLocked(key string) []string {
+// walk collects key's first want distinct owners clockwise from its hash
+// point, or every member when there are fewer. Caller holds r.mu.
+func (r *Ring) walk(key string, want int) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
-	want := r.replication
-	if n := len(r.members); want > n {
-		want = n
-	}
+	want = min(want, len(r.members))
 	out := make([]string, 0, want)
 	h := hashKey(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i] >= h })

@@ -340,7 +340,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 			if err := b.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-		}, wireBytes{Header: 12, Envelope: 90, Method: 6, Calls: 106, Results: 22, Roots: 132, Directive: 57}, rmi.ReplicaObjID, map[string]hopBytes{
+		}, wireBytes{Header: 12, Envelope: 90, Method: 6, Calls: 106, Results: 22, Roots: 132, Directive: 33}, rmi.ReplicaObjID, map[string]hopBytes{
 			// server-0 follows the two primaries of one root each; the others
 			// follow server-0, whose record carries its two roots.
 			"server-0": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 230, Reply: 16},

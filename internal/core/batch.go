@@ -117,13 +117,14 @@ func NewNamed(peer *rmi.Peer, endpoint, name string, opts ...Option) *Batch {
 }
 
 // Ship attaches a ship directive to the next flush, and to that flush only:
-// the serving peer replicates the wave to the directive's followers before it
-// replies, so a flush that returns nil is held by the write quorum. One that
-// missed it returns the serving peer's typed account of the miss although the
-// wave executed: its futures hold what it returned. The serving peer refuses
-// a directive on a flush that keeps or continues a session, unexecuted: a
-// replicated wave is self-contained. The cluster layer attaches one per wave
-// of a replicating destination.
+// the serving peer replicates the wave to the followers its ring gives the
+// roots at the directive's epoch and R before it replies, so a flush that
+// returns nil is held by the write quorum. One that missed it returns the
+// serving peer's typed account of the miss although the wave executed: its
+// futures hold what it returned. The serving peer refuses a directive on a
+// flush that keeps or continues a session, unexecuted: a replicated wave is
+// self-contained. The cluster layer attaches one per wave of a replicating
+// destination.
 func (b *Batch) Ship(d *ShipDirective) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -140,22 +140,21 @@ type batchRequest struct {
 
 // ShipDirective rides a flush to a replicating destination: after the
 // serving peer — the primary of the wave's roots — executed the wave, and
-// before it replies, it forwards the request to the listed followers and
-// answers once the write quorum holds it. The client only says where the
-// followers are, as of which ring epoch; the record's identity is minted at
-// the primary. Everything here is input from outside the serving peer, which
+// before it replies, it forwards the request to each root's followers and
+// answers once the write quorum holds it. The client says only which ring it
+// routed by — its epoch and replication degree — and the quorum: the primary
+// picks the followers off its own ring at that epoch and mints the record's
+// identity. Everything here is input from outside the serving peer, which
 // vets it before anything executes (Executor.SetShipHook).
 type ShipDirective struct {
-	// Followers is parallel to the request's roots (Root, then Roots):
-	// Followers[i] lists the servers that replicate root i, the primary
-	// itself excluded, as indexes into the ring's sorted membership at Epoch
-	// (Ring.Endpoints) — a byte or two each where an endpoint string costs
-	// its length.
-	Followers [][]int
-	// Epoch is the ring epoch the follower lists were read at — one read per
-	// wave. A primary whose own ring is at another epoch cannot resolve the
-	// indexes and refuses the wave unexecuted.
+	// Epoch is the ring epoch the client routed the wave at. A primary whose
+	// own ring is at another epoch would pick other followers, and refuses
+	// the wave unexecuted.
 	Epoch uint64
+	// Replication is the client ring's replication degree R: a root's
+	// followers are its first R distinct owners on the ring, the primary
+	// excluded.
+	Replication int
 	// Quorum is the write quorum W: how many replicas of each root, counting
 	// the primary, must hold the wave before the reply leaves. 0 means all.
 	Quorum int

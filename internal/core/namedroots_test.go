@@ -85,9 +85,10 @@ func checkStandardForm(t *testing.T, named string, got []byte) {
 	checkShorterForm(t, named, got, 0)
 }
 
-// checkRetiredForm holds a request golden's capture from before requests
-// were positional — its calls brmi.inv — to that form's retirement: it is
-// refused, typed.
+// checkRetiredForm holds a request golden's capture in a retired form — its
+// calls brmi.inv, from before requests were positional, or its ship directive
+// listing followers, from before the primary picked them — to that form's
+// retirement: it is refused, typed.
 func checkRetiredForm(t *testing.T, capture string) {
 	t.Helper()
 	var corrupt *wire.CorruptError
@@ -432,14 +433,15 @@ func TestNamedRootMissRejectsUnexecuted(t *testing.T) {
 // cluster's replication service over the ring {here, there} at epoch 3, so a
 // request's ship directive — decoded, like everything else, from the input —
 // is vetted by the real primary-side checks: the wave of a refused one never
-// executes, and the well-formed seed's ship to the absent "there" ends in a
-// quorum miss. A push list never decodes pointing outside the request's peers,
-// on a call that returns no single value, or outside a flush, and a push to
-// the serving peer itself is refused before anything executes; a request whose
-// calls wait for pushed values is decoded but not executed — nobody pushes
-// them. What the decode allocates follows the input, not the counts it claims.
-// The seed corpus is the committed testdata/fuzz/FuzzBatchRequest plus a
-// request claiming more calls than it carries.
+// executes, one at a replication degree below 2 never runs at all, and the
+// well-formed seed's ship to the absent "there" ends in a quorum miss. A push
+// list never decodes pointing outside the request's peers, on a call that
+// returns no single value, or outside a flush, and a push to the serving peer
+// itself is refused before anything executes; a request whose calls wait for
+// pushed values is decoded but not executed — nobody pushes them. What the
+// decode allocates follows the input, not the counts it claims. The seed
+// corpus is the committed testdata/fuzz/FuzzBatchRequest plus a request
+// claiming more calls than it carries.
 func FuzzBatchRequest(f *testing.F) {
 	f.Add(inflated(flushRequestCalls, 1<<12))
 	env := newGetbatchEnv(f)
@@ -487,10 +489,7 @@ func FuzzBatchRequest(f *testing.F) {
 			}
 		}
 		if d := req.Ship; d != nil {
-			n += len(d.Followers) + len(d.Names)
-			for _, list := range d.Followers {
-				n += len(list)
-			}
+			n += len(d.Names)
 		}
 		if n > len(data) {
 			t.Fatalf("%d input bytes decoded to %d slice elements", len(data), n)
@@ -523,6 +522,9 @@ func FuzzBatchRequest(f *testing.F) {
 			}
 			return
 		}
+		if d := req.Ship; d != nil && d.Replication < 2 {
+			t.Fatalf("request %+v ran with a directive at replication %d", req, d.Replication)
+		}
 		resp, ok := res[0].(*core.BatchResponse)
 		if !ok {
 			t.Fatalf("InvokeBatch answered %T", res[0])
@@ -542,25 +544,28 @@ func FuzzBatchRequest(f *testing.F) {
 }
 
 // The directive-carrying request shapes of the fuzz target's seed corpus: a
-// well-formed one, and three the serving peer's replication service must
-// refuse before it executes anything (fuzzEnv's ring is {here, there}: member
-// 0 is the primary itself, member 1 its one follower, and there is no 2).
+// well-formed one, and two the serving peer's replication service must refuse
+// before it executes anything (fuzzEnv's ring is {here, there} at epoch 3, so
+// at R=2 "there" follows every name).
 var (
-	shipRequest     = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{1}}, Epoch: 3, Quorum: 2}}
-	shipOutsider    = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{2}}, Epoch: 3}}
-	shipSelf        = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{0}}, Epoch: 3}}
-	shipNotParallel = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Followers: [][]int{{1}, {1}}, Epoch: 3}}
-	shipIDAddressed = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Ship: &core.ShipDirective{Followers: [][]int{{1}}, Epoch: 3, Names: []string{"a"}}}
+	shipRequest        = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Epoch: 3, Replication: 2, Quorum: 2}}
+	shipReplicationOne = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Epoch: 3, Replication: 1}}
+	shipNotParallel    = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Epoch: 3, Replication: 2, Names: []string{"a", "b"}}}
+	shipIDAddressed    = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Ship: &core.ShipDirective{Epoch: 3, Replication: 2, Names: []string{"a"}}}
 	// shipRequestBytes' directive (from "1307") is kStd 7 (brmi.ship) with 3
-	// fields: Followers [[1]] — the one follower as member index 1, kInt 1
-	// ("0402") where its endpoint was a kString "there" ("08057468657265")
-	// — then epoch 3 and quorum 2.
-	shipRequestBytes = "13020905000a011328010803476574" + "0500020201010a01080161" + "1307030a010a01040205030404"
+	// fields: epoch 3 ("0503"), replication 2 and quorum 2 ("0404" each).
+	shipRequestBytes = "13020905000a011328010803476574" + "0500020201010a01080161" + "130703050304040404"
 	// shipRequestNamed is shipRequest as encoded before the standard type
 	// table — brmi.req, brmi.call and brmi.ship defined by name — with the
-	// follower re-encoded as its member index, as in shipRequestBytes, and
-	// the call in the positional form.
-	shipRequestNamed = "0d010862726d692e7265710c010905000a010d020962726d692e63616c6c0c020108034765740500020201010a010801610d030962726d692e736869700c03030a010a01040205030404"
+	// call in the positional form and the directive in the current one.
+	shipRequestNamed = "0d010862726d692e7265710c010905000a010d020962726d692e63616c6c0c020108034765740500020201010a010801610d030962726d692e736869700c0303050304040404"
+	// shipOldFormBytes and shipOldFormNamed are shipRequestBytes and
+	// shipRequestNamed as a client sent them while it picked the followers
+	// itself: the directive's leading field the follower lists, here [[1]]
+	// ("0a010a010402", member index 1), then epoch 3 and quorum 2. The first
+	// is the fuzz seed ship-old-form.
+	shipOldFormBytes = "13020905000a011328010803476574" + "0500020201010a01080161" + "1307030a010a01040205030404"
+	shipOldFormNamed = "0d010862726d692e7265710c010905000a010d020962726d692e63616c6c0c020108034765740500020201010a010801610d030962726d692e736869700c03030a010a01040205030404"
 )
 
 // TestShipDirectiveWireForm pins the one trailing field a replicated flush
@@ -576,6 +581,10 @@ func TestShipDirectiveWireForm(t *testing.T) {
 		t.Errorf("request with a ship directive encodes to\n  %x, want\n  %s", got, shipRequestBytes)
 	}
 	checkStandardForm(t, shipRequestNamed, got)
+	// A directive that lists its followers is from before the primary picked
+	// them: refused, typed, in either form, so its wave never runs.
+	checkRetiredForm(t, shipOldFormBytes)
+	checkRetiredForm(t, shipOldFormNamed)
 	for _, req := range []*core.BatchRequest{shipRequest, shipIDAddressed} {
 		data, err := wire.Marshal(req)
 		if err != nil {

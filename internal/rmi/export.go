@@ -77,14 +77,6 @@ func (t *exportTable) get(id uint64) (*export, bool) {
 	return e, ok
 }
 
-// idOf returns the id of an exported object, if any.
-func (t *exportTable) idOf(obj any) (uint64, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id, ok := t.byObj[obj]
-	return id, ok
-}
-
 // collect removes an auto-exported object; pinned exports are retained.
 // It reports whether the object was removed.
 func (t *exportTable) collect(id uint64) bool {

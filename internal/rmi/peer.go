@@ -336,9 +336,6 @@ func (p *Peer) LocalRef(objID uint64) (wire.Ref, bool) {
 	return wire.Ref{Endpoint: p.Endpoint(), ObjID: objID, Iface: e.iface}, true
 }
 
-// ExportedID returns the export id of obj, if it is exported.
-func (p *Peer) ExportedID(obj any) (uint64, bool) { return p.exports.idOf(obj) }
-
 // NumExported returns the current export table size (system services
 // included). Exposed for tests and DGC observability.
 func (p *Peer) NumExported() int { return p.exports.size() }

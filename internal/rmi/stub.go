@@ -40,13 +40,6 @@ func (s *Stub) InvokeOne(ctx context.Context, method string, args ...any) (any, 
 	return results[0], nil
 }
 
-// InvokeVoid calls a remote method that returns nothing (or whose results
-// the caller discards).
-func (s *Stub) InvokeVoid(ctx context.Context, method string, args ...any) error {
-	_, err := s.Invoke(ctx, method, args...)
-	return err
-}
-
 // Release drops this stub's DGC lease. Calling any method after Release is
 // allowed but the remote object may have been collected.
 func (s *Stub) Release(ctx context.Context) {
