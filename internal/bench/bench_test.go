@@ -57,15 +57,22 @@ func ms(d time.Duration) float64 { return math.Round(float64(d)/1e3) / 1e3 }
 // claims are the paper's claims, one per series, as code. Every row must
 // hold its series' claim before it is compared with the file or written.
 var claims = map[string]func(x int, c []Counts) error{
-	// Figs. 5-6: RMI pays a round trip per call, BRMI one per batch.
-	"noop": func(n int, c []Counts) error { return calls(c, []uint64{uint64(n), 1}, nil) },
+	// Figs. 5-6: RMI pays a round trip per call, BRMI one per batch. A flush
+	// is a bare request, so a batch of one costs what the call does plus at
+	// most 3 B out (the recorded call's own struct header) and 1 B in (the
+	// void call's nil result in its slot).
+	"noop": func(n int, c []Counts) error {
+		if n == 1 && (c[1].BytesOut > c[0].BytesOut+3 || c[1].BytesIn > c[0].BytesIn+1) {
+			return fmt.Errorf("a batch of one carried %d/%d B, the call %d/%d B", c[1].BytesOut, c[1].BytesIn, c[0].BytesOut, c[0].BytesIn)
+		}
+		return calls(c, []uint64{uint64(n), 1}, nil)
+	},
 	// Figs. 7-8: RMI pays a trip per Next plus one for GetValue; BRMI keeps
 	// the chain on the server.
 	"list": func(n int, c []Counts) error { return calls(c, []uint64{uint64(n) + 1, 1}, nil) },
 	// Fig. 9: in batches of one both pay a trip per step, but BRMI's replies
-	// carry sequence numbers instead of remote objects. (Its requests carry
-	// the batch envelope, so in total it still sends more bytes: 300 B to
-	// RMI's 258 B at n = 5.)
+	// carry sequence numbers instead of remote objects, and with no call
+	// envelope around its requests it sends no more bytes in total either.
 	"list-nobatch": func(n int, c []Counts) error {
 		if err := calls(c, []uint64{uint64(n) + 1, uint64(n) + 1}, nil); err != nil {
 			return err
@@ -73,13 +80,17 @@ var claims = map[string]func(x int, c []Counts) error{
 		if c[1].BytesIn >= c[0].BytesIn {
 			return fmt.Errorf("BRMI replies carried %d B, RMI's %d B", c[1].BytesIn, c[0].BytesIn)
 		}
-		return nil
+		return noMoreBytes(c)
 	},
 	// Figs. 10-11: the same trips on both sides; under RMI every Balance is
-	// a loopback call, BRMI hands the step the object itself (§4.4).
+	// a loopback call, BRMI hands the step the object itself (§4.4), and
+	// sends the client no more bytes.
 	"simulation": func(n int, c []Counts) error {
 		trips := uint64(n) + 2
-		return calls(c, []uint64{trips, trips}, []uint64{uint64(n) * SimulationReps, 0})
+		if err := calls(c, []uint64{trips, trips}, []uint64{uint64(n) * SimulationReps, 0}); err != nil {
+			return err
+		}
+		return noMoreBytes(c)
 	},
 	// Figs. 12-13: RMI pays 1+5n trips, BRMI one batch with a cursor; both
 	// carry the whole 100 KB.
@@ -114,6 +125,15 @@ var claims = map[string]func(x int, c []Counts) error{
 	"a3": func(k int, c []Counts) error {
 		return calls(c, []uint64{uint64((BatchSizeCalls + k - 1) / k)}, nil)
 	},
+}
+
+// noMoreBytes checks that BRMI (c[1]) moved no more client bytes, out and in
+// together, than RMI (c[0]).
+func noMoreBytes(c []Counts) error {
+	if rmi, brmi := c[0].BytesOut+c[0].BytesIn, c[1].BytesOut+c[1].BytesIn; brmi > rmi {
+		return fmt.Errorf("BRMI moved %d B, RMI %d B", brmi, rmi)
+	}
+	return nil
 }
 
 // calls checks every variant's round trips and loopback calls (none when

@@ -449,18 +449,15 @@ func forwardedRoots(calls []*recordedCall) []*Proxy {
 	return roots
 }
 
-// resolveForwarded looks the forwarded roots up, all in parallel, before the
-// flush is planned. A resolved root is id-addressed from here on — filed
-// under the endpoint its binding names, which is its ring home unless the
-// ring was stale or the binding points elsewhere. A failed lookup stays with
-// its root and fails exactly the calls that pass it (resolveInputs).
+// resolveForwarded looks the forwarded roots up before the flush is planned.
+// Other servers get a resolved root's ref; its own waves still address it by
+// name, at the endpoint the binding names: its ring home — the one a stale
+// ring's refused lookup refreshed to, too — or, when the home binds it to an
+// object on another server, that server, where only the ref reaches it. A
+// failed lookup stays with its root and fails exactly the calls that pass it
+// (resolveInputs).
 func (b *Batch) resolveForwarded(ctx context.Context, roots []*Proxy, calls []*recordedCall) {
-	refs := make([]wire.Ref, len(roots))
-	errs := make([]error, len(roots))
-	_ = fanOut(roots, func(i int, p *Proxy) error { // per-root errors are kept in errs
-		refs[i], errs[i] = b.dir.Lookup(ctx, p.key)
-		return nil
-	})
+	refs, errs := lookUp(ctx, b.dir, roots)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i, p := range roots {
@@ -468,12 +465,24 @@ func (b *Batch) resolveForwarded(ctx context.Context, roots []*Proxy, calls []*r
 			p.err = errs[i]
 			continue
 		}
-		p.rootRef = refs[i]
+		home, _ := b.dir.Home(p.key)
+		p.rootRef, p.elsewhere = refs[i], refs[i].Endpoint != home
 		if refs[i].Endpoint != p.group.endpoint {
 			b.place(p, refs[i].Endpoint)
 		}
 	}
 	repoint(calls)
+}
+
+// lookUp resolves the roots' names, all in parallel, without b.mu: refs and
+// errs are parallel to roots.
+func lookUp(ctx context.Context, dir resolver, roots []*Proxy) (refs []wire.Ref, errs []error) {
+	refs, errs = make([]wire.Ref, len(roots)), make([]error, len(roots))
+	_ = fanOut(roots, func(i int, p *Proxy) error { // per-root errors are kept in errs
+		refs[i], errs[i] = dir.Lookup(ctx, p.key)
+		return nil
+	})
+	return refs, errs
 }
 
 // FlushError reports the destinations whose sub-batch failed, and in which
@@ -574,9 +583,14 @@ type Proxy struct {
 	group  *group
 	isRoot bool
 	// rootRef is the exported object this proxy stands for (roots only). A
-	// named root's is zero until the first wave to its home returned with
-	// what the home resolved the name to.
+	// named root's is zero unless a lookup found it (resolveForwarded, or a
+	// stale-route retry: a lookup, or a refusal that said where it is bound).
 	rootRef wire.Ref
+	// elsewhere marks a named root its name's home binds to an object on
+	// another server: only its ref reaches it there (byName), and its waves
+	// cannot replicate (BoundAwayError). It is what the lookup or refusal
+	// that found the binding said, against the ring of that moment.
+	elsewhere bool
 	// key is the cluster-wide name this root is addressed by (RootNamed): it
 	// is what the first wave carries, what lets a stale-route retry re-route
 	// the root to its new home, and the root's lease identity in the cache.
@@ -595,8 +609,12 @@ type Proxy struct {
 // Batch returns the cluster batch this proxy records into.
 func (p *Proxy) Batch() *Batch { return p.b }
 
-// lazy reports whether p is a named root no wave has resolved yet.
+// lazy reports whether p is a named root whose ref the client does not know.
 func (p *Proxy) lazy() bool { return p.key != "" && p.rootRef.IsZero() }
+
+// byName reports whether waves address root p by its name: every named root
+// does, except one bound elsewhere.
+func (p *Proxy) byName() bool { return p.key != "" && !p.elsewhere }
 
 // leaseRef is root p's identity in the lease cache: its ref or, for a named
 // root, its name alone — in the one ref shape no export has (object id 0 is

@@ -52,12 +52,15 @@ func TestPrimaryVetsShipDirective(t *testing.T) {
 	ctx := context.Background()
 	ps := ec.Server(primary)
 	corrupt, stale := new(*wire.CorruptError), new(*cluster.StaleShipError)
+	ref, err := ps.Reg.Lookup("obj-0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		d    *core.ShipDirective
 		want any // **wire.CorruptError or **cluster.StaleShipError
 	}{
-		{"names not parallel to the roots", &core.ShipDirective{Epoch: epoch, Replication: 2, Names: []string{"obj-0", "obj-1"}}, corrupt},
 		{"a negative quorum", &core.ShipDirective{Epoch: epoch, Replication: 2, Quorum: -1}, corrupt},
 		{"replication 0", &core.ShipDirective{Epoch: epoch}, corrupt},
 		{"replication 1", &core.ShipDirective{Epoch: epoch, Replication: 1}, corrupt},
@@ -84,6 +87,17 @@ func TestPrimaryVetsShipDirective(t *testing.T) {
 		if got := ps.Peer.CallCount() - calls; got != 0 {
 			t.Errorf("%s: the primary made %d calls for a wave it refused", tc.name, got)
 		}
+	}
+	// A root replicates under the name it travels by: a wave that addresses
+	// one by its id is refused the same way.
+	byID := core.New(ec.Client, ref)
+	byID.Ship(&core.ShipDirective{Epoch: epoch, Replication: 2})
+	byID.Root().Call("Add", int64(1))
+	if err := byID.Flush(ctx); !errors.As(err, corrupt) {
+		t.Errorf("a root addressed by id: flush = %T %v, want *wire.CorruptError", err, err)
+	}
+	if got := counterAt(t, ec, primary, "obj-0").History(); len(got) != 0 {
+		t.Errorf("the refused id-addressed wave executed: %v", got)
 	}
 	if got := replicaCounters(ec, "cluster.replica_ships"); got != 0 {
 		t.Fatalf("followers served %d Append calls for refused waves", got)
@@ -150,7 +164,7 @@ func TestDirectiveOnSessionRefused(t *testing.T) {
 	if err := chained.FlushAndContinue(ctx); err != nil {
 		t.Fatalf("unshipped first wave: %v", err)
 	}
-	chained.Ship(&core.ShipDirective{Epoch: epoch, Replication: 2, Names: []string{"obj-0"}})
+	chained.Ship(&core.ShipDirective{Epoch: epoch, Replication: 2})
 	chained.Root().Call("Add", int64(4))
 	if err := chained.Flush(ctx); !errors.As(err, &corrupt) {
 		t.Errorf("directive on a continued session = %T %v, want *wire.CorruptError", err, err)

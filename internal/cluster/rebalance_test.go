@@ -312,7 +312,7 @@ func TestStaleRetryMergesPerNewHome(t *testing.T) {
 		t.Errorf("flush took %d waves, want 2 (wave + single retry)", w)
 	}
 	if got := batches() - before; got != 1 {
-		t.Errorf("newcomer executed %d InvokeBatch calls for the retry, want 1 (one merged sub-batch)", got)
+		t.Errorf("newcomer executed %d flushes for the retry, want 1 (one merged sub-batch)", got)
 	}
 }
 

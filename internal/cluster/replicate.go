@@ -39,26 +39,19 @@ import (
 // Variable so tests can shrink it.
 var shipTimeout = 30 * time.Second
 
-// direct gives the wave of every replicating destination in live
-// (destState.repl) its ship directive: the ring's epoch and replication
-// degree — R is fixed at the ring's construction, so the epoch is the one
-// read — and the write quorum. Caller holds b.mu.
+// direct gives the wave of every replicating destination in live (replicates)
+// its ship directive: the ring's epoch and replication degree — R is fixed at
+// the ring's construction, so the epoch is the one read — and the write
+// quorum. Caller holds b.mu.
 func (b *Batch) direct(live []*destState) {
-	if !slices.ContainsFunc(live, func(ds *destState) bool { return ds.repl != nil }) {
-		return
-	}
-	ring := b.dir.Ring()
-	epoch, replication := ring.Epoch(), ring.Replication()
+	var d *core.ShipDirective
 	for _, ds := range live {
-		if ds.repl == nil {
+		if !b.replicates(ds.group) {
 			continue
 		}
-		d := &core.ShipDirective{Epoch: epoch, Replication: replication, Quorum: b.quorum}
-		// A wave that still addresses its roots by name carries the names
-		// itself; once the first wave resolved them the request is
-		// id-addressed, and the directive says what the roots are called.
-		if slices.ContainsFunc(ds.group.roots, func(p *Proxy) bool { return !p.lazy() }) {
-			d.Names = ds.repl
+		if d == nil {
+			ring := b.dir.Ring()
+			d = &core.ShipDirective{Epoch: ring.Epoch(), Replication: ring.Replication(), Quorum: b.quorum}
 		}
 		ds.cb.Ship(d)
 	}
@@ -80,9 +73,25 @@ func (e *UnreplicableError) Error() string {
 		e.Method, e.Endpoint, e.Producer)
 }
 
+// BoundAwayError fails a replicated destination holding a named root that
+// its name's home binds to an object on another server. A wave replicates
+// under the names its primary resolves, and no server resolves this one to
+// where the object lives, so the destination is sent nothing.
+type BoundAwayError struct {
+	// Name is the root's name, Ref the object its home binds it to.
+	Name string
+	Ref  wire.Ref
+}
+
+func (e *BoundAwayError) Error() string {
+	return fmt.Sprintf("cluster: %q is bound on %s, away from its home, so a replicated wave cannot address it by name",
+		e.Name, e.Ref.Endpoint)
+}
+
 // replicates reports whether g's waves replicate: the batch is epoch-aware
-// over a replicated ring and every root of g is addressed by cluster-wide
-// name. Caller holds b.mu.
+// over a replicated ring (R > 1) and every root of g has a cluster-wide
+// name, which it replicates under. An anonymous or system root has no shard
+// identity, so its destination flushes unreplicated. Caller holds b.mu.
 func (b *Batch) replicates(g *group) bool {
 	return b.dir != nil && b.dir.Replication() > 1 &&
 		!slices.ContainsFunc(g.roots, func(p *Proxy) bool { return p.key == "" })
@@ -135,29 +144,13 @@ func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 	}, nil
 }
 
-// waveNames returns the names of the wave's roots, in payload order: the
-// request's own where it addresses a root by name, the directive's where by
-// id. Every root of a replicated wave has one.
+// waveNames returns the names of the wave's roots, in payload order: every
+// root of a replicated wave travels by the name it replicates under.
 func waveNames(w *core.Wave) ([]string, error) {
-	d, n := w.Directive, len(w.Roots)
-	if len(d.Names) != 0 && len(d.Names) != n {
-		return nil, &wire.CorruptError{Detail: "ship directive root names are not parallel to the roots"}
+	if len(w.Names) != len(w.Roots) || slices.Contains(w.Names, "") {
+		return nil, &wire.CorruptError{Detail: "ship directive on a wave with a root not addressed by name"}
 	}
-	names := w.Names
-	if len(names) == 0 {
-		names = d.Names
-	} else if len(d.Names) != 0 {
-		names = slices.Clone(names)
-		for i, name := range names {
-			if name == "" {
-				names[i] = d.Names[i]
-			}
-		}
-	}
-	if len(names) != n || slices.Contains(names, "") {
-		return nil, &wire.CorruptError{Detail: "ship directive leaves a root without a name to replicate under"}
-	}
-	return names, nil
+	return w.Names, nil
 }
 
 // followers checks the directive's replication degree, quorum and fence, and

@@ -15,9 +15,10 @@ import (
 
 // reroute.go is the stale-route retry as a re-planner: canRetryStale decides
 // which failed waves qualify, rehome turns their sub-batches into sub-batches
-// bound for the roots' new homes. It flushes nothing and looks nothing up —
-// the executor hands rehome's result to the same wave every other sub-batch
-// runs through, and the new homes resolve the names that wave carries.
+// bound for the roots' new homes. It flushes nothing and looks up only a named
+// root the re-plan passes to another server without a ref — the executor
+// hands rehome's result to the same wave every other sub-batch runs through,
+// and the new homes resolve the names that wave carries.
 
 // rejection is a sub-batch whose destination refused the wave without
 // executing it, and the refusal.
@@ -27,10 +28,11 @@ type rejection struct {
 }
 
 // resolver is what rehome needs of the naming layer (*Directory): a fresh
-// ring, and a name's home on it.
+// ring, a name's home on it, and what the home binds the name to.
 type resolver interface {
 	Refresh(ctx context.Context) error
 	Home(name string) (string, error)
+	Lookup(ctx context.Context, name string) (wire.Ref, error)
 }
 
 // canRetryStale decides whether a failed destination wave may be retried
@@ -75,8 +77,10 @@ func (b *Batch) canRetryStale(ds *destState, err error) bool {
 // rehome spends the flush's one stale-route retry on re-planning. It
 // refreshes the shard map once (unless every refusal already says where its
 // root is), re-routes the roots of ALL rejected destinations — a named root
-// to its home on the fresh ring, left for that home to resolve; one its old
-// home reported bound elsewhere to that binding; an un-named root nowhere:
+// to its home on the fresh ring, left for that home to resolve (and looked
+// up, before planning, if some call now passes it to another server without
+// a ref); one its old home reported bound elsewhere to that binding; an
+// un-named root nowhere:
 // if it was the migrated object there is no key to re-route it by, and the
 // retried wave fails wrong-home again, this time finally — and regroups
 // their calls per new home: two old homes that merge into one new home cost
@@ -115,25 +119,29 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// Where each root goes and what it is addressed by from there on (the
-	// zero ref: by name). Nothing is rewired until every root has a home.
+	// Where each root goes and the ref other servers reach it by from there
+	// on: a named root re-routed home keeps the one it had there. Nothing is
+	// rewired until every root has a home.
 	type move struct {
 		root *Proxy
 		home string
 		ref  wire.Ref
+		away bool
 	}
 	var moves []move
 	for _, rj := range rejected {
 		for _, p := range rj.sb.group.roots {
 			m := move{root: p, home: p.rootRef.Endpoint, ref: p.rootRef}
 			if e := bound[p.key]; e != nil && p.key != "" {
-				m.home, m.ref = e.Ref.Endpoint, e.Ref
+				m.home, m.ref, m.away = e.Ref.Endpoint, e.Ref, true
 			} else if p.key != "" {
 				var err error
 				if m.home, err = dir.Home(p.key); err != nil {
 					return nil, fmt.Errorf("stale-route retry: re-route %q: %w", p.key, err)
 				}
-				m.ref = wire.Ref{}
+				if m.ref.Endpoint != m.home {
+					m.ref = wire.Ref{}
+				}
 			}
 			moves = append(moves, m)
 		}
@@ -147,7 +155,7 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 			byEndpoint[m.home] = g
 		}
 		g.roots = append(g.roots, m.root)
-		m.root.group, m.root.core, m.root.rootRef = g, nil, m.ref
+		m.root.group, m.root.core, m.root.rootRef, m.root.elsewhere = g, nil, m.ref, m.away
 	}
 	stage := rejected[0].sb.calls[0].stage // the one stage every rejection is of
 	var open []*recordedCall               // everything no wave has settled yet
@@ -187,6 +195,24 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 	// group, so the planner, partition and translate see a consistent
 	// recording again.
 	repoint(affected)
+	// A named root the re-plan now passes to another server without a ref is
+	// looked up first. One not bound where it was re-routed to is refused
+	// there too, and fails the calls that pass it with its own.
+	if fwd := slices.DeleteFunc(forwardedRoots(open), func(p *Proxy) bool { return p.err != nil }); len(fwd) > 0 {
+		b.mu.Unlock()
+		refs, errs := lookUp(ctx, dir, fwd)
+		b.mu.Lock()
+		for i, p := range fwd {
+			switch {
+			case errs[i] != nil:
+				p.err = errs[i]
+			case refs[i].Endpoint != p.group.endpoint:
+				p.err = fmt.Errorf("stale-route retry: %q is bound on %s, not at %s", p.key, refs[i].Endpoint, p.group.endpoint)
+			default:
+				p.rootRef = refs[i]
+			}
+		}
+	}
 	nstages, err := planStages(byIndex(open))
 	if err != nil {
 		return nil, fmt.Errorf("stale-route retry: %w", err)

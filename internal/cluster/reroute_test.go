@@ -29,6 +29,11 @@ func (f *fakeHomes) Refresh(context.Context) error {
 	return f.refreshErr
 }
 
+func (f *fakeHomes) Lookup(_ context.Context, name string) (wire.Ref, error) {
+	ep, err := f.Home(name)
+	return wire.Ref{Endpoint: ep, ObjID: 1}, err
+}
+
 func (f *fakeHomes) Home(name string) (string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

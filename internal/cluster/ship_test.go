@@ -309,13 +309,31 @@ func TestQuorumEarlyAckLeavesSlowFollowerBehind(t *testing.T) {
 	}
 }
 
+// gate is a remote object whose one method returns once open reports true,
+// or fails after a bound: a wave that calls it ends no earlier.
+type gate struct {
+	rmi.RemoteBase
+	open func() bool
+}
+
+func (g *gate) Pass() (int64, error) {
+	for deadline := time.Now().Add(5 * time.Second); !g.open(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return 0, errors.New("gate: never opened")
+		}
+	}
+	return 1, nil
+}
+
 // TestChainedReplicatedStagesShipInWaveOrder: a two-stage pipeline over
 // replicated roots — stage 1's call on root A consumes a stage-0 result from
 // root B's server — costs the client one call per primary per stage, and A's
 // followers replay its two waves, each a record of its own, in wave order.
 // Under W=2 of R=3 that holds for a straggler too: while the slow follower's
 // answer to wave 0 is still on its way, A's primary holds wave 1's ship to it
-// back.
+// back. (A gate in wave 0, on an unreplicated root, ends that wave only once
+// wave 0's Append has reached the slow follower: a link that had not sent it
+// yet would send both records as one Append, as it should.)
 func TestChainedReplicatedStagesShipInWaveOrder(t *testing.T) {
 	ec, dir := shipCluster(t)
 	ctx := context.Background()
@@ -331,10 +349,15 @@ func TestChainedReplicatedStagesShipInWaveOrder(t *testing.T) {
 
 	calls := ec.Client.CallCount()
 	ships := replicaCounters(ec, "cluster.replica_ships")
+	applied := replicaCounters(ec, "cluster.replica_appends")
 	slowShips := func() int64 { return ec.Server(slow).Stats.Snapshot().Counter("cluster.replica_ships") }
 	slowBefore := slowShips()
 	if slices.Contains(perDest["server-1"], slow) {
 		slowBefore++ // b's wave reaches it too, undelayed
+	}
+	sent, err := ec.Server(slow).Peer.Export(&gate{open: func() bool { return slowShips() > slowBefore }}, "cluster.Gate")
+	if err != nil {
+		t.Fatal(err)
 	}
 	b := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithQuorum(2))
 	pa, err := b.RootNamed(ctx, a)
@@ -345,6 +368,7 @@ func TestChainedReplicatedStagesShipInWaveOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	passed := b.Root(sent).Call("Pass")
 	pa.Call("Add", int64(1))
 	pb.Call("Add", int64(5))
 	last := pa.Call("AddRemote", pb.CallBatch("Fork", int64(5))) // stage 1: forwarded by reference
@@ -361,17 +385,23 @@ func TestChainedReplicatedStagesShipInWaveOrder(t *testing.T) {
 	if v, err := cluster.Typed[int64](last).Get(); err != nil || v != 6 {
 		t.Fatalf("chained Add = %v, %v; want 6", v, err)
 	}
+	if _, err := passed.Get(); err != nil {
+		t.Fatalf("gate: %v", err)
+	}
 	if w := b.Waves(); w != 2 {
 		t.Fatalf("flush took %d waves, want 2", w)
 	}
-	if got := ec.Client.CallCount() - calls; got != 3 {
-		t.Errorf("two replicated stages cost the client %d remote calls, want 3: 2 primaries, then 1", got)
+	if got := ec.Client.CallCount() - calls; got != 4 {
+		t.Errorf("two replicated stages cost the client %d remote calls, want 4: 2 primaries and the gate, then 1", got)
 	}
+	// An Append call counts when it arrives, its records when applied: both
+	// are awaited before the shadows are read.
 	want := int64(2*len(perDest["server-0"]) + len(perDest["server-1"]))
-	for deadline := time.Now().Add(10 * delay); replicaCounters(ec, "cluster.replica_ships")-ships != want; {
+	for deadline := time.Now().Add(10 * delay); replicaCounters(ec, "cluster.replica_ships")-ships != want ||
+		replicaCounters(ec, "cluster.replica_appends")-applied != want; {
 		if time.Now().After(deadline) {
-			t.Fatalf("followers served %d Append calls, want one per follower per stage = %d",
-				replicaCounters(ec, "cluster.replica_ships")-ships, want)
+			t.Fatalf("followers served %d Append calls and applied %d records, want one of each per follower per stage = %d",
+				replicaCounters(ec, "cluster.replica_ships")-ships, replicaCounters(ec, "cluster.replica_appends")-applied, want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -429,10 +459,11 @@ func TestMutualFollowersDoNotDeadlock(t *testing.T) {
 }
 
 // TestWavesQueuedBehindAnAppendRideTheNext: under W=2 of R=3 a primary's
-// link to its slow follower has one Append out, and two waves from two other
-// batches execute and queue behind it. When that Append returns, both leave
-// in the next one: the follower serves 2 Append calls for 3 records, and
-// replays the waves in the order the primary queued them.
+// link to its slow follower has one Append out — the test waits until it has
+// reached the follower — and two waves from two other batches execute and
+// queue behind it. When that Append returns, both leave in the next one: the
+// follower serves 2 Append calls for 3 records, and replays the waves in the
+// order the primary queued them.
 func TestWavesQueuedBehindAnAppendRideTheNext(t *testing.T) {
 	ec, dir := shipCluster(t)
 	ctx := context.Background()
@@ -456,6 +487,12 @@ func TestWavesQueuedBehindAnAppendRideTheNext(t *testing.T) {
 		p.Call("Add", delta)
 		if err := b.Flush(ctx); err != nil {
 			t.Fatalf("W=2 flush of %d: %v", delta, err)
+		}
+		// Only the follower's answers crawl: the first Append reaches it at once.
+		for deadline := time.Now().Add(delay); counter("cluster.replica_ships") == ships; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the first wave's Append never reached the slow follower")
+			}
 		}
 	}
 	if took := time.Since(start); took >= delay {

@@ -62,31 +62,26 @@ type destState struct {
 	// failed poisons the destination: every call of its later stages
 	// settles locally with this error.
 	failed error
-	// repl is set by open when the batch is epoch-aware (WithDirectory) over
-	// a replicated ring (R > 1) and every root of the destination is addressed
-	// by cluster-wide name: the names, in payload order, its waves replicate
-	// under (direct). An anonymous or system root has no shard identity, so
-	// its destination flushes unreplicated.
-	repl []string
 }
 
 // open creates the destination's multi-root core.Batch for the wave and
-// rewires the group's root proxies onto it: a root no wave has resolved yet
-// goes in by name, for the destination to resolve when the batch reaches it.
+// rewires the group's root proxies onto it: a named root goes in by name, in
+// every wave, for the destination to resolve when the batch reaches it. A
+// replicating destination with a root bound away from its home is refused.
 // Caller holds b.mu.
 func (ds *destState) open(b *Batch) error {
+	if b.replicates(ds.group) {
+		if i := slices.IndexFunc(ds.group.roots, func(p *Proxy) bool { return p.elsewhere }); i >= 0 {
+			p := ds.group.roots[i]
+			return &BoundAwayError{Name: p.key, Ref: p.rootRef}
+		}
+	}
 	var opts []core.Option
 	if b.policy != nil {
 		opts = append(opts, core.WithPolicy(b.policy))
 	}
 	first, rest := ds.group.roots[0], ds.group.roots[1:]
-	if b.replicates(ds.group) {
-		ds.repl = make([]string, 0, len(ds.group.roots))
-		for _, p := range ds.group.roots {
-			ds.repl = append(ds.repl, p.key)
-		}
-	}
-	if first.lazy() {
+	if first.byName() {
 		ds.cb = core.NewNamed(b.peer, ds.group.endpoint, first.key, opts...)
 	} else {
 		ds.cb = core.New(b.peer, first.rootRef, opts...)
@@ -94,7 +89,7 @@ func (ds *destState) open(b *Batch) error {
 	first.core = ds.cb.Root()
 	for _, p := range rest {
 		var err error
-		if p.lazy() {
+		if p.byName() {
 			p.core, err = ds.cb.AddRootNamed(p.key)
 		} else {
 			p.core, err = ds.cb.AddRoot(p.rootRef)
@@ -105,19 +100,6 @@ func (ds *destState) open(b *Batch) error {
 		}
 	}
 	return nil
-}
-
-// adoptRoots fills in, after the destination's first successful wave, the
-// refs it resolved its named roots to: what later waves and arguments passed
-// by reference address them by.
-func (b *Batch) adoptRoots(ds *destState) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, p := range ds.group.roots {
-		if p.lazy() {
-			p.rootRef = p.core.RootRef()
-		}
-	}
 }
 
 // execute walks the stage schedule: per stage one wave, then the stage's read
@@ -253,9 +235,6 @@ func (r *run) prepare(stage int, subs []*subBatch) []*destState {
 func (r *run) flushDest(ctx context.Context, ds *destState) error {
 	b := r.b
 	err := ds.cb.Flush(ctx)
-	if err == nil {
-		b.adoptRoots(ds)
-	}
 	if lag := ds.cb.ShipLag(); lag > 0 {
 		b.quorumWaits.Inc()
 		b.replLag.Observe(lag.Nanoseconds())
@@ -469,9 +448,8 @@ func resolveInputs(cb *core.Batch, c *recordedCall) (target *core.Proxy, args []
 			case !x.rootRef.IsZero():
 				args[i] = x.rootRef
 			case x.lazy():
-				// Resolved before planning (resolveForwarded) unless a
-				// stale-route retry split it from c.
-				err = fmt.Errorf("cluster: %s passes root %q by reference to another server before any wave resolved it", c.method, x.key)
+				// Looked up before planning: resolveForwarded, or rehome.
+				err = fmt.Errorf("cluster: internal: %s passes root %q to another server unresolved", c.method, x.key)
 			default:
 				err = fmt.Errorf("cluster: internal: the result of %s crosses servers unpinned", x.origin.method)
 			}

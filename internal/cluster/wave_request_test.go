@@ -73,8 +73,7 @@ func TestReplicatedReuseRefused(t *testing.T) {
 	a := nameWhere(t, dir, "a", "server-0", anyOwners)
 	bb := nameWhere(t, dir, "b", "server-1", anyOwners)
 	place(t, ec, dir, a, bb)
-	record := func(dir *cluster.Directory) (*cluster.Batch, *cluster.Future) {
-		b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	record := func(b *cluster.Batch) *cluster.Future {
 		pa, err := b.RootNamed(ctx, a)
 		if err != nil {
 			t.Fatal(err)
@@ -83,8 +82,8 @@ func TestReplicatedReuseRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := pa.CallBatch("Fork", int64(1))                           // wave 0 on server-0
-		return b, r.Call("AddRemote", pb.CallBatch("Fork", int64(5))) // wave 1: r again, on server-0
+		r := pa.CallBatch("Fork", int64(1))                        // wave 0 on server-0
+		return r.Call("AddRemote", pb.CallBatch("Fork", int64(5))) // wave 1: r again, on server-0
 	}
 	executed := func() (total int64) {
 		for _, s := range ec.Servers {
@@ -94,7 +93,8 @@ func TestReplicatedReuseRefused(t *testing.T) {
 	}
 
 	calls, ran := ec.Client.CallCount(), executed()
-	b, f := record(dir)
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	f := record(b)
 	err := b.Flush(ctx)
 	var refused *cluster.UnreplicableError
 	if !errors.As(err, &refused) || refused.Endpoint != "server-0" || refused.Method != "AddRemote" || refused.Producer != "Fork" {
@@ -116,7 +116,8 @@ func TestReplicatedReuseRefused(t *testing.T) {
 			t.Fatalf("setup: %s homes at %s at R=1", name, home)
 		}
 	}
-	b, f = record(one)
+	b = cluster.New(ec.Client, cluster.WithDirectory(one))
+	f = record(b)
 	if err := b.Flush(ctx); err != nil {
 		t.Fatalf("R=1 flush: %v", err)
 	}
@@ -196,29 +197,24 @@ func TestPinnedResultArrivesAsItself(t *testing.T) {
 			if f.Kind != transport.KindRequest {
 				continue
 			}
+			if _, req, ok := flushRequest(t, f.Payload); ok { // Calls, Root, session word, Roots, …
+				requests++
+				if len(req) > 2 {
+					if v, err := wire.Unmarshal(req[2]); err != nil || v != uint64(0) {
+						t.Errorf("a flush request carries session word %v (%v): a session, or the wish to keep one", v, err)
+					}
+				}
+				if len(req) > 3 && toHere {
+					pinned = append(pinned, uints(t, req[3])...)
+				}
+				continue
+			}
 			_, call := split(t, f.Payload, false) // rmi.call.req: ObjID, Method, Args
 			obj, _ := wire.Unmarshal(call[0])
 			method, _ := wire.Unmarshal(call[1])
 			_, args := split(t, call[2], true)
-			switch {
-			case obj == rmi.DGCObjID && method == uint64(4) && toHere: // "Clean": clientID, seq, ids
+			if obj == rmi.DGCObjID && method == uint64(4) && toHere { // "Clean": clientID, seq, ids
 				cleaned = append(cleaned, uints(t, args[2])...)
-			case obj == rmi.BatchObjID:
-				requests++
-				_, req := split(t, args[0], false) // brmi.req: Root, Calls, Session, KeepSession, reserved, Roots, …
-				if len(req) > 2 {
-					if v, err := wire.Unmarshal(req[2]); err != nil || v != uint64(0) {
-						t.Errorf("a flush request carries session %v (%v)", v, err)
-					}
-				}
-				if len(req) > 3 {
-					if v, err := wire.Unmarshal(req[3]); err != nil || v != false {
-						t.Errorf("a flush request asks to keep its session: %v (%v)", v, err)
-					}
-				}
-				if len(req) > 5 && toHere {
-					pinned = append(pinned, uints(t, req[5])...)
-				}
 			}
 		}
 	}

@@ -28,9 +28,10 @@ import (
 
 // wireBytes attributes a connection's bytes:
 //   - Header: frame headers (transport);
-//   - Envelope: the call and reply envelopes around a flush — object id,
-//     argument and result slices, struct headers, session, root ids;
-//   - Method: the call's method field;
+//   - Envelope: what a flush and its reply carry around their calls and
+//     results — struct headers, the session word, root ids, the policy;
+//   - Method: the call's method field, which a flush, being a bare brmi.req,
+//     no longer has;
 //   - Calls: the request's recorded calls;
 //   - Results: the reply's call results;
 //   - Roots: the request's root names and the reply's resolved roots;
@@ -101,63 +102,85 @@ func split(t *testing.T, b []byte, elems bool) (int, [][]byte) {
 	return h, parts
 }
 
-// request attributes one call frame's payload if it is a flush — a call on
-// the batch service — and reports whether it was.
+// flushRequest reports whether a request frame's payload is a flush — a bare
+// brmi.req — and returns its header length and fields: Calls, Root, the
+// session word, Roots, Ship, Flush, Peers, Policy.
+func flushRequest(t *testing.T, payload []byte) (int, [][]byte, bool) {
+	if msg, err := wire.Unmarshal(payload); err != nil || wire.TypeNameOf(msg) != "brmi.req" {
+		return 0, nil, false
+	}
+	h, req := split(t, payload, false)
+	return h, req, true
+}
+
+// isName reports whether an encoded root position is a name (a kString)
+// rather than an export id.
+func isName(b []byte) bool { return len(b) > 0 && b[0] == 8 }
+
+// request attributes one request frame's payload if it is a flush, and
+// reports whether it was.
 func (w *wireBytes) request(t *testing.T, payload []byte) bool {
-	h, call := split(t, payload, false) // rmi.call.req: ObjID, Method, Args
-	if len(call) < 3 {
+	h, req, ok := flushRequest(t, payload)
+	if !ok {
 		return false
 	}
-	if id, err := wire.Unmarshal(call[0]); err != nil || id != rmi.BatchObjID {
-		return false
-	}
-	w.Envelope += h + len(call[0])
-	w.Method += len(call[1])
-	ah, args := split(t, call[2], true)
-	w.Envelope += ah
-	rh, req := split(t, args[0], false) // brmi.req
-	w.Envelope += rh
+	w.Envelope += h
 	for i, f := range req {
 		switch i {
-		case 1:
+		case 0:
 			w.Calls += len(f)
-		case 7:
-			w.Roots += len(f)
-		case 8:
+		case 1: // the root: its name, or its id
+			if isName(f) {
+				w.Roots += len(f)
+			} else {
+				w.Envelope += len(f)
+			}
+		case 3: // the extra roots, each a name or an id
+			if f[0] == 1 { // nil
+				w.Envelope += len(f)
+				break
+			}
+			eh, roots := split(t, f, true)
+			named := false
+			for _, r := range roots {
+				if isName(r) {
+					named = true
+					w.Roots += len(r)
+				} else {
+					w.Envelope += len(r)
+				}
+			}
+			if named {
+				w.Roots += eh
+			} else {
+				w.Envelope += eh
+			}
+		case 4:
 			w.Directive += len(f)
-		case 9, 10:
+		case 5, 6:
 			w.Push += len(f)
-		default: // Root, Session, KeepSession, the reserved slot, Roots (ids), Policy
+		default: // the session word, the policy
 			w.Envelope += len(f)
 		}
 	}
 	return true
 }
 
-// reply attributes the payload of a flush's reply.
+// reply attributes the payload of a flush's reply, a bare brmi.resp:
+// Results, Session, ShipNs, ShipErr, Roots, Restarts.
 func (w *wireBytes) reply(t *testing.T, payload []byte) {
-	h, resp := split(t, payload, false) // rmi.call.resp: Results, Err
+	h, resp := split(t, payload, false)
 	w.Envelope += h
-	for i, f := range resp {
-		if i != 0 {
-			w.Envelope += len(f)
-			continue
-		}
-		eh, results := split(t, f, true)
-		w.Envelope += eh
-		rh, br := split(t, results[0], false) // brmi.resp
-		w.Envelope += rh
-		for j, g := range br {
-			switch j {
-			case 0:
-				w.Results += len(g)
-			case 3:
-				w.Roots += len(g)
-			case 4, 5:
-				w.Directive += len(g)
-			default: // Session, Restarts
-				w.Envelope += len(g)
-			}
+	for j, g := range resp {
+		switch j {
+		case 0:
+			w.Results += len(g)
+		case 2, 3:
+			w.Directive += len(g)
+		case 4:
+			w.Roots += len(g)
+		default: // Session, Restarts
+			w.Envelope += len(g)
 		}
 	}
 }
@@ -320,7 +343,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 					t.Fatalf("call %d: %v", i, err)
 				}
 			}
-		}, wireBytes{Header: 13, Envelope: 90, Method: 6, Calls: 192, Results: 24, Roots: 132, Directive: 3, Push: 69}, rmi.BatchObjID, map[string]hopBytes{
+		}, wireBytes{Header: 13, Envelope: 26, Calls: 192, Results: 24, Roots: 30, Directive: 3, Push: 69}, rmi.BatchObjID, map[string]hopBytes{
 			"server-0": pushHop, "server-1": pushHop, "server-2": pushHop,
 		}},
 		{"replicated_write", 3, 8, func(t *testing.T, ec *clustertest.Cluster, client *rmi.Peer) {
@@ -340,12 +363,12 @@ func TestFlushBytesAttributed(t *testing.T) {
 			if err := b.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-		}, wireBytes{Header: 12, Envelope: 90, Method: 6, Calls: 106, Results: 22, Roots: 132, Directive: 33}, rmi.ReplicaObjID, map[string]hopBytes{
+		}, wireBytes{Header: 12, Envelope: 32, Calls: 106, Results: 22, Roots: 30, Directive: 33}, rmi.ReplicaObjID, map[string]hopBytes{
 			// server-0 follows the two primaries of one root each; the others
 			// follow server-0, whose record carries its two roots.
-			"server-0": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 230, Reply: 16},
-			"server-1": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 293, Reply: 16},
-			"server-2": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 293, Reply: 16},
+			"server-0": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 210, Reply: 16},
+			"server-1": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 277, Reply: 16},
+			"server-2": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 277, Reply: 16},
 		}},
 	}
 	for _, c := range cases {

@@ -109,7 +109,7 @@ func New(peer *rmi.Peer, root wire.Ref, opts ...Option) *Batch {
 // carries the name, the serving peer resolves it before it executes
 // anything — a miss rejects the flush with the registry's typed error, or
 // *ElsewhereError for a binding that points at another endpoint — and the
-// reply fills in the root's reference (Proxy.RootRef).
+// reply to a FlushAndContinue fills in the root's reference (Proxy.RootRef).
 func NewNamed(peer *rmi.Peer, endpoint, name string, opts ...Option) *Batch {
 	b := New(peer, wire.Ref{Endpoint: endpoint}, opts...)
 	b.names = []string{name}
@@ -523,7 +523,7 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		Flush:       b.flushID,
 		Peers:       b.peers,
 	}
-	b.names = nil // the reply resolves them all, or the flush fails and closes the batch
+	b.names = nil // a chain's reply resolves them all; otherwise the batch closes
 	b.ship, b.shipLag = nil, 0
 	b.flushID, b.peers = 0, nil
 	if len(b.extra) > 0 {
@@ -545,41 +545,37 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 	b.lastOwner = nil
 	b.mu.Unlock()
 
-	svcRef := rmi.SystemRef(b.root.Endpoint, rmi.BatchObjID, rmi.BatchIface)
 	var flushStart time.Time
 	if b.reg != nil {
 		flushStart = b.reg.Now()
 	}
-	res, err := b.peer.Call(ctx, svcRef, "InvokeBatch", req)
+	res, err := b.peer.Send(ctx, b.root.Endpoint, req)
 	if b.reg != nil {
 		b.flushNs.Observe(b.reg.Now().Sub(flushStart).Nanoseconds())
 	}
-	return b.settle(svcRef.Endpoint, req, records, keep, res, err)
+	return b.settle(b.root.Endpoint, req, records, keep, res, err)
 }
 
 // settle takes the outcome of req's round trip to endpoint — the reply in
 // res, or err — for records, the calls req carried: it adopts the root
-// references the server resolved and settles the records from the results,
-// positionally. A reply that does not answer req — another type, another
-// count of results or of roots — settles nothing and fails the batch, as a
-// failed round trip does.
-func (b *Batch) settle(endpoint string, req *batchRequest, records []callRecord, keep bool, res []any, err error) error {
+// references the server resolved for a chain (keep) and settles the records
+// from the results, positionally. A reply that does not answer req — another
+// type, another count of results or of roots — settles nothing and fails the
+// batch, as a failed round trip does.
+func (b *Batch) settle(endpoint string, req *batchRequest, records []callRecord, keep bool, res any, err error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var resp *batchResponse
-	if len(res) == 1 {
-		resp, _ = res[0].(*batchResponse)
-	}
-	var nso *rmi.NoSuchObjectError
+	resp, _ := res.(*batchResponse)
+	var nh *rmi.NoHandlerError
 	switch {
-	case errors.As(err, &nso) && nso.ObjID == rmi.BatchObjID:
+	case errors.As(err, &nh):
 		err = ErrNoBatchService
 	case err != nil: // the round trip failed
 	case resp == nil:
 		err = fmt.Errorf("unexpected response %v", res)
 	case len(resp.Results) != len(records):
 		err = fmt.Errorf("reply answers %d of %d calls", len(resp.Results), len(records))
-	case len(req.Names) != 0 && len(resp.Roots) != len(req.Names):
+	case keep && len(req.Names) != 0 && len(resp.Roots) != len(req.Names):
 		err = fmt.Errorf("reply resolved %d of %d root names", len(resp.Roots), len(req.Names))
 	}
 	if err != nil {
@@ -588,10 +584,10 @@ func (b *Batch) settle(endpoint string, req *batchRequest, records []callRecord,
 		b.closed = true
 		return ferr
 	}
-	// The server resolved every name before executing: adopt the refs, so
-	// later flushes of the chain go out id-addressed.
+	// The server resolved every name before executing, and tells a chain
+	// what to: adopt the refs, so its later flushes go out id-addressed.
 	for i, name := range req.Names {
-		if name != "" {
+		if name != "" && keep {
 			ref := resp.Roots[i]
 			ref.Endpoint = endpoint
 			*b.rootAt(i) = ref

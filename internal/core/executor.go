@@ -24,7 +24,8 @@ const DefaultSessionTTL = time.Minute
 // recorded batches against local objects (paper Fig. 2, invokeBatch). It is
 // installed once per serving peer, which makes every exported object
 // batch-callable — the analogue of adding invokeBatch to
-// UnicastRemoteObject (§4.2).
+// UnicastRemoteObject (§4.2). A flush reaches it as a bare brmi.req message
+// (rmi.Peer.Send), not as a call on one of its methods.
 type Executor struct {
 	rmi.RemoteBase
 
@@ -34,7 +35,7 @@ type Executor struct {
 	// Replay metrics, nil (no-op) when the peer is uninstrumented.
 	reg        *stats.Registry
 	batchCalls *stats.Histogram // calls per received batch
-	waveNs     *stats.Histogram // replay duration per InvokeBatch
+	waveNs     *stats.Histogram // replay duration per flush
 	replays    *stats.Counter   // replays, a restart counting again; brmibench reads its name
 	executed   *stats.Counter   // calls that reached method execution
 	splices    *stats.Counter   // arguments answered from the wave's value table
@@ -94,9 +95,9 @@ func (s *session) bindFailure(seq int64, err error) {
 	s.failures[seq] = err
 }
 
-// Install exports the batch executor on p at the reserved BRMI object id
-// and starts the session expiry sweeper. Call Stop (or close the peer and
-// Stop) on shutdown.
+// Install exports the batch executor on p at the reserved BRMI object id,
+// makes it the handler of every flush (brmi.req) p receives, and starts the
+// session expiry sweeper. Call Stop (or close the peer and Stop) on shutdown.
 func Install(p *rmi.Peer) (*Executor, error) { return install(p, DefaultSessionTTL) }
 
 // install is Install with sessions that survive ttl between chained flushes.
@@ -121,6 +122,7 @@ func install(p *rmi.Peer, ttl time.Duration) (*Executor, error) {
 	if _, err := p.ExportSystem(rmi.BatchObjID, e, rmi.BatchIface); err != nil {
 		return nil, fmt.Errorf("brmi: install executor: %w", err)
 	}
+	p.HandleMessage("brmi.req", e.serveFlush)
 	p.HandleStream(GetBatchService, e.serveGetBatch)
 	e.wg.Add(1)
 	go e.sweepLoop()
@@ -211,12 +213,15 @@ func (e *Executor) SetShipHook(h ShipHook) {
 	e.shipHook = h
 }
 
-// InvokeBatch is the remote method every flush calls: it decodes nothing
-// (the dispatch layer already did), replays the invocations in recording
-// order, applies the exception policy, and returns per-call results
-// (paper Fig. 2).
-func (e *Executor) InvokeBatch(ctx context.Context, req *batchRequest) (*batchResponse, error) {
-	return e.invokeBatch(ctx, req, false)
+// serveFlush answers one flush: it decodes nothing (the rmi layer already
+// did), replays the invocations in recording order, applies the exception
+// policy, and returns per-call results (paper Fig. 2).
+func (e *Executor) serveFlush(ctx context.Context, msg any) (any, error) {
+	resp, err := e.invokeBatch(ctx, msg.(*batchRequest), false)
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // ReplayShadow replays a shipped flush payload (the primary's decoded
@@ -277,7 +282,11 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 	if e.reg != nil {
 		waveStart = e.reg.Now()
 	}
-	resp := &batchResponse{Roots: named}
+	resp := &batchResponse{}
+	if req.KeepSession {
+		// Only a chain addresses its roots again, by what they resolved to.
+		resp.Roots = named
+	}
 	var st *execState
 	for restart := 0; ; restart++ {
 		var again bool

@@ -47,7 +47,7 @@ const (
 type ValuePush = valuePush
 
 // SettleForTest settles b's recorded calls from reply — the bytes of the
-// InvokeBatch answer a flush of them gets back — as the flush does. It returns
+// reply a flush of them gets back — as the flush does. It returns
 // what the reply decoded to and what the flush would return.
 func SettleForTest(b *Batch, reply []byte) (any, error) {
 	b.mu.Lock()
@@ -56,5 +56,5 @@ func SettleForTest(b *Batch, reply []byte) (any, error) {
 	b.calls, b.records, b.names = nil, nil, nil
 	b.mu.Unlock()
 	msg, err := wire.Unmarshal(reply)
-	return msg, b.settle(b.root.Endpoint, req, records, false, []any{msg}, err)
+	return msg, b.settle(b.root.Endpoint, req, records, false, msg, err)
 }

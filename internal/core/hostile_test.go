@@ -16,7 +16,7 @@ import (
 // Messages cut just before a slice's element count, as the standard type
 // table encodes them (the table's indexes are fixed, see wire/standard.go).
 const (
-	flushRequestCalls  = "13020205100a"       // brmi.req: root 16, then its calls
+	flushRequestCalls  = "1302020a"           // brmi.req: its calls, then root 16
 	flushReplyResults  = "1305010a"           // brmi.resp: its results
 	callRequestArgs    = "13000305100801660a" // rmi.call.req: object 16, method "f", then its arguments
 	getBatchRequestIDs = "1309030a"           // brmi.getbatch.req: its object ids

@@ -90,52 +90,46 @@ type batchArg struct {
 	Pushed bool
 }
 
-// batchRequest is the payload of one flush (the invokeBatch call). Root and
-// Calls lead so the common single-shot flush (no session, no extra roots,
-// default policy) costs two fields on the wire.
+// batchRequest is one flush: the whole request payload (rmi.Peer.Send). Its
+// wire form is positional and leads with what every flush sends — see
+// encBatchRequest for the field order.
 type batchRequest struct {
+	// Calls are the recorded invocations, in recording order.
+	Calls []invocationData
 	// Root is the export id of the batch's root remote object; used when
 	// Session == 0 to create the server context.
 	Root uint64
-	// Calls are the recorded invocations, in recording order.
-	Calls []invocationData
 	// Session is 0 for the first flush of a chain, or the id returned by a
 	// previous FlushAndContinue.
 	Session uint64
 	// KeepSession requests that the server retain the object table for a
-	// chained batch (§3.5).
+	// chained batch (§3.5). It travels in the session word's low bit.
 	KeepSession bool
 	// Roots are the export ids of additional roots (Batch.AddRoot): other
 	// exported objects on the same server addressable within this batch.
 	// Calls target extra root i with sequence number RootTarget-1-i. Sent on
-	// every flush so chained batches can add roots between flushes — except
-	// when Names addresses every extra root: the column of zero ids is
-	// omitted, and len(Names)-1 is the extra-root count.
+	// every flush so chained batches can add roots between flushes.
 	Roots []uint64
-	// Policy is the exception policy for the whole chain; sent on the
-	// first flush when it differs from the default AbortPolicy (the server
-	// assumes AbortPolicy when absent).
-	Policy *Policy
 	// Names is empty (every root id-addressed) or parallel to Root+Roots:
-	// Names[0] belongs to Root, Names[1+i] to Roots[i]. A position whose id
-	// is 0 and whose name is not empty is name-addressed: the serving peer
-	// resolves the name in its own registry before anything executes, and a
-	// miss rejects the whole request. Names is the trailing wire field and
-	// is omitted when empty, so an id-addressed flush keeps its wire form.
+	// Names[0] belongs to Root, Names[1+i] to Roots[i]. A position with a
+	// name is name-addressed — it travels as the name instead of its id, 0 —
+	// and the serving peer resolves the name in its own registry before
+	// anything executes; a miss rejects the whole request.
 	Names []string
 	// Ship, when present, asks the serving peer to replicate the wave before
-	// it replies (see ShipDirective). The trailing wire field, omitted when
-	// nil: an unreplicated flush keeps its wire form.
+	// it replies (see ShipDirective).
 	Ship *ShipDirective
 	// Flush identifies, when not 0, the cluster flush this request is one
 	// destination's part of: a random id the client mints per flush, under
 	// which values cross between its destinations (Push, Pushed arguments).
-	// Omitted when 0, as Peers is when empty: a request that pushes nothing
-	// and waits for nothing keeps its wire form.
 	Flush uint64
 	// Peers are the endpoints the request's calls push values to
 	// (invocationData.Push indexes them).
 	Peers []string
+	// Policy is the exception policy for the whole chain; sent on the
+	// first flush when it differs from the default AbortPolicy (the server
+	// assumes AbortPolicy when absent).
+	Policy *Policy
 }
 
 // ShipDirective rides a flush to a replicating destination: after the
@@ -144,8 +138,10 @@ type batchRequest struct {
 // answers once the write quorum holds it. The client says only which ring it
 // routed by — its epoch and replication degree — and the quorum: the primary
 // picks the followers off its own ring at that epoch and mints the record's
-// identity. Everything here is input from outside the serving peer, which
-// vets it before anything executes (Executor.SetShipHook).
+// identity. The roots replicate under the names the request addresses them
+// by, so every root of a replicated wave travels by name. Everything here is
+// input from outside the serving peer, which vets it before anything
+// executes (Executor.SetShipHook).
 type ShipDirective struct {
 	// Epoch is the ring epoch the client routed the wave at. A primary whose
 	// own ring is at another epoch would pick other followers, and refuses
@@ -158,11 +154,6 @@ type ShipDirective struct {
 	// Quorum is the write quorum W: how many replicas of each root, counting
 	// the primary, must hold the wave before the reply leaves. 0 means all.
 	Quorum int
-	// Names are the roots' cluster-wide names, parallel to the roots, when
-	// the request itself addresses them by id (a later wave of a cluster
-	// flush, after the first resolved its names); empty when the request's
-	// own Names has them.
-	Names []string
 }
 
 // callResult is the outcome of one recorded call. A reply's results are
@@ -203,22 +194,15 @@ type callResult struct {
 	Attempts int64
 }
 
-// batchResponse is the reply to a flush. Results leads: the common
-// non-chained, non-restarted reply is one wire field.
+// batchResponse is the reply to a flush: the whole reply payload. Results
+// leads, then what a chain's reply carries, then the ship outcome (see
+// encBatchResponse).
 type batchResponse struct {
 	// Results has one entry per request call, in request order.
 	Results []callResult
 	// Session is the id to use for the next chained flush (0 when the
 	// session was closed).
 	Session uint64
-	// Restarts counts whole-batch restarts that ActionRestart caused.
-	Restarts int64
-	// Roots answers a request that carried Names, parallel to them: the
-	// export id and interface each name-addressed position resolved to, as
-	// a reference without an endpoint — the client rebuilds it from the
-	// endpoint it called (zero at the id-addressed positions). Absent
-	// otherwise.
-	Roots []wire.Ref
 	// ShipNs answers a request that carried a ship directive: how long the
 	// serving peer spent, once the wave had executed, until the wave's write
 	// quorum held it — the part of the flush's round trip that was
@@ -228,6 +212,15 @@ type batchResponse struct {
 	// but its write quorum does not hold it: the serving peer's typed account
 	// of the miss. The flush fails with it.
 	ShipErr error
+	// Roots answers a request that carried Names and KeepSession — a named
+	// chain, whose later flushes go id-addressed — parallel to the names: the
+	// export id and interface each name-addressed position resolved to, as a
+	// reference without an endpoint — the client rebuilds it from the
+	// endpoint it called (zero at the id-addressed positions). Absent
+	// otherwise.
+	Roots []wire.Ref
+	// Restarts counts whole-batch restarts that ActionRestart caused.
+	Restarts int64
 }
 
 // valuePush is one value crossing from its producer's server to a consumer's:

@@ -1,9 +1,9 @@
 package core_test
 
-// Tests for name-addressed batch roots: the flush request's wire form (an
-// id-addressed request is byte-for-byte what it was before root names
-// existed), roots resolved in the serving peer's registry before anything
-// executes, and a fuzz target over the request decoder and InvokeBatch.
+// Tests for name-addressed batch roots: the flush request's wire form (a root
+// position travels as its export id or as its name), roots resolved in the
+// serving peer's registry before anything executes, and a fuzz target over
+// the request decoder and the executor.
 
 import (
 	"bytes"
@@ -11,12 +11,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/rmi"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -25,15 +27,23 @@ func getCall(seq, target int64) core.Invocation {
 }
 
 // The request shapes of the fuzz target's seed corpus, committed under
-// testdata/fuzz/FuzzBatchRequest: id-addressed, name-addressed, mixed, and
-// the two the decoder must refuse.
+// testdata/fuzz/FuzzBatchRequest: id-addressed, name-addressed and mixed.
+// The two the decoder must refuse are bytes no encoder writes (badRoots).
 var (
-	idRequest      = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}}
-	namedRequest   = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget), getCall(1, core.RootTarget-1)}, Roots: []uint64{0}, Names: []string{"a", "ghost"}}
-	mixedRoots     = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget-1)}, KeepSession: true, Roots: []uint64{0}, Names: []string{"", "b"}}
-	shortNames     = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Roots: []uint64{0, 0}, Names: []string{"a", "b"}}
-	idAndNameRoots = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}}
+	idRequest    = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}}
+	namedRequest = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget), getCall(1, core.RootTarget-1)}, Roots: []uint64{0}, Names: []string{"a", "ghost"}}
+	mixedRoots   = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget-1)}, KeepSession: true, Roots: []uint64{0}, Names: []string{"", "b"}}
 )
+
+// badRoots are the seeds id-and-name and names-not-parallel: a root position
+// is an export id or a name, and these hold neither — the root an empty
+// name, the second extra root a nil. (Before a position was one field, the
+// seeds held a root addressed both ways and names not parallel to the roots,
+// shapes the current form cannot write.)
+var badRoots = map[string]string{
+	"id-and-name":        "0d010862726d692e7265710c0102" + "0a010d020962726d692e63616c6c0c02010803476574" + "0800",
+	"names-not-parallel": "0d010862726d692e7265710c0104" + "0a010d020962726d692e63616c6c0c02010803476574" + "080161" + "0500" + "0a02" + "080162" + "01",
+}
 
 // The value-reference shapes of the seed corpus (value-ref*): a call that
 // takes, by reference, the value an earlier call of the request returned, and
@@ -60,8 +70,9 @@ func restoreCall(seq, from int64) core.Invocation {
 // before the executor kept one replay order encoded it with its
 // parallel-roots flag set (captured at that commit): slot 5 of brmi.req
 // reads true. reservedSlotSetRequest is the same request with its calls in
-// the positional form (brmi.call, by-value argument bare), committed as the
-// fuzz seed reserved-slot-set.
+// the positional form (brmi.call, by-value argument bare), the fuzz seed
+// reserved-slot-set until a flush became the call, when the seed became the
+// same request in the current form and the slot went.
 const (
 	reservedSlotSetCapture = "0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703030a02051105ac02"
 	reservedSlotSetRequest = "0d010862726d692e7265710c010605100a020d020962726d692e63616c6c0c020308034164640a01040a04040c0208080453656c660a010d030862726d692e6172670c0303010304080409040204000a00040003050703030a02051105ac02"
@@ -122,12 +133,11 @@ func checkShorterForm(t *testing.T, named string, got []byte, envelope int) {
 }
 
 // TestBatchRequestIDAddressedWireParity pins the id-addressed request forms.
-// A request without calls encodes to exactly the bytes it did before the
-// Names field existed (captured at that commit), less the named definitions of
-// its protocol types the standard type table removed — the captures from
-// before the table (named) still decode to the same request. A request with
-// calls is positional (request_test.go): its captures carry the retired
-// brmi.inv, and are refused.
+// A flush is a bare brmi.req whose fields lead with its calls and its root
+// (encBatchRequest), so a single-root flush costs its calls and its root id
+// and nothing else. Every capture from before — the root first, the calls
+// positional (old) or in the retired brmi.inv (named) — is refused, typed;
+// only the empty request, which has no fields, reads the same in either.
 func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 	// A chain's second flush: the session numbers its calls 4 and 5, the
 	// decoder by position 0 and 1. The reference names call 4 — the first.
@@ -136,25 +146,29 @@ func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 		{Seq: 1, Target: 4, Method: "Self", Kind: 2, Args: []core.BatchArg{{IsRef: true, Seq: 4}}, Export: true},
 	}, Session: 7, KeepSession: true, Roots: []uint64{17, 300}}
 	for _, c := range []struct {
-		req         *core.BatchRequest
-		want, named string
+		req              *core.BatchRequest
+		want, old, named string
 	}{
 		// The one call is its header, kStd 40 (brmi.call) with one field,
-		// and its method: 8 B where the brmi.inv was 14.
-		{idRequest, "13020205100a01" + "132801" + "0803476574",
+		// and its method; then root 16.
+		{idRequest, "130202" + "0a01" + "132801" + "0803476574" + "0510",
+			"13020205100a01" + "132801" + "0803476574",
 			"0d010862726d692e7265710c010205100a010d020862726d692e696e760c02040400040108034765740402"},
-		// The capture of this shape had the parallel-roots flag set
-		// (reservedSlotSetCapture). The flag is gone, the slot is reserved and
-		// always false ("...0507" + "03" + "02..."): the session, keep-session
-		// and reserved fields after the calls.
-		{chained, "13020605100a02" + "13280308034164640a01040a0404" +
+		// Root 16, the session word 15 — session 7, kept — and the extra
+		// roots 17 and 300. The old form's reserved slot is gone.
+		{chained, "130204" + "0a02" + "13280308034164640a01040a0404" +
 			"132808080453656c660a0113040301030408040904020400" + "0a000400" + "03" +
-			"0507" + "03" + "02" + "0a02051105ac02",
-			"0d010862726d692e7265710c010605100a020d020862726d692e696e760c020504080405080341646404020a010d030862726d692e6172670c0301040a0c0207040a0408080453656c6604040a010c030301030408040003050703020a02051105ac02"},
+			"0510" + "050f" + "0a02051105ac02",
+			"13020605100a02" + "13280308034164640a01040a0404" +
+				"132808080453656c660a0113040301030408040904020400" + "0a000400" + "03" +
+				"0507" + "03" + "02" + "0a02051105ac02",
+			reservedSlotSetCapture},
+		// No calls, root 16, session word 0, the extra root 17, no directive,
+		// flush 0, no peers, and the policy.
 		{&core.BatchRequest{Root: 16, Roots: []uint64{17}, Policy: core.ContinuePolicy()},
+			"130208" + "01" + "0510" + "0500" + "0a010511" + "01" + "0500" + "0a00" + "130c0404040104060406",
 			"130207051001050002020a010511130c0404040104060406",
 			"0d010862726d692e7265710c0107051001050002020a0105110d020b62726d692e706f6c6963790c020404040104060406"},
-		{&core.BatchRequest{}, "130200", "0d010862726d692e7265710c0100"},
 	} {
 		got, err := wire.Marshal(c.req)
 		if err != nil {
@@ -163,80 +177,58 @@ func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 		if hex.EncodeToString(got) != c.want {
 			t.Errorf("id-addressed request %+v encodes to\n  %x, want\n  %s", c.req, got, c.want)
 		}
-		if len(c.req.Calls) == 0 {
-			checkStandardForm(t, c.named, got)
-		} else {
-			checkRetiredForm(t, c.named)
-		}
+		checkRetiredForm(t, c.old)
+		checkRetiredForm(t, c.named)
 		back, err := wire.Unmarshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r, ok := back.(*core.BatchRequest); !ok || r.Names != nil || r.Root != c.req.Root || len(r.Calls) != len(c.req.Calls) {
-			t.Errorf("id-addressed request decoded to %+v", back)
+		if err != nil || !reflect.DeepEqual(back, c.req) {
+			t.Errorf("id-addressed request decoded to %+v, %v; want %+v", back, err, c.req)
 		}
 	}
-	// Decode-only: the bytes with the old flag set still decode, to the same
-	// request as without it; the capture with its calls in the retired form
-	// does not.
-	old, err := hex.DecodeString(reservedSlotSetRequest)
+	// The request without calls or root has no fields in either order.
+	got, err := wire.Marshal(&core.BatchRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back, err := wire.Unmarshal(old); err != nil || !reflect.DeepEqual(back, chained) {
-		t.Errorf("request with the reserved slot set decoded to %+v, %v; want %+v", back, err, chained)
+	if want := "130200"; hex.EncodeToString(got) != want {
+		t.Errorf("empty request encodes to %x, want %s", got, want)
 	}
-	checkRetiredForm(t, reservedSlotSetCapture)
-	// So is the reply to one: no Roots field.
-	got, err := wire.Marshal(&core.BatchResponse{Session: 3})
-	if err != nil {
+	checkStandardForm(t, "0d010862726d692e7265710c0100", got)
+	checkRetiredForm(t, reservedSlotSetRequest)
+	// The reply to a chain's flush: no results, then session 3.
+	if got, err = wire.Marshal(&core.BatchResponse{Session: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if want := "130502010503"; hex.EncodeToString(got) != want {
+	if want := "130502" + "01" + "0503"; hex.EncodeToString(got) != want {
 		t.Errorf("id-addressed reply encodes to %x, want %s", got, want)
 	}
-	checkStandardForm(t, "0d010962726d692e726573700c0102010503", got)
 }
 
-// TestBatchRequestReservedSlotExecutes: a request that arrives with the
-// reserved slot set (an old peer's parallel-roots opt-in) decodes to the
-// request without it and replays in recording order across its two roots.
-func TestBatchRequestReservedSlotExecutes(t *testing.T) {
+// TestBatchRequestOldOrderRefused: the two forms a flush had before it became
+// the call are refused, unexecuted. A flush sent as the InvokeBatch call it
+// was is answered NoSuchMethod: the executor has no such method any more, and
+// the capture of one (the seed old-call-envelope) carries its request root
+// first, which does not decode. A bare request in that order (the seed
+// old-field-order) is refused at the serving peer's decoder.
+func TestBatchRequestOldOrderRefused(t *testing.T) {
 	env := newGetbatchEnv(t)
-	req := &core.BatchRequest{Calls: []core.Invocation{
-		{Seq: 0, Target: core.RootTarget, Method: "Bump", Kind: 1},
-		{Seq: 1, Target: core.RootTarget - 1, Method: "Bump", Kind: 1},
-		{Seq: 2, Target: core.RootTarget, Method: "Get", Kind: 1},
-	}, Roots: []uint64{0}, Names: []string{"a", "b"}}
-	data, err := wire.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Session 0, keep-session false, reserved false, the omitted column of
-	// name-addressed root ids, no policy.
-	slots := []byte{0x05, 0x00, 0x02, 0x02, 0x01, 0x01}
-	at := bytes.LastIndex(data, slots)
-	if at < 0 {
-		t.Fatalf("request bytes %x do not hold the slots %x", data, slots)
-	}
-	data[at+3] = 0x03
-	msg, err := wire.Unmarshal(data)
-	if err != nil || !reflect.DeepEqual(msg, req) {
-		t.Fatalf("request with the reserved slot set decoded to %+v, %v; want %+v", msg, err, req)
-	}
+	ctx := context.Background()
+	bumps := env.bumps()
+	bump := &core.BatchRequest{Calls: []core.Invocation{bumpCall(0)}, Names: []string{"a"}}
 	exec := rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface)
-	res, err := env.client.Call(context.Background(), exec, "InvokeBatch", msg)
-	if err != nil {
-		t.Fatal(err)
+	var noMethod *rmi.NoSuchMethodError
+	if _, err := env.client.Call(ctx, exec, "InvokeBatch", bump); !errors.As(err, &noMethod) {
+		t.Errorf("a flush as an InvokeBatch call = %v, want *rmi.NoSuchMethodError", err)
 	}
-	resp := res[0].(*core.BatchResponse)
-	if len(resp.Results) != 3 {
-		t.Fatalf("answered %d results, want 3", len(resp.Results))
+	checkRetiredForm(t, hex.EncodeToString(seedBytes(t, "FuzzBatchRequest", "old-call-envelope")))
+	old := seedBytes(t, "FuzzBatchRequest", "old-field-order")
+	checkRetiredForm(t, hex.EncodeToString(old))
+	pool := transport.NewPool(env.network)
+	t.Cleanup(func() { _ = pool.Close() })
+	if reply, err := pool.Call(ctx, getbatchHere, old); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Errorf("a request root first was answered %x, %v; want a refusal of its bytes", reply, err)
 	}
-	for i, want := range []int64{11, 21, 11} {
-		if r := resp.Results[i]; r.Err != nil || r.Value != want {
-			t.Errorf("call %d = %v, %v; want %d", i, r.Value, r.Err, want)
-		}
+	if env.bumps() != bumps {
+		t.Error("a request in a retired form executed")
 	}
 }
 
@@ -264,17 +256,16 @@ func TestBatchRequestNamesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchRequestDecoderRejectsBadNames: names that are not parallel to the
-// roots, or a position addressed both ways, never reach the executor.
+// TestBatchRequestDecoderRejectsBadNames: a root position that is neither an
+// export id nor a name never reaches the executor.
 func TestBatchRequestDecoderRejectsBadNames(t *testing.T) {
-	for _, req := range []*core.BatchRequest{shortNames, idAndNameRoots} {
-		b, err := wire.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
+	for name, bad := range badRoots {
+		if !bytes.Equal(seedBytes(t, "FuzzBatchRequest", name), mustHex(t, bad)) {
+			t.Errorf("seed %s is not %s", name, bad)
 		}
 		var corrupt *wire.CorruptError
-		if back, err := wire.Unmarshal(b); !errors.As(err, &corrupt) {
-			t.Errorf("request %+v decoded to %+v, %v; want *wire.CorruptError", req, back, err)
+		if back, err := wire.Unmarshal(mustHex(t, bad)); !errors.As(err, &corrupt) {
+			t.Errorf("%s decoded to %+v, %v; want *wire.CorruptError", name, back, err)
 		}
 	}
 }
@@ -328,49 +319,50 @@ func TestNamedRootsResolveInFirstFlush(t *testing.T) {
 	}
 }
 
-// TestNamedRootReplyOmitsEndpoint: the reply to a name-addressed flush hands
+// TestNamedRootReplyOmitsEndpoint: the reply to a named chain's flush hands
 // back what each name resolved to without the endpoint — the client called
 // that endpoint and rebuilds the ref from it (TestNamedRootsResolveInFirstFlush
 // checks the rebuilt refs) — and the ids, zero at an id-addressed position,
-// stay parallel to the request's names.
+// stay parallel to the request's names. A flush that keeps no session is told
+// nothing: it never addresses its roots again.
 func TestNamedRootReplyOmitsEndpoint(t *testing.T) {
 	env := newGetbatchEnv(t)
-	exec := rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface)
+	ctx := context.Background()
 	req := &core.BatchRequest{Root: env.ids["a"], Calls: []core.Invocation{getCall(0, core.RootTarget-1)}, Roots: []uint64{0}, Names: []string{"", "b"}}
-	res, err := env.client.Call(context.Background(), exec, "InvokeBatch", req)
+	res, err := env.client.Send(ctx, getbatchHere, req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := res.(*core.BatchResponse).Roots; got != nil {
+		t.Errorf("reply to a flush that keeps no session carries roots %+v", got)
+	}
+	req.KeepSession = true
+	if res, err = env.client.Send(ctx, getbatchHere, req); err != nil {
+		t.Fatal(err)
+	}
 	want := []wire.Ref{{}, {ObjID: env.ids["b"], Iface: "test.Gauge"}}
-	if got := res[0].(*core.BatchResponse).Roots; !reflect.DeepEqual(got, want) {
+	if got := res.(*core.BatchResponse).Roots; !reflect.DeepEqual(got, want) {
 		t.Errorf("reply roots = %+v, want %+v", got, want)
 	}
-	// The wire form (kStd brmi.resp, 4 fields: no results, session 0, no
-	// restarts, and Roots): two kRefs, the first zero, the second object 17
+	if _, err := env.client.Send(ctx, getbatchHere, &core.BatchRequest{Session: res.(*core.BatchResponse).Session}); err != nil {
+		t.Fatal(err)
+	}
+	// The wire form (kStd brmi.resp, 5 fields: no results, session 0, no
+	// ship lag, no ship error, and Roots): two kRefs, the first zero, the second object 17
 	// of "test.Gauge" — each with a zero-length endpoint where a "server-N"
 	// costs 9 bytes.
 	got, err := wire.Marshal(&core.BatchResponse{Roots: []wire.Ref{{}, {ObjID: 17, Iface: "test.Gauge"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "130504" + "01" + "0500" + "0400" + "0a02" + "0e000000" + "0e00110a" + hex.EncodeToString([]byte("test.Gauge")); hex.EncodeToString(got) != want {
+	if want := "130505" + "01" + "0500" + "0400" + "01" + "0a02" + "0e000000" + "0e00110a" + hex.EncodeToString([]byte("test.Gauge")); hex.EncodeToString(got) != want {
 		t.Errorf("reply with resolved roots encodes to\n  %x, want\n  %s", got, want)
 	}
 }
 
-// fakeBatchService answers every flush with the roots it is told to, parallel
-// to the request's names or not.
-type fakeBatchService struct {
-	rmi.RemoteBase
-	roots []wire.Ref
-}
-
-func (f *fakeBatchService) InvokeBatch(_ context.Context, req *core.BatchRequest) (*core.BatchResponse, error) {
-	return &core.BatchResponse{Results: make([]core.CallResult, len(req.Calls)), Roots: f.roots}, nil
-}
-
 // TestNamedRootReplyNotParallelFails: a reply that resolves a different
-// number of roots than the request named fails the flush with a BatchError.
+// number of roots than a named chain's request named fails the flush with a
+// BatchError.
 func TestNamedRootReplyNotParallelFails(t *testing.T) {
 	env := newGetbatchEnv(t)
 	const fake = "fake-batch"
@@ -379,16 +371,18 @@ func TestNamedRootReplyNotParallelFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	if _, err := srv.ExportSystem(rmi.BatchObjID, &fakeBatchService{roots: []wire.Ref{{ObjID: 16}}}, rmi.BatchIface); err != nil {
-		t.Fatal(err)
-	}
+	// The fake executor answers every flush with one root, whatever it named.
+	srv.HandleMessage("brmi.req", func(_ context.Context, msg any) (any, error) {
+		req := msg.(*core.BatchRequest)
+		return &core.BatchResponse{Results: make([]core.CallResult, len(req.Calls)), Roots: []wire.Ref{{ObjID: 16}}, Session: 1}, nil
+	})
 	b := core.NewNamed(env.client, fake, "a")
 	if _, err := b.AddRootNamed("b"); err != nil {
 		t.Fatal(err)
 	}
 	b.Root().Call("Get")
 	var be *core.BatchError
-	if err := b.Flush(context.Background()); !errors.As(err, &be) {
+	if err := b.FlushAndContinue(context.Background()); !errors.As(err, &be) {
 		t.Errorf("flush answered with one root for two names: %v, want a *BatchError", err)
 	}
 }
@@ -460,7 +454,7 @@ func FuzzBatchRequest(f *testing.F) {
 	for _, id := range env.ids {
 		gauges[id] = true
 	}
-	exec := rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface)
+	exec := getbatchHere
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, alloc, err := decodeAlloc(data)
@@ -488,9 +482,6 @@ func FuzzBatchRequest(f *testing.F) {
 				}
 			}
 		}
-		if d := req.Ship; d != nil {
-			n += len(d.Names)
-		}
 		if n > len(data) {
 			t.Fatalf("%d input bytes decoded to %d slice elements", len(data), n)
 		}
@@ -513,7 +504,7 @@ func FuzzBatchRequest(f *testing.F) {
 			return
 		}
 		bumps := env.bumps()
-		res, err := env.client.Call(ctx, exec, "InvokeBatch", req)
+		res, err := env.client.Send(ctx, exec, req)
 		if err != nil {
 			var corrupt *wire.CorruptError
 			var stale *cluster.StaleShipError
@@ -525,11 +516,16 @@ func FuzzBatchRequest(f *testing.F) {
 		if d := req.Ship; d != nil && d.Replication < 2 {
 			t.Fatalf("request %+v ran with a directive at replication %d", req, d.Replication)
 		}
-		resp, ok := res[0].(*core.BatchResponse)
+		resp, ok := res.(*core.BatchResponse)
 		if !ok {
-			t.Fatalf("InvokeBatch answered %T", res[0])
+			t.Fatalf("the flush was answered %T", res)
 		}
-		if len(resp.Results) != len(req.Calls) || len(resp.Roots) != len(req.Names) {
+		// Only a chain is told what its names resolved to.
+		roots := 0
+		if req.KeepSession {
+			roots = len(req.Names)
+		}
+		if len(resp.Results) != len(req.Calls) || len(resp.Roots) != roots {
 			t.Fatalf("request %+v answered with %d results and %d refs", req, len(resp.Results), len(resp.Roots))
 		}
 		// A keep-session request left its session open: close it, executing
@@ -537,7 +533,7 @@ func FuzzBatchRequest(f *testing.F) {
 		if resp.Session == 0 {
 			return
 		}
-		if _, err := env.client.Call(ctx, exec, "InvokeBatch", &core.BatchRequest{Session: resp.Session}); err != nil {
+		if _, err := env.client.Send(ctx, exec, &core.BatchRequest{Session: resp.Session}); err != nil {
 			t.Fatalf("release session %d: %v", resp.Session, err)
 		}
 	})
@@ -550,28 +546,28 @@ func FuzzBatchRequest(f *testing.F) {
 var (
 	shipRequest        = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Epoch: 3, Replication: 2, Quorum: 2}}
 	shipReplicationOne = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Epoch: 3, Replication: 1}}
-	shipNotParallel    = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Names: []string{"a"}, Ship: &core.ShipDirective{Epoch: 3, Replication: 2, Names: []string{"a", "b"}}}
-	shipIDAddressed    = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Ship: &core.ShipDirective{Epoch: 3, Replication: 2, Names: []string{"a"}}}
-	// shipRequestBytes' directive (from "1307") is kStd 7 (brmi.ship) with 3
-	// fields: epoch 3 ("0503"), replication 2 and quorum 2 ("0404" each).
-	shipRequestBytes = "13020905000a011328010803476574" + "0500020201010a01080161" + "130703050304040404"
+	shipIDAddressed    = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Ship: &core.ShipDirective{Epoch: 3, Replication: 2}}
+	// shipRequestBytes is the call, the root named "a", session word 0, no
+	// extra roots, and the directive (from "1307"): kStd 7 (brmi.ship) with
+	// 3 fields, epoch 3 ("0503"), replication 2 and quorum 2 ("0404" each).
+	shipRequestBytes = "130205" + "0a011328010803476574" + "080161" + "0500" + "01" + "130703050304040404"
 	// shipRequestNamed is shipRequest as encoded before the standard type
 	// table — brmi.req, brmi.call and brmi.ship defined by name — with the
-	// call in the positional form and the directive in the current one.
+	// call in the positional form, the directive in the current one, and the
+	// root first: refused since a flush became the call.
 	shipRequestNamed = "0d010862726d692e7265710c010905000a010d020962726d692e63616c6c0c020108034765740500020201010a010801610d030962726d692e736869700c0303050304040404"
 	// shipOldFormBytes and shipOldFormNamed are shipRequestBytes and
 	// shipRequestNamed as a client sent them while it picked the followers
 	// itself: the directive's leading field the follower lists, here [[1]]
 	// ("0a010a010402", member index 1), then epoch 3 and quorum 2. The first
 	// is the fuzz seed ship-old-form.
-	shipOldFormBytes = "13020905000a011328010803476574" + "0500020201010a01080161" + "1307030a010a01040205030404"
+	shipOldFormBytes = "130205" + "0a011328010803476574" + "080161" + "0500" + "01" + "1307030a010a01040205030404"
 	shipOldFormNamed = "0d010862726d692e7265710c010905000a010d020962726d692e63616c6c0c020108034765740500020201010a010801610d030962726d692e736869700c03030a010a01040205030404"
 )
 
-// TestShipDirectiveWireForm pins the one trailing field a replicated flush
-// adds to its request — a request without a directive is byte-identical to
-// what it was before the field existed (TestBatchRequestIDAddressedWireParity)
-// — and the one its reply adds.
+// TestShipDirectiveWireForm pins the field a replicated flush adds to its
+// request, after its calls and roots, and the two its reply adds after its
+// results.
 func TestShipDirectiveWireForm(t *testing.T) {
 	got, err := wire.Marshal(shipRequest)
 	if err != nil {
@@ -580,7 +576,7 @@ func TestShipDirectiveWireForm(t *testing.T) {
 	if hex.EncodeToString(got) != shipRequestBytes {
 		t.Errorf("request with a ship directive encodes to\n  %x, want\n  %s", got, shipRequestBytes)
 	}
-	checkStandardForm(t, shipRequestNamed, got)
+	checkRetiredForm(t, shipRequestNamed)
 	// A directive that lists its followers is from before the primary picked
 	// them: refused, typed, in either form, so its wave never runs.
 	checkRetiredForm(t, shipOldFormBytes)
@@ -594,48 +590,45 @@ func TestShipDirectiveWireForm(t *testing.T) {
 			t.Errorf("request %+v decoded to %+v, %v", req, back, err)
 		}
 	}
-	got, err = wire.Marshal(&core.BatchResponse{Session: 3, ShipNs: 1500})
+	// The reply's ship lag, 1500 ns, follows its (here nil) results and the
+	// session 0 a wave never keeps.
+	got, err = wire.Marshal(&core.BatchResponse{ShipNs: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "13050501050304000a0004b817"; hex.EncodeToString(got) != want {
+	if want := "130503" + "01" + "0500" + "04b817"; hex.EncodeToString(got) != want {
 		t.Errorf("reply to a shipped wave encodes to %x, want %s", got, want)
 	}
-	checkStandardForm(t, "0d010962726d692e726573700c010501050304000a0004b817", got)
-	if back, err := wire.Unmarshal(got); err != nil || !reflect.DeepEqual(back, &core.BatchResponse{Session: 3, ShipNs: 1500}) {
+	if back, err := wire.Unmarshal(got); err != nil || !reflect.DeepEqual(back, &core.BatchResponse{ShipNs: 1500}) {
 		t.Errorf("reply to a shipped wave decoded to %+v, %v", back, err)
 	}
 	// And a reply whose wave missed its quorum: the results, and the miss,
 	// typed down to the follower's own refusal. The one result is a plain
-	// success, so it is its bare value ("040e", 7): the named capture, from
-	// before results were positional, wraps it in a brmi.result with its Seq,
-	// 5 B more than its name's definition — the struct header "1306 02" and
-	// the Seq "0400".
+	// success, so it is its bare value ("040e", 7). The named capture, from
+	// before results were positional and the ship outcome followed the
+	// session, put restarts and roots between: it no longer decodes.
 	missed := &core.BatchResponse{Results: []core.CallResult{{Value: int64(7)}}, ShipNs: 1500, ShipErr: &cluster.QuorumError{
 		Name: "a", Acked: 1, Required: 2, Failed: []*cluster.FollowerError{{Endpoint: "there", Err: &cluster.StaleShipError{RecordEpoch: 3, NodeEpoch: 4}}}}}
 	got, err = wire.Marshal(missed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "1305060a01040e050004000a0004b817131c04080161040204040a01131d0208057468657265131b0205030504"; hex.EncodeToString(got) != want {
+	if want := "130504" + "0a01040e" + "0500" + "04b817" + "131c04080161040204040a01131d0208057468657265131b0205030504"; hex.EncodeToString(got) != want {
 		t.Errorf("reply carrying a quorum miss encodes to\n  %x, want\n  %s", got, want)
 	}
-	checkShorterForm(t, "0d010962726d692e726573700c01060a010d020b62726d692e726573756c740c02020400040e050004000a0004b8170d030e636c75737465722e51756f72756d0c0304080161040204040a010d0415636c75737465722e466f6c6c6f7765724572726f720c0402080574686572650d0511636c75737465722e5374616c65536869700c050205030504", got, 5)
+	if back, err := wire.Unmarshal(mustHex(t, "0d010962726d692e726573700c01060a010d020b62726d692e726573756c740c02020400040e050004000a0004b8170d030e636c75737465722e51756f72756d0c0304080161040204040a010d0415636c75737465722e466f6c6c6f7765724572726f720c0402080574686572650d0511636c75737465722e5374616c65536869700c050205030504")); err == nil {
+		t.Errorf("the reply's capture from before the ship outcome followed the results decoded to %+v", back)
+	}
 	var stale *cluster.StaleShipError
 	if back, err := wire.Unmarshal(got); err != nil || !reflect.DeepEqual(back, missed) || !errors.As(back.(*core.BatchResponse).ShipErr, &stale) {
 		t.Errorf("reply carrying a quorum miss decoded to %+v, %v", back, err)
 	}
-	// A directive slot holding anything but a directive never decodes: in
-	// the standard form (kStd 7, brmi.ship, becomes kStd 13, brmi.rule) and
-	// in the named one.
+	// A directive slot holding anything but a directive never decodes (kStd
+	// 7, brmi.ship, becomes kStd 13, brmi.rule).
 	var corrupt *wire.CorruptError
-	for _, bad := range [][]byte{
-		bytes.Replace(mustHex(t, shipRequestBytes), []byte{0x13, 7}, []byte{0x13, 13}, 1),
-		bytes.Replace(mustHex(t, shipRequestNamed), []byte("brmi.ship"), []byte("brmi.rule"), 1),
-	} {
-		if back, err := wire.Unmarshal(bad); !errors.As(err, &corrupt) {
-			t.Errorf("request %x with a rule in its directive slot decoded to %+v, %v; want *wire.CorruptError", bad, back, err)
-		}
+	bad := bytes.Replace(mustHex(t, shipRequestBytes), []byte{0x13, 7}, []byte{0x13, 13}, 1)
+	if back, err := wire.Unmarshal(bad); !errors.As(err, &corrupt) {
+		t.Errorf("request %x with a rule in its directive slot decoded to %+v, %v; want *wire.CorruptError", bad, back, err)
 	}
 }
 
@@ -670,7 +663,7 @@ func TestReplayShadowDropsShipDirective(t *testing.T) {
 		t.Errorf("b = %v, %v after the replay; want 21: the substitute root bumped once", entries, err)
 	}
 	// The same request, arriving as a flush, does reach the hook.
-	if _, err := env.client.Call(context.Background(), rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface), "InvokeBatch", shipRequest); err != nil || hooked != 1 {
+	if _, err := env.client.Send(context.Background(), getbatchHere, shipRequest); err != nil || hooked != 1 {
 		t.Errorf("flush with a directive: %v, hook consulted %d times, want once", err, hooked)
 	}
 }

@@ -105,9 +105,10 @@ func (p *Proxy) ExportedRef() (wire.Ref, error) {
 }
 
 // RootRef returns the exported object a root proxy (Batch.Root, AddRoot,
-// AddRootNamed) stands for. A name-addressed root's ObjID is 0 until the
-// batch's first flush returned with what the serving peer resolved the name
-// to. Proxies that are not roots return the zero Ref.
+// AddRootNamed) stands for. A name-addressed root's ObjID is 0 until a
+// FlushAndContinue returned with what the serving peer resolved the name to;
+// a Flush, which ends the chain, is not told. Proxies that are not roots
+// return the zero Ref.
 func (p *Proxy) RootRef() wire.Ref {
 	p.b.mu.Lock()
 	defer p.b.mu.Unlock()

@@ -147,7 +147,7 @@ func pushCall(inv core.Invocation, at ...int64) core.Invocation {
 // at decode, or by the executor — with nothing executed.
 func TestPushSeeds(t *testing.T) {
 	env := newGetbatchEnv(t)
-	exec := rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface)
+	exec := getbatchHere
 	for name, req := range map[string]*core.BatchRequest{
 		"push-out-of-range": pushOutOfRange,
 		"push-to-self":      pushToSelf,
@@ -160,7 +160,7 @@ func TestPushSeeds(t *testing.T) {
 		var corrupt *wire.CorruptError
 		_, derr := wire.Unmarshal(want)
 		bumps := env.bumps()
-		_, err := env.client.Call(context.Background(), exec, "InvokeBatch", req)
+		_, err := env.client.Send(context.Background(), exec, req)
 		if !errors.As(derr, &corrupt) && !errors.As(err, &corrupt) {
 			t.Errorf("%s: decoded (%v) and answered %v, want *wire.CorruptError", name, derr, err)
 		}

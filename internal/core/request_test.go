@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/rmi"
 	"repro/internal/wire"
 )
 
@@ -67,14 +66,13 @@ func TestRequestCallShapes(t *testing.T) {
 	for _, c := range requestShapes {
 		t.Run(c.name, func(t *testing.T) {
 			req := &core.BatchRequest{Root: 16, Calls: []core.Invocation{c.call}}
-			// brmi.req with two fields: root 16, a slice of one call.
-			want := "130202" + "0510" + "0a01" + c.want
+			// brmi.req with two fields: a slice of one call, root 16.
+			want := "130202" + "0a01" + c.want + "0510"
 			if c.flush {
 				req.Flush, req.Peers = 9, []string{"p"}
-				// Eleven fields: then session 0, keep-session, the reserved
-				// slot, roots, policy, no names, no directive, flush 9, and
-				// the one peer "p".
-				want = "13020b" + "0510" + "0a01" + c.want + "0500" + "02" + "02" + "01" + "01" + "0a00" + "01" + "0509" + "0a01080170"
+				// Seven fields: then the session word 0, no extra roots, no
+				// directive, flush 9, and the one peer "p".
+				want = "130207" + "0a01" + c.want + "0510" + "0500" + "01" + "01" + "0509" + "0a01080170"
 			}
 			got, err := wire.Marshal(req)
 			if err != nil {
@@ -118,8 +116,9 @@ func TestRequestNumbersByPosition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// brmi.req with four fields: root 0, two calls, session 7, keep-session.
-	if want := "130204" + "0500" + "0a02" + "1328010803476574" + "1328010803476574" + "0507" + "03"; hex.EncodeToString(continued) != want {
+	// brmi.req with three fields: two calls, root 0, and the session word
+	// 15: session 7, kept.
+	if want := "130203" + "0a02" + "1328010803476574" + "1328010803476574" + "0500" + "050f"; hex.EncodeToString(continued) != want {
 		t.Errorf("continued session's request encodes to\n  %x, want\n  %s", continued, want)
 	}
 	back, err := wire.Unmarshal(continued)
@@ -142,17 +141,17 @@ func TestRequestNumbersByPosition(t *testing.T) {
 func TestContinuedSessionNumbersFromWhereItLeftOff(t *testing.T) {
 	fx := newFixture(t)
 	c, ref := exportCounter(t, fx)
-	exec := rmi.SystemRef("server", rmi.BatchObjID, rmi.BatchIface)
+	exec := "server"
 	add := func(arg core.BatchArg) core.Invocation {
 		return core.Invocation{Target: core.RootTarget, Method: "Add", Kind: 1, Args: []core.BatchArg{arg}}
 	}
 	invoke := func(req *core.BatchRequest) *core.BatchResponse {
 		t.Helper()
-		res, err := fx.client.Call(context.Background(), exec, "InvokeBatch", req)
+		res, err := fx.client.Send(context.Background(), exec, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res[0].(*core.BatchResponse)
+		return res.(*core.BatchResponse)
 	}
 	first := invoke(&core.BatchRequest{Root: ref.ObjID, KeepSession: true, Calls: []core.Invocation{add(core.BatchArg{Val: int64(1)}), add(core.BatchArg{Val: int64(2)})}})
 	second := invoke(&core.BatchRequest{Session: first.Session, Calls: []core.Invocation{add(core.BatchArg{Val: int64(30)}), add(core.BatchArg{IsRef: true, Seq: 2})}})
@@ -166,10 +165,10 @@ func TestContinuedSessionNumbersFromWhereItLeftOff(t *testing.T) {
 	}
 }
 
-// oldFormRequest is idRequest as encoded before requests were positional:
-// its one call a brmi.inv ("1303") spelling out Seq 0, the root target,
+// oldFormRequest is idRequest with its one call as encoded before requests
+// were positional: a brmi.inv ("1303") spelling out Seq 0, the root target,
 // "Get" and the value kind.
-const oldFormRequest = "13020205100a01" + "130304" + "0400" + "0401" + "0803476574" + "0402"
+const oldFormRequest = "1302020a01" + "130304" + "0400" + "0401" + "0803476574" + "0402" + "0510"
 
 // TestOldFormRequestRefused: brmi.inv is retired. A request that carries one
 // is refused whole, typed, and so is a brmi.inv on its own; the encoder never
@@ -202,7 +201,7 @@ var (
 // encoder's bytes, and executed they answer as the requests say.
 func TestPositionalRequestSeeds(t *testing.T) {
 	env := newGetbatchEnv(t)
-	exec := rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface)
+	exec := getbatchHere
 	for _, tc := range []struct {
 		name string
 		req  *core.BatchRequest
@@ -219,11 +218,11 @@ func TestPositionalRequestSeeds(t *testing.T) {
 		if back, err := wire.Unmarshal(seed); err != nil || !reflect.DeepEqual(back, tc.req) {
 			t.Errorf("seed %s decodes to %+v, %v", name, back, err)
 		}
-		res, err := env.client.Call(context.Background(), exec, "InvokeBatch", tc.req)
+		res, err := env.client.Send(context.Background(), exec, tc.req)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for i, r := range res[0].(*core.BatchResponse).Results {
+		for i, r := range res.(*core.BatchResponse).Results {
 			if r.Err != nil || r.Value != tc.want[i] {
 				t.Errorf("%s: call %d = %v, %v; want %v", name, i, r.Value, r.Err, tc.want[i])
 			}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rmi"
 	"repro/internal/wire"
 )
 
@@ -215,15 +214,15 @@ func valueRefRequest(root uint64) *core.BatchRequest {
 
 // TestValueRefWireForm: a value reference is the reference a remote result
 // has always been — same message, same fields, nothing new on the wire. The
-// named bytes are the request with its types defined by name, the
-// standard-form bytes the same less the named definitions the standard type
-// table removed; turning the producer into a remote-result call writes its
-// Target and Kind and changes nothing about the argument.
+// named bytes are the request as encoded with its types defined by name and
+// its root first, a field order the decoder refuses since a flush became the
+// call; turning the producer into a remote-result call writes its Target and
+// Kind and changes nothing about the argument.
 func TestValueRefWireForm(t *testing.T) {
 	// Two brmi.calls ("1328"): Add with the bare 40 ("0450"), then Add with
-	// the brmi.arg ("1304") naming call 0.
+	// the brmi.arg ("1304") naming call 0; then root 16.
 	const producer = "13280208034164640a010450"
-	const want = "13020205100a02" + producer + "13280208034164640a01" + "1304020103"
+	const want = "1302020a02" + producer + "13280208034164640a01" + "1304020103" + "0510"
 	const named = "0d010862726d692e7265710c010205100a020d020962726d692e63616c6c0c020208034164640a0104500c020208034164640a010d030862726d692e6172670c03020103"
 	req := valueRefRequest(16)
 	got, err := wire.Marshal(req)
@@ -233,7 +232,7 @@ func TestValueRefWireForm(t *testing.T) {
 	if hex.EncodeToString(got) != want {
 		t.Errorf("request with a value reference encodes to\n  %x, want\n  %s", got, want)
 	}
-	checkStandardForm(t, named, got)
+	checkRetiredForm(t, named)
 	req.Calls[0].Kind = 2
 	remote, err := wire.Marshal(req)
 	if err != nil {
@@ -252,7 +251,7 @@ func TestValueRefWireForm(t *testing.T) {
 // referencing call alone.
 func TestValueRefSeeds(t *testing.T) {
 	env := newGetbatchEnv(t)
-	exec := rmi.SystemRef(getbatchHere, rmi.BatchObjID, rmi.BatchIface)
+	exec := getbatchHere
 	for name, tc := range map[string]struct {
 		req *core.BatchRequest
 		bad int // the call that fails unresolved, -1 for none
@@ -274,12 +273,12 @@ func TestValueRefSeeds(t *testing.T) {
 		if got, err := strconv.Unquote(quoted); err != nil || got != string(want) {
 			t.Errorf("seed %s holds %q (%v), the encoder says %q", name, got, err, want)
 		}
-		res, err := env.client.Call(context.Background(), exec, "InvokeBatch", tc.req)
+		res, err := env.client.Send(context.Background(), exec, tc.req)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var unresolved *core.UnresolvedRefError
-		for i, r := range res[0].(*core.BatchResponse).Results {
+		for i, r := range res.(*core.BatchResponse).Results {
 			if (i == tc.bad) != errors.As(r.Err, &unresolved) {
 				t.Errorf("%s: call %d = %v, %v", name, i, r.Value, r.Err)
 			}
@@ -296,18 +295,18 @@ func TestValueRefHostile(t *testing.T) {
 	fx := newFixture(t)
 	ctx := context.Background()
 	c, ref := exportCounter(t, fx)
-	exec := rmi.SystemRef("server", rmi.BatchObjID, rmi.BatchIface)
+	exec := "server"
 	add := func(seq int64, arg core.BatchArg) core.Invocation {
 		return core.Invocation{Seq: seq, Target: core.RootTarget, Method: "Add", Kind: 1, Args: []core.BatchArg{arg}}
 	}
 	lit, at := func(v int64) core.BatchArg { return core.BatchArg{Val: v} }, func(seq int64) core.BatchArg { return core.BatchArg{IsRef: true, Seq: seq} }
 	invoke := func(t *testing.T, req *core.BatchRequest) *core.BatchResponse {
 		t.Helper()
-		res, err := fx.client.Call(ctx, exec, "InvokeBatch", req)
+		res, err := fx.client.Send(ctx, exec, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res[0].(*core.BatchResponse)
+		return res.(*core.BatchResponse)
 	}
 
 	// An earlier flush of a chain: its value is the client's, not the session's.
@@ -395,25 +394,25 @@ func TestValueTableIsNotSessionState(t *testing.T) {
 	fx := newFixtureTTL(t, 30*time.Millisecond)
 	ctx := context.Background()
 	_, ref := exportCounter(t, fx)
-	exec := rmi.SystemRef("server", rmi.BatchObjID, rmi.BatchIface)
+	exec := "server"
 	req := valueRefRequest(ref.ObjID)
 	req.KeepSession = true
-	res, err := fx.client.Call(ctx, exec, "InvokeBatch", req)
+	res, err := fx.client.Send(ctx, exec, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := res[0].(*core.BatchResponse)
+	resp := res.(*core.BatchResponse)
 	if r := resp.Results[1]; r.Err != nil || r.Value != int64(2) {
 		t.Fatalf("spliced call = %v, %v; want 2", r.Value, r.Err)
 	}
 	next := &core.BatchRequest{Session: resp.Session, KeepSession: true, Calls: []core.Invocation{
 		{Seq: 2, Target: core.RootTarget, Method: "Add", Kind: 1, Args: []core.BatchArg{{IsRef: true, Seq: 1}}},
 	}}
-	if res, err = fx.client.Call(ctx, exec, "InvokeBatch", next); err != nil {
+	if res, err = fx.client.Send(ctx, exec, next); err != nil {
 		t.Fatal(err)
 	}
 	var unresolved *core.UnresolvedRefError
-	if r := res[0].(*core.BatchResponse).Results[0]; !errors.As(r.Err, &unresolved) {
+	if r := res.(*core.BatchResponse).Results[0]; !errors.As(r.Err, &unresolved) {
 		t.Errorf("the chain's next flush reached the previous wave's value: %v, %v", r.Value, r.Err)
 	}
 	for deadline := time.Now().Add(2 * time.Second); fx.exec.NumSessions() != 0; time.Sleep(5 * time.Millisecond) {

@@ -256,43 +256,39 @@ func decRetiredInv(wire.Dec, *retiredInv, int) error {
 	return &wire.CorruptError{Detail: "brmi.inv is retired: calls travel as brmi.call"}
 }
 
+// encBatchRequest writes a brmi.req. Its fields lead with what a cluster
+// wave and a core flush both send — Calls, then the root — and then what
+// only a chain (Session) or a multi-root batch (Roots), only a cluster wave
+// (Ship, Flush, Peers) or only a non-default policy sends, trailing zeros
+// omitted. A root position travels as its export id or, when the request
+// addresses it by name, as the name (encRoot); the session word is
+// 2·Session+KeepSession.
 func encBatchRequest(x wire.Enc, r *batchRequest) error {
-	n := 11
-	if len(r.Peers) == 0 {
-		n = 10
-		if r.Flush == 0 {
-			n = 9
-		}
+	session := r.Session << 1
+	if r.KeepSession {
+		session |= 1
 	}
-	if n == 9 && r.Ship == nil {
+	var n int
+	switch {
+	case r.Policy != nil:
 		n = 8
-		if len(r.Names) == 0 {
-			n = 7
-			if r.Policy == nil {
-				n = 6
-				if r.Roots == nil {
-					n = 4 // slot 5 is reserved and never the last field written
-					if !r.KeepSession {
-						n = 3
-						if r.Session == 0 {
-							n = 2
-							if r.Calls == nil {
-								n = 1
-								if r.Root == 0 {
-									n = 0
-								}
-							}
-						}
-					}
-				}
-			}
-		}
+	case len(r.Peers) != 0:
+		n = 7
+	case r.Flush != 0:
+		n = 6
+	case r.Ship != nil:
+		n = 5
+	case len(r.Roots) != 0:
+		n = 4
+	case session != 0:
+		n = 3
+	case r.Root != 0 || len(r.Names) != 0:
+		n = 2
+	case r.Calls != nil:
+		n = 1
 	}
 	x.BeginStruct("brmi.req", n)
 	if n > 0 {
-		x.Uint(r.Root)
-	}
-	if n > 1 {
 		if r.Calls == nil {
 			x.Nil()
 		} else {
@@ -304,64 +300,68 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 			}
 		}
 	}
+	if n > 1 {
+		encRoot(x, r, 0, r.Root)
+	}
 	if n > 2 {
-		x.Uint(r.Session)
+		x.Uint(session)
 	}
 	if n > 3 {
-		x.Bool(r.KeepSession)
-	}
-	if n > 4 {
-		// Reserved: the slot carried the parallel-roots flag until the
-		// executor kept one replay order. Always false, so a multi-root
-		// request keeps its bytes.
-		x.Bool(false)
-	}
-	if n > 5 {
-		if r.Roots == nil || rootsNamed(r) {
+		if len(r.Roots) == 0 {
 			x.Nil()
 		} else {
 			x.Slice(len(r.Roots))
-			for _, id := range r.Roots {
-				x.Uint(id)
+			for i, id := range r.Roots {
+				encRoot(x, r, 1+i, id)
 			}
 		}
 	}
-	if n > 6 {
-		if err := x.Value(r.Policy); err != nil {
-			return err
-		}
-	}
-	if n > 7 {
-		x.Slice(len(r.Names))
-		for _, name := range r.Names {
-			x.Str(name)
-		}
-	}
-	if n > 8 {
+	if n > 4 {
 		if err := x.Value(r.Ship); err != nil {
 			return err
 		}
 	}
-	if n > 9 {
+	if n > 5 {
 		x.Uint(r.Flush)
 	}
-	if n > 10 {
+	if n > 6 {
 		x.Slice(len(r.Peers))
 		for _, ep := range r.Peers {
 			x.Str(ep)
 		}
 	}
+	if n > 7 {
+		return x.Value(r.Policy)
+	}
 	return nil
+}
+
+// encRoot writes root position i (0 the batch root, 1+j extra root j): its
+// name when Names addresses it by one, else its export id.
+func encRoot(x wire.Enc, r *batchRequest, i int, id uint64) {
+	if i < len(r.Names) && r.Names[i] != "" {
+		x.Str(r.Names[i])
+	} else {
+		x.Uint(id)
+	}
+}
+
+// decRoot reads what encRoot wrote at position i: the id it returns, or the
+// name it records in r.Names, which it grows to reach i.
+func decRoot(x wire.Dec, r *batchRequest, i int) (uint64, error) {
+	id, name, err := x.IDOrName()
+	if name != "" {
+		for len(r.Names) <= i {
+			r.Names = append(r.Names, "")
+		}
+		r.Names[i] = name
+	}
+	return id, err
 }
 
 func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 	var err error
 	if n > 0 {
-		if r.Root, err = x.Uint(); err != nil {
-			return err
-		}
-	}
-	if n > 1 {
 		cn, err := x.SliceLen()
 		if err != nil {
 			return err
@@ -385,24 +385,19 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			}
 		}
 	}
-	if n > 2 {
-		if r.Session, err = x.Uint(); err != nil {
+	if n > 1 {
+		if r.Root, err = decRoot(x, r, 0); err != nil {
 			return err
 		}
+	}
+	if n > 2 {
+		session, err := x.Uint()
+		if err != nil {
+			return err
+		}
+		r.Session, r.KeepSession = session>>1, session&1 == 1
 	}
 	if n > 3 {
-		if r.KeepSession, err = x.Bool(); err != nil {
-			return err
-		}
-	}
-	if n > 4 {
-		// Reserved slot (see encBatchRequest): read and discarded, so a
-		// request from a peer that still sets it replays in recording order.
-		if _, err = x.Bool(); err != nil {
-			return err
-		}
-	}
-	if n > 5 {
 		rn, err := x.SliceLen()
 		if err != nil {
 			return err
@@ -410,7 +405,7 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 		if rn >= 0 {
 			r.Roots = make([]uint64, 0, min(rn, wire.MaxPrealloc))
 			for i := 0; i < rn; i++ {
-				id, err := x.Uint()
+				id, err := decRoot(x, r, 1+i)
 				if err != nil {
 					return err
 				}
@@ -418,43 +413,11 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			}
 		}
 	}
-	if n > 6 {
-		v, err := x.Value()
-		if err != nil {
-			return err
-		}
-		if v != nil {
-			p, ok := v.(*Policy)
-			if !ok {
-				return &wire.CorruptError{Detail: "batch request policy has wrong type"}
-			}
-			r.Policy = p
-		}
+	// Names, once a position is named, is parallel to Root+Roots.
+	for r.Names != nil && len(r.Names) <= len(r.Roots) {
+		r.Names = append(r.Names, "")
 	}
-	if n > 7 {
-		nn, err := x.SliceLen()
-		if err != nil {
-			return err
-		}
-		if nn > 0 {
-			r.Names = make([]string, 0, min(nn, wire.MaxPrealloc))
-			for i := 0; i < nn; i++ {
-				name, err := x.Str()
-				if err != nil {
-					return err
-				}
-				r.Names = append(r.Names, name)
-			}
-		}
-		if r.Roots == nil && len(r.Names) > 1 {
-			// Every extra root is name-addressed: the id column was omitted.
-			r.Roots = make([]uint64, len(r.Names)-1)
-		}
-		if err := checkRootNames(r); err != nil {
-			return err
-		}
-	}
-	if n > 8 {
+	if n > 4 {
 		v, err := x.Value()
 		if err != nil {
 			return err
@@ -467,12 +430,12 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			r.Ship = d
 		}
 	}
-	if n > 9 {
+	if n > 5 {
 		if r.Flush, err = x.Uint(); err != nil {
 			return err
 		}
 	}
-	if n > 10 {
+	if n > 6 {
 		pn, err := x.SliceLen()
 		if err != nil {
 			return err
@@ -488,10 +451,23 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			}
 		}
 	}
+	if n > 7 {
+		v, err := x.Value()
+		if err != nil {
+			return err
+		}
+		if v != nil {
+			p, ok := v.(*Policy)
+			if !ok {
+				return &wire.CorruptError{Detail: "batch request policy has wrong type"}
+			}
+			r.Policy = p
+		}
+	}
 	if err := checkPushes(r); err != nil {
 		return err
 	}
-	return x.SkipFields(n - 11)
+	return x.SkipFields(n - 8)
 }
 
 // checkPushes rejects a request whose push lists cannot be followed: a push
@@ -530,43 +506,6 @@ func checkPushes(r *batchRequest) error {
 			if a.Pushed && tags[a.Seq] {
 				return &wire.CorruptError{Detail: fmt.Sprintf("batch request waits for value %d, which it pushes itself", a.Seq)}
 			}
-		}
-	}
-	return nil
-}
-
-// rootsNamed reports whether r's Names address every extra root, whose ids
-// are then all 0: the encoder omits the column, and the decoder restores it
-// from len(Names).
-func rootsNamed(r *batchRequest) bool {
-	if len(r.Names) == 0 || len(r.Names) != 1+len(r.Roots) {
-		return false
-	}
-	for _, id := range r.Roots {
-		if id != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// checkRootNames rejects a request whose Names do not line up with its
-// roots: they must be parallel to Root+Roots, and a position is addressed by
-// id or by name, never both.
-func checkRootNames(r *batchRequest) error {
-	if len(r.Names) == 0 {
-		return nil
-	}
-	if len(r.Names) != 1+len(r.Roots) {
-		return &wire.CorruptError{Detail: "batch request root names are not parallel to its roots"}
-	}
-	for i, name := range r.Names {
-		id := r.Root
-		if i > 0 {
-			id = r.Roots[i-1]
-		}
-		if id != 0 && name != "" {
-			return &wire.CorruptError{Detail: "batch request root carries both an id and a name"}
 		}
 	}
 	return nil
@@ -732,25 +671,24 @@ func decAnySlice(x wire.Dec) ([]any, error) {
 	return out, nil
 }
 
+// encBatchResponse writes a brmi.resp: Results, then the session a chain's
+// reply carries, then the ship outcome a replicated wave's reply carries,
+// then the roots a named chain resolved, and the restarts.
 func encBatchResponse(x wire.Enc, r *batchResponse) error {
-	n := 6
-	if r.ShipErr == nil {
+	var n int
+	switch {
+	case r.Restarts != 0:
+		n = 6
+	case len(r.Roots) != 0:
 		n = 5
-		if r.ShipNs == 0 {
-			n = 4
-			if len(r.Roots) == 0 {
-				n = 3
-				if r.Restarts == 0 {
-					n = 2
-					if r.Session == 0 {
-						n = 1
-						if r.Results == nil {
-							n = 0
-						}
-					}
-				}
-			}
-		}
+	case r.ShipErr != nil:
+		n = 4
+	case r.ShipNs != 0:
+		n = 3
+	case r.Session != 0:
+		n = 2
+	case r.Results != nil:
+		n = 1
 	}
 	x.BeginStruct("brmi.resp", n)
 	if n > 0 {
@@ -775,21 +713,25 @@ func encBatchResponse(x wire.Enc, r *batchResponse) error {
 		x.Uint(r.Session)
 	}
 	if n > 2 {
-		x.Int(r.Restarts)
-	}
-	if n > 3 {
-		x.Slice(len(r.Roots))
-		for _, ref := range r.Roots {
-			x.RefVal(ref)
-		}
-	}
-	if n > 4 {
 		x.Int(r.ShipNs)
 	}
-	if n > 5 {
+	if n > 3 {
 		if err := x.Value(r.ShipErr); err != nil {
 			return err
 		}
+	}
+	if n > 4 {
+		if len(r.Roots) == 0 {
+			x.Nil()
+		} else {
+			x.Slice(len(r.Roots))
+			for _, ref := range r.Roots {
+				x.RefVal(ref)
+			}
+		}
+	}
+	if n > 5 {
+		x.Int(r.Restarts)
 	}
 	return nil
 }
@@ -825,11 +767,16 @@ func decBatchResponse(x wire.Dec, r *batchResponse, n int) error {
 		}
 	}
 	if n > 2 {
-		if r.Restarts, err = x.Int(); err != nil {
+		if r.ShipNs, err = x.Int(); err != nil {
 			return err
 		}
 	}
 	if n > 3 {
+		if r.ShipErr, err = x.ErrVal(); err != nil {
+			return err
+		}
+	}
+	if n > 4 {
 		rn, err := x.SliceLen()
 		if err != nil {
 			return err
@@ -845,13 +792,8 @@ func decBatchResponse(x wire.Dec, r *batchResponse, n int) error {
 			}
 		}
 	}
-	if n > 4 {
-		if r.ShipNs, err = x.Int(); err != nil {
-			return err
-		}
-	}
 	if n > 5 {
-		if r.ShipErr, err = x.ErrVal(); err != nil {
+		if r.Restarts, err = x.Int(); err != nil {
 			return err
 		}
 	}

@@ -221,11 +221,12 @@ func (c *conn) Write(p []byte) (int, error) {
 }
 
 // Close shuts both directions gracefully: the peer sees EOF after draining
-// in-flight data; local reads unblock with EOF as well.
+// in-flight data; local reads unblock with EOF at once, also while data
+// bound for them is still in flight, which no one can read any more.
 func (c *conn) Close() error {
 	c.closeOnce.Do(func() {
 		c.wr.close()
-		c.rd.close()
+		c.rd.reset()
 		c.net.unregister(c)
 	})
 	return nil

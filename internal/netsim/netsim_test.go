@@ -145,6 +145,30 @@ func TestEOFAfterDrain(t *testing.T) {
 	}
 }
 
+// TestCloseUnblocksReaderOfDelayedData: a reader waiting for a chunk that is
+// due an hour from now returns EOF as soon as its own side closes.
+func TestCloseUnblocksReaderOfDelayedData(t *testing.T) {
+	c, s := dialPair(t, Profile{RTT: 2 * time.Hour})
+	if _, err := s.Write([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 1))
+		done <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let the reader park on the chunk
+	_ = c.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("got %v, want EOF", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left the reader waiting for the delayed chunk")
+	}
+}
+
 func TestWriteAfterCloseFails(t *testing.T) {
 	c, _ := dialPair(t, Instant)
 	_ = c.Close()

@@ -367,32 +367,42 @@ func (p *Peer) handle(ctx context.Context, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("decode request: %w", err)
 	}
-	req, ok := msg.(*callRequest)
-	if !ok {
-		return nil, fmt.Errorf("unexpected request type %T", msg)
-	}
-
-	resp := &callResponse{}
-	if e, found := p.exports.get(req.ObjID); found {
+	req, isCall := msg.(*callRequest)
+	var resp any
+	if !isCall {
+		// A message goes to the handler installed for its type.
+		name := wire.TypeNameOf(msg)
+		p.mu.Lock()
+		fn := p.handlers[name]
+		p.mu.Unlock()
+		resp = &NoHandlerError{Type: name}
+		if fn != nil {
+			if resp, err = fn(ctx, msg); err != nil {
+				resp = err
+			}
+		}
+	} else if e, found := p.exports.get(req.ObjID); found {
+		cr := &callResponse{}
+		resp = cr
 		results, ierr := p.InvokeLocal(ctx, e.obj, req.Method, req.Args)
 		if ierr != nil {
-			resp.Err = ierr
+			cr.Err = ierr
 		} else {
-			resp.Results = make([]any, len(results))
+			cr.Results = make([]any, len(results))
 			for i, r := range results {
 				w, werr := p.ToWire(r)
 				if werr != nil {
-					resp.Err = fmt.Errorf("rmi: marshal result %d of %s: %w", i, req.Method, werr)
-					resp.Results = nil
+					cr.Err = fmt.Errorf("rmi: marshal result %d of %s: %w", i, req.Method, werr)
+					cr.Results = nil
 					break
 				}
-				resp.Results[i] = w
+				cr.Results[i] = w
 			}
 		}
 	} else if wh, ok := p.ForwardedObject(req.ObjID); ok {
-		resp.Err = wh
+		resp = &callResponse{Err: wh}
 	} else {
-		resp.Err = &NoSuchObjectError{ObjID: req.ObjID}
+		resp = &callResponse{Err: &NoSuchObjectError{ObjID: req.ObjID}}
 	}
 
 	encStart := p.statsNow()
@@ -404,7 +414,10 @@ func (p *Peer) handle(ctx context.Context, payload []byte) ([]byte, error) {
 		// response rather than killing the connection. The failed attempt
 		// left buf untouched (MarshalAppend returns nil on error), so it is
 		// reused for the second attempt and released if that fails too.
-		resp = &callResponse{Err: &wire.RemoteError{TypeName: "rmi.EncodeError", Message: err.Error()}}
+		rerr := &wire.RemoteError{TypeName: "rmi.EncodeError", Message: err.Error()}
+		if resp = rerr; isCall {
+			resp = &callResponse{Err: rerr}
+		}
 		out, err = wire.MarshalAppend(buf, resp)
 		if err != nil {
 			transport.PutBuffer(buf)
@@ -412,4 +425,16 @@ func (p *Peer) handle(ctx context.Context, payload []byte) ([]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// MessageHandler answers one message sent with Peer.Send: with the reply
+// value, in wire form, or with the error that refuses the message.
+type MessageHandler func(ctx context.Context, msg any) (any, error)
+
+// HandleMessage installs fn as the handler for messages whose top-level wire
+// type is name. A later install replaces an earlier one.
+func (p *Peer) HandleMessage(name string, fn MessageHandler) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.handlers[name] = fn
 }

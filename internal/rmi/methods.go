@@ -6,8 +6,8 @@ import "repro/internal/wire"
 // system services export (object ids below FirstUserObjID) and its stream
 // services are named here once, and a call or stream request to one of them
 // names it by its index — a kUint where an application call has a kStr —
-// on the model of the wire package's standard type table. "InvokeBatch"
-// costs a flush 2 bytes instead of 13.
+// on the model of the wire package's standard type table. "Append" costs a
+// replicated wave's record 2 bytes instead of 8.
 //
 // The list is APPEND-ONLY. A name's position is its wire id, so reordering
 // or removing an entry changes what bytes already on the wire mean; a new
@@ -15,7 +15,8 @@ import "repro/internal/wire"
 // holds it to the services a serving peer runs). A string still decodes, so
 // a name missing from the table only costs its bytes.
 var protocolMethods = [...]string{
-	// Every flush, get-batch and replicated wave carries one of these.
+	// "InvokeBatch" is retired — a flush is a bare brmi.req (Peer.Send) — and
+	// its id stays taken. Every get-batch and replicated wave carries the others.
 	"InvokeBatch",
 	"core.getbatch",
 	"Append",

@@ -47,6 +47,7 @@ type Peer struct {
 	tsrv      *transport.Server
 	closed    bool
 	streams   map[string]StreamServer   // stream services, by name
+	handlers  map[string]MessageHandler // message services, by wire type
 	forwards  map[uint64]forwardRecord  // migrated-away objects, by old id
 	holds     map[string]map[uint64]int // endpoint -> objID -> refcount
 	granted   map[string]time.Duration  // endpoint -> lease granted by its DGC
@@ -118,6 +119,7 @@ func NewPeer(network transport.Network, opts ...Option) *Peer {
 		pool:      transport.NewPool(network),
 		clientID:  newClientID(),
 		forwards:  make(map[uint64]forwardRecord),
+		handlers:  make(map[string]MessageHandler),
 		holds:     make(map[string]map[uint64]int),
 		granted:   make(map[string]time.Duration),
 		renewKick: make(chan struct{}, 1),
@@ -359,16 +361,6 @@ func (p *Peer) DerefTyped(ref wire.Ref) any { return p.stubFor(ref) }
 // pass-by-reference semantics for remote objects/stubs and pass-by-copy for
 // everything else. Returned refs arrive as stubs.
 func (p *Peer) Call(ctx context.Context, ref wire.Ref, method string, args ...any) ([]any, error) {
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if ref.ObjID != DGCObjID {
-		p.calls.Add(1)
-	}
-
 	req := &callRequest{ObjID: ref.ObjID, Method: method, Args: make([]any, len(args))}
 	for i, a := range args {
 		w, err := p.ToWire(a)
@@ -377,28 +369,9 @@ func (p *Peer) Call(ctx context.Context, ref wire.Ref, method string, args ...an
 		}
 		req.Args[i] = w
 	}
-	// Encode into a pooled buffer: the transport hands the payload to the
-	// connection synchronously, so once Call returns the buffer is free.
-	encStart := p.statsNow()
-	buf := transport.GetBuffer()
-	payload, err := wire.MarshalAppend(buf, req)
+	msg, err := p.roundTrip(ctx, ref.Endpoint, method, req, ref.ObjID != DGCObjID)
 	if err != nil {
-		transport.PutBuffer(buf)
-		return nil, fmt.Errorf("rmi: encode call %s: %w", method, err)
-	}
-	p.observeSince(p.encNs, encStart)
-
-	respBytes, err := p.pool.Call(ctx, ref.Endpoint, payload)
-	transport.PutBuffer(payload)
-	if err != nil {
-		return nil, &RemoteException{Op: "call " + method, Endpoint: ref.Endpoint, Err: err}
-	}
-	decStart := p.statsNow()
-	msg, err := wire.Unmarshal(respBytes)
-	transport.PutBuffer(respBytes)
-	p.observeSince(p.decNs, decStart)
-	if err != nil {
-		return nil, &RemoteException{Op: "decode " + method, Endpoint: ref.Endpoint, Err: err}
+		return nil, err
 	}
 	resp, ok := msg.(*callResponse)
 	if !ok {
@@ -413,6 +386,56 @@ func (p *Peer) Call(ctx context.Context, ref wire.Ref, method string, args ...an
 		results[i] = p.FromWire(r)
 	}
 	return results, nil
+}
+
+// Send is the message path beside Call: msg, in wire form, is the whole request
+// payload, handed to the handler a service installed for its type
+// (HandleMessage), whose answer or refusal is the whole reply — a
+// *NoHandlerError if none did. Like Call, Send counts as one call.
+func (p *Peer) Send(ctx context.Context, endpoint string, msg any) (any, error) {
+	reply, err := p.roundTrip(ctx, endpoint, wire.TypeNameOf(msg), msg, true)
+	if rerr, ok := reply.(error); ok {
+		return nil, rerr
+	}
+	return reply, err
+}
+
+// roundTrip encodes msg, sends it to endpoint and decodes the reply; counted
+// marks an application call (CallCount). Failures are *RemoteException.
+func (p *Peer) roundTrip(ctx context.Context, endpoint, op string, msg any, counted bool) (any, error) {
+	p.mu.Lock()
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	if counted {
+		p.calls.Add(1)
+	}
+	// Encode into a pooled buffer: the transport hands the payload to the
+	// connection synchronously, so once the call returns the buffer is free.
+	encStart := p.statsNow()
+	buf := transport.GetBuffer()
+	payload, err := wire.MarshalAppend(buf, msg)
+	if err != nil {
+		transport.PutBuffer(buf)
+		return nil, fmt.Errorf("rmi: encode call %s: %w", op, err)
+	}
+	p.observeSince(p.encNs, encStart)
+
+	respBytes, err := p.pool.Call(ctx, endpoint, payload)
+	transport.PutBuffer(payload)
+	if err != nil {
+		return nil, &RemoteException{Op: "call " + op, Endpoint: endpoint, Err: err}
+	}
+	decStart := p.statsNow()
+	reply, err := wire.Unmarshal(respBytes)
+	transport.PutBuffer(respBytes)
+	p.observeSince(p.decNs, decStart)
+	if err != nil {
+		return nil, &RemoteException{Op: "decode " + op, Endpoint: endpoint, Err: err}
+	}
+	return reply, nil
 }
 
 // statsNow reads the registry clock, or the zero time when the peer is

@@ -146,6 +146,11 @@ func (e *NoSuchMethodError) Error() string {
 	return fmt.Sprintf("rmi: no such method %s.%s", e.Iface, e.Method)
 }
 
+// NoHandlerError refuses a message (Peer.Send) no service of the peer handles.
+type NoHandlerError struct{ Type string }
+
+func (e *NoHandlerError) Error() string { return "rmi: no service handles " + e.Type + " messages" }
+
 // callRequest is the wire form of one remote invocation.
 type callRequest struct {
 	ObjID  uint64
@@ -291,4 +296,5 @@ func init() {
 	wire.MustRegisterError("rmi.NoSuchObject", &NoSuchObjectError{})
 	wire.MustRegisterError("rmi.NoSuchMethod", &NoSuchMethodError{})
 	wire.MustRegisterError("rmi.WrongHome", &WrongHomeError{})
+	wire.MustRegisterError("rmi.NoHandler", &NoHandlerError{})
 }

@@ -226,6 +226,28 @@ func (x Dec) Name(table []string) (string, error) {
 	}
 }
 
+// IDOrName decodes a field that holds either an id (an unsigned integer) or
+// a name (a non-empty string): a codec whose sender addresses a thing by
+// whichever it has writes one or the other in the same slot.
+func (x Dec) IDOrName() (id uint64, name string, err error) {
+	tag, err := x.d.tag()
+	if err != nil {
+		return 0, "", err
+	}
+	switch tag {
+	case kUint:
+		id, err = x.d.uvarint()
+		return id, "", err
+	case kString:
+		if name, err = x.d.string(); err == nil && name == "" {
+			err = x.d.corrupt("empty name")
+		}
+		return 0, name, err
+	default:
+		return 0, "", x.d.corrupt("expected an id or a name")
+	}
+}
+
 // BytesVal decodes a []byte field.
 func (x Dec) BytesVal() ([]byte, error) {
 	tag, err := x.d.tag()

@@ -15,12 +15,14 @@ import (
 // Protocol messages pinned by core's wire goldens: a flush request with its
 // types defined by name (brmi.req and brmi.call), a chained multi-root
 // request, the same request's one call in the retired brmi.inv form, and the
-// reply to a wave that missed its quorum.
+// reply to a wave that missed its quorum — each in the field order a flush has
+// had since it became the call (calls, then root; results, session, then
+// ship outcome).
 const (
-	namedBatchRequest = "0d010862726d692e7265710c010205100a010d020962726d692e63616c6c0c02010803476574"
-	chainedRequest    = "13020605100a0213280308034164640a01040a0404132808080453656c660a01130403010304080409040204000a0004000305070302" + "0a02051105ac02"
-	oldFormRequest    = "13020205100a011303040400040108034765740402"
-	quorumMissReply   = "1305060a011306020400040e050004000a0004b817131c04080161040204040a01131d0208057468657265131b0205030504"
+	namedBatchRequest = "0d010862726d692e7265710c01020a010d020962726d692e63616c6c0c020108034765740510"
+	chainedRequest    = "1302040a0213280308034164640a01040a0404132808080453656c660a01130403010304080409040204000a000400030510050f" + "0a02051105ac02"
+	oldFormRequest    = "1302020a0113030404000401080347657404020510"
+	quorumMissReply   = "1305040a011306020400040e050004b817131c04080161040204040a01131d0208057468657265131b0205030504"
 )
 
 // fuzzSeeds are FuzzUnmarshal's committed seeds: one kStd message per

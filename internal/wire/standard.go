@@ -64,6 +64,8 @@ var standardTypes = [...]string{
 	"brmi.RendezvousFull",
 	// The positional call form of a flush request, which replaced brmi.inv.
 	"brmi.call",
+	// A message no service of the serving peer handles (rmi.Peer.Send).
+	"rmi.NoHandler",
 }
 
 // standardIndex is name's index in the standard table, or -1. It scans the

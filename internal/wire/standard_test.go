@@ -32,6 +32,7 @@ var standardGolden = []string{
 	"wire.Corrupt",
 	"brmi.push", "brmi.PushTimeout", "brmi.RendezvousFull",
 	"brmi.call",
+	"rmi.NoHandler",
 }
 
 // protocolPrefixes are the wire-name prefixes of the repository's own
@@ -80,7 +81,7 @@ func TestUnknownStandardIndex(t *testing.T) {
 		{"2^35", []byte{wire.KStd, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0}, fmt.Sprint(uint64(1) << 35)},
 		// brmi.req whose one call is of an unknown type: the compiled decoder's
 		// StructFields meets it.
-		{"inside a compiled message", []byte{wire.KStd, 2, 2, 5, 0, 10, 1, wire.KStd, 99, 0}, "99"},
+		{"inside a compiled message", []byte{wire.KStd, 2, 2, 10, 1, wire.KStd, 99, 0, 5, 0}, "99"},
 	} {
 		v, err := wire.Unmarshal(c.msg)
 		if !errors.Is(err, wire.ErrUnregistered) || !strings.Contains(err.Error(), "standard type "+c.idx) {
