@@ -18,14 +18,15 @@ import (
 // one endpoint carrying one call per name. Migration, replica placement,
 // failover promotion and orphan rescue are compositions of six trip kinds
 // over one Snapshot/Restore contract (Movable). Placement moves no state
-// through the client: a place trip asks one primary to snapshot its own
-// names and install them at their followers, server to server, one Install
-// call per follower carrying its whole share (Replica.Place). The election
-// reads each member once, in a survey trip that carries the member's fence.
-// Over four members a first replicated placement costs 16 client calls and
-// 6 RTT, a settled re-add 12 calls and 4 RTT (apply); an R=2 scale-out from
-// three members to four, 23 calls. Get-Batch's streaming read shares the
-// contract but not the trip, and lives in getbatch.go.
+// through the client: a primary snapshots its own names and installs them at
+// their followers, server to server, one Install call per follower carrying
+// its whole share (Replica.Place) — and placement is the fence: a member
+// adopts a new ring in the same hold that seeds its followers, in a place
+// trip that also reads what the election needs. Over four members a
+// replicated placement, first or settled, costs 8 client calls and 3 RTT
+// (apply); an R=2 scale-out from three members to four, 16. Get-Batch's
+// streaming read shares the contract but not the trip, and lives in
+// getbatch.go.
 
 // tripKind names one batched round trip of the control plane.
 type tripKind string
@@ -33,10 +34,10 @@ type tripKind string
 const (
 	tripSnapshot tripKind = "snapshot" // read a flow's movable state off its source
 	tripArrive   tripKind = "arrive"   // adopt moving names at their new home, then place them from there
-	tripPlace    tripKind = "place"    // have one primary seed its names' followers
-	tripSurvey   tripKind = "survey"   // fence one member, then read its name table and replica shards
-	tripDepart   tripKind = "depart"   // tombstone moved names at their old home
-	tripPromote  tripKind = "promote"  // turn one holder's shadows authoritative
+	tripPlace    tripKind = "place"    // fence one member with its placement, then read what the election needs
+	tripSurvey   tripKind = "survey"   // read a leaving member's replica shards
+	tripDepart   tripKind = "depart"   // tombstone moved names at their old home, which releases their shadows
+	tripPromote  tripKind = "promote"  // turn one holder's shadows authoritative, then place those it homes
 )
 
 // item is one call within a trip: the method, its arguments and, for a call
@@ -71,7 +72,7 @@ func (r *Rebalancer) trip(ctx context.Context, kind tripKind, at wire.Ref, items
 	futs := make([]*core.Future, len(items))
 	for i, it := range items {
 		target := b.Root()
-		if !it.root.IsZero() {
+		if !it.root.IsZero() && it.root != at {
 			var err error
 			if target, err = b.AddRoot(it.root); err != nil {
 				return nil, fmt.Errorf("%s %q: %w", kind, it.name, err)
@@ -150,12 +151,39 @@ func (r *Rebalancer) snapshot(ctx context.Context, src string, moves []move) err
 	return nil
 }
 
-// placeItem is the call asking primary to seed the followers routing assigns
-// its names — the named ones, or every one it is the routing home of when
-// names is nil (Replica.Place).
+// placeItem is the call asking primary to adopt routing at epoch and seed the
+// followers it assigns its names — the named ones, or every one it is the
+// routing home of when names is nil (Replica.Place).
 func placeItem(primary string, routing *Ring, epoch uint64, names []string) item {
 	return item{name: primary, root: ReplicaRef(primary), method: "Place",
 		args: []any{routing.Endpoints(), ownerCount(routing), epoch, names}}
+}
+
+// preseed has each primary seed, at epoch, the followers routing assigns its
+// names without adopting routing (Replica.Seed): one place trip each, in
+// parallel. Nothing has followers below two owners.
+func (r *Rebalancer) preseed(ctx context.Context, primaries []string, routing *Ring, epoch uint64) error {
+	if ownerCount(routing) <= 1 {
+		return nil
+	}
+	return fanOut(primaries, func(_ int, p string) error {
+		it := placeItem(p, routing, epoch, nil)
+		it.method = "Seed"
+		if _, err := r.trip(ctx, tripPlace, ReplicaRef(p), []item{it}); err != nil {
+			return fmt.Errorf("cluster: seed replicas of %s: %w", p, err)
+		}
+		return nil
+	})
+}
+
+// fenceItem is the call handing ep the ring routing at epoch: a placement of
+// every name it homes when it is a member with followers to seed, a bare
+// SetRing when it places nothing.
+func fenceItem(ep string, routing *Ring, epoch uint64) item {
+	if ownerCount(routing) > 1 && routing.Contains(ep) {
+		return placeItem(ep, routing, epoch, nil)
+	}
+	return item{name: ep, method: "SetRing", args: []any{&RingSnapshot{Members: routing.Endpoints(), Epoch: epoch}}}
 }
 
 // ownerCount is how many owners routing gives each name: R, or every member of
@@ -237,41 +265,39 @@ func boundIn(tables [][]*Binding) map[string]bool {
 	return bound
 }
 
-// memberView is one member's answer to the survey: its name table, its
-// replicas, and whether it already held the fence its trip set.
+// memberView is one member's name table and replicas, as its place trip read
+// them.
 type memberView struct {
 	manifest []*Binding
 	shards   []*ShardInfo
-	held     bool
 }
 
-// survey reads each member's name table and replicas — of primary's shard,
-// or of every shard it holds when primary is empty — in one trip per member,
-// members in parallel. A non-nil fence leads each trip: RingState, then
-// SetRing(fence), whose refusal aborts the trip before the reads.
-func (r *Rebalancer) survey(ctx context.Context, members []string, primary string, fence *RingSnapshot) ([]memberView, error) {
-	views := make([]memberView, len(members))
-	err := fanOut(members, func(i int, ep string) error {
-		var items []item
-		if fence != nil {
-			items = []item{{name: ep, method: "RingState"}, {name: ep, method: "SetRing", args: []any{fence}}}
+// fence hands every recipient the ring routing at epoch, recipients in
+// parallel (fenceItem). A member that places adopts it in its place trip,
+// and a node that places nothing — leaving the ring, or on a ring with no
+// followers — in a plain SetRing call. With read, every trip goes on to read
+// the member's name table and its replicas of primary's shard — of every
+// shard it holds when primary is empty — so a member is surveyed after its
+// own fence, and a refused fence aborts the trip before the reads.
+func (r *Rebalancer) fence(ctx context.Context, recipients []string, routing *Ring, epoch uint64, read bool, primary string) ([]memberView, error) {
+	views := make([]memberView, len(recipients))
+	err := fanOut(recipients, func(i int, ep string) error {
+		items := []item{fenceItem(ep, routing, epoch)}
+		if read {
+			items = append(items, item{name: ep, method: "Manifest"},
+				item{name: primary, root: ReplicaRef(ep), method: "Survey", args: []any{primary}})
 		}
-		res, err := r.trip(ctx, tripSurvey, NodeRef(ep), append(items,
-			item{name: ep, method: "Manifest"},
-			item{name: primary, root: ReplicaRef(ep), method: "Survey", args: []any{primary}}))
-		if err == nil && fence != nil {
-			view, _ := res[0].(*RingSnapshot) // unreadable is not held: it only costs a re-seed
-			views[i].held = view != nil && view.Epoch == fence.Epoch && slices.Equal(view.Members, fence.Members)
-			res = res[2:]
-		}
-		if err == nil {
-			views[i].manifest, err = decodeManifest(ep, res[0])
-		}
-		if err == nil {
-			views[i].shards, err = decodeShards(ep, primary, res[1])
+		var res []any
+		var err error
+		if len(items) == 1 && items[0].method == "SetRing" {
+			_, err = r.dir.peer.Call(ctx, NodeRef(ep), "SetRing", items[0].args...)
+		} else if res, err = r.trip(ctx, tripPlace, NodeRef(ep), items); err == nil && read {
+			if views[i].manifest, err = decodeManifest(ep, res[1]); err == nil {
+				views[i].shards, err = decodeShards(ep, primary, res[2])
+			}
 		}
 		if err != nil {
-			return fmt.Errorf("cluster: survey %s: %w", ep, err)
+			return fmt.Errorf("cluster: fence %s: %w", ep, err)
 		}
 		return nil
 	})
@@ -338,7 +364,9 @@ func (r *Rebalancer) migrate(ctx context.Context, flows []flow, routing *Ring, e
 // at the destination (idempotent: an already-adopted copy is kept), with the
 // destination's placement of the movable names recorded after the arrives in
 // the same batch; depart the source (wrong-home forwards and export
-// tombstones). The order is apply's step 4: until the depart lands both homes
+// tombstones) and, on a replicated ring, have it release the names' shadows
+// under its shard at the other members (Replica.Release). The order is
+// apply's step 4: until the depart lands both homes
 // hold the name — stale-ring writes in that window land on the old copy and
 // are superseded by the tombstone — whereas tombstoning first would destroy
 // the only copy of the state if the arrive trip failed. Placement comes
@@ -351,11 +379,13 @@ func (r *Rebalancer) migratePair(ctx context.Context, f flow, routing *Ring, epo
 		return err
 	}
 	arrive := make([]item, 0, len(f.moves)+1)
-	depart := make([]item, len(f.moves))
+	depart := make([]item, len(f.moves), len(f.moves)+1)
+	names := make([]string, len(f.moves))
 	var placed []string
 	for i, m := range f.moves {
 		arrive = append(arrive, item{name: m.name, method: "Arrive", args: []any{m.name, m.ref.Iface, m.movable, m.state, m.ref}})
 		depart[i] = item{name: m.name, method: "Depart", args: []any{m.name, epoch}}
+		names[i] = m.name
 		if m.movable {
 			placed = append(placed, m.name)
 		}
@@ -366,30 +396,11 @@ func (r *Rebalancer) migratePair(ctx context.Context, f flow, routing *Ring, epo
 	if _, err := r.trip(ctx, tripArrive, NodeRef(f.dst), arrive); err != nil {
 		return err
 	}
+	if routing.Replication() > 1 {
+		depart = append(depart, item{name: f.src, root: ReplicaRef(f.src), method: "Release", args: []any{names}})
+	}
 	_, err := r.trip(ctx, tripDepart, NodeRef(f.src), depart)
 	return err
-}
-
-// placeReplicas (re)seeds the followers of every movable name that sits at
-// its routing home on one of the members: one place trip per member of the
-// routing ring, in parallel, from where each primary installs its names at
-// their followers server to server. It is a full, idempotent re-install, so a
-// retried rebalance converges just like migration does. A mis-homed name
-// (mid-migration on a retry) is seeded by the flow that finally homes it.
-// Names whose type has no movable factory cannot be snapshotted and are not
-// replicated (symmetrically, the primary's admit runs a wave whose root
-// cannot move unreplicated).
-func (r *Rebalancer) placeReplicas(ctx context.Context, members []string, routing *Ring, epoch uint64) error {
-	if ownerCount(routing) <= 1 {
-		return nil
-	}
-	primaries := slices.DeleteFunc(slices.Clone(members), func(ep string) bool { return !routing.Contains(ep) })
-	return fanOut(primaries, func(_ int, p string) error {
-		if _, err := r.trip(ctx, tripPlace, ReplicaRef(p), []item{placeItem(p, routing, epoch, nil)}); err != nil {
-			return fmt.Errorf("cluster: place replicas of %s: %w", p, err)
-		}
-		return nil
-	})
 }
 
 // candidate is one holder's shadow of a name, with its election credentials.
@@ -398,29 +409,24 @@ type candidate struct {
 	ni              NameInfo
 }
 
-// elect is the one promotion election. Every member reports, in one survey
-// trip (led by its fence, if any), its name table and its replica of
-// primary's shard — or, when primary is empty, of every shard it holds — and
-// each shadowed name is won by its best candidate (betterCandidate). Names
-// bound on any member (or, for a rescue, on the shadow's own primary) are
-// alive — migrated away before the crash, promoted by an earlier partial run,
-// or simply healthy — and are filtered out, so a stale shadow never
-// overwrites fresher authoritative state and retries converge. Each winning
-// holder then binds its shadows into its registry (Replica.Promote,
-// idempotent per name), one promote trip per holder in sorted order, from
-// where the caller's migration homes them. Returns how many names were
-// promoted, the members' name tables as the survey read them — before any
-// promotion — and whether every member already held the fence.
-func (r *Rebalancer) elect(ctx context.Context, members []string, primary string, epoch uint64, fence *RingSnapshot) (int, [][]*Binding, bool, error) {
-	views, err := r.survey(ctx, members, primary, fence)
-	if err != nil {
-		return 0, nil, false, fmt.Errorf("cluster: elect: %w", err)
-	}
+// elect is the one promotion election over the members' place-trip views —
+// their name tables and their replicas of one dead primary's shard, or of
+// every shard held — in which each shadowed name is won by its best candidate
+// (betterCandidate). Names bound on any member (or, for a rescue, on the
+// shadow's own primary) are alive — migrated away before the crash, promoted
+// by an earlier partial run, or simply healthy — and are filtered out, so a
+// stale shadow never overwrites fresher authoritative state and retries
+// converge. Each winning holder then binds its shadows into its registry
+// (Replica.Promote, idempotent per name) and places those routing homes
+// there, one promote trip per holder in sorted order; the caller's migration
+// homes the rest, placing them on arrival. Returns how many names were
+// promoted and the members' name tables as the views hold them — before any
+// promotion.
+func (r *Rebalancer) elect(ctx context.Context, members []string, primary string, views []memberView, routing *Ring, epoch uint64) (int, [][]*Binding, error) {
 	tables := make([][]*Binding, len(views))
 	best := make(map[string]candidate)
-	held := fence != nil
 	for i, v := range views {
-		tables[i], held = v.manifest, held && v.held
+		tables[i] = v.manifest
 		for _, si := range v.shards {
 			for _, ni := range si.Names {
 				if cur, ok := best[ni.Name]; !ok || betterCandidate(members[i], ni, cur.holder, cur.ni) {
@@ -430,12 +436,12 @@ func (r *Rebalancer) elect(ctx context.Context, members []string, primary string
 		}
 	}
 	if len(best) == 0 {
-		return 0, tables, held, nil
+		return 0, tables, nil
 	}
 	bound := boundIn(tables)
 	if primary == "" {
 		// A rescued shadow's own primary may be alive outside the ring — a
-		// member whose removal was broadcast but never drained still binds
+		// member whose removal was fenced but never drained still binds
 		// its names, and promoting over it would fork them. Ask it too; one
 		// that does not answer is presumed dead, which is the orphan this
 		// election exists for. Names bound on a member are settled already
@@ -451,15 +457,23 @@ func (r *Rebalancer) elect(ctx context.Context, members []string, primary string
 		maps.Copy(bound, boundIn(held))
 	}
 	byHolder := make(map[string][]item)
+	homed := make(map[string][]string)
 	promoted := 0
 	for _, name := range sortedKeys(best) {
 		if c := best[name]; !bound[name] {
 			byHolder[c.holder] = append(byHolder[c.holder], item{name: name, method: "Promote", args: []any{c.primary, []string{name}, epoch}})
+			if routing.Route(name) == c.holder {
+				homed[c.holder] = append(homed[c.holder], name)
+			}
 			promoted++
 		}
 	}
-	return promoted, tables, held, fanOut(sortedKeys(byHolder), func(_ int, ep string) error {
-		_, err := r.trip(ctx, tripPromote, ReplicaRef(ep), byHolder[ep])
+	return promoted, tables, fanOut(sortedKeys(byHolder), func(_ int, ep string) error {
+		items := byHolder[ep]
+		if ownerCount(routing) > 1 && len(homed[ep]) > 0 {
+			items = append(items, placeItem(ep, routing, epoch, homed[ep]))
+		}
+		_, err := r.trip(ctx, tripPromote, ReplicaRef(ep), items)
 		return err
 	})
 }
@@ -487,16 +501,4 @@ func betterCandidate(ep string, ni NameInfo, curEp string, cur NameInfo) bool {
 		return ni.Epoch > cur.Epoch
 	}
 	return ep < curEp
-}
-
-// broadcast pushes the ring state snap to every recipient node in parallel.
-// Recipients may include servers outside the new membership — a removed
-// server keeps answering stragglers, so it needs the fresh state too.
-func (r *Rebalancer) broadcast(ctx context.Context, recipients []string, snap *RingSnapshot) error {
-	return fanOut(recipients, func(_ int, ep string) error {
-		if _, err := r.dir.peer.Call(ctx, NodeRef(ep), "SetRing", snap); err != nil {
-			return fmt.Errorf("cluster: set ring on %s: %w", ep, err)
-		}
-		return nil
-	})
 }

@@ -82,8 +82,8 @@ func NodeRef(endpoint string) wire.Ref {
 
 // Node is the per-server cluster membership and migration service, exported
 // at the reserved rmi.NodeObjID. It carries the server's authoritative copy
-// of the ring state (refreshed by the rebalancer's broadcast after every
-// membership change, queried by stale clients re-routing after a
+// of the ring state (refreshed by the rebalancer's fence after every
+// membership change — SetRing, or the replica's Place — queried by stale clients re-routing after a
 // WrongHomeError) and the server side of object migration: Manifest lists
 // the local name table, Depart releases objects moving away, Arrive adopts
 // objects moving in.
@@ -104,7 +104,7 @@ type Node struct {
 
 // StartNode exports a cluster node service on p at the reserved node id.
 // members seeds the node's view of the cluster (epoch 0); the rebalancer's
-// SetRing broadcast keeps it current afterwards.
+// fences keep it current afterwards.
 func StartNode(p *rmi.Peer, reg *registry.Service, members []string) (*Node, error) {
 	if reg == nil {
 		return nil, errors.New("cluster: node requires a registry service")

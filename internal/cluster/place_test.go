@@ -11,7 +11,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -154,9 +156,11 @@ func TestMembersPlaceIntoEachOther(t *testing.T) {
 // TestFollowerKilledMidPlacement: a member dies with its state while the
 // converged R=3 cluster re-places. Every primary that seeds it fails its
 // placement, naming the lost follower, and so does the change. The member
-// comes back empty, and the same call run again converges: it rescues the
-// names whose only copies are shadows elsewhere, acked writes included, and
-// homes them.
+// comes back empty, and until the change is run again a primary whose
+// Install it missed acks no write it follows there: the restarted member
+// would hold it on a shadow without the name's history. The same call run
+// again converges: it rescues the names whose only copies are shadows
+// elsewhere, acked writes included, and homes them, and the write is acked.
 func TestFollowerKilledMidPlacement(t *testing.T) {
 	ec := clustertest.New(t, 4)
 	ctx := context.Background()
@@ -188,6 +192,24 @@ func TestFollowerKilledMidPlacement(t *testing.T) {
 	}
 
 	ec.StartServer(victim)
+	followed := ""
+	for _, name := range slices.Sorted(maps.Keys(want)) {
+		if owners, _ := dir.Owners(name); owners[0] != victim && slices.Contains(owners, victim) {
+			followed = name
+			break
+		}
+	}
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	p, err := b.RootNamed(ctx, followed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Call("Add", int64(1))
+	var quorum *cluster.QuorumError
+	if err := b.Flush(ctx); !errors.As(err, &quorum) {
+		t.Errorf("write to %s, which %s follows, before the retry = %v, want a *QuorumError", followed, victim, err)
+	}
+	want[followed]++ // executed at its primary, never acked
 	st, err := cluster.NewRebalancer(dir).AddServer(ctx, "server-0")
 	if err != nil {
 		t.Fatalf("retry: %v", err)
@@ -195,6 +217,7 @@ func TestFollowerKilledMidPlacement(t *testing.T) {
 	if st.Promoted != 2 {
 		t.Errorf("retry promoted %d names, want the victim's 2", st.Promoted)
 	}
+	ackedAdd(t, ec, dir, want, followed)
 	checkConverged(t, ec, dir, want)
 }
 
@@ -203,7 +226,10 @@ func TestFollowerKilledMidPlacement(t *testing.T) {
 // W=2 of R=3 the flush was answered without it — and while the next waves
 // execute. The follower's shadow must end with every wave exactly once:
 // the Install waits for the records its snapshot holds, and a record the
-// snapshot does not hold waits for the Install.
+// snapshot does not hold waits for the Install. The placement is the
+// primary's fence too, so the wave beside it runs either before the flip, at
+// the old epoch, or after it, refused at the old epoch and sent again at the
+// new one.
 func TestPlacementLandsBetweenShips(t *testing.T) {
 	ec, dir := shipCluster(t)
 	ctx := context.Background()
@@ -232,11 +258,18 @@ func TestPlacementLandsBetweenShips(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cb := core.NewNamed(ec.Client, primary, name)
-		cb.Ship(d)
-		cb.Root().Call("Add", int64(4))
-		if err := cb.Flush(ctx); err != nil {
-			t.Errorf("wave beside the placement: %v", err)
+		for _, at := range []uint64{epoch, epoch + 1} {
+			cb := core.NewNamed(ec.Client, primary, name)
+			cb.Ship(&core.ShipDirective{Epoch: at, Replication: 3, Quorum: 2})
+			cb.Root().Call("Add", int64(4))
+			err := cb.Flush(ctx)
+			if errors.As(err, new(*cluster.StaleShipError)) && at == epoch {
+				continue // admitted after the flip
+			}
+			if err != nil {
+				t.Errorf("wave beside the placement at epoch %d: %v", at, err)
+			}
+			return
 		}
 	}()
 	if err := placeAt(ctx, ec.Client, primary, ec.Endpoints(), 3, epoch+1, nil); err != nil {
@@ -306,5 +339,107 @@ func TestNodeVetsRingBroadcast(t *testing.T) {
 	}
 	if got := ec.Server(target).Node.RingState(); got.Epoch != 2 || !reflect.DeepEqual(got.Members, members[1:]) {
 		t.Errorf("the node's view is %+v after the well-formed broadcast, want %v at epoch 2", got, members[1:])
+	}
+}
+
+// TestFencedPlacementLosesNoWave: a writer flushes replicated R=2 waves
+// without pause — and once more before every trip of the change — while
+// AddServer grows the ring from three members to four and RemoveServer
+// shrinks it back. Each member flips its ring in the same hold of its gate
+// that seeds its followers, so no wave slips between the seed and the flip:
+// after each change, once the writer stopped, every follower the new ring
+// assigns a name holds every write to it that was acked, and so does its
+// primary.
+func TestFencedPlacementLosesNoWave(t *testing.T) {
+	ec := clustertest.New(t, 4)
+	ctx := context.Background()
+	base := []string{"server-0", "server-1", "server-2"}
+	dir := cluster.NewDirectory(ec.Client, base, cluster.WithReplication(2))
+	names := make([]string, 8)
+	for i := range names {
+		names[i] = fmt.Sprintf("w-%d", i)
+	}
+	place(t, ec, dir, names...)
+
+	var mu sync.Mutex
+	acked := map[string][]int64{}
+	flushes, during := 0, 0
+	// writeOnce flushes one wave adding a fresh token to each of two names.
+	writeOnce := func() {
+		mu.Lock()
+		i := flushes
+		flushes++
+		mu.Unlock()
+		b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+		pair := []string{names[i%len(names)], names[(i+3)%len(names)]}
+		tokens := []int64{int64(2*i + 1), int64(2*i + 2)}
+		var recorded []int
+		for j, name := range pair {
+			if p, err := b.RootNamed(ctx, name); err == nil {
+				p.Call("Add", tokens[j])
+				recorded = append(recorded, j)
+			}
+		}
+		if b.Flush(ctx) == nil && len(recorded) > 0 {
+			mu.Lock()
+			for _, j := range recorded {
+				acked[pair[j]] = append(acked[pair[j]], tokens[j])
+			}
+			during++
+			mu.Unlock()
+		}
+	}
+	reb := cluster.NewRebalancer(dir)
+	reb.SetProbe(func(cluster.TripKind, string, []string) error {
+		writeOnce()
+		return nil
+	})
+	for _, step := range []struct {
+		name   string
+		change func() (*cluster.RebalanceStats, error)
+	}{
+		{"add", func() (*cluster.RebalanceStats, error) { return reb.AddServer(ctx, "server-3") }},
+		{"remove", func() (*cluster.RebalanceStats, error) { return reb.RemoveServer(ctx, "server-3") }},
+	} {
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					writeOnce()
+				}
+			}
+		}()
+		_, err := step.change()
+		close(stop)
+		<-done
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		for _, name := range names {
+			owners, _ := dir.Owners(name)
+			holders := map[string]*clustertest.Counter{owners[0]: counterAt(t, ec, owners[0], name)}
+			for _, f := range owners[1:] {
+				obj, ok := ec.Server(f).Replica.Shadow(owners[0], name)
+				if !ok {
+					t.Fatalf("%s: %s holds no seeded shadow of %s", step.name, f, name)
+				}
+				holders[f] = obj.(*clustertest.Counter)
+			}
+			for ep, c := range holders {
+				history := c.History()
+				for _, tok := range acked[name] {
+					if !slices.Contains(history, tok) {
+						t.Errorf("%s: %s's copy of %s lacks acked write %d (holds %v)", step.name, ep, name, tok, history)
+					}
+				}
+			}
+		}
+	}
+	if during == 0 {
+		t.Fatal("no write was acked while the ring changed")
 	}
 }

@@ -70,12 +70,11 @@ type RebalanceStats struct {
 type change struct {
 	target *Ring  // the membership being installed …
 	epoch  uint64 // … and its epoch (the live ring's, on an already-adopted retry)
-	// preseed lists the live members whose names are seeded at target's
-	// follower sets before the broadcast; empty skips the step (nothing to
-	// read off a dead member, no follower set changing on a retry).
-	preseed []string
-	// notify lists the broadcast recipients; empty skips the broadcast (the
-	// membership was already adopted cluster-wide).
+	// seed lists the members that seed target's followers before any node is
+	// fenced (a removal's survivors; see Replica.Seed).
+	seed []string
+	// notify lists the nodes fenced with target; an electing change notifies
+	// exactly target's members.
 	notify []string
 	// elect runs the promotion election over target's members: for the
 	// shard of the dead primary `shard`, or for every shard held when shard
@@ -91,24 +90,32 @@ type change struct {
 // apply is the one membership-change procedure. Its order IS the safety
 // argument, so it is stated here once:
 //
-//  1. Pre-seed followers at the CURRENT epoch, before the broadcast flips
-//     routing. A change can reassign a key's follower slot, and until the
-//     new follower holds a seeded shadow the key's primary is a single
-//     point of state loss — in exactly the window where the change itself
-//     may die. Non-moving names are still serving at their primaries, so
-//     they install cleanly; moving names are seeded by their migration flow
-//     (step 4). The current epoch, because an aborted change must not leave
-//     future-stamped shadows that could outrank a live follower in a later
-//     election.
-//  2. Broadcast before the first tombstone. Tombstones point stale callers
-//     at the nodes for a fresh ring, so every node (a draining member
-//     included — it keeps answering stragglers) must know the new membership
-//     by the time the first tombstone exists. For a failover the broadcast
-//     is also the fence: a replication ship routed by the old owner list is
-//     rejected (StaleShipError) instead of racing the election.
+//  1. A removal seeds first: its survivors seed their names' followers under
+//     the shrunken ring at the current epoch (Replica.Seed), before any node
+//     adopts it. Once one node is fenced the leaving member drops out of
+//     every failover election, shadows and all, so a primary that dies
+//     before its own fence must already have placed the followers that
+//     replace it.
+//  2. Fence every node before the first tombstone. Tombstones point stale
+//     callers at the nodes for a fresh ring, so every node (a draining
+//     member included — it keeps answering stragglers) must know the new
+//     membership by the time the first tombstone exists. A member of a
+//     replicated ring adopts it in its own placement (Replica.Place): in one
+//     hold of its gate it flips its ring, snapshots the names it homes and
+//     queues each follower's Install on that follower's ordered link, so
+//     every wave it admits afterwards routes under the new view and queues
+//     behind the Installs — nothing slips between the seed and the flip. A
+//     shadow stamped with the new epoch exists only where its primary
+//     already ships at that epoch, so an aborted change leaves none that
+//     could outrank a live follower in a later election: the winner is the
+//     current one. A node that places nothing — one leaving the ring, or
+//     any on an unreplicated ring — gets SetRing. For a failover the fence
+//     also rejects a ship routed by the old owner list (StaleShipError)
+//     instead of racing the election.
 //  3. Elect: names that survive only as replica shadows are re-bound at
-//     their best-credentialed holder (mover.go, elect), so step 4 drains
-//     them to their ring homes like any other name.
+//     their best-credentialed holder, which places those it homes in the
+//     same trip (mover.go, elect), so step 4 drains the rest to their ring
+//     homes like any other name.
 //  4. Migrate copy-then-tombstone, and place before depart: each flow
 //     snapshots at the source, arrives at the destination, seeds the
 //     destination's followers from the destination (in the arrive trip),
@@ -116,54 +123,41 @@ type change struct {
 //     point leaves every name readable somewhere. The plan is whatever is
 //     still mis-homed on the sources, so a retry moves exactly the
 //     leftovers.
-//  5. Re-seed every follower set under the new membership at the new epoch:
-//     a follower that became responsible for a key it never followed would
-//     otherwise build its shadow lazily from zero state at the next shipped
-//     record, silently missing all history written before the change.
-//  6. Commit the live ring last. The directory keeps serving the old routes
+//  5. Commit the live ring last. The directory keeps serving the old routes
 //     while the target ring is migrated against, and with copy-then-tombstone
 //     a name stays reachable at its old home until its new home holds it, so
 //     clients on the old ring never hit a NotBound window. (A client that
-//     explicitly refreshes mid-migration adopts the broadcast ring early and
+//     explicitly refreshes mid-migration adopts the fenced ring early and
 //     can transiently see NotBound for a not-yet-arrived name — see
 //     DESIGN.md, "In-flight windows".)
 //
-// Each step is one client phase, one call per server in parallel — the
-// pre-seed and re-seed each add one server-to-server hop, a primary's
-// Installs at its followers. When a change broadcasts to exactly the members
-// it elects over (AddServer and FailoverServer on a replicated ring), steps 2
-// and 3 share one trip per member: ring view, fence, name table, replicas. A
-// refused fence aborts the trip before the survey, so each member is surveyed
-// after its own fence — all the election needs, as fences were never atomic
-// across members. A change that moves and promotes nothing costs four phases
-// (refresh, pre-seed, fence+survey, whose name tables the plan reuses, and
-// re-seed), or three when settled: its re-seed would repeat its pre-seed.
+// An Install that fails after its primary flipped fails the trip typed, and
+// the link to that follower remembers the names it missed: the primary's
+// writes to them there fail, never acked, until the retry's placement lands;
+// the retry converges. Each step is one client phase, one trip per node in
+// parallel. An electing change (AddServer and FailoverServer on a replicated
+// ring) reads each member's name table and replicas in its place trip, after
+// the fence, so a refused fence places nothing and skips the reads; a change
+// that moves and promotes nothing costs the ring refresh plus that one trip
+// per member, whose name tables the plan reuses.
 func (r *Rebalancer) apply(ctx context.Context, c change) (*RebalanceStats, error) {
-	members := c.target.Endpoints()
-	seedEpoch := r.dir.Ring().Epoch()
-	if len(c.preseed) > 0 {
-		if err := r.placeReplicas(ctx, c.preseed, c.target, seedEpoch); err != nil {
-			return nil, err
-		}
+	if err := r.preseed(ctx, c.seed, c.target, r.dir.Ring().Epoch()); err != nil {
+		return nil, err
 	}
 	elect := c.elect && c.target.Replication() > 1 // unreplicated rings hold no shadows
-	fence := &RingSnapshot{Members: members, Epoch: c.epoch}
-	if !elect || !slices.Equal(c.notify, members) {
-		if err := r.broadcast(ctx, c.notify, fence); err != nil {
-			return nil, err
-		}
-		fence = nil // broadcast apart (to nobody when c.notify is empty)
+	views, err := r.fence(ctx, c.notify, c.target, c.epoch, elect, c.shard)
+	if err != nil {
+		return nil, err
 	}
-	promoted, held := 0, false
-	// The sources' name tables, as the election read them; a promotion
+	promoted := 0
+	// The sources' name tables, as the place trips read them; a promotion
 	// changes them, so plan reads them again then.
 	var tables [][]*Binding
 	if elect {
-		var err error
-		if promoted, tables, held, err = r.elect(ctx, members, c.shard, c.epoch, fence); err != nil {
+		if promoted, tables, err = r.elect(ctx, c.notify, c.shard, views, c.target, c.epoch); err != nil {
 			return nil, err
 		}
-		if promoted > 0 || !slices.Equal(c.sources, members) {
+		if promoted > 0 || !slices.Equal(c.sources, c.notify) {
 			tables = nil
 		}
 	}
@@ -173,14 +167,6 @@ func (r *Rebalancer) apply(ctx context.Context, c change) (*RebalanceStats, erro
 	}
 	if err := r.migrate(ctx, flows, c.target, c.epoch); err != nil {
 		return nil, err
-	}
-	// Settled: no new ring, the pre-seed placed these members at this epoch,
-	// no member's routing moved at its fence, nothing was promoted or moved.
-	settled := held && c.commit == nil && seedEpoch == c.epoch && slices.Equal(c.preseed, members) && promoted == 0 && len(flows) == 0
-	if !settled {
-		if err := r.placeReplicas(ctx, members, c.target, c.epoch); err != nil {
-			return nil, err
-		}
 	}
 	if c.commit != nil {
 		c.commit()
@@ -203,13 +189,13 @@ func without(endpoints []string, ep string) []string {
 // epoch) and the keys the new ring routes to it are migrated there. The
 // endpoint must already be serving with a registry, a BRMI executor, and a
 // cluster node service. Calling it for an existing member does not bump the
-// epoch but still re-broadcasts the ring, rescues orphans, migrates whatever
-// is mis-homed on any member and re-seeds every follower — it is the
-// cluster's "converge on the current membership" call.
+// epoch but still fences every member with the ring, re-seeding its
+// followers, rescues orphans and migrates whatever is mis-homed on any
+// member — it is the cluster's "converge on the current membership" call.
 func (r *Rebalancer) AddServer(ctx context.Context, endpoint string) (*RebalanceStats, error) {
 	// Adopt the cluster's authoritative epoch before minting the next one:
 	// a rebalancer whose directory was built fresh against a long-lived
-	// cluster would otherwise broadcast an epoch every node rejects.
+	// cluster would otherwise fence at an epoch every node rejects.
 	if err := r.dir.Refresh(ctx); err != nil {
 		return nil, err
 	}
@@ -218,7 +204,7 @@ func (r *Rebalancer) AddServer(ctx context.Context, endpoint string) (*Rebalance
 	// only as shadows — their primary was killed while every seeded follower
 	// was outside the ring, where a failover election cannot see them — and
 	// this very call may be re-admitting the holder.
-	c := change{target: ring, epoch: ring.Epoch(), preseed: ring.Endpoints(), elect: true}
+	c := change{target: ring, epoch: ring.Epoch(), elect: true}
 	if !ring.Contains(endpoint) {
 		c.target = ring.withMembers(append(ring.Endpoints(), endpoint))
 		c.epoch++
@@ -234,17 +220,18 @@ func (r *Rebalancer) AddServer(ctx context.Context, endpoint string) (*Rebalance
 // RemoveServer shrinks the cluster: every name homed on the live endpoint is
 // migrated to its new home under the shrunken ring, then the endpoint leaves
 // the ring. Removing a non-member is a no-op once the server is confirmed
-// drained: a prior RemoveServer may have failed after the broadcast was
+// drained: a prior RemoveServer may have failed after its fence was
 // adopted, so the leftover drain runs against the current ring — and the
 // endpoint's manifest must be readable, because a transient error could hide
-// stranded, tombstone-less names behind a success return.
+// stranded, tombstone-less names behind a success return — and the fences are
+// sent again, since the failed run may have died before they all landed.
 func (r *Rebalancer) RemoveServer(ctx context.Context, endpoint string) (*RebalanceStats, error) {
 	if err := r.dir.Refresh(ctx); err != nil {
 		return nil, err
 	}
 	ring := r.dir.Ring()
 	if !ring.Contains(endpoint) {
-		st, err := r.apply(ctx, change{target: ring, epoch: ring.Epoch(), sources: []string{endpoint}})
+		st, err := r.apply(ctx, change{target: ring, epoch: ring.Epoch(), notify: append(ring.Endpoints(), endpoint), sources: []string{endpoint}})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: remove %s: cannot confirm the removed server is drained: %w", endpoint, err)
 		}
@@ -260,7 +247,7 @@ func (r *Rebalancer) RemoveServer(ctx context.Context, endpoint string) (*Rebala
 	return r.apply(ctx, change{
 		target:  ring.withMembers(survivors),
 		epoch:   ring.Epoch() + 1,
-		preseed: ring.Endpoints(),
+		seed:    survivors,
 		notify:  append(survivors, endpoint),
 		sources: []string{endpoint},
 		commit:  func() { ring.Remove(endpoint) },
@@ -271,15 +258,17 @@ func (r *Rebalancer) RemoveServer(ctx context.Context, endpoint string) (*Rebala
 // shard from the survivors' replicas. It is the state-loss counterpart of
 // RemoveServer, which drains a live member and must be preferred whenever
 // the server still answers. There is nothing to read off the dead member, so
-// the change is: fence (broadcast the shrunken membership at epoch+1), elect
-// the best survivor shadow of each of its names, and let the ordinary
-// migration home the promoted names. A dead server already out of the ring
-// means a prior failover got at least as far as the broadcast; the remaining
-// steps re-run at the current epoch.
+// the change is: fence (each survivor places its names under the shrunken
+// membership at epoch+1), elect the best survivor shadow of each of its
+// names, and let the ordinary migration home the promoted names. A dead
+// server already out of the ring means a prior failover got at least as far
+// as a fence; the remaining steps re-run at the current epoch.
 //
 // Acked waves survive under W=all: an acked wave is on every follower of its
-// keys, and placement snapshots are taken only after the fence, so whichever
-// candidate wins the election holds the wave. Under WithQuorum(W<R) the
+// keys, and a survivor's placement snapshots are cut in the same hold of its
+// gate that flips its ring — after every wave it admitted under the old view,
+// before any under the new — so whichever candidate wins the election holds
+// the wave. Under WithQuorum(W<R) the
 // guarantee weakens to "survives while at least one of the W acking holders
 // does" — the election still picks the longest seeded log, which holds every
 // acked wave whenever any surviving follower does.
@@ -335,12 +324,16 @@ func init() {
 // promotes and re-homes the shard's names. An answer the survey cannot read
 // fails the removal (*ReplyError): read as empty, it would clear the guard.
 func (r *Rebalancer) guardOrphanedReplicas(ctx context.Context, endpoint string, ring *Ring) error {
-	views, err := r.survey(ctx, []string{endpoint}, "", nil)
+	res, err := r.trip(ctx, tripSurvey, ReplicaRef(endpoint), []item{{name: endpoint, method: "Survey", args: []any{""}}})
+	var shards []*ShardInfo
+	if err == nil {
+		shards, err = decodeShards(endpoint, "", res[0])
+	}
 	if err != nil {
 		return fmt.Errorf("cluster: remove %s: inspect replica shards: %w", endpoint, err)
 	}
 	names := make(map[string]string) // shadowed name -> its dead primary
-	for _, si := range views[0].shards {
+	for _, si := range shards {
 		if si.Primary == endpoint || ring.Contains(si.Primary) {
 			continue
 		}

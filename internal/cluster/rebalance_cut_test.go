@@ -31,8 +31,8 @@ var errInjected = errors.New("injected migration fault")
 // cutFrom returns a probe failing the n-th trip of the given kind and every
 // later one (n counts from 1), and a func reporting whether it fired. With
 // n = 1 every flow dies at that kind; larger n lets the earlier trips of
-// the kind through — pre-seeding before the migration's own placement, one
-// flow before the next — so every trip of the operation gets its own cut.
+// the kind through — one member's fence before the next, one flow before
+// the next — so every trip of the operation gets its own cut.
 func cutFrom(kind cluster.TripKind, n int) (probe func(cluster.TripKind, string, []string) error, fired func() bool) {
 	var mu sync.Mutex
 	seen, cut := 0, false
@@ -277,8 +277,11 @@ func rescueCase(t *testing.T) cutCase {
 }
 
 func TestMembershipChangeConvergesFromEveryCut(t *testing.T) {
+	// A replicated change fences each member in its place trip; a removal
+	// also surveys the leaving member for orphaned shards first.
 	migration := []cluster.TripKind{cluster.TripSnapshot, cluster.TripArrive, cluster.TripDepart}
-	replicated := append([]cluster.TripKind{cluster.TripPlace, cluster.TripSurvey}, migration...)
+	replicated := append([]cluster.TripKind{cluster.TripPlace}, migration...)
+	guarded := append([]cluster.TripKind{cluster.TripSurvey}, replicated...)
 	recovery := append([]cluster.TripKind{cluster.TripPromote}, replicated...)
 	table := []struct {
 		name  string
@@ -288,7 +291,7 @@ func TestMembershipChangeConvergesFromEveryCut(t *testing.T) {
 		{"AddServer/R=1", addCase(1), migration},
 		{"AddServer/R=2", addCase(2), replicated},
 		{"RemoveServer/R=1", removeCase(1), migration},
-		{"RemoveServer/R=2", removeCase(2), replicated},
+		{"RemoveServer/R=2", removeCase(2), guarded},
 		{"FailoverServer/R=3", failoverCase, recovery},
 		{"AddServer-orphan-rescue/R=2", rescueCase, recovery},
 	}
@@ -448,11 +451,13 @@ func TestOrphanRescueSparesHalfRemovedMember(t *testing.T) {
 }
 
 // TestRefusedFenceSkipsSurvey: a member's fence and survey share one trip,
-// and a member that refuses its fence is not surveyed. server-0 dies with its
-// state and comes back holding a conflicting member set at the current
-// epoch, so the converged AddServer — an orphan rescue, whose election would
-// promote server-1's shadow of the lost name — fails with the conflicting
-// broadcast, promotes nothing, and leaves the shadow as it was.
+// and a member that refuses its fence is not surveyed and places nothing.
+// server-0 dies with its state and comes back holding a conflicting member
+// set at the current epoch and one name of its own, so the converged
+// AddServer — an orphan rescue, whose election would promote server-1's
+// shadow of the lost name — fails with the conflicting broadcast, promotes
+// nothing, leaves the shadow as it was, and installs nothing anywhere:
+// server-0 would have seeded its name's follower.
 func TestRefusedFenceSkipsSurvey(t *testing.T) {
 	ec := clustertest.New(t, 3)
 	ctx := context.Background()
@@ -470,8 +475,22 @@ func TestRefusedFenceSkipsSurvey(t *testing.T) {
 		Members: []string{"server-0", "server-1"}, Epoch: dir.Ring().Epoch()}); err != nil {
 		t.Fatal(err)
 	}
+	own, err := ec.Server("server-0").Peer.Export(clustertest.NewCounter(5), clustertest.CounterIface)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ec.Server("server-0").Reg.Bind(namesWithOwners(t, dir.Ring(), 1, "server-0", "server-2")[0], own); err != nil {
+		t.Fatal(err)
+	}
 	follower := ec.Server("server-1").Replica
 	shard := follower.ShardInfo("server-0")
+	installs := func() (n int64) {
+		for _, s := range ec.Servers {
+			n += s.Stats.Snapshot().Counter("cluster.replica_installs")
+		}
+		return n
+	}
+	before := installs()
 
 	var mu sync.Mutex
 	trips := map[cluster.TripKind]int{}
@@ -485,8 +504,11 @@ func TestRefusedFenceSkipsSurvey(t *testing.T) {
 	if _, err := reb.AddServer(ctx, "server-0"); err == nil || !strings.Contains(err.Error(), "conflicting ring broadcast") {
 		t.Fatalf("AddServer over a conflicting member = %v, want the conflicting-broadcast error", err)
 	}
-	if trips[cluster.TripPromote] != 0 || trips[cluster.TripSurvey] != 3 {
-		t.Errorf("trips = %v, want 3 fence+survey trips and no promote", trips)
+	if trips[cluster.TripPromote] != 0 || trips[cluster.TripPlace] != 3 || len(trips) != 1 {
+		t.Errorf("trips = %v, want 3 fence+survey trips and nothing else", trips)
+	}
+	if got := installs() - before; got != 0 {
+		t.Errorf("the refused change installed %d shadows, want none", got)
 	}
 	if got := follower.ShardInfo("server-0"); !reflect.DeepEqual(got, shard) {
 		t.Errorf("server-1's replica of server-0's shard moved to %+v, want %+v", got, shard)
@@ -536,12 +558,11 @@ func TestRemoveBelowReplication(t *testing.T) {
 // plane: an R=2 scale-out from 3 to 4 servers with 8 names moving and 8
 // staying, then the same call again — the pure re-placement pass a converged
 // cluster pays. Totals are client round trips: the trips plus the unbatched
-// control calls (the ring refresh). Placement is one place trip per primary,
-// whatever it holds and however many followers it seeds, and the election
-// reads each member once, in a survey trip that carries the member's ring
-// broadcast and whose name tables the plan reuses when nothing was promoted.
-// A settled re-placement skips the re-seed, which would repeat its pre-seed.
-// The R=1 counterpart is TestScaleOutTripsIndependentOfObjects.
+// control calls (the ring refresh). Each member's placement is its fence,
+// one trip per member whatever it holds and however many followers it seeds,
+// and the same trip reads what the election needs and the plan reuses when
+// nothing was promoted; a moving name is placed in its arrive trip. The R=1
+// counterpart is TestScaleOutTripsIndependentOfObjects.
 func TestReplicatedAddServerRoundTrips(t *testing.T) {
 	ec := clustertest.New(t, 4)
 	base := []string{"server-0", "server-1", "server-2"}
@@ -575,14 +596,13 @@ func TestReplicatedAddServerRoundTrips(t *testing.T) {
 		calls uint64
 		trips map[cluster.TripKind]int
 	}{
-		// Refresh 3, pre-seed 3 (one place trip per old member),
-		// fence+survey 4, three flows of snapshot, arrive (the destination's
-		// placement rides in it) and depart, re-seed 4.
-		{"scale-out", 8, 23, map[cluster.TripKind]int{
-			cluster.TripSnapshot: 3, cluster.TripArrive: 3, cluster.TripPlace: 7, cluster.TripSurvey: 4, cluster.TripDepart: 3}},
-		// Refresh, pre-seed and fence+survey: 4 each.
-		{"re-placement", 0, 12, map[cluster.TripKind]int{
-			cluster.TripPlace: 4, cluster.TripSurvey: 4}},
+		// Refresh 3, fence 4, three flows of snapshot, arrive (the
+		// destination's placement rides in it) and depart.
+		{"scale-out", 8, 16, map[cluster.TripKind]int{
+			cluster.TripSnapshot: 3, cluster.TripArrive: 3, cluster.TripPlace: 4, cluster.TripDepart: 3}},
+		// Refresh and fence: 4 each.
+		{"re-placement", 0, 8, map[cluster.TripKind]int{
+			cluster.TripPlace: 4}},
 	} {
 		clear(trips)
 		before := ec.Client.CallCount()
@@ -629,6 +649,91 @@ func TestSnapshotTripOneRoundTrip(t *testing.T) {
 	for i, st := range states {
 		if cs, ok := st.(*clustertest.CounterState); !ok || cs.N != int64(100+i) {
 			t.Errorf("state %d = %+v, want counter %d", i, st, 100+i)
+		}
+	}
+}
+
+// TestFailoverSparesNameOfHalfRemovedMember: a name that leaves a primary
+// leaves no shadow under that primary's shard behind. Here the name moves
+// from server-1 to a joining server-3, a write lands on it there, and the
+// removal of server-3 dies after its fence: server-3 is out of the ring yet
+// alive, still binding the name. server-1 then dies with its state, and its
+// failover must not promote the old follower's shadow from before the move
+// — the name is bound nowhere in the ring, so nothing else would stop it.
+// The removal retried then homes the name with the write. Chaos seeds 691
+// and 1454 lost acked writes this way.
+func TestFailoverSparesNameOfHalfRemovedMember(t *testing.T) {
+	ec := clustertest.New(t, 4)
+	ctx := context.Background()
+	base := []string{"server-0", "server-1", "server-2"}
+	dir := cluster.NewDirectory(ec.Client, base, cluster.WithReplication(2))
+	grown := cluster.NewRing(append(base, "server-3"), cluster.WithReplication(2))
+	name := ""
+	for i := 0; name == ""; i++ {
+		n := fmt.Sprintf("obj-%d", i)
+		before, _ := dir.Ring().Owners(n)
+		after, _ := grown.Owners(n)
+		if before[0] == "server-1" && after[0] == "server-3" && after[1] != before[1] {
+			name = n
+		}
+	}
+	want := map[string]int64{}
+	bindAll(ec, dir, want, name)
+	if _, err := cluster.NewRebalancer(dir).AddServer(ctx, "server-0"); err != nil {
+		t.Fatalf("placement rebalance: %v", err)
+	}
+	if _, err := cluster.NewRebalancer(dir).AddServer(ctx, "server-3"); err != nil {
+		t.Fatalf("AddServer(server-3): %v", err)
+	}
+	ackedAdd(t, ec, dir, want, name)
+
+	faulty := cluster.NewRebalancer(dir)
+	probe, _ := cutFrom(cluster.TripSnapshot, 1)
+	faulty.SetProbe(probe)
+	if _, err := faulty.RemoveServer(ctx, "server-3"); !errors.Is(err, errInjected) {
+		t.Fatalf("cut RemoveServer error = %v, want the injected fault", err)
+	}
+	ec.CrashServer("server-1")
+	if _, err := cluster.NewRebalancer(dir).FailoverServer(ctx, "server-1"); err != nil {
+		t.Fatalf("FailoverServer(server-1): %v", err)
+	}
+	if _, err := cluster.NewRebalancer(dir).RemoveServer(ctx, "server-3"); err != nil {
+		t.Fatalf("retried RemoveServer: %v", err)
+	}
+	checkConverged(t, ec, dir, want)
+}
+
+// TestMisHomedNameKeepsCopiesInRing: a change that dies after its fences
+// leaves the names it was moving bound at their old homes, homed elsewhere
+// by the new ring. Each such name's placement still seeds it, at every
+// owner the new ring gives it — its future home included — so a later
+// change that drops its old follower does not leave it a single copy.
+func TestMisHomedNameKeepsCopiesInRing(t *testing.T) {
+	c := addCase(2)(t)
+	faulty := cluster.NewRebalancer(c.dir)
+	probe, _ := cutFrom(cluster.TripSnapshot, 1)
+	faulty.SetProbe(probe)
+	if _, err := faulty.AddServer(context.Background(), "server-2"); !errors.Is(err, errInjected) {
+		t.Fatalf("cut AddServer error = %v, want the injected fault", err)
+	}
+	grown := cluster.NewRing(c.ec.Endpoints(), cluster.WithReplication(2))
+	for name, value := range c.want {
+		owners, _ := grown.Owners(name)
+		if owners[0] != "server-2" {
+			continue
+		}
+		holder := c.ec.Server("server-0")
+		if _, err := holder.Reg.Lookup(name); err != nil {
+			holder = c.ec.Server("server-1")
+		}
+		for _, ep := range owners {
+			if ep == holder.Endpoint {
+				continue
+			}
+			obj, ok := c.ec.Server(ep).Replica.Shadow(holder.Endpoint, name)
+			if !ok || obj.(*clustertest.Counter).Get() != value {
+				t.Errorf("%s holds no seeded shadow of %s, bound at %s, with its %d (got %v)", ep, name, holder.Endpoint, value, obj)
+			}
 		}
 	}
 }

@@ -166,8 +166,9 @@ type Replica struct {
 	mu     sync.Mutex
 	shards map[string]*shard
 
-	// A wave holds gate shared from admit until its record is queued, a
-	// placement exclusively while it snapshots and queues its Installs (Place).
+	// A wave holds gate shared from reading the ring view in admit until its
+	// record is queued, a placement exclusively while it flips the view,
+	// snapshots and queues its Installs (Place).
 	gate  sync.RWMutex
 	links sync.Map // follower endpoint -> *link
 
@@ -384,23 +385,41 @@ func (r *Replica) install(name, iface string, state any, primary string, epoch u
 	return nil
 }
 
-// Place is the primary's end of replica placement: it seeds the followers
-// that the ring (members, replication) assigns each of its names, at epoch —
-// the named ones, or every name whose routing home it is when names is nil.
-// It snapshots each movable object it hosts for a name it is the primary of
-// and sends every follower one Install of its share, followers in parallel:
-// the caller pays one round trip for the whole placement. Nothing about the
-// call is trusted: a replication degree outside [2, members], a duplicated
-// member, a member list without this server, an epoch behind this node's ring
-// or a named name not bound here is refused before anything is installed.
+// Place is the primary's end of replica placement, and its fence: it adopts
+// the ring (members at epoch, refused as Node.SetRing refuses a stale or
+// conflicting one) and seeds the followers that ring assigns at replication
+// each of its names — the named ones, or every one bound here when names is
+// nil (snapshots). It snapshots each movable object it hosts for a name and
+// sends every follower one Install of its share, followers in parallel: the
+// caller pays one round trip for the whole placement. Nothing about the call
+// is trusted: a replication degree outside [2, members], a duplicated member,
+// a member list without this server, an epoch behind this node's ring or a
+// named name not bound here is refused before anything is adopted or
+// installed.
 //
-// The snapshots are read between this primary's waves, never inside one, and
-// each Install is queued on its follower's link in the same exclusive hold of
-// the gate: after the records its snapshots hold and before those they miss,
-// so a follower neither replays a wave twice nor loses one under the
-// snapshot. No lock is held while the Installs are out: every member may be
-// placing into every other at once.
+// The ring flips, the snapshots are read and each Install is queued on its
+// follower's link in one exclusive hold of the gate, between this primary's
+// waves, never inside one: an Install sits after the records its snapshots
+// hold and before those they miss, so a follower neither replays a wave twice
+// nor loses one under the snapshot, and every wave admitted afterwards picks
+// its followers off the new ring and queues behind the Installs. No lock is
+// held while the Installs are out: every member may be placing into every
+// other at once.
 func (r *Replica) Place(ctx context.Context, members []string, replication int, epoch uint64, names []string) error {
+	return r.place(ctx, members, replication, epoch, names, true)
+}
+
+// Seed is Place without the fence: it seeds the same followers at epoch and
+// adopts nothing. A removal runs it at the current epoch before any node is
+// fenced: once one is, a failover election no longer sees the leaving
+// member's shadows, so a primary that dies before its own fence must already
+// have seeded the followers that replace it.
+func (r *Replica) Seed(ctx context.Context, members []string, replication int, epoch uint64, names []string) error {
+	return r.place(ctx, members, replication, epoch, names, false)
+}
+
+// place is Place, or Seed when fence is false.
+func (r *Replica) place(ctx context.Context, members []string, replication int, epoch uint64, names []string, fence bool) error {
 	self := r.peer.Endpoint()
 	sorted := slices.Sorted(slices.Values(members))
 	switch {
@@ -428,6 +447,24 @@ func (r *Replica) Place(ctx context.Context, members []string, replication int, 
 		}
 	}
 	r.gate.Lock()
+	if fence {
+		if err := r.node.SetRing(&RingSnapshot{Members: members, Epoch: epoch}); err != nil {
+			r.gate.Unlock()
+			return err
+		}
+		if names == nil {
+			// Every name bound here is installed again below, at each of
+			// its owners under the view just adopted; a miss of those
+			// Installs marks its names again.
+			r.links.Range(func(_, v any) bool {
+				l := v.(*link)
+				l.mu.Lock()
+				l.missed = nil
+				l.mu.Unlock()
+				return true
+			})
+		}
+	}
 	byFollower, err := r.snapshots(NewRing(members), replication, bound)
 	if err != nil {
 		r.gate.Unlock()
@@ -437,7 +474,7 @@ func (r *Replica) Place(ctx context.Context, members []string, replication int, 
 	// placement, and its caller, forever.
 	acks, deadline := make(chan followerAck, len(byFollower)), time.Now().Add(shipTimeout)
 	for f, sh := range byFollower {
-		r.push(f, &shipment{ctx: ctx, install: []any{self, epoch, sh.names, sh.ifaces, sh.states}, deadline: deadline, acks: acks})
+		r.push(f, &shipment{ctx: ctx, method: "Install", args: []any{self, epoch, sh.names, sh.ifaces, sh.states}, deadline: deadline, acks: acks})
 	}
 	r.gate.Unlock()
 	// The answer is the first failed follower's, in endpoint order, typed for
@@ -454,19 +491,57 @@ func (r *Replica) Place(ctx context.Context, members []string, replication int, 
 	return nil
 }
 
-// snapshots reads the state of every movable object bound here whose name
-// ring homes here, grouped by the followers the ring gives it at replication.
-// Called with gate held exclusively, so no wave is half applied to what it
-// reads.
+// Release tells every other member of this primary's ring view that names
+// left its shard (Forget), each on its link behind the records already queued
+// there, and does not wait. The shadows a name leaves behind at its old
+// primary's followers are stale, and a failover election for that primary
+// must not find one: the name may be bound on a member whose removal died
+// after its fence, where no election looks.
+func (r *Replica) Release(ctx context.Context, names []string) {
+	self := r.peer.Endpoint()
+	r.gate.Lock()
+	defer r.gate.Unlock()
+	members, _ := r.node.view()
+	acks, deadline := make(chan followerAck, len(members)), time.Now().Add(shipTimeout)
+	for _, m := range members {
+		if m != self {
+			r.push(m, &shipment{ctx: ctx, method: "Forget", args: []any{self, names}, deadline: deadline, acks: acks})
+		}
+	}
+}
+
+// Forget drops this follower's shadows of names under primary's shard: they
+// left it (Release).
+func (r *Replica) Forget(primary string, names []string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if sh := r.shards[primary]; sh != nil {
+		for _, name := range names {
+			delete(sh.shadows, name)
+		}
+	}
+}
+
+// snapshots reads the state of every movable object bound here, grouped by
+// the owners the ring gives its name at replication other than this server.
+// A name the ring homes elsewhere waits to migrate, and until it does this
+// copy is its only one: its home holds a shadow of it too, so a failover of
+// this server finds it in the ring. A shadow this server keeps of a name it
+// holds is stale, and is dropped. Called with gate held exclusively, so no
+// wave is half applied to what it reads.
 func (r *Replica) snapshots(ring *Ring, replication int, bound map[string]wire.Ref) (map[string]*installShare, error) {
 	self := r.peer.Endpoint()
 	byFollower := make(map[string]*installShare)
 	for _, name := range sortedKeys(bound) {
 		ref := bound[name]
-		owners := ring.ownersAt(name, replication)
-		if owners[0] != self || !movableAt(ref, self) {
+		if !movableAt(ref, self) {
 			continue
 		}
+		r.mu.Lock()
+		for _, sh := range r.shards {
+			delete(sh.shadows, name)
+		}
+		r.mu.Unlock()
 		obj, _ := r.peer.LocalObject(ref.ObjID)
 		m, ok := obj.(Movable)
 		if !ok {
@@ -476,7 +551,10 @@ func (r *Replica) snapshots(ring *Ring, replication int, bound map[string]wire.R
 		if err != nil {
 			return nil, fmt.Errorf("cluster: place %q: snapshot: %w", name, err)
 		}
-		for _, f := range owners[1:] {
+		for _, f := range ring.ownersAt(name, replication) {
+			if f == self {
+				continue
+			}
 			share := byFollower[f]
 			if share == nil {
 				share = &installShare{}

@@ -23,9 +23,9 @@ import (
 // the wave, and — before it replies, holding no lock — wraps its own decoded
 // request in a ReplRecord, queues it on the link to each of the wave's
 // followers and answers once the quorum holds it (Replica.ship). A link is
-// the primary's one ordered queue to one follower: records and placement
-// Installs leave it in queue order, one call at a time, and what queues
-// behind an Append rides the next one. Every wave is vetted and named on its
+// the primary's one ordered queue to one follower: records, placement
+// Installs and Forgets leave it in queue order, one call at a time, and
+// what queues behind an Append rides the next one. Every wave is vetted and named on its
 // own — the executor refuses a directive on a request that keeps or continues
 // a session — so neither end keeps state between waves. A replicated wave
 // costs the client its primary trips and nothing else.
@@ -112,20 +112,23 @@ func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Held from the view read until ship has put the record on its links: a
+	// placement flips the view and cuts its snapshots between waves, never
+	// inside one (Replica.Place). The executor calls the ShipFunc whenever
+	// admit returned one.
+	r.gate.RLock()
 	lists, followers, err := r.followers(d, names)
-	if err != nil {
-		return nil, err
-	}
 	ifaces := make([]string, len(w.Roots))
 	for i, id := range w.Roots {
 		ref, _ := r.peer.LocalRef(id)
 		if _, ok := movableFactory(ref.Iface); !ok {
-			return nil, nil
+			followers = nil
 		}
 		ifaces[i] = ref.Iface
 	}
-	if len(followers) == 0 {
-		return nil, nil
+	if err != nil || len(followers) == 0 {
+		r.gate.RUnlock()
+		return nil, err
 	}
 	rec := &ReplRecord{
 		ID:      r.peer.ClientID() + "#" + strconv.FormatUint(w.Session, 10),
@@ -134,10 +137,6 @@ func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 		Names:   names,
 		Ifaces:  ifaces,
 	}
-	// Held until ship has put the record on its links: a placement snapshot
-	// never holds half of this wave (Replica.Place). The executor calls the
-	// ShipFunc whenever admit returned one.
-	r.gate.RLock()
 	return func(ctx context.Context, payload any) (time.Duration, error) {
 		rec.Payload = payload
 		return r.ship(ctx, rec, d.Quorum, lists, followers)
@@ -245,15 +244,25 @@ func (r *Replica) ship(ctx context.Context, rec *ReplRecord, quorum int, lists [
 type link struct {
 	mu     sync.Mutex
 	queued []*shipment
+	// missed holds the names of Installs that failed here: the follower may
+	// lack their history, so a record naming one fails unsent, never acked,
+	// until an Install of the name lands or the primary's next full fence
+	// clears the set (Replica.place).
+	missed map[string]bool
 }
 
-// shipment is one entry of a link's queue, a wave's record or the arguments
-// of an Install, answered on acks by its deadline at the latest. A record's
-// shipment is queued on each of its followers' links.
+// errMissed fails a record naming a name its follower's Install missed.
+var errMissed = errors.New("cluster: the follower missed its placement; its records fail until a placement reaches it")
+
+// shipment is one entry of a link's queue, a wave's record or a call of
+// method with args (an Install or a Forget), answered on acks by its deadline
+// at the latest. A record's shipment is queued on each of its followers'
+// links.
 type shipment struct {
 	ctx      context.Context
 	rec      *ReplRecord
-	install  []any
+	method   string
+	args     []any
 	deadline time.Time
 	acks     chan<- followerAck
 }
@@ -275,9 +284,10 @@ func (r *Replica) push(f string, s *shipment) {
 }
 
 // drain sends the link's queue to follower f until it is empty, one call at a
-// time: the run of records at its head as one Append, an Install alone, so
-// what queued behind a call leaves with the next. A call that got no answer
-// fails everything queued behind it, unsent: none of it is redialed for.
+// time: the run of records at its head as one Append, any other call alone,
+// so what queued behind a call leaves with the next. A call that got no answer
+// fails everything queued behind it, unsent: none of it is redialed for. An
+// Install's names are missed while it failed last (link.missed).
 func (r *Replica) drain(f string, l *link) {
 	l.mu.Lock()
 	for len(l.queued) > 0 {
@@ -286,10 +296,33 @@ func (r *Replica) drain(f string, l *link) {
 			n++
 		}
 		next := l.queued[:n:n]
+		var out []*shipment
+		for _, s := range next {
+			if s.rec != nil && slices.ContainsFunc(s.rec.Names, func(name string) bool { return l.missed[name] }) {
+				s.acks <- followerAck{ep: f, err: errMissed}
+			} else {
+				out = append(out, s)
+			}
+		}
 		l.mu.Unlock()
-		err := r.send(f, next)
+		var err error
+		if len(out) > 0 {
+			err = r.send(f, out)
+		}
 		l.mu.Lock()
-		if l.queued = l.queued[n:]; err != nil {
+		if next[0].method == "Install" {
+			if err != nil && l.missed == nil {
+				l.missed = make(map[string]bool)
+			}
+			for _, name := range next[0].args[2].([]string) {
+				if err == nil {
+					delete(l.missed, name)
+				} else {
+					l.missed[name] = true
+				}
+			}
+		}
+		if l.queued = l.queued[n:]; errors.As(err, new(*rmi.RemoteException)) {
 			for _, s := range l.queued {
 				s.acks <- followerAck{ep: f, err: err}
 			}
@@ -300,10 +333,12 @@ func (r *Replica) drain(f string, l *link) {
 	l.mu.Unlock()
 }
 
-// send makes one call to follower f for next, an Install or a run of records,
+// send makes one call to follower f for next, a run of records or one call,
 // and answers each shipment: one past its deadline unsent, the rest with the
 // follower's verdict. It is the one place a record leaves a server; the call
-// is bounded by the earliest deadline, and its error returned if unanswered.
+// is bounded by the earliest deadline. It returns the call's error — an
+// Install's refusal, or no answer — and an Install expired unsent as
+// context.DeadlineExceeded.
 func (r *Replica) send(f string, next []*shipment) error {
 	var live []*shipment
 	var recs []*ReplRecord
@@ -319,17 +354,17 @@ func (r *Replica) send(f string, next []*shipment) error {
 		live, recs = append(live, s), append(recs, s.rec)
 	}
 	if live == nil {
-		return nil
+		return context.DeadlineExceeded
 	}
 	ctx, cancel := context.WithDeadline(live[0].ctx, deadline)
 	defer cancel()
 	method, args := "Append", []any{recs}
-	if live[0].install != nil {
-		method, args = "Install", live[0].install
+	if live[0].rec == nil {
+		method, args = live[0].method, live[0].args
 	}
 	res, err := r.peer.Call(ctx, ReplicaRef(f), method, args...)
 	var slots []any
-	if err == nil && live[0].install == nil {
+	if err == nil && live[0].rec != nil {
 		slots, err = appendSlots(f, len(recs), res)
 	}
 	for i, s := range live {
@@ -339,10 +374,7 @@ func (r *Replica) send(f string, next []*shipment) error {
 		}
 		s.acks <- followerAck{ep: f, err: serr}
 	}
-	if errors.As(err, new(*rmi.RemoteException)) {
-		return err
-	}
-	return nil
+	return err
 }
 
 // ShipReplyError reports a follower whose Append answered something other

@@ -55,6 +55,11 @@ var protocolMethods = [...]string{
 	// member.
 	"Place",
 	"Survey",
+	// A removal's placement ahead of its fences, and a departed name's
+	// shadows dropped at its old primary's followers.
+	"Seed",
+	"Release",
+	"Forget",
 }
 
 // protocolMethodID maps a table name to its index.

@@ -19,6 +19,7 @@ var methodsGolden = []string{
 	"Scrape", "NumSessions", "ReplayShadow", "SetShipHook", "Stop",
 	"Push",
 	"Place", "Survey",
+	"Seed", "Release", "Forget",
 }
 
 // TestProtocolMethodTable holds the table to the golden and to what a full
