@@ -24,8 +24,10 @@
 //     value — a future's value pushed server to server inside the wave, so
 //     a dataflow of values costs one round trip per distinct server — and
 //     elastic membership: servers join and leave
-//     under live traffic, moved objects migrate in batched round trips
-//     (Movable snapshot/restore), and stale routes fail with a typed
+//     under live traffic, moved objects migrate server to server — the
+//     source hands their Movable snapshots to the new home, which promotes
+//     them — in three batched client round trips per flow that carry no
+//     object state, and stale routes fail with a typed
 //     wrong-home error that epoch-aware lookups and flushes retry once;
 //     per-shard replica groups: owner lists (WithReplication), flush waves
 //     shipped to followers' ordered shard logs with per-name write quorums

@@ -105,7 +105,13 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if _, err := cluster.StartNode(server, reg, nil); err != nil {
+		// Migration hands a moving object's state from its source to its
+		// new home over the replication service, so every member runs one.
+		node, err := cluster.StartNode(server, reg, nil)
+		if err != nil {
+			return err
+		}
+		if _, err := cluster.StartReplica(server, reg, node, exec); err != nil {
 			return err
 		}
 		if _, err := statsnode.Start(server); err != nil {

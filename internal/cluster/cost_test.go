@@ -26,12 +26,14 @@ import (
 // send the host schedules later than the clock's quiet window departs one
 // delay late. A hop is a hand-off through several goroutines — the push's
 // delivery, the consumer's replay, the next push — which under the race
-// detector outlasted the default 200 µs window in about 1 flush in 20, so the
-// window here is 2 ms, and the bounds stay half-open by one r.
+// detector outlasted the default 200 µs window in about 1 flush in 20, and a
+// 2 ms window on a host loaded by another test binary; the window here is
+// 10 ms, as in TestConvergedReAddCriticalPath, and the bounds stay half-open
+// by one r.
 func TestWaveTimeIsOneRTT(t *testing.T) {
 	const r = 10 * time.Millisecond
 	clk := netsim.NewVirtualClock()
-	clk.SetGrace(2 * time.Millisecond)
+	clk.SetGrace(10 * time.Millisecond)
 	t.Cleanup(clk.Stop)
 	network := netsim.New(netsim.Profile{Name: "rtt", RTT: r}, netsim.WithClock(clk))
 	t.Cleanup(func() { _ = network.Close() })

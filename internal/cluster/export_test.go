@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/wire"
 )
 
 // ShipHook is the hook StartReplica installed on the replica's executor, for
@@ -51,32 +49,14 @@ func SetShipTimeoutForTest(d time.Duration) (restore func()) {
 type TripKind = tripKind
 
 const (
-	TripSnapshot = tripSnapshot
-	TripArrive   = tripArrive
-	TripPlace    = tripPlace
-	TripSurvey   = tripSurvey
-	TripDepart   = tripDepart
-	TripPromote  = tripPromote
+	TripHand    = tripHand
+	TripArrive  = tripArrive
+	TripPlace   = tripPlace
+	TripSurvey  = tripSurvey
+	TripDepart  = tripDepart
+	TripPromote = tripPromote
 )
 
 func (r *Rebalancer) SetProbe(p func(kind TripKind, endpoint string, names []string) error) {
 	r.probe = p
-}
-
-// SnapshotTrip runs the control plane's multi-root snapshot trip at src over
-// refs, the movable objects bound under names, and returns their states in
-// that order.
-func (r *Rebalancer) SnapshotTrip(ctx context.Context, src string, names []string, refs []wire.Ref) ([]any, error) {
-	moves := make([]move, len(refs))
-	for i := range refs {
-		moves[i] = move{name: names[i], ref: refs[i], movable: true}
-	}
-	if err := r.snapshot(ctx, src, moves); err != nil {
-		return nil, err
-	}
-	states := make([]any, len(moves))
-	for i := range moves {
-		states[i] = moves[i].state
-	}
-	return states, nil
 }

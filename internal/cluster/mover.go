@@ -17,14 +17,16 @@ import (
 // the control plane itself by a single primitive, trip: one core.Batch to
 // one endpoint carrying one call per name. Migration, replica placement,
 // failover promotion and orphan rescue are compositions of six trip kinds
-// over one Snapshot/Restore contract (Movable). Placement moves no state
-// through the client: a primary snapshots its own names and installs them at
-// their followers, server to server, one Install call per follower carrying
-// its whole share (Replica.Place) — and placement is the fence: a member
-// adopts a new ring in the same hold that seeds its followers, in a place
-// trip that also reads what the election needs. Over four members a
-// replicated placement, first or settled, costs 8 client calls and 3 RTT
-// (apply); an R=2 scale-out from three members to four, 16. Get-Batch's
+// over one Snapshot/Restore contract (Movable), and no state crosses the
+// client in any of them: a server snapshots its own names and installs them
+// where they go, one Install per recipient on its ordered link. A primary
+// places its followers so (Replica.Place) — and placement is the fence: a
+// member adopts a new ring in the same hold that seeds its followers, in a
+// place trip that also reads what the election needs. A migration's source
+// hands its moving names to their new home so (Replica.Seed), and the home
+// promotes them as a failover promotes a dead primary's shadows. Over four
+// members a replicated placement, first or settled, costs 8 client calls and
+// 3 RTT (apply); an R=2 scale-out from three members to four, 16. Get-Batch's
 // streaming read shares the contract but not the trip, and lives in
 // getbatch.go.
 
@@ -32,12 +34,12 @@ import (
 type tripKind string
 
 const (
-	tripSnapshot tripKind = "snapshot" // read a flow's movable state off its source
-	tripArrive   tripKind = "arrive"   // adopt moving names at their new home, then place them from there
-	tripPlace    tripKind = "place"    // fence one member with its placement, then read what the election needs
-	tripSurvey   tripKind = "survey"   // read a leaving member's replica shards
-	tripDepart   tripKind = "depart"   // tombstone moved names at their old home, which releases their shadows
-	tripPromote  tripKind = "promote"  // turn one holder's shadows authoritative, then place those it homes
+	tripHand    tripKind = "hand"    // a flow's source installs its movable names at their new owners
+	tripArrive  tripKind = "arrive"  // adopt moving names at their new home, then place them from there
+	tripPlace   tripKind = "place"   // fence one member with its placement, then read what the election needs
+	tripSurvey  tripKind = "survey"  // read a leaving member's replica shards
+	tripDepart  tripKind = "depart"  // tombstone moved names at their old home, which releases their shadows
+	tripPromote tripKind = "promote" // turn one holder's shadows authoritative, then place those it homes
 )
 
 // item is one call within a trip: the method, its arguments and, for a call
@@ -111,12 +113,11 @@ func (e *ReplyError) Error() string {
 // move is one name travelling between servers, with the reference it is
 // bound to at its current holder. movable marks a user object hosted on the
 // holder whose type has a registered movable factory — its state travels;
-// otherwise only the binding moves. state is the snapshot, once read.
+// otherwise only the binding moves.
 type move struct {
 	name    string
 	ref     wire.Ref
 	movable bool
-	state   any
 }
 
 // movableAt reports whether ref is a user object hosted on endpoint whose
@@ -128,27 +129,6 @@ func movableAt(ref wire.Ref, endpoint string) bool {
 	}
 	_, ok := movableFactory(ref.Iface)
 	return ok
-}
-
-// snapshot reads the state of every movable move off src in one multi-root
-// trip — one root per object.
-func (r *Rebalancer) snapshot(ctx context.Context, src string, moves []move) error {
-	var items []item
-	var at []int
-	for i, m := range moves {
-		if m.movable {
-			items = append(items, item{name: m.name, root: m.ref, method: "Snapshot"})
-			at = append(at, i)
-		}
-	}
-	states, err := r.trip(ctx, tripSnapshot, NodeRef(src), items)
-	if err != nil {
-		return err
-	}
-	for j, i := range at {
-		moves[i].state = states[j]
-	}
-	return nil
 }
 
 // placeItem is the call asking primary to adopt routing at epoch and seed the
@@ -360,38 +340,49 @@ func (r *Rebalancer) migrate(ctx context.Context, flows []flow, routing *Ring, e
 	})
 }
 
-// migratePair moves one flow in three trips: snapshot at the source; arrive
-// at the destination (idempotent: an already-adopted copy is kept), with the
-// destination's placement of the movable names recorded after the arrives in
-// the same batch; depart the source (wrong-home forwards and export
-// tombstones) and, on a replicated ring, have it release the names' shadows
-// under its shard at the other members (Replica.Release). The order is
-// apply's step 4: until the depart lands both homes
-// hold the name — stale-ring writes in that window land on the old copy and
-// are superseded by the tombstone — whereas tombstoning first would destroy
-// the only copy of the state if the arrive trip failed. Placement comes
-// before the depart because the old shard's shadows are keyed under the old
-// primary, invisible to an election for the new one: a state-loss kill of
-// the destination after the depart would otherwise hold the only copy of
-// every moved name. A failed arrive aborts the batch before the placement.
+// migratePair moves one flow in three trips. Hand: the source installs the
+// movable names at each of their owners under routing, the destination
+// included, and answers once every Install is acked (Replica.Seed) — each
+// rides the source's ordered link behind the records queued before it, so
+// the destination then holds every wave the source ran on them. Arrive: the
+// destination promotes the handed shadows (Replica.Promote, idempotent: an
+// adopted copy is kept) and binds the other names where their objects stay
+// (Node.Arrive), then places the promoted names at its followers in the same
+// batch. Depart: the source leaves wrong-home forwards and export tombstones
+// and, on a replicated ring, releases the names' shadows under its shard at
+// the other members (Replica.Release). The order is apply's step 4: until
+// the depart lands both homes hold the name — stale-ring writes in that
+// window land on the old copy and are superseded by the tombstone — whereas
+// tombstoning first would destroy the only copy of the state if the arrive
+// trip failed. Placement comes before the depart because the old shard's
+// shadows are keyed under the old primary, invisible to an election for the
+// new one: a state-loss kill of the destination after the depart would
+// otherwise hold the only copy of every moved name. A failed promote aborts
+// the batch before the placement.
 func (r *Rebalancer) migratePair(ctx context.Context, f flow, routing *Ring, epoch uint64) error {
-	if err := r.snapshot(ctx, f.src, f.moves); err != nil {
-		return err
-	}
-	arrive := make([]item, 0, len(f.moves)+1)
+	arrive := make([]item, 0, len(f.moves)+2)
 	depart := make([]item, len(f.moves), len(f.moves)+1)
 	names := make([]string, len(f.moves))
-	var placed []string
+	var handed []string
 	for i, m := range f.moves {
-		arrive = append(arrive, item{name: m.name, method: "Arrive", args: []any{m.name, m.ref.Iface, m.movable, m.state, m.ref}})
+		if m.movable {
+			handed = append(handed, m.name)
+		} else {
+			arrive = append(arrive, item{name: m.name, method: "Arrive", args: []any{m.name, m.ref}})
+		}
 		depart[i] = item{name: m.name, method: "Depart", args: []any{m.name, epoch}}
 		names[i] = m.name
-		if m.movable {
-			placed = append(placed, m.name)
-		}
 	}
-	if ownerCount(routing) > 1 && len(placed) > 0 {
-		arrive = append(arrive, placeItem(f.dst, routing, epoch, placed))
+	if len(handed) > 0 {
+		hand := placeItem(f.src, routing, epoch, handed)
+		hand.method = "Seed"
+		if _, err := r.trip(ctx, tripHand, ReplicaRef(f.src), []item{hand}); err != nil {
+			return err
+		}
+		arrive = append(arrive, item{name: f.src, root: ReplicaRef(f.dst), method: "Promote", args: []any{f.src, handed, epoch}})
+		if ownerCount(routing) > 1 {
+			arrive = append(arrive, placeItem(f.dst, routing, epoch, handed))
+		}
 	}
 	if _, err := r.trip(ctx, tripArrive, NodeRef(f.dst), arrive); err != nil {
 		return err

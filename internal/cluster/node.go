@@ -16,9 +16,9 @@ import (
 // Movable is implemented by remote object types whose state can migrate
 // between servers when the cluster membership changes. Snapshot returns a
 // wire-encodable value capturing the object's state; Restore applies a
-// snapshot to a freshly constructed instance on the new home server. Both
-// are ordinary remote methods, so the rebalancer moves K objects in one
-// batched round trip per direction instead of one per object.
+// snapshot to a freshly constructed instance on another server. The
+// replication service calls both, server to server: a primary seeds its
+// followers with them, and a migration's source its names' new home.
 //
 // Types that do not implement Movable (or whose factory is not registered,
 // see RegisterMovable) still participate in re-sharding: their binding moves
@@ -86,7 +86,7 @@ func NodeRef(endpoint string) wire.Ref {
 // membership change — SetRing, or the replica's Place — queried by stale clients re-routing after a
 // WrongHomeError) and the server side of object migration: Manifest lists
 // the local name table, Depart releases objects moving away, Arrive adopts
-// objects moving in.
+// the bindings of objects that stay put.
 type Node struct {
 	rmi.RemoteBase
 
@@ -104,7 +104,10 @@ type Node struct {
 
 // StartNode exports a cluster node service on p at the reserved node id.
 // members seeds the node's view of the cluster (epoch 0); the rebalancer's
-// fences keep it current afterwards.
+// fences keep it current afterwards. A member a Rebalancer migrates names to
+// or from also runs the replication service (StartReplica), replicated ring
+// or not: a moving object's state travels from its source to its new home
+// over the source's replication links.
 func StartNode(p *rmi.Peer, reg *registry.Service, members []string) (*Node, error) {
 	if reg == nil {
 		return nil, errors.New("cluster: node requires a registry service")
@@ -235,44 +238,15 @@ func (n *Node) Depart(name string, epoch uint64) error {
 	return nil
 }
 
-// Arrive adopts name on this server. For a movable object (the rebalancer
-// decided movability explicitly; state is whatever Snapshot returned, nil
-// included) a fresh instance is constructed, restored from the snapshot,
-// and exported here; otherwise the existing reference is re-bound as-is —
-// the binding migrates, the object stays put. Either way the local registry
-// becomes name's authoritative home.
-//
-// A movable arrival for a name already bound to a local object is a no-op:
-// the migration runs copy-then-tombstone, so a retried flow must not
-// overwrite an adopted copy (possibly already mutated by routed traffic)
-// with a re-read of the old home's stale state.
-func (n *Node) Arrive(name string, iface string, movable bool, state any, ref wire.Ref) error {
+// Arrive binds name here to ref, an object that stays where it lives: the
+// binding of a name whose object is not movable off its server migrates, and
+// lookups keep resolving. A movable object's state travels server to server
+// instead — its source hands it here and the replication service promotes it
+// (Replica.Seed, Replica.Promote) — so no state crosses the caller.
+func (n *Node) Arrive(name string, ref wire.Ref) error {
 	n.arrivals.Inc()
-	if movable {
-		if existing, err := n.reg.Lookup(name); err == nil && existing.Endpoint == n.peer.Endpoint() {
-			return nil // already adopted by an earlier (partially failed) run
-		}
-		factory, ok := movableFactory(iface)
-		if !ok {
-			return fmt.Errorf("cluster: arrive %q: no movable factory registered for %q", name, iface)
-		}
-		obj := factory()
-		m, ok := obj.(Movable)
-		if !ok {
-			return fmt.Errorf("cluster: arrive %q: factory for %q built a non-Movable %T", name, iface, obj)
-		}
-		if err := m.Restore(state); err != nil {
-			return fmt.Errorf("cluster: arrive %q: restore: %w", name, err)
-		}
-		newRef, err := n.peer.Export(obj, iface)
-		if err != nil {
-			return fmt.Errorf("cluster: arrive %q: export: %w", name, err)
-		}
-		n.reg.Rebind(name, newRef)
-		return nil
-	}
 	if ref.IsZero() {
-		return fmt.Errorf("cluster: arrive %q: no state and no reference", name)
+		return fmt.Errorf("cluster: arrive %q: no reference", name)
 	}
 	n.reg.Rebind(name, ref)
 	return nil

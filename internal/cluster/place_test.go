@@ -29,8 +29,13 @@ import (
 
 // placeAt asks primary to place, as the rebalancer's place trip does.
 func placeAt(ctx context.Context, p *rmi.Peer, primary string, members []string, replication int, epoch uint64, names []string) error {
+	return placement(ctx, p, "Place", primary, members, replication, epoch, names)
+}
+
+// placement calls method, Place or Seed, at primary's replication service.
+func placement(ctx context.Context, p *rmi.Peer, method, primary string, members []string, replication int, epoch uint64, names []string) error {
 	cb := core.New(p, cluster.ReplicaRef(primary))
-	f := cb.Root().Call("Place", members, replication, epoch, names)
+	f := cb.Root().Call(method, members, replication, epoch, names)
 	if err := cb.Flush(ctx); err != nil {
 		return err
 	}
@@ -41,7 +46,10 @@ func placeAt(ctx context.Context, p *rmi.Peer, primary string, members []string,
 // TestPrimaryVetsPlacement: every malformed, hostile or stale placement call
 // is refused with its typed error, with nothing installed and not one call
 // made by the primary; the well-formed one next to them installs the name's
-// shadow at its follower.
+// shadow at its follower. Seed, which also hands a migration's names to
+// their new home, accepts a replication of 1 and a ring without the server
+// — an unreplicated ring, a leaving source — and installs at the owners
+// that ring gives the name; Place refuses both.
 func TestPrimaryVetsPlacement(t *testing.T) {
 	ec, dir, primary, _, _, epoch := directiveCluster(t)
 	ctx := context.Background()
@@ -62,6 +70,7 @@ func TestPrimaryVetsPlacement(t *testing.T) {
 	}
 	corrupt, stale, notBound := new(*wire.CorruptError), new(*cluster.StaleShipError), new(*registry.NotBoundError)
 	for _, tc := range []struct {
+		method      string
 		name        string
 		members     []string
 		replication int
@@ -69,19 +78,22 @@ func TestPrimaryVetsPlacement(t *testing.T) {
 		names       []string
 		want        any // **wire.CorruptError, **cluster.StaleShipError or **registry.NotBoundError
 	}{
-		{"replication 1", members, 1, epoch, []string{fresh}, corrupt},
-		{"replication 0", members, 0, epoch, nil, corrupt},
-		{"replication past the members", members, len(members) + 1, epoch, []string{fresh}, corrupt},
-		{"a member listed twice", append([]string{primary}, members...), 2, epoch, []string{fresh}, corrupt},
-		{"a ring without the primary", others, 2, epoch, nil, corrupt},
-		{"more members than a ring may have", append(many, primary), 2, epoch, nil, corrupt},
-		{"an epoch behind the primary's ring", members, 2, epoch - 1, []string{fresh}, stale},
-		{"a name not bound here", members, 2, epoch, []string{fresh, "nowhere"}, notBound},
+		{"Place", "replication 1", members, 1, epoch, []string{fresh}, corrupt},
+		{"Place", "replication 0", members, 0, epoch, nil, corrupt},
+		{"Seed", "replication 0", members, 0, epoch, []string{fresh}, corrupt},
+		{"Place", "replication past the members", members, len(members) + 1, epoch, []string{fresh}, corrupt},
+		{"Seed", "replication past the members", others, len(others) + 1, epoch, []string{fresh}, corrupt},
+		{"Place", "a member listed twice", append([]string{primary}, members...), 2, epoch, []string{fresh}, corrupt},
+		{"Place", "a ring without the primary", others, 2, epoch, nil, corrupt},
+		{"Place", "more members than a ring may have", append(many, primary), 2, epoch, nil, corrupt},
+		{"Place", "an epoch behind the primary's ring", members, 2, epoch - 1, []string{fresh}, stale},
+		{"Seed", "an epoch behind the primary's ring", others, 1, epoch - 1, []string{fresh}, stale},
+		{"Place", "a name not bound here", members, 2, epoch, []string{fresh, "nowhere"}, notBound},
 	} {
 		calls := ps.Peer.CallCount()
-		err := placeAt(ctx, ec.Client, primary, tc.members, tc.replication, tc.epoch, tc.names)
+		err := placement(ctx, ec.Client, tc.method, primary, tc.members, tc.replication, tc.epoch, tc.names)
 		if !errors.As(err, tc.want) {
-			t.Errorf("%s: place = %T %v, want %T", tc.name, err, err, reflect.ValueOf(tc.want).Elem().Interface())
+			t.Errorf("%s, %s: %T %v, want %T", tc.method, tc.name, err, err, reflect.ValueOf(tc.want).Elem().Interface())
 		}
 		if got := ps.Peer.CallCount() - calls; got != 0 {
 			t.Errorf("%s: the primary made %d calls for a placement it refused", tc.name, got)
@@ -101,6 +113,31 @@ func TestPrimaryVetsPlacement(t *testing.T) {
 	}
 	if got := shadow.(*clustertest.Counter).Get(); got != 7 {
 		t.Errorf("%s's shadow of %s holds %d, want the primary's 7", owners[1], fresh, got)
+	}
+
+	for _, tc := range []struct {
+		name        string
+		members     []string
+		replication int
+	}{
+		{"at replication 1", members, 1},
+		{"from a non-member", others, 2},
+		{"from a non-member at replication 1", others, 1},
+	} {
+		if err := placement(ctx, ec.Client, "Seed", primary, tc.members, tc.replication, epoch, []string{fresh}); err != nil {
+			t.Errorf("Seed %s: %v", tc.name, err)
+			continue
+		}
+		ring := cluster.NewRing(tc.members, cluster.WithReplication(tc.replication))
+		seeded, _ := ring.Owners(fresh)
+		for _, ep := range seeded {
+			if ep == primary {
+				continue
+			}
+			if obj, ok := ec.Server(ep).Replica.Shadow(primary, fresh); !ok || obj.(*clustertest.Counter).Get() != 7 {
+				t.Errorf("Seed %s: %s holds no shadow of %s with the primary's 7 (%v)", tc.name, ep, fresh, obj)
+			}
+		}
 	}
 }
 

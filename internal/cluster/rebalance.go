@@ -16,11 +16,13 @@ import (
 // its replicas. All three are the same procedure (change) with different
 // preconditions, and the procedure moves state with one mechanism (mover.go):
 // per endpoint, K objects travel in one batched round trip — K objects move
-// in 3 round trips, not 3K, and their replicas are placed from their
-// primaries without crossing the client. Old homes are left with wrong-home
-// tombstones (registry forwards + export tombstones) carrying the new epoch,
-// so stale callers fail with rmi.WrongHomeError, refresh their shard map,
-// and re-route.
+// in 3 round trips, not 3K — and no object's state crosses the client: a
+// source hands its moving objects to their new home, and a primary places
+// its followers, server to server over the replication service, which every
+// member must therefore run (StartReplica), replicated ring or not. Old
+// homes are left with wrong-home tombstones (registry forwards + export
+// tombstones) carrying the new epoch, so stale callers fail with
+// rmi.WrongHomeError, refresh their shard map, and re-route.
 //
 // Every operation is idempotent and retryable: a run that failed partway (a
 // node transiently unreachable, say) is completed by calling it again, and
@@ -116,13 +118,13 @@ type change struct {
 //     their best-credentialed holder, which places those it homes in the
 //     same trip (mover.go, elect), so step 4 drains the rest to their ring
 //     homes like any other name.
-//  4. Migrate copy-then-tombstone, and place before depart: each flow
-//     snapshots at the source, arrives at the destination, seeds the
-//     destination's followers from the destination (in the arrive trip),
-//     and only then departs the source (migratePair). A failure at any
-//     point leaves every name readable somewhere. The plan is whatever is
-//     still mis-homed on the sources, so a retry moves exactly the
-//     leftovers.
+//  4. Migrate copy-then-tombstone, and place before depart: each flow's
+//     source hands its movable names to their new owners over its ordered
+//     links, the destination promotes them and seeds their followers from
+//     there (in the arrive trip), and only then the source departs
+//     (migratePair). A failure at any point leaves every name readable
+//     somewhere. The plan is whatever is still mis-homed on the sources, so
+//     a retry moves exactly the leftovers.
 //  5. Commit the live ring last. The directory keeps serving the old routes
 //     while the target ring is migrated against, and with copy-then-tombstone
 //     a name stays reachable at its old home until its new home holds it, so

@@ -23,7 +23,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
 	"repro/internal/rmi"
-	"repro/internal/wire"
 )
 
 var errInjected = errors.New("injected migration fault")
@@ -279,7 +278,7 @@ func rescueCase(t *testing.T) cutCase {
 func TestMembershipChangeConvergesFromEveryCut(t *testing.T) {
 	// A replicated change fences each member in its place trip; a removal
 	// also surveys the leaving member for orphaned shards first.
-	migration := []cluster.TripKind{cluster.TripSnapshot, cluster.TripArrive, cluster.TripDepart}
+	migration := []cluster.TripKind{cluster.TripHand, cluster.TripArrive, cluster.TripDepart}
 	replicated := append([]cluster.TripKind{cluster.TripPlace}, migration...)
 	guarded := append([]cluster.TripKind{cluster.TripSurvey}, replicated...)
 	recovery := append([]cluster.TripKind{cluster.TripPromote}, replicated...)
@@ -596,10 +595,10 @@ func TestReplicatedAddServerRoundTrips(t *testing.T) {
 		calls uint64
 		trips map[cluster.TripKind]int
 	}{
-		// Refresh 3, fence 4, three flows of snapshot, arrive (the
+		// Refresh 3, fence 4, three flows of hand, arrive (the
 		// destination's placement rides in it) and depart.
 		{"scale-out", 8, 16, map[cluster.TripKind]int{
-			cluster.TripSnapshot: 3, cluster.TripArrive: 3, cluster.TripPlace: 4, cluster.TripDepart: 3}},
+			cluster.TripHand: 3, cluster.TripArrive: 3, cluster.TripPlace: 4, cluster.TripDepart: 3}},
 		// Refresh and fence: 4 each.
 		{"re-placement", 0, 8, map[cluster.TripKind]int{
 			cluster.TripPlace: 4}},
@@ -618,37 +617,6 @@ func TestReplicatedAddServerRoundTrips(t *testing.T) {
 		}
 		if fmt.Sprint(trips) != fmt.Sprint(pass.trips) {
 			t.Errorf("%s trips = %v, want %v", pass.name, trips, pass.trips)
-		}
-	}
-}
-
-// TestSnapshotTripOneRoundTrip: reading K=16 objects off one server is one
-// multi-root flush — one client round trip — and the states come back in
-// item order.
-func TestSnapshotTripOneRoundTrip(t *testing.T) {
-	const k = 16
-	ec := clustertest.New(t, 1)
-	dir := cluster.NewDirectory(ec.Client, []string{"server-0"})
-	names := make([]string, k)
-	refs := make([]wire.Ref, k)
-	for i := range names {
-		names[i] = fmt.Sprintf("snap-%d", i)
-		refs[i] = ec.BindCounter(dir, names[i], int64(100+i))
-	}
-	before := ec.Client.CallCount()
-	states, err := cluster.NewRebalancer(dir).SnapshotTrip(context.Background(), "server-0", names, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ec.Client.CallCount() - before; got != 1 {
-		t.Errorf("snapshot trip over %d roots cost %d client round trips, want 1", k, got)
-	}
-	if len(states) != k {
-		t.Fatalf("snapshot trip returned %d states, want %d", len(states), k)
-	}
-	for i, st := range states {
-		if cs, ok := st.(*clustertest.CounterState); !ok || cs.N != int64(100+i) {
-			t.Errorf("state %d = %+v, want counter %d", i, st, 100+i)
 		}
 	}
 }
@@ -688,7 +656,7 @@ func TestFailoverSparesNameOfHalfRemovedMember(t *testing.T) {
 	ackedAdd(t, ec, dir, want, name)
 
 	faulty := cluster.NewRebalancer(dir)
-	probe, _ := cutFrom(cluster.TripSnapshot, 1)
+	probe, _ := cutFrom(cluster.TripHand, 1)
 	faulty.SetProbe(probe)
 	if _, err := faulty.RemoveServer(ctx, "server-3"); !errors.Is(err, errInjected) {
 		t.Fatalf("cut RemoveServer error = %v, want the injected fault", err)
@@ -711,7 +679,7 @@ func TestFailoverSparesNameOfHalfRemovedMember(t *testing.T) {
 func TestMisHomedNameKeepsCopiesInRing(t *testing.T) {
 	c := addCase(2)(t)
 	faulty := cluster.NewRebalancer(c.dir)
-	probe, _ := cutFrom(cluster.TripSnapshot, 1)
+	probe, _ := cutFrom(cluster.TripHand, 1)
 	faulty.SetProbe(probe)
 	if _, err := faulty.AddServer(context.Background(), "server-2"); !errors.Is(err, errInjected) {
 		t.Fatalf("cut AddServer error = %v, want the injected fault", err)

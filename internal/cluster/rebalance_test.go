@@ -569,12 +569,17 @@ func TestAddServerRetryAfterPartialArrive(t *testing.T) {
 	name := clustertest.PickNames(dir.Ring(), grown, "server-0", "server-2", 1)[0]
 	oldRef := ec.BindCounter(dir, name, 5)
 
-	// Simulate the partial first run: ring grown, snapshot taken, copy
-	// adopted at the newcomer — but the depart trip never landed.
-	dir.Ring().Add("server-2")
-	state := &clustertest.CounterState{N: 5}
-	if err := ec.Servers[2].Node.Arrive(name, clustertest.CounterIface, true, state, wire.Ref{}); err != nil {
-		t.Fatal(err)
+	// The partial first run: ring grown, the name handed and adopted at the
+	// newcomer — but the depart trip never landed.
+	faulty := cluster.NewRebalancer(dir)
+	faulty.SetProbe(func(k cluster.TripKind, _ string, _ []string) error {
+		if k == cluster.TripDepart {
+			return errors.New("injected: the depart trip never lands")
+		}
+		return nil
+	})
+	if _, err := faulty.AddServer(ctx, "server-2"); err == nil {
+		t.Fatal("AddServer cut at its depart trip succeeded")
 	}
 	// New-ring traffic mutates the adopted copy before the retry.
 	adopted, err := registry.Lookup(ctx, ec.Client, "server-2", name)

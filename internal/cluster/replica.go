@@ -123,6 +123,9 @@ type shadowObj struct {
 	seedEpoch uint64
 	epoch     uint64
 	applied   int64
+	// home marks a shadow installed at the name's ring home: handed here by
+	// the server binding it, so its promotion counts as an arrival.
+	home bool
 }
 
 // shard is the ordered replication log of one primary endpoint as seen by
@@ -214,16 +217,10 @@ func (r *Replica) shardFor(primary string) *shard {
 }
 
 // shadowFor returns name's shadow under sh, constructing a zero-state
-// instance on first sight. A shadow whose export is no longer live is
-// discarded first: a promoted shadow that migration then homed elsewhere left
-// a wrong-home tombstone, and replaying into it would fail every later ship
-// for the name. Caller holds r.mu.
+// instance on first sight. Caller holds r.mu.
 func (r *Replica) shadowFor(sh *shard, name, iface string) (*shadowObj, error) {
 	if sd := sh.shadows[name]; sd != nil {
-		if _, live := r.peer.LocalObject(sd.ref.ObjID); live {
-			return sd, nil
-		}
-		delete(sh.shadows, name)
+		return sd, nil
 	}
 	factory, ok := movableFactory(iface)
 	if !ok {
@@ -341,21 +338,6 @@ func (r *Replica) install(name, iface string, state any, primary string, epoch u
 	}
 	sh := r.shardFor(primary)
 	sd := sh.shadows[name]
-	if sd != nil {
-		// A promoted-then-migrated shadow's export died with the move (see
-		// shadowFor); restoring onto it would re-seed a tombstoned id.
-		if _, live := r.peer.LocalObject(sd.ref.ObjID); !live {
-			sd = nil
-		}
-	}
-	if sd != nil && sd.iface == iface && sd.seeded && sd.seedEpoch >= epoch {
-		// Already seeded at this epoch (or newer) and kept current by the
-		// records since, which reach it in the primary's queue order with
-		// its Installs. Only a stale seed (older epoch) carries history this
-		// shadow may have missed.
-		sh.epoch = max(sh.epoch, epoch)
-		return nil
-	}
 	if sd == nil || sd.iface != iface {
 		obj := factory()
 		ref, err := r.peer.Export(obj, iface)
@@ -368,17 +350,22 @@ func (r *Replica) install(name, iface string, state any, primary string, epoch u
 	if !ok {
 		return fmt.Errorf("cluster: install %q: %q built a non-Movable %T", name, iface, sd.obj)
 	}
+	// The snapshot arrived in its primary's queue order — after every record
+	// it holds, before every record it misses — so it is restored even over
+	// a shadow seeded at this epoch, which may miss what its primary ran
+	// unreplicated since. A newer seed epoch resets applied, the shadow's
+	// position PAST its seed in the election; a re-seed keeps it.
 	if err := m.Restore(state); err != nil {
 		return fmt.Errorf("cluster: install %q: restore: %w", name, err)
+	}
+	if !sd.seeded || sd.seedEpoch < epoch {
+		sd.applied = 0
 	}
 	sd.seeded = true
 	sd.seedEpoch = max(sd.seedEpoch, epoch)
 	sd.epoch = max(sd.epoch, epoch)
-	// The snapshot supersedes everything replayed before it: applied now
-	// counts the shadow's position PAST this install, so a stale follower
-	// re-seeded at the same epoch as the true follower still loses to the
-	// one that replayed more records since.
-	sd.applied = 0
+	ring, _ := r.viewRing()
+	sd.home = ring.Route(name) == r.peer.Endpoint()
 	sh.shadows[name] = sd
 	sh.epoch = max(sh.epoch, epoch)
 	r.installs.Inc()
@@ -409,11 +396,16 @@ func (r *Replica) Place(ctx context.Context, members []string, replication int, 
 	return r.place(ctx, members, replication, epoch, names, true)
 }
 
-// Seed is Place without the fence: it seeds the same followers at epoch and
-// adopts nothing. A removal runs it at the current epoch before any node is
-// fenced: once one is, a failover election no longer sees the leaving
-// member's shadows, so a primary that dies before its own fence must already
-// have seeded the followers that replace it.
+// Seed is Place without the fence: it seeds the owners the ring gives the
+// names at epoch and adopts nothing. A removal runs it on every survivor at
+// the current epoch before any node is fenced: once one is, a failover
+// election no longer sees the leaving member's shadows, so a primary that
+// dies before its own fence must already have seeded the followers that
+// replace it. A migration's source runs it to hand the moving names to their
+// new home, one of their owners (Rebalancer.migratePair): once every Install
+// is acked, so is every record queued ahead of it. That source may be
+// leaving the ring, and the ring may be unreplicated, so Seed accepts a ring
+// without this server and a replication of 1.
 func (r *Replica) Seed(ctx context.Context, members []string, replication int, epoch uint64, names []string) error {
 	return r.place(ctx, members, replication, epoch, names, false)
 }
@@ -425,11 +417,11 @@ func (r *Replica) place(ctx context.Context, members []string, replication int, 
 	switch {
 	case len(members) > maxPlaceMembers:
 		return &wire.CorruptError{Detail: fmt.Sprintf("placement over %d members, more than %d", len(members), maxPlaceMembers)}
-	case replication < 2 || replication > len(members):
+	case replication < 1 || replication > len(members) || fence && replication < 2:
 		return &wire.CorruptError{Detail: fmt.Sprintf("placement at replication %d over %d members", replication, len(members))}
 	case len(slices.Compact(sorted)) != len(members):
 		return &wire.CorruptError{Detail: "placement lists a member twice"}
-	case !slices.Contains(members, self):
+	case fence && !slices.Contains(members, self):
 		return &wire.CorruptError{Detail: fmt.Sprintf("placement at %s over a ring without it", self)}
 	}
 	if cur := r.node.Epoch(); epoch < cur {
@@ -619,33 +611,46 @@ func (r *Replica) shardInfo(primary string) *ShardInfo {
 }
 
 // Promote turns the named shadows of primary's shard authoritative: each is
-// bound into the local registry (overwriting any wrong-home forward), from
-// where the ordinary migration flow moves it to its ring home. Promotion is
-// idempotent per name — a name already resolving to a local object is left
-// alone, so a failover retried after a partial run neither loses nor
-// duplicates state. Returns the names promoted by THIS call.
+// bound into the local registry (overwriting any wrong-home forward) and
+// leaves the shard, so a record primary ships afterwards builds a shadow of
+// its own instead of replaying onto the live object. A failover promotes a
+// dead primary's shadows, a migration the ones its source just handed here
+// (Seed). Promotion is idempotent per name — a name already resolving to a
+// local object is left alone, and its stale shadow dropped — so a retried
+// change neither loses nor duplicates state. A name with neither is refused
+// before anything is bound: its state is not here, and a caller about to
+// tombstone its old home would lose it. Returns the names promoted by THIS
+// call.
 func (r *Replica) Promote(primary string, names []string, epoch uint64) ([]string, error) {
 	if cur := r.node.Epoch(); epoch < cur {
 		return nil, &StaleShipError{RecordEpoch: epoch, NodeEpoch: cur}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sh := r.shards[primary]
-	if sh == nil {
-		return nil, nil
+	var shadows map[string]*shadowObj
+	if sh := r.shards[primary]; sh != nil {
+		shadows = sh.shadows
+	}
+	held := make([]bool, len(names))
+	for i, name := range names {
+		existing, err := r.reg.Lookup(name)
+		held[i] = err == nil && existing.Endpoint == r.peer.Endpoint()
+		if !held[i] && shadows[name] == nil {
+			return nil, fmt.Errorf("cluster: promote %q: no shadow of it under %s", name, primary)
+		}
 	}
 	var promoted []string
-	for _, name := range names {
-		sd := sh.shadows[name]
-		if sd == nil {
-			continue
+	for i, name := range names {
+		if sd := shadows[name]; sd != nil && !held[i] {
+			r.reg.Rebind(name, sd.ref)
+			promoted = append(promoted, name)
+			if sd.home {
+				r.node.arrivals.Inc()
+			} else {
+				r.promotions.Inc()
+			}
 		}
-		if existing, err := r.reg.Lookup(name); err == nil && existing.Endpoint == r.peer.Endpoint() {
-			continue // already promoted by an earlier (partially failed) run
-		}
-		r.reg.Rebind(name, sd.ref)
-		promoted = append(promoted, name)
-		r.promotions.Inc()
+		delete(shadows, name)
 	}
 	sort.Strings(promoted)
 	return promoted, nil
