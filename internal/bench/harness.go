@@ -168,7 +168,7 @@ func decodeFrames(b []byte) ([]transport.Frame, error) {
 // isDGC reports whether a call frame's payload, an rmi.call.req, addresses
 // the DGC.
 func isDGC(payload []byte) bool {
-	_, fields, err := wire.Fields(payload)
+	_, fields, err := wire.Fields(payload, 0)
 	if err != nil || len(fields) == 0 {
 		return false
 	}

@@ -269,16 +269,20 @@ func TestQuorumErrorWireForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "131c0408046b762d31040204060a03131d0208087365727665722d32131b0205040505131d0208087365727665722d33131e0308087365727665722d3304020401131d0208087365727665722d3110132a6572726f72732e6572726f72537472696e670c6469616c2072656675736564"
+	// The ship reply's endpoint repeats its follower's: a reference ("1402")
+	// to the message's third string, "server-3".
+	const want = "131c0408046b762d31040204060a03131d0208087365727665722d32131b0205040505131d0208087365727665722d33131e03" + "1402" + "04020401131d0208087365727665722d3110132a6572726f72732e6572726f72537472696e670c6469616c2072656675736564"
 	if hex.EncodeToString(got) != want {
 		t.Errorf("quorum miss encodes to\n  %x, want\n  %s", got, want)
 	}
 	// Captured before the standard type table, when the four cluster types
-	// were defined by name: it still decodes, to the same miss, and it is
-	// longer by exactly those definitions (tag, id, length, name).
+	// were defined by name, and before strings were numbered: it still
+	// decodes, to the same miss, and it is longer by exactly those
+	// definitions (tag, id, length, name) and the repeat it spells out
+	// (tag, length, "server-3", where the reference is 2 bytes).
 	const named = "0d010e636c75737465722e51756f72756d0c010408046b762d31040204060a030d0215636c75737465722e466f6c6c6f7765724572726f720c020208087365727665722d320d0311636c75737465722e5374616c65536869700c0302050405050c020208087365727665722d330d0411636c75737465722e536869705265706c790c040308087365727665722d33040204010c020208087365727665722d3110132a6572726f72732e6572726f72537472696e670c6469616c2072656675736564"
 	old, _ := hex.DecodeString(named)
-	defs := 0
+	defs := 2 + len("server-3") - 2
 	for _, name := range []string{"cluster.Quorum", "cluster.FollowerError", "cluster.StaleShip", "cluster.ShipReply"} {
 		defs += 3 + len(name)
 	}

@@ -480,3 +480,43 @@ func TestFencedPlacementLosesNoWave(t *testing.T) {
 		t.Fatal("no write was acked while the ring changed")
 	}
 }
+
+// TestMembershipChurnLeaksNoShadow: a follower unexports every shadow it
+// drops — one forgotten when its name leaves the primary's shard, one
+// replaced by a placement under another primary, one made stale by its name
+// binding here — so membership changes do not grow the export tables. Six
+// AddServer/RemoveServer cycles of 16 names at R=2 on four servers end each
+// with the exports the first cycle left.
+func TestMembershipChurnLeaksNoShadow(t *testing.T) {
+	ec := clustertest.New(t, 4)
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, []string{"server-0", "server-1", "server-2"}, cluster.WithReplication(2))
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = fmt.Sprintf("churn-%d", i)
+	}
+	place(t, ec, dir, names...)
+	exported := func() int {
+		n := 0
+		for _, s := range ec.Servers {
+			n += s.Peer.NumExported()
+		}
+		return n
+	}
+	reb := cluster.NewRebalancer(dir)
+	var after []int
+	for cycle := 0; cycle < 6; cycle++ {
+		if _, err := reb.AddServer(ctx, "server-3"); err != nil {
+			t.Fatalf("cycle %d: add: %v", cycle, err)
+		}
+		if _, err := reb.RemoveServer(ctx, "server-3"); err != nil {
+			t.Fatalf("cycle %d: remove: %v", cycle, err)
+		}
+		after = append(after, exported())
+	}
+	for cycle, n := range after[1:] {
+		if n != after[0] {
+			t.Fatalf("exports after each cycle %v: cycle %d left %d, the first %d", after, cycle+1, n, after[0])
+		}
+	}
+}

@@ -333,12 +333,16 @@ func (r *Replica) install(name, iface string, state any, primary string, epoch u
 	}
 	for p, sh := range r.shards {
 		if p != primary {
-			delete(sh.shadows, name)
+			r.drop(sh, name)
 		}
 	}
 	sh := r.shardFor(primary)
 	sd := sh.shadows[name]
-	if sd == nil || sd.iface != iface {
+	if sd != nil && sd.iface != iface {
+		r.drop(sh, name)
+		sd = nil
+	}
+	if sd == nil {
 		obj := factory()
 		ref, err := r.peer.Export(obj, iface)
 		if err != nil {
@@ -509,9 +513,24 @@ func (r *Replica) Forget(primary string, names []string) {
 	defer r.mu.Unlock()
 	if sh := r.shards[primary]; sh != nil {
 		for _, name := range names {
-			delete(sh.shadows, name)
+			r.drop(sh, name)
 		}
 	}
+}
+
+// drop removes name's shadow from sh and unexports it, unless it is the
+// object bound for name here: a shadow nobody binds is reachable by no one,
+// and a membership change drops some at every follower. Caller holds r.mu.
+func (r *Replica) drop(sh *shard, name string) {
+	sd := sh.shadows[name]
+	if sd == nil {
+		return
+	}
+	delete(sh.shadows, name)
+	if bound, err := r.reg.Lookup(name); err == nil && bound == sd.ref {
+		return
+	}
+	r.peer.Unexport(sd.ref)
 }
 
 // snapshots reads the state of every movable object bound here, grouped by
@@ -531,7 +550,7 @@ func (r *Replica) snapshots(ring *Ring, replication int, bound map[string]wire.R
 		}
 		r.mu.Lock()
 		for _, sh := range r.shards {
-			delete(sh.shadows, name)
+			r.drop(sh, name)
 		}
 		r.mu.Unlock()
 		obj, _ := r.peer.LocalObject(ref.ObjID)
@@ -628,7 +647,8 @@ func (r *Replica) Promote(primary string, names []string, epoch uint64) ([]strin
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var shadows map[string]*shadowObj
-	if sh := r.shards[primary]; sh != nil {
+	sh := r.shards[primary]
+	if sh != nil {
 		shadows = sh.shadows
 	}
 	held := make([]bool, len(names))
@@ -641,14 +661,20 @@ func (r *Replica) Promote(primary string, names []string, epoch uint64) ([]strin
 	}
 	var promoted []string
 	for i, name := range names {
-		if sd := shadows[name]; sd != nil && !held[i] {
-			r.reg.Rebind(name, sd.ref)
-			promoted = append(promoted, name)
-			if sd.home {
-				r.node.arrivals.Inc()
-			} else {
-				r.promotions.Inc()
-			}
+		sd := shadows[name]
+		if sd == nil {
+			continue
+		}
+		if held[i] {
+			r.drop(sh, name)
+			continue
+		}
+		r.reg.Rebind(name, sd.ref)
+		promoted = append(promoted, name)
+		if sd.home {
+			r.node.arrivals.Inc()
+		} else {
+			r.promotions.Inc()
 		}
 		delete(shadows, name)
 	}

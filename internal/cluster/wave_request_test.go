@@ -200,7 +200,7 @@ func TestPinnedResultArrivesAsItself(t *testing.T) {
 			if _, req, ok := flushRequest(t, f.Payload); ok { // Calls, Root, session word, Roots, …
 				requests++
 				if len(req) > 2 {
-					if v, err := wire.Unmarshal(req[2]); err != nil || v != uint64(0) {
+					if v, err := req[2].value(); err != nil || v != uint64(0) {
 						t.Errorf("a flush request carries session word %v (%v): a session, or the wish to keep one", v, err)
 					}
 				}
@@ -209,9 +209,9 @@ func TestPinnedResultArrivesAsItself(t *testing.T) {
 				}
 				continue
 			}
-			_, call := split(t, f.Payload, false) // rmi.call.req: ObjID, Method, Args
-			obj, _ := wire.Unmarshal(call[0])
-			method, _ := wire.Unmarshal(call[1])
+			_, call := split(t, whole(f.Payload), false) // rmi.call.req: ObjID, Method, Args
+			obj, _ := call[0].value()
+			method, _ := call[1].value()
 			_, args := split(t, call[2], true)
 			if obj == rmi.DGCObjID && method == uint64(4) && toHere { // "Clean": clientID, seq, ids
 				cleaned = append(cleaned, uints(t, args[2])...)
@@ -227,11 +227,11 @@ func TestPinnedResultArrivesAsItself(t *testing.T) {
 }
 
 // uints decodes a list of unsigned integers.
-func uints(t *testing.T, b []byte) []uint64 {
+func uints(t *testing.T, p part) []uint64 {
 	t.Helper()
-	v, err := wire.Unmarshal(b)
+	v, err := p.value()
 	if err != nil {
-		t.Fatalf("decode %x: %v", b, err)
+		t.Fatalf("decode %x: %v", p.bytes(), err)
 	}
 	var out []uint64
 	switch x := v.(type) {

@@ -84,20 +84,35 @@ func decodeFrames(t *testing.T, b []byte) []transport.Frame {
 	return frames
 }
 
-// split returns the struct (or, with elems, the slice) at the front of b:
-// its header length and the bytes of each field (element).
-func split(t *testing.T, b []byte, elems bool) (int, [][]byte) {
+// part is one encoded value inside a message: msg[Off : Off+Len]. It is
+// split within its message, an earlier string of which it may repeat.
+type part struct {
+	msg []byte
+	wire.Span
+}
+
+// whole is the message msg as a part.
+func whole(msg []byte) part { return part{msg, wire.Span{Len: len(msg)}} }
+
+func (p part) bytes() []byte { return p.msg[p.Off : p.Off+p.Len] }
+
+// value decodes p within its message.
+func (p part) value() (any, error) { return wire.UnmarshalAt(p.msg, p.Span) }
+
+// split returns the struct (or, with elems, the slice) p holds: its header
+// length and each field (element).
+func split(t *testing.T, p part, elems bool) (int, []part) {
 	t.Helper()
-	h, spans, err := wire.Fields(b)
+	h, spans, err := wire.Fields(p.msg, p.Off)
 	if elems {
-		h, spans, err = wire.Elems(b)
+		h, spans, err = wire.Elems(p.msg, p.Off)
 	}
 	if err != nil {
-		t.Fatalf("split %x: %v", b, err)
+		t.Fatalf("split %x at %d: %v", p.msg, p.Off, err)
 	}
-	parts := make([][]byte, len(spans))
+	parts := make([]part, len(spans))
 	for i, s := range spans {
-		parts[i] = b[s.Off : s.Off+s.Len]
+		parts[i] = part{p.msg, s}
 	}
 	return h, parts
 }
@@ -105,17 +120,17 @@ func split(t *testing.T, b []byte, elems bool) (int, [][]byte) {
 // flushRequest reports whether a request frame's payload is a flush — a bare
 // brmi.req — and returns its header length and fields: Calls, Root, the
 // session word, Roots, Ship, Flush, Peers, Policy.
-func flushRequest(t *testing.T, payload []byte) (int, [][]byte, bool) {
+func flushRequest(t *testing.T, payload []byte) (int, []part, bool) {
 	if msg, err := wire.Unmarshal(payload); err != nil || wire.TypeNameOf(msg) != "brmi.req" {
 		return 0, nil, false
 	}
-	h, req := split(t, payload, false)
+	h, req := split(t, whole(payload), false)
 	return h, req, true
 }
 
-// isName reports whether an encoded root position is a name (a kString)
-// rather than an export id.
-func isName(b []byte) bool { return len(b) > 0 && b[0] == 8 }
+// isName reports whether an encoded root position is a name — a string
+// literal (kString) or a repeat of one (kStrRef) — rather than an export id.
+func isName(p part) bool { return p.Len > 0 && (p.msg[p.Off] == 8 || p.msg[p.Off] == 20) }
 
 // request attributes one request frame's payload if it is a flush, and
 // reports whether it was.
@@ -128,16 +143,16 @@ func (w *wireBytes) request(t *testing.T, payload []byte) bool {
 	for i, f := range req {
 		switch i {
 		case 0:
-			w.Calls += len(f)
+			w.Calls += f.Len
 		case 1: // the root: its name, or its id
 			if isName(f) {
-				w.Roots += len(f)
+				w.Roots += f.Len
 			} else {
-				w.Envelope += len(f)
+				w.Envelope += f.Len
 			}
 		case 3: // the extra roots, each a name or an id
-			if f[0] == 1 { // nil
-				w.Envelope += len(f)
+			if f.bytes()[0] == 1 { // nil
+				w.Envelope += f.Len
 				break
 			}
 			eh, roots := split(t, f, true)
@@ -145,9 +160,9 @@ func (w *wireBytes) request(t *testing.T, payload []byte) bool {
 			for _, r := range roots {
 				if isName(r) {
 					named = true
-					w.Roots += len(r)
+					w.Roots += r.Len
 				} else {
-					w.Envelope += len(r)
+					w.Envelope += r.Len
 				}
 			}
 			if named {
@@ -156,11 +171,11 @@ func (w *wireBytes) request(t *testing.T, payload []byte) bool {
 				w.Envelope += eh
 			}
 		case 4:
-			w.Directive += len(f)
+			w.Directive += f.Len
 		case 5, 6:
-			w.Push += len(f)
+			w.Push += f.Len
 		default: // the session word, the policy
-			w.Envelope += len(f)
+			w.Envelope += f.Len
 		}
 	}
 	return true
@@ -169,18 +184,18 @@ func (w *wireBytes) request(t *testing.T, payload []byte) bool {
 // reply attributes the payload of a flush's reply, a bare brmi.resp:
 // Results, Session, ShipNs, ShipErr, Roots, Restarts.
 func (w *wireBytes) reply(t *testing.T, payload []byte) {
-	h, resp := split(t, payload, false)
+	h, resp := split(t, whole(payload), false)
 	w.Envelope += h
 	for j, g := range resp {
 		switch j {
 		case 0:
-			w.Results += len(g)
+			w.Results += g.Len
 		case 2, 3:
-			w.Directive += len(g)
+			w.Directive += g.Len
 		case 4:
-			w.Roots += len(g)
+			w.Roots += g.Len
 		default: // Session, Restarts
-			w.Envelope += len(g)
+			w.Envelope += g.Len
 		}
 	}
 }
@@ -230,18 +245,18 @@ func hopsSoFar(t *testing.T, ec *clustertest.Cluster, objID uint64) (out map[str
 				if f.Kind != transport.KindRequest {
 					continue
 				}
-				hdr, call := split(t, f.Payload, false) // rmi.call.req: ObjID, Method, Args
-				if id, err := wire.Unmarshal(call[0]); err != nil || id != objID {
+				hdr, call := split(t, whole(f.Payload), false) // rmi.call.req: ObjID, Method, Args
+				if id, err := call[0].value(); err != nil || id != objID {
 					continue
 				}
 				ah, args := split(t, call[2], true)
 				calls[f.ID] = true
 				h.Calls++
 				h.Header += f.Header
-				h.Envelope += hdr + len(call[0]) + ah
-				h.Method += len(call[1])
+				h.Envelope += hdr + call[0].Len + ah
+				h.Method += call[1].Len
 				for _, a := range args {
-					h.Body += len(a)
+					h.Body += a.Len
 				}
 			}
 			for _, f := range decodeFrames(t, ins[i]) {
@@ -343,7 +358,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 					t.Fatalf("call %d: %v", i, err)
 				}
 			}
-		}, wireBytes{Header: 13, Envelope: 26, Calls: 192, Results: 24, Roots: 30, Directive: 3, Push: 69}, rmi.BatchObjID, map[string]hopBytes{
+		}, wireBytes{Header: 13, Envelope: 26, Calls: 179, Results: 24, Roots: 30, Directive: 3, Push: 69}, rmi.BatchObjID, map[string]hopBytes{
 			"server-0": pushHop, "server-1": pushHop, "server-2": pushHop,
 		}},
 		{"replicated_write", 3, 8, func(t *testing.T, ec *clustertest.Cluster, client *rmi.Peer) {
@@ -363,12 +378,12 @@ func TestFlushBytesAttributed(t *testing.T) {
 			if err := b.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-		}, wireBytes{Header: 12, Envelope: 32, Calls: 106, Results: 22, Roots: 30, Directive: 33}, rmi.ReplicaObjID, map[string]hopBytes{
+		}, wireBytes{Header: 12, Envelope: 32, Calls: 91, Results: 22, Roots: 30, Directive: 33}, rmi.ReplicaObjID, map[string]hopBytes{
 			// server-0 follows the two primaries of one root each; the others
 			// follow server-0, whose record carries its two roots.
-			"server-0": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 210, Reply: 16},
-			"server-1": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 277, Reply: 16},
-			"server-2": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 277, Reply: 16},
+			"server-0": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 194, Reply: 16},
+			"server-1": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 231, Reply: 16},
+			"server-2": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 231, Reply: 16},
 		}},
 	}
 	for _, c := range cases {
@@ -508,12 +523,12 @@ func attributeStream(t *testing.T, tap *transport.Recorder) (w streamBytes, reco
 				w.Other += len(f.Payload)
 				continue
 			}
-			h, sr := split(t, f.Payload, false) // rmi.stream.req: Service, Req
-			rh, req := split(t, sr[1], false)   // brmi.getbatch.req: ObjIDs, Indexes, Method, Names
-			w.Envelope += h + len(sr[0]) + rh + len(req[0]) + len(req[2])
-			w.Indexes += len(req[1])
+			h, sr := split(t, whole(f.Payload), false) // rmi.stream.req: Service, Req
+			rh, req := split(t, sr[1], false)          // brmi.getbatch.req: ObjIDs, Indexes, Method, Names
+			w.Envelope += h + sr[0].Len + rh + req[0].Len + req[2].Len
+			w.Indexes += req[1].Len
 			if len(req) > 3 {
-				w.Names += len(req[3])
+				w.Names += req[3].Len
 			}
 		}
 		var stream []byte
@@ -544,9 +559,9 @@ func attributeStream(t *testing.T, tap *transport.Recorder) (w streamBytes, reco
 			case e.Err != nil:
 				w.Entries += len(entry)
 			default:
-				_, fields := split(t, entry, false) // Index, Value, Err
-				w.Entries += len(entry) - len(fields[1])
-				w.Values += len(fields[1])
+				_, fields := split(t, whole(entry), false) // Index, Value, Err
+				w.Entries += len(entry) - fields[1].Len
+				w.Values += fields[1].Len
 			}
 		}
 	}

@@ -117,13 +117,20 @@ func TestRequestNumbersByPosition(t *testing.T) {
 		t.Fatal(err)
 	}
 	// brmi.req with three fields: two calls, root 0, and the session word
-	// 15: session 7, kept.
-	if want := "130203" + "0a02" + "1328010803476574" + "1328010803476574" + "0500" + "050f"; hex.EncodeToString(continued) != want {
+	// 15: session 7, kept. The second call's method repeats the first's, a
+	// 2-byte reference ("1400") to the message's first string.
+	if want := "130203" + "0a02" + "1328010803476574" + "132801" + "1400" + "0500" + "050f"; hex.EncodeToString(continued) != want {
 		t.Errorf("continued session's request encodes to\n  %x, want\n  %s", continued, want)
 	}
 	back, err := wire.Unmarshal(continued)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The same request with the repeat spelt out, as it was written before
+	// strings were numbered, decodes to the same value.
+	literal, _ := hex.DecodeString("130203" + "0a02" + "1328010803476574" + "1328010803476574" + "0500" + "050f")
+	if old, err := wire.Unmarshal(literal); err != nil || !reflect.DeepEqual(old, back) {
+		t.Errorf("the literal form decodes to %+v, %v; want %+v", old, err, back)
 	}
 	for i, c := range back.(*core.BatchRequest).Calls {
 		if c.Seq != int64(i) {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -219,10 +220,14 @@ func valueRefRequest(root uint64) *core.BatchRequest {
 // call; turning the producer into a remote-result call writes its Target and
 // Kind and changes nothing about the argument.
 func TestValueRefWireForm(t *testing.T) {
-	// Two brmi.calls ("1328"): Add with the bare 40 ("0450"), then Add with
-	// the brmi.arg ("1304") naming call 0; then root 16.
+	// Two brmi.calls ("1328"): Add with the bare 40 ("0450"), then Add —
+	// a reference ("1400") to the first call's literal — with the brmi.arg
+	// ("1304") naming call 0; then root 16.
 	const producer = "13280208034164640a010450"
-	const want = "1302020a02" + producer + "13280208034164640a01" + "1304020103" + "0510"
+	const want = "1302020a02" + producer + "132802" + "1400" + "0a01" + "1304020103" + "0510"
+	// literal is want with the repeat spelt out, as it was written before
+	// strings were numbered: it still decodes to the same request.
+	const literal = "1302020a02" + producer + "13280208034164640a01" + "1304020103" + "0510"
 	const named = "0d010862726d692e7265710c010205100a020d020962726d692e63616c6c0c020208034164640a0104500c020208034164640a010d030862726d692e6172670c03020103"
 	req := valueRefRequest(16)
 	got, err := wire.Marshal(req)
@@ -233,6 +238,14 @@ func TestValueRefWireForm(t *testing.T) {
 		t.Errorf("request with a value reference encodes to\n  %x, want\n  %s", got, want)
 	}
 	checkRetiredForm(t, named)
+	back, err := wire.Unmarshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, _ := hex.DecodeString(literal)
+	if old, err := wire.Unmarshal(lit); err != nil || !reflect.DeepEqual(old, back) {
+		t.Errorf("the literal form decodes to %+v, %v; want %+v", old, err, back)
+	}
 	req.Calls[0].Kind = 2
 	remote, err := wire.Marshal(req)
 	if err != nil {

@@ -118,3 +118,41 @@ func BenchmarkMarshalValuesMixed(b *testing.B) {
 		}
 	}
 }
+
+// echoFlush is one 64-call echo flush's worth of Payload-shaped structs: a
+// sequence, a shared name, a small body — the name repeats in every element,
+// so all but the first travel as references.
+func echoFlush() []any {
+	vs := make([]any, 64)
+	for i := range vs {
+		vs[i] = benchPayload{ID: 7, Name: "brmibench-echo-payload", Seq: uint64(i), Data: make([]byte, 16)}
+	}
+	return vs
+}
+
+func BenchmarkMarshalEchoFlush(b *testing.B) {
+	vs := echoFlush()
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		buf, err = MarshalValuesAppend(buf[:0], vs)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(buf)), "B/msg")
+}
+
+func BenchmarkUnmarshalEchoFlush(b *testing.B) {
+	data, err := MarshalValues(echoFlush())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := UnmarshalValues(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

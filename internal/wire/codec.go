@@ -66,8 +66,7 @@ func compileFieldEnc(t reflect.Type) encFunc {
 		}
 	case reflect.String:
 		return func(e *encoder, rv reflect.Value) error {
-			e.buf = append(e.buf, kString)
-			e.putString(rv.String())
+			e.putStr(rv.String())
 			return nil
 		}
 	case reflect.Slice:
@@ -337,10 +336,10 @@ func compileFieldDec(t reflect.Type) decFunc {
 				rv.SetString("")
 				return nil
 			}
-			if tag != kString {
+			s, ok, err := d.tagged(tag)
+			if !ok {
 				return d.corrupt("expected string")
 			}
-			s, err := d.string()
 			if err != nil {
 				return err
 			}

@@ -60,9 +60,10 @@ type Decoder struct {
 }
 
 // Next decodes data, the stream's next message, like Unmarshal — except that
-// the types defined so far stay defined. A decode error is final for the
-// stream: the table may be missing a definition the failed message carried,
-// so every later Next returns the same error instead of resynchronising.
+// the types defined so far stay defined (strings do not: each message
+// numbers its own). A decode error is final for the stream: the table may be
+// missing a definition the failed message carried, so every later Next
+// returns the same error instead of resynchronising.
 func (dec *Decoder) Next(data []byte) (any, error) {
 	if dec.err != nil {
 		return nil, dec.err
@@ -72,6 +73,7 @@ func (dec *Decoder) Next(data []byte) (any, error) {
 		d.types = d.typesArr[:0]
 	}
 	d.data, d.pos, d.budget = data, 0, len(data)
+	d.resetStrs()
 	v, err := d.value()
 	if err == nil && d.pos != len(data) {
 		err = d.corrupt("trailing bytes")
@@ -98,6 +100,11 @@ type decoder struct {
 	// up to (see count); depth is how deep its values nest (see enter).
 	budget int
 	depth  int
+	// strs is the message's string table: the tagged literals of 1 to
+	// maxStrLen bytes it has read, in order, the first maxStrs of them (see
+	// str). A kStrRef names one by its place. It keeps its backing array
+	// from message to message.
+	strs []string
 }
 
 // maxDepth bounds how deep the values of one message nest: a batch request's
@@ -135,6 +142,7 @@ func getDecoder(data []byte) *decoder {
 	d.pos = 0
 	d.budget = len(data)
 	d.depth = 0
+	d.resetStrs()
 	if d.types == nil {
 		d.types = d.typesArr[:0]
 	} else {
@@ -145,7 +153,14 @@ func getDecoder(data []byte) *decoder {
 
 func (d *decoder) release() {
 	d.data = nil
+	d.resetStrs()
 	decoderPool.Put(d)
+}
+
+// resetStrs empties the string table for the next message.
+func (d *decoder) resetStrs() {
+	clear(d.strs)
+	d.strs = d.strs[:0]
 }
 
 func (d *decoder) corrupt(detail string) error {
@@ -196,6 +211,8 @@ func (d *decoder) take(n uint64) ([]byte, error) {
 	return b, nil
 }
 
+// string reads a bare string: length and bytes, no tag. The strings of a
+// kRef, a kErr and a kTypeDef travel so; str and strRef read tagged ones.
 func (d *decoder) string() (string, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -206,6 +223,44 @@ func (d *decoder) string() (string, error) {
 		return "", err
 	}
 	return internBytes(b), nil
+}
+
+// str reads the rest of a kString literal and numbers it in the message's
+// string table, by the encoder's rule (see encoder.putStr).
+func (d *decoder) str() (string, error) {
+	s, err := d.string()
+	if err == nil && len(s) > 0 && len(s) <= maxStrLen && len(d.strs) < maxStrs {
+		d.strs = append(d.strs, s)
+	}
+	return s, err
+}
+
+// strRef reads the rest of a kStrRef: the string an earlier literal of the
+// message numbered. A reference to an entry the table does not hold yet is
+// corrupt.
+func (d *decoder) strRef() (string, error) {
+	i, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	if i >= uint64(len(d.strs)) {
+		return "", d.corrupt(fmt.Sprintf("string reference %d past a table of %d", i, len(d.strs)))
+	}
+	return d.strs[i], nil
+}
+
+// tagged reads the rest of a string value whose tag was just read: a kString
+// or a kStrRef. ok is false for any other tag.
+func (d *decoder) tagged(tag byte) (s string, ok bool, err error) {
+	switch tag {
+	case kString:
+		s, err = d.str()
+	case kStrRef:
+		s, err = d.strRef()
+	default:
+		return "", false, nil
+	}
+	return s, true, err
 }
 
 // count reads a claimed element count — a slice's or map's length, a
@@ -270,7 +325,9 @@ func (d *decoder) value() (any, error) {
 		}
 		return bitsToFloat32(binary.BigEndian.Uint32(b)), nil
 	case kString:
-		return d.string()
+		return d.str()
+	case kStrRef:
+		return d.strRef()
 	case kBytes:
 		n, err := d.uvarint()
 		if err != nil {

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"reflect"
 	"sync"
@@ -57,9 +58,10 @@ func MarshalValuesAppend(buf []byte, vs []any) ([]byte, error) {
 // Encoder encodes the messages of one STREAM: its type table survives
 // across Append calls, so a struct type is defined (kTypeDef) once per
 // stream, by the first message that uses it, and later messages refer to it
-// by id. The peer decodes the messages, in order, with one Decoder. The zero
-// value is ready to use; an Encoder is owned by one stream and dies with it.
-// Not safe for concurrent use.
+// by id. Its string table does not: each message numbers its own strings.
+// The peer decodes the messages, in order, with one Decoder. The zero value
+// is ready to use; an Encoder is owned by one stream and dies with it. Not
+// safe for concurrent use.
 //
 // Marshal and MarshalValues do not go through an Encoder: every message they
 // produce is self-contained, because ordinary frames are decoded out of
@@ -82,6 +84,7 @@ func (enc *Encoder) Append(buf []byte, v any) ([]byte, error) {
 	err := e.value(v)
 	out := e.buf
 	e.buf = nil
+	e.strs.reset()
 	if err != nil {
 		clear(e.typeNames[defined:])
 		e.typeNames = e.typeNames[:defined]
@@ -115,6 +118,8 @@ type encoder struct {
 	// depth counts the levels open around the value being encoded, where the
 	// decoder counts them (see enter).
 	depth int
+	// strs is the message's string table (see putStr).
+	strs strTable
 }
 
 // enter is the encoder's half of the decoder's nesting bound: it opens one
@@ -155,6 +160,7 @@ func (e *encoder) release() []byte {
 	e.typeNames = nil
 	e.lastType = nil
 	e.lastPlan = nil
+	e.strs.reset()
 	encoderPool.Put(e)
 	return buf
 }
@@ -213,8 +219,7 @@ func (e *encoder) value(v any) error {
 		e.buf = binary.BigEndian.AppendUint32(e.buf, math.Float32bits(x))
 		return nil
 	case string:
-		e.buf = append(e.buf, kString)
-		e.putString(x)
+		e.putStr(x)
 		return nil
 	case []byte:
 		e.buf = append(e.buf, kBytes)
@@ -320,8 +325,7 @@ func (e *encoder) reflectValue(rv reflect.Value) error {
 		e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(rv.Float()))
 		return nil
 	case reflect.String:
-		e.buf = append(e.buf, kString)
-		e.putString(rv.String())
+		e.putStr(rv.String())
 		return nil
 	case reflect.Slice, reflect.Array:
 		if rv.Kind() == reflect.Slice && rv.IsNil() {
@@ -479,9 +483,114 @@ func (e *encoder) putUint(x uint64) {
 	e.buf = binary.AppendUvarint(e.buf, x)
 }
 
+// putString writes s bare, with no tag: the strings inside a kRef, a kErr
+// or a kTypeDef, which the string table never numbers.
 func (e *encoder) putString(s string) {
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(s)))
 	e.buf = append(e.buf, s...)
+}
+
+// putStr writes the tagged string value s: a kStrRef to the entry of the
+// message's string table that holds it, or the kString literal, which takes
+// the table's next entry when it is 1 to maxStrLen bytes long and the table
+// has room. The decoder numbers the literals it reads by the same rule, so a
+// message with no repeat is written as if there were no table, and a repeat
+// costs 2 bytes where its literal cost at least 3.
+func (e *encoder) putStr(s string) {
+	if n := len(s); n > 0 && n <= maxStrLen {
+		if i, seen := e.strs.index(s); seen {
+			e.buf = append(e.buf, kStrRef, byte(i))
+			return
+		}
+	}
+	e.buf = append(e.buf, kString)
+	e.putString(s)
+}
+
+const (
+	// maxStrLen is the longest string a string table numbers: a longer one
+	// is written out each time, so what a message of references can make a
+	// peer allocate stays proportional to the message.
+	maxStrLen = 64
+	// maxStrs is how many strings one message numbers: every index fits the
+	// one byte of a uvarint below 128, so a reference is 2 bytes.
+	maxStrs = 128
+)
+
+// strTable is the encoder's half of a message's string table: the strings
+// numbered so far, in order, found by a scan while there are few and through
+// an open-addressed index once there are more. Both stay with the (pooled)
+// encoder, so numbering allocates nothing once a pooled encoder has seen its
+// largest table, and a stream's Encoder whose entries carry no string pays
+// for neither.
+type strTable struct {
+	strs []string
+	// slots, once the table outgrows scanStrs entries, holds 1 + an
+	// entry's number at the slot its hash probes first (or the next free one
+	// after it); 0 is a free slot. Twice maxStrs slots keep it at most half
+	// full. hashed says the index covers strs.
+	slots  *[2 * maxStrs]uint8
+	hashed bool
+}
+
+// scanStrs is how many entries the table scans before it indexes them.
+const scanStrs = 8
+
+var strSeed = maphash.MakeSeed()
+
+// index returns s's entry number and true when the table holds s; otherwise
+// it numbers s, if the table has room, and returns false.
+func (t *strTable) index(s string) (int, bool) {
+	if len(t.strs) < scanStrs {
+		for i, x := range t.strs {
+			if x == s {
+				return i, true
+			}
+		}
+		t.strs = append(t.strs, s)
+		return 0, false
+	}
+	if !t.hashed {
+		if t.slots == nil {
+			t.slots = new([2 * maxStrs]uint8)
+		}
+		for i, x := range t.strs {
+			t.slots[t.probe(x)] = uint8(i + 1)
+		}
+		t.hashed = true
+	}
+	h := t.probe(s)
+	if slot := t.slots[h]; slot != 0 {
+		return int(slot - 1), true
+	}
+	if len(t.strs) < maxStrs {
+		t.strs = append(t.strs, s)
+		t.slots[h] = uint8(len(t.strs))
+	}
+	return 0, false
+}
+
+// probe finds s in the index: the slot that holds s's entry, or the free
+// slot where s would go.
+func (t *strTable) probe(s string) uint {
+	h := uint(maphash.String(strSeed, s))
+	for {
+		h &= uint(len(t.slots) - 1)
+		if slot := t.slots[h]; slot == 0 || t.strs[slot-1] == s {
+			return h
+		}
+		h++
+	}
+}
+
+// reset empties the table for the next message.
+func (t *strTable) reset() {
+	clear(t.strs)
+	t.strs = t.strs[:0]
+	if t.hashed {
+		*t.slots = [len(t.slots)]uint8{}
+		t.hashed = false
+	}
 }
 
 func zigzag(x int64) uint64   { return uint64(x<<1) ^ uint64(x>>63) }

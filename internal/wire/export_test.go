@@ -5,6 +5,7 @@ package wire
 
 const (
 	KStd     = kStd
+	KStrRef  = kStrRef
 	MaxDepth = maxDepth
 )
 

@@ -38,11 +38,9 @@ func (x Enc) Int(v int64) { x.e.putInt(v) }
 // Uint encodes an unsigned integer field.
 func (x Enc) Uint(v uint64) { x.e.putUint(v) }
 
-// Str encodes a string field.
-func (x Enc) Str(s string) {
-	x.e.buf = append(x.e.buf, kString)
-	x.e.putString(s)
-}
+// Str encodes a string field (a repeat within the message as a reference
+// to its first literal, like every tagged string).
+func (x Enc) Str(s string) { x.e.putStr(s) }
 
 // BytesVal encodes a []byte field (nil encodes as kNil, like the generic
 // path).
@@ -192,16 +190,18 @@ func (x Dec) Str() (string, error) {
 	if tag == kNil {
 		return "", nil
 	}
-	if tag != kString {
+	s, ok, err := x.d.tagged(tag)
+	if !ok {
 		return "", x.d.corrupt("expected string")
 	}
-	return x.d.string()
+	return s, err
 }
 
 // Name decodes a string field that may travel as an index into table: a
-// kString is the string itself, a kUint names table's entry. An index past
-// the table is corrupt. A codec whose sender writes well-known strings as
-// their index (rmi's protocol method table) reads both forms with it.
+// kString (or a kStrRef to one) is the string itself, a kUint names table's
+// entry. An index past the table is corrupt. A codec whose sender writes
+// well-known strings as their index (rmi's protocol method table) reads both
+// forms with it.
 func (x Dec) Name(table []string) (string, error) {
 	tag, err := x.d.tag()
 	if err != nil {
@@ -209,7 +209,9 @@ func (x Dec) Name(table []string) (string, error) {
 	}
 	switch tag {
 	case kString:
-		return x.d.string()
+		return x.d.str()
+	case kStrRef:
+		return x.d.strRef()
 	case kUint:
 		i, err := x.d.uvarint()
 		if err != nil {
@@ -238,8 +240,8 @@ func (x Dec) IDOrName() (id uint64, name string, err error) {
 	case kUint:
 		id, err = x.d.uvarint()
 		return id, "", err
-	case kString:
-		if name, err = x.d.string(); err == nil && name == "" {
+	case kString, kStrRef:
+		if name, _, err = x.d.tagged(tag); err == nil && name == "" {
 			err = x.d.corrupt("empty name")
 		}
 		return 0, name, err

@@ -27,8 +27,10 @@ const (
 
 // fuzzSeeds are FuzzUnmarshal's committed seeds: one kStd message per
 // standard type (its zero value), real protocol messages in both forms, an
-// index past the table, the nested slice bomb, and a valid value nested as
-// deep as the decoder allows.
+// index past the table, the nested slice bomb, a valid value nested as deep
+// as the decoder allows, and the string table's cases: a valid repeat, a
+// reference past the table, one before any literal, one to a string too long
+// to be numbered, and one to a literal in a field the decoder discards.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	for i := range wire.StandardTypes() {
@@ -63,13 +65,32 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return append(seeds, b)
+	seeds = append(seeds, b)
+
+	repeat, err := wire.Marshal([]any{"Echo", "brmibench-echo-payload", "Echo", map[string]any{"Echo": "brmibench-echo-payload"}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	long := bytes.Repeat([]byte{'x'}, 65)
+	return append(seeds,
+		repeat,
+		[]byte{10, 2, 8, 1, 'a', wire.KStrRef, 1},
+		[]byte{wire.KStrRef, 0},
+		append(append([]byte{10, 2, 8, byte(len(long))}, long...), wire.KStrRef, 0),
+		// An rmi.call.req of five fields, two past the three it has: the
+		// first surplus field's literal is what the value after the struct
+		// refers to.
+		[]byte{10, 2, wire.KStd, 0, 5, 5, 7, 8, 3, 'G', 'e', 't', 1, 8, 4, 's', 'k', 'i', 'p', wire.KStrRef, 1, wire.KStrRef, 1},
+	)
 }
 
 // FuzzUnmarshal feeds arbitrary bytes to Unmarshal in a binary that registers
 // every protocol type. Nothing may panic; what the decoder allocates is
 // bounded by a constant times the input's size, whatever the input claims;
-// and a value that decodes re-encodes, and decodes again to the same value.
+// a value that decodes re-encodes, and decodes again to the same value; and
+// the encoder is idempotent on its own output: what it writes, decoded and
+// written again, is the same bytes (unless a map of two or more entries
+// makes the order it writes them in a coin toss).
 func FuzzUnmarshal(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -102,7 +123,48 @@ func FuzzUnmarshal(f *testing.F) {
 		if !same(reflect.ValueOf(v), reflect.ValueOf(back)) {
 			t.Fatalf("decode, encode, decode changed the value:\n  %#v\n  %#v", v, back)
 		}
+		twice, err := wire.Marshal(back)
+		if err != nil {
+			t.Fatalf("decoded %#v does not re-encode: %v", back, err)
+		}
+		if !bytes.Equal(again, twice) && !unordered(reflect.ValueOf(v)) {
+			t.Fatalf("the encoder is not idempotent on its own output:\n  %x\n  %x", again, twice)
+		}
 	})
+}
+
+// unordered reports whether v holds a map of two or more entries, which the
+// encoder writes in Go's map order.
+func unordered(v reflect.Value) bool {
+	if !v.IsValid() {
+		return false
+	}
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		return !v.IsNil() && unordered(v.Elem())
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if unordered(v.Index(i)) {
+				return true
+			}
+		}
+	case reflect.Map:
+		if v.Len() > 1 {
+			return true
+		}
+		for it := v.MapRange(); it.Next(); {
+			if unordered(it.Key()) || unordered(it.Value()) {
+				return true
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if unordered(v.Field(i)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // same is reflect.DeepEqual with a NaN equal to itself (a fuzzed float is any

@@ -185,3 +185,50 @@ func TestTypedSliceGrowsPastPrealloc(t *testing.T) {
 		t.Fatalf("decoded %d tags, want %d", len(got.Tags), len(tags))
 	}
 }
+
+// A message of references costs a peer what its size says: 10k references to
+// one 64-byte string share the string the literal decoded, so decoding them
+// allocates the slots they fill — a constant per reference — and no copy of
+// the string each. Every reference the table cannot resolve is corrupt.
+func TestStringReferencesAllocateWhatArrives(t *testing.T) {
+	long := string(bytes.Repeat([]byte{'r'}, maxStrLen))
+	tags := make([]string, 10_000)
+	for i := range tags {
+		tags[i] = long
+	}
+	msg, err := Marshal(testNested{Tags: tags})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(msg, []byte(long)); n != 1 {
+		t.Fatalf("the string is written %d times, want once", n)
+	}
+	var back any
+	got := allocatedBy(func() { back, err = Unmarshal(msg) })
+	if err != nil || len(back.(testNested).Tags) != len(tags) {
+		t.Fatalf("decoded %v", err)
+	}
+	// The slots and their growth come to about 22 bytes per input byte; a
+	// copy per reference would add 32 more (64 bytes per 2-byte reference).
+	if got > 32*uint64(len(msg)) {
+		t.Errorf("a %d-byte message of references allocated %d bytes", len(msg), got)
+	}
+
+	for _, c := range []struct {
+		name string
+		msg  []byte
+	}{
+		{"a reference before any literal", []byte{kStrRef, 0}},
+		{"an index past the table", []byte{kSlice, 2, kString, 1, 'a', kStrRef, 1}},
+		{"a reference to a string too long to number", append(append([]byte{kSlice, 2, kString, maxStrLen + 1}, bytes.Repeat([]byte{'x'}, maxStrLen+1)...), kStrRef, 0)},
+		{"a reference to an empty string", []byte{kSlice, 2, kString, 0, kStrRef, 0}},
+		{"an index of ten bytes", []byte{kStrRef, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}},
+		{"a reference where an integer belongs", append(append([]byte{kTypeDef, 1, 14}, "wiretest.Point"...), kStruct, 1, 1, kStrRef, 0)},
+	} {
+		_, err := Unmarshal(c.msg)
+		var corrupt *CorruptError
+		if !errors.As(err, &corrupt) {
+			t.Errorf("%s: %v, want *CorruptError", c.name, err)
+		}
+	}
+}

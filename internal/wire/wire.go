@@ -17,11 +17,22 @@
 // in the append-only standard table both peers compile in (standard.go), and
 // a message names one by its index.
 //
+// A message says each short string once, as Java serialization writes a
+// repeated String once per stream and a handle after: every tagged string
+// of 1 to 64 bytes a message writes literally takes the next number in the
+// message's string table, and a repeat is written as kStrRef and that number
+// — 2 bytes, where the literal took at least 3. Both sides number by the same
+// rule, stop at 128 entries, and start afresh with every message (a stream's
+// entries too), so a message with no repeat is written as if there were no
+// table, and no frame depends on another. The strings inside a Ref, an
+// error and a type definition stay literal.
+//
 // The decoder trusts no count it has not been paid for: every element, field
 // and map entry is a value with its own tag byte, so the counts one message
 // claims may together add up to no more than its length, and values nest at
-// most maxDepth deep. What a hostile message can make a peer allocate is
-// proportional to its size.
+// most maxDepth deep; a reference resolves to a string the message already
+// paid for, shared, never copied. What a hostile message can make a peer
+// allocate is proportional to its size.
 //
 // Supported values: nil, bool, all int/uint widths, float32/64, string,
 // []byte, time.Time, time.Duration, slices, maps, registered structs (value
@@ -44,7 +55,7 @@ const (
 	kUint    byte = 5  // varint
 	kFloat64 byte = 6  // 8-byte big endian IEEE 754
 	kFloat32 byte = 7  // 4-byte big endian IEEE 754
-	kString  byte = 8  // varint length + UTF-8 bytes
+	kString  byte = 8  // varint length + UTF-8 bytes; 1–64 B ones are numbered (kStrRef)
 	kBytes   byte = 9  // varint length + raw bytes
 	kSlice   byte = 10 // varint length + that many values
 	kMap     byte = 11 // varint length + key/value pairs
@@ -56,6 +67,7 @@ const (
 	kDur     byte = 17 // zigzag varint nanoseconds
 	kPtr     byte = 18 // reserved: never written, rejected on decode, never reused
 	kStd     byte = 19 // varint standard-table index + varint field count + field values
+	kStrRef  byte = 20 // varint index into the message's string table: a repeated kString
 )
 
 // Exported sentinel and structured errors.
