@@ -270,19 +270,23 @@ func TestQuorumErrorWireForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The ship reply's endpoint repeats its follower's: a reference ("1402")
-	// to the message's third string, "server-3".
-	const want = "131c0408046b762d31040204060a03131d0208087365727665722d32131b0205040505131d0208087365727665722d33131e03" + "1402" + "04020401131d0208087365727665722d3110132a6572726f72732e6572726f72537472696e670c6469616c2072656675736564"
+	// to the message's third string, "server-3". That string and "server-1"
+	// say only what "server-2" before them did not: a delta ("150701")
+	// keeping its first 7 bytes, and their last.
+	const want = "131c0408046b762d31040204060a03131d0208087365727665722d32131b0205040505131d02" + "15070133" + "131e03" + "1402" + "04020401131d02" + "15070131" + "10132a6572726f72732e6572726f72537472696e670c6469616c2072656675736564"
 	if hex.EncodeToString(got) != want {
 		t.Errorf("quorum miss encodes to\n  %x, want\n  %s", got, want)
 	}
 	// Captured before the standard type table, when the four cluster types
 	// were defined by name, and before strings were numbered: it still
 	// decodes, to the same miss, and it is longer by exactly those
-	// definitions (tag, id, length, name) and the repeat it spells out
-	// (tag, length, "server-3", where the reference is 2 bytes).
+	// definitions (tag, id, length, name), the repeat it spells out (tag,
+	// length, "server-3", where the reference is 2 bytes) and the two
+	// endpoints it spells out whole (tag, length, 8 bytes, where the delta is
+	// 4).
 	const named = "0d010e636c75737465722e51756f72756d0c010408046b762d31040204060a030d0215636c75737465722e466f6c6c6f7765724572726f720c020208087365727665722d320d0311636c75737465722e5374616c65536869700c0302050405050c020208087365727665722d330d0411636c75737465722e536869705265706c790c040308087365727665722d33040204010c020208087365727665722d3110132a6572726f72732e6572726f72537472696e670c6469616c2072656675736564"
 	old, _ := hex.DecodeString(named)
-	defs := 2 + len("server-3") - 2
+	defs := 2 + len("server-3") - 2 + 2*(2+len("server-3")-4)
 	for _, name := range []string{"cluster.Quorum", "cluster.FollowerError", "cluster.StaleShip", "cluster.ShipReply"} {
 		defs += 3 + len(name)
 	}

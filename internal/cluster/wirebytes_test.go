@@ -129,8 +129,11 @@ func flushRequest(t *testing.T, payload []byte) (int, []part, bool) {
 }
 
 // isName reports whether an encoded root position is a name — a string
-// literal (kString) or a repeat of one (kStrRef) — rather than an export id.
-func isName(p part) bool { return p.Len > 0 && (p.msg[p.Off] == 8 || p.msg[p.Off] == 20) }
+// literal (kString), a repeat of one (kStrRef) or one front-coded against the
+// literal before it (kStrDelta) — rather than an export id.
+func isName(p part) bool {
+	return p.Len > 0 && (p.msg[p.Off] == 8 || p.msg[p.Off] == 20 || p.msg[p.Off] == 21)
+}
 
 // request attributes one request frame's payload if it is a flush, and
 // reports whether it was.
@@ -310,6 +313,9 @@ func tappedClient(t *testing.T, ec *clustertest.Cluster) (*rmi.Peer, *transport.
 // each home, and the replicated op's Append records, two to each follower —
 // one from each of the other two primaries. Both run on a virtual clock, so
 // the reply's ship lag is the constant a clock that saw no time pass reports.
+// A request's second root name says only what its first did not (a
+// kStrDelta), and so does server-0's record's second root in the Appends it
+// sends.
 func TestFlushBytesAttributed(t *testing.T) {
 	ctx := context.Background()
 	// placed is what the servers had sent each other when the op's set-up
@@ -358,7 +364,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 					t.Fatalf("call %d: %v", i, err)
 				}
 			}
-		}, wireBytes{Header: 13, Envelope: 26, Calls: 179, Results: 24, Roots: 30, Directive: 3, Push: 69}, rmi.BatchObjID, map[string]hopBytes{
+		}, wireBytes{Header: 13, Envelope: 26, Calls: 179, Results: 24, Roots: 27, Directive: 3, Push: 69}, rmi.BatchObjID, map[string]hopBytes{
 			"server-0": pushHop, "server-1": pushHop, "server-2": pushHop,
 		}},
 		{"replicated_write", 3, 8, func(t *testing.T, ec *clustertest.Cluster, client *rmi.Peer) {
@@ -378,12 +384,12 @@ func TestFlushBytesAttributed(t *testing.T) {
 			if err := b.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-		}, wireBytes{Header: 12, Envelope: 32, Calls: 91, Results: 22, Roots: 30, Directive: 33}, rmi.ReplicaObjID, map[string]hopBytes{
+		}, wireBytes{Header: 12, Envelope: 32, Calls: 91, Results: 22, Roots: 27, Directive: 33}, rmi.ReplicaObjID, map[string]hopBytes{
 			// server-0 follows the two primaries of one root each; the others
 			// follow server-0, whose record carries its two roots.
 			"server-0": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 194, Reply: 16},
-			"server-1": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 231, Reply: 16},
-			"server-2": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 231, Reply: 16},
+			"server-1": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 228, Reply: 16},
+			"server-2": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 228, Reply: 16},
 		}},
 	}
 	for _, c := range cases {
@@ -496,9 +502,11 @@ func hopsSettled(t *testing.T, ec *clustertest.Cluster, objID uint64) map[string
 //     prefix — the stream's framing;
 //   - Envelope: the request around its positions — the stream request's
 //     service name, struct headers, the empty id column, the method;
-//   - Names and Indexes: the request's two per-position columns;
+//   - Names: the request's per-position column of names;
+//   - Indexes: the column the request no longer fills, its global indexes
+//     (the client keeps them), written nil;
 //   - Entries: what an entry carries besides its value — the
-//     brmi.getbatch.entry struct header, echoed index and error, for the
+//     brmi.getbatch.entry struct header, nil index and error, for the
 //     entries that travel in it;
 //   - Values: the values read;
 //   - Other: every other frame.
@@ -571,21 +579,23 @@ func attributeStream(t *testing.T, tap *transport.Recorder) (w streamBytes, reco
 // TestGetBatchBytesAttributed pins the client-connection bytes of one
 // name-addressed cluster.GetBatch of n small-integer values, all homed on one
 // server — one stream — per category. A successful entry is its bare value,
-// no envelope at all: past the request's 15 B envelope and its names, a
-// position costs a 2 B index, a 2 B value and a 1 B length prefix, and the
-// stream 2 B of request frame header and 4 B of chunk framing (3 B request
-// header and 5 B of chunk framing at n=64, whose frames pass 127 B). An
-// unbound name's entry is the brmi.getbatch.entry struct, 16 B with its
-// registry.NotBound error.
+// no envelope at all: past the request's 15 B envelope, its 1 B nil index
+// column and its names, a position costs a 2 B value and a 1 B length prefix,
+// and the stream 2 B of request frame header and 4 B of chunk framing (3 B
+// request header and 5 B of chunk framing at n=64, whose frames pass 127 B).
+// The names ("obj-N") are in order, so each but the first says only what the
+// one before it did not: 7 B for the first, 4 to 5 B for each after it. An
+// unbound name's entry is the brmi.getbatch.entry struct, 15 B with its nil
+// index and its registry.NotBound error.
 func TestGetBatchBytesAttributed(t *testing.T) {
 	for _, c := range []struct {
 		n, unbound int
 		want       streamBytes
 	}{
-		{1, 0, streamBytes{Header: 7, Envelope: 15, Names: 9, Indexes: 4, Values: 2}},
-		{8, 0, streamBytes{Header: 14, Envelope: 15, Names: 60, Indexes: 18, Values: 16}},
-		{64, 0, streamBytes{Header: 72, Envelope: 15, Names: 526, Indexes: 130, Values: 128}},
-		{8, 1, streamBytes{Header: 14, Envelope: 15, Names: 60, Indexes: 18, Entries: 16, Values: 14}},
+		{1, 0, streamBytes{Header: 7, Envelope: 15, Names: 9, Indexes: 1, Values: 2}},
+		{8, 0, streamBytes{Header: 14, Envelope: 15, Names: 38, Indexes: 1, Values: 16}},
+		{64, 0, streamBytes{Header: 72, Envelope: 15, Names: 278, Indexes: 1, Values: 128}},
+		{8, 1, streamBytes{Header: 14, Envelope: 15, Names: 38, Indexes: 1, Entries: 15, Values: 14}},
 	} {
 		// A stream the scheduler cut into two chunks (the server descheduled
 		// for a whole linger) is legal, but not what is pinned: it is read

@@ -25,26 +25,31 @@ import (
 // The stream is in request order, so an entry's position is its identity: a
 // successful read travels as its bare value, and the client pairs the k-th
 // entry with the k-th position of its request, whose caller-assigned indexes
-// merge per-server streams back into one order (see cluster.GetBatch). A
-// failure, or a value the client would take for something else, travels in
-// the GetBatchEntry envelope.
+// merge per-server streams back into one order (see cluster.GetBatch). The
+// indexes stay with the client: the server never needs them. A failure, or a
+// value the client would take for something else, travels in the
+// GetBatchEntry envelope.
 
 // GetBatchService is the rmi stream service name the Executor serves.
 const GetBatchService = "core.getbatch"
 
 // GetBatchRequest names the objects to read at one endpoint, in request
-// order: one position per element of Indexes, the caller-assigned global
-// positions in a fanned-out batch. An empty Method reads each object's
-// Snapshot(); otherwise Method is invoked with no arguments and its first
-// result is the value.
+// order. An empty Method reads each object's Snapshot(); otherwise Method is
+// invoked with no arguments and its first result is the value.
 //
-// ObjIDs and Names address the positions, each empty or parallel to Indexes:
-// position i is name-addressed when it has no id — ObjIDs is empty, or
-// ObjIDs[i] is 0, the id no application export ever gets — and Names[i] is
-// then resolved in the serving peer's registry. A request says only what it
-// uses: every position named leaves ObjIDs empty, every position id-addressed
-// leaves Names empty (the trailing wire field, omitted then, so that request
-// keeps its three-field wire form), and only a mixed request carries both.
+// ObjIDs and Names address the positions, each empty or parallel to the
+// other, so a request has as many positions as the longer of them: position
+// i is name-addressed when it has no id — ObjIDs is empty, or ObjIDs[i] is 0,
+// the id no application export ever gets — and Names[i] is then resolved in
+// the serving peer's registry. A request says only what it uses: every
+// position named leaves ObjIDs empty, every position id-addressed leaves
+// Names empty (the trailing wire field, omitted then, so that request keeps
+// its three-field wire form), and only a mixed request carries both.
+//
+// Indexes, one per position, are the caller-assigned global positions in a
+// fanned-out batch: GetBatch numbers the entries with them. They do not
+// travel — the wire field that carried them is written nil — and a request
+// in the retired form that still carries them decodes without them.
 type GetBatchRequest struct {
 	ObjIDs  []uint64
 	Indexes []int64
@@ -72,10 +77,7 @@ func encGetBatchRequest(x wire.Enc, r *GetBatchRequest) error {
 	for _, id := range r.ObjIDs {
 		x.Uint(id)
 	}
-	x.Slice(len(r.Indexes))
-	for _, ix := range r.Indexes {
-		x.Int(ix)
-	}
+	x.Nil() // the retired Indexes
 	x.Str(r.Method)
 	if fields > 3 {
 		x.Slice(len(r.Names))
@@ -103,19 +105,14 @@ func decGetBatchRequest(x wire.Dec, r *GetBatchRequest, n int) error {
 			}
 		}
 	}
-	if n > 1 {
+	if n > 1 { // the retired Indexes: nil, or the integers an older client sent
 		sn, err := x.SliceLen()
 		if err != nil {
 			return err
 		}
-		if sn >= 0 {
-			r.Indexes = make([]int64, 0, min(sn, wire.MaxPrealloc))
-			for i := 0; i < sn; i++ {
-				ix, err := x.Int()
-				if err != nil {
-					return err
-				}
-				r.Indexes = append(r.Indexes, ix)
+		for i := 0; i < sn; i++ {
+			if _, err := x.Int(); err != nil {
+				return err
 			}
 		}
 	}
@@ -144,9 +141,15 @@ func decGetBatchRequest(x wire.Dec, r *GetBatchRequest, n int) error {
 	return x.SkipFields(n - 4)
 }
 
+// encGetBatchEntry writes an unset Index as nil: a server's own entries
+// leave it for the client to fill in.
 func encGetBatchEntry(x wire.Enc, r *GetBatchEntry) error {
 	x.BeginStruct("brmi.getbatch.entry", 3)
-	x.Int(r.Index)
+	if r.Index == 0 {
+		x.Nil()
+	} else {
+		x.Int(r.Index)
+	}
 	if err := x.Value(r.Value); err != nil {
 		return err
 	}
@@ -226,8 +229,8 @@ func (e *Executor) serveGetBatch(ctx context.Context, req any, w *rmi.EntryWrite
 		obj, _ := e.peer.LocalObject(rmi.RegistryObjID)
 		reg, _ = obj.(resolver)
 	}
-	for i, index := range r.Indexes {
-		entry := GetBatchEntry{Index: index}
+	for i := range r.positions() {
+		var entry GetBatchEntry
 		var objID uint64
 		if len(r.ObjIDs) != 0 {
 			objID = r.ObjIDs[i]
@@ -256,17 +259,15 @@ func (e *Executor) serveGetBatch(ctx context.Context, req any, w *rmi.EntryWrite
 	return nil
 }
 
-// check refuses a request whose addressing slices are not each empty or
-// parallel to Indexes, or that leaves its positions with neither.
+// positions is the request's position count: the length of its ids, or of
+// its names when it has none.
+func (r *GetBatchRequest) positions() int { return max(len(r.ObjIDs), len(r.Names)) }
+
+// check refuses a request whose ids and names are both there but not
+// parallel.
 func (r *GetBatchRequest) check() error {
-	n := len(r.Indexes)
-	switch {
-	case len(r.ObjIDs) != 0 && len(r.ObjIDs) != n:
-		return fmt.Errorf("brmi: getbatch: %d ids but %d indexes", len(r.ObjIDs), n)
-	case len(r.Names) != 0 && len(r.Names) != n:
-		return fmt.Errorf("brmi: getbatch: %d names but %d indexes", len(r.Names), n)
-	case len(r.ObjIDs)+len(r.Names) == 0 && n != 0:
-		return fmt.Errorf("brmi: getbatch: %d indexes but neither ids nor names", n)
+	if len(r.ObjIDs) != 0 && len(r.Names) != 0 && len(r.ObjIDs) != len(r.Names) {
+		return fmt.Errorf("brmi: getbatch: %d ids but %d names", len(r.ObjIDs), len(r.Names))
 	}
 	return nil
 }
@@ -337,8 +338,16 @@ type GetBatchStream struct {
 }
 
 // GetBatch issues one streaming bulk read of req's positions against
-// endpoint. The stream must be drained to io.EOF or closed.
+// endpoint. The stream must be drained to io.EOF or closed. A request whose
+// ids and names are not parallel, or whose Indexes do not number its
+// positions one each, is refused before it leaves.
 func GetBatch(ctx context.Context, p *rmi.Peer, endpoint string, req *GetBatchRequest) (*GetBatchStream, error) {
+	if err := req.check(); err != nil {
+		return nil, err
+	}
+	if n := req.positions(); len(req.Indexes) != n {
+		return nil, fmt.Errorf("brmi: getbatch: %d indexes for %d positions", len(req.Indexes), n)
+	}
 	sc, err := p.CallStream(ctx, endpoint, GetBatchService, req)
 	if err != nil {
 		return nil, err

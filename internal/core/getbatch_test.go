@@ -131,8 +131,10 @@ func (env *getbatchEnv) read(req *core.GetBatchRequest) ([]*core.GetBatchEntry, 
 // cluster layer ships (no ids at all), and a mixed one. Their encodings are
 // the fuzz target's seed corpus, committed under
 // testdata/fuzz/FuzzGetBatchRequest: captured before the standard type table
-// defined brmi.getbatch.req by name, and *-standard in the form the encoder
-// writes now.
+// defined brmi.getbatch.req by name, *-standard from after it, both still
+// carrying the indexes, and names-no-indexes and names-front-coded (sorted
+// names, each after the first a kStrDelta) in the form the encoder writes
+// now.
 var (
 	legacyRequest = &core.GetBatchRequest{ObjIDs: []uint64{16, 17, 300}, Indexes: []int64{0, 5, 63}, Method: "Get"}
 	namesRequest  = &core.GetBatchRequest{ObjIDs: []uint64{0, 0, 0}, Indexes: []int64{0, 1, 2}, Method: "Get", Names: []string{"a", "ghost", "far"}}
@@ -143,17 +145,19 @@ var (
 // TestGetBatchRequestIDAddressedWireParity pins the compatibility promise:
 // a request without names encodes to exactly the bytes it did before the
 // Names field existed (captured at the parent commit), less the named
-// definition of brmi.getbatch.req the standard type table removed (the
-// capture from before the table still decodes to the same request), so old
-// and new peers agree on every id-addressed read.
+// definition of brmi.getbatch.req the standard type table removed and the
+// indexes that no longer travel — their column is one kNil byte — so old and
+// new peers agree on every id-addressed read. The capture from before both
+// still decodes, to the same request.
 func TestGetBatchRequestIDAddressedWireParity(t *testing.T) {
 	for _, c := range []struct {
 		req         *core.GetBatchRequest
 		want, named string
+		indexes     int // the bytes of the capture's index column
 	}{
-		{legacyRequest, "1309030a030510051105ac020a030400040a047e0803476574",
-			"0d011162726d692e67657462617463682e7265710c01030a030510051105ac020a030400040a047e0803476574"},
-		{&core.GetBatchRequest{}, "1309030a000a000800", "0d011162726d692e67657462617463682e7265710c01030a000a000800"},
+		{legacyRequest, "1309030a030510051105ac02" + "01" + "0803476574",
+			"0d011162726d692e67657462617463682e7265710c01030a030510051105ac020a030400040a047e0803476574", 8},
+		{&core.GetBatchRequest{}, "1309030a00" + "01" + "0800", "0d011162726d692e67657462617463682e7265710c01030a000a000800", 2},
 	} {
 		got, err := wire.Marshal(c.req)
 		if err != nil {
@@ -162,7 +166,7 @@ func TestGetBatchRequestIDAddressedWireParity(t *testing.T) {
 		if hex.EncodeToString(got) != c.want {
 			t.Errorf("id-addressed request %+v encodes to\n  %x, want\n  %s", c.req, got, c.want)
 		}
-		checkStandardForm(t, c.named, got)
+		checkShorterForm(t, c.named, got, c.indexes-1)
 		back, err := wire.Unmarshal(got)
 		if err != nil {
 			t.Fatal(err)
@@ -173,6 +177,8 @@ func TestGetBatchRequestIDAddressedWireParity(t *testing.T) {
 	}
 }
 
+// TestGetBatchRequestNamesRoundTrip: every request shape round-trips, less
+// its indexes, which stay with the client.
 func TestGetBatchRequestNamesRoundTrip(t *testing.T) {
 	for _, req := range []*core.GetBatchRequest{namesRequest, noIDsRequest, mixedRequest} {
 		b, err := wire.Marshal(req)
@@ -183,7 +189,9 @@ func TestGetBatchRequestNamesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(back, req) {
+		want := *req
+		want.Indexes = nil
+		if !reflect.DeepEqual(back, &want) {
 			t.Errorf("round trip of %+v = %+v", req, back)
 		}
 	}
@@ -255,9 +263,10 @@ func TestGetBatchNamesWithoutIDs(t *testing.T) {
 	}
 }
 
-// TestGetBatchRejectsMismatchedLengths: an addressing slice that is neither
-// empty nor parallel to the indexes, or positions with no addressing at all,
-// fail the request as a whole, before any entry.
+// TestGetBatchRejectsMismatchedLengths: ids and names that are not parallel,
+// or indexes that do not number the positions one each, fail the request as
+// a whole, before any entry — at the client, before it leaves; a server
+// refuses the first kind too (FuzzGetBatchRequest).
 func TestGetBatchRejectsMismatchedLengths(t *testing.T) {
 	env := newGetbatchEnv(t)
 	for _, req := range []*core.GetBatchRequest{
@@ -280,11 +289,12 @@ func TestGetBatchRejectsMismatchedLengths(t *testing.T) {
 // when they decode to a request, serves it from a small executor. Nothing
 // may panic (a panic in the serving goroutine takes the process down, which
 // the fuzzer reports); a decoded request is never larger than its input
-// allows; and addressing slices that are not empty or parallel to the indexes
-// are rejected with an error instead of indexing out of range. What the decode
-// allocates follows the input, not the counts it claims. The seed corpus is the
-// committed testdata/fuzz/FuzzGetBatchRequest plus a request claiming more ids
-// than it carries.
+// allows and carries no indexes, whatever form it came in; and ids and names
+// that are not parallel are rejected with an error instead of indexing out of
+// range, by the client and by the server. What the decode allocates follows
+// the input, not the counts it claims. The seed corpus is the committed
+// testdata/fuzz/FuzzGetBatchRequest plus a request claiming more ids than it
+// carries.
 func FuzzGetBatchRequest(f *testing.F) {
 	env := newGetbatchEnv(f)
 	f.Add(inflated(getBatchRequestIDs, 1<<12))
@@ -300,18 +310,30 @@ func FuzzGetBatchRequest(f *testing.F) {
 		if !ok {
 			return
 		}
-		// Every element costs at least one input byte.
-		if n := len(req.ObjIDs) + len(req.Indexes) + len(req.Names); n > len(data) {
-			t.Fatalf("%d input bytes decoded to %d slice elements", len(data), n)
+		if req.Indexes != nil {
+			t.Fatalf("%x decoded to %+v: indexes do not travel", data, req)
 		}
-		entries, err := env.read(req)
-		n, ids, names := len(req.Indexes), len(req.ObjIDs), len(req.Names)
-		if (ids != 0 && ids != n) || (names != 0 && names != n) || (ids+names == 0 && n != 0) {
-			if err == nil || len(entries) != 0 {
+		// Every element costs at least one input byte.
+		ids, names := len(req.ObjIDs), len(req.Names)
+		if ids+names > len(data) {
+			t.Fatalf("%d input bytes decoded to %d slice elements", len(data), ids+names)
+		}
+		if ids != 0 && names != 0 && ids != names {
+			if entries, err := env.read(req); err == nil || len(entries) != 0 {
 				t.Fatalf("mismatched request %+v delivered %d entries, err %v", req, len(entries), err)
+			}
+			if err := serveRaw(env, req); err == nil {
+				t.Fatalf("the server served mismatched request %+v", req)
 			}
 			return
 		}
+		// The client numbers the positions: backwards, as no server would.
+		n := max(ids, names)
+		req.Indexes = make([]int64, n)
+		for i := range req.Indexes {
+			req.Indexes[i] = int64(n - 1 - i)
+		}
+		entries, err := env.read(req)
 		if err != nil {
 			t.Fatalf("request %+v: stream failed: %v", req, err)
 		}
@@ -324,4 +346,22 @@ func FuzzGetBatchRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// serveRaw sends req to env's server as it is, past GetBatch's own checks,
+// and drains the stream: the error that ended it, nil for io.EOF.
+func serveRaw(env *getbatchEnv, req *core.GetBatchRequest) error {
+	sc, err := env.client.CallStream(context.Background(), getbatchHere, core.GetBatchService, req)
+	if err != nil {
+		return err
+	}
+	defer sc.Close()
+	for {
+		if _, err := sc.Next(); err != nil {
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			return err
+		}
+	}
 }

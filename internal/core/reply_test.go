@@ -196,7 +196,8 @@ func TestRestartAndCursorSettlePositionally(t *testing.T) {
 }
 
 // oldFormServer serves core.getbatch the way a server did before entries were
-// positional — every entry a *core.GetBatchEntry echoing its index — and
+// positional — every entry a *core.GetBatchEntry carrying an index, which
+// now that indexes stay with the client is one of its own making — and
 // writes extra entries past the request's positions.
 func oldFormServer(t *testing.T, extra int) (*rmi.Peer, string) {
 	t.Helper()
@@ -205,8 +206,8 @@ func oldFormServer(t *testing.T, extra int) (*rmi.Peer, string) {
 	server := rmi.NewPeer(network, rmi.WithLogf(silentLogf))
 	server.HandleStream(core.GetBatchService, func(_ context.Context, req any, w *rmi.EntryWriter) error {
 		r := req.(*core.GetBatchRequest)
-		for i, index := range r.Indexes {
-			if err := w.WriteEntry(&core.GetBatchEntry{Index: index, Value: int64(100 + i)}); err != nil {
+		for i := range r.Names {
+			if err := w.WriteEntry(&core.GetBatchEntry{Index: int64(1000 + i), Value: int64(100 + i)}); err != nil {
 				return err
 			}
 		}
@@ -249,7 +250,8 @@ func drain(t *testing.T, p *rmi.Peer, endpoint string, req *core.GetBatchRequest
 }
 
 // TestOldFormStreamStillReads: a stream whose every entry is the envelope
-// with its echoed index reads as it did, each entry on its position.
+// with an index reads as it did, each entry on its position: the index the
+// client numbers it with is its own.
 func TestOldFormStreamStillReads(t *testing.T) {
 	client, ep := oldFormServer(t, 0)
 	req := &core.GetBatchRequest{Indexes: []int64{7, 3, 40}, Names: []string{"a", "b", "c"}}

@@ -28,7 +28,14 @@ import (
 type Profile struct {
 	// Name labels the profile in benchmark output.
 	Name string
-	// RTT is the round-trip propagation delay. Each direction incurs RTT/2.
+	// RTT is the round-trip propagation delay. Each direction incurs RTT/2,
+	// waited out on the network's Clock. On RealClock that wait is a Go
+	// timer, which fires late on a small host: on 2 vCPUs time.AfterFunc of
+	// 100 µs and of 500 µs both fire after about 1.1 ms (p50), so a LAN
+	// round trip (two 500 µs legs) takes about 2.2 ms of wall clock before
+	// any work is done, not 1 ms. Wall-clock figures taken on such a host (brmibench's setup_s and
+	// op_p50 on LAN workloads) carry that lateness; counts, bytes and
+	// VirtualClock runs do not.
 	RTT time.Duration
 	// BitsPerSecond is the link bandwidth; 0 means infinite (no pacing).
 	BitsPerSecond float64

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -154,5 +155,30 @@ func BenchmarkUnmarshalEchoFlush(b *testing.B) {
 		if _, err := UnmarshalValues(data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMarshalDistinctNames writes n distinct, sorted 9-byte names, as a
+// Get-Batch request lists them: every one is new to the string table, so this
+// is the table's cost per string it numbers (and, past maxStrs, per string it
+// only looks up).
+func BenchmarkMarshalDistinctNames(b *testing.B) {
+	for _, n := range []int{64, 1000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			vs := make([]any, n)
+			for i := range vs {
+				vs[i] = fmt.Sprintf("kv-%06d", i)
+			}
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				buf, err = MarshalValuesAppend(buf[:0], vs)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(buf)), "B/msg")
+		})
 	}
 }

@@ -102,9 +102,16 @@ type decoder struct {
 	depth  int
 	// strs is the message's string table: the tagged literals of 1 to
 	// maxStrLen bytes it has read, in order, the first maxStrs of them (see
-	// str). A kStrRef names one by its place. It keeps its backing array
-	// from message to message.
+	// number). A kStrRef names one by its place. It keeps its backing array
+	// from message to message. prev is the last of them, kept past the cap:
+	// the string a kStrDelta front-codes against.
 	strs []string
+	prev string
+	// upTo and prevAt serve spanDecoder: prevAt is the last literal that
+	// ended at or before offset upTo (0 for any other decode, where no
+	// literal does).
+	upTo   int
+	prevAt string
 }
 
 // maxDepth bounds how deep the values of one message nest: a batch request's
@@ -161,6 +168,7 @@ func (d *decoder) release() {
 func (d *decoder) resetStrs() {
 	clear(d.strs)
 	d.strs = d.strs[:0]
+	d.prev, d.upTo, d.prevAt = "", 0, ""
 }
 
 func (d *decoder) corrupt(detail string) error {
@@ -225,14 +233,68 @@ func (d *decoder) string() (string, error) {
 	return internBytes(b), nil
 }
 
-// str reads the rest of a kString literal and numbers it in the message's
-// string table, by the encoder's rule (see encoder.putStr).
+// str reads the rest of a kString literal and numbers it.
 func (d *decoder) str() (string, error) {
 	s, err := d.string()
-	if err == nil && len(s) > 0 && len(s) <= maxStrLen && len(d.strs) < maxStrs {
-		d.strs = append(d.strs, s)
+	if err == nil {
+		d.number(s)
 	}
 	return s, err
+}
+
+// number enters s, a literal just read, in the message's string table by the
+// encoder's rule (see encoder.putStr): one of 1 to maxStrLen bytes takes the
+// next entry while the table has room, and is the previous literal a
+// kStrDelta front-codes against.
+func (d *decoder) number(s string) {
+	if len(s) == 0 || len(s) > maxStrLen {
+		return
+	}
+	if len(d.strs) < maxStrs {
+		d.strs = append(d.strs, s)
+	}
+	d.prev = s
+	if d.pos <= d.upTo {
+		d.prevAt = s
+	}
+}
+
+// strDelta reads the rest of a kStrDelta — a shared-prefix length, a suffix
+// length, the suffix — and numbers the string it stands for: the previous
+// literal's prefix and the suffix, put together in a scratch array and
+// looked up in the intern table, so a known string allocates nothing (an
+// unknown one is copied, not interned: see knownBytes). A delta with no
+// literal before it, a prefix longer than that literal, an empty suffix and
+// a string longer than maxStrLen are corrupt.
+func (d *decoder) strDelta() (string, error) {
+	p, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	m, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	switch {
+	case d.prev == "":
+		return "", d.corrupt("a front-coded string with no literal before it")
+	case p > uint64(len(d.prev)):
+		return "", d.corrupt(fmt.Sprintf("a %d-byte prefix of a %d-byte literal", p, len(d.prev)))
+	case m == 0:
+		return "", d.corrupt("a front-coded string with an empty suffix")
+	case m > maxStrLen-p:
+		return "", d.corrupt(fmt.Sprintf("a front-coded string of more than %d bytes", maxStrLen))
+	}
+	suffix, err := d.take(m)
+	if err != nil {
+		return "", err
+	}
+	var buf [maxStrLen]byte
+	n := copy(buf[:], d.prev[:p])
+	n += copy(buf[n:], suffix)
+	s := knownBytes(buf[:n])
+	d.number(s)
+	return s, nil
 }
 
 // strRef reads the rest of a kStrRef: the string an earlier literal of the
@@ -249,14 +311,16 @@ func (d *decoder) strRef() (string, error) {
 	return d.strs[i], nil
 }
 
-// tagged reads the rest of a string value whose tag was just read: a kString
-// or a kStrRef. ok is false for any other tag.
+// tagged reads the rest of a string value whose tag was just read: a
+// kString, a kStrRef or a kStrDelta. ok is false for any other tag.
 func (d *decoder) tagged(tag byte) (s string, ok bool, err error) {
 	switch tag {
 	case kString:
 		s, err = d.str()
 	case kStrRef:
 		s, err = d.strRef()
+	case kStrDelta:
+		s, err = d.strDelta()
 	default:
 		return "", false, nil
 	}
@@ -328,6 +392,8 @@ func (d *decoder) value() (any, error) {
 		return d.str()
 	case kStrRef:
 		return d.strRef()
+	case kStrDelta:
+		return d.strDelta()
 	case kBytes:
 		n, err := d.uvarint()
 		if err != nil {

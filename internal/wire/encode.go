@@ -3,8 +3,8 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math"
+	"math/bits"
 	"reflect"
 	"sync"
 	"time"
@@ -491,15 +491,29 @@ func (e *encoder) putString(s string) {
 }
 
 // putStr writes the tagged string value s: a kStrRef to the entry of the
-// message's string table that holds it, or the kString literal, which takes
-// the table's next entry when it is 1 to maxStrLen bytes long and the table
-// has room. The decoder numbers the literals it reads by the same rule, so a
-// message with no repeat is written as if there were no table, and a repeat
-// costs 2 bytes where its literal cost at least 3.
+// message's string table that holds it, or else a literal, which takes the
+// table's next entry when it is 1 to maxStrLen bytes long and the table has
+// room. A literal of that length that shares at least 2 leading bytes with
+// the message's previous one is front-coded, as a kStrDelta: the shared
+// length, then the differing suffix — 3 bytes and the suffix, where the
+// kString took 2 and the whole string, so a delta is written only where it is
+// shorter. The decoder numbers and front-codes by the same rule, so a message
+// with no repeat and no shared prefix is written as if there were no table, a
+// repeat costs 2 bytes, and a run of sorted names costs what each adds to the
+// one before it.
 func (e *encoder) putStr(s string) {
 	if n := len(s); n > 0 && n <= maxStrLen {
 		if i, seen := e.strs.index(s); seen {
 			e.buf = append(e.buf, kStrRef, byte(i))
+			return
+		}
+		// The shared prefix stops short of the whole string: a delta's
+		// suffix is never empty.
+		p := min(sharedPrefix(e.strs.prev, s), n-1)
+		e.strs.prev = s
+		if p >= minDelta {
+			e.buf = append(e.buf, kStrDelta, byte(p), byte(n-p))
+			e.buf = append(e.buf, s[p:]...)
 			return
 		}
 	}
@@ -507,36 +521,69 @@ func (e *encoder) putStr(s string) {
 	e.putString(s)
 }
 
+// sharedPrefix is how many leading bytes a and b share, compared a word at a
+// time.
+func sharedPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	p := 0
+	for ; p+8 <= n; p += 8 {
+		if x := word(a[p:]) ^ word(b[p:]); x != 0 {
+			return p + bits.TrailingZeros64(x)/8
+		}
+	}
+	for p < n && a[p] == b[p] {
+		p++
+	}
+	return p
+}
+
+// word is s's first 8 bytes, little-endian (one load).
+func word(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
 const (
-	// maxStrLen is the longest string a string table numbers: a longer one
-	// is written out each time, so what a message of references can make a
-	// peer allocate stays proportional to the message.
+	// maxStrLen is the longest string a string table numbers or front-codes:
+	// a longer one is written out each time, so what a message of references
+	// can make a peer allocate stays proportional to the message. Every
+	// length and prefix under it fits one uvarint byte.
 	maxStrLen = 64
 	// maxStrs is how many strings one message numbers: every index fits the
 	// one byte of a uvarint below 128, so a reference is 2 bytes.
 	maxStrs = 128
+	// minDelta is the shortest shared prefix a kStrDelta is written for: the
+	// one at which it is shorter than the kString.
+	minDelta = 2
 )
 
 // strTable is the encoder's half of a message's string table: the strings
 // numbered so far, in order, found by a scan while there are few and through
-// an open-addressed index once there are more. Both stay with the (pooled)
-// encoder, so numbering allocates nothing once a pooled encoder has seen its
-// largest table, and a stream's Encoder whose entries carry no string pays
-// for neither.
+// an open-addressed index once there are more, and the previous literal a
+// kStrDelta is written against. They stay with the (pooled) encoder, so
+// numbering allocates nothing once a pooled encoder has seen its largest
+// table, and a stream's Encoder whose entries carry no string pays for
+// neither.
 type strTable struct {
 	strs []string
 	// slots, once the table outgrows scanStrs entries, holds 1 + an
 	// entry's number at the slot its hash probes first (or the next free one
 	// after it); 0 is a free slot. Twice maxStrs slots keep it at most half
 	// full. hashed says the index covers strs.
-	slots  *[2 * maxStrs]uint8
+	slots  *[1 << slotBits]uint8
 	hashed bool
+	// prev is the last string of 1 to maxStrLen bytes the message wrote as a
+	// kString or a kStrDelta, kept past the table's cap.
+	prev string
 }
 
-// scanStrs is how many entries the table scans before it indexes them.
-const scanStrs = 8
-
-var strSeed = maphash.MakeSeed()
+const (
+	// scanStrs is how many entries the table scans before it indexes them.
+	scanStrs = 8
+	// slotBits sizes the index: 2^slotBits = 2 * maxStrs slots.
+	slotBits = 8
+)
 
 // index returns s's entry number and true when the table holds s; otherwise
 // it numbers s, if the table has room, and returns false.
@@ -552,7 +599,7 @@ func (t *strTable) index(s string) (int, bool) {
 	}
 	if !t.hashed {
 		if t.slots == nil {
-			t.slots = new([2 * maxStrs]uint8)
+			t.slots = new([1 << slotBits]uint8)
 		}
 		for i, x := range t.strs {
 			t.slots[t.probe(x)] = uint8(i + 1)
@@ -571,15 +618,24 @@ func (t *strTable) index(s string) (int, bool) {
 }
 
 // probe finds s in the index: the slot that holds s's entry, or the free
-// slot where s would go.
+// slot where s would go. The hash is as cheap as intern.go's: s's length, its
+// first byte and its last 8 (fewer in a shorter string) — a table's strings
+// are short, and the names a message lists differ mostly at their ends —
+// spread over the slots by one Fibonacci multiply.
 func (t *strTable) probe(s string) uint {
-	h := uint(maphash.String(strSeed, s))
+	n := len(s)
+	x := uint64(n)<<56 | uint64(s[0])<<48
+	if n >= 8 {
+		x ^= word(s[n-8:])
+	} else {
+		x ^= uint64(s[n-1]) | uint64(s[max(n-2, 0)])<<8 | uint64(s[n/2])<<16
+	}
+	h := uint(x*0x9E3779B97F4A7C15) >> (64 - slotBits)
 	for {
-		h &= uint(len(t.slots) - 1)
 		if slot := t.slots[h]; slot == 0 || t.strs[slot-1] == s {
 			return h
 		}
-		h++
+		h = (h + 1) % uint(len(t.slots))
 	}
 }
 
@@ -587,6 +643,7 @@ func (t *strTable) probe(s string) uint {
 func (t *strTable) reset() {
 	clear(t.strs)
 	t.strs = t.strs[:0]
+	t.prev = ""
 	if t.hashed {
 		*t.slots = [len(t.slots)]uint8{}
 		t.hashed = false

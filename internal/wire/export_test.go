@@ -4,9 +4,10 @@ package wire
 // that register the protocol types.
 
 const (
-	KStd     = kStd
-	KStrRef  = kStrRef
-	MaxDepth = maxDepth
+	KStd      = kStd
+	KStrRef   = kStrRef
+	KStrDelta = kStrDelta
+	MaxDepth  = maxDepth
 )
 
 // SliceBomb is the 16 KiB nested-slice message of hostile_test.go.

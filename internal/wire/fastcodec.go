@@ -198,20 +198,19 @@ func (x Dec) Str() (string, error) {
 }
 
 // Name decodes a string field that may travel as an index into table: a
-// kString (or a kStrRef to one) is the string itself, a kUint names table's
-// entry. An index past the table is corrupt. A codec whose sender writes
-// well-known strings as their index (rmi's protocol method table) reads both
-// forms with it.
+// tagged string (a kString, or a kStrRef or kStrDelta standing for one) is
+// the string itself, a kUint names table's entry. An index past the table is
+// corrupt. A codec whose sender writes well-known strings as their index
+// (rmi's protocol method table) reads both forms with it.
 func (x Dec) Name(table []string) (string, error) {
 	tag, err := x.d.tag()
 	if err != nil {
 		return "", err
 	}
+	if s, ok, err := x.d.tagged(tag); ok {
+		return s, err
+	}
 	switch tag {
-	case kString:
-		return x.d.str()
-	case kStrRef:
-		return x.d.strRef()
 	case kUint:
 		i, err := x.d.uvarint()
 		if err != nil {
@@ -240,7 +239,7 @@ func (x Dec) IDOrName() (id uint64, name string, err error) {
 	case kUint:
 		id, err = x.d.uvarint()
 		return id, "", err
-	case kString, kStrRef:
+	case kString, kStrRef, kStrDelta:
 		if name, _, err = x.d.tagged(tag); err == nil && name == "" {
 			err = x.d.corrupt("empty name")
 		}

@@ -30,7 +30,10 @@ const (
 // index past the table, the nested slice bomb, a valid value nested as deep
 // as the decoder allows, and the string table's cases: a valid repeat, a
 // reference past the table, one before any literal, one to a string too long
-// to be numbered, and one to a literal in a field the decoder discards.
+// to be numbered, one to a literal in a field the decoder discards, valid
+// front-coded names, and a delta refused for each reason the decoder has: no
+// literal before it, a prefix longer than that literal, an empty suffix, a
+// string longer than 64 bytes.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	for i := range wire.StandardTypes() {
@@ -71,7 +74,19 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	sorted, err := wire.Marshal([]any{"obj-9", "obj-10", "obj-11", "Get", "obj-12"})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	long := bytes.Repeat([]byte{'x'}, 65)
+	edge := append([]byte{10, 2, 8, 64}, long[:64]...)
+	seeds = append(seeds,
+		sorted,
+		[]byte{wire.KStrDelta, 2, 1, 'x'},
+		[]byte{10, 2, 8, 2, 'a', 'b', wire.KStrDelta, 3, 1, 'c'},
+		[]byte{10, 2, 8, 2, 'a', 'b', wire.KStrDelta, 2, 0},
+		append(edge, wire.KStrDelta, 64, 1, 'z'),
+	)
 	return append(seeds,
 		repeat,
 		[]byte{10, 2, 8, 1, 'a', wire.KStrRef, 1},

@@ -232,3 +232,65 @@ func TestStringReferencesAllocateWhatArrives(t *testing.T) {
 		}
 	}
 }
+
+// A message of deltas costs a peer what its size says. A delta of 4 or 5
+// bytes stands for a string of up to maxStrLen: 10k of them, all different,
+// make the strings they stand for and the slots they fill — no more, since a
+// string a delta makes is looked up in the intern table but not entered in
+// it. So does a hostile message whose 4-byte deltas say the same two strings
+// over and over. Each refusal of a delta is corrupt.
+func TestStringDeltasAllocateWhatArrives(t *testing.T) {
+	base := string(bytes.Repeat([]byte{'d'}, maxStrLen-2))
+	tags := make([]string, 10_000)
+	for i := range tags {
+		tags[i] = base + string([]byte{byte(i >> 8), byte(i)})
+	}
+	msg, err := Marshal(testNested{Tags: tags})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(msg, []byte(base)); n != 1 {
+		t.Fatalf("the shared prefix is written %d times, want once", n)
+	}
+	// The same, by hand: a literal, then deltas keeping all but its last
+	// byte, which alternates.
+	hostile := append([]byte{}, msg[:bytes.Index(msg, []byte(base))+len(base)+2]...)
+	for i := 1; i < len(tags); i++ {
+		hostile = append(hostile, kStrDelta, maxStrLen-1, 1, byte(i%2))
+	}
+	for name, m := range map[string][]byte{"distinct": msg, "alternating": hostile} {
+		var back any
+		got := allocatedBy(func() { back, err = Unmarshal(m) })
+		if err != nil || len(back.(testNested).Tags) != len(tags) {
+			t.Fatalf("%s: decoded %v", name, err)
+		}
+		// The strings come to 16 bytes per input byte at most (64 per 4),
+		// the slots and their growth to about 10 more: 27 in all when every
+		// delta makes a new string. (A generic []any of them pays a 16-byte
+		// box per string on top, 37 per input byte, within FuzzUnmarshal's
+		// bound.)
+		if got > 32*uint64(len(m)) {
+			t.Errorf("%s: a %d-byte message of deltas allocated %d bytes", name, len(m), got)
+		}
+	}
+
+	prev := append([]byte{kSlice, 2, kString, maxStrLen}, bytes.Repeat([]byte{'p'}, maxStrLen)...)
+	for _, c := range []struct {
+		name string
+		msg  []byte
+	}{
+		{"a delta before any literal", []byte{kStrDelta, 2, 1, 'x'}},
+		{"a delta after only an empty literal", []byte{kSlice, 2, kString, 0, kStrDelta, 0, 1, 'x'}},
+		{"a prefix longer than the literal", []byte{kSlice, 2, kString, 2, 'a', 'b', kStrDelta, 3, 1, 'c'}},
+		{"an empty suffix", []byte{kSlice, 2, kString, 2, 'a', 'b', kStrDelta, 2, 0}},
+		{"a string longer than the table numbers", append(append([]byte{}, prev...), kStrDelta, maxStrLen, 1, 'z')},
+		{"a suffix length of ten bytes", append(append([]byte{}, prev...), kStrDelta, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)},
+		{"a delta where an integer belongs", append(append([]byte{kTypeDef, 1, 14}, "wiretest.Point"...), kStruct, 1, 1, kStrDelta, 0, 1, 'x')},
+	} {
+		_, err := Unmarshal(c.msg)
+		var corrupt *CorruptError
+		if !errors.As(err, &corrupt) {
+			t.Errorf("%s: %v, want *CorruptError", c.name, err)
+		}
+	}
+}

@@ -24,8 +24,17 @@ type internShard struct {
 
 var internTab [internShards]internShard
 
-// internBytes returns the canonical string for b.
-func internBytes(b []byte) string {
+// internBytes returns the canonical string for b, entering b in the table
+// when it is new and its shard has room.
+func internBytes(b []byte) string { return intern(b, true) }
+
+// knownBytes returns the canonical string for b when the table holds one,
+// and a copy of b otherwise, which it does not enter: a front-coded string
+// costs its sender a few bytes, too few to pay for a table entry that
+// outlives the message.
+func knownBytes(b []byte) string { return intern(b, false) }
+
+func intern(b []byte, enter bool) string {
 	n := len(b)
 	if n == 0 {
 		return ""
@@ -48,7 +57,7 @@ func internBytes(b []byte) string {
 		return s
 	}
 	s = string(b)
-	if full {
+	if full || !enter {
 		return s
 	}
 	sh.mu.Lock()

@@ -76,7 +76,9 @@ func UnmarshalAt(msg []byte, s Span) (any, error) {
 // table: it decodes the whole message once, numbering every literal in it.
 // A valid value refers only to literals written before it, which hold the
 // same places in the whole table; the literals it writes itself are numbered
-// again past the end, where nothing refers to them.
+// again past the end, where nothing refers to them. Its first kStrDelta
+// front-codes against the last literal before at, which the decode notes on
+// its way past.
 func spanDecoder(msg []byte, at int) (*decoder, error) {
 	if at < 0 || at > len(msg) {
 		return nil, &CorruptError{Offset: at, Detail: "offset outside the message"}
@@ -85,11 +87,13 @@ func spanDecoder(msg []byte, at int) (*decoder, error) {
 	if at == 0 {
 		return d, nil
 	}
+	d.upTo = at
 	if _, err := d.value(); err != nil {
 		d.release()
 		return nil, err
 	}
 	d.pos, d.depth, d.budget = at, 0, len(msg)-at
+	d.prev, d.upTo = d.prevAt, 0
 	d.types = d.types[:0]
 	return d, nil
 }

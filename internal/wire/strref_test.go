@@ -134,7 +134,8 @@ func TestEveryStringPathReadsAReference(t *testing.T) {
 }
 
 // The table caps at maxStrs entries: the strings past it are spelt out each
-// time, and those numbered before it stay referable.
+// time — front-coded against the previous one, as every new string is — and
+// those numbered before it stay referable.
 func TestTableCaps(t *testing.T) {
 	var vs []any
 	for i := 0; i < maxStrs+8; i++ {
@@ -145,7 +146,7 @@ func TestTableCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := append([]byte{kStrRef, 0, kStrRef, maxStrs - 1}, fmt.Sprintf("\x08\x04s%03d\x08\x04s%03d", maxStrs, maxStrs+7)...)
+	tail := append([]byte{kStrRef, 0, kStrRef, maxStrs - 1}, fmt.Sprintf("\x15\x02\x02%02d\x15\x02\x02%02d", maxStrs%100, (maxStrs+7)%100)...)
 	if !bytes.HasSuffix(data, tail) {
 		t.Errorf("a full table's repeats end %x, want %x", data[len(data)-len(tail):], tail)
 	}

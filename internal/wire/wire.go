@@ -21,11 +21,16 @@
 // repeated String once per stream and a handle after: every tagged string
 // of 1 to 64 bytes a message writes literally takes the next number in the
 // message's string table, and a repeat is written as kStrRef and that number
-// — 2 bytes, where the literal took at least 3. Both sides number by the same
-// rule, stop at 128 entries, and start afresh with every message (a stream's
-// entries too), so a message with no repeat is written as if there were no
-// table, and no frame depends on another. The strings inside a Ref, an
-// error and a type definition stay literal.
+// — 2 bytes, where the literal took at least 3. A new string says only what
+// the message's previous literal did not, as a sorted key block front-codes
+// its keys: one that shares at least 2 leading bytes with it is written as
+// kStrDelta, the shared length and the differing suffix, and takes its number
+// like the literal it stands for. Both sides number by the same rule, stop at
+// 128 entries (front coding goes on past them), and start afresh with every
+// message (a stream's entries too), so a message with no repeat and no shared
+// prefix is written as if there were no table, and no frame depends on
+// another. The strings inside a Ref, an error and a type definition stay
+// literal.
 //
 // The decoder trusts no count it has not been paid for: every element, field
 // and map entry is a value with its own tag byte, so the counts one message
@@ -48,26 +53,27 @@ import (
 // Kind tags identify the wire form of each encoded value. They are part of
 // the wire format and must not be renumbered.
 const (
-	kNil     byte = 1
-	kFalse   byte = 2
-	kTrue    byte = 3
-	kInt     byte = 4  // zigzag varint
-	kUint    byte = 5  // varint
-	kFloat64 byte = 6  // 8-byte big endian IEEE 754
-	kFloat32 byte = 7  // 4-byte big endian IEEE 754
-	kString  byte = 8  // varint length + UTF-8 bytes; 1–64 B ones are numbered (kStrRef)
-	kBytes   byte = 9  // varint length + raw bytes
-	kSlice   byte = 10 // varint length + that many values
-	kMap     byte = 11 // varint length + key/value pairs
-	kStruct  byte = 12 // varint type id + varint field count + field values
-	kTypeDef byte = 13 // varint type id + name string; defines id for stream
-	kRef     byte = 14 // endpoint string + varint objID + iface string
-	kTime    byte = 15 // int64 unix seconds + uint32 nanos
-	kErr     byte = 16 // type name string + message string (generic error)
-	kDur     byte = 17 // zigzag varint nanoseconds
-	kPtr     byte = 18 // reserved: never written, rejected on decode, never reused
-	kStd     byte = 19 // varint standard-table index + varint field count + field values
-	kStrRef  byte = 20 // varint index into the message's string table: a repeated kString
+	kNil      byte = 1
+	kFalse    byte = 2
+	kTrue     byte = 3
+	kInt      byte = 4  // zigzag varint
+	kUint     byte = 5  // varint
+	kFloat64  byte = 6  // 8-byte big endian IEEE 754
+	kFloat32  byte = 7  // 4-byte big endian IEEE 754
+	kString   byte = 8  // varint length + UTF-8 bytes; 1–64 B ones are numbered (kStrRef)
+	kBytes    byte = 9  // varint length + raw bytes
+	kSlice    byte = 10 // varint length + that many values
+	kMap      byte = 11 // varint length + key/value pairs
+	kStruct   byte = 12 // varint type id + varint field count + field values
+	kTypeDef  byte = 13 // varint type id + name string; defines id for stream
+	kRef      byte = 14 // endpoint string + varint objID + iface string
+	kTime     byte = 15 // int64 unix seconds + uint32 nanos
+	kErr      byte = 16 // type name string + message string (generic error)
+	kDur      byte = 17 // zigzag varint nanoseconds
+	kPtr      byte = 18 // reserved: never written, rejected on decode, never reused
+	kStd      byte = 19 // varint standard-table index + varint field count + field values
+	kStrRef   byte = 20 // varint index into the message's string table: a repeated kString
+	kStrDelta byte = 21 // varint shared-prefix length + varint suffix length + suffix: a front-coded kString
 )
 
 // Exported sentinel and structured errors.
