@@ -11,7 +11,7 @@ import (
 func (r *Replica) ShipHook() core.ShipHook { return r.admit }
 
 // ShardInfo reports this follower's replica of primary's shard, for a test
-// that reads its log or its election credentials.
+// that reads its shadows' election credentials.
 func (r *Replica) ShardInfo(primary string) *ShardInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -22,10 +22,7 @@ func (r *Replica) ShardInfo(primary string) *ShardInfo {
 // name in primary's shard, for a test that reads what the follower replayed.
 func (r *Replica) Shadow(primary, name string) (obj any, ok bool) {
 	r.mu.Lock()
-	var sd *shadowObj
-	if sh := r.shards[primary]; sh != nil {
-		sd = sh.shadows[name]
-	}
+	sd := r.shards[primary][name]
 	r.mu.Unlock()
 	if sd == nil || !sd.seeded {
 		return nil, false

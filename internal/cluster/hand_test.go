@@ -217,3 +217,75 @@ func TestPromoteRefusesLostHand(t *testing.T) {
 	}
 	checkConverged(t, ec, dir, want)
 }
+
+// TestHandInstallsOnlyAtTheNewHome: an R=3 scale-out from three servers to
+// four moves k names from server-0 to the newcomer in one flow. Its hand
+// installs each name at the newcomer alone: k Installs between the hand and
+// the arrive. Seeding each name's owners under the new ring, server-0 aside,
+// cost 2k, half of them superseded by the newcomer's own placement one trip
+// later. That placement, in the arrive trip, still seeds every other owner,
+// so each holds a shadow of the name's written state under its new home.
+func TestHandInstallsOnlyAtTheNewHome(t *testing.T) {
+	const k, written = 4, 5
+	ec := clustertest.New(t, 4)
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints()[:3], cluster.WithReplication(3))
+	grown := cluster.NewRing(ec.Endpoints(), cluster.WithReplication(3))
+	names := clustertest.PickNames(dir.Ring(), grown, "server-0", "server-3", k)
+	place(t, ec, dir, names...)
+	want := make(map[string]int64, k)
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	for _, name := range names {
+		p, err := b.RootNamed(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Call("Add", int64(written))
+		want[name] = written
+	}
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	installs := func() (n int64) {
+		for _, s := range ec.Servers {
+			n += s.Stats.Snapshot().Counter("cluster.replica_installs")
+		}
+		return n
+	}
+	var mu sync.Mutex
+	hands, atHand, handed := 0, int64(0), int64(-1)
+	reb := cluster.NewRebalancer(dir)
+	reb.SetProbe(func(kind cluster.TripKind, _ string, _ []string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		switch kind {
+		case cluster.TripHand:
+			hands++
+			atHand = installs()
+		case cluster.TripArrive:
+			handed = installs() - atHand
+		}
+		return nil
+	})
+	st, err := reb.AddServer(ctx, "server-3")
+	if err != nil {
+		t.Fatalf("AddServer: %v", err)
+	}
+	if st.Moved != k || hands != 1 {
+		t.Fatalf("moved %d names in %d hands, want %d in 1", st.Moved, hands, k)
+	}
+	if handed != k {
+		t.Errorf("the hand installed %d shadows, want %d: one per moving name, at its new home", handed, k)
+	}
+	checkConverged(t, ec, dir, want)
+	for _, name := range names {
+		owners, _ := dir.Owners(name)
+		for _, f := range owners[1:] {
+			obj, ok := ec.Server(f).Replica.Shadow(owners[0], name)
+			if !ok || obj.(*clustertest.Counter).Get() != written {
+				t.Errorf("%s's shadow of %s under %s = %v, want a seeded %d", f, name, owners[0], obj, written)
+			}
+		}
+	}
+}

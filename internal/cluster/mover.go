@@ -34,7 +34,7 @@ import (
 type tripKind string
 
 const (
-	tripHand    tripKind = "hand"    // a flow's source installs its movable names at their new owners
+	tripHand    tripKind = "hand"    // a flow's source installs its movable names at their new home
 	tripArrive  tripKind = "arrive"  // adopt moving names at their new home, then place them from there
 	tripPlace   tripKind = "place"   // fence one member with its placement, then read what the election needs
 	tripSurvey  tripKind = "survey"  // read a leaving member's replica shards
@@ -341,10 +341,12 @@ func (r *Rebalancer) migrate(ctx context.Context, flows []flow, routing *Ring, e
 }
 
 // migratePair moves one flow in three trips. Hand: the source installs the
-// movable names at each of their owners under routing, the destination
-// included, and answers once every Install is acked (Replica.Seed) — each
-// rides the source's ordered link behind the records queued before it, so
-// the destination then holds every wave the source ran on them. Arrive: the
+// movable names at the destination alone — a seed over the one-member ring of
+// it at replication 1 — and answers once the Install is acked (Replica.Seed):
+// it rides the source's ordered link behind the records queued before it, so
+// the destination then holds every wave the source ran on them. The names'
+// other owners are the destination's followers, which its own placement in
+// the arrive trip seeds. Arrive: the
 // destination promotes the handed shadows (Replica.Promote, idempotent: an
 // adopted copy is kept) and binds the other names where their objects stay
 // (Node.Arrive), then places the promoted names at its followers in the same
@@ -374,8 +376,8 @@ func (r *Rebalancer) migratePair(ctx context.Context, f flow, routing *Ring, epo
 		names[i] = m.name
 	}
 	if len(handed) > 0 {
-		hand := placeItem(f.src, routing, epoch, handed)
-		hand.method = "Seed"
+		hand := item{name: f.src, root: ReplicaRef(f.src), method: "Seed",
+			args: []any{[]string{f.dst}, 1, epoch, handed}}
 		if _, err := r.trip(ctx, tripHand, ReplicaRef(f.src), []item{hand}); err != nil {
 			return err
 		}

@@ -119,8 +119,8 @@ type change struct {
 //     same trip (mover.go, elect), so step 4 drains the rest to their ring
 //     homes like any other name.
 //  4. Migrate copy-then-tombstone, and place before depart: each flow's
-//     source hands its movable names to their new owners over its ordered
-//     links, the destination promotes them and seeds their followers from
+//     source hands its movable names to their new home over its ordered
+//     link, the destination promotes them and seeds their followers from
 //     there (in the arrive trip), and only then the source departs
 //     (migratePair). A failure at any point leaves every name readable
 //     somewhere. The plan is whatever is still mis-homed on the sources, so

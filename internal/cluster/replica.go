@@ -20,12 +20,10 @@ import (
 // ReplRecord is one replicated flush wave as its primary ships it: the
 // primary's own decoded batch request, re-addressed by root NAME so a
 // follower can replay it against shadow state (see replicate.go and
-// DESIGN.md, "Replication & failover"). ID and Primary are minted at the
-// primary; nothing of a record's identity comes from the client. A record is
-// self-contained: the follower replays it on its own.
+// DESIGN.md, "Replication & failover"). A record is self-contained: the
+// follower replays it on its own. It carries no identity: its primary's link
+// sends it once, so the follower applies it once.
 type ReplRecord struct {
-	// ID uniquely identifies this wave for idempotent appends.
-	ID string
 	// Primary is the endpoint the wave executed on — the shard the record
 	// belongs to.
 	Primary string
@@ -48,8 +46,6 @@ type ReplRecord struct {
 // seeded shadow at the newest epoch with the most applied records wins.
 type ShardInfo struct {
 	Primary string
-	Epoch   uint64 // newest epoch at which the shard accepted a record or install
-	Len     int64  // records appended to the shard's ordered log
 	Names   []NameInfo
 }
 
@@ -128,21 +124,11 @@ type shadowObj struct {
 	home bool
 }
 
-// shard is the ordered replication log of one primary endpoint as seen by
-// this follower: applied record count, idempotence set, and the shadow
-// objects the log applies to.
-type shard struct {
-	epoch   uint64
-	length  int64
-	seen    map[string]bool
-	shadows map[string]*shadowObj
-}
-
 // Replica is the per-server shard replication service, exported at the
 // reserved rmi.ReplicaObjID, and the ship hook of the server's batch executor
-// (replicate.go). Append is the follower's end of log shipping: it appends
-// each shipped wave to its per-shard ordered log and replays it onto shadow
-// state through the local batch executor — same order, dependency
+// (replicate.go). Append is the follower's end of log shipping: it replays
+// each shipped wave onto its shard's shadow state through the local batch
+// executor, in the order its primary's link sent them — same dependency
 // propagation and exception policy as the primary run, each record on its
 // own, keeping no session between records. Place is replica
 // (re)placement at a primary, driven by the rebalancer: it snapshots the
@@ -167,7 +153,7 @@ type Replica struct {
 	promotions *stats.Counter   // cluster.promotions
 
 	mu     sync.Mutex
-	shards map[string]*shard
+	shards map[string]map[string]*shadowObj // primary -> name -> its shadow
 
 	// A wave holds gate shared from reading the ring view in admit until its
 	// record is queued, a placement exclusively while it flips the view,
@@ -190,7 +176,7 @@ func StartReplica(p *rmi.Peer, reg *registry.Service, node *Node, exec *core.Exe
 		reg:    reg,
 		node:   node,
 		exec:   exec,
-		shards: make(map[string]*shard),
+		shards: make(map[string]map[string]*shadowObj),
 	}
 	if s := p.Stats(); s != nil {
 		r.stats = s
@@ -207,19 +193,21 @@ func StartReplica(p *rmi.Peer, reg *registry.Service, node *Node, exec *core.Exe
 	return r, nil
 }
 
-func (r *Replica) shardFor(primary string) *shard {
+// shardFor returns the shadows of primary's shard, creating it on first
+// sight. Caller holds r.mu.
+func (r *Replica) shardFor(primary string) map[string]*shadowObj {
 	sh := r.shards[primary]
 	if sh == nil {
-		sh = &shard{seen: make(map[string]bool), shadows: make(map[string]*shadowObj)}
+		sh = make(map[string]*shadowObj)
 		r.shards[primary] = sh
 	}
 	return sh
 }
 
-// shadowFor returns name's shadow under sh, constructing a zero-state
-// instance on first sight. Caller holds r.mu.
-func (r *Replica) shadowFor(sh *shard, name, iface string) (*shadowObj, error) {
-	if sd := sh.shadows[name]; sd != nil {
+// shadowFor returns name's shadow in sh, constructing a zero-state instance
+// on first sight. Caller holds r.mu.
+func (r *Replica) shadowFor(sh map[string]*shadowObj, name, iface string) (*shadowObj, error) {
+	if sd := sh[name]; sd != nil {
 		return sd, nil
 	}
 	factory, ok := movableFactory(iface)
@@ -232,7 +220,7 @@ func (r *Replica) shadowFor(sh *shard, name, iface string) (*shadowObj, error) {
 		return nil, fmt.Errorf("cluster: replicate %q: export shadow: %w", name, err)
 	}
 	sd := &shadowObj{obj: obj, ref: ref, iface: iface}
-	sh.shadows[name] = sd
+	sh[name] = sd
 	return sd, nil
 }
 
@@ -250,11 +238,11 @@ func (r *Replica) Append(ctx context.Context, recs []*ReplRecord) []error {
 	return slots
 }
 
-// apply appends one record to its shard's log and replays it onto shadow
-// state. Records are idempotent by ID; a record whose epoch is behind this
-// node's ring epoch is rejected with StaleShipError (the owner list that
-// routed it is stale). Nothing about rec is trusted: it is whatever the wire
-// decoded.
+// apply replays one record onto its shard's shadows. Each record is applied
+// as it arrives: its primary's link sent it once, in queue order. A record
+// whose epoch is behind this node's ring epoch is rejected with
+// StaleShipError (the owner list that routed it is stale). Nothing about rec
+// is trusted: it is whatever the wire decoded.
 func (r *Replica) apply(ctx context.Context, rec *ReplRecord) error {
 	switch {
 	case rec == nil || rec.Primary == "" || len(rec.Names) == 0 || rec.Payload == nil:
@@ -268,9 +256,6 @@ func (r *Replica) apply(ctx context.Context, rec *ReplRecord) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	sh := r.shardFor(rec.Primary)
-	if sh.seen[rec.ID] {
-		return nil
-	}
 	shadows := make([]*shadowObj, len(rec.Names))
 	for i, name := range rec.Names {
 		sd, err := r.shadowFor(sh, name, rec.Ifaces[i])
@@ -284,11 +269,8 @@ func (r *Replica) apply(ctx context.Context, rec *ReplRecord) error {
 		extras = append(extras, sd.ref.ObjID)
 	}
 	if _, err := r.exec.ReplayShadow(ctx, rec.Payload, shadows[0].ref.ObjID, extras); err != nil {
-		return fmt.Errorf("cluster: replica append %q: %w", rec.ID, err)
+		return fmt.Errorf("cluster: replica append: %w", err)
 	}
-	sh.seen[rec.ID] = true
-	sh.length++
-	sh.epoch = max(sh.epoch, rec.Epoch)
 	for _, sd := range shadows {
 		sd.applied++
 		sd.epoch = max(sd.epoch, rec.Epoch)
@@ -337,7 +319,7 @@ func (r *Replica) install(name, iface string, state any, primary string, epoch u
 		}
 	}
 	sh := r.shardFor(primary)
-	sd := sh.shadows[name]
+	sd := sh[name]
 	if sd != nil && sd.iface != iface {
 		r.drop(sh, name)
 		sd = nil
@@ -370,8 +352,7 @@ func (r *Replica) install(name, iface string, state any, primary string, epoch u
 	sd.epoch = max(sd.epoch, epoch)
 	ring, _ := r.viewRing()
 	sd.home = ring.Route(name) == r.peer.Endpoint()
-	sh.shadows[name] = sd
-	sh.epoch = max(sh.epoch, epoch)
+	sh[name] = sd
 	r.installs.Inc()
 	return nil
 }
@@ -405,11 +386,11 @@ func (r *Replica) Place(ctx context.Context, members []string, replication int, 
 // the current epoch before any node is fenced: once one is, a failover
 // election no longer sees the leaving member's shadows, so a primary that
 // dies before its own fence must already have seeded the followers that
-// replace it. A migration's source runs it to hand the moving names to their
-// new home, one of their owners (Rebalancer.migratePair): once every Install
-// is acked, so is every record queued ahead of it. That source may be
-// leaving the ring, and the ring may be unreplicated, so Seed accepts a ring
-// without this server and a replication of 1.
+// replace it. A migration's source runs it over the one-member ring of the
+// moving names' new home at replication 1, to hand them there alone
+// (Rebalancer.migratePair): once the Install is acked, so is every record
+// queued ahead of it. So Seed accepts a ring without this server and a
+// replication of 1.
 func (r *Replica) Seed(ctx context.Context, members []string, replication int, epoch uint64, names []string) error {
 	return r.place(ctx, members, replication, epoch, names, false)
 }
@@ -511,22 +492,20 @@ func (r *Replica) Release(ctx context.Context, names []string) {
 func (r *Replica) Forget(primary string, names []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sh := r.shards[primary]; sh != nil {
-		for _, name := range names {
-			r.drop(sh, name)
-		}
+	for _, name := range names {
+		r.drop(r.shards[primary], name)
 	}
 }
 
 // drop removes name's shadow from sh and unexports it, unless it is the
 // object bound for name here: a shadow nobody binds is reachable by no one,
 // and a membership change drops some at every follower. Caller holds r.mu.
-func (r *Replica) drop(sh *shard, name string) {
-	sd := sh.shadows[name]
+func (r *Replica) drop(sh map[string]*shadowObj, name string) {
+	sd := sh[name]
 	if sd == nil {
 		return
 	}
-	delete(sh.shadows, name)
+	delete(sh, name)
 	if bound, err := r.reg.Lookup(name); err == nil && bound == sd.ref {
 		return
 	}
@@ -598,25 +577,23 @@ func (r *Replica) Survey(primary string) []*ShardInfo {
 	defer r.mu.Unlock()
 	var out []*ShardInfo
 	for _, p := range sortedKeys(r.shards) {
-		if (primary == "" || p == primary) && len(r.shards[p].shadows) > 0 {
+		if (primary == "" || p == primary) && len(r.shards[p]) > 0 {
 			out = append(out, r.shardInfo(p))
 		}
 	}
 	return out
 }
 
-// shardInfo reports this follower's replica of primary's shard: log epoch,
-// log length, and the shadowed names. Caller holds r.mu.
+// shardInfo reports this follower's replica of primary's shard: its shadowed
+// names and their credentials. Caller holds r.mu.
 func (r *Replica) shardInfo(primary string) *ShardInfo {
 	info := &ShardInfo{Primary: primary}
 	sh := r.shards[primary]
 	if sh == nil {
 		return info
 	}
-	info.Epoch = sh.epoch
-	info.Len = sh.length
-	info.Names = make([]NameInfo, 0, len(sh.shadows))
-	for name, sd := range sh.shadows {
+	info.Names = make([]NameInfo, 0, len(sh))
+	for name, sd := range sh {
 		info.Names = append(info.Names, NameInfo{
 			Name:      name,
 			Seeded:    sd.seeded,
@@ -646,11 +623,7 @@ func (r *Replica) Promote(primary string, names []string, epoch uint64) ([]strin
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var shadows map[string]*shadowObj
-	sh := r.shards[primary]
-	if sh != nil {
-		shadows = sh.shadows
-	}
+	shadows := r.shards[primary]
 	held := make([]bool, len(names))
 	for i, name := range names {
 		existing, err := r.reg.Lookup(name)
@@ -666,7 +639,7 @@ func (r *Replica) Promote(primary string, names []string, epoch uint64) ([]strin
 			continue
 		}
 		if held[i] {
-			r.drop(sh, name)
+			r.drop(shadows, name)
 			continue
 		}
 		r.reg.Rebind(name, sd.ref)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -25,10 +24,14 @@ import (
 // followers and answers once the quorum holds it (Replica.ship). A link is
 // the primary's one ordered queue to one follower: records, placement
 // Installs and Forgets leave it in queue order, one call at a time, and
-// what queues behind an Append rides the next one. Every wave is vetted and named on its
-// own — the executor refuses a directive on a request that keeps or continues
-// a session — so neither end keeps state between waves. A replicated wave
-// costs the client its primary trips and nothing else.
+// what queues behind an Append rides the next one. A link sends each
+// shipment at most once — a call that got no answer fails what queued behind
+// it, unsent, and nothing is resent — so a follower applies each record it
+// is sent once, in queue order, with no record identity to dedupe by. Every
+// wave is vetted on its own — the executor refuses a directive on a request
+// that keeps or continues a session — so neither end keeps state between
+// waves. A replicated wave costs the client its primary trips and nothing
+// else.
 
 // shipTimeout bounds a shipment — a wave's record or a placement's Install —
 // from being queued on a link to being answered. Ships past the quorum ack
@@ -103,9 +106,7 @@ func (b *Batch) replicates(g *group) bool {
 // dialed; one fenced by another epoch is refused so with *StaleShipError,
 // which the client treats like a wrong-home refusal (refresh, re-route, one
 // retry). A wave nobody follows, or with a root no follower could build a
-// shadow of — its interface has no movable factory — runs unreplicated. Every
-// wave is named on its own: its record's ID is this peer's process-unique
-// identity and the executor's number for the wave.
+// shadow of — its interface has no movable factory — runs unreplicated.
 func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 	d := w.Directive
 	names, err := waveNames(w)
@@ -131,7 +132,6 @@ func (r *Replica) admit(w *core.Wave) (core.ShipFunc, error) {
 		return nil, err
 	}
 	rec := &ReplRecord{
-		ID:      r.peer.ClientID() + "#" + strconv.FormatUint(w.Session, 10),
 		Primary: r.peer.Endpoint(),
 		Epoch:   d.Epoch,
 		Names:   names,

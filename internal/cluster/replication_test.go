@@ -310,7 +310,7 @@ func TestReplayIgnoresRootNames(t *testing.T) {
 	follower.Reg.Rebind("obj-0", ref)
 
 	rec := &cluster.ReplRecord{
-		ID: "test#1", Primary: primary, Epoch: epoch,
+		Primary: primary, Epoch: epoch,
 		Names: []string{"obj-0"}, Ifaces: []string{clustertest.CounterIface},
 		Payload: shippedPayload(t, ec, primary, "obj-0", 5),
 	}
@@ -338,22 +338,24 @@ func TestAppendRejectsRootCountMismatch(t *testing.T) {
 	primary, follower := owners[0], ec.Server(owners[1])
 
 	rec := &cluster.ReplRecord{
-		ID: "test#1", Primary: primary, Epoch: epoch,
+		Primary: primary, Epoch: epoch,
 		Names:   []string{"obj-0", "obj-1"},
 		Ifaces:  []string{clustertest.CounterIface, clustertest.CounterIface},
 		Payload: shippedPayload(t, ec, primary, "obj-0", 5),
 	}
+	appends := func() int64 { return follower.Stats.Snapshot().Counter("cluster.replica_appends") }
+	before := appends()
 	if errs := appendTo(t, ec, follower.Endpoint, rec); errs[0] == nil {
 		t.Fatal("append of a two-name record over a one-root payload succeeded")
 	}
-	if si := follower.Replica.ShardInfo(primary); si.Len != 0 {
-		t.Errorf("follower logged %d records, want none", si.Len)
+	if got := appends() - before; got != 0 {
+		t.Errorf("follower applied %d records, want none", got)
 	}
 	shadow, ok := follower.Replica.Shadow(primary, "obj-0")
 	if !ok {
 		t.Fatal("no readable shadow of obj-0")
 	}
-	if got := shadow.(*clustertest.Counter).Get(); got != 100 {
-		t.Errorf("shadow = %d after the refused record, want the seeded 100", got)
+	if c := shadow.(*clustertest.Counter); c.Get() != 100 || len(c.History()) != 0 {
+		t.Errorf("shadow = %d with history %v after the refused record, want the seeded 100 and nothing replayed", c.Get(), c.History())
 	}
 }

@@ -511,3 +511,75 @@ func TestWavesQueuedBehindAnAppendRideTheNext(t *testing.T) {
 		t.Errorf("%s's shadow of %s replayed %v, want the primary's queue order [1 2 4]", slow, name, got)
 	}
 }
+
+// TestLinkSendsARecordOnce: a follower applies each record once because its
+// primary's link sends it once, not because it dedupes. The connection from
+// the primary to its slow follower is cut after the follower applied wave 1's
+// Append and before its reply arrived. Wave 1 then misses W=all on that
+// follower's failure, and wave 2, acked at W=2 while its record waited on the
+// link behind wave 1's call, fails there unsent. Nothing is resent: after two
+// later waves the follower's shadow holds wave 1's delta exactly once, wave
+// 2's not at all, and the later two in order.
+func TestLinkSendsARecordOnce(t *testing.T) {
+	ec, dir := shipCluster(t)
+	ctx := context.Background()
+	// Long enough that wave 1's reply is still on its way when the cut
+	// lands; nothing waits it out.
+	const delay = 2 * time.Second
+	name := nameWhere(t, dir, "a", "server-0", anyOwners)
+	place(t, ec, dir, name)
+	owners, _ := dir.Owners(name)
+	primary, slow := owners[0], owners[2]
+	ec.Network.SetLinkFaults(slow, primary, netsim.LinkFaults{ExtraLatency: delay})
+	t.Cleanup(func() { ec.Network.KillConns(slow) })
+	counter := func(name string) int64 { return ec.Server(slow).Stats.Snapshot().Counter(name) }
+	ships, appends := counter("cluster.replica_ships"), counter("cluster.replica_appends")
+	flush := func(delta int64, quorum int) error {
+		b := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithQuorum(quorum))
+		p, err := b.RootNamed(ctx, name)
+		if err != nil {
+			return err
+		}
+		p.Call("Add", delta)
+		return b.Flush(ctx)
+	}
+
+	first := make(chan error, 1)
+	go func() { first <- flush(1, 0) }()
+	// Only the follower's answers crawl: wave 1's Append reaches it at once.
+	for deadline := time.Now().Add(delay); counter("cluster.replica_appends") == appends; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("wave 1's Append never reached the slow follower")
+		}
+	}
+	if err := flush(2, 2); err != nil {
+		t.Fatalf("W=2 flush of wave 2: %v", err)
+	}
+	ec.Network.KillConns(slow)
+	ec.Network.SetLinkFaults(slow, primary, netsim.LinkFaults{})
+	var qe *cluster.QuorumError
+	var fe *cluster.FollowerError
+	switch err := <-first; {
+	case err == nil:
+		t.Fatal("setup: wave 1's reply arrived before the cut")
+	case !errors.As(err, &qe) || qe.Acked != 2 || qe.Required != 3:
+		t.Fatalf("wave 1 = %v, want a quorum miss at 2 of 3", err)
+	case !errors.As(err, &fe) || fe.Endpoint != slow:
+		t.Fatalf("wave 1's quorum miss %v does not name %s", err, slow)
+	}
+	if got := counter("cluster.replica_ships") - ships; got != 1 {
+		t.Errorf("the slow follower served %d Append calls, want 1: wave 2 fails unsent behind the cut one", got)
+	}
+
+	for _, delta := range []int64{4, 8} {
+		if err := flush(delta, 0); err != nil {
+			t.Fatalf("W=all flush of %d after the cut: %v", delta, err)
+		}
+	}
+	if got := shadowHistory(t, ec, slow, primary, name); !reflect.DeepEqual(got, []int64{1, 4, 8}) {
+		t.Errorf("%s's shadow of %s replayed %v, want [1 4 8]: wave 1 once, wave 2 never", slow, name, got)
+	}
+	if got := counter("cluster.replica_appends") - appends; got != 3 {
+		t.Errorf("the slow follower applied %d records, want 3", got)
+	}
+}

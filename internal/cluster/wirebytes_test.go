@@ -386,10 +386,14 @@ func TestFlushBytesAttributed(t *testing.T) {
 			}
 		}, wireBytes{Header: 12, Envelope: 32, Calls: 91, Results: 22, Roots: 27, Directive: 33}, rmi.ReplicaObjID, map[string]hopBytes{
 			// server-0 follows the two primaries of one root each; the others
-			// follow server-0, whose record carries its two roots.
-			"server-0": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 194, Reply: 16},
-			"server-1": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 228, Reply: 16},
-			"server-2": {Calls: 2, Header: 9, Envelope: 14, Method: 4, Body: 228, Reply: 16},
+			// follow server-0, whose record carries its two roots. A record
+			// carries no ID: each body is 40 B below the 194/228/228 of
+			// records that said their 20 B `ClientID#session` each, and
+			// server-0's two-root record to server-1 and server-2 now fits a
+			// frame whose length takes 1 byte, not 2.
+			"server-0": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 154, Reply: 16},
+			"server-1": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 188, Reply: 16},
+			"server-2": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 188, Reply: 16},
 		}},
 	}
 	for _, c := range cases {

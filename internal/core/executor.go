@@ -188,9 +188,6 @@ type Wave struct {
 	Names []string
 	// Roots are the export ids the request's roots resolved to on this peer.
 	Roots []uint64
-	// Session identifies the wave on this executor for as long as the
-	// executor lives.
-	Session uint64
 }
 
 // ShipHook vets a directive-carrying wave before it executes: an error
@@ -272,7 +269,7 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 	}
 	var ship ShipFunc
 	if req.Ship != nil {
-		if ship, err = e.admitShip(req, sessID, named); err != nil {
+		if ship, err = e.admitShip(req, named); err != nil {
 			return nil, err
 		}
 	}
@@ -324,7 +321,7 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 
 // admitShip hands a directive-carrying request to the ship hook, after its
 // roots resolved and before anything executes.
-func (e *Executor) admitShip(req *batchRequest, sessID uint64, named []wire.Ref) (ShipFunc, error) {
+func (e *Executor) admitShip(req *batchRequest, named []wire.Ref) (ShipFunc, error) {
 	e.mu.Lock()
 	hook := e.shipHook
 	e.mu.Unlock()
@@ -337,7 +334,7 @@ func (e *Executor) admitShip(req *batchRequest, sessID uint64, named []wire.Ref)
 			roots[i] = ref.ObjID
 		}
 	}
-	return hook(&Wave{Directive: req.Ship, Names: req.Names, Roots: roots, Session: sessID})
+	return hook(&Wave{Directive: req.Ship, Names: req.Names, Roots: roots})
 }
 
 // resolveSession turns a request's roots into live objects and finds or

@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/rmi"
 )
 
 // TestCallBatchExportPinsResult: a call recorded with CallBatchExport
@@ -93,72 +90,5 @@ func TestCallBatchExportInsideCursorRejected(t *testing.T) {
 	b2.Root().CallBatchExport("GetFile", cur2)
 	if err := b2.Flush(ctx); !errors.As(err, &be) {
 		t.Fatalf("flush with cursor-owned argument = %v, want BatchError", err)
-	}
-}
-
-// TestExportedRefLeaseLifecycle: a pinned result lives under DGC — the
-// marshal-grace lease hands off to the client's HoldRef, renewal keeps the
-// export alive well past the lease period, and ReleaseRef lets the server
-// collect it.
-func TestExportedRefLeaseLifecycle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("lease timing test")
-	}
-	ctx := context.Background()
-	network := netsim.New(netsim.Instant)
-	t.Cleanup(func() { _ = network.Close() })
-	const lease = 50 * time.Millisecond
-	server := rmi.NewPeer(network, rmi.WithLogf(silentLogf), rmi.WithLease(lease))
-	if err := server.Serve("server"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = server.Close() })
-	exec, err := core.Install(server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(exec.Stop)
-	client := rmi.NewPeer(network, rmi.WithLogf(silentLogf))
-	t.Cleanup(func() { _ = client.Close() })
-
-	dir := &directory{}
-	dir.files = append(dir.files, &file{dir: dir, name: "A.txt", size: 1, date: baseDate(1)})
-	dirRef, err := server.Export(dir, "coretest.Directory")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	b := core.New(client, dirRef)
-	p := b.Root().CallBatchExport("GetFile", "A.txt")
-	if err := b.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := p.ExportedRef()
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.HoldRef(ref)
-
-	// The client's renewal keeps the auto-export alive far beyond both the
-	// marshal grace and the lease period.
-	time.Sleep(4 * lease)
-	if _, err := client.Call(ctx, ref, "GetName"); err != nil {
-		t.Fatalf("held export unreachable after 4 lease periods: %v", err)
-	}
-
-	// Releasing the last hold lets the lease table report the object
-	// collectable and the export table drop it.
-	client.ReleaseRef(ctx, ref)
-	deadline := time.Now().Add(4 * lease)
-	for {
-		_, err := client.Call(ctx, ref, "GetName")
-		var nso *rmi.NoSuchObjectError
-		if errors.As(err, &nso) {
-			break // collected
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("export still reachable %v after release (last err %v)", 4*lease, err)
-		}
-		time.Sleep(lease / 4)
 	}
 }

@@ -3,9 +3,21 @@ package rmi
 import (
 	"reflect"
 	"slices"
+	"time"
 
 	"repro/internal/wire"
 )
+
+// WithLease sets the DGC lease duration granted to clients of this peer,
+// and from which the client-side renewal interval (lease/3) is derived, so
+// a lease test can watch one expire in test time.
+func WithLease(d time.Duration) Option {
+	return func(o *options) {
+		o.lease = d
+		o.sweepEvery = d / 4
+		o.renewEvery = d / 3
+	}
+}
 
 // ProtocolMethods returns the protocol method table.
 func ProtocolMethods() []string { return slices.Clone(protocolMethods[:]) }

@@ -1,0 +1,68 @@
+package rmi_test
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/rmi"
+)
+
+// TestExportedRefLeaseLifecycle: a result a batch pins (core's
+// CallBatchExport) lives under DGC — the marshal-grace lease hands off to
+// the client's HoldRef, renewal keeps the export alive well past the lease
+// period, and ReleaseRef lets the server collect it. It sits with the other
+// lease tests, the only ones that shorten a peer's lease.
+func TestExportedRefLeaseLifecycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lease timing test")
+	}
+	ctx := context.Background()
+	const lease = 50 * time.Millisecond
+	server, client := newPair(t, rmi.WithLease(lease))
+	exec, err := core.Install(server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(exec.Stop)
+	svc, err := server.Export(&identitySvc{}, "test.IdentitySvc")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := core.New(client, svc)
+	p := b.Root().CallBatchExport("Create")
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := p.ExportedRef()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.HoldRef(ref)
+
+	// The client's renewal keeps the auto-export alive far beyond both the
+	// marshal grace and the lease period.
+	time.Sleep(4 * lease)
+	if _, err := client.Call(ctx, ref, "Value"); err != nil {
+		t.Fatalf("held export unreachable after 4 lease periods: %v", err)
+	}
+
+	// Releasing the last hold lets the lease table report the object
+	// collectable and the export table drop it.
+	client.ReleaseRef(ctx, ref)
+	deadline := time.Now().Add(4 * lease)
+	for {
+		_, err := client.Call(ctx, ref, "Value")
+		var nso *rmi.NoSuchObjectError
+		if errors.As(err, &nso) {
+			break // collected
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("export still reachable %v after release (last err %v)", 4*lease, err)
+		}
+		time.Sleep(lease / 4)
+	}
+}

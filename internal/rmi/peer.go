@@ -90,16 +90,6 @@ func WithStatsRegistry(r *stats.Registry) Option {
 	return func(o *options) { o.reg = r }
 }
 
-// WithLease sets the DGC lease duration granted to clients of this peer,
-// and from which the client-side renewal interval (lease/3) is derived.
-func WithLease(d time.Duration) Option {
-	return func(o *options) {
-		o.lease = d
-		o.sweepEvery = d / 4
-		o.renewEvery = d / 3
-	}
-}
-
 // NewPeer creates a peer on the given network. It can issue calls
 // immediately; call Serve to also export objects.
 func NewPeer(network transport.Network, opts ...Option) *Peer {
