@@ -170,13 +170,12 @@ func TestScaleOutTripsIndependentOfObjects(t *testing.T) {
 
 // TestConvergedReAddCriticalPath: placing an R=3 cluster of four servers and
 // then re-adding one of its members — the placement call every replicated
-// deployment makes — on links with RTT r. Every client phase is one call per
-// server in parallel. Placement is the fence, and the survey rides in its
-// trip: the ring refresh, then one trip per member that flips its ring,
-// seeds its followers — one server-to-server hop, the primaries' Installs —
-// and reads its name table and replicas. First placement and settled re-add
-// alike cost 8 calls in 3r of virtual time. Bounds are half-open by one r,
-// as in TestWaveTimeIsOneRTT.
+// deployment makes — on links with RTT r. Neither mints an epoch, so its
+// fence is its ring refresh: one client phase, one trip per member in
+// parallel, that flips its ring, seeds its followers — one server-to-server
+// hop, the primaries' Installs — and reads its name table and replicas.
+// First placement and settled re-add alike cost 4 calls in 2r of virtual
+// time. Bounds are half-open by one r, as in TestWaveTimeIsOneRTT.
 func TestConvergedReAddCriticalPath(t *testing.T) {
 	const r = 10 * time.Millisecond
 	clk := netsim.NewVirtualClock()
@@ -199,8 +198,8 @@ func TestConvergedReAddCriticalPath(t *testing.T) {
 		calls uint64
 		rtts  time.Duration
 	}{
-		{"first placement", 8, 3},
-		{"converged re-add", 8, 3},
+		{"first placement", 4, 2},
+		{"converged re-add", 4, 2},
 	} {
 		before, start := ec.Client.CallCount(), clk.Now()
 		st, err := reb.AddServer(ctx, "server-0")

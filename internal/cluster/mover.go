@@ -25,10 +25,11 @@ import (
 // place trip that also reads what the election needs. A migration's source
 // hands its moving names to their new home so (Replica.Seed), and the home
 // promotes them as a failover promotes a dead primary's shadows. Over four
-// members a replicated placement, first or settled, costs 8 client calls and
-// 3 RTT (apply); an R=2 scale-out from three members to four, 16. Get-Batch's
-// streaming read shares the contract but not the trip, and lives in
-// getbatch.go.
+// members a replicated placement, first or settled, mints no epoch, so its
+// fence is its ring refresh: 4 client calls and 2 RTT (apply, converge). An R=2
+// scale-out from three members to four, which mints one and refreshes first,
+// costs 16. Get-Batch's streaming read shares the contract but not the trip,
+// and lives in getbatch.go.
 
 // tripKind names one batched round trip of the control plane.
 type tripKind string

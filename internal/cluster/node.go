@@ -72,6 +72,7 @@ type Binding struct {
 func init() {
 	wire.MustRegister("cluster.ringSnapshot", &RingSnapshot{})
 	wire.MustRegister("cluster.binding", &Binding{})
+	wire.MustRegisterError("cluster.RingRefused", &RingRefusedError{})
 }
 
 // NodeRef builds the well-known reference of the cluster node service at
@@ -152,14 +153,37 @@ func (n *Node) RingState() *RingSnapshot {
 	return &RingSnapshot{Members: append([]string(nil), n.members...), Epoch: n.epoch}
 }
 
+// RingRefusedError reports a ring a node refused to adopt: one behind its
+// epoch (stale), or another member set at its epoch (conflicting). A
+// rebalancer cures a stale refusal by refreshing its directory and fencing
+// again; a conflict it cannot, as the refresh reads the same epoch back.
+type RingRefusedError struct {
+	Epoch     uint64   // the epoch offered
+	NodeEpoch uint64   // the refusing node's epoch
+	Members   []string // a conflict's member sets: the node's …
+	Offered   []string // … and the one offered
+}
+
+func (e *RingRefusedError) Error() string {
+	if e.Conflict() {
+		return fmt.Sprintf("cluster: conflicting ring broadcast at epoch %d: %v here vs %v offered", e.Epoch, e.Members, e.Offered)
+	}
+	return fmt.Sprintf("cluster: stale ring broadcast: epoch %d is behind this node's epoch %d — refresh the directory before rebalancing", e.Epoch, e.NodeEpoch)
+}
+
+// Conflict reports whether the refusal is a conflicting member set at the
+// node's own epoch.
+func (e *RingRefusedError) Conflict() bool { return e.Epoch == e.NodeEpoch }
+
 // SetRing adopts a newer ring state. A broadcast behind this node's epoch
 // is rejected LOUDLY — a silent drop would let a rebalancer with a stale
 // directory believe its membership change propagated when every node
 // ignored it. Re-broadcasts of the current epoch with identical membership
 // are accepted (rebalance retries); a conflicting member set at the same
-// epoch is an error. A member listed twice or without an endpoint is refused
-// typed, the view unchanged: a primary picks its followers off this
-// membership, and every client's Ring lists each member once.
+// epoch is an error. Both refusals are a *RingRefusedError. A member listed
+// twice or without an endpoint is refused typed, the view unchanged: a
+// primary picks its followers off this membership, and every client's Ring
+// lists each member once.
 func (n *Node) SetRing(s *RingSnapshot) error {
 	if s == nil {
 		return errors.New("cluster: set ring: nil snapshot")
@@ -178,10 +202,10 @@ func (n *Node) SetRing(s *RingSnapshot) error {
 	defer n.mu.Unlock()
 	switch {
 	case s.Epoch < n.epoch:
-		return fmt.Errorf("cluster: stale ring broadcast: epoch %d is behind this node's epoch %d — refresh the directory before rebalancing", s.Epoch, n.epoch)
+		return &RingRefusedError{Epoch: s.Epoch, NodeEpoch: n.epoch}
 	case s.Epoch == n.epoch && len(n.members) > 0:
 		if !slices.Equal(members, n.members) {
-			return fmt.Errorf("cluster: conflicting ring broadcast at epoch %d: %v here vs %v offered", s.Epoch, n.members, members)
+			return &RingRefusedError{Epoch: s.Epoch, NodeEpoch: n.epoch, Members: n.members, Offered: members}
 		}
 		return nil
 	}

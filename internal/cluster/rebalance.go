@@ -85,7 +85,11 @@ type change struct {
 	shard string
 	// sources lists the members whose name tables are planned for moves.
 	sources []string
-	// commit applies the change to the live ring; nil on a retry.
+	// leaving is the member a removal drains, surveyed first for shards only
+	// it still replicates (guardOrphanedReplicas); empty for any other change.
+	leaving string
+	// commit applies the change to the live ring; nil for a change that mints
+	// no epoch.
 	commit func()
 }
 
@@ -140,9 +144,15 @@ type change struct {
 // parallel. An electing change (AddServer and FailoverServer on a replicated
 // ring) reads each member's name table and replicas in its place trip, after
 // the fence, so a refused fence places nothing and skips the reads; a change
-// that moves and promotes nothing costs the ring refresh plus that one trip
-// per member, whose name tables the plan reuses.
+// that moves and promotes nothing costs that one trip per member, whose name
+// tables the plan reuses — plus the ring refresh before it when the change
+// mints an epoch, or when its fence was refused (converge).
 func (r *Rebalancer) apply(ctx context.Context, c change) (*RebalanceStats, error) {
+	if c.leaving != "" {
+		if err := r.guardOrphanedReplicas(ctx, c.leaving, r.dir.Ring()); err != nil {
+			return nil, err
+		}
+	}
 	if err := r.preseed(ctx, c.seed, c.target, r.dir.Ring().Epoch()); err != nil {
 		return nil, err
 	}
@@ -187,36 +197,66 @@ func without(endpoints []string, ep string) []string {
 	return slices.DeleteFunc(endpoints, func(e string) bool { return e == ep })
 }
 
+// converge derives a membership change from the directory's ring (build) and
+// applies it. A change that mints no epoch runs at once on the ring as it
+// stands: its fence is its refresh, because a fence at the directory's epoch
+// can only be refused — a node ahead refuses it typed, before anything is
+// placed — and a node behind that adopts it completes a fence some node
+// already holds. On any failure but a same-epoch conflict (*RingRefusedError),
+// which no refresh cures, it takes the epoch-minting path once: refresh,
+// derive the change again, apply. That path refreshes first, always: a stale
+// rebalancer fencing the epoch after its own could meet a cluster already
+// there with another member set, and split it — the nodes still behind
+// adopting its ring, the rest refusing it — at one epoch.
+func (r *Rebalancer) converge(ctx context.Context, build func(ring *Ring) (change, error)) (*RebalanceStats, error) {
+	if c, err := build(r.dir.Ring()); err == nil && c.commit == nil {
+		st, err := r.apply(ctx, c)
+		var refused *RingRefusedError
+		if err == nil || errors.As(err, &refused) && refused.Conflict() {
+			return st, err
+		}
+	}
+	if err := r.dir.Refresh(ctx); err != nil {
+		return nil, err
+	}
+	c, err := build(r.dir.Ring())
+	if err != nil {
+		return nil, err
+	}
+	return r.apply(ctx, c)
+}
+
 // AddServer grows the cluster: the endpoint joins the ring (bumping the
 // epoch) and the keys the new ring routes to it are migrated there. The
 // endpoint must already be serving with a registry, a BRMI executor, and a
 // cluster node service. Calling it for an existing member does not bump the
 // epoch but still fences every member with the ring, re-seeding its
 // followers, rescues orphans and migrates whatever is mis-homed on any
-// member — it is the cluster's "converge on the current membership" call.
+// member — it is the cluster's "converge on the current membership" call,
+// and it skips the ring refresh unless its fence is refused (converge). A
+// join refreshes first: it adopts the cluster's authoritative epoch before
+// minting the next one, as a rebalancer whose directory was built fresh
+// against a long-lived cluster would otherwise fence at an epoch every node
+// rejects, or split a cluster already there.
 func (r *Rebalancer) AddServer(ctx context.Context, endpoint string) (*RebalanceStats, error) {
-	// Adopt the cluster's authoritative epoch before minting the next one:
-	// a rebalancer whose directory was built fresh against a long-lived
-	// cluster would otherwise fence at an epoch every node rejects.
-	if err := r.dir.Refresh(ctx); err != nil {
-		return nil, err
-	}
-	ring := r.dir.Ring()
-	// elect over every shard held is the orphan rescue: names may survive
-	// only as shadows — their primary was killed while every seeded follower
-	// was outside the ring, where a failover election cannot see them — and
-	// this very call may be re-admitting the holder.
-	c := change{target: ring, epoch: ring.Epoch(), elect: true}
-	if !ring.Contains(endpoint) {
-		c.target = ring.withMembers(append(ring.Endpoints(), endpoint))
-		c.epoch++
-		c.commit = func() { ring.Add(endpoint) }
-	}
-	c.notify = c.target.Endpoints()
-	// Scan every member, not just the pre-change set: on a retry, the plan
-	// is whatever is still mis-homed.
-	c.sources = c.notify
-	return r.apply(ctx, c)
+	return r.converge(ctx, func(ring *Ring) (change, error) {
+		// elect over every shard held is the orphan rescue: names may
+		// survive only as shadows — their primary was killed while every
+		// seeded follower was outside the ring, where a failover election
+		// cannot see them — and this very call may be re-admitting the
+		// holder.
+		c := change{target: ring, epoch: ring.Epoch(), elect: true}
+		if !ring.Contains(endpoint) {
+			c.target = ring.withMembers(append(ring.Endpoints(), endpoint))
+			c.epoch++
+			c.commit = func() { ring.Add(endpoint) }
+		}
+		c.notify = c.target.Endpoints()
+		// Scan every member, not just the pre-change set: on a retry, the
+		// plan is whatever is still mis-homed.
+		c.sources = c.notify
+		return c, nil
+	})
 }
 
 // RemoveServer shrinks the cluster: every name homed on the live endpoint is
@@ -227,33 +267,31 @@ func (r *Rebalancer) AddServer(ctx context.Context, endpoint string) (*Rebalance
 // endpoint's manifest must be readable, because a transient error could hide
 // stranded, tombstone-less names behind a success return — and the fences are
 // sent again, since the failed run may have died before they all landed.
+// Like a re-add, that confirmation skips the ring refresh unless its fence
+// is refused (converge); a removal refreshes first.
 func (r *Rebalancer) RemoveServer(ctx context.Context, endpoint string) (*RebalanceStats, error) {
-	if err := r.dir.Refresh(ctx); err != nil {
-		return nil, err
-	}
-	ring := r.dir.Ring()
-	if !ring.Contains(endpoint) {
-		st, err := r.apply(ctx, change{target: ring, epoch: ring.Epoch(), notify: append(ring.Endpoints(), endpoint), sources: []string{endpoint}})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: remove %s: cannot confirm the removed server is drained: %w", endpoint, err)
+	st, err := r.converge(ctx, func(ring *Ring) (change, error) {
+		if !ring.Contains(endpoint) {
+			return change{target: ring, epoch: ring.Epoch(), notify: append(ring.Endpoints(), endpoint), sources: []string{endpoint}}, nil
 		}
-		return st, nil
-	}
-	if ring.Size() == 1 {
-		return nil, errors.New("cluster: cannot remove the last server")
-	}
-	if err := r.guardOrphanedReplicas(ctx, endpoint, ring); err != nil {
-		return nil, err
-	}
-	survivors := without(ring.Endpoints(), endpoint)
-	return r.apply(ctx, change{
-		target:  ring.withMembers(survivors),
-		epoch:   ring.Epoch() + 1,
-		seed:    survivors,
-		notify:  append(survivors, endpoint),
-		sources: []string{endpoint},
-		commit:  func() { ring.Remove(endpoint) },
+		if ring.Size() == 1 {
+			return change{}, errors.New("cluster: cannot remove the last server")
+		}
+		survivors := without(ring.Endpoints(), endpoint)
+		return change{
+			target:  ring.withMembers(survivors),
+			epoch:   ring.Epoch() + 1,
+			seed:    survivors,
+			notify:  append(survivors, endpoint),
+			sources: []string{endpoint},
+			leaving: endpoint,
+			commit:  func() { ring.Remove(endpoint) },
+		}, nil
 	})
+	if err != nil && !r.dir.Ring().Contains(endpoint) {
+		return nil, fmt.Errorf("cluster: remove %s: cannot confirm the removed server is drained: %w", endpoint, err)
+	}
+	return st, err
 }
 
 // FailoverServer removes a DEAD member from the cluster, recovering its
@@ -264,7 +302,9 @@ func (r *Rebalancer) RemoveServer(ctx context.Context, endpoint string) (*Rebala
 // membership at epoch+1), elect the best survivor shadow of each of its
 // names, and let the ordinary migration home the promoted names. A dead
 // server already out of the ring means a prior failover got at least as far
-// as a fence; the remaining steps re-run at the current epoch.
+// as a fence; the remaining steps re-run at the current epoch, skipping the
+// ring refresh unless the fence is refused (converge). The refresh's poll
+// tolerates the dead member: it fails only when NO node answers.
 //
 // Acked waves survive under W=all: an acked wave is on every follower of its
 // keys, and a survivor's placement snapshots are cut in the same hold of its
@@ -275,23 +315,20 @@ func (r *Rebalancer) RemoveServer(ctx context.Context, endpoint string) (*Rebala
 // does" — the election still picks the longest seeded log, which holds every
 // acked wave whenever any surviving follower does.
 func (r *Rebalancer) FailoverServer(ctx context.Context, dead string) (*RebalanceStats, error) {
-	// The poll tolerates the dead member (it fails only when NO node answers).
-	if err := r.dir.Refresh(ctx); err != nil {
-		return nil, err
-	}
-	ring := r.dir.Ring()
-	c := change{target: ring, epoch: ring.Epoch(), elect: true, shard: dead}
-	if ring.Contains(dead) {
-		if ring.Size() == 1 {
-			return nil, errors.New("cluster: cannot fail over the last server")
+	return r.converge(ctx, func(ring *Ring) (change, error) {
+		c := change{target: ring, epoch: ring.Epoch(), elect: true, shard: dead}
+		if ring.Contains(dead) {
+			if ring.Size() == 1 {
+				return change{}, errors.New("cluster: cannot fail over the last server")
+			}
+			c.target = ring.withMembers(without(ring.Endpoints(), dead))
+			c.epoch++
+			c.commit = func() { ring.Remove(dead) }
 		}
-		c.target = ring.withMembers(without(ring.Endpoints(), dead))
-		c.epoch++
-		c.commit = func() { ring.Remove(dead) }
-	}
-	c.notify = c.target.Endpoints()
-	c.sources = c.notify
-	return r.apply(ctx, c)
+		c.notify = c.target.Endpoints()
+		c.sources = c.notify
+		return c, nil
+	})
 }
 
 // OrphanedShardError refuses a planned removal that would discard the last

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -522,6 +523,80 @@ func TestRefusedFenceSkipsSurvey(t *testing.T) {
 	}
 }
 
+// TestStaleDirectoryReAddRefreshesOnRefusal: a re-add mints no epoch, so it
+// fences at its directory's ring without refreshing first; refused, it
+// refreshes and fences again. Here a directory one epoch behind re-adds
+// server-0 after another directory scaled the cluster out from three servers
+// to four: each of the three members it knows refuses its fence typed — a
+// stale placement, refused before anything is placed — so it refreshes
+// (three polls), adopts the scale-out and fences all four. 3 + 3 + 4 client
+// calls, nothing moved or promoted, and every node ends on the scale-out's
+// ring, none on the stale one.
+func TestStaleDirectoryReAddRefreshesOnRefusal(t *testing.T) {
+	ec := clustertest.New(t, 4)
+	ctx := context.Background()
+	base := []string{"server-0", "server-1", "server-2"}
+	stale := cluster.NewDirectory(ec.Client, base, cluster.WithReplication(2))
+	want := map[string]int64{}
+	for i := 0; len(want) < 8; i++ {
+		bindAll(ec, stale, want, fmt.Sprintf("obj-%d", i))
+	}
+	if _, err := cluster.NewRebalancer(stale).AddServer(ctx, "server-0"); err != nil {
+		t.Fatalf("placement rebalance: %v", err)
+	}
+	other := cluster.NewDirectory(ec.Client, base, cluster.WithReplication(2))
+	if _, err := cluster.NewRebalancer(other).AddServer(ctx, "server-3"); err != nil {
+		t.Fatalf("scale-out: %v", err)
+	}
+	if stale.Epoch()+1 != other.Epoch() {
+		t.Fatalf("directory epochs %d and %d, want the stale one a single epoch behind", stale.Epoch(), other.Epoch())
+	}
+	for _, name := range slices.Sorted(maps.Keys(want)) {
+		ackedAdd(t, ec, other, want, name)
+	}
+
+	// A stale ring is refused typed, over the wire, and is no conflict.
+	_, err := ec.Client.Call(ctx, cluster.NodeRef("server-1"), "SetRing",
+		&cluster.RingSnapshot{Members: base, Epoch: stale.Epoch()})
+	var refused *cluster.RingRefusedError
+	if !errors.As(err, &refused) || refused.Conflict() || !strings.Contains(err.Error(), "stale ring broadcast") {
+		t.Fatalf("stale SetRing = %v, want a stale *RingRefusedError", err)
+	}
+
+	var mu sync.Mutex
+	fences := map[string]int{}
+	reb := cluster.NewRebalancer(stale)
+	reb.SetProbe(func(k cluster.TripKind, ep string, _ []string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if k != cluster.TripPlace {
+			t.Errorf("%s trip at %s: the re-add should place and nothing else", k, ep)
+		}
+		fences[ep]++
+		return nil
+	})
+	before := ec.Client.CallCount()
+	st, err := reb.AddServer(ctx, "server-0")
+	if err != nil {
+		t.Fatalf("stale re-add: %v", err)
+	}
+	if calls := ec.Client.CallCount() - before; calls != 10 || st.Moved != 0 || st.Promoted != 0 || st.Epoch != other.Epoch() {
+		t.Errorf("stale re-add: %d client calls, %+v; want 10 calls, nothing moved at epoch %d", calls, st, other.Epoch())
+	}
+	if wantFences := map[string]int{"server-0": 2, "server-1": 2, "server-2": 2, "server-3": 1}; !reflect.DeepEqual(fences, wantFences) {
+		t.Errorf("fences per node = %v, want %v", fences, wantFences)
+	}
+	if got := stale.Servers(); !slices.Equal(got, other.Servers()) || stale.Epoch() != other.Epoch() {
+		t.Errorf("stale directory ends on %v at epoch %d, want %v at %d", got, stale.Epoch(), other.Servers(), other.Epoch())
+	}
+	for _, s := range ec.Servers {
+		if rs := s.Node.RingState(); !slices.Equal(rs.Members, other.Servers()) || rs.Epoch != other.Epoch() {
+			t.Errorf("%s holds %v at epoch %d, want the scale-out's %v at %d", s.Endpoint, rs.Members, rs.Epoch, other.Servers(), other.Epoch())
+		}
+	}
+	checkConverged(t, ec, stale, want)
+}
+
 // TestRemoveBelowReplication: removing one of two members of an R=2 ring
 // leaves one member, where nothing has a follower. Placement over it sends
 // no replication larger than the ring, so the removal succeeds and the
@@ -557,7 +632,8 @@ func TestRemoveBelowReplication(t *testing.T) {
 // plane: an R=2 scale-out from 3 to 4 servers with 8 names moving and 8
 // staying, then the same call again — the pure re-placement pass a converged
 // cluster pays. Totals are client round trips: the trips plus the unbatched
-// control calls (the ring refresh). Each member's placement is its fence,
+// control calls (the scale-out's ring refresh; the re-placement mints no
+// epoch, so its fence is its refresh). Each member's placement is its fence,
 // one trip per member whatever it holds and however many followers it seeds,
 // and the same trip reads what the election needs and the plan reuses when
 // nothing was promoted; a moving name is placed in its arrive trip. The R=1
@@ -599,8 +675,8 @@ func TestReplicatedAddServerRoundTrips(t *testing.T) {
 		// destination's placement rides in it) and depart.
 		{"scale-out", 8, 16, map[cluster.TripKind]int{
 			cluster.TripHand: 3, cluster.TripArrive: 3, cluster.TripPlace: 4, cluster.TripDepart: 3}},
-		// Refresh and fence: 4 each.
-		{"re-placement", 0, 8, map[cluster.TripKind]int{
+		// The fence alone, 4.
+		{"re-placement", 0, 4, map[cluster.TripKind]int{
 			cluster.TripPlace: 4}},
 	} {
 		clear(trips)

@@ -242,7 +242,8 @@ func (r *Replica) Append(ctx context.Context, recs []*ReplRecord) []error {
 // as it arrives: its primary's link sent it once, in queue order. A record
 // whose epoch is behind this node's ring epoch is rejected with
 // StaleShipError (the owner list that routed it is stale). Nothing about rec
-// is trusted: it is whatever the wire decoded.
+// is trusted: it is whatever the wire decoded, and a record refused leaves no
+// shadow it built behind.
 func (r *Replica) apply(ctx context.Context, rec *ReplRecord) error {
 	switch {
 	case rec == nil || rec.Primary == "" || len(rec.Names) == 0 || rec.Payload == nil:
@@ -257,10 +258,23 @@ func (r *Replica) apply(ctx context.Context, rec *ReplRecord) error {
 	defer r.mu.Unlock()
 	sh := r.shardFor(rec.Primary)
 	shadows := make([]*shadowObj, len(rec.Names))
+	// built lists the shadows this record created. A refused record drops
+	// them: left behind, one would stand in a later election with nothing
+	// replayed onto it.
+	var built []string
+	refuse := func(err error) error {
+		for _, name := range built {
+			r.drop(sh, name)
+		}
+		return err
+	}
 	for i, name := range rec.Names {
+		if sh[name] == nil {
+			built = append(built, name)
+		}
 		sd, err := r.shadowFor(sh, name, rec.Ifaces[i])
 		if err != nil {
-			return err
+			return refuse(err)
 		}
 		shadows[i] = sd
 	}
@@ -269,7 +283,7 @@ func (r *Replica) apply(ctx context.Context, rec *ReplRecord) error {
 		extras = append(extras, sd.ref.ObjID)
 	}
 	if _, err := r.exec.ReplayShadow(ctx, rec.Payload, shadows[0].ref.ObjID, extras); err != nil {
-		return fmt.Errorf("cluster: replica append: %w", err)
+		return refuse(fmt.Errorf("cluster: replica append: %w", err))
 	}
 	for _, sd := range shadows {
 		sd.applied++

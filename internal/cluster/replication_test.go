@@ -9,6 +9,7 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -330,7 +331,9 @@ func TestReplayIgnoresRootNames(t *testing.T) {
 }
 
 // TestAppendRejectsRootCountMismatch: a record that names two roots for a
-// payload recorded over one is refused before anything replays.
+// payload recorded over one is refused before anything replays, and leaves
+// no shadow behind: the follower exports no more objects, and its survey
+// reports no never-replayed obj-1 an election could promote.
 func TestAppendRejectsRootCountMismatch(t *testing.T) {
 	ec := clustertest.New(t, 3)
 	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
@@ -344,12 +347,24 @@ func TestAppendRejectsRootCountMismatch(t *testing.T) {
 		Payload: shippedPayload(t, ec, primary, "obj-0", 5),
 	}
 	appends := func() int64 { return follower.Stats.Snapshot().Counter("cluster.replica_appends") }
-	before := appends()
+	before, exports, survey := appends(), follower.Peer.NumExported(), follower.Replica.Survey("")
 	if errs := appendTo(t, ec, follower.Endpoint, rec); errs[0] == nil {
 		t.Fatal("append of a two-name record over a one-root payload succeeded")
 	}
 	if got := appends() - before; got != 0 {
 		t.Errorf("follower applied %d records, want none", got)
+	}
+	if got := follower.Peer.NumExported(); got != exports {
+		t.Errorf("follower exports %d objects after the refused record, want the %d before it", got, exports)
+	}
+	if got := follower.Replica.Survey(""); !reflect.DeepEqual(got, survey) {
+		deref := func(shards []*cluster.ShardInfo) (out []cluster.ShardInfo) {
+			for _, si := range shards {
+				out = append(out, *si)
+			}
+			return out
+		}
+		t.Errorf("follower's survey after the refused record = %+v, want %+v", deref(got), deref(survey))
 	}
 	shadow, ok := follower.Replica.Shadow(primary, "obj-0")
 	if !ok {

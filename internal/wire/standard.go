@@ -66,6 +66,8 @@ var standardTypes = [...]string{
 	"brmi.call",
 	// A message no service of the serving peer handles (rmi.Peer.Send).
 	"rmi.NoHandler",
+	// A ring a node refused to adopt (cluster.Node.SetRing).
+	"cluster.RingRefused",
 }
 
 // standardIndex is name's index in the standard table, or -1. It scans the

@@ -33,6 +33,7 @@ var standardGolden = []string{
 	"brmi.push", "brmi.PushTimeout", "brmi.RendezvousFull",
 	"brmi.call",
 	"rmi.NoHandler",
+	"cluster.RingRefused",
 }
 
 // protocolPrefixes are the wire-name prefixes of the repository's own
