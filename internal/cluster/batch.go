@@ -70,6 +70,9 @@ type Batch struct {
 	// failure poisons every future when recording failed; per-server flush
 	// failures stay per-group instead (see Flush).
 	failure error
+	// renewals are what the writes owe the cache, one per root a write
+	// reached, in the order the roots were first reached (flights.go).
+	renewals []*renewal
 
 	// quorum is the write quorum W (WithQuorum): how many replicas,
 	// counting the primary, must hold a wave before it acks. 0 means all.
@@ -118,8 +121,12 @@ func WithDirectory(d *Directory) Option {
 // whose every call hits completes in zero round trips), identical in-flight
 // readonly calls across the cache's batches coalesce into one wire call,
 // and every non-readonly call invalidates the leases of the root object it
-// descends from. Share one cache per client — NewCache builds one wired to
-// the directory's ring epoch.
+// descends from. The live leases a write drops are re-read in the write's
+// own round trip, right after the root's last write, and filed when that
+// write is acked: after its flush, the writer reads its own write from the
+// cache, at no round trip. A write through another cache is seen when the
+// TTL ends the lease. Share one cache per client — NewCache builds one wired
+// to the directory's ring epoch.
 //
 // A lease is filed under the identity its root was addressed by: the ref for
 // Root, the name for RootNamed — a named root has no ref when it is
@@ -306,7 +313,8 @@ func (b *Batch) record(target *Proxy, kind int, method string, args []any) *reco
 }
 
 // recordLocked is record with b.mu held; ro marks the call //brmi:readonly
-// (any other call invalidates the cache leases of the objects it reaches).
+// (any other call invalidates the cache leases of the objects it reaches,
+// see invalidate).
 func (b *Batch) recordLocked(target *Proxy, kind int, method string, args []any, ro bool) *recordedCall {
 	if b.closed {
 		b.fail(core.ErrBatchClosed)
@@ -338,18 +346,6 @@ func (b *Batch) recordLocked(target *Proxy, kind int, method string, args []any,
 			}
 		}
 	}
-	// A recorded non-readonly call is a potential write: drop the cached
-	// leases of every root object it can reach, at record time, so readonly
-	// calls later in program order can never serve the pre-write value.
-	if !ro && b.cache != nil {
-		b.cache.InvalidateObject(rcache.ObjKey(rootOf(target).leaseRef()))
-		for _, a := range args {
-			if x, ok := a.(*Proxy); ok {
-				b.cache.InvalidateObject(rcache.ObjKey(rootOf(x).leaseRef()))
-			}
-		}
-	}
-
 	c := &recordedCall{
 		index:  len(b.calls),
 		group:  target.group,
@@ -362,6 +358,9 @@ func (b *Batch) recordLocked(target *Proxy, kind int, method string, args []any,
 		if x, ok := a.(*Future); ok && x.origin != nil {
 			x.origin.consumers = append(x.origin.consumers, c)
 		}
+	}
+	if !ro && b.cache != nil {
+		b.invalidate(c)
 	}
 	b.calls = append(b.calls, c)
 	return c
@@ -407,6 +406,7 @@ func (b *Batch) Flush(ctx context.Context) error {
 	}
 
 	b.mu.Lock()
+	calls = b.addRefreshes(calls)
 	nstages, err := planStages(calls)
 	if err != nil {
 		return b.failLocked(err)
@@ -602,6 +602,9 @@ type Proxy struct {
 	// when its stage was translated; nil before that. Same-server calls of
 	// later stages record against it, and it carries the exported ref.
 	core *core.Proxy
+	// renewal is what this root's writes owe the lease cache (roots only;
+	// nil while none was recorded).
+	renewal *renewal
 	// outcome is how the producing call ended (val stays nil).
 	outcome
 }

@@ -113,7 +113,8 @@ func TestClusterCacheCountsEachCallOnce(t *testing.T) {
 // TestClusterCacheWriteInvalidatesOnlyItsObject: a write recorded against
 // one root — on the root itself or on a proxy derived from it — drops that
 // object's leases at record time, leaving the other server's entries
-// servable.
+// servable, and refreshes them at its ack: the writer's next read of the
+// object is a hit on its own write.
 func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
@@ -137,12 +138,19 @@ func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 	if err := bw.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if n := cache.Len(); n != 2 {
+		t.Fatalf("%d leases live after the write's flush, want 2 (its own refreshed)", n)
+	}
 
+	calls := ec.Client.CallCount()
 	b2 := cluster.New(ec.Client, cluster.WithCache(cache))
-	f0 := b2.Root(ec.Servers[0].Ref).CallRO("Get") // invalidated: re-fetches
+	f0 := b2.Root(ec.Servers[0].Ref).CallRO("Get") // refreshed by the write: a hit on it
 	f1 := b2.Root(ec.Servers[1].Ref).CallRO("Get") // untouched: still a hit
 	if err := b2.Flush(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if d := ec.Client.CallCount() - calls; d != 0 {
+		t.Fatalf("reads after the write cost %d client calls, want 0", d)
 	}
 	if v, err := cluster.Typed[int64](f0).Get(); err != nil || v != 5 {
 		t.Fatalf("post-write read = (%d, %v), want (5, nil)", v, err)
@@ -156,8 +164,9 @@ func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 
 	// A write through a derived proxy (CallBatch, then the write on its
 	// result) is attributed to the chain's root: its leases drop at record
-	// time too. The lease is refilled between the two recordings, so only
-	// the write itself can drop it.
+	// time too, and are refreshed after the chain's last write. The lease is
+	// refilled between the two recordings, so only the write itself can drop
+	// it.
 	read1 := func() *cluster.Future {
 		b := cluster.New(ec.Client, cluster.WithCache(cache))
 		f := b.Root(ec.Servers[1].Ref).CallRO("Get")

@@ -3,14 +3,19 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/rcache"
 )
 
-// flights.go is read coalescing — what a //brmi:readonly call does that no
-// other call does: consult the lease cache when recorded (CallRO), join the
-// cache's singleflight table when translated (joinFlight), and publish or
-// adopt the flight's outcome once the stage's waves ran (resolveFlights).
+// flights.go is the client's half of the lease cache — what a
+// //brmi:readonly call does that no other call does: consult the cache when
+// recorded (CallRO), join the cache's singleflight table when translated
+// (joinFlight), and publish or adopt the flight's outcome once the stage's
+// waves ran (resolveFlights) — and what a write owes the cache: drop the
+// leases of the root it writes when recorded (invalidate), re-read the live
+// ones right after the root's last write, in its round trip (addRefreshes),
+// and file what they returned once that write was acked (renewLeases).
 
 // CallRO records a method invocation declared //brmi:readonly. On a batch
 // carrying a lease cache (WithCache), a cacheable call — root target, plain
@@ -19,7 +24,9 @@ import (
 // every call hits flushes in zero round trips); a miss records normally and
 // at flush time joins the cache's singleflight table, so identical
 // in-flight readonly calls across this client's batches collapse into one
-// wire call. Without a cache (or for uncacheable shapes) it is Call.
+// wire call. A hit may be a lease a write through the same cache refreshed
+// at its ack: after that ack, the read sees the write. Without a cache (or
+// for uncacheable shapes) it is Call.
 func (p *Proxy) CallRO(method string, args ...any) *Future {
 	b := p.b
 	f := &Future{b: b}
@@ -94,7 +101,8 @@ func (b *Batch) resolveFlights(ctx context.Context, subs []*subBatch) {
 					settle(c, nil, fmt.Errorf("cluster: internal: readonly call %s left untranslated", c.method))
 				}
 				if c.out.err == nil {
-					b.cache.Put(c.ckey, c.cobj, c.out.val, c.cgen, c.cepoch)
+					lease := rcache.Lease{Key: c.ckey, Method: c.method, Args: c.args}
+					b.cache.PutCall(lease, c.cobj, c.out.val, c.cgen, c.cepoch)
 				}
 				b.cache.Finish(c.ckey, c.flight, c.out.val, c.out.err)
 				c.flight = nil
@@ -109,5 +117,101 @@ func (b *Batch) resolveFlights(ctx context.Context, subs []*subBatch) {
 		settle(c, v, err)
 		c.flight = nil
 		b.mu.Unlock()
+	}
+}
+
+// renewal is what a batch's writes to one root owe the lease cache: the live
+// leases they dropped, re-read after the root's last write, and the bump at
+// that write's ack (rcache.Cache.Renew).
+type renewal struct {
+	root *Proxy
+	obj  string // the root's lease identity (rcache.ObjKey)
+	// gen and epoch are what the cache said when the root's last write was
+	// recorded: Renew files nothing if either moved since.
+	gen, epoch uint64
+	leases     []rcache.Lease
+	// last is the root's last write until its ack renewed the cache; nil
+	// while the root was only passed to a write as a proxy argument.
+	last *recordedCall
+	// proxied is set once a write takes the root as a proxy argument: that
+	// write's server may reach the root after the re-read did, so nothing is
+	// re-read.
+	proxied bool
+	reads   []*recordedCall // the re-reads, parallel to leases
+}
+
+// invalidate drops, at record time, the leases of every root object the
+// write c can reach — its own root and every root it takes as a proxy
+// argument — so readonly calls later in program order can never serve the
+// pre-write value. The live leases of c's own root are kept for re-reading
+// after the root's last write. Caller holds b.mu.
+func (b *Batch) invalidate(c *recordedCall) {
+	r := b.renewalOf(rootOf(c.target))
+	gen, live := b.cache.InvalidateObject(r.obj)
+	r.gen, r.epoch, r.last = gen, b.cache.Epoch(), c
+	for _, l := range live {
+		if !slices.ContainsFunc(r.leases, func(m rcache.Lease) bool { return m.Key == l.Key }) {
+			r.leases = append(r.leases, l)
+		}
+	}
+	for _, a := range c.args {
+		if x, ok := a.(*Proxy); ok {
+			rx := b.renewalOf(rootOf(x))
+			rx.proxied = true
+			b.cache.InvalidateObject(rx.obj)
+		}
+	}
+}
+
+// renewalOf returns root p's renewal, adding it to the batch's on first use.
+// Caller holds b.mu.
+func (b *Batch) renewalOf(p *Proxy) *renewal {
+	if p.renewal == nil {
+		p.renewal = &renewal{root: p, obj: rcache.ObjKey(p.leaseRef())}
+		b.renewals = append(b.renewals, p.renewal)
+	}
+	return p.renewal
+}
+
+// addRefreshes appends to the recording one re-read of each live lease the
+// writes dropped, on the written root, after the root's last write: the
+// planner puts it in that write's stage and sub-batch (inputs), so it rides
+// the round trip the write pays. A re-read consults no cache and joins no
+// flight — a flight begun before the write would hand it the pre-write
+// value. Caller holds b.mu.
+func (b *Batch) addRefreshes(calls []*recordedCall) []*recordedCall {
+	for _, r := range b.renewals {
+		if r.last == nil || r.proxied {
+			continue
+		}
+		for _, l := range r.leases {
+			c := &recordedCall{index: len(calls), group: r.root.group, kind: kindValue, target: r.root,
+				method: l.Method, args: l.Args, out: &outcome{}, after: r.last}
+			r.reads = append(r.reads, c)
+			calls = append(calls, c)
+		}
+	}
+	return calls
+}
+
+// renewLeases acks, once per written root, its last write to the cache as
+// soon as that write settled (rcache.Cache.Renew): whatever fill raced the
+// write is dropped, and each re-read that succeeded is filed as the root's
+// lease. Caller does not hold b.mu.
+func (b *Batch) renewLeases() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, r := range b.renewals {
+		if r.last == nil || !r.last.out.done {
+			continue
+		}
+		r.last = nil
+		var fills []rcache.Fill
+		for i, c := range r.reads {
+			if c.out.done && c.out.err == nil {
+				fills = append(fills, rcache.Fill{Lease: r.leases[i], Val: c.out.val})
+			}
+		}
+		b.cache.Renew(r.obj, r.gen, r.epoch, fills)
 	}
 }

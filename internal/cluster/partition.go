@@ -57,6 +57,9 @@ type recordedCall struct {
 	cepoch uint64
 	flight *rcache.Flight
 	leader bool
+	// after is, on the re-read of a lease a write dropped (addRefreshes), the
+	// root's last write, which the re-read follows in its sub-batch.
+	after *recordedCall
 }
 
 // group is one batch destination: a server endpoint and everything recorded

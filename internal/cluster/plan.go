@@ -42,6 +42,10 @@ func (c *recordedCall) inputs() []input {
 		// root, so the edge is never staged.
 		in = append(in, input{producer: o})
 	}
+	if c.after != nil {
+		// A lease's re-read follows its write on the same root: never staged.
+		in = append(in, input{producer: c.after})
+	}
 	for _, a := range c.args {
 		switch x := a.(type) {
 		case *Proxy:

@@ -103,8 +103,9 @@ func (ds *destState) open(b *Batch) error {
 }
 
 // execute walks the stage schedule: per stage one wave, then the stage's read
-// flights settle. Wall-clock cost per stage is the slowest destination's
-// round trip; total cost is one wave per stage, plus one for a stale retry.
+// flights settle and its writes renew the leases they dropped. Wall-clock
+// cost per stage is the slowest destination's round trip; total cost is one
+// wave per stage, plus one for a stale retry.
 func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 	r := &run{b: b, dests: make(map[*group]*destState)}
 	for _, subs := range stages {
@@ -122,6 +123,7 @@ func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 		// the transient rejection; every stage, since one with no wire work may
 		// still hold followers of flights other batches lead.
 		b.resolveFlights(ctx, subs)
+		b.renewLeases()
 	}
 	return r.finish(ctx)
 }

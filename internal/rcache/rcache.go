@@ -8,7 +8,9 @@
 // events invalidate:
 //
 //   - a write-batch touching the object bumps the object's generation and
-//     drops its entries (per-object invalidation, at record time);
+//     drops its entries (per-object invalidation, at record time), and does
+//     both again when the write is acked (Renew), where the writer files
+//     the values it re-read right after its write in their place;
 //   - a ring-epoch bump (membership change / migration) makes every older
 //     lease unservable — checked lazily on Get, so an epoch bump costs O(1);
 //   - the TTL deadline passes.
@@ -17,7 +19,15 @@
 // passes the generation and epoch it observed when the miss was recorded,
 // and the fill is dropped if either moved meanwhile. That closes the classic
 // read/write race where an in-flight read's stale result lands after a
-// write already invalidated the entry.
+// write already invalidated the entry; the bump at ack closes the other
+// half, a read recorded after the write but executed before it, whose fill
+// lands while the write is still in flight.
+//
+// A lease filled by a call (PutCall) remembers it, so the write that drops
+// the lease can re-issue the call in its own round trip (InvalidateObject
+// returns the live ones) and file the fresh value at ack (Renew): the
+// writer's next read of its own write is a hit. A write recorded through
+// another client's cache is seen only when the TTL ends the lease.
 //
 // The package also provides the singleflight primitives: Flight (asymmetric
 // leader/follower coalescing for batch executors, where the leader's result
@@ -28,7 +38,9 @@ package rcache
 import (
 	"container/list"
 	"context"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -69,12 +81,29 @@ type Cache struct {
 }
 
 type entry struct {
-	key     string
 	obj     string
 	val     any
 	epoch   uint64
 	expires time.Time
 	elem    *list.Element
+	// call is the entry's key and what filled it; Method is empty for a
+	// Put.
+	call Lease
+}
+
+// Lease is the call a lease was filled by (PutCall): a write that drops the
+// lease may re-issue it and file what it returns (Renew).
+type Lease struct {
+	Key    string
+	Method string
+	Args   []any
+}
+
+// Fill is a lease re-read after a write, with the value the re-read
+// returned.
+type Fill struct {
+	Lease
+	Val any
 }
 
 // Option configures a Cache.
@@ -166,27 +195,38 @@ func (c *Cache) Get(key string) (any, bool) {
 // recorded. A fill that lost that race is silently dropped — the entry
 // would carry a value older than its lease.
 func (c *Cache) Put(key, obj string, val any, gen, epoch uint64) {
+	c.PutCall(Lease{Key: key}, obj, val, gen, epoch)
+}
+
+// PutCall is Put for a lease filled by the call l names: as long as the
+// lease is live, the write that drops it gets l back from InvalidateObject.
+func (c *Cache) PutCall(l Lease, obj string, val any, gen, epoch uint64) {
 	if epoch != c.Epoch() {
 		return
 	}
 	expires := c.now().Add(c.ttl)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gens[obj] != gen {
-		return
+	if c.gens[obj] == gen {
+		c.insertLocked(l, obj, val, epoch, expires)
 	}
-	if old, ok := c.entries[key]; ok {
+}
+
+// insertLocked files val under l.Key, replacing what was there and evicting
+// the oldest fills past the cap. Caller holds c.mu.
+func (c *Cache) insertLocked(l Lease, obj string, val any, epoch uint64, expires time.Time) {
+	if old, ok := c.entries[l.Key]; ok {
 		c.removeLocked(old)
 	}
-	e := &entry{key: key, obj: obj, val: val, epoch: epoch, expires: expires}
+	e := &entry{obj: obj, val: val, epoch: epoch, expires: expires, call: l}
 	e.elem = c.order.PushBack(e)
-	c.entries[key] = e
+	c.entries[l.Key] = e
 	set := c.byObj[obj]
 	if set == nil {
 		set = make(map[string]*entry)
 		c.byObj[obj] = set
 	}
-	set[key] = e
+	set[l.Key] = e
 	for c.max > 0 && len(c.entries) > c.max {
 		oldest := c.order.Front().Value.(*entry)
 		c.removeLocked(oldest)
@@ -197,15 +237,53 @@ func (c *Cache) Put(key, obj string, val any, gen, epoch uint64) {
 // InvalidateObject drops every entry of obj and bumps its generation, so
 // in-flight reads that predate the write cannot re-fill stale values. The
 // cluster batch calls it at record time for every non-readonly call, keyed
-// by the call's root object.
-func (c *Cache) InvalidateObject(obj string) {
+// by the call's root object. It returns the generation it left and the
+// calls of the dropped leases that were still live — stamped with the
+// current epoch, not expired, filled by PutCall — in key order, for the
+// writer to re-read after its write and Renew.
+func (c *Cache) InvalidateObject(obj string) (gen uint64, live []Lease) {
+	ep := c.Epoch()
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gens[obj]++
 	for _, e := range c.byObj[obj] {
+		if e.call.Method != "" && e.epoch == ep && !now.After(e.expires) {
+			live = append(live, e.call)
+		}
 		c.removeLocked(e)
 	}
 	c.invalidations.Inc()
+	if len(live) > 1 {
+		slices.SortFunc(live, func(a, b Lease) int { return strings.Compare(a.Key, b.Key) })
+	}
+	return c.gens[obj], live
+}
+
+// Renew is the ack of a write to obj. Like the write's InvalidateObject it
+// bumps obj's generation and drops its entries — a fill that raced the
+// write, from a read recorded after it but executed before it, is void —
+// but it does not count as an invalidation. Then, provided gen (what the
+// writer's InvalidateObject returned) and epoch (what the writer observed
+// then) still hold, so no other write of obj was recorded or acked since,
+// it files fills, the leases the writer re-read after its write, under the
+// new generation: the writer's next read of obj is a hit on its own write.
+func (c *Cache) Renew(obj string, gen, epoch uint64, fills []Fill) {
+	fresh := epoch == c.Epoch()
+	expires := c.now().Add(c.ttl)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fresh = fresh && c.gens[obj] == gen
+	c.gens[obj]++
+	for _, e := range c.byObj[obj] {
+		c.removeLocked(e)
+	}
+	if !fresh {
+		return
+	}
+	for _, f := range fills {
+		c.insertLocked(f.Lease, obj, f.Val, epoch, expires)
+	}
 }
 
 // Len returns the live entry count (expired-but-unswept entries included).
@@ -217,10 +295,10 @@ func (c *Cache) Len() int {
 
 // removeLocked unlinks e from all three indexes. Caller holds c.mu.
 func (c *Cache) removeLocked(e *entry) {
-	delete(c.entries, e.key)
+	delete(c.entries, e.call.Key)
 	c.order.Remove(e.elem)
 	if set, ok := c.byObj[e.obj]; ok {
-		delete(set, e.key)
+		delete(set, e.call.Key)
 		if len(set) == 0 {
 			delete(c.byObj, e.obj)
 		}

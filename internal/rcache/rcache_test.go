@@ -3,6 +3,7 @@ package rcache
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -101,6 +102,107 @@ func TestInvalidateObjectAndGenerationGuard(t *testing.T) {
 	c.Put(keyA, objA, "stale", gen, 0)
 	if _, ok := c.Get(keyA); ok {
 		t.Fatalf("stale fill survived a concurrent invalidation")
+	}
+}
+
+// TestRefreshInvalidateReturnsLiveCallLeases: InvalidateObject hands back
+// the calls of the dropped leases a writer may re-read — filled by a call,
+// stamped with the current epoch, not expired — in key order, and the
+// generation it left; a lease from another epoch, an expired one and one
+// filled by Put are dropped without a word.
+func TestRefreshInvalidateReturnsLiveCallLeases(t *testing.T) {
+	now := time.Unix(0, 0)
+	var epoch uint64 = 3
+	c := New(nil, WithEpoch(func() uint64 { return epoch }), WithTTL(10*time.Second))
+	c.now = func() time.Time { return now }
+	ref := testRef(1)
+	obj := ObjKey(ref)
+	lease := func(ref wire.Ref, args ...any) Lease {
+		return Lease{Key: mustKey(t, ref, "Get", args...), Method: "Get", Args: args}
+	}
+	fill := func(l Lease, obj string) { c.PutCall(l, obj, l.Key, c.Gen(obj), c.Epoch()) }
+
+	fill(lease(ref, int64(1)), obj) // filled at an older epoch
+	epoch++
+	fill(lease(ref, int64(2)), obj) // expires before the write
+	now = now.Add(6 * time.Second)
+	live := []Lease{lease(ref, int64(4)), lease(ref, int64(3))}
+	fill(live[0], obj)
+	fill(live[1], obj)
+	c.Put(mustKey(t, ref, "Get", int64(5)), obj, "put", c.Gen(obj), c.Epoch()) // no call to re-read
+	other := lease(testRef(2))
+	fill(other, ObjKey(testRef(2)))
+	now = now.Add(6 * time.Second)
+
+	before := c.Gen(obj)
+	gen, got := c.InvalidateObject(obj)
+	if gen != before+1 || c.Gen(obj) != gen {
+		t.Fatalf("InvalidateObject left generation %d (Gen says %d), want %d", gen, c.Gen(obj), before+1)
+	}
+	want := []Lease{live[1], live[0]}
+	if live[0].Key < live[1].Key {
+		want = live
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("InvalidateObject returned %+v, want the two live call-filled leases %+v", got, want)
+	}
+	if n := c.Len(); n != 1 {
+		t.Fatalf("%d entries left, want 1 (the other object's)", n)
+	}
+	if _, got := c.InvalidateObject(obj); got != nil {
+		t.Fatalf("a second invalidation returned %+v, want nothing", got)
+	}
+}
+
+// TestRefreshRenewFilesTheWritersReReads: Renew is the write's ack. It
+// drops the fill of a read that raced the write (recorded after it,
+// executed before it) and files the writer's re-reads under the new
+// generation — unless another write of the object was recorded, or the
+// epoch moved, since the write's own record. Neither it nor the re-reads
+// count as invalidations, hits or misses.
+func TestRefreshRenewFilesTheWritersReReads(t *testing.T) {
+	reg := stats.New()
+	var epoch uint64
+	c := New(reg, WithEpoch(func() uint64 { return epoch }))
+	ref := testRef(1)
+	obj := ObjKey(ref)
+	l := Lease{Key: mustKey(t, ref, "Get"), Method: "Get"}
+	c.PutCall(l, obj, int64(0), c.Gen(obj), 0)
+
+	gen, live := c.InvalidateObject(obj)  // the write is recorded
+	raced := c.Gen(obj)                   // a read recorded after it ...
+	c.PutCall(l, obj, int64(0), raced, 0) // ... executed before it lands in flight
+	if n := c.Len(); n != 1 {
+		t.Fatalf("the raced fill did not land (%d entries): the test proves nothing", n)
+	}
+	c.Renew(obj, gen, 0, []Fill{{Lease: live[0], Val: int64(5)}})
+	if v, ok := c.Get(l.Key); !ok || v != int64(5) {
+		t.Fatalf("after the ack Get = (%v, %v), want the re-read (5, true)", v, ok)
+	}
+	c.PutCall(l, obj, int64(0), raced, 0) // the raced read's fill, landing after the ack
+	if v, _ := c.Get(l.Key); v != int64(5) {
+		t.Fatalf("a read recorded before the ack overwrote the re-read with %v", v)
+	}
+	s := reg.Snapshot()
+	if inv, hits, misses := s.Counter("cache.invalidations"), s.Counter("cache.hits"), s.Counter("cache.misses"); inv != 1 || hits != 2 || misses != 0 {
+		t.Fatalf("counted %d invalidations, %d hits, %d misses; want 1, 2 (the test's Gets), 0", inv, hits, misses)
+	}
+
+	// Another write recorded before the ack: the re-read may predate it.
+	gen, live = c.InvalidateObject(obj)
+	c.InvalidateObject(obj)
+	c.Renew(obj, gen, 0, []Fill{{Lease: live[0], Val: int64(6)}})
+	if n := c.Len(); n != 0 {
+		t.Fatalf("a renewal behind another write filed %d entries, want 0", n)
+	}
+
+	// An epoch bump between the record and the ack.
+	c.PutCall(l, obj, int64(6), c.Gen(obj), 0)
+	gen, live = c.InvalidateObject(obj)
+	epoch++
+	c.Renew(obj, gen, 0, []Fill{{Lease: live[0], Val: int64(7)}})
+	if n := c.Len(); n != 0 {
+		t.Fatalf("a renewal across an epoch bump filed %d entries, want 0", n)
 	}
 }
 

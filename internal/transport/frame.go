@@ -260,4 +260,3 @@ func (fw *frameWriter) writeSpans(queue []qframe, spans [][]byte) error {
 	}
 	return err
 }
-

@@ -400,8 +400,8 @@ type StreamReader struct {
 
 	mu      sync.Mutex
 	items   []chunkItem // pooled chunk payloads, in arrival (= stream) order
-	cur     []byte   // unconsumed remainder of the item being read
-	curBuf  []byte   // cur's backing buffer, for PutBuffer
+	cur     []byte      // unconsumed remainder of the item being read
+	curBuf  []byte      // cur's backing buffer, for PutBuffer
 	wantSeq uint32
 	fin     bool
 	err     error
