@@ -122,8 +122,8 @@ func WithDirectory(d *Directory) Option {
 // readonly calls across the cache's batches coalesce into one wire call,
 // and every non-readonly call invalidates the leases of the root object it
 // descends from. The live leases a write drops are re-read in the write's
-// own round trip, right after the root's last write, and filed when that
-// write is acked: after its flush, the writer reads its own write from the
+// own round trip, behind every write of the root, and filed when the writes
+// are acked: after its flush, the writer reads its own write from the
 // cache, at no round trip. A write through another cache is seen when the
 // TTL ends the lease. Share one cache per client — NewCache builds one wired
 // to the directory's ring epoch.

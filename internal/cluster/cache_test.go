@@ -164,7 +164,7 @@ func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 
 	// A write through a derived proxy (CallBatch, then the write on its
 	// result) is attributed to the chain's root: its leases drop at record
-	// time too, and are refreshed after the chain's last write. The lease is
+	// time too, and are refreshed behind the chain's writes. The lease is
 	// refilled between the two recordings, so only the write itself can drop
 	// it.
 	read1 := func() *cluster.Future {

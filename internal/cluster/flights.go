@@ -14,8 +14,8 @@ import (
 // (joinFlight), and publish or adopt the flight's outcome once the stage's
 // waves ran (resolveFlights) — and what a write owes the cache: drop the
 // leases of the root it writes when recorded (invalidate), re-read the live
-// ones right after the root's last write, in its round trip (addRefreshes),
-// and file what they returned once that write was acked (renewLeases).
+// ones behind every write of the root, in their round trip (addRefreshes),
+// and file what they returned once the writes were acked (renewLeases).
 
 // CallRO records a method invocation declared //brmi:readonly. On a batch
 // carrying a lease cache (WithCache), a cacheable call — root target, plain
@@ -101,8 +101,7 @@ func (b *Batch) resolveFlights(ctx context.Context, subs []*subBatch) {
 					settle(c, nil, fmt.Errorf("cluster: internal: readonly call %s left untranslated", c.method))
 				}
 				if c.out.err == nil {
-					lease := rcache.Lease{Key: c.ckey, Method: c.method, Args: c.args}
-					b.cache.PutCall(lease, c.cobj, c.out.val, c.cgen, c.cepoch)
+					b.cache.PutCall(c.ckey, c.cobj, c.out.val, c.cgen, c.cepoch)
 				}
 				b.cache.Finish(c.ckey, c.flight, c.out.val, c.out.err)
 				c.flight = nil
@@ -121,37 +120,46 @@ func (b *Batch) resolveFlights(ctx context.Context, subs []*subBatch) {
 }
 
 // renewal is what a batch's writes to one root owe the lease cache: the live
-// leases they dropped, re-read after the root's last write, and the bump at
-// that write's ack (rcache.Cache.Renew).
+// leases they dropped, re-read after every one of them, and the bump once
+// they were acked (rcache.Cache.Renew).
 type renewal struct {
 	root *Proxy
 	obj  string // the root's lease identity (rcache.ObjKey)
 	// gen and epoch are what the cache said when the root's last write was
 	// recorded: Renew files nothing if either moved since.
 	gen, epoch uint64
-	leases     []rcache.Lease
-	// last is the root's last write until its ack renewed the cache; nil
-	// while the root was only passed to a write as a proxy argument.
-	last *recordedCall
+	// writes are the root's writes, in recording order, until their acks
+	// renewed the cache. The planner keeps program order per server only
+	// within a stage, so the last recorded need not run last: the re-reads
+	// follow them all.
+	writes []*recordedCall
 	// proxied is set once a write takes the root as a proxy argument: that
 	// write's server may reach the root after the re-read did, so nothing is
 	// re-read.
 	proxied bool
-	reads   []*recordedCall // the re-reads, parallel to leases
+	reads   []refresh
+}
+
+// refresh is one lease a write dropped: its key, and from Flush on its
+// re-read.
+type refresh struct {
+	key  string
+	read *recordedCall
 }
 
 // invalidate drops, at record time, the leases of every root object the
 // write c can reach — its own root and every root it takes as a proxy
 // argument — so readonly calls later in program order can never serve the
 // pre-write value. The live leases of c's own root are kept for re-reading
-// after the root's last write. Caller holds b.mu.
+// after the root's writes. Caller holds b.mu.
 func (b *Batch) invalidate(c *recordedCall) {
 	r := b.renewalOf(rootOf(c.target))
 	gen, live := b.cache.InvalidateObject(r.obj)
-	r.gen, r.epoch, r.last = gen, b.cache.Epoch(), c
-	for _, l := range live {
-		if !slices.ContainsFunc(r.leases, func(m rcache.Lease) bool { return m.Key == l.Key }) {
-			r.leases = append(r.leases, l)
+	r.gen, r.epoch = gen, b.cache.Epoch()
+	r.writes = append(r.writes, c)
+	for _, k := range live {
+		if !slices.ContainsFunc(r.reads, func(f refresh) bool { return f.key == k }) {
+			r.reads = append(r.reads, refresh{key: k})
 		}
 	}
 	for _, a := range c.args {
@@ -174,44 +182,53 @@ func (b *Batch) renewalOf(p *Proxy) *renewal {
 }
 
 // addRefreshes appends to the recording one re-read of each live lease the
-// writes dropped, on the written root, after the root's last write: the
-// planner puts it in that write's stage and sub-batch (inputs), so it rides
-// the round trip the write pays. A re-read consults no cache and joins no
-// flight — a flight begun before the write would hand it the pre-write
-// value. Caller holds b.mu.
+// writes dropped, on the written root, after every write of the root: the
+// planner puts it in the stage of the latest of them, in their sub-batch
+// (inputs), so it rides a round trip the writes pay. The call is decoded
+// from the lease's key, so no argument the caller may since have changed
+// is sent. A re-read consults no cache and joins no flight — a flight begun
+// before the write would hand it the pre-write value. Caller holds b.mu.
 func (b *Batch) addRefreshes(calls []*recordedCall) []*recordedCall {
 	for _, r := range b.renewals {
-		if r.last == nil || r.proxied {
+		if len(r.writes) == 0 || r.proxied {
 			continue
 		}
-		for _, l := range r.leases {
+		for i, f := range r.reads {
+			method, args, ok := rcache.KeyCall(r.obj, f.key)
+			if !ok {
+				continue
+			}
 			c := &recordedCall{index: len(calls), group: r.root.group, kind: kindValue, target: r.root,
-				method: l.Method, args: l.Args, out: &outcome{}, after: r.last}
-			r.reads = append(r.reads, c)
+				method: method, args: args, out: &outcome{}, after: r.writes}
+			r.reads[i].read = c
 			calls = append(calls, c)
 		}
 	}
 	return calls
 }
 
-// renewLeases acks, once per written root, its last write to the cache as
-// soon as that write settled (rcache.Cache.Renew): whatever fill raced the
-// write is dropped, and each re-read that succeeded is filed as the root's
-// lease. Caller does not hold b.mu.
+// renewLeases acks to the cache, once per written root, the root's writes
+// as soon as they and their re-reads all settled (rcache.Cache.Renew):
+// whatever fill raced the writes is dropped, and each re-read that
+// succeeded is filed as the root's lease. Caller does not hold b.mu.
 func (b *Batch) renewLeases() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, r := range b.renewals {
-		if r.last == nil || !r.last.out.done {
+		if len(r.writes) == 0 || slices.ContainsFunc(r.writes, unsettled) ||
+			slices.ContainsFunc(r.reads, func(f refresh) bool { return f.read != nil && unsettled(f.read) }) {
 			continue
 		}
-		r.last = nil
+		r.writes = nil
 		var fills []rcache.Fill
-		for i, c := range r.reads {
-			if c.out.done && c.out.err == nil {
-				fills = append(fills, rcache.Fill{Lease: r.leases[i], Val: c.out.val})
+		for _, f := range r.reads {
+			if f.read != nil && f.read.out.err == nil {
+				fills = append(fills, rcache.Fill{Key: f.key, Val: f.read.out.val})
 			}
 		}
 		b.cache.Renew(r.obj, r.gen, r.epoch, fills)
 	}
 }
+
+// unsettled reports whether c's outcome is still open.
+func unsettled(c *recordedCall) bool { return !c.out.done }

@@ -58,8 +58,8 @@ type recordedCall struct {
 	flight *rcache.Flight
 	leader bool
 	// after is, on the re-read of a lease a write dropped (addRefreshes), the
-	// root's last write, which the re-read follows in its sub-batch.
-	after *recordedCall
+	// root's writes, which the re-read follows in their sub-batch.
+	after []*recordedCall
 }
 
 // group is one batch destination: a server endpoint and everything recorded

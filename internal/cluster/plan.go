@@ -29,6 +29,10 @@ type input struct {
 	// stages (a proxy forwarded to a different server by reference, a
 	// future's value spliced in as a literal).
 	staged bool
+	// order is true when the edge only orders the consumer behind the
+	// producer and carries no value: a lease's re-read behind a write of
+	// its root. It pins nothing.
+	order bool
 }
 
 // inputs enumerates c's dependencies: the call that created its target
@@ -42,9 +46,10 @@ func (c *recordedCall) inputs() []input {
 		// root, so the edge is never staged.
 		in = append(in, input{producer: o})
 	}
-	if c.after != nil {
-		// A lease's re-read follows its write on the same root: never staged.
-		in = append(in, input{producer: c.after})
+	for _, w := range c.after {
+		// A lease's re-read follows the writes of its root, on the same
+		// server: never staged.
+		in = append(in, input{producer: w, order: true})
 	}
 	for _, a := range c.args {
 		switch x := a.(type) {
@@ -132,7 +137,7 @@ func planStages(calls []*recordedCall) (int, error) {
 		}
 		c.stage = s
 		for _, in := range ins {
-			if p := in.producer; p.kind == kindRemote && p.stage < s && !c.out.done && !p.out.done {
+			if p := in.producer; p.kind == kindRemote && !in.order && p.stage < s && !c.out.done && !p.out.done {
 				p.export = true
 			}
 		}
@@ -167,7 +172,7 @@ func (b *Batch) unreplicable(c *recordedCall) error {
 	}
 	for _, in := range c.inputs() {
 		p := in.producer
-		if p.kind == kindRemote && p.group == c.group && (p.stage < c.stage || (p.out.done && p.out.err == nil)) {
+		if p.kind == kindRemote && !in.order && p.group == c.group && (p.stage < c.stage || (p.out.done && p.out.err == nil)) {
 			return &UnreplicableError{Endpoint: c.group.endpoint, Method: c.method, Producer: p.method}
 		}
 	}

@@ -2,8 +2,8 @@ package cluster_test
 
 // Tests of the write's lease refresh: a write through a cached batch drops
 // the leases of the root it writes when recorded, re-reads the live ones in
-// its own round trip, right after the root's last write, and files them once
-// the write's destination acked — so the writer's next read of its own write
+// its own round trip, behind every write of the root, and files them once
+// the writes' destination acked — so the writer's next read of its own write
 // is a hit, and a fill that raced the write is dropped at the ack.
 
 import (
@@ -146,6 +146,113 @@ func TestRefreshAfterStagedWrite(t *testing.T) {
 	}
 	if got, calls := cachedRead(t, ec, cache, ec.Servers[0].Ref); got != 4 || calls != 0 {
 		t.Fatalf("read after the staged write = %d at %d calls, want 4 at 0", got, calls)
+	}
+}
+
+// TestRefreshFollowsEveryWrite: the planner keeps program order per server
+// only within a stage, so a root's last recorded write need not run last.
+// Here a write staged behind another server's cacheable read is recorded
+// before an unstaged write of the same root: the unstaged one runs in the
+// first wave, the staged one in the second. The re-read follows both, and
+// the lease is filed only once both were acked, so it holds the final total.
+func TestRefreshFollowsEveryWrite(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	ctx := context.Background()
+	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
+	a, bref := ec.Servers[0].Ref, ec.Servers[1].Ref
+	b := cluster.New(ec.Client)
+	b.Root(bref).Call("Add", int64(4))
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := cachedRead(t, ec, cache, a); v != 0 {
+		t.Fatalf("filling read = %d, want 0", v)
+	}
+
+	calls := ec.Client.CallCount()
+	bw := cluster.New(ec.Client, cluster.WithCache(cache))
+	v := bw.Root(bref).CallRO("Get")
+	staged := bw.Root(a).Call("Add", v)          // second wave: 5
+	unstaged := bw.Root(a).Call("Add", int64(1)) // first wave: 1
+	if err := bw.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d, w := ec.Client.CallCount()-calls, bw.Waves(); d != 3 || w != 2 {
+		t.Fatalf("flush cost %d calls in %d waves, want 3 in 2", d, w)
+	}
+	if s, err := cluster.Typed[int64](staged).Get(); err != nil || s != 5 {
+		t.Fatalf("staged write = (%d, %v), want (5, nil): it did not run last", s, err)
+	}
+	if u, err := cluster.Typed[int64](unstaged).Get(); err != nil || u != 1 {
+		t.Fatalf("unstaged write = (%d, %v), want (1, nil)", u, err)
+	}
+	if got, calls := cachedRead(t, ec, cache, a); got != 5 || calls != 0 {
+		t.Fatalf("read after both writes = %d at %d calls, want the final 5 at 0", got, calls)
+	}
+}
+
+// bytesCounter is a counter whose readonly Weigh takes a byte slice.
+type bytesCounter struct {
+	rmi.RemoteBase
+	mu sync.Mutex
+	n  int64
+}
+
+func (c *bytesCounter) Add(d int64) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n += d
+	return c.n
+}
+
+// Weigh returns the total plus the first byte of b.
+func (c *bytesCounter) Weigh(b []byte) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n + int64(b[0])
+}
+
+// TestRefreshSendsTheLeasesOwnArgs: a caller that reuses an argument
+// buffer after the read that filled a lease flushed does not change what
+// the write's re-read of that lease asks. The re-read sends the arguments
+// the lease's key was built from, so the lease holds the answer to its own
+// call.
+func TestRefreshSendsTheLeasesOwnArgs(t *testing.T) {
+	ec := clustertest.New(t, 1)
+	ctx := context.Background()
+	bc := &bytesCounter{}
+	ref, err := ec.Servers[0].Peer.Export(bc, "refreshtest.BytesCounter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
+	weigh := func(arg []byte) (int64, uint64) {
+		t.Helper()
+		before := ec.Client.CallCount()
+		b := cluster.New(ec.Client, cluster.WithCache(cache))
+		f := b.Root(ref).CallRO("Weigh", arg)
+		if err := b.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		v, err := cluster.Typed[int64](f).Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, ec.Client.CallCount() - before
+	}
+	buf := []byte{1}
+	if v, _ := weigh(buf); v != 1 {
+		t.Fatalf("filling read = %d, want 1", v)
+	}
+	buf[0] = 100 // the caller reuses its buffer
+
+	bw := cluster.New(ec.Client, cluster.WithCache(cache))
+	bw.Root(ref).Call("Add", int64(5))
+	if err := bw.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, calls := weigh([]byte{1}); v != 6 || calls != 0 {
+		t.Fatalf("Weigh([1]) after the write = %d at %d calls, want the refreshed 6 at 0", v, calls)
 	}
 }
 
@@ -371,6 +478,69 @@ func TestRefreshReplicatedWrite(t *testing.T) {
 	}
 	if v, calls := read(); v != 105 || calls != 0 {
 		t.Fatalf("read after the replicated write = %d at %d calls, want 105 at 0", v, calls)
+	}
+}
+
+// TestRefreshReplicatedStagedWrite: a re-read behind writes of two waves on
+// a replicated root only follows the earlier one — it takes no value from
+// it — so a remote result that write left on the primary is not something
+// the re-read consumes in a later wave, which a replicated destination
+// could not replay (*UnreplicableError). The flush runs, and the lease
+// holds the final total.
+func TestRefreshReplicatedStagedWrite(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
+	owners, _ := dir.Owners("obj-0")
+	other := ec.Servers[0].Ref
+	for _, s := range ec.Servers {
+		if !slices.Contains(owners, s.Ref.Endpoint) {
+			other = s.Ref
+		}
+	}
+	b := cluster.New(ec.Client)
+	b.Root(other).Call("Add", int64(4))
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cache := cluster.NewCache(ec.Client, dir, rcache.WithTTL(time.Minute))
+	read := func() (int64, uint64) {
+		t.Helper()
+		before := ec.Client.CallCount()
+		b := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithCache(cache))
+		p, err := b.RootNamed(ctx, "obj-0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := p.CallRO("Get")
+		if err := b.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		v, err := cluster.Typed[int64](f).Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, ec.Client.CallCount() - before
+	}
+	if v, _ := read(); v != 100 {
+		t.Fatalf("filling read = %d, want 100", v)
+	}
+
+	bw := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithCache(cache))
+	p, err := bw.RootNamed(ctx, "obj-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.CallBatch("Fork", int64(1))               // first wave, a remote result
+	p.Call("Add", bw.Root(other).CallRO("Get")) // second wave: 104
+	if err := bw.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if w := bw.Waves(); w != 2 {
+		t.Fatalf("flush took %d waves, want 2", w)
+	}
+	if v, calls := read(); v != 104 || calls != 0 {
+		t.Fatalf("read after the writes = %d at %d calls, want the refreshed 104 at 0", v, calls)
 	}
 }
 

@@ -23,10 +23,11 @@
 // half, a read recorded after the write but executed before it, whose fill
 // lands while the write is still in flight.
 //
-// A lease filled by a call (PutCall) remembers it, so the write that drops
-// the lease can re-issue the call in its own round trip (InvalidateObject
-// returns the live ones) and file the fresh value at ack (Renew): the
-// writer's next read of its own write is a hit. A write recorded through
+// A lease filled by a call (PutCall) is marked re-readable: its key names
+// the call (KeyCall), so the write that drops the lease can re-issue it in
+// its own round trip (InvalidateObject returns the live keys) and file the
+// fresh value at ack (Renew): the writer's next read of its own write is a
+// hit. A write recorded through
 // another client's cache is seen only when the TTL ends the lease.
 //
 // The package also provides the singleflight primitives: Flight (asymmetric
@@ -81,28 +82,21 @@ type Cache struct {
 }
 
 type entry struct {
+	key     string
 	obj     string
 	val     any
 	epoch   uint64
 	expires time.Time
 	elem    *list.Element
-	// call is the entry's key and what filled it; Method is empty for a
-	// Put.
-	call Lease
+	// call marks an entry filled by the call its key names (PutCall), not
+	// by Put: a write that drops it may re-issue that call (KeyCall).
+	call bool
 }
 
-// Lease is the call a lease was filled by (PutCall): a write that drops the
-// lease may re-issue it and file what it returns (Renew).
-type Lease struct {
-	Key    string
-	Method string
-	Args   []any
-}
-
-// Fill is a lease re-read after a write, with the value the re-read
-// returned.
+// Fill is a lease a writer re-read after its write: the lease's key and the
+// value the re-read returned.
 type Fill struct {
-	Lease
+	Key string
 	Val any
 }
 
@@ -195,12 +189,17 @@ func (c *Cache) Get(key string) (any, bool) {
 // recorded. A fill that lost that race is silently dropped — the entry
 // would carry a value older than its lease.
 func (c *Cache) Put(key, obj string, val any, gen, epoch uint64) {
-	c.PutCall(Lease{Key: key}, obj, val, gen, epoch)
+	c.put(key, obj, val, gen, epoch, false)
 }
 
-// PutCall is Put for a lease filled by the call l names: as long as the
-// lease is live, the write that drops it gets l back from InvalidateObject.
-func (c *Cache) PutCall(l Lease, obj string, val any, gen, epoch uint64) {
+// PutCall is Put for a lease filled by the readonly call its key names (a
+// key Key built): as long as the lease is live, the write that drops it
+// gets the key back from InvalidateObject, to re-issue the call.
+func (c *Cache) PutCall(key, obj string, val any, gen, epoch uint64) {
+	c.put(key, obj, val, gen, epoch, true)
+}
+
+func (c *Cache) put(key, obj string, val any, gen, epoch uint64, call bool) {
 	if epoch != c.Epoch() {
 		return
 	}
@@ -208,25 +207,25 @@ func (c *Cache) PutCall(l Lease, obj string, val any, gen, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.gens[obj] == gen {
-		c.insertLocked(l, obj, val, epoch, expires)
+		c.insertLocked(key, obj, val, epoch, expires, call)
 	}
 }
 
-// insertLocked files val under l.Key, replacing what was there and evicting
+// insertLocked files val under key, replacing what was there and evicting
 // the oldest fills past the cap. Caller holds c.mu.
-func (c *Cache) insertLocked(l Lease, obj string, val any, epoch uint64, expires time.Time) {
-	if old, ok := c.entries[l.Key]; ok {
+func (c *Cache) insertLocked(key, obj string, val any, epoch uint64, expires time.Time, call bool) {
+	if old, ok := c.entries[key]; ok {
 		c.removeLocked(old)
 	}
-	e := &entry{obj: obj, val: val, epoch: epoch, expires: expires, call: l}
+	e := &entry{key: key, obj: obj, val: val, epoch: epoch, expires: expires, call: call}
 	e.elem = c.order.PushBack(e)
-	c.entries[l.Key] = e
+	c.entries[key] = e
 	set := c.byObj[obj]
 	if set == nil {
 		set = make(map[string]*entry)
 		c.byObj[obj] = set
 	}
-	set[l.Key] = e
+	set[key] = e
 	for c.max > 0 && len(c.entries) > c.max {
 		oldest := c.order.Front().Value.(*entry)
 		c.removeLocked(oldest)
@@ -238,25 +237,23 @@ func (c *Cache) insertLocked(l Lease, obj string, val any, epoch uint64, expires
 // in-flight reads that predate the write cannot re-fill stale values. The
 // cluster batch calls it at record time for every non-readonly call, keyed
 // by the call's root object. It returns the generation it left and the
-// calls of the dropped leases that were still live — stamped with the
-// current epoch, not expired, filled by PutCall — in key order, for the
-// writer to re-read after its write and Renew.
-func (c *Cache) InvalidateObject(obj string) (gen uint64, live []Lease) {
+// keys of the dropped leases that were still live — stamped with the
+// current epoch, not expired, filled by PutCall — in order, for the writer
+// to re-read after its write (KeyCall) and Renew.
+func (c *Cache) InvalidateObject(obj string) (gen uint64, live []string) {
 	ep := c.Epoch()
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gens[obj]++
 	for _, e := range c.byObj[obj] {
-		if e.call.Method != "" && e.epoch == ep && !now.After(e.expires) {
-			live = append(live, e.call)
+		if e.call && e.epoch == ep && !now.After(e.expires) {
+			live = append(live, e.key)
 		}
 		c.removeLocked(e)
 	}
 	c.invalidations.Inc()
-	if len(live) > 1 {
-		slices.SortFunc(live, func(a, b Lease) int { return strings.Compare(a.Key, b.Key) })
-	}
+	slices.Sort(live)
 	return c.gens[obj], live
 }
 
@@ -282,7 +279,7 @@ func (c *Cache) Renew(obj string, gen, epoch uint64, fills []Fill) {
 		return
 	}
 	for _, f := range fills {
-		c.insertLocked(f.Lease, obj, f.Val, epoch, expires)
+		c.insertLocked(f.Key, obj, f.Val, epoch, expires, true)
 	}
 }
 
@@ -295,10 +292,10 @@ func (c *Cache) Len() int {
 
 // removeLocked unlinks e from all three indexes. Caller holds c.mu.
 func (c *Cache) removeLocked(e *entry) {
-	delete(c.entries, e.call.Key)
+	delete(c.entries, e.key)
 	c.order.Remove(e.elem)
 	if set, ok := c.byObj[e.obj]; ok {
-		delete(set, e.call.Key)
+		delete(set, e.key)
 		if len(set) == 0 {
 			delete(c.byObj, e.obj)
 		}
@@ -328,6 +325,26 @@ func Key(ref wire.Ref, method string, args []any) (key string, ok bool) {
 		return "", false
 	}
 	return string(buf), true
+}
+
+// KeyCall decodes the readonly call that key, a Key of an object whose
+// ObjKey is obj, names: its method and arguments, freshly decoded — they
+// encode to the key's own bytes again, and share no memory with the
+// caller's. ok is false for a key that is not such a Key.
+func KeyCall(obj, key string) (method string, args []any, ok bool) {
+	rest, ok := strings.CutPrefix(key, obj+"\x00")
+	if !ok {
+		return "", nil, false
+	}
+	method, enc, ok := strings.Cut(rest, "\x00")
+	if !ok {
+		return "", nil, false
+	}
+	args, err := wire.UnmarshalValues([]byte(enc))
+	if err != nil {
+		return "", nil, false
+	}
+	return method, args, true
 }
 
 // --- singleflight ------------------------------------------------------------

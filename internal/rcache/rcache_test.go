@@ -106,7 +106,7 @@ func TestInvalidateObjectAndGenerationGuard(t *testing.T) {
 }
 
 // TestRefreshInvalidateReturnsLiveCallLeases: InvalidateObject hands back
-// the calls of the dropped leases a writer may re-read — filled by a call,
+// the keys of the dropped leases a writer may re-read — filled by a call,
 // stamped with the current epoch, not expired — in key order, and the
 // generation it left; a lease from another epoch, an expired one and one
 // filled by Put are dropped without a word.
@@ -117,21 +117,17 @@ func TestRefreshInvalidateReturnsLiveCallLeases(t *testing.T) {
 	c.now = func() time.Time { return now }
 	ref := testRef(1)
 	obj := ObjKey(ref)
-	lease := func(ref wire.Ref, args ...any) Lease {
-		return Lease{Key: mustKey(t, ref, "Get", args...), Method: "Get", Args: args}
-	}
-	fill := func(l Lease, obj string) { c.PutCall(l, obj, l.Key, c.Gen(obj), c.Epoch()) }
+	fill := func(key, obj string) { c.PutCall(key, obj, key, c.Gen(obj), c.Epoch()) }
 
-	fill(lease(ref, int64(1)), obj) // filled at an older epoch
+	fill(mustKey(t, ref, "Get", int64(1)), obj) // filled at an older epoch
 	epoch++
-	fill(lease(ref, int64(2)), obj) // expires before the write
+	fill(mustKey(t, ref, "Get", int64(2)), obj) // expires before the write
 	now = now.Add(6 * time.Second)
-	live := []Lease{lease(ref, int64(4)), lease(ref, int64(3))}
+	live := []string{mustKey(t, ref, "Get", int64(4)), mustKey(t, ref, "Get", int64(3))}
 	fill(live[0], obj)
 	fill(live[1], obj)
 	c.Put(mustKey(t, ref, "Get", int64(5)), obj, "put", c.Gen(obj), c.Epoch()) // no call to re-read
-	other := lease(testRef(2))
-	fill(other, ObjKey(testRef(2)))
+	fill(mustKey(t, testRef(2), "Get"), ObjKey(testRef(2)))
 	now = now.Add(6 * time.Second)
 
 	before := c.Gen(obj)
@@ -139,18 +135,54 @@ func TestRefreshInvalidateReturnsLiveCallLeases(t *testing.T) {
 	if gen != before+1 || c.Gen(obj) != gen {
 		t.Fatalf("InvalidateObject left generation %d (Gen says %d), want %d", gen, c.Gen(obj), before+1)
 	}
-	want := []Lease{live[1], live[0]}
-	if live[0].Key < live[1].Key {
+	want := []string{live[1], live[0]}
+	if live[0] < live[1] {
 		want = live
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("InvalidateObject returned %+v, want the two live call-filled leases %+v", got, want)
+		t.Fatalf("InvalidateObject returned %q, want the two live call-filled leases %q", got, want)
 	}
 	if n := c.Len(); n != 1 {
 		t.Fatalf("%d entries left, want 1 (the other object's)", n)
 	}
 	if _, got := c.InvalidateObject(obj); got != nil {
-		t.Fatalf("a second invalidation returned %+v, want nothing", got)
+		t.Fatalf("a second invalidation returned %q, want nothing", got)
+	}
+}
+
+// TestRefreshKeyCallDecodesTheKey: KeyCall recovers the method and the
+// arguments of a cacheable call from its key. They are fresh values — a
+// caller that reuses its argument buffer after the fill changes nothing the
+// re-read sends — and encode to the key again, so the server is asked the
+// call the lease answers. A key of another object, or no Key at all, is
+// refused.
+func TestRefreshKeyCallDecodesTheKey(t *testing.T) {
+	ref := testRef(1)
+	obj := ObjKey(ref)
+	buf := []byte("abc")
+	args := []any{buf, int64(-7), "name", []string{"x", "y"}, map[string]int64{"k": 1}, 1.5, true, time.Unix(5, 6).UTC()}
+	key := mustKey(t, ref, "Lookup", args...)
+	buf[0] = 'z'
+
+	method, got, ok := KeyCall(obj, key)
+	if !ok || method != "Lookup" || len(got) != len(args) {
+		t.Fatalf("KeyCall = (%q, %v, %v), want Lookup and %d args", method, got, ok, len(args))
+	}
+	if b, _ := got[0].([]byte); string(b) != "abc" {
+		t.Fatalf("decoded buffer = %q, want the bytes the key was built from, %q", b, "abc")
+	}
+	buf[0] = 'a'
+	if again := mustKey(t, ref, method, got...); again != key {
+		t.Fatalf("the decoded call keys as %q, want %q", again, key)
+	}
+	if _, _, ok := KeyCall(obj, mustKey(t, ref, "Get")); !ok {
+		t.Fatal("a call without arguments does not decode")
+	}
+	if _, _, ok := KeyCall(ObjKey(testRef(2)), key); ok {
+		t.Fatal("another object's key decoded")
+	}
+	if _, _, ok := KeyCall(obj, obj+"\x00Get"); ok {
+		t.Fatal("a key without an argument encoding decoded")
 	}
 }
 
@@ -166,21 +198,21 @@ func TestRefreshRenewFilesTheWritersReReads(t *testing.T) {
 	c := New(reg, WithEpoch(func() uint64 { return epoch }))
 	ref := testRef(1)
 	obj := ObjKey(ref)
-	l := Lease{Key: mustKey(t, ref, "Get"), Method: "Get"}
-	c.PutCall(l, obj, int64(0), c.Gen(obj), 0)
+	key := mustKey(t, ref, "Get")
+	c.PutCall(key, obj, int64(0), c.Gen(obj), 0)
 
-	gen, live := c.InvalidateObject(obj)  // the write is recorded
-	raced := c.Gen(obj)                   // a read recorded after it ...
-	c.PutCall(l, obj, int64(0), raced, 0) // ... executed before it lands in flight
+	gen, live := c.InvalidateObject(obj)    // the write is recorded
+	raced := c.Gen(obj)                     // a read recorded after it ...
+	c.PutCall(key, obj, int64(0), raced, 0) // ... executed before it lands in flight
 	if n := c.Len(); n != 1 {
 		t.Fatalf("the raced fill did not land (%d entries): the test proves nothing", n)
 	}
-	c.Renew(obj, gen, 0, []Fill{{Lease: live[0], Val: int64(5)}})
-	if v, ok := c.Get(l.Key); !ok || v != int64(5) {
+	c.Renew(obj, gen, 0, []Fill{{Key: live[0], Val: int64(5)}})
+	if v, ok := c.Get(key); !ok || v != int64(5) {
 		t.Fatalf("after the ack Get = (%v, %v), want the re-read (5, true)", v, ok)
 	}
-	c.PutCall(l, obj, int64(0), raced, 0) // the raced read's fill, landing after the ack
-	if v, _ := c.Get(l.Key); v != int64(5) {
+	c.PutCall(key, obj, int64(0), raced, 0) // the raced read's fill, landing after the ack
+	if v, _ := c.Get(key); v != int64(5) {
 		t.Fatalf("a read recorded before the ack overwrote the re-read with %v", v)
 	}
 	s := reg.Snapshot()
@@ -188,19 +220,25 @@ func TestRefreshRenewFilesTheWritersReReads(t *testing.T) {
 		t.Fatalf("counted %d invalidations, %d hits, %d misses; want 1, 2 (the test's Gets), 0", inv, hits, misses)
 	}
 
+	// A renewed lease is re-readable in turn.
+	if _, again := c.InvalidateObject(obj); !reflect.DeepEqual(again, []string{key}) {
+		t.Fatalf("the renewed lease invalidated as %q, want it live", again)
+	}
+
 	// Another write recorded before the ack: the re-read may predate it.
+	c.PutCall(key, obj, int64(5), c.Gen(obj), 0)
 	gen, live = c.InvalidateObject(obj)
 	c.InvalidateObject(obj)
-	c.Renew(obj, gen, 0, []Fill{{Lease: live[0], Val: int64(6)}})
+	c.Renew(obj, gen, 0, []Fill{{Key: live[0], Val: int64(6)}})
 	if n := c.Len(); n != 0 {
 		t.Fatalf("a renewal behind another write filed %d entries, want 0", n)
 	}
 
 	// An epoch bump between the record and the ack.
-	c.PutCall(l, obj, int64(6), c.Gen(obj), 0)
+	c.PutCall(key, obj, int64(6), c.Gen(obj), 0)
 	gen, live = c.InvalidateObject(obj)
 	epoch++
-	c.Renew(obj, gen, 0, []Fill{{Lease: live[0], Val: int64(7)}})
+	c.Renew(obj, gen, 0, []Fill{{Key: live[0], Val: int64(7)}})
 	if n := c.Len(); n != 0 {
 		t.Fatalf("a renewal across an epoch bump filed %d entries, want 0", n)
 	}
