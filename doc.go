@@ -11,10 +11,11 @@
 //     and export-pinned batch results for cross-server forwarding
 //   - internal/rcache    the client-side caching substrate: a lease-backed
 //     result cache (TTL + ring epoch + per-object generation, invalidated
-//     at write-record time) and singleflight groups that collapse identical
-//     in-flight readonly fetches and directory refreshes into one wire call;
-//     cluster batches consume it (WithCache), so a cluster CallRO settles
-//     from a lease and an all-hit flush performs zero round trips
+//     at write-record time, renewed at the write's ack) and the group that
+//     collapses concurrent directory refreshes into one poll; cluster
+//     batches consume it (WithCache), so a cluster CallRO settles from a
+//     lease, a miss is an ordinary call, and an all-hit flush performs zero
+//     round trips
 //   - internal/cluster   multi-server sharding: epoch-versioned
 //     consistent-hash shard map, cluster naming, staged cluster batches —
 //     one recording spanning many servers, planned into dependency stages

@@ -71,7 +71,7 @@ type Batch struct {
 	// failures stay per-group instead (see Flush).
 	failure error
 	// renewals are what the writes owe the cache, one per root a write
-	// reached, in the order the roots were first reached (flights.go).
+	// reached, in the order the roots were first reached (leases.go).
 	renewals []*renewal
 
 	// quorum is the write quorum W (WithQuorum): how many replicas,
@@ -118,12 +118,12 @@ func WithDirectory(d *Directory) Option {
 
 // WithCache attaches a lease-backed result cache to the batch. Readonly
 // calls recorded with Proxy.CallRO may then settle from the cache (a batch
-// whose every call hits completes in zero round trips), identical in-flight
-// readonly calls across the cache's batches coalesce into one wire call,
-// and every non-readonly call invalidates the leases of the root object it
-// descends from. The live leases a write drops are re-read in the write's
-// own round trip, behind every write of the root, and filed when the writes
-// are acked: after its flush, the writer reads its own write from the
+// whose every call hits completes in zero round trips); a miss is an
+// ordinary call of its batch, whose value fills the cache once its wave
+// returns it. Every non-readonly call invalidates the leases of the root
+// object it descends from. The live leases a write drops are re-read in the
+// write's own round trip, behind every write of the root, and filed when the
+// writes are acked: after its flush, the writer reads its own write from the
 // cache, at no round trip. A write through another cache is seen when the
 // TTL ends the lease. Share one cache per client — NewCache builds one wired
 // to the directory's ring epoch.
@@ -139,7 +139,7 @@ func WithCache(c *rcache.Cache) Option {
 }
 
 // NewCache creates a lease cache for cluster batches: instrumented through
-// the peer's stats registry (hit/miss/evict/coalesce counters, nil-safe)
+// the peer's stats registry (hit/miss/evict/invalidate counters, nil-safe)
 // and stamped with the directory's ring epoch, so every membership change
 // or migration the directory learns of drops the older leases. Pass the
 // result to WithCache on every batch of this client.
@@ -689,9 +689,9 @@ type Future struct {
 }
 
 // outcome is how a recorded call ended: the result its wave returned, a
-// cached or coalesced value, or the error of the dependency or destination
-// that kept it from executing. It lives in the future or proxy the caller
-// holds, which answers from it alone once it is done.
+// cached value, or the error of the dependency or destination that kept it
+// from executing. It lives in the future or proxy the caller holds, which
+// answers from it alone once it is done.
 type outcome struct {
 	done bool
 	val  any

@@ -1,12 +1,14 @@
 package cluster_test
 
-// Tests of the lease-backed result cache and singleflight coalescing layer:
-// zero-round-trip full-hit flushes, record-time invalidation on write,
-// epoch-bump lease drops, the true-concurrency rendezvous proving one wire
-// call per coalesced group, and Directory.Refresh coalescing.
+// Tests of the lease-backed result cache: zero-round-trip full-hit flushes,
+// record-time invalidation on write, epoch-bump lease drops, a miss as an
+// ordinary call of its own batch — one server invocation per batch, never
+// another batch's value or failure, its value riding the wave like any
+// other — and Directory.Refresh coalescing.
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rcache"
 	"repro/internal/rmi"
+	"repro/internal/wire"
 )
 
 func clientCounter(ec *clustertest.Cluster, name string) int64 {
@@ -74,8 +77,7 @@ func TestClusterCacheFullHitFlushIsZeroRoundTrips(t *testing.T) {
 }
 
 // TestClusterCacheCountsEachCallOnce: every cacheable readonly call counts
-// once in cache.hits + cache.misses — a hit when recorded, otherwise what it
-// met when translated — however many times the cache was looked at for it.
+// once in cache.hits + cache.misses, as what it met when it was recorded.
 func TestClusterCacheCountsEachCallOnce(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
@@ -102,8 +104,8 @@ func TestClusterCacheCountsEachCallOnce(t *testing.T) {
 	if hits, misses := counts(); hits != 1 || misses != 1 {
 		t.Fatalf("a re-read counted %d hits and %d misses in all, want 1 and 1", hits, misses)
 	}
-	// A hit, a cold read, and its duplicate, which follows the cold read's
-	// flight: one more hit, two more misses.
+	// A hit, a cold read, and its duplicate, a second call on the wire: one
+	// more hit, two more misses.
 	flush(0, 1, 1)
 	if hits, misses := counts(); hits != 2 || misses != 3 || hits+misses != 5 {
 		t.Fatalf("five cacheable reads counted %d hits and %d misses, want 2 and 3", hits, misses)
@@ -314,11 +316,11 @@ func (g *gatedCounter) Calls() int {
 	return g.calls
 }
 
-// TestClusterCoalesceRendezvous is the true-concurrency rendezvous: N
-// batches sharing one cache flush the same readonly call while the leader's
-// wave is held server-side. Every other flush must coalesce onto the
-// leader's flight — exactly one wire invocation for the whole group.
-func TestClusterCoalesceRendezvous(t *testing.T) {
+// TestClusterConcurrentMissesEachCallTheServer: N batches sharing one cache
+// flush the same readonly call while every wave is held server-side. A miss
+// is an ordinary call of its batch: each batch invokes the server once, none
+// waits for another, and the fills serve a later batch at no call.
+func TestClusterConcurrentMissesEachCallTheServer(t *testing.T) {
 	ec := clustertest.New(t, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -347,13 +349,13 @@ func TestClusterCoalesceRendezvous(t *testing.T) {
 		}(i)
 	}
 
-	// Rendezvous: the leader's wave is blocked inside Get; wait until every
-	// other flush has joined its flight, then release.
+	// Every batch's wave is inside Get at once before any is released.
 	deadline := time.Now().Add(20 * time.Second)
-	for clientCounter(ec, "cache.coalesced") < n-1 {
+	for gc.Calls() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d flushes coalesced before the deadline",
-				clientCounter(ec, "cache.coalesced"), n-1)
+			close(gc.gate)
+			wg.Wait()
+			t.Fatalf("only %d of %d batches reached the server before the deadline", gc.Calls(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -368,10 +370,10 @@ func TestClusterCoalesceRendezvous(t *testing.T) {
 			t.Fatalf("flush %d read %d, want 42", i, values[i])
 		}
 	}
-	if calls := gc.Calls(); calls != 1 {
-		t.Fatalf("coalesced group invoked the server %d times, want exactly 1", calls)
+	if calls := gc.Calls(); calls != n {
+		t.Fatalf("%d batches invoked the server %d times, want once each", n, calls)
 	}
-	// The leader's fill serves later batches without any flight.
+	// The fills serve later batches without a call.
 	b := cluster.New(ec.Client, cluster.WithCache(cache))
 	f := b.Root(ref).CallRO("Get")
 	if err := b.Flush(ctx); err != nil {
@@ -380,8 +382,148 @@ func TestClusterCoalesceRendezvous(t *testing.T) {
 	if v, _ := cluster.Typed[int64](f).Get(); v != 42 {
 		t.Fatalf("post-rendezvous read %d, want 42", v)
 	}
-	if calls := gc.Calls(); calls != 1 {
+	if calls := gc.Calls(); calls != n {
 		t.Fatalf("cached read re-invoked the server (%d calls)", calls)
+	}
+}
+
+// readResult is what a cached read's flush returned.
+type readResult struct {
+	v   int64
+	err error
+}
+
+// flushRead flushes one cached Get of ref under ctx and sends its outcome.
+func flushRead(ctx context.Context, ec *clustertest.Cluster, cache *rcache.Cache, ref wire.Ref, out chan<- readResult) {
+	b := cluster.New(ec.Client, cluster.WithCache(cache))
+	f := b.Root(ref).CallRO("Get")
+	if err := b.Flush(ctx); err != nil {
+		out <- readResult{err: err}
+		return
+	}
+	v, err := cluster.Typed[int64](f).Get()
+	out <- readResult{v, err}
+}
+
+// awaitRead waits for a read that should not wait for anything: it reports
+// whether it had to unblock, after a bound, what stands in the read's way.
+func awaitRead(out <-chan readResult, unblock func()) (r readResult, waited bool) {
+	select {
+	case r = <-out:
+		return r, false
+	case <-time.After(5 * time.Second):
+		unblock()
+		return <-out, true
+	}
+}
+
+// TestClusterCacheReadAfterAckSeesTheWrite: a read recorded after a write's
+// ack returns the write, while another batch's read of the same key, run
+// before the write, is still parked at the server with the pre-write value.
+// The later read is a call of its own batch and waits for no other batch's;
+// the parked read's answer, landing last, does not become the lease.
+func TestClusterCacheReadAfterAckSeesTheWrite(t *testing.T) {
+	ec := clustertest.New(t, 1)
+	ctx := context.Background()
+	pc := &parkCounter{}
+	ref, err := ec.Servers[0].Peer.Export(pc, "cachetest.ParkCounter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
+
+	parked, release := pc.arm()
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
+	early := make(chan readResult, 1)
+	go flushRead(ctx, ec, cache, ref, early)
+	<-parked
+
+	bw := cluster.New(ec.Client, cluster.WithCache(cache))
+	bw.Root(ref).Call("Add", int64(7))
+	if err := bw.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	late := make(chan readResult, 1)
+	go flushRead(ctx, ec, cache, ref, late)
+	if r, waited := awaitRead(late, free); r.err != nil || r.v != 7 || waited {
+		t.Fatalf("read recorded after the write's ack = (%d, %v), waited for the parked read: %v; want (7, nil) at once",
+			r.v, r.err, waited)
+	}
+	free()
+	if r := <-early; r.err != nil || r.v != 0 {
+		t.Fatalf("parked read = (%d, %v), want the pre-write (0, nil)", r.v, r.err)
+	}
+	if v, calls := cachedRead(t, ec, cache, ref); v != 7 || calls != 0 {
+		t.Fatalf("read after both = %d at %d calls, want the later read's 7 at 0", v, calls)
+	}
+}
+
+// TestClusterCacheMissIgnoresAnotherBatchsCancel: a batch whose caller gave
+// up fails alone. Its read is parked at the server when its context is
+// canceled; another batch reading the same key under a live context gets the
+// server's answer, not the first caller's context.Canceled.
+func TestClusterCacheMissIgnoresAnotherBatchsCancel(t *testing.T) {
+	ec := clustertest.New(t, 1)
+	pc := &parkCounter{}
+	ref, err := ec.Servers[0].Peer.Export(pc, "cachetest.ParkCounter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
+
+	parked, release := pc.arm()
+	defer close(release)
+	gaveUp, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	abandoned := make(chan readResult, 1)
+	go flushRead(gaveUp, ec, cache, ref, abandoned)
+	<-parked
+
+	live := make(chan readResult, 1)
+	go flushRead(context.Background(), ec, cache, ref, live)
+	if r, waited := awaitRead(live, cancel); r.err != nil || r.v != 0 || waited {
+		t.Fatalf("read under a live context = (%d, %v), waited for the parked read: %v; want (0, nil) at once",
+			r.v, r.err, waited)
+	}
+	cancel()
+	if r := <-abandoned; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("the abandoned read = (%d, %v), want context.Canceled", r.v, r.err)
+	}
+}
+
+// TestCachedProducerRidesTheWave: a cacheable read that misses is an
+// ordinary call, so its value feeds another server's call inside the same
+// wave — pushed server to server — and the flush costs one wave, not two.
+// Its value still fills the cache.
+func TestCachedProducerRidesTheWave(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	ctx := context.Background()
+	a, src := ec.Servers[0].Ref, ec.Servers[1].Ref
+	seed := cluster.New(ec.Client)
+	seed.Root(src).Call("Add", int64(4))
+	if err := seed.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
+
+	calls := ec.Client.CallCount()
+	b := cluster.New(ec.Client, cluster.WithCache(cache))
+	v := b.Root(src).CallRO("Get")
+	sum := b.Root(a).Call("Add", v)
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d, w := ec.Client.CallCount()-calls, b.Waves(); d != 2 || w != 1 {
+		t.Fatalf("a cached read feeding another server's call cost %d calls in %d waves, want 2 in 1", d, w)
+	}
+	if got, err := cluster.Typed[int64](sum).Get(); err != nil || got != 4 {
+		t.Fatalf("consumer = (%d, %v), want (4, nil)", got, err)
+	}
+	if got, calls := cachedRead(t, ec, cache, src); got != 4 || calls != 0 {
+		t.Fatalf("read of the producer's object = %d at %d calls, want its fill, 4 at 0", got, calls)
 	}
 }
 

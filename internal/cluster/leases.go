@@ -1,32 +1,29 @@
 package cluster
 
 import (
-	"context"
-	"fmt"
 	"slices"
 
 	"repro/internal/rcache"
 )
 
-// flights.go is the client's half of the lease cache — what a
+// leases.go is the client's half of the lease cache — what a
 // //brmi:readonly call does that no other call does: consult the cache when
-// recorded (CallRO), join the cache's singleflight table when translated
-// (joinFlight), and publish or adopt the flight's outcome once the stage's
-// waves ran (resolveFlights) — and what a write owes the cache: drop the
-// leases of the root it writes when recorded (invalidate), re-read the live
-// ones behind every write of the root, in their round trip (addRefreshes),
-// and file what they returned once the writes were acked (renewLeases).
+// recorded (CallRO), and file what it returned once its wave ran
+// (fillLeases); a miss is an ordinary call of its batch — and what a write
+// owes the cache: drop the leases of the root it writes when recorded
+// (invalidate), re-read the live ones behind every write of the root, in
+// their round trip (addRefreshes), and file what they returned once the
+// writes were acked (renewLeases).
 
 // CallRO records a method invocation declared //brmi:readonly. On a batch
 // carrying a lease cache (WithCache), a cacheable call — root target, plain
 // marshalable arguments — consults the cache at record time: a hit returns
 // an already-settled future and the batch records nothing (a batch whose
-// every call hits flushes in zero round trips); a miss records normally and
-// at flush time joins the cache's singleflight table, so identical
-// in-flight readonly calls across this client's batches collapse into one
-// wire call. A hit may be a lease a write through the same cache refreshed
-// at its ack: after that ack, the read sees the write. Without a cache (or
-// for uncacheable shapes) it is Call.
+// every call hits flushes in zero round trips); a miss is recorded like any
+// call, and its value, once its wave returns it, fills the cache. A hit may
+// be a lease a write through the same cache refreshed at its ack: after
+// that ack, the read sees the write. Without a cache (or for uncacheable
+// shapes) it is Call.
 func (p *Proxy) CallRO(method string, args ...any) *Future {
 	b := p.b
 	f := &Future{b: b}
@@ -57,65 +54,18 @@ func (p *Proxy) CallRO(method string, args ...any) *Future {
 	return f
 }
 
-// joinFlight runs when a cacheable readonly call is translated, at the edge
-// of the wire: a fill that landed since record time settles it outright, the
-// first call per key leads (executes and publishes), and every duplicate —
-// in this batch or any other sharing the cache — becomes a follower that
-// records nothing and settles from the leader's flight in resolveFlights. It
-// reports whether c goes on the wire. On a stale retry the call is
-// re-translated; the flight guard keeps its role. Caller holds b.mu.
-func (b *Batch) joinFlight(c *recordedCall) (execute bool) {
-	if c.flight == nil {
-		if v, ok := b.cache.Get(c.ckey); ok {
-			settle(c, v, nil)
-			return false
-		}
-		c.flight, c.leader = b.cache.Begin(c.ckey)
-	}
-	return c.leader
-}
-
-// following reports whether c waits on another call's flight: it never goes
-// on the wire, and only resolveFlights may settle it.
-func (c *recordedCall) following() bool { return c.flight != nil && !c.leader }
-
-// resolveFlights settles the singleflight state of a stage's readonly calls
-// once its waves (including any stale retry) ran. Leaders publish first —
-// their outcome is already decided — so same-batch followers can never
-// deadlock waiting below; a successful leader also fills the cache,
-// generation-guarded against writes that raced the flush. Followers then
-// adopt their flight's outcome. Flight hygiene: every flight Begin'd in
-// joinFlight is Finished (leaders) or Waited (followers) exactly once here,
-// on every path, including waves that failed wholesale.
-func (b *Batch) resolveFlights(ctx context.Context, subs []*subBatch) {
+// fillLeases files, once a stage's waves (including any stale retry) ran,
+// the value of each of its cacheable reads that succeeded, generation-guarded
+// against writes that raced the flush. Caller does not hold b.mu.
+func (b *Batch) fillLeases(subs []*subBatch) {
 	b.mu.Lock()
-	var followers []*recordedCall
+	defer b.mu.Unlock()
 	for _, sb := range subs {
 		for _, c := range sb.calls {
-			switch {
-			case c.flight == nil:
-			case c.following():
-				followers = append(followers, c)
-			default:
-				if !c.out.done {
-					settle(c, nil, fmt.Errorf("cluster: internal: readonly call %s left untranslated", c.method))
-				}
-				if c.out.err == nil {
-					b.cache.PutCall(c.ckey, c.cobj, c.out.val, c.cgen, c.cepoch)
-				}
-				b.cache.Finish(c.ckey, c.flight, c.out.val, c.out.err)
-				c.flight = nil
+			if c.ckey != "" && c.out.done && c.out.err == nil {
+				b.cache.Put(c.ckey, c.cobj, c.out.val, c.cgen, c.cepoch)
 			}
 		}
-	}
-	b.mu.Unlock()
-
-	for _, c := range followers {
-		v, err := c.flight.Wait(ctx)
-		b.mu.Lock()
-		settle(c, v, err)
-		c.flight = nil
-		b.mu.Unlock()
 	}
 }
 
@@ -186,8 +136,7 @@ func (b *Batch) renewalOf(p *Proxy) *renewal {
 // planner puts it in the stage of the latest of them, in their sub-batch
 // (inputs), so it rides a round trip the writes pay. The call is decoded
 // from the lease's key, so no argument the caller may since have changed
-// is sent. A re-read consults no cache and joins no flight — a flight begun
-// before the write would hand it the pre-write value. Caller holds b.mu.
+// is sent. A re-read consults no cache. Caller holds b.mu.
 func (b *Batch) addRefreshes(calls []*recordedCall) []*recordedCall {
 	for _, r := range b.renewals {
 		if len(r.writes) == 0 || r.proxied {

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"repro/internal/core"
-	"repro/internal/rcache"
-)
+import "repro/internal/core"
 
 // Call kinds a cluster recording can hold. They mirror the core package's
 // value/remote split; cluster batches do not record cursors (use a
@@ -46,17 +43,13 @@ type recordedCall struct {
 	// (core.Batch.PushTo).
 	consumers []*recordedCall
 
-	// The remaining fields are the cache/coalescing state of a cacheable
-	// call recorded through CallRO (flights.go): ckey/cobj and the
-	// generation+epoch captured at record time (the stale-fill guard), and
-	// the singleflight the call joined at translate time — as leader (this
-	// call executes and publishes) or follower (settles from the flight).
+	// The remaining fields are the cache state of a cacheable call recorded
+	// through CallRO (leases.go): ckey/cobj and the generation+epoch
+	// captured at record time (the stale-fill guard).
 	ckey   string
 	cobj   string
 	cgen   uint64
 	cepoch uint64
-	flight *rcache.Flight
-	leader bool
 	// after is, on the re-read of a lease a write dropped (addRefreshes), the
 	// root's writes, which the re-read follows in their sub-batch.
 	after []*recordedCall

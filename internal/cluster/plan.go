@@ -65,15 +65,14 @@ func (c *recordedCall) inputs() []input {
 			// A value consumed where it is produced is spliced by the server,
 			// inside the request (core.Proxy.Call takes the producer's future);
 			// one bound for another server is pushed there by the producer's,
-			// inside the wave (core.Batch.PushTo). Three shapes still go
-			// through the client, a wave later: a cacheable read's, which may
-			// settle from another batch's flight and never be sent at all; a
-			// replicated wave's, which is not durable until its quorum holds
-			// it — pushed at once, a value the quorum then misses would outlive
-			// it in another shard; and any cross-server value of a flush whose
-			// policy can run a call twice, which would push twice.
+			// inside the wave (core.Batch.PushTo). Two shapes still go
+			// through the client, a wave later: a replicated wave's, which is
+			// not durable until its quorum holds it — pushed at once, a value
+			// the quorum then misses would outlive it in another shard; and
+			// any cross-server value of a flush whose policy can run a call
+			// twice, which would push twice.
 			o, b := x.origin, c.target.b
-			in = append(in, input{producer: o, staged: o.ckey != "" || (o.group != c.group && (b.replicates(o.group) || b.reruns()))})
+			in = append(in, input{producer: o, staged: o.group != c.group && (b.replicates(o.group) || b.reruns())})
 		}
 	}
 	return in

@@ -118,31 +118,30 @@ func TestRefreshDropsAFillThatRacedTheWrite(t *testing.T) {
 	}
 }
 
-// TestRefreshAfterStagedWrite: a write whose argument is another server's
-// cacheable read runs a wave after it (plan.go stages the edge); the re-read
-// of the written object's lease rides that second wave, after the write.
+// TestRefreshAfterStagedWrite: a write whose argument is a remote result of
+// another server runs a wave after it (plan.go stages the edge: the proxy
+// travels by reference); the re-read of the written object's lease rides
+// that second wave, after the write.
 func TestRefreshAfterStagedWrite(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
 	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
-	b := cluster.New(ec.Client)
-	b.Root(ec.Servers[1].Ref).Call("Add", int64(4))
-	if err := b.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
 	if v, _ := cachedRead(t, ec, cache, ec.Servers[0].Ref); v != 0 {
 		t.Fatalf("filling read = %d, want 0", v)
 	}
 
 	calls := ec.Client.CallCount()
 	bw := cluster.New(ec.Client, cluster.WithCache(cache))
-	v := bw.Root(ec.Servers[1].Ref).CallRO("Get")
-	bw.Root(ec.Servers[0].Ref).Call("Add", v)
+	src := bw.Root(ec.Servers[1].Ref).CallBatch("Fork", int64(4))
+	w := bw.Root(ec.Servers[0].Ref).Call("AddRemote", src)
 	if err := bw.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if d, w := ec.Client.CallCount()-calls, bw.Waves(); d != 2 || w != 2 {
 		t.Fatalf("staged write cost %d calls in %d waves, want 2 in 2", d, w)
+	}
+	if v, err := cluster.Typed[int64](w).Get(); err != nil || v != 4 {
+		t.Fatalf("staged write = (%d, %v), want (4, nil)", v, err)
 	}
 	if got, calls := cachedRead(t, ec, cache, ec.Servers[0].Ref); got != 4 || calls != 0 {
 		t.Fatalf("read after the staged write = %d at %d calls, want 4 at 0", got, calls)
@@ -151,7 +150,7 @@ func TestRefreshAfterStagedWrite(t *testing.T) {
 
 // TestRefreshFollowsEveryWrite: the planner keeps program order per server
 // only within a stage, so a root's last recorded write need not run last.
-// Here a write staged behind another server's cacheable read is recorded
+// Here a write staged behind another server's remote result is recorded
 // before an unstaged write of the same root: the unstaged one runs in the
 // first wave, the staged one in the second. The re-read follows both, and
 // the lease is filed only once both were acked, so it holds the final total.
@@ -160,19 +159,14 @@ func TestRefreshFollowsEveryWrite(t *testing.T) {
 	ctx := context.Background()
 	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
 	a, bref := ec.Servers[0].Ref, ec.Servers[1].Ref
-	b := cluster.New(ec.Client)
-	b.Root(bref).Call("Add", int64(4))
-	if err := b.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
 	if v, _ := cachedRead(t, ec, cache, a); v != 0 {
 		t.Fatalf("filling read = %d, want 0", v)
 	}
 
 	calls := ec.Client.CallCount()
 	bw := cluster.New(ec.Client, cluster.WithCache(cache))
-	v := bw.Root(bref).CallRO("Get")
-	staged := bw.Root(a).Call("Add", v)          // second wave: 5
+	src := bw.Root(bref).CallBatch("Fork", int64(4))
+	staged := bw.Root(a).Call("AddRemote", src)  // second wave: 5
 	unstaged := bw.Root(a).Call("Add", int64(1)) // first wave: 1
 	if err := bw.Flush(ctx); err != nil {
 		t.Fatal(err)
@@ -294,11 +288,11 @@ func (p *parkCounter) arm() (parked <-chan struct{}, release chan<- struct{}) {
 	return p.parked, p.park
 }
 
-// TestRefreshBypassesAParkedRead: a read recorded after a write, parked at
-// the server with the pre-write total when the write flushes, leads the
-// key's flight. The write's re-read neither joins that flight nor waits for
-// it, and the parked read's answer, landing after the write's ack, does not
-// replace the re-read as the lease.
+// TestRefreshBypassesAParkedRead: a read recorded after a write is parked at
+// the server with the pre-write total when the write flushes. The write's
+// re-read is a call of the write's own batch and does not wait for it, and
+// the parked read's answer, landing after the write's ack, does not replace
+// the re-read as the lease.
 func TestRefreshBypassesAParkedRead(t *testing.T) {
 	ec := clustertest.New(t, 1)
 	ctx := context.Background()
@@ -336,7 +330,7 @@ func TestRefreshBypassesAParkedRead(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		close(release)
 		<-flushed
-		t.Fatal("the write's flush waited for the parked read's flight")
+		t.Fatal("the write's flush waited for the parked read")
 	}
 	close(release)
 	if v := <-read; v != 0 {
@@ -485,24 +479,21 @@ func TestRefreshReplicatedWrite(t *testing.T) {
 // a replicated root only follows the earlier one — it takes no value from
 // it — so a remote result that write left on the primary is not something
 // the re-read consumes in a later wave, which a replicated destination
-// could not replay (*UnreplicableError). The flush runs, and the lease
-// holds the final total.
+// could not replay (*UnreplicableError). The later write takes the value of
+// a read on another replicated primary, which waits for its quorum and goes
+// through the client a wave later. The flush runs, and the lease holds the
+// final total.
 func TestRefreshReplicatedStagedWrite(t *testing.T) {
 	ec := clustertest.New(t, 3)
 	ctx := context.Background()
-	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100})
-	owners, _ := dir.Owners("obj-0")
-	other := ec.Servers[0].Ref
-	for _, s := range ec.Servers {
-		if !slices.Contains(owners, s.Ref.Endpoint) {
-			other = s.Ref
-		}
+	probe := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(2))
+	home, _ := probe.Owners("obj-0")
+	srcHome := ec.Endpoints()[0]
+	if srcHome == home[0] {
+		srcHome = ec.Endpoints()[1]
 	}
-	b := cluster.New(ec.Client)
-	b.Root(other).Call("Add", int64(4))
-	if err := b.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
+	srcName := nameWhere(t, probe, "src", srcHome, anyOwners)
+	dir := placedDirectory(t, ec, map[string]int64{"obj-0": 100, srcName: 4})
 	cache := cluster.NewCache(ec.Client, dir, rcache.WithTTL(time.Minute))
 	read := func() (int64, uint64) {
 		t.Helper()
@@ -531,8 +522,12 @@ func TestRefreshReplicatedStagedWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.CallBatch("Fork", int64(1))               // first wave, a remote result
-	p.Call("Add", bw.Root(other).CallRO("Get")) // second wave: 104
+	q, err := bw.RootNamed(ctx, srcName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.CallBatch("Fork", int64(1))  // first wave, a remote result
+	p.Call("Add", q.CallRO("Get")) // second wave: 104
 	if err := bw.Flush(ctx); err != nil {
 		t.Fatalf("flush: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 // stage.go is the "execute" phase of the cluster flush pipeline: a walk over
 // the planned stages, each run through ONE wave primitive (run.wave). The
 // ship directives of a replicated wave (replicate.go), stale-route
-// re-planning (reroute.go), read coalescing (flights.go) and the client half
+// re-planning (reroute.go), the lease cache (leases.go) and the client half
 // of pushed values (push.go) each sit behind a call or two from here. Every
 // wave sends each of its destinations a fresh core.Batch, ended with Flush:
 // no cluster request opens, keeps or continues a server session. Within one
@@ -102,10 +102,10 @@ func (ds *destState) open(b *Batch) error {
 	return nil
 }
 
-// execute walks the stage schedule: per stage one wave, then the stage's read
-// flights settle and its writes renew the leases they dropped. Wall-clock
-// cost per stage is the slowest destination's round trip; total cost is one
-// wave per stage, plus one for a stale retry.
+// execute walks the stage schedule: per stage one wave, then the stage's
+// cacheable reads fill the cache and its writes renew the leases they
+// dropped. Wall-clock cost per stage is the slowest destination's round trip;
+// total cost is one wave per stage, plus one for a stale retry.
 func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 	r := &run{b: b, dests: make(map[*group]*destState)}
 	for _, subs := range stages {
@@ -119,10 +119,8 @@ func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 		if rejected := r.wave(ctx, s, subs); len(rejected) > 0 {
 			stages = r.retry(ctx, s, rejected, stages)
 		}
-		// After the retry, so a retried leader publishes its final outcome, not
-		// the transient rejection; every stage, since one with no wire work may
-		// still hold followers of flights other batches lead.
-		b.resolveFlights(ctx, subs)
+		// After the retry, so a retried read files its final outcome.
+		b.fillLeases(subs)
 		b.renewLeases()
 	}
 	return r.finish(ctx)
@@ -320,16 +318,16 @@ func (r *run) report(endpoint string, stage int, err error) {
 }
 
 // settleSub gives every call of sb that is still open — not settled locally,
-// not waiting on another call's flight, not waiting for a stale-route retry —
-// its outcome: err when the wave failed (or never ran), otherwise what the
-// wave returned, copied out of the call's core future / core proxy once. The
-// wave's batch is spent after this: a result pinned for a later wave is
-// leased on the spot (rmi.Peer.HoldRef), so it outlives the server's marshal
-// grace while the pipeline needs it, and is addressed by its ref from here on
-// (rootRef). Caller holds b.mu.
+// not waiting for a stale-route retry — its outcome: err when the wave
+// failed (or never ran), otherwise what the wave returned, copied out of the
+// call's core future / core proxy once. The wave's batch is spent after
+// this: a result pinned for a later wave is leased on the spot
+// (rmi.Peer.HoldRef), so it outlives the server's marshal grace while the
+// pipeline needs it, and is addressed by its ref from here on (rootRef).
+// Caller holds b.mu.
 func (r *run) settleSub(sb *subBatch, err error) {
 	for _, c := range sb.calls {
-		if c.out.done || c.following() || slices.Contains(r.waited, c) {
+		if c.out.done || slices.Contains(r.waited, c) {
 			continue
 		}
 		switch {
@@ -364,12 +362,8 @@ func (r *run) settleSub(sb *subBatch, err error) {
 // A value call some other destination's call of the same wave consumes pushes
 // its value there. Caller holds b.mu.
 func (r *run) translate(c *recordedCall) {
-	b := r.b
 	if c.out.done {
-		return // settled earlier (a failed input, a cache fill)
-	}
-	if c.ckey != "" && !b.joinFlight(c) {
-		return
+		return // settled earlier (a failed input)
 	}
 	cb := r.dests[c.group].cb
 	target, args, waits, err := resolveInputs(cb, c)

@@ -1,5 +1,5 @@
-// Package rcache is the client-side result cache and request-coalescing
-// layer behind readonly batched calls (DESIGN.md "Caching & coalescing").
+// Package rcache is the client-side lease cache behind readonly batched
+// calls (DESIGN.md "Caching & coalescing").
 //
 // A Cache stores flush results of methods declared //brmi:readonly, keyed by
 // (object ref, method, compiled-codec-encoded args). Every entry is a lease:
@@ -21,24 +21,26 @@
 // read/write race where an in-flight read's stale result lands after a
 // write already invalidated the entry; the bump at ack closes the other
 // half, a read recorded after the write but executed before it, whose fill
-// lands while the write is still in flight.
+// lands while the write is still in flight. Generations come from one
+// cache-wide counter, and the cache forgets those of the objects that hold
+// no entry once it keeps more than four per entry it may hold: an object it
+// forgot reads a floor above every generation handed out before, so no fill
+// captured earlier can match it again.
 //
-// A lease filled by a call (PutCall) is marked re-readable: its key names
-// the call (KeyCall), so the write that drops the lease can re-issue it in
-// its own round trip (InvalidateObject returns the live keys) and file the
-// fresh value at ack (Renew): the writer's next read of its own write is a
-// hit. A write recorded through
-// another client's cache is seen only when the TTL ends the lease.
+// Every lease is re-readable: its key names the call that filled it
+// (KeyCall), so the write that drops the lease can re-issue it in its own
+// round trip (InvalidateObject returns the live keys) and file the fresh
+// value at ack (Renew): the writer's next read of its own write is a hit. A
+// write recorded through another client's cache is seen only when the TTL
+// ends the lease.
 //
-// The package also provides the singleflight primitives: Flight (asymmetric
-// leader/follower coalescing for batch executors, where the leader's result
-// arrives via its own future) and Group (symmetric Do-style coalescing for
-// control-plane calls like Directory.Refresh).
+// A miss is an ordinary call of the batch that recorded it: the cache does
+// not coalesce reads across batches. The package's Group is the symmetric
+// Do-style coalescer for control-plane calls like Directory.Refresh.
 package rcache
 
 import (
 	"container/list"
-	"context"
 	"slices"
 	"strconv"
 	"strings"
@@ -60,7 +62,7 @@ const DefaultMaxEntries = 4096
 
 // Cache is a lease-backed result cache. It is safe for concurrent use by
 // any number of batches sharing it — sharing is the point: fills from one
-// flush serve hits (and coalesce in-flight duplicates) for every other.
+// flush serve hits for every other.
 type Cache struct {
 	ttl   time.Duration
 	max   int              // entry cap, DefaultMaxEntries
@@ -70,15 +72,18 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 	byObj   map[string]map[string]*entry
-	gens    map[string]uint64
-	order   *list.List // *entry, front = oldest (FIFO eviction)
-	flights map[string]*Flight
+	// gens are the objects' write generations, drawn from next. An object
+	// absent from gens is at floor: bumpLocked forgets the objects that hold
+	// no entry and raises floor above every generation drawn so far.
+	gens  map[string]uint64
+	next  uint64
+	floor uint64
+	order *list.List // *entry, front = oldest (FIFO eviction)
 
 	hits          *stats.Counter // cache.hits
 	misses        *stats.Counter // cache.misses
 	evictions     *stats.Counter // cache.evictions
 	invalidations *stats.Counter // cache.invalidations
-	coalesced     *stats.Counter // cache.coalesced
 }
 
 type entry struct {
@@ -88,9 +93,6 @@ type entry struct {
 	epoch   uint64
 	expires time.Time
 	elem    *list.Element
-	// call marks an entry filled by the call its key names (PutCall), not
-	// by Put: a write that drops it may re-issue that call (KeyCall).
-	call bool
 }
 
 // Fill is a lease a writer re-read after its write: the lease's key and the
@@ -126,7 +128,6 @@ func New(reg *stats.Registry, opts ...Option) *Cache {
 		byObj:   make(map[string]map[string]*entry),
 		gens:    make(map[string]uint64),
 		order:   list.New(),
-		flights: make(map[string]*Flight),
 	}
 	if reg != nil {
 		c.now = reg.Now
@@ -134,7 +135,6 @@ func New(reg *stats.Registry, opts ...Option) *Cache {
 		c.misses = reg.Counter("cache.misses")
 		c.evictions = reg.Counter("cache.evictions")
 		c.invalidations = reg.Counter("cache.invalidations")
-		c.coalesced = reg.Counter("cache.coalesced")
 	}
 	for _, o := range opts {
 		o(c)
@@ -159,25 +159,54 @@ func (c *Cache) Epoch() uint64 {
 func (c *Cache) Gen(obj string) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.gens[obj]
+	return c.genLocked(obj)
+}
+
+// genLocked is Gen. Caller holds c.mu.
+func (c *Cache) genLocked(obj string) uint64 {
+	if g, ok := c.gens[obj]; ok {
+		return g
+	}
+	return c.floor
+}
+
+// bumpLocked moves obj to a fresh generation and returns it, first
+// forgetting the generations of the objects that hold no entry once the
+// table holds more than four times the entry cap: the floor a forgotten
+// object then reads is above every generation drawn before, so a fill
+// captured earlier cannot match again. Caller holds c.mu.
+func (c *Cache) bumpLocked(obj string) uint64 {
+	if len(c.gens) > 4*c.max {
+		for o := range c.gens {
+			if _, ok := c.byObj[o]; !ok {
+				delete(c.gens, o)
+			}
+		}
+		c.next++
+		c.floor = c.next
+	}
+	c.next++
+	c.gens[obj] = c.next
+	return c.next
 }
 
 // Get returns the cached value for key if its lease still holds: not
 // expired, and stamped with the current ring epoch. An unservable entry is
-// dropped on the way out. A hit counts in cache.hits; a miss counts nowhere
-// yet — a caller may look again before it settles for the wire, and the
-// call that does goes through Begin, which counts it.
+// dropped on the way out. It counts a hit in cache.hits and anything else
+// in cache.misses: a batch looks once per cacheable call, when it records
+// it.
 func (c *Cache) Get(key string) (any, bool) {
 	ep := c.Epoch()
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	if e.epoch != ep || now.After(e.expires) {
+	if ok && (e.epoch != ep || now.After(e.expires)) {
 		c.removeLocked(e)
+		ok = false
+	}
+	if !ok {
+		c.misses.Inc()
 		return nil, false
 	}
 	c.hits.Inc()
@@ -187,37 +216,28 @@ func (c *Cache) Get(key string) (any, bool) {
 // Put stores val for key on obj, provided the object's generation and the
 // ring epoch still match what the caller captured when the miss was
 // recorded. A fill that lost that race is silently dropped — the entry
-// would carry a value older than its lease.
+// would carry a value older than its lease. key is a Key of the readonly
+// call that returned val: as long as the lease is live, the write that
+// drops it gets the key back from InvalidateObject, to re-issue the call.
 func (c *Cache) Put(key, obj string, val any, gen, epoch uint64) {
-	c.put(key, obj, val, gen, epoch, false)
-}
-
-// PutCall is Put for a lease filled by the readonly call its key names (a
-// key Key built): as long as the lease is live, the write that drops it
-// gets the key back from InvalidateObject, to re-issue the call.
-func (c *Cache) PutCall(key, obj string, val any, gen, epoch uint64) {
-	c.put(key, obj, val, gen, epoch, true)
-}
-
-func (c *Cache) put(key, obj string, val any, gen, epoch uint64, call bool) {
 	if epoch != c.Epoch() {
 		return
 	}
 	expires := c.now().Add(c.ttl)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gens[obj] == gen {
-		c.insertLocked(key, obj, val, epoch, expires, call)
+	if c.genLocked(obj) == gen {
+		c.insertLocked(key, obj, val, epoch, expires)
 	}
 }
 
 // insertLocked files val under key, replacing what was there and evicting
 // the oldest fills past the cap. Caller holds c.mu.
-func (c *Cache) insertLocked(key, obj string, val any, epoch uint64, expires time.Time, call bool) {
+func (c *Cache) insertLocked(key, obj string, val any, epoch uint64, expires time.Time) {
 	if old, ok := c.entries[key]; ok {
 		c.removeLocked(old)
 	}
-	e := &entry{key: key, obj: obj, val: val, epoch: epoch, expires: expires, call: call}
+	e := &entry{key: key, obj: obj, val: val, epoch: epoch, expires: expires}
 	e.elem = c.order.PushBack(e)
 	c.entries[key] = e
 	set := c.byObj[obj]
@@ -238,23 +258,23 @@ func (c *Cache) insertLocked(key, obj string, val any, epoch uint64, expires tim
 // cluster batch calls it at record time for every non-readonly call, keyed
 // by the call's root object. It returns the generation it left and the
 // keys of the dropped leases that were still live — stamped with the
-// current epoch, not expired, filled by PutCall — in order, for the writer
-// to re-read after its write (KeyCall) and Renew.
+// current epoch, not expired — in order, for the writer to re-read after
+// its write (KeyCall) and Renew.
 func (c *Cache) InvalidateObject(obj string) (gen uint64, live []string) {
 	ep := c.Epoch()
 	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gens[obj]++
+	gen = c.bumpLocked(obj)
 	for _, e := range c.byObj[obj] {
-		if e.call && e.epoch == ep && !now.After(e.expires) {
+		if e.epoch == ep && !now.After(e.expires) {
 			live = append(live, e.key)
 		}
 		c.removeLocked(e)
 	}
 	c.invalidations.Inc()
 	slices.Sort(live)
-	return c.gens[obj], live
+	return gen, live
 }
 
 // Renew is the ack of a write to obj. Like the write's InvalidateObject it
@@ -270,8 +290,8 @@ func (c *Cache) Renew(obj string, gen, epoch uint64, fills []Fill) {
 	expires := c.now().Add(c.ttl)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fresh = fresh && c.gens[obj] == gen
-	c.gens[obj]++
+	fresh = fresh && c.genLocked(obj) == gen
+	c.bumpLocked(obj)
 	for _, e := range c.byObj[obj] {
 		c.removeLocked(e)
 	}
@@ -279,7 +299,7 @@ func (c *Cache) Renew(obj string, gen, epoch uint64, fills []Fill) {
 		return
 	}
 	for _, f := range fills {
-		c.insertLocked(f.Key, obj, f.Val, epoch, expires, true)
+		c.insertLocked(f.Key, obj, f.Val, epoch, expires)
 	}
 }
 
@@ -347,64 +367,11 @@ func KeyCall(obj, key string) (method string, args []any, ok bool) {
 	return method, args, true
 }
 
-// --- singleflight ------------------------------------------------------------
-
-// Flight is one in-flight readonly wire call that duplicates coalesce onto.
-// The leader (the caller Begin said was first) executes the call and MUST
-// call Cache.Finish exactly once on every outcome path; followers Wait.
-type Flight struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
-// Wait blocks until the leader finished (or ctx expired) and returns the
-// leader's outcome.
-func (f *Flight) Wait(ctx context.Context) (any, error) {
-	select {
-	case <-f.done:
-		return f.val, f.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Begin joins or opens the flight for key. leader is true for the caller
-// that must execute the call and Finish the flight; every other caller is a
-// follower and settles from Wait instead of recording a wire call. Either
-// way the call missed the cache: Begin counts it in cache.misses, so every
-// call that looked counts once, as a hit or as a miss.
-func (c *Cache) Begin(key string) (f *Flight, leader bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.misses.Inc()
-	if f, ok := c.flights[key]; ok {
-		c.coalesced.Inc()
-		return f, false
-	}
-	f = &Flight{done: make(chan struct{})}
-	c.flights[key] = f
-	return f, true
-}
-
-// Finish publishes the leader's outcome to f's followers and retires the
-// flight. Publishing before any follower can miss it: followers hold the
-// *Flight from Begin, not the key.
-func (c *Cache) Finish(key string, f *Flight, val any, err error) {
-	c.mu.Lock()
-	if c.flights[key] == f {
-		delete(c.flights, key)
-	}
-	c.mu.Unlock()
-	f.val, f.err = val, err
-	close(f.done)
-}
+// --- control-plane coalescing -----------------------------------------------
 
 // Group coalesces symmetric duplicate calls: every caller of Do with the
 // same key while one is in flight shares the first caller's outcome. It is
-// the control-plane shape (Directory.Refresh); batch executors use the
-// asymmetric Begin/Finish/Wait instead because the leader's result arrives
-// through its own future.
+// the control-plane shape (Directory.Refresh).
 type Group struct {
 	mu    sync.Mutex
 	calls map[string]*groupCall

@@ -1,9 +1,9 @@
 package rcache
 
 import (
-	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -46,10 +46,13 @@ func TestKeyDistinguishesArgsAndRejectsUnencodable(t *testing.T) {
 	}
 }
 
+// TestGetPutLeaseLifecycle: a lease serves until its TTL ends or the epoch
+// moves, and every Get counts once, as a hit or a miss.
 func TestGetPutLeaseLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	var epoch uint64 = 7
-	c := New(nil,
+	reg := stats.New()
+	c := New(reg,
 		WithEpoch(func() uint64 { return epoch }),
 		WithTTL(10*time.Second))
 	c.now = func() time.Time { return now }
@@ -76,6 +79,10 @@ func TestGetPutLeaseLifecycle(t *testing.T) {
 	epoch++
 	if _, ok := c.Get(key); ok {
 		t.Fatalf("lease served across an epoch bump")
+	}
+	s := reg.Snapshot()
+	if hits, misses := s.Counter("cache.hits"), s.Counter("cache.misses"); hits != 1 || misses != 3 {
+		t.Fatalf("four Gets counted %d hits and %d misses, want 1 and 3", hits, misses)
 	}
 }
 
@@ -106,10 +113,10 @@ func TestInvalidateObjectAndGenerationGuard(t *testing.T) {
 }
 
 // TestRefreshInvalidateReturnsLiveCallLeases: InvalidateObject hands back
-// the keys of the dropped leases a writer may re-read — filled by a call,
-// stamped with the current epoch, not expired — in key order, and the
-// generation it left; a lease from another epoch, an expired one and one
-// filled by Put are dropped without a word.
+// the keys of the dropped leases a writer may re-read — every lease stamped
+// with the current epoch and not expired, since every key names the call
+// that filled it — in key order, and a generation Gen then reports; a lease
+// from another epoch and an expired one are dropped without a word.
 func TestRefreshInvalidateReturnsLiveCallLeases(t *testing.T) {
 	now := time.Unix(0, 0)
 	var epoch uint64 = 3
@@ -117,30 +124,27 @@ func TestRefreshInvalidateReturnsLiveCallLeases(t *testing.T) {
 	c.now = func() time.Time { return now }
 	ref := testRef(1)
 	obj := ObjKey(ref)
-	fill := func(key, obj string) { c.PutCall(key, obj, key, c.Gen(obj), c.Epoch()) }
+	fill := func(key, obj string) { c.Put(key, obj, key, c.Gen(obj), c.Epoch()) }
 
 	fill(mustKey(t, ref, "Get", int64(1)), obj) // filled at an older epoch
 	epoch++
 	fill(mustKey(t, ref, "Get", int64(2)), obj) // expires before the write
 	now = now.Add(6 * time.Second)
-	live := []string{mustKey(t, ref, "Get", int64(4)), mustKey(t, ref, "Get", int64(3))}
-	fill(live[0], obj)
-	fill(live[1], obj)
-	c.Put(mustKey(t, ref, "Get", int64(5)), obj, "put", c.Gen(obj), c.Epoch()) // no call to re-read
+	live := []string{mustKey(t, ref, "Get", int64(5)), mustKey(t, ref, "Get", int64(4)), mustKey(t, ref, "Get", int64(3))}
+	for _, k := range live {
+		fill(k, obj)
+	}
 	fill(mustKey(t, testRef(2), "Get"), ObjKey(testRef(2)))
 	now = now.Add(6 * time.Second)
 
 	before := c.Gen(obj)
 	gen, got := c.InvalidateObject(obj)
-	if gen != before+1 || c.Gen(obj) != gen {
-		t.Fatalf("InvalidateObject left generation %d (Gen says %d), want %d", gen, c.Gen(obj), before+1)
+	if gen == before || c.Gen(obj) != gen {
+		t.Fatalf("InvalidateObject left generation %d (Gen says %d), want a new one (was %d)", gen, c.Gen(obj), before)
 	}
-	want := []string{live[1], live[0]}
-	if live[0] < live[1] {
-		want = live
-	}
+	want := slices.Sorted(slices.Values(live))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("InvalidateObject returned %q, want the two live call-filled leases %q", got, want)
+		t.Fatalf("InvalidateObject returned %q, want the three live leases %q", got, want)
 	}
 	if n := c.Len(); n != 1 {
 		t.Fatalf("%d entries left, want 1 (the other object's)", n)
@@ -199,11 +203,11 @@ func TestRefreshRenewFilesTheWritersReReads(t *testing.T) {
 	ref := testRef(1)
 	obj := ObjKey(ref)
 	key := mustKey(t, ref, "Get")
-	c.PutCall(key, obj, int64(0), c.Gen(obj), 0)
+	c.Put(key, obj, int64(0), c.Gen(obj), 0)
 
-	gen, live := c.InvalidateObject(obj)    // the write is recorded
-	raced := c.Gen(obj)                     // a read recorded after it ...
-	c.PutCall(key, obj, int64(0), raced, 0) // ... executed before it lands in flight
+	gen, live := c.InvalidateObject(obj) // the write is recorded
+	raced := c.Gen(obj)                  // a read recorded after it ...
+	c.Put(key, obj, int64(0), raced, 0)  // ... executed before it lands in flight
 	if n := c.Len(); n != 1 {
 		t.Fatalf("the raced fill did not land (%d entries): the test proves nothing", n)
 	}
@@ -211,7 +215,7 @@ func TestRefreshRenewFilesTheWritersReReads(t *testing.T) {
 	if v, ok := c.Get(key); !ok || v != int64(5) {
 		t.Fatalf("after the ack Get = (%v, %v), want the re-read (5, true)", v, ok)
 	}
-	c.PutCall(key, obj, int64(0), raced, 0) // the raced read's fill, landing after the ack
+	c.Put(key, obj, int64(0), raced, 0) // the raced read's fill, landing after the ack
 	if v, _ := c.Get(key); v != int64(5) {
 		t.Fatalf("a read recorded before the ack overwrote the re-read with %v", v)
 	}
@@ -226,7 +230,7 @@ func TestRefreshRenewFilesTheWritersReReads(t *testing.T) {
 	}
 
 	// Another write recorded before the ack: the re-read may predate it.
-	c.PutCall(key, obj, int64(5), c.Gen(obj), 0)
+	c.Put(key, obj, int64(5), c.Gen(obj), 0)
 	gen, live = c.InvalidateObject(obj)
 	c.InvalidateObject(obj)
 	c.Renew(obj, gen, 0, []Fill{{Key: live[0], Val: int64(6)}})
@@ -235,12 +239,73 @@ func TestRefreshRenewFilesTheWritersReReads(t *testing.T) {
 	}
 
 	// An epoch bump between the record and the ack.
-	c.PutCall(key, obj, int64(6), c.Gen(obj), 0)
+	c.Put(key, obj, int64(6), c.Gen(obj), 0)
 	gen, live = c.InvalidateObject(obj)
 	epoch++
 	c.Renew(obj, gen, 0, []Fill{{Key: live[0], Val: int64(7)}})
 	if n := c.Len(); n != 0 {
 		t.Fatalf("a renewal across an epoch bump filed %d entries, want 0", n)
+	}
+}
+
+// TestGenerationsStayBounded: writes to ever new objects, each write
+// renewing a lease, leave at most four generations per entry the cache may
+// hold (plus the one being drawn), not one per object ever written.
+func TestGenerationsStayBounded(t *testing.T) {
+	c := New(nil)
+	for i := range 200000 {
+		ref := testRef(uint64(i))
+		obj := ObjKey(ref)
+		gen, _ := c.InvalidateObject(obj)
+		c.Renew(obj, gen, 0, []Fill{{Key: obj + "\x00Get\x00", Val: int64(i)}})
+		if n := len(c.gens); n > 4*c.max+1 {
+			t.Fatalf("after %d writes the cache keeps %d generations, want at most %d", i+1, n, 4*c.max+1)
+		}
+	}
+	if n := c.Len(); n != c.max {
+		t.Fatalf("%d entries after the writes, want the cap %d", n, c.max)
+	}
+}
+
+// TestPrunedGenerationVoidsEarlierFill: a fill whose generation was
+// captured before the cache forgot its object's generation is dropped — the
+// object reads a floor above it, whether it had been written or never had —
+// while one captured after the prune lands, and an object that holds a
+// lease keeps its generation through the prune.
+func TestPrunedGenerationVoidsEarlierFill(t *testing.T) {
+	c := New(nil)
+	c.max = 2
+	written, unwritten, leased := testRef(1), testRef(2), testRef(3)
+	wobj, uobj, lobj := ObjKey(written), ObjKey(unwritten), ObjKey(leased)
+	c.Put(mustKey(t, leased, "Get"), lobj, int64(3), c.Gen(lobj), 0)
+	c.InvalidateObject(wobj)
+	c.InvalidateObject(lobj)
+	c.Put(mustKey(t, leased, "Get"), lobj, int64(3), c.Gen(lobj), 0)
+	wgen, ugen, lgen := c.Gen(wobj), c.Gen(uobj), c.Gen(lobj)
+
+	for i, floor := uint64(10), c.floor; c.floor == floor; i++ {
+		if i > 100 {
+			t.Fatal("no prune after 90 writes")
+		}
+		c.InvalidateObject(ObjKey(testRef(i)))
+	}
+	if _, ok := c.gens[wobj]; ok {
+		t.Fatal("the prune kept the generation of an object without an entry")
+	}
+	if g := c.Gen(lobj); g != lgen {
+		t.Fatalf("the leased object's generation moved from %d to %d in the prune", lgen, g)
+	}
+	c.Put(mustKey(t, written, "Get"), wobj, int64(1), wgen, 0)
+	c.Put(mustKey(t, unwritten, "Get"), uobj, int64(2), ugen, 0)
+	if _, ok := c.Get(mustKey(t, written, "Get")); ok {
+		t.Fatal("a fill captured before the prune landed on a written object")
+	}
+	if _, ok := c.Get(mustKey(t, unwritten, "Get")); ok {
+		t.Fatal("a fill captured before the prune landed on an object never written")
+	}
+	c.Put(mustKey(t, written, "Get"), wobj, int64(1), c.Gen(wobj), 0)
+	if v, ok := c.Get(mustKey(t, written, "Get")); !ok || v != int64(1) {
+		t.Fatalf("a fill captured after the prune = (%v, %v), want (1, true)", v, ok)
 	}
 }
 
@@ -264,47 +329,6 @@ func TestEvictionFIFOAndCounter(t *testing.T) {
 	if got := reg.Snapshot().Counter("cache.evictions"); got != 1 {
 		t.Fatalf("cache.evictions = %d, want 1", got)
 	}
-}
-
-func TestFlightLeaderFollower(t *testing.T) {
-	reg := stats.New()
-	c := New(reg)
-	f, leader := c.Begin("k")
-	if !leader {
-		t.Fatalf("first Begin not leader")
-	}
-	f2, leader2 := c.Begin("k")
-	if leader2 || f2 != f {
-		t.Fatalf("second Begin = (%p, %v), want follower on the same flight", f2, leader2)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		v, err := f2.Wait(context.Background())
-		if err != nil || v.(int) != 9 {
-			t.Errorf("follower Wait = (%v, %v), want (9, nil)", v, err)
-		}
-	}()
-	c.Finish("k", f, 9, nil)
-	<-done
-	if got := reg.Snapshot().Counter("cache.coalesced"); got != 1 {
-		t.Fatalf("cache.coalesced = %d, want 1", got)
-	}
-	// The flight is retired: the next Begin leads a fresh one.
-	if _, leader := c.Begin("k"); !leader {
-		t.Fatalf("Begin after Finish not leader")
-	}
-}
-
-func TestFlightWaitRespectsContext(t *testing.T) {
-	c := New(nil)
-	f, _ := c.Begin("k")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := f.Wait(ctx); err != context.Canceled {
-		t.Fatalf("Wait on canceled ctx = %v, want context.Canceled", err)
-	}
-	c.Finish("k", f, nil, nil) // leaders always finish
 }
 
 func TestGroupCoalesces(t *testing.T) {
@@ -375,14 +399,12 @@ func TestCacheConcurrentUse(t *testing.T) {
 				case 2:
 					c.InvalidateObject(obj)
 				default:
-					f, leader := c.Begin(key)
-					if leader {
-						c.Finish(key, f, i, nil)
-					} else {
-						ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-						_, _ = f.Wait(ctx)
-						cancel()
+					gen, live := c.InvalidateObject(obj)
+					fills := make([]Fill, len(live))
+					for j, k := range live {
+						fills[j] = Fill{Key: k, Val: i}
 					}
+					c.Renew(obj, gen, 0, fills)
 				}
 			}
 		}(g)
