@@ -8,7 +8,8 @@
 // Layout:
 //
 //   - internal/core      BRMI: batches, futures, cursors, policies, chaining,
-//     and export-pinned batch results for cross-server forwarding
+//     and the push of a result — a value, or a remote result's reference —
+//     to another server of the same cluster flush
 //   - internal/rcache    the client-side caching substrate: a lease-backed
 //     result cache (TTL + ring epoch + per-object generation, invalidated
 //     at write-record time, renewed at the write's ack) and the group that
@@ -21,9 +22,9 @@
 //     one recording spanning many servers, planned into dependency stages
 //     and executed by one wave runner, one parallel round-trip wave per
 //     stage (a stale-route retry re-plans and runs one more wave), moving
-//     results between servers by reference (pinned refs, a wave later) or by
-//     value — a future's value pushed server to server inside the wave, so
-//     a dataflow of values costs one round trip per distinct server — and
+//     results server to server inside the wave — a remote result by
+//     reference, a future's value as a copy — so a dataflow costs one round
+//     trip per distinct server — and
 //     elastic membership: servers join and leave
 //     under live traffic, moved objects migrate server to server — the
 //     source hands their Movable snapshots to the new home, which promotes

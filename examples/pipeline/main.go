@@ -1,23 +1,22 @@
-// Pipeline: staged cross-server dataflow in one cluster batch.
+// Pipeline: cross-server dataflow in one cluster batch.
 //
 // Three servers play extract / transform / load. The whole pipeline —
 // extract a dataset on the first server, transform it on the second
 // (reading the dataset BY REFERENCE, server to server), load the summary
-// on the third — is recorded into a single cluster.Batch. The flush plans
-// the dependency DAG into stages and executes one parallel round-trip wave
-// per stage:
+// on the third — is recorded into a single cluster.Batch. The flush sends
+// every server its part in one parallel round-trip wave, and the results
+// cross servers inside it:
 //
-//	wave 0  extract.Snapshot()            -> remote Dataset on etl-extract
-//	wave 1  transform.Normalize(dataset)  -> the dataset ref was pinned and
-//	                                         forwarded; transform pulls the
-//	                                         rows server-to-server
-//	        load.Store(total)             -> the normalized total, pushed
-//	                                         by transform to load inside
-//	                                         the same wave
+//	extract.Snapshot()            -> remote Dataset on etl-extract, whose
+//	                                 reference extract pushes to transform
+//	transform.Normalize(dataset)  -> transform gets a stub and pulls the
+//	                                 rows server-to-server
+//	load.Store(total)             -> the normalized total, pushed by
+//	                                 transform to load
 //
 // The first cluster batch rejected this recording outright; the staged
-// planner turned the rejection into one round-trip wave per remote result
-// forwarded by reference, plus one: a value crossing servers costs no wave.
+// planner ran it in one wave per remote result forwarded by reference, plus
+// one. Now neither a value nor a remote result crossing servers costs a wave.
 //
 //	go run ./examples/pipeline
 package main
@@ -140,9 +139,9 @@ func run() error {
 	transform := batch.Root(refs[1])
 	load := batch.Root(refs[2])
 
-	dataset := extract.CallBatch("Snapshot")      // wave 0, stays remote
-	total := transform.Call("Normalize", dataset) // wave 1, dataset by ref
-	count := load.Call("Store", total)            // wave 1, total pushed
+	dataset := extract.CallBatch("Snapshot")      // stays remote
+	total := transform.Call("Normalize", dataset) // dataset pushed by ref
+	count := load.Call("Store", total)            // total pushed
 
 	before, start := client.CallCount(), time.Now()
 	if err := batch.Flush(ctx); err != nil {

@@ -13,8 +13,8 @@ import (
 
 // WireRegister checks that every named struct type crossing the wire — as
 // an argument to a recording call (Proxy.Call, CallRO, CallBatch,
-// CallBatchExport, CallCursor, Peer.Call) or as a parameter/result of a
-// //brmi:remote interface method — is registered with the wire codec
+// CallCursor, Peer.Call) or as a parameter/result of a //brmi:remote
+// interface method — is registered with the wire codec
 // (wire.Register, MustRegister, RegisterError, RegisterCompiled).
 // An unregistered type encodes fine on the sender (encode is reflective)
 // but the receiver cannot decode it: the call fails at runtime with an
@@ -48,7 +48,7 @@ var wireNative = map[string]bool{
 // recordingMethods are the proxy methods whose variadic arguments are
 // wire-encoded. The value is the index of the first encoded argument.
 var recordingMethods = map[string]int{
-	"Call": 1, "CallRO": 1, "CallBatch": 1, "CallBatchExport": 1, "CallCursor": 1,
+	"Call": 1, "CallRO": 1, "CallBatch": 1, "CallCursor": 1,
 }
 
 func runWireRegister(pass *analysis.Pass) error {

@@ -24,24 +24,25 @@ var ErrNoEndpoint = errors.New("cluster: root ref has no endpoint")
 //
 // Record: calls against proxies rooted on any number of servers go into one
 // global log. A result produced on server A may feed a call bound for
-// server B — as a proxy argument (the result stays remote and is forwarded
-// by reference) or as a future argument (the value goes to B).
+// server B — as a proxy argument (the result stays remote, and B gets a stub
+// for it) or as a future argument (the value goes to B).
 //
 // Plan: Flush schedules the log's dependency DAG into stages — stage 0 holds
 // every call with no staged inputs, stage k the calls whose staged inputs
 // settle in earlier waves — and partitions each stage per destination. A
-// value is handed over by the servers inside the wave: by the producer's own
+// result is handed over by the servers inside the wave: by the producer's own
 // server when the consumer lives there too, else pushed by it to the
-// consumer's. What is staged is a remote result forwarded to another server
-// by reference, and a value that crosses servers from a replicated or
-// cacheable producer, or under a policy that can run a call twice (see
-// DESIGN.md, "Cluster staging rules").
+// consumer's — a remote result as its exported reference. What is staged is a
+// value that crosses servers from a replicated producer, or under a policy
+// that can run a call twice; a remote result lives only in its wave, so a
+// call that would take one in a later wave is refused with *CrossWaveError
+// before anything is sent (see DESIGN.md, "Cluster staging rules").
 //
 // Execute: stages run in order; within a stage every destination's
 // sub-batch is one core.Batch round trip, fanned out in parallel, so a
-// stage costs the slowest server's round trip. A recording whose values
-// cross servers any number of times, and no remote result does, plans to a
-// single stage: one wave, one round trip per destination.
+// stage costs the slowest server's round trip. A recording none of whose
+// values crosses servers from a replicated producer plans to a single stage:
+// one wave, one round trip per destination.
 //
 // Like core.Batch, a Batch records one batch at a time and is not meant to
 // be shared by concurrent client goroutines; the implementation is
@@ -280,8 +281,9 @@ func (b *Batch) Destinations() []string {
 // Waves returns the number of round-trip waves (parallel fan-out barriers)
 // the flush executed: the stage count of the plan, minus stages that
 // settled entirely locally, plus one for a stale-route retry. A recording
-// none of whose remote results feeds a call on another server flushes in one
-// wave, however its values flow.
+// flushes in one wave however its values and remote results flow between
+// servers, unless a value crosses servers from a replicated destination or
+// under a policy that can re-run a call.
 func (b *Batch) Waves() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -355,8 +357,15 @@ func (b *Batch) recordLocked(target *Proxy, kind int, method string, args []any,
 		args:   args,
 	}
 	for _, a := range args {
-		if x, ok := a.(*Future); ok && x.origin != nil {
-			x.origin.consumers = append(x.origin.consumers, c)
+		var o *recordedCall
+		switch x := a.(type) {
+		case *Future:
+			o = x.origin
+		case *Proxy:
+			o = x.origin
+		}
+		if o != nil {
+			o.consumers = append(o.consumers, c)
 		}
 	}
 	if !ro && b.cache != nil {
@@ -376,7 +385,7 @@ func rootOf(p *Proxy) *Proxy {
 
 // Flush runs the plan/execute pipeline over the recording: plan the stage
 // schedule, then execute the stages in order, fanning each stage out to its
-// destinations in parallel and forwarding results between waves. The waves
+// destinations in parallel and handing staged values on between waves. The waves
 // are the flush's whole cost — named roots resolve inside them — but for one
 // lookup per named root that a call passes, by reference, to another server.
 //
@@ -413,7 +422,7 @@ func (b *Batch) Flush(ctx context.Context) error {
 	}
 	if nstages > 1 { // one wave consumes nothing of an earlier one
 		for _, c := range calls {
-			if err := b.unreplicable(c); err != nil {
+			if err := outlives(c); err != nil {
 				return b.failLocked(err)
 			}
 		}
@@ -599,8 +608,8 @@ type Proxy struct {
 	// for roots). The planner reads it to build the dependency DAG.
 	origin *recordedCall
 	// core is the single-server proxy this cluster proxy was rewired to
-	// when its stage was translated; nil before that. Same-server calls of
-	// later stages record against it, and it carries the exported ref.
+	// when its wave was translated, until the wave settles; nil otherwise.
+	// Same-server calls of the wave record against it.
 	core *core.Proxy
 	// renewal is what this root's writes owe the lease cache (roots only;
 	// nil while none was recorded).
@@ -648,12 +657,13 @@ func (p *Proxy) Call(method string, args ...any) *Future {
 
 // CallBatch records a method invocation whose result is a remote object;
 // the result stays on its server and the returned proxy records further
-// calls on it. Passing the proxy as an argument of a call bound for a
-// DIFFERENT server makes the flush pin the result as an exported reference
-// and forward it by reference in the next wave; a call of a later wave on its
-// own server gets the pinned object itself. A replicated destination cannot
-// do the latter — it fails the flush with *UnreplicableError — since each of
-// its waves replicates on its own.
+// calls on it. A call on its own server gets the object itself; passing the
+// proxy as an argument of a call bound for a DIFFERENT server makes the
+// producer's server push the result's exported reference there inside the
+// wave, and the consumer gets a stub. The result lives only in its wave: a
+// call that would take it in a later one — staged behind a replicated value,
+// or taking it across servers from a replicated destination — fails the
+// flush with *CrossWaveError before anything is sent.
 func (p *Proxy) CallBatch(method string, args ...any) *Proxy {
 	np := &Proxy{b: p.b, group: p.group}
 	if c := p.b.record(p, kindRemote, method, args); c != nil {

@@ -11,9 +11,11 @@ import (
 	"errors"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
+	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/rmi"
 )
@@ -398,17 +400,74 @@ type migrateOnCall struct {
 	hook func() error
 }
 
-// Fire runs the hook and returns a fresh counter, for a later stage to get by
-// reference.
-func (m *migrateOnCall) Fire(context.Context, rmi.Invoker) (*clustertest.Counter, error) {
-	return clustertest.NewCounter(1), m.hook()
+// Fire runs the hook and returns n, for a later stage to take.
+func (m *migrateOnCall) Fire(_ context.Context, n int64) (int64, error) {
+	return n, m.hook()
+}
+
+// TestRetriedConsumerOfAPushedResultRefused: a remote result lives only in
+// its wave. A root that migrated after the client last saw the ring refuses
+// its request at first contact, while another server runs its part of the
+// wave and pushes the remote result the refused request was to consume. The
+// stale-route retry re-plans the consumer at the root's new home, where that
+// result no longer lives: the consumer fails with *CrossWaveError wrapping its
+// own destination's wrong-home refusal — not with *core.PushTimeoutError at
+// the rendezvous bound — never runs, and fails the flush at its new home.
+func TestRetriedConsumerOfAPushedResultRefused(t *testing.T) {
+	ec := clustertest.New(t, 3)
+	ctx := context.Background()
+	live := cluster.NewDirectory(ec.Client, []string{"server-0", "server-1"})
+	grown := cluster.NewRing([]string{"server-0", "server-1", "server-2"})
+	moving := clustertest.PickNames(live.Ring(), grown, "server-0", "server-2", 1)[0]
+	keeping := clustertest.PickNames(live.Ring(), grown, "server-1", "server-1", 1)[0]
+	ec.BindCounter(live, moving, 10)
+	ec.BindCounter(live, keeping, 20)
+	stale := cluster.NewDirectory(ec.Client, []string{"server-0", "server-1"})
+	if _, err := cluster.NewRebalancer(live).AddServer(ctx, "server-2"); err != nil {
+		t.Fatal(err)
+	}
+
+	b := cluster.New(ec.Client, cluster.WithDirectory(stale))
+	pk, _ := b.RootNamed(ctx, keeping)
+	pm, _ := b.RootNamed(ctx, moving)
+	x := pk.CallBatch("Fork", int64(1)) // server-1: runs, and pushes x to server-0
+	f := pm.Call("AddRemote", x)        // server-0 refuses: moving left for server-2
+	start := time.Now()
+	err := b.Flush(ctx)
+	if !b.StaleRetried() {
+		t.Fatalf("flush = %v without its stale-route retry", err)
+	}
+	var fe *cluster.FlushError
+	if !errors.As(err, &fe) || len(fe.Failures) != 1 || fe.Failures[0].Endpoint != "server-2" || !errors.Is(fe.Failures[0].Err, f.Err()) {
+		t.Fatalf("flush = %v, want a *FlushError naming the refused consumer at server-2", err)
+	}
+	var refused *cluster.CrossWaveError
+	var wrong *rmi.WrongHomeError
+	var timeout *core.PushTimeoutError
+	if ferr := f.Err(); !errors.As(ferr, &refused) || !errors.As(ferr, &wrong) || errors.As(ferr, &timeout) {
+		t.Fatalf("consumer = %v, want *CrossWaveError wrapping the wrong-home refusal", ferr)
+	}
+	if refused.Endpoint != "server-2" || refused.Method != "AddRemote" || refused.Producer != "Fork" {
+		t.Errorf("refusal = %+v, want AddRemote on server-2 taking Fork", refused)
+	}
+	if took := time.Since(start); took >= 4*time.Second {
+		t.Errorf("flush took %v: it waited out a rendezvous", took)
+	}
+	if err := x.Ok(); err != nil {
+		t.Errorf("producer = %v, want it to have run", err)
+	}
+	if got := counterAt(t, ec, "server-2", moving).Get(); got != 10 {
+		t.Errorf("%s = %d at its new home, want 10: the refused consumer ran", moving, got)
+	}
 }
 
 // TestUnretriedWrongHomeStillRefreshes: a root migrates between two waves of
 // one flush, after an earlier wave already ran at its old home. That
 // wrong-home rejection, past the destination's first contact, cannot be
 // retried — but it must still bring the client's ring up to date, or the
-// client's next flush routes the name to the same dead home.
+// client's next flush routes the name to the same dead home. The batch's
+// policy stages every value that crosses servers (staging), so server-0 gets
+// a second request.
 func TestUnretriedWrongHomeStillRefreshes(t *testing.T) {
 	ec := clustertest.New(t, 3)
 	ctx := context.Background()
@@ -427,18 +486,18 @@ func TestUnretriedWrongHomeStillRefreshes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := cluster.New(ec.Client, cluster.WithDirectory(stale))
+	b := cluster.New(ec.Client, cluster.WithDirectory(stale), cluster.WithPolicy(staging()))
 	pk, _ := b.RootNamed(ctx, keeping)
 	pm, _ := b.RootNamed(ctx, moving)
-	f0 := pk.CallBatch("Fork", int64(1))        // stage 0: server-0's first contact, its result pinned for stage 1
-	f1 := b.Root(trigger).CallBatch("Fire", f0) // stage 1: the cluster grows, moving leaves server-0
-	f2 := pm.Call("AddRemote", f1)              // stage 2: server-0's second request, which no longer has it
+	f0 := pk.Call("Add", int64(1))         // stage 0: server-0's first contact
+	f1 := b.Root(trigger).Call("Fire", f0) // stage 1: the cluster grows, moving leaves server-0
+	f2 := pm.Call("Add", f1)               // stage 2: server-0's second request, which no longer has it
 	err = b.Flush(ctx)
 	var wrong *rmi.WrongHomeError
 	if !errors.As(err, &wrong) || b.StaleRetried() {
 		t.Fatalf("flush = %v (retried %v), want an unretried wrong-home failure", err, b.StaleRetried())
 	}
-	if err := f1.Ok(); err != nil {
+	if err := f1.Err(); err != nil {
 		t.Fatalf("the migration itself failed: %v", err)
 	}
 	if err := f2.Err(); !errors.As(err, &wrong) {

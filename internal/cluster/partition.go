@@ -11,8 +11,8 @@ const (
 )
 
 // recordedCall is one entry of the cluster-wide recording log, in global
-// recording order. The planner annotates it (stage, export); the executor
-// settles it.
+// recording order. The planner annotates it (stage); the executor settles
+// it.
 type recordedCall struct {
 	// index is the call's position in the global recording log. Recording
 	// order is a topological order of the dependency DAG — a proxy or
@@ -31,16 +31,12 @@ type recordedCall struct {
 
 	// stage is the round-trip wave this call executes in (planner).
 	stage int
-	// export marks a kindRemote call whose result a later wave forwards to
-	// a different server: the sub-batch asks the server to pin the result
-	// as an exported ref (core.Proxy.CallBatchExport).
-	export bool
 	// sent is a kindValue call's core future in the wave carrying it; the
 	// wave copies its outcome out once (settle).
 	sent *core.Future
-	// consumers are the calls recorded with this call's future as an
-	// argument: the ones of its own wave on other servers get its value pushed
-	// (core.Batch.PushTo).
+	// consumers are the calls recorded with this call's future or proxy as
+	// an argument: the ones of its own wave on other servers get its result
+	// pushed (core.Batch.PushTo).
 	consumers []*recordedCall
 
 	// The remaining fields are the cache state of a cacheable call recorded

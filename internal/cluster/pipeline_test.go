@@ -9,10 +9,19 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
+	"repro/internal/core"
 	"repro/internal/rmi"
 )
 
 // --- staged cross-server dataflow --------------------------------------------
+
+// staging is a policy that aborts like the default one and names a restart
+// for a method no test records. A batch under it may re-run a call, so it
+// stages every value that crosses servers: the one way, besides a replicated
+// producer, for a recording to take a second wave.
+func staging() *core.Policy {
+	return core.AbortPolicy().SetAction("", "NeverRecorded", core.AnyIndex, core.ActionRestart)
+}
 
 // TestPipelineValueSplice is the acceptance case: an A→B pipeline (produce on
 // server A, consume on server B) recorded in one cluster.Batch flushes in one
@@ -57,9 +66,8 @@ func TestPipelineValueSplice(t *testing.T) {
 }
 
 // TestPipelineRemoteForward checks true dataflow forwarding: a remote
-// result produced on server A is pinned as an exported ref and passed BY
-// REFERENCE into server B's wave — the client never sees the value, and B
-// receives a stub it can call.
+// result produced on server A is pushed BY REFERENCE to server B inside the
+// same wave — the client never sees it, and B receives a stub it can call.
 func TestPipelineRemoteForward(t *testing.T) {
 	tc := clustertest.New(t, 2)
 	ctx := context.Background()
@@ -75,20 +83,42 @@ func TestPipelineRemoteForward(t *testing.T) {
 	if err := b.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// 2 client trips: the fork's value itself never travels through the
-	// client, only its pinned ref does (deterministic export behaviour is
-	// covered by the core-level TestCallBatchExport tests).
+	// 2 client trips, one per server, in one wave: neither the fork nor its
+	// ref travels through the client.
 	if rt := tc.Client.CallCount() - before; rt != 2 {
 		t.Errorf("flush used %d client round trips, want 2 (forwarding is not value round-tripping)", rt)
 	}
-	if w := b.Waves(); w != 2 {
-		t.Errorf("remote-forward pipeline took %d waves, want 2", w)
+	if w := b.Waves(); w != 1 {
+		t.Errorf("remote-forward pipeline took %d waves, want 1", w)
 	}
 	if got, err := cluster.Typed[int64](fb).Get(); err != nil || got != 42 {
 		t.Errorf("AddRemote(fork(42)) = %d, %v; want 42", got, err)
 	}
 	if err := fork.Ok(); err != nil {
 		t.Errorf("forwarded proxy Ok = %v", err)
+	}
+}
+
+// TestPipelineForwardsAnExportedObject: a remote result that is an object its
+// server already exported — a counter root's Self — crosses servers under the
+// export it has: the consumer's stub names that export, the consumer's call
+// succeeds, and so does the flush, in one wave.
+func TestPipelineForwardsAnExportedObject(t *testing.T) {
+	tc := clustertest.New(t, 2)
+	ctx := context.Background()
+
+	b := cluster.New(tc.Client)
+	a := b.Root(tc.Servers[0].Ref)
+	a.Call("Add", int64(7))
+	fb := b.Root(tc.Servers[1].Ref).Call("AddRemote", a.CallBatch("Self"))
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cluster.Typed[int64](fb).Get(); err != nil || got != 7 {
+		t.Errorf("AddRemote(Self) = %d, %v; want 7", got, err)
+	}
+	if w := b.Waves(); w != 1 {
+		t.Errorf("flush took %d waves, want 1", w)
 	}
 }
 
@@ -160,9 +190,10 @@ func TestPipelineSameServerOneWave(t *testing.T) {
 // --- failure isolation across stages -----------------------------------------
 
 // TestStagedFailureIsolation: a destination failure in wave 0 fails only
-// the futures that (transitively) depend on it. Independent wave-0 calls on
-// healthy servers settle, and so do independent calls on servers that ALSO
-// host dependent calls.
+// the futures that (transitively) depend on it — here through results pushed
+// inside the wave, a remote one and a value. Independent calls on healthy
+// servers settle, and so do independent calls on servers that ALSO host
+// dependent calls.
 func TestStagedFailureIsolation(t *testing.T) {
 	tc := clustertest.New(t, 3)
 	ctx := context.Background()
@@ -176,11 +207,11 @@ func TestStagedFailureIsolation(t *testing.T) {
 	bad := b.Root(badRef)
 	good2 := b.Root(tc.Servers[2].Ref)
 
-	gf := good0.Call("Add", int64(7))    // server-0, stage 0: healthy
-	bp := bad.CallBatch("Self")          // server-1, stage 0: destination fails
-	indep := good2.Call("Add", int64(3)) // server-2, stage 0: independent, healthy
-	dep := good2.Call("AddRemote", bp)   // server-2, stage 1: depends on server-1
-	trans := good0.Call("Add", dep)      // server-0, stage 2: transitively dependent
+	gf := good0.Call("Add", int64(7))    // server-0: healthy
+	bp := bad.CallBatch("Self")          // server-1: destination fails
+	indep := good2.Call("Add", int64(3)) // server-2: independent, healthy
+	dep := good2.Call("AddRemote", bp)   // server-2: waits for server-1's push
+	trans := good0.Call("Add", dep)      // server-0: transitively dependent
 
 	err := b.Flush(ctx)
 	var fe *cluster.FlushError

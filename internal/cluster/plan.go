@@ -9,25 +9,23 @@ import (
 
 // plan.go is the "plan" phase of the cluster flush pipeline: it turns the
 // global recording log into a stage schedule. Stage 0 holds every call
-// whose inputs are all immediate (roots, plain values, proxies of its own
-// destination, and futures, which the servers hand over inside the wave);
-// stage k holds the calls whose staged inputs settle in waves < k. Each stage
-// is then partitioned per destination exactly like a single-stage flush, so
-// a stage costs one parallel fan-out, and a flush pays a wave only for the
-// edges that need the client between their ends. Every wave is a
-// self-contained request: a remote result a later wave consumes — on its own
-// server or another — is pinned by its producer's wave and enters the later
-// one by reference. A replicated destination cannot take one of its own that
-// way (unreplicable).
+// whose inputs are all immediate (roots, plain values, and the results of
+// other calls, which the servers hand over inside the wave); stage k holds
+// the calls whose staged inputs settle in waves < k. Each stage is then
+// partitioned per destination exactly like a single-stage flush, so a stage
+// costs one parallel fan-out, and a flush pays a wave only for the edges that
+// need the client between their ends. Every wave is a self-contained request,
+// and a remote result lives only in the wave that produced it: a call that
+// would take one in a later wave is refused before anything is sent
+// (outlives).
 
 // input is one resolved dependency (an edge of the dataflow DAG): the call
 // that produces a value this call consumes.
 type input struct {
 	producer *recordedCall
 	// staged is true when the consumer can only run in a wave after the
-	// producer's: the producer's result goes through the client between
-	// stages (a proxy forwarded to a different server by reference, a
-	// future's value spliced in as a literal).
+	// producer's: the producer's value goes through the client between
+	// stages, spliced in as a literal.
 	staged bool
 	// order is true when the edge only orders the consumer behind the
 	// producer and carries no value: a lease's re-read behind a write of
@@ -41,9 +39,8 @@ type input struct {
 func (c *recordedCall) inputs() []input {
 	var in []input
 	if o := c.target.origin; o != nil {
-		// The target is always on the call's own server: the same request
-		// resolves it by sequence number, a later wave takes it as a pinned
-		// root, so the edge is never staged.
+		// The target is always on the call's own server, where the same
+		// request resolves it by sequence number: never staged.
 		in = append(in, input{producer: o})
 	}
 	for _, w := range c.after {
@@ -51,29 +48,29 @@ func (c *recordedCall) inputs() []input {
 		// server: never staged.
 		in = append(in, input{producer: w, order: true})
 	}
+	b := c.target.b
 	for _, a := range c.args {
+		var o *recordedCall
 		switch x := a.(type) {
 		case *Proxy:
-			if x.origin == nil {
-				continue
-			}
-			in = append(in, input{producer: x.origin, staged: x.group != c.group})
+			o = x.origin
 		case *Future:
-			if x.origin == nil {
-				continue
-			}
-			// A value consumed where it is produced is spliced by the server,
-			// inside the request (core.Proxy.Call takes the producer's future);
-			// one bound for another server is pushed there by the producer's,
-			// inside the wave (core.Batch.PushTo). Two shapes still go
-			// through the client, a wave later: a replicated wave's, which is
-			// not durable until its quorum holds it — pushed at once, a value
-			// the quorum then misses would outlive it in another shard; and
-			// any cross-server value of a flush whose policy can run a call
-			// twice, which would push twice.
-			o, b := x.origin, c.target.b
-			in = append(in, input{producer: o, staged: o.group != c.group && (b.replicates(o.group) || b.reruns())})
+			o = x.origin
 		}
+		if o == nil {
+			continue
+		}
+		// A result consumed where it is produced is handed over by the
+		// server, inside the request; one bound for another server is pushed
+		// there by the producer's, inside the wave (core.Batch.PushTo) — a
+		// remote result as its exported reference. Two shapes still go
+		// through the client, a wave later: a replicated wave's, which is not
+		// durable until its quorum holds it — pushed at once, a result the
+		// quorum then misses would outlive it in another shard; and any
+		// cross-server result of a flush whose policy can run a call twice,
+		// which would push twice. A staged remote result is refused
+		// (outlives): only its value could wait for a later wave.
+		in = append(in, input{producer: o, staged: o.group != c.group && (b.replicates(o.group) || b.reruns())})
 	}
 	return in
 }
@@ -92,13 +89,10 @@ func (b *Batch) reruns() bool {
 //	stage(c) = max over unsettled inputs i of stage(i.producer) + (1 if i.staged)
 //
 // and never earlier than the stage c already has (0 for a fresh recording).
-// It also marks the remote producers whose results a later wave consumes, to
-// be pinned server-side (recordedCall.export). calls is a recording, or —
-// for the stale-route retry, which re-plans after roots changed homes — the
-// part of one no wave has run yet, in recording order: a settled producer
-// constrains nothing, its result is already at the client or pinned at its
-// destination, and a value edge the move split across two homes is one more
-// push.
+// calls is a recording, or — for the stale-route retry, which re-plans after
+// roots changed homes — the part of one no wave has run yet, in recording
+// order: a settled producer constrains nothing, its value is already at the
+// client, and a value edge the move split across two homes is one more push.
 //
 // Recording order is necessarily a topological order of the dependency
 // DAG — a proxy or future must be returned by a recording call before it
@@ -124,7 +118,7 @@ func planStages(calls []*recordedCall) (int, error) {
 					c.method, c.index, in.producer.method, in.producer.index)
 			}
 			if c.out.done || in.producer.out.done {
-				continue // an edge with a settled end schedules nothing and pins nothing
+				continue // an edge with a settled end schedules nothing
 			}
 			earliest := in.producer.stage
 			if in.staged {
@@ -135,11 +129,6 @@ func planStages(calls []*recordedCall) (int, error) {
 			}
 		}
 		c.stage = s
-		for _, in := range ins {
-			if p := in.producer; p.kind == kindRemote && !in.order && p.stage < s && !c.out.done && !p.out.done {
-				p.export = true
-			}
-		}
 		if s+1 > stages {
 			stages = s + 1
 		}
@@ -161,18 +150,21 @@ func buildStages(calls []*recordedCall, stages int) [][]*subBatch {
 	return out
 }
 
-// unreplicable returns the refusal of c when it is the one shape a replicated
-// destination cannot run wave by wave: c consumes, in a later wave, a remote
-// result its own destination produced in an earlier one. A follower replays
-// each wave on its own, and has no such result to resolve. Caller holds b.mu.
-func (b *Batch) unreplicable(c *recordedCall) error {
-	if c.out.done || !b.replicates(c.group) {
+// outlives returns the refusal of c when it takes a remote result that would
+// have to outlive the wave that produced it: a remote result lives in its
+// wave's request on its own server and, pushed, in that wave's requests on
+// other servers, and nowhere after. So c must not run in a later wave than
+// such an input's — staged behind a replicated value, say, or the staged
+// result itself — nor take one a settled wave produced (a stale-route retry,
+// which re-plans c after that wave ran). Caller holds b.mu.
+func outlives(c *recordedCall) *CrossWaveError {
+	if c.out.done {
 		return nil
 	}
 	for _, in := range c.inputs() {
 		p := in.producer
-		if p.kind == kindRemote && !in.order && p.group == c.group && (p.stage < c.stage || (p.out.done && p.out.err == nil)) {
-			return &UnreplicableError{Endpoint: c.group.endpoint, Method: c.method, Producer: p.method}
+		if p.kind == kindRemote && !in.order && (p.stage < c.stage || (p.out.done && p.out.err == nil)) {
+			return &CrossWaveError{Endpoint: c.group.endpoint, Method: c.method, Producer: p.method}
 		}
 	}
 	return nil

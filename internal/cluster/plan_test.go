@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/wire"
@@ -157,9 +158,11 @@ func TestPlannerDependencyFreeIsOneStage(t *testing.T) {
 	}
 }
 
-// TestPlannerMarksExports: only cross-server non-root proxy arguments force
-// an export pin on their producer.
-func TestPlannerMarksExports(t *testing.T) {
+// TestPlannerPushesCrossServerResults: a result consumed on another server —
+// a remote result or a value — is pushed there inside its wave, not staged:
+// the recording plans to one stage, and each producer pushes to its
+// cross-server consumer's server only.
+func TestPlannerPushesCrossServerResults(t *testing.T) {
 	b := New(nil)
 	r0 := b.Root(wire.Ref{Endpoint: "a", ObjID: 1, Iface: "t"})
 	r1 := b.Root(wire.Ref{Endpoint: "b", ObjID: 2, Iface: "t"})
@@ -169,17 +172,21 @@ func TestPlannerMarksExports(t *testing.T) {
 	r1.Call("CrossServer", forwarded)
 	f := r0.Call("Value")
 	r1.Call("Splice", f)
-	if _, err := planStages(b.calls); err != nil {
+	stages, err := planStages(b.calls)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if local.origin.export {
-		t.Error("same-server proxy arg must not force an export")
+	if stages != 1 {
+		t.Fatalf("cross-server results planned %d stages, want 1", stages)
 	}
-	if !forwarded.origin.export {
-		t.Error("cross-server proxy arg must force an export")
-	}
-	if f.origin.export {
-		t.Error("a cross-server future must not force an export (its value is pushed)")
+	for _, c := range []struct {
+		name string
+		p    *recordedCall
+		want []string
+	}{{"same-server proxy arg", local.origin, nil}, {"cross-server proxy arg", forwarded.origin, []string{"b"}}, {"cross-server future", f.origin, []string{"b"}}} {
+		if got := waiting(c.p); !slices.Equal(got, c.want) {
+			t.Errorf("%s pushes to %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

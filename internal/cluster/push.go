@@ -9,12 +9,12 @@ import (
 	"repro/internal/core"
 )
 
-// push.go is the client's half of the values that cross servers inside a
+// push.go is the client's half of the results that cross servers inside a
 // wave (the servers' half is core/push.go): which servers a producer pushes
-// its value to (waiting, under the run's flushID), telling the servers that
-// wait for a value whose producer's request failed (notify), the calls a
+// its result to (waiting, under the run's flushID), telling the servers that
+// wait for a result whose producer's request failed (notify), the calls a
 // refused request left waiting (waitedOn), and the consumers that ran on a
-// value whose producer the client then saw fail (propagate).
+// result whose producer the client then saw fail (propagate).
 
 // flushID is the id the run's requests push values under: random, so the
 // flushes of every client of a server rendezvous apart, with the top bit set,
@@ -27,7 +27,7 @@ func (r *run) flushID() uint64 {
 }
 
 // waiting are the servers where a call of c's wave in another request than
-// c's waits for c's value — c's own server among them when a stale-route
+// c's waits for c's result — c's own server among them when a stale-route
 // retry put a second request there. Caller holds b.mu.
 func waiting(c *recordedCall) []string {
 	var eps []string
@@ -39,16 +39,16 @@ func waiting(c *recordedCall) []string {
 	return eps
 }
 
-// notify tells the servers waiting for the values of sb's value calls that
-// they will not come: sb's request failed with err. Their consumers there
-// fail with err at once, not at the rendezvous bound. (A request that did run
-// and pushed before it failed makes this a duplicate, which changes nothing.)
-// The notices are best effort and nobody waits for them: each is bounded on
-// its own. Caller holds b.mu.
+// notify tells the servers waiting for the results of sb's calls that they
+// will not come: sb's request failed with err. Their consumers there fail
+// with err at once, not at the rendezvous bound. (A request that did run and
+// pushed before it failed makes this a duplicate, which changes nothing.) The
+// notices are best effort and nobody waits for them: each is bounded on its
+// own. Caller holds b.mu.
 func (r *run) notify(ctx context.Context, sb *subBatch, err error) {
 	for _, c := range sb.calls {
-		if c.kind != kindValue || c.sent == nil {
-			continue
+		if c.out.done {
+			continue // settled locally: never sent, and its consumers failed with it
 		}
 		flush, tag, peer := r.flushID(), int64(c.index), r.b.peer
 		for _, ep := range waiting(c) {
@@ -91,10 +91,10 @@ func waitedOn(subs []*subBatch, rejected []rejection) []*recordedCall {
 	return waited
 }
 
-// propagate fails every call of subs that ran on a value whose producer
+// propagate fails every call of subs that ran on a result whose producer
 // failed after all: a destination that failed after its call ran — its reply
-// lost — may have pushed the value on first. The consumer's future rethrows
-// the producer's error, as every dependent's does (§3.3). Caller holds b.mu.
+// lost — may have pushed the result on first. The consumer rethrows the
+// producer's error, as every dependent does (§3.3). Caller holds b.mu.
 func propagate(subs []*subBatch) {
 	var calls []*recordedCall
 	for _, sb := range subs {
@@ -105,8 +105,15 @@ func propagate(subs []*subBatch) {
 			continue
 		}
 		for _, a := range c.args {
-			if x, ok := a.(*Future); ok && x.done && x.err != nil {
-				settle(c, nil, x.err)
+			var o outcome
+			switch x := a.(type) {
+			case *Future:
+				o = x.outcome
+			case *Proxy:
+				o = x.outcome
+			}
+			if o.done && o.err != nil {
+				settle(c, nil, o.err)
 				break
 			}
 		}

@@ -363,8 +363,7 @@ type boom struct {
 	fire func()
 }
 
-// Boom fails in place of a remote result, which a later stage was to get by
-// reference.
+// Boom fails in place of a result, which a later stage was to take.
 func (b *boom) Boom() (*boom, error) {
 	// Let the other stage-0 destinations finish their waves first, so the
 	// cancellation deterministically lands between stage 0 and stage 1.
@@ -379,7 +378,7 @@ func (b *boom) Boom() (*boom, error) {
 // every stage-1 call of a destination settles locally (its dependency failed)
 // and the flush's context is already canceled, the destination must neither
 // fail nor hold a session: no cluster request keeps one, so stage 1 sends it
-// nothing.
+// nothing. The batch stages its cross-server value (staging).
 func TestSessionCloseSurvivesCancel(t *testing.T) {
 	tc := clustertest.New(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -390,13 +389,13 @@ func TestSessionCloseSurvivesCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := cluster.New(tc.Client)
+	b := cluster.New(tc.Client, cluster.WithPolicy(staging()))
 	a := b.Root(tc.Servers[0].Ref)
 	bp := b.Root(boomRef)
-	a.Call("Add", int64(1))       // server-0, stage 0
-	g := bp.CallBatch("Boom")     // server-1, stage 0: cancels ctx, then fails
-	dep := a.Call("AddRemote", g) // server-0, stage 1: settles locally (dep failed)
-	err = b.Flush(ctx)            // stage 1 sends server-0 nothing
+	a.Call("Add", int64(1)) // server-0, stage 0
+	g := bp.Call("Boom")    // server-1, stage 0: cancels ctx, then fails
+	dep := a.Call("Add", g) // server-0, stage 1: settles locally (dep failed)
+	err = b.Flush(ctx)      // stage 1 sends server-0 nothing
 
 	// The dependent call never ran.
 	if _, derr := dep.Get(); derr == nil {
@@ -624,8 +623,8 @@ func TestAddServerRetryAfterPartialArrive(t *testing.T) {
 // TestStaleFlushRetrySplitDependency: when re-sharding moves one of two
 // co-located roots, cross-root dataflow recorded between them can no longer
 // replay on a single server. The retry must settle exactly those calls with
-// a clear error carrying the wrong-home cause — and still execute the rest
-// of the sub-batch at the new homes.
+// a clear error carrying the wrong-home cause, reported on the flush's error —
+// and still execute the rest of the sub-batch at the new homes.
 func TestStaleFlushRetrySplitDependency(t *testing.T) {
 	ec := clustertest.New(t, 3)
 	ctx := context.Background()
@@ -658,13 +657,15 @@ func TestStaleFlushRetrySplitDependency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := b.Flush(ctx); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
+	err = b.Flush(ctx)
 	// The split call settled with a clear, typed-cause error.
 	_, aerr := absorbed.Get()
 	if aerr == nil {
 		t.Fatal("split-dependency call settled, want error")
+	}
+	var fe *cluster.FlushError
+	if !errors.As(err, &fe) || len(fe.Failures) != 1 || fe.Failures[0].Endpoint != "server-0" || fe.Failures[0].Err != aerr {
+		t.Fatalf("flush = %v, want a *FlushError naming the split call at server-0", err)
 	}
 	var wrong *rmi.WrongHomeError
 	if !errors.As(aerr, &wrong) {
@@ -683,7 +684,7 @@ func TestStaleFlushRetrySplitDependency(t *testing.T) {
 // TestFailedDestinationSessionReaped: a destination that fails mid-pipeline
 // drops out of the flush, and must hold no server session afterwards: no
 // later wave of the flush reaches it to release one, so no cluster request
-// may keep one.
+// may keep one. The batch stages its cross-server value (staging).
 func TestFailedDestinationSessionReaped(t *testing.T) {
 	tc := clustertest.New(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -694,13 +695,13 @@ func TestFailedDestinationSessionReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := cluster.New(tc.Client)
+	b := cluster.New(tc.Client, cluster.WithPolicy(staging()))
 	a := b.Root(tc.Servers[0].Ref)
 	bp := b.Root(boomRef)
-	a.Call("Add", int64(1))                                     // server-0, stage 0
-	bp.CallBatch("Boom")                                        // server-1, stage 0: cancels ctx after a delay
-	f0 := b.Root(tc.Servers[2].Ref).CallBatch("Fork", int64(1)) // server-2, stage 0: settles before the cancel
-	a.Call("AddRemote", f0)                                     // server-0, stage 1: REAL pending call under canceled ctx
+	a.Call("Add", int64(1))                               // server-0, stage 0
+	bp.Call("Boom")                                       // server-1, stage 0: cancels ctx after a delay
+	f0 := b.Root(tc.Servers[2].Ref).Call("Add", int64(1)) // server-2, stage 0: settles before the cancel
+	a.Call("Add", f0)                                     // server-0, stage 1: REAL pending call under canceled ctx
 
 	err = b.Flush(ctx)
 	var fe *cluster.FlushError

@@ -118,22 +118,37 @@ func TestRefreshDropsAFillThatRacedTheWrite(t *testing.T) {
 	}
 }
 
-// TestRefreshAfterStagedWrite: a write whose argument is a remote result of
-// another server runs a wave after it (plan.go stages the edge: the proxy
-// travels by reference); the re-read of the written object's lease rides
-// that second wave, after the write.
+// replicatedSource binds, on a two-server cluster, a counter seeded with 4
+// under a name whose primary is server-1, replicated on server-0, and returns
+// the name and the directory it was placed through: a value read from it
+// crosses to server-0 a wave later (plan.go stages it until its quorum holds
+// it).
+func replicatedSource(t *testing.T, ec *clustertest.Cluster) (string, *cluster.Directory) {
+	t.Helper()
+	probe := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(2))
+	name := nameWhere(t, probe, "src", "server-1", anyOwners)
+	return name, placedDirectory(t, ec, map[string]int64{name: 4})
+}
+
+// TestRefreshAfterStagedWrite: a write whose argument is a replicated
+// server's value runs a wave after it (plan.go stages the edge); the re-read
+// of the written object's lease rides that second wave, after the write.
 func TestRefreshAfterStagedWrite(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
+	srcName, dir := replicatedSource(t, ec)
 	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
 	if v, _ := cachedRead(t, ec, cache, ec.Servers[0].Ref); v != 0 {
 		t.Fatalf("filling read = %d, want 0", v)
 	}
 
 	calls := ec.Client.CallCount()
-	bw := cluster.New(ec.Client, cluster.WithCache(cache))
-	src := bw.Root(ec.Servers[1].Ref).CallBatch("Fork", int64(4))
-	w := bw.Root(ec.Servers[0].Ref).Call("AddRemote", src)
+	bw := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithCache(cache))
+	q, err := bw.RootNamed(ctx, srcName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bw.Root(ec.Servers[0].Ref).Call("Add", q.Call("Get"))
 	if err := bw.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -150,24 +165,28 @@ func TestRefreshAfterStagedWrite(t *testing.T) {
 
 // TestRefreshFollowsEveryWrite: the planner keeps program order per server
 // only within a stage, so a root's last recorded write need not run last.
-// Here a write staged behind another server's remote result is recorded
-// before an unstaged write of the same root: the unstaged one runs in the
-// first wave, the staged one in the second. The re-read follows both, and
-// the lease is filed only once both were acked, so it holds the final total.
+// Here a write staged behind a replicated server's value is recorded before
+// an unstaged write of the same root: the unstaged one runs in the first
+// wave, the staged one in the second. The re-read follows both, and the lease
+// is filed only once both were acked, so it holds the final total.
 func TestRefreshFollowsEveryWrite(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
+	srcName, dir := replicatedSource(t, ec)
 	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
-	a, bref := ec.Servers[0].Ref, ec.Servers[1].Ref
+	a := ec.Servers[0].Ref
 	if v, _ := cachedRead(t, ec, cache, a); v != 0 {
 		t.Fatalf("filling read = %d, want 0", v)
 	}
 
 	calls := ec.Client.CallCount()
-	bw := cluster.New(ec.Client, cluster.WithCache(cache))
-	src := bw.Root(bref).CallBatch("Fork", int64(4))
-	staged := bw.Root(a).Call("AddRemote", src)  // second wave: 5
-	unstaged := bw.Root(a).Call("Add", int64(1)) // first wave: 1
+	bw := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithCache(cache))
+	q, err := bw.RootNamed(ctx, srcName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged := bw.Root(a).Call("Add", q.Call("Get")) // second wave: 5
+	unstaged := bw.Root(a).Call("Add", int64(1))    // first wave: 1
 	if err := bw.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -478,8 +497,8 @@ func TestRefreshReplicatedWrite(t *testing.T) {
 // TestRefreshReplicatedStagedWrite: a re-read behind writes of two waves on
 // a replicated root only follows the earlier one — it takes no value from
 // it — so a remote result that write left on the primary is not something
-// the re-read consumes in a later wave, which a replicated destination
-// could not replay (*UnreplicableError). The later write takes the value of
+// the re-read consumes in a later wave, where it no longer lives
+// (*CrossWaveError). The later write takes the value of
 // a read on another replicated primary, which waits for its quorum and goes
 // through the client a wave later. The flush runs, and the lease holds the
 // final total.

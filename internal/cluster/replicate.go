@@ -60,21 +60,34 @@ func (b *Batch) direct(live []*destState) {
 	}
 }
 
-// UnreplicableError refuses a flush in which a replicated destination
-// consumes, in a later wave, a remote result it produced in an earlier one:
-// each wave replicates on its own, and a follower replaying the later one has
-// no such result to resolve. The flush sends nothing. Recording the consumer
-// in its producer's wave, or passing a value instead of the object, avoids it.
-type UnreplicableError struct {
+// CrossWaveError refuses a call that takes a remote result outside the wave
+// that produced it: a remote result lives in its wave's requests only, so a
+// call that would run in a later wave — staged behind a replicated value, or
+// taking the result across servers from a replicated destination or under a
+// policy that can re-run a call — cannot reach it. Found at planning, it
+// fails the flush before anything is sent; recording the consumer in its
+// producer's wave, or passing a value instead of the object, avoids it. A
+// stale-route retry that re-plans a call whose remote input a wave that ran
+// already produced settles the call with it too, Cause then being the refusal
+// the retry follows.
+type CrossWaveError struct {
 	// Endpoint is the destination; Method is the consuming call and Producer
 	// the call whose result it consumes.
 	Endpoint, Method, Producer string
+	Cause                      error
 }
 
-func (e *UnreplicableError) Error() string {
-	return fmt.Sprintf("cluster: %s on replicated %s consumes the result of %s from an earlier wave, which a follower cannot replay",
+func (e *CrossWaveError) Error() string {
+	if e.Cause != nil {
+		return fmt.Sprintf("cluster: stale-route retry: %s on %s takes the remote result of %s, which lived only in its wave: %v",
+			e.Method, e.Endpoint, e.Producer, e.Cause)
+	}
+	return fmt.Sprintf("cluster: %s on %s takes the remote result of %s in a later wave, and a remote result lives only in its own",
 		e.Method, e.Endpoint, e.Producer)
 }
+
+// Unwrap exposes the refusal a stale-route retry followed.
+func (e *CrossWaveError) Unwrap() error { return e.Cause }
 
 // BoundAwayError fails a replicated destination holding a named root that
 // its name's home binds to an object on another server. A wave replicates

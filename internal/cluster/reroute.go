@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -44,7 +45,7 @@ type resolver interface {
 // nothing earlier in the flush is left behind at the old home — the batch
 // must be epoch-aware (WithDirectory) and the refusal must be the
 // destination's FIRST CONTACT in this flush, no earlier wave having executed
-// there (results pinned there cannot follow the object to its new home) —
+// there (what ran there cannot follow the object to its new home) —
 // and (b) the wave is known NOT to have executed. Four failure classes
 // qualify: a wrong-home rejection (the server refused the wave before
 // running it — an id it tombstoned, or a name its registry forwards), a name
@@ -91,14 +92,18 @@ func (b *Batch) canRetryStale(ds *destState, err error) bool {
 // rejected request was to push (waited: they stay on their destinations), and
 // all of later — is then staged again (planStages): a value that flowed
 // between two roots sharing a server, inside one request, and that the
-// re-sharding split across homes is one more push. The result replaces the
-// rejected stage and later: its first element is the wave to run again. An
-// error means nothing was re-planned and the rejections are final.
-func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, waited []*recordedCall, later [][]*subBatch) ([][]*subBatch, error) {
+// re-sharding split across homes is one more push. A call that takes a
+// remote result a wave that ran already produced, which lived only in that
+// wave, is refused (outlives). The result replaces the rejected stage and
+// later: its first element is the wave to run again. refused lists the calls
+// the re-plan settled with an error, for the flush to report. An error means
+// nothing was re-planned and the rejections are final.
+func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, waited []*recordedCall, later [][]*subBatch) ([][]*subBatch, []*recordedCall, error) {
 	b.mu.Lock()
 	b.retried = true
 	b.wrongHome.Inc()
 	b.mu.Unlock()
+	var refused []*recordedCall
 	causes := make(map[*group]error, len(rejected))
 	bound := make(map[string]*core.ElsewhereError)
 	refresh := false
@@ -113,7 +118,7 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 	}
 	if refresh {
 		if err := dir.Refresh(ctx); err != nil {
-			return nil, fmt.Errorf("stale-route retry: ring refresh failed: %w", err)
+			return nil, nil, fmt.Errorf("stale-route retry: ring refresh failed: %w", err)
 		}
 	}
 
@@ -137,7 +142,7 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 			} else if p.key != "" {
 				var err error
 				if m.home, err = dir.Home(p.key); err != nil {
-					return nil, fmt.Errorf("stale-route retry: re-route %q: %w", p.key, err)
+					return nil, nil, fmt.Errorf("stale-route retry: re-route %q: %w", p.key, err)
 				}
 				if m.ref.Endpoint != m.home {
 					m.ref = wire.Ref{}
@@ -187,9 +192,16 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 				settle(c, nil, fmt.Errorf(
 					"stale-route retry: %s consumes a result the re-sharding moved to %q while the call now targets %q: %w",
 					c.method, rootOf(x).group.endpoint, to.endpoint, causes[c.group]))
+				refused = append(refused, c)
 				break
 			}
 		}
+	}
+	// What a call refused again below follows: its own destination's
+	// refusal, or, for one that waited for a refused value, the first.
+	refusal := make(map[*recordedCall]error, len(open))
+	for _, c := range open {
+		refusal[c] = cmp.Or(causes[c.group], rejected[0].cause)
 	}
 	// Re-home every affected call (and the proxy it settles) to its root's
 	// group, so the planner, partition and translate see a consistent
@@ -215,16 +227,19 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 	}
 	nstages, err := planStages(byIndex(open))
 	if err != nil {
-		return nil, fmt.Errorf("stale-route retry: %w", err)
+		return nil, nil, fmt.Errorf("stale-route retry: %w", err)
 	}
-	// The re-plan may put a replicated destination's use of its own remote
-	// result in a later wave than the result: refused, as at planning.
+	// A remote result lives only in its wave: a call the re-plan puts in a
+	// later wave than its remote input, or whose remote input a wave that ran
+	// already produced, is refused.
 	for _, c := range open {
-		if err := b.unreplicable(c); err != nil {
+		if err := outlives(c); err != nil {
+			err.Cause = refusal[c]
 			settle(c, nil, err)
+			refused = append(refused, c)
 		}
 	}
-	return buildStages(open, nstages)[stage:], nil
+	return buildStages(open, nstages)[stage:], refused, nil
 }
 
 // byIndex sorts calls into recording order, in place: calls that now share a

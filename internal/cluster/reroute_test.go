@@ -104,7 +104,7 @@ func TestRehomeRegroupsPerNewHome(t *testing.T) {
 	dir := &fakeHomes{homes: map[string]string{"a": "server-2", "b": "server-0", "c": "server-2"}}
 	unnamed := roots[""].rootRef
 
-	stages, err := b.rehome(context.Background(), dir, rejected, nil, nil)
+	stages, _, err := b.rehome(context.Background(), dir, rejected, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,7 @@ func TestRehomeRegroupsPerNewHome(t *testing.T) {
 		t.Errorf("un-named root re-resolved to %v, want %v", roots[""].rootRef, unnamed)
 	}
 	// The remote result the move split from its consumer settles that call
-	// with the cause of its own rejected sub-batch, and is not pinned for a
-	// forwarding nobody recorded; nothing else is settled.
+	// with the cause of its own rejected sub-batch; nothing else is settled.
 	for i, c := range calls {
 		switch {
 		case i == 1 && (!c.out.done || !errors.Is(c.out.err, rejected[0].cause)):
@@ -147,9 +146,6 @@ func TestRehomeRegroupsPerNewHome(t *testing.T) {
 		case i != 1 && c.out.done:
 			t.Errorf("call %d settled with %v; only the split dependency may be", i, c.out.err)
 		}
-	}
-	if calls[0].export {
-		t.Error("the split dependency's producer was marked for export")
 	}
 }
 
@@ -179,7 +175,7 @@ func TestRehomeSplitFutureEdge(t *testing.T) {
 	rejected := []rejection{{sb: stages[0][0], cause: errors.New("wrong home")}}
 	dir := &fakeHomes{homes: map[string]string{"a": "server-0", "b": "server-2"}}
 
-	replanned, err := b.rehome(context.Background(), dir, rejected, nil, stages[1:])
+	replanned, _, err := b.rehome(context.Background(), dir, rejected, nil, stages[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +200,7 @@ func TestRehomeFailsWholesale(t *testing.T) {
 	} {
 		b := New(nil)
 		roots, calls, rejected := staleRecording(t, b)
-		subs, err := b.rehome(context.Background(), dir, rejected, nil, nil)
+		subs, _, err := b.rehome(context.Background(), dir, rejected, nil, nil)
 		if err == nil || subs != nil {
 			t.Fatalf("%s failure: rehome = %v, %v; want an error and no plan", name, subs, err)
 		}
@@ -228,19 +224,20 @@ func TestRehomeFailsWholesale(t *testing.T) {
 // TestRehomeFollowsLaterStages: a destination refused at first contact in a
 // stage that is not its last. The root's calls of the later stages follow it
 // to the new home, where they share one destination with the retried wave —
-// each later wave a request of its own to that new home.
+// each later wave a request of its own to that new home. The policy can
+// re-run a call, so every value that crosses servers is staged.
 func TestRehomeFollowsLaterStages(t *testing.T) {
-	b := New(nil)
+	b := New(nil, WithPolicy(&core.Policy{Default: core.ActionRestart}))
 	a := b.Root(wire.Ref{Endpoint: "server-0", ObjID: 100, Iface: "reroute.Test"})
 	a.key = "a"
 	c := b.Root(wire.Ref{Endpoint: "server-1", ObjID: 101, Iface: "reroute.Test"})
 	d := b.Root(wire.Ref{Endpoint: "server-3", ObjID: 102, Iface: "reroute.Test"})
-	f0 := c.CallBatch("Fork")    // 0: stage 0 on server-1
-	g0 := d.CallBatch("Fork")    // 1: stage 0 on server-3
-	f1 := a.CallBatch("Add", f0) // 2: stage 1, server-0's first contact: f0 forwarded by reference
-	g1 := c.CallBatch("Add", g0) // 3: stage 1 on server-1
-	a.Call("Add", g1)            // 4: stage 2
-	c.Call("Add", f1)            // 5: stage 2 on server-1, untouched
+	f0 := c.Call("Fork")    // 0: stage 0 on server-1
+	g0 := d.Call("Fork")    // 1: stage 0 on server-3
+	f1 := a.Call("Add", f0) // 2: stage 1, server-0's first contact: f0's value staged
+	g1 := c.Call("Add", g0) // 3: stage 1 on server-1
+	a.Call("Add", g1)       // 4: stage 2
+	c.Call("Add", f1)       // 5: stage 2 on server-1, untouched
 	nstages, err := planStages(b.calls)
 	if err != nil || nstages != 3 {
 		t.Fatalf("plan = %d stages, %v; want three", nstages, err)
@@ -249,7 +246,7 @@ func TestRehomeFollowsLaterStages(t *testing.T) {
 	rejected := []rejection{{sb: stages[1][0], cause: errors.New("wrong home")}}
 	dir := &fakeHomes{homes: map[string]string{"a": "server-2"}}
 
-	replanned, err := b.rehome(context.Background(), dir, rejected, nil, stages[2:])
+	replanned, _, err := b.rehome(context.Background(), dir, rejected, nil, stages[2:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +277,7 @@ func TestRehomeBoundElsewhere(t *testing.T) {
 	rejected := []rejection{{sb: stages[0][0], cause: fmt.Errorf("flush: %w", &core.ElsewhereError{Name: "a", Ref: far})}}
 	dir := &fakeHomes{}
 
-	replanned, err := b.rehome(context.Background(), dir, rejected, nil, nil)
+	replanned, _, err := b.rehome(context.Background(), dir, rejected, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,13 @@
 // recording accepts cross-server dataflow (a result produced on server A may
 // feed a call bound for server B), the planner schedules the dependency DAG
 // into stages, and the executor runs one parallel per-destination fan-out
-// per stage — never one trip per call. A value crosses servers inside the
-// wave: its producer's server pushes it to its consumer's, so a recording
-// whose values cross servers any number of times costs one wave, one round
-// trip per distinct destination. A remote result crosses by reference — an
-// exported ref pinned in one wave and forwarded in the next — and so does a
-// value whose producer's wave must first prove durable or may run twice. See
-// DESIGN.md, "Cluster staging rules".
+// per stage — never one trip per call. A result crosses servers inside the
+// wave: its producer's server pushes it to its consumer's — a value as a
+// copy, a remote result as its exported reference — so a recording whose
+// results cross servers any number of times costs one wave, one round trip
+// per distinct destination. A value whose producer's wave must first prove
+// durable or may run twice goes through the client a wave later; a remote
+// result lives only in its wave. See DESIGN.md, "Cluster staging rules".
 //
 // Membership is elastic: the shard map carries a monotonically increasing
 // epoch bumped on every Add/Remove, and a Rebalancer migrates the moved

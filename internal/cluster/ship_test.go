@@ -326,8 +326,8 @@ func (g *gate) Pass() (int64, error) {
 }
 
 // TestChainedReplicatedStagesShipInWaveOrder: a two-stage pipeline over
-// replicated roots — stage 1's call on root A consumes a stage-0 result from
-// root B's server — costs the client one call per primary per stage, and A's
+// replicated roots — stage 1's call on root A consumes a stage-0 value from
+// root B's server, staged until B's quorum holds it — costs the client one call per primary per stage, and A's
 // followers replay its two waves, each a record of its own, in wave order.
 // Under W=2 of R=3 that holds for a straggler too: while the slow follower's
 // answer to wave 0 is still on its way, A's primary holds wave 1's ship to it
@@ -371,7 +371,7 @@ func TestChainedReplicatedStagesShipInWaveOrder(t *testing.T) {
 	passed := b.Root(sent).Call("Pass")
 	pa.Call("Add", int64(1))
 	pb.Call("Add", int64(5))
-	last := pa.Call("AddRemote", pb.CallBatch("Fork", int64(5))) // stage 1: forwarded by reference
+	last := pa.Call("Add", pb.Call("Get")) // stage 1: b's replicated value, through the client
 	start := time.Now()
 	if err := b.Flush(ctx); err != nil {
 		t.Fatal(err)

@@ -304,3 +304,92 @@ func TestReplicatedWaveWithInWaveEdge(t *testing.T) {
 		}
 	}
 }
+
+// TestInWaveValueEdgeSurvivesFailover: a follower holds shadows of the roots
+// it follows only, and replays a root it does not follow on a blank one. A
+// value edge inside a replicated request — a's Add feeding b's, on one
+// primary — therefore reaches every follower as the literal the primary's
+// run produced, not as a reference its replay would resolve: server-1 follows
+// b but not a, and its shadow of b must read what the primary's does. Then
+// the primary stops, server-1 wins b's election on the lowest-endpoint tie,
+// and b still reads the acked 103.
+func TestInWaveValueEdgeSurvivesFailover(t *testing.T) {
+	ec, dir := shipCluster(t)
+	ctx := context.Background()
+	owned := func(want ...string) func([]string) bool {
+		return func(o []string) bool { return slices.Equal(o, want) }
+	}
+	a := nameWhere(t, dir, "a", "server-0", owned("server-0", "server-3", "server-2"))
+	bb := nameWhere(t, dir, "b", "server-0", owned("server-0", "server-1", "server-3"))
+	ec.BindCounter(dir, a, 100)
+	place(t, ec, dir, bb)
+
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	pa, _ := b.RootNamed(ctx, a)
+	pb, _ := b.RootNamed(ctx, bb)
+	f0 := pa.Call("Add", int64(3))
+	f1 := pb.Call("Add", f0)
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cluster.Typed[int64](f1).Get(); err != nil || v != 103 {
+		t.Fatalf("b.Add(a.Add(3)) = %v, %v; want 103", v, err)
+	}
+	for _, r := range []struct {
+		name string
+		want []int64
+	}{{a, []int64{3}}, {bb, []int64{103}}} {
+		own, _ := dir.Owners(r.name)
+		if h := counterAt(t, ec, own[0], r.name).History(); !reflect.DeepEqual(h, r.want) {
+			t.Fatalf("primary's %s executed %v, want %v", r.name, h, r.want)
+		}
+		for _, f := range own[1:] {
+			if h := shadowHistory(t, ec, f, own[0], r.name); !reflect.DeepEqual(h, r.want) {
+				t.Errorf("%s's shadow of %s replayed %v, want the primary's %v", f, r.name, h, r.want)
+			}
+		}
+	}
+
+	ec.StopServer("server-0")
+	if _, err := cluster.NewRebalancer(dir).FailoverServer(ctx, "server-0"); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	rb := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	pb, _ = rb.RootNamed(ctx, bb)
+	got := pb.Call("Get")
+	if err := rb.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cluster.Typed[int64](got).Get(); err != nil || v != 103 {
+		t.Errorf("%s after failover = %v, %v; want the acked 103", bb, v, err)
+	}
+}
+
+// TestShadowKeepsByValueArguments: the literal a follower gets for a value
+// edge replaces that argument only. A by-value argument beside it — Apply's
+// token, next to the value it depends on — reaches every follower as the
+// client recorded it.
+func TestShadowKeepsByValueArguments(t *testing.T) {
+	ec, dir := shipCluster(t)
+	ctx := context.Background()
+	a := nameWhere(t, dir, "a", "server-0", anyOwners)
+	place(t, ec, dir, a)
+
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	pa, _ := b.RootNamed(ctx, a)
+	f0 := pa.Call("Add", int64(3))
+	pa.Call("Apply", int64(7), f0)
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	own, _ := dir.Owners(a)
+	want := []int64{3, 7}
+	if h := counterAt(t, ec, own[0], a).History(); !reflect.DeepEqual(h, want) {
+		t.Fatalf("primary executed %v, want %v", h, want)
+	}
+	for _, f := range own[1:] {
+		if h := shadowHistory(t, ec, f, own[0], a); !reflect.DeepEqual(h, want) {
+			t.Errorf("%s's shadow replayed %v, want the primary's %v", f, h, want)
+		}
+	}
+}

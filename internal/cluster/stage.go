@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rmi"
-	"repro/internal/wire"
 )
 
 // stage.go is the "execute" phase of the cluster flush pipeline: a walk over
@@ -19,12 +18,10 @@ import (
 // wave sends each of its destinations a fresh core.Batch, ended with Flush:
 // no cluster request opens, keeps or continues a server session. Within one
 // wave a call references any earlier call of its own sub-batch by sequence
-// number, remote result or value, and takes a value of another destination's
+// number, remote result or value, and takes a result of another destination's
 // sub-batch as that destination's server pushes it (core.Batch.PushTo,
-// core.Pushed). A remote result of an earlier wave is pinned (an exported
-// ref, leased until finish) and enters a later wave as one more root of the
-// batch (core.Batch.AddRoot): its own server resolves it to the object
-// itself, another gets a stub.
+// core.Pushed): a value as a copy, a remote result as a stub. Nothing of a
+// wave outlives it but the values the client settles.
 
 // run is one flush's execution state.
 type run struct {
@@ -34,8 +31,6 @@ type run struct {
 	servers int
 	// err accumulates the destinations that failed; nil while none has.
 	err *FlushError
-	// held are the exported result refs leased until the pipeline ends.
-	held []wire.Ref
 	// stale is set once a destination failed wrong-home, or behind a
 	// primary's or follower's ring epoch, without a retry.
 	stale bool
@@ -254,11 +249,12 @@ func (r *run) flushDest(ctx context.Context, ds *destState) error {
 // a call bound for a refused destination follows its root — and runs the
 // same wave again, before the next stage, which may consume these results.
 // The retried wave pushes under a flush id of its own — a notice of the first
-// attempt that arrives late cannot fail it — and rejects nothing.
+// attempt that arrives late cannot fail it — and rejects nothing. A call the
+// re-plan refused fails the flush at its new destination.
 // It returns the schedule the flush goes on with.
 func (r *run) retry(ctx context.Context, s int, rejected []rejection, stages [][]*subBatch) [][]*subBatch {
 	b := r.b
-	replanned, err := b.rehome(ctx, b.dir, rejected, r.waited, stages[s+1:])
+	replanned, refused, err := b.rehome(ctx, b.dir, rejected, r.waited, stages[s+1:])
 	b.mu.Lock()
 	if err != nil {
 		defer b.mu.Unlock()
@@ -274,6 +270,9 @@ func (r *run) retry(ctx context.Context, s int, rejected []rejection, stages [][
 			}
 		}
 		return stages
+	}
+	for _, c := range refused {
+		r.report(c.group.endpoint, c.stage, c.out.err)
 	}
 	stages = append(stages[:s], replanned...)
 	for _, sb := range stages[s] {
@@ -321,9 +320,7 @@ func (r *run) report(endpoint string, stage int, err error) {
 // not waiting for a stale-route retry — its outcome: err when the wave
 // failed (or never ran), otherwise what the wave returned, copied out of the
 // call's core future / core proxy once. The wave's batch is spent after
-// this: a result pinned for a later wave is leased on the spot
-// (rmi.Peer.HoldRef), so it outlives the server's marshal grace while the
-// pipeline needs it, and is addressed by its ref from here on (rootRef).
+// this. A call that failed for want of a pushed result fails the flush too.
 // Caller holds b.mu.
 func (r *run) settleSub(sb *subBatch, err error) {
 	for _, c := range sb.calls {
@@ -336,19 +333,11 @@ func (r *run) settleSub(sb *subBatch, err error) {
 		case c.kind == kindValue:
 			v, verr := c.sent.Get()
 			settle(c, v, verr)
-			if lostPush(verr) {
-				r.report(sb.group.endpoint, c.stage, verr)
-			}
 		default:
 			settle(c, nil, c.proxy.core.Ok())
-			if !c.export {
-				break
-			}
-			if ref, rerr := c.proxy.core.ExportedRef(); rerr == nil {
-				r.b.peer.HoldRef(ref)
-				r.held = append(r.held, ref)
-				c.proxy.rootRef = ref
-			}
+		}
+		if err == nil && lostPush(c.out.err) {
+			r.report(sb.group.endpoint, c.stage, c.out.err)
 		}
 		if c.proxy != nil {
 			c.proxy.core = nil
@@ -359,14 +348,14 @@ func (r *run) settleSub(sb *subBatch, err error) {
 // translate records one call into its destination's core.Batch, resolving
 // its inputs. A call whose input failed settles locally with that error — the
 // failure propagates through the dataflow without aborting independent calls.
-// A value call some other destination's call of the same wave consumes pushes
-// its value there. Caller holds b.mu.
+// A call some other destination's call of the same wave consumes pushes its
+// result there. Caller holds b.mu.
 func (r *run) translate(c *recordedCall) {
 	if c.out.done {
 		return // settled earlier (a failed input)
 	}
 	cb := r.dests[c.group].cb
-	target, args, waits, err := resolveInputs(cb, c)
+	target, args, waits, err := resolveInputs(c)
 	if err != nil {
 		settle(c, nil, err)
 		return
@@ -374,40 +363,35 @@ func (r *run) translate(c *recordedCall) {
 	if waits {
 		cb.SetFlush(r.flushID())
 	}
-	switch {
-	case c.kind == kindValue:
+	var result any
+	if c.kind == kindValue {
 		c.sent = target.Call(c.method, args...)
-		if eps := waiting(c); len(eps) > 0 {
-			if err := cb.PushTo(c.sent, int64(c.index), eps); err != nil {
-				settle(c, nil, err) // unreachable: c.sent is this batch's unflushed value call
-				return
-			}
-			cb.SetFlush(r.flushID())
-		}
-	case c.export:
-		c.proxy.core = target.CallBatchExport(c.method, args...)
-	default:
+		result = c.sent
+	} else {
 		c.proxy.core = target.CallBatch(c.method, args...)
+		result = c.proxy.core
+	}
+	if eps := waiting(c); len(eps) > 0 {
+		if err := cb.PushTo(result, int64(c.index), eps); err != nil {
+			settle(c, nil, err) // unreachable: result is this batch's unflushed call
+			return
+		}
+		cb.SetFlush(r.flushID())
 	}
 }
 
-// coreOf returns the core proxy standing for p in cb, its destination's
-// batch of the wave. A reference to a call of the same request passes to the
-// server as is — even one whose call threw: the server resolves it by
-// sequence number and applies the batch's policy. A result an earlier wave
-// pinned enters cb as a root. A producer that threw in an earlier wave, or
-// never reached the server, has no core proxy, and its consumer settles
+// coreOf returns the core proxy standing for p in its destination's batch of
+// the wave. A reference to a call of the same request passes to the server as
+// is — even one whose call threw: the server resolves it by sequence number
+// and applies the batch's policy. A producer that threw in an earlier wave,
+// or never reached the server, has no core proxy, and its consumer settles
 // locally with the producer's error.
-func coreOf(cb *core.Batch, p *Proxy) (*core.Proxy, error) {
+func coreOf(p *Proxy) (*core.Proxy, error) {
 	switch {
 	case p.core != nil:
 		return p.core, nil
 	case p.err != nil:
 		return nil, p.err
-	case p.origin != nil && !p.rootRef.IsZero():
-		return cb.AddRoot(p.rootRef)
-	case p.origin != nil && p.done:
-		return nil, fmt.Errorf("cluster: the result of %s is used by a later wave, which it was not pinned for", p.origin.method)
 	}
 	return nil, errors.New("cluster: internal: reference to an untranslated call")
 }
@@ -415,21 +399,20 @@ func coreOf(cb *core.Batch, p *Proxy) (*core.Proxy, error) {
 // resolveInputs materializes c's target and arguments for its core.Batch:
 //
 //   - same-server proxies pass through as core proxies: the server resolves
-//     one of the same request by sequence number, and a result an earlier
-//     wave pinned, which enters the request as a root, to the object itself;
+//     one of the same request by sequence number;
 //   - cross-server root proxies pass as their refs (given, or resolved by
 //     resolveForwarded before the flush was planned);
-//   - cross-server result proxies pass as the exported ref pinned by the
-//     producer's wave — forwarded by reference, the destination sees a stub;
-//   - futures pass as their settled values — a cache hit's, or a staged
+//   - a cross-server result proxy, or a future whose producer another
+//     destination's request of the same wave carries, passes as core.Pushed:
+//     the producer's server pushes the result to c's — a remote result as its
+//     exported reference — and waits reports it;
+//   - other futures pass as their settled values — a cache hit's, or a staged
 //     input's — or, while the producer rides this very sub-batch, as its core
-//     future: the server splices that one, inside the request; one another
-//     destination's request of the same wave carries passes as core.Pushed —
-//     its server pushes the value to c's, and waits reports it.
+//     future: the server splices that one, inside the request.
 //
 // An error means a dependency failed and c must settle locally with it.
-func resolveInputs(cb *core.Batch, c *recordedCall) (target *core.Proxy, args []any, waits bool, err error) {
-	if target, err = coreOf(cb, c.target); err != nil {
+func resolveInputs(c *recordedCall) (target *core.Proxy, args []any, waits bool, err error) {
+	if target, err = coreOf(c.target); err != nil {
 		return nil, nil, false, err
 	}
 	args = make([]any, len(c.args))
@@ -438,16 +421,18 @@ func resolveInputs(cb *core.Batch, c *recordedCall) (target *core.Proxy, args []
 		case *Proxy:
 			switch {
 			case x.group == c.group:
-				args[i], err = coreOf(cb, x)
+				args[i], err = coreOf(x)
 			case x.err != nil:
 				err = x.err
+			case x.origin != nil && x.core != nil && x.origin.stage == c.stage:
+				args[i], waits = core.Pushed{Tag: int64(x.origin.index)}, true
 			case !x.rootRef.IsZero():
 				args[i] = x.rootRef
 			case x.lazy():
 				// Looked up before planning: resolveForwarded, or rehome.
 				err = fmt.Errorf("cluster: internal: %s passes root %q to another server unresolved", c.method, x.key)
 			default:
-				err = fmt.Errorf("cluster: internal: the result of %s crosses servers unpinned", x.origin.method)
+				err = fmt.Errorf("cluster: internal: the result of %s crosses waves", x.origin.method)
 			}
 		case *Future:
 			switch {
@@ -472,17 +457,9 @@ func resolveInputs(cb *core.Batch, c *recordedCall) (target *core.Proxy, args []
 	return target, args, waits, nil
 }
 
-// finish ends the pipeline: it drops the bridging leases in one batched DGC
-// wave (one Clean per endpoint, endpoints in parallel), brings a ring that a
-// failure showed stale up to date, and returns the flush's error.
-// Destinations that received a forwarded ref hold their own lease while they
-// retain the stub, and the lease-holder chain unwinds through DGC. Cleanup
-// must outlive the flush's own context: a cancellation that aborted the
-// waves is exactly when prompt lease release matters most.
+// finish ends the pipeline: it brings a ring that a failure showed stale up
+// to date, and returns the flush's error.
 func (r *run) finish(ctx context.Context) error {
-	if len(r.held) > 0 {
-		r.b.peer.ReleaseRefs(context.WithoutCancel(ctx), r.held)
-	}
 	if r.err == nil {
 		return nil
 	}

@@ -247,7 +247,7 @@ func (b *Batch) recordValue(target *Proxy, method string, args []any) *Future {
 	fa := &futureAlloc{}
 	fa.f.st = &fa.st
 	fa.st.b = b
-	seq, owner, ok := b.appendCall(target, method, kindValue, false, args)
+	seq, owner, ok := b.appendCall(target, method, kindValue, args)
 	if ok {
 		fa.st.seq = seq
 		fa.st.cursor = owner
@@ -256,19 +256,12 @@ func (b *Batch) recordValue(target *Proxy, method string, args []any) *Future {
 	return &fa.f
 }
 
-func (b *Batch) recordRemote(target *Proxy, method string, export bool, args []any) *Proxy {
+func (b *Batch) recordRemote(target *Proxy, method string, args []any) *Proxy {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	p := &Proxy{b: b}
-	seq, owner, ok := b.appendCall(target, method, kindRemote, export, args)
+	seq, owner, ok := b.appendCall(target, method, kindRemote, args)
 	if ok {
-		if export && owner != nil {
-			// Exports are per-call, cursor sub-batches are per-element; the
-			// combination has no single ref to return. Ownership can come
-			// from the target OR any argument, so check appendCall's verdict.
-			b.fail(fmt.Errorf("brmi: CallBatchExport %s inside a cursor run", method))
-			return p
-		}
 		p.seq = seq
 		p.cursor = owner
 		b.records = append(b.records, callRecord{kind: kindRemote, proxy: p, owner: owner})
@@ -284,7 +277,7 @@ func (b *Batch) recordCursor(target *Proxy, method string, args []any) *Cursor {
 		b.fail(ErrNestedCursor)
 		return c
 	}
-	seq, owner, ok := b.appendCall(target, method, kindCursor, false, args)
+	seq, owner, ok := b.appendCall(target, method, kindCursor, args)
 	if ok {
 		if owner != nil {
 			b.fail(ErrNestedCursor)
@@ -300,7 +293,7 @@ func (b *Batch) recordCursor(target *Proxy, method string, args []any) *Cursor {
 // appendCall validates and stores one invocation. Caller holds b.mu.
 // It returns the assigned sequence number, the owning cursor (nil if none),
 // and whether recording succeeded (violations are sticky via b.recErr).
-func (b *Batch) appendCall(target *Proxy, method string, kind int64, export bool, args []any) (int64, *Cursor, bool) {
+func (b *Batch) appendCall(target *Proxy, method string, kind int64, args []any) (int64, *Cursor, bool) {
 	if b.closed {
 		b.fail(ErrBatchClosed)
 		return 0, nil, false
@@ -358,7 +351,6 @@ func (b *Batch) appendCall(target *Proxy, method string, kind int64, export bool
 		Target: targetSeq,
 		Method: method,
 		Kind:   kind,
-		Export: export,
 	}
 	if owner != nil {
 		inv.setOwner(owner.seq)
@@ -633,7 +625,6 @@ func (b *Batch) distribute(records []callRecord, results []callResult) {
 			p := rec.proxy
 			p.settled = true
 			p.failed = r.Err
-			p.exportRef = r.Ref
 			if rec.owner != nil {
 				p.base = r.Base
 			}

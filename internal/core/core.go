@@ -67,11 +67,6 @@ var (
 	// ErrForeignRoot reports an AddRoot ref living on a different server
 	// than the batch's root: a batch is one round trip to one server.
 	ErrForeignRoot = errors.New("brmi: additional root belongs to a different server")
-
-	// ErrNotExported reports reading ExportedRef on a proxy whose call was
-	// not recorded with CallBatchExport: the server kept the result in the
-	// batch session only and never pinned it as an exported reference.
-	ErrNotExported = errors.New("brmi: call result was not marked for export")
 )
 
 // BatchError wraps a failure of the batch machinery itself (recording

@@ -301,7 +301,7 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 	}
 	if ship != nil {
 		var lag time.Duration
-		lag, resp.ShipErr = ship(ctx, shadowPayload(req, st.received))
+		lag, resp.ShipErr = ship(ctx, shadowPayload(req, st))
 		// A clock too coarse to see the ship must not read as "unreplicated".
 		resp.ShipNs = max(int64(lag), 1)
 	}
@@ -568,7 +568,7 @@ func (e *Executor) runBatch(ctx context.Context, sess *session, st *execState) (
 			return restarted(results, i, st.restart), true
 		}
 		if len(call.Push) > 0 {
-			e.push(ctx, st, call, &results[i])
+			e.push(ctx, sess, st, call, &results[i])
 		}
 	}
 	return results, false
@@ -669,27 +669,6 @@ func (e *Executor) runCall(ctx context.Context, sess *session, st *execState, ca
 			res.Err = err
 			e.markFailure(sess, overlay, call.Seq, err)
 			return res
-		}
-		if call.Export && overlay == nil {
-			// Pin the result as an exported reference: marshalling a remote
-			// object yields its Ref, auto-exporting it under a marshal-grace
-			// DGC lease if it was not exported already. Runs BEFORE bind so
-			// a failed export leaves the call failed, not resolvable — a
-			// dependent call must never execute against a producer the
-			// client sees as failed.
-			w, werr := e.peer.ToWire(v)
-			if werr != nil {
-				res.Err = fmt.Errorf("brmi: export result of %s: %w", call.Method, werr)
-				e.markFailure(sess, overlay, call.Seq, res.Err)
-				return res
-			}
-			ref, ok := w.(wire.Ref)
-			if !ok {
-				res.Err = fmt.Errorf("brmi: result of %s did not marshal to a reference", call.Method)
-				e.markFailure(sess, overlay, call.Seq, res.Err)
-				return res
-			}
-			res.Ref = ref
 		}
 		e.bind(sess, overlay, call.Seq, v)
 	default: // kindValue

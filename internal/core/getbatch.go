@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -34,8 +35,8 @@ import (
 const GetBatchService = "core.getbatch"
 
 // GetBatchRequest names the objects to read at one endpoint, in request
-// order. An empty Method reads each object's Snapshot(); otherwise Method is
-// invoked with no arguments and its first result is the value.
+// order. Method is invoked with no arguments and its first result is the
+// value; an empty Method reads each object's migration snapshot (Snapshot).
 //
 // ObjIDs and Names address the positions, each empty or parallel to the
 // other, so a request has as many positions as the longer of them: position
@@ -196,13 +197,6 @@ func init() {
 	wire.MustRegisterError("brmi.getbatch.elsewhere", &ElsewhereError{})
 }
 
-// snapshotter is the structural slice of cluster.Movable this package needs
-// (a core→cluster import would cycle): state-bearing objects expose their
-// migration snapshot, which doubles as the bulk-read payload.
-type snapshotter interface {
-	Snapshot() (any, error)
-}
-
 // resolver is the structural slice of registry.Service this package needs
 // (core does not import registry): the serving peer's own name table,
 // reached as the system object at rmi.RegistryObjID.
@@ -291,9 +285,10 @@ func (e *Executor) resolveLocal(reg resolver, name string) (wire.Ref, error) {
 	return ref, nil
 }
 
-// readObject reads one exported object: its Snapshot() when method is
-// empty, else method's first result, in wire form. An id that migrated away
-// fails with the tombstone's *rmi.WrongHomeError, like a call routed there.
+// readObject reads one exported object: method's first result, in wire form
+// — the migration snapshot every cluster.Movable has (Snapshot) when method
+// is empty. An id that migrated away fails with the tombstone's
+// *rmi.WrongHomeError, like a call routed there.
 func (e *Executor) readObject(ctx context.Context, objID uint64, method string) (any, error) {
 	obj, found := e.peer.LocalObject(objID)
 	if !found {
@@ -302,24 +297,13 @@ func (e *Executor) readObject(ctx context.Context, objID uint64, method string) 
 		}
 		return nil, &rmi.NoSuchObjectError{ObjID: objID}
 	}
+	results, err := e.peer.InvokeLocal(ctx, obj, cmp.Or(method, "Snapshot"), nil)
+	if err != nil {
+		return nil, err
+	}
 	var v any
-	if method != "" {
-		results, err := e.peer.InvokeLocal(ctx, obj, method, nil)
-		if err != nil {
-			return nil, err
-		}
-		if len(results) > 0 {
-			v = results[0]
-		}
-	} else {
-		s, can := obj.(snapshotter)
-		if !can {
-			return nil, fmt.Errorf("brmi: getbatch: object %d (%T) has no snapshot", objID, obj)
-		}
-		var err error
-		if v, err = s.Snapshot(); err != nil {
-			return nil, err
-		}
+	if len(results) > 0 {
+		v = results[0]
 	}
 	if v == nil {
 		return nil, nil

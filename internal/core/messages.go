@@ -14,8 +14,8 @@ const (
 // invocationData is one recorded call (paper's InvocationData, Fig. 3); on
 // the wire a brmi.call. The request is positional, so the call carries no
 // number of its own (see Seq), and its wire fields are ordered Method, Args,
-// Target, Kind, Tag, Push, CursorOwner, Export: the encoder omits trailing
-// zero fields, and Target and Kind travel so that the batch root and a value
+// Target, Kind, Tag, Push, CursorOwner: the encoder omits trailing zero
+// fields, and Target and Kind travel so that the batch root and a value
 // call are zero — a value call on the root costs its method and arguments.
 type invocationData struct {
 	// Method is the remote method name.
@@ -29,26 +29,21 @@ type invocationData struct {
 	// Kind is one of kindValue/kindRemote/kindCursor. It travels as
 	// Kind-kindValue: 0 for a value call.
 	Kind int64
-	// Tag names this value call's result flush-wide, for the pushes below:
-	// the cluster layer tags a producer with its position in the cluster
+	// Tag names this call's result flush-wide, for the pushes below: the
+	// cluster layer tags a producer with its position in the cluster
 	// recording, which a stale-route retry keeps.
 	Tag int64
 	// Push lists the destinations — indexes into the request's Peers — that
-	// consume this value call's result in the same flush: the serving peer
-	// sends each of them the value, or the call's failure, as soon as the call
-	// ran. Value calls outside cursors only; empty (and omitted) otherwise.
+	// consume this call's result in the same flush: the serving peer sends
+	// each of them the value — a remote result as its exported reference —
+	// or the call's failure, as soon as the call ran. Value and remote calls
+	// outside cursors only; empty (and omitted) otherwise.
 	Push []int64
 	// CursorOwner is 1 + the Seq of the cursor this call belongs to, or 0
 	// when the call is not cursor-owned (the +1 keeps the no-cursor case at
 	// the omittable zero value). Cursor-owned calls execute once per array
 	// element. Use owner()/setOwner.
 	CursorOwner int64
-	// Export asks the server to pin this call's remote result as a fresh
-	// exported reference and return it in the call's result (kindRemote
-	// only, outside cursors). The cluster layer uses it to forward a
-	// result produced on one server into a later-stage sub-batch bound
-	// for another server.
-	Export bool
 	// Seq is the client-assigned sequence number identifying this call and
 	// any batch object it creates (§4.1). It is not on the wire: call i of a
 	// request is numbered where its session left off plus i — just i in a
@@ -159,7 +154,7 @@ type ShipDirective struct {
 // callResult is the outcome of one recorded call. A reply's results are
 // positional — result i answers the request's call i — so a plain success
 // (see plain) travels as its bare value, and this struct only for errors,
-// skips, cursors, retries and exports, where its trailing fields appear.
+// skips, cursors and retries, where its trailing fields appear.
 type callResult struct {
 	// Seq is unset: only replies from before results were positional echo it.
 	Seq int64
@@ -184,11 +179,6 @@ type callResult struct {
 	// BlockErrs holds per-element errors parallel to Block (entries nil on
 	// success). Also used for cursor-owned kindRemote calls.
 	BlockErrs []any
-	// Ref is the pinned exported reference of this call's result, set when
-	// the request marked the call for export (invocationData.Export). The
-	// export is lease-backed: the server's marshal-grace lease protects it
-	// until a client dirty arrives (internal/dgc).
-	Ref wire.Ref
 	// Attempts counts executions when ActionRepeat re-ran the call (0 when
 	// the call executed once).
 	Attempts int64

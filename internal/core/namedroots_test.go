@@ -143,7 +143,7 @@ func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 	// decoder by position 0 and 1. The reference names call 4 — the first.
 	chained := &core.BatchRequest{Root: 16, Calls: []core.Invocation{
 		{Target: core.RootTarget - 2, Method: "Add", Kind: 1, Args: []core.BatchArg{{Val: int64(5)}}},
-		{Seq: 1, Target: 4, Method: "Self", Kind: 2, Args: []core.BatchArg{{IsRef: true, Seq: 4}}, Export: true},
+		{Seq: 1, Target: 4, Method: "Self", Kind: 2, Args: []core.BatchArg{{IsRef: true, Seq: 4}}},
 	}, Session: 7, KeepSession: true, Roots: []uint64{17, 300}}
 	for _, c := range []struct {
 		req              *core.BatchRequest
@@ -157,7 +157,7 @@ func TestBatchRequestIDAddressedWireParity(t *testing.T) {
 		// Root 16, the session word 15 — session 7, kept — and the extra
 		// roots 17 and 300. The old form's reserved slot is gone.
 		{chained, "130204" + "0a02" + "13280308034164640a01040a0404" +
-			"132808080453656c660a0113040301030408040904020400" + "0a000400" + "03" +
+			"132804080453656c660a01130403010304080409" + "0402" +
 			"0510" + "050f" + "0a02051105ac02",
 			"13020605100a02" + "13280308034164640a01040a0404" +
 				"132808080453656c660a0113040301030408040904020400" + "0a000400" + "03" +
@@ -477,7 +477,7 @@ func FuzzBatchRequest(f *testing.F) {
 				waits = waits || a.Pushed
 			}
 			for _, at := range c.Push {
-				if at < 0 || at >= int64(len(req.Peers)) || c.Kind != 1 || c.CursorOwner != 0 || req.Flush == 0 {
+				if at < 0 || at >= int64(len(req.Peers)) || c.Kind == 3 || c.CursorOwner != 0 || req.Flush == 0 {
 					t.Fatalf("decoded a push to peer %d of %d on a kind-%d call, flush %d", at, len(req.Peers), c.Kind, req.Flush)
 				}
 			}

@@ -31,9 +31,6 @@ type Proxy struct {
 	// root is true for proxies returned by Batch.Root / Batch.AddRoot /
 	// Batch.AddRootNamed (see RootRef).
 	root bool
-	// exportRef is the pinned exported reference of this proxy's result,
-	// set at flush when the call was recorded with CallBatchExport.
-	exportRef wire.Ref
 }
 
 // Batch returns the batch this proxy records into.
@@ -49,7 +46,7 @@ func (p *Proxy) Batch() *Batch { return p.b }
 // the same flush — or, if the producer failed, fails the consumer with the
 // producer's error, unexecuted. (A future an earlier FlushAndContinue settled
 // goes as the literal it holds; another batch's is ErrForeignProxy.) The
-// same holds for CallRO, CallBatch, CallBatchExport and CallCursor.
+// same holds for CallRO, CallBatch and CallCursor.
 func (p *Proxy) Call(method string, args ...any) *Future {
 	return p.b.recordValue(p, method, args)
 }
@@ -63,45 +60,7 @@ func (p *Proxy) CallRO(method string, args ...any) *Future { return p.Call(metho
 // The result stays on the server (§4.2: "normal RMI proxies are never
 // returned to the client"); the returned proxy records further calls on it.
 func (p *Proxy) CallBatch(method string, args ...any) *Proxy {
-	return p.b.recordRemote(p, method, false, args)
-}
-
-// CallBatchExport records a method invocation whose result is a remote
-// object, like CallBatch, and additionally asks the server to pin the
-// result as a fresh exported reference returned with the flush. The ref is
-// readable via ExportedRef afterwards and is valid outside the batch: any
-// peer can address the result directly, which is how the cluster layer
-// forwards one server's result into another server's sub-batch (true
-// dataflow forwarding instead of round-tripping the value).
-//
-// The export is lease-backed (internal/dgc): the server's marshal-grace
-// lease keeps it alive for one lease period; callers that hold the ref
-// longer must take their own lease (rmi.Peer.HoldRef) before the grace
-// expires.
-func (p *Proxy) CallBatchExport(method string, args ...any) *Proxy {
-	return p.b.recordRemote(p, method, true, args)
-}
-
-// ExportedRef returns the pinned exported reference of this proxy's result.
-// It is available after flush for calls recorded with CallBatchExport;
-// proxies from plain CallBatch report ErrNotExported, and a failed call (or
-// failed dependency) rethrows its error.
-func (p *Proxy) ExportedRef() (wire.Ref, error) {
-	p.b.mu.Lock()
-	defer p.b.mu.Unlock()
-	if p.b.failure != nil {
-		return wire.Ref{}, p.b.failure
-	}
-	if !p.settled {
-		return wire.Ref{}, ErrPending
-	}
-	if p.failed != nil {
-		return wire.Ref{}, p.failed
-	}
-	if p.exportRef.IsZero() {
-		return wire.Ref{}, ErrNotExported
-	}
-	return p.exportRef, nil
+	return p.b.recordRemote(p, method, args)
 }
 
 // RootRef returns the exported object a root proxy (Batch.Root, AddRoot,

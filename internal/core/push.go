@@ -11,15 +11,16 @@ import (
 )
 
 // push.go: values that cross servers inside one flush. A cluster flush sends
-// every destination its part in one wave; a value call whose result another
+// every destination its part in one wave; a call whose result another
 // destination consumes carries a push list (invocationData.Push), and right
-// after it ran its executor sends the value — or the failure that kept it from
-// producing one — to each consumer's executor (Push). There the consumer's
-// call waits for it in a rendezvous table keyed by (flush id, producer tag),
-// whichever of the two arrives first. Recording order is a topological order
-// and every destination replays in it, so every wait points backward in the
-// recording and the earliest waiting call waits on one that has run or will:
-// nothing deadlocks, and pushWait bounds what a lost push costs.
+// after it ran its executor sends the result — a value, or a remote object as
+// its exported reference — or the failure that kept it from producing one, to
+// each consumer's executor (Push). There the consumer's call waits for it in a
+// rendezvous table keyed by (flush id, producer tag), whichever of the two
+// arrives first. Recording order is a topological order and every destination
+// replays in it, so every wait points backward in the recording and the
+// earliest waiting call waits on one that has run or will: nothing deadlocks,
+// and pushWait bounds what a lost push costs.
 
 // pushWait bounds a rendezvous: how long a consumer waits for a pushed value,
 // and how long a value pushed ahead of its consumer is kept for it.
@@ -51,11 +52,12 @@ func (e *RendezvousFullError) Error() string {
 	return fmt.Sprintf("brmi: rendezvous table full (%d entries)", e.Cap)
 }
 
-// Pushed is a call argument standing for the value that the call tagged Tag,
-// on another destination of the same cluster flush, pushes to this one (see
-// Batch.PushTo and Batch.SetFlush): the serving peer waits for it, a bounded
-// time, and hands the call a copy — or, if the producer failed, fails the
-// call with the producer's error, unexecuted.
+// Pushed is a call argument standing for the result that the call tagged
+// Tag, on another destination of the same cluster flush, pushes to this one
+// (see Batch.PushTo and Batch.SetFlush): the serving peer waits for it, a
+// bounded time, and hands the call a copy — a stub, for a remote result — or,
+// if the producer failed, fails the call with the producer's error,
+// unexecuted.
 type Pushed struct {
 	Tag int64
 }
@@ -68,18 +70,31 @@ func (b *Batch) SetFlush(id uint64) {
 	b.flushID = id
 }
 
-// PushTo makes the unflushed value call behind f send its result, as soon as
-// it ran, to the serving peers at endpoints, under tag: other destinations of
-// the same flush, whose calls take it as Pushed{Tag: tag}.
-func (b *Batch) PushTo(f *Future, tag int64, endpoints []string) error {
+// PushTo makes the unflushed call behind result — a value call's *Future or a
+// remote call's *Proxy, outside a cursor run — send its result, as soon as it
+// ran, to the serving peers at endpoints, under tag: other destinations of the
+// same flush, whose calls take it as Pushed{Tag: tag}. A remote result travels
+// as its exported reference, under the marshal-grace lease of any remote
+// object a call returns; the consumer's server gets a stub for it.
+func (b *Batch) PushTo(result any, tag int64, endpoints []string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if f == nil || f.st == nil || f.st.b != b {
-		return ErrForeignProxy
+	seq, owned := RootTarget, true
+	switch x := result.(type) {
+	case *Future:
+		if x == nil || x.st == nil || x.st.b != b {
+			return ErrForeignProxy
+		}
+		seq, owned = x.st.seq, x.st.cursor != nil
+	case *Proxy:
+		if x == nil || x.b != b {
+			return ErrForeignProxy
+		}
+		seq, owned = x.seq, x.cursor != nil
 	}
-	i := f.st.seq - b.recBase
-	if f.st.cursor != nil || i < 0 || i >= int64(len(b.calls)) {
-		return fmt.Errorf("brmi: push of a value that is not an unflushed call of this batch outside a cursor run")
+	i := seq - b.recBase
+	if owned || i < 0 || i >= int64(len(b.calls)) || b.calls[i].Kind == kindCursor {
+		return fmt.Errorf("brmi: push of a result that is not an unflushed value or remote call of this batch outside a cursor run")
 	}
 	inv := &b.calls[i]
 	inv.Tag = tag
@@ -241,15 +256,23 @@ func (e *Executor) pushedArg(ctx context.Context, st *execState, tag int64) (any
 	return st.splice(got.val)
 }
 
-// push sends what call produced — res's value, or its failure — to every
-// destination on the call's push list. Another server gets it in a call of
-// its own that the replay does not wait for; a push outlives the request that
-// made it by at most pushWait, and one that fails leaves its consumer to fail
-// at the bound. The serving peer itself — a second request of the flush here,
-// which a stale-route retry can send — gets it in its rendezvous table at
-// once.
-func (e *Executor) push(ctx context.Context, st *execState, call *invocationData, res *callResult) {
-	p := &valuePush{Flush: st.flush, Tag: call.Tag, Value: res.Value, Err: res.Err}
+// push sends what call produced — res's value, a remote result as its
+// exported reference, or its failure — to every destination on the call's
+// push list. Another server gets it in a call of its own that the replay does
+// not wait for; a push outlives the request that made it by at most pushWait,
+// and one that fails leaves its consumer to fail at the bound. The serving
+// peer itself — a second request of the flush here, which a stale-route retry
+// can send — gets it in its rendezvous table at once.
+func (e *Executor) push(ctx context.Context, sess *session, st *execState, call *invocationData, res *callResult) {
+	val, err := res.Value, res.Err
+	if call.Kind == kindRemote && err == nil {
+		// Marshalling a remote object exports it under a marshal-grace lease,
+		// which the consumer's stub takes over.
+		if val, err = e.peer.ToWire(sess.objects[call.Seq]); err != nil {
+			err = fmt.Errorf("brmi: export result of %s: %w", call.Method, err)
+		}
+	}
+	p := &valuePush{Flush: st.flush, Tag: call.Tag, Value: val, Err: err}
 	for _, at := range call.Push {
 		e.pushes.Inc()
 		if ep := st.peers[at]; ep == e.peer.Endpoint() {
@@ -278,15 +301,18 @@ func PushValue(ctx context.Context, peer *rmi.Peer, endpoint string, flush uint6
 }
 
 // shadowPayload is what a replicating primary ships of a request: the request
-// minus its ship directive, and outside any flush — its followers replay it
-// where nothing is pushed to them — so a Pushed argument travels as the
-// literal this wave received, and nothing is pushed again. One whose producer
-// failed stays a reference, which a replay cannot resolve: it skips the
-// consumer, as the producer's failure did here.
-func shadowPayload(req *batchRequest, got map[int64]received) *batchRequest {
+// minus its ship directive, outside any flush — nothing is pushed to a
+// follower, or pushed again by it — and with every argument that took another
+// call's value, pushed from another destination or handed over inside the
+// request, as the literal this run gave it. A follower holds shadows of its
+// own roots only, and replays a root it does not follow on a blank one, so a
+// value it computed afresh could differ from the primary's. An argument whose
+// producer failed stays a reference, which a replay cannot resolve: it skips
+// the consumer, as the producer's failure did here.
+func shadowPayload(req *batchRequest, st *execState) *batchRequest {
 	p := *req
 	p.Ship = nil
-	if req.Flush == 0 {
+	if req.Flush == 0 && st.vals == nil {
 		return &p
 	}
 	p.Flush, p.Peers = 0, nil
@@ -294,15 +320,31 @@ func shadowPayload(req *batchRequest, got map[int64]received) *batchRequest {
 	for i := range p.Calls {
 		c := &p.Calls[i]
 		c.Tag, c.Push = 0, nil
-		if !slices.ContainsFunc(c.Args, func(a batchArg) bool { return a.Pushed }) {
+		if !slices.ContainsFunc(c.Args, func(a batchArg) bool { return a.IsRef }) {
 			continue
 		}
 		c.Args = slices.Clone(c.Args)
 		for j, a := range c.Args {
-			if r, ok := got[a.Seq]; a.Pushed && ok && r.err == nil {
-				c.Args[j] = batchArg{Val: r.val}
+			if v, ok := st.literal(a); ok {
+				c.Args[j] = batchArg{Val: v}
 			}
 		}
 	}
 	return &p
+}
+
+// literal is the value a reference argument a took in this run, if it took
+// one: what was pushed to it, or the wave's value table held for it.
+func (st *execState) literal(a batchArg) (any, bool) {
+	switch {
+	case !a.IsRef:
+		return nil, false
+	case a.Pushed:
+		r, ok := st.received[a.Seq]
+		return r.val, ok && r.err == nil
+	}
+	if i, ok := callIndex(st.calls, a.Seq); ok && st.vals != nil && st.vals[i].set {
+		return st.vals[i].val, true
+	}
+	return nil, false
 }

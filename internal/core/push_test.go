@@ -121,7 +121,9 @@ func TestRendezvousIsBounded(t *testing.T) {
 // refused whole with *wire.CorruptError before anything executes: a push list
 // pointing past the request's peers, a push to the request itself — a call
 // waiting for the value another call of the same request pushes — and a push
-// of a call that returns no value.
+// of a cursor, which returns no single result. (The corpus's push-non-value,
+// a push of a remote result, is a well-formed request since remote results
+// cross servers by push; it stays in the corpus as input.)
 var (
 	pushOutOfRange = &core.BatchRequest{Names: []string{"a"}, Flush: pushFlush, Peers: []string{"there"},
 		Calls: []core.Invocation{pushCall(core.Invocation{Seq: 0, Target: core.RootTarget, Method: "Get", Kind: 1}, 1)}}
@@ -130,8 +132,8 @@ var (
 			pushCall(core.Invocation{Seq: 0, Target: core.RootTarget, Method: "Get", Kind: 1}, 0),
 			{Seq: 1, Target: core.RootTarget, Method: "Add", Kind: 1, Args: []core.BatchArg{{IsRef: true, Seq: 5, Pushed: true}}},
 		}}
-	pushNonValue = &core.BatchRequest{Names: []string{"a"}, Flush: pushFlush, Peers: []string{"there"},
-		Calls: []core.Invocation{pushCall(core.Invocation{Seq: 0, Target: core.RootTarget, Method: "Get", Kind: 2}, 0)}}
+	pushCursor = &core.BatchRequest{Names: []string{"a"}, Flush: pushFlush, Peers: []string{"there"},
+		Calls: []core.Invocation{pushCall(core.Invocation{Seq: 0, Target: core.RootTarget, Method: "Get", Kind: 3}, 0)}}
 )
 
 const pushFlush = 1<<63 | 42
@@ -151,7 +153,7 @@ func TestPushSeeds(t *testing.T) {
 	for name, req := range map[string]*core.BatchRequest{
 		"push-out-of-range": pushOutOfRange,
 		"push-to-self":      pushToSelf,
-		"push-non-value":    pushNonValue,
+		"push-cursor":       pushCursor,
 	} {
 		want := seedBytes(t, "FuzzBatchRequest", name)
 		if got, err := wire.MarshalAppend(nil, req); err != nil || !bytes.Equal(got, want) {

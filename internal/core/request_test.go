@@ -23,7 +23,7 @@ import (
 // header ("1328" + field count), its method, then its fields up to the last
 // that is not zero — Args, Target (0 for the root, 1+i for extra root i,
 // -1-s for batch object s), Kind (0 value, 1 remote, 2 cursor), Tag, Push,
-// CursorOwner, Export. A reference or pushed argument is a brmi.arg ("1304"
+// CursorOwner. A reference or pushed argument is a brmi.arg ("1304"
 // + field count: a nil value, IsRef, Seq, Pushed); a by-value one is bare.
 var requestShapes = []struct {
 	name  string
@@ -52,12 +52,12 @@ var requestShapes = []struct {
 	{"producer with Tag and Push",
 		core.Invocation{Method: "Get", Target: core.RootTarget, Kind: 1, Tag: 5, Push: []int64{0}},
 		"132806" + "0803476574" + "01" + "0400" + "0400" + "040a" + "0a010400", true},
+	{"remote producer with Tag and Push",
+		core.Invocation{Method: "Self", Target: core.RootTarget, Kind: 2, Tag: 5, Push: []int64{0}},
+		"132806" + "080453656c66" + "01" + "0400" + "0402" + "040a" + "0a010400", true},
 	{"cursor-owned call",
 		core.Invocation{Method: "Name", Target: 7, Kind: 1, CursorOwner: 8},
 		"132807" + "08044e616d65" + "01" + "040f" + "0400" + "0400" + "0a00" + "0410", false},
-	{"exported remote result",
-		core.Invocation{Method: "Self", Target: 4, Kind: 2, Args: []core.BatchArg{{Val: int64(-1)}}, Export: true},
-		"132808" + "080453656c66" + "0a010401" + "0409" + "0402" + "0400" + "0a00" + "0400" + "03", false},
 }
 
 // TestRequestCallShapes pins each call shape's bytes inside its request, and

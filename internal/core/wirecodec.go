@@ -135,8 +135,6 @@ func encCall(x wire.Enc, inv *invocationData) error {
 	target, kind := RootTarget-inv.Target, inv.Kind-kindValue
 	var n int
 	switch {
-	case inv.Export:
-		n = 8
 	case inv.CursorOwner != 0:
 		n = 7
 	case len(inv.Push) != 0:
@@ -176,9 +174,6 @@ func encCall(x wire.Enc, inv *invocationData) error {
 	}
 	if n > 6 {
 		x.Int(inv.CursorOwner)
-	}
-	if n > 7 {
-		x.Bool(inv.Export)
 	}
 	return nil
 }
@@ -234,12 +229,8 @@ func decCall(x wire.Dec, inv *invocationData, n int) error {
 			return err
 		}
 	}
-	if n > 7 {
-		if inv.Export, err = x.Bool(); err != nil {
-			return err
-		}
-	}
-	return x.SkipFields(n - 8)
+	// An eighth field, the retired export flag, is skipped like any surplus.
+	return x.SkipFields(n - 7)
 }
 
 // retiredInv is brmi.inv, the call form from before requests were
@@ -471,10 +462,10 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 }
 
 // checkPushes rejects a request whose push lists cannot be followed: a push
-// belongs to a value call outside any cursor run, in a request that names its
-// flush, and points into the request's Peers; and no call of the request waits
-// for a value the request pushes itself — a value consumed where it is
-// produced travels inside the request.
+// belongs to a value or remote call outside any cursor run, in a request that
+// names its flush, and points into the request's Peers; and no call of the
+// request waits for a value the request pushes itself — a value consumed where
+// it is produced travels inside the request.
 func checkPushes(r *batchRequest) error {
 	var tags map[int64]bool
 	for i := range r.Calls {
@@ -483,7 +474,7 @@ func checkPushes(r *batchRequest) error {
 			continue
 		}
 		switch {
-		case c.Kind != kindValue || c.CursorOwner != 0:
+		case c.Kind == kindCursor || c.CursorOwner != 0:
 			return &wire.CorruptError{Detail: "batch request pushes the result of a call that returns no single value"}
 		case r.Flush == 0:
 			return &wire.CorruptError{Detail: "batch request pushes values outside a flush"}
@@ -512,41 +503,39 @@ func checkPushes(r *batchRequest) error {
 }
 
 // plain reports whether r is a success its position alone identifies, which
-// a reply writes as its bare value: no failure, skip, cursor, block, export
-// or retry, no echoed Seq, and a value the decoder cannot take for the
-// struct itself.
+// a reply writes as its bare value: no failure, skip, cursor, block or retry,
+// no echoed Seq, and a value the decoder cannot take for the struct itself.
 func (r *callResult) plain() bool {
 	switch r.Value.(type) {
 	case callResult, *callResult:
 		return false
 	}
 	return r.Seq == 0 && r.Err == nil && !r.Skipped && r.Base == 0 && r.Count == 0 &&
-		r.Block == nil && r.BlockErrs == nil && r.Ref.IsZero() && r.Attempts == 0
+		r.Block == nil && r.BlockErrs == nil && r.Attempts == 0
 }
 
+// encCallResult writes a brmi.result. Its ninth field is a retired slot (the
+// reference of a result pinned for export), written nil before Attempts.
 func encCallResult(x wire.Enc, r *callResult) error {
 	n := 10
 	if r.Attempts == 0 {
-		n = 9
-		if r.Ref.IsZero() {
-			n = 8
-			if r.BlockErrs == nil {
-				n = 7
-				if r.Block == nil {
-					n = 6
-					if r.Count == 0 {
-						n = 5
-						if r.Base == 0 {
-							n = 4
-							if !r.Skipped {
-								n = 3
-								if r.Err == nil {
-									n = 2
-									if r.Value == nil {
-										n = 1
-										if r.Seq == 0 {
-											n = 0
-										}
+		n = 8
+		if r.BlockErrs == nil {
+			n = 7
+			if r.Block == nil {
+				n = 6
+				if r.Count == 0 {
+					n = 5
+					if r.Base == 0 {
+						n = 4
+						if !r.Skipped {
+							n = 3
+							if r.Err == nil {
+								n = 2
+								if r.Value == nil {
+									n = 1
+									if r.Seq == 0 {
+										n = 0
 									}
 								}
 							}
@@ -590,7 +579,7 @@ func encCallResult(x wire.Enc, r *callResult) error {
 		}
 	}
 	if n > 8 {
-		x.RefVal(r.Ref)
+		x.Nil()
 	}
 	if n > 9 {
 		x.Int(r.Attempts)
@@ -641,7 +630,7 @@ func decCallResult(x wire.Dec, r *callResult, n int) error {
 		}
 	}
 	if n > 8 {
-		if r.Ref, err = x.RefVal(); err != nil {
+		if err = x.SkipFields(1); err != nil {
 			return err
 		}
 	}

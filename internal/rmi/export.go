@@ -28,30 +28,31 @@ func newExportTable() *exportTable {
 	}
 }
 
-// add exports obj under iface and returns its id. Re-exporting the same
-// object returns the existing id; pinning is sticky (an auto-export later
-// exported explicitly becomes pinned).
-func (t *exportTable) add(obj any, iface string, pinned bool) (uint64, error) {
+// add exports obj under iface and returns its id and the interface name it
+// is exported under. An object has one export: exporting it again returns the
+// existing id and the name the object was first exported under, which an
+// automatic export — a remote object marshalled out as a result — takes as
+// is, and an explicit one must repeat. Pinning is sticky (an auto-export
+// later exported explicitly becomes pinned).
+func (t *exportTable) add(obj any, iface string, pinned bool) (uint64, string, error) {
 	if obj == nil {
-		return 0, fmt.Errorf("rmi: export nil object")
+		return 0, "", fmt.Errorf("rmi: export nil object")
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if id, ok := t.byObj[obj]; ok {
 		e := t.byID[id]
-		if pinned {
-			e.pinned = true
+		if pinned && e.iface != iface {
+			return 0, "", fmt.Errorf("rmi: object already exported as %q, cannot re-export as %q", e.iface, iface)
 		}
-		if iface != "" && e.iface != iface {
-			return 0, fmt.Errorf("rmi: object already exported as %q, cannot re-export as %q", e.iface, iface)
-		}
-		return id, nil
+		e.pinned = e.pinned || pinned
+		return id, e.iface, nil
 	}
 	id := t.nextID
 	t.nextID++
 	t.byID[id] = &export{obj: obj, iface: iface, pinned: pinned}
 	t.byObj[obj] = id
-	return id, nil
+	return id, iface, nil
 }
 
 // addAt installs a system service at a reserved id.

@@ -6,15 +6,15 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/rmi"
 )
 
-// TestExportedRefLeaseLifecycle: a result a batch pins (core's
-// CallBatchExport) lives under DGC — the marshal-grace lease hands off to
-// the client's HoldRef, renewal keeps the export alive well past the lease
-// period, and ReleaseRef lets the server collect it. It sits with the other
-// lease tests, the only ones that shorten a peer's lease.
+// TestExportedRefLeaseLifecycle: a remote result marshalled out of its server
+// — a plain call's, or one a batch pushes to another server inside its wave —
+// is exported under DGC: the marshal-grace lease hands off to the holder's
+// stub, renewal keeps the export alive well past the lease period, and
+// releasing the stub lets the server collect it. It sits with the other lease
+// tests, the only ones that shorten a peer's lease.
 func TestExportedRefLeaseLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lease timing test")
@@ -22,26 +22,20 @@ func TestExportedRefLeaseLifecycle(t *testing.T) {
 	ctx := context.Background()
 	const lease = 50 * time.Millisecond
 	server, client := newPair(t, rmi.WithLease(lease))
-	exec, err := core.Install(server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(exec.Stop)
 	svc, err := server.Export(&identitySvc{}, "test.IdentitySvc")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	b := core.New(client, svc)
-	p := b.Root().CallBatchExport("Create")
-	if err := b.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := p.ExportedRef()
+	res, err := client.Call(ctx, svc, "Create")
 	if err != nil {
 		t.Fatal(err)
 	}
-	client.HoldRef(ref)
+	stub, ok := res[0].(*rmi.Stub)
+	if !ok {
+		t.Fatalf("Create returned %T, want a stub", res[0])
+	}
+	ref := stub.Ref()
 
 	// The client's renewal keeps the auto-export alive far beyond both the
 	// marshal grace and the lease period.
@@ -52,7 +46,7 @@ func TestExportedRefLeaseLifecycle(t *testing.T) {
 
 	// Releasing the last hold lets the lease table report the object
 	// collectable and the export table drop it.
-	client.ReleaseRef(ctx, ref)
+	stub.Release(ctx)
 	deadline := time.Now().Add(4 * lease)
 	for {
 		_, err := client.Call(ctx, ref, "Value")

@@ -209,7 +209,7 @@ func (p *Peer) Export(obj Remote, iface string) (wire.Ref, error) {
 	if iface == "" {
 		iface = ifaceNameFor(obj)
 	}
-	id, err := p.exports.add(obj, iface, true)
+	id, _, err := p.exports.add(obj, iface, true)
 	if err != nil {
 		return wire.Ref{}, err
 	}
@@ -232,14 +232,14 @@ func (p *Peer) ExportSystem(id uint64, obj Remote, iface string) (wire.Ref, erro
 // exportAuto exports a remote object that is being marshalled out as a
 // method result (Java RMI's automatic stub creation). Auto exports live
 // under DGC: the marshalling itself grants an initial lease so the object
-// survives until the receiving client starts renewing.
+// survives until the receiving client starts renewing. An object already
+// exported keeps its id and the interface name it was exported under.
 func (p *Peer) exportAuto(obj Remote) (wire.Ref, error) {
 	endpoint := p.Endpoint()
 	if endpoint == "" {
 		return wire.Ref{}, fmt.Errorf("rmi: cannot marshal remote object from non-serving peer: %w", ErrClientOnly)
 	}
-	iface := ifaceNameFor(obj)
-	id, err := p.exports.add(obj, iface, false)
+	id, iface, err := p.exports.add(obj, ifaceNameFor(obj), false)
 	if err != nil {
 		return wire.Ref{}, err
 	}
@@ -484,46 +484,29 @@ func (p *Peer) trackHold(ref wire.Ref) {
 // releaseHold decrements the refcount for ref and sends a DGC clean call
 // when it reaches zero.
 func (p *Peer) releaseHold(ctx context.Context, ref wire.Ref) {
-	p.releaseHolds(ctx, []wire.Ref{ref})
-}
-
-// releaseHolds decrements the refcount of each ref, batching the resulting
-// DGC clean calls — one Clean per endpoint (the protocol takes a list of
-// object ids), sent in parallel across endpoints.
-func (p *Peer) releaseHolds(ctx context.Context, refs []wire.Ref) {
+	if ref.ObjID < FirstUserObjID || ref.Endpoint == "" {
+		return
+	}
 	p.mu.Lock()
-	toClean := make(map[string][]uint64)
-	for _, ref := range refs {
-		if ref.ObjID < FirstUserObjID || ref.Endpoint == "" {
-			continue
-		}
-		m := p.holds[ref.Endpoint]
-		if m == nil || m[ref.ObjID] == 0 {
-			continue
-		}
-		m[ref.ObjID]--
-		if m[ref.ObjID] == 0 {
-			delete(m, ref.ObjID)
-			toClean[ref.Endpoint] = append(toClean[ref.Endpoint], ref.ObjID)
-		}
+	m := p.holds[ref.Endpoint]
+	if m == nil || m[ref.ObjID] == 0 {
+		p.mu.Unlock()
+		return
+	}
+	m[ref.ObjID]--
+	last := m[ref.ObjID] == 0
+	if last {
+		delete(m, ref.ObjID)
 	}
 	closed := p.closed
 	p.mu.Unlock()
-	if closed || len(toClean) == 0 {
+	if closed || !last {
 		return
 	}
-	var wg sync.WaitGroup
-	for endpoint, ids := range toClean {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dgcRef := SystemRef(endpoint, DGCObjID, DGCIface)
-			if _, err := p.Call(ctx, dgcRef, "Clean", p.clientID, p.dgcSeq.Add(1), ids); err != nil {
-				p.opts.logf("rmi: dgc clean %s%v: %v", endpoint, ids, err)
-			}
-		}()
+	dgcRef := SystemRef(ref.Endpoint, DGCObjID, DGCIface)
+	if _, err := p.Call(ctx, dgcRef, "Clean", p.clientID, p.dgcSeq.Add(1), []uint64{ref.ObjID}); err != nil {
+		p.opts.logf("rmi: dgc clean %s[%d]: %v", ref.Endpoint, ref.ObjID, err)
 	}
-	wg.Wait()
 }
 
 // renewLoop renews leases for all held references. It wakes on a timer
@@ -598,22 +581,6 @@ func (p *Peer) renewAll() {
 
 // RenewNow synchronously renews all held leases once. Exposed for tests.
 func (p *Peer) RenewNow() { p.renewAll() }
-
-// HoldRef begins DGC lease tracking for ref without materializing a stub:
-// the peer dirties the reference immediately and keeps renewing its lease
-// until a matching ReleaseRef. The cluster layer uses it to keep pinned
-// batch results (core.Proxy.ExportedRef) alive between pipeline stages.
-func (p *Peer) HoldRef(ref wire.Ref) { p.trackHold(ref) }
-
-// ReleaseRef drops one HoldRef (or stub) hold on ref, sending the DGC clean
-// call when the last local hold disappears.
-func (p *Peer) ReleaseRef(ctx context.Context, ref wire.Ref) { p.releaseHold(ctx, ref) }
-
-// ReleaseRefs drops one hold on each ref, batching the DGC clean traffic:
-// one Clean call per endpoint, endpoints in parallel. The cluster layer
-// uses it to unwind a whole pipeline's pinned-result leases in a single
-// round-trip wave.
-func (p *Peer) ReleaseRefs(ctx context.Context, refs []wire.Ref) { p.releaseHolds(ctx, refs) }
 
 // CallCount returns the number of application-level remote invocations this
 // peer has issued (DGC housekeeping excluded). One invocation is one

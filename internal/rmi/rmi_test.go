@@ -298,6 +298,33 @@ func TestExportIdentity(t *testing.T) {
 	}
 }
 
+// selfRef is a remote object that returns itself.
+type selfRef struct{ rmi.RemoteBase }
+
+func (s *selfRef) Self() *selfRef { return s }
+
+// TestAutoExportKeepsTheExport: an object marshalled out as a result keeps the
+// one export it already has — its id and the interface name it was exported
+// under, whatever name its Go type would give a fresh export.
+func TestAutoExportKeepsTheExport(t *testing.T) {
+	server, client := newPair(t)
+	ref, err := server.Export(&selfRef{}, "test.SelfRef")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.Call(context.Background(), ref, "Self")
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder, ok := res[0].(rmi.RefHolder)
+	if !ok {
+		t.Fatalf("Self returned %T, want a remote reference", res[0])
+	}
+	if got := holder.Ref(); got != ref {
+		t.Errorf("Self marshalled as %+v, want its export %+v", got, ref)
+	}
+}
+
 func TestExportRequiresServing(t *testing.T) {
 	network := netsim.New(netsim.Instant)
 	defer network.Close()
