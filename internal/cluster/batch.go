@@ -126,8 +126,12 @@ func WithDirectory(d *Directory) Option {
 // write's own round trip, behind every write of the root, and filed when the
 // writes are acked: after its flush, the writer reads its own write from the
 // cache, at no round trip. A write through another cache is seen when the
-// TTL ends the lease. Share one cache per client — NewCache builds one wired
-// to the directory's ring epoch.
+// TTL ends the lease. A lease that served hits is re-read near the end of its
+// TTL by a request the flush sends its server anyway — its rider, after
+// every call of the batch — and filed again, so a hot object costs no miss
+// of its own per TTL; a batch built WithPolicy, or bound for a replicating
+// destination, carries none (rcache.Cache.Due). Share one cache per client —
+// NewCache builds one wired to the directory's ring epoch.
 //
 // A lease is filed under the identity its root was addressed by: the ref for
 // Root, the name for RootNamed — a named root has no ref when it is
@@ -420,7 +424,9 @@ func (b *Batch) Flush(ctx context.Context) error {
 	if err != nil {
 		return b.failLocked(err)
 	}
-	if nstages > 1 { // one wave consumes nothing of an earlier one
+	// One wave consumes nothing of an earlier one, and a replicated wave no
+	// remote result of another root.
+	if nstages > 1 || b.dir != nil && b.dir.Replication() > 1 {
 		for _, c := range calls {
 			if err := outlives(c); err != nil {
 				return b.failLocked(err)

@@ -3,17 +3,20 @@ package cluster
 import (
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/rcache"
 )
 
 // leases.go is the client's half of the lease cache — what a
 // //brmi:readonly call does that no other call does: consult the cache when
 // recorded (CallRO), and file what it returned once its wave ran
-// (fillLeases); a miss is an ordinary call of its batch — and what a write
-// owes the cache: drop the leases of the root it writes when recorded
+// (fillLeases); a miss is an ordinary call of its batch — what a write owes
+// the cache: drop the leases of the root it writes when recorded
 // (invalidate), re-read the live ones behind every write of the root, in
 // their round trip (addRefreshes), and file what they returned once the
-// writes were acked (renewLeases).
+// writes were acked (renewLeases) — and what a request owes the leases due on
+// its server: re-read them after its calls, in its round trip (addRiders),
+// and file what they returned once it answered (fileRiders).
 
 // CallRO records a method invocation declared //brmi:readonly. On a batch
 // carrying a lease cache (WithCache), a cacheable call — root target, plain
@@ -181,3 +184,57 @@ func (b *Batch) renewLeases() {
 
 // unsettled reports whether c's outcome is still open.
 func unsettled(c *recordedCall) bool { return !c.out.done }
+
+// rider is a lease due on a destination's server (rcache.Cache.Due) that
+// rides the destination's request: the lease, and its re-read in the request.
+type rider struct {
+	lease rcache.Lease
+	sent  *core.Future
+}
+
+// addRiders appends to ds's request of stage s one re-read of each lease due
+// on its server, after every call of the request, so the lease is filed
+// again before it lapses into a miss of its own. A rider rides a round trip
+// the flush pays anyway: the caller sends ds a request, and this is the last
+// stage that does. Its root is lent (core.Batch.LendRoot): an object gone
+// from the server fails the rider alone. No request of a batch built with a
+// policy carries riders — a rider's failure must not restart or repeat the
+// caller's calls — nor one to a replicating destination, whose waves ship to
+// followers. Caller holds b.mu.
+func (r *run) addRiders(s int, ds *destState) {
+	b := r.b
+	if b.cache == nil || b.policy != nil || b.replicates(ds.group) {
+		return
+	}
+	for _, later := range r.stages[s+1:] {
+		if slices.ContainsFunc(later, func(sb *subBatch) bool { return sb.group == ds.group }) {
+			return
+		}
+	}
+	for _, l := range b.cache.Due(ds.group.endpoint) {
+		method, args, ok := rcache.KeyCall(l.Obj, l.Key)
+		if !ok {
+			continue
+		}
+		p, err := ds.cb.LendRoot(l.Ref)
+		if err != nil {
+			continue // unreachable: the lease is on ds's server
+		}
+		ds.riders = append(ds.riders, rider{lease: l, sent: p.Call(method, args...)})
+	}
+}
+
+// fileRiders files, once ds's request answered, what its riders re-read,
+// under the generation and epoch each lease was handed out with, as a miss
+// is (fillLeases). A request that failed (err) or a rider that did files
+// nothing, and no rider is ever sent again. Caller holds b.mu.
+func (b *Batch) fileRiders(ds *destState, err error) {
+	if err == nil {
+		for _, rd := range ds.riders {
+			if v, rerr := rd.sent.Get(); rerr == nil {
+				b.cache.Put(rd.lease.Key, rd.lease.Obj, v, rd.lease.Gen, rd.lease.Epoch)
+			}
+		}
+	}
+	ds.riders = nil
+}

@@ -156,7 +156,10 @@ func buildStages(calls []*recordedCall, stages int) [][]*subBatch {
 // other servers, and nowhere after. So c must not run in a later wave than
 // such an input's — staged behind a replicated value, say, or the staged
 // result itself — nor take one a settled wave produced (a stale-route retry,
-// which re-plans c after that wave ran). Caller holds b.mu.
+// which re-plans c after that wave ran). On a replicating destination c must
+// not take another of the destination's roots, or a remote result one
+// produced, either: its followers need not hold that root (ErrCrossRoot).
+// Caller holds b.mu.
 func outlives(c *recordedCall) *CrossWaveError {
 	if c.out.done {
 		return nil
@@ -165,6 +168,18 @@ func outlives(c *recordedCall) *CrossWaveError {
 		p := in.producer
 		if p.kind == kindRemote && !in.order && (p.stage < c.stage || (p.out.done && p.out.err == nil)) {
 			return &CrossWaveError{Endpoint: c.group.endpoint, Method: c.method, Producer: p.method}
+		}
+	}
+	if !c.target.b.replicates(c.group) {
+		return nil
+	}
+	for _, a := range c.args {
+		if x, ok := a.(*Proxy); ok && x.group == c.group && rootOf(x) != rootOf(c.target) {
+			producer := x.key // a root of a replicating destination has a name
+			if x.origin != nil {
+				producer = x.origin.method
+			}
+			return &CrossWaveError{Endpoint: c.group.endpoint, Method: c.method, Producer: producer, Cause: ErrCrossRoot}
 		}
 	}
 	return nil

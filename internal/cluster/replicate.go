@@ -70,14 +70,30 @@ func (b *Batch) direct(live []*destState) {
 // stale-route retry that re-plans a call whose remote input a wave that ran
 // already produced settles the call with it too, Cause then being the refusal
 // the retry follows.
+//
+// A replicated wave refuses one more shape with it, Cause ErrCrossRoot: a
+// call taking another root of its own destination, or a remote result of
+// one. The wave ships to each root's followers as it ran, the object as the
+// reference it is inside the request, and a follower of the consumer's root
+// that does not follow the other root would replay against a blank shadow of
+// it, so the consumer's state after a failover would not be what was acked.
 type CrossWaveError struct {
 	// Endpoint is the destination; Method is the consuming call and Producer
-	// the call whose result it consumes.
+	// the call whose result it consumes — or, for a root it takes
+	// (ErrCrossRoot), the root's name.
 	Endpoint, Method, Producer string
 	Cause                      error
 }
 
+// ErrCrossRoot is the Cause of a *CrossWaveError refusing, on a replicating
+// destination, a call that takes another of its roots or a remote result of
+// one.
+var ErrCrossRoot = errors.New("a replicated wave passes no object from one root to another")
+
 func (e *CrossWaveError) Error() string {
+	if e.Cause == ErrCrossRoot {
+		return fmt.Sprintf("cluster: %s on %s takes an object of another root (%s): %v", e.Method, e.Endpoint, e.Producer, e.Cause)
+	}
 	if e.Cause != nil {
 		return fmt.Sprintf("cluster: stale-route retry: %s on %s takes the remote result of %s, which lived only in its wave: %v",
 			e.Method, e.Endpoint, e.Producer, e.Cause)

@@ -234,7 +234,7 @@ func (b *Batch) rehome(ctx context.Context, dir resolver, rejected []rejection, 
 	// already produced, is refused.
 	for _, c := range open {
 		if err := outlives(c); err != nil {
-			err.Cause = refusal[c]
+			err.Cause = cmp.Or(err.Cause, refusal[c])
 			settle(c, nil, err)
 			refused = append(refused, c)
 		}

@@ -365,6 +365,81 @@ func TestInWaveValueEdgeSurvivesFailover(t *testing.T) {
 	}
 }
 
+// TestCrossRootRemoteResultRefusedOnReplicatedWave: on a replicating
+// destination, a call taking the remote result of another root of its wave is
+// refused before anything is sent — its follower need not follow the
+// producer's root, and would replay the producer on a blank shadow (R=3, a on
+// [server-0 server-3 server-2] seeded 100, b on [server-0 server-1 server-3]:
+// b.Absorb(a.CallBatch("Self")) acked b = 100, and after failover b read 0).
+// So is b.Absorb(a), the root itself, which lost its write the same way. The
+// same root's own result still acks, and survives failover.
+func TestCrossRootRemoteResultRefusedOnReplicatedWave(t *testing.T) {
+	ec, dir := shipCluster(t)
+	ctx := context.Background()
+	owned := func(want ...string) func([]string) bool {
+		return func(o []string) bool { return slices.Equal(o, want) }
+	}
+	a := nameWhere(t, dir, "a", "server-0", owned("server-0", "server-3", "server-2"))
+	bb := nameWhere(t, dir, "b", "server-0", owned("server-0", "server-1", "server-3"))
+	ec.BindCounter(dir, a, 100)
+	place(t, ec, dir, bb)
+
+	for _, c := range []struct {
+		name     string
+		arg      func(pa *cluster.Proxy) *cluster.Proxy
+		producer string
+	}{
+		{"b.Absorb(a.CallBatch(Self))", func(pa *cluster.Proxy) *cluster.Proxy { return pa.CallBatch("Self") }, "Self"},
+		{"b.Absorb(a)", func(pa *cluster.Proxy) *cluster.Proxy { return pa }, a},
+	} {
+		calls := ec.Client.CallCount()
+		b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+		pa, _ := b.RootNamed(ctx, a)
+		pb, _ := b.RootNamed(ctx, bb)
+		absorbed := pb.Call("Absorb", c.arg(pa))
+		err := b.Flush(ctx)
+		var refused *cluster.CrossWaveError
+		if !errors.As(err, &refused) || !errors.Is(err, cluster.ErrCrossRoot) ||
+			refused.Endpoint != "server-0" || refused.Method != "Absorb" || refused.Producer != c.producer {
+			t.Fatalf("%s: flush = %T %v, want *CrossWaveError for Absorb on server-0 taking %s, Cause ErrCrossRoot", c.name, err, err, c.producer)
+		}
+		if !errors.Is(absorbed.Err(), cluster.ErrCrossRoot) {
+			t.Errorf("%s: consumer = %v, want the refusal", c.name, absorbed.Err())
+		}
+		if got := ec.Client.CallCount() - calls; got != 0 {
+			t.Errorf("%s: the refused flush made %d calls, want none", c.name, got)
+		}
+	}
+
+	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	pa, _ := b.RootNamed(ctx, a)
+	doubled := pa.Call("Absorb", pa.CallBatch("Self"))
+	if err := b.Flush(ctx); err != nil {
+		t.Fatalf("a.Absorb(a.CallBatch(Self)): %v", err)
+	}
+	if v, err := cluster.Typed[int64](doubled).Get(); err != nil || v != 200 {
+		t.Fatalf("a.Absorb(a.CallBatch(Self)) = %v, %v; want 200", v, err)
+	}
+
+	ec.StopServer("server-0")
+	if _, err := cluster.NewRebalancer(dir).FailoverServer(ctx, "server-0"); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	rb := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	pa, _ = rb.RootNamed(ctx, a)
+	pb, _ := rb.RootNamed(ctx, bb)
+	ga, gb := pa.Call("Get"), pb.Call("Get")
+	if err := rb.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cluster.Typed[int64](ga).Get(); err != nil || v != 200 {
+		t.Errorf("%s after failover = %v, %v; want the acked 200", a, v, err)
+	}
+	if v, err := cluster.Typed[int64](gb).Get(); err != nil || v != 0 {
+		t.Errorf("%s after failover = %v, %v; want 0, no write having been sent", bb, v, err)
+	}
+}
+
 // TestShadowKeepsByValueArguments: the literal a follower gets for a value
 // edge replaces that argument only. A by-value argument beside it — Apply's
 // token, next to the value it depends on — reaches every follower as the

@@ -27,6 +27,9 @@ import (
 type run struct {
 	b     *Batch
 	dests map[*group]*destState
+	// stages is the schedule being run: the plan, and after a stale-route
+	// retry the re-plan in place of the retried stage and later.
+	stages [][]*subBatch
 	// servers is how many destinations the plan set out to reach.
 	servers int
 	// err accumulates the destinations that failed; nil while none has.
@@ -57,6 +60,9 @@ type destState struct {
 	// failed poisons the destination: every call of its later stages
 	// settles locally with this error.
 	failed error
+	// riders are the due leases the wave's request re-reads after its calls
+	// (addRiders).
+	riders []rider
 }
 
 // open creates the destination's multi-root core.Batch for the wave and
@@ -102,17 +108,17 @@ func (ds *destState) open(b *Batch) error {
 // dropped. Wall-clock cost per stage is the slowest destination's round trip;
 // total cost is one wave per stage, plus one for a stale retry.
 func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
-	r := &run{b: b, dests: make(map[*group]*destState)}
+	r := &run{b: b, dests: make(map[*group]*destState), stages: stages}
 	for _, subs := range stages {
 		for _, sb := range subs {
 			r.dest(sb.group)
 		}
 	}
 	r.servers = len(r.dests)
-	for s := 0; s < len(stages); s++ {
-		subs := stages[s]
+	for s := 0; s < len(r.stages); s++ {
+		subs := r.stages[s]
 		if rejected := r.wave(ctx, s, subs); len(rejected) > 0 {
-			stages = r.retry(ctx, s, rejected, stages)
+			r.retry(ctx, s, rejected)
 		}
 		// After the retry, so a retried read files its final outcome.
 		b.fillLeases(subs)
@@ -180,6 +186,7 @@ func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected [
 		if errs[i] == nil {
 			r.settleSub(ds.sb, nil)
 		}
+		b.fileRiders(ds, errs[i])
 	}
 	propagate(subs)
 	return rejected
@@ -187,9 +194,9 @@ func (r *run) wave(ctx context.Context, stage int, subs []*subBatch) (rejected [
 
 // prepare is the one place destinations are opened and sub-batches
 // translated: it returns the destinations of subs that have a request to
-// send, directives attached. Calls are translated in recording order across
-// destinations, so a producer has gone on the wire, or settled here, before
-// any consumer of it is translated.
+// send, directives and riders attached. Calls are translated in recording
+// order across destinations, so a producer has gone on the wire, or settled
+// here, before any consumer of it is translated.
 func (r *run) prepare(stage int, subs []*subBatch) []*destState {
 	b := r.b
 	b.mu.Lock() // so concurrent readers of futures and proxies see a consistent rewiring
@@ -217,6 +224,7 @@ func (r *run) prepare(stage int, subs []*subBatch) []*destState {
 	for _, ds := range open {
 		if ds.cb.PendingCalls() > 0 {
 			live = append(live, ds)
+			r.addRiders(stage, ds)
 		}
 	}
 	b.direct(live)
@@ -250,10 +258,11 @@ func (r *run) flushDest(ctx context.Context, ds *destState) error {
 // same wave again, before the next stage, which may consume these results.
 // The retried wave pushes under a flush id of its own — a notice of the first
 // attempt that arrives late cannot fail it — and rejects nothing. A call the
-// re-plan refused fails the flush at its new destination.
-// It returns the schedule the flush goes on with.
-func (r *run) retry(ctx context.Context, s int, rejected []rejection, stages [][]*subBatch) [][]*subBatch {
+// re-plan refused fails the flush at its new destination. The flush goes on
+// with the re-plan in place of stage s and later (r.stages).
+func (r *run) retry(ctx context.Context, s int, rejected []rejection) {
 	b := r.b
+	stages := r.stages
 	replanned, refused, err := b.rehome(ctx, b.dir, rejected, r.waited, stages[s+1:])
 	b.mu.Lock()
 	if err != nil {
@@ -269,12 +278,13 @@ func (r *run) retry(ctx context.Context, s int, rejected []rejection, stages [][
 				r.settleSub(sb, nil)
 			}
 		}
-		return stages
+		return
 	}
 	for _, c := range refused {
 		r.report(c.group.endpoint, c.stage, c.out.err)
 	}
 	stages = append(stages[:s], replanned...)
+	r.stages = stages
 	for _, sb := range stages[s] {
 		for _, c := range sb.calls {
 			if c.proxy != nil {
@@ -285,7 +295,6 @@ func (r *run) retry(ctx context.Context, s int, rejected []rejection, stages [][
 	r.flush, r.waited = 0, nil
 	b.mu.Unlock()
 	r.wave(ctx, s, stages[s])
-	return stages
 }
 
 // fail is the one fail-and-settle: it poisons ds, reports the failure on the

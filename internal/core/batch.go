@@ -34,7 +34,9 @@ type Batch struct {
 	// names is nil while every root is id-addressed, else parallel to
 	// root+extra: a non-empty names[i] marks position i name-addressed, its
 	// ref carrying only the endpoint until the first flush's reply fills it.
-	names   []string
+	names []string
+	// lent is how many of extra, at its end, are lent (LendRoot).
+	lent    int
 	policy  *Policy
 	nextSeq int64
 	calls   []invocationData
@@ -174,6 +176,9 @@ func (b *Batch) AddRoot(ref wire.Ref) (*Proxy, error) {
 	if b.closed {
 		return nil, ErrBatchClosed
 	}
+	if b.lent > 0 {
+		return nil, errLentRootsTrail
+	}
 	if ref.Endpoint != b.root.Endpoint {
 		return nil, fmt.Errorf("%w: root %d lives on %q, batch targets %q",
 			ErrForeignRoot, ref.ObjID, ref.Endpoint, b.root.Endpoint)
@@ -202,6 +207,9 @@ func (b *Batch) AddRootNamed(name string) (*Proxy, error) {
 	if b.closed {
 		return nil, ErrBatchClosed
 	}
+	if b.lent > 0 {
+		return nil, errLentRootsTrail
+	}
 	for i, n := range b.names {
 		if n == name {
 			return b.rootProxy(i), nil
@@ -212,6 +220,40 @@ func (b *Batch) AddRootNamed(name string) (*Proxy, error) {
 	}
 	b.extra = append(b.extra, wire.Ref{Endpoint: b.root.Endpoint})
 	b.names = append(b.names, name)
+	return b.rootProxy(len(b.extra)), nil
+}
+
+// errLentRootsTrail refuses a root added after a lent one.
+var errLentRootsTrail = errors.New("brmi: lent roots trail the others: no root is added after one")
+
+// LendRoot is AddRoot for a root the batch borrows for calls of its own: one
+// the serving peer does not hold fails only the calls made on it, with
+// *rmi.NoSuchObjectError or, for an object that moved, *rmi.WrongHomeError,
+// where any other missing root rejects the whole flush. Lent roots trail the
+// others, so a batch takes no AddRoot or AddRootNamed after its first
+// LendRoot. Lending the same ref twice returns a proxy for the same root. The
+// cluster layer lends the roots of the leases a flush re-reads on its way
+// (rcache.Cache.Due).
+func (b *Batch) LendRoot(ref wire.Ref) (*Proxy, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return nil, ErrBatchClosed
+	}
+	if ref.Endpoint != b.root.Endpoint {
+		return nil, fmt.Errorf("%w: root %d lives on %q, batch targets %q",
+			ErrForeignRoot, ref.ObjID, ref.Endpoint, b.root.Endpoint)
+	}
+	for i := len(b.extra) - b.lent; i < len(b.extra); i++ {
+		if b.extra[i] == ref {
+			return b.rootProxy(1 + i), nil
+		}
+	}
+	b.extra = append(b.extra, ref)
+	if b.names != nil {
+		b.names = append(b.names, "")
+	}
+	b.lent++
 	return b.rootProxy(len(b.extra)), nil
 }
 
@@ -514,6 +556,7 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		Ship:        b.ship,
 		Flush:       b.flushID,
 		Peers:       b.peers,
+		Lent:        b.lent,
 	}
 	b.names = nil // a chain's reply resolves them all; otherwise the batch closes
 	b.ship, b.shipLag = nil, 0

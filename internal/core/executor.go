@@ -340,8 +340,10 @@ func (e *Executor) admitShip(req *batchRequest, named []wire.Ref) (ShipFunc, err
 // resolveSession turns a request's roots into live objects and finds or
 // creates its session, before anything executes: a root that is not here —
 // an id that migrated away, a name this peer's registry does not hold —
-// rejects the whole request. named is the reply's Roots: what each
-// name-addressed position resolved to, nil for an id-addressed request.
+// rejects the whole request, unless it is lent (batchRequest.Lent): a lent
+// root that is not here fails only the calls made on it (absentRoot). named
+// is the reply's Roots: what each name-addressed position resolved to, nil
+// for an id-addressed request.
 func (e *Executor) resolveSession(req *batchRequest) (sess *session, id uint64, named []wire.Ref, err error) {
 	root, ids := req.Root, req.Roots
 	if len(req.Names) != 0 {
@@ -374,10 +376,14 @@ func (e *Executor) resolveSession(req *batchRequest) (sess *session, id uint64, 
 	extras := make([]any, len(ids))
 	for i, id := range ids {
 		obj, ok := e.peer.LocalObject(id)
-		if !ok {
+		switch {
+		case ok:
+			extras[i] = obj
+		case i >= len(ids)-req.Lent:
+			extras[i] = absentRoot{e.missingRoot(id)}
+		default:
 			return nil, 0, nil, e.missingRoot(id)
 		}
-		extras[i] = obj
 	}
 	if req.Session != 0 {
 		sess, ok := e.sessions[req.Session]
@@ -412,6 +418,10 @@ func (e *Executor) resolveSession(req *batchRequest) (sess *session, id uint64, 
 	}
 	return sess, e.nextID, named, nil
 }
+
+// absentRoot stands in a session's extras for a lent root this peer does not
+// hold: a call on it, or taking it, fails with err.
+type absentRoot struct{ err error }
 
 // missingRoot classifies a batch root absent from the export table: an
 // object migrated to a new home by the cluster rebalancer fails with the
@@ -876,6 +886,9 @@ func (e *Executor) resolve(sess *session, overlay map[int64]any, seq int64) (any
 		// Bounds-check in int64: a far-out-of-range Target must not
 		// truncate into a valid index on 32-bit platforms.
 		if i := RootTarget - seq - 1; i < int64(len(sess.extras)) {
+			if a, ok := sess.extras[i].(absentRoot); ok {
+				return nil, a.err
+			}
 			return sess.extras[i], nil
 		}
 		return nil, &UnresolvedRefError{Seq: seq}

@@ -125,6 +125,11 @@ type batchRequest struct {
 	// first flush when it differs from the default AbortPolicy (the server
 	// assumes AbortPolicy when absent).
 	Policy *Policy
+	// Lent is how many of Roots, at their end, are lent (Batch.LendRoot):
+	// id-addressed roots the request borrows for calls of its own. One the
+	// serving peer does not hold fails only the calls made on it, typed, and
+	// the request runs on; any other missing root rejects the request whole.
+	Lent int
 }
 
 // ShipDirective rides a flush to a replicating destination: after the

@@ -432,9 +432,10 @@ func TestNamedRootMissRejectsUnexecuted(t *testing.T) {
 // list never decodes pointing outside the request's peers, on a call that
 // returns no single value, or outside a flush, and a push to the serving peer
 // itself is refused before anything executes; a request whose calls wait for
-// pushed values is decoded but not executed — nobody pushes them. What the
-// decode allocates follows the input, not the counts it claims. The seed
-// corpus is the committed testdata/fuzz/FuzzBatchRequest plus a request
+// pushed values is decoded but not executed — nobody pushes them. Lent roots
+// never decode more than the request's extra roots, nor addressed by name.
+// What the decode allocates follows the input, not the counts it claims. The
+// seed corpus is the committed testdata/fuzz/FuzzBatchRequest plus a request
 // claiming more calls than it carries.
 func FuzzBatchRequest(f *testing.F) {
 	f.Add(inflated(flushRequestCalls, 1<<12))
@@ -487,6 +488,14 @@ func FuzzBatchRequest(f *testing.F) {
 		}
 		if len(req.Names) != 0 && len(req.Names) != 1+len(req.Roots) {
 			t.Fatalf("decoded %d names for %d roots", len(req.Names), 1+len(req.Roots))
+		}
+		if req.Lent < 0 || req.Lent > len(req.Roots) {
+			t.Fatalf("decoded %d lent roots of %d extra roots", req.Lent, len(req.Roots))
+		}
+		for i := len(req.Names) - req.Lent; len(req.Names) != 0 && i < len(req.Names); i++ {
+			if req.Names[i] != "" {
+				t.Fatalf("decoded lent root %d addressed by name %q", i, req.Names[i])
+			}
 		}
 		// Execute only against the gauges: a hostile request may as well name
 		// the registry or the executor itself as its root, and what those do

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rmi"
 	"repro/internal/wire"
 )
 
@@ -30,34 +31,38 @@ var requestShapes = []struct {
 	call  core.Invocation
 	want  string
 	flush bool // the call pushes: its request names a flush and a peer
+	lent  bool // the call's target is a lent root: its request lends root 17
 }{
 	{"root value call with by-value args",
 		core.Invocation{Method: "Add", Target: core.RootTarget, Kind: 1, Args: []core.BatchArg{{Val: int64(5)}, {Val: "x"}}},
-		"132802" + "0803416464" + "0a02" + "040a" + "080178", false},
+		"132802" + "0803416464" + "0a02" + "040a" + "080178", false, false},
 	{"root value call without args",
 		core.Invocation{Method: "Get", Target: core.RootTarget, Kind: 1},
-		"132801" + "0803476574", false},
+		"132801" + "0803476574", false, false},
 	{"call on an extra root",
 		core.Invocation{Method: "Get", Target: core.RootTarget - 2, Kind: 1},
-		"132803" + "0803476574" + "01" + "0404", false},
+		"132803" + "0803476574" + "01" + "0404", false, false},
 	{"CallBatch",
 		core.Invocation{Method: "Self", Target: core.RootTarget, Kind: 2},
-		"132804" + "080453656c66" + "01" + "0400" + "0402", false},
+		"132804" + "080453656c66" + "01" + "0400" + "0402", false, false},
 	{"ref argument",
 		core.Invocation{Method: "Add", Target: core.RootTarget, Kind: 1, Args: []core.BatchArg{{IsRef: true, Seq: 3}}},
-		"132802" + "0803416464" + "0a01" + "130403" + "01" + "03" + "0406", false},
+		"132802" + "0803416464" + "0a01" + "130403" + "01" + "03" + "0406", false, false},
 	{"pushed argument",
 		core.Invocation{Method: "Add", Target: core.RootTarget, Kind: 1, Args: []core.BatchArg{{IsRef: true, Seq: 5, Pushed: true}}},
-		"132802" + "0803416464" + "0a01" + "130404" + "01" + "03" + "040a" + "03", false},
+		"132802" + "0803416464" + "0a01" + "130404" + "01" + "03" + "040a" + "03", false, false},
 	{"producer with Tag and Push",
 		core.Invocation{Method: "Get", Target: core.RootTarget, Kind: 1, Tag: 5, Push: []int64{0}},
-		"132806" + "0803476574" + "01" + "0400" + "0400" + "040a" + "0a010400", true},
+		"132806" + "0803476574" + "01" + "0400" + "0400" + "040a" + "0a010400", true, false},
 	{"remote producer with Tag and Push",
 		core.Invocation{Method: "Self", Target: core.RootTarget, Kind: 2, Tag: 5, Push: []int64{0}},
-		"132806" + "080453656c66" + "01" + "0400" + "0402" + "040a" + "0a010400", true},
+		"132806" + "080453656c66" + "01" + "0400" + "0402" + "040a" + "0a010400", true, false},
+	{"lent root",
+		core.Invocation{Method: "Get", Target: core.RootTarget - 1, Kind: 1},
+		"132803" + "0803476574" + "01" + "0402", false, true},
 	{"cursor-owned call",
 		core.Invocation{Method: "Name", Target: 7, Kind: 1, CursorOwner: 8},
-		"132807" + "08044e616d65" + "01" + "040f" + "0400" + "0400" + "0a00" + "0410", false},
+		"132807" + "08044e616d65" + "01" + "040f" + "0400" + "0400" + "0a00" + "0410", false, false},
 }
 
 // TestRequestCallShapes pins each call shape's bytes inside its request, and
@@ -73,6 +78,12 @@ func TestRequestCallShapes(t *testing.T) {
 				// Seven fields: then the session word 0, no extra roots, no
 				// directive, flush 9, and the one peer "p".
 				want = "130207" + "0a01" + c.want + "0510" + "0500" + "01" + "01" + "0509" + "0a01080170"
+			}
+			if c.lent {
+				req.Roots, req.Lent = []uint64{17}, 1
+				// Nine fields: then the session word 0, the extra root 17, no
+				// directive, flush 0, no peers, no policy, and one lent root.
+				want = "130209" + "0a01" + c.want + "0510" + "0500" + "0a010511" + "01" + "0500" + "0a00" + "01" + "0402"
 			}
 			got, err := wire.Marshal(req)
 			if err != nil {
@@ -233,6 +244,102 @@ func TestPositionalRequestSeeds(t *testing.T) {
 			if r.Err != nil || r.Value != tc.want[i] {
 				t.Errorf("%s: call %d = %v, %v; want %v", name, i, r.Value, r.Err, tc.want[i])
 			}
+		}
+	}
+}
+
+// The lent-root seeds of FuzzBatchRequest's corpus: a request on the root
+// named "a" that lends two extra roots, export id 16 — one of the two gauges
+// — and 999, which the serving peer does not hold; one that lends more roots
+// than it has; and one that lends a root it addresses by name.
+var (
+	lentRootRequest = &core.BatchRequest{
+		Calls: []core.Invocation{getCall(0, core.RootTarget), getCall(1, core.RootTarget-1), getCall(2, core.RootTarget-2)},
+		Roots: []uint64{16, 999}, Names: []string{"a", "", ""}, Lent: 2}
+	lentTooMany = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Roots: []uint64{17}, Lent: 2}
+	lentNamed   = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Roots: []uint64{0}, Names: []string{"a", "b"}, Lent: 1}
+)
+
+// TestLentRootSeeds: the lent-* seeds are the encoder's bytes. The
+// well-formed one runs whole: a lent root the serving peer holds serves its
+// call, and one it does not fails only its own, typed; the other two never
+// decode. A request lending nothing writes no lent field.
+func TestLentRootSeeds(t *testing.T) {
+	env := newGetbatchEnv(t)
+	for name, req := range map[string]*core.BatchRequest{
+		"lent-root":     lentRootRequest,
+		"lent-too-many": lentTooMany,
+		"lent-named":    lentNamed,
+	} {
+		seed := seedBytes(t, "FuzzBatchRequest", name)
+		if got, err := wire.Marshal(req); err != nil || !bytes.Equal(got, seed) {
+			t.Errorf("seed %s holds %x, the encoder says %x (%v)", name, seed, got, err)
+		}
+		back, err := wire.Unmarshal(seed)
+		var corrupt *wire.CorruptError
+		switch {
+		case name != "lent-root" && !errors.As(err, &corrupt):
+			t.Errorf("seed %s decoded to %+v, %v; want *wire.CorruptError", name, back, err)
+		case name == "lent-root" && (err != nil || !reflect.DeepEqual(back, req)):
+			t.Errorf("seed %s decodes to %+v, %v", name, back, err)
+		}
+	}
+
+	res, err := env.client.Send(context.Background(), getbatchHere, lentRootRequest)
+	if err != nil {
+		t.Fatalf("a request lending a root the peer lacks was refused: %v", err)
+	}
+	results := res.(*core.BatchResponse).Results
+	var lent any
+	for name, id := range env.ids {
+		if id == 16 {
+			lent = map[string]int64{"a": 10, "b": 20}[name]
+		}
+	}
+	var missing *rmi.NoSuchObjectError
+	if len(results) != 3 || results[0].Value != int64(10) || results[1].Value != lent || lent == nil ||
+		!errors.As(results[2].Err, &missing) || missing.ObjID != 999 {
+		t.Errorf("lent-root results = %+v, want [10 %v NoSuchObjectError(999)]", results, lent)
+	}
+
+	plain, err := wire.Marshal(&core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget-1)}, Roots: []uint64{17}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "130204" + "0a01" + "132803" + "0803476574" + "01" + "0402" + "0510" + "0500" + "0a010511"; hex.EncodeToString(plain) != want {
+		t.Errorf("a request lending nothing encodes to\n  %x, want\n  %s", plain, want)
+	}
+}
+
+// TestLendRootFailsOnlyItsCalls: a batch's lent root that the serving peer
+// does not hold fails the calls made on it, typed, and the flush and its
+// other calls succeed; a lent root the peer holds serves like any root. Lent
+// roots trail the others: no root is added after one.
+func TestLendRootFailsOnlyItsCalls(t *testing.T) {
+	env := newGetbatchEnv(t)
+	b := core.NewNamed(env.client, getbatchHere, "a")
+	gone, err := b.LendRoot(wire.Ref{Endpoint: getbatchHere, ObjID: 999})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := b.LendRoot(wire.Ref{Endpoint: getbatchHere, ObjID: env.ids["b"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.AddRoot(wire.Ref{Endpoint: getbatchHere, ObjID: env.ids["b"]}); err == nil {
+		t.Errorf("AddRoot after LendRoot succeeded")
+	}
+	fa, fgone, fheld := b.Root().Call("Get"), gone.Call("Get"), held.Call("Get")
+	if err := b.Flush(context.Background()); err != nil {
+		t.Fatalf("flush with a lent root the peer lacks = %v, want nil", err)
+	}
+	var missing *rmi.NoSuchObjectError
+	if _, err := fgone.Get(); !errors.As(err, &missing) || missing.ObjID != 999 {
+		t.Errorf("call on the absent lent root = %v, want *rmi.NoSuchObjectError for 999", err)
+	}
+	for f, want := range map[*core.Future]int64{fa: 10, fheld: 20} {
+		if v, err := f.Get(); err != nil || v != want {
+			t.Errorf("call = %v, %v; want %d", v, err, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -250,10 +251,10 @@ func decRetiredInv(wire.Dec, *retiredInv, int) error {
 // encBatchRequest writes a brmi.req. Its fields lead with what a cluster
 // wave and a core flush both send — Calls, then the root — and then what
 // only a chain (Session) or a multi-root batch (Roots), only a cluster wave
-// (Ship, Flush, Peers) or only a non-default policy sends, trailing zeros
-// omitted. A root position travels as its export id or, when the request
-// addresses it by name, as the name (encRoot); the session word is
-// 2·Session+KeepSession.
+// (Ship, Flush, Peers), only a non-default policy or only a request with lent
+// roots (Lent) sends, trailing zeros omitted. A root position travels as its
+// export id or, when the request addresses it by name, as the name
+// (encRoot); the session word is 2·Session+KeepSession.
 func encBatchRequest(x wire.Enc, r *batchRequest) error {
 	session := r.Session << 1
 	if r.KeepSession {
@@ -261,6 +262,8 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 	}
 	var n int
 	switch {
+	case r.Lent != 0:
+		n = 9
 	case r.Policy != nil:
 		n = 8
 	case len(r.Peers) != 0:
@@ -322,7 +325,12 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 		}
 	}
 	if n > 7 {
-		return x.Value(r.Policy)
+		if err := x.Value(r.Policy); err != nil {
+			return err
+		}
+	}
+	if n > 8 {
+		x.Int(int64(r.Lent))
 	}
 	return nil
 }
@@ -455,10 +463,32 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			r.Policy = p
 		}
 	}
+	if n > 8 {
+		lent, err := x.Int()
+		if err != nil {
+			return err
+		}
+		if err := checkLent(r, lent); err != nil {
+			return err
+		}
+		r.Lent = int(lent)
+	}
 	if err := checkPushes(r); err != nil {
 		return err
 	}
-	return x.SkipFields(n - 8)
+	return x.SkipFields(n - 9)
+}
+
+// checkLent rejects a lent-root count that does not fit the request: lent
+// roots are extra roots, at the end of Roots, addressed by id.
+func checkLent(r *batchRequest, lent int64) error {
+	if lent < 0 || lent > int64(len(r.Roots)) {
+		return &wire.CorruptError{Detail: fmt.Sprintf("batch request lends %d of its %d extra roots", lent, len(r.Roots))}
+	}
+	if r.Names != nil && slices.ContainsFunc(r.Names[len(r.Names)-int(lent):], func(n string) bool { return n != "" }) {
+		return &wire.CorruptError{Detail: "batch request lends a root it addresses by name"}
+	}
+	return nil
 }
 
 // checkPushes rejects a request whose push lists cannot be followed: a push

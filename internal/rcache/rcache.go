@@ -34,6 +34,15 @@
 // write recorded through another client's cache is seen only when the TTL
 // ends the lease.
 //
+// Besides the miss that reads it (Put) and the write that drops it (Renew),
+// a lease is filed by a re-read that rode a request its batch sent anyway,
+// near the end of the lease's life (Due): a lease that served a hit since it
+// was filed, on an object addressed by ref, is handed out in the last 1/25 of
+// its TTL to one batch bound for its server, whose re-read files it again
+// through Put under the same generation-and-epoch guard as a miss. A hot
+// lease then never lapses into a miss of its own while its server sees
+// traffic.
+//
 // A miss is an ordinary call of the batch that recorded it: the cache does
 // not coalesce reads across batches. The package's Group is the symmetric
 // Do-style coalescer for control-plane calls like Directory.Refresh.
@@ -84,16 +93,34 @@ type Cache struct {
 	misses        *stats.Counter // cache.misses
 	evictions     *stats.Counter // cache.evictions
 	invalidations *stats.Counter // cache.invalidations
+	renewals      *stats.Counter // cache.renewals
 }
 
 type entry struct {
-	key     string
-	obj     string
+	key string
+	obj string
+	// ref is the root the lease was read through: the endpoint and export id
+	// obj names (id 0 for a named root, whose ObjKey carries its name).
+	ref     wire.Ref
 	val     any
 	epoch   uint64
 	expires time.Time
-	elem    *list.Element
+	// mark is what became of the lease since it was filed: markHit once a Get
+	// served it, markTaken once Due handed it to a batch to re-read.
+	mark uint8
+	elem *list.Element
 }
+
+// The marks of an entry.
+const (
+	markHit   = 1
+	markTaken = 2
+)
+
+// dueShare is the part of a lease's TTL, at its end, in which Due hands it
+// out: the last 1/25, 200 ms of DefaultTTL. A wider window re-reads a hot
+// lease more than once per TTL.
+const dueShare = 25
 
 // Fill is a lease a writer re-read after its write: the lease's key and the
 // value the re-read returned.
@@ -135,6 +162,7 @@ func New(reg *stats.Registry, opts ...Option) *Cache {
 		c.misses = reg.Counter("cache.misses")
 		c.evictions = reg.Counter("cache.evictions")
 		c.invalidations = reg.Counter("cache.invalidations")
+		c.renewals = reg.Counter("cache.renewals")
 	}
 	for _, o := range opts {
 		o(c)
@@ -210,6 +238,9 @@ func (c *Cache) Get(key string) (any, bool) {
 		return nil, false
 	}
 	c.hits.Inc()
+	if e.mark == 0 {
+		e.mark = markHit
+	}
 	return e.val, true
 }
 
@@ -237,7 +268,7 @@ func (c *Cache) insertLocked(key, obj string, val any, epoch uint64, expires tim
 	if old, ok := c.entries[key]; ok {
 		c.removeLocked(old)
 	}
-	e := &entry{key: key, obj: obj, val: val, epoch: epoch, expires: expires}
+	e := &entry{key: key, obj: obj, ref: objRef(obj), val: val, epoch: epoch, expires: expires}
 	e.elem = c.order.PushBack(e)
 	c.entries[key] = e
 	set := c.byObj[obj]
@@ -303,6 +334,51 @@ func (c *Cache) Renew(obj string, gen, epoch uint64, fills []Fill) {
 	}
 }
 
+// Lease is a lease Due handed out to be re-read: its key, its object's
+// ObjKey and the root it was read through, and the stale-fill ticket — the
+// object's generation and the ring epoch when it was handed out — its re-read
+// passes to Put, as a miss does.
+type Lease struct {
+	Key, Obj   string
+	Ref        wire.Ref
+	Gen, Epoch uint64
+}
+
+// Due hands a batch about to send a request to endpoint the leases there
+// worth re-reading in that request: live, stamped with the current epoch,
+// read through a ref on endpoint, served by a Get since they were filed, and
+// in the last 1/25 of their TTL. Each is handed out once — its mark is spent
+// — so two batches never re-read one lease; a re-read that fails files
+// nothing and leaves the lease to lapse. The oldest fill expires first, so
+// Due walks only the front of the eviction order, and drops the expired
+// entries it passes. It counts what it hands out in cache.renewals: the
+// caller sends each.
+func (c *Cache) Due(endpoint string) []Lease {
+	ep := c.Epoch()
+	now := c.now()
+	horizon := now.Add(c.ttl / dueShare)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var due []Lease
+	for el := c.order.Front(); el != nil; {
+		e := el.Value.(*entry)
+		el = el.Next()
+		if now.After(e.expires) {
+			c.removeLocked(e)
+			continue
+		}
+		if e.expires.After(horizon) {
+			break
+		}
+		if e.mark == markHit && e.epoch == ep && e.ref.ObjID != 0 && e.ref.Endpoint == endpoint {
+			e.mark = markTaken
+			due = append(due, Lease{Key: e.key, Obj: e.obj, Ref: e.ref, Gen: c.genLocked(e.obj), Epoch: ep})
+		}
+	}
+	c.renewals.Add(uint64(len(due)))
+	return due
+}
+
 // Len returns the live entry count (expired-but-unswept entries included).
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -327,6 +403,20 @@ func (c *Cache) removeLocked(e *entry) {
 // ObjKey is the per-object invalidation key of a remote object reference.
 func ObjKey(ref wire.Ref) string {
 	return ref.Endpoint + "\x00" + strconv.FormatUint(ref.ObjID, 16)
+}
+
+// objRef is ObjKey's inverse: the endpoint and export id obj names, the
+// zero ref for a string ObjKey did not build.
+func objRef(obj string) wire.Ref {
+	i := strings.LastIndexByte(obj, 0)
+	if i < 0 {
+		return wire.Ref{}
+	}
+	id, err := strconv.ParseUint(obj[i+1:], 16, 64)
+	if err != nil {
+		return wire.Ref{}
+	}
+	return wire.Ref{Endpoint: obj[:i], ObjID: id}
 }
 
 // Key builds the cache key of a readonly call: object, method, and the

@@ -331,6 +331,88 @@ func TestEvictionFIFOAndCounter(t *testing.T) {
 	}
 }
 
+// TestDueHandsOutHotLeasesOnce: Due hands out, for one endpoint, the leases
+// a Get served since they were filed, once they are in the last 1/25 of their
+// TTL — each once, with the generation and epoch a re-read's Put needs — and
+// nothing else: not a lease no Get served, not one on another endpoint, not a
+// named root's, not one of an older epoch, not one with time left. It drops
+// the expired entries it walks past, counts what it hands out in
+// cache.renewals, and a re-read filed under its ticket serves a fresh TTL.
+func TestDueHandsOutHotLeasesOnce(t *testing.T) {
+	now := time.Unix(0, 0)
+	var epoch uint64 = 3
+	reg := stats.New()
+	c := New(reg, WithEpoch(func() uint64 { return epoch }), WithTTL(25*time.Second))
+	c.now = func() time.Time { return now }
+	put := func(ref wire.Ref) string {
+		key := mustKey(t, ref, "Get")
+		obj := ObjKey(ref)
+		c.Put(key, obj, ref.ObjID, c.Gen(obj), c.Epoch())
+		return key
+	}
+	elsewhere := wire.Ref{Endpoint: "server-1", ObjID: 9}
+	named := wire.Ref{Endpoint: "accounts/alice"} // a named root's lease identity
+	expired := put(testRef(1))
+	now = now.Add(2 * time.Second)
+	hot, cold, away, byName := put(testRef(2)), put(testRef(3)), put(elsewhere), put(named)
+	epoch-- // a lease of the epoch before, served before the bump
+	stale := put(testRef(4))
+	if _, ok := c.Get(stale); !ok {
+		t.Fatalf("fresh lease %q missed", stale)
+	}
+	epoch++
+	now = now.Add(time.Second)
+	young := put(testRef(5))
+	for _, k := range []string{expired, hot, away, byName, young} {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("fresh lease %q missed", k)
+		}
+	}
+
+	// hot expires at 27 s: due from 26 s on. expired lapsed at 25 s.
+	now = time.Unix(25, 500_000_000)
+	if due := c.Due("server-0"); len(due) != 0 {
+		t.Fatalf("Due 1.5 s before expiry = %v, want none", due)
+	}
+	if c.Len() != 6 {
+		t.Fatalf("Len = %d after the first Due, want 6: the expired entry dropped", c.Len())
+	}
+	now = time.Unix(26, 200_000_000)
+	epoch++
+	if due := c.Due("server-0"); len(due) != 0 {
+		t.Fatalf("Due across an epoch bump = %v, want none", due)
+	}
+	epoch--
+	due := c.Due("server-0")
+	gen := c.Gen(ObjKey(testRef(2)))
+	want := []Lease{{Key: hot, Obj: ObjKey(testRef(2)), Ref: wire.Ref{Endpoint: "server-0", ObjID: 2}, Gen: gen, Epoch: epoch}}
+	if !reflect.DeepEqual(due, want) {
+		t.Fatalf("Due = %+v, want only the hot lease %+v (not the cold, the named, the other endpoint's, the stale or the young)", due, want)
+	}
+	if again := c.Due("server-0"); len(again) != 0 {
+		t.Fatalf("Due handed the hot lease out twice: %v", again)
+	}
+	if _, ok := c.Get(hot); !ok {
+		t.Fatalf("a handed-out lease stopped serving before its expiry")
+	}
+	if again := c.Due("server-0"); len(again) != 0 {
+		t.Fatalf("a hit after Due handed the lease out again: %v", again)
+	}
+	if got := reg.Snapshot().Counter("cache.renewals"); got != 1 {
+		t.Fatalf("cache.renewals = %d, want 1", got)
+	}
+	if _, ok := c.Get(cold); !ok {
+		t.Fatalf("cold lease missed before its expiry")
+	}
+
+	// The re-read files under its ticket: a fresh TTL from now.
+	c.Put(due[0].Key, due[0].Obj, int64(20), due[0].Gen, due[0].Epoch)
+	now = now.Add(20 * time.Second)
+	if v, ok := c.Get(hot); !ok || v != int64(20) {
+		t.Fatalf("renewed lease after the old expiry = %v, %v; want 20, true", v, ok)
+	}
+}
+
 func TestGroupCoalesces(t *testing.T) {
 	var g Group
 	var calls atomic.Int64
