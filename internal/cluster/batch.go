@@ -122,16 +122,18 @@ func WithDirectory(d *Directory) Option {
 // whose every call hits completes in zero round trips); a miss is an
 // ordinary call of its batch, whose value fills the cache once its wave
 // returns it. Every non-readonly call invalidates the leases of the root
-// object it descends from. The live leases a write drops are re-read in the
-// write's own round trip, behind every write of the root, and filed when the
-// writes are acked: after its flush, the writer reads its own write from the
-// cache, at no round trip. A write through another cache is seen when the
-// TTL ends the lease. A lease that served hits is re-read near the end of its
-// TTL by a request the flush sends its server anyway — its rider, after
-// every call of the batch — and filed again, so a hot object costs no miss
-// of its own per TTL; a batch built WithPolicy, or bound for a replicating
-// destination, carries none (rcache.Cache.Due). Share one cache per client —
-// NewCache builds one wired to the directory's ring epoch.
+// object it descends from. A flush re-reads leases on the last request it
+// sends their server anyway, after the caller's calls, and learns from a
+// re-read only at the answer that carried it. The live leases a write drops
+// are re-read so, on the written root, and filed at the flush's end if every
+// write of the root had settled by that answer: after its flush, the writer
+// reads its own write from the cache, at no round trip. A write through
+// another cache is seen when the TTL ends the lease. A lease that served hits
+// is re-read so near the end of its TTL (rcache.Cache.Due) and filed again,
+// so a hot object costs no miss of its own per TTL. A batch built WithPolicy
+// re-reads nothing, and a request to a replicating destination carries no
+// due lease. Share one cache per client — NewCache builds one wired to the
+// directory's ring epoch.
 //
 // A lease is filed under the identity its root was addressed by: the ref for
 // Root, the name for RootNamed — a named root has no ref when it is
@@ -419,7 +421,6 @@ func (b *Batch) Flush(ctx context.Context) error {
 	}
 
 	b.mu.Lock()
-	calls = b.addRefreshes(calls)
 	nstages, err := planStages(calls)
 	if err != nil {
 		return b.failLocked(err)

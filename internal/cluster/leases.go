@@ -7,16 +7,16 @@ import (
 	"repro/internal/rcache"
 )
 
-// leases.go is the client's half of the lease cache — what a
-// //brmi:readonly call does that no other call does: consult the cache when
-// recorded (CallRO), and file what it returned once its wave ran
-// (fillLeases); a miss is an ordinary call of its batch — what a write owes
-// the cache: drop the leases of the root it writes when recorded
-// (invalidate), re-read the live ones behind every write of the root, in
-// their round trip (addRefreshes), and file what they returned once the
-// writes were acked (renewLeases) — and what a request owes the leases due on
-// its server: re-read them after its calls, in its round trip (addRiders),
-// and file what they returned once it answered (fileRiders).
+// leases.go is the client's half of the lease cache. A //brmi:readonly call
+// consults the cache when recorded (CallRO); a miss is an ordinary call of
+// its batch, filed where it settles (run.settleSub). A write drops the leases
+// of the root it writes when recorded (invalidate), and renews them once the
+// flush ran (renew). Between the two, a flush re-reads leases one way only:
+// as riders of the last request it sends their server anyway, after the
+// caller's calls (addRiders), filed when that request answers (fileRiders).
+// Two kinds ride: the re-reads of the live leases a write dropped, on the
+// written root, and the leases due on the server (rcache.Cache.Due), on lent
+// roots.
 
 // CallRO records a method invocation declared //brmi:readonly. On a batch
 // carrying a lease cache (WithCache), a cacheable call — root target, plain
@@ -24,9 +24,9 @@ import (
 // an already-settled future and the batch records nothing (a batch whose
 // every call hits flushes in zero round trips); a miss is recorded like any
 // call, and its value, once its wave returns it, fills the cache. A hit may
-// be a lease a write through the same cache refreshed at its ack: after
-// that ack, the read sees the write. Without a cache (or for uncacheable
-// shapes) it is Call.
+// be a lease a write through the same cache renewed at the end of its flush:
+// after that flush, the read sees the write. Without a cache (or for
+// uncacheable shapes) it is Call.
 func (p *Proxy) CallRO(method string, args ...any) *Future {
 	b := p.b
 	f := &Future{b: b}
@@ -47,57 +47,34 @@ func (p *Proxy) CallRO(method string, args ...any) *Future {
 	}
 	f.origin, c.out = c, &f.outcome
 	if cacheable {
-		// The stale-fill ticket — generation + epoch — is captured now, at
-		// record time: a write recorded after this read must void its fill.
-		c.ckey = key
-		c.cobj = rcache.ObjKey(p.leaseRef())
-		c.cgen = b.cache.Gen(c.cobj)
-		c.cepoch = b.cache.Epoch()
+		// The stale-fill ticket — generation + epoch — is taken now, at record
+		// time: a write recorded after this read must void its fill.
+		obj := rcache.ObjKey(p.leaseRef())
+		c.lease = rcache.Lease{Key: key, Obj: obj, Gen: b.cache.Gen(obj), Epoch: b.cache.Epoch()}
 	}
 	return f
 }
 
-// fillLeases files, once a stage's waves (including any stale retry) ran,
-// the value of each of its cacheable reads that succeeded, generation-guarded
-// against writes that raced the flush. Caller does not hold b.mu.
-func (b *Batch) fillLeases(subs []*subBatch) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, sb := range subs {
-		for _, c := range sb.calls {
-			if c.ckey != "" && c.out.done && c.out.err == nil {
-				b.cache.Put(c.ckey, c.cobj, c.out.val, c.cgen, c.cepoch)
-			}
-		}
-	}
-}
-
 // renewal is what a batch's writes to one root owe the lease cache: the live
-// leases they dropped, re-read after every one of them, and the bump once
-// they were acked (rcache.Cache.Renew).
+// leases they dropped, re-read behind them, and the bump at the flush's end
+// (rcache.Cache.Renew).
 type renewal struct {
 	root *Proxy
 	obj  string // the root's lease identity (rcache.ObjKey)
 	// gen and epoch are what the cache said when the root's last write was
 	// recorded: Renew files nothing if either moved since.
 	gen, epoch uint64
-	// writes are the root's writes, in recording order, until their acks
-	// renewed the cache. The planner keeps program order per server only
-	// within a stage, so the last recorded need not run last: the re-reads
-	// follow them all.
+	// writes are the root's writes, in recording order. A re-read is kept
+	// only if every one of them settled by the answer of its request.
 	writes []*recordedCall
 	// proxied is set once a write takes the root as a proxy argument: that
 	// write's server may reach the root after the re-read did, so nothing is
 	// re-read.
 	proxied bool
-	reads   []refresh
-}
-
-// refresh is one lease a write dropped: its key, and from Flush on its
-// re-read.
-type refresh struct {
-	key  string
-	read *recordedCall
+	// keys are the live leases the writes dropped; fills are what the last
+	// request that re-read them kept, for Renew.
+	keys  []string
+	fills []rcache.Fill
 }
 
 // invalidate drops, at record time, the leases of every root object the
@@ -111,8 +88,8 @@ func (b *Batch) invalidate(c *recordedCall) {
 	r.gen, r.epoch = gen, b.cache.Epoch()
 	r.writes = append(r.writes, c)
 	for _, k := range live {
-		if !slices.ContainsFunc(r.reads, func(f refresh) bool { return f.key == k }) {
-			r.reads = append(r.reads, refresh{key: k})
+		if !slices.Contains(r.keys, k) {
+			r.keys = append(r.keys, k)
 		}
 	}
 	for _, a := range c.args {
@@ -134,82 +111,62 @@ func (b *Batch) renewalOf(p *Proxy) *renewal {
 	return p.renewal
 }
 
-// addRefreshes appends to the recording one re-read of each live lease the
-// writes dropped, on the written root, after every write of the root: the
-// planner puts it in the stage of the latest of them, in their sub-batch
-// (inputs), so it rides a round trip the writes pay. The call is decoded
-// from the lease's key, so no argument the caller may since have changed
-// is sent. A re-read consults no cache. Caller holds b.mu.
-func (b *Batch) addRefreshes(calls []*recordedCall) []*recordedCall {
-	for _, r := range b.renewals {
-		if len(r.writes) == 0 || r.proxied {
-			continue
-		}
-		for i, f := range r.reads {
-			method, args, ok := rcache.KeyCall(r.obj, f.key)
-			if !ok {
-				continue
-			}
-			c := &recordedCall{index: len(calls), group: r.root.group, kind: kindValue, target: r.root,
-				method: method, args: args, out: &outcome{}, after: r.writes}
-			r.reads[i].read = c
-			calls = append(calls, c)
-		}
-	}
-	return calls
-}
-
-// renewLeases acks to the cache, once per written root, the root's writes
-// as soon as they and their re-reads all settled (rcache.Cache.Renew):
-// whatever fill raced the writes is dropped, and each re-read that
-// succeeded is filed as the root's lease. Caller does not hold b.mu.
-func (b *Batch) renewLeases() {
+// renew acks, once the flush ran, every written root's writes to the cache
+// (rcache.Cache.Renew): whatever fill raced them is dropped, and what the
+// root's re-reads kept is filed as its leases. Caller does not hold b.mu.
+func (b *Batch) renew() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, r := range b.renewals {
-		if len(r.writes) == 0 || slices.ContainsFunc(r.writes, unsettled) ||
-			slices.ContainsFunc(r.reads, func(f refresh) bool { return f.read != nil && unsettled(f.read) }) {
-			continue
+		if len(r.writes) > 0 {
+			b.cache.Renew(r.obj, r.gen, r.epoch, r.fills)
 		}
-		r.writes = nil
-		var fills []rcache.Fill
-		for _, f := range r.reads {
-			if f.read != nil && f.read.out.err == nil {
-				fills = append(fills, rcache.Fill{Key: f.key, Val: f.read.out.val})
-			}
-		}
-		b.cache.Renew(r.obj, r.gen, r.epoch, fills)
 	}
 }
 
-// unsettled reports whether c's outcome is still open.
-func unsettled(c *recordedCall) bool { return !c.out.done }
-
-// rider is a lease due on a destination's server (rcache.Cache.Due) that
-// rides the destination's request: the lease, and its re-read in the request.
+// rider is a lease re-read on a request the flush sends anyway: the lease
+// (its key alone on a written root's), the renewal it belongs to — nil for a
+// lease due on the server — and its re-read in the request.
 type rider struct {
-	lease rcache.Lease
-	sent  *core.Future
+	lease   rcache.Lease
+	renewal *renewal
+	sent    *core.Future
 }
 
-// addRiders appends to ds's request of stage s one re-read of each lease due
-// on its server, after every call of the request, so the lease is filed
-// again before it lapses into a miss of its own. A rider rides a round trip
-// the flush pays anyway: the caller sends ds a request, and this is the last
-// stage that does. Its root is lent (core.Batch.LendRoot): an object gone
-// from the server fails the rider alone. No request of a batch built with a
-// policy carries riders — a rider's failure must not restart or repeat the
-// caller's calls — nor one to a replicating destination, whose waves ship to
-// followers. Caller holds b.mu.
+// addRiders appends to ds's request of stage s, when it is the last request
+// the flush sends ds, re-reads after every call of the request: first, on
+// each written root of ds that no write takes as a proxy, one of each live
+// lease the root's writes dropped; then, on a lent root (core.Batch.LendRoot),
+// one of each lease due on ds's server, so the lease is filed again before it
+// lapses into a miss of its own — an object gone from the server fails that
+// rider alone. Riders ride a round trip the flush pays anyway. No request of
+// a batch built with a policy carries any — a rider's failure must not
+// restart or repeat the caller's calls — and a request to a replicating
+// destination, whose waves ship to followers, carries no due lease. Caller
+// holds b.mu.
 func (r *run) addRiders(s int, ds *destState) {
 	b := r.b
-	if b.cache == nil || b.policy != nil || b.replicates(ds.group) {
+	if b.cache == nil || b.policy != nil {
 		return
 	}
 	for _, later := range r.stages[s+1:] {
 		if slices.ContainsFunc(later, func(sb *subBatch) bool { return sb.group == ds.group }) {
 			return
 		}
+	}
+	for _, rn := range b.renewals {
+		if rn.root.group != ds.group || len(rn.writes) == 0 || rn.proxied {
+			continue
+		}
+		rn.fills = nil
+		for _, k := range rn.keys {
+			if method, args, ok := rcache.KeyCall(rn.obj, k); ok {
+				ds.riders = append(ds.riders, rider{lease: rcache.Lease{Key: k}, renewal: rn, sent: rn.root.core.Call(method, args...)})
+			}
+		}
+	}
+	if b.replicates(ds.group) {
+		return
 	}
 	for _, l := range b.cache.Due(ds.group.endpoint) {
 		method, args, ok := rcache.KeyCall(l.Obj, l.Key)
@@ -224,15 +181,22 @@ func (r *run) addRiders(s int, ds *destState) {
 	}
 }
 
-// fileRiders files, once ds's request answered, what its riders re-read,
-// under the generation and epoch each lease was handed out with, as a miss
-// is (fillLeases). A request that failed (err) or a rider that did files
-// nothing, and no rider is ever sent again. Caller holds b.mu.
+// fileRiders files, once ds's request answered, what its riders re-read: a
+// due lease's under the generation and epoch it was handed out with, as a
+// miss is filed; a written root's for its renewal, provided every write of
+// the root settled by now — one left open for a stale-route retry ran after
+// this re-read, if at all. A request that failed (err) or a rider that did
+// files nothing, and no rider is ever sent again. Caller holds b.mu.
 func (b *Batch) fileRiders(ds *destState, err error) {
 	if err == nil {
 		for _, rd := range ds.riders {
-			if v, rerr := rd.sent.Get(); rerr == nil {
+			v, rerr := rd.sent.Get()
+			switch {
+			case rerr != nil:
+			case rd.renewal == nil:
 				b.cache.Put(rd.lease.Key, rd.lease.Obj, v, rd.lease.Gen, rd.lease.Epoch)
+			case !slices.ContainsFunc(rd.renewal.writes, func(c *recordedCall) bool { return !c.out.done }):
+				rd.renewal.fills = append(rd.renewal.fills, rcache.Fill{Key: rd.lease.Key, Val: v})
 			}
 		}
 	}

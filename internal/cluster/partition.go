@@ -1,6 +1,9 @@
 package cluster
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/rcache"
+)
 
 // Call kinds a cluster recording can hold. They mirror the core package's
 // value/remote split; cluster batches do not record cursors (use a
@@ -39,16 +42,10 @@ type recordedCall struct {
 	// pushed (core.Batch.PushTo).
 	consumers []*recordedCall
 
-	// The remaining fields are the cache state of a cacheable call recorded
-	// through CallRO (leases.go): ckey/cobj and the generation+epoch
-	// captured at record time (the stale-fill guard).
-	ckey   string
-	cobj   string
-	cgen   uint64
-	cepoch uint64
-	// after is, on the re-read of a lease a write dropped (addRefreshes), the
-	// root's writes, which the re-read follows in their sub-batch.
-	after []*recordedCall
+	// lease is, on a cacheable call recorded through CallRO (leases.go), its
+	// key and the stale-fill ticket taken at record time; its value is filed
+	// under it where the call settles (run.settleSub).
+	lease rcache.Lease
 }
 
 // group is one batch destination: a server endpoint and everything recorded

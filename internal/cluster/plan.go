@@ -17,20 +17,18 @@ import (
 // need the client between their ends. Every wave is a self-contained request,
 // and a remote result lives only in the wave that produced it: a call that
 // would take one in a later wave is refused before anything is sent
-// (outlives).
+// (outlives). The recording holds the caller's calls only, and every edge
+// carries a value or an object: what the lease cache re-reads rides a request
+// after its calls (leases.go), unplanned.
 
 // input is one resolved dependency (an edge of the dataflow DAG): the call
-// that produces a value this call consumes.
+// that produces a value or object this call consumes.
 type input struct {
 	producer *recordedCall
 	// staged is true when the consumer can only run in a wave after the
 	// producer's: the producer's value goes through the client between
 	// stages, spliced in as a literal.
 	staged bool
-	// order is true when the edge only orders the consumer behind the
-	// producer and carries no value: a lease's re-read behind a write of
-	// its root. It pins nothing.
-	order bool
 }
 
 // inputs enumerates c's dependencies: the call that created its target
@@ -42,11 +40,6 @@ func (c *recordedCall) inputs() []input {
 		// The target is always on the call's own server, where the same
 		// request resolves it by sequence number: never staged.
 		in = append(in, input{producer: o})
-	}
-	for _, w := range c.after {
-		// A lease's re-read follows the writes of its root, on the same
-		// server: never staged.
-		in = append(in, input{producer: w, order: true})
 	}
 	b := c.target.b
 	for _, a := range c.args {
@@ -166,7 +159,7 @@ func outlives(c *recordedCall) *CrossWaveError {
 	}
 	for _, in := range c.inputs() {
 		p := in.producer
-		if p.kind == kindRemote && !in.order && (p.stage < c.stage || (p.out.done && p.out.err == nil)) {
+		if p.kind == kindRemote && (p.stage < c.stage || (p.out.done && p.out.err == nil)) {
 			return &CrossWaveError{Endpoint: c.group.endpoint, Method: c.method, Producer: p.method}
 		}
 	}

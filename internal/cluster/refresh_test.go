@@ -1,10 +1,11 @@
 package cluster_test
 
 // Tests of the write's lease refresh: a write through a cached batch drops
-// the leases of the root it writes when recorded, re-reads the live ones in
-// its own round trip, behind every write of the root, and files them once
-// the writes' destination acked — so the writer's next read of its own write
-// is a hit, and a fill that raced the write is dropped at the ack.
+// the leases of the root it writes when recorded, re-reads the live ones on
+// the last request its flush sends the root's server, after every call of
+// it, and files them at the flush's end if every write of the root had
+// settled when that request answered — so the writer's next read of its own
+// write is a hit, and a fill that raced the write is dropped.
 
 import (
 	"context"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
+	"repro/internal/core"
 	"repro/internal/rcache"
 	"repro/internal/rmi"
 	"repro/internal/wire"
@@ -495,10 +497,10 @@ func TestRefreshReplicatedWrite(t *testing.T) {
 }
 
 // TestRefreshReplicatedStagedWrite: a re-read behind writes of two waves on
-// a replicated root only follows the earlier one — it takes no value from
-// it — so a remote result that write left on the primary is not something
-// the re-read consumes in a later wave, where it no longer lives
-// (*CrossWaveError). The later write takes the value of
+// a replicated root takes nothing from either — it rides the root's last
+// request, unplanned — so a remote result the earlier write left on the
+// primary is not something the re-read consumes in a later wave, where it no
+// longer lives (*CrossWaveError). The later write takes the value of
 // a read on another replicated primary, which waits for its quorum and goes
 // through the client a wave later. The flush runs, and the lease holds the
 // final total.
@@ -627,5 +629,127 @@ func TestRefreshFollowsTheStaleRetry(t *testing.T) {
 		if v, calls := read(name); v != want || calls != 0 {
 			t.Errorf("read of %s after the flush = %d at %d calls, want the refreshed %d at 0", name, v, calls, want)
 		}
+	}
+}
+
+// dropStore holds one entry: the readonly Lookup reads it, and fails once
+// Drop removed it. It counts the Drops it executed.
+type dropStore struct {
+	rmi.RemoteBase
+	mu    sync.Mutex
+	gone  bool
+	drops int
+}
+
+func (s *dropStore) Lookup() (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.gone {
+		return 0, errors.New("refreshtest: no entry")
+	}
+	return 1, nil
+}
+
+func (s *dropStore) Drop() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gone = true
+	s.drops++
+	return int64(s.drops)
+}
+
+// TestRefreshUnderRestartPolicyRunsTheWriteOnce: a write whose root's leased
+// read fails after it — a lookup of the entry the write removed — runs once
+// under a policy whose default is ActionRestart. A re-read riding the write's
+// request would fail behind it and restart the request from its first call,
+// the write included, so a batch built with a policy carries no re-read.
+func TestRefreshUnderRestartPolicyRunsTheWriteOnce(t *testing.T) {
+	ec := clustertest.New(t, 1)
+	ctx := context.Background()
+	s := &dropStore{}
+	ref, err := ec.Servers[0].Peer.Export(s, "refreshtest.DropStore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
+	b := cluster.New(ec.Client, cluster.WithCache(cache))
+	f := b.Root(ref).CallRO("Lookup")
+	if err := b.Flush(ctx); err != nil || f.Err() != nil {
+		t.Fatalf("filling read: flush %v, Lookup %v", err, f.Err())
+	}
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("%d leases after the filling read, want 1: the test proves nothing", n)
+	}
+
+	bw := cluster.New(ec.Client, cluster.WithCache(cache), cluster.WithPolicy(&core.Policy{Default: core.ActionRestart}))
+	w := bw.Root(ref).Call("Drop")
+	if err := bw.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cluster.Typed[int64](w).Get(); err != nil || v != 1 {
+		t.Errorf("Drop = (%d, %v), want (1, nil)", v, err)
+	}
+	s.mu.Lock()
+	drops := s.drops
+	s.mu.Unlock()
+	if drops != 1 {
+		t.Errorf("the write executed %d times, want 1", drops)
+	}
+	if n := cache.Len(); n != 0 {
+		t.Errorf("%d leases after the write, want 0: nothing re-read them", n)
+	}
+}
+
+// TestRefreshFailedEarlierWaveLeavesNoLease: a written root whose
+// destination failed in an earlier wave than its last — the first write's
+// reply is lost after it executed, and a write staged behind a replicated
+// server's value was to follow a wave later — sends no re-read, for the
+// destination's last request never leaves the client. No lease of the root
+// is filed, and the flush's end still moves the root's generation past the
+// one its writes left, so no fill ticketed before can land.
+func TestRefreshFailedEarlierWaveLeavesNoLease(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	srcName, dir := replicatedSource(t, ec)
+	cc := &cutCounter{}
+	ref, err := ec.Servers[0].Peer.Export(cc, "refreshtest.CutCounter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
+	if v, _ := cachedRead(t, ec, cache, ref); v != 0 {
+		t.Fatalf("filling read = %d, want 0", v)
+	}
+
+	cc.mu.Lock()
+	cc.cut = func() { ec.Network.PartitionPair(clustertest.ClientHost, "server-0") }
+	cc.mu.Unlock()
+	bw := cluster.New(ec.Client, cluster.WithDirectory(dir), cluster.WithCache(cache))
+	q, err := bw.RootNamed(ctx, srcName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bw.Root(ref).Call("Add", int64(1))       // first wave: cut after it ran
+	staged := bw.Root(ref).Call("Add", q.Call("Get")) // second wave: never sent
+	obj := rcache.ObjKey(ref)
+	written := cache.Gen(obj)
+	err = bw.Flush(ctx)
+	ec.Network.HealAll()
+	var fe *cluster.FlushError
+	if !errors.As(err, &fe) || len(fe.Failures) != 1 || fe.Failures[0].Endpoint != "server-0" || fe.Failures[0].Stage != 0 {
+		t.Fatalf("flush = %v, want a *FlushError naming server-0 in stage 0", err)
+	}
+	if staged.Err() == nil || first.Err() == nil {
+		t.Fatalf("writes = %v, %v; want both failed with their destination", first.Err(), staged.Err())
+	}
+	if n := cache.Len(); n != 0 {
+		t.Fatalf("%d leases after the flush, want 0", n)
+	}
+	if g := cache.Gen(obj); g <= written {
+		t.Fatalf("generation %d after the flush, want past the writes' %d", g, written)
+	}
+	if v, calls := cachedRead(t, ec, cache, ref); v != 1 || calls != 1 {
+		t.Fatalf("read after the flush = %d at %d calls, want a fetch of 1", v, calls)
 	}
 }

@@ -9,6 +9,7 @@ package cluster_test
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -296,5 +297,100 @@ func TestNoRiderWherePolicyOrReplicationRules(t *testing.T) {
 	}
 	if got := e.renewals(); got != 1 {
 		t.Fatalf("cache.renewals = %d after a plain flush, want 1", got)
+	}
+}
+
+// orderLog records, in order, the calls its counters executed.
+type orderLog struct {
+	mu    sync.Mutex
+	calls []string
+}
+
+func (l *orderLog) add(call string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.calls = append(l.calls, call)
+}
+
+func (l *orderLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	calls := l.calls
+	l.calls = nil
+	return calls
+}
+
+// loggedCounter is a counter that logs each call it executes under its name.
+type loggedCounter struct {
+	rmi.RemoteBase
+	name string
+	log  *orderLog
+	mu   sync.Mutex
+	n    int64
+}
+
+func (c *loggedCounter) Add(d int64) int64 {
+	c.log.add(c.name + ".Add")
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n += d
+	return c.n
+}
+
+func (c *loggedCounter) Get() int64 {
+	c.log.add(c.name + ".Get")
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
+}
+
+// TestRiderAndRefreshShareOneRequest: a write and a lease due on its server
+// ride one request, in the order the caller's calls, then the re-read of the
+// lease the write dropped, then the due lease's. The flush costs the write's
+// one call and hands out the one due lease, and afterwards both leases hit,
+// past the old expiries, on what the objects hold.
+func TestRiderAndRefreshShareOneRequest(t *testing.T) {
+	e := newRiderEnv(t)
+	log := &orderLog{}
+	export := func(c *loggedCounter) wire.Ref {
+		ref, err := e.ec.Servers[0].Peer.Export(c, "renewaltest.LoggedCounter")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref
+	}
+	hot := &loggedCounter{name: "hot", log: log, n: 1}
+	w := &loggedCounter{name: "w", log: log, n: 5}
+	hotRef, wRef := export(hot), export(w)
+	e.read([]wire.Ref{wRef}) // w's lease: live, never hit, so never due
+	e.hot(hotRef)
+	hot.Add(4) // on the server, behind the cache's back
+	log.take()
+
+	before, renewals := e.ec.Client.CallCount(), e.renewals()
+	b := cluster.New(e.ec.Client, cluster.WithCache(e.cache))
+	f := b.Root(wRef).Call("Add", int64(2))
+	if err := b.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cluster.Typed[int64](f).Get(); err != nil || v != 7 {
+		t.Fatalf("write = (%d, %v), want (7, nil)", v, err)
+	}
+	if calls := e.ec.Client.CallCount() - before; calls != 1 {
+		t.Fatalf("the write's flush made %d calls, want 1", calls)
+	}
+	if got := e.renewals() - renewals; got != 1 {
+		t.Fatalf("cache.renewals rose by %d, want 1", got)
+	}
+	if got, want := log.take(), []string{"w.Add", "w.Get", "hot.Get"}; !slices.Equal(got, want) {
+		t.Fatalf("the request ran %v, want %v", got, want)
+	}
+
+	e.clock.advance(riderTTL / 2) // past both leases' first expiry
+	if vals, calls := e.read([]wire.Ref{wRef, hotRef}); calls != 0 || !slices.Equal(vals, []int64{7, 5}) {
+		t.Fatalf("reads after the old expiries = %v in %d calls, want [7 5] in 0", vals, calls)
+	}
+	if got := log.take(); len(got) != 0 {
+		t.Fatalf("the hits ran %v at the servers", got)
 	}
 }

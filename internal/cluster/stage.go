@@ -103,10 +103,10 @@ func (ds *destState) open(b *Batch) error {
 	return nil
 }
 
-// execute walks the stage schedule: per stage one wave, then the stage's
-// cacheable reads fill the cache and its writes renew the leases they
-// dropped. Wall-clock cost per stage is the slowest destination's round trip;
-// total cost is one wave per stage, plus one for a stale retry.
+// execute walks the stage schedule, one wave per stage, and then renews the
+// leases the flush's writes dropped (renew). Wall-clock cost per stage is the
+// slowest destination's round trip; total cost is one wave per stage, plus
+// one for a stale retry.
 func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 	r := &run{b: b, dests: make(map[*group]*destState), stages: stages}
 	for _, subs := range stages {
@@ -116,14 +116,11 @@ func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 	}
 	r.servers = len(r.dests)
 	for s := 0; s < len(r.stages); s++ {
-		subs := r.stages[s]
-		if rejected := r.wave(ctx, s, subs); len(rejected) > 0 {
+		if rejected := r.wave(ctx, s, r.stages[s]); len(rejected) > 0 {
 			r.retry(ctx, s, rejected)
 		}
-		// After the retry, so a retried read files its final outcome.
-		b.fillLeases(subs)
-		b.renewLeases()
 	}
+	b.renew()
 	return r.finish(ctx)
 }
 
@@ -328,9 +325,9 @@ func (r *run) report(endpoint string, stage int, err error) {
 // settleSub gives every call of sb that is still open — not settled locally,
 // not waiting for a stale-route retry — its outcome: err when the wave
 // failed (or never ran), otherwise what the wave returned, copied out of the
-// call's core future / core proxy once. The wave's batch is spent after
-// this. A call that failed for want of a pushed result fails the flush too.
-// Caller holds b.mu.
+// call's core future / core proxy once, and a cacheable read's value filed
+// under its lease (CallRO). The wave's batch is spent after this. A call that
+// failed for want of a pushed result fails the flush too. Caller holds b.mu.
 func (r *run) settleSub(sb *subBatch, err error) {
 	for _, c := range sb.calls {
 		if c.out.done || slices.Contains(r.waited, c) {
@@ -342,6 +339,9 @@ func (r *run) settleSub(sb *subBatch, err error) {
 		case c.kind == kindValue:
 			v, verr := c.sent.Get()
 			settle(c, v, verr)
+			if verr == nil && c.lease.Key != "" {
+				r.b.cache.Put(c.lease.Key, c.lease.Obj, v, c.lease.Gen, c.lease.Epoch)
+			}
 		default:
 			settle(c, nil, c.proxy.core.Ok())
 		}

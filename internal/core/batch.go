@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,8 +36,9 @@ type Batch struct {
 	// root+extra: a non-empty names[i] marks position i name-addressed, its
 	// ref carrying only the endpoint until the first flush's reply fills it.
 	names []string
-	// lent is how many of extra, at its end, are lent (LendRoot).
-	lent    int
+	// lent is nil while no root is lent, else parallel to extra: lent[i]
+	// marks extra root i lent (LendRoot).
+	lent    []bool
 	policy  *Policy
 	nextSeq int64
 	calls   []invocationData
@@ -176,9 +178,6 @@ func (b *Batch) AddRoot(ref wire.Ref) (*Proxy, error) {
 	if b.closed {
 		return nil, ErrBatchClosed
 	}
-	if b.lent > 0 {
-		return nil, errLentRootsTrail
-	}
 	if ref.Endpoint != b.root.Endpoint {
 		return nil, fmt.Errorf("%w: root %d lives on %q, batch targets %q",
 			ErrForeignRoot, ref.ObjID, ref.Endpoint, b.root.Endpoint)
@@ -188,12 +187,18 @@ func (b *Batch) AddRoot(ref wire.Ref) (*Proxy, error) {
 	}
 	for i, r := range b.extra {
 		if r == ref {
+			if b.lent != nil {
+				b.lent[i] = false
+			}
 			return b.rootProxy(1 + i), nil
 		}
 	}
 	b.extra = append(b.extra, ref)
 	if b.names != nil {
 		b.names = append(b.names, "")
+	}
+	if b.lent != nil {
+		b.lent = append(b.lent, false)
 	}
 	return b.rootProxy(len(b.extra)), nil
 }
@@ -207,9 +212,6 @@ func (b *Batch) AddRootNamed(name string) (*Proxy, error) {
 	if b.closed {
 		return nil, ErrBatchClosed
 	}
-	if b.lent > 0 {
-		return nil, errLentRootsTrail
-	}
 	for i, n := range b.names {
 		if n == name {
 			return b.rootProxy(i), nil
@@ -220,20 +222,19 @@ func (b *Batch) AddRootNamed(name string) (*Proxy, error) {
 	}
 	b.extra = append(b.extra, wire.Ref{Endpoint: b.root.Endpoint})
 	b.names = append(b.names, name)
+	if b.lent != nil {
+		b.lent = append(b.lent, false)
+	}
 	return b.rootProxy(len(b.extra)), nil
 }
-
-// errLentRootsTrail refuses a root added after a lent one.
-var errLentRootsTrail = errors.New("brmi: lent roots trail the others: no root is added after one")
 
 // LendRoot is AddRoot for a root the batch borrows for calls of its own: one
 // the serving peer does not hold fails only the calls made on it, with
 // *rmi.NoSuchObjectError or, for an object that moved, *rmi.WrongHomeError,
-// where any other missing root rejects the whole flush. Lent roots trail the
-// others, so a batch takes no AddRoot or AddRootNamed after its first
-// LendRoot. Lending the same ref twice returns a proxy for the same root. The
-// cluster layer lends the roots of the leases a flush re-reads on its way
-// (rcache.Cache.Due).
+// where any other missing root rejects the whole flush. Lending a ref the
+// batch already has as a root returns that root, and AddRoot of a lent ref
+// makes it an ordinary root. The cluster layer lends the roots of the leases
+// a flush re-reads on its way (rcache.Cache.Due).
 func (b *Batch) LendRoot(ref wire.Ref) (*Proxy, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -244,16 +245,22 @@ func (b *Batch) LendRoot(ref wire.Ref) (*Proxy, error) {
 		return nil, fmt.Errorf("%w: root %d lives on %q, batch targets %q",
 			ErrForeignRoot, ref.ObjID, ref.Endpoint, b.root.Endpoint)
 	}
-	for i := len(b.extra) - b.lent; i < len(b.extra); i++ {
-		if b.extra[i] == ref {
+	if ref == b.root {
+		return b.rootProxy(0), nil
+	}
+	for i, r := range b.extra {
+		if r == ref {
 			return b.rootProxy(1 + i), nil
 		}
+	}
+	if b.lent == nil {
+		b.lent = make([]bool, len(b.extra))
 	}
 	b.extra = append(b.extra, ref)
 	if b.names != nil {
 		b.names = append(b.names, "")
 	}
-	b.lent++
+	b.lent = append(b.lent, true)
 	return b.rootProxy(len(b.extra)), nil
 }
 
@@ -556,7 +563,7 @@ func (b *Batch) flush(ctx context.Context, keep bool) error {
 		Ship:        b.ship,
 		Flush:       b.flushID,
 		Peers:       b.peers,
-		Lent:        b.lent,
+		Lends:       slices.Clone(b.lent),
 	}
 	b.names = nil // a chain's reply resolves them all; otherwise the batch closes
 	b.ship, b.shipLag = nil, 0

@@ -340,7 +340,7 @@ func (e *Executor) admitShip(req *batchRequest, named []wire.Ref) (ShipFunc, err
 // resolveSession turns a request's roots into live objects and finds or
 // creates its session, before anything executes: a root that is not here —
 // an id that migrated away, a name this peer's registry does not hold —
-// rejects the whole request, unless it is lent (batchRequest.Lent): a lent
+// rejects the whole request, unless it is lent (batchRequest.Lends): a lent
 // root that is not here fails only the calls made on it (absentRoot). named
 // is the reply's Roots: what each name-addressed position resolved to, nil
 // for an id-addressed request.
@@ -379,7 +379,7 @@ func (e *Executor) resolveSession(req *batchRequest) (sess *session, id uint64, 
 		switch {
 		case ok:
 			extras[i] = obj
-		case i >= len(ids)-req.Lent:
+		case i < len(req.Lends) && req.Lends[i]:
 			extras[i] = absentRoot{e.missingRoot(id)}
 		default:
 			return nil, 0, nil, e.missingRoot(id)

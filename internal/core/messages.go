@@ -125,11 +125,13 @@ type batchRequest struct {
 	// first flush when it differs from the default AbortPolicy (the server
 	// assumes AbortPolicy when absent).
 	Policy *Policy
-	// Lent is how many of Roots, at their end, are lent (Batch.LendRoot):
-	// id-addressed roots the request borrows for calls of its own. One the
-	// serving peer does not hold fails only the calls made on it, typed, and
-	// the request runs on; any other missing root rejects the request whole.
-	Lent int
+	// Lends is nil while no root is lent, else parallel to Roots: Lends[i]
+	// marks extra root i lent (Batch.LendRoot), an id-addressed root the
+	// request borrows for calls of its own. One the serving peer does not hold
+	// fails only the calls made on it, typed, and the request runs on; any
+	// other missing root rejects the request whole. A lent root travels as its
+	// id under the signed-integer tag (encRoot), so no name is lent.
+	Lends []bool
 }
 
 // ShipDirective rides a flush to a replicating destination: after the

@@ -489,12 +489,12 @@ func FuzzBatchRequest(f *testing.F) {
 		if len(req.Names) != 0 && len(req.Names) != 1+len(req.Roots) {
 			t.Fatalf("decoded %d names for %d roots", len(req.Names), 1+len(req.Roots))
 		}
-		if req.Lent < 0 || req.Lent > len(req.Roots) {
-			t.Fatalf("decoded %d lent roots of %d extra roots", req.Lent, len(req.Roots))
+		if req.Lends != nil && len(req.Lends) != len(req.Roots) {
+			t.Fatalf("decoded %d lent marks for %d extra roots", len(req.Lends), len(req.Roots))
 		}
-		for i := len(req.Names) - req.Lent; len(req.Names) != 0 && i < len(req.Names); i++ {
-			if req.Names[i] != "" {
-				t.Fatalf("decoded lent root %d addressed by name %q", i, req.Names[i])
+		for i, lent := range req.Lends {
+			if lent && len(req.Names) != 0 && req.Names[1+i] != "" {
+				t.Fatalf("decoded lent root %d addressed by name %q", i, req.Names[1+i])
 			}
 		}
 		// Execute only against the gauges: a hostile request may as well name

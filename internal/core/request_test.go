@@ -80,10 +80,10 @@ func TestRequestCallShapes(t *testing.T) {
 				want = "130207" + "0a01" + c.want + "0510" + "0500" + "01" + "01" + "0509" + "0a01080170"
 			}
 			if c.lent {
-				req.Roots, req.Lent = []uint64{17}, 1
-				// Nine fields: then the session word 0, the extra root 17, no
-				// directive, flush 0, no peers, no policy, and one lent root.
-				want = "130209" + "0a01" + c.want + "0510" + "0500" + "0a010511" + "01" + "0500" + "0a00" + "01" + "0402"
+				req.Roots, req.Lends = []uint64{17}, []bool{true}
+				// Four fields: then the session word 0 and the extra root 17,
+				// lent: its id under the signed-integer tag, zigzagged.
+				want = "130204" + "0a01" + c.want + "0510" + "0500" + "0a010422"
 			}
 			got, err := wire.Marshal(req)
 			if err != nil {
@@ -248,58 +248,82 @@ func TestPositionalRequestSeeds(t *testing.T) {
 	}
 }
 
-// The lent-root seeds of FuzzBatchRequest's corpus: a request on the root
-// named "a" that lends two extra roots, export id 16 — one of the two gauges
-// — and 999, which the serving peer does not hold; one that lends more roots
-// than it has; and one that lends a root it addresses by name.
+// The lent-root seeds of FuzzBatchRequest's corpus. Each lent root travels
+// as its id under the signed-integer tag. lent-roots is a request on the
+// root named "a" that lends export id 16 — one of the two gauges — and 999,
+// which the serving peer does not hold, and then adds 17, the other gauge,
+// as an ordinary root. lent-batch-root is a request whose batch root, 16,
+// travels under that tag: the batch root is never lent. The seeds of the
+// form before — lent-root, lent-too-many and lent-named — end in a lent-root
+// count, a ninth field the decoder skips: they lend nothing.
 var (
-	lentRootRequest = &core.BatchRequest{
-		Calls: []core.Invocation{getCall(0, core.RootTarget), getCall(1, core.RootTarget-1), getCall(2, core.RootTarget-2)},
-		Roots: []uint64{16, 999}, Names: []string{"a", "", ""}, Lent: 2}
-	lentTooMany = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}, Roots: []uint64{17}, Lent: 2}
-	lentNamed   = &core.BatchRequest{Calls: []core.Invocation{getCall(0, core.RootTarget)}, Roots: []uint64{0}, Names: []string{"a", "b"}, Lent: 1}
+	lentRootsRequest = &core.BatchRequest{
+		Calls: []core.Invocation{getCall(0, core.RootTarget), getCall(1, core.RootTarget-1),
+			getCall(2, core.RootTarget-2), getCall(3, core.RootTarget-3)},
+		Roots: []uint64{16, 999, 17}, Names: []string{"a", "", "", ""}, Lends: []bool{true, true, false}}
+	lentBatchRoot = &core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget)}}
 )
 
-// TestLentRootSeeds: the lent-* seeds are the encoder's bytes. The
-// well-formed one runs whole: a lent root the serving peer holds serves its
-// call, and one it does not fails only its own, typed; the other two never
-// decode. A request lending nothing writes no lent field.
+// TestLentRootSeeds: lent-roots is the encoder's bytes and decodes back; it
+// runs whole: a lent root the serving peer holds serves its call, one it does
+// not fails only its own, typed, and the ordinary root after them serves its
+// own. lent-batch-root is the encoder's bytes of a request on root 16 with the
+// root's tag swapped, and never decodes. The seeds of the form before decode,
+// lending nothing, so the old lent-root is refused whole for the 999 it
+// names. A lent root costs what an ordinary extra root costs but for the
+// zigzag's byte, and a request lending nothing writes no signed id.
 func TestLentRootSeeds(t *testing.T) {
 	env := newGetbatchEnv(t)
-	for name, req := range map[string]*core.BatchRequest{
-		"lent-root":     lentRootRequest,
-		"lent-too-many": lentTooMany,
-		"lent-named":    lentNamed,
-	} {
-		seed := seedBytes(t, "FuzzBatchRequest", name)
-		if got, err := wire.Marshal(req); err != nil || !bytes.Equal(got, seed) {
-			t.Errorf("seed %s holds %x, the encoder says %x (%v)", name, seed, got, err)
-		}
-		back, err := wire.Unmarshal(seed)
-		var corrupt *wire.CorruptError
-		switch {
-		case name != "lent-root" && !errors.As(err, &corrupt):
-			t.Errorf("seed %s decoded to %+v, %v; want *wire.CorruptError", name, back, err)
-		case name == "lent-root" && (err != nil || !reflect.DeepEqual(back, req)):
-			t.Errorf("seed %s decodes to %+v, %v", name, back, err)
+	seed := seedBytes(t, "FuzzBatchRequest", "lent-roots")
+	if got, err := wire.Marshal(lentRootsRequest); err != nil || !bytes.Equal(got, seed) {
+		t.Errorf("seed lent-roots holds %x, the encoder says %x (%v)", seed, got, err)
+	}
+	if back, err := wire.Unmarshal(seed); err != nil || !reflect.DeepEqual(back, lentRootsRequest) {
+		t.Errorf("seed lent-roots decodes to %+v, %v", back, err)
+	}
+	plainRoot, err := wire.Marshal(lentBatchRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed = seedBytes(t, "FuzzBatchRequest", "lent-batch-root")
+	if want := bytes.Replace(plainRoot, mustHex(t, "0510"), mustHex(t, "0420"), 1); !bytes.Equal(seed, want) {
+		t.Errorf("seed lent-batch-root holds %x, want %x", seed, want)
+	}
+	var corrupt *wire.CorruptError
+	if back, err := wire.Unmarshal(seed); !errors.As(err, &corrupt) {
+		t.Errorf("seed lent-batch-root decoded to %+v, %v; want *wire.CorruptError", back, err)
+	}
+	for _, name := range []string{"lent-root", "lent-too-many", "lent-named"} {
+		back, err := wire.Unmarshal(seedBytes(t, "FuzzBatchRequest", name))
+		if req, ok := back.(*core.BatchRequest); err != nil || !ok || req.Lends != nil {
+			t.Errorf("old-form seed %s decodes to %+v, %v; want a request lending nothing", name, back, err)
 		}
 	}
 
-	res, err := env.client.Send(context.Background(), getbatchHere, lentRootRequest)
+	res, err := env.client.Send(context.Background(), getbatchHere, lentRootsRequest)
 	if err != nil {
 		t.Fatalf("a request lending a root the peer lacks was refused: %v", err)
 	}
 	results := res.(*core.BatchResponse).Results
-	var lent any
-	for name, id := range env.ids {
-		if id == 16 {
-			lent = map[string]int64{"a": 10, "b": 20}[name]
+	gauge := func(id uint64) any {
+		for name, gid := range env.ids {
+			if gid == id {
+				return map[string]int64{"a": 10, "b": 20}[name]
+			}
 		}
+		return nil
 	}
 	var missing *rmi.NoSuchObjectError
-	if len(results) != 3 || results[0].Value != int64(10) || results[1].Value != lent || lent == nil ||
-		!errors.As(results[2].Err, &missing) || missing.ObjID != 999 {
-		t.Errorf("lent-root results = %+v, want [10 %v NoSuchObjectError(999)]", results, lent)
+	if len(results) != 4 || results[0].Value != int64(10) || results[1].Value != gauge(16) || gauge(16) == nil ||
+		!errors.As(results[2].Err, &missing) || missing.ObjID != 999 || results[3].Value != gauge(17) || gauge(17) == nil {
+		t.Errorf("lent-roots results = %+v, want [10 %v NoSuchObjectError(999) %v]", results, gauge(16), gauge(17))
+	}
+	old, err := wire.Unmarshal(seedBytes(t, "FuzzBatchRequest", "lent-root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.client.Send(context.Background(), getbatchHere, old); !errors.As(err, &missing) || missing.ObjID != 999 {
+		t.Errorf("the old-form lent-root request = %v, want refused whole: *rmi.NoSuchObjectError for 999", err)
 	}
 
 	plain, err := wire.Marshal(&core.BatchRequest{Root: 16, Calls: []core.Invocation{getCall(0, core.RootTarget-1)}, Roots: []uint64{17}})
@@ -313,8 +337,9 @@ func TestLentRootSeeds(t *testing.T) {
 
 // TestLendRootFailsOnlyItsCalls: a batch's lent root that the serving peer
 // does not hold fails the calls made on it, typed, and the flush and its
-// other calls succeed; a lent root the peer holds serves like any root. Lent
-// roots trail the others: no root is added after one.
+// other calls succeed; a lent root the peer holds serves like any root. A
+// root added after a lent one is an ordinary root, and lending a ref the
+// batch holds as a root returns that root.
 func TestLendRootFailsOnlyItsCalls(t *testing.T) {
 	env := newGetbatchEnv(t)
 	b := core.NewNamed(env.client, getbatchHere, "a")
@@ -322,14 +347,19 @@ func TestLendRootFailsOnlyItsCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	aRef := wire.Ref{Endpoint: getbatchHere, ObjID: env.ids["a"]}
+	added, err := b.AddRoot(aRef)
+	if err != nil {
+		t.Fatalf("AddRoot after LendRoot = %v, want an ordinary root", err)
+	}
 	held, err := b.LendRoot(wire.Ref{Endpoint: getbatchHere, ObjID: env.ids["b"]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.AddRoot(wire.Ref{Endpoint: getbatchHere, ObjID: env.ids["b"]}); err == nil {
-		t.Errorf("AddRoot after LendRoot succeeded")
+	if again, err := b.LendRoot(aRef); err != nil || !reflect.DeepEqual(again, added) {
+		t.Errorf("lending a ref the batch holds as a root = %+v, %v; want that root", again, err)
 	}
-	fa, fgone, fheld := b.Root().Call("Get"), gone.Call("Get"), held.Call("Get")
+	fa, fgone, fheld, fadded := b.Root().Call("Get"), gone.Call("Get"), held.Call("Get"), added.Call("Get")
 	if err := b.Flush(context.Background()); err != nil {
 		t.Fatalf("flush with a lent root the peer lacks = %v, want nil", err)
 	}
@@ -337,7 +367,7 @@ func TestLendRootFailsOnlyItsCalls(t *testing.T) {
 	if _, err := fgone.Get(); !errors.As(err, &missing) || missing.ObjID != 999 {
 		t.Errorf("call on the absent lent root = %v, want *rmi.NoSuchObjectError for 999", err)
 	}
-	for f, want := range map[*core.Future]int64{fa: 10, fheld: 20} {
+	for f, want := range map[*core.Future]int64{fa: 10, fheld: 20, fadded: 10} {
 		if v, err := f.Get(); err != nil || v != want {
 			t.Errorf("call = %v, %v; want %d", v, err, want)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/wire"
 )
@@ -251,10 +250,10 @@ func decRetiredInv(wire.Dec, *retiredInv, int) error {
 // encBatchRequest writes a brmi.req. Its fields lead with what a cluster
 // wave and a core flush both send — Calls, then the root — and then what
 // only a chain (Session) or a multi-root batch (Roots), only a cluster wave
-// (Ship, Flush, Peers), only a non-default policy or only a request with lent
-// roots (Lent) sends, trailing zeros omitted. A root position travels as its
-// export id or, when the request addresses it by name, as the name
-// (encRoot); the session word is 2·Session+KeepSession.
+// (Ship, Flush, Peers) or only a non-default policy sends, trailing zeros
+// omitted. A root position travels as its export id, as the name when the
+// request addresses it by one, or as its id under the signed-integer tag when
+// the request lends it (encRoot); the session word is 2·Session+KeepSession.
 func encBatchRequest(x wire.Enc, r *batchRequest) error {
 	session := r.Session << 1
 	if r.KeepSession {
@@ -262,8 +261,6 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 	}
 	var n int
 	switch {
-	case r.Lent != 0:
-		n = 9
 	case r.Policy != nil:
 		n = 8
 	case len(r.Peers) != 0:
@@ -329,33 +326,45 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 			return err
 		}
 	}
-	if n > 8 {
-		x.Int(int64(r.Lent))
-	}
 	return nil
 }
 
 // encRoot writes root position i (0 the batch root, 1+j extra root j): its
-// name when Names addresses it by one, else its export id.
+// name when Names addresses it by one, its export id as a signed integer
+// when Lends lends it, else its export id.
 func encRoot(x wire.Enc, r *batchRequest, i int, id uint64) {
-	if i < len(r.Names) && r.Names[i] != "" {
+	switch {
+	case i < len(r.Names) && r.Names[i] != "":
 		x.Str(r.Names[i])
-	} else {
+	case i > 0 && i <= len(r.Lends) && r.Lends[i-1]:
+		x.Int(int64(id))
+	default:
 		x.Uint(id)
 	}
 }
 
 // decRoot reads what encRoot wrote at position i: the id it returns, or the
-// name it records in r.Names, which it grows to reach i.
+// name it records in r.Names, which it grows to reach i; a lent extra root
+// it marks in r.Lends, which it grows likewise. The batch root is never lent.
 func decRoot(x wire.Dec, r *batchRequest, i int) (uint64, error) {
-	id, name, err := x.IDOrName()
-	if name != "" {
+	id, name, signed, err := x.IDOrName()
+	switch {
+	case err != nil:
+		return 0, err
+	case name != "":
 		for len(r.Names) <= i {
 			r.Names = append(r.Names, "")
 		}
 		r.Names[i] = name
+	case signed && i == 0:
+		return 0, &wire.CorruptError{Detail: "batch request lends its batch root"}
+	case signed:
+		for len(r.Lends) < i {
+			r.Lends = append(r.Lends, false)
+		}
+		r.Lends[i-1] = true
 	}
-	return id, err
+	return id, nil
 }
 
 func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
@@ -412,9 +421,13 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			}
 		}
 	}
-	// Names, once a position is named, is parallel to Root+Roots.
+	// Names, once a position is named, is parallel to Root+Roots, and Lends,
+	// once a root is lent, to Roots.
 	for r.Names != nil && len(r.Names) <= len(r.Roots) {
 		r.Names = append(r.Names, "")
+	}
+	for r.Lends != nil && len(r.Lends) < len(r.Roots) {
+		r.Lends = append(r.Lends, false)
 	}
 	if n > 4 {
 		v, err := x.Value()
@@ -463,32 +476,10 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			r.Policy = p
 		}
 	}
-	if n > 8 {
-		lent, err := x.Int()
-		if err != nil {
-			return err
-		}
-		if err := checkLent(r, lent); err != nil {
-			return err
-		}
-		r.Lent = int(lent)
-	}
 	if err := checkPushes(r); err != nil {
 		return err
 	}
-	return x.SkipFields(n - 9)
-}
-
-// checkLent rejects a lent-root count that does not fit the request: lent
-// roots are extra roots, at the end of Roots, addressed by id.
-func checkLent(r *batchRequest, lent int64) error {
-	if lent < 0 || lent > int64(len(r.Roots)) {
-		return &wire.CorruptError{Detail: fmt.Sprintf("batch request lends %d of its %d extra roots", lent, len(r.Roots))}
-	}
-	if r.Names != nil && slices.ContainsFunc(r.Names[len(r.Names)-int(lent):], func(n string) bool { return n != "" }) {
-		return &wire.CorruptError{Detail: "batch request lends a root it addresses by name"}
-	}
-	return nil
+	return x.SkipFields(n - 8)
 }
 
 // checkPushes rejects a request whose push lists cannot be followed: a push

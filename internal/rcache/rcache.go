@@ -28,20 +28,17 @@
 // captured earlier can match it again.
 //
 // Every lease is re-readable: its key names the call that filled it
-// (KeyCall), so the write that drops the lease can re-issue it in its own
-// round trip (InvalidateObject returns the live keys) and file the fresh
-// value at ack (Renew): the writer's next read of its own write is a hit. A
+// (KeyCall), and a batch re-reads leases one way, on a request it sends
+// their server anyway. The write that drops a lease re-reads it so
+// (InvalidateObject returns the live keys) and files the fresh value once
+// its flush ran (Renew): the writer's next read of its own write is a hit. A
 // write recorded through another client's cache is seen only when the TTL
-// ends the lease.
-//
-// Besides the miss that reads it (Put) and the write that drops it (Renew),
-// a lease is filed by a re-read that rode a request its batch sent anyway,
-// near the end of the lease's life (Due): a lease that served a hit since it
-// was filed, on an object addressed by ref, is handed out in the last 1/25 of
-// its TTL to one batch bound for its server, whose re-read files it again
-// through Put under the same generation-and-epoch guard as a miss. A hot
-// lease then never lapses into a miss of its own while its server sees
-// traffic.
+// ends the lease. And near the end of a lease's life (Due), a lease that
+// served a hit since it was filed, on an object addressed by ref, is handed
+// out in the last 1/25 of its TTL to one batch bound for its server, whose
+// re-read files it again through Put under the same generation-and-epoch
+// ticket (Lease) as a miss. A hot lease then never lapses into a miss of its
+// own while its server sees traffic.
 //
 // A miss is an ordinary call of the batch that recorded it: the cache does
 // not coalesce reads across batches. The package's Group is the symmetric
@@ -334,10 +331,10 @@ func (c *Cache) Renew(obj string, gen, epoch uint64, fills []Fill) {
 	}
 }
 
-// Lease is a lease Due handed out to be re-read: its key, its object's
-// ObjKey and the root it was read through, and the stale-fill ticket — the
-// object's generation and the ring epoch when it was handed out — its re-read
-// passes to Put, as a miss does.
+// Lease is a lease to be filed by Put: its key, its object's ObjKey and, when
+// Due handed it out to be re-read, the root it was read through; and the
+// stale-fill ticket — the object's generation and the ring epoch when the
+// miss was recorded or the lease handed out — the fill passes to Put.
 type Lease struct {
 	Key, Obj   string
 	Ref        wire.Ref

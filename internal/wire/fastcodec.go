@@ -227,25 +227,30 @@ func (x Dec) Name(table []string) (string, error) {
 	}
 }
 
-// IDOrName decodes a field that holds either an id (an unsigned integer) or
-// a name (a non-empty string): a codec whose sender addresses a thing by
-// whichever it has writes one or the other in the same slot.
-func (x Dec) IDOrName() (id uint64, name string, err error) {
+// IDOrName decodes a field that holds either an id (an integer) or a name (a
+// non-empty string): a codec whose sender addresses a thing by whichever it
+// has writes one or the other in the same slot. signed reports an id written
+// as a signed integer (Enc.Int of the id's bits), which such a codec may use
+// to mark the thing at no cost but the zigzag's.
+func (x Dec) IDOrName() (id uint64, name string, signed bool, err error) {
 	tag, err := x.d.tag()
 	if err != nil {
-		return 0, "", err
+		return 0, "", false, err
 	}
 	switch tag {
 	case kUint:
 		id, err = x.d.uvarint()
-		return id, "", err
+		return id, "", false, err
+	case kInt:
+		u, err := x.d.uvarint()
+		return uint64(unzigzag(u)), "", true, err
 	case kString, kStrRef, kStrDelta:
 		if name, _, err = x.d.tagged(tag); err == nil && name == "" {
 			err = x.d.corrupt("empty name")
 		}
-		return 0, name, err
+		return 0, name, false, err
 	default:
-		return 0, "", x.d.corrupt("expected an id or a name")
+		return 0, "", false, x.d.corrupt("expected an id or a name")
 	}
 }
 

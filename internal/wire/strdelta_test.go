@@ -120,8 +120,8 @@ func TestEveryStringPathReadsADelta(t *testing.T) {
 	if s, err := x.Name(nil); s != "kv-3" || err != nil {
 		t.Errorf("Name = %q, %v", s, err)
 	}
-	if id, s, err := x.IDOrName(); id != 0 || s != "kv-4" || err != nil {
-		t.Errorf("IDOrName = %d, %q, %v", id, s, err)
+	if id, s, signed, err := x.IDOrName(); id != 0 || signed || s != "kv-4" || err != nil {
+		t.Errorf("IDOrName = %d, %q, %v, %v", id, s, signed, err)
 	}
 
 	// A newer sender's surplus field is a literal the decoder discards; the

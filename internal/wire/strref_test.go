@@ -112,8 +112,8 @@ func TestEveryStringPathReadsAReference(t *testing.T) {
 	if s, err := x.Name(nil); s != "abc" || err != nil {
 		t.Errorf("Name = %q, %v", s, err)
 	}
-	if id, s, err := x.IDOrName(); id != 0 || s != "abc" || err != nil {
-		t.Errorf("IDOrName = %d, %q, %v", id, s, err)
+	if id, s, signed, err := x.IDOrName(); id != 0 || signed || s != "abc" || err != nil {
+		t.Errorf("IDOrName = %d, %q, %v, %v", id, s, signed, err)
 	}
 
 	// A newer sender's surplus fields: the first a literal, the second and
