@@ -219,8 +219,8 @@ func startSim(n int) (*simDemo, error) {
 	cache := cluster.NewCache(client, nil)
 
 	// Synthetic load: every tick a cached-read batch (CallRO on each root —
-	// mostly lease hits), and every fourth tick a write batch that
-	// invalidates the leases, so the hit rate hovers rather than pinning at
+	// mostly lease hits), and every fourth tick a write batch that ends
+	// the leases at its ack, so the hit rate hovers rather than pinning at
 	// 100%. Writes are one multi-root cluster batch, a few calls per root.
 	done := make(chan struct{})
 	go func() {

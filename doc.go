@@ -11,8 +11,8 @@
 //     and the push of a result — a value, or a remote result's reference —
 //     to another server of the same cluster flush
 //   - internal/rcache    the client-side caching substrate: a lease-backed
-//     result cache (TTL + ring epoch + per-object generation, invalidated
-//     at write-record time, renewed at the write's ack) and the group that
+//     result cache (TTL + ring epoch + per-object generation; a write's
+//     leases end and are renewed at its ack) and the group that
 //     collapses concurrent directory refreshes into one poll; cluster
 //     batches consume it (WithCache), so a cluster CallRO settles from a
 //     lease, a miss is an ordinary call, and an all-hit flush performs zero

@@ -192,13 +192,13 @@ func (r *runner) checkFailureIsolation(logs map[string][]int64) {
 }
 
 // checkCachedReads: invariant 7 — a cached read never serves a value older
-// than its lease epoch allows. Writes invalidate their object's lease at
-// record time and membership changes bump the epoch (dropping every lease),
-// so for reads outside migration windows:
+// than its lease epoch allows. A write ends its object's leases at its ack,
+// before its flush returns, and membership changes bump the epoch (dropping
+// every lease), so for reads outside migration windows:
 //
 //  1. freshness / read-your-writes: the value includes every token durably
 //     applied to the name before the read was issued — a lease minted
-//     before one of those writes could not have survived its invalidation;
+//     before one of those writes could not have survived its ack;
 //  2. the value is a real counter state: some sum the counter could have
 //     held at some instant. The name's tokens apply in issue order, so a
 //     real state is a prefix of that order — but with one twist under

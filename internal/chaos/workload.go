@@ -262,9 +262,9 @@ type readRecord struct {
 	// not the thing being imprecise).
 	exempt bool
 	// required is the sum of tokens durably applied to name before the read
-	// was issued. Every durable write invalidated the name's lease at
-	// record time, so whatever lease serves this read was minted after
-	// them — the value must include them all.
+	// was issued. Every durable write ended the name's leases at its ack,
+	// before its flush returned, so whatever lease serves this read was
+	// minted after them — the value must include them all.
 	required int64
 }
 

@@ -121,10 +121,12 @@ func WithDirectory(d *Directory) Option {
 // calls recorded with Proxy.CallRO may then settle from the cache (a batch
 // whose every call hits completes in zero round trips); a miss is an
 // ordinary call of its batch, whose value fills the cache once its wave
-// returns it. Every non-readonly call invalidates the leases of the root
-// object it descends from. A flush re-reads leases on the last request it
+// returns it. Every non-readonly call ends the leases of the root object it
+// descends from, and of every root it takes as a proxy argument, when its
+// flush ran: until then other batches still read them, and its own batch
+// reads them no more. A flush re-reads leases on the last request it
 // sends their server anyway, after the caller's calls, and learns from a
-// re-read only at the answer that carried it. The live leases a write drops
+// re-read only at the answer that carried it. The live leases a write ends
 // are re-read so, on the written root, and filed at the flush's end if every
 // write of the root had settled by that answer: after its flush, the writer
 // reads its own write from the cache, at no round trip. A write through
@@ -139,8 +141,8 @@ func WithDirectory(d *Directory) Option {
 // Root, the name for RootNamed — a named root has no ref when it is
 // recorded, and its name survives a migration where its ref does not. One
 // object addressed both ways through one cache therefore holds two sets of
-// leases, and a write recorded through one address does not invalidate reads
-// cached under the other: their staleness is bounded by the TTL only.
+// leases, and a write recorded through one address does not end the leases
+// filed under the other: their staleness is bounded by the TTL only.
 func WithCache(c *rcache.Cache) Option {
 	return func(b *Batch) { b.cache = c }
 }
@@ -321,8 +323,8 @@ func (b *Batch) record(target *Proxy, kind int, method string, args []any) *reco
 }
 
 // recordLocked is record with b.mu held; ro marks the call //brmi:readonly
-// (any other call invalidates the cache leases of the objects it reaches,
-// see invalidate).
+// (any other call is told to the lease cache for the objects it reaches,
+// see recordWrite).
 func (b *Batch) recordLocked(target *Proxy, kind int, method string, args []any, ro bool) *recordedCall {
 	if b.closed {
 		b.fail(core.ErrBatchClosed)
@@ -375,7 +377,7 @@ func (b *Batch) recordLocked(target *Proxy, kind int, method string, args []any,
 		}
 	}
 	if !ro && b.cache != nil {
-		b.invalidate(c)
+		b.recordWrite(c)
 	}
 	b.calls = append(b.calls, c)
 	return c

@@ -1,7 +1,8 @@
 package cluster_test
 
 // Tests of the lease-backed result cache: zero-round-trip full-hit flushes,
-// record-time invalidation on write, epoch-bump lease drops, a miss as an
+// a write's leases ended at its ack and hidden from its own batch from its
+// record, epoch-bump lease drops, a miss as an
 // ordinary call of its own batch — one server invocation per batch, never
 // another batch's value or failure, its value riding the wave like any
 // other — and Directory.Refresh coalescing.
@@ -9,7 +10,10 @@ package cluster_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,10 +117,11 @@ func TestClusterCacheCountsEachCallOnce(t *testing.T) {
 }
 
 // TestClusterCacheWriteInvalidatesOnlyItsObject: a write recorded against
-// one root — on the root itself or on a proxy derived from it — drops that
-// object's leases at record time, leaving the other server's entries
-// servable, and refreshes them at its ack: the writer's next read of the
-// object is a hit on its own write.
+// one root — on the root itself or on a proxy derived from it — ends that
+// object's leases at its ack, leaving the other server's entries servable,
+// and refreshes them there: the writer's next read of the object is a hit on
+// its own write. Until the ack another batch still hits the pre-write lease,
+// while the writer's own batch reads the object from its server.
 func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
@@ -134,8 +139,8 @@ func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 
 	bw := cluster.New(ec.Client, cluster.WithCache(cache))
 	_ = bw.Root(ec.Servers[0].Ref).Call("Add", int64(5))
-	if n := cache.Len(); n != 1 {
-		t.Fatalf("write recorded but %d leases live, want 1 (other object's)", n)
+	if v, calls := cachedRead(t, ec, cache, ec.Servers[0].Ref); v != 0 || calls != 0 {
+		t.Fatalf("another batch's read before the write's ack = %d at %d calls, want the pre-write 0 at 0", v, calls)
 	}
 	if err := bw.Flush(ctx); err != nil {
 		t.Fatal(err)
@@ -165,10 +170,10 @@ func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 	}
 
 	// A write through a derived proxy (CallBatch, then the write on its
-	// result) is attributed to the chain's root: its leases drop at record
-	// time too, and are refreshed behind the chain's writes. The lease is
-	// refilled between the two recordings, so only the write itself can drop
-	// it.
+	// result) is attributed to the chain's root: its own batch's later read
+	// of the root is a call, and the root's leases end at the ack and are
+	// refreshed behind the chain's writes. The lease is refilled between the
+	// two recordings, so only the write itself can end it.
 	read1 := func() *cluster.Future {
 		b := cluster.New(ec.Client, cluster.WithCache(cache))
 		f := b.Root(ec.Servers[1].Ref).CallRO("Get")
@@ -184,11 +189,15 @@ func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 		t.Fatalf("cache has %d entries after the refill, want 2", n)
 	}
 	_ = derived.Call("Add", int64(3))
-	if n := cache.Len(); n != 1 {
-		t.Fatalf("write recorded through a derived proxy but %d leases live, want 1 (other object's)", n)
+	own := bd.Root(ec.Servers[1].Ref).CallRO("Get")
+	if n := cache.Len(); n != 2 {
+		t.Fatalf("write recorded through a derived proxy but %d leases live, want 2 until its ack", n)
 	}
 	if err := bd.Flush(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if v, err := cluster.Typed[int64](own).Get(); err != nil || v != 3 {
+		t.Fatalf("the writer's own read after the derived write = (%d, %v), want (3, nil)", v, err)
 	}
 	if v, err := cluster.Typed[int64](read1()).Get(); err != nil || v != 3 {
 		t.Fatalf("read after the derived write = (%d, %v), want (3, nil)", v, err)
@@ -197,8 +206,9 @@ func TestClusterCacheWriteInvalidatesOnlyItsObject(t *testing.T) {
 
 // TestClusterCacheNamedRoots: a named root's leases are filed under its name
 // — the only identity it has when it is recorded. A write recorded through
-// RootNamed drops what an earlier batch's CallRO through RootNamed filled,
-// and a named batch whose every call hits still flushes without a round
+// RootNamed ends, at its ack, what an earlier batch's CallRO through
+// RootNamed filled, and its own batch reads the name from its home after the
+// write; a named batch whose every call hits still flushes without a round
 // trip: there is no lookup left to pay.
 func TestClusterCacheNamedRoots(t *testing.T) {
 	ec := clustertest.New(t, 2)
@@ -241,11 +251,15 @@ func TestClusterCacheNamedRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	pw.Call("Add", int64(5))
-	if n := cache.Len(); n != 0 {
-		t.Fatalf("write recorded through the name but %d leases live, want 0", n)
+	own := pw.CallRO("Get")
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("write recorded through the name but %d leases live, want 1 until its ack", n)
 	}
 	if err := bw.Flush(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if v, err := cluster.Typed[int64](own).Get(); err != nil || v != 12 {
+		t.Fatalf("the writer's own read after its write = (%d, %v), want (12, nil)", v, err)
 	}
 	b, f = read()
 	if err := b.Flush(ctx); err != nil {
@@ -491,6 +505,183 @@ func TestClusterCacheMissIgnoresAnotherBatchsCancel(t *testing.T) {
 	cancel()
 	if r := <-abandoned; !errors.Is(r.err, context.Canceled) {
 		t.Fatalf("the abandoned read = (%d, %v), want context.Canceled", r.v, r.err)
+	}
+}
+
+// TestOtherBatchHitsUntilTheWriteAcks: a recorded write takes effect when
+// its batch flushes, so until its ack another batch's read of the object is
+// a hit on the pre-write lease — recorded before the write's flush, or while
+// its request is at the server, after the write ran there — at no call. The
+// writer's own reads recorded after the write, through its root or through
+// a second root on the same ref, are calls of its batch and return the
+// write; a read begun after the ack is a hit on the write's re-read.
+func TestOtherBatchHitsUntilTheWriteAcks(t *testing.T) {
+	ec := clustertest.New(t, 1)
+	ctx := context.Background()
+	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
+	ref := ec.Servers[0].Ref
+	alias := ref
+	alias.Iface = "cachetest.Alias" // another root proxy, the same lease identity
+	if v, _ := cachedRead(t, ec, cache, ref); v != 0 {
+		t.Fatalf("filling read = %d, want 0", v)
+	}
+
+	var during readResult
+	var duringCalls uint64
+	fire, err := ec.Servers[0].Peer.Export(&blocker{hook: func() {
+		before := ec.Client.CallCount()
+		b := cluster.New(ec.Client, cluster.WithCache(cache))
+		f := b.Root(ref).CallRO("Get")
+		if during.err = b.Flush(ctx); during.err == nil {
+			during.v, during.err = cluster.Typed[int64](f).Get()
+		}
+		duringCalls = ec.Client.CallCount() - before
+	}}, "cluster.Blocker")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bw := cluster.New(ec.Client, cluster.WithCache(cache))
+	w := bw.Root(ref).Call("Add", int64(5))
+	bw.Root(fire).Call("Fire") // runs after the write, in the same request
+	own := bw.Root(ref).CallRO("Get")
+	ownAlias := bw.Root(alias).CallRO("Get")
+	if v, calls := cachedRead(t, ec, cache, ref); v != 0 || calls != 0 {
+		t.Fatalf("another batch's read recorded before the write's flush = %d at %d calls, want the pre-write 0 at 0", v, calls)
+	}
+	calls := ec.Client.CallCount()
+	if err := bw.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := ec.Client.CallCount() - calls; d != 1 {
+		t.Fatalf("the write's flush cost %d client calls, want 1", d)
+	}
+	if during.err != nil || during.v != 0 || duringCalls != 0 {
+		t.Fatalf("another batch's read while the write was in flight = (%d, %v) at %d calls, want the pre-write (0, nil) at 0",
+			during.v, during.err, duringCalls)
+	}
+	for _, f := range []*cluster.Future{w, own, ownAlias} {
+		if v, err := cluster.Typed[int64](f).Get(); err != nil || v != 5 {
+			t.Fatalf("the write and its batch's reads after it = (%d, %v), want (5, nil)", v, err)
+		}
+	}
+	if v, calls := cachedRead(t, ec, cache, ref); v != 5 || calls != 0 {
+		t.Fatalf("read begun after the write's ack = %d at %d calls, want the write's 5 at 0", v, calls)
+	}
+}
+
+// giver is an object whose write Give adds to another object, passed to it
+// as a proxy argument.
+type giver struct{ rmi.RemoteBase }
+
+// Give adds d to the counter to and returns its new total.
+func (g *giver) Give(ctx context.Context, to rmi.Invoker, d int64) (int64, error) {
+	res, err := to.Invoke(ctx, "Add", d)
+	if err != nil {
+		return 0, err
+	}
+	n, _ := res[0].(int64)
+	return n, nil
+}
+
+// TestProxyArgumentWriteDropsLeaseAtItsAck: a root a write takes as a proxy
+// argument is written by the write's server, which may reach it after any
+// re-read did, so its leases are not re-read — but they end at the write's
+// ack like a written root's: another batch hits the pre-write lease until
+// then, and a read after the flush misses and fetches the write.
+func TestProxyArgumentWriteDropsLeaseAtItsAck(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	ctx := context.Background()
+	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
+	from, err := ec.Servers[0].Peer.Export(&giver{}, "cachetest.Giver")
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := ec.Servers[1].Ref
+	if v, _ := cachedRead(t, ec, cache, to); v != 0 {
+		t.Fatalf("filling read = %d, want 0", v)
+	}
+
+	bw := cluster.New(ec.Client, cluster.WithCache(cache))
+	g := bw.Root(from).Call("Give", bw.Root(to), int64(5))
+	if v, calls := cachedRead(t, ec, cache, to); v != 0 || calls != 0 {
+		t.Fatalf("another batch's read before the write's ack = %d at %d calls, want the pre-write 0 at 0", v, calls)
+	}
+	if err := bw.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := cluster.Typed[int64](g).Get(); err != nil || v != 5 {
+		t.Fatalf("Give = (%d, %v), want (5, nil)", v, err)
+	}
+	if v, calls := cachedRead(t, ec, cache, to); v != 5 || calls != 1 {
+		t.Fatalf("read of the proxied root after the write's ack = %d at %d calls, want a fetch of 5", v, calls)
+	}
+}
+
+// TestClusterCacheReadersSeeEveryAckedWrite: reader goroutines and one
+// writer share one cache, over two objects. A read begun after a write's
+// ack returns at least the version that write acked — whether it hits a
+// lease or fetches — and the writer's own read after each write returns the
+// write.
+func TestClusterCacheReadersSeeEveryAckedWrite(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	ctx := context.Background()
+	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
+	refs := [2]wire.Ref{ec.Servers[0].Ref, ec.Servers[1].Ref}
+	var acked [2]atomic.Int64
+	errs := make(chan error, 3) // one per reader, each sends at most once
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var once sync.Once
+	stop := func() { once.Do(func() { close(done); wg.Wait() }) }
+	defer stop()
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				floor := [2]int64{acked[0].Load(), acked[1].Load()}
+				b := cluster.New(ec.Client, cluster.WithCache(cache))
+				fs := [2]*cluster.Future{b.Root(refs[0]).CallRO("Get"), b.Root(refs[1]).CallRO("Get")}
+				if err := b.Flush(ctx); err != nil {
+					errs <- err
+					return
+				}
+				for i, f := range fs {
+					if v, err := cluster.Typed[int64](f).Get(); err != nil || v < floor[i] {
+						errs <- fmt.Errorf("object %d read (%d, %v) after version %d was acked", i, v, err, floor[i])
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	for i := range 200 {
+		b := cluster.New(ec.Client, cluster.WithCache(cache))
+		w := b.Root(refs[i%2]).Call("Add", int64(1))
+		own := b.Root(refs[i%2]).CallRO("Get")
+		if err := b.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		v, err := cluster.Typed[int64](w).Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o, err := cluster.Typed[int64](own).Get(); err != nil || o != v {
+			t.Fatalf("the writer's own read after write %d = (%d, %v), want (%d, nil)", i, o, err, v)
+		}
+		acked[i%2].Store(v)
+	}
+	stop()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

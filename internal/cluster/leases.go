@@ -9,14 +9,15 @@ import (
 
 // leases.go is the client's half of the lease cache. A //brmi:readonly call
 // consults the cache when recorded (CallRO); a miss is an ordinary call of
-// its batch, filed where it settles (run.settleSub). A write drops the leases
-// of the root it writes when recorded (invalidate), and renews them once the
-// flush ran (renew). Between the two, a flush re-reads leases one way only:
+// its batch, filed where it settles (run.settleSub). A write is told to the
+// cache when recorded (recordWrite), which keeps the leases of the root it
+// writes serving every other batch, and ends them once the flush ran
+// (renew). Between the two, a flush re-reads leases one way only:
 // as riders of the last request it sends their server anyway, after the
 // caller's calls (addRiders), filed when that request answers (fileRiders).
-// Two kinds ride: the re-reads of the live leases a write dropped, on the
-// written root, and the leases due on the server (rcache.Cache.Due), on lent
-// roots.
+// Two kinds ride: a write's re-reads of the live leases of the root it
+// writes, on that root, and the leases due on the server (rcache.Cache.Due),
+// on lent roots.
 
 // CallRO records a method invocation declared //brmi:readonly. On a batch
 // carrying a lease cache (WithCache), a cacheable call — root target, plain
@@ -25,15 +26,20 @@ import (
 // every call hits flushes in zero round trips); a miss is recorded like any
 // call, and its value, once its wave returns it, fills the cache. A hit may
 // be a lease a write through the same cache renewed at the end of its flush:
-// after that flush, the read sees the write. Without a cache (or for
-// uncacheable shapes) it is Call.
+// after that flush, the read sees the write. Until then another batch's
+// write, recorded but not acked, leaves the lease serving: the read
+// overlaps the write, and the pre-write value is as linearizable as the
+// post-write one. The batch's own program order is kept: a read of an
+// object this batch already wrote, or passed to a write as a proxy, is a
+// plain call, after the write. Without a cache (or for uncacheable shapes)
+// it is Call.
 func (p *Proxy) CallRO(method string, args ...any) *Future {
 	b := p.b
 	f := &Future{b: b}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	key, cacheable := "", false
-	if b.cache != nil && p.isRoot && !b.closed && b.recErr == nil {
+	if b.cache != nil && p.isRoot && !b.closed && b.recErr == nil && !b.wrote(p) {
 		if key, cacheable = rcache.Key(p.leaseRef(), method, args); cacheable {
 			if v, hit := b.cache.Get(key); hit {
 				f.done, f.val = true, v
@@ -55,9 +61,11 @@ func (p *Proxy) CallRO(method string, args ...any) *Future {
 	return f
 }
 
-// renewal is what a batch's writes to one root owe the lease cache: the live
-// leases they dropped, re-read behind them, and the bump at the flush's end
-// (rcache.Cache.Renew).
+// renewal is what a batch's writes to one root owe the lease cache: the
+// root's live leases, re-read behind them, and the end of the leases at the
+// flush's end (rcache.Cache.Renew), where the re-reads are filed in their
+// place. A root a write takes as a proxy argument has one too, with nothing
+// re-read: its leases just end.
 type renewal struct {
 	root *Proxy
 	obj  string // the root's lease identity (rcache.ObjKey)
@@ -71,20 +79,21 @@ type renewal struct {
 	// write's server may reach the root after the re-read did, so nothing is
 	// re-read.
 	proxied bool
-	// keys are the live leases the writes dropped; fills are what the last
-	// request that re-read them kept, for Renew.
+	// keys are the root's live leases when its writes were recorded; fills
+	// are what the last request that re-read them kept, for Renew.
 	keys  []string
 	fills []rcache.Fill
 }
 
-// invalidate drops, at record time, the leases of every root object the
-// write c can reach — its own root and every root it takes as a proxy
-// argument — so readonly calls later in program order can never serve the
-// pre-write value. The live leases of c's own root are kept for re-reading
-// after the root's writes. Caller holds b.mu.
-func (b *Batch) invalidate(c *recordedCall) {
+// recordWrite tells the cache, at record time, of the write c to every root
+// object it can reach — its own root and every root it takes as a proxy
+// argument (rcache.Cache.RecordWrite) — and keeps the live leases of c's own
+// root for re-reading after the root's writes. The leases keep serving other
+// batches until the flush's end (renew); this batch reads none of them again
+// (CallRO). Caller holds b.mu.
+func (b *Batch) recordWrite(c *recordedCall) {
 	r := b.renewalOf(rootOf(c.target))
-	gen, live := b.cache.InvalidateObject(r.obj)
+	gen, live := b.cache.RecordWrite(r.obj)
 	r.gen, r.epoch = gen, b.cache.Epoch()
 	r.writes = append(r.writes, c)
 	for _, k := range live {
@@ -96,9 +105,20 @@ func (b *Batch) invalidate(c *recordedCall) {
 		if x, ok := a.(*Proxy); ok {
 			rx := b.renewalOf(rootOf(x))
 			rx.proxied = true
-			b.cache.InvalidateObject(rx.obj)
+			b.cache.RecordWrite(rx.obj)
 		}
 	}
+}
+
+// wrote reports whether a write of the batch reached root p's object,
+// through p or any other root with its lease identity (rcache.ObjKey).
+// Caller holds b.mu.
+func (b *Batch) wrote(p *Proxy) bool {
+	if len(b.renewals) == 0 {
+		return false // a batch that wrote nothing builds no key
+	}
+	obj := rcache.ObjKey(p.leaseRef())
+	return slices.ContainsFunc(b.renewals, func(r *renewal) bool { return r.obj == obj })
 }
 
 // renewalOf returns root p's renewal, adding it to the batch's on first use.
@@ -111,16 +131,15 @@ func (b *Batch) renewalOf(p *Proxy) *renewal {
 	return p.renewal
 }
 
-// renew acks, once the flush ran, every written root's writes to the cache
-// (rcache.Cache.Renew): whatever fill raced them is dropped, and what the
-// root's re-reads kept is filed as its leases. Caller does not hold b.mu.
+// renew acks, once the flush ran, the writes to every root they reached
+// (rcache.Cache.Renew): the root's leases and whatever fill raced the writes
+// end, and what the root's re-reads kept is filed as its leases — nothing,
+// on a root reached only as a proxy argument. Caller does not hold b.mu.
 func (b *Batch) renew() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, r := range b.renewals {
-		if len(r.writes) > 0 {
-			b.cache.Renew(r.obj, r.gen, r.epoch, r.fills)
-		}
+		b.cache.Renew(r.obj, r.gen, r.epoch, r.fills)
 	}
 }
 
@@ -136,9 +155,9 @@ type rider struct {
 // addRiders appends to ds's request of stage s, when it is the last request
 // the flush sends ds, re-reads after every call of the request: first, on
 // each written root of ds that no write takes as a proxy, one of each live
-// lease the root's writes dropped; then, on a lent root (core.Batch.LendRoot),
-// one of each lease due on ds's server, so the lease is filed again before it
-// lapses into a miss of its own — an object gone from the server fails that
+// lease the root had when its writes were recorded; then, on a lent root
+// (core.Batch.LendRoot), one of each lease due on ds's server, so the lease
+// is filed again before it lapses into a miss of its own — an object gone from the server fails that
 // rider alone. Riders ride a round trip the flush pays anyway. No request of
 // a batch built with a policy carries any — a rider's failure must not
 // restart or repeat the caller's calls — and a request to a replicating

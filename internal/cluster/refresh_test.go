@@ -1,11 +1,12 @@
 package cluster_test
 
-// Tests of the write's lease refresh: a write through a cached batch drops
-// the leases of the root it writes when recorded, re-reads the live ones on
-// the last request its flush sends the root's server, after every call of
-// it, and files them at the flush's end if every write of the root had
-// settled when that request answered — so the writer's next read of its own
-// write is a hit, and a fill that raced the write is dropped.
+// Tests of the write's lease refresh: a write through a cached batch notes
+// the live leases of the root it writes when recorded, re-reads them on the
+// last request its flush sends the root's server, after every call of it,
+// and at the flush's end ends the root's leases and files the re-reads in
+// their place if every write of the root had settled when that request
+// answered — so the writer's next read of its own write is a hit, and a fill
+// that raced the write is dropped.
 
 import (
 	"context"
@@ -43,8 +44,8 @@ func cachedRead(t *testing.T, ec *clustertest.Cluster, cache *rcache.Cache, ref 
 // TestRefreshRidesTheWriteRoundTrip: a write flush over two destinations
 // costs one call per destination, as it does without a cache, and leaves
 // each written object's lease holding the write: the next read is a hit, at
-// no call. The re-reads count as neither hits nor misses, and only the
-// record-time drops count as invalidations.
+// no call. The leases serve until the ack, the re-reads count as neither
+// hits nor misses, and only the writes' records count as invalidations.
 func TestRefreshRidesTheWriteRoundTrip(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
@@ -63,8 +64,8 @@ func TestRefreshRidesTheWriteRoundTrip(t *testing.T) {
 	bw := cluster.New(ec.Client, cluster.WithCache(cache))
 	w0 := bw.Root(ec.Servers[0].Ref).Call("Add", int64(5))
 	w1 := bw.Root(ec.Servers[1].Ref).Call("Add", int64(7))
-	if n := cache.Len(); n != 0 {
-		t.Fatalf("writes recorded but %d leases live, want 0", n)
+	if n := cache.Len(); n != 2 {
+		t.Fatalf("writes recorded but %d leases live, want both until the ack", n)
 	}
 	if err := bw.Flush(ctx); err != nil {
 		t.Fatal(err)
@@ -310,25 +311,27 @@ func (p *parkCounter) arm() (parked <-chan struct{}, release chan<- struct{}) {
 }
 
 // TestRefreshBypassesAParkedRead: a read recorded after a write is parked at
-// the server with the pre-write total when the write flushes. The write's
-// re-read is a call of the write's own batch and does not wait for it, and
-// the parked read's answer, landing after the write's ack, does not replace
-// the re-read as the lease.
+// the server with the pre-write total when the write flushes — the lease,
+// which would have served it until the write's ack, expired in between. The
+// write's re-read is a call of the write's own batch and does not wait for
+// it, and the parked read's answer, landing after the write's ack, does not
+// replace the re-read as the lease.
 func TestRefreshBypassesAParkedRead(t *testing.T) {
-	ec := clustertest.New(t, 1)
+	e := newRiderEnv(t)
+	ec, cache := e.ec, e.cache
 	ctx := context.Background()
 	pc := &parkCounter{}
 	ref, err := ec.Servers[0].Peer.Export(pc, "refreshtest.ParkCounter")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
 	if v, _ := cachedRead(t, ec, cache, ref); v != 0 {
 		t.Fatalf("filling read = %d, want 0", v)
 	}
 
 	bw := cluster.New(ec.Client, cluster.WithCache(cache))
-	bw.Root(ref).Call("Add", int64(5)) // drops the live lease: its re-read is planned
+	bw.Root(ref).Call("Add", int64(5)) // the lease is live: its re-read is planned
+	e.clock.advance(2 * riderTTL)      // and now expired: the next read misses
 
 	parked, release := pc.arm()
 	read := make(chan int64, 1)

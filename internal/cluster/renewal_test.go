@@ -112,11 +112,12 @@ func (e *riderEnv) hot(ref wire.Ref) {
 
 func (e *riderEnv) renewals() int64 { return e.reg.Snapshot().Counter("cache.renewals") }
 
-// cached reports whether the cache serves ref's Get.
-func (e *riderEnv) cached(ref wire.Ref) bool {
+// cached returns the value the cache serves for ref's Get, if it serves one.
+func (e *riderEnv) cached(ref wire.Ref) (int64, bool) {
 	key, _ := rcache.Key(ref, "Get", nil)
-	_, ok := e.cache.Get(key)
-	return ok
+	v, ok := e.cache.Get(key)
+	n, _ := v.(int64)
+	return n, ok
 }
 
 // TestRiderRidesAMissToItsServer: a due lease rides a miss's trip to its
@@ -185,7 +186,7 @@ func TestRiderOfAGoneObject(t *testing.T) {
 				t.Fatalf("cache.renewals = %d, want 1: the rider was sent", got)
 			}
 			e.clock.advance(riderTTL / 2)
-			if e.cached(hotRef) {
+			if _, ok := e.cached(hotRef); ok {
 				t.Errorf("the gone object's lease was filed")
 			}
 		})
@@ -206,11 +207,13 @@ func (b *blocker) Fire() int64 {
 
 // TestWriteBetweenRiderCaptureAndFillVoidsIt: a write to the lease's object
 // recorded while its rider is in flight — after the rider took its ticket,
-// before it is filed — voids the fill, as it voids a miss's.
+// before it is filed — voids the fill, as it voids a miss's. The lease keeps
+// its pre-write value until the write's ack, which files the write's re-read.
 func TestWriteBetweenRiderCaptureAndFillVoidsIt(t *testing.T) {
 	e := newRiderEnv(t)
-	hotRef, _ := e.counter(0, 1)
+	hotRef, hot := e.counter(0, 1)
 	e.hot(hotRef)
+	hot.Add(10) // the rider reads 11; the lease holds 1
 	w := cluster.New(e.ec.Client, cluster.WithCache(e.cache))
 	fire, err := e.ec.Servers[0].Peer.Export(&blocker{hook: func() {
 		w.Root(hotRef).Call("Add", int64(1)) // recorded while the rider flies
@@ -226,11 +229,14 @@ func TestWriteBetweenRiderCaptureAndFillVoidsIt(t *testing.T) {
 	if got := e.renewals(); got != 1 {
 		t.Fatalf("cache.renewals = %d, want 1: the rider was sent", got)
 	}
-	if e.cached(hotRef) {
-		t.Errorf("a rider's fill landed after a write to its object was recorded")
+	if v, ok := e.cached(hotRef); !ok || v != 1 {
+		t.Errorf("lease after the rider = (%d, %v), want the pre-write (1, true): the rider's fill landed after a write to its object was recorded", v, ok)
 	}
 	if err := w.Flush(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	if v, ok := e.cached(hotRef); !ok || v != 12 {
+		t.Errorf("lease after the write's ack = (%d, %v), want its re-read (12, true)", v, ok)
 	}
 }
 
@@ -346,7 +352,7 @@ func (c *loggedCounter) Get() int64 {
 
 // TestRiderAndRefreshShareOneRequest: a write and a lease due on its server
 // ride one request, in the order the caller's calls, then the re-read of the
-// lease the write dropped, then the due lease's. The flush costs the write's
+// written lease, then the due lease's. The flush costs the write's
 // one call and hands out the one due lease, and afterwards both leases hit,
 // past the old expiries, on what the objects hold.
 func TestRiderAndRefreshShareOneRequest(t *testing.T) {

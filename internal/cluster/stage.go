@@ -103,10 +103,10 @@ func (ds *destState) open(b *Batch) error {
 	return nil
 }
 
-// execute walks the stage schedule, one wave per stage, and then renews the
-// leases the flush's writes dropped (renew). Wall-clock cost per stage is the
-// slowest destination's round trip; total cost is one wave per stage, plus
-// one for a stale retry.
+// execute walks the stage schedule, one wave per stage, and then ends and
+// renews the leases of the objects the flush's writes reached (renew).
+// Wall-clock cost per stage is the slowest destination's round trip; total
+// cost is one wave per stage, plus one for a stale retry.
 func (b *Batch) execute(ctx context.Context, stages [][]*subBatch) error {
 	r := &run{b: b, dests: make(map[*group]*destState), stages: stages}
 	for _, subs := range stages {

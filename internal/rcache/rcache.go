@@ -5,12 +5,16 @@
 // (object ref, method, compiled-codec-encoded args). Every entry is a lease:
 // it carries a TTL deadline and the ring epoch observed when the underlying
 // call was recorded, and it is served only while both still hold. Three
-// events invalidate:
+// events end a lease:
 //
-//   - a write-batch touching the object bumps the object's generation and
-//     drops its entries (per-object invalidation, at record time), and does
-//     both again when the write is acked (Renew), where the writer files
-//     the values it re-read right after its write in their place;
+//   - the ack of a write touching the object (Renew) bumps the object's
+//     generation and drops its entries, filing in their place the values
+//     the writer re-read right after its write. The write's record
+//     (RecordWrite) bumps the generation too but drops nothing: a recorded
+//     call takes effect only when its batch flushes, so until the ack every
+//     other batch sharing the cache may still read the pre-write lease — a
+//     read that overlaps the write — while the writer's own batch consults
+//     no lease of the object after its write;
 //   - a ring-epoch bump (membership change / migration) makes every older
 //     lease unservable — checked lazily on Get, so an epoch bump costs O(1);
 //   - the TTL deadline passes.
@@ -19,26 +23,26 @@
 // passes the generation and epoch it observed when the miss was recorded,
 // and the fill is dropped if either moved meanwhile. That closes the classic
 // read/write race where an in-flight read's stale result lands after a
-// write already invalidated the entry; the bump at ack closes the other
-// half, a read recorded after the write but executed before it, whose fill
-// lands while the write is still in flight. Generations come from one
-// cache-wide counter, and the cache forgets those of the objects that hold
-// no entry once it keeps more than four per entry it may hold: an object it
-// forgot reads a floor above every generation handed out before, so no fill
+// write was recorded; the bump at ack closes the other half, a read
+// recorded after the write but executed before it, whose fill lands while
+// the write is still in flight. Generations come from one cache-wide
+// counter, and the cache forgets those of the objects that hold no entry
+// once it keeps more than four per entry it may hold: an object it forgot
+// reads a floor above every generation handed out before, so no fill
 // captured earlier can match it again.
 //
 // Every lease is re-readable: its key names the call that filled it
 // (KeyCall), and a batch re-reads leases one way, on a request it sends
-// their server anyway. The write that drops a lease re-reads it so
-// (InvalidateObject returns the live keys) and files the fresh value once
-// its flush ran (Renew): the writer's next read of its own write is a hit. A
-// write recorded through another client's cache is seen only when the TTL
-// ends the lease. And near the end of a lease's life (Due), a lease that
-// served a hit since it was filed, on an object addressed by ref, is handed
-// out in the last 1/25 of its TTL to one batch bound for its server, whose
-// re-read files it again through Put under the same generation-and-epoch
-// ticket (Lease) as a miss. A hot lease then never lapses into a miss of its
-// own while its server sees traffic.
+// their server anyway. A write re-reads the object's live leases so
+// (RecordWrite returns their keys) and files the fresh values at its ack
+// (Renew): the writer's next read of its own write is a hit. A write
+// recorded through another client's cache is seen only when the TTL ends
+// the lease. And near the end of a lease's life (Due), a lease that served a
+// hit since it was filed, on an object addressed by ref, is handed out in
+// the last 1/25 of its TTL to one batch bound for its server, whose re-read
+// files it again through Put under the same generation-and-epoch ticket
+// (Lease) as a miss. A hot lease then never lapses into a miss of its own
+// while its server sees traffic.
 //
 // A miss is an ordinary call of the batch that recorded it: the cache does
 // not coalesce reads across batches. The package's Group is the symmetric
@@ -245,8 +249,8 @@ func (c *Cache) Get(key string) (any, bool) {
 // ring epoch still match what the caller captured when the miss was
 // recorded. A fill that lost that race is silently dropped — the entry
 // would carry a value older than its lease. key is a Key of the readonly
-// call that returned val: as long as the lease is live, the write that
-// drops it gets the key back from InvalidateObject, to re-issue the call.
+// call that returned val: as long as the lease is live, a write of obj gets
+// the key back from RecordWrite, to re-issue the call.
 func (c *Cache) Put(key, obj string, val any, gen, epoch uint64) {
 	if epoch != c.Epoch() {
 		return
@@ -281,14 +285,16 @@ func (c *Cache) insertLocked(key, obj string, val any, epoch uint64, expires tim
 	}
 }
 
-// InvalidateObject drops every entry of obj and bumps its generation, so
-// in-flight reads that predate the write cannot re-fill stale values. The
-// cluster batch calls it at record time for every non-readonly call, keyed
-// by the call's root object. It returns the generation it left and the
-// keys of the dropped leases that were still live — stamped with the
-// current epoch, not expired — in order, for the writer to re-read after
-// its write (KeyCall) and Renew.
-func (c *Cache) InvalidateObject(obj string) (gen uint64, live []string) {
+// RecordWrite is the record of a write to obj. It bumps obj's generation,
+// so a read recorded before the write files nothing once the write is
+// recorded, and returns the generation it left and the keys of obj's
+// leases that are live — stamped with the current epoch, not expired — in
+// order, for the writer to re-read after its write (KeyCall) and Renew. It
+// drops nothing: the write takes effect when its batch flushes, and until
+// its ack every other batch may read the leases. The cluster batch calls it
+// at record time for every non-readonly call, keyed by the call's root
+// object and by each root it takes as a proxy argument.
+func (c *Cache) RecordWrite(obj string) (gen uint64, live []string) {
 	ep := c.Epoch()
 	now := c.now()
 	c.mu.Lock()
@@ -298,21 +304,21 @@ func (c *Cache) InvalidateObject(obj string) (gen uint64, live []string) {
 		if e.epoch == ep && !now.After(e.expires) {
 			live = append(live, e.key)
 		}
-		c.removeLocked(e)
 	}
 	c.invalidations.Inc()
 	slices.Sort(live)
 	return gen, live
 }
 
-// Renew is the ack of a write to obj. Like the write's InvalidateObject it
-// bumps obj's generation and drops its entries — a fill that raced the
-// write, from a read recorded after it but executed before it, is void —
-// but it does not count as an invalidation. Then, provided gen (what the
-// writer's InvalidateObject returned) and epoch (what the writer observed
-// then) still hold, so no other write of obj was recorded or acked since,
-// it files fills, the leases the writer re-read after its write, under the
-// new generation: the writer's next read of obj is a hit on its own write.
+// Renew is the ack of a write to obj, where the write ends obj's leases. It
+// bumps obj's generation and drops its entries — the leases read before the
+// write, and any fill that raced it, from a read recorded after the write
+// but executed before it — but it does not count as an invalidation. Then,
+// provided gen (what the writer's RecordWrite returned) and epoch (what the
+// writer observed then) still hold, so no other write of obj was recorded
+// or acked since, it files fills, the leases the writer re-read after its
+// write, under the new generation: the writer's next read of obj is a hit
+// on its own write.
 func (c *Cache) Renew(obj string, gen, epoch uint64, fills []Fill) {
 	fresh := epoch == c.Epoch()
 	expires := c.now().Add(c.ttl)

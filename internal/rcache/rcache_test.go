@@ -86,7 +86,10 @@ func TestGetPutLeaseLifecycle(t *testing.T) {
 	}
 }
 
-func TestInvalidateObjectAndGenerationGuard(t *testing.T) {
+// TestRecordWriteAndGenerationGuard: a recorded write leaves its object's
+// leases serving until its ack, which ends them and nothing else; and a fill
+// captured before the write's record is dropped.
+func TestRecordWriteAndGenerationGuard(t *testing.T) {
 	c := New(nil)
 	refA, refB := testRef(1), testRef(2)
 	keyA, keyB := mustKey(t, refA, "Get"), mustKey(t, refB, "Get")
@@ -94,30 +97,35 @@ func TestInvalidateObjectAndGenerationGuard(t *testing.T) {
 
 	c.Put(keyA, objA, "a", c.Gen(objA), 0)
 	c.Put(keyB, objB, "b", c.Gen(objB), 0)
-	c.InvalidateObject(objA)
+	gen, _ := c.RecordWrite(objA)
+	if v, ok := c.Get(keyA); !ok || v != "a" {
+		t.Fatalf("after the write's record Get = (%v, %v), want the pre-write lease (a, true)", v, ok)
+	}
+	c.Renew(objA, gen, 0, nil)
 	if _, ok := c.Get(keyA); ok {
-		t.Fatalf("invalidated object's entry served")
+		t.Fatalf("the written object's entry served after the write's ack")
 	}
 	if _, ok := c.Get(keyB); !ok {
-		t.Fatalf("invalidation dropped an unrelated object's entry")
+		t.Fatalf("the write's ack dropped an unrelated object's entry")
 	}
 
-	// The stale-fill race: a read records a miss (capturing gen), a write
-	// invalidates, then the read's result lands. The fill must be dropped.
-	gen := c.Gen(objA)
-	c.InvalidateObject(objA)
+	// The stale-fill race: a read records a miss (capturing gen), a write is
+	// recorded, then the read's result lands. The fill must be dropped.
+	gen = c.Gen(objA)
+	c.RecordWrite(objA)
 	c.Put(keyA, objA, "stale", gen, 0)
 	if _, ok := c.Get(keyA); ok {
-		t.Fatalf("stale fill survived a concurrent invalidation")
+		t.Fatalf("stale fill survived a concurrent write's record")
 	}
 }
 
-// TestRefreshInvalidateReturnsLiveCallLeases: InvalidateObject hands back
-// the keys of the dropped leases a writer may re-read — every lease stamped
-// with the current epoch and not expired, since every key names the call
-// that filled it — in key order, and a generation Gen then reports; a lease
-// from another epoch and an expired one are dropped without a word.
-func TestRefreshInvalidateReturnsLiveCallLeases(t *testing.T) {
+// TestRefreshRecordWriteReturnsLiveCallLeases: RecordWrite hands back the
+// keys of the leases a writer may re-read — every lease stamped with the
+// current epoch and not expired, since every key names the call that filled
+// it — in key order, and a generation Gen then reports. It drops none of
+// them: a second write recorded before the ack gets the same keys back. The
+// ack ends them all, a lease from another epoch and an expired one included.
+func TestRefreshRecordWriteReturnsLiveCallLeases(t *testing.T) {
 	now := time.Unix(0, 0)
 	var epoch uint64 = 3
 	c := New(nil, WithEpoch(func() uint64 { return epoch }), WithTTL(10*time.Second))
@@ -138,19 +146,27 @@ func TestRefreshInvalidateReturnsLiveCallLeases(t *testing.T) {
 	now = now.Add(6 * time.Second)
 
 	before := c.Gen(obj)
-	gen, got := c.InvalidateObject(obj)
+	gen, got := c.RecordWrite(obj)
 	if gen == before || c.Gen(obj) != gen {
-		t.Fatalf("InvalidateObject left generation %d (Gen says %d), want a new one (was %d)", gen, c.Gen(obj), before)
+		t.Fatalf("RecordWrite left generation %d (Gen says %d), want a new one (was %d)", gen, c.Gen(obj), before)
 	}
 	want := slices.Sorted(slices.Values(live))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("InvalidateObject returned %q, want the three live leases %q", got, want)
+		t.Fatalf("RecordWrite returned %q, want the three live leases %q", got, want)
 	}
+	if n := c.Len(); n != 6 {
+		t.Fatalf("%d entries left after the write's record, want all 6: leases end at the ack", n)
+	}
+	gen2, again := c.RecordWrite(obj)
+	if gen2 == gen || !reflect.DeepEqual(again, want) {
+		t.Fatalf("a second write's record = (%d, %q), want a new generation (not %d) and %q", gen2, again, gen, want)
+	}
+	c.Renew(obj, gen2, c.Epoch(), nil)
 	if n := c.Len(); n != 1 {
-		t.Fatalf("%d entries left, want 1 (the other object's)", n)
+		t.Fatalf("%d entries left after the ack, want 1 (the other object's)", n)
 	}
-	if _, got := c.InvalidateObject(obj); got != nil {
-		t.Fatalf("a second invalidation returned %q, want nothing", got)
+	if _, got := c.RecordWrite(obj); got != nil {
+		t.Fatalf("a write recorded after the ack returned %q, want nothing", got)
 	}
 }
 
@@ -205,11 +221,12 @@ func TestRefreshRenewFilesTheWritersReReads(t *testing.T) {
 	key := mustKey(t, ref, "Get")
 	c.Put(key, obj, int64(0), c.Gen(obj), 0)
 
-	gen, live := c.InvalidateObject(obj) // the write is recorded
-	raced := c.Gen(obj)                  // a read recorded after it ...
-	c.Put(key, obj, int64(0), raced, 0)  // ... executed before it lands in flight
-	if n := c.Len(); n != 1 {
-		t.Fatalf("the raced fill did not land (%d entries): the test proves nothing", n)
+	gen, live := c.RecordWrite(obj) // the write is recorded
+	lease := c.entries[key]
+	raced := c.Gen(obj)                 // a read recorded after it ...
+	c.Put(key, obj, int64(0), raced, 0) // ... executed before it lands in flight
+	if c.entries[key] == lease {
+		t.Fatal("the raced fill did not land: the test proves nothing")
 	}
 	c.Renew(obj, gen, 0, []Fill{{Key: live[0], Val: int64(5)}})
 	if v, ok := c.Get(key); !ok || v != int64(5) {
@@ -225,14 +242,14 @@ func TestRefreshRenewFilesTheWritersReReads(t *testing.T) {
 	}
 
 	// A renewed lease is re-readable in turn.
-	if _, again := c.InvalidateObject(obj); !reflect.DeepEqual(again, []string{key}) {
+	if _, again := c.RecordWrite(obj); !reflect.DeepEqual(again, []string{key}) {
 		t.Fatalf("the renewed lease invalidated as %q, want it live", again)
 	}
 
 	// Another write recorded before the ack: the re-read may predate it.
 	c.Put(key, obj, int64(5), c.Gen(obj), 0)
-	gen, live = c.InvalidateObject(obj)
-	c.InvalidateObject(obj)
+	gen, live = c.RecordWrite(obj)
+	c.RecordWrite(obj)
 	c.Renew(obj, gen, 0, []Fill{{Key: live[0], Val: int64(6)}})
 	if n := c.Len(); n != 0 {
 		t.Fatalf("a renewal behind another write filed %d entries, want 0", n)
@@ -240,7 +257,7 @@ func TestRefreshRenewFilesTheWritersReReads(t *testing.T) {
 
 	// An epoch bump between the record and the ack.
 	c.Put(key, obj, int64(6), c.Gen(obj), 0)
-	gen, live = c.InvalidateObject(obj)
+	gen, live = c.RecordWrite(obj)
 	epoch++
 	c.Renew(obj, gen, 0, []Fill{{Key: live[0], Val: int64(7)}})
 	if n := c.Len(); n != 0 {
@@ -256,7 +273,7 @@ func TestGenerationsStayBounded(t *testing.T) {
 	for i := range 200000 {
 		ref := testRef(uint64(i))
 		obj := ObjKey(ref)
-		gen, _ := c.InvalidateObject(obj)
+		gen, _ := c.RecordWrite(obj)
 		c.Renew(obj, gen, 0, []Fill{{Key: obj + "\x00Get\x00", Val: int64(i)}})
 		if n := len(c.gens); n > 4*c.max+1 {
 			t.Fatalf("after %d writes the cache keeps %d generations, want at most %d", i+1, n, 4*c.max+1)
@@ -278,8 +295,8 @@ func TestPrunedGenerationVoidsEarlierFill(t *testing.T) {
 	written, unwritten, leased := testRef(1), testRef(2), testRef(3)
 	wobj, uobj, lobj := ObjKey(written), ObjKey(unwritten), ObjKey(leased)
 	c.Put(mustKey(t, leased, "Get"), lobj, int64(3), c.Gen(lobj), 0)
-	c.InvalidateObject(wobj)
-	c.InvalidateObject(lobj)
+	c.RecordWrite(wobj)
+	c.RecordWrite(lobj)
 	c.Put(mustKey(t, leased, "Get"), lobj, int64(3), c.Gen(lobj), 0)
 	wgen, ugen, lgen := c.Gen(wobj), c.Gen(uobj), c.Gen(lobj)
 
@@ -287,7 +304,7 @@ func TestPrunedGenerationVoidsEarlierFill(t *testing.T) {
 		if i > 100 {
 			t.Fatal("no prune after 90 writes")
 		}
-		c.InvalidateObject(ObjKey(testRef(i)))
+		c.RecordWrite(ObjKey(testRef(i)))
 	}
 	if _, ok := c.gens[wobj]; ok {
 		t.Fatal("the prune kept the generation of an object without an entry")
@@ -479,9 +496,9 @@ func TestCacheConcurrentUse(t *testing.T) {
 				case 1:
 					c.Get(key)
 				case 2:
-					c.InvalidateObject(obj)
+					c.RecordWrite(obj)
 				default:
-					gen, live := c.InvalidateObject(obj)
+					gen, live := c.RecordWrite(obj)
 					fills := make([]Fill, len(live))
 					for j, k := range live {
 						fills[j] = Fill{Key: k, Val: i}

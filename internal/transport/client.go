@@ -104,10 +104,40 @@ func (c *Client) Endpoint() string { return c.endpoint }
 // stream.go), so there is no send-side size ceiling; should a single-frame
 // ErrTooLarge still surface, it fails only this call — the connection
 // stays up and concurrent calls proceed undisturbed.
+//
+// A one-frame request that fails to send before any byte of it left — the
+// peer closed the connection, and the read loop has not noticed yet — is
+// sent once more on a new connection: the peer cannot have seen it.
 func (c *Client) Call(ctx context.Context, payload []byte) ([]byte, error) {
-	cc, err := c.conn(ctx)
+	id, pc, err := c.send(ctx, payload)
+	var ns *notSentError
+	if errors.As(err, &ns) && len(payload) <= maxDirectPayload {
+		id, pc, err = c.send(ctx, payload)
+	}
 	if err != nil {
 		return nil, err
+	}
+	select {
+	case resp := <-pc.ch:
+		pendingPool.Put(pc)
+		return resp.payload, resp.err
+	case <-ctx.Done():
+		if c.remove(id) {
+			// No sender took the record; safe to recycle.
+			pendingPool.Put(pc)
+		}
+		// Else a response/teardown is in flight; abandon the record.
+		return nil, ctx.Err()
+	}
+}
+
+// send registers a pending call for payload on the live connection, dialing
+// one if needed, and sends the request. A failed send drops the connection,
+// unless the request was too large to be one frame.
+func (c *Client) send(ctx context.Context, payload []byte) (uint64, *pendingCall, error) {
+	cc, err := c.conn(ctx)
+	if err != nil {
+		return 0, nil, err
 	}
 	id := c.nextID.Add(1)
 	pc := pendingPool.Get().(*pendingCall)
@@ -124,26 +154,15 @@ func (c *Client) Call(ctx context.Context, payload []byte) ([]byte, error) {
 			if c.remove(id) {
 				pendingPool.Put(pc)
 			}
-			return nil, err
+			return 0, nil, err
 		}
 		c.dropConn(cc)
 		if c.remove(id) {
 			pendingPool.Put(pc)
 		}
-		return nil, fmt.Errorf("transport: send to %s: %w", c.endpoint, err)
+		return 0, nil, fmt.Errorf("transport: send to %s: %w", c.endpoint, err)
 	}
-	select {
-	case resp := <-pc.ch:
-		pendingPool.Put(pc)
-		return resp.payload, resp.err
-	case <-ctx.Done():
-		if c.remove(id) {
-			// No sender took the record; safe to recycle.
-			pendingPool.Put(pc)
-		}
-		// Else a response/teardown is in flight; abandon the record.
-		return nil, ctx.Err()
-	}
+	return id, pc, nil
 }
 
 // CallStream sends payload as a stream request: the response arrives as an

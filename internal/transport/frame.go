@@ -153,7 +153,7 @@ func (fw *frameWriter) enqueue(f qframe) error {
 		err := fw.err
 		fw.mu.Unlock()
 		f.recycle()
-		return err
+		return &notSentError{err}
 	}
 	fw.queue = append(fw.queue, f)
 	if fw.writing {
@@ -192,7 +192,7 @@ func (fw *frameWriter) enqueue(f qframe) error {
 			// Fail everything enqueued while the doomed flush was in
 			// flight; their frames were never written.
 			for _, ch := range fw.waiters {
-				ch <- werr
+				ch <- &notSentError{werr}
 			}
 			for i := range fw.queue {
 				fw.queue[i].recycle()
@@ -222,7 +222,10 @@ func (fw *frameWriter) flush(queue []qframe) error {
 		fw.st.Writev.Observe(int64(len(queue)))
 		fw.st.BytesOut.Add(uint64(total))
 	}
-	err := fw.writeSpans(queue, spans)
+	n, err := fw.writeSpans(queue, spans)
+	if err != nil && n == 0 {
+		err = &notSentError{err}
+	}
 	// Drop payload references so the scratch vector does not pin large
 	// buffers between flushes (net.Buffers also consumes entries in place).
 	for i := range spans {
@@ -232,11 +235,12 @@ func (fw *frameWriter) flush(queue []qframe) error {
 	return err
 }
 
-func (fw *frameWriter) writeSpans(queue []qframe, spans [][]byte) error {
+// writeSpans writes spans, the frames of queue, and returns how many bytes
+// the connection took.
+func (fw *frameWriter) writeSpans(queue []qframe, spans [][]byte) (int64, error) {
 	if fw.isTCP {
 		bufs := net.Buffers(spans)
-		_, err := bufs.WriteTo(fw.w)
-		return err
+		return bufs.WriteTo(fw.w)
 	}
 	// Generic writers get one coalesced copy-and-write per batch: net.Conn
 	// implementations without writev support (netsim links, pipes) would
@@ -244,19 +248,30 @@ func (fw *frameWriter) writeSpans(queue []qframe, spans [][]byte) error {
 	if len(queue) == 1 && len(queue[0].payload) >= 4096 {
 		// Single large frame: writing the headers and the payload
 		// separately beats copying the payload.
-		if _, err := fw.w.Write(queue[0].hdr[:queue[0].hlen]); err != nil {
-			return err
+		n, err := fw.w.Write(queue[0].hdr[:queue[0].hlen])
+		if err != nil {
+			return int64(n), err
 		}
-		_, err := fw.w.Write(queue[0].payload)
-		return err
+		m, err := fw.w.Write(queue[0].payload)
+		return int64(n + m), err
 	}
 	fw.cbuf = fw.cbuf[:0]
 	for _, b := range spans {
 		fw.cbuf = append(fw.cbuf, b...)
 	}
-	_, err := fw.w.Write(fw.cbuf)
+	n, err := fw.w.Write(fw.cbuf)
 	if cap(fw.cbuf) > maxPooledBuffer {
 		fw.cbuf = nil
 	}
-	return err
+	return int64(n), err
 }
+
+// notSentError is a frame write's error when provably no byte of the frame
+// reached the connection: it was queued on a connection already dead, or
+// the write that carried it wrote nothing. Resending it on a new connection
+// cannot deliver it twice.
+type notSentError struct{ err error }
+
+func (e *notSentError) Error() string { return e.err.Error() }
+
+func (e *notSentError) Unwrap() error { return e.err }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -214,6 +215,55 @@ func TestServerCloseFailsPendingAndRedialWorks(t *testing.T) {
 	}
 	if string(got) != "again" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// TestSendAfterPeerCloseRedialsOnce: the server closes its side of the
+// client's connection — it crashed — and a new server takes the endpoint;
+// the client sends at once, mostly before its read loop noticed the close.
+// Such a send fails before any byte of the request left, so the client
+// sends it once more on a new connection: every call succeeds, and each
+// request runs exactly once.
+func TestSendAfterPeerCloseRedialsOnce(t *testing.T) {
+	n := netsim.New(netsim.Instant)
+	defer n.Close()
+	var runs atomic.Int64
+	handler := func(_ context.Context, p []byte) ([]byte, error) {
+		runs.Add(1)
+		return echoHandler(nil, p)
+	}
+	serve := func() *transport.Server {
+		l, err := n.Listen("svc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := transport.NewServer(handler, transport.WithLogf(silentLogf))
+		if err := srv.Serve(l); err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	srv := serve()
+	c := transport.NewClient(n, "svc")
+	defer c.Close()
+	const calls = 1000
+	for i := range calls {
+		payload := []byte{byte(i), byte(i >> 8)}
+		if i > 0 {
+			_ = srv.Close()
+			srv = serve()
+		}
+		got, err := c.Call(context.Background(), payload)
+		if err != nil {
+			t.Fatalf("call %d after the server's close: %v", i, err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("call %d corrupted", i)
+		}
+	}
+	_ = srv.Close()
+	if got := runs.Load(); got != calls {
+		t.Fatalf("%d calls ran %d times", calls, got)
 	}
 }
 
