@@ -41,8 +41,6 @@ type pcFlags struct {
 	escaped  bool // ownership handed off: returned, stored, passed, captured
 }
 
-func (f pcFlags) discharged() bool { return f.put || f.escaped }
-
 type pcState map[*pcBuf]pcFlags
 
 type pcScope struct {

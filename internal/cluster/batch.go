@@ -33,26 +33,27 @@ var ErrNoEndpoint = errors.New("cluster: root ref has no endpoint")
 // result is handed over by the servers inside the wave: by the producer's own
 // server when the consumer lives there too, else pushed by it to the
 // consumer's — a remote result as its exported reference. What is staged is a
-// value that crosses servers from a replicated producer, or under a policy
-// that can run a call twice; a remote result lives only in its wave, so a
-// call that would take one in a later wave is refused with *CrossWaveError
-// before anything is sent (see DESIGN.md, "Cluster staging rules").
+// value that crosses servers from a replicated producer; a remote result lives
+// only in its wave, so a call that would take one in a later wave is refused
+// with *CrossWaveError before anything is sent (see DESIGN.md, "Cluster
+// staging rules").
 //
 // Execute: stages run in order; within a stage every destination's
 // sub-batch is one core.Batch round trip, fanned out in parallel, so a
 // stage costs the slowest server's round trip. A recording none of whose
 // values crosses servers from a replicated producer plans to a single stage:
-// one wave, one round trip per destination.
+// one wave, one round trip per destination. Each server runs its sub-batch
+// under core.AbortPolicy, so a failure aborts the rest of that server's
+// sub-batch only; a caller that needs another policy uses core.Batch.
 //
 // Like core.Batch, a Batch records one batch at a time and is not meant to
 // be shared by concurrent client goroutines; the implementation is
 // internally synchronized, so misuse corrupts no memory, only recording
 // order.
 type Batch struct {
-	peer   *rmi.Peer
-	policy *core.Policy
-	dir    *Directory
-	cache  *rcache.Cache
+	peer  *rmi.Peer
+	dir   *Directory
+	cache *rcache.Cache
 
 	mu     sync.Mutex
 	groups map[string]*group // keyed by server endpoint
@@ -98,13 +99,6 @@ type Batch struct {
 // Option configures a cluster Batch.
 type Option func(*Batch)
 
-// WithPolicy sets the exception policy applied within every per-server
-// sub-batch (default core.AbortPolicy, scoped per server: a failure on one
-// server never aborts another server's sub-batch).
-func WithPolicy(p *core.Policy) Option {
-	return func(b *Batch) { b.policy = p }
-}
-
 // WithDirectory makes the batch epoch-aware: roots may be addressed by
 // cluster-wide name (RootNamed), which the flush routes on the directory's
 // ring and the home servers resolve inside the first wave, and a flush that
@@ -132,10 +126,9 @@ func WithDirectory(d *Directory) Option {
 // reads its own write from the cache, at no round trip. A write through
 // another cache is seen when the TTL ends the lease. A lease that served hits
 // is re-read so near the end of its TTL (rcache.Cache.Due) and filed again,
-// so a hot object costs no miss of its own per TTL. A batch built WithPolicy
-// re-reads nothing, and a request to a replicating destination carries no
-// due lease. Share one cache per client — NewCache builds one wired to the
-// directory's ring epoch.
+// so a hot object costs no miss of its own per TTL. A request to a
+// replicating destination carries no due lease. Share one cache per client —
+// NewCache builds one wired to the directory's ring epoch.
 //
 // A lease is filed under the identity its root was addressed by: the ref for
 // Root, the name for RootNamed — a named root has no ref when it is
@@ -290,8 +283,7 @@ func (b *Batch) Destinations() []string {
 // the flush executed: the stage count of the plan, minus stages that
 // settled entirely locally, plus one for a stale-route retry. A recording
 // flushes in one wave however its values and remote results flow between
-// servers, unless a value crosses servers from a replicated destination or
-// under a policy that can re-run a call.
+// servers, unless a value crosses servers from a replicated destination.
 func (b *Batch) Waves() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -427,9 +419,10 @@ func (b *Batch) Flush(ctx context.Context) error {
 	if err != nil {
 		return b.failLocked(err)
 	}
-	// One wave consumes nothing of an earlier one, and a replicated wave no
-	// remote result of another root.
-	if nstages > 1 || b.dir != nil && b.dir.Replication() > 1 {
+	// Only a replicating directory stages a value: one wave consumes nothing
+	// of an earlier one, and a replicated wave no remote result of another
+	// root.
+	if b.dir != nil && b.dir.Replication() > 1 {
 		for _, c := range calls {
 			if err := outlives(c); err != nil {
 				return b.failLocked(err)

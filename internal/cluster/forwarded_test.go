@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
-	"repro/internal/core"
 )
 
 // TestForwardedRootReplicatesAfterStaleLookup: an R=3 client whose ring is
@@ -133,30 +132,32 @@ func TestBoundAwayRootRefusedReplicated(t *testing.T) {
 // wave passes to another server keeps the ref it was looked up by ("kept"),
 // and one the re-plan newly splits from its consumer is looked up before the
 // retried wave ("split"): the calls that forward them go through, and every
-// call runs exactly once.
+// call runs exactly once. The kept arm runs on an R=2 ring, where pm's Add
+// feeds a later-wave call on server-1 (its value is staged until its quorum
+// holds it). The split arm runs unreplicated: a replicating destination would
+// refuse pm taking ps, another of its roots (ErrCrossRoot), so pm's Add is
+// pushed to server-1 inside the retried wave.
 func TestRetryKeepsForwardedRootRef(t *testing.T) {
 	for _, split := range []bool{false, true} {
 		t.Run(map[bool]string{false: "kept", true: "split"}[split], func(t *testing.T) {
 			ec := clustertest.New(t, 3)
 			ctx := context.Background()
 			before := ec.Endpoints()[:2]
-			live := cluster.NewDirectory(ec.Client, before)
-			grown := cluster.NewRing(ec.Endpoints())
+			repl := cluster.WithReplication(map[bool]int{false: 2, true: 1}[split])
+			live := cluster.NewDirectory(ec.Client, before, repl)
+			grown := cluster.NewRing(ec.Endpoints(), repl)
 			staying := clustertest.PickNames(live.Ring(), grown, "server-0", "server-0", 1)[0]
 			moving := clustertest.PickNames(live.Ring(), grown, "server-0", "server-2", 1)[0]
 			other := clustertest.PickNames(live.Ring(), grown, "server-1", "server-1", 1)[0]
 			ec.BindCounter(live, staying, 40)
 			ec.BindCounter(live, moving, 0)
 			ec.BindCounter(live, other, 0)
-			stale := cluster.NewDirectory(ec.Client, before)
+			stale := cluster.NewDirectory(ec.Client, before, repl)
 			if _, err := cluster.NewRebalancer(live).AddServer(ctx, "server-2"); err != nil {
 				t.Fatal(err)
 			}
 
-			// A restarting policy stages a cross-server value a wave later,
-			// so pm's Add feeds a second-wave call on server-1.
-			restart := core.CustomPolicy().SetAction("", "Restart", core.AnyIndex, core.ActionRestart)
-			b := cluster.New(ec.Client, cluster.WithDirectory(stale), cluster.WithPolicy(restart))
+			b := cluster.New(ec.Client, cluster.WithDirectory(stale))
 			ps, _ := b.RootNamed(ctx, staying)
 			pm, _ := b.RootNamed(ctx, moving)
 			po, _ := b.RootNamed(ctx, other)
@@ -167,9 +168,12 @@ func TestRetryKeepsForwardedRootRef(t *testing.T) {
 			} else {
 				fwd = po.Call("AddRemote", ps) // looked up before the first wave
 			}
-			later := po.Call("Apply", t0, ps) // second wave, on server-1
+			later := po.Call("Apply", t0, ps) // on server-1: a later wave when kept
 			if err := b.Flush(ctx); err != nil {
 				t.Fatalf("flush: %v", err)
+			}
+			if w := b.Waves(); w != map[bool]int{false: 3, true: 2}[split] {
+				t.Errorf("flush took %d waves", w)
 			}
 			if v, err := cluster.Typed[int64](fwd).Get(); err != nil || v != 40+map[bool]int64{false: 0, true: 2}[split] {
 				t.Errorf("AddRemote = %v, %v", v, err)

@@ -158,14 +158,12 @@ type rider struct {
 // lease the root had when its writes were recorded; then, on a lent root
 // (core.Batch.LendRoot), one of each lease due on ds's server, so the lease
 // is filed again before it lapses into a miss of its own — an object gone from the server fails that
-// rider alone. Riders ride a round trip the flush pays anyway. No request of
-// a batch built with a policy carries any — a rider's failure must not
-// restart or repeat the caller's calls — and a request to a replicating
-// destination, whose waves ship to followers, carries no due lease. Caller
-// holds b.mu.
+// rider alone. Riders ride a round trip the flush pays anyway. A request to a
+// replicating destination, whose waves ship to followers, carries no due
+// lease. Caller holds b.mu.
 func (r *run) addRiders(s int, ds *destState) {
 	b := r.b
-	if b.cache == nil || b.policy != nil {
+	if b.cache == nil {
 		return
 	}
 	for _, later := range r.stages[s+1:] {

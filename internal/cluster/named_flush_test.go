@@ -465,19 +465,26 @@ func TestRetriedConsumerOfAPushedResultRefused(t *testing.T) {
 // one flush, after an earlier wave already ran at its old home. That
 // wrong-home rejection, past the destination's first contact, cannot be
 // retried — but it must still bring the client's ring up to date, or the
-// client's next flush routes the name to the same dead home. The batch's
-// policy stages every value that crosses servers (staging), so server-0 gets
-// a second request.
+// client's next flush routes the name to the same dead home. The ring
+// replicates (R=2) and every root is named, so every value that crosses
+// servers is staged and server-0 gets a second request. The trigger is not
+// movable: its wave ships to no follower, so the placement it starts finds no
+// wave holding its server.
 func TestUnretriedWrongHomeStillRefreshes(t *testing.T) {
 	ec := clustertest.New(t, 3)
 	ctx := context.Background()
-	live := cluster.NewDirectory(ec.Client, []string{"server-0", "server-1"})
-	grown := cluster.NewRing([]string{"server-0", "server-1", "server-2"})
+	before := []string{"server-0", "server-1"}
+	live := cluster.NewDirectory(ec.Client, before, cluster.WithReplication(2))
+	grown := cluster.NewRing(ec.Endpoints(), cluster.WithReplication(2))
 	moving := clustertest.PickNames(live.Ring(), grown, "server-0", "server-2", 1)[0]
 	keeping := clustertest.PickNames(live.Ring(), grown, "server-0", "server-0", 1)[0]
+	firing := clustertest.PickNames(live.Ring(), grown, "server-1", "server-1", 1)[0]
 	ec.BindCounter(live, moving, 10)
 	ec.BindCounter(live, keeping, 20)
-	stale := cluster.NewDirectory(ec.Client, []string{"server-0", "server-1"})
+	if _, err := cluster.NewRebalancer(live).AddServer(ctx, "server-0"); err != nil {
+		t.Fatalf("placement rebalance: %v", err)
+	}
+	stale := cluster.NewDirectory(ec.Client, before, cluster.WithReplication(2))
 	trigger, err := ec.Server("server-1").Peer.Export(&migrateOnCall{hook: func() error {
 		_, err := cluster.NewRebalancer(live).AddServer(ctx, "server-2")
 		return err
@@ -485,13 +492,17 @@ func TestUnretriedWrongHomeStillRefreshes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := live.Bind(ctx, firing, trigger); err != nil {
+		t.Fatal(err)
+	}
 
-	b := cluster.New(ec.Client, cluster.WithDirectory(stale), cluster.WithPolicy(staging()))
+	b := cluster.New(ec.Client, cluster.WithDirectory(stale))
+	pt, _ := b.RootNamed(ctx, firing)
 	pk, _ := b.RootNamed(ctx, keeping)
 	pm, _ := b.RootNamed(ctx, moving)
-	f0 := pk.Call("Add", int64(1))         // stage 0: server-0's first contact
-	f1 := b.Root(trigger).Call("Fire", f0) // stage 1: the cluster grows, moving leaves server-0
-	f2 := pm.Call("Add", f1)               // stage 2: server-0's second request, which no longer has it
+	f0 := pk.Call("Add", int64(1)) // stage 0: server-0's first contact
+	f1 := pt.Call("Fire", f0)      // stage 1: the cluster grows, moving leaves server-0
+	f2 := pm.Call("Add", f1)       // stage 2: server-0's second request, which no longer has it
 	err = b.Flush(ctx)
 	var wrong *rmi.WrongHomeError
 	if !errors.As(err, &wrong) || b.StaleRetried() {

@@ -9,19 +9,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
-	"repro/internal/core"
 	"repro/internal/rmi"
 )
 
 // --- staged cross-server dataflow --------------------------------------------
-
-// staging is a policy that aborts like the default one and names a restart
-// for a method no test records. A batch under it may re-run a call, so it
-// stages every value that crosses servers: the one way, besides a replicated
-// producer, for a recording to take a second wave.
-func staging() *core.Policy {
-	return core.AbortPolicy().SetAction("", "NeverRecorded", core.AnyIndex, core.ActionRestart)
-}
 
 // TestPipelineValueSplice is the acceptance case: an A→B pipeline (produce on
 // server A, consume on server B) recorded in one cluster.Batch flushes in one

@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"slices"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 // plan.go is the "plan" phase of the cluster flush pipeline: it turns the
 // global recording log into a stage schedule. Stage 0 holds every call
@@ -56,24 +51,15 @@ func (c *recordedCall) inputs() []input {
 		// A result consumed where it is produced is handed over by the
 		// server, inside the request; one bound for another server is pushed
 		// there by the producer's, inside the wave (core.Batch.PushTo) — a
-		// remote result as its exported reference. Two shapes still go
+		// remote result as its exported reference. One shape still goes
 		// through the client, a wave later: a replicated wave's, which is not
 		// durable until its quorum holds it — pushed at once, a result the
-		// quorum then misses would outlive it in another shard; and any
-		// cross-server result of a flush whose policy can run a call twice,
-		// which would push twice. A staged remote result is refused
-		// (outlives): only its value could wait for a later wave.
-		in = append(in, input{producer: o, staged: o.group != c.group && (b.replicates(o.group) || b.reruns())})
+		// quorum then misses would outlive it in another shard. A staged
+		// remote result is refused (outlives): only its value could wait for
+		// a later wave.
+		in = append(in, input{producer: o, staged: o.group != c.group && b.replicates(o.group)})
 	}
 	return in
-}
-
-// reruns reports whether the batch's policy can re-run a whole sub-batch
-// (core.ActionRestart): a re-run would execute a pushing producer again.
-func (b *Batch) reruns() bool {
-	p := b.policy
-	return p != nil && (p.Default == core.ActionRestart ||
-		slices.ContainsFunc(p.Rules, func(r core.Rule) bool { return r.Act == core.ActionRestart }))
 }
 
 // planStages assigns every call its execution stage and returns the stage

@@ -33,17 +33,23 @@ func refDepth(c *recordedCall, memo map[*recordedCall]int) int {
 
 // randomRecording records a random multi-server dataflow into a fresh
 // batch: each call targets a root or an earlier proxy and consumes a
-// random set of earlier proxies and futures as arguments. Recording never
-// touches the network, so no servers are needed.
-func randomRecording(rng *rand.Rand, servers, calls int) *Batch {
-	b := New(nil)
+// random set of earlier proxies and futures as arguments. Each server's root
+// is named or not at random: under a replicating directory, a server whose
+// root is named replicates. Recording never touches the network, so no
+// servers are needed.
+func randomRecording(rng *rand.Rand, servers, calls int, opts ...Option) *Batch {
+	b := New(nil, opts...)
 	proxies := make([]*Proxy, 0, servers+calls)
 	for i := 0; i < servers; i++ {
-		proxies = append(proxies, b.Root(wire.Ref{
+		root := b.Root(wire.Ref{
 			Endpoint: fmt.Sprintf("server-%d", i),
 			ObjID:    uint64(100 + i),
 			Iface:    "plan.Test",
-		}))
+		})
+		if rng.Intn(2) == 0 {
+			root.key = fmt.Sprintf("name-%d", i)
+		}
+		proxies = append(proxies, root)
 	}
 	var futures []*Future
 	for i := 0; i < calls; i++ {
@@ -87,14 +93,7 @@ func TestPlannerRandomRecordings(t *testing.T) {
 		}
 
 		// Stage count equals dependency depth (independent recursion).
-		memo := make(map[*recordedCall]int)
-		depth := 0
-		for _, c := range calls {
-			if d := refDepth(c, memo); d+1 > depth {
-				depth = d + 1
-			}
-		}
-		if stages != depth {
+		if depth := recordingDepth(calls); stages != depth {
 			t.Fatalf("trial %d: %d stages, dependency depth %d", trial, stages, depth)
 		}
 
@@ -135,6 +134,65 @@ func TestPlannerRandomRecordings(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// recordingDepth is the stage count refDepth predicts for a recording.
+func recordingDepth(calls []*recordedCall) int {
+	memo := make(map[*recordedCall]int)
+	depth := 0
+	for _, c := range calls {
+		if d := refDepth(c, memo); d+1 > depth {
+			depth = d + 1
+		}
+	}
+	return depth
+}
+
+// TestPlannerRandomRecordingsReplicated: the random recordings again, on a
+// replicating directory. An input is staged exactly when it crosses servers
+// from a server whose root is named, the stage count equals the dependency
+// depth, and the same recording without the directory plans one stage:
+// replication is the one reason a value waits a wave.
+func TestPlannerRandomRecordingsReplicated(t *testing.T) {
+	dir := NewDirectory(nil, []string{"server-0", "server-1", "server-2", "server-3"}, WithReplication(2))
+	rng := rand.New(rand.NewSource(11))
+	staged, deep := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		servers, n, seed := 1+rng.Intn(4), 1+rng.Intn(40), rng.Int63()
+		b := randomRecording(rand.New(rand.NewSource(seed)), servers, n, WithDirectory(dir))
+		plain := randomRecording(rand.New(rand.NewSource(seed)), servers, n)
+		if b.recErr != nil || plain.recErr != nil {
+			t.Fatalf("trial %d: recording violation %v, %v", trial, b.recErr, plain.recErr)
+		}
+		stages, err := planStages(b.calls)
+		if err != nil {
+			t.Fatalf("trial %d: planStages: %v", trial, err)
+		}
+		for _, c := range b.calls {
+			for _, in := range c.inputs() {
+				p := in.producer
+				if want := p.group != c.group && p.group.roots[0].key != ""; in.staged != want {
+					t.Fatalf("trial %d: input %d of call %d (%s to %s) staged %v, want %v",
+						trial, p.index, c.index, p.group.endpoint, c.group.endpoint, in.staged, want)
+				}
+				if in.staged {
+					staged++
+				}
+			}
+		}
+		if depth := recordingDepth(b.calls); stages != depth {
+			t.Fatalf("trial %d: %d stages, dependency depth %d", trial, stages, depth)
+		}
+		if stages > 2 {
+			deep++
+		}
+		if one, err := planStages(plain.calls); err != nil || one != 1 {
+			t.Fatalf("trial %d: without the directory the recording planned %d stages, %v; want 1", trial, one, err)
+		}
+	}
+	if staged == 0 || deep == 0 {
+		t.Fatalf("%d staged inputs, %d plans deeper than two stages: the property proves little", staged, deep)
 	}
 }
 

@@ -378,7 +378,8 @@ func (b *boom) Boom() (*boom, error) {
 // every stage-1 call of a destination settles locally (its dependency failed)
 // and the flush's context is already canceled, the destination must neither
 // fail nor hold a session: no cluster request keeps one, so stage 1 sends it
-// nothing. The batch stages its cross-server value (staging).
+// nothing. The failing root is named on a replicating ring, so the batch
+// stages its cross-server value.
 func TestSessionCloseSurvivesCancel(t *testing.T) {
 	tc := clustertest.New(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -388,10 +389,18 @@ func TestSessionCloseSurvivesCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := cluster.NewDirectory(tc.Client, tc.Endpoints(), cluster.WithReplication(2))
+	name := nameWhere(t, dir, "boom", "server-1", anyOwners)
+	if err := dir.Bind(ctx, name, boomRef); err != nil {
+		t.Fatal(err)
+	}
 
-	b := cluster.New(tc.Client, cluster.WithPolicy(staging()))
+	b := cluster.New(tc.Client, cluster.WithDirectory(dir))
 	a := b.Root(tc.Servers[0].Ref)
-	bp := b.Root(boomRef)
+	bp, err := b.RootNamed(ctx, name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a.Call("Add", int64(1)) // server-0, stage 0
 	g := bp.Call("Boom")    // server-1, stage 0: cancels ctx, then fails
 	dep := a.Call("Add", g) // server-0, stage 1: settles locally (dep failed)
@@ -684,7 +693,8 @@ func TestStaleFlushRetrySplitDependency(t *testing.T) {
 // TestFailedDestinationSessionReaped: a destination that fails mid-pipeline
 // drops out of the flush, and must hold no server session afterwards: no
 // later wave of the flush reaches it to release one, so no cluster request
-// may keep one. The batch stages its cross-server value (staging).
+// may keep one. The value crossing servers comes from a name on a
+// replicating ring, so the batch stages it.
 func TestFailedDestinationSessionReaped(t *testing.T) {
 	tc := clustertest.New(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -695,13 +705,21 @@ func TestFailedDestinationSessionReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := cluster.New(tc.Client, cluster.WithPolicy(staging()))
+	dir := cluster.NewDirectory(tc.Client, tc.Endpoints(), cluster.WithReplication(2))
+	name := nameWhere(t, dir, "src", "server-2", anyOwners)
+	place(t, tc, dir, name)
+
+	b := cluster.New(tc.Client, cluster.WithDirectory(dir))
 	a := b.Root(tc.Servers[0].Ref)
 	bp := b.Root(boomRef)
-	a.Call("Add", int64(1))                               // server-0, stage 0
-	bp.Call("Boom")                                       // server-1, stage 0: cancels ctx after a delay
-	f0 := b.Root(tc.Servers[2].Ref).Call("Add", int64(1)) // server-2, stage 0: settles before the cancel
-	a.Call("Add", f0)                                     // server-0, stage 1: REAL pending call under canceled ctx
+	src, err := b.RootNamed(ctx, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Call("Add", int64(1))         // server-0, stage 0
+	bp.Call("Boom")                 // server-1, stage 0: cancels ctx after a delay
+	f0 := src.Call("Add", int64(1)) // server-2, stage 0: settles before the cancel
+	a.Call("Add", f0)               // server-0, stage 1: REAL pending call under canceled ctx
 
 	err = b.Flush(ctx)
 	var fe *cluster.FlushError

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
-	"repro/internal/core"
 	"repro/internal/rcache"
 	"repro/internal/rmi"
 	"repro/internal/wire"
@@ -632,74 +631,6 @@ func TestRefreshFollowsTheStaleRetry(t *testing.T) {
 		if v, calls := read(name); v != want || calls != 0 {
 			t.Errorf("read of %s after the flush = %d at %d calls, want the refreshed %d at 0", name, v, calls, want)
 		}
-	}
-}
-
-// dropStore holds one entry: the readonly Lookup reads it, and fails once
-// Drop removed it. It counts the Drops it executed.
-type dropStore struct {
-	rmi.RemoteBase
-	mu    sync.Mutex
-	gone  bool
-	drops int
-}
-
-func (s *dropStore) Lookup() (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gone {
-		return 0, errors.New("refreshtest: no entry")
-	}
-	return 1, nil
-}
-
-func (s *dropStore) Drop() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gone = true
-	s.drops++
-	return int64(s.drops)
-}
-
-// TestRefreshUnderRestartPolicyRunsTheWriteOnce: a write whose root's leased
-// read fails after it — a lookup of the entry the write removed — runs once
-// under a policy whose default is ActionRestart. A re-read riding the write's
-// request would fail behind it and restart the request from its first call,
-// the write included, so a batch built with a policy carries no re-read.
-func TestRefreshUnderRestartPolicyRunsTheWriteOnce(t *testing.T) {
-	ec := clustertest.New(t, 1)
-	ctx := context.Background()
-	s := &dropStore{}
-	ref, err := ec.Servers[0].Peer.Export(s, "refreshtest.DropStore")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := cluster.NewCache(ec.Client, nil, rcache.WithTTL(time.Minute))
-	b := cluster.New(ec.Client, cluster.WithCache(cache))
-	f := b.Root(ref).CallRO("Lookup")
-	if err := b.Flush(ctx); err != nil || f.Err() != nil {
-		t.Fatalf("filling read: flush %v, Lookup %v", err, f.Err())
-	}
-	if n := cache.Len(); n != 1 {
-		t.Fatalf("%d leases after the filling read, want 1: the test proves nothing", n)
-	}
-
-	bw := cluster.New(ec.Client, cluster.WithCache(cache), cluster.WithPolicy(&core.Policy{Default: core.ActionRestart}))
-	w := bw.Root(ref).Call("Drop")
-	if err := bw.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := cluster.Typed[int64](w).Get(); err != nil || v != 1 {
-		t.Errorf("Drop = (%d, %v), want (1, nil)", v, err)
-	}
-	s.mu.Lock()
-	drops := s.drops
-	s.mu.Unlock()
-	if drops != 1 {
-		t.Errorf("the write executed %d times, want 1", drops)
-	}
-	if n := cache.Len(); n != 0 {
-		t.Errorf("%d leases after the write, want 0: nothing re-read them", n)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
-	"repro/internal/core"
 	"repro/internal/rcache"
 	"repro/internal/rmi"
 	"repro/internal/stats"
@@ -265,21 +264,13 @@ func TestConcurrentBatchesTakeADueLeaseOnce(t *testing.T) {
 	}
 }
 
-// TestNoRiderWherePolicyOrReplicationRules: a batch built with a policy
-// carries no rider — a rider's failure must not restart or repeat the
-// caller's calls — and neither does a request to a replicating destination.
-// The lease stays due: the next plain request to its server takes it.
-func TestNoRiderWherePolicyOrReplicationRules(t *testing.T) {
+// TestNoDueRiderOnReplicatingDestination: a request to a replicating
+// destination, whose waves ship to followers, carries no due lease. The lease
+// stays due: the next plain request to its server takes it.
+func TestNoDueRiderOnReplicatingDestination(t *testing.T) {
 	e := newRiderEnv(t)
 	hotRef, _ := e.counter(0, 1)
-	coldRef, _ := e.counter(0, 7)
 	e.hot(hotRef)
-	if _, calls := e.read([]wire.Ref{coldRef}, cluster.WithPolicy(core.ContinuePolicy())); calls != 1 {
-		t.Fatalf("policy flush made %d calls, want 1", calls)
-	}
-	if got := e.renewals(); got != 0 {
-		t.Fatalf("cache.renewals = %d after a policy flush, want 0", got)
-	}
 
 	dir := cluster.NewDirectory(e.ec.Client, e.ec.Endpoints(), cluster.WithReplication(2))
 	name := nameWhere(t, dir, "r", e.ec.Servers[0].Endpoint, anyOwners)

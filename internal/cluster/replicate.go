@@ -63,13 +63,12 @@ func (b *Batch) direct(live []*destState) {
 // CrossWaveError refuses a call that takes a remote result outside the wave
 // that produced it: a remote result lives in its wave's requests only, so a
 // call that would run in a later wave — staged behind a replicated value, or
-// taking the result across servers from a replicated destination or under a
-// policy that can re-run a call — cannot reach it. Found at planning, it
-// fails the flush before anything is sent; recording the consumer in its
-// producer's wave, or passing a value instead of the object, avoids it. A
-// stale-route retry that re-plans a call whose remote input a wave that ran
-// already produced settles the call with it too, Cause then being the refusal
-// the retry follows.
+// taking the result across servers from a replicated destination — cannot
+// reach it. Found at planning, it fails the flush before anything is sent;
+// recording the consumer in its producer's wave, or passing a value instead
+// of the object, avoids it. A stale-route retry that re-plans a call whose
+// remote input a wave that ran already produced settles the call with it too,
+// Cause then being the refusal the retry follows.
 //
 // A replicated wave refuses one more shape with it, Cause ErrCrossRoot: a
 // call taking another root of its own destination, or a remote result of

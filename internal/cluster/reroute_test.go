@@ -224,14 +224,17 @@ func TestRehomeFailsWholesale(t *testing.T) {
 // TestRehomeFollowsLaterStages: a destination refused at first contact in a
 // stage that is not its last. The root's calls of the later stages follow it
 // to the new home, where they share one destination with the retried wave —
-// each later wave a request of its own to that new home. The policy can
-// re-run a call, so every value that crosses servers is staged.
+// each later wave a request of its own to that new home. Every root is named
+// on a replicating ring, so every value that crosses servers is staged.
 func TestRehomeFollowsLaterStages(t *testing.T) {
-	b := New(nil, WithPolicy(&core.Policy{Default: core.ActionRestart}))
-	a := b.Root(wire.Ref{Endpoint: "server-0", ObjID: 100, Iface: "reroute.Test"})
-	a.key = "a"
-	c := b.Root(wire.Ref{Endpoint: "server-1", ObjID: 101, Iface: "reroute.Test"})
-	d := b.Root(wire.Ref{Endpoint: "server-3", ObjID: 102, Iface: "reroute.Test"})
+	eps := []string{"server-0", "server-1", "server-2", "server-3"}
+	b := New(nil, WithDirectory(NewDirectory(nil, eps, WithReplication(2))))
+	named := func(key, ep string, id uint64) *Proxy {
+		p := b.Root(wire.Ref{Endpoint: ep, ObjID: id, Iface: "reroute.Test"})
+		p.key = key
+		return p
+	}
+	a, c, d := named("a", "server-0", 100), named("c", "server-1", 101), named("d", "server-3", 102)
 	f0 := c.Call("Fork")    // 0: stage 0 on server-1
 	g0 := d.Call("Fork")    // 1: stage 0 on server-3
 	f1 := a.Call("Add", f0) // 2: stage 1, server-0's first contact: f0's value staged

@@ -3,7 +3,7 @@ package cluster_test
 // A value future has three carriers: the server that produced it, inside the
 // request, when its consumer lives there too; that server again, pushing it
 // to the consumer's server inside the same wave, when it does not; and the
-// client, a wave later, when the flush's policy could run a call twice. These
+// client, a wave later, when the producer's destination replicates. These
 // tests pin that a consumer cannot tell which one carried its argument — same
 // value, same failure, same isolation from the producer's copy — and that
 // followers replaying a wave with an in-wave edge, or a pushed one, end where
@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/clustertest"
-	"repro/internal/core"
 	"repro/internal/rmi"
 	"repro/internal/wire"
 )
@@ -37,13 +36,20 @@ type probeError struct{ Code int64 }
 
 func (e *probeError) Error() string { return fmt.Sprintf("probe error %d", e.Code) }
 
+// probeState is a probe's movable snapshot: the arguments it was handed.
+type probeState struct{ Seen []string }
+
+const probeIface = "clustertest.Probe"
+
 func init() {
 	wire.MustRegister("clustertest.probeRecord", &probeRecord{})
+	wire.MustRegister("clustertest.probeState", &probeState{})
 	wire.MustRegisterError("clustertest.probeError", &probeError{})
+	cluster.RegisterMovable(probeIface, func() rmi.Remote { return &probe{} })
 }
 
 // probe produces one value of every result kind and reports what it is
-// handed as an argument.
+// handed as an argument. It is movable, so a follower can shadow it.
 type probe struct {
 	rmi.RemoteBase
 	mu   sync.Mutex
@@ -90,6 +96,25 @@ func (p *probe) Scribble(v any) int64 {
 	return -1
 }
 
+// Snapshot implements cluster.Movable.
+func (p *probe) Snapshot() (any, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return &probeState{Seen: slices.Clone(p.seen)}, nil
+}
+
+// Restore implements cluster.Movable.
+func (p *probe) Restore(state any) error {
+	s, ok := state.(*probeState)
+	if !ok {
+		return fmt.Errorf("restore: unexpected state %T", state)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.seen = slices.Clone(s.Seen)
+	return nil
+}
+
 func (p *probe) calls() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -98,43 +123,61 @@ func (p *probe) calls() int {
 
 // probePlacement is a producer on server-0 and its consumer: the same object
 // (co-located: the server splices, one wave) or one on server-1 (split: the
-// producer's server pushes, one wave; through the client: a policy that can
-// restart a sub-batch stages the edge, and the client splices, two waves).
+// producer's server pushes, one wave; through the client: the producer is
+// named on a replicating ring, which stages the edge until its quorum holds
+// the value, and the client splices, two waves).
 type probePlacement struct {
-	name               string
-	producer, consumer *probe
-	prodRef, consRef   wire.Ref
-	waves              int
-	policy             *core.Policy
+	name             string
+	consumer         *probe
+	prodRef, consRef wire.Ref
+	waves            int
+	// prodName and dir address the producer by name on a replicating ring.
+	prodName string
+	dir      *cluster.Directory
 }
 
-// options are the placement's batch options.
-func (pl probePlacement) options() []cluster.Option {
-	if pl.policy == nil {
-		return nil
+// batch opens a batch for the placement and its producer and consumer roots.
+func (pl probePlacement) batch(t *testing.T, ec *clustertest.Cluster) (b *cluster.Batch, prod, cons *cluster.Proxy) {
+	t.Helper()
+	if pl.dir == nil {
+		b = cluster.New(ec.Client)
+		return b, b.Root(pl.prodRef), b.Root(pl.consRef)
 	}
-	return []cluster.Option{cluster.WithPolicy(pl.policy)}
+	b = cluster.New(ec.Client, cluster.WithDirectory(pl.dir))
+	prod, err := b.RootNamed(context.Background(), pl.prodName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, prod, b.Root(pl.consRef)
 }
 
 func probePlacements(t *testing.T, ec *clustertest.Cluster) []probePlacement {
 	t.Helper()
 	export := func(i int) (*probe, wire.Ref) {
 		p := &probe{}
-		ref, err := ec.Servers[i].Peer.Export(p, "clustertest.Probe")
+		ref, err := ec.Servers[i].Peer.Export(p, probeIface)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p, ref
 	}
 	here, hereRef := export(0)
-	prod, prodRef := export(0)
+	_, prodRef := export(0)
 	far, farRef := export(1)
 	relayed, relayedRef := export(1)
-	restart := core.CustomPolicy().SetAction("", "Restart", core.AnyIndex, core.ActionRestart)
+	ctx := context.Background()
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(2))
+	src := nameWhere(t, dir, "probe", "server-0", anyOwners)
+	if err := dir.Bind(ctx, src, prodRef); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.NewRebalancer(dir).AddServer(ctx, "server-0"); err != nil {
+		t.Fatalf("placement rebalance: %v", err)
+	}
 	return []probePlacement{
-		{"co-located", here, here, hereRef, hereRef, 1, nil},
-		{"split", prod, far, prodRef, farRef, 1, nil},
-		{"through the client", prod, relayed, prodRef, relayedRef, 2, restart},
+		{name: "co-located", consumer: here, prodRef: hereRef, consRef: hereRef, waves: 1},
+		{name: "split", consumer: far, prodRef: prodRef, consRef: farRef, waves: 1},
+		{name: "through the client", consumer: relayed, consRef: relayedRef, waves: 2, prodName: src, dir: dir},
 	}
 }
 
@@ -146,8 +189,7 @@ func TestSpliceEquivalenceByKind(t *testing.T) {
 	kinds := []string{"Int64", "Int32", "Uint8", "Str", "Bytes", "Record", "Ints", "Void", "Nil"}
 	got := make(map[string][]string)
 	for _, pl := range probePlacements(t, ec) {
-		b := cluster.New(ec.Client, pl.options()...)
-		prod, cons := b.Root(pl.prodRef), b.Root(pl.consRef)
+		b, prod, cons := pl.batch(t, ec)
 		descs := make([]*cluster.Future, len(kinds))
 		for i, kind := range kinds {
 			descs[i] = cons.Call("Describe", prod.Call(kind))
@@ -190,8 +232,7 @@ func TestSplicedArgumentIsACopy(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx := context.Background()
 	for _, pl := range probePlacements(t, ec) {
-		b := cluster.New(ec.Client, pl.options()...)
-		prod, cons := b.Root(pl.prodRef), b.Root(pl.consRef)
+		b, prod, cons := pl.batch(t, ec)
 		raw, ints := prod.Call("Bytes"), prod.Call("Ints")
 		n1, n2 := cons.Call("Scribble", raw), cons.Call("Scribble", ints)
 		again := cons.Call("Describe", raw) // a second consumer gets a copy of its own
@@ -216,37 +257,32 @@ func TestSplicedArgumentIsACopy(t *testing.T) {
 }
 
 // TestSplicedProducerFailure: a producer that throws leaves its consumer
-// unexecuted, failing with the producer's own typed error, in every placement
-// and under both the aborting and the continuing policy (the client carrier's
-// own policy aside, whose restart rule a throw of Boom does not match).
+// unexecuted, failing with the producer's own typed error, in every placement.
+// A consumer staged behind it settles at the client, so no placement sends a
+// second wave.
 func TestSplicedProducerFailure(t *testing.T) {
-	for name, policy := range map[string]*core.Policy{"abort": core.AbortPolicy(), "continue": core.ContinuePolicy()} {
-		t.Run(name, func(t *testing.T) {
-			ec := clustertest.New(t, 2)
-			for _, pl := range probePlacements(t, ec) {
-				p := policy
-				if pl.policy != nil {
-					p = pl.policy
-				}
-				b := cluster.New(ec.Client, cluster.WithPolicy(p))
-				boom := b.Root(pl.prodRef).Call("Boom")
-				dep := b.Root(pl.consRef).Call("Describe", boom)
-				if err := b.Flush(context.Background()); err != nil {
-					t.Fatalf("%s: a thrown exception is the call's, not the flush's: %v", pl.name, err)
-				}
-				var pe *probeError
-				if err := boom.Err(); !errors.As(err, &pe) || pe.Code != 42 {
-					t.Fatalf("%s: producer = %v, want *probeError 42", pl.name, err)
-				}
-				pe = nil
-				if err := dep.Err(); !errors.As(err, &pe) || pe.Code != 42 {
-					t.Errorf("%s: consumer = %v, want the producer's *probeError 42", pl.name, err)
-				}
-				if n := pl.consumer.calls(); n != 0 {
-					t.Errorf("%s: the consumer executed %d times", pl.name, n)
-				}
-			}
-		})
+	ec := clustertest.New(t, 2)
+	for _, pl := range probePlacements(t, ec) {
+		b, prod, cons := pl.batch(t, ec)
+		boom := prod.Call("Boom")
+		dep := cons.Call("Describe", boom)
+		if err := b.Flush(context.Background()); err != nil {
+			t.Fatalf("%s: a thrown exception is the call's, not the flush's: %v", pl.name, err)
+		}
+		if w := b.Waves(); w != 1 {
+			t.Errorf("%s: flush took %d waves, want 1", pl.name, w)
+		}
+		var pe *probeError
+		if err := boom.Err(); !errors.As(err, &pe) || pe.Code != 42 {
+			t.Fatalf("%s: producer = %v, want *probeError 42", pl.name, err)
+		}
+		pe = nil
+		if err := dep.Err(); !errors.As(err, &pe) || pe.Code != 42 {
+			t.Errorf("%s: consumer = %v, want the producer's *probeError 42", pl.name, err)
+		}
+		if n := pl.consumer.calls(); n != 0 {
+			t.Errorf("%s: the consumer executed %d times", pl.name, n)
+		}
 	}
 }
 

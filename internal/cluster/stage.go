@@ -77,15 +77,11 @@ func (ds *destState) open(b *Batch) error {
 			return &BoundAwayError{Name: p.key, Ref: p.rootRef}
 		}
 	}
-	var opts []core.Option
-	if b.policy != nil {
-		opts = append(opts, core.WithPolicy(b.policy))
-	}
 	first, rest := ds.group.roots[0], ds.group.roots[1:]
 	if first.byName() {
-		ds.cb = core.NewNamed(b.peer, ds.group.endpoint, first.key, opts...)
+		ds.cb = core.NewNamed(b.peer, ds.group.endpoint, first.key)
 	} else {
-		ds.cb = core.New(b.peer, first.rootRef, opts...)
+		ds.cb = core.New(b.peer, first.rootRef)
 	}
 	first.core = ds.cb.Root()
 	for _, p := range rest {
@@ -392,9 +388,9 @@ func (r *run) translate(c *recordedCall) {
 // coreOf returns the core proxy standing for p in its destination's batch of
 // the wave. A reference to a call of the same request passes to the server as
 // is — even one whose call threw: the server resolves it by sequence number
-// and applies the batch's policy. A producer that threw in an earlier wave,
-// or never reached the server, has no core proxy, and its consumer settles
-// locally with the producer's error.
+// and aborts the rest of the request (core.AbortPolicy). A producer that
+// threw in an earlier wave, or never reached the server, has no core proxy,
+// and its consumer settles locally with the producer's error.
 func coreOf(p *Proxy) (*core.Proxy, error) {
 	switch {
 	case p.core != nil:

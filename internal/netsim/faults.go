@@ -272,14 +272,6 @@ func (n *Network) unregister(c *conn) {
 	n.faults.mu.Unlock()
 }
 
-// NumConns returns the number of live tracked connections (observability
-// for tests).
-func (n *Network) NumConns() int {
-	n.faults.mu.Lock()
-	defer n.faults.mu.Unlock()
-	return len(n.faults.conns)
-}
-
 // pairForbidden reports whether an ESTABLISHED connection on the directed
 // pair must not exist under the current fault state — the same predicate
 // the partition/crash kill sweeps use (either direction blocked, either

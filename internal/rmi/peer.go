@@ -153,9 +153,6 @@ func newClientID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// ClientID returns this peer's DGC identity.
-func (p *Peer) ClientID() string { return p.clientID }
-
 // Endpoint returns the serving endpoint, or "" for client-only peers.
 func (p *Peer) Endpoint() string {
 	p.mu.Lock()
