@@ -261,29 +261,32 @@ func TestSplicedArgumentIsACopy(t *testing.T) {
 // A consumer staged behind it settles at the client, so no placement sends a
 // second wave.
 func TestSplicedProducerFailure(t *testing.T) {
-	ec := clustertest.New(t, 2)
-	for _, pl := range probePlacements(t, ec) {
-		b, prod, cons := pl.batch(t, ec)
-		boom := prod.Call("Boom")
-		dep := cons.Call("Describe", boom)
-		if err := b.Flush(context.Background()); err != nil {
-			t.Fatalf("%s: a thrown exception is the call's, not the flush's: %v", pl.name, err)
+	// A cluster batch runs the executor's aborting policy on every server.
+	t.Run("abort", func(t *testing.T) {
+		ec := clustertest.New(t, 2)
+		for _, pl := range probePlacements(t, ec) {
+			b, prod, cons := pl.batch(t, ec)
+			boom := prod.Call("Boom")
+			dep := cons.Call("Describe", boom)
+			if err := b.Flush(context.Background()); err != nil {
+				t.Fatalf("%s: a thrown exception is the call's, not the flush's: %v", pl.name, err)
+			}
+			if w := b.Waves(); w != 1 {
+				t.Errorf("%s: flush took %d waves, want 1", pl.name, w)
+			}
+			var pe *probeError
+			if err := boom.Err(); !errors.As(err, &pe) || pe.Code != 42 {
+				t.Fatalf("%s: producer = %v, want *probeError 42", pl.name, err)
+			}
+			pe = nil
+			if err := dep.Err(); !errors.As(err, &pe) || pe.Code != 42 {
+				t.Errorf("%s: consumer = %v, want the producer's *probeError 42", pl.name, err)
+			}
+			if n := pl.consumer.calls(); n != 0 {
+				t.Errorf("%s: the consumer executed %d times", pl.name, n)
+			}
 		}
-		if w := b.Waves(); w != 1 {
-			t.Errorf("%s: flush took %d waves, want 1", pl.name, w)
-		}
-		var pe *probeError
-		if err := boom.Err(); !errors.As(err, &pe) || pe.Code != 42 {
-			t.Fatalf("%s: producer = %v, want *probeError 42", pl.name, err)
-		}
-		pe = nil
-		if err := dep.Err(); !errors.As(err, &pe) || pe.Code != 42 {
-			t.Errorf("%s: consumer = %v, want the producer's *probeError 42", pl.name, err)
-		}
-		if n := pl.consumer.calls(); n != 0 {
-			t.Errorf("%s: the consumer executed %d times", pl.name, n)
-		}
-	}
+	})
 }
 
 // TestReplicatedWaveWithInWaveEdge: a replicated wave whose calls feed each
