@@ -718,8 +718,21 @@ func TestCachedProducerRidesTheWave(t *testing.T) {
 	}
 }
 
+// waitForPolls waits until the client has started n ring polls.
+func waitForPolls(t *testing.T, ec *clustertest.Cluster, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for clientCounter(ec, "cluster.dir_refreshes") < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("ring poll %d never started", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestDirectoryRefreshCoalesces: concurrent Refresh calls share one node
-// poll. The leader is held in flight by link latency; followers join it.
+// poll and its outcome. The leader is held in flight by link latency;
+// followers join it, and each caller either started a poll or joined one.
 func TestDirectoryRefreshCoalesces(t *testing.T) {
 	ec := clustertest.New(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -737,13 +750,7 @@ func TestDirectoryRefreshCoalesces(t *testing.T) {
 	go func() { defer wg.Done(); errs[0] = dir.Refresh(ctx) }()
 	// Wait for the leader to be inside the poll (it counts on entry), then
 	// pile the followers on.
-	deadline := time.Now().Add(20 * time.Second)
-	for clientCounter(ec, "cluster.dir_refreshes") < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("leader refresh never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitForPolls(t, ec, 1)
 	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func(i int) { defer wg.Done(); errs[i] = dir.Refresh(ctx) }(i)
@@ -755,11 +762,58 @@ func TestDirectoryRefreshCoalesces(t *testing.T) {
 			t.Fatalf("refresh %d: %v", i, err)
 		}
 	}
-	if polls := clientCounter(ec, "cluster.dir_refreshes"); polls > 2 {
+	polls, joined := clientCounter(ec, "cluster.dir_refreshes"), clientCounter(ec, "cluster.dir_refresh_coalesced")
+	if polls > 2 {
 		t.Fatalf("%d concurrent refreshes ran %d polls, want coalescing (<= 2)", n, polls)
 	}
-	if clientCounter(ec, "cluster.dir_refresh_coalesced") == 0 {
+	if joined == 0 {
 		t.Fatal("no refresh reported as coalesced")
+	}
+	if polls+joined != n {
+		t.Fatalf("%d refreshes started %d polls and joined %d, want each to do one", n, polls, joined)
+	}
+}
+
+// TestDirectoryRefreshOutlivesItsFirstCaller: a coalesced poll runs on a
+// context of its own, and each caller waits under its own. Over 150 ms
+// client links, a first caller with 50 ms returns its own deadline while a
+// second with 30 s, joining its poll, succeeds. A caller that comes after
+// every waiter gave up starts a poll of its own rather than join the
+// abandoned one, which was cancelled.
+func TestDirectoryRefreshOutlivesItsFirstCaller(t *testing.T) {
+	ec := clustertest.New(t, 2)
+	for _, ep := range ec.Endpoints() {
+		ec.Network.SetLinkFaults(clustertest.ClientHost, ep,
+			netsim.LinkFaults{ExtraLatency: 150 * time.Millisecond})
+	}
+	dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
+	refresh := func(d time.Duration) error {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		return dir.Refresh(ctx)
+	}
+
+	first := make(chan error, 1)
+	go func() { first <- refresh(50 * time.Millisecond) }()
+	waitForPolls(t, ec, 1)
+	if err := refresh(30 * time.Second); err != nil {
+		t.Fatalf("the second caller's refresh: %v", err)
+	}
+	if err := <-first; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("the first caller's refresh = %v, want its own deadline", err)
+	}
+	if polls, joined := clientCounter(ec, "cluster.dir_refreshes"), clientCounter(ec, "cluster.dir_refresh_coalesced"); polls != 1 || joined != 1 {
+		t.Fatalf("%d polls started, %d joined; want the second caller in the first's poll: 1, 1", polls, joined)
+	}
+
+	if err := refresh(50 * time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a lone caller's refresh = %v, want its own deadline", err)
+	}
+	if err := refresh(30 * time.Second); err != nil {
+		t.Fatalf("the refresh after an abandoned poll: %v", err)
+	}
+	if polls := clientCounter(ec, "cluster.dir_refreshes"); polls != 3 {
+		t.Fatalf("%d polls started, want 3: the abandoned poll is not joined", polls)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
-	"repro/internal/rcache"
 	"repro/internal/registry"
 	"repro/internal/rmi"
 	"repro/internal/stats"
@@ -25,10 +25,11 @@ type Directory struct {
 	peer *rmi.Peer
 	ring *Ring
 
-	// sf coalesces concurrent Refresh calls: N goroutines that each hit a
-	// WrongHomeError for the same migration share one node poll instead of
-	// issuing N identical fan-outs.
-	sf rcache.Group
+	// poll is the node poll in flight, if any, that concurrent Refresh
+	// calls join: N goroutines that each hit a WrongHomeError for the same
+	// migration share one poll instead of issuing N identical fan-outs.
+	mu   sync.Mutex
+	poll *refreshPoll
 
 	// Metrics, wired from the peer's stats registry (nil no-ops otherwise).
 	lookupRetries    *stats.Counter // cluster.lookup_retries
@@ -148,21 +149,65 @@ func (d *Directory) lookupOnce(ctx context.Context, name string) (wire.Ref, erro
 	return ref, nil
 }
 
+// refreshCap bounds a node poll that no waiter's context ends sooner.
+const refreshCap = 30 * time.Second
+
+// refreshPoll is one node poll and the Refresh calls waiting on it.
+type refreshPoll struct {
+	done    chan struct{} // closed once err is set
+	err     error
+	cancel  context.CancelFunc
+	waiters int // guarded by Directory.mu
+}
+
 // Refresh polls the cluster nodes for their ring state and adopts the
 // newest epoch seen, bringing a stale directory back in sync after a
 // membership change it did not witness. It fails only when no node is
-// reachable. Concurrent callers coalesce onto one in-flight poll: they
-// share its outcome (and its context), which is safe because adoption is
-// monotone — the poll installs the newest epoch any node reports,
-// regardless of which caller triggered it.
+// reachable. Concurrent callers coalesce onto one in-flight poll and share
+// its outcome, which is safe because adoption is monotone — the poll
+// installs the newest epoch any node reports, regardless of which caller
+// triggered it. The poll runs on a context of its own, cancelled once every
+// caller waiting on it has given up, or at refreshCap; each caller waits
+// under its own ctx and, when that ends first, returns its error.
 func (d *Directory) Refresh(ctx context.Context) error {
-	_, err, shared := d.sf.Do("refresh", func() (any, error) {
-		return nil, d.refreshOnce(ctx)
-	})
-	if shared {
+	d.mu.Lock()
+	p := d.poll
+	if p == nil {
+		pctx, cancel := context.WithTimeout(context.Background(), refreshCap)
+		p = &refreshPoll{done: make(chan struct{}), cancel: cancel}
+		d.poll = p
+		go func() {
+			p.err = d.refreshOnce(pctx)
+			cancel()
+			d.mu.Lock()
+			if d.poll == p {
+				d.poll = nil
+			}
+			d.mu.Unlock()
+			close(p.done)
+		}()
+	} else {
 		d.refreshCoalesced.Inc()
 	}
-	return err
+	p.waiters++
+	d.mu.Unlock()
+
+	select {
+	case <-p.done:
+		return p.err
+	case <-ctx.Done():
+		d.mu.Lock()
+		if p.waiters--; p.waiters == 0 {
+			// Abandoned: stop it, and let the next caller start afresh
+			// rather than join a poll bound to fail canceled.
+			p.cancel()
+			if d.poll == p {
+				d.poll = nil
+			}
+		}
+		d.mu.Unlock()
+		return fmt.Errorf("cluster: refresh: %w", ctx.Err())
+	}
 }
 
 func (d *Directory) refreshOnce(ctx context.Context) error {

@@ -37,16 +37,22 @@
 // (RecordWrite returns their keys) and files the fresh values at its ack
 // (Renew): the writer's next read of its own write is a hit. A write
 // recorded through another client's cache is seen only when the TTL ends
-// the lease. And near the end of a lease's life (Due), a lease that served a
-// hit since it was filed, on an object addressed by ref, is handed out in
+// the lease. And near the end of a lease's life (Due), a lease that served
+// two hits since it was filed, on an object addressed by ref, is handed out in
 // the last 1/25 of its TTL to one batch bound for its server, whose re-read
 // files it again through Put under the same generation-and-epoch ticket
 // (Lease) as a miss. A hot lease then never lapses into a miss of its own
 // while its server sees traffic.
 //
+// The cache holds at most DefaultMaxEntries leases, and its eviction keeps
+// what it serves: a fill over the cap evicts an expired lease first, then
+// the oldest lease no Get has served since it was filed, and the oldest
+// lease of all only when every other one has served a hit. A one-off read
+// of a cold object thus displaces another one-off read, not a hot lease,
+// which lives on to be due and re-read.
+//
 // A miss is an ordinary call of the batch that recorded it: the cache does
-// not coalesce reads across batches. The package's Group is the symmetric
-// Do-style coalescer for control-plane calls like Directory.Refresh.
+// not coalesce reads across batches.
 package rcache
 
 import (
@@ -66,8 +72,8 @@ import (
 // mutate through their own caches; only epoch bumps are globally visible).
 const DefaultTTL = 5 * time.Second
 
-// DefaultMaxEntries caps the cache's entry count; the oldest fill is evicted
-// first.
+// DefaultMaxEntries caps the cache's entry count. Past it a fill evicts an
+// expired lease, else the oldest lease no Get has served, else the oldest.
 const DefaultMaxEntries = 4096
 
 // Cache is a lease-backed result cache. It is safe for concurrent use by
@@ -88,7 +94,12 @@ type Cache struct {
 	gens  map[string]uint64
 	next  uint64
 	floor uint64
-	order *list.List // *entry, front = oldest (FIFO eviction)
+	// order holds every entry, front = oldest fill; a lease's TTL runs from
+	// its fill, so this is expiry order too. cold holds, in the same order,
+	// the entries no Get has served since they were filed: eviction's first
+	// choice.
+	order *list.List // *entry
+	cold  *list.List // *entry
 
 	hits          *stats.Counter // cache.hits
 	misses        *stats.Counter // cache.misses
@@ -106,16 +117,20 @@ type entry struct {
 	val     any
 	epoch   uint64
 	expires time.Time
-	// mark is what became of the lease since it was filed: markHit once a Get
-	// served it, markTaken once Due handed it to a batch to re-read.
-	mark uint8
-	elem *list.Element
+	// state is what became of the lease since it was filed. It only rises,
+	// and a re-filed lease is a new entry, fresh again.
+	state uint8
+	elem  *list.Element // in Cache.order
+	cold  *list.Element // in Cache.cold while state is stateFresh
 }
 
-// The marks of an entry.
+// The states of an entry: filed and never served, served by one Get, by two
+// or more, and handed by Due to a batch to re-read.
 const (
-	markHit   = 1
-	markTaken = 2
+	stateFresh uint8 = iota
+	stateHitOnce
+	stateHitTwice
+	stateTaken
 )
 
 // dueShare is the part of a lease's TTL, at its end, in which Due hands it
@@ -156,6 +171,7 @@ func New(reg *stats.Registry, opts ...Option) *Cache {
 		byObj:   make(map[string]map[string]*entry),
 		gens:    make(map[string]uint64),
 		order:   list.New(),
+		cold:    list.New(),
 	}
 	if reg != nil {
 		c.now = reg.Now
@@ -239,8 +255,11 @@ func (c *Cache) Get(key string) (any, bool) {
 		return nil, false
 	}
 	c.hits.Inc()
-	if e.mark == 0 {
-		e.mark = markHit
+	if e.state == stateFresh {
+		c.cold.Remove(e.cold)
+	}
+	if e.state < stateHitTwice {
+		e.state++
 	}
 	return e.val, true
 }
@@ -255,22 +274,25 @@ func (c *Cache) Put(key, obj string, val any, gen, epoch uint64) {
 	if epoch != c.Epoch() {
 		return
 	}
-	expires := c.now().Add(c.ttl)
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.genLocked(obj) == gen {
-		c.insertLocked(key, obj, val, epoch, expires)
+		c.insertLocked(key, obj, val, epoch, now)
 	}
 }
 
-// insertLocked files val under key, replacing what was there and evicting
-// the oldest fills past the cap. Caller holds c.mu.
-func (c *Cache) insertLocked(key, obj string, val any, epoch uint64, expires time.Time) {
+// insertLocked files val under key as a fresh lease from now, replacing what
+// was there, and evicts past the cap: an expired oldest fill, else the
+// oldest fresh entry but the one it files, else the oldest fill. Caller
+// holds c.mu.
+func (c *Cache) insertLocked(key, obj string, val any, epoch uint64, now time.Time) {
 	if old, ok := c.entries[key]; ok {
 		c.removeLocked(old)
 	}
-	e := &entry{key: key, obj: obj, ref: objRef(obj), val: val, epoch: epoch, expires: expires}
+	e := &entry{key: key, obj: obj, ref: objRef(obj), val: val, epoch: epoch, expires: now.Add(c.ttl)}
 	e.elem = c.order.PushBack(e)
+	e.cold = c.cold.PushBack(e)
 	c.entries[key] = e
 	set := c.byObj[obj]
 	if set == nil {
@@ -279,8 +301,11 @@ func (c *Cache) insertLocked(key, obj string, val any, epoch uint64, expires tim
 	}
 	set[key] = e
 	for c.max > 0 && len(c.entries) > c.max {
-		oldest := c.order.Front().Value.(*entry)
-		c.removeLocked(oldest)
+		victim := c.order.Front().Value.(*entry)
+		if cold := c.cold.Front().Value.(*entry); cold != e && !now.After(victim.expires) {
+			victim = cold
+		}
+		c.removeLocked(victim)
 		c.evictions.Inc()
 	}
 }
@@ -321,7 +346,7 @@ func (c *Cache) RecordWrite(obj string) (gen uint64, live []string) {
 // on its own write.
 func (c *Cache) Renew(obj string, gen, epoch uint64, fills []Fill) {
 	fresh := epoch == c.Epoch()
-	expires := c.now().Add(c.ttl)
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fresh = fresh && c.genLocked(obj) == gen
@@ -333,7 +358,7 @@ func (c *Cache) Renew(obj string, gen, epoch uint64, fills []Fill) {
 		return
 	}
 	for _, f := range fills {
-		c.insertLocked(f.Key, obj, f.Val, epoch, expires)
+		c.insertLocked(f.Key, obj, f.Val, epoch, now)
 	}
 }
 
@@ -349,13 +374,13 @@ type Lease struct {
 
 // Due hands a batch about to send a request to endpoint the leases there
 // worth re-reading in that request: live, stamped with the current epoch,
-// read through a ref on endpoint, served by a Get since they were filed, and
-// in the last 1/25 of their TTL. Each is handed out once — its mark is spent
+// read through a ref on endpoint, served by two Gets since they were filed,
+// and in the last 1/25 of their TTL. Each is handed out once — it is taken
 // — so two batches never re-read one lease; a re-read that fails files
 // nothing and leaves the lease to lapse. The oldest fill expires first, so
-// Due walks only the front of the eviction order, and drops the expired
-// entries it passes. It counts what it hands out in cache.renewals: the
-// caller sends each.
+// Due walks only the front of the fill order, and drops the expired entries
+// it passes. It counts what it hands out in cache.renewals: the caller sends
+// each.
 func (c *Cache) Due(endpoint string) []Lease {
 	ep := c.Epoch()
 	now := c.now()
@@ -373,8 +398,8 @@ func (c *Cache) Due(endpoint string) []Lease {
 		if e.expires.After(horizon) {
 			break
 		}
-		if e.mark == markHit && e.epoch == ep && e.ref.ObjID != 0 && e.ref.Endpoint == endpoint {
-			e.mark = markTaken
+		if e.state == stateHitTwice && e.epoch == ep && e.ref.ObjID != 0 && e.ref.Endpoint == endpoint {
+			e.state = stateTaken
 			due = append(due, Lease{Key: e.key, Obj: e.obj, Ref: e.ref, Gen: c.genLocked(e.obj), Epoch: ep})
 		}
 	}
@@ -389,10 +414,11 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// removeLocked unlinks e from all three indexes. Caller holds c.mu.
+// removeLocked unlinks e from every index. Caller holds c.mu.
 func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.order.Remove(e.elem)
+	c.cold.Remove(e.cold)
 	if set, ok := c.byObj[e.obj]; ok {
 		delete(set, e.key)
 		if len(set) == 0 {
@@ -458,47 +484,4 @@ func KeyCall(obj, key string) (method string, args []any, ok bool) {
 		return "", nil, false
 	}
 	return method, args, true
-}
-
-// --- control-plane coalescing -----------------------------------------------
-
-// Group coalesces symmetric duplicate calls: every caller of Do with the
-// same key while one is in flight shares the first caller's outcome. It is
-// the control-plane shape (Directory.Refresh).
-type Group struct {
-	mu    sync.Mutex
-	calls map[string]*groupCall
-}
-
-type groupCall struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
-// Do runs fn for key, unless a call for key is already in flight, in which
-// case it waits for that call and returns its outcome with shared=true.
-// The first caller's fn runs with the first caller's arguments/context;
-// followers inherit its outcome, so fn should be idempotent.
-func (g *Group) Do(key string, fn func() (any, error)) (v any, err error, shared bool) {
-	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[string]*groupCall)
-	}
-	if call, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		<-call.done
-		return call.val, call.err, true
-	}
-	call := &groupCall{done: make(chan struct{})}
-	g.calls[key] = call
-	g.mu.Unlock()
-
-	call.val, call.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(call.done)
-	return call.val, call.err, false
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -326,35 +325,140 @@ func TestPrunedGenerationVoidsEarlierFill(t *testing.T) {
 	}
 }
 
-func TestEvictionFIFOAndCounter(t *testing.T) {
+// fillKeys files a lease under each of keys on ref's object, in order.
+func fillKeys(t *testing.T, c *Cache, ref wire.Ref, keys ...string) {
+	t.Helper()
+	obj := ObjKey(ref)
+	for _, k := range keys {
+		c.Put(k, obj, k, c.Gen(obj), c.Epoch())
+	}
+}
+
+// held reports which of keys the cache holds an entry for, without a Get.
+func held(c *Cache, keys ...string) []bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	in := make([]bool, len(keys))
+	for i, k := range keys {
+		_, in[i] = c.entries[k]
+	}
+	return in
+}
+
+func evictions(reg *stats.Registry) int64 { return reg.Snapshot().Counter("cache.evictions") }
+
+// TestEvictionNeverHitFirstAndCounter: a fill over the cap evicts the
+// oldest lease no Get has served, so a lease hit once outlives any number
+// of never-hit fills, and cache.evictions counts each eviction.
+func TestEvictionNeverHitFirstAndCounter(t *testing.T) {
 	reg := stats.New()
 	c := New(reg)
-	c.max = 2
+	c.max = 3
 	ref := testRef(1)
-	obj := ObjKey(ref)
-	keys := make([]string, 3)
+	hot := mustKey(t, ref, "Get", int64(-1))
+	fillKeys(t, c, ref, hot)
+	if _, ok := c.Get(hot); !ok {
+		t.Fatal("fresh lease missed")
+	}
+	keys := make([]string, 2*c.max)
 	for i := range keys {
 		keys[i] = mustKey(t, ref, "Get", int64(i))
-		c.Put(keys[i], obj, i, c.Gen(obj), 0)
+		fillKeys(t, c, ref, keys[i])
 	}
-	if _, ok := c.Get(keys[0]); ok {
-		t.Fatalf("oldest entry survived past the cap")
+	if got, want := held(c, append([]string{hot}, keys...)...), []bool{true, false, false, false, false, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("after %d never-hit fills the cache holds %v of [hot fill0..fill5], want %v", len(keys), got, want)
 	}
-	if _, ok := c.Get(keys[2]); !ok {
-		t.Fatalf("newest entry evicted")
+	if got := evictions(reg); got != 4 {
+		t.Fatalf("cache.evictions = %d, want 4: 7 fills into 3 entries", got)
 	}
-	if got := reg.Snapshot().Counter("cache.evictions"); got != 1 {
+}
+
+// TestEvictionExpiredFrontFirst: an expired oldest fill goes before a live
+// lease no Get has served, though the expired one served hits.
+func TestEvictionExpiredFrontFirst(t *testing.T) {
+	now := time.Unix(0, 0)
+	reg := stats.New()
+	c := New(reg, WithTTL(10*time.Second))
+	c.now = func() time.Time { return now }
+	c.max = 2
+	ref := testRef(1)
+	old, live, last := mustKey(t, ref, "Get", int64(0)), mustKey(t, ref, "Get", int64(1)), mustKey(t, ref, "Get", int64(2))
+	fillKeys(t, c, ref, old)
+	c.Get(old)
+	now = now.Add(6 * time.Second)
+	fillKeys(t, c, ref, live)
+	now = now.Add(6 * time.Second) // old expired at 10 s; live lives to 16 s
+	fillKeys(t, c, ref, last)
+	if got, want := held(c, old, live, last), []bool{false, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("the cache holds %v of [expired live last], want %v", got, want)
+	}
+	if got := evictions(reg); got != 1 {
 		t.Fatalf("cache.evictions = %d, want 1", got)
 	}
 }
 
+// TestEvictionAllHitEvictsOldestFill: when every other lease has served a
+// hit, a fill over the cap evicts the oldest fill, never itself.
+func TestEvictionAllHitEvictsOldestFill(t *testing.T) {
+	reg := stats.New()
+	c := New(reg)
+	c.max = 2
+	ref := testRef(1)
+	a, b, n := mustKey(t, ref, "Get", int64(0)), mustKey(t, ref, "Get", int64(1)), mustKey(t, ref, "Get", int64(2))
+	fillKeys(t, c, ref, a, b)
+	c.Get(b)
+	c.Get(a)
+	fillKeys(t, c, ref, n)
+	if got, want := held(c, a, b, n), []bool{false, true, true}; !slices.Equal(got, want) {
+		t.Fatalf("the cache holds %v of [a b new], want %v", got, want)
+	}
+	if got := evictions(reg); got != 1 {
+		t.Fatalf("cache.evictions = %d, want 1", got)
+	}
+}
+
+// TestEvictionRefiledLeaseIsNeverHit: a lease filed again — by a re-read's
+// Put or by a write's Renew — has served no hit since, and is evicted
+// before a younger never-hit lease.
+func TestEvictionRefiledLeaseIsNeverHit(t *testing.T) {
+	for _, refile := range []struct {
+		name string
+		do   func(c *Cache, key, obj string)
+	}{
+		{"Put", func(c *Cache, key, obj string) { c.Put(key, obj, "again", c.Gen(obj), 0) }},
+		{"Renew", func(c *Cache, key, obj string) {
+			gen, live := c.RecordWrite(obj)
+			c.Renew(obj, gen, 0, []Fill{{Key: live[0], Val: "again"}})
+		}},
+	} {
+		t.Run(refile.name, func(t *testing.T) {
+			reg := stats.New()
+			c := New(reg)
+			c.max = 2
+			hotRef, ref := testRef(1), testRef(2)
+			hot, b, n := mustKey(t, hotRef, "Get"), mustKey(t, ref, "Get", int64(0)), mustKey(t, ref, "Get", int64(1))
+			fillKeys(t, c, hotRef, hot)
+			c.Get(hot)
+			refile.do(c, hot, ObjKey(hotRef))
+			fillKeys(t, c, ref, b, n)
+			if got, want := held(c, hot, b, n), []bool{false, true, true}; !slices.Equal(got, want) {
+				t.Fatalf("the cache holds %v of [refiled b new], want %v", got, want)
+			}
+			if got := evictions(reg); got != 1 {
+				t.Fatalf("cache.evictions = %d, want 1", got)
+			}
+		})
+	}
+}
+
 // TestDueHandsOutHotLeasesOnce: Due hands out, for one endpoint, the leases
-// a Get served since they were filed, once they are in the last 1/25 of their
-// TTL — each once, with the generation and epoch a re-read's Put needs — and
-// nothing else: not a lease no Get served, not one on another endpoint, not a
-// named root's, not one of an older epoch, not one with time left. It drops
-// the expired entries it walks past, counts what it hands out in
-// cache.renewals, and a re-read filed under its ticket serves a fresh TTL.
+// two Gets served since they were filed, once they are in the last 1/25 of
+// their TTL — each once, with the generation and epoch a re-read's Put needs
+// — and nothing else: not a lease no Get served, nor one a single Get served
+// until a second serves it, not one on another endpoint, not a named root's,
+// not one of an older epoch, not one with time left. It drops the expired
+// entries it walks past, counts what it hands out in cache.renewals, and a
+// re-read filed under its ticket serves a fresh TTL.
 func TestDueHandsOutHotLeasesOnce(t *testing.T) {
 	now := time.Unix(0, 0)
 	var epoch uint64 = 3
@@ -371,28 +475,33 @@ func TestDueHandsOutHotLeasesOnce(t *testing.T) {
 	named := wire.Ref{Endpoint: "accounts/alice"} // a named root's lease identity
 	expired := put(testRef(1))
 	now = now.Add(2 * time.Second)
-	hot, cold, away, byName := put(testRef(2)), put(testRef(3)), put(elsewhere), put(named)
+	hot, cold, away, byName, once := put(testRef(2)), put(testRef(3)), put(elsewhere), put(named), put(testRef(6))
+	hit := func(keys ...string) {
+		t.Helper()
+		for _, k := range keys {
+			if _, ok := c.Get(k); !ok {
+				t.Fatalf("fresh lease %q missed", k)
+			}
+		}
+	}
 	epoch-- // a lease of the epoch before, served before the bump
 	stale := put(testRef(4))
-	if _, ok := c.Get(stale); !ok {
-		t.Fatalf("fresh lease %q missed", stale)
-	}
+	hit(stale, stale)
 	epoch++
 	now = now.Add(time.Second)
 	young := put(testRef(5))
-	for _, k := range []string{expired, hot, away, byName, young} {
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("fresh lease %q missed", k)
-		}
+	for range 2 {
+		hit(expired, hot, away, byName, young)
 	}
+	hit(once)
 
 	// hot expires at 27 s: due from 26 s on. expired lapsed at 25 s.
 	now = time.Unix(25, 500_000_000)
 	if due := c.Due("server-0"); len(due) != 0 {
 		t.Fatalf("Due 1.5 s before expiry = %v, want none", due)
 	}
-	if c.Len() != 6 {
-		t.Fatalf("Len = %d after the first Due, want 6: the expired entry dropped", c.Len())
+	if c.Len() != 7 {
+		t.Fatalf("Len = %d after the first Due, want 7: the expired entry dropped", c.Len())
 	}
 	now = time.Unix(26, 200_000_000)
 	epoch++
@@ -404,7 +513,7 @@ func TestDueHandsOutHotLeasesOnce(t *testing.T) {
 	gen := c.Gen(ObjKey(testRef(2)))
 	want := []Lease{{Key: hot, Obj: ObjKey(testRef(2)), Ref: wire.Ref{Endpoint: "server-0", ObjID: 2}, Gen: gen, Epoch: epoch}}
 	if !reflect.DeepEqual(due, want) {
-		t.Fatalf("Due = %+v, want only the hot lease %+v (not the cold, the named, the other endpoint's, the stale or the young)", due, want)
+		t.Fatalf("Due = %+v, want only the hot lease %+v (not the cold, the once hit, the named, the other endpoint's, the stale or the young)", due, want)
 	}
 	if again := c.Due("server-0"); len(again) != 0 {
 		t.Fatalf("Due handed the hot lease out twice: %v", again)
@@ -415,8 +524,13 @@ func TestDueHandsOutHotLeasesOnce(t *testing.T) {
 	if again := c.Due("server-0"); len(again) != 0 {
 		t.Fatalf("a hit after Due handed the lease out again: %v", again)
 	}
-	if got := reg.Snapshot().Counter("cache.renewals"); got != 1 {
-		t.Fatalf("cache.renewals = %d, want 1", got)
+	hit(once)
+	wantOnce := []Lease{{Key: once, Obj: ObjKey(testRef(6)), Ref: wire.Ref{Endpoint: "server-0", ObjID: 6}, Gen: c.Gen(ObjKey(testRef(6))), Epoch: epoch}}
+	if again := c.Due("server-0"); !reflect.DeepEqual(again, wantOnce) {
+		t.Fatalf("Due after the second hit of a lease hit once = %+v, want %+v", again, wantOnce)
+	}
+	if got := reg.Snapshot().Counter("cache.renewals"); got != 2 {
+		t.Fatalf("cache.renewals = %d, want 2", got)
 	}
 	if _, ok := c.Get(cold); !ok {
 		t.Fatalf("cold lease missed before its expiry")
@@ -427,55 +541,6 @@ func TestDueHandsOutHotLeasesOnce(t *testing.T) {
 	now = now.Add(20 * time.Second)
 	if v, ok := c.Get(hot); !ok || v != int64(20) {
 		t.Fatalf("renewed lease after the old expiry = %v, %v; want 20, true", v, ok)
-	}
-}
-
-func TestGroupCoalesces(t *testing.T) {
-	var g Group
-	var calls atomic.Int64
-	gate := make(chan struct{})
-	started := make(chan struct{})
-
-	const n = 8
-	var wg sync.WaitGroup
-	results := make([]any, n)
-	shareds := make([]bool, n)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v, _, shared := g.Do("k", func() (any, error) {
-			close(started)
-			<-gate
-			return calls.Add(1), nil
-		})
-		results[0], shareds[0] = v, shared
-	}()
-	<-started // the leader is inside fn; everyone else must coalesce
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, _, shared := g.Do("k", func() (any, error) { return calls.Add(1), nil })
-			results[i], shareds[i] = v, shared
-		}(i)
-	}
-	// Wait until every follower is parked on the flight, then release. The
-	// loop polls the group's internal state via a fresh key as a fence; a
-	// bounded sleep keeps the test honest without flaking.
-	time.Sleep(10 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("fn ran %d times, want 1", got)
-	}
-	for i, v := range results {
-		if v.(int64) != 1 {
-			t.Fatalf("caller %d got %v, want 1", i, v)
-		}
-	}
-	if shareds[0] {
-		t.Fatalf("leader reported shared")
 	}
 }
 
