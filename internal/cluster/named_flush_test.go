@@ -73,9 +73,10 @@ func recordDataflow(roots []*cluster.Proxy) []*cluster.Future {
 }
 
 // flushDataflow binds one fresh name per entry of homes (a server index
-// each), flushes the cluster_dataflow shape over them and returns what that
-// cost from RootNamed to Flush: remote calls issued by the client, and waves.
-func flushDataflow(t *testing.T, ec *clustertest.Cluster, dir *cluster.Directory, homes []int) (calls uint64, waves int) {
+// each), flushes the cluster_dataflow shape over them from client and returns
+// what that cost from RootNamed to Flush: remote calls issued by the client,
+// and waves.
+func flushDataflow(t *testing.T, ec *clustertest.Cluster, client *rmi.Peer, dir *cluster.Directory, homes []int) (calls uint64, waves int) {
 	t.Helper()
 	ctx := context.Background()
 	perHome := make(map[int]int)
@@ -92,8 +93,8 @@ func flushDataflow(t *testing.T, ec *clustertest.Cluster, dir *cluster.Directory
 		ec.BindCounter(dir, names[i], 0)
 	}
 
-	before := ec.Client.CallCount()
-	b := cluster.New(ec.Client, cluster.WithDirectory(dir))
+	before := client.CallCount()
+	b := cluster.New(client, cluster.WithDirectory(dir))
 	roots := make([]*cluster.Proxy, len(names))
 	for i, name := range names {
 		var err error
@@ -112,7 +113,7 @@ func flushDataflow(t *testing.T, ec *clustertest.Cluster, dir *cluster.Directory
 			t.Errorf("call %d = %d, %v; want %d", i, got, err, want)
 		}
 	}
-	return ec.Client.CallCount() - before, b.Waves()
+	return client.CallCount() - before, b.Waves()
 }
 
 // TestNamedFlushCostsItsWaves: brmibench's cluster_dataflow shape — 4 named
@@ -122,7 +123,7 @@ func flushDataflow(t *testing.T, ec *clustertest.Cluster, dir *cluster.Directory
 func TestNamedFlushCostsItsWaves(t *testing.T) {
 	ec := clustertest.New(t, 3)
 	dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
-	calls, waves := flushDataflow(t, ec, dir, []int{0, 0, 1, 2})
+	calls, waves := flushDataflow(t, ec, ec.Client, dir, []int{0, 0, 1, 2})
 	if calls != 3 {
 		t.Errorf("4 named roots / 9 calls over 2+1+1 homes cost %d remote calls, want 3: one per home and no lookups", calls)
 	}
@@ -157,7 +158,7 @@ func TestDataflowCostByPlacement(t *testing.T) {
 			}
 			ec := clustertest.New(t, 4)
 			dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
-			calls, waves := flushDataflow(t, ec, dir, tc.homes)
+			calls, waves := flushDataflow(t, ec, ec.Client, dir, tc.homes)
 			if calls != tc.calls || waves != 1 {
 				t.Errorf("cost %d remote calls in %d waves, want %d in 1", calls, waves, tc.calls)
 			}

@@ -16,12 +16,14 @@ import (
 // refused request left waiting (waitedOn), and the consumers that ran on a
 // result whose producer the client then saw fail (propagate).
 
-// flushID is the id the run's requests push values under: random, so the
-// flushes of every client of a server rendezvous apart, with the top bit set,
-// so every id takes the same ten bytes on the wire. Caller holds b.mu.
+// flushID is the id the run's requests push values under: 56 bits, 55 of
+// them random, so the flushes of every client of a server rendezvous apart —
+// two ids meet in a full 4096-entry rendezvous table with a probability
+// below 1.2e-13 — and bit 55 set, so every id takes the same 7 bytes in a
+// request and the same 8 in a push. Caller holds b.mu.
 func (r *run) flushID() uint64 {
 	if r.flush == 0 {
-		r.flush = rand.Uint64() | 1<<63
+		r.flush = rand.Uint64()>>9 | 1<<55
 	}
 	return r.flush
 }

@@ -3,16 +3,26 @@ package cluster_test
 // Every byte a flush puts on the client's connections, attributed to what it
 // carries. Whatever a round trip carries besides its calls and their results
 // is what a batch cannot amortise, so the bytes of one cluster_dataflow-shaped
-// op and one replicated op are pinned per category, exactly. What the servers
-// send each other on the op's behalf — the values one pushes to another, the
-// records a primary appends to its followers — is pinned the same way: a
-// client round trip saved is not paid for in hidden server traffic.
+// op and one replicated op are pinned per category, exactly, in the committed
+// cluster ledger BENCH_cluster.json. What the servers send each other on the
+// op's behalf — the values one pushes to another, the records a primary
+// appends to its followers — is pinned the same way: a client round trip
+// saved is not paid for in hidden server traffic. A value that crosses
+// servers inside a wave costs its edge a fixed budget: its producer adds 3 B
+// to its request's push column, its consumer's argument is a 5 B
+// brmi.pushed, and the servers exchange one pushHop (TestPushCostPerEdge);
+// a flush with no such edge carries no flush id and no peers.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -29,17 +39,27 @@ import (
 // wireBytes attributes a connection's bytes:
 //   - Header: frame headers (transport);
 //   - Envelope: what a flush and its reply carry around their calls and
-//     results — struct headers, the session word, root ids, the policy;
+//     results — struct headers, the session word, root ids, the retired
+//     slots, the policy;
 //   - Method: the call's method field, which a flush, being a bare brmi.req,
 //     no longer has;
 //   - Calls: the request's recorded calls;
 //   - Results: the reply's call results;
 //   - Roots: the request's root names and the reply's resolved roots;
 //   - Directive: the request's ship directive and the reply's ship outcome;
-//   - Push: the request's flush id and the peers its calls push values to;
+//   - Push: the request's flush field — the flush id, the peers its calls
+//     push values to and the push column of the calls that do;
 //   - Other: every frame that is not a flush or its reply.
 type wireBytes struct {
-	Header, Envelope, Method, Calls, Results, Roots, Directive, Push, Other int
+	Header    int `json:"header"`
+	Envelope  int `json:"envelope"`
+	Method    int `json:"method"`
+	Calls     int `json:"calls"`
+	Results   int `json:"results"`
+	Roots     int `json:"roots"`
+	Directive int `json:"directive"`
+	Push      int `json:"push"`
+	Other     int `json:"other"`
 }
 
 func (w wireBytes) total() int {
@@ -119,7 +139,7 @@ func split(t *testing.T, p part, elems bool) (int, []part) {
 
 // flushRequest reports whether a request frame's payload is a flush — a bare
 // brmi.req — and returns its header length and fields: Calls, Root, the
-// session word, Roots, Ship, Flush, Peers, Policy.
+// session word or the flush field, Roots, Ship, two retired slots, Policy.
 func flushRequest(t *testing.T, payload []byte) (int, []part, bool) {
 	if msg, err := wire.Unmarshal(payload); err != nil || wire.TypeNameOf(msg) != "brmi.req" {
 		return 0, nil, false
@@ -173,11 +193,15 @@ func (w *wireBytes) request(t *testing.T, payload []byte) bool {
 			} else {
 				w.Envelope += eh
 			}
+		case 2: // the session word, or a cluster flush's flush field (kBytes)
+			if f.bytes()[0] == 9 {
+				w.Push += f.Len
+			} else {
+				w.Envelope += f.Len
+			}
 		case 4:
 			w.Directive += f.Len
-		case 5, 6:
-			w.Push += f.Len
-		default: // the session word, the policy
+		default: // the retired slots, the policy
 			w.Envelope += f.Len
 		}
 	}
@@ -185,7 +209,7 @@ func (w *wireBytes) request(t *testing.T, payload []byte) bool {
 }
 
 // reply attributes the payload of a flush's reply, a bare brmi.resp:
-// Results, Session, ShipNs, ShipErr, Roots, Restarts.
+// Results, Session, ShipUs, ShipErr, Roots, Restarts.
 func (w *wireBytes) reply(t *testing.T, payload []byte) {
 	h, resp := split(t, whole(payload), false)
 	w.Envelope += h
@@ -209,7 +233,12 @@ func (w *wireBytes) reply(t *testing.T, payload []byte) {
 // header, object id, argument slice), the method, the arguments the call
 // carries, and the whole reply.
 type hopBytes struct {
-	Calls, Header, Envelope, Method, Body, Reply int
+	Calls    int `json:"calls"`
+	Header   int `json:"header"`
+	Envelope int `json:"envelope"`
+	Method   int `json:"method"`
+	Body     int `json:"body"`
+	Reply    int `json:"reply"`
 }
 
 // hops attributes, per receiving endpoint, every call ec's tapped servers
@@ -292,9 +321,9 @@ func sumHops(per map[string]hopBytes) (all hopBytes) {
 }
 
 // pushHop is one value pushed along a cluster_dataflow edge and its reply: the
-// push (kStd brmi.push) carries the flush id, the producer's tag, the value
-// and no error.
-var pushHop = hopBytes{Calls: 1, Header: 4, Envelope: 7, Method: 2, Body: 18, Reply: 5}
+// push (kStd brmi.push) carries the flush id (9 B: 56 bits with bit 55 set),
+// the producer's tag, the value and no error.
+var pushHop = hopBytes{Calls: 1, Header: 4, Envelope: 7, Method: 2, Body: 16, Reply: 5}
 
 // tappedClient is a fresh client peer whose connections are recorded.
 func tappedClient(t *testing.T, ec *clustertest.Cluster) (*rmi.Peer, *transport.Recorder) {
@@ -304,20 +333,106 @@ func tappedClient(t *testing.T, ec *clustertest.Cluster) (*rmi.Peer, *transport.
 	return client, tap
 }
 
+var update = flag.Bool("update", false, "rewrite BENCH_cluster.json's current rows from the counts")
+
+// ledgerPath is the committed cluster ledger, at the repository root.
+const ledgerPath = "../../BENCH_cluster.json"
+
+// ledgerCurrent labels the rows TestFlushBytesAttributed gates and -update
+// rewrites; every other row is an earlier state of the same op, kept beside
+// it as it was committed.
+const ledgerCurrent = "current"
+
+// ledgerRow is one op's bytes as BENCH_cluster.json holds them: its client
+// round trips and calls, its client bytes in all and per category, and what
+// each server received from the others on its behalf.
+type ledgerRow struct {
+	Op     string              `json:"op"`
+	Row    string              `json:"row"`
+	Trips  int                 `json:"trips"`
+	Calls  int                 `json:"calls"`
+	Total  int                 `json:"total"`
+	Client wireBytes           `json:"client"`
+	Hops   map[string]hopBytes `json:"hops"`
+}
+
+// ledger is BENCH_cluster.json.
+type ledger struct {
+	What string      `json:"what"`
+	Rows []ledgerRow `json:"rows"`
+}
+
+// ledgerWhat states what the ledger's rows count.
+const ledgerWhat = "client-connection bytes of one op per category, and per receiving server the calls the servers made each other for it (internal/cluster TestFlushBytesAttributed; -update rewrites the current rows)"
+
+// readLedger reads the committed ledger.
+func readLedger(t *testing.T) ledger {
+	t.Helper()
+	b, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l ledger
+	if err := json.Unmarshal(b, &l); err != nil {
+		t.Fatalf("%s: %v", ledgerPath, err)
+	}
+	return l
+}
+
+// row returns op's row labelled label, if the ledger has one.
+func (l ledger) row(op, label string) (ledgerRow, bool) {
+	for _, r := range l.Rows {
+		if r.Op == op && r.Row == label {
+			return r, true
+		}
+	}
+	return ledgerRow{}, false
+}
+
+// encode lays the ledger out a row per line, so a change diffs as rows.
+func (l ledger) encode() []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "{\n  \"what\": %s,\n  \"rows\": [\n", mustJSON(l.What))
+	for i, r := range l.Rows {
+		sep := ","
+		if i == len(l.Rows)-1 {
+			sep = ""
+		}
+		fmt.Fprintf(&b, "    %s%s\n", mustJSON(r), sep)
+	}
+	b.WriteString("  ]\n}\n")
+	return b.Bytes()
+}
+
+func mustJSON(v any) string {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
+
 // TestFlushBytesAttributed pins the client-connection bytes of one
 // cluster_dataflow op — four named roots homed 2+1+1 on three servers, the
 // a_i = Add, b_i = Apply(a_i), c = Apply(b_3) chain, one wave of three round
 // trips — and of one replicated op — four named roots, two Adds each, R=3 and
 // W=2 — per category, and what the servers send each other for them: the
 // three values pushed along the dataflow's edges that cross servers, one to
-// each home, and the replicated op's Append records, two to each follower —
-// one from each of the other two primaries. Both run on a virtual clock, so
-// the reply's ship lag is the constant a clock that saw no time pass reports.
-// A request's second root name says only what its first did not (a
-// kStrDelta), and so does server-0's record's second root in the Appends it
-// sends.
+// each home (pushHop each), and the replicated op's Append records, two to
+// each follower — one from each of the other two primaries. Both run on a
+// virtual clock, so the reply's ship lag is the constant a clock that saw no
+// time pass reports. A request's second root name says only what its first
+// did not (a kStrDelta), and so does server-0's record's second root in the
+// Appends it sends.
+//
+// The counts are held exactly to the current rows of BENCH_cluster.json;
+// with -update the test rewrites those rows instead, keeping every earlier
+// row, once both ops ran and nothing else failed. In the replicated op,
+// server-0 follows the two primaries of one root each, and the others follow
+// server-0, whose record carries its two roots; a record carries no ID.
 func TestFlushBytesAttributed(t *testing.T) {
 	ctx := context.Background()
+	committed := readLedger(t)
 	// placed is what the servers had sent each other when the op's set-up
 	// ended: the placement that seeds a replicated op's followers is the
 	// primaries' Installs, and the hops pinned are the op's alone.
@@ -328,11 +443,8 @@ func TestFlushBytesAttributed(t *testing.T) {
 		trips int
 		calls int
 		run   func(t *testing.T, ec *clustertest.Cluster, client *rmi.Peer)
-		want  wireBytes
-		// svc is the service the servers call each other on for the op, and
-		// hops what each server received there.
-		svc  uint64
-		hops map[string]hopBytes
+		// svc is the service the servers call each other on for the op.
+		svc uint64
 	}{
 		{"cluster_dataflow", 3, 9, func(t *testing.T, ec *clustertest.Cluster, client *rmi.Peer) {
 			dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
@@ -364,9 +476,7 @@ func TestFlushBytesAttributed(t *testing.T) {
 					t.Fatalf("call %d: %v", i, err)
 				}
 			}
-		}, wireBytes{Header: 13, Envelope: 26, Calls: 179, Results: 24, Roots: 27, Directive: 3, Push: 69}, rmi.BatchObjID, map[string]hopBytes{
-			"server-0": pushHop, "server-1": pushHop, "server-2": pushHop,
-		}},
+		}, rmi.BatchObjID},
 		{"replicated_write", 3, 8, func(t *testing.T, ec *clustertest.Cluster, client *rmi.Peer) {
 			dir := cluster.NewDirectory(ec.Client, ec.Endpoints(), cluster.WithReplication(3))
 			names := append(namesAt(dir, "server-0", 2), namesAt(dir, "server-1", 1)[0], namesAt(dir, "server-2", 1)[0])
@@ -384,20 +494,15 @@ func TestFlushBytesAttributed(t *testing.T) {
 			if err := b.Flush(ctx); err != nil {
 				t.Fatal(err)
 			}
-		}, wireBytes{Header: 12, Envelope: 32, Calls: 91, Results: 22, Roots: 27, Directive: 33}, rmi.ReplicaObjID, map[string]hopBytes{
-			// server-0 follows the two primaries of one root each; the others
-			// follow server-0, whose record carries its two roots. A record
-			// carries no ID: each body is 40 B below the 194/228/228 of
-			// records that said their 20 B `ClientID#session` each, and
-			// server-0's two-root record to server-1 and server-2 now fits a
-			// frame whose length takes 1 byte, not 2.
-			"server-0": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 154, Reply: 16},
-			"server-1": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 188, Reply: 16},
-			"server-2": {Calls: 2, Header: 8, Envelope: 14, Method: 4, Body: 188, Reply: 16},
-		}},
+		}, rmi.ReplicaObjID},
 	}
+	var rows []ledgerRow
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			want, ok := committed.row(c.name, ledgerCurrent)
+			if !ok && !*update {
+				t.Fatalf("%s has no %q row (rerun with -update)", ledgerPath, ledgerCurrent)
+			}
 			placed = nil
 			clk := netsim.NewVirtualClock()
 			t.Cleanup(clk.Stop)
@@ -416,28 +521,56 @@ func TestFlushBytesAttributed(t *testing.T) {
 				t.Fatalf("attributed %d of %d recorded bytes", got.total(), recorded)
 			}
 			t.Logf("%s: %d B over %d round trips, %.1f B/call: %+v", c.name, recorded, c.trips, float64(recorded)/float64(c.calls), got)
+			row := ledgerRow{Op: c.name, Row: ledgerCurrent, Trips: c.trips, Calls: c.calls, Total: recorded, Client: got,
+				Hops: hops(t, ec, c.svc, placed, want.Hops)}
+			rows = append(rows, row)
+			if *update {
+				return
+			}
 			for _, line := range []struct {
 				name      string
 				got, want int
 			}{
-				{"frame headers", got.Header, c.want.Header},
-				{"call envelope", got.Envelope, c.want.Envelope},
-				{"method", got.Method, c.want.Method},
-				{"calls", got.Calls, c.want.Calls},
-				{"results", got.Results, c.want.Results},
-				{"roots", got.Roots, c.want.Roots},
-				{"directive", got.Directive, c.want.Directive},
-				{"push", got.Push, c.want.Push},
-				{"other", got.Other, c.want.Other},
+				{"total", row.Total, want.Total},
+				{"frame headers", got.Header, want.Client.Header},
+				{"call envelope", got.Envelope, want.Client.Envelope},
+				{"method", got.Method, want.Client.Method},
+				{"calls", got.Calls, want.Client.Calls},
+				{"results", got.Results, want.Client.Results},
+				{"roots", got.Roots, want.Client.Roots},
+				{"directive", got.Directive, want.Client.Directive},
+				{"push", got.Push, want.Client.Push},
+				{"other", got.Other, want.Client.Other},
 			} {
 				if line.got != line.want {
-					t.Errorf("%s: %d B, want %d", line.name, line.got, line.want)
+					t.Errorf("%s: %d B, want %d (BENCH_cluster.json)", line.name, line.got, line.want)
 				}
 			}
-			if hops := hops(t, ec, c.svc, placed, c.hops); !reflect.DeepEqual(hops, c.hops) {
-				t.Errorf("server-to-server calls received %+v, want %+v", hops, c.hops)
+			if row.Trips != want.Trips || row.Calls != want.Calls {
+				t.Errorf("%d trips and %d calls, the ledger says %d and %d", row.Trips, row.Calls, want.Trips, want.Calls)
+			}
+			if !reflect.DeepEqual(row.Hops, want.Hops) {
+				t.Errorf("server-to-server calls received %+v, want %+v (BENCH_cluster.json)", row.Hops, want.Hops)
 			}
 		})
+	}
+	if !*update {
+		return
+	}
+	if t.Failed() || len(rows) != len(cases) {
+		t.Fatalf("%d of %d ops counted, or one failed: %s not rewritten", len(rows), len(cases), ledgerPath)
+	}
+	next := ledger{What: ledgerWhat}
+	for _, r := range rows {
+		for _, old := range committed.Rows {
+			if old.Op == r.Op && old.Row != ledgerCurrent {
+				next.Rows = append(next.Rows, old)
+			}
+		}
+		next.Rows = append(next.Rows, r)
+	}
+	if err := os.WriteFile(ledgerPath, next.encode(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -445,18 +578,20 @@ func TestFlushBytesAttributed(t *testing.T) {
 // saves are not paid for in hidden server traffic. What one cluster_dataflow op
 // costs the servers is one push per a_i → b_i edge that crosses servers — its
 // producer's server sends the consumer's the value, once — of pushHop's bytes
-// each, and nothing else.
+// each, and nothing else; and what it costs the client link is pinned beside
+// it.
 func TestPushBytesByPlacement(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		homes  []int
 		pushes int
+		client int // bytes on the client's connections
 	}{
-		{"co-located", []int{0, 0, 0, 0}, 0},
-		{"four homes", []int{0, 1, 2, 3}, 4},
-		{"pairs, adjacent", []int{0, 0, 1, 1}, 2},
-		{"pairs, alternating", []int{0, 1, 0, 1}, 4},
-		{"3+1", []int{0, 0, 0, 1}, 2},
+		{"co-located", []int{0, 0, 0, 0}, 0, 175},
+		{"four homes", []int{0, 1, 2, 3}, 4, 300},
+		{"pairs, adjacent", []int{0, 0, 1, 1}, 2, 229},
+		{"pairs, alternating", []int{0, 1, 0, 1}, 4, 235},
+		{"3+1", []int{0, 0, 0, 1}, 2, 229},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			edges := 0
@@ -474,7 +609,8 @@ func TestPushBytesByPlacement(t *testing.T) {
 			t.Cleanup(func() { _ = network.Close() })
 			ec := clustertest.New(t, 4, clustertest.WithNetwork(network), clustertest.Tapped())
 			t.Cleanup(ec.Close)
-			flushDataflow(t, ec, cluster.NewDirectory(ec.Client, ec.Endpoints()), tc.homes)
+			client, tap := tappedClient(t, ec)
+			flushDataflow(t, ec, client, cluster.NewDirectory(ec.Client, ec.Endpoints()), tc.homes)
 
 			n := tc.pushes
 			want := hopBytes{Calls: n, Header: n * pushHop.Header, Envelope: n * pushHop.Envelope, Method: n * pushHop.Method, Body: n * pushHop.Body, Reply: n * pushHop.Reply}
@@ -484,7 +620,96 @@ func TestPushBytesByPlacement(t *testing.T) {
 			if got := replicaCounters(ec, "core.value_pushes"); got != int64(n) {
 				t.Errorf("core.value_pushes = %d over the servers, want %d", got, n)
 			}
+			got, recorded := attribute(t, tap)
+			t.Logf("%s: %d client bytes: %+v", tc.name, recorded, got)
+			if recorded != tc.client {
+				t.Errorf("the client's connections carried %d B, want %d", recorded, tc.client)
+			}
+			if (got.Push == 0) != (n == 0) {
+				t.Errorf("%d pushes, and %d B of flush ids and peers", n, got.Push)
+			}
 		})
+	}
+}
+
+// The per-edge budget on the client link (see the file comment): what a
+// producer adds to its request's push column for one peer, and what a pushed
+// argument costs.
+const (
+	producerBudget = 3
+	consumerBudget = 5
+)
+
+// TestPushCostPerEdge: on two servers, k values of one root's Adds cross to
+// the other's, one edge each. Against the same flush with each consumer's
+// argument a literal (int64 1, 2 B) instead — no edge, so no flush id and no
+// peers anywhere — every edge after the first adds exactly producerBudget to
+// the push bytes and consumerBudget − 2 to the calls, and one pushHop between
+// the servers.
+func TestPushCostPerEdge(t *testing.T) {
+	flush := func(t *testing.T, k int, pushed bool) (wireBytes, hopBytes) {
+		clk := netsim.NewVirtualClock()
+		t.Cleanup(clk.Stop)
+		network := netsim.New(netsim.Instant, netsim.WithClock(clk))
+		t.Cleanup(func() { _ = network.Close() })
+		ec := clustertest.New(t, 2, clustertest.WithNetwork(network), clustertest.Tapped())
+		t.Cleanup(ec.Close)
+		dir := cluster.NewDirectory(ec.Client, ec.Endpoints())
+		names := []string{namesAt(dir, "server-0", 1)[0], namesAt(dir, "server-1", 1)[0]}
+		client, tap := tappedClient(t, ec)
+		ctx := context.Background()
+		b := cluster.New(client, cluster.WithDirectory(dir))
+		var roots []*cluster.Proxy
+		for _, name := range names {
+			ec.BindCounter(dir, name, 0)
+			p, err := b.RootNamed(ctx, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			roots = append(roots, p)
+		}
+		var futs []*cluster.Future
+		for i := 0; i < k; i++ {
+			a := roots[0].Call("Add", int64(1))
+			var arg any = int64(1)
+			if pushed {
+				arg = a
+			}
+			futs = append(futs, a, roots[1].Call("Add", arg))
+		}
+		if err := b.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range futs {
+			if _, err := f.Get(); err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+		}
+		if b.Waves() != 1 {
+			t.Fatalf("%d waves, want 1", b.Waves())
+		}
+		got, _ := attribute(t, tap)
+		return got, sumHops(hopsSettled(t, ec, rmi.BatchObjID))
+	}
+	var prev wireBytes
+	for k := 1; k <= 3; k++ {
+		literal, none := flush(t, k, false)
+		edges, pushes := flush(t, k, true)
+		if literal.Push != 0 || none != (hopBytes{}) {
+			t.Errorf("k=%d without an edge: %d B of flush ids and peers, servers pushed %+v; want none", k, literal.Push, none)
+		}
+		if want := (hopBytes{Calls: k, Header: k * pushHop.Header, Envelope: k * pushHop.Envelope, Method: k * pushHop.Method, Body: k * pushHop.Body, Reply: k * pushHop.Reply}); pushes != want {
+			t.Errorf("k=%d: servers pushed %+v, want %d pushHops", k, pushes, k)
+		}
+		delta := wireBytes{Calls: edges.Calls - literal.Calls, Push: edges.Push}
+		t.Logf("k=%d edges: %+v over the literal flush's %+v; calls +%d B, push %d B", k, edges, literal, delta.Calls, delta.Push)
+		if delta.Calls != k*(consumerBudget-2) {
+			t.Errorf("k=%d: the consumers' calls grew %d B, want %d: a pushed argument costs %d B", k, delta.Calls, k*(consumerBudget-2), consumerBudget)
+		}
+		if k > 1 && delta.Push-prev.Push != producerBudget {
+			t.Errorf("k=%d: edge %d added %d B of push bytes, want %d", k, k, delta.Push-prev.Push, producerBudget)
+		}
+		prev = delta
 	}
 }
 

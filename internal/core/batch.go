@@ -137,7 +137,8 @@ func (b *Batch) Ship(d *ShipDirective) {
 
 // ShipLag reports how long the serving peer spent replicating the last
 // flush's wave before it replied — from the end of the wave's execution until
-// its write quorum held it. 0 means the wave was not replicated.
+// its write quorum held it — to the microsecond, and at least one
+// microsecond. 0 means the wave was not replicated.
 func (b *Batch) ShipLag() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -637,7 +638,7 @@ func (b *Batch) settle(endpoint string, req *batchRequest, records []callRecord,
 	}
 	b.sentPol = true
 	b.session = resp.Session
-	b.shipLag = time.Duration(resp.ShipNs)
+	b.shipLag = time.Duration(resp.ShipUs) * time.Microsecond
 	b.distribute(records, resp.Results)
 	if !keep {
 		b.closed = true

@@ -303,7 +303,7 @@ func (e *Executor) invokeBatch(ctx context.Context, req *batchRequest, shadow bo
 		var lag time.Duration
 		lag, resp.ShipErr = ship(ctx, shadowPayload(req, st))
 		// A clock too coarse to see the ship must not read as "unreplicated".
-		resp.ShipNs = max(int64(lag), 1)
+		resp.ShipUs = max(lag.Microseconds(), 1)
 	}
 
 	e.mu.Lock()
@@ -810,17 +810,17 @@ func (e *Executor) runCursor(ctx context.Context, sess *session, st *execState, 
 		sess.bindObject(res.Base+int64(i), el)
 	}
 
-	// Allocate per-element blocks for owned calls.
+	// Allocate per-element blocks for owned calls. BlockErrs waits for the
+	// first failure: a block every element of which succeeded travels
+	// without it.
 	for k := range owned {
 		r := &results[1+k]
 		r.Count = int64(n)
 		switch owned[k].Kind {
 		case kindValue:
 			r.Block = make([]any, n)
-			r.BlockErrs = make([]any, n)
 		case kindRemote:
 			r.Base = sess.alloc(n)
-			r.BlockErrs = make([]any, n)
 		case kindCursor:
 			r.Err = ErrNestedCursor
 		}
@@ -844,11 +844,11 @@ func (e *Executor) runCursor(ctx context.Context, sess *session, st *execState, 
 			case kindValue:
 				r.Block[i] = elemRes.Value
 				if elemRes.Err != nil {
-					r.BlockErrs[i] = elemRes.Err
+					r.blockErr(i, n, elemRes.Err)
 				}
 			case kindRemote:
 				if elemRes.Err != nil {
-					r.BlockErrs[i] = elemRes.Err
+					r.blockErr(i, n, elemRes.Err)
 					// Chained batches address per-element results at
 					// Base+i; record the failure there for propagation.
 					sess.bindFailure(r.Base+int64(i), elemRes.Err)
@@ -860,17 +860,25 @@ func (e *Executor) runCursor(ctx context.Context, sess *session, st *execState, 
 		if st.aborted != nil {
 			// Mark the untouched tail of every block with the abort error.
 			for k := range owned {
-				r := &results[1+k]
-				if r.BlockErrs == nil {
+				if owned[k].Kind == kindCursor {
 					continue
 				}
 				for j := i + 1; j < n; j++ {
-					r.BlockErrs[j] = st.aborted
+					results[1+k].blockErr(j, n, st.aborted)
 				}
 			}
 			return
 		}
 	}
+}
+
+// blockErr records element i's failure in r's per-element errors, made for
+// n elements at the first failure.
+func (r *callResult) blockErr(i, n int, err error) {
+	if r.BlockErrs == nil {
+		r.BlockErrs = make([]any, n)
+	}
+	r.BlockErrs[i] = err
 }
 
 // resolve maps a sequence number to its live object, consulting the

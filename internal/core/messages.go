@@ -14,9 +14,12 @@ const (
 // invocationData is one recorded call (paper's InvocationData, Fig. 3); on
 // the wire a brmi.call. The request is positional, so the call carries no
 // number of its own (see Seq), and its wire fields are ordered Method, Args,
-// Target, Kind, Tag, Push, CursorOwner: the encoder omits trailing zero
-// fields, and Target and Kind travel so that the batch root and a value
+// Target, Kind, two retired slots, CursorOwner: the encoder omits trailing
+// zero fields, and Target and Kind travel so that the batch root and a value
 // call are zero — a value call on the root costs its method and arguments.
+// The retired slots held Tag and Push, which now travel in the request's
+// push column (see batchRequest.Flush); only a cursor-owned call writes them,
+// as 0 and an empty list, and a call that sets either is refused.
 type invocationData struct {
 	// Method is the remote method name.
 	Method string
@@ -31,13 +34,15 @@ type invocationData struct {
 	Kind int64
 	// Tag names this call's result flush-wide, for the pushes below: the
 	// cluster layer tags a producer with its position in the cluster
-	// recording, which a stale-route retry keeps.
+	// recording, which a stale-route retry keeps. It travels in the
+	// request's push column, and only with a push list.
 	Tag int64
 	// Push lists the destinations — indexes into the request's Peers — that
 	// consume this call's result in the same flush: the serving peer sends
 	// each of them the value — a remote result as its exported reference —
 	// or the call's failure, as soon as the call ran. Value and remote calls
-	// outside cursors only; empty (and omitted) otherwise.
+	// outside cursors only; empty otherwise. It travels in the request's
+	// push column.
 	Push []int64
 	// CursorOwner is 1 + the Seq of the cursor this call belongs to, or 0
 	// when the call is not cursor-owned (the +1 keeps the no-cursor case at
@@ -72,12 +77,14 @@ const NoCursor int64 = -1
 // batchArg is one argument: a serialized value or a reference to a batch
 // object created earlier in the chain ("only the identifier of the stub is
 // needed", §4.1). A by-value argument travels as its bare value; the brmi.arg
-// struct carries only a reference or a pushed argument, in this field order
-// (Val leads, always nil there).
+// struct carries only a reference, in this field order (Val leads, always nil
+// there). A fourth field, the retired pushed flag, is refused when set.
 //
 // A Pushed argument is the value another destination of the same flush
 // produces: Seq is the producer's Tag, and the serving peer waits for the
-// producer's push under the request's Flush id (see Executor.Push).
+// producer's push under the request's Flush id (see Executor.Push). It
+// travels as brmi.pushed, the Pushed struct: its header and the tag, 5 B
+// for a tag below 64.
 type batchArg struct {
 	Val    any
 	IsRef  bool
@@ -95,7 +102,9 @@ type batchRequest struct {
 	// Session == 0 to create the server context.
 	Root uint64
 	// Session is 0 for the first flush of a chain, or the id returned by a
-	// previous FlushAndContinue.
+	// previous FlushAndContinue. It travels in the session word, 2·Session +
+	// KeepSession, which a request of a cluster flush replaces with its
+	// flush field (see Flush).
 	Session uint64
 	// KeepSession requests that the server retain the object table for a
 	// chained batch (§3.5). It travels in the session word's low bit.
@@ -115,11 +124,21 @@ type batchRequest struct {
 	// it replies (see ShipDirective).
 	Ship *ShipDirective
 	// Flush identifies, when not 0, the cluster flush this request is one
-	// destination's part of: a random id the client mints per flush, under
-	// which values cross between its destinations (Push, Pushed arguments).
+	// destination's part of: a random 56-bit id with bit 55 set (isFlushID) the
+	// client mints per flush, under which values cross between its destinations
+	// (Push, Pushed arguments). A request of a flush keeps and continues no
+	// session, and its third field, the session word's slot, carries the flush
+	// field instead (encSessionOrFlush): one byte string of the id in 7 bytes,
+	// big-endian; then, unless the request names no peer and pushes nothing, the
+	// count of Peers and each one's length and bytes, and the push column — for
+	// each call that pushes, in call order, the uvarints of how many calls lie
+	// between it and the previous one that pushes (or the request's start), of
+	// its Tag zigzagged, and of each index on its Push list doubled, plus one on
+	// all but the last. The field costs a request that only consumes 9 B, and a
+	// producer pushing to one peer adds 3 B to it.
 	Flush uint64
 	// Peers are the endpoints the request's calls push values to
-	// (invocationData.Push indexes them).
+	// (invocationData.Push indexes them), in the flush field.
 	Peers []string
 	// Policy is the exception policy for the whole chain; sent on the
 	// first flush when it differs from the default AbortPolicy (the server
@@ -184,7 +203,8 @@ type callResult struct {
 	// Block holds per-element values for kindValue calls owned by a cursor.
 	Block []any
 	// BlockErrs holds per-element errors parallel to Block (entries nil on
-	// success). Also used for cursor-owned kindRemote calls.
+	// success), or is nil — and off the wire — when every element
+	// succeeded. Also used for cursor-owned kindRemote calls.
 	BlockErrs []any
 	// Attempts counts executions when ActionRepeat re-ran the call (0 when
 	// the call executed once).
@@ -200,11 +220,13 @@ type batchResponse struct {
 	// Session is the id to use for the next chained flush (0 when the
 	// session was closed).
 	Session uint64
-	// ShipNs answers a request that carried a ship directive: how long the
+	// ShipUs answers a request that carried a ship directive: how long the
 	// serving peer spent, once the wave had executed, until the wave's write
 	// quorum held it — the part of the flush's round trip that was
-	// replication. 0 when the wave was not replicated; never 0 when it was.
-	ShipNs int64
+	// replication — in whole microseconds, at least 1 (3 B on the wire for a
+	// LAN's lag, where nanoseconds took 5). 0 when the wave was not
+	// replicated; never 0 when it was.
+	ShipUs int64
 	// ShipErr is set when the wave executed — Results are what it returned —
 	// but its write quorum does not hold it: the serving peer's typed account
 	// of the miss. The flush fails with it.
@@ -222,7 +244,9 @@ type batchResponse struct {
 
 // valuePush is one value crossing from its producer's server to a consumer's:
 // what the producer call with Tag returned in the flush Flush — its value in
-// wire form, or the failure that kept it from producing one.
+// wire form, or the failure that kept it from producing one. A push under an
+// id that is not 56 bits with bit 55 set is refused (Executor.Push), so the
+// id takes 9 B here too.
 type valuePush struct {
 	Flush uint64
 	Tag   int64
@@ -231,8 +255,8 @@ type valuePush struct {
 }
 
 func init() {
-	// Codec type registration (deterministic, no I/O). The five hot
-	// protocol messages install compiled codecs (see wirecodec.go), and the
+	// Codec type registration (deterministic, no I/O). The hot protocol
+	// messages install compiled codecs (see wirecodec.go), and the
 	// retired brmi.inv one that refuses it; Policy and Rule ride the generic
 	// reflection plan (sent at most once per chain), and so does
 	// ShipDirective (at most once per flush).
@@ -241,6 +265,7 @@ func init() {
 	wire.MustRegisterCompiled("brmi.call", false, encCall, decCall)
 	wire.MustRegisterCompiled("brmi.inv", false, encRetiredInv, decRetiredInv)
 	wire.MustRegisterCompiled("brmi.arg", false, encBatchArg, decBatchArg)
+	wire.MustRegisterCompiled("brmi.pushed", false, encPushed, decPushed)
 	wire.MustRegisterCompiled("brmi.result", false, encCallResult, decCallResult)
 	wire.MustRegister("brmi.policy", &Policy{})
 	wire.MustRegister("brmi.rule", Rule{})

@@ -428,11 +428,14 @@ func TestNamedRootMissRejectsUnexecuted(t *testing.T) {
 // request's ship directive — decoded, like everything else, from the input —
 // is vetted by the real primary-side checks: the wave of a refused one never
 // executes, one at a replication degree below 2 never runs at all, and the
-// well-formed seed's ship to the absent "there" ends in a quorum miss. A push
-// list never decodes pointing outside the request's peers, on a call that
-// returns no single value, or outside a flush, and a push to the serving peer
-// itself is refused before anything executes; a request whose calls wait for
-// pushed values is decoded but not executed — nobody pushes them. Lent roots
+// well-formed seed's ship to the absent "there" ends in a quorum miss. A
+// flush id never decodes other than 56 bits with bit 55 set; a push list never
+// decodes pointing outside the request's peers, on a call that returns no
+// single value, or outside a flush, and a push to the serving peer itself is
+// refused before anything executes; the push forms from before the request's
+// push column (the corpus's push-out-of-range, push-to-self, push-cursor and
+// push-non-value) never decode; a request whose calls wait for pushed values
+// is decoded but not executed — nobody pushes them. Lent roots
 // never decode more than the request's extra roots, nor addressed by name.
 // What the decode allocates follows the input, not the counts it claims. The
 // seed corpus is the committed testdata/fuzz/FuzzBatchRequest plus a request
@@ -468,6 +471,9 @@ func FuzzBatchRequest(f *testing.F) {
 		req, ok := msg.(*core.BatchRequest)
 		if !ok {
 			return
+		}
+		if req.Flush != 0 && req.Flush>>55 != 1 {
+			t.Fatalf("decoded flush id %#x, not 56 bits with bit 55 set", req.Flush)
 		}
 		// Every element costs at least one input byte.
 		n := len(req.Calls) + len(req.Roots) + len(req.Names) + len(req.Peers)
@@ -599,16 +605,16 @@ func TestShipDirectiveWireForm(t *testing.T) {
 			t.Errorf("request %+v decoded to %+v, %v", req, back, err)
 		}
 	}
-	// The reply's ship lag, 1500 ns, follows its (here nil) results and the
+	// The reply's ship lag, 1500 µs, follows its (here nil) results and the
 	// session 0 a wave never keeps.
-	got, err = wire.Marshal(&core.BatchResponse{ShipNs: 1500})
+	got, err = wire.Marshal(&core.BatchResponse{ShipUs: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := "130503" + "01" + "0500" + "04b817"; hex.EncodeToString(got) != want {
 		t.Errorf("reply to a shipped wave encodes to %x, want %s", got, want)
 	}
-	if back, err := wire.Unmarshal(got); err != nil || !reflect.DeepEqual(back, &core.BatchResponse{ShipNs: 1500}) {
+	if back, err := wire.Unmarshal(got); err != nil || !reflect.DeepEqual(back, &core.BatchResponse{ShipUs: 1500}) {
 		t.Errorf("reply to a shipped wave decoded to %+v, %v", back, err)
 	}
 	// And a reply whose wave missed its quorum: the results, and the miss,
@@ -616,7 +622,7 @@ func TestShipDirectiveWireForm(t *testing.T) {
 	// success, so it is its bare value ("040e", 7). The named capture, from
 	// before results were positional and the ship outcome followed the
 	// session, put restarts and roots between: it no longer decodes.
-	missed := &core.BatchResponse{Results: []core.CallResult{{Value: int64(7)}}, ShipNs: 1500, ShipErr: &cluster.QuorumError{
+	missed := &core.BatchResponse{Results: []core.CallResult{{Value: int64(7)}}, ShipUs: 1500, ShipErr: &cluster.QuorumError{
 		Name: "a", Acked: 1, Required: 2, Failed: []*cluster.FollowerError{{Endpoint: "there", Err: &cluster.StaleShipError{RecordEpoch: 3, NodeEpoch: 4}}}}}
 	got, err = wire.Marshal(missed)
 	if err != nil {

@@ -57,13 +57,16 @@ func (e *RendezvousFullError) Error() string {
 // (see Batch.PushTo and Batch.SetFlush): the serving peer waits for it, a
 // bounded time, and hands the call a copy — a stub, for a remote result — or,
 // if the producer failed, fails the call with the producer's error,
-// unexecuted.
+// unexecuted. On the wire it is the argument itself, a brmi.pushed.
 type Pushed struct {
 	Tag int64
 }
 
 // SetFlush makes the next flush one destination's part of the cluster flush
-// id: its pushes, and the Pushed arguments it waits for, rendezvous under it.
+// id — 56 bits with bit 55 set, as the cluster layer mints them; a request
+// under any other id is refused at the client — its pushes, and the Pushed
+// arguments it waits for, rendezvous under it. Such a flush keeps and
+// continues no session.
 func (b *Batch) SetFlush(id uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -138,7 +141,7 @@ type received struct {
 // The value waits for the consumer's request at most pushWait; a duplicate of
 // a value already here changes nothing.
 func (e *Executor) Push(_ context.Context, p *valuePush) error {
-	if p == nil || p.Flush == 0 {
+	if p == nil || !isFlushID(p.Flush) {
 		return &wire.CorruptError{Detail: "value push outside a flush"}
 	}
 	e.mu.Lock()

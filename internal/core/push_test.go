@@ -9,6 +9,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -60,7 +61,7 @@ func TestRendezvousIsBounded(t *testing.T) {
 	ec, clk := rendezvousEnv(t)
 	srv := ec.Servers[0]
 	ctx := context.Background()
-	const flush = 1<<63 | 42
+	const flush = pushFlush
 
 	t.Run("consumer without a push", func(t *testing.T) {
 		b := core.New(ec.Client, srv.Ref)
@@ -117,14 +118,20 @@ func TestRendezvousIsBounded(t *testing.T) {
 	})
 }
 
-// The push-carrying request shapes of FuzzBatchRequest's seed corpus, each
-// refused whole with *wire.CorruptError before anything executes: a push list
-// pointing past the request's peers, a push to the request itself — a call
-// waiting for the value another call of the same request pushes — and a push
-// of a cursor, which returns no single result. (The corpus's push-non-value,
-// a push of a remote result, is a well-formed request since remote results
-// cross servers by push; it stays in the corpus as input.)
+// The push-carrying request shapes of FuzzBatchRequest's seed corpus. Two
+// are well formed and decode back: a producer pushing its result to two
+// peers, and a consumer taking two pushed arguments (never executed — nobody
+// pushes them). Three are refused whole with *wire.CorruptError before
+// anything executes: a push column pointing past the request's peers, a push
+// to the request itself — a call waiting for the value another call of the
+// same request pushes — and a push of a cursor, which returns no single
+// result.
 var (
+	pushTwoPeers = &core.BatchRequest{Names: []string{"a"}, Flush: pushFlush, Peers: []string{"there", "elsewhere"},
+		Calls: []core.Invocation{pushCall(core.Invocation{Seq: 0, Target: core.RootTarget, Method: "Get", Kind: 1}, 0, 1)}}
+	pushedTwice = &core.BatchRequest{Names: []string{"a"}, Flush: pushFlush,
+		Calls: []core.Invocation{{Seq: 0, Target: core.RootTarget, Method: "Add", Kind: 1, Args: []core.BatchArg{
+			{IsRef: true, Seq: 5, Pushed: true}, {IsRef: true, Seq: 6, Pushed: true}}}}}
 	pushOutOfRange = &core.BatchRequest{Names: []string{"a"}, Flush: pushFlush, Peers: []string{"there"},
 		Calls: []core.Invocation{pushCall(core.Invocation{Seq: 0, Target: core.RootTarget, Method: "Get", Kind: 1}, 1)}}
 	pushToSelf = &core.BatchRequest{Names: []string{"a"}, Flush: pushFlush, Peers: []string{"there"},
@@ -136,7 +143,8 @@ var (
 		Calls: []core.Invocation{pushCall(core.Invocation{Seq: 0, Target: core.RootTarget, Method: "Get", Kind: 3}, 0)}}
 )
 
-const pushFlush = 1<<63 | 42
+// pushFlush is a flush id as clients mint them: 56 bits, bit 55 set.
+const pushFlush = 1<<55 | 42
 
 // pushCall is inv with a push list.
 func pushCall(inv core.Invocation, at ...int64) core.Invocation {
@@ -144,23 +152,35 @@ func pushCall(inv core.Invocation, at ...int64) core.Invocation {
 	return inv
 }
 
-// TestPushSeeds: the push-* entries of FuzzBatchRequest's committed corpus
-// are the encoder's bytes for the three shapes, and each is refused typed —
-// at decode, or by the executor — with nothing executed.
+// TestPushSeeds: the push seeds of FuzzBatchRequest's committed corpus are
+// the encoder's bytes for the shapes above; the well-formed two decode back,
+// and the other three are refused typed — at decode, or by the executor —
+// with nothing executed. The seeds of the form from before the push column —
+// a call's Tag and Push in its own fields, a pushed argument as a brmi.arg
+// with its pushed flag set, the flush id as an unsigned integer — stay in the
+// corpus as hostile input, and none of them decodes.
 func TestPushSeeds(t *testing.T) {
 	env := newGetbatchEnv(t)
 	exec := getbatchHere
 	for name, req := range map[string]*core.BatchRequest{
-		"push-out-of-range": pushOutOfRange,
-		"push-to-self":      pushToSelf,
-		"push-cursor":       pushCursor,
+		"push-two-peers":           pushTwoPeers,
+		"pushed-twice":             pushedTwice,
+		"push-column-out-of-range": pushOutOfRange,
+		"push-column-to-self":      pushToSelf,
+		"push-column-cursor":       pushCursor,
 	} {
 		want := seedBytes(t, "FuzzBatchRequest", name)
 		if got, err := wire.MarshalAppend(nil, req); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("seed %s holds %x, the encoder says %x (%v)", name, want, got, err)
 		}
+		back, derr := wire.Unmarshal(want)
+		if req == pushTwoPeers || req == pushedTwice {
+			if derr != nil || !reflect.DeepEqual(back, req) {
+				t.Errorf("%s decoded to %+v, %v; want %+v", name, back, derr, req)
+			}
+			continue
+		}
 		var corrupt *wire.CorruptError
-		_, derr := wire.Unmarshal(want)
 		bumps := env.bumps()
 		_, err := env.client.Send(context.Background(), exec, req)
 		if !errors.As(derr, &corrupt) && !errors.As(err, &corrupt) {
@@ -168,6 +188,12 @@ func TestPushSeeds(t *testing.T) {
 		}
 		if env.bumps() != bumps {
 			t.Errorf("%s executed before it was refused", name)
+		}
+	}
+	for _, name := range []string{"push-out-of-range", "push-to-self", "push-cursor", "push-non-value"} {
+		var corrupt *wire.CorruptError
+		if back, err := wire.Unmarshal(seedBytes(t, "FuzzBatchRequest", name)); !errors.As(err, &corrupt) {
+			t.Errorf("old-form seed %s decoded to %+v, %v; want *wire.CorruptError", name, back, err)
 		}
 	}
 }
@@ -190,13 +216,17 @@ func seedBytes(t *testing.T, target, name string) []byte {
 // FuzzValuePush feeds arbitrary bytes to the value push decoder and hands what
 // decodes to a push to a live executor's Push, through the dispatch a remote
 // call takes. Nothing may panic, what the decode allocates follows the input,
-// and the rendezvous table never holds more than its cap.
+// a push under anything but a 56-bit flush id with bit 55 set is refused
+// typed, and the rendezvous table never holds more than its cap.
 func FuzzValuePush(f *testing.F) {
 	for _, p := range []*core.ValuePush{
 		{Flush: pushFlush, Tag: 3, Value: int64(5)},
 		{Flush: pushFlush, Tag: 4, Err: &core.UnresolvedRefError{Seq: 4}},
 		{Flush: 0, Tag: 1, Value: "no flush"},
 		{Flush: pushFlush, Tag: -1, Value: []any{int64(1), "x", nil}},
+		// A 64-bit id, as flushes were named before ids took 56 bits: no
+		// request can carry it, and the push is refused.
+		{Flush: 1<<63 | 42, Tag: 3, Value: int64(5)},
 	} {
 		data, err := wire.Marshal(p)
 		if err != nil {
@@ -218,8 +248,8 @@ func FuzzValuePush(f *testing.F) {
 		}
 		_, err = env.client.Call(ctx, exec, "Push", p)
 		var corrupt *wire.CorruptError
-		if p.Flush == 0 && !errors.As(err, &corrupt) {
-			t.Fatalf("push outside a flush answered %v, want *wire.CorruptError", err)
+		if p.Flush>>55 != 1 && !errors.As(err, &corrupt) {
+			t.Fatalf("push outside a flush (id %#x) answered %v, want *wire.CorruptError", p.Flush, err)
 		}
 		if n := core.NumRendezvous(env.exec); n > core.MaxRendezvous {
 			t.Fatalf("rendezvous table holds %d entries, past its cap %d", n, core.MaxRendezvous)

@@ -9,6 +9,7 @@ package core_test
 // client's settling.
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -17,6 +18,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -36,6 +38,10 @@ const (
 	newFormReply = "1305010a03" + "040e" + "0805736576656e" + "130604" + "0400" + "01" + "1310010402" + "03"
 	// shortReply answers two of the three calls.
 	shortReply = "1305010a02" + "040e" + "0805736576656e"
+	// shippedReply is newFormReply's three successes from a replicated
+	// wave: a session word 0, then the ship lag in microseconds, 250 µs —
+	// "04f403", 3 B, where 250000 ns took 5.
+	shippedReply = "1305030a03" + "040e" + "0805736576656e" + "0402" + "0500" + "04f403"
 	// replyCalls is how many calls the replies above answer.
 	replyCalls = 3
 )
@@ -304,14 +310,36 @@ func TestEntryValuedReadKeepsItsEnvelope(t *testing.T) {
 	}
 }
 
+// TestShipLagInMicroseconds: a replicated wave's reply says its ship lag in
+// microseconds, and the flush reports it as the duration it was. The reply is
+// FuzzBatchReply's seed ship-lag.
+func TestShipLagInMicroseconds(t *testing.T) {
+	want := &core.BatchResponse{Results: []core.CallResult{{Value: int64(7)}, {Value: "seven"}, {Value: int64(1)}}, ShipUs: 250}
+	got, err := wire.Marshal(want)
+	if err != nil || hex.EncodeToString(got) != shippedReply {
+		t.Fatalf("reply encodes to %x (%v), want %s", got, err, shippedReply)
+	}
+	if seed := seedBytes(t, "FuzzBatchReply", "ship-lag"); !bytes.Equal(seed, got) {
+		t.Errorf("seed ship-lag holds %x, want %s", seed, shippedReply)
+	}
+	b, _ := recordCalls(replyPeer(t))
+	if _, err := core.SettleForTest(b, got); err != nil {
+		t.Fatal(err)
+	}
+	if lag := b.ShipLag(); lag != 250*time.Microsecond {
+		t.Errorf("ShipLag = %v, want 250µs", lag)
+	}
+}
+
 // FuzzBatchReply feeds arbitrary bytes, as the reply to a flush of three
 // recorded calls, through reply decoding and settling. Nothing may panic;
 // what settling allocates follows the input, not the counts it claims; a
 // reply that is not a batch response of three results fails the flush and
 // every future with a *BatchError; and one that is settles each future from
 // its own position. The seed corpus is testdata/fuzz/FuzzBatchReply — an
-// old-form reply, a new-form one and one with the wrong count — plus a reply
-// claiming more results than it carries.
+// old-form reply, a new-form one, one with the wrong count and one from a
+// replicated wave, its ship lag in microseconds — plus a reply claiming more
+// results than it carries.
 func FuzzBatchReply(f *testing.F) {
 	p := replyPeer(f)
 	f.Add(inflated(flushReplyResults, 1<<12))

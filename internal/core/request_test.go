@@ -23,9 +23,12 @@ import (
 // request rooted at export id 16, with the bytes of the call: a brmi.call
 // header ("1328" + field count), its method, then its fields up to the last
 // that is not zero — Args, Target (0 for the root, 1+i for extra root i,
-// -1-s for batch object s), Kind (0 value, 1 remote, 2 cursor), Tag, Push,
-// CursorOwner. A reference or pushed argument is a brmi.arg ("1304"
-// + field count: a nil value, IsRef, Seq, Pushed); a by-value one is bare.
+// -1-s for batch object s), Kind (0 value, 1 remote, 2 cursor), two retired
+// slots (0 and an empty list), CursorOwner. A reference argument is a
+// brmi.arg ("1304" + field count: a nil value, IsRef, Seq), a pushed one a
+// brmi.pushed ("132b01" and the tag: 5 B); a by-value one is bare. A call
+// that pushes its result is written exactly as one that does not: its tag
+// and push list travel in the request's push column.
 var requestShapes = []struct {
 	name  string
 	call  core.Invocation
@@ -50,13 +53,13 @@ var requestShapes = []struct {
 		"132802" + "0803416464" + "0a01" + "130403" + "01" + "03" + "0406", false, false},
 	{"pushed argument",
 		core.Invocation{Method: "Add", Target: core.RootTarget, Kind: 1, Args: []core.BatchArg{{IsRef: true, Seq: 5, Pushed: true}}},
-		"132802" + "0803416464" + "0a01" + "130404" + "01" + "03" + "040a" + "03", false, false},
+		"132802" + "0803416464" + "0a01" + "132b01" + "040a", false, false},
 	{"producer with Tag and Push",
 		core.Invocation{Method: "Get", Target: core.RootTarget, Kind: 1, Tag: 5, Push: []int64{0}},
-		"132806" + "0803476574" + "01" + "0400" + "0400" + "040a" + "0a010400", true, false},
+		"132801" + "0803476574", true, false},
 	{"remote producer with Tag and Push",
 		core.Invocation{Method: "Self", Target: core.RootTarget, Kind: 2, Tag: 5, Push: []int64{0}},
-		"132806" + "080453656c66" + "01" + "0400" + "0402" + "040a" + "0a010400", true, false},
+		"132804" + "080453656c66" + "01" + "0400" + "0402", true, false},
 	{"lent root",
 		core.Invocation{Method: "Get", Target: core.RootTarget - 1, Kind: 1},
 		"132803" + "0803476574" + "01" + "0402", false, true},
@@ -74,10 +77,13 @@ func TestRequestCallShapes(t *testing.T) {
 			// brmi.req with two fields: a slice of one call, root 16.
 			want := "130202" + "0a01" + c.want + "0510"
 			if c.flush {
-				req.Flush, req.Peers = 9, []string{"p"}
-				// Seven fields: then the session word 0, no extra roots, no
-				// directive, flush 9, and the one peer "p".
-				want = "130207" + "0a01" + c.want + "0510" + "0500" + "01" + "01" + "0509" + "0a01080170"
+				req.Flush, req.Peers = 1<<55|9, []string{"p"}
+				// Three fields: then, in the session word's slot, the flush
+				// field — 13 bytes: flush 2^55+9 in 7, one peer, "p" (its
+				// length and byte), then the call's 3 B in the push column:
+				// call 0 (no call skipped), tag 5 zigzagged, peer 0 and no
+				// other.
+				want = "130203" + "0a01" + c.want + "0510" + "090d" + "80000000000009" + "01" + "0170" + "000a00"
 			}
 			if c.lent {
 				req.Roots, req.Lends = []uint64{17}, []bool{true}
@@ -97,6 +103,47 @@ func TestRequestCallShapes(t *testing.T) {
 				t.Errorf("decodes to %+v, %v; want %+v", back, err, req)
 			}
 		})
+	}
+}
+
+// TestFlushFieldTakesTheSessionSlot: a request of a cluster flush carries its
+// flush field where a chain's session word would go, so it keeps and
+// continues no session — one that tries is refused at the client. A request
+// that only consumes pushed values ends its flush field at the id (9 B), and
+// one that also carries a policy writes the two retired slots before it as 0
+// and an empty list, and decodes back whole.
+func TestFlushFieldTakesTheSessionSlot(t *testing.T) {
+	consumer := []core.Invocation{{Method: "Add", Target: core.RootTarget, Kind: 1, Args: []core.BatchArg{{IsRef: true, Seq: 5, Pushed: true}}}}
+	for _, req := range []*core.BatchRequest{
+		{Root: 16, Calls: consumer, Flush: 1<<55 | 9, KeepSession: true},
+		{Root: 16, Calls: consumer, Flush: 1<<55 | 9, Session: 3},
+		{Root: 16, Calls: consumer, Flush: 1 << 63},
+		{Root: 16, Calls: consumer, Peers: []string{"p"}},
+	} {
+		if got, err := wire.Marshal(req); err == nil {
+			t.Errorf("request %+v encoded to %x, want refused", req, got)
+		}
+	}
+	req := &core.BatchRequest{Root: 16, Calls: consumer, Flush: 1<<55 | 9}
+	got, err := wire.Marshal(req)
+	// Three fields: the consumer, root 16, and the flush field, 7 bytes.
+	if want := "130203" + "0a01" + "1328020803416464" + "0a01132b01040a" + "0510" + "0907" + "80000000000009"; err != nil || hex.EncodeToString(got) != want {
+		t.Errorf("consumer's request encodes to\n  %x (%v), want\n  %s", got, err, want)
+	}
+	req.Policy = core.ContinuePolicy()
+	got, err = wire.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fields, err := wire.Fields(got, 0)
+	if err != nil || len(fields) != 8 {
+		t.Fatalf("request with a policy has fields %v, %v; want 8", fields, err)
+	}
+	if retired := got[fields[5].Off : fields[6].Off+fields[6].Len]; hex.EncodeToString(retired) != "05000a00" {
+		t.Errorf("retired slots hold %x, want 05000a00", retired)
+	}
+	if back, err := wire.Unmarshal(got); err != nil || !reflect.DeepEqual(back, req) {
+		t.Errorf("decodes to %+v, %v; want %+v", back, err, req)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/wire"
@@ -18,11 +19,8 @@ import (
 // skips surplus fields from a newer sender.
 
 func encBatchArg(x wire.Enc, a *batchArg) error {
-	n := 4
-	if !a.Pushed {
-		n = 3
-	}
-	if n == 3 && a.Seq == 0 {
+	n := 3
+	if a.Seq == 0 {
 		n = 2
 		if !a.IsRef {
 			n = 1
@@ -43,12 +41,12 @@ func encBatchArg(x wire.Enc, a *batchArg) error {
 	if n > 2 {
 		x.Int(a.Seq)
 	}
-	if n > 3 {
-		x.Bool(a.Pushed)
-	}
 	return nil
 }
 
+// decBatchArg reads a brmi.arg. Its fourth field is the retired pushed flag:
+// a pushed argument travels as brmi.pushed, and an argument that sets the
+// flag is refused.
 func decBatchArg(x wire.Dec, a *batchArg, n int) error {
 	var err error
 	if n > 0 {
@@ -67,15 +65,37 @@ func decBatchArg(x wire.Dec, a *batchArg, n int) error {
 		}
 	}
 	if n > 3 {
-		if a.Pushed, err = x.Bool(); err != nil {
+		pushed, err := x.Bool()
+		if err != nil {
 			return err
+		}
+		if pushed {
+			return &wire.CorruptError{Detail: "retired pushed-argument form: a pushed argument travels as brmi.pushed"}
 		}
 	}
 	return x.SkipFields(n - 4)
 }
 
+// encPushed writes a pushed argument as brmi.pushed: the producer's tag.
+func encPushed(x wire.Enc, p *Pushed) error {
+	x.BeginStruct("brmi.pushed", 1)
+	x.Int(p.Tag)
+	return nil
+}
+
+func decPushed(x wire.Dec, p *Pushed, n int) error {
+	if n < 1 {
+		return &wire.CorruptError{Detail: "pushed argument without a tag"}
+	}
+	var err error
+	if p.Tag, err = x.Int(); err != nil {
+		return err
+	}
+	return x.SkipFields(n - 1)
+}
+
 // encArgSlice writes a call's arguments: a by-value argument as its bare
-// value, a reference or a pushed argument as a brmi.arg.
+// value, a reference as a brmi.arg, a pushed argument as a brmi.pushed.
 func encArgSlice(x wire.Enc, args []batchArg) error {
 	if args == nil {
 		x.Nil()
@@ -84,10 +104,13 @@ func encArgSlice(x wire.Enc, args []batchArg) error {
 	x.Slice(len(args))
 	for i := range args {
 		var err error
-		if a := &args[i]; !a.IsRef && !a.Pushed {
-			err = x.Value(a.Val)
-		} else {
+		switch a := &args[i]; {
+		case a.Pushed:
+			err = encPushed(x, &Pushed{Tag: a.Seq})
+		case a.IsRef:
 			err = encBatchArg(x, a)
+		default:
+			err = x.Value(a.Val)
 		}
 		if err != nil {
 			return err
@@ -96,8 +119,8 @@ func encArgSlice(x wire.Enc, args []batchArg) error {
 	return nil
 }
 
-// decArgSlice reads a call's arguments: a brmi.arg is decoded in place, any
-// other value is a by-value argument.
+// decArgSlice reads a call's arguments: a brmi.arg or a brmi.pushed is
+// decoded in place, any other value is a by-value argument.
 func decArgSlice(x wire.Dec) ([]batchArg, error) {
 	n, err := x.SliceLen()
 	if err != nil || n < 0 {
@@ -111,17 +134,28 @@ func decArgSlice(x wire.Dec) ([]batchArg, error) {
 		if err != nil {
 			return nil, err
 		}
+		isPushed := false
 		if !isArg {
-			if a.Val, err = x.Value(); err != nil {
+			if isPushed, err = x.NextIs("brmi.pushed"); err != nil {
 				return nil, err
 			}
-			continue
 		}
-		fn, err := x.StructFields("brmi.arg")
+		var fn int
+		switch {
+		case isArg:
+			if fn, err = x.StructFields("brmi.arg"); err == nil {
+				err = decBatchArg(x, a, fn)
+			}
+		case isPushed:
+			var p Pushed
+			if fn, err = x.StructFields("brmi.pushed"); err == nil {
+				err = decPushed(x, &p, fn)
+			}
+			*a = batchArg{IsRef: true, Seq: p.Tag, Pushed: true}
+		default:
+			a.Val, err = x.Value()
+		}
 		if err != nil {
-			return nil, err
-		}
-		if err := decBatchArg(x, a, fn); err != nil {
 			return nil, err
 		}
 	}
@@ -131,16 +165,15 @@ func decArgSlice(x wire.Dec) ([]batchArg, error) {
 // encCall writes inv as a brmi.call. Seq is implied by the call's position;
 // Target and Kind travel relative to the batch root and the value call, so
 // both are zero — and omitted when trailing — for a value call on the root.
+// Tag and Push travel in the push column of the request's flush field
+// (encSessionOrFlush): a cursor-owned call writes their two retired slots as
+// 0 and an empty list, since its CursorOwner trails them.
 func encCall(x wire.Enc, inv *invocationData) error {
 	target, kind := RootTarget-inv.Target, inv.Kind-kindValue
 	var n int
 	switch {
 	case inv.CursorOwner != 0:
 		n = 7
-	case len(inv.Push) != 0:
-		n = 6
-	case inv.Tag != 0:
-		n = 5
 	case kind != 0:
 		n = 4
 	case target != 0:
@@ -164,21 +197,16 @@ func encCall(x wire.Enc, inv *invocationData) error {
 		x.Int(kind)
 	}
 	if n > 4 {
-		x.Int(inv.Tag)
-	}
-	if n > 5 {
-		x.Slice(len(inv.Push))
-		for _, at := range inv.Push {
-			x.Int(at)
-		}
-	}
-	if n > 6 {
+		x.Int(0)
+		x.Slice(0)
 		x.Int(inv.CursorOwner)
 	}
 	return nil
 }
 
-// decCall reads a brmi.call into inv; its Seq is the caller's to set.
+// decCall reads a brmi.call into inv; its Seq is the caller's to set. A call
+// whose retired slots hold a tag or a push list — the push form from before
+// the request's push column — is refused.
 func decCall(x wire.Dec, inv *invocationData, n int) error {
 	var target, kind int64
 	var err error
@@ -204,8 +232,12 @@ func decCall(x wire.Dec, inv *invocationData, n int) error {
 	}
 	inv.Target, inv.Kind = RootTarget-target, kindValue+kind
 	if n > 4 {
-		if inv.Tag, err = x.Int(); err != nil {
+		tag, err := x.Int()
+		if err != nil {
 			return err
+		}
+		if tag != 0 {
+			return &wire.CorruptError{Detail: "retired push form: a call's tag travels in the request's push column"}
 		}
 	}
 	if n > 5 {
@@ -214,14 +246,7 @@ func decCall(x wire.Dec, inv *invocationData, n int) error {
 			return err
 		}
 		if pn > 0 {
-			inv.Push = make([]int64, 0, min(pn, wire.MaxPrealloc))
-			for i := 0; i < pn; i++ {
-				at, err := x.Int()
-				if err != nil {
-					return err
-				}
-				inv.Push = append(inv.Push, at)
-			}
+			return &wire.CorruptError{Detail: "retired push form: a call's push list travels in the request's push column"}
 		}
 	}
 	if n > 6 {
@@ -247,31 +272,35 @@ func decRetiredInv(wire.Dec, *retiredInv, int) error {
 	return &wire.CorruptError{Detail: "brmi.inv is retired: calls travel as brmi.call"}
 }
 
-// encBatchRequest writes a brmi.req. Its fields lead with what a cluster
-// wave and a core flush both send — Calls, then the root — and then what
-// only a chain (Session) or a multi-root batch (Roots), only a cluster wave
-// (Ship, Flush, Peers) or only a non-default policy sends, trailing zeros
-// omitted. A root position travels as its export id, as the name when the
-// request addresses it by one, or as its id under the signed-integer tag when
-// the request lends it (encRoot); the session word is 2·Session+KeepSession.
+// encBatchRequest writes a brmi.req. Its fields lead with what a cluster wave
+// and a core flush both send — Calls, then the root — and then what only a
+// chain (Session) or a cluster wave (its flush field), only a multi-root batch
+// (Roots), only a replicated wave (Ship) or only a non-default policy sends,
+// trailing zeros omitted. A root position travels as its export id, as the
+// name when the request addresses it by one, or as its id under the
+// signed-integer tag when the request lends it (encRoot). The third field is
+// the session word, 2·Session+KeepSession, or — in a request of a cluster
+// flush, which keeps no session — the flush field (encSessionOrFlush). Two
+// retired slots, where the flush id and the peers travelled before the flush
+// field, sit between Ship and Policy: a request with a policy writes them as 0
+// and an empty list.
 func encBatchRequest(x wire.Enc, r *batchRequest) error {
 	session := r.Session << 1
 	if r.KeepSession {
 		session |= 1
 	}
+	if r.Flush == 0 && len(r.Peers) != 0 {
+		return fmt.Errorf("brmi: a request outside a flush names %d peers", len(r.Peers))
+	}
 	var n int
 	switch {
 	case r.Policy != nil:
 		n = 8
-	case len(r.Peers) != 0:
-		n = 7
-	case r.Flush != 0:
-		n = 6
 	case r.Ship != nil:
 		n = 5
 	case len(r.Roots) != 0:
 		n = 4
-	case session != 0:
+	case session != 0 || r.Flush != 0:
 		n = 3
 	case r.Root != 0 || len(r.Names) != 0:
 		n = 2
@@ -295,7 +324,9 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 		encRoot(x, r, 0, r.Root)
 	}
 	if n > 2 {
-		x.Uint(session)
+		if err := encSessionOrFlush(x, r, session); err != nil {
+			return err
+		}
 	}
 	if n > 3 {
 		if len(r.Roots) == 0 {
@@ -313,17 +344,172 @@ func encBatchRequest(x wire.Enc, r *batchRequest) error {
 		}
 	}
 	if n > 5 {
-		x.Uint(r.Flush)
-	}
-	if n > 6 {
-		x.Slice(len(r.Peers))
-		for _, ep := range r.Peers {
-			x.Str(ep)
-		}
-	}
-	if n > 7 {
+		x.Uint(0)
+		x.Slice(0)
 		if err := x.Value(r.Policy); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// isFlushID reports whether id is a flush id as clients mint them: 56 bits
+// with bit 55 set, the other 55 random, so every id takes the same bytes on
+// the wire.
+func isFlushID(id uint64) bool { return id>>55 == 1 }
+
+// encSessionOrFlush writes the request's third field: the session word when
+// the request is part of no flush, else the flush field — a byte string of the
+// flush id, the peers and the push column (see batchRequest.Flush), which only
+// a request that keeps and continues no session carries.
+func encSessionOrFlush(x wire.Enc, r *batchRequest, session uint64) error {
+	if r.Flush == 0 {
+		for i := range r.Calls {
+			if len(r.Calls[i].Push) != 0 {
+				return fmt.Errorf("brmi: call %d of a request outside a flush pushes its result", i)
+			}
+		}
+		x.Uint(session)
+		return nil
+	}
+	switch {
+	case !isFlushID(r.Flush):
+		return fmt.Errorf("brmi: flush id %#x is not 56 bits with bit 55 set", r.Flush)
+	case session != 0:
+		return fmt.Errorf("brmi: a request of flush %#x keeps or continues a session", r.Flush)
+	}
+	var buf [128]byte
+	b := buf[:0]
+	for shift := 48; shift >= 0; shift -= 8 {
+		b = append(b, byte(r.Flush>>shift))
+	}
+	b = binary.AppendUvarint(b, uint64(len(r.Peers)))
+	for _, ep := range r.Peers {
+		b = binary.AppendUvarint(b, uint64(len(ep)))
+		b = append(b, ep...)
+	}
+	prev := -1
+	for i := range r.Calls {
+		c := &r.Calls[i]
+		if len(c.Push) == 0 {
+			continue
+		}
+		b = binary.AppendUvarint(b, uint64(i-prev-1))
+		b = binary.AppendVarint(b, c.Tag)
+		for k, at := range c.Push {
+			if at < 0 {
+				return fmt.Errorf("brmi: call %d pushes to peer %d", i, at)
+			}
+			u := uint64(at) << 1
+			if k < len(c.Push)-1 {
+				u |= 1
+			}
+			b = binary.AppendUvarint(b, u)
+		}
+		prev = i
+	}
+	if len(b) == 8 {
+		b = b[:7] // no peer and no push: the field ends at the id
+	}
+	x.BytesVal(b)
+	return nil
+}
+
+// decSessionOrFlush reads the request's third field, which encSessionOrFlush
+// wrote: the session word into r.Session and r.KeepSession, or the flush field
+// into r.Flush, r.Peers and the Tag and Push of r's calls. A flush field whose
+// id is not 56 bits with bit 55 set, whose peers or push column overrun it, or
+// whose push column names a call the request does not carry is refused.
+func decSessionOrFlush(x wire.Dec, r *batchRequest) error {
+	session, b, isFlush, err := x.UintOrBytes()
+	switch {
+	case err != nil:
+		return err
+	case !isFlush:
+		r.Session, r.KeepSession = session>>1, session&1 == 1
+		return nil
+	}
+	if len(b) < 7 || b[0]&0x80 == 0 {
+		return errMalformedFlush()
+	}
+	for _, c := range b[:7] {
+		r.Flush = r.Flush<<8 | uint64(c)
+	}
+	col := b[7:]
+	if len(col) == 0 {
+		return nil
+	}
+	uvarint := func() (uint64, bool) {
+		u, k := binary.Uvarint(col)
+		col = col[max(k, 0):]
+		return u, k > 0
+	}
+	pn, ok := uvarint()
+	if !ok || pn > uint64(len(col)) {
+		return errMalformedFlush()
+	}
+	if pn > 0 {
+		r.Peers = make([]string, 0, min(pn, wire.MaxPrealloc))
+	}
+	for i := uint64(0); i < pn; i++ {
+		n, ok := uvarint()
+		if !ok || n > uint64(len(col)) {
+			return errMalformedFlush()
+		}
+		r.Peers = append(r.Peers, wire.Intern(col[:n]))
+		col = col[n:]
+	}
+	next := 0
+	for len(col) > 0 {
+		skip, ok := uvarint()
+		if !ok || skip >= uint64(len(r.Calls)-next) {
+			return errMalformedFlush()
+		}
+		c := &r.Calls[next+int(skip)]
+		next += int(skip) + 1
+		tag, k := binary.Varint(col)
+		if k <= 0 {
+			return errMalformedFlush()
+		}
+		col, c.Tag = col[k:], tag
+		for more := true; more; {
+			u, ok := uvarint()
+			if !ok {
+				return errMalformedFlush()
+			}
+			c.Push = append(c.Push, int64(u>>1))
+			more = u&1 == 1
+		}
+	}
+	return nil
+}
+
+// errMalformedFlush refuses a flush field that does not parse.
+func errMalformedFlush() error {
+	return &wire.CorruptError{Detail: "batch request flush field is malformed"}
+}
+
+// decRetired reads the two slots between Ship and Policy, where the flush id
+// and the peers travelled before the flush field: 0 and an empty list (or
+// nil) are all a request writes there now, and anything else — a request in
+// the form from before — is refused.
+func decRetired(x wire.Dec, n int) error {
+	if n > 5 {
+		v, err := x.Value()
+		if err != nil {
+			return err
+		}
+		if u, ok := v.(uint64); v != nil && (!ok || u != 0) {
+			return &wire.CorruptError{Detail: "retired flush form: a flush travels in the request's flush field"}
+		}
+	}
+	if n > 6 {
+		pn, err := x.SliceLen()
+		if err != nil {
+			return err
+		}
+		if pn > 0 {
+			return &wire.CorruptError{Detail: "retired flush form: a request's peers travel in its flush field"}
 		}
 	}
 	return nil
@@ -399,11 +585,9 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 		}
 	}
 	if n > 2 {
-		session, err := x.Uint()
-		if err != nil {
+		if err := decSessionOrFlush(x, r); err != nil {
 			return err
 		}
-		r.Session, r.KeepSession = session>>1, session&1 == 1
 	}
 	if n > 3 {
 		rn, err := x.SliceLen()
@@ -442,26 +626,8 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 			r.Ship = d
 		}
 	}
-	if n > 5 {
-		if r.Flush, err = x.Uint(); err != nil {
-			return err
-		}
-	}
-	if n > 6 {
-		pn, err := x.SliceLen()
-		if err != nil {
-			return err
-		}
-		if pn > 0 {
-			r.Peers = make([]string, 0, min(pn, wire.MaxPrealloc))
-			for i := 0; i < pn; i++ {
-				ep, err := x.Str()
-				if err != nil {
-					return err
-				}
-				r.Peers = append(r.Peers, ep)
-			}
-		}
+	if err := decRetired(x, n); err != nil {
+		return err
 	}
 	if n > 7 {
 		v, err := x.Value()
@@ -483,10 +649,10 @@ func decBatchRequest(x wire.Dec, r *batchRequest, n int) error {
 }
 
 // checkPushes rejects a request whose push lists cannot be followed: a push
-// belongs to a value or remote call outside any cursor run, in a request that
-// names its flush, and points into the request's Peers; and no call of the
-// request waits for a value the request pushes itself — a value consumed where
-// it is produced travels inside the request.
+// belongs to a value or remote call outside any cursor run and points into
+// the request's Peers (the push column it came in names the flush); and no
+// call of the request waits for a value the request pushes itself — a value
+// consumed where it is produced travels inside the request.
 func checkPushes(r *batchRequest) error {
 	var tags map[int64]bool
 	for i := range r.Calls {
@@ -494,11 +660,8 @@ func checkPushes(r *batchRequest) error {
 		if len(c.Push) == 0 {
 			continue
 		}
-		switch {
-		case c.Kind == kindCursor || c.CursorOwner != 0:
+		if c.Kind == kindCursor || c.CursorOwner != 0 {
 			return &wire.CorruptError{Detail: "batch request pushes the result of a call that returns no single value"}
-		case r.Flush == 0:
-			return &wire.CorruptError{Detail: "batch request pushes values outside a flush"}
 		}
 		for _, at := range c.Push {
 			if at < 0 || at >= int64(len(r.Peers)) {
@@ -693,7 +856,7 @@ func encBatchResponse(x wire.Enc, r *batchResponse) error {
 		n = 5
 	case r.ShipErr != nil:
 		n = 4
-	case r.ShipNs != 0:
+	case r.ShipUs != 0:
 		n = 3
 	case r.Session != 0:
 		n = 2
@@ -723,7 +886,7 @@ func encBatchResponse(x wire.Enc, r *batchResponse) error {
 		x.Uint(r.Session)
 	}
 	if n > 2 {
-		x.Int(r.ShipNs)
+		x.Int(r.ShipUs)
 	}
 	if n > 3 {
 		if err := x.Value(r.ShipErr); err != nil {
@@ -777,7 +940,7 @@ func decBatchResponse(x wire.Dec, r *batchResponse, n int) error {
 		}
 	}
 	if n > 2 {
-		if r.ShipNs, err = x.Int(); err != nil {
+		if r.ShipUs, err = x.Int(); err != nil {
 			return err
 		}
 	}

@@ -63,11 +63,21 @@ type recordedConn struct {
 	out, in  bytes.Buffer
 }
 
+// Write records p before it writes it: the peer may act on the bytes, and
+// answer them, before the write returns, and a record read once the answer
+// came must hold them. What a short write did not send leaves the record
+// again.
 func (c *recordedConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
 	c.mu.Lock()
-	c.out.Write(p[:n])
+	mark := c.out.Len()
+	c.out.Write(p)
 	c.mu.Unlock()
+	n, err := c.Conn.Write(p)
+	if n < len(p) {
+		c.mu.Lock()
+		c.out.Truncate(mark + n)
+		c.mu.Unlock()
+	}
 	return n, err
 }
 

@@ -254,6 +254,43 @@ func (x Dec) IDOrName() (id uint64, name string, signed bool, err error) {
 	}
 }
 
+// UintOrBytes decodes a field that holds either an unsigned integer (read
+// as Uint reads one; nil is 0) or a byte string: a codec whose slot carries
+// one or the other (brmi.req's session word or flush field). isBytes tells
+// which came. The bytes are the message's own, not a copy: a codec reads
+// them before it returns and keeps nothing of them but copies.
+func (x Dec) UintOrBytes() (u uint64, b []byte, isBytes bool, err error) {
+	tag, err := x.d.tag()
+	if err != nil {
+		return 0, nil, false, err
+	}
+	switch tag {
+	case kUint:
+		u, err = x.d.uvarint()
+		return u, nil, false, err
+	case kInt:
+		u, err = x.d.uvarint()
+		return uint64(unzigzag(u)), nil, false, err
+	case kNil:
+		return 0, nil, false, nil
+	case kBytes:
+		n, err := x.d.uvarint()
+		if err != nil {
+			return 0, nil, false, err
+		}
+		b, err = x.d.take(n)
+		return 0, b, err == nil, err
+	default:
+		return 0, nil, false, x.d.corrupt("expected unsigned integer or bytes")
+	}
+}
+
+// Intern returns b as a string shared with every decode of the same bytes,
+// as the decoder's own strings are: a codec that reads strings out of a byte
+// string it parses itself (UintOrBytes) allocates none for the strings a
+// peer repeats — endpoints, names.
+func Intern(b []byte) string { return internBytes(b) }
+
 // BytesVal decodes a []byte field.
 func (x Dec) BytesVal() ([]byte, error) {
 	tag, err := x.d.tag()

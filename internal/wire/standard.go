@@ -68,6 +68,9 @@ var standardTypes = [...]string{
 	"rmi.NoHandler",
 	// A ring a node refused to adopt (cluster.Node.SetRing).
 	"cluster.RingRefused",
+	// A call argument another destination of the flush pushes (core.Pushed),
+	// which replaced brmi.arg's pushed flag.
+	"brmi.pushed",
 }
 
 // standardIndex is name's index in the standard table, or -1. It scans the

@@ -34,6 +34,7 @@ var standardGolden = []string{
 	"brmi.call",
 	"rmi.NoHandler",
 	"cluster.RingRefused",
+	"brmi.pushed",
 }
 
 // protocolPrefixes are the wire-name prefixes of the repository's own
